@@ -71,28 +71,35 @@ fn nearby_nsec3(zone: &Zone, dnssec: bool, out: &mut Vec<Record>) {
     }
 }
 
-/// NSEC3 proof for a NODATA answer: the single NSEC3 matching `qname`
-/// (whose bitmap shows the queried type absent).
-pub fn nodata_proof(zone: &Zone, params: &Nsec3Config, qname: &Name, dnssec: bool) -> Vec<Record> {
-    let mut out = Vec::new();
+/// NSEC3 proof for a NODATA answer, appended to `out`: the single NSEC3
+/// matching `qname` (whose bitmap shows the queried type absent).
+pub fn nodata_proof(
+    zone: &Zone,
+    params: &Nsec3Config,
+    qname: &Name,
+    dnssec: bool,
+    out: &mut Vec<Record>,
+) {
+    let proof_at = out.len();
     if let Some(set) = nsec3::find_matching(zone, params, qname) {
-        emit(set, dnssec, &mut out);
+        emit(set, dnssec, out);
     }
-    if out.is_empty() && params_consistent(zone, params) {
-        nearby_nsec3(zone, dnssec, &mut out);
+    if out.len() == proof_at && params_consistent(zone, params) {
+        nearby_nsec3(zone, dnssec, out);
     }
-    out
 }
 
-/// NSEC3 proof for NXDOMAIN: match the closest encloser, cover the next
-/// closer name, and cover the source-of-synthesis wildcard.
+/// NSEC3 proof for NXDOMAIN, appended to `out`: match the closest
+/// encloser, cover the next closer name, and cover the
+/// source-of-synthesis wildcard.
 pub fn nxdomain_proof(
     zone: &Zone,
     params: &Nsec3Config,
     qname: &Name,
     dnssec: bool,
-) -> Vec<Record> {
-    let mut out = Vec::new();
+    out: &mut Vec<Record>,
+) {
+    let proof_at = out.len();
 
     // Closest encloser: deepest ancestor of qname that exists.
     let mut encloser = qname.parent();
@@ -105,11 +112,7 @@ pub fn nxdomain_proof(
     let encloser = encloser.unwrap_or_else(|| zone.apex().clone());
 
     // Next closer: the child of the encloser on the qname path.
-    let depth_diff = qname.label_count() - encloser.label_count();
-    let mut next_closer = qname.clone();
-    for _ in 1..depth_diff {
-        next_closer = next_closer.parent().expect("above qname");
-    }
+    let next_closer = qname.suffix(encloser.label_count() + 1);
 
     let mut seen = std::collections::BTreeSet::new();
     let mut push_unique = |set: Option<&Rrset>, out: &mut Vec<Record>| {
@@ -120,21 +123,27 @@ pub fn nxdomain_proof(
         }
     };
 
-    push_unique(nsec3::find_matching(zone, params, &encloser), &mut out);
-    push_unique(nsec3::find_covering(zone, params, &next_closer), &mut out);
+    push_unique(nsec3::find_matching(zone, params, &encloser), out);
+    push_unique(nsec3::find_covering(zone, params, &next_closer), out);
     if let Ok(wildcard) = encloser.child("*") {
-        push_unique(nsec3::find_covering(zone, params, &wildcard), &mut out);
+        push_unique(nsec3::find_covering(zone, params, &wildcard), out);
     }
-    if out.is_empty() && params_consistent(zone, params) {
-        nearby_nsec3(zone, dnssec, &mut out);
+    if out.len() == proof_at && params_consistent(zone, params) {
+        nearby_nsec3(zone, dnssec, out);
     }
-    out
 }
 
-/// NSEC3 proof that a delegation is insecure (no DS): the NSEC3 matching
-/// the delegation owner, whose bitmap has NS but not DS.
-pub fn no_ds_proof(zone: &Zone, params: &Nsec3Config, deleg: &Name, dnssec: bool) -> Vec<Record> {
-    nodata_proof(zone, params, deleg, dnssec)
+/// NSEC3 proof that a delegation is insecure (no DS), appended to `out`:
+/// the NSEC3 matching the delegation owner, whose bitmap has NS but not
+/// DS.
+pub fn no_ds_proof(
+    zone: &Zone,
+    params: &Nsec3Config,
+    deleg: &Name,
+    dnssec: bool,
+    out: &mut Vec<Record>,
+) {
+    nodata_proof(zone, params, deleg, dnssec, out)
 }
 
 /// Does the zone use plain NSEC denial (any NSEC RRset present)?
@@ -142,19 +151,17 @@ pub fn zone_uses_nsec(zone: &Zone) -> bool {
     zone.get(zone.apex(), RrType::Nsec).is_some()
 }
 
-/// Plain-NSEC proof for a NODATA answer: the NSEC matching `qname`.
-pub fn nsec_nodata_proof(zone: &Zone, qname: &Name, dnssec: bool) -> Vec<Record> {
-    let mut out = Vec::new();
+/// Plain-NSEC proof for a NODATA answer, appended to `out`: the NSEC
+/// matching `qname`.
+pub fn nsec_nodata_proof(zone: &Zone, qname: &Name, dnssec: bool, out: &mut Vec<Record>) {
     if let Some(set) = nsec::find_matching(zone, qname) {
-        emit(set, dnssec, &mut out);
+        emit(set, dnssec, out);
     }
-    out
 }
 
-/// Plain-NSEC proof for NXDOMAIN: cover the name and the wildcard at the
-/// closest encloser (RFC 4035 §3.1.3.2).
-pub fn nsec_nxdomain_proof(zone: &Zone, qname: &Name, dnssec: bool) -> Vec<Record> {
-    let mut out = Vec::new();
+/// Plain-NSEC proof for NXDOMAIN, appended to `out`: cover the name and
+/// the wildcard at the closest encloser (RFC 4035 §3.1.3.2).
+pub fn nsec_nxdomain_proof(zone: &Zone, qname: &Name, dnssec: bool, out: &mut Vec<Record>) {
     let mut seen = std::collections::BTreeSet::new();
     let mut push_unique = |set: Option<&Rrset>, out: &mut Vec<Record>| {
         if let Some(set) = set {
@@ -163,7 +170,7 @@ pub fn nsec_nxdomain_proof(zone: &Zone, qname: &Name, dnssec: bool) -> Vec<Recor
             }
         }
     };
-    push_unique(nsec::find_covering(zone, qname), &mut out);
+    push_unique(nsec::find_covering(zone, qname), out);
     // Wildcard cover at the closest existing encloser.
     let mut encloser = qname.parent();
     while let Some(e) = encloser.clone() {
@@ -174,10 +181,9 @@ pub fn nsec_nxdomain_proof(zone: &Zone, qname: &Name, dnssec: bool) -> Vec<Recor
     }
     if let Some(e) = encloser {
         if let Ok(wildcard) = e.child("*") {
-            push_unique(nsec::find_covering(zone, &wildcard), &mut out);
+            push_unique(nsec::find_covering(zone, &wildcard), out);
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -239,7 +245,8 @@ mod tests {
         let z = signed_zone();
         let p = zone_nsec3_params(&z).unwrap();
         // AAAA at apex doesn't exist — NODATA; proof = apex matcher.
-        let proof = nodata_proof(&z, &p, &n("example.com"), true);
+        let mut proof = Vec::new();
+        nodata_proof(&z, &p, &n("example.com"), true, &mut proof);
         assert!(!proof.is_empty());
         assert!(proof.iter().any(|r| r.rtype() == RrType::Nsec3));
         assert!(proof.iter().any(|r| r.rtype() == RrType::Rrsig));
@@ -249,7 +256,8 @@ mod tests {
     fn nxdomain_proof_has_encloser_and_cover() {
         let z = signed_zone();
         let p = zone_nsec3_params(&z).unwrap();
-        let proof = nxdomain_proof(&z, &p, &n("nonexistent.example.com"), true);
+        let mut proof = Vec::new();
+        nxdomain_proof(&z, &p, &n("nonexistent.example.com"), true, &mut proof);
         let nsec3s = proof.iter().filter(|r| r.rtype() == RrType::Nsec3).count();
         // Closest-encloser match (apex) + next-closer cover; the wildcard
         // cover may coincide with the next-closer interval.
@@ -260,7 +268,8 @@ mod tests {
     fn without_do_no_rrsigs() {
         let z = signed_zone();
         let p = zone_nsec3_params(&z).unwrap();
-        let proof = nodata_proof(&z, &p, &n("example.com"), false);
+        let mut proof = Vec::new();
+        nodata_proof(&z, &p, &n("example.com"), false, &mut proof);
         assert!(proof.iter().all(|r| r.rtype() != RrType::Rrsig));
     }
 }

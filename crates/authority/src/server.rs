@@ -7,17 +7,16 @@ use crate::denial::{
 };
 use crate::store::ZoneStore;
 use ede_netsim::{Server, ServerResponse};
-use ede_trace::{TraceEvent, Tracer};
+use ede_trace::{TraceEvent, Tracer, TracerCell};
 use ede_wire::{Edns, Message, Name, Rcode, Rdata, RrType};
 use ede_zone::{Rrset, Zone};
 use std::net::IpAddr;
-use std::sync::Mutex;
 
 /// An authoritative nameserver: a zone store plus a behavior mode.
 pub struct ZoneServer {
     store: ZoneStore,
     behavior: Behavior,
-    tracer: Mutex<Tracer>,
+    tracer: TracerCell,
     payload_cap: Option<u16>,
 }
 
@@ -27,7 +26,7 @@ impl ZoneServer {
         ZoneServer {
             store,
             behavior: Behavior::Normal,
-            tracer: Mutex::new(Tracer::disabled()),
+            tracer: TracerCell::default(),
             payload_cap: None,
         }
     }
@@ -37,7 +36,7 @@ impl ZoneServer {
         ZoneServer {
             store,
             behavior,
-            tracer: Mutex::new(Tracer::disabled()),
+            tracer: TracerCell::default(),
             payload_cap: None,
         }
     }
@@ -57,7 +56,7 @@ impl ZoneServer {
     /// [`TraceEvent::AuthorityAnswer`] (dropped queries emit nothing —
     /// the client side records the timeout).
     pub fn set_tracer(&self, tracer: Tracer) {
-        *self.tracer.lock().expect("no poisoning") = tracer;
+        self.tracer.set(tracer);
     }
 
     /// The configured behavior.
@@ -74,7 +73,7 @@ impl ZoneServer {
     pub fn answer(&self, query: &Message, src: IpAddr) -> ServerResponse {
         let resp = self.answer_inner(query, src);
         if let ServerResponse::Reply(m) = &resp {
-            let tracer = self.tracer.lock().expect("no poisoning").clone();
+            let tracer = self.tracer.get();
             if tracer.enabled() {
                 let zone = query
                     .first_question()
@@ -156,11 +155,9 @@ impl ZoneServer {
             if let Some(ds) = zone.get(deleg, RrType::Ds) {
                 push_rrset(&mut resp.authorities, ds, true);
             } else if zone_uses_nsec(zone) {
-                resp.authorities
-                    .extend(nsec_nodata_proof(zone, deleg, true));
+                nsec_nodata_proof(zone, deleg, true, &mut resp.authorities);
             } else if let Some(params) = zone_nsec3_params(zone) {
-                resp.authorities
-                    .extend(no_ds_proof(zone, &params, deleg, true));
+                no_ds_proof(zone, &params, deleg, true, &mut resp.authorities);
             }
         }
 
@@ -232,11 +229,9 @@ impl ZoneServer {
             }
             if negative_dnssec {
                 if uses_nsec {
-                    resp.authorities
-                        .extend(nsec_nodata_proof(zone, qname, true));
+                    nsec_nodata_proof(zone, qname, true, &mut resp.authorities);
                 } else if let Some(params) = &params {
-                    resp.authorities
-                        .extend(nodata_proof(zone, params, qname, true));
+                    nodata_proof(zone, params, qname, true, &mut resp.authorities);
                 }
             }
         } else {
@@ -246,11 +241,9 @@ impl ZoneServer {
             }
             if negative_dnssec {
                 if uses_nsec {
-                    resp.authorities
-                        .extend(nsec_nxdomain_proof(zone, qname, true));
+                    nsec_nxdomain_proof(zone, qname, true, &mut resp.authorities);
                 } else if let Some(params) = &params {
-                    resp.authorities
-                        .extend(nxdomain_proof(zone, params, qname, true));
+                    nxdomain_proof(zone, params, qname, true, &mut resp.authorities);
                 }
             }
         }

@@ -9,7 +9,17 @@ const ALPHABET: &[u8; 32] = b"0123456789abcdefghijklmnopqrstuv";
 
 /// Encode `data` as unpadded lowercase base32hex.
 pub fn encode(data: &[u8]) -> String {
-    let mut out = String::with_capacity(data.len().div_ceil(5) * 8);
+    let mut out = vec![0u8; data.len().div_ceil(5) * 8];
+    let written = encode_into(data, &mut out);
+    out.truncate(written);
+    String::from_utf8(out).expect("the alphabet is ASCII")
+}
+
+/// [`encode`] into a caller-owned buffer; returns how many symbols were
+/// written. Panics when `out` is shorter than the encoding
+/// (`ceil(len / 5) * 8` always suffices).
+pub fn encode_into(data: &[u8], out: &mut [u8]) -> usize {
+    let mut written = 0;
     for chunk in data.chunks(5) {
         let mut buf = [0u8; 5];
         buf[..chunk.len()].copy_from_slice(chunk);
@@ -28,10 +38,11 @@ pub fn encode(data: &[u8]) -> String {
         };
         for i in 0..symbols {
             let shift = 35 - 5 * i;
-            out.push(ALPHABET[((v >> shift) & 0x1f) as usize] as char);
+            out[written] = ALPHABET[((v >> shift) & 0x1f) as usize];
+            written += 1;
         }
     }
-    out
+    written
 }
 
 /// Decode unpadded base32hex (either case). Returns `None` on any

@@ -5,34 +5,66 @@
 
 use crate::Digest;
 
-/// Compute `HMAC(key, message)` with hash function `H`.
-///
-/// Keys longer than the block size are hashed first, exactly as RFC 2104
-/// prescribes. The block size is inferred from the digest width (64 bytes
-/// for SHA-1/SHA-256, 128 for SHA-384).
-pub fn hmac<H: Digest>(key: &[u8], message: &[u8]) -> Vec<u8> {
-    let block_len = if H::OUTPUT_LEN > 32 { 128 } else { 64 };
+/// Streaming HMAC state: absorb the message in pieces, then read the tag
+/// into a caller-owned buffer. Nothing here touches the heap, which is
+/// what the per-query signing and verification paths want.
+pub struct Hmac<H: Digest> {
+    inner: H,
+    outer: H,
+}
 
-    let mut key_block = vec![0u8; block_len];
-    if key.len() > block_len {
-        let hashed = H::digest(key);
-        key_block[..hashed.len()].copy_from_slice(&hashed);
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
+impl<H: Digest> Hmac<H> {
+    /// Key the two hash states.
+    ///
+    /// Keys longer than the block size are hashed first, exactly as RFC
+    /// 2104 prescribes. The block size is inferred from the digest width
+    /// (64 bytes for SHA-1/SHA-256, 128 for SHA-384).
+    pub fn new(key: &[u8]) -> Self {
+        let block_len = if H::OUTPUT_LEN > 32 { 128 } else { 64 };
+        let mut key_block = [0u8; 128];
+        if key.len() > block_len {
+            let mut hashed = H::new();
+            hashed.update(key);
+            hashed.finalize_into(&mut key_block[..H::OUTPUT_LEN]);
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+
+        let mut pad = [0u8; 128];
+        let mut keyed = |xor: u8| {
+            for (p, k) in pad.iter_mut().zip(&key_block) {
+                *p = k ^ xor;
+            }
+            let mut h = H::new();
+            h.update(&pad[..block_len]);
+            h
+        };
+        Hmac {
+            inner: keyed(0x36),
+            outer: keyed(0x5c),
+        }
     }
 
-    let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-    let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
+    /// Absorb the next piece of the message.
+    pub fn update(&mut self, data: &[u8]) {
+        self.inner.update(data);
+    }
 
-    let mut inner = H::new();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
+    /// Write the tag to `out`, which must be [`Digest::OUTPUT_LEN`] bytes.
+    pub fn finalize_into(mut self, out: &mut [u8]) {
+        self.inner.finalize_into(out);
+        self.outer.update(out);
+        self.outer.finalize_into(out);
+    }
+}
 
-    let mut outer = H::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+/// Compute `HMAC(key, message)` with hash function `H`.
+pub fn hmac<H: Digest>(key: &[u8], message: &[u8]) -> Vec<u8> {
+    let mut mac = Hmac::<H>::new(key);
+    mac.update(message);
+    let mut out = vec![0u8; H::OUTPUT_LEN];
+    mac.finalize_into(&mut out);
+    out
 }
 
 #[cfg(test)]

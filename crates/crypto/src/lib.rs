@@ -46,9 +46,11 @@ pub use sha2::{Sha256, Sha384};
 /// this crate.
 ///
 /// The trait is deliberately small: the DNSSEC pipeline only ever needs
-/// "feed bytes, read digest". Output length is conveyed by the returned
-/// `Vec` so that callers can stay object-safe over digest algorithms of
-/// different widths (SHA-1 for NSEC3, SHA-256/384 for DS records).
+/// "feed bytes, read digest". [`Digest::finalize`] conveys the output
+/// length by the returned `Vec`, so callers can stay generic over digest
+/// algorithms of different widths (SHA-1 for NSEC3, SHA-256/384 for DS
+/// records); per-query code that knows the width writes the digest into
+/// a buffer of its own with [`Digest::finalize_into`] instead.
 pub trait Digest {
     /// Digest output size in bytes.
     const OUTPUT_LEN: usize;
@@ -59,8 +61,19 @@ pub trait Digest {
     /// Absorb `data` into the hash state.
     fn update(&mut self, data: &[u8]);
 
+    /// Consume the state and write the digest to `out`, which must be
+    /// exactly [`Digest::OUTPUT_LEN`] bytes long.
+    fn finalize_into(self, out: &mut [u8]);
+
     /// Consume the state and produce the digest.
-    fn finalize(self) -> Vec<u8>;
+    fn finalize(self) -> Vec<u8>
+    where
+        Self: Sized,
+    {
+        let mut out = vec![0u8; Self::OUTPUT_LEN];
+        self.finalize_into(&mut out);
+        out
+    }
 
     /// One-shot convenience: hash `data` in a single call.
     fn digest(data: &[u8]) -> Vec<u8>

@@ -17,31 +17,44 @@ use crate::{base32, Digest, Sha1};
 /// The single registered NSEC3 hash algorithm (SHA-1).
 pub const NSEC3_HASH_ALG_SHA1: u8 = 1;
 
+/// Width of an NSEC3 hash in bytes (SHA-1).
+pub const NSEC3_HASH_LEN: usize = 20;
+
+/// Length of the base32hex owner label an NSEC3 hash encodes to.
+pub const NSEC3_LABEL_LEN: usize = 32;
+
 /// Hash a canonical wire-format owner name with the given salt and
-/// iteration count, returning the 20-byte SHA-1 based digest.
+/// iteration count, returning the SHA-1 based digest.
 ///
 /// The caller must supply the name already lowercased (canonical form);
 /// this function performs no case folding.
-pub fn nsec3_hash(name_wire: &[u8], salt: &[u8], iterations: u16) -> Vec<u8> {
-    let mut digest = {
-        let mut h = Sha1::new();
-        h.update(name_wire);
-        h.update(salt);
-        h.finalize()
-    };
+pub fn nsec3_hash(name_wire: &[u8], salt: &[u8], iterations: u16) -> [u8; NSEC3_HASH_LEN] {
+    let mut digest = [0u8; NSEC3_HASH_LEN];
+    let mut h = Sha1::new();
+    h.update(name_wire);
+    h.update(salt);
+    h.finalize_into(&mut digest);
     for _ in 0..iterations {
         let mut h = Sha1::new();
         h.update(&digest);
         h.update(salt);
-        digest = h.finalize();
+        h.finalize_into(&mut digest);
     }
     digest
 }
 
-/// Hash an owner name and return the base32hex label used as the NSEC3
-/// owner (RFC 5155 §3).
-pub fn nsec3_hash_label(name_wire: &[u8], salt: &[u8], iterations: u16) -> String {
-    base32::encode(&nsec3_hash(name_wire, salt, iterations))
+/// The base32hex label an NSEC3 hash is published under (RFC 5155 §3),
+/// as the lowercase ASCII bytes an owner name's first label holds.
+pub fn nsec3_label(hash: &[u8; NSEC3_HASH_LEN]) -> [u8; NSEC3_LABEL_LEN] {
+    let mut label = [0u8; NSEC3_LABEL_LEN];
+    let written = base32::encode_into(hash, &mut label);
+    debug_assert_eq!(written, NSEC3_LABEL_LEN);
+    label
+}
+
+/// Hash an owner name and return the label used as the NSEC3 owner.
+pub fn nsec3_hash_label(name_wire: &[u8], salt: &[u8], iterations: u16) -> [u8; NSEC3_LABEL_LEN] {
+    nsec3_label(&nsec3_hash(name_wire, salt, iterations))
 }
 
 #[cfg(test)]
@@ -66,8 +79,8 @@ mod tests {
     fn rfc5155_appendix_a_example() {
         let salt = [0xaa, 0xbb, 0xcc, 0xdd];
         assert_eq!(
-            nsec3_hash_label(&wire("example"), &salt, 12),
-            "0p9mhaveqvm6t7vbl5lop2u3t2rp3tom"
+            &nsec3_hash_label(&wire("example"), &salt, 12),
+            b"0p9mhaveqvm6t7vbl5lop2u3t2rp3tom"
         );
     }
 
@@ -75,8 +88,8 @@ mod tests {
     fn rfc5155_appendix_a_a_example() {
         let salt = [0xaa, 0xbb, 0xcc, 0xdd];
         assert_eq!(
-            nsec3_hash_label(&wire("a.example"), &salt, 12),
-            "35mthgpgcu1qg68fab165klnsnk3dpvl"
+            &nsec3_hash_label(&wire("a.example"), &salt, 12),
+            b"35mthgpgcu1qg68fab165klnsnk3dpvl"
         );
     }
 
@@ -84,8 +97,8 @@ mod tests {
     fn rfc5155_appendix_a_ai_example() {
         let salt = [0xaa, 0xbb, 0xcc, 0xdd];
         assert_eq!(
-            nsec3_hash_label(&wire("ai.example"), &salt, 12),
-            "gjeqe526plbf1g8mklp59enfd789njgi"
+            &nsec3_hash_label(&wire("ai.example"), &salt, 12),
+            b"gjeqe526plbf1g8mklp59enfd789njgi"
         );
     }
 

@@ -117,24 +117,24 @@ impl Digest for Sha1 {
         }
     }
 
-    fn finalize(mut self) -> Vec<u8> {
+    fn finalize_into(mut self, out: &mut [u8]) {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        // Bypass `update` for the length so `self.len` bookkeeping can't
-        // interfere (it is no longer needed).
+        // Padding: 0x80, zeros, then 64-bit big-endian bit length — in
+        // a second block when the first has no room left for the length.
         let mut block = self.buf;
+        block[self.buf_len] = 0x80;
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            self.compress(&block);
+            block = [0; BLOCK_LEN];
+        }
         block[56..].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
 
-        let mut out = Vec::with_capacity(20);
-        for word in self.state {
-            out.extend_from_slice(&word.to_be_bytes());
+        assert_eq!(out.len(), Self::OUTPUT_LEN, "digest buffer width");
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
-        out
     }
 }
 

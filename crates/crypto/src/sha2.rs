@@ -128,21 +128,24 @@ impl Digest for Sha256 {
         }
     }
 
-    fn finalize(mut self) -> Vec<u8> {
+    fn finalize_into(mut self, out: &mut [u8]) {
         let bit_len = self.len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
+        // Padding: 0x80, zeros, then the bit length — in a second block
+        // when the first has no room left for the length.
         let mut block = self.buf;
+        block[self.buf_len] = 0x80;
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            self.compress(&block);
+            block = [0; 64];
+        }
         block[56..].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
 
-        let mut out = Vec::with_capacity(32);
-        for word in self.state {
-            out.extend_from_slice(&word.to_be_bytes());
+        assert_eq!(out.len(), Self::OUTPUT_LEN, "digest buffer width");
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
-        out
     }
 }
 
@@ -337,21 +340,22 @@ impl Digest for Sha384 {
         }
     }
 
-    fn finalize(mut self) -> Vec<u8> {
+    fn finalize_into(mut self, out: &mut [u8]) {
         let bit_len = self.len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 112 {
-            self.update(&[0]);
-        }
         let mut block = self.buf;
+        block[self.buf_len] = 0x80;
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 112 {
+            self.compress(&block);
+            block = [0; 128];
+        }
         block[112..].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
 
-        let mut out = Vec::with_capacity(48);
-        for word in &self.state[..6] {
-            out.extend_from_slice(&word.to_be_bytes());
+        assert_eq!(out.len(), Self::OUTPUT_LEN, "digest buffer width");
+        for (chunk, word) in out.chunks_exact_mut(8).zip(self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
-        out
     }
 }
 

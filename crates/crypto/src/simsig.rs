@@ -22,7 +22,7 @@
 //! "unsupported key size" EXTRA-TEXT, so key length must be visible to
 //! validators.
 
-use crate::hmac::hmac;
+use crate::hmac::Hmac;
 use crate::{Digest, Sha256};
 
 /// Public key header magic.
@@ -80,7 +80,8 @@ impl SigningKey {
         h.update(&[algorithm]);
         h.update(&key_bits.to_be_bytes());
         h.update(seed);
-        let digest = h.finalize();
+        let mut digest = [0u8; Sha256::OUTPUT_LEN];
+        h.finalize_into(&mut digest);
         let mut secret = [0u8; SECRET_LEN];
         secret.copy_from_slice(&digest[..SECRET_LEN]);
         SigningKey {
@@ -105,11 +106,19 @@ impl SigningKey {
 
     /// Sign `message`, producing a [`SIGNATURE_LEN`]-byte signature.
     pub fn sign(&self, message: &[u8]) -> Vec<u8> {
-        let mut tagged = Vec::with_capacity(message.len() + 1);
-        tagged.push(self.algorithm);
-        tagged.extend_from_slice(message);
-        hmac::<Sha256>(&self.secret, &tagged)
+        compute_signature(&self.secret, self.algorithm, message).to_vec()
     }
+}
+
+/// `HMAC-SHA256(secret, algorithm ‖ message)`, the one definition both
+/// signing and verification use.
+fn compute_signature(secret: &[u8], algorithm: u8, message: &[u8]) -> [u8; SIGNATURE_LEN] {
+    let mut mac = Hmac::<Sha256>::new(secret);
+    mac.update(&[algorithm]);
+    mac.update(message);
+    let mut out = [0u8; SIGNATURE_LEN];
+    mac.finalize_into(&mut out);
+    out
 }
 
 /// Parsed view of a simulated public key.
@@ -147,10 +156,7 @@ pub fn verify(
     if key.algorithm != algorithm {
         return Err(VerifyError::AlgorithmMismatch);
     }
-    let mut tagged = Vec::with_capacity(message.len() + 1);
-    tagged.push(algorithm);
-    tagged.extend_from_slice(message);
-    let expect = hmac::<Sha256>(key.secret, &tagged);
+    let expect = compute_signature(key.secret, algorithm, message);
     // Constant-time comparison is irrelevant for a simulation, but cheap.
     if expect.len() == signature.len()
         && expect

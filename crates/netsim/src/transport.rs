@@ -4,7 +4,7 @@
 use crate::addr::classify;
 use crate::clock::SimClock;
 use crate::fault::FaultPlan;
-use ede_trace::{TraceEvent, TraceSink, Tracer};
+use ede_trace::{TraceEvent, TraceSink, Tracer, TracerCell};
 use ede_wire::{Message, Rcode};
 use std::collections::HashMap;
 use std::fmt;
@@ -132,7 +132,7 @@ impl NetworkBuilder {
     }
 }
 
-/// The fault-plan slot, same shape as [`TracerCell`]: no plan attached
+/// The fault-plan slot, same shape as [`ede_trace::TracerCell`]: no plan attached
 /// costs one atomic load per query. The attached plan is paired with
 /// the clock reading at attachment time, so plan windows are relative
 /// offsets ("a blackhole 5–10 s into the run").
@@ -159,41 +159,7 @@ impl FaultCell {
     }
 }
 
-/// The tracer slot with a lock-free fast path.
-///
-/// Every query consults the tracer, but a tracer is *attached* only at
-/// scan/troubleshoot boundaries. Guarding the slot with a plain `Mutex`
-/// made every worker of a scan serialize on it per query — even with
-/// tracing disabled. Here the common read is one atomic load: disabled
-/// means no lock at all, and when a sink is attached readers share an
-/// `RwLock` read lock (writers are rare and brief).
-#[derive(Default)]
-struct TracerCell {
-    enabled: std::sync::atomic::AtomicBool,
-    slot: std::sync::RwLock<Tracer>,
-}
-
-impl TracerCell {
-    fn set(&self, tracer: Tracer) {
-        use std::sync::atomic::Ordering;
-        let on = tracer.enabled();
-        // Order matters when disabling: readers that still see the flag
-        // up momentarily grab the (already replaced) disabled tracer,
-        // never a stale sink.
-        *self.slot.write().expect("no poisoning") = tracer;
-        self.enabled.store(on, Ordering::Release);
-    }
-
-    fn get(&self) -> Tracer {
-        use std::sync::atomic::Ordering;
-        if !self.enabled.load(Ordering::Acquire) {
-            return Tracer::disabled();
-        }
-        self.slot.read().expect("no poisoning").clone()
-    }
-}
-
-/// The capture slot, same shape as [`TracerCell`]: captures are a
+/// The capture slot, same shape again: captures are a
 /// debugging tool, so the per-query cost while *not* capturing is one
 /// atomic load.
 #[derive(Default)]

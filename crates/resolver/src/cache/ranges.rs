@@ -327,7 +327,7 @@ fn interval_cost(key: &[u8], next: &[u8], types: &TypeBitmap) -> u64 {
 /// label bytes that occur in practice.
 fn canonical_key(name: &Name) -> Vec<u8> {
     let labels: Vec<&[u8]> = name.labels().collect();
-    let mut key = Vec::with_capacity(name.to_wire().len());
+    let mut key = Vec::with_capacity(name.wire_len());
     for label in labels.iter().rev() {
         key.extend(label.iter().map(|b| b.to_ascii_lowercase()));
         key.push(0);
@@ -599,11 +599,11 @@ impl RangeCache {
         let zr = shard.zone(hash, apex)?;
 
         if let Some((iterations, salt)) = &zr.params {
-            let qh = nsec3hash::nsec3_hash(&qname.to_wire(), salt, *iterations);
+            let qh = nsec3hash::nsec3_hash(qname.as_wire(), salt, *iterations);
             if let Some(v) = Self::verdict(
                 &zr.nsec3,
                 &qh,
-                |n| nsec3hash::nsec3_hash(&n.to_wire(), salt, *iterations),
+                |n| nsec3hash::nsec3_hash(n.as_wire(), salt, *iterations).to_vec(),
                 apex,
                 qname,
                 qtype,
@@ -774,7 +774,7 @@ mod tests {
     const SALT: &[u8] = &[0xab, 0xcd];
 
     fn h(name: &str) -> Vec<u8> {
-        nsec3hash::nsec3_hash(&n(name).to_wire(), SALT, ITER)
+        nsec3hash::nsec3_hash(n(name).as_wire(), SALT, ITER).to_vec()
     }
 
     /// A full honest NSEC3 chain over `owners` (plus their bitmaps),

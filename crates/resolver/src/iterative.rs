@@ -573,7 +573,8 @@ impl<'a> Engine<'a> {
             // `cache::infra`), so skipping it cannot change what this
             // resolution observes — only how many root queries it costs.
             if self.config.enable_cache {
-                if let Some(tld) = tld_ancestor(&current_name) {
+                // The TLD the name lives under; the root has none.
+                if let Some(tld) = (!current_name.is_root()).then(|| current_name.suffix(1)) {
                     let now = self.now();
                     let cached = self
                         .l1
@@ -613,11 +614,8 @@ impl<'a> Engine<'a> {
                 let (probe_name, probe_type) = if self.config.qname_minimization
                     && current_name.label_count() > current_zone.label_count() + min_extra_labels
                 {
-                    let mut nn = current_name.clone();
-                    while nn.label_count() > current_zone.label_count() + min_extra_labels {
-                        nn = nn.parent().expect("strictly above current_name");
-                    }
-                    (nn, RrType::Ns)
+                    let exposed = current_zone.label_count() + min_extra_labels;
+                    (current_name.suffix(exposed), RrType::Ns)
                 } else {
                     (current_name.clone(), qtype)
                 };
@@ -924,20 +922,6 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// The depth-1 ancestor of `name` (the TLD it lives under, or `name`
-/// itself when it *is* a TLD). `None` for the root.
-fn tld_ancestor(name: &Name) -> Option<Name> {
-    let mut tld = name.clone();
-    while tld.label_count() > 1 {
-        tld = tld.parent().expect("label_count > 1");
-    }
-    if tld.label_count() == 1 {
-        Some(tld)
-    } else {
-        None
-    }
-}
-
 /// A parsed referral.
 struct Referral {
     zone: Name,
@@ -994,11 +978,11 @@ fn insecure_proof_present(authority: &[Record], deleg: &Name) -> bool {
                 types,
                 ..
             } => {
-                let label = nsec3hash::nsec3_hash_label(&deleg.to_wire(), salt, *iterations);
+                let label = nsec3hash::nsec3_hash_label(deleg.as_wire(), salt, *iterations);
                 let owner_matches = rec
                     .name
                     .first_label()
-                    .is_some_and(|l| l.eq_ignore_ascii_case(label.as_bytes()));
+                    .is_some_and(|l| l.eq_ignore_ascii_case(&label));
                 if owner_matches && !types.contains(RrType::Ds) {
                     return true;
                 }

@@ -729,10 +729,10 @@ fn check_negative_inner(
         else {
             return false;
         };
-        let label = nsec3hash::nsec3_hash_label(&name.to_wire(), salt, *iterations);
+        let label = nsec3hash::nsec3_hash_label(name.as_wire(), salt, *iterations);
         set.name
             .first_label()
-            .is_some_and(|l| l.eq_ignore_ascii_case(label.as_bytes()))
+            .is_some_and(|l| l.eq_ignore_ascii_case(&label))
     };
     let covers_name = |set: &Rrset, name: &Name| -> bool {
         let Some(Rdata::Nsec3 {
@@ -744,7 +744,7 @@ fn check_negative_inner(
         else {
             return false;
         };
-        let target = nsec3hash::nsec3_hash(&name.to_wire(), salt, *iterations);
+        let target = &nsec3hash::nsec3_hash(name.as_wire(), salt, *iterations)[..];
         let Some(owner_label) = set.name.first_label() else {
             return false;
         };
@@ -754,10 +754,11 @@ fn check_negative_inner(
         let Some(owner_hash) = base32::decode(owner_str) else {
             return false;
         };
-        if owner_hash < *next_hashed {
-            target > owner_hash && target < *next_hashed
+        let (owner_hash, next_hashed) = (&owner_hash[..], &next_hashed[..]);
+        if owner_hash < next_hashed {
+            target > owner_hash && target < next_hashed
         } else {
-            target > owner_hash || target < *next_hashed
+            target > owner_hash || target < next_hashed
         }
     };
 

@@ -7,13 +7,14 @@
 //! * the **root zone** is a real, signed [`ede_zone::Zone`] with one
 //!   delegation (and DS) per TLD;
 //! * each **TLD server** keeps a pre-signed apex skeleton (SOA + NS +
-//!   DNSKEY, built once per TLD) and grows, per query, a micro-zone
-//!   containing just the queried delegation (NS + glue + DS or NSEC3
-//!   opt-out proof), signing only the RRsets a referral-shaped response
-//!   can actually carry, then answers through the ordinary
-//!   [`ede_authority::ZoneServer`] logic — wire behavior is identical
-//!   to a full zone because referral content only ever depends on the
-//!   one delegation;
+//!   NSEC3PARAM, built once per TLD and shared, never copied) and
+//!   layers over it, per query, a micro-zone holding just the queried
+//!   delegation (NS + glue + DS or the matching NSEC3), signing only the
+//!   RRsets a referral-shaped response can actually carry, then answers
+//!   through the ordinary [`ede_authority::ZoneServer`] logic — wire
+//!   behavior is identical to a full zone because referral content only
+//!   ever depends on the one delegation (a differential test holds the
+//!   two against each other, `Message` for `Message`);
 //! * each **hosting server** builds the queried domain's child zone
 //!   from its planted [`Category`] (signing it, breaking it, or
 //!   flapping it as the category demands) and serves that; a tiny
@@ -30,13 +31,13 @@
 
 use crate::population::{broken_mode, tld_addr, BrokenMode, Category, DomainRecord, Population};
 use ede_authority::{Behavior, ZoneServer, ZoneStore};
-use ede_crypto::{base32, nsec3hash};
+use ede_crypto::nsec3hash::{self, NSEC3_HASH_LEN};
 use ede_netsim::{Network, NetworkBuilder, NetworkConfig, Server, ServerResponse, SimClock};
 use ede_resolver::config::RootHint;
 use ede_resolver::ResolverConfig;
 use ede_wire::rdata::{Soa, TypeBitmap};
 use ede_wire::{DigestAlg, Message, Name, Rdata, Record, RrType, SecAlg};
-use ede_zone::signer::{self, SignerConfig, DAY, SIM_NOW};
+use ede_zone::signer::{self, SignerConfig, DAY, DEFAULT_WINDOW, SIM_NOW};
 use ede_zone::{Denial, Misconfig, Nsec3Config, Rrset, Zone, ZoneKey, ZoneKeys};
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
@@ -46,15 +47,59 @@ use std::sync::{Mutex, OnceLock};
 /// Address of the scan world's root server.
 pub const ROOT_SERVER: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
 
+/// A registered domain and its place in its TLD.
+struct Registered {
+    rec: DomainRecord,
+    /// Position among the TLD's children (`Registry::children`), which
+    /// is how the TLD's NSEC3 chain finds the domain's own record
+    /// without hashing the name again.
+    ordinal: u32,
+}
+
 /// Shared lookup tables.
 struct Registry {
     /// Domain apex → record.
-    domains: HashMap<Name, DomainRecord>,
+    domains: HashMap<Name, Registered>,
     /// TLD name → (index, standby, broken_proof).
     tlds: HashMap<Name, TldEntry>,
     /// TLD name → its registered children (with signedness): the input
     /// to each TLD's honest NSEC3 chain.
     children: HashMap<Name, Vec<(Name, bool)>>,
+}
+
+impl Registry {
+    fn of(pop: &Population) -> Registry {
+        let mut children: HashMap<Name, Vec<(Name, bool)>> = HashMap::new();
+        let mut domains = HashMap::with_capacity(pop.domains.len());
+        for d in &pop.domains {
+            let siblings = children.entry(pop.tlds[d.tld].name.clone()).or_default();
+            domains.insert(
+                d.name.clone(),
+                Registered {
+                    rec: d.clone(),
+                    ordinal: siblings.len() as u32,
+                },
+            );
+            siblings.push((d.name.clone(), d.category.signed()));
+        }
+        Registry {
+            domains,
+            tlds: pop
+                .tlds
+                .iter()
+                .map(|t| {
+                    (
+                        t.name.clone(),
+                        TldEntry {
+                            standby_key: t.standby_key,
+                            broken_insecure_proof: t.broken_insecure_proof,
+                        },
+                    )
+                })
+                .collect(),
+            children,
+        }
+    }
 }
 
 #[derive(Clone)]
@@ -69,6 +114,29 @@ pub struct ScanWorld {
     pub net: Arc<Network>,
     /// Resolver configuration (root hints + trust anchor).
     pub resolver_config: ResolverConfig,
+}
+
+/// The `i`-th nameserver host of `apex`: `ns1.<apex>`, `ns2.<apex>`, ….
+fn ns_host(apex: &Name, i: usize) -> Name {
+    const LABELS: [&str; 4] = ["ns1", "ns2", "ns3", "ns4"];
+    match LABELS.get(i) {
+        Some(label) => apex.child(label),
+        None => apex.child(&format!("ns{}", i + 1)),
+    }
+    .expect("valid")
+}
+
+/// Add `rec`'s delegation as its parent publishes it: NS, glue, and the
+/// DS set of a signed child (unsigned).
+fn add_delegation(zone: &mut Zone, rec: &DomainRecord) {
+    for (i, addr) in rec.ns_addrs.iter().enumerate() {
+        let ns = ns_host(&rec.name, i);
+        zone.add(Record::new(rec.name.clone(), 3600, Rdata::Ns(ns.clone())));
+        zone.add(Record::new(ns, 3600, Rdata::A(*addr)));
+    }
+    for ds in child_ds(rec) {
+        zone.add(Record::new(rec.name.clone(), 3600, ds));
+    }
 }
 
 fn soa_for(apex: &Name) -> Rdata {
@@ -148,15 +216,14 @@ fn child_signer_config(cat: Category) -> SignerConfig {
     cfg
 }
 
-/// Build the child zone for a domain per its category. Returns the zone
-/// (already signed/mutated where applicable).
-fn materialize_child(rec: &DomainRecord) -> Zone {
+/// The child zone's plain records, before any signing.
+fn unsigned_child(rec: &DomainRecord) -> Zone {
     let apex = &rec.name;
     let cat = rec.category;
     let mut zone = Zone::new(apex.clone());
     zone.add(Record::new(apex.clone(), 60, soa_for(apex)));
     for (i, addr) in rec.ns_addrs.iter().enumerate() {
-        let ns = apex.child(&format!("ns{}", i + 1)).expect("valid");
+        let ns = ns_host(apex, i);
         zone.add(Record::new(apex.clone(), 60, Rdata::Ns(ns.clone())));
         zone.add(Record::new(ns, 60, Rdata::A(*addr)));
     }
@@ -169,7 +236,15 @@ fn materialize_child(rec: &DomainRecord) -> Zone {
             Rdata::A(Ipv4Addr::new(203, 0, 113, 10)),
         ));
     }
+    zone
+}
 
+/// Build the child zone for a domain per its category. Returns the zone
+/// (already signed/mutated where applicable).
+fn materialize_child(rec: &DomainRecord) -> Zone {
+    let apex = &rec.name;
+    let cat = rec.category;
+    let mut zone = unsigned_child(rec);
     if cat.signed() {
         let keys = child_keys(apex, cat);
         if cat == Category::HealthySigned {
@@ -260,11 +335,7 @@ impl HostingNs {
     /// Extract the registered domain (label.tld) an arbitrary qname
     /// belongs to.
     fn domain_of(&self, qname: &Name) -> Option<&DomainRecord> {
-        let mut candidate = qname.clone();
-        while candidate.label_count() > 2 {
-            candidate = candidate.parent()?;
-        }
-        self.registry.domains.get(&candidate)
+        self.registry.domains.get(&qname.suffix(2)).map(|r| &r.rec)
     }
 }
 
@@ -378,45 +449,50 @@ enum ChainOwner {
 struct TldChain {
     params: Nsec3Config,
     /// (owner hash, kind), sorted by hash.
-    owners: Vec<(Vec<u8>, ChainOwner)>,
+    owners: Vec<([u8; NSEC3_HASH_LEN], ChainOwner)>,
+    /// Where each child (by its ordinal in the TLD) sits in `owners`.
+    child_slots: Vec<u32>,
 }
 
 impl TldChain {
     fn build(tld: &Name, children: &[(Name, bool)]) -> TldChain {
         let params = Nsec3Config::default();
-        let mut owners = Vec::with_capacity(children.len() + 2);
-        owners.push((params.hash_raw(tld), ChainOwner::Apex));
-        owners.push((
-            params.hash_raw(&tld.child("ns1").expect("valid")),
-            ChainOwner::Host,
-        ));
-        for (child, signed) in children {
+        // (hash, kind, child ordinal) until sorted.
+        let mut hashed = Vec::with_capacity(children.len() + 2);
+        hashed.push((params.hash_raw(tld), ChainOwner::Apex, None));
+        hashed.push((params.hash_raw(&ns_host(tld, 0)), ChainOwner::Host, None));
+        for (ordinal, (child, signed)) in children.iter().enumerate() {
             let kind = if *signed {
                 ChainOwner::Secure
             } else {
                 ChainOwner::Insecure
             };
-            owners.push((params.hash_raw(child), kind));
+            hashed.push((params.hash_raw(child), kind, Some(ordinal)));
         }
-        owners.sort_by(|a, b| a.0.cmp(&b.0));
-        TldChain { params, owners }
+        hashed.sort_by_key(|owner| owner.0);
+        let mut child_slots = vec![0u32; children.len()];
+        for (slot, (_, _, ordinal)) in hashed.iter().enumerate() {
+            if let Some(ordinal) = ordinal {
+                child_slots[*ordinal] = slot as u32;
+            }
+        }
+        TldChain {
+            params,
+            owners: hashed.into_iter().map(|(h, kind, _)| (h, kind)).collect(),
+            child_slots,
+        }
     }
 
     /// Index of the owner whose hash equals `hash`, if any.
-    fn matching(&self, hash: &[u8]) -> Option<usize> {
-        self.owners
-            .binary_search_by(|(h, _)| h.as_slice().cmp(hash))
-            .ok()
+    fn matching(&self, hash: &[u8; NSEC3_HASH_LEN]) -> Option<usize> {
+        self.owners.binary_search_by(|(h, _)| h.cmp(hash)).ok()
     }
 
     /// Index of the owner whose (owner, next-owner) arc covers `hash`.
     /// Callers check [`Self::matching`] first — an owner's own hash
     /// belongs to no arc.
-    fn covering(&self, hash: &[u8]) -> usize {
-        match self
-            .owners
-            .binary_search_by(|(h, _)| h.as_slice().cmp(hash))
-        {
+    fn covering(&self, hash: &[u8; NSEC3_HASH_LEN]) -> usize {
+        match self.owners.binary_search_by(|(h, _)| h.cmp(hash)) {
             Ok(i) => i,
             // Before the first owner: covered by the wraparound arc.
             Err(0) => self.owners.len() - 1,
@@ -441,20 +517,22 @@ impl TldChain {
             ChainOwner::Secure => &[RrType::Ns, RrType::Ds, RrType::Rrsig],
         };
         let types = TypeBitmap::from_types(listed.iter().copied());
-        let owner = apex.child(&base32::encode(hash)).expect("hash label fits");
+        let owner = apex
+            .child_bytes(&nsec3hash::nsec3_label(hash))
+            .expect("hash label fits");
         let mut set = Rrset::new(
             owner,
             // Registry operators publish denial records with multi-hour
             // TTLs (com/net use 86400 s); 3600 keeps the chain alive
             // across the scan's 120 s revisit window. Scan observations
             // never read this TTL — only the RFC 8198 range tier does.
-            3600,
+            NSEC3_TTL,
             Rdata::Nsec3 {
                 hash_alg: nsec3hash::NSEC3_HASH_ALG_SHA1,
                 flags: 0,
                 iterations: self.params.iterations,
                 salt: self.params.salt.clone(),
-                next_hashed: next.clone(),
+                next_hashed: next.to_vec(),
                 types,
             },
         );
@@ -462,6 +540,9 @@ impl TldChain {
         set
     }
 }
+
+/// TTL of the NSEC3 records a TLD serves.
+const NSEC3_TTL: u32 = 3600;
 
 /// A TLD server: synthesizes the relevant micro-slice of its zone per
 /// query.
@@ -471,9 +552,10 @@ struct TldServer {
     registry: Arc<Registry>,
     /// The TLD's keys, derived once instead of per query.
     keys: ZoneKeys,
-    /// Signed apex skeleton (SOA + NS + DNSKEY, no denial chain),
-    /// built lazily on the first query and cloned per referral.
-    template: OnceLock<Zone>,
+    /// Signed apex skeleton (SOA + NS + NSEC3PARAM, no denial chain),
+    /// built lazily on the first query and shared by every referral
+    /// zone layered over it.
+    template: OnceLock<Arc<Zone>>,
     /// Honest registry-wide NSEC3 chain, hashed once on first use.
     chain: OnceLock<TldChain>,
 }
@@ -504,156 +586,35 @@ impl TldServer {
         })
     }
 
-    /// The signed apex skeleton every referral zone starts from.
-    ///
-    /// Signing with `Denial::None` and grafting denial records per
-    /// referral is safe because RRSIG presence in NSEC3 bitmaps is
-    /// driven by a flag, not by the signing order, so the bitmaps (and
-    /// the deterministic RSA signatures) come out byte-identical to the
-    /// legacy sign-everything-per-query build.
-    fn template(&self) -> &Zone {
-        self.template.get_or_init(|| {
-            let mut zone = Zone::new(self.tld.clone());
-            zone.add(Record::new(self.tld.clone(), 3600, soa_for(&self.tld)));
-            let tld_ns = self.tld.child("ns1").expect("valid");
-            zone.add(Record::new(self.tld.clone(), 3600, Rdata::Ns(tld_ns)));
-            signer::sign_zone(
-                &mut zone,
-                &self.keys,
-                &SignerConfig {
-                    denial: Denial::None,
-                    ..SignerConfig::default()
-                },
-            );
-            // The template only ever answers below-apex query shapes
-            // (referrals, parent-side DS, their denials) and those never
-            // carry the apex DNSKEY RRset — apex DNSKEY queries take the
-            // `micro_zone` path, which also applies the standby-SEP
-            // mutation. Dropping the set (and its RRSIG) here makes the
-            // per-referral template clone meaningfully cheaper.
-            zone.remove(&self.tld, RrType::Dnskey);
-            if self.entry.broken_insecure_proof {
-                // Replicate sign-then-strip: `Misconfig::Nsec3Missing`
-                // removes the chain but leaves the apex NSEC3PARAM (and
-                // its RRSIG) behind, which is what keeps the server
-                // *claiming* it can prove denials (§4.2.9).
-                let params = Nsec3Config::default();
-                zone.add_rrset(Rrset::new(
-                    self.tld.clone(),
-                    0,
-                    Rdata::Nsec3param {
-                        hash_alg: nsec3hash::NSEC3_HASH_ALG_SHA1,
-                        flags: 0,
-                        iterations: params.iterations,
-                        salt: params.salt,
-                    },
-                ));
-                signer::resign_rrset(
-                    &mut zone,
-                    &self.tld.clone(),
-                    RrType::Nsec3param,
-                    &self.keys,
-                    SignerConfig::default().window(),
-                );
-            }
-            zone
-        })
-    }
-
-    /// Referral zone for a registered child: the apex template plus the
-    /// delegation, signing only RRsets a referral-shaped response (or a
-    /// parent-side DS answer) can actually carry.
-    fn referral_zone(&self, rec: &DomainRecord) -> Zone {
-        let mut zone = self.template().clone();
-        for (i, addr) in rec.ns_addrs.iter().enumerate() {
-            let ns = rec.name.child(&format!("ns{}", i + 1)).expect("valid");
-            zone.add(Record::new(rec.name.clone(), 3600, Rdata::Ns(ns.clone())));
-            zone.add(Record::new(ns, 3600, Rdata::A(*addr)));
-        }
-        let ds = child_ds(rec);
-        let window = SignerConfig::default().window();
-        if ds.is_empty() {
-            // Insecure delegation: referrals and DS NODATA answers need
-            // the child's matching NSEC3 — unless this TLD deliberately
-            // lost it (§4.2.9). The record is pulled from the honest
-            // registry-wide chain, so its interval never covers another
-            // registered name: resolvers that retain validated ranges
-            // (RFC 8198) must be able to trust it. Only the matching
-            // NSEC3 is ever emitted for the query shapes this zone
-            // serves, so that is the one RRset worth an RSA signature.
-            if !self.entry.broken_insecure_proof {
-                let chain = self.chain();
-                let idx = chain
-                    .matching(&chain.params.hash_raw(&rec.name))
-                    .expect("registered child is a chain owner");
-                zone.add_rrset(chain.rrset(idx, &self.tld, &self.keys, window));
-            }
-        } else {
-            for d in ds {
-                zone.add(Record::new(rec.name.clone(), 3600, d));
-            }
-            signer::resign_rrset(&mut zone, &rec.name, RrType::Ds, &self.keys, window);
-        }
+    /// An unsigned zone holding the apex SOA and NS.
+    fn apex_zone(&self) -> Zone {
+        let mut zone = Zone::new(self.tld.clone());
+        zone.add(Record::new(self.tld.clone(), 3600, soa_for(&self.tld)));
+        let tld_ns = ns_host(&self.tld, 0);
+        zone.add(Record::new(self.tld.clone(), 3600, Rdata::Ns(tld_ns)));
         zone
     }
 
-    fn micro_zone(&self, qname: &Name) -> Zone {
-        let mut zone = Zone::new(self.tld.clone());
-        zone.add(Record::new(self.tld.clone(), 3600, soa_for(&self.tld)));
-        let tld_ns = self.tld.child("ns1").expect("valid");
-        zone.add(Record::new(self.tld.clone(), 3600, Rdata::Ns(tld_ns)));
-
-        // Insert the queried delegation if the domain exists.
-        let mut candidate = qname.clone();
-        while candidate.label_count() > 2 {
-            match candidate.parent() {
-                Some(p) => candidate = p,
-                None => break,
-            }
-        }
-        if let Some(rec) = self.registry.domains.get(&candidate) {
-            for (i, addr) in rec.ns_addrs.iter().enumerate() {
-                let ns = rec.name.child(&format!("ns{}", i + 1)).expect("valid");
-                zone.add(Record::new(rec.name.clone(), 3600, Rdata::Ns(ns.clone())));
-                zone.add(Record::new(ns, 3600, Rdata::A(*addr)));
-            }
-            for ds in child_ds(rec) {
-                zone.add(Record::new(rec.name.clone(), 3600, ds));
-            }
-        }
-
+    /// Sign `zone` without a denial chain, then publish the apex
+    /// NSEC3PARAM as `sign_zone` with the default chain would.
+    ///
+    /// Signing with `Denial::None` and grafting denial records per
+    /// query is safe because RRSIG presence in NSEC3 bitmaps is driven
+    /// by a flag, not by the signing order, so the bitmaps (and the
+    /// deterministic signatures) come out byte-identical to signing the
+    /// whole registry. The PARAM stays on broken TLDs (§4.2.9) too:
+    /// `Misconfig::Nsec3Missing` removes the chain but leaves it (and
+    /// its RRSIG) behind, which is what keeps the server *claiming* it
+    /// can prove denials.
+    fn sign_apex(&self, zone: &mut Zone) {
         signer::sign_zone(
-            &mut zone,
+            zone,
             &self.keys,
             &SignerConfig {
                 denial: Denial::None,
                 ..SignerConfig::default()
             },
         );
-
-        if self.entry.standby_key {
-            // Publish an extra SEP key that signs nothing, then re-sign
-            // the DNSKEY RRset so the chain still validates (§4.2.3).
-            let standby = ZoneKey::generate(&self.tld, "standby", 8, 2048, 257);
-            if let Some(set) = zone.get_mut(&self.tld, RrType::Dnskey) {
-                set.rdatas.push(standby.dnskey_rdata());
-            }
-            signer::resign_rrset(
-                &mut zone,
-                &self.tld.clone(),
-                RrType::Dnskey,
-                &self.keys,
-                SignerConfig::default().window(),
-            );
-        }
-
-        // Hashed-denial surface: the apex always publishes NSEC3PARAM.
-        // Honest TLDs then graft exactly the chain records the queried
-        // shape needs, pulled from the registry-wide honest chain;
-        // broken TLDs (§4.2.9) publish the PARAM but no chain — the
-        // sign-then-strip shape `Misconfig::Nsec3Missing` used to
-        // produce by building a full chain and deleting it.
-        let window = SignerConfig::default().window();
         let params = Nsec3Config::default();
         zone.add_rrset(Rrset::new(
             self.tld.clone(),
@@ -666,12 +627,79 @@ impl TldServer {
             },
         ));
         signer::resign_rrset(
-            &mut zone,
-            &self.tld.clone(),
+            zone,
+            &self.tld,
             RrType::Nsec3param,
             &self.keys,
-            window,
+            DEFAULT_WINDOW,
         );
+    }
+
+    /// The signed apex skeleton every referral zone is layered over.
+    fn template(&self) -> &Arc<Zone> {
+        self.template.get_or_init(|| {
+            let mut zone = self.apex_zone();
+            self.sign_apex(&mut zone);
+            // The template only ever answers below-apex query shapes
+            // (referrals, parent-side DS, their denials) and those never
+            // carry the apex DNSKEY RRset — apex DNSKEY queries take the
+            // `micro_zone` path, which also applies the standby-SEP
+            // mutation.
+            zone.remove(&self.tld, RrType::Dnskey);
+            Arc::new(zone)
+        })
+    }
+
+    /// Referral zone for a registered child: the delegation layered over
+    /// the shared apex template, signing only RRsets a referral-shaped
+    /// response (or a parent-side DS answer) can actually carry.
+    fn referral_zone(&self, child: &Registered) -> Zone {
+        let rec = &child.rec;
+        let mut zone = Zone::layered(Arc::clone(self.template()));
+        add_delegation(&mut zone, rec);
+        if rec.category.signed() {
+            signer::resign_rrset(&mut zone, &rec.name, RrType::Ds, &self.keys, DEFAULT_WINDOW);
+        } else if !self.entry.broken_insecure_proof {
+            // Insecure delegation: referrals and DS NODATA answers need
+            // the child's matching NSEC3 — unless this TLD deliberately
+            // lost it (§4.2.9). The record is pulled from the honest
+            // registry-wide chain, so its interval never covers another
+            // registered name: resolvers that retain validated ranges
+            // (RFC 8198) must be able to trust it. Only the matching
+            // NSEC3 is ever emitted for the query shapes this zone
+            // serves, so that is the one RRset worth a signature.
+            let chain = self.chain();
+            let slot = chain.child_slots[child.ordinal as usize] as usize;
+            zone.add_rrset(chain.rrset(slot, &self.tld, &self.keys, DEFAULT_WINDOW));
+        }
+        zone
+    }
+
+    /// The full build for apex queries (DNSKEY/SOA) and names outside
+    /// the registry.
+    fn micro_zone(&self, qname: &Name) -> Zone {
+        let mut zone = self.apex_zone();
+        self.sign_apex(&mut zone);
+
+        if self.entry.standby_key {
+            // Publish an extra SEP key that signs nothing, then re-sign
+            // the DNSKEY RRset so the chain still validates (§4.2.3).
+            let standby = ZoneKey::generate(&self.tld, "standby", 8, 2048, 257);
+            if let Some(set) = zone.get_mut(&self.tld, RrType::Dnskey) {
+                set.rdatas.push(standby.dnskey_rdata());
+            }
+            signer::resign_rrset(
+                &mut zone,
+                &self.tld,
+                RrType::Dnskey,
+                &self.keys,
+                DEFAULT_WINDOW,
+            );
+        }
+
+        // Honest TLDs graft exactly the chain records the queried shape
+        // needs, pulled from the registry-wide honest chain; broken TLDs
+        // (§4.2.9) publish the PARAM but no chain.
         if !self.entry.broken_insecure_proof {
             let chain = self.chain();
             let mut grafted = std::collections::BTreeSet::new();
@@ -685,13 +713,7 @@ impl TldServer {
                 // (registered SLDs take the referral path), so the
                 // closest encloser is the apex and an NXDOMAIN proof
                 // needs the next-closer and wildcard covers.
-                let mut next_closer = qname.clone();
-                while next_closer.label_count() > self.tld.label_count() + 1 {
-                    match next_closer.parent() {
-                        Some(p) => next_closer = p,
-                        None => break,
-                    }
-                }
+                let next_closer = qname.suffix(self.tld.label_count() + 1);
                 let nc_hash = chain.params.hash_raw(&next_closer);
                 if chain.matching(&nc_hash).is_none() {
                     grafted.insert(chain.covering(&nc_hash));
@@ -701,7 +723,7 @@ impl TldServer {
                 }
             }
             for idx in grafted {
-                zone.add_rrset(chain.rrset(idx, &self.tld, &self.keys, window));
+                zone.add_rrset(chain.rrset(idx, &self.tld, &self.keys, DEFAULT_WINDOW));
             }
         }
         zone
@@ -713,27 +735,19 @@ impl Server for TldServer {
         let Some(q) = query.first_question() else {
             return ServerResponse::Drop;
         };
-        // Fast path: queries below the apex for a registered domain are
+        // Fast path: queries below the apex for a domain registered here are
         // referral-shaped (or parent-side DS lookups) — serve them from
-        // a memoized zone grown off the pre-signed apex template rather
-        // than signing a full micro-zone from scratch per query.
-        if q.name != self.tld {
-            let mut candidate = q.name.clone();
-            while candidate.label_count() > 2 {
-                match candidate.parent() {
-                    Some(p) => candidate = p,
-                    None => break,
-                }
-            }
-            if let Some(rec) = self.registry.domains.get(&candidate) {
-                let mut store = ZoneStore::new();
-                store.insert(self.referral_zone(rec));
-                return ZoneServer::new(store).handle(query, src, now);
-            }
-        }
-        // Apex queries (DNSKEY/SOA) and unregistered names keep the
-        // legacy full build.
-        let zone = self.micro_zone(&q.name);
+        // the delegation layered over the pre-signed apex template
+        // rather than signing a full micro-zone from scratch per query.
+        let registered = self
+            .registry
+            .domains
+            .get(&q.name.suffix(2))
+            .filter(|_| q.name.is_subdomain_of(&self.tld));
+        let zone = match registered {
+            Some(child) => self.referral_zone(child),
+            None => self.micro_zone(&q.name),
+        };
         let mut store = ZoneStore::new();
         store.insert(zone);
         ZoneServer::new(store).handle(query, src, now)
@@ -743,36 +757,7 @@ impl Server for TldServer {
 impl ScanWorld {
     /// Build the world for a population.
     pub fn build(pop: &Population) -> ScanWorld {
-        let mut children: HashMap<Name, Vec<(Name, bool)>> = HashMap::new();
-        for d in &pop.domains {
-            if let Some(tld) = d.name.parent() {
-                children
-                    .entry(tld)
-                    .or_default()
-                    .push((d.name.clone(), d.category.signed()));
-            }
-        }
-        let registry = Arc::new(Registry {
-            domains: pop
-                .domains
-                .iter()
-                .map(|d| (d.name.clone(), d.clone()))
-                .collect(),
-            tlds: pop
-                .tlds
-                .iter()
-                .map(|t| {
-                    (
-                        t.name.clone(),
-                        TldEntry {
-                            standby_key: t.standby_key,
-                            broken_insecure_proof: t.broken_insecure_proof,
-                        },
-                    )
-                })
-                .collect(),
-            children,
-        });
+        let registry = Arc::new(Registry::of(pop));
 
         // Zero-latency network: the virtual clock must stand still
         // during a pass so flap/stale timing stays under test control.
@@ -791,7 +776,7 @@ impl ScanWorld {
         root_zone.add(Record::new(root.clone(), 3600, Rdata::Ns(root_ns.clone())));
         root_zone.add_a(root_ns, ROOT_SERVER);
         for tld in &pop.tlds {
-            let ns = tld.name.child("ns1").expect("valid");
+            let ns = ns_host(&tld.name, 0);
             root_zone.add(Record::new(tld.name.clone(), 3600, Rdata::Ns(ns.clone())));
             root_zone.add_a(ns, tld_addr(tld.server_index));
             let keys = tld_keys(&tld.name);
@@ -884,6 +869,123 @@ mod tests {
             .iter()
             .find(|d| d.category == cat)
             .unwrap_or_else(|| panic!("population lacks {cat:?}"))
+    }
+
+    fn reply(server: &dyn Server, qname: &Name, qtype: RrType) -> Message {
+        let query = Message::iterative_query(0x5eed, qname.clone(), qtype);
+        match server.handle(&query, "203.0.113.9".parse().unwrap(), 0) {
+            ServerResponse::Reply(m) => m,
+            ServerResponse::Drop => panic!("{qname} {qtype}: dropped"),
+        }
+    }
+
+    /// The TLD zone as a registry would publish it whole: every
+    /// delegation of the population materialised, `sign_zone` over all
+    /// of it (full NSEC3 chain), then the two things the world does on
+    /// top — NSEC3 records at the registry TTL, and the TLD's planted
+    /// condition.
+    fn full_tld_server(pop: &Population, tld_index: usize) -> ZoneServer {
+        let tld = &pop.tlds[tld_index];
+        let mut zone = Zone::new(tld.name.clone());
+        zone.add(Record::new(tld.name.clone(), 3600, soa_for(&tld.name)));
+        let host = ns_host(&tld.name, 0);
+        zone.add(Record::new(tld.name.clone(), 3600, Rdata::Ns(host.clone())));
+        zone.add_a(host, tld_addr(tld.server_index));
+        for d in pop.domains.iter().filter(|d| d.tld == tld_index) {
+            add_delegation(&mut zone, d);
+        }
+        let keys = tld_keys(&tld.name);
+        signer::sign_zone(&mut zone, &keys, &SignerConfig::default());
+        for set in zone.iter_mut().filter(|s| s.rtype == RrType::Nsec3) {
+            set.ttl = NSEC3_TTL;
+            signer::sign_in_place(set, &keys, &tld.name, DEFAULT_WINDOW);
+        }
+        if tld.standby_key {
+            let standby = ZoneKey::generate(&tld.name, "standby", 8, 2048, 257);
+            let set = zone.get_mut(&tld.name, RrType::Dnskey).unwrap();
+            set.rdatas.push(standby.dnskey_rdata());
+            signer::sign_in_place(set, &keys, &tld.name, DEFAULT_WINDOW);
+        }
+        if tld.broken_insecure_proof {
+            Misconfig::Nsec3Missing.apply(&mut zone, &keys);
+        }
+        let mut store = ZoneStore::new();
+        store.insert(zone);
+        ZoneServer::new(store)
+    }
+
+    /// The lean servers — a delegation layered over a shared template at
+    /// the TLD, two signed RRsets at a healthy signed child — must be
+    /// indistinguishable from servers over fully materialised, fully
+    /// signed zones for every query shape the scan sends: `Message` for
+    /// `Message`, signatures included.
+    #[test]
+    fn lean_servers_answer_as_fully_materialised_zones_do() {
+        let pop = Population::generate(PopulationConfig::tiny());
+        let registry = Arc::new(Registry::of(&pop));
+        let mut full_tlds: HashMap<usize, ZoneServer> = HashMap::new();
+        for cat in Category::ALL {
+            let sample: Vec<_> = pop.domains.iter().filter(|d| d.category == cat).collect();
+            assert!(!sample.is_empty(), "population lacks {cat:?}");
+            for rec in sample.into_iter().take(3) {
+                let tld = &pop.tlds[rec.tld];
+                let lean = TldServer::new(
+                    tld.name.clone(),
+                    registry.tlds[&tld.name].clone(),
+                    Arc::clone(&registry),
+                );
+                let full = full_tlds
+                    .entry(rec.tld)
+                    .or_insert_with(|| full_tld_server(&pop, rec.tld));
+                let below = rec.name.child("www").unwrap();
+                let unregistered = tld.name.child("never-registered").unwrap();
+                for (qname, qtype) in [
+                    (&rec.name, RrType::A),
+                    (&rec.name, RrType::Dnskey),
+                    (&rec.name, RrType::Ds),
+                    (&below, RrType::A),
+                    (&tld.name, RrType::Dnskey),
+                    (&unregistered, RrType::A),
+                ] {
+                    assert_eq!(
+                        reply(&lean, qname, qtype),
+                        reply(full, qname, qtype),
+                        "{cat:?}: {qname} {qtype} at the TLD"
+                    );
+                }
+            }
+        }
+
+        // The one lean child: a healthy signed domain signs only the two
+        // RRsets it ever serves positively.
+        for rec in pop
+            .domains
+            .iter()
+            .filter(|d| d.category == Category::HealthySigned)
+            .take(5)
+        {
+            let serve = |zone: Zone| {
+                let mut store = ZoneStore::new();
+                store.insert(zone);
+                ZoneServer::new(store)
+            };
+            let lean = serve(materialize_child(rec));
+            let mut zone = unsigned_child(rec);
+            signer::sign_zone(
+                &mut zone,
+                &child_keys(&rec.name, rec.category),
+                &child_signer_config(rec.category),
+            );
+            let full = serve(zone);
+            for qtype in [RrType::A, RrType::Dnskey] {
+                assert_eq!(
+                    reply(&lean, &rec.name, qtype),
+                    reply(&full, &rec.name, qtype),
+                    "{} {qtype} at the child",
+                    rec.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -189,7 +189,11 @@ impl ServerHandle {
     /// current batch/request and exit; use
     /// [`shutdown`](ServerHandle::shutdown) to also join and drain.
     pub fn trigger_shutdown(&self) {
-        self.shared.stop.store(true, Ordering::Release);
+        // Only the call that raises the flag wakes the acceptor: by the
+        // next one its listener may be closed and the port reused.
+        if !self.shared.stop.swap(true, Ordering::AcqRel) {
+            tcp::wake_acceptor(self.tcp_addr);
+        }
     }
 
     /// Gracefully stop: raise the stop flag, join every worker and the

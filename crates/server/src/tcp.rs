@@ -1,11 +1,14 @@
 //! The TCP path: acceptor loop and per-connection handlers.
 //!
 //! RFC 1035 §4.2.2 framing (two-byte length prefix per message) over
-//! plain `TcpStream`s. The acceptor runs non-blocking with a short poll
-//! sleep so it can observe the stop flag without `epoll`; each accepted
-//! connection gets a detached handler thread, bounded by
-//! `tcp_conn_cap` — connections over the cap are closed immediately and
-//! counted as refused rather than left to queue.
+//! plain `TcpStream`s. The acceptor blocks in `accept()`, so a fresh
+//! connection — the TC=1 fallback — is picked up the moment it arrives
+//! and an idle server does not wake at all; shutdown raises the stop
+//! flag and then wakes the acceptor with a throw-away loopback
+//! connection ([`wake_acceptor`]). Each accepted connection gets a
+//! detached handler thread, bounded by `tcp_conn_cap` — connections
+//! over the cap are closed immediately and counted as refused rather
+//! than left to queue.
 //!
 //! Handlers enforce an idle deadline (`tcp_read_timeout`) by reading in
 //! short timeout chunks and tracking time since the last complete
@@ -18,7 +21,7 @@ use crate::pipeline::{self, QueryDisposition, RejectKind};
 use crate::server::Shared;
 use ede_wire::stream::{frame, FrameReader, MAX_FRAME_LEN};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -28,47 +31,57 @@ use std::time::{Duration, Instant};
 /// immediately, so this adds no request latency).
 const POLL_TICK: Duration = Duration::from_millis(20);
 
-/// Acceptor poll sleep. Every fresh connection waits for the next poll
-/// on average half this long, so it is the floor on TCP connect
-/// latency — kept tight, at the cost of ~500 idle wakeups/s on one
-/// thread.
-const ACCEPT_TICK: Duration = Duration::from_millis(2);
+/// How long shutdown waits for its wake-up connection to be taken.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// Accept connections until the stop flag is raised.
 pub(crate) fn run_acceptor(shared: Arc<Shared>, listener: TcpListener) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    while !shared.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // Reserve a slot before spawning; release on refusal.
-                let occupied = shared.active_conns.fetch_add(1, Ordering::AcqRel);
-                if occupied >= shared.config.tcp_conn_cap {
-                    shared.active_conns.fetch_sub(1, Ordering::AcqRel);
-                    shared.metrics.tcp_conn_refused();
-                    drop(stream);
-                    continue;
-                }
-                shared.metrics.tcp_conn_accepted();
-                let conn_shared = Arc::clone(&shared);
-                let spawned = std::thread::Builder::new()
-                    .name("ede-tcp-conn".to_string())
-                    .spawn(move || {
-                        serve_conn(&conn_shared, stream);
-                        conn_shared.active_conns.fetch_sub(1, Ordering::AcqRel);
-                    });
-                if spawned.is_err() {
-                    // Thread spawn failed: give the slot back.
-                    shared.active_conns.fetch_sub(1, Ordering::AcqRel);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_TICK);
-            }
-            Err(_) => break,
+    loop {
+        let accepted = listener.accept();
+        // Whatever arrives once the flag is up — the wake-up connection
+        // or a client racing the shutdown — is closed unanswered.
+        if shared.stop.load(Ordering::Acquire) {
+            return;
+        }
+        let Ok((stream, _peer)) = accepted else {
+            return;
+        };
+        // Reserve a slot before spawning; release on refusal.
+        let occupied = shared.active_conns.fetch_add(1, Ordering::AcqRel);
+        if occupied >= shared.config.tcp_conn_cap {
+            shared.active_conns.fetch_sub(1, Ordering::AcqRel);
+            shared.metrics.tcp_conn_refused();
+            drop(stream);
+            continue;
+        }
+        shared.metrics.tcp_conn_accepted();
+        let conn_shared = Arc::clone(&shared);
+        let spawned = std::thread::Builder::new()
+            .name("ede-tcp-conn".to_string())
+            .spawn(move || {
+                serve_conn(&conn_shared, stream);
+                conn_shared.active_conns.fetch_sub(1, Ordering::AcqRel);
+            });
+        if spawned.is_err() {
+            // Thread spawn failed: give the slot back.
+            shared.active_conns.fetch_sub(1, Ordering::AcqRel);
         }
     }
+}
+
+/// Get an acceptor listening on `listening` out of its blocking
+/// `accept()`, after the stop flag has been raised: one loopback
+/// connection that is closed at once. A failure to connect means the
+/// listener is already gone, which is what shutdown wants anyway.
+pub(crate) fn wake_acceptor(listening: SocketAddr) {
+    let mut target = listening;
+    if target.ip().is_unspecified() {
+        target.set_ip(match target.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&target, WAKE_TIMEOUT);
 }
 
 /// Serve one connection: framed queries in, framed responses out.

@@ -55,4 +55,4 @@ pub use event::{CacheOutcome, TimedEvent, TraceEvent};
 pub use export::{JsonlSnapshotWriter, MemorySnapshotSink, SnapshotEntry, SnapshotSink};
 pub use metrics::{Histogram, Metrics, MetricsSnapshot};
 pub use server::{ServerMetrics, ServerMetricsSnapshot, UsHistogram};
-pub use sink::{MultiSink, ResolutionTrace, TraceClock, TraceSink, Tracer};
+pub use sink::{MultiSink, ResolutionTrace, TraceClock, TraceSink, Tracer, TracerCell};

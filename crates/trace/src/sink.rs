@@ -104,6 +104,44 @@ impl Tracer {
     }
 }
 
+/// A slot holding a [`Tracer`] that can be swapped at run time, with a
+/// lock-free fast path.
+///
+/// Every simulated query and every authoritative reply consults its
+/// tracer, but a tracer is *attached* only at scan/troubleshoot
+/// boundaries. Guarding the slot with a plain `Mutex` made every worker
+/// of a scan serialize on it per query — even with tracing disabled.
+/// Here the common read is one atomic load: disabled means no lock at
+/// all, and when a sink is attached readers share an `RwLock` read lock
+/// (writers are rare and brief).
+#[derive(Default)]
+pub struct TracerCell {
+    enabled: std::sync::atomic::AtomicBool,
+    slot: std::sync::RwLock<Tracer>,
+}
+
+impl TracerCell {
+    /// Replace the tracer.
+    pub fn set(&self, tracer: Tracer) {
+        use std::sync::atomic::Ordering;
+        let on = tracer.enabled();
+        // Order matters when disabling: readers that still see the flag
+        // up momentarily grab the (already replaced) disabled tracer,
+        // never a stale sink.
+        *self.slot.write().expect("no poisoning") = tracer;
+        self.enabled.store(on, Ordering::Release);
+    }
+
+    /// The current tracer (cheap clone; disabled when none is attached).
+    pub fn get(&self) -> Tracer {
+        use std::sync::atomic::Ordering;
+        if !self.enabled.load(Ordering::Acquire) {
+            return Tracer::disabled();
+        }
+        self.slot.read().expect("no poisoning").clone()
+    }
+}
+
 /// A bounded in-memory trace: the newest `capacity` events of one (or
 /// more) resolutions, in arrival order. When full, the oldest events are
 /// dropped and counted, never silently.

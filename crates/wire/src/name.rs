@@ -9,62 +9,146 @@
 use crate::error::WireError;
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Maximum length of one label in octets.
 pub const MAX_LABEL_LEN: usize = 63;
 /// Maximum length of a name on the wire (labels + length octets + root).
 pub const MAX_NAME_LEN: usize = 255;
+/// Most labels a name of [`MAX_NAME_LEN`] octets can hold.
+const MAX_LABELS: usize = MAX_NAME_LEN / 2;
 
 /// A fully-qualified domain name.
 ///
 /// The root name has zero labels. Labels are arbitrary byte strings
-/// (lowercased ASCII at rest), ordered leaf-first: `www.example.com` is
-/// stored as `["www", "example", "com"]`.
+/// (lowercased ASCII at rest), ordered leaf-first.
 ///
-/// The label list is behind an `Arc`: names appear in every record,
-/// question, cache key, and zone entry, and are cloned on all of those
-/// paths, so a clone must be a refcount bump rather than one heap
-/// allocation per label. Names are immutable after construction, so
-/// the sharing is never observable.
-#[derive(Clone, PartialEq, Eq, Hash)]
+/// A name *is* its canonical wire form (RFC 4034 §6.2: lowercase, no
+/// compression, root octet included), held in one shared heap block:
+/// `buf[start..]`. Names appear in every record, question, cache key and
+/// zone entry and are cloned on all of those paths, so a clone is a
+/// refcount bump; an ancestor ([`Name::parent`], [`Name::suffix`]) is
+/// the same block with a larger `start`, so walking up a name allocates
+/// nothing; and hashing, signing and NSEC3 code borrow the wire form
+/// ([`Name::as_wire`]) instead of building it. Names are immutable after
+/// construction, so the sharing is never observable.
+#[derive(Clone)]
 pub struct Name {
-    labels: Arc<[Box<[u8]>]>,
+    /// Wire form of this name or of a descendant it was cut from.
+    /// Invariant: `buf[start..]` is a well-formed uncompressed lowercase
+    /// name of at most [`MAX_NAME_LEN`] octets ending in the root octet.
+    buf: Arc<[u8]>,
+    start: u8,
+}
+
+/// Wire form under construction: one stack buffer, so that every
+/// constructor makes exactly one heap allocation (the final `Arc`).
+struct Builder {
+    buf: [u8; MAX_NAME_LEN],
+    len: usize,
+}
+
+impl Builder {
+    fn new() -> Self {
+        Builder {
+            buf: [0; MAX_NAME_LEN],
+            len: 0,
+        }
+    }
+
+    /// Append one label, lowercased. Leaves room for the root octet.
+    fn push(&mut self, label: &[u8]) -> Result<(), WireError> {
+        if label.is_empty() || label.len() > MAX_LABEL_LEN {
+            return Err(WireError::BadLabel(
+                String::from_utf8_lossy(label).into_owned(),
+            ));
+        }
+        let end = self.len + 1 + label.len();
+        if end + 1 > MAX_NAME_LEN {
+            return Err(WireError::NameTooLong);
+        }
+        self.buf[self.len] = label.len() as u8;
+        let dst = &mut self.buf[self.len + 1..end];
+        dst.copy_from_slice(label);
+        dst.make_ascii_lowercase();
+        self.len = end;
+        Ok(())
+    }
+
+    /// Append an already-canonical wire name (root octet included).
+    fn finish_with(mut self, tail: &[u8]) -> Result<Name, WireError> {
+        let end = self.len + tail.len();
+        if end > MAX_NAME_LEN {
+            return Err(WireError::NameTooLong);
+        }
+        self.buf[self.len..end].copy_from_slice(tail);
+        Ok(Name {
+            buf: Arc::from(&self.buf[..end]),
+            start: 0,
+        })
+    }
+
+    fn finish(self) -> Name {
+        if self.len == 0 {
+            return Name::root();
+        }
+        self.finish_with(&[0]).expect("push left room for the root")
+    }
+}
+
+/// Iterator over a name's labels, leaf-first.
+#[derive(Clone)]
+pub struct Labels<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for Labels<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let len = usize::from(self.rest[0]);
+        if len == 0 {
+            return None;
+        }
+        let (label, rest) = self.rest[1..].split_at(len);
+        self.rest = rest;
+        Some(label)
+    }
 }
 
 impl Name {
     /// The root name `.`.
     pub fn root() -> Self {
-        // Shared empty slice: the root is constructed often (zone walks,
-        // parent() chains ending at the root zone) and needs no storage.
-        static EMPTY: std::sync::OnceLock<Arc<[Box<[u8]>]>> = std::sync::OnceLock::new();
+        // One shared block: the root is constructed often (zone walks,
+        // parent() chains ending at the root zone).
+        static ROOT: std::sync::OnceLock<Arc<[u8]>> = std::sync::OnceLock::new();
         Name {
-            labels: Arc::clone(EMPTY.get_or_init(|| Arc::from(Vec::new()))),
+            buf: Arc::clone(ROOT.get_or_init(|| Arc::from(&[0u8][..]))),
+            start: 0,
         }
     }
 
-    /// A deep copy with freshly allocated label storage, sharing nothing
-    /// with `self`.
+    /// A deep copy in a freshly allocated block of its own, sharing
+    /// nothing with `self`.
     ///
     /// A plain `clone()` bumps the `Arc` refcount, which is what hot
-    /// paths want — but it also keeps the *original* allocation alive.
-    /// Long-lived holders (caches, logs) that clone names out of
-    /// short-lived working sets (a parsed response, a freshly built
-    /// zone) end up pinning those transient heap regions, fragmenting
-    /// the allocator. Such holders should store `name.detached()`
-    /// instead: same value, equal and hashing identically, but backed
-    /// by allocations made at detach time.
+    /// paths want — but it also keeps the *original* allocation alive,
+    /// and an ancestor cut out of a longer name keeps the whole longer
+    /// name alive. Long-lived holders (caches, logs) that clone names
+    /// out of short-lived working sets (a parsed response, a freshly
+    /// built zone) end up pinning those transient heap regions,
+    /// fragmenting the allocator. Such holders should store
+    /// `name.detached()` instead: same value, equal and hashing
+    /// identically, but backed by an allocation made at detach time and
+    /// exactly as long as the name.
     pub fn detached(&self) -> Self {
-        if self.labels.is_empty() {
+        if self.is_root() {
             return Name::root();
         }
         Name {
-            labels: self
-                .labels
-                .iter()
-                .map(|l| l.to_vec().into_boxed_slice())
-                .collect::<Vec<_>>()
-                .into(),
+            buf: Arc::from(self.as_wire()),
+            start: 0,
         }
     }
 
@@ -73,23 +157,13 @@ impl Name {
     /// root. Escapes are not supported (the testbed never needs them).
     pub fn parse(text: &str) -> Result<Self, WireError> {
         let trimmed = text.strip_suffix('.').unwrap_or(text);
-        if trimmed.is_empty() {
-            return Ok(Name::root());
-        }
-        let mut labels = Vec::new();
-        for label in trimmed.split('.') {
-            if label.is_empty() || label.len() > MAX_LABEL_LEN {
-                return Err(WireError::BadLabel(label.to_string()));
+        let mut b = Builder::new();
+        if !trimmed.is_empty() {
+            for label in trimmed.split('.') {
+                b.push(label.as_bytes())?;
             }
-            labels.push(label.to_ascii_lowercase().into_bytes().into_boxed_slice());
         }
-        let name = Name {
-            labels: labels.into(),
-        };
-        if name.wire_len() > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong);
-        }
-        Ok(name)
+        Ok(b.finish())
     }
 
     /// Build a name from raw label byte strings (leaf-first).
@@ -98,140 +172,145 @@ impl Name {
         I: IntoIterator<Item = L>,
         L: AsRef<[u8]>,
     {
-        let mut out = Vec::new();
+        let mut b = Builder::new();
         for l in labels {
-            let l = l.as_ref();
-            if l.is_empty() || l.len() > MAX_LABEL_LEN {
-                return Err(WireError::BadLabel(String::from_utf8_lossy(l).into_owned()));
-            }
-            out.push(l.to_ascii_lowercase().into_boxed_slice());
+            b.push(l.as_ref())?;
         }
-        let name = Name { labels: out.into() };
-        if name.wire_len() > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong);
-        }
-        Ok(name)
+        Ok(b.finish())
     }
 
     /// Prepend a label, producing the child `label.self`.
     pub fn child(&self, label: &str) -> Result<Self, WireError> {
-        if label.is_empty() || label.len() > MAX_LABEL_LEN {
-            return Err(WireError::BadLabel(label.to_string()));
-        }
-        let mut labels = Vec::with_capacity(self.labels.len() + 1);
-        labels.push(label.to_ascii_lowercase().into_bytes().into_boxed_slice());
-        labels.extend(self.labels.iter().cloned());
-        let name = Name {
-            labels: labels.into(),
-        };
-        if name.wire_len() > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong);
-        }
-        Ok(name)
+        self.child_bytes(label.as_bytes())
+    }
+
+    /// [`Name::child`] for a label that is not text (or not yet a
+    /// `str`), e.g. a base32 digest written into a stack buffer.
+    pub fn child_bytes(&self, label: &[u8]) -> Result<Self, WireError> {
+        let mut b = Builder::new();
+        b.push(label)?;
+        b.finish_with(self.as_wire())
     }
 
     /// The name with the leftmost label removed; `None` for the root.
+    /// Shares `self`'s storage: no allocation.
     pub fn parent(&self) -> Option<Self> {
-        if self.labels.is_empty() {
-            None
-        } else {
-            Some(Name {
-                labels: self.labels[1..].to_vec().into(),
-            })
+        let len = self.as_wire()[0];
+        (len != 0).then(|| Name {
+            buf: Arc::clone(&self.buf),
+            start: self.start + 1 + len,
+        })
+    }
+
+    /// The ancestor made of the rightmost `labels` labels — `self` when
+    /// it has no more than that. `suffix(1)` of `www.example.com` is
+    /// `com`, `suffix(2)` the registered domain. Shares `self`'s
+    /// storage: no allocation.
+    pub fn suffix(&self, labels: usize) -> Self {
+        let wire = self.as_wire();
+        let mut skip = self.label_count().saturating_sub(labels);
+        let mut at = 0;
+        while skip > 0 {
+            at += 1 + usize::from(wire[at]);
+            skip -= 1;
+        }
+        Name {
+            buf: Arc::clone(&self.buf),
+            start: self.start + at as u8,
         }
     }
 
     /// Number of labels (0 for the root). This is the RRSIG `labels` field
     /// value for non-wildcard owner names.
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        self.labels().count()
     }
 
     /// Iterate over labels, leaf-first.
-    pub fn labels(&self) -> impl Iterator<Item = &[u8]> {
-        self.labels.iter().map(|l| l.as_ref())
+    pub fn labels(&self) -> Labels<'_> {
+        Labels {
+            rest: self.as_wire(),
+        }
     }
 
     /// The leftmost (leaf) label, if any.
     pub fn first_label(&self) -> Option<&[u8]> {
-        self.labels.first().map(|l| l.as_ref())
+        self.labels().next()
     }
 
     /// True if `self` equals `ancestor` or is underneath it.
     pub fn is_subdomain_of(&self, ancestor: &Name) -> bool {
-        let n = ancestor.labels.len();
-        if self.labels.len() < n {
+        let (wire, tail) = (self.as_wire(), ancestor.as_wire());
+        let Some(cut) = wire.len().checked_sub(tail.len()) else {
             return false;
+        };
+        // The tail must start on one of our label boundaries.
+        let mut at = 0;
+        while at < cut {
+            at += 1 + usize::from(wire[at]);
         }
-        self.labels[self.labels.len() - n..] == ancestor.labels[..]
+        at == cut && wire[cut..] == *tail
     }
 
     /// True for the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.as_wire()[0] == 0
     }
 
     /// Length of the uncompressed wire encoding (label lengths + root).
     pub fn wire_len(&self) -> usize {
-        1 + self.labels.iter().map(|l| l.len() + 1).sum::<usize>()
+        self.as_wire().len()
     }
 
-    /// Uncompressed canonical wire form (RFC 4034 §6.2): lowercase labels,
-    /// no compression. This is the form hashed by NSEC3 and signed by
-    /// RRSIG.
+    /// Uncompressed canonical wire form (RFC 4034 §6.2), borrowed:
+    /// lowercase labels, no compression, root octet last. This is the
+    /// form hashed by NSEC3 and signed by RRSIG.
+    pub fn as_wire(&self) -> &[u8] {
+        &self.buf[usize::from(self.start)..]
+    }
+
+    /// [`Name::as_wire`] as an owned buffer.
     pub fn to_wire(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.wire_len());
-        for label in self.labels.iter() {
-            out.push(label.len() as u8);
-            out.extend_from_slice(label);
-        }
-        out.push(0);
-        out
+        self.as_wire().to_vec()
     }
 
     /// Encode into `buf`, compressing against previously-encoded names
     /// recorded in `compressor`. Pass `None` to force uncompressed output
     /// (required inside DNSSEC RDATA).
-    pub fn encode(&self, buf: &mut Vec<u8>, mut compressor: Option<&mut Compressor>) {
+    pub fn encode(&self, buf: &mut Vec<u8>, compressor: Option<&mut Compressor>) {
+        let wire = self.as_wire();
+        let Some(c) = compressor else {
+            buf.extend_from_slice(wire);
+            return;
+        };
         // Walk suffixes from the full name down; emit a pointer at the
         // first suffix the compressor has seen, else emit the label and
         // record the suffix position.
-        for skip in 0..self.labels.len() {
-            let suffix_wire = Self::suffix_key(&self.labels[skip..]);
-            if let Some(c) = compressor.as_deref_mut() {
-                if let Some(&offset) = c.seen.get(&suffix_wire) {
-                    // 14-bit pointer: 0b11 prefix.
-                    buf.extend_from_slice(&(0xC000u16 | offset).to_be_bytes());
-                    return;
-                }
-                // Only offsets that fit in 14 bits may be targets.
-                if buf.len() < 0x3FFF {
-                    c.seen.insert(suffix_wire, buf.len() as u16);
-                }
+        let mut at = 0;
+        while wire[at] != 0 {
+            let suffix = &wire[at..];
+            if let Some(&offset) = c.seen.get(suffix) {
+                // 14-bit pointer: 0b11 prefix.
+                buf.extend_from_slice(&(0xC000u16 | offset).to_be_bytes());
+                return;
             }
-            let label = &self.labels[skip];
-            buf.push(label.len() as u8);
-            buf.extend_from_slice(label);
+            // Only offsets that fit in 14 bits may be targets.
+            if buf.len() < 0x3FFF {
+                c.seen.insert(suffix.to_vec(), buf.len() as u16);
+            }
+            let end = at + 1 + usize::from(wire[at]);
+            buf.extend_from_slice(&wire[at..end]);
+            at = end;
         }
         buf.push(0);
-    }
-
-    fn suffix_key(labels: &[Box<[u8]>]) -> Vec<u8> {
-        let mut key = Vec::new();
-        for l in labels {
-            key.push(l.len() as u8);
-            key.extend_from_slice(l);
-        }
-        key
     }
 
     /// Decode a (possibly compressed) name from `msg` starting at
     /// `*pos`, advancing `*pos` past the name's in-place bytes.
     pub fn decode(msg: &[u8], pos: &mut usize) -> Result<Self, WireError> {
-        let mut labels = Vec::new();
+        let mut out = Builder::new();
         let mut cursor = *pos;
         let mut jumped = false;
-        let mut total_len = 0usize;
         // Each pointer must strictly decrease, which bounds the walk.
         let mut last_pointer = msg.len();
 
@@ -244,9 +323,7 @@ impl Name {
                     if !jumped {
                         *pos = cursor + 1;
                     }
-                    return Ok(Name {
-                        labels: labels.into(),
-                    });
+                    return Ok(out.finish());
                 }
                 1..=MAX_LABEL_LEN => {
                     let start = cursor + 1;
@@ -254,11 +331,7 @@ impl Name {
                     let label = msg
                         .get(start..end)
                         .ok_or(WireError::Truncated { context: "label" })?;
-                    total_len += len_byte + 1;
-                    if total_len > MAX_NAME_LEN {
-                        return Err(WireError::NameTooLong);
-                    }
-                    labels.push(label.to_ascii_lowercase().into_boxed_slice());
+                    out.push(label)?;
                     cursor = end;
                 }
                 l if l & 0xC0 == 0xC0 => {
@@ -285,43 +358,72 @@ impl Name {
         }
     }
 
-    /// Deterministic 64-bit FNV-1a hash over the canonical label bytes.
+    /// Deterministic 64-bit FNV-1a hash over the canonical label bytes
+    /// (each label's length octet, then its bytes; the root octet is
+    /// left out).
     ///
     /// Unlike `Hash`/`HashMap`'s SipHash (randomized per process in
     /// general-purpose hashers), this value is stable across runs and
-    /// processes, and it is computed without allocating the wire form —
-    /// sharded stores (the resolver cache, flap tables) use it both to
-    /// pick a shard and as the lookup key, so a probe never has to clone
-    /// the name.
+    /// processes — sharded stores (the resolver cache, flap tables) use
+    /// it both to pick a shard and as the lookup key, so a probe never
+    /// has to clone the name.
     pub fn shard_hash(&self) -> u64 {
+        let wire = self.as_wire();
         let mut h: u64 = 0xcbf29ce484222325;
-        for label in self.labels.iter() {
-            h ^= label.len() as u64;
+        for &b in &wire[..wire.len() - 1] {
+            h ^= u64::from(b);
             h = h.wrapping_mul(0x100000001b3);
-            for &b in label.iter() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100000001b3);
-            }
         }
         h
+    }
+
+    /// Offsets of this name's labels within [`Name::as_wire`],
+    /// leaf-first, and how many there are.
+    fn label_offsets(&self) -> ([u8; MAX_LABELS], usize) {
+        let wire = self.as_wire();
+        let mut offsets = [0u8; MAX_LABELS];
+        let (mut at, mut n) = (0, 0);
+        while wire[at] != 0 {
+            offsets[n] = at as u8;
+            n += 1;
+            at += 1 + usize::from(wire[at]);
+        }
+        (offsets, n)
     }
 
     /// RFC 4034 §6.1 canonical ordering: compare label-by-label from the
     /// *rightmost* (TLD) label, each label as raw lowercase bytes.
     pub fn canonical_cmp(&self, other: &Name) -> Ordering {
-        let mut a = self.labels.iter().rev();
-        let mut b = other.labels.iter().rev();
-        loop {
-            match (a.next(), b.next()) {
-                (None, None) => return Ordering::Equal,
-                (None, Some(_)) => return Ordering::Less,
-                (Some(_), None) => return Ordering::Greater,
-                (Some(x), Some(y)) => match x.cmp(y) {
-                    Ordering::Equal => continue,
-                    ord => return ord,
-                },
+        let (a, b) = (self.as_wire(), other.as_wire());
+        if a == b {
+            return Ordering::Equal;
+        }
+        fn label(wire: &[u8], at: u8) -> &[u8] {
+            let at = usize::from(at);
+            &wire[at + 1..at + 1 + usize::from(wire[at])]
+        }
+        let ((a_at, a_n), (b_at, b_n)) = (self.label_offsets(), other.label_offsets());
+        for i in 1..=a_n.min(b_n) {
+            match label(a, a_at[a_n - i]).cmp(label(b, b_at[b_n - i])) {
+                Ordering::Equal => continue,
+                ord => return ord,
             }
         }
+        a_n.cmp(&b_n)
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_wire() == other.as_wire()
+    }
+}
+
+impl Eq for Name {}
+
+impl Hash for Name {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_wire().hash(state);
     }
 }
 
@@ -339,11 +441,11 @@ impl PartialOrd for Name {
 
 impl fmt::Display for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
+        if self.is_root() {
             return write!(f, ".");
         }
-        for label in self.labels.iter() {
-            for &b in label.iter() {
+        for label in self.labels() {
+            for &b in label {
                 if b.is_ascii_graphic() && b != b'.' && b != b'\\' {
                     write!(f, "{}", b as char)?;
                 } else {

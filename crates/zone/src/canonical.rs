@@ -17,20 +17,9 @@ use crate::rrset::Rrset;
 use ede_wire::rdata::Rrsig;
 use ede_wire::{Class, Name, Rdata};
 
-/// Canonical (uncompressed, lowercase) encoding of one RDATA.
-pub fn canonical_rdata(rdata: &Rdata) -> Vec<u8> {
-    // Names inside our `Rdata` are already lowercase (Name normalizes at
-    // construction) and `encode(None)` never compresses, so the plain
-    // encoding *is* the canonical form.
-    let mut buf = Vec::new();
-    rdata.encode(&mut buf, None);
-    buf
-}
-
-/// Encode the RRSIG RDATA with the signature field left out — the prefix
+/// Append the RRSIG RDATA with the signature field left out — the prefix
 /// of the signing data.
-pub fn rrsig_rdata_sans_signature(sig: &Rrsig) -> Vec<u8> {
-    let mut buf = Vec::new();
+fn push_rrsig_rdata_sans_signature(buf: &mut Vec<u8>, sig: &Rrsig) {
     buf.extend_from_slice(&sig.type_covered.to_u16().to_be_bytes());
     buf.push(sig.algorithm);
     buf.push(sig.labels);
@@ -38,8 +27,7 @@ pub fn rrsig_rdata_sans_signature(sig: &Rrsig) -> Vec<u8> {
     buf.extend_from_slice(&sig.expiration.to_be_bytes());
     buf.extend_from_slice(&sig.inception.to_be_bytes());
     buf.extend_from_slice(&sig.key_tag.to_be_bytes());
-    buf.extend_from_slice(&sig.signer.to_wire());
-    buf
+    buf.extend_from_slice(sig.signer.as_wire());
 }
 
 /// Build the full signing data for `rrset` under the (partially filled)
@@ -50,19 +38,41 @@ pub fn rrsig_rdata_sans_signature(sig: &Rrsig) -> Vec<u8> {
 /// (RFC 4034 §6.3); the owner name used is the RRset owner (wildcard
 /// expansion is not modeled — the testbed has no wildcards).
 pub fn signing_data(sig: &Rrsig, rrset: &Rrset) -> Vec<u8> {
-    let mut buf = rrsig_rdata_sans_signature(sig);
+    // Every RR is written straight into the one output buffer (signing
+    // and validation run per upstream exchange); a set of several
+    // records is then put into canonical order. Names inside our
+    // `Rdata` are already lowercase (`Name` normalizes at construction)
+    // and `encode(None)` never compresses, so the plain encoding *is*
+    // the canonical form.
+    let mut buf = Vec::with_capacity(256);
+    push_rrsig_rdata_sans_signature(&mut buf, sig);
+    let rrs_at = buf.len();
 
-    let owner_wire = rrset.name.to_wire();
-    let mut encoded: Vec<Vec<u8>> = rrset.rdatas.iter().map(canonical_rdata).collect();
-    encoded.sort();
-
-    for rdata in encoded {
-        buf.extend_from_slice(&owner_wire);
+    // (start of the RR, start of its RDATA, end) for each record of a
+    // set that needs sorting, relative to `rrs_at`.
+    let multi = rrset.rdatas.len() > 1;
+    let mut spans = Vec::with_capacity(if multi { rrset.rdatas.len() } else { 0 });
+    for rdata in &rrset.rdatas {
+        let rr_at = buf.len();
+        buf.extend_from_slice(rrset.name.as_wire());
         buf.extend_from_slice(&rrset.rtype.to_u16().to_be_bytes());
         buf.extend_from_slice(&Class::In.to_u16().to_be_bytes());
         buf.extend_from_slice(&sig.original_ttl.to_be_bytes());
-        buf.extend_from_slice(&(rdata.len() as u16).to_be_bytes());
-        buf.extend_from_slice(&rdata);
+        buf.extend_from_slice(&[0, 0]);
+        let rdata_at = buf.len();
+        rdata.encode(&mut buf, None);
+        let rdlen = (buf.len() - rdata_at) as u16;
+        buf[rdata_at - 2..rdata_at].copy_from_slice(&rdlen.to_be_bytes());
+        if multi {
+            spans.push((rr_at - rrs_at, rdata_at - rrs_at, buf.len() - rrs_at));
+        }
+    }
+    if multi {
+        let unsorted = buf.split_off(rrs_at);
+        spans.sort_by(|a, b| unsorted[a.1..a.2].cmp(&unsorted[b.1..b.2]));
+        for (rr_at, _, end) in spans {
+            buf.extend_from_slice(&unsorted[rr_at..end]);
+        }
     }
     buf
 }
@@ -70,8 +80,9 @@ pub fn signing_data(sig: &Rrsig, rrset: &Rrset) -> Vec<u8> {
 /// The canonical byte string a DS digest covers: `owner ‖ DNSKEY RDATA`
 /// (RFC 4034 §5.1.4).
 pub fn ds_digest_input(owner: &Name, dnskey_rdata: &Rdata) -> Vec<u8> {
-    let mut buf = owner.to_wire();
-    buf.extend_from_slice(&canonical_rdata(dnskey_rdata));
+    let mut buf = Vec::with_capacity(owner.wire_len() + 260);
+    buf.extend_from_slice(owner.as_wire());
+    dnskey_rdata.encode(&mut buf, None);
     buf
 }
 

@@ -11,41 +11,53 @@ pub const FLAGS_ZSK: u16 = 256;
 pub const FLAGS_KSK: u16 = 257;
 
 /// One zone key: the signing key plus its DNSKEY metadata.
+///
+/// Immutable once derived: the key tag is a function of the flags, the
+/// algorithm and the public key, and every signature carries it, so it
+/// is computed once here instead of re-encoding the DNSKEY per RRSIG.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ZoneKey {
-    /// The (simulated) private key.
-    pub signing: SigningKey,
-    /// DNSKEY flags (256 = ZSK, 257 = KSK).
-    pub flags: u16,
+    signing: SigningKey,
+    flags: u16,
+    key_tag: u16,
 }
 
 impl ZoneKey {
     /// Deterministically derive a key for `apex` with the given role.
     /// `role` is folded into the seed so KSK ≠ ZSK.
     pub fn generate(apex: &Name, role: &str, algorithm: u8, key_bits: u16, flags: u16) -> Self {
-        let mut seed = apex.to_wire();
+        let mut seed = Vec::with_capacity(apex.wire_len() + role.len());
+        seed.extend_from_slice(apex.as_wire());
         seed.extend_from_slice(role.as_bytes());
+        let signing = SigningKey::from_seed(algorithm, key_bits, &seed);
+        // Flags, protocol, algorithm, then the key.
+        let mut rdata = Vec::with_capacity(4 + usize::from(key_bits / 8));
+        dnskey_rdata(&signing, flags).encode(&mut rdata, None);
         ZoneKey {
-            signing: SigningKey::from_seed(algorithm, key_bits, &seed),
+            signing,
             flags,
+            key_tag: keytag::key_tag(&rdata),
         }
+    }
+
+    /// The (simulated) private key.
+    pub fn signing(&self) -> &SigningKey {
+        &self.signing
+    }
+
+    /// DNSKEY flags (256 = ZSK, 257 = KSK).
+    pub fn flags(&self) -> u16 {
+        self.flags
     }
 
     /// The DNSKEY RDATA for this key.
     pub fn dnskey_rdata(&self) -> Rdata {
-        Rdata::Dnskey {
-            flags: self.flags,
-            protocol: 3,
-            algorithm: self.signing.algorithm,
-            public_key: self.signing.public_key(),
-        }
+        dnskey_rdata(&self.signing, self.flags)
     }
 
     /// RFC 4034 Appendix B key tag over the DNSKEY RDATA.
     pub fn key_tag(&self) -> u16 {
-        let mut buf = Vec::new();
-        self.dnskey_rdata().encode(&mut buf, None);
-        keytag::key_tag(&buf)
+        self.key_tag
     }
 
     /// Produce the DS RDATA a parent would publish for this key.
@@ -69,6 +81,15 @@ impl ZoneKey {
             digest_type: digest_type.0,
             digest,
         }
+    }
+}
+
+fn dnskey_rdata(signing: &SigningKey, flags: u16) -> Rdata {
+    Rdata::Dnskey {
+        flags,
+        protocol: 3,
+        algorithm: signing.algorithm,
+        public_key: signing.public_key(),
     }
 }
 
@@ -105,8 +126,8 @@ mod tests {
         let keys = ZoneKeys::generate(&n("example.com"), 8, 2048);
         assert_ne!(keys.ksk, keys.zsk);
         assert_ne!(keys.ksk.key_tag(), keys.zsk.key_tag());
-        assert_eq!(keys.ksk.flags, 257);
-        assert_eq!(keys.zsk.flags, 256);
+        assert_eq!(keys.ksk.flags(), 257);
+        assert_eq!(keys.zsk.flags(), 256);
     }
 
     #[test]
@@ -118,13 +139,12 @@ mod tests {
 
     #[test]
     fn key_tag_tracks_rdata() {
-        let keys = ZoneKeys::generate(&n("example.com"), 8, 2048);
-        let tag = keys.ksk.key_tag();
+        let ksk = ZoneKey::generate(&n("example.com"), "ksk", 8, 2048, FLAGS_KSK);
         // Changing the flags changes the RDATA and therefore the tag —
         // this is why the no-dnskey-257 testbed case breaks DS matching.
-        let mut altered = keys.ksk.clone();
-        altered.flags = 256;
-        assert_ne!(altered.key_tag(), tag);
+        let altered = ZoneKey::generate(&n("example.com"), "ksk", 8, 2048, FLAGS_ZSK);
+        assert_eq!(altered.signing(), ksk.signing());
+        assert_ne!(altered.key_tag(), ksk.key_tag());
     }
 
     #[test]

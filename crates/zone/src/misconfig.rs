@@ -278,7 +278,7 @@ impl Misconfig {
             Misconfig::DsBadKeyAlgo => {
                 // Algorithm field disagrees with the KSK's actual
                 // algorithm but is itself a valid, assigned algorithm.
-                let other = if keys.ksk.signing.algorithm == 13 {
+                let other = if keys.ksk.signing().algorithm == 13 {
                     8
                 } else {
                     13

@@ -28,13 +28,13 @@ impl Default for Nsec3Config {
 
 impl Nsec3Config {
     /// Hash `name` under these parameters, returning the owner label.
-    pub fn hash_label(&self, name: &Name) -> String {
-        nsec3hash::nsec3_hash_label(&name.to_wire(), &self.salt, self.iterations)
+    pub fn hash_label(&self, name: &Name) -> [u8; nsec3hash::NSEC3_LABEL_LEN] {
+        nsec3hash::nsec3_label(&self.hash_raw(name))
     }
 
     /// Hash `name`, returning the raw digest (the `next_hashed` form).
-    pub fn hash_raw(&self, name: &Name) -> Vec<u8> {
-        nsec3hash::nsec3_hash(&name.to_wire(), &self.salt, self.iterations)
+    pub fn hash_raw(&self, name: &Name) -> [u8; nsec3hash::NSEC3_HASH_LEN] {
+        nsec3hash::nsec3_hash(name.as_wire(), &self.salt, self.iterations)
     }
 }
 
@@ -111,7 +111,7 @@ pub fn build_chain(zone: &mut Zone, config: &Nsec3Config) {
 
     let names = chain_names(zone);
     // (raw hash, source name) sorted by hash — the chain order.
-    let mut hashed: Vec<(Vec<u8>, Name)> = names
+    let mut hashed: Vec<([u8; nsec3hash::NSEC3_HASH_LEN], Name)> = names
         .into_iter()
         .map(|n| (config.hash_raw(&n), n))
         .collect();
@@ -121,13 +121,15 @@ pub fn build_chain(zone: &mut Zone, config: &Nsec3Config) {
     for i in 0..count {
         let (hash, name) = &hashed[i];
         let (next_hash, _) = &hashed[(i + 1) % count];
-        let owner = apex.child(&base32::encode(hash)).expect("hash label fits");
+        let owner = apex
+            .child_bytes(&nsec3hash::nsec3_label(hash))
+            .expect("hash label fits");
         let rdata = Rdata::Nsec3 {
             hash_alg: nsec3hash::NSEC3_HASH_ALG_SHA1,
             flags: 0,
             iterations: config.iterations,
             salt: config.salt.clone(),
-            next_hashed: next_hash.clone(),
+            next_hashed: next_hash.to_vec(),
             types: bitmap_for(zone, name, true),
         };
         zone.add_rrset(Rrset::new(owner, soa_minimum, rdata));
@@ -137,7 +139,7 @@ pub fn build_chain(zone: &mut Zone, config: &Nsec3Config) {
 /// Find the NSEC3 RRset in `zone` whose owner hash *matches* `name`
 /// exactly (used for NODATA proofs).
 pub fn find_matching<'a>(zone: &'a Zone, config: &Nsec3Config, name: &Name) -> Option<&'a Rrset> {
-    let owner = zone.apex().child(&config.hash_label(name)).ok()?;
+    let owner = zone.apex().child_bytes(&config.hash_label(name)).ok()?;
     zone.get(&owner, RrType::Nsec3)
 }
 
@@ -158,11 +160,12 @@ pub fn find_covering<'a>(zone: &'a Zone, config: &Nsec3Config, name: &Name) -> O
         let Some(owner_hash) = base32::decode(std::str::from_utf8(label).ok()?) else {
             continue;
         };
-        let covers = if owner_hash < *next_hashed {
-            target > owner_hash && target < *next_hashed
+        let (target, owner_hash, next_hashed) = (&target[..], &owner_hash[..], &next_hashed[..]);
+        let covers = if owner_hash < next_hashed {
+            target > owner_hash && target < next_hashed
         } else {
             // Wrap-around interval (last chain link).
-            target > owner_hash || target < *next_hashed
+            target > owner_hash || target < next_hashed
         };
         if covers {
             return Some(rrset);

@@ -17,6 +17,10 @@ pub const SIM_NOW: u32 = 1_684_108_800;
 /// One day in seconds.
 pub const DAY: u32 = 86_400;
 
+/// The default RRSIG validity window, as (inception, expiration): thirty
+/// days either side of [`SIM_NOW`].
+pub const DEFAULT_WINDOW: (u32, u32) = (SIM_NOW - 30 * DAY, SIM_NOW + 30 * DAY);
+
 /// Which authenticated-denial chain a zone is signed with.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Denial {
@@ -49,8 +53,8 @@ impl Default for SignerConfig {
         SignerConfig {
             algorithm: SecAlg::RSASHA256,
             key_bits: 2048,
-            inception: SIM_NOW - 30 * DAY,
-            expiration: SIM_NOW + 30 * DAY,
+            inception: DEFAULT_WINDOW.0,
+            expiration: DEFAULT_WINDOW.1,
             denial: Denial::Nsec3(Nsec3Config::default()),
         }
     }
@@ -67,7 +71,7 @@ impl SignerConfig {
 pub fn sign_rrset(rrset: &Rrset, key: &ZoneKey, zone_apex: &Name, window: (u32, u32)) -> Rrsig {
     let mut sig = Rrsig {
         type_covered: rrset.rtype,
-        algorithm: key.signing.algorithm,
+        algorithm: key.signing().algorithm,
         labels: rrset.name.label_count() as u8,
         original_ttl: rrset.ttl,
         inception: window.0,
@@ -77,7 +81,7 @@ pub fn sign_rrset(rrset: &Rrset, key: &ZoneKey, zone_apex: &Name, window: (u32, 
         signature: Vec::new(),
     };
     let data = signing_data(&sig, rrset);
-    sig.signature = key.signing.sign(&data);
+    sig.signature = key.signing().sign(&data);
     sig
 }
 
@@ -149,19 +153,24 @@ pub fn resign_rrset(
     window: (u32, u32),
 ) {
     let apex = zone.apex().clone();
-    let Some(set) = zone.get_mut(name, rtype) else {
-        return;
-    };
-    set.sigs.clear();
-    let snapshot = set.clone();
-    let mut sigs = Vec::new();
-    if rtype == RrType::Dnskey && *name == apex {
-        sigs.push(sign_rrset(&snapshot, &keys.ksk, &apex, window));
-        sigs.push(sign_rrset(&snapshot, &keys.zsk, &apex, window));
-    } else {
-        sigs.push(sign_rrset(&snapshot, &keys.zsk, &apex, window));
+    if let Some(set) = zone.get_mut(name, rtype) {
+        sign_in_place(set, keys, &apex, window);
     }
-    zone.get_mut(name, rtype).expect("still present").sigs = sigs;
+}
+
+/// Replace `set`'s signatures as a zone at `apex` would: the apex DNSKEY
+/// RRset with both keys, anything else with the ZSK.
+pub fn sign_in_place(set: &mut Rrset, keys: &ZoneKeys, apex: &Name, window: (u32, u32)) {
+    set.sigs.clear();
+    let sigs = if set.rtype == RrType::Dnskey && set.name == *apex {
+        vec![
+            sign_rrset(set, &keys.ksk, apex, window),
+            sign_rrset(set, &keys.zsk, apex, window),
+        ]
+    } else {
+        vec![sign_rrset(set, &keys.zsk, apex, window)]
+    };
+    set.sigs = sigs;
 }
 
 #[cfg(test)]
@@ -243,7 +252,7 @@ mod tests {
         let data = signing_data(sig, a_set);
         assert_eq!(
             simsig::verify(
-                &keys.zsk.signing.public_key(),
+                &keys.zsk.signing().public_key(),
                 sig.algorithm,
                 &data,
                 &sig.signature
@@ -261,7 +270,7 @@ mod tests {
         let sig = &set.sigs[0];
         let data = signing_data(sig, set);
         assert!(simsig::verify(
-            &keys.zsk.signing.public_key(),
+            &keys.zsk.signing().public_key(),
             sig.algorithm,
             &data,
             &sig.signature
@@ -282,7 +291,7 @@ mod tests {
         let data = signing_data(sig, set);
         assert_eq!(
             simsig::verify(
-                &keys.zsk.signing.public_key(),
+                &keys.zsk.signing().public_key(),
                 sig.algorithm,
                 &data,
                 &sig.signature

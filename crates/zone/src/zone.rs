@@ -3,18 +3,31 @@
 use crate::rrset::Rrset;
 use ede_wire::{Name, Rdata, Record, RrType};
 use std::collections::BTreeMap;
+use std::sync::Arc;
+
+type RrsetMap = BTreeMap<Name, BTreeMap<u16, Rrset>>;
 
 /// An authoritative zone: an apex and the RRsets at and below it.
 ///
 /// Names are kept in RFC 4034 canonical order (the `Ord` of
 /// [`ede_wire::Name`]), which the NSEC3 chain builder and negative-answer
 /// logic rely on.
+///
+/// A zone may be *layered* over a shared read-only base
+/// ([`Zone::layered`]): a server that synthesizes a small zone per query
+/// around a fixed, pre-signed skeleton shares the skeleton instead of
+/// copying it. Every read sees both layers, the zone's own RRset winning
+/// where both hold one for an (owner, type); every write — including
+/// [`Zone::get_mut`], [`Zone::remove`] and [`Zone::iter_mut`] — touches
+/// the zone's own layer only.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Zone {
     apex: Name,
     /// owner → (numeric type → rrset). The inner map is tiny (a handful of
     /// types per name), the outer map is ordered canonically.
-    rrsets: BTreeMap<Name, BTreeMap<u16, Rrset>>,
+    rrsets: RrsetMap,
+    /// The shared layer underneath; itself never layered.
+    base: Option<Arc<Zone>>,
 }
 
 impl Zone {
@@ -23,6 +36,18 @@ impl Zone {
         Zone {
             apex,
             rrsets: BTreeMap::new(),
+            base: None,
+        }
+    }
+
+    /// An empty zone layered over `base` (same apex). `base` must not be
+    /// layered itself.
+    pub fn layered(base: Arc<Zone>) -> Self {
+        assert!(base.base.is_none(), "a base zone is a single layer");
+        Zone {
+            apex: base.apex.clone(),
+            rrsets: BTreeMap::new(),
+            base: Some(base),
         }
     }
 
@@ -31,15 +56,25 @@ impl Zone {
         &self.apex
     }
 
+    /// The shared layer's RRsets, if there is one.
+    fn base_rrsets(&self) -> Option<&RrsetMap> {
+        self.base.as_ref().map(|b| &b.rrsets)
+    }
+
     /// Insert one record, merging into an existing RRset of the same
     /// (owner, type) when present.
     pub fn add(&mut self, record: Record) {
         let rtype = record.rtype();
         let by_type = self.rrsets.entry(record.name.clone()).or_default();
-        by_type
-            .entry(rtype.to_u16())
-            .and_modify(|set| set.rdatas.push(record.rdata.clone()))
-            .or_insert_with(|| Rrset::new(record.name, record.ttl, record.rdata));
+        match by_type.get_mut(&rtype.to_u16()) {
+            Some(set) => set.rdatas.push(record.rdata),
+            None => {
+                by_type.insert(
+                    rtype.to_u16(),
+                    Rrset::new(record.name, record.ttl, record.rdata),
+                );
+            }
+        }
     }
 
     /// Insert a whole RRset, replacing any existing set of the same key.
@@ -52,15 +87,18 @@ impl Zone {
 
     /// Look up the RRset at (name, rtype).
     pub fn get(&self, name: &Name, rtype: RrType) -> Option<&Rrset> {
-        self.rrsets.get(name)?.get(&rtype.to_u16())
+        fn at<'a>(map: &'a RrsetMap, name: &Name, rtype: RrType) -> Option<&'a Rrset> {
+            map.get(name)?.get(&rtype.to_u16())
+        }
+        at(&self.rrsets, name, rtype).or_else(|| at(self.base_rrsets()?, name, rtype))
     }
 
-    /// Mutable lookup.
+    /// Mutable lookup (own layer only).
     pub fn get_mut(&mut self, name: &Name, rtype: RrType) -> Option<&mut Rrset> {
         self.rrsets.get_mut(name)?.get_mut(&rtype.to_u16())
     }
 
-    /// Remove and return the RRset at (name, rtype).
+    /// Remove and return the RRset at (name, rtype) (own layer only).
     pub fn remove(&mut self, name: &Name, rtype: RrType) -> Option<Rrset> {
         let by_type = self.rrsets.get_mut(name)?;
         let removed = by_type.remove(&rtype.to_u16());
@@ -72,7 +110,7 @@ impl Zone {
 
     /// Does any RRset exist at `name`?
     pub fn name_exists(&self, name: &Name) -> bool {
-        self.rrsets.contains_key(name)
+        self.rrsets.contains_key(name) || self.base_rrsets().is_some_and(|b| b.contains_key(name))
     }
 
     /// Does `name` exist either directly or as an empty non-terminal
@@ -80,31 +118,61 @@ impl Zone {
     /// descendant of `name` sorts immediately after it, so one ordered
     /// range probe answers this in O(log n).
     pub fn name_exists_or_ent(&self, name: &Name) -> bool {
-        self.rrsets
-            .range(name.clone()..)
-            .next()
-            .is_some_and(|(k, _)| k.is_subdomain_of(name))
+        let probe = |map: &RrsetMap| {
+            map.range(name..)
+                .next()
+                .is_some_and(|(k, _)| k.is_subdomain_of(name))
+        };
+        probe(&self.rrsets) || self.base_rrsets().is_some_and(probe)
     }
 
     /// The types present at `name`, in numeric order.
     pub fn types_at(&self, name: &Name) -> Vec<RrType> {
-        self.rrsets
-            .get(name)
-            .map(|m| m.keys().map(|&t| RrType::from_u16(t)).collect())
-            .unwrap_or_default()
+        let mut types: Vec<u16> = std::iter::once(&self.rrsets)
+            .chain(self.base_rrsets())
+            .filter_map(|map| map.get(name))
+            .flat_map(|m| m.keys().copied())
+            .collect();
+        if self.base.is_some() {
+            types.sort_unstable();
+            types.dedup();
+        }
+        types.into_iter().map(RrType::from_u16).collect()
     }
 
     /// Iterate all owner names in canonical order.
     pub fn names(&self) -> impl Iterator<Item = &Name> {
-        self.rrsets.keys()
+        let shared = self
+            .base_rrsets()
+            .into_iter()
+            .flat_map(|b| b.keys())
+            .filter(|n| !self.rrsets.contains_key(n));
+        merge_sorted(self.rrsets.keys(), shared, |a, b| a.cmp(b))
     }
 
     /// Iterate all RRsets (canonical owner order, numeric type order).
     pub fn iter(&self) -> impl Iterator<Item = &Rrset> {
-        self.rrsets.values().flat_map(|m| m.values())
+        fn flat(map: &RrsetMap) -> impl Iterator<Item = &Rrset> {
+            map.values().flat_map(|m| m.values())
+        }
+        let shared = self
+            .base_rrsets()
+            .into_iter()
+            .flat_map(flat)
+            .filter(|s| !self.holds(&s.name, s.rtype));
+        merge_sorted(flat(&self.rrsets), shared, |a, b| {
+            (&a.name, a.rtype.to_u16()).cmp(&(&b.name, b.rtype.to_u16()))
+        })
     }
 
-    /// Mutable iteration over all RRsets.
+    /// Does the zone's own layer hold an RRset at (name, rtype)?
+    fn holds(&self, name: &Name, rtype: RrType) -> bool {
+        self.rrsets
+            .get(name)
+            .is_some_and(|m| m.contains_key(&rtype.to_u16()))
+    }
+
+    /// Mutable iteration over all RRsets (own layer only).
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Rrset> {
         self.rrsets.values_mut().flat_map(|m| m.values_mut())
     }
@@ -166,14 +234,11 @@ impl Zone {
 
     /// Glue address records (A/AAAA) for a nameserver name, if present in
     /// this zone.
-    pub fn glue_for(&self, ns_name: &Name) -> Vec<Record> {
-        let mut out = Vec::new();
-        for rtype in [RrType::A, RrType::Aaaa] {
-            if let Some(set) = self.get(ns_name, rtype) {
-                out.extend(set.records());
-            }
-        }
-        out
+    pub fn glue_for<'a>(&'a self, ns_name: &'a Name) -> impl Iterator<Item = Record> + 'a {
+        [RrType::A, RrType::Aaaa]
+            .into_iter()
+            .filter_map(move |rtype| self.get(ns_name, rtype))
+            .flat_map(Rrset::records)
     }
 
     /// Convenience used throughout the testbed: add an A record.
@@ -188,8 +253,23 @@ impl Zone {
 
     /// Total number of RRsets (for reports and sanity checks).
     pub fn rrset_count(&self) -> usize {
-        self.rrsets.values().map(|m| m.len()).sum()
+        self.iter().count()
     }
+}
+
+/// Merge two iterators that are each sorted by `cmp` into one that is.
+/// Where both sides hold equal items, `a`'s come first.
+fn merge_sorted<T>(
+    a: impl Iterator<Item = T>,
+    b: impl Iterator<Item = T>,
+    cmp: impl Fn(&T, &T) -> std::cmp::Ordering,
+) -> impl Iterator<Item = T> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) if cmp(x, y).is_gt() => b.next(),
+        (Some(_), _) => a.next(),
+        (None, _) => b.next(),
+    })
 }
 
 #[cfg(test)]
@@ -258,7 +338,7 @@ mod tests {
         assert!(z.is_glue(&n("ns.child.example.com")));
         assert!(!z.is_glue(&n("ns1.example.com")));
         assert!(!z.is_glue(&n("example.com")));
-        assert_eq!(z.glue_for(&n("ns.child.example.com")).len(), 1);
+        assert_eq!(z.glue_for(&n("ns.child.example.com")).count(), 1);
     }
 
     #[test]

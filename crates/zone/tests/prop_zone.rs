@@ -92,7 +92,7 @@ fn zone_fully_verifies(zone: &Zone, keys: &ZoneKeys) -> bool {
             sig.inception <= SIM_NOW
                 && SIM_NOW <= sig.expiration
                 && simsig::verify(
-                    &key.signing.public_key(),
+                    &key.signing().public_key(),
                     sig.algorithm,
                     &data,
                     &sig.signature,
