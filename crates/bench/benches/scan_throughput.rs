@@ -13,8 +13,8 @@
 //!   appends one entry per run to `BENCH_scan.json` at the repo
 //!   root, so regressions show up as history, not anecdotes.
 //!
-//! The sweep covers the thread dimension at the blocking baseline
-//! (workers ∈ {1, 4, 8, 16}, inflight 1) and the event-driven task-pool
+//! The sweep covers the thread dimension at a window of one
+//! (workers ∈ {1, 4, 8, 16}, inflight 1) and the in-flight window
 //! dimension on a single worker (inflight ∈ {32, 256}).
 //!
 //! `BENCH_scan.json` is a JSON array with one entry per line, so new
@@ -155,8 +155,8 @@ fn main() {
         );
 
         // Results must be bit-identical at every sweep point: compare
-        // the per-code inventory against the first run (the blocking
-        // single-worker baseline).
+        // the per-code inventory against the first run (one worker,
+        // window of one).
         let fingerprint = format!("{:016x}", result.stats.fingerprint);
         match &reference {
             None => reference = Some(fingerprint),

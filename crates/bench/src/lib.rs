@@ -11,7 +11,7 @@
 //! | `crypto_primitives` | SHA/NSEC3/keytag/simsig costs |
 //! | `validation` | zone signing + chain validation |
 //! | `table4_vendor_matrix` | Table 4 (63 × 7 resolution matrix) |
-//! | `wild_scan` | §4.2 scan at a small scale |
+//! | `scan_throughput` | §4.2 scan: workers × in-flight sweep, bit-identity smoke |
 //! | `figures` | Figures 1 and 2 aggregation |
 //! | `ablations` | design-choice ablations (cache, profile specificity) |
 //!

@@ -395,13 +395,34 @@ impl Network {
         classify(addr).is_routable() && self.routes.contains_key(&addr)
     }
 
-    /// Send `query` to `dst` from `src` and wait for the reply.
+    /// Send `query` to `dst` from `src` and wait for the reply:
+    /// [`send`](Self::send) completed on the spot.
     ///
-    /// Latency accounting: a delivered exchange advances the clock by
-    /// one RTT; every failure (unroutable, silent drop, loss, no route)
-    /// advances it by the full timeout, as the querier has to wait that
-    /// long to learn nothing.
+    /// Latency accounting: a delivered exchange moves the clock one RTT
+    /// past the send instant; every failure (unroutable, silent drop,
+    /// loss, no route) moves it the full timeout past, as the querier
+    /// has to wait that long to learn nothing.
     pub fn query(&self, dst: IpAddr, src: IpAddr, query: &Message) -> Result<Message, NetError> {
+        self.complete(self.send(dst, src, query))
+    }
+
+    /// Send `query` to `dst` from `src` without waiting for the outcome.
+    ///
+    /// All *send-time* effects happen here — the query counter, capture,
+    /// the `QuerySent` trace event, routability and fault-plan checks,
+    /// the deterministic loss decision, and the server's handler (servers
+    /// are synchronous state machines, so the reply is computed at send
+    /// time; only its *observation* is deferred). The returned
+    /// [`InFlight`] token carries the absolute virtual-clock deadline at
+    /// which the outcome becomes observable: one RTT after the send for a
+    /// delivered exchange, the full timeout for every failure. Park it in
+    /// a [`crate::CompletionQueue`] and hand it back to
+    /// [`Network::complete`] when its deadline is the earliest pending
+    /// one.
+    ///
+    /// Every `InFlight` must be completed, or the traffic counters will
+    /// show more queries than outcomes.
+    pub fn send(&self, dst: IpAddr, src: IpAddr, query: &Message) -> InFlight {
         use std::sync::atomic::Ordering::Relaxed;
         self.stats.queries.fetch_add(1, Relaxed);
         let tracer = self.tracer.get();
@@ -410,132 +431,6 @@ impl Network {
         // query; skip it entirely unless someone is actually watching.
         // A metrics-only sink counts events without reading qnames, so
         // it rides the cheap path too (wants_query_detail is false).
-        let (qname, qtype) = if tracer.wants_query_detail() || recording {
-            query
-                .first_question()
-                .map(|q| (q.name.to_string(), q.qtype.to_u16()))
-                .unwrap_or_else(|| (String::from("-"), 0))
-        } else {
-            (String::new(), 0)
-        };
-        if recording && query.first_question().is_some() {
-            self.capture.push(CapturedQuery {
-                dst,
-                qname: qname.clone(),
-                qtype,
-            });
-        }
-        tracer.emit(TraceEvent::QuerySent {
-            dst,
-            qname: qname.clone(),
-            qtype,
-            id: query.id,
-        });
-        let fail = |unroutable: bool| {
-            self.clock.advance_millis(self.config.timeout_ms);
-            self.stats.failed.fetch_add(1, Relaxed);
-            tracer.emit(TraceEvent::Timeout {
-                dst,
-                qname: qname.clone(),
-                unroutable,
-            });
-        };
-        if !classify(dst).is_routable() {
-            fail(true);
-            return Err(NetError::Unroutable);
-        }
-        let Some(server) = self.routes.get(&dst) else {
-            fail(false);
-            return Err(NetError::Timeout);
-        };
-        let fault = self.faults.get();
-        if let Some((plan, epoch_ms)) = &fault {
-            let at_ms = self.clock.now_millis().saturating_sub(*epoch_ms);
-            if let Some(kind) = plan.unreachable_at(dst, at_ms) {
-                self.inject(&tracer, kind, dst);
-                fail(false);
-                return Err(NetError::Timeout);
-            }
-            if let Some(kind) = plan.lose_at(dst, at_ms, query) {
-                self.inject(&tracer, kind, dst);
-                fail(false);
-                return Err(NetError::Timeout);
-            }
-        }
-        if self.lose(dst, query) {
-            fail(false);
-            return Err(NetError::Timeout);
-        }
-        match server.handle(query, src, self.clock.now_secs()) {
-            ServerResponse::Reply(mut msg) => {
-                let mut latency_ms = self.config.rtt_ms;
-                if let Some((plan, epoch_ms)) = &fault {
-                    if plan.corrupt_at(dst, query) {
-                        self.inject(&tracer, "corrupt", dst);
-                        let mut garbled = Message::response_to(query);
-                        garbled.rcode = Rcode::FormErr;
-                        // Echo the client's OPT: the damage is to the
-                        // payload, not the EDNS negotiation, so resolvers
-                        // classify this as a FORMERR rcode failure rather
-                        // than "no EDNS support".
-                        garbled.edns = query.edns.clone();
-                        msg = garbled;
-                    }
-                    if let Some(limit) = plan.negotiated_limit(query) {
-                        if !msg.truncated && msg.encoded_len() > usize::from(limit) {
-                            msg = msg.truncated_copy();
-                            self.stats.truncated.fetch_add(1, Relaxed);
-                        }
-                    }
-                    let at_ms = self.clock.now_millis().saturating_sub(*epoch_ms);
-                    let extra = plan.spike_extra_at(at_ms);
-                    if extra > 0 {
-                        self.inject(&tracer, "spike", dst);
-                        latency_ms += extra;
-                    }
-                }
-                self.clock.advance_millis(latency_ms);
-                self.stats.delivered.fetch_add(1, Relaxed);
-                tracer.emit(TraceEvent::ResponseReceived {
-                    src: dst,
-                    rcode: msg.rcode.to_u16(),
-                    answers: msg.answers.len(),
-                    latency_ms,
-                });
-                Ok(msg)
-            }
-            ServerResponse::Drop => {
-                fail(false);
-                Err(NetError::Timeout)
-            }
-        }
-    }
-
-    /// Send `query` to `dst` from `src` without waiting: the event-driven
-    /// half of [`Network::query`].
-    ///
-    /// All *send-time* effects happen here, in exactly the order the
-    /// blocking path applies them — the query counter, capture, the
-    /// `QuerySent` trace event, routability and fault-plan checks, the
-    /// deterministic loss decision, and the server's handler (servers are
-    /// synchronous state machines, so the reply is computed at send time;
-    /// only its *observation* is deferred). The returned [`InFlight`]
-    /// token carries the absolute virtual-clock deadline at which the
-    /// outcome becomes observable; park it in a
-    /// [`crate::CompletionQueue`] and hand it back to
-    /// [`Network::complete`] when its deadline is the earliest pending
-    /// one.
-    ///
-    /// Determinism: a `send` immediately followed by its `complete` is
-    /// event-for-event and timestamp-for-timestamp identical to one
-    /// blocking [`Network::query`] call. Every `InFlight` must be
-    /// completed, or the traffic counters will show more queries than
-    /// outcomes.
-    pub fn send(&self, dst: IpAddr, src: IpAddr, query: &Message) -> InFlight {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.stats.queries.fetch_add(1, Relaxed);
-        let tracer = self.tracer.get();
-        let recording = self.capture.recording();
         let (qname, qtype) = if tracer.wants_query_detail() || recording {
             query
                 .first_question()
@@ -594,6 +489,10 @@ impl Network {
                         self.inject(&tracer, "corrupt", dst);
                         let mut garbled = Message::response_to(query);
                         garbled.rcode = Rcode::FormErr;
+                        // Echo the client's OPT: the damage is to the
+                        // payload, not the EDNS negotiation, so resolvers
+                        // classify this as a FORMERR rcode failure rather
+                        // than "no EDNS support".
                         garbled.edns = query.edns.clone();
                         msg = garbled;
                     }
@@ -622,10 +521,12 @@ impl Network {
         }
     }
 
-    /// Stream-channel counterpart of [`Network::send`]: the event-driven
-    /// half of [`Network::query_stream`]. Streams keep their blocking
-    /// semantics — two RTTs of latency, exempt from loss, corruption and
-    /// truncation — only the outcome's observation is deferred.
+    /// Stream-channel (TCP-analogue) counterpart of [`Network::send`].
+    ///
+    /// Streams cost one extra RTT for connection setup, are exempt from
+    /// per-datagram loss, corruption, and the response-size model (a
+    /// real TCP connection retransmits and carries any size), but still
+    /// fail while the destination is flapped or blackholed.
     pub fn send_stream(&self, dst: IpAddr, src: IpAddr, query: &Message) -> InFlight {
         use std::sync::atomic::Ordering::Relaxed;
         self.stats.queries.fetch_add(1, Relaxed);
@@ -689,9 +590,8 @@ impl Network {
     ///
     /// Advances the virtual clock **to** the exchange's deadline (a
     /// no-op when another completion already moved time past it), then
-    /// applies the outcome-time effects in the blocking path's order:
-    /// the delivered/failed counter and the `ResponseReceived` /
-    /// `Timeout` trace event.
+    /// applies the outcome-time effects: the delivered/failed counter
+    /// and the `ResponseReceived` / `Timeout` trace event.
     pub fn complete(&self, inflight: InFlight) -> Result<Message, NetError> {
         use std::sync::atomic::Ordering::Relaxed;
         self.clock.advance_to_millis(inflight.deadline_ms);
@@ -719,82 +619,15 @@ impl Network {
     }
 
     /// Send `query` to `dst` from `src` over the stream (TCP-analogue)
-    /// channel and wait for the reply — the truncation-fallback path.
-    ///
-    /// Streams cost one extra RTT for connection setup, are exempt from
-    /// per-datagram loss, corruption, and the response-size model (a
-    /// real TCP connection retransmits and carries any size), but still
-    /// fail while the destination is flapped or blackholed.
+    /// channel and wait for the reply — the truncation-fallback path:
+    /// [`send_stream`](Self::send_stream) completed on the spot.
     pub fn query_stream(
         &self,
         dst: IpAddr,
         src: IpAddr,
         query: &Message,
     ) -> Result<Message, NetError> {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.stats.queries.fetch_add(1, Relaxed);
-        self.stats.stream_queries.fetch_add(1, Relaxed);
-        let tracer = self.tracer.get();
-        let qname = if tracer.wants_query_detail() {
-            query
-                .first_question()
-                .map(|q| q.name.to_string())
-                .unwrap_or_else(|| String::from("-"))
-        } else {
-            String::new()
-        };
-        tracer.emit(TraceEvent::QuerySent {
-            dst,
-            qname: qname.clone(),
-            qtype: query
-                .first_question()
-                .map(|q| q.qtype.to_u16())
-                .unwrap_or(0),
-            id: query.id,
-        });
-        let fail = |unroutable: bool| {
-            self.clock.advance_millis(self.config.timeout_ms);
-            self.stats.failed.fetch_add(1, Relaxed);
-            tracer.emit(TraceEvent::Timeout {
-                dst,
-                qname: qname.clone(),
-                unroutable,
-            });
-        };
-        if !classify(dst).is_routable() {
-            fail(true);
-            return Err(NetError::Unroutable);
-        }
-        let Some(server) = self.routes.get(&dst) else {
-            fail(false);
-            return Err(NetError::Timeout);
-        };
-        if let Some((plan, epoch_ms)) = self.faults.get() {
-            let at_ms = self.clock.now_millis().saturating_sub(epoch_ms);
-            if let Some(kind) = plan.unreachable_at(dst, at_ms) {
-                self.inject(&tracer, kind, dst);
-                fail(false);
-                return Err(NetError::Timeout);
-            }
-        }
-        match server.handle_stream(query, src, self.clock.now_secs()) {
-            ServerResponse::Reply(msg) => {
-                let latency_ms = 2 * self.config.rtt_ms;
-                self.clock.advance_millis(latency_ms);
-                self.stats.delivered.fetch_add(1, Relaxed);
-                tracer.emit(TraceEvent::ResponseReceived {
-                    src: dst,
-                    rcode: msg.rcode.to_u16(),
-                    answers: msg.answers.len(),
-                    latency_ms,
-                });
-                Ok(msg)
-            }
-            ServerResponse::Drop => {
-                fail(false);
-                Err(NetError::Timeout)
-            }
-        }
+        self.complete(self.send_stream(dst, src, query))
     }
 
     /// Count one fired fault decision and surface it to any tracer.
@@ -915,49 +748,93 @@ mod tests {
         );
     }
 
+    /// The five exchange shapes, pinned literally: `query` is
+    /// `complete(send(..))`, so comparing the two would compare a
+    /// function with itself.
     #[test]
-    fn send_complete_matches_blocking_query_exactly() {
-        use ede_trace::ResolutionTrace;
+    fn the_five_exchange_shapes_are_pinned() {
+        use ede_trace::{ResolutionTrace, TimedEvent};
 
-        // Two identically-built worlds: one driven blocking, one split.
-        let build = || {
-            let mut b = NetworkBuilder::new();
-            b.register("93.184.216.34".parse().unwrap(), Arc::new(Echo));
-            b.register("93.184.216.35".parse().unwrap(), Arc::new(BlackHole));
-            let net = b.build(SimClock::new());
-            let trace = Arc::new(ResolutionTrace::new(64));
-            net.set_trace_sink(trace.clone());
-            (net, trace)
-        };
-        let exchanges: Vec<(IpAddr, u16)> = vec![
-            ("93.184.216.34".parse().unwrap(), 1), // delivered
-            ("93.184.216.35".parse().unwrap(), 2), // dropped -> timeout
-            ("192.0.2.1".parse().unwrap(), 3),     // unroutable
-            ("93.184.216.99".parse().unwrap(), 4), // no route
-            ("93.184.216.34".parse().unwrap(), 5), // delivered again
-        ];
+        let echo: IpAddr = "93.184.216.34".parse().unwrap();
+        let hole: IpAddr = "93.184.216.35".parse().unwrap();
+        let special: IpAddr = "192.0.2.1".parse().unwrap();
+        let nobody: IpAddr = "93.184.216.99".parse().unwrap();
+        let mut b = NetworkBuilder::new();
+        b.register(echo, Arc::new(Echo));
+        b.register(hole, Arc::new(BlackHole));
+        let net = b.build(SimClock::new());
+        let trace = Arc::new(ResolutionTrace::new(64));
+        net.set_trace_sink(trace.clone());
+        let t0 = net.clock().now_millis();
 
-        let (blocking, blocking_trace) = build();
-        let blocking_results: Vec<_> = exchanges
+        let results: Vec<_> = [(echo, 1), (hole, 2), (special, 3), (nobody, 4), (echo, 5)]
             .iter()
-            .map(|&(dst, id)| blocking.query(dst, client(), &q(id)))
+            .map(|&(dst, id)| net.query(dst, client(), &q(id)).map(|m| (m.id, m.rcode)))
             .collect();
-
-        let (split, split_trace) = build();
-        let split_results: Vec<_> = exchanges
-            .iter()
-            .map(|&(dst, id)| {
-                let inflight = split.send(dst, client(), &q(id));
-                split.complete(inflight)
-            })
-            .collect();
-
-        assert_eq!(blocking_results, split_results);
-        assert_eq!(blocking_trace.events(), split_trace.events());
-        assert_eq!(blocking.clock().now_millis(), split.clock().now_millis());
         assert_eq!(
-            blocking.stats().snapshot_full(),
-            split.stats().snapshot_full()
+            results,
+            vec![
+                Ok((1, Rcode::NoError)),
+                Err(NetError::Timeout),
+                Err(NetError::Unroutable),
+                Err(NetError::Timeout),
+                Ok((5, Rcode::NoError)),
+            ]
+        );
+
+        let sent = |at: u64, dst: IpAddr, id: u16| TimedEvent {
+            at_ms: t0 + at,
+            event: TraceEvent::QuerySent {
+                dst,
+                qname: "example.com.".into(),
+                qtype: 1,
+                id,
+            },
+        };
+        let received = |at: u64| TimedEvent {
+            at_ms: t0 + at,
+            event: TraceEvent::ResponseReceived {
+                src: echo,
+                rcode: 0,
+                answers: 0,
+                latency_ms: 20,
+            },
+        };
+        let timeout = |at: u64, dst: IpAddr, unroutable: bool| TimedEvent {
+            at_ms: t0 + at,
+            event: TraceEvent::Timeout {
+                dst,
+                qname: "example.com.".into(),
+                unroutable,
+            },
+        };
+        // One RTT per delivery, the full timeout per failure; each
+        // outcome is stamped at its deadline, each send at the previous
+        // outcome's.
+        assert_eq!(
+            trace.events(),
+            vec![
+                sent(0, echo, 1),
+                received(20),
+                sent(20, hole, 2),
+                timeout(2_020, hole, false),
+                sent(2_020, special, 3),
+                timeout(4_020, special, true),
+                sent(4_020, nobody, 4),
+                timeout(6_020, nobody, false),
+                sent(6_020, echo, 5),
+                received(6_040),
+            ]
+        );
+        assert_eq!(net.clock().now_millis(), t0 + 6_040);
+        assert_eq!(
+            net.stats().snapshot_full(),
+            TrafficSnapshot {
+                queries: 5,
+                delivered: 2,
+                failed: 3,
+                ..Default::default()
+            }
         );
     }
 
@@ -982,28 +859,25 @@ mod tests {
     }
 
     #[test]
-    fn send_stream_matches_blocking_stream() {
-        struct StreamEcho;
-        impl Server for StreamEcho {
-            fn handle(&self, q: &Message, _src: IpAddr, _now: u32) -> ServerResponse {
-                ServerResponse::Reply(Message::response_to(q))
-            }
-        }
-        let build = || {
-            let mut b = NetworkBuilder::new();
-            b.register("93.184.216.34".parse().unwrap(), Arc::new(StreamEcho));
-            b.build(SimClock::new())
-        };
-        let blocking = build();
-        let split = build();
-        let want = blocking.query_stream("93.184.216.34".parse().unwrap(), client(), &q(7));
-        let inflight = split.send_stream("93.184.216.34".parse().unwrap(), client(), &q(7));
-        let got = split.complete(inflight);
-        assert_eq!(want, got);
-        assert_eq!(blocking.clock().now_millis(), split.clock().now_millis());
+    fn stream_exchange_is_pinned() {
+        let dst: IpAddr = "93.184.216.34".parse().unwrap();
+        let mut b = NetworkBuilder::new();
+        b.register(dst, Arc::new(Echo));
+        let net = b.build(SimClock::new());
+        let t0 = net.clock().now_millis();
+        let inflight = net.send_stream(dst, client(), &q(7));
+        assert_eq!(inflight.deadline_ms(), t0 + 40, "handshake + exchange");
+        assert_eq!(net.clock().now_millis(), t0, "send must not move time");
+        assert_eq!(net.complete(inflight).map(|m| m.id), Ok(7));
+        assert_eq!(net.clock().now_millis(), t0 + 40);
         assert_eq!(
-            blocking.stats().snapshot_full(),
-            split.stats().snapshot_full()
+            net.stats().snapshot_full(),
+            TrafficSnapshot {
+                queries: 1,
+                delivered: 1,
+                stream_queries: 1,
+                ..Default::default()
+            }
         );
     }
 

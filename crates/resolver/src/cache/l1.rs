@@ -4,8 +4,9 @@
 //! owns one [`L1Cache`] and probes it before the shared L2 store. The
 //! type contains no `Mutex` and no atomics — all interior mutability is
 //! `Cell`/`RefCell`, so it is `!Sync` by construction and the compiler
-//! enforces single-threaded use. Pooled resolutions share one via `Rc`
-//! (the pool's `spawn` has no `Send` bound; see `docs/CONCURRENCY.md`).
+//! enforces single-threaded use. Pooled resolutions all borrow the one
+//! their worker owns (the pool's `spawn` has no `Send` bound and takes
+//! borrowing futures; see `docs/CONCURRENCY.md`).
 //!
 //! # Coherence
 //!

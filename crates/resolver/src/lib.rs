@@ -42,10 +42,10 @@
 //! Resolutions are *resumable tasks*: the engine suspends on every
 //! network exchange and retry timer, and a [`task::ResolutionPool`]
 //! multiplexes thousands of suspended resolutions on one thread by
-//! draining a deterministic completion-event queue. The blocking
-//! [`Resolver::resolve`] call still exists (it drives a single task
-//! inline and is bit-identical to the historical blocking engine);
-//! [`Resolver::resolve_on`] is the pool-facing shape. The full model —
+//! draining a deterministic completion-event queue. There is one
+//! resolution entry point, the async [`Resolver::resolve_with`]; the
+//! blocking [`Resolver::resolve`] call drives it as a single task
+//! inline. The full model —
 //! states, transitions, event ordering, determinism rules — is
 //! specified in `docs/CONCURRENCY.md`.
 

@@ -14,8 +14,6 @@ use crate::task::{run_local, TaskHandle};
 use ede_netsim::Network;
 use ede_trace::{CacheOutcome, TraceEvent, Tracer};
 use ede_wire::{EdeEntry, Edns, Message, Name, Rcode, Record, RrType};
-use std::future::Future;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU16, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -126,12 +124,6 @@ impl Resolver {
         &self.net
     }
 
-    /// The network by shared handle — [`crate::ResolutionPool::new`]
-    /// needs an owning clone.
-    pub fn network_shared(&self) -> Arc<Network> {
-        Arc::clone(&self.net)
-    }
-
     /// Flush caches (tests and scan shards). Bumps the cache
     /// generation so every worker's private L1 tier clears itself on
     /// its next resolution.
@@ -189,67 +181,46 @@ impl Resolver {
     /// probe, validation step, finding, and EDE emission is announced in
     /// between.
     ///
-    /// This is the blocking shape: it drives the resolution task to
-    /// completion on the calling thread via a private single-task event
-    /// loop, producing exactly the event sequence the historical
-    /// blocking engine produced. To hold many resolutions in flight on
-    /// one thread, use [`resolve_on`](Self::resolve_on) with a
-    /// [`crate::ResolutionPool`] instead.
+    /// This is the blocking shape: it drives
+    /// [`resolve_with`](Self::resolve_with) to completion on the calling
+    /// thread via a private single-task event loop, with no
+    /// task-lifecycle events. To hold many resolutions in flight on one
+    /// thread, spawn `resolve_with` on a [`crate::ResolutionPool`]
+    /// instead.
     pub fn resolve(&self, qname: &Name, qtype: RrType) -> Resolution {
         run_local(&self.net, |handle| async move {
-            self.resolve_with(&handle, qname, qtype, None).await
+            self.resolve_with(&handle, None, qname, qtype).await
         })
     }
 
     /// [`resolve`](Self::resolve) with a caller-owned L1 tier probed
-    /// before the shared cache. The caller (one scan worker, say) must
+    /// before the shared cache. The caller (one server worker, say) must
     /// use the same `l1` from one thread only — the type enforces it.
     pub fn resolve_l1(&self, qname: &Name, qtype: RrType, l1: &L1Cache) -> Resolution {
         run_local(&self.net, |handle| async move {
-            self.resolve_with(&handle, qname, qtype, Some(l1)).await
+            self.resolve_with(&handle, Some(l1), qname, qtype).await
         })
     }
 
-    /// The pool shape of [`resolve`](Self::resolve): a `'static`
-    /// resolution task for [`crate::ResolutionPool::spawn`]. The task
-    /// keeps the resolver alive via the `Arc` and suspends on `handle`
-    /// whenever it would block on the network.
+    /// The resolution pipeline itself, as a resumable task: the one
+    /// entry point every caller reaches. It suspends on `handle`
+    /// whenever it would block on the network, so it runs wherever a
+    /// [`TaskHandle`] comes from — [`crate::ResolutionPool::spawn`] for
+    /// many in flight on one thread, or the blocking wrappers above.
+    /// Semantics (policy, cache, validation, EDE emission) are the same
+    /// on both; only the scheduling differs.
     ///
-    /// Semantics (policy, cache, validation, EDE emission) are
-    /// identical to the blocking call; only the scheduling differs.
-    pub fn resolve_on(
-        self: &Arc<Self>,
-        handle: TaskHandle,
-        qname: Name,
-        qtype: RrType,
-    ) -> impl Future<Output = Resolution> + 'static {
-        let this = Arc::clone(self);
-        async move { this.resolve_with(&handle, &qname, qtype, None).await }
-    }
-
-    /// The pool shape with an L1 tier: all tasks spawned on one
-    /// [`crate::ResolutionPool`] share the host thread, so they share
-    /// one `Rc<L1Cache>` too ([`spawn`](crate::ResolutionPool::spawn)
+    /// `l1` is the calling thread's private tier, if it has one: all
+    /// tasks of one pool run on the pool's thread, so they may all
+    /// borrow the same `&L1Cache` ([`spawn`](crate::ResolutionPool::spawn)
     /// deliberately has no `Send` bound, which is what makes this
     /// legal — see `docs/CONCURRENCY.md`).
-    pub fn resolve_on_l1(
-        self: &Arc<Self>,
-        handle: TaskHandle,
-        qname: Name,
-        qtype: RrType,
-        l1: Rc<L1Cache>,
-    ) -> impl Future<Output = Resolution> + 'static {
-        let this = Arc::clone(self);
-        async move { this.resolve_with(&handle, &qname, qtype, Some(&l1)).await }
-    }
-
-    /// The resolution pipeline itself, as a resumable task.
-    async fn resolve_with(
+    pub async fn resolve_with(
         &self,
         handle: &TaskHandle,
+        l1: Option<&L1Cache>,
         qname: &Name,
         qtype: RrType,
-        l1: Option<&L1Cache>,
     ) -> Resolution {
         let now = self.net.clock().now_secs();
         let tracer = self.net.tracer();

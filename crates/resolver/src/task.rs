@@ -19,8 +19,8 @@
 //!   bounded number of resolutions in flight.
 //! * `run_local` (crate-internal) — drives exactly one task to
 //!   completion behind the blocking [`crate::Resolver::resolve`] call.
-//!   It emits no task-lifecycle events and is bit-identical to the
-//!   historical blocking engine.
+//!   It emits no task-lifecycle events, and is the independent
+//!   reference the pool is compared against.
 //!
 //! # Example
 //!
@@ -33,21 +33,24 @@
 //! // An empty simulated internet: every root hint times out, so each
 //! // resolution fails fast — enough to show the pool mechanics.
 //! let net = Arc::new(NetworkBuilder::new().build(SimClock::new()));
-//! let resolver = Arc::new(Resolver::new(
-//!     net.clone(),
+//! let resolver = Resolver::new(
+//!     net,
 //!     VendorProfile::new(Vendor::Bind9),
 //!     ResolverConfig::default(),
-//! ));
+//! );
+//! let names: Vec<Name> = ["a.example", "b.example", "c.example"]
+//!     .iter()
+//!     .map(|n| Name::parse(n).unwrap())
+//!     .collect();
 //!
-//! // Three lookups in flight on one thread, one pool. Results arrive
-//! // in completion order, so tag each task with its index.
-//! let mut pool = ResolutionPool::new(net);
-//! for (i, name) in ["a.example", "b.example", "c.example"].iter().enumerate() {
-//!     let qname = Name::parse(name).unwrap();
-//!     let resolver = Arc::clone(&resolver);
-//!     pool.spawn(move |handle| {
-//!         let fut = resolver.resolve_on(handle, qname, RrType::A);
-//!         async move { (i, fut.await) }
+//! // Three lookups in flight on one thread, one pool, all borrowing
+//! // the resolver and their names. Results arrive in completion
+//! // order, so tag each task with its index.
+//! let mut pool = ResolutionPool::new(resolver.network());
+//! for (i, qname) in names.iter().enumerate() {
+//!     let resolver = &resolver;
+//!     pool.spawn(move |handle| async move {
+//!         (i, resolver.resolve_with(&handle, None, qname, RrType::A).await)
 //!     });
 //! }
 //! let mut done = 0;
@@ -58,7 +61,7 @@
 //! assert_eq!(done, 3);
 //! ```
 
-use ede_netsim::{CompletionQueue, InFlight, NetError, Network};
+use ede_netsim::{CompletionQueue, InFlight, NetError, Network, SimClock};
 use ede_trace::{TraceEvent, Tracer};
 use ede_wire::Message;
 use std::cell::RefCell;
@@ -134,7 +137,8 @@ fn noop_waker() -> Waker {
 }
 
 /// Capability handed to each task for suspending itself. Cloneable and
-/// cheap; holds the pool's reactor and the task's slot index.
+/// cheap; holds the pool's reactor, the virtual clock and the task's
+/// slot index.
 ///
 /// A handle is only usable from futures driven by the pool (or
 /// blocking driver) that issued it — it is deliberately `!Send`, like
@@ -142,7 +146,7 @@ fn noop_waker() -> Waker {
 #[derive(Clone)]
 pub struct TaskHandle {
     reactor: Rc<RefCell<Reactor>>,
-    net: Arc<Network>,
+    clock: SimClock,
     task: usize,
 }
 
@@ -167,7 +171,7 @@ impl TaskHandle {
         TimerFuture {
             reactor: self.reactor.clone(),
             task: self.task,
-            deadline_ms: self.net.clock().now_millis() + ms,
+            deadline_ms: self.clock.now_millis() + ms,
             registered: false,
         }
     }
@@ -234,8 +238,8 @@ impl Future for TimerFuture {
 /// A slot in the pool's task table. Slots are reused after completion
 /// so memory stays bounded by the *in-flight* count, not the total
 /// number of tasks ever spawned.
-struct SlotEntry<T> {
-    fut: Option<Pin<Box<dyn Future<Output = T>>>>,
+struct SlotEntry<'a, T> {
+    fut: Option<Pin<Box<dyn Future<Output = T> + 'a>>>,
     /// Pool-scoped display id, increasing in spawn order (used in
     /// `TaskSpawned`/`TaskCompleted` trace events).
     id: u64,
@@ -255,11 +259,15 @@ struct SlotEntry<T> {
 /// in ascending deadline order, FIFO among equal deadlines (see
 /// [`ede_netsim::CompletionQueue`]). With the same spawns in the same
 /// order, every run produces the identical event sequence.
-pub struct ResolutionPool<T> {
-    net: Arc<Network>,
+///
+/// `'a` is how long the pool borrows its network, and the bound on what
+/// tasks may borrow: a task can hold `&'a Resolver`, `&'a L1Cache` and
+/// `&'a Name` instead of owning clones of them.
+pub struct ResolutionPool<'a, T> {
+    net: &'a Network,
     tracer: Tracer,
     reactor: Rc<RefCell<Reactor>>,
-    slots: Vec<SlotEntry<T>>,
+    slots: Vec<SlotEntry<'a, T>>,
     free: Vec<usize>,
     ready: VecDeque<T>,
     /// Tasks admitted and not yet completed.
@@ -269,11 +277,11 @@ pub struct ResolutionPool<T> {
     waker: Waker,
 }
 
-impl<T> ResolutionPool<T> {
+impl<'a, T> ResolutionPool<'a, T> {
     /// Create an empty pool bound to one simulated network. The pool
     /// captures the network's current trace sink for task-lifecycle
     /// events; attach sinks before building pools.
-    pub fn new(net: Arc<Network>) -> Self {
+    pub fn new(net: &'a Network) -> Self {
         let tracer = net.tracer();
         ResolutionPool {
             net,
@@ -317,7 +325,7 @@ impl<T> ResolutionPool<T> {
 
     /// Admit a resolution task. `make` receives the [`TaskHandle`] the
     /// task must use for every suspension and returns the task future
-    /// (see [`crate::Resolver::resolve_on`]).
+    /// (see [`crate::Resolver::resolve_with`]).
     ///
     /// The task is polled eagerly: work up to its first suspension —
     /// or all of it, for tasks that never block — happens inside
@@ -326,7 +334,7 @@ impl<T> ResolutionPool<T> {
     pub fn spawn<F, M>(&mut self, make: M)
     where
         M: FnOnce(TaskHandle) -> F,
-        F: Future<Output = T> + 'static,
+        F: Future<Output = T> + 'a,
     {
         let slot = match self.free.pop() {
             Some(slot) => slot,
@@ -339,7 +347,7 @@ impl<T> ResolutionPool<T> {
         self.spawned += 1;
         let handle = TaskHandle {
             reactor: self.reactor.clone(),
-            net: self.net.clone(),
+            clock: self.net.clock().clone(),
             task: slot,
         };
         self.slots[slot] = SlotEntry {
@@ -382,7 +390,7 @@ impl<T> ResolutionPool<T> {
     }
 }
 
-impl<T> Iterator for ResolutionPool<T> {
+impl<T> Iterator for ResolutionPool<'_, T> {
     type Item = T;
 
     /// Run the event loop until some task finishes and return its
@@ -404,13 +412,13 @@ impl<T> Iterator for ResolutionPool<T> {
                 .pop()
                 .expect("live tasks always hold a registered wait");
             let slot = wait.task();
-            service(&self.net, deadline_ms, wait);
+            service(self.net, deadline_ms, wait);
             self.poll_slot(slot);
         }
     }
 }
 
-impl<T> std::fmt::Debug for ResolutionPool<T> {
+impl<T> std::fmt::Debug for ResolutionPool<'_, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResolutionPool")
             .field("in_flight", &self.live)
@@ -428,12 +436,10 @@ impl std::fmt::Debug for TaskHandle {
     }
 }
 
-/// Drive exactly one task to completion on the calling thread. This is
-/// the compatibility bridge behind the blocking [`crate::Resolver::resolve`]
-/// API: a private single-slot event loop with no task-lifecycle events,
-/// producing the identical event sequence the historical blocking
-/// engine produced.
-pub(crate) fn run_local<T, F, M>(net: &Arc<Network>, make: M) -> T
+/// Drive exactly one task to completion on the calling thread: the
+/// driver behind the blocking [`crate::Resolver::resolve`] API, a
+/// private single-slot event loop with no task-lifecycle events.
+pub(crate) fn run_local<T, F, M>(net: &Network, make: M) -> T
 where
     M: FnOnce(TaskHandle) -> F,
     F: Future<Output = T>,
@@ -443,7 +449,7 @@ where
     }));
     let handle = TaskHandle {
         reactor: reactor.clone(),
-        net: net.clone(),
+        clock: net.clock().clone(),
         task: 0,
     };
     let mut fut = Box::pin(make(handle));

@@ -39,7 +39,7 @@ impl Rng {
 /// genuinely suspend. The world is zero-latency like the scan world —
 /// every completion event carries the same timestamp, so ordering rests
 /// entirely on the queue's FIFO-among-ties rule.
-fn parked_world() -> (Arc<ede_netsim::Network>, Arc<Resolver>) {
+fn parked_world() -> Resolver {
     let config = NetworkConfig {
         rtt_ms: 0,
         timeout_ms: 0,
@@ -51,24 +51,22 @@ fn parked_world() -> (Arc<ede_netsim::Network>, Arc<Resolver>) {
         name: Name::parse("a.root-servers.net").unwrap(),
         addr: "198.41.0.4".parse().unwrap(),
     }];
-    let resolver = Arc::new(Resolver::new(
-        net.clone(),
-        VendorProfile::new(Vendor::Bind9),
-        config,
-    ));
-    (net, resolver)
+    Resolver::new(net, VendorProfile::new(Vendor::Bind9), config)
 }
 
-fn spawn_lookup(
-    pool: &mut ResolutionPool<(usize, Resolution)>,
-    resolver: &Arc<Resolver>,
+fn spawn_lookup<'a>(
+    pool: &mut ResolutionPool<'a, (usize, Resolution)>,
+    resolver: &'a Resolver,
     i: usize,
 ) {
     let qname = Name::parse(&format!("task-{i}.stress.example")).unwrap();
-    let resolver = Arc::clone(resolver);
-    pool.spawn(move |handle| {
-        let fut = resolver.resolve_on(handle, qname, RrType::A);
-        async move { (i, fut.await) }
+    pool.spawn(move |handle| async move {
+        (
+            i,
+            resolver
+                .resolve_with(&handle, None, &qname, RrType::A)
+                .await,
+        )
     });
 }
 
@@ -79,11 +77,12 @@ fn spawn_lookup(
 #[test]
 fn ten_thousand_tasks_in_flight_on_one_worker() {
     const N: usize = 10_000;
-    let (net, resolver) = parked_world();
+    let resolver = parked_world();
+    let net = resolver.network();
     let metrics = Arc::new(Metrics::new());
     net.set_trace_sink(Arc::clone(&metrics) as Arc<dyn ede_trace::TraceSink>);
 
-    let mut pool: ResolutionPool<(usize, Resolution)> = ResolutionPool::new(net.clone());
+    let mut pool: ResolutionPool<(usize, Resolution)> = ResolutionPool::new(net);
     for i in 0..N {
         spawn_lookup(&mut pool, &resolver, i);
     }
@@ -119,9 +118,8 @@ fn ten_thousand_tasks_in_flight_on_one_worker() {
 fn slot_recycling_bounds_memory_by_window() {
     const N: usize = 10_000;
     const WINDOW: usize = 64;
-    let (_net, resolver) = parked_world();
-    let mut pool: ResolutionPool<(usize, Resolution)> =
-        ResolutionPool::new(resolver.network_shared());
+    let resolver = parked_world();
+    let mut pool: ResolutionPool<(usize, Resolution)> = ResolutionPool::new(resolver.network());
 
     let mut next_spawn = 0usize;
     let mut completed = 0usize;
@@ -153,8 +151,9 @@ fn interleaving_does_not_change_outcomes() {
     const N: usize = 200;
 
     let run = |schedule_seed: Option<u64>| {
-        let (net, resolver) = parked_world();
-        let mut pool: ResolutionPool<(usize, Resolution)> = ResolutionPool::new(net.clone());
+        let resolver = parked_world();
+        let net = resolver.network();
+        let mut pool: ResolutionPool<(usize, Resolution)> = ResolutionPool::new(net);
         let mut results: Vec<Option<Rcode>> = vec![None; N];
         let mut next_spawn = 0usize;
         match schedule_seed {

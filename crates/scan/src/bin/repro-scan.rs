@@ -113,49 +113,65 @@ fn stream_smoke(scale: u32) {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    let fingerprint = args.iter().any(|a| a == "--fingerprint");
-    let no_l1 = args.iter().any(|a| a == "--no-l1");
-    let cache_budget: Option<usize> = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--cache-budget="))
-        .and_then(|v| v.parse().ok());
-    let synthesize = args.iter().any(|a| a == "--synthesize");
-    let sweep_ratio: f64 = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--sweep="))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0);
-    let range_budget: Option<usize> = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--range-budget="))
-        .and_then(|v| v.parse().ok());
-    let cadence: u64 = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--cadence="))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(60);
-    let log_capacity: Option<usize> = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--log-capacity="))
-        .and_then(|v| v.parse().ok());
-    let log_spill: Option<PathBuf> = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--log-spill="))
-        .map(PathBuf::from);
-    let snapshots: Option<PathBuf> = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--snapshots="))
-        .map(PathBuf::from);
-    let query: Option<String> = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--query="))
-        .map(str::to_string);
-    let scale: u32 = args.iter().find_map(|a| a.parse().ok()).unwrap_or(1000);
+const USAGE: &str = "usage: repro-scan [scale] [--json | --fingerprint] [--no-l1] \
+[--cache-budget=N] [--synthesize] [--sweep=R] [--range-budget=N] [--cadence=SECS] \
+[--log-capacity=N] [--log-spill=PATH] [--snapshots=PATH] [--query=EXPR] [--stream-smoke]";
 
-    if args.iter().any(|a| a == "--stream-smoke") {
+/// A mistyped or retired flag must not silently measure the default
+/// configuration: say what was wrong, print the usage line, exit 2.
+fn usage_exit(problem: &str) -> ! {
+    eprintln!("repro-scan: {problem}\n{USAGE}");
+    std::process::exit(2);
+}
+
+fn parsed<T: std::str::FromStr>(what: &str, value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage_exit(&format!("bad value {value:?} for {what}")))
+}
+
+fn main() {
+    let mut json = false;
+    let mut fingerprint = false;
+    let mut no_l1 = false;
+    let mut cache_budget: Option<usize> = None;
+    let mut synthesize = false;
+    let mut sweep_ratio = 0.0f64;
+    let mut range_budget: Option<usize> = None;
+    let mut cadence = 60u64;
+    let mut log_capacity: Option<usize> = None;
+    let mut log_spill: Option<PathBuf> = None;
+    let mut snapshots: Option<PathBuf> = None;
+    let mut query: Option<String> = None;
+    let mut smoke = false;
+    let mut scale = 1000u32;
+    for arg in std::env::args().skip(1) {
+        let (flag, value) = match arg.split_once('=') {
+            Some((flag, value)) => (flag, Some(value)),
+            None => (arg.as_str(), None),
+        };
+        match (flag, value) {
+            ("--json", None) => json = true,
+            ("--fingerprint", None) => fingerprint = true,
+            ("--no-l1", None) => no_l1 = true,
+            ("--synthesize", None) => synthesize = true,
+            ("--stream-smoke", None) => smoke = true,
+            ("--cache-budget", Some(v)) => cache_budget = Some(parsed(flag, v)),
+            ("--sweep", Some(v)) => sweep_ratio = parsed(flag, v),
+            ("--range-budget", Some(v)) => range_budget = Some(parsed(flag, v)),
+            ("--cadence", Some(v)) => cadence = parsed(flag, v),
+            ("--log-capacity", Some(v)) => log_capacity = Some(parsed(flag, v)),
+            ("--log-spill", Some(v)) => log_spill = Some(PathBuf::from(v)),
+            ("--snapshots", Some(v)) => snapshots = Some(PathBuf::from(v)),
+            ("--query", Some(v)) => query = Some(v.to_string()),
+            (positional, None) if !positional.starts_with('-') => {
+                scale = parsed("scale", positional)
+            }
+            _ => usage_exit(&format!("unknown or malformed argument {arg:?}")),
+        }
+    }
+
+    if smoke {
         stream_smoke(scale);
         return;
     }

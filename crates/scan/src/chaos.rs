@@ -309,27 +309,20 @@ pub fn table4_concurrent_deviation() -> Vec<String> {
     use ede_resolver::ResolutionPool;
     use ede_testbed::{expectations::table4, Testbed};
     use ede_wire::RrType;
-    use std::sync::Arc;
 
     let tb = Testbed::build();
-    let resolvers: Vec<_> = Vendor::ALL
-        .iter()
-        .map(|&v| Arc::new(tb.resolver(v)))
-        .collect();
+    let resolvers: Vec<_> = Vendor::ALL.iter().map(|&v| tb.resolver(v)).collect();
     let mut bad = Vec::new();
     for (spec, exp) in tb.specs.iter().zip(table4()) {
-        let qname = tb.query_name(spec);
+        let qname = &tb.query_name(spec);
         for r in &resolvers {
             r.flush();
         }
-        let mut pool: ResolutionPool<(usize, Vec<u16>)> =
-            ResolutionPool::new(resolvers[0].network_shared());
-        for (i, r) in resolvers.iter().enumerate() {
-            let resolver = Arc::clone(r);
-            let qname = qname.clone();
-            pool.spawn(move |handle| {
-                let fut = resolver.resolve_on(handle, qname, RrType::A);
-                async move { (i, fut.await.ede_codes()) }
+        let mut pool: ResolutionPool<(usize, Vec<u16>)> = ResolutionPool::new(&tb.net);
+        for (i, resolver) in resolvers.iter().enumerate() {
+            pool.spawn(move |handle| async move {
+                let res = resolver.resolve_with(&handle, None, qname, RrType::A).await;
+                (i, res.ede_codes())
             });
         }
         let mut row: Vec<Option<Vec<u16>>> = vec![None; resolvers.len()];
@@ -349,20 +342,20 @@ pub fn table4_concurrent_deviation() -> Vec<String> {
     bad
 }
 
-/// Assert (by running both) that an event-driven scan with `inflight`
-/// resolutions per worker is bit-identical to the blocking single-
-/// resolution scan: same observations, same traffic, same metrics
-/// counters (scheduler statistics excluded — they measure the window
-/// itself). Returns the differences; empty means identical.
-pub fn inflight_matches_blocking_scan(
+/// Assert (by running both) that a scan with `inflight` resolutions
+/// per worker is bit-identical to the scan at a window of one: same
+/// observations, same traffic, same metrics counters (scheduler
+/// statistics excluded — they measure the window itself). Returns the
+/// differences; empty means identical.
+pub fn inflight_matches_window_one(
     pop: &Population,
     config: &ChaosConfig,
     inflight: usize,
 ) -> Vec<String> {
-    let blocking_world = ScanWorld::build(pop);
-    let blocking = scan(
+    let single_world = ScanWorld::build(pop);
+    let single = scan(
         pop,
-        &blocking_world,
+        &single_world,
         &ScanConfig::builder()
             .vendor(config.vendor)
             .inflight(1)
@@ -378,24 +371,23 @@ pub fn inflight_matches_blocking_scan(
             .build(),
     );
     let mut bad = Vec::new();
-    if !blocking.stats.same_results(&pooled.stats)
-        || blocking.final_records() != pooled.final_records()
+    if !single.stats.same_results(&pooled.stats) || single.final_records() != pooled.final_records()
     {
         bad.push(format!("scan results differ at inflight {inflight}"));
     }
-    if blocking.traffic_full != pooled.traffic_full {
+    if single.traffic_full != pooled.traffic_full {
         bad.push(format!(
             "traffic differs at inflight {inflight}: {:?} != {:?}",
-            blocking.traffic_full, pooled.traffic_full
+            single.traffic_full, pooled.traffic_full
         ));
     }
-    if blocking.metrics.without_scheduler_stats() != pooled.metrics.without_scheduler_stats() {
+    if single.metrics.without_scheduler_stats() != pooled.metrics.without_scheduler_stats() {
         bad.push(format!("metrics differ at inflight {inflight}"));
     }
-    if pooled.metrics.tasks_spawned != pooled.resolutions as u64 {
+    if pooled.metrics.inflight_tasks_peak <= 1 {
         bad.push(format!(
-            "pooled scan did not run pooled: {} tasks for {} resolutions",
-            pooled.metrics.tasks_spawned, pooled.resolutions
+            "inflight {inflight} scan never held two tasks in flight (peak {})",
+            pooled.metrics.inflight_tasks_peak
         ));
     }
     bad

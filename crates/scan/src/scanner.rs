@@ -16,9 +16,8 @@ use ede_resolver::{
 };
 use ede_trace::{Metrics, MetricsSnapshot, SnapshotSink};
 use ede_wire::{Name, RrType};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -178,10 +177,10 @@ pub struct ScanConfig {
     /// Worker threads.
     pub workers: usize,
     /// Resolutions each worker keeps in flight on its event-driven task
-    /// pool. `1` (the default) runs the historical blocking path —
-    /// byte-identical output, no task events; `> 1` multiplexes that
-    /// many resumable resolutions per worker thread (results stay
-    /// bit-identical, see `docs/CONCURRENCY.md`).
+    /// pool: the window. `1` (the default) finishes each resolution
+    /// before admitting the next; a larger window multiplexes that many
+    /// resumable resolutions per worker thread. Results are
+    /// bit-identical at any window (see `docs/CONCURRENCY.md`).
     pub inflight: usize,
     /// Vendor to scan with (the paper uses Cloudflare).
     pub vendor: Vendor,
@@ -313,8 +312,7 @@ impl ScanConfigBuilder {
         self
     }
 
-    /// Set the per-worker in-flight resolution window (`1` = the
-    /// blocking path, `> 1` = event-driven task pools).
+    /// Set the per-worker in-flight resolution window (at least `1`).
     pub fn inflight(mut self, n: usize) -> Self {
         self.config.inflight = n.max(1);
         self
@@ -526,106 +524,83 @@ impl PassCtx<'_> {
     }
 }
 
-/// The blocking worker body (`inflight == 1`): resolve each claimed
-/// domain to completion before touching the next. This is the historical
-/// scan path, kept verbatim as the byte-identity baseline.
-fn blocking_worker(
-    resolver: &Resolver,
-    ctx: &PassCtx<'_>,
-    indices: &[usize],
+/// The one worker loop, shared by both passes and the sweep: claim a
+/// chunk of `0..count` off the shared cursor, keep up to `inflight`
+/// resumable resolutions of `name_of(i)` in flight on one
+/// [`ResolutionPool`], and hand each finished one to `done` — in
+/// completion order, which at a window of one is claim order.
+fn drive_worker<'a>(
+    resolver: &'a Resolver,
+    l1: Option<&'a L1Cache>,
+    count: usize,
+    name_of: impl Fn(usize) -> &'a Name,
     cursor: &AtomicUsize,
-    use_l1: bool,
-) -> L1StatsSnapshot {
-    // The worker's private tier: lives on this thread, dies with this
-    // pass, never shared — which is what lets it skip synchronization
-    // entirely.
-    let l1 = use_l1.then(L1Cache::new);
-    let pop = ctx.live.pop;
+    inflight: usize,
+    mut done: impl FnMut(usize, Resolution),
+) {
+    let mut pool: ResolutionPool<(usize, Resolution)> = ResolutionPool::new(resolver.network());
+    let mut backlog = 0..0;
+    let mut exhausted = false;
     loop {
-        let start = cursor.fetch_add(CLAIM_CHUNK, Ordering::Relaxed);
-        if start >= indices.len() {
-            break;
-        }
-        let end = (start + CLAIM_CHUNK).min(indices.len());
-        let mut records = Vec::with_capacity(end - start);
-        let mut chunk_agg = PartialAggregate::default();
-        for &i in &indices[start..end] {
-            let res = match &l1 {
-                Some(l1) => resolver.resolve_l1(&pop.domains[i].name, RrType::A, l1),
-                None => resolver.resolve(&pop.domains[i].name, RrType::A),
+        while pool.in_flight() < inflight && !exhausted {
+            let Some(i) = backlog.next() else {
+                let start = cursor.fetch_add(CLAIM_CHUNK, Ordering::Relaxed);
+                exhausted = start >= count;
+                backlog = start..(start + CLAIM_CHUNK).min(count);
+                continue;
             };
-            records.push(ctx.record(i, &res, &mut chunk_agg));
+            let qname = name_of(i);
+            pool.spawn(move |handle| async move {
+                (
+                    i,
+                    resolver.resolve_with(&handle, l1, qname, RrType::A).await,
+                )
+            });
         }
-        ctx.flush(records, chunk_agg);
+        match pool.next() {
+            Some((i, res)) => done(i, res),
+            None => break,
+        }
     }
-    l1.map(|l1| l1.stats()).unwrap_or_default()
 }
 
-/// The event-driven worker body (`inflight > 1`): keep up to `inflight`
-/// resumable resolutions in flight on one [`ResolutionPool`], refilling
-/// from the shared cursor (same `CLAIM_CHUNK` claiming as the blocking
-/// path) as tasks complete. Results surface in completion order and
-/// stream out in completion-order chunks; the streaming fold is
-/// order-independent, so this changes nothing downstream.
-fn pooled_worker(
-    resolver: &Arc<Resolver>,
+/// One pass worker: [`drive_worker`] over `indices`, folding each
+/// finished resolution into a **private** partial aggregate and
+/// streaming it out every `CLAIM_CHUNK` results. Results surface in
+/// completion order; the streaming fold is order-independent, so the
+/// window changes nothing downstream.
+fn pass_worker(
+    resolver: &Resolver,
     ctx: &PassCtx<'_>,
     indices: &[usize],
     cursor: &AtomicUsize,
     inflight: usize,
     use_l1: bool,
 ) -> L1StatsSnapshot {
-    // Every task spawned on this pool runs on this thread, so they all
-    // share one `Rc<L1Cache>` — legal precisely because `spawn` has no
-    // `Send` bound (see `docs/CONCURRENCY.md`).
-    let l1 = use_l1.then(|| Rc::new(L1Cache::new()));
+    // The worker's private tier: lives on this thread, dies with this
+    // pass, shared only by the tasks of this thread's pool — which is
+    // what lets it skip synchronization entirely.
+    let l1 = use_l1.then(L1Cache::new);
     let pop = ctx.live.pop;
-    let mut pool: ResolutionPool<(usize, Resolution)> =
-        ResolutionPool::new(resolver.network_shared());
-    let mut backlog: VecDeque<usize> = VecDeque::new();
-    let mut exhausted = false;
     let mut records = Vec::with_capacity(CLAIM_CHUNK);
     let mut chunk_agg = PartialAggregate::default();
-    loop {
-        while pool.in_flight() < inflight && !(exhausted && backlog.is_empty()) {
-            if backlog.is_empty() {
-                let start = cursor.fetch_add(CLAIM_CHUNK, Ordering::Relaxed);
-                if start >= indices.len() {
-                    exhausted = true;
-                    continue;
-                }
-                let end = (start + CLAIM_CHUNK).min(indices.len());
-                backlog.extend(indices[start..end].iter().copied());
+    drive_worker(
+        resolver,
+        l1.as_ref(),
+        indices.len(),
+        |j| &pop.domains[indices[j]].name,
+        cursor,
+        inflight,
+        |j, res| {
+            records.push(ctx.record(indices[j], &res, &mut chunk_agg));
+            if records.len() >= CLAIM_CHUNK {
+                ctx.flush(
+                    std::mem::replace(&mut records, Vec::with_capacity(CLAIM_CHUNK)),
+                    std::mem::take(&mut chunk_agg),
+                );
             }
-            if let Some(i) = backlog.pop_front() {
-                let qname = pop.domains[i].name.clone();
-                let resolver = Arc::clone(resolver);
-                let l1 = l1.clone();
-                pool.spawn(move |handle| async move {
-                    let res = match l1 {
-                        Some(l1) => resolver.resolve_on_l1(handle, qname, RrType::A, l1).await,
-                        None => resolver.resolve_on(handle, qname, RrType::A).await,
-                    };
-                    (i, res)
-                });
-            }
-        }
-        match pool.next() {
-            Some((i, res)) => {
-                records.push(ctx.record(i, &res, &mut chunk_agg));
-                if records.len() >= CLAIM_CHUNK {
-                    ctx.flush(
-                        std::mem::replace(&mut records, Vec::with_capacity(CLAIM_CHUNK)),
-                        std::mem::take(&mut chunk_agg),
-                    );
-                }
-            }
-            None => {
-                debug_assert!(exhausted && backlog.is_empty());
-                break;
-            }
-        }
-    }
+        },
+    );
     ctx.flush(records, chunk_agg);
     l1.map(|l1| l1.stats()).unwrap_or_default()
 }
@@ -636,11 +611,8 @@ fn pooled_worker(
 /// chunk. There is no end-of-pass output structure at all: by the time
 /// the scope joins, every record is already in the ring and every fold
 /// already merged.
-///
-/// Each worker multiplexes `inflight` resolutions on an event-driven
-/// task pool (`inflight == 1` short-circuits to the blocking path).
 fn parallel_pass(
-    resolver: &Arc<Resolver>,
+    resolver: &Resolver,
     ctx: &PassCtx<'_>,
     indices: &[usize],
     workers: usize,
@@ -650,15 +622,7 @@ fn parallel_pass(
     let cursor = AtomicUsize::new(0);
     let stats: Vec<L1StatsSnapshot> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers.max(1))
-            .map(|_| {
-                s.spawn(|| {
-                    if inflight > 1 {
-                        pooled_worker(resolver, ctx, indices, &cursor, inflight, use_l1)
-                    } else {
-                        blocking_worker(resolver, ctx, indices, &cursor, use_l1)
-                    }
-                })
-            })
+            .map(|_| s.spawn(|| pass_worker(resolver, ctx, indices, &cursor, inflight, use_l1)))
             .collect();
         handles
             .into_iter()
@@ -699,51 +663,20 @@ fn sweep_probes(pop: &Population, ratio: f64) -> Vec<Name> {
 /// it), so every probe's outcome is a pure function of what the two
 /// passes retained — bit-identical at any worker count or in-flight
 /// window, exactly like the passes themselves.
-fn sweep_pass(resolver: &Arc<Resolver>, probes: &[Name], workers: usize, inflight: usize) {
+fn sweep_pass(resolver: &Resolver, probes: &[Name], workers: usize, inflight: usize) {
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 0..workers.max(1) {
             s.spawn(|| {
-                if inflight > 1 {
-                    let mut pool: ResolutionPool<()> =
-                        ResolutionPool::new(resolver.network_shared());
-                    let mut backlog: VecDeque<usize> = VecDeque::new();
-                    let mut exhausted = false;
-                    loop {
-                        while pool.in_flight() < inflight && !(exhausted && backlog.is_empty()) {
-                            if backlog.is_empty() {
-                                let start = cursor.fetch_add(CLAIM_CHUNK, Ordering::Relaxed);
-                                if start >= probes.len() {
-                                    exhausted = true;
-                                    continue;
-                                }
-                                let end = (start + CLAIM_CHUNK).min(probes.len());
-                                backlog.extend(start..end);
-                            }
-                            if let Some(i) = backlog.pop_front() {
-                                let qname = probes[i].clone();
-                                let resolver = Arc::clone(resolver);
-                                pool.spawn(move |handle| async move {
-                                    let _ = resolver.resolve_on(handle, qname, RrType::A).await;
-                                });
-                            }
-                        }
-                        if pool.next().is_none() {
-                            break;
-                        }
-                    }
-                } else {
-                    loop {
-                        let start = cursor.fetch_add(CLAIM_CHUNK, Ordering::Relaxed);
-                        if start >= probes.len() {
-                            break;
-                        }
-                        let end = (start + CLAIM_CHUNK).min(probes.len());
-                        for name in &probes[start..end] {
-                            let _ = resolver.resolve(name, RrType::A);
-                        }
-                    }
-                }
+                drive_worker(
+                    resolver,
+                    None,
+                    probes.len(),
+                    |i| &probes[i],
+                    &cursor,
+                    inflight,
+                    |_, _| {},
+                );
             });
         }
     });
@@ -802,11 +735,11 @@ pub fn scan_streaming(
         resolver_config.max_range_bytes = config.max_range_bytes;
     }
     let enable_cache = resolver_config.enable_cache;
-    let resolver = Arc::new(Resolver::new(
+    let resolver = Resolver::new(
         Arc::clone(&world.net),
         VendorProfile::new(config.vendor),
         resolver_config,
-    ));
+    );
 
     let log = QueryLog::new(config.query_log_capacity, config.query_log_spill.as_deref())
         .expect("query-log spill file must be creatable");
@@ -1044,9 +977,9 @@ mod tests {
     /// The event-driven task pools must not buy concurrency with
     /// changed results either: any in-flight window produces the same
     /// records, aggregates, traffic totals, and metrics counters
-    /// as the blocking single-resolution path. Only the scheduler
-    /// statistics (task counts, peak gauges) may differ — they measure
-    /// the scheduling itself, so the comparison strips them.
+    /// as a window of one. Only the scheduler statistics (peak gauges)
+    /// may differ — they measure the scheduling itself, so the
+    /// comparison strips them.
     #[test]
     fn inflight_window_does_not_change_results() {
         let run = |workers: usize, inflight: usize| {
@@ -1063,36 +996,38 @@ mod tests {
             let agg = crate::aggregate::aggregate(&pop, &result);
             (result, agg)
         };
-        let (blocking, agg_blocking) = run(1, 1);
+        let (single, agg_single) = run(1, 1);
+        assert_eq!(single.metrics.tasks_spawned, single.resolutions as u64);
+        assert_eq!(single.metrics.inflight_tasks_peak, 1);
         for (workers, inflight) in [(1, 2), (1, 64), (4, 16)] {
             let (pooled, agg_pooled) = run(workers, inflight);
             assert_eq!(
-                blocking.final_records(),
+                single.final_records(),
                 pooled.final_records(),
                 "inflight {inflight}"
             );
-            assert_eq!(blocking.resolutions, pooled.resolutions);
-            assert_eq!(blocking.traffic, pooled.traffic);
-            assert_eq!(blocking.traffic_full, pooled.traffic_full);
+            assert_eq!(single.resolutions, pooled.resolutions);
+            assert_eq!(single.traffic, pooled.traffic);
+            assert_eq!(single.traffic_full, pooled.traffic_full);
             assert!(
-                blocking.stats.same_results(&pooled.stats),
+                single.stats.same_results(&pooled.stats),
                 "inflight {inflight}"
             );
             assert_eq!(
-                blocking.metrics.without_scheduler_stats(),
+                single.metrics.without_scheduler_stats(),
                 pooled.metrics.without_scheduler_stats(),
                 "inflight {inflight}"
             );
-            // The pooled run really ran pooled: every domain became a
-            // task and every task completed.
-            assert_eq!(pooled.metrics.tasks_spawned, blocking.resolutions as u64);
+            // Every domain became a task, every task completed, and the
+            // wider window really was used.
+            assert_eq!(pooled.metrics.tasks_spawned, single.resolutions as u64);
             assert_eq!(pooled.metrics.tasks_completed, pooled.metrics.tasks_spawned);
             assert!(
                 pooled.metrics.inflight_tasks_peak > 1,
                 "inflight {inflight}"
             );
-            assert_eq!(agg_blocking.per_code, agg_pooled.per_code);
-            assert_eq!(agg_blocking.per_combo, agg_pooled.per_combo);
+            assert_eq!(agg_single.per_code, agg_pooled.per_code);
+            assert_eq!(agg_single.per_combo, agg_pooled.per_combo);
         }
     }
 

@@ -1,0 +1,52 @@
+//! `repro-scan`'s command line, driven through the built binary: a flag
+//! it does not know, or a value it cannot parse, must stop the run with
+//! a usage line and exit code 2 — never measure the default
+//! configuration in silence.
+
+use std::process::{Command, Output};
+
+fn repro_scan(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro-scan"))
+        .args(args)
+        .output()
+        .expect("repro-scan runs")
+}
+
+#[test]
+fn unknown_flags_and_bad_values_exit_2_with_usage() {
+    for args in [
+        &["1000000", "--fingerprint", "--no-l2"][..], // retired or mistyped flag
+        &["1000000", "--fingerprint", "--cache-budget"], // value missing
+        &["1000000", "--fingerprint", "--cache-budget=lots"], // value unparsable
+        &["1000000", "--fingerprint=yes"],            // value on a switch
+        &["--sweep=1,5"],
+        &["10e6"], // scale unparsable
+        &["-h"],
+    ] {
+        let out = repro_scan(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} still printed a result");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: repro-scan"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn every_documented_flag_is_still_accepted() {
+    let out = repro_scan(&[
+        "1000000",
+        "--fingerprint",
+        "--no-l1",
+        "--cache-budget=5000",
+        "--synthesize",
+        "--sweep=0.5",
+        "--range-budget=64",
+        "--cadence=30",
+        "--log-capacity=100",
+        "--query=code=23,tld=com",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("fingerprint "), "{stdout}");
+    assert!(stdout.contains("query [code=23,tld=com]"), "{stdout}");
+}

@@ -1,8 +1,7 @@
 //! The transport-independent request pipeline.
 //!
-//! Every front end — UDP shard workers, TCP connection handlers, the
-//! deprecated single-threaded `UdpFrontend` shim in the facade crate —
-//! funnels raw request bytes through the same three steps:
+//! Both front ends — UDP shard workers and TCP connection handlers —
+//! funnel raw request bytes through the same three steps:
 //!
 //! 1. [`classify`] decides what the bytes are: a resolvable query, a
 //!    protocol violation answered with FORMERR/NOTIMP/REFUSED, or

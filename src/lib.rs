@@ -46,8 +46,7 @@
 //! The [`server`] crate binds any simulated resolver or testbed to real
 //! OS sockets — sharded UDP workers plus a TCP listener with RFC 1035
 //! framing — so external tools (e.g. `dig +ednsopt=15`) can query the
-//! reproduction; `cargo run --bin repro-serve` starts it. The [`udp`]
-//! module holds the deprecated single-threaded predecessor.
+//! reproduction; `cargo run --bin repro-serve` starts it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -62,10 +61,6 @@ pub use ede_testbed as testbed;
 pub use ede_trace as trace;
 pub use ede_wire as wire;
 pub use ede_zone as zone;
-
-pub mod udp;
-
-pub use udp::FrontendError;
 
 /// The one-line import for applications.
 ///
@@ -100,8 +95,4 @@ pub mod prelude {
     };
     pub use ede_wire::{EdeCode, EdeEntry, Message, Name, Rcode, RrType, WireError};
     pub use ede_zone::{ParseError, ParseErrorKind};
-
-    pub use crate::udp::FrontendError;
-    #[allow(deprecated)]
-    pub use crate::udp::UdpFrontend;
 }
