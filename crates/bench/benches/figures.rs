@@ -1,8 +1,8 @@
-//! Figures 1 and 2 benchmark: aggregation and CDF computation over a
+//! Figures 1 and 2 benchmark: the fold and the CDF computation over a
 //! scan result.
 
 use ede_bench::{black_box, criterion_group, criterion_main, Criterion};
-use ede_scan::aggregate::aggregate;
+use ede_scan::aggregate::PartialAggregate;
 use ede_scan::scanner::{scan, ScanConfig};
 use ede_scan::{stats, Population, PopulationConfig, ScanWorld};
 
@@ -12,18 +12,26 @@ fn bench_figures(c: &mut Criterion) {
     let world = ScanWorld::build(&pop);
     let result = scan(&pop, &world, &ScanConfig::default());
 
-    c.bench_function("aggregate_scan_result", |b| {
-        b.iter(|| black_box(aggregate(&pop, &result)))
-    });
-
-    let agg = aggregate(&pop, &result);
-    c.bench_function("figure1_cdfs", |b| {
+    c.bench_function("fold_final_records", |b| {
         b.iter(|| {
-            black_box(agg.figure1_gtld());
-            black_box(agg.figure1_cctld());
+            let mut partial = PartialAggregate::default();
+            for rec in result.final_records() {
+                partial.fold(rec);
+            }
+            black_box(partial.fingerprint())
         })
     });
-    c.bench_function("figure2_cdf", |b| b.iter(|| black_box(agg.figure2())));
+
+    let stats_snapshot = &result.stats;
+    c.bench_function("figure1_cdfs", |b| {
+        b.iter(|| {
+            black_box(stats_snapshot.tlds.gtld_cdf());
+            black_box(stats_snapshot.tlds.cctld_cdf());
+        })
+    });
+    c.bench_function("figure2_cdf", |b| {
+        b.iter(|| black_box(stats_snapshot.ranks.cdf()))
+    });
 
     let ratios: Vec<f64> = (0..2000).map(|i| f64::from(i % 101) / 100.0).collect();
     c.bench_function("cdf_2000_values", |b| {

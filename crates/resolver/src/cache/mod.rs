@@ -10,8 +10,7 @@
 //! * **L2** ([`Cache`], this module) — the shared sharded store:
 //!   positive, negative, and failure caching with RFC 8767
 //!   serve-stale, now with a TTL wheel driving real expiry and an
-//!   optional entry/byte budget enforced by a CLOCK (second-chance)
-//!   sweep.
+//!   optional entry budget enforced by a CLOCK (second-chance) sweep.
 //! * **Infrastructure** ([`infra::InfraCache`]) — referral sets and
 //!   validated zone keys for the iterative walk, keyed by zone.
 //! * **Ranges** ([`ranges::RangeCache`]) — validated NSEC/NSEC3 denial
@@ -53,10 +52,9 @@
 //!
 //! # Budget: the CLOCK sweep
 //!
-//! [`CacheLimits`] optionally bounds the store by entry count and/or
-//! approximate heap bytes. The bound is **global and hard**: after any
-//! `put` returns, the whole store holds at most `max_entries` entries
-//! (and at most `max_bytes` estimated bytes). Enforcement is local —
+//! [`CacheLimits`] optionally bounds the store by entry count. The
+//! bound is **global and hard**: after any `put` returns, the whole
+//! store holds at most `max_entries` entries. Enforcement is local —
 //! the inserting shard evicts from its own insertion ring, giving
 //! recently-hit entries one second chance (CLOCK) before they go. A
 //! budget eviction may remove a perfectly live entry, so scan results
@@ -104,22 +102,12 @@ pub struct CachedResolution {
     pub is_failure: bool,
 }
 
-/// Entry/byte budget for the shared store. `None` means unbounded (the
-/// historical behaviour); byte accounting is an explicit estimate, see
-/// `entry_cost`.
+/// Entry budget for the shared store. `None` means unbounded (the
+/// historical behaviour).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheLimits {
     /// Maximum stored entries across all shards.
     pub max_entries: Option<usize>,
-    /// Maximum estimated heap bytes across all shards.
-    pub max_bytes: Option<usize>,
-}
-
-impl CacheLimits {
-    /// True when neither bound is set.
-    pub fn unbounded(&self) -> bool {
-        self.max_entries.is_none() && self.max_bytes.is_none()
-    }
 }
 
 /// What one store operation did to the cache, for the caller's
@@ -164,8 +152,6 @@ pub struct CacheStatsSnapshot {
     pub occupancy: u64,
     /// Peak of `occupancy` over the store's lifetime.
     pub occupancy_peak: u64,
-    /// Estimated heap bytes stored right now.
-    pub bytes: u64,
 }
 
 impl CacheStatsSnapshot {
@@ -194,8 +180,6 @@ struct Entry {
     /// Shard-scoped sequence number; wheel and ring slots referencing a
     /// superseded sequence are skipped (lazy deletion).
     seq: u64,
-    /// Estimated heap bytes, fixed at store time.
-    cost: u64,
     /// CLOCK reference bit: set on every hit, cleared (once) by the
     /// sweep before the entry becomes evictable. `Cell` because hits
     /// hold only a shared borrow of the shard's interior.
@@ -240,44 +224,46 @@ struct Shard {
 }
 
 impl Shard {
-    /// Remove the entry addressed by `(hash, seq)`, returning its cost.
-    /// A stale sequence (entry overwritten or already removed) is a
-    /// no-op.
-    fn remove_slot(&mut self, hash: u64, seq: u64) -> Option<u64> {
-        let bucket = self.buckets.get_mut(&hash)?;
-        let idx = bucket.iter().position(|e| e.seq == seq)?;
-        let cost = bucket.swap_remove(idx).cost;
+    /// Remove the entry addressed by `(hash, seq)`; true when it was
+    /// there. A stale sequence (entry overwritten or already removed)
+    /// is a no-op.
+    fn remove_slot(&mut self, hash: u64, seq: u64) -> bool {
+        let Some(bucket) = self.buckets.get_mut(&hash) else {
+            return false;
+        };
+        let Some(idx) = bucket.iter().position(|e| e.seq == seq) else {
+            return false;
+        };
+        bucket.swap_remove(idx);
         if bucket.is_empty() {
             self.buckets.remove(&hash);
         }
-        Some(cost)
+        true
     }
 
     /// Drain every wheel bucket that lies wholly before `now`,
     /// physically removing the (certainly dead) entries it references.
-    /// Returns `(removed, bytes_freed)`.
-    fn advance_wheel(&mut self, now: u32) -> (u64, u64) {
+    /// Returns how many went.
+    fn advance_wheel(&mut self, now: u32) -> u64 {
         let cutoff = now >> WHEEL_SHIFT;
         if self
             .wheel
             .first_key_value()
             .is_none_or(|(&b, _)| b >= cutoff)
         {
-            return (0, 0);
+            return 0;
         }
         let live = self.wheel.split_off(&cutoff);
         let dead = std::mem::replace(&mut self.wheel, live);
         let mut removed = 0u64;
-        let mut freed = 0u64;
         for (_, slots) in dead {
             for (hash, seq) in slots {
-                if let Some(cost) = self.remove_slot(hash, seq) {
+                if self.remove_slot(hash, seq) {
                     removed += 1;
-                    freed += cost;
                 }
             }
         }
-        (removed, freed)
+        removed
     }
 }
 
@@ -303,8 +289,6 @@ pub struct Cache {
     /// ones). Global so the budget is a whole-store bound even though
     /// eviction runs in the inserting shard.
     occupancy: AtomicU64,
-    /// Estimated stored bytes across all shards.
-    bytes: AtomicU64,
     stats: CacheStats,
 }
 
@@ -316,19 +300,6 @@ pub(crate) fn probe_hash(qname: &Name, qtype: u16) -> u64 {
     h ^= u64::from(qtype);
     h = h.wrapping_mul(0x100000001b3);
     h
-}
-
-/// Estimated heap bytes of one stored entry. An explicit, documented
-/// approximation (names, records, findings and events are counted at a
-/// flat per-item rate); the byte budget bounds this estimate, not
-/// allocator truth.
-fn entry_cost(qname: &Name, data: &CachedResolution) -> u64 {
-    let base = 96u64;
-    let name = 16 * qname.label_count() as u64;
-    let answers = 96 * data.answers.len() as u64;
-    let findings = 64 * data.diagnosis.findings.len() as u64;
-    let events = 96 * data.diagnosis.ns_events.len() as u64;
-    base + name + answers + findings + events
 }
 
 impl Cache {
@@ -344,7 +315,6 @@ impl Cache {
             stale_window_secs,
             limits,
             occupancy: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
             stats: CacheStats::default(),
         }
     }
@@ -426,7 +396,6 @@ impl Cache {
     ) -> PutOutcome {
         self.stats.puts.fetch_add(1, Relaxed);
         let hash = probe_hash(qname, qtype.to_u16());
-        let cost = entry_cost(qname, &data);
         // The Arc is built outside the lock; the lock only covers the
         // bucket splice.
         let data = Arc::new(data);
@@ -435,11 +404,10 @@ impl Cache {
 
         // 1. Turn the wheel: drop everything in this shard whose
         //    deadline has certainly passed.
-        let (expired, freed) = shard.advance_wheel(now);
+        let expired = shard.advance_wheel(now);
         if expired > 0 {
             outcome.expired = expired;
             self.occupancy.fetch_sub(expired, Relaxed);
-            self.bytes.fetch_sub(freed, Relaxed);
             self.stats.expired.fetch_add(expired, Relaxed);
         }
 
@@ -472,15 +440,11 @@ impl Cache {
             Some(e) => {
                 // Overwrite in place: the old wheel/ring slots keep the
                 // superseded sequence and will be skipped lazily.
-                let old_cost = e.cost;
                 e.data = data;
                 e.stored_at = now;
                 e.ttl = ttl;
                 e.seq = seq;
-                e.cost = cost;
                 e.referenced.set(true);
-                self.bytes.fetch_add(cost, Relaxed);
-                self.bytes.fetch_sub(old_cost, Relaxed);
             }
             // Entries outlive the resolution that created them: detach
             // the key so it doesn't pin the caller's allocations.
@@ -492,11 +456,9 @@ impl Cache {
                     stored_at: now,
                     ttl,
                     seq,
-                    cost,
                     referenced: Cell::new(false),
                 });
                 let occ = self.occupancy.fetch_add(1, Relaxed) + 1;
-                self.bytes.fetch_add(cost, Relaxed);
                 self.stats.occupancy_peak.fetch_max(occ, Relaxed);
             }
         }
@@ -510,22 +472,11 @@ impl Cache {
         // 3. Enforce the budget with a CLOCK sweep over this shard's
         //    ring. The inserting shard always holds at least the entry
         //    just stored, so the global bound is restorable locally.
-        let over = |cache: &Cache| {
-            let entries_over = cache
-                .limits
-                .max_entries
-                .is_some_and(|m| cache.occupancy.load(Relaxed) > m as u64);
-            let bytes_over = cache
-                .limits
-                .max_bytes
-                .is_some_and(|m| cache.bytes.load(Relaxed) > m as u64);
-            entries_over || bytes_over
-        };
-        if !self.limits.unbounded() {
+        if let Some(max) = self.limits.max_entries {
             // One full second-chance lap, then evict unconditionally:
             // termination cannot depend on every entry being hot.
             let mut chances = shard.ring.len();
-            while over(self) {
+            while self.occupancy.load(Relaxed) > max as u64 {
                 let Some((h, s)) = shard.ring.pop_front() else {
                     break;
                 };
@@ -548,10 +499,9 @@ impl Cache {
                         shard.ring.push_back((h, s));
                     }
                     Some(_) => {
-                        if let Some(cost) = shard.remove_slot(h, s) {
+                        if shard.remove_slot(h, s) {
                             outcome.evicted += 1;
                             self.occupancy.fetch_sub(1, Relaxed);
-                            self.bytes.fetch_sub(cost, Relaxed);
                             self.stats.evicted.fetch_add(1, Relaxed);
                         }
                     }
@@ -592,11 +542,6 @@ impl Cache {
         self.occupancy.load(Relaxed) as usize
     }
 
-    /// Estimated stored bytes (the quantity the byte budget bounds).
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes.load(Relaxed)
-    }
-
     /// Physically remove every entry whose deadline lies before `now`,
     /// across all shards, returning how many went. `put` turns each
     /// shard's wheel lazily; this is the eager, whole-store form for
@@ -605,10 +550,9 @@ impl Cache {
         let mut removed = 0u64;
         for s in &self.shards {
             let mut shard = s.lock().expect("no poisoning");
-            let (expired, freed) = shard.advance_wheel(now);
+            let expired = shard.advance_wheel(now);
             removed += expired;
             self.occupancy.fetch_sub(expired, Relaxed);
-            self.bytes.fetch_sub(freed, Relaxed);
             self.stats.expired.fetch_add(expired, Relaxed);
         }
         removed
@@ -625,12 +569,11 @@ impl Cache {
             evicted: self.stats.evicted.load(Relaxed),
             occupancy: self.occupancy.load(Relaxed),
             occupancy_peak: self.stats.occupancy_peak.load(Relaxed),
-            bytes: self.bytes.load(Relaxed),
         }
     }
 
     /// Drop everything (tests and flushes). Counters other than the
-    /// occupancy/byte gauges are preserved.
+    /// occupancy gauge are preserved.
     pub fn clear(&self) {
         for s in &self.shards {
             let mut shard = s.lock().expect("no poisoning");
@@ -639,7 +582,6 @@ impl Cache {
             shard.ring.clear();
         }
         self.occupancy.store(0, Relaxed);
-        self.bytes.store(0, Relaxed);
     }
 }
 
@@ -790,12 +732,10 @@ mod tests {
             c.put(&n(&format!("d{i}.example")), RrType::A, success(), 30, 0);
         }
         assert_eq!(c.total_entries(), 64);
-        assert!(c.total_bytes() > 0);
         // Deadline 0 + 30 + 50 = 80; the 64 s wheel bucket containing it
         // is wholly past once now reaches 128.
         assert_eq!(c.purge_expired(128), 64);
         assert_eq!(c.total_entries(), 0);
-        assert_eq!(c.total_bytes(), 0);
         assert_eq!(c.stats().expired, 64);
         // Purging again finds nothing.
         assert_eq!(c.purge_expired(1_000_000), 0);
@@ -828,7 +768,6 @@ mod tests {
     fn entry_budget_is_a_hard_global_bound() {
         let limits = CacheLimits {
             max_entries: Some(10),
-            max_bytes: None,
         };
         let c = Cache::with_limits(100, limits);
         let mut evicted = 0;
@@ -844,24 +783,9 @@ mod tests {
     }
 
     #[test]
-    fn byte_budget_is_enforced() {
-        let limits = CacheLimits {
-            max_entries: None,
-            max_bytes: Some(1024),
-        };
-        let c = Cache::with_limits(100, limits);
-        for i in 0..100 {
-            c.put(&n(&format!("d{i}.example")), RrType::A, success(), 60, 0);
-            assert!(c.total_bytes() <= 1024, "over byte budget after put {i}");
-        }
-        assert!(c.stats().evicted > 0);
-    }
-
-    #[test]
     fn clock_gives_hot_entries_a_second_chance() {
         let limits = CacheLimits {
             max_entries: Some(4),
-            max_bytes: None,
         };
         let c = Cache::with_limits(100, limits);
         // Names chosen freely; what matters is that the hot one is
@@ -944,7 +868,6 @@ mod tests {
     fn clock_sweep_skips_entries_the_wheel_already_expired() {
         let limits = CacheLimits {
             max_entries: Some(64),
-            max_bytes: None,
         };
         let c = Cache::with_limits(0, limits);
         for i in 0..64 {

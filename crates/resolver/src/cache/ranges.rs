@@ -45,7 +45,7 @@
 //! An interval is servable until `min(stored_at + ttl, RRSIG
 //! expiration)` — a proof must not outlive the signature that made it
 //! trustworthy. A per-shard TTL wheel drains dead intervals on store,
-//! and the same [`CacheLimits`] entry/byte budget as the L2 store is
+//! and the same [`CacheLimits`] entry budget as the L2 store is
 //! enforced by a CLOCK (second-chance) sweep over the inserting shard's
 //! ring, reported through the same [`PutOutcome`] accounting.
 //!
@@ -149,7 +149,6 @@ struct Interval {
     ttl: u32,
     sig_expiration: u32,
     seq: u64,
-    cost: u64,
     referenced: Cell<bool>,
 }
 
@@ -239,17 +238,19 @@ impl Shard {
         &mut bucket.last_mut().expect("just pushed").1
     }
 
-    /// Remove the interval addressed by `slot`, returning its cost. A
-    /// stale sequence is a no-op.
-    fn remove_slot(&mut self, slot: &Slot) -> Option<u64> {
+    /// Remove the interval addressed by `slot`; true when it was there.
+    /// A stale sequence is a no-op.
+    fn remove_slot(&mut self, slot: &Slot) -> bool {
         let (hash, kind, key, seq) = slot;
-        let bucket = self.zones.get_mut(hash)?;
-        let mut cost = None;
+        let Some(bucket) = self.zones.get_mut(hash) else {
+            return false;
+        };
+        let mut removed = false;
         let mut drop_zone = None;
         for (idx, (_, zone)) in bucket.iter_mut().enumerate() {
             let map = zone.map_mut(*kind);
             if map.get(key).is_some_and(|iv| iv.seq == *seq) {
-                cost = map.remove(key).map(|iv| iv.cost);
+                removed = map.remove(key).is_some();
                 if zone.is_empty() {
                     drop_zone = Some(idx);
                 }
@@ -262,33 +263,31 @@ impl Shard {
                 self.zones.remove(hash);
             }
         }
-        cost
+        removed
     }
 
     /// Drain every wheel bucket wholly before `now`, removing the dead
-    /// intervals it references. Returns `(removed, bytes_freed)`.
-    fn advance_wheel(&mut self, now: u32) -> (u64, u64) {
+    /// intervals it references. Returns how many went.
+    fn advance_wheel(&mut self, now: u32) -> u64 {
         let cutoff = now >> WHEEL_SHIFT;
         if self
             .wheel
             .first_key_value()
             .is_none_or(|(&b, _)| b >= cutoff)
         {
-            return (0, 0);
+            return 0;
         }
         let live = self.wheel.split_off(&cutoff);
         let dead = std::mem::replace(&mut self.wheel, live);
         let mut removed = 0u64;
-        let mut freed = 0u64;
         for (_, slots) in dead {
             for slot in slots {
-                if let Some(cost) = self.remove_slot(&slot) {
+                if self.remove_slot(&slot) {
                     removed += 1;
-                    freed += cost;
                 }
             }
         }
-        (removed, freed)
+        removed
     }
 }
 
@@ -309,16 +308,7 @@ pub struct RangeCache {
     frozen: AtomicBool,
     /// Stored intervals across all shards.
     occupancy: AtomicU64,
-    /// Estimated stored bytes across all shards.
-    bytes: AtomicU64,
     stats: RangeStats,
-}
-
-/// Estimated heap bytes of one stored interval: owner + next keys plus
-/// flat map/bookkeeping overhead. An explicit estimate, like the L2
-/// store's `entry_cost`.
-fn interval_cost(key: &[u8], next: &[u8], types: &TypeBitmap) -> u64 {
-    96 + key.len() as u64 + next.len() as u64 + 8 * types.iter().count() as u64
 }
 
 /// Canonical-order key for NSEC lookups: labels reversed (rightmost
@@ -363,14 +353,13 @@ impl RangeCache {
         RangeCache::with_limits(CacheLimits::default())
     }
 
-    /// An empty tier with the given entry/byte budget.
+    /// An empty tier with the given entry budget.
     pub fn with_limits(limits: CacheLimits) -> Self {
         RangeCache {
             shards: std::array::from_fn(|_| Mutex::new(Shard::default())),
             limits,
             frozen: AtomicBool::new(false),
             occupancy: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
             stats: RangeStats::default(),
         }
     }
@@ -402,11 +391,10 @@ impl RangeCache {
         let mut shard = self.shard_for(hash).lock().expect("no poisoning");
 
         // 1. Turn the wheel for this shard.
-        let (expired, freed) = shard.advance_wheel(now);
+        let expired = shard.advance_wheel(now);
         if expired > 0 {
             outcome.expired = expired;
             self.occupancy.fetch_sub(expired, Relaxed);
-            self.bytes.fetch_sub(freed, Relaxed);
             self.stats.expired.fetch_add(expired, Relaxed);
         }
 
@@ -463,24 +451,19 @@ impl RangeCache {
                 ),
             };
             self.stats.puts.fetch_add(1, Relaxed);
-            let cost = interval_cost(&key, &next, types);
             let seq = shard.next_seq;
             shard.next_seq += 1;
             let deadline = now.saturating_add(ttl).min(sig_expiration);
             let map = shard.zone_mut(hash, zone).map_mut(kind);
             match map.get_mut(&key) {
                 Some(iv) => {
-                    let old_cost = iv.cost;
                     iv.next = next;
                     iv.types = types.clone();
                     iv.stored_at = now;
                     iv.ttl = ttl;
                     iv.sig_expiration = sig_expiration;
                     iv.seq = seq;
-                    iv.cost = cost;
                     iv.referenced.set(true);
-                    self.bytes.fetch_add(cost, Relaxed);
-                    self.bytes.fetch_sub(old_cost, Relaxed);
                 }
                 None => {
                     map.insert(
@@ -492,12 +475,10 @@ impl RangeCache {
                             ttl,
                             sig_expiration,
                             seq,
-                            cost,
                             referenced: Cell::new(false),
                         },
                     );
                     let occ = self.occupancy.fetch_add(1, Relaxed) + 1;
-                    self.bytes.fetch_add(cost, Relaxed);
                     self.stats.occupancy_peak.fetch_max(occ, Relaxed);
                 }
             }
@@ -512,20 +493,9 @@ impl RangeCache {
         // 3. Enforce the budget with a CLOCK sweep, exactly as the L2
         //    store does: one full second-chance lap, then evict
         //    unconditionally.
-        let over = |cache: &RangeCache| {
-            let entries_over = cache
-                .limits
-                .max_entries
-                .is_some_and(|m| cache.occupancy.load(Relaxed) > m as u64);
-            let bytes_over = cache
-                .limits
-                .max_bytes
-                .is_some_and(|m| cache.bytes.load(Relaxed) > m as u64);
-            entries_over || bytes_over
-        };
-        if !self.limits.unbounded() {
+        if let Some(max) = self.limits.max_entries {
             let mut chances = shard.ring.len();
-            while over(self) {
+            while self.occupancy.load(Relaxed) > max as u64 {
                 let Some(slot) = shard.ring.pop_front() else {
                     break;
                 };
@@ -552,10 +522,9 @@ impl RangeCache {
                         shard.ring.push_back(slot);
                     }
                     Some(_) => {
-                        if let Some(cost) = shard.remove_slot(&slot) {
+                        if shard.remove_slot(&slot) {
                             outcome.evicted += 1;
                             self.occupancy.fetch_sub(1, Relaxed);
-                            self.bytes.fetch_sub(cost, Relaxed);
                             self.stats.evicted.fetch_add(1, Relaxed);
                         }
                     }
@@ -710,21 +679,15 @@ impl RangeCache {
         self.occupancy.load(Relaxed) as usize
     }
 
-    /// Estimated stored bytes (the quantity the byte budget bounds).
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes.load(Relaxed)
-    }
-
     /// Eagerly remove every interval past its deadline, across all
     /// shards.
     pub fn purge_expired(&self, now: u32) -> u64 {
         let mut removed = 0u64;
         for s in &self.shards {
             let mut shard = s.lock().expect("no poisoning");
-            let (expired, freed) = shard.advance_wheel(now);
+            let expired = shard.advance_wheel(now);
             removed += expired;
             self.occupancy.fetch_sub(expired, Relaxed);
-            self.bytes.fetch_sub(freed, Relaxed);
             self.stats.expired.fetch_add(expired, Relaxed);
         }
         removed
@@ -744,12 +707,11 @@ impl RangeCache {
             evicted: self.stats.evicted.load(Relaxed),
             occupancy: self.occupancy.load(Relaxed),
             occupancy_peak: self.stats.occupancy_peak.load(Relaxed),
-            bytes: self.bytes.load(Relaxed),
         }
     }
 
     /// Drop everything (tests and flushes). Counters other than the
-    /// occupancy/byte gauges are preserved.
+    /// occupancy gauge are preserved.
     pub fn clear(&self) {
         for s in &self.shards {
             let mut shard = s.lock().expect("no poisoning");
@@ -758,7 +720,6 @@ impl RangeCache {
             shard.ring.clear();
         }
         self.occupancy.store(0, Relaxed);
-        self.bytes.store(0, Relaxed);
     }
 }
 
@@ -955,7 +916,6 @@ mod tests {
         // The wheel physically removes it once its bucket is past.
         assert_eq!(rc.purge_expired(128), 1);
         assert_eq!(rc.total_entries(), 0);
-        assert_eq!(rc.total_bytes(), 0);
         assert_eq!(rc.stats().expired, 1);
     }
 
@@ -1001,7 +961,6 @@ mod tests {
     fn entry_budget_is_a_hard_bound_with_clock_eviction() {
         let rc = RangeCache::with_limits(CacheLimits {
             max_entries: Some(8),
-            max_bytes: None,
         });
         for i in 0..50 {
             let zone = n(&format!("z{i}.example"));

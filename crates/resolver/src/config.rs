@@ -1,5 +1,6 @@
-//! Resolver configuration: root hints, trust anchor, limits, retry
-//! policy — constructed through [`ResolverConfig::builder()`].
+//! Resolver configuration: root hints, trust anchor, cache budgets,
+//! retry policy — constructed with [`ResolverConfig::default()`] or
+//! [`ResolverConfig::with_roots()`], then adjusted field by field.
 
 use crate::retry::RetryPolicy;
 use ede_wire::{Name, Rdata};
@@ -17,11 +18,20 @@ pub struct RootHint {
 /// Static resolver configuration.
 ///
 /// The struct is `#[non_exhaustive]`: construct it with
-/// [`ResolverConfig::default()`], [`ResolverConfig::with_roots()`], or
-/// the fluent [`ResolverConfig::builder()`], then adjust individual
-/// public fields. Struct-literal construction outside this crate no
-/// longer compiles, which is what lets new knobs (like [`retry`]) land
-/// without a breaking change.
+/// [`ResolverConfig::default()`] or [`ResolverConfig::with_roots()`],
+/// then adjust individual public fields. Struct-literal construction
+/// outside this crate no longer compiles, which is what lets new knobs
+/// (like [`retry`]) land without a breaking change.
+///
+/// ```
+/// use ede_resolver::{ResolverConfig, RetryPolicy};
+///
+/// let mut config = ResolverConfig::default();
+/// config.failure_ttl_secs = 900;
+/// config.qname_minimization = true;
+/// config.retry = RetryPolicy::default();
+/// assert_eq!(config.failure_ttl_secs, 900);
+/// ```
 ///
 /// [`retry`]: ResolverConfig::retry
 #[derive(Debug, Clone)]
@@ -34,20 +44,8 @@ pub struct ResolverConfig {
     pub trust_anchors: Vec<Rdata>,
     /// Source address used for queries (ACLs see this).
     pub source_addr: IpAddr,
-    /// Referral-depth limit for one resolution.
-    pub max_referrals: usize,
-    /// Recursion limit for out-of-bailiwick nameserver lookups and CNAME
-    /// chains.
-    pub max_depth: usize,
-    /// How many addresses of a zone's NS set to try before giving up.
-    pub max_servers_per_zone: usize,
     /// Enable the answer/failure cache.
     pub enable_cache: bool,
-    /// Serve expired cache entries when live resolution fails
-    /// (RFC 8767); produces EDE 3 / 19.
-    pub serve_stale: bool,
-    /// How long after expiry an entry may still be served stale, seconds.
-    pub stale_window_secs: u32,
     /// TTL for cached resolution failures (SERVFAIL), seconds — the
     /// substrate of EDE 13 (*Cached Error*).
     pub failure_ttl_secs: u32,
@@ -58,10 +56,6 @@ pub struct ResolverConfig {
     /// configurations trade bit-identical reproducibility for bounded
     /// memory — see `docs/PERFORMANCE.md`.
     pub max_cache_entries: Option<usize>,
-    /// Hard bound on the shared cache's estimated heap footprint in
-    /// bytes (`None` = unbounded). Same eviction and reproducibility
-    /// trade-off as [`max_cache_entries`](Self::max_cache_entries).
-    pub max_cache_bytes: Option<usize>,
     /// DNS Error Reporting (RFC 9567): when set to an (agent domain,
     /// agent server address) pair, every EDE-carrying resolution also
     /// fires a report query toward the agent. The address stands in for
@@ -82,9 +76,6 @@ pub struct ResolverConfig {
     /// Hard bound on range-tier entries (`None` = unbounded). Same
     /// CLOCK-eviction trade-off as [`max_cache_entries`](Self::max_cache_entries).
     pub max_range_entries: Option<usize>,
-    /// Hard bound on the range tier's estimated heap footprint in bytes
-    /// (`None` = unbounded).
-    pub max_range_bytes: Option<usize>,
     /// How failed exchanges are retried, backed off, and hedged. The
     /// default is [`RetryPolicy::none()`] — one shot per server in
     /// referral order, exactly the historical behaviour — so pinned
@@ -99,20 +90,13 @@ impl Default for ResolverConfig {
             root_hints: Vec::new(),
             trust_anchors: Vec::new(),
             source_addr: "192.0.32.59".parse().expect("valid"),
-            max_referrals: 24,
-            max_depth: 8,
-            max_servers_per_zone: 4,
             enable_cache: true,
-            serve_stale: true,
-            stale_window_secs: 3 * 86_400,
             failure_ttl_secs: 30,
             max_cache_entries: None,
-            max_cache_bytes: None,
             error_reporting: None,
             qname_minimization: false,
             synthesize_denial: false,
             max_range_entries: None,
-            max_range_bytes: None,
             retry: RetryPolicy::none(),
         }
     }
@@ -127,171 +111,16 @@ impl ResolverConfig {
             ..Default::default()
         }
     }
-
-    /// Start a fluent builder from the defaults.
-    pub fn builder() -> ResolverConfigBuilder {
-        ResolverConfigBuilder {
-            config: ResolverConfig::default(),
-        }
-    }
-}
-
-/// Fluent builder for [`ResolverConfig`]; finish with
-/// [`build`](ResolverConfigBuilder::build).
-///
-/// ```
-/// use ede_resolver::{ResolverConfig, RetryPolicy};
-///
-/// let config = ResolverConfig::builder()
-///     .failure_ttl_secs(900)
-///     .qname_minimization(true)
-///     .retry(RetryPolicy::default())
-///     .build();
-/// assert_eq!(config.failure_ttl_secs, 900);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ResolverConfigBuilder {
-    config: ResolverConfig,
-}
-
-impl ResolverConfigBuilder {
-    /// Set the root hints.
-    pub fn root_hints(mut self, hints: Vec<RootHint>) -> Self {
-        self.config.root_hints = hints;
-        self
-    }
-
-    /// Set the DS-form trust anchors.
-    pub fn trust_anchors(mut self, anchors: Vec<Rdata>) -> Self {
-        self.config.trust_anchors = anchors;
-        self
-    }
-
-    /// Set both root hints and trust anchors in one step.
-    pub fn roots(mut self, hints: Vec<RootHint>, anchors: Vec<Rdata>) -> Self {
-        self.config.root_hints = hints;
-        self.config.trust_anchors = anchors;
-        self
-    }
-
-    /// Set the query source address.
-    pub fn source_addr(mut self, addr: IpAddr) -> Self {
-        self.config.source_addr = addr;
-        self
-    }
-
-    /// Set the referral-depth limit.
-    pub fn max_referrals(mut self, n: usize) -> Self {
-        self.config.max_referrals = n;
-        self
-    }
-
-    /// Set the out-of-bailiwick / CNAME recursion limit.
-    pub fn max_depth(mut self, n: usize) -> Self {
-        self.config.max_depth = n;
-        self
-    }
-
-    /// Set how many of a zone's NS addresses are tried.
-    pub fn max_servers_per_zone(mut self, n: usize) -> Self {
-        self.config.max_servers_per_zone = n;
-        self
-    }
-
-    /// Enable or disable the answer/failure cache.
-    pub fn enable_cache(mut self, on: bool) -> Self {
-        self.config.enable_cache = on;
-        self
-    }
-
-    /// Enable or disable RFC 8767 serve-stale.
-    pub fn serve_stale(mut self, on: bool) -> Self {
-        self.config.serve_stale = on;
-        self
-    }
-
-    /// Set the serve-stale window (seconds past expiry).
-    pub fn stale_window_secs(mut self, secs: u32) -> Self {
-        self.config.stale_window_secs = secs;
-        self
-    }
-
-    /// Set the failure-cache TTL (seconds).
-    pub fn failure_ttl_secs(mut self, secs: u32) -> Self {
-        self.config.failure_ttl_secs = secs;
-        self
-    }
-
-    /// Bound the shared cache to at most `n` entries (`None` =
-    /// unbounded, the default).
-    pub fn max_cache_entries(mut self, n: Option<usize>) -> Self {
-        self.config.max_cache_entries = n;
-        self
-    }
-
-    /// Bound the shared cache's estimated heap footprint (`None` =
-    /// unbounded, the default).
-    pub fn max_cache_bytes(mut self, n: Option<usize>) -> Self {
-        self.config.max_cache_bytes = n;
-        self
-    }
-
-    /// Enable RFC 9567 error reporting toward (agent domain, agent
-    /// server address).
-    pub fn error_reporting(mut self, agent: Name, addr: IpAddr) -> Self {
-        self.config.error_reporting = Some((agent, addr));
-        self
-    }
-
-    /// Enable or disable QNAME minimization.
-    pub fn qname_minimization(mut self, on: bool) -> Self {
-        self.config.qname_minimization = on;
-        self
-    }
-
-    /// Enable or disable RFC 8198 aggressive NSEC/NSEC3 synthesis.
-    pub fn synthesize_denial(mut self, on: bool) -> Self {
-        self.config.synthesize_denial = on;
-        self
-    }
-
-    /// Bound the range tier to at most `n` retained intervals (`None`
-    /// = unbounded, the default).
-    pub fn max_range_entries(mut self, n: Option<usize>) -> Self {
-        self.config.max_range_entries = n;
-        self
-    }
-
-    /// Bound the range tier's estimated heap footprint (`None` =
-    /// unbounded, the default).
-    pub fn max_range_bytes(mut self, n: Option<usize>) -> Self {
-        self.config.max_range_bytes = n;
-        self
-    }
-
-    /// Set the retry policy.
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.config.retry = policy;
-        self
-    }
-
-    /// Finish, yielding the configuration.
-    pub fn build(self) -> ResolverConfig {
-        self.config
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::retry::ServerSelection;
 
     #[test]
     fn defaults_are_sane() {
         let c = ResolverConfig::default();
         assert!(c.enable_cache);
-        assert!(c.serve_stale);
-        assert!(c.max_referrals >= 8);
         assert!(c.failure_ttl_secs > 0);
         // RFC 8198 synthesis is opt-in: pinned traces and fingerprints
         // must be unaffected by the range tier's existence.
@@ -299,48 +128,5 @@ mod tests {
         // The default retry policy must be the exact-compat baseline:
         // golden traces and the Table 4 matrix depend on it.
         assert_eq!(c.retry, RetryPolicy::none());
-    }
-
-    #[test]
-    fn builder_round_trips_every_knob() {
-        let agent: Name = "agent.example.".parse().unwrap();
-        let c = ResolverConfig::builder()
-            .source_addr("198.51.100.7".parse().unwrap())
-            .max_referrals(10)
-            .max_depth(4)
-            .max_servers_per_zone(2)
-            .enable_cache(false)
-            .serve_stale(false)
-            .stale_window_secs(60)
-            .failure_ttl_secs(900)
-            .max_cache_entries(Some(10_000))
-            .max_cache_bytes(Some(64 << 20))
-            .error_reporting(agent.clone(), "203.0.113.9".parse().unwrap())
-            .qname_minimization(true)
-            .synthesize_denial(true)
-            .max_range_entries(Some(4_096))
-            .max_range_bytes(Some(1 << 20))
-            .retry(RetryPolicy::default().with_hedge_rounds(2))
-            .build();
-        assert_eq!(c.source_addr.to_string(), "198.51.100.7");
-        assert_eq!(c.max_referrals, 10);
-        assert_eq!(c.max_depth, 4);
-        assert_eq!(c.max_servers_per_zone, 2);
-        assert!(!c.enable_cache);
-        assert!(!c.serve_stale);
-        assert_eq!(c.stale_window_secs, 60);
-        assert_eq!(c.failure_ttl_secs, 900);
-        assert_eq!(c.max_cache_entries, Some(10_000));
-        assert_eq!(c.max_cache_bytes, Some(64 << 20));
-        assert_eq!(
-            c.error_reporting,
-            Some((agent, "203.0.113.9".parse().unwrap()))
-        );
-        assert!(c.qname_minimization);
-        assert!(c.synthesize_denial);
-        assert_eq!(c.max_range_entries, Some(4_096));
-        assert_eq!(c.max_range_bytes, Some(1 << 20));
-        assert_eq!(c.retry.hedge_rounds, 2);
-        assert_eq!(c.retry.selection, ServerSelection::SmoothedRtt);
     }
 }

@@ -21,6 +21,16 @@ use std::net::IpAddr;
 use std::sync::atomic::{AtomicU16, Ordering};
 use std::sync::{Arc, Mutex};
 
+/// Referral-depth limit for one resolution.
+const MAX_REFERRALS: usize = 24;
+
+/// Recursion limit for out-of-bailiwick nameserver lookups and CNAME
+/// chains.
+const MAX_DEPTH: usize = 8;
+
+/// How many addresses of a zone's NS set to try before giving up.
+const MAX_SERVERS_PER_ZONE: usize = 4;
+
 /// What one engine run produced.
 #[derive(Debug, Clone)]
 pub struct EngineOutcome {
@@ -172,14 +182,8 @@ impl<'a> Engine<'a> {
     ) -> SetQuery {
         let policy = &self.config.retry;
         let order: Vec<IpAddr> = match policy.selection {
-            ServerSelection::Static => servers
-                .iter()
-                .copied()
-                .take(self.config.max_servers_per_zone)
-                .collect(),
-            ServerSelection::SmoothedRtt => {
-                self.srtt.order(servers, self.config.max_servers_per_zone)
-            }
+            ServerSelection::Static => servers.iter().copied().take(MAX_SERVERS_PER_ZONE).collect(),
+            ServerSelection::SmoothedRtt => self.srtt.order(servers, MAX_SERVERS_PER_ZONE),
         };
         let mut any_rcode_failure = false;
         // Hedging only helps against luck: if every failure was the
@@ -479,7 +483,7 @@ impl<'a> Engine<'a> {
         diag: &mut Diagnosis,
         depth: usize,
     ) -> Vec<IpAddr> {
-        if depth >= self.config.max_depth {
+        if depth >= MAX_DEPTH {
             return Vec::new();
         }
         // The one boxing point that breaks the resolve →
@@ -510,7 +514,7 @@ impl<'a> Engine<'a> {
     ) -> EngineOutcome {
         let mut current_name = qname.clone();
         let mut answers_acc: Vec<Record> = Vec::new();
-        let mut cname_budget = self.config.max_depth;
+        let mut cname_budget = MAX_DEPTH;
 
         'restart: loop {
             // RFC 8198 fast path: before any network send, ask the
@@ -608,7 +612,7 @@ impl<'a> Engine<'a> {
                 }
             }
 
-            for _ in 0..self.config.max_referrals {
+            for _ in 0..MAX_REFERRALS {
                 // QNAME minimization: probe with a truncated name and NS
                 // until the remaining labels run out.
                 let (probe_name, probe_type) = if self.config.qname_minimization
@@ -742,7 +746,7 @@ impl<'a> Engine<'a> {
                         if next.is_empty() {
                             for ns in &referral.ns_names {
                                 next.extend(self.resolve_ns_addresses(ns, diag, depth).await);
-                                if next.len() >= self.config.max_servers_per_zone {
+                                if next.len() >= MAX_SERVERS_PER_ZONE {
                                     break;
                                 }
                             }

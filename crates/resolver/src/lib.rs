@@ -70,7 +70,7 @@ pub use cache::infra::{InfraCache, InfraStatsSnapshot, ReferralEntry};
 pub use cache::l1::{L1Cache, L1StatsSnapshot};
 pub use cache::ranges::{ProofRange, RangeCache, SynthesizedDenial};
 pub use cache::{Cache, CacheHit, CacheLimits, CacheStatsSnapshot, CachedResolution};
-pub use config::{ResolverConfig, ResolverConfigBuilder};
+pub use config::ResolverConfig;
 pub use diagnosis::{Diagnosis, Finding, NsFailure, ValidationState};
 pub use profiles::{Vendor, VendorProfile};
 pub use resolver::{Resolution, Resolver};

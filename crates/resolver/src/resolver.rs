@@ -17,6 +17,13 @@ use ede_wire::{EdeEntry, Edns, Message, Name, Rcode, Record, RrType};
 use std::sync::atomic::{AtomicU16, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
+/// Serve expired cache entries when live resolution fails (RFC 8767);
+/// produces EDE 3 / 19.
+const SERVE_STALE: bool = true;
+
+/// How long after expiry an entry may still be served stale, seconds.
+const STALE_WINDOW_SECS: u32 = 3 * 86_400;
+
 /// The complete result of one recursive resolution, as a client of this
 /// resolver would see it (plus the internal diagnosis for analysis).
 #[derive(Debug, Clone)]
@@ -83,15 +90,13 @@ impl Resolver {
     /// Build a resolver.
     pub fn new(net: Arc<Network>, profile: VendorProfile, config: ResolverConfig) -> Self {
         let cache = Cache::with_limits(
-            config.stale_window_secs,
+            STALE_WINDOW_SECS,
             CacheLimits {
                 max_entries: config.max_cache_entries,
-                max_bytes: config.max_cache_bytes,
             },
         );
         let ranges = RangeCache::with_limits(CacheLimits {
             max_entries: config.max_range_entries,
-            max_bytes: config.max_range_bytes,
         });
         let synthesize = config.synthesize_denial && profile.vendor.synthesizes_denial();
         Resolver {
@@ -308,7 +313,7 @@ impl Resolver {
         let outcome = engine.resolve(qname, qtype, &mut diag, 0).await;
 
         // 4. Serve-stale fallback (RFC 8767) on failure.
-        if outcome.rcode == Rcode::ServFail && self.config.serve_stale && self.config.enable_cache {
+        if outcome.rcode == Rcode::ServFail && SERVE_STALE && self.config.enable_cache {
             if let Some(stale) = self.cache.get_stale_success(qname, qtype, now) {
                 tracer.emit(TraceEvent::CacheProbe {
                     qname: qd(qname),

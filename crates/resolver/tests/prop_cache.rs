@@ -139,7 +139,6 @@ fn entry_budget_holds_under_random_interleavings() {
             window,
             CacheLimits {
                 max_entries: Some(budget),
-                max_bytes: None,
             },
         );
         let mut now = 1_000;

@@ -1,26 +1,19 @@
 //! Aggregate scan records into the paper's §4.2 / §4.3 numbers.
 //!
-//! Two paths produce the same [`Aggregate`]:
-//!
-//! * **Streaming** — each scan worker folds its claim chunks into a
-//!   private [`PartialAggregate`] and merges it into the shared
-//!   snapshot store as it goes (see [`crate::stream`]); nothing is
-//!   buffered until the end of the scan.
-//! * **Batch** — [`aggregate`] folds a [`crate::scanner::ScanResult`]'s
-//!   retained records into one fresh partial.
-//!
-//! Both paths run the *same* fold, and [`PartialAggregate::merge`] is
-//! commutative and associative (counters add, maps union-add, the
-//! nameserver-kind witness keeps the minimum domain index, rank pairs
-//! concatenate and are sorted at [`PartialAggregate::finalize`]), so
-//! merge order — and therefore worker count, in-flight window, and
-//! snapshot cadence — cannot change the result. The property tests in
-//! `tests/streaming.rs` pin the two paths bit-identical.
+//! Each scan worker folds its claim chunks into a private
+//! [`PartialAggregate`] and merges it into the shared snapshot store as
+//! it goes (see [`crate::stream`]); nothing is buffered until the end
+//! of the scan. [`PartialAggregate::merge`] is commutative and
+//! associative (counters add, maps union-add, the nameserver-kind
+//! witness keeps the minimum domain index, rank pairs concatenate and
+//! are sorted when the breakdowns are built), so merge order — and
+//! therefore worker count, in-flight window, and snapshot cadence —
+//! cannot change the result. The property tests in `tests/streaming.rs`
+//! pin that at every cross-point.
 
 use crate::population::Population;
 use crate::querylog::QueryRecord;
-use crate::scanner::ScanResult;
-use crate::stats;
+use crate::stats::v1::{EdeBreakdown, NsBreakdown, RankBucketCurve, TldBreakdown};
 use ede_wire::Rcode;
 use std::collections::BTreeMap;
 
@@ -39,8 +32,8 @@ fn fnv1a(line: &str) -> u64 {
 
 /// Per-nameserver evidence from Network Error EXTRA-TEXT. The `kind`
 /// witness is the text of the *lowest-indexed* affected domain — the
-/// same "first in input order" the old batch aggregator saw, but made
-/// explicit so merging partials in any order converges on it.
+/// "first in input order", made explicit so merging partials in any
+/// order converges on it.
 #[derive(Debug, Clone)]
 struct NsEntry {
     domains: usize,
@@ -183,8 +176,8 @@ impl PartialAggregate {
     /// The commutative scan fingerprint over every folded record's
     /// [`QueryRecord::outcome_line`]: per-line FNV-1a hashes combined
     /// with a wrapping sum, an XOR, and the record count, then mixed.
-    /// Order-independent by construction, so the streaming and batch
-    /// paths — and every worker configuration — agree bit for bit.
+    /// Order-independent by construction, so every worker
+    /// configuration agrees bit for bit.
     pub fn fingerprint(&self) -> u64 {
         let mut h = FNV_OFFSET;
         for v in [self.fp_sum, self.fp_xor, self.domains as u64] {
@@ -196,25 +189,23 @@ impl PartialAggregate {
         h
     }
 
-    /// Finish: compute the derived series against the population.
-    pub fn finalize(&self, pop: &Population) -> Aggregate {
-        let mut ns_analysis = NsAnalysis {
-            unique_ns: self.ns.len(),
+    /// Finish: build the `stats::v1` breakdowns against the population.
+    pub(crate) fn finalize(&self, pop: &Population) -> ScanResults {
+        let mut nameservers = NsBreakdown {
+            unique: self.ns.len(),
             ..Default::default()
         };
-        // BTreeMap order makes `domains_per_ns` deterministic (the old
-        // HashMap batch path emitted it in hash order).
+        // BTreeMap order makes `domains_per_ns` deterministic.
         for entry in self.ns.values() {
-            ns_analysis.domains_per_ns.push(entry.domains);
+            nameservers.domains_per_ns.push(entry.domains);
             match entry.kind.as_str() {
-                "rcode=REFUSED" => ns_analysis.refused_ns += 1,
-                "rcode=SERVFAIL" => ns_analysis.servfail_ns += 1,
-                _ => ns_analysis.other_ns += 1,
+                "rcode=REFUSED" => nameservers.refused += 1,
+                "rcode=SERVFAIL" => nameservers.servfail += 1,
+                _ => nameservers.other += 1,
             }
         }
 
-        let mut tld_ratios_gtld = Vec::new();
-        let mut tld_ratios_cctld = Vec::new();
+        let mut tlds = TldBreakdown::default();
         for (i, tld) in pop.tlds.iter().enumerate() {
             let total = self.tld_total.get(i).copied().unwrap_or(0);
             if total == 0 {
@@ -222,125 +213,49 @@ impl PartialAggregate {
             }
             let ratio = self.tld_ede.get(i).copied().unwrap_or(0) as f64 / total as f64;
             if tld.cc {
-                tld_ratios_cctld.push(ratio);
+                tlds.cctld_ratios.push(ratio);
             } else {
-                tld_ratios_gtld.push(ratio);
+                tlds.gtld_ratios.push(ratio);
             }
         }
 
-        let mut tranco = self.tranco.clone();
-        tranco.sort_unstable();
+        let mut ede_ranks: Vec<u32> = self
+            .tranco
+            .iter()
+            .filter(|(_, ede)| *ede)
+            .map(|(r, _)| *r)
+            .collect();
+        ede_ranks.sort_unstable();
 
-        Aggregate {
-            total_domains: self.domains,
-            ede_domains: self.ede_domains,
-            per_code: self.per_code.clone(),
-            per_combo: self.per_combo.clone(),
-            noerror_with_ede: self.noerror_with_ede,
-            servfail_domains: self.servfail_domains,
-            ns_analysis,
-            tld_ratios_gtld,
-            tld_ratios_cctld,
-            tranco,
+        ScanResults {
             fingerprint: self.fingerprint(),
+            ede: EdeBreakdown {
+                total_domains: self.domains,
+                ede_domains: self.ede_domains,
+                noerror_with_ede: self.noerror_with_ede,
+                servfail_domains: self.servfail_domains,
+                per_code: self.per_code.clone(),
+                per_combo: self.per_combo.clone(),
+                nameservers,
+            },
+            tlds,
+            ranks: RankBucketCurve {
+                tranco_size: pop.config.tranco_size,
+                ranked: self.tranco.len(),
+                ede_ranks,
+            },
         }
     }
 }
 
-/// Aggregated results of one scan.
-#[derive(Debug, Clone)]
-pub struct Aggregate {
-    /// Total domains scanned.
-    pub total_domains: usize,
-    /// Domains that triggered at least one EDE code.
-    pub ede_domains: usize,
-    /// Domains per INFO-CODE (a domain counts once per code it carried).
-    pub per_code: BTreeMap<u16, usize>,
-    /// Domains per exact code combination.
-    pub per_combo: BTreeMap<Vec<u16>, usize>,
-    /// Domains that answered NOERROR while still carrying EDE codes
-    /// (§4.3's 12.2 k observation).
-    pub noerror_with_ede: usize,
-    /// Domains whose final RCODE was SERVFAIL (the complement of the
-    /// chaos campaigns' resolved count).
-    pub servfail_domains: usize,
-    /// Nameserver analysis from Network Error EXTRA-TEXT.
-    pub ns_analysis: NsAnalysis,
-    /// Per-TLD ratio of EDE-triggering domains, split gTLD/ccTLD.
-    pub tld_ratios_gtld: Vec<f64>,
-    /// ccTLD ratios.
-    pub tld_ratios_cctld: Vec<f64>,
-    /// (rank, had_ede) for every ranked domain.
-    pub tranco: Vec<(u32, bool)>,
-    /// The commutative scan fingerprint (see
-    /// [`PartialAggregate::fingerprint`]).
+/// What a fold determines: the result half of a
+/// [`StatsSnapshot`](crate::stats::v1::StatsSnapshot).
+#[derive(Debug, PartialEq)]
+pub(crate) struct ScanResults {
     pub fingerprint: u64,
-}
-
-/// §4.2.2-style breakdown of broken nameservers.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct NsAnalysis {
-    /// Unique nameserver addresses seen in Network Error texts.
-    pub unique_ns: usize,
-    /// Of those, how many answered REFUSED.
-    pub refused_ns: usize,
-    /// SERVFAIL.
-    pub servfail_ns: usize,
-    /// Other failures.
-    pub other_ns: usize,
-    /// Domains affected per nameserver (weights for concentration),
-    /// in nameserver-address order.
-    pub domains_per_ns: Vec<usize>,
-}
-
-impl NsAnalysis {
-    /// How many nameservers must be fixed to repair `target` of the
-    /// affected domains (the paper: fixing 20 k of 293 k repairs 81 %).
-    pub fn ns_to_cover(&self, target: f64) -> usize {
-        stats::keys_to_cover(&self.domains_per_ns, target)
-    }
-}
-
-/// Aggregate a scan result against its population — the **batch** path,
-/// folding the retained final records into one fresh partial. Requires
-/// a complete query log (`result.log.dropped == 0`); with a ring
-/// smaller than the population, use the streaming aggregate the scan
-/// already computed (`result.stats`) instead.
-pub fn aggregate(pop: &Population, result: &ScanResult) -> Aggregate {
-    let mut partial = PartialAggregate::default();
-    for rec in result.final_records() {
-        partial.fold(rec);
-    }
-    partial.finalize(pop)
-}
-
-impl Aggregate {
-    /// The CDF series of Figure 1 for gTLDs (ratio → cumulative
-    /// fraction).
-    pub fn figure1_gtld(&self) -> Vec<(f64, f64)> {
-        stats::cdf(&self.tld_ratios_gtld)
-    }
-
-    /// Figure 1 for ccTLDs.
-    pub fn figure1_cctld(&self) -> Vec<(f64, f64)> {
-        stats::cdf(&self.tld_ratios_cctld)
-    }
-
-    /// The CDF of Figure 2: EDE-triggering ranked domains by rank.
-    pub fn figure2(&self) -> Vec<(f64, f64)> {
-        let ranks: Vec<f64> = self
-            .tranco
-            .iter()
-            .filter(|(_, ede)| *ede)
-            .map(|(r, _)| f64::from(*r))
-            .collect();
-        stats::cdf(&ranks)
-    }
-
-    /// Tranco members that triggered EDE (the paper's 22.1 k overlap).
-    pub fn tranco_overlap(&self) -> usize {
-        self.tranco.iter().filter(|(_, ede)| *ede).count()
-    }
+    pub ede: EdeBreakdown,
+    pub tlds: TldBreakdown,
+    pub ranks: RankBucketCurve,
 }
 
 #[cfg(test)]
@@ -355,16 +270,16 @@ mod tests {
         let pop = Population::generate(PopulationConfig::tiny());
         let world = ScanWorld::build(&pop);
         let result = scan(&pop, &world, &ScanConfig::default());
-        let agg = aggregate(&pop, &result);
+        let ede = &result.stats.ede;
 
-        assert_eq!(agg.total_domains, pop.domains.len());
-        assert!(agg.ede_domains > 0);
+        assert_eq!(ede.total_domains, pop.domains.len());
+        assert!(ede.ede_domains > 0);
         // The dominant codes must be 22 and 23, like the paper.
-        let c22 = agg.per_code.get(&22).copied().unwrap_or(0);
-        let c23 = agg.per_code.get(&23).copied().unwrap_or(0);
+        let c22 = ede.per_code.get(&22).copied().unwrap_or(0);
+        let c23 = ede.per_code.get(&23).copied().unwrap_or(0);
         assert!(c22 > 0 && c23 > 0);
         assert!(c22 >= c23, "22 ({c22}) should dominate 23 ({c23})");
-        let max_other = agg
+        let max_other = ede
             .per_code
             .iter()
             .filter(|(c, _)| **c != 22 && **c != 23)
@@ -373,13 +288,10 @@ mod tests {
             .unwrap_or(0);
         assert!(c22 > max_other);
         // Some NOERROR answers still carry EDE.
-        assert!(agg.noerror_with_ede > 0);
+        assert!(ede.noerror_with_ede > 0);
         // The NS analysis sees the broken pool.
-        assert!(agg.ns_analysis.unique_ns > 0);
-        assert!(agg.ns_analysis.refused_ns >= agg.ns_analysis.servfail_ns);
-        // Batch refold equals the scan's own streaming aggregation.
-        assert_eq!(agg.fingerprint, result.stats.fingerprint);
-        assert_eq!(agg.per_code, result.stats.ede.per_code);
+        assert!(ede.nameservers.unique > 0);
+        assert!(ede.nameservers.refused >= ede.nameservers.servfail);
     }
 
     #[test]
@@ -406,15 +318,6 @@ mod tests {
             merged.merge(shard);
         }
 
-        assert_eq!(whole.fingerprint(), merged.fingerprint());
-        let a = whole.finalize(&pop);
-        let b = merged.finalize(&pop);
-        assert_eq!(a.per_code, b.per_code);
-        assert_eq!(a.per_combo, b.per_combo);
-        assert_eq!(a.ns_analysis, b.ns_analysis);
-        assert_eq!(a.tld_ratios_gtld, b.tld_ratios_gtld);
-        assert_eq!(a.tld_ratios_cctld, b.tld_ratios_cctld);
-        assert_eq!(a.tranco, b.tranco);
-        assert_eq!(a.fingerprint, b.fingerprint);
+        assert_eq!(whole.finalize(&pop), merged.finalize(&pop));
     }
 }

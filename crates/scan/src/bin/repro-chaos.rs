@@ -20,20 +20,35 @@ use ede_scan::chaos::{
 };
 use ede_scan::{Population, PopulationConfig};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed: u64 = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
+const USAGE: &str = "usage: repro-chaos [scale] [--seed N] [--smoke]";
+
+/// A mistyped flag or value must not silently sweep the default
+/// configuration: say what was wrong, print the usage line, exit 2.
+fn usage_exit(problem: &str) -> ! {
+    eprintln!("repro-chaos: {problem}\n{USAGE}");
+    std::process::exit(2);
+}
+
+fn parsed<T: std::str::FromStr>(what: &str, value: Option<String>) -> T {
+    value
+        .as_deref()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(0x0EDE_FA17);
-    let scale: u32 = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .find_map(|a| a.parse().ok())
-        .unwrap_or(10_000);
+        .unwrap_or_else(|| usage_exit(&format!("bad or missing value {value:?} for {what}")))
+}
+
+fn main() {
+    let mut smoke = false;
+    let mut seed: u64 = 0x0EDE_FA17;
+    let mut scale: u32 = 10_000;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--seed" => seed = parsed("--seed", args.next()),
+            positional if !positional.starts_with('-') => scale = parsed("scale", Some(arg)),
+            _ => usage_exit(&format!("unknown argument {arg:?}")),
+        }
+    }
 
     let pop = if smoke {
         Population::generate(PopulationConfig::tiny())

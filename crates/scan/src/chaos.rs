@@ -70,18 +70,6 @@ impl ChaosConfig {
         self.intensities = intensities;
         self
     }
-
-    /// Set the vendor profile.
-    pub fn with_vendor(mut self, vendor: Vendor) -> Self {
-        self.vendor = vendor;
-        self
-    }
-
-    /// Set the retry policy used by degraded legs.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
 }
 
 /// One leg of the sweep: a full scan at one fault intensity.

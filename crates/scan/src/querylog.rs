@@ -143,14 +143,19 @@ impl QueryRecord {
             match key.as_str() {
                 "seq" => seq = Some(p.number()?),
                 "vtime" => vtime = Some(p.number()?),
-                "pass" => pass = Some(p.number()? as u8),
-                "domain" => domain = Some(p.number()? as usize),
+                "pass" => pass = Some(u8::try_from(p.number()?).ok()?),
+                "domain" => domain = Some(usize::try_from(p.number()?).ok()?),
                 "name" => name = Some(p.string()?),
-                "tld" => tld = Some(p.number()? as usize),
-                "rank" => rank = Some(p.number_or_null()?.map(|n| n as u32)),
+                "tld" => tld = Some(usize::try_from(p.number()?).ok()?),
+                "rank" => {
+                    rank = Some(match p.number_or_null()? {
+                        Some(n) => Some(u32::try_from(n).ok()?),
+                        None => None,
+                    })
+                }
                 "category" => category = Some(Category::parse(&p.string()?)?),
                 "vendor" => vendor = Some(parse_vendor_debug(&p.string()?)?),
-                "rcode" => rcode = Some(Rcode::from_u16(p.number()? as u16)),
+                "rcode" => rcode = Some(Rcode::from_u16(u16::try_from(p.number()?).ok()?)),
                 "codes" => codes = Some(p.number_array()?),
                 "net" => net = Some(p.string_or_null()?),
                 _ => return None,
@@ -170,7 +175,10 @@ impl QueryRecord {
             category: category?,
             vendor: vendor?,
             rcode: rcode?,
-            codes: codes?.into_iter().map(|n| n as u16).collect(),
+            codes: codes?
+                .into_iter()
+                .map(|n| u16::try_from(n).ok())
+                .collect::<Option<_>>()?,
             network_error_text: net?,
         })
     }
@@ -322,9 +330,15 @@ impl<'a> JsonParser<'a> {
                     }
                     self.pos += 1;
                 }
-                &b => {
-                    out.push(b as char);
-                    self.pos += 1;
+                _ => {
+                    // A run of unescaped bytes, decoded as the UTF-8 it
+                    // is. `"` and `\` are ASCII, so the run ends on a
+                    // character boundary.
+                    let start = self.pos;
+                    while !matches!(self.bytes.get(self.pos)?, b'"' | b'\\') {
+                        self.pos += 1;
+                    }
+                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).ok()?);
                 }
             }
         }
@@ -518,6 +532,71 @@ mod tests {
         assert_eq!(back, none);
         assert_eq!(back.rank, None);
         assert_eq!(back.network_error_text, None);
+    }
+
+    /// `from_json` reads back exactly what `to_json` writes, for any
+    /// `name` / `net` text (non-ASCII, quotes, backslashes, control
+    /// characters) and at the numeric boundaries of every field.
+    #[test]
+    fn json_round_trips_arbitrary_strings_and_boundary_numbers() {
+        const ALPHABET: [char; 16] = [
+            'a', 'Z', '0', '.', ' ', '"', '\\', '/', '\n', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é',
+            'ß', '𝄞',
+        ];
+        let mut rng = crate::rng::SplitMix64::seed_from_u64(0x0015_0e15);
+        let text = |rng: &mut crate::rng::SplitMix64| -> String {
+            (0..rng.gen_index(24))
+                .map(|_| ALPHABET[rng.gen_index(ALPHABET.len())])
+                .collect()
+        };
+        let edge = |rng: &mut crate::rng::SplitMix64, max: u64| match rng.gen_index(3) {
+            0 => 0,
+            1 => max,
+            _ => rng.next_u64() % (max / 2 + 1),
+        };
+        for i in 0..512u64 {
+            let r = QueryRecord {
+                seq: edge(&mut rng, u64::MAX),
+                vtime_ms: edge(&mut rng, u64::MAX),
+                pass: edge(&mut rng, u64::from(u8::MAX)) as u8,
+                domain: edge(&mut rng, usize::MAX as u64) as usize,
+                name: text(&mut rng),
+                tld: edge(&mut rng, usize::MAX as u64) as usize,
+                rank: (i % 3 != 0).then(|| edge(&mut rng, u64::from(u32::MAX)) as u32),
+                category: Category::LameRcode,
+                vendor: Vendor::ALL[rng.gen_index(Vendor::ALL.len())],
+                rcode: Rcode::from_u16(edge(&mut rng, 4095) as u16),
+                codes: (0..rng.gen_index(4))
+                    .map(|_| edge(&mut rng, u64::from(u16::MAX)) as u16)
+                    .collect(),
+                network_error_text: (i % 4 != 0).then(|| text(&mut rng)),
+            };
+            let line = r.to_json();
+            let back = QueryRecord::from_json(&line).unwrap_or_else(|| panic!("rejects {line}"));
+            assert_eq!(back, r, "{line}");
+            assert_eq!((back.seq, back.vtime_ms), (r.seq, r.vtime_ms), "{line}");
+        }
+    }
+
+    /// A number too large for its field is corrupt input, not a value
+    /// to wrap around.
+    #[test]
+    fn out_of_range_numbers_are_rejected() {
+        let line = record(7, vec![22]).to_json();
+        assert!(QueryRecord::from_json(&line).is_some());
+        for (from, to) in [
+            ("\"pass\":1,", "\"pass\":257,"),
+            ("\"rank\":null,", "\"rank\":4294967296,"),
+            ("\"rcode\":2,", "\"rcode\":65538,"),
+            ("\"codes\":[22],", "\"codes\":[65558],"),
+        ] {
+            assert!(line.contains(from), "{line} lacks {from}");
+            assert_eq!(
+                QueryRecord::from_json(&line.replace(from, to)),
+                None,
+                "{to}"
+            );
+        }
     }
 
     #[test]

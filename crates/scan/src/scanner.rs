@@ -214,8 +214,6 @@ pub struct ScanConfig {
     /// Bound the resolver's range tier to this many spans (`None` keeps
     /// the resolver default, normally unbounded).
     pub max_range_entries: Option<usize>,
-    /// Bound the resolver's range tier to this many bytes.
-    pub max_range_bytes: Option<usize>,
     /// Virtual-clock seconds between mid-scan snapshot exports (only
     /// meaningful when sinks are registered via [`scan_streaming`]).
     /// `0` disables mid-scan exports; the final snapshot always
@@ -233,31 +231,12 @@ pub struct ScanConfig {
 
 impl Default for ScanConfig {
     fn default() -> Self {
-        // `EDE_SCAN_WORKERS` overrides the auto-detected pool size — the
-        // throughput bench sweeps it, and operators can pin it. Results
-        // are bit-identical at any worker count, so this is purely a
-        // performance knob.
-        let workers = std::env::var("EDE_SCAN_WORKERS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&w| w > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-                    .min(16)
-            });
-        // `EDE_SCAN_INFLIGHT` sets the per-worker in-flight window the
-        // same way; like the worker count it is purely a performance
-        // knob — results are bit-identical at any setting.
-        let inflight = std::env::var("EDE_SCAN_INFLIGHT")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&w| w > 0)
-            .unwrap_or(1);
         ScanConfig {
-            workers,
-            inflight,
+            workers: std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4)
+                .min(16),
+            inflight: 1,
             vendor: Vendor::Cloudflare,
             progress: false,
             retry: None,
@@ -266,7 +245,6 @@ impl Default for ScanConfig {
             synthesize: false,
             sweep_ratio: 0.0,
             max_range_entries: None,
-            max_range_bytes: None,
             snapshot_cadence_secs: 60,
             query_log_capacity: 65_536,
             query_log_spill: None,
@@ -363,12 +341,6 @@ impl ScanConfigBuilder {
     /// Bound the resolver's range tier (spans).
     pub fn max_range_entries(mut self, n: Option<usize>) -> Self {
         self.config.max_range_entries = n;
-        self
-    }
-
-    /// Bound the resolver's range tier (bytes).
-    pub fn max_range_bytes(mut self, n: Option<usize>) -> Self {
-        self.config.max_range_bytes = n;
         self
     }
 
@@ -731,9 +703,6 @@ pub fn scan_streaming(
     if config.max_range_entries.is_some() {
         resolver_config.max_range_entries = config.max_range_entries;
     }
-    if config.max_range_bytes.is_some() {
-        resolver_config.max_range_bytes = config.max_range_bytes;
-    }
     let enable_cache = resolver_config.enable_cache;
     let resolver = Resolver::new(
         Arc::clone(&world.net),
@@ -784,7 +753,6 @@ pub fn scan_streaming(
         resolutions: &resolutions,
         vendor: config.vendor,
         scale: pop.config.scale,
-        tranco_size: pop.config.tranco_size,
     };
 
     // Pass 1: everything, in parallel. Revisit-category domains are
@@ -869,14 +837,12 @@ pub fn scan_streaming(
     // The final snapshot: the merged streaming aggregate plus the
     // counters only the end of the scan can know (summed L1 tiers, the
     // sweep report). Exported to every sink regardless of cadence.
-    let agg = store.finalize(pop);
     let stats = StatsSnapshot::from_parts(
         store.claim_seq(),
         world.net.clock().now_millis(),
         true,
         pop.config.scale,
-        pop.config.tranco_size,
-        &agg,
+        store.finalize(pop),
         &cache,
         resolutions.load(Ordering::Relaxed),
         world.net.stats().snapshot(),
@@ -906,6 +872,20 @@ mod tests {
     use super::*;
     use crate::population::{Category, PopulationConfig};
     use ede_wire::Rcode;
+
+    /// What the scan streamed into `stats` must be what one fresh fold
+    /// over its retained final records yields.
+    fn assert_refold_matches(pop: &Population, result: &ScanResult) {
+        let mut refold = PartialAggregate::default();
+        for r in result.final_records() {
+            refold.fold(r);
+        }
+        let refold = refold.finalize(pop);
+        assert_eq!(refold.fingerprint, result.stats.fingerprint);
+        assert_eq!(refold.ede, result.stats.ede);
+        assert_eq!(refold.tlds, result.stats.tlds);
+        assert_eq!(refold.ranks, result.stats.ranks);
+    }
 
     #[test]
     fn tiny_scan_end_to_end() {
@@ -957,21 +937,17 @@ mod tests {
                     .vendor(Vendor::Cloudflare)
                     .build(),
             );
-            let agg = crate::aggregate::aggregate(&pop, &result);
-            (result, agg)
+            assert_refold_matches(&pop, &result);
+            result
         };
-        let (serial, agg_serial) = run(1);
-        let (parallel, agg_parallel) = run(16);
+        let serial = run(1);
+        let parallel = run(16);
         assert_eq!(serial.final_records(), parallel.final_records());
         assert_eq!(serial.resolutions, parallel.resolutions);
         assert_eq!(serial.traffic, parallel.traffic);
         assert_eq!(serial.metrics, parallel.metrics);
         assert!(serial.stats.same_results(&parallel.stats));
         assert_eq!(serial.stats.fingerprint, parallel.stats.fingerprint);
-        assert_eq!(agg_serial.per_code, agg_parallel.per_code);
-        assert_eq!(agg_serial.per_combo, agg_parallel.per_combo);
-        assert_eq!(agg_serial.ede_domains, agg_parallel.ede_domains);
-        assert_eq!(agg_serial.noerror_with_ede, agg_parallel.noerror_with_ede);
     }
 
     /// The event-driven task pools must not buy concurrency with
@@ -993,14 +969,14 @@ mod tests {
                     .inflight(inflight)
                     .build(),
             );
-            let agg = crate::aggregate::aggregate(&pop, &result);
-            (result, agg)
+            assert_refold_matches(&pop, &result);
+            result
         };
-        let (single, agg_single) = run(1, 1);
+        let single = run(1, 1);
         assert_eq!(single.metrics.tasks_spawned, single.resolutions as u64);
         assert_eq!(single.metrics.inflight_tasks_peak, 1);
         for (workers, inflight) in [(1, 2), (1, 64), (4, 16)] {
-            let (pooled, agg_pooled) = run(workers, inflight);
+            let pooled = run(workers, inflight);
             assert_eq!(
                 single.final_records(),
                 pooled.final_records(),
@@ -1026,8 +1002,6 @@ mod tests {
                 pooled.metrics.inflight_tasks_peak > 1,
                 "inflight {inflight}"
             );
-            assert_eq!(agg_single.per_code, agg_pooled.per_code);
-            assert_eq!(agg_single.per_combo, agg_pooled.per_combo);
         }
     }
 

@@ -14,7 +14,7 @@
 //! stays inside the crate (snapshots are *measured*, not assembled by
 //! hand).
 
-use crate::aggregate::Aggregate;
+use crate::aggregate::ScanResults;
 use crate::querylog::QueryLogStats;
 use crate::scanner::{ScanCacheReport, SweepReport};
 use crate::stats;
@@ -334,7 +334,7 @@ pub struct TrafficStats {
     /// Failed.
     pub failed: u64,
     /// Synthesis-sweep accounting, when the sweep ran.
-    pub sweep: Option<SweepStats>,
+    pub sweep: Option<SweepReport>,
 }
 
 impl TrafficStats {
@@ -344,36 +344,17 @@ impl TrafficStats {
     }
 }
 
-/// Post-scan synthesis-sweep accounting.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub struct SweepStats {
-    /// Probe resolutions issued.
-    pub probes: usize,
-    /// Probes answered from the range tier.
-    pub synthesized: u64,
-    /// Upstream queries the sweep cost.
-    pub queries: u64,
-}
-
-impl SweepStats {
-    /// Fraction of probes the range tier answered.
-    pub fn hit_ratio(&self) -> f64 {
-        self.synthesized as f64 / self.probes.max(1) as f64
-    }
-}
-
 impl StatsSnapshot {
-    /// Assemble a snapshot from the merged aggregate and the live
-    /// counters (crate-internal: snapshots are measured, not built).
+    /// Assemble a snapshot from the merged aggregate's results and the
+    /// live counters (crate-internal: snapshots are measured, not
+    /// built).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         seq: u64,
         vtime_ms: u64,
         complete: bool,
         scale: u32,
-        tranco_size: u32,
-        agg: &Aggregate,
+        results: ScanResults,
         cache: &ScanCacheReport,
         resolutions: usize,
         traffic: (u64, u64, u64),
@@ -386,47 +367,17 @@ impl StatsSnapshot {
             vtime_ms,
             complete,
             scale,
-            fingerprint: agg.fingerprint,
-            ede: EdeBreakdown {
-                total_domains: agg.total_domains,
-                ede_domains: agg.ede_domains,
-                noerror_with_ede: agg.noerror_with_ede,
-                servfail_domains: agg.servfail_domains,
-                per_code: agg.per_code.clone(),
-                per_combo: agg.per_combo.clone(),
-                nameservers: NsBreakdown {
-                    unique: agg.ns_analysis.unique_ns,
-                    refused: agg.ns_analysis.refused_ns,
-                    servfail: agg.ns_analysis.servfail_ns,
-                    other: agg.ns_analysis.other_ns,
-                    domains_per_ns: agg.ns_analysis.domains_per_ns.clone(),
-                },
-            },
-            tlds: TldBreakdown {
-                gtld_ratios: agg.tld_ratios_gtld.clone(),
-                cctld_ratios: agg.tld_ratios_cctld.clone(),
-            },
-            ranks: RankBucketCurve {
-                tranco_size,
-                ranked: agg.tranco.len(),
-                ede_ranks: agg
-                    .tranco
-                    .iter()
-                    .filter(|(_, ede)| *ede)
-                    .map(|(r, _)| *r)
-                    .collect(),
-            },
+            fingerprint: results.fingerprint,
+            ede: results.ede,
+            tlds: results.tlds,
+            ranks: results.ranks,
             cache: CacheTierStats::from_report(cache),
             traffic: TrafficStats {
                 resolutions,
                 queries: traffic.0,
                 delivered: traffic.1,
                 failed: traffic.2,
-                sweep: sweep.map(|s| SweepStats {
-                    probes: s.probes,
-                    synthesized: s.synthesized,
-                    queries: s.queries,
-                }),
+                sweep: sweep.cloned(),
             },
             query_log,
         }

@@ -25,7 +25,7 @@
 //! after both passes) is deterministic, and that is the one every
 //! bit-identity test compares.
 
-use crate::aggregate::{Aggregate, PartialAggregate};
+use crate::aggregate::{PartialAggregate, ScanResults};
 use crate::population::Population;
 use crate::querylog::QueryLog;
 use crate::scanner::ScanCacheReport;
@@ -60,7 +60,6 @@ pub(crate) struct LiveCtx<'a> {
     pub resolutions: &'a AtomicUsize,
     pub vendor: ede_resolver::Vendor,
     pub scale: u32,
-    pub tranco_size: u32,
 }
 
 /// The shared snapshot store.
@@ -164,7 +163,7 @@ impl SnapshotStore {
     /// the L1 counters are zero: the per-worker L1 tiers live on worker
     /// stacks and only sum at end of scan.
     pub fn snapshot(&self, live: &LiveCtx<'_>, complete: bool, vtime_ms: u64) -> StatsSnapshot {
-        let agg = self.finalize(live.pop);
+        let results = self.finalize(live.pop);
         let cache = ScanCacheReport {
             l1: Default::default(),
             l2: live.resolver.cache_stats(),
@@ -176,8 +175,7 @@ impl SnapshotStore {
             vtime_ms,
             complete,
             live.scale,
-            live.tranco_size,
-            &agg,
+            results,
             &cache,
             live.resolutions.load(Ordering::Relaxed),
             live.net.stats().snapshot(),
@@ -187,7 +185,7 @@ impl SnapshotStore {
     }
 
     /// Finalize the merged aggregate as it stands.
-    pub fn finalize(&self, pop: &Population) -> Aggregate {
+    pub fn finalize(&self, pop: &Population) -> ScanResults {
         self.merged
             .lock()
             .expect("snapshot store lock")

@@ -1,7 +1,7 @@
-//! `repro-scan`'s command line, driven through the built binary: a flag
-//! it does not know, or a value it cannot parse, must stop the run with
-//! a usage line and exit code 2 — never measure the default
-//! configuration in silence.
+//! The command lines of `repro-scan` and `repro-chaos`, driven through
+//! the built binaries: a flag one does not know, or a value it cannot
+//! parse, must stop the run with a usage line and exit code 2 — never
+//! measure the default configuration in silence.
 
 use std::process::{Command, Output};
 
@@ -49,4 +49,41 @@ fn every_documented_flag_is_still_accepted() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.starts_with("fingerprint "), "{stdout}");
     assert!(stdout.contains("query [code=23,tld=com]"), "{stdout}");
+}
+
+fn repro_chaos(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro-chaos"))
+        .args(args)
+        .output()
+        .expect("repro-chaos runs")
+}
+
+#[test]
+fn chaos_unknown_flags_and_bad_values_exit_2_with_usage() {
+    for args in [
+        &["--smoke", "--sede", "7"][..], // mistyped flag
+        &["--smoke", "--seed"],          // value missing
+        &["--smoke", "--seed", "abc"],   // value unparsable
+        &["--smoke", "--seed=7"],        // not this binary's spelling
+        &["--smoke", "10e6"],            // scale unparsable
+        &["--smoke", "--fingerprint"],   // another binary's flag
+    ] {
+        let out = repro_chaos(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} still printed a table");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: repro-chaos"), "{args:?}: {stderr}");
+    }
+}
+
+/// `--seed 7` sets the seed and nothing else: as the first argument
+/// without a `--`, its value used to be picked up a second time as the
+/// positional scale (1:7, a 43 M-domain population).
+#[test]
+fn chaos_seed_value_is_not_the_scale() {
+    let out = repro_chaos(&["--seed", "7", "1000000"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("scale 1:1000000"), "{stderr}");
+    assert!(stderr.contains("(seed 0x7)"), "{stderr}");
 }

@@ -35,13 +35,45 @@ const SMOKE_LABELS: [&str; 6] = [
     "rrsig-no-all",
 ];
 
+/// A mistyped flag or value must not silently serve the default
+/// configuration: say what was wrong, print the usage line, exit 2.
+fn usage_exit(problem: &str) -> ! {
+    eprintln!(
+        "repro-serve: {problem}\n\
+         usage: repro-serve [--bind ADDR] [--vendor NAME] [--workers N] | --smoke | --help"
+    );
+    std::process::exit(2);
+}
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{}", usage());
-        return ExitCode::SUCCESS;
+    let mut run_smoke = false;
+    let mut builder = ServerConfig::builder().bind("127.0.0.1:5300");
+    let mut vendor = Vendor::Cloudflare;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| usage_exit(&format!("{arg} needs a value")))
+        };
+        match arg.as_str() {
+            "--help" | "-h" => {
+                print!("{}", usage());
+                return ExitCode::SUCCESS;
+            }
+            "--smoke" => run_smoke = true,
+            "--bind" => builder = builder.bind(value()),
+            "--vendor" => vendor = parse_vendor(&value()).unwrap_or_else(|e| usage_exit(&e)),
+            "--workers" => {
+                let n = value();
+                builder = builder.workers(
+                    n.parse()
+                        .unwrap_or_else(|_| usage_exit(&format!("bad --workers value {n:?}"))),
+                );
+            }
+            _ => usage_exit(&format!("unknown argument {arg:?}")),
+        }
     }
-    if args.iter().any(|a| a == "--smoke" || a == "--serve-smoke") {
+    if run_smoke {
         return match smoke() {
             Ok(report) => {
                 println!("{report}");
@@ -53,7 +85,7 @@ fn main() -> ExitCode {
             }
         };
     }
-    match foreground(&args) {
+    match foreground(builder.build(), vendor) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("repro-serve: {e}");
@@ -80,13 +112,6 @@ fn usage() -> String {
     )
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
 fn parse_vendor(name: &str) -> Result<Vendor, String> {
     Vendor::ALL
         .into_iter()
@@ -97,28 +122,13 @@ fn parse_vendor(name: &str) -> Result<Vendor, String> {
         })
 }
 
-fn foreground(args: &[String]) -> Result<(), String> {
-    let bind = flag_value(args, "--bind").unwrap_or("127.0.0.1:5300");
-    let vendor = match flag_value(args, "--vendor") {
-        Some(name) => parse_vendor(name)?,
-        None => Vendor::Cloudflare,
-    };
-    let mut builder = ServerConfig::builder()
-        .bind(bind)
-        .snapshot_cadence(Some(Duration::from_secs(1)));
-    if let Some(n) = flag_value(args, "--workers") {
-        let n: usize = n
-            .parse()
-            .map_err(|_| format!("bad --workers value {n:?}"))?;
-        builder = builder.workers(n);
-    }
-
+fn foreground(config: ServerConfig, vendor: Vendor) -> Result<(), String> {
     eprintln!(
         "building testbed ({} zones)...",
         ede_testbed::all_specs().len()
     );
     let tb = Testbed::build();
-    let handle = Server::spawn(tb.resolver(vendor), builder.build())
+    let handle = Server::spawn(tb.resolver(vendor), config)
         .map_err(|e| format!("cannot start server: {e}"))?;
 
     let udp = handle.udp_addr();

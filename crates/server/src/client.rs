@@ -39,8 +39,10 @@ pub struct Exchange {
 pub struct ProbeClient {
     udp: UdpSocket,
     tcp_addr: SocketAddr,
-    timeout: Duration,
 }
+
+/// Per-exchange timeout.
+const TIMEOUT: Duration = Duration::from_secs(5);
 
 impl ProbeClient {
     /// Connect a client to a server's bound addresses.
@@ -50,20 +52,8 @@ impl ProbeClient {
             source,
         })?;
         udp.connect(udp_addr)?;
-        let timeout = Duration::from_secs(5);
-        udp.set_read_timeout(Some(timeout))?;
-        Ok(ProbeClient {
-            udp,
-            tcp_addr,
-            timeout,
-        })
-    }
-
-    /// Change the per-exchange timeout (default 5 s).
-    pub fn set_timeout(&mut self, timeout: Duration) -> Result<(), ServerError> {
-        self.udp.set_read_timeout(Some(timeout))?;
-        self.timeout = timeout;
-        Ok(())
+        udp.set_read_timeout(Some(TIMEOUT))?;
+        Ok(ProbeClient { udp, tcp_addr })
     }
 
     /// Send raw query bytes over UDP and return the raw response bytes.
@@ -77,13 +67,13 @@ impl ProbeClient {
     /// Send raw query bytes over a fresh TCP connection (RFC 1035
     /// framing) and return the raw response bytes.
     pub fn query_tcp(&self, wire: &[u8]) -> Result<Vec<u8>, ServerError> {
-        let mut stream = TcpStream::connect_timeout(&self.tcp_addr, self.timeout)?;
-        stream.set_read_timeout(Some(self.timeout))?;
+        let mut stream = TcpStream::connect_timeout(&self.tcp_addr, TIMEOUT)?;
+        stream.set_read_timeout(Some(TIMEOUT))?;
         let _ = stream.set_nodelay(true);
         stream.write_all(&frame(wire)?)?;
         let mut reader = FrameReader::new(MAX_FRAME_LEN);
         let mut buf = [0u8; 4096];
-        let deadline = Instant::now() + self.timeout;
+        let deadline = Instant::now() + TIMEOUT;
         loop {
             if let Some(response) = reader.next_frame() {
                 return Ok(response);

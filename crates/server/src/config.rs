@@ -85,12 +85,6 @@ pub struct ServerConfig {
     /// truncation path in tests) even though RFC 6891 clients never
     /// advertise less.
     pub udp_payload_max: u16,
-    /// Upper bound of datagrams a worker drains per wakeup: after one
-    /// blocking receive it opportunistically collects up to this many
-    /// requests non-blocking, answers them all, then sends the replies
-    /// back-to-back (batched receive/send without platform-specific
-    /// `recvmmsg`).
-    pub udp_batch: usize,
     /// Maximum simultaneously-open TCP connections; further accepts are
     /// closed immediately and counted as refused.
     pub tcp_conn_cap: usize,
@@ -100,12 +94,6 @@ pub struct ServerConfig {
     /// How long [`shutdown`](crate::ServerHandle::shutdown) waits for
     /// in-flight TCP connections to finish before abandoning them.
     pub drain_deadline: Duration,
-    /// When set, a background thread exports a
-    /// [`ServerMetricsSnapshot`](ede_trace::ServerMetricsSnapshot) JSON
-    /// document (with qps computed over the interval) to the attached
-    /// [`SnapshotSink`](ede_trace::SnapshotSink)s at this cadence. No
-    /// exporter thread runs when `None`.
-    pub snapshot_cadence: Option<Duration>,
 }
 
 impl Default for ServerConfig {
@@ -119,11 +107,9 @@ impl Default for ServerConfig {
             tcp_bind: None,
             workers,
             udp_payload_max: 1232,
-            udp_batch: 16,
             tcp_conn_cap: 64,
             tcp_read_timeout: Duration::from_secs(5),
             drain_deadline: Duration::from_secs(3),
-            snapshot_cadence: None,
         }
     }
 }
@@ -154,9 +140,6 @@ impl ServerConfig {
     pub(crate) fn validate(&self) -> Result<(), ServerError> {
         if self.workers == 0 {
             return Err(ServerError::InvalidConfig("workers must be >= 1"));
-        }
-        if self.udp_batch == 0 {
-            return Err(ServerError::InvalidConfig("udp_batch must be >= 1"));
         }
         if self.tcp_conn_cap == 0 {
             return Err(ServerError::InvalidConfig("tcp_conn_cap must be >= 1"));
@@ -206,12 +189,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Set the per-wakeup receive batch bound.
-    pub fn udp_batch(mut self, n: usize) -> Self {
-        self.config.udp_batch = n;
-        self
-    }
-
     /// Set the simultaneous TCP connection cap.
     pub fn tcp_conn_cap(mut self, n: usize) -> Self {
         self.config.tcp_conn_cap = n;
@@ -230,13 +207,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Export runtime stats snapshots at this cadence (see
-    /// [`ServerConfig::snapshot_cadence`]).
-    pub fn snapshot_cadence(mut self, cadence: Option<Duration>) -> Self {
-        self.config.snapshot_cadence = cadence;
-        self
-    }
-
     /// Finish, yielding the configuration.
     pub fn build(self) -> ServerConfig {
         self.config
@@ -252,10 +222,8 @@ mod tests {
         let c = ServerConfig::default();
         assert!(c.workers >= 1);
         assert_eq!(c.udp_payload_max, 1232);
-        assert!(c.udp_batch >= 1);
         assert!(c.tcp_conn_cap >= 1);
         assert!(c.tcp_bind.is_none());
-        assert!(c.snapshot_cadence.is_none());
         assert!(c.validate().is_ok());
     }
 
@@ -266,21 +234,17 @@ mod tests {
             .tcp_bind("127.0.0.1:5301")
             .workers(7)
             .udp_payload_max(512)
-            .udp_batch(32)
             .tcp_conn_cap(9)
             .tcp_read_timeout(Duration::from_millis(750))
             .drain_deadline(Duration::from_millis(250))
-            .snapshot_cadence(Some(Duration::from_secs(1)))
             .build();
         assert_eq!(c.udp_bind, "127.0.0.1:5300");
         assert_eq!(c.tcp_bind.as_deref(), Some("127.0.0.1:5301"));
         assert_eq!(c.workers, 7);
         assert_eq!(c.udp_payload_max, 512);
-        assert_eq!(c.udp_batch, 32);
         assert_eq!(c.tcp_conn_cap, 9);
         assert_eq!(c.tcp_read_timeout, Duration::from_millis(750));
         assert_eq!(c.drain_deadline, Duration::from_millis(250));
-        assert_eq!(c.snapshot_cadence, Some(Duration::from_secs(1)));
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The transport-independent request pipeline.
 //!
 //! Both front ends — UDP shard workers and TCP connection handlers —
-//! funnel raw request bytes through the same three steps:
+//! funnel raw request bytes through one crate-internal step that runs
+//! 1 and 2 and counts their decisions; 3 is the datagram transport's
+//! own:
 //!
 //! 1. [`classify`] decides what the bytes are: a resolvable query, a
 //!    protocol violation answered with FORMERR/NOTIMP/REFUSED, or
@@ -30,6 +32,7 @@
 //!    TCP retry bit-identical to the untruncated message.
 
 use ede_resolver::{L1Cache, Resolver};
+use ede_trace::ServerMetrics;
 use ede_wire::{Class, Header, Message, Opcode, Rcode, WireError};
 
 /// Why a datagram was dropped without any reply.
@@ -140,6 +143,42 @@ pub fn answer(resolver: &Resolver, l1: Option<&L1Cache>, query: &Message) -> Mes
         resp.edns = None;
     }
     resp
+}
+
+/// What one request's bytes earned: what the transport must send.
+pub(crate) enum Reply {
+    /// Dropped; nothing goes back.
+    Nothing,
+    /// A protocol violation's pre-built rejection.
+    Rejection(Message),
+    /// The resolved answer, with the query it answers (the datagram
+    /// transport needs its EDNS advertisement to encode).
+    Answer(Message, Box<Message>),
+}
+
+/// The request path both transports share: [`classify`], count the
+/// disposition, [`answer`]. `l1` is passed through to [`answer`].
+pub(crate) fn serve(
+    resolver: &Resolver,
+    metrics: &ServerMetrics,
+    l1: Option<&L1Cache>,
+    wire: &[u8],
+) -> Reply {
+    match classify(wire) {
+        QueryDisposition::Drop(_) => {
+            metrics.dropped();
+            Reply::Nothing
+        }
+        QueryDisposition::Reject(reply, kind) => {
+            match kind {
+                RejectKind::FormErr => metrics.rejected_formerr(),
+                RejectKind::NotImp => metrics.rejected_notimp(),
+                RejectKind::Refused => metrics.rejected_refused(),
+            }
+            Reply::Rejection(*reply)
+        }
+        QueryDisposition::Resolve(query) => Reply::Answer(answer(resolver, l1, &query), query),
+    }
 }
 
 /// Encode `reply` for the UDP transport, truncating when it exceeds the

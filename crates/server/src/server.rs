@@ -11,7 +11,7 @@
 use crate::config::{ServerConfig, ServerError};
 use crate::{tcp, udp};
 use ede_resolver::Resolver;
-use ede_trace::{ServerMetrics, ServerMetricsSnapshot, SnapshotSink};
+use ede_trace::{ServerMetrics, ServerMetricsSnapshot};
 use std::net::{SocketAddr, TcpListener, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -40,27 +40,6 @@ impl Server {
     /// handle once every thread is running and both transports are
     /// reachable.
     pub fn spawn(resolver: Resolver, config: ServerConfig) -> Result<ServerHandle, ServerError> {
-        Server::spawn_inner(resolver, config, Vec::new())
-    }
-
-    /// [`spawn`](Server::spawn), additionally streaming periodic
-    /// [`ServerMetricsSnapshot`] JSON documents (with a qps gauge
-    /// computed over each interval) into `sinks`. Requires
-    /// [`snapshot_cadence`](ServerConfig::snapshot_cadence) to be set;
-    /// without it the sinks are held but never fed.
-    pub fn spawn_with_sinks(
-        resolver: Resolver,
-        config: ServerConfig,
-        sinks: Vec<Arc<dyn SnapshotSink>>,
-    ) -> Result<ServerHandle, ServerError> {
-        Server::spawn_inner(resolver, config, sinks)
-    }
-
-    fn spawn_inner(
-        resolver: Resolver,
-        config: ServerConfig,
-        sinks: Vec<Arc<dyn SnapshotSink>>,
-    ) -> Result<ServerHandle, ServerError> {
         config.validate()?;
 
         let udp = UdpSocket::bind(&config.udp_bind).map_err(|source| ServerError::Bind {
@@ -89,7 +68,7 @@ impl Server {
             config,
         });
 
-        let mut threads = Vec::with_capacity(shared.config.workers + 2);
+        let mut threads = Vec::with_capacity(shared.config.workers + 1);
         for w in 0..shared.config.workers {
             let socket = udp.try_clone()?;
             let shared = Arc::clone(&shared);
@@ -107,16 +86,6 @@ impl Server {
                     .spawn(move || tcp::run_acceptor(shared, listener))?,
             );
         }
-        if let Some(cadence) = shared.config.snapshot_cadence {
-            if !sinks.is_empty() {
-                let shared = Arc::clone(&shared);
-                threads.push(
-                    std::thread::Builder::new()
-                        .name("ede-stats-export".to_string())
-                        .spawn(move || run_exporter(&shared, cadence, &sinks))?,
-                );
-            }
-        }
 
         Ok(ServerHandle {
             udp_addr,
@@ -125,33 +94,6 @@ impl Server {
             shared,
             threads,
         })
-    }
-}
-
-/// Periodically export a stats snapshot with a qps gauge computed over
-/// the cadence interval.
-fn run_exporter(shared: &Shared, cadence: Duration, sinks: &[Arc<dyn SnapshotSink>]) {
-    let started = Instant::now();
-    let mut seq: u64 = 0;
-    let mut last_queries: u64 = 0;
-    let mut last_tick = Instant::now();
-    while !shared.stop.load(Ordering::Acquire) {
-        std::thread::sleep(cadence.min(Duration::from_millis(50)));
-        if last_tick.elapsed() < cadence {
-            continue;
-        }
-        let snapshot = shared.metrics.snapshot();
-        let queries = snapshot.queries();
-        let interval = last_tick.elapsed().as_secs_f64().max(1e-9);
-        let qps = (queries - last_queries) as f64 / interval;
-        last_queries = queries;
-        last_tick = Instant::now();
-        seq += 1;
-        let json = snapshot.to_json_with(&[("qps", format!("{qps:.1}"))]);
-        let vtime_ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
-        for sink in sinks {
-            sink.export_snapshot(seq, vtime_ms, &json);
-        }
     }
 }
 
@@ -286,18 +228,5 @@ impl ServerStats {
         );
         out.push_str(&self.metrics.render());
         out
-    }
-
-    /// Serialize as one JSON object line, embedding the metrics
-    /// document's fields plus identity/gauge extras.
-    pub fn to_json(&self) -> String {
-        self.metrics.to_json_with(&[
-            ("udp_addr", format!("\"{}\"", self.udp_addr)),
-            ("tcp_addr", format!("\"{}\"", self.tcp_addr)),
-            ("workers", self.workers.to_string()),
-            ("uptime_ms", self.uptime.as_millis().to_string()),
-            ("active_tcp_conns", self.active_tcp_conns.to_string()),
-            ("drained", self.drained.to_string()),
-        ])
     }
 }

@@ -17,7 +17,7 @@
 //! closes; [`ServerHandle::shutdown`](crate::ServerHandle::shutdown)
 //! polls the live-connection gauge until the drain deadline.
 
-use crate::pipeline::{self, QueryDisposition, RejectKind};
+use crate::pipeline::{self, Reply};
 use crate::server::Shared;
 use ede_wire::stream::{frame, FrameReader, MAX_FRAME_LEN};
 use std::io::{ErrorKind, Read, Write};
@@ -135,21 +135,10 @@ fn serve_frame(shared: &Shared, stream: &mut TcpStream, request: &[u8]) -> bool 
     let metrics = &shared.metrics;
     let started = Instant::now();
     metrics.tcp_query(request.len());
-    let reply = match pipeline::classify(request) {
-        QueryDisposition::Drop(_) => {
-            metrics.dropped();
-            return false;
-        }
-        QueryDisposition::Reject(reply, kind) => {
-            match kind {
-                RejectKind::FormErr => metrics.rejected_formerr(),
-                RejectKind::NotImp => metrics.rejected_notimp(),
-                RejectKind::Refused => metrics.rejected_refused(),
-            }
-            *reply
-        }
+    let reply = match pipeline::serve(&shared.resolver, metrics, None, request) {
+        Reply::Nothing => return false,
         // No TC on a stream: the full answer always fits the frame.
-        QueryDisposition::Resolve(query) => pipeline::answer(&shared.resolver, None, &query),
+        Reply::Rejection(reply) | Reply::Answer(reply, _) => reply,
     };
     match reply.encode().and_then(|wire| frame(&wire)) {
         Ok(framed) => {

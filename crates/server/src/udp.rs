@@ -6,14 +6,12 @@
 //! plus a private [`L1Cache`] tier, so the hot path never contends on a
 //! lock for cached answers.
 //!
-//! Batching without `recvmmsg`: a worker blocks (with a short timeout so
-//! it can observe the stop flag) until one datagram arrives, then flips
-//! the socket non-blocking and drains up to `udp_batch - 1` more before
-//! answering the whole batch and sending the replies back-to-back. Under
-//! load this amortizes the mode flips across many datagrams; when idle
-//! it degrades to plain blocking receive.
+//! A worker blocks in `recv_from` (with a short timeout so it can
+//! observe the stop flag), answers the datagram out of the receive
+//! buffer, sends the reply, and blocks again: one receive and one send
+//! per datagram, nothing else. A burst waits in the socket's own queue.
 
-use crate::pipeline::{self, QueryDisposition, RejectKind};
+use crate::pipeline::{self, Reply};
 use crate::server::Shared;
 use ede_resolver::L1Cache;
 use std::io::ErrorKind;
@@ -28,13 +26,6 @@ const RECV_BUF: usize = 4096;
 /// How long a blocking receive waits before re-checking the stop flag.
 const POLL_TICK: Duration = Duration::from_millis(25);
 
-/// One received datagram waiting for its answer.
-struct Pending {
-    wire: Vec<u8>,
-    peer: SocketAddr,
-    started: Instant,
-}
-
 /// Drive one shard worker until the stop flag is raised. Any socket
 /// error other than a timeout ends the loop (the handle surfaces
 /// nothing; the remaining shards keep serving).
@@ -44,79 +35,45 @@ pub(crate) fn run_udp_worker(shared: &Shared, socket: &UdpSocket) {
         return;
     }
     let mut buf = [0u8; RECV_BUF];
-    let mut batch: Vec<Pending> = Vec::with_capacity(shared.config.udp_batch);
 
     while !shared.stop.load(Ordering::Acquire) {
-        batch.clear();
-        // Block (bounded by POLL_TICK) for the first datagram.
         match socket.recv_from(&mut buf) {
-            Ok((n, peer)) => batch.push(Pending {
-                wire: buf[..n].to_vec(),
-                peer,
-                started: Instant::now(),
-            }),
+            Ok((n, peer)) => serve_datagram(shared, socket, &l1, &buf[..n], peer),
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
             Err(_) => break,
-        }
-        // Opportunistically drain more without blocking.
-        if shared.config.udp_batch > 1 && socket.set_nonblocking(true).is_ok() {
-            while batch.len() < shared.config.udp_batch {
-                match socket.recv_from(&mut buf) {
-                    Ok((n, peer)) => batch.push(Pending {
-                        wire: buf[..n].to_vec(),
-                        peer,
-                        started: Instant::now(),
-                    }),
-                    Err(_) => break,
-                }
-            }
-            if socket.set_nonblocking(false).is_err()
-                || socket.set_read_timeout(Some(POLL_TICK)).is_err()
-            {
-                break;
-            }
-        }
-        for pending in &batch {
-            serve_datagram(shared, socket, &l1, pending);
         }
     }
 }
 
 /// Answer one datagram end-to-end, recording every metrics decision.
-fn serve_datagram(shared: &Shared, socket: &UdpSocket, l1: &L1Cache, pending: &Pending) {
+fn serve_datagram(
+    shared: &Shared,
+    socket: &UdpSocket,
+    l1: &L1Cache,
+    wire: &[u8],
+    peer: SocketAddr,
+) {
     let metrics = &shared.metrics;
-    metrics.udp_query(pending.wire.len());
-    match pipeline::classify(&pending.wire) {
-        QueryDisposition::Drop(_) => {
-            metrics.dropped();
-        }
-        QueryDisposition::Reject(reply, kind) => {
-            match kind {
-                RejectKind::FormErr => metrics.rejected_formerr(),
-                RejectKind::NotImp => metrics.rejected_notimp(),
-                RejectKind::Refused => metrics.rejected_refused(),
-            }
-            match reply.encode() {
-                Ok(wire) => {
-                    if socket.send_to(&wire, pending.peer).is_ok() {
-                        metrics.udp_response(wire.len(), false);
-                    }
+    let started = Instant::now();
+    metrics.udp_query(wire.len());
+    let (encoded, answered) = match pipeline::serve(&shared.resolver, metrics, Some(l1), wire) {
+        Reply::Nothing => return,
+        Reply::Rejection(reply) => (reply.encode().map(|wire| (wire, false)), false),
+        Reply::Answer(reply, query) => (
+            pipeline::encode_udp(&reply, &query, shared.config.udp_payload_max),
+            true,
+        ),
+    };
+    match encoded {
+        Ok((wire, truncated)) => {
+            if socket.send_to(&wire, peer).is_ok() {
+                metrics.udp_response(wire.len(), truncated);
+                if answered {
+                    metrics.observe_handle_us(elapsed_us(started));
                 }
-                Err(_) => metrics.encode_error(),
             }
         }
-        QueryDisposition::Resolve(query) => {
-            let reply = pipeline::answer(&shared.resolver, Some(l1), &query);
-            match pipeline::encode_udp(&reply, &query, shared.config.udp_payload_max) {
-                Ok((wire, truncated)) => {
-                    if socket.send_to(&wire, pending.peer).is_ok() {
-                        metrics.udp_response(wire.len(), truncated);
-                        metrics.observe_handle_us(elapsed_us(pending.started));
-                    }
-                }
-                Err(_) => metrics.encode_error(),
-            }
-        }
+        Err(_) => metrics.encode_error(),
     }
 }
 

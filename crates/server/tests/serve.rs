@@ -319,7 +319,6 @@ fn udp_burst_reconciles_with_stats() {
         ServerConfig::builder()
             .bind("127.0.0.1:0")
             .workers(3)
-            .udp_batch(8)
             .build(),
     );
     let (udp_addr, tcp_addr) = (handle.udp_addr(), handle.tcp_addr());
@@ -347,6 +346,44 @@ fn udp_burst_reconciles_with_stats() {
     assert_eq!(stats.metrics.udp_responses, received);
     assert_eq!(stats.metrics.udp_queries, received);
     assert!(stats.drained);
+}
+
+/// A burst waits in the socket's queue: one client sends 64 datagrams
+/// back to back before reading anything, and the one-at-a-time receive
+/// loop must still answer every one of them.
+#[test]
+fn back_to_back_datagrams_are_all_answered() {
+    let (handle, _) = spawn(
+        ServerConfig::builder()
+            .bind("127.0.0.1:0")
+            .workers(1)
+            .build(),
+    );
+    let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+    socket.connect(handle.udp_addr()).unwrap();
+    socket
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+
+    for id in 0..64u16 {
+        let label = ["valid", "no-ds", "bad-zsk"][usize::from(id) % 3];
+        let wire = Message::query(0x4000 + id, qname(label), RrType::A)
+            .encode()
+            .unwrap();
+        socket.send(&wire).unwrap();
+    }
+    let mut ids = Vec::new();
+    let mut buf = [0u8; 4096];
+    for _ in 0..64 {
+        let n = socket.recv(&mut buf).expect("every datagram is answered");
+        ids.push(Message::decode(&buf[..n]).unwrap().id);
+    }
+    ids.sort_unstable();
+    assert_eq!(ids, (0x4000..0x4040).collect::<Vec<u16>>());
+
+    let stats = handle.shutdown().unwrap();
+    assert_eq!(stats.metrics.udp_queries, 64);
+    assert_eq!(stats.metrics.udp_responses, 64);
 }
 
 #[test]

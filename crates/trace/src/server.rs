@@ -10,12 +10,8 @@
 //! microsecond-resolution latency histogram for in-process
 //! request-handling time.
 //!
-//! Snapshots ([`ServerMetricsSnapshot`]) render to an operator summary
-//! or a single-line JSON document, which is what the server's periodic
-//! export loop hands to [`SnapshotSink`](crate::SnapshotSink)s for
-//! runtime qps/latency gauges.
+//! Snapshots ([`ServerMetricsSnapshot`]) render to an operator summary.
 
-use crate::json::json_string;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Latency histogram bucket upper bounds in **microseconds**, chosen
@@ -315,56 +311,6 @@ impl ServerMetricsSnapshot {
         ));
         out
     }
-
-    /// Serialize as one JSON object line (no trailing newline). Extra
-    /// key/value pairs (already JSON-rendered values, e.g. a computed
-    /// qps gauge) are prepended — this is what the serving front end's
-    /// snapshot exporter feeds to [`SnapshotSink`](crate::SnapshotSink)s.
-    pub fn to_json_with(&self, extra: &[(&str, String)]) -> String {
-        let mut fields: Vec<(&str, String)> = Vec::with_capacity(extra.len() + 18);
-        fields.push(("schema", json_string("ede-server-stats/1")));
-        fields.extend(extra.iter().map(|(k, v)| (*k, v.clone())));
-        fields.extend([
-            ("udp_queries", self.udp_queries.to_string()),
-            ("udp_responses", self.udp_responses.to_string()),
-            ("udp_truncated", self.udp_truncated.to_string()),
-            ("tcp_queries", self.tcp_queries.to_string()),
-            ("tcp_responses", self.tcp_responses.to_string()),
-            ("tcp_conns_accepted", self.tcp_conns_accepted.to_string()),
-            ("tcp_conns_refused", self.tcp_conns_refused.to_string()),
-            ("tcp_read_timeouts", self.tcp_read_timeouts.to_string()),
-            ("rejected_formerr", self.rejected_formerr.to_string()),
-            ("rejected_notimp", self.rejected_notimp.to_string()),
-            ("rejected_refused", self.rejected_refused.to_string()),
-            ("dropped", self.dropped.to_string()),
-            ("encode_errors", self.encode_errors.to_string()),
-            ("bytes_received", self.bytes_received.to_string()),
-            ("bytes_sent", self.bytes_sent.to_string()),
-            (
-                "latency_mean_us",
-                format!("{:.1}", self.handle_latency.mean_us()),
-            ),
-            (
-                "latency_p50_us",
-                self.handle_latency.quantile_us(0.50).to_string(),
-            ),
-            (
-                "latency_p99_us",
-                self.handle_latency.quantile_us(0.99).to_string(),
-            ),
-            ("latency_max_us", self.handle_latency.max.to_string()),
-        ]);
-        let body: Vec<String> = fields
-            .iter()
-            .map(|(k, v)| format!("{}:{v}", json_string(k)))
-            .collect();
-        format!("{{{}}}", body.join(","))
-    }
-
-    /// [`to_json_with`](Self::to_json_with) with no extra fields.
-    pub fn to_json(&self) -> String {
-        self.to_json_with(&[])
-    }
 }
 
 #[cfg(test)]
@@ -416,20 +362,6 @@ mod tests {
             render.contains("1 FORMERR, 1 NOTIMP, 1 REFUSED, 1 dropped"),
             "{render}"
         );
-    }
-
-    #[test]
-    fn json_is_single_object_with_schema() {
-        let m = ServerMetrics::new();
-        m.udp_query(10);
-        m.observe_handle_us(75);
-        let s = m.snapshot();
-        let json = s.to_json_with(&[("qps", "123.4".to_string())]);
-        assert!(json.starts_with("{\"schema\":\"ede-server-stats/1\",\"qps\":123.4,"));
-        assert!(json.contains("\"udp_queries\":1"));
-        assert!(json.contains("\"latency_p50_us\":100"));
-        assert!(json.ends_with('}'));
-        assert!(!json.contains('\n'));
     }
 
     #[test]

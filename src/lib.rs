@@ -65,7 +65,7 @@ pub use ede_zone as zone;
 /// The one-line import for applications.
 ///
 /// Curated for the common workflows: building the testbed, configuring
-/// resolvers (via [`ResolverConfig::builder`](ede_resolver::ResolverConfig::builder)),
+/// resolvers (a [`ResolverConfig`](ede_resolver::ResolverConfig) adjusted field by field),
 /// running scans (via [`ScanConfig::builder`](ede_scan::ScanConfig::builder)),
 /// serving over real sockets (via
 /// [`Server::spawn`](ede_server::Server::spawn) with
@@ -77,8 +77,8 @@ pub use ede_zone as zone;
 pub mod prelude {
     pub use ede_netsim::{FaultPlan, NetError, Network, SimClock};
     pub use ede_resolver::{
-        Diagnosis, Resolution, Resolver, ResolverConfig, ResolverConfigBuilder, RetryPolicy,
-        ServerSelection, Vendor, VendorProfile,
+        Diagnosis, Resolution, Resolver, ResolverConfig, RetryPolicy, ServerSelection, Vendor,
+        VendorProfile,
     };
     pub use ede_scan::{
         scan, scan_streaming, ChaosConfig, Population, PopulationConfig, QueryFilter, QueryRecord,

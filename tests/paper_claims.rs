@@ -3,10 +3,8 @@
 
 use extended_dns_errors::resolver::Vendor;
 use extended_dns_errors::scan::{
-    aggregate::aggregate,
     population::{Population, PopulationConfig},
     scanner::{scan, ScanConfig},
-    stats,
     world::ScanWorld,
 };
 use extended_dns_errors::testbed::{agreement, expectations::table4, Testbed};
@@ -67,9 +65,9 @@ fn claim_scan_inventory_shape() {
     let pop = Population::generate(cfg);
     let world = ScanWorld::build(&pop);
     let result = scan(&pop, &world, &ScanConfig::default());
-    let agg = aggregate(&pop, &result);
+    let ede = &result.stats.ede;
 
-    let count = |c: u16| agg.per_code.get(&c).copied().unwrap_or(0);
+    let count = |c: u16| ede.per_code.get(&c).copied().unwrap_or(0);
     assert!(count(22) > count(23), "22 dominates 23");
     assert!(count(23) > count(10), "23 dominates 10");
     assert!(count(10) > count(9), "10 dominates 9");
@@ -77,18 +75,18 @@ fn claim_scan_inventory_shape() {
 
     // 17.7M / 303M = 5.8% — allow slack for the absolute-planted rare
     // categories at this scale.
-    let rate = agg.ede_domains as f64 / agg.total_domains as f64;
+    let rate = ede.ede_rate();
     assert!((0.04..0.10).contains(&rate), "EDE rate {rate}");
 
     // Lame delegation (22 ∪ 23) is "the issue affecting the largest
     // number of registered domain names".
-    let lame = agg
+    let lame = ede
         .per_combo
         .iter()
         .filter(|(combo, _)| combo.contains(&22) || combo.contains(&23))
         .map(|(_, n)| n)
         .sum::<usize>();
-    assert!(lame * 2 > agg.ede_domains, "lame delegation dominates");
+    assert!(lame * 2 > ede.ede_domains, "lame delegation dominates");
 }
 
 /// §4.3 / Figure 1: ccTLDs are more likely to carry misconfigured
@@ -102,17 +100,17 @@ fn claim_figure1_tld_concentration() {
     let pop = Population::generate(cfg);
     let world = ScanWorld::build(&pop);
     let result = scan(&pop, &world, &ScanConfig::default());
-    let agg = aggregate(&pop, &result);
+    let tlds = &result.stats.tlds;
 
-    let g0 = stats::fraction_at(&agg.tld_ratios_gtld, 0.0);
-    let c0 = stats::fraction_at(&agg.tld_ratios_cctld, 0.0);
+    let g0 = tlds.gtld_zero_fraction();
+    let c0 = tlds.cctld_zero_fraction();
     assert!(g0 > c0, "more gTLDs than ccTLDs are clean: {g0} vs {c0}");
     assert!(g0 > 0.25, "a large share of gTLDs is clean: {g0}");
 
     // Fully-broken TLDs exist on both sides (the paper: 11 gTLDs, 2
     // ccTLDs).
-    assert!(agg.tld_ratios_gtld.contains(&1.0));
-    assert!(agg.tld_ratios_cctld.contains(&1.0));
+    assert!(tlds.gtld_ratios.contains(&1.0));
+    assert!(tlds.cctld_ratios.contains(&1.0));
 }
 
 /// §4.3 / Figure 2: EDE-triggering domains are evenly distributed across
@@ -127,26 +125,20 @@ fn claim_figure2_tranco_uniformity() {
         tranco_size: 2000,
         ..Default::default()
     };
-    let tranco_size = cfg.tranco_size;
     let pop = Population::generate(cfg);
     let world = ScanWorld::build(&pop);
     let result = scan(&pop, &world, &ScanConfig::default());
-    let agg = aggregate(&pop, &result);
+    let ranks = &result.stats.ranks;
 
-    let overlap = agg.tranco_overlap();
+    let overlap = ranks.overlap();
     assert!(overlap > 10, "enough ranked EDE domains to test: {overlap}");
 
     // Kolmogorov-style check against the uniform CDF.
-    let series = agg.figure2();
-    let n = f64::from(tranco_size);
-    let max_dev = series
-        .iter()
-        .map(|&(x, y)| (y - x / n).abs())
-        .fold(0.0f64, f64::max);
+    let max_dev = ranks.max_uniform_deviation();
     assert!(max_dev < 0.25, "rank CDF far from uniform: {max_dev}");
 
     assert!(
-        agg.noerror_with_ede > 0,
+        result.stats.ede.noerror_with_ede > 0,
         "NOERROR responses still carry EDE"
     );
 }
