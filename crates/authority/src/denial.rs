@@ -230,7 +230,7 @@ mod tests {
         let z = signed_zone();
         let p = zone_nsec3_params(&z).unwrap();
         assert_eq!(p.iterations, 0);
-        assert_eq!(p.salt, vec![0xab, 0xcd]);
+        assert_eq!(p.salt[..], [0xab, 0xcd]);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use ede_wire::Name;
 use ede_zone::Zone;
-use std::collections::BTreeMap;
 
 /// The zones one server is authoritative for.
 ///
@@ -12,9 +11,10 @@ use std::collections::BTreeMap;
 /// the scan).
 #[derive(Debug, Default)]
 pub struct ZoneStore {
-    /// Keyed by apex; `Name`'s canonical order keeps ancestors adjacent
-    /// but we still scan — the store is small per server.
-    zones: BTreeMap<Name, Zone>,
+    /// A plain vector: the store is small per server — one zone for the
+    /// servers the scan world builds per query — and `find` has to look
+    /// at every apex anyway.
+    zones: Vec<Zone>,
 }
 
 impl ZoneStore {
@@ -25,44 +25,18 @@ impl ZoneStore {
 
     /// Add (or replace) a zone.
     pub fn insert(&mut self, zone: Zone) {
-        self.zones.insert(zone.apex().clone(), zone);
+        match self.zones.iter_mut().find(|z| z.apex() == zone.apex()) {
+            Some(held) => *held = zone,
+            None => self.zones.push(zone),
+        }
     }
 
     /// The best (deepest) zone for `qname`, if any.
     pub fn find(&self, qname: &Name) -> Option<&Zone> {
-        let mut best: Option<&Zone> = None;
-        for (apex, zone) in &self.zones {
-            if qname.is_subdomain_of(apex) {
-                let better = match best {
-                    None => true,
-                    Some(b) => apex.label_count() > b.apex().label_count(),
-                };
-                if better {
-                    best = Some(zone);
-                }
-            }
-        }
-        best
-    }
-
-    /// Direct access by exact apex.
-    pub fn get(&self, apex: &Name) -> Option<&Zone> {
-        self.zones.get(apex)
-    }
-
-    /// Number of zones.
-    pub fn len(&self) -> usize {
-        self.zones.len()
-    }
-
-    /// True when no zones are loaded.
-    pub fn is_empty(&self) -> bool {
-        self.zones.is_empty()
-    }
-
-    /// Iterate zones in apex order.
-    pub fn iter(&self) -> impl Iterator<Item = &Zone> {
-        self.zones.values()
+        self.zones
+            .iter()
+            .filter(|z| qname.is_subdomain_of(z.apex()))
+            .max_by_key(|z| z.apex().label_count())
     }
 }
 
@@ -86,7 +60,6 @@ mod tests {
         );
         assert_eq!(store.find(&n("other.com")).unwrap().apex(), &n("com"));
         assert!(store.find(&n("example.org")).is_none());
-        assert_eq!(store.len(), 2);
     }
 
     #[test]

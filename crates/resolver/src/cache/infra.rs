@@ -229,11 +229,7 @@ impl InfraCache {
         let zone = entry.zone.detached();
         let entry = Arc::new(ReferralEntry {
             zone: zone.clone(),
-            servers: entry.servers,
-            ds_rdatas: entry.ds_rdatas,
-            ns_count: entry.ns_count,
-            signed: entry.signed,
-            expires: entry.expires,
+            ..entry
         });
         self.referral_shard(&zone)
             .lock()

@@ -210,12 +210,15 @@ pub enum CacheHit {
     Miss,
 }
 
-/// One lockable slice of the store. Buckets are keyed by the
-/// precomputed `(qname, qtype)` hash; the tiny per-bucket vector
-/// resolves the (rare) 64-bit collisions by comparing the stored key.
+/// One lockable slice of the store. Entries sit inline in a map keyed
+/// by the precomputed `(qname, qtype)` hash, so storing one allocates no
+/// bucket of its own; an entry whose 64-bit hash is already taken by a
+/// *different* key — all but unheard of — goes to `collided` instead.
 #[derive(Default)]
 struct Shard {
-    buckets: HashMap<u64, Vec<Entry>>,
+    entries: HashMap<u64, Entry>,
+    /// `(hash, entry)` for keys that lost their hash to another key.
+    collided: Vec<(u64, Entry)>,
     /// TTL wheel: coarse deadline bucket → `(hash, seq)` slots.
     wheel: BTreeMap<u32, Vec<(u64, u64)>>,
     /// Insertion ring for the CLOCK sweep: `(hash, seq)` in store order.
@@ -224,21 +227,27 @@ struct Shard {
 }
 
 impl Shard {
+    /// Every stored entry hashing to `hash` (one, bar collisions).
+    fn at_hash(&self, hash: u64) -> impl Iterator<Item = &Entry> {
+        let collided = self.collided.iter().filter(move |(h, _)| *h == hash);
+        self.entries
+            .get(&hash)
+            .into_iter()
+            .chain(collided.map(|(_, e)| e))
+    }
+
     /// Remove the entry addressed by `(hash, seq)`; true when it was
     /// there. A stale sequence (entry overwritten or already removed)
     /// is a no-op.
     fn remove_slot(&mut self, hash: u64, seq: u64) -> bool {
-        let Some(bucket) = self.buckets.get_mut(&hash) else {
-            return false;
-        };
-        let Some(idx) = bucket.iter().position(|e| e.seq == seq) else {
-            return false;
-        };
-        bucket.swap_remove(idx);
-        if bucket.is_empty() {
-            self.buckets.remove(&hash);
+        if self.entries.get(&hash).is_some_and(|e| e.seq == seq) {
+            return self.entries.remove(&hash).is_some();
         }
-        true
+        let at = self
+            .collided
+            .iter()
+            .position(|(h, e)| *h == hash && e.seq == seq);
+        at.map(|at| self.collided.swap_remove(at)).is_some()
     }
 
     /// Drain every wheel bucket that lies wholly before `now`,
@@ -348,9 +357,8 @@ impl Cache {
         let hash = probe_hash(qname, qtype.to_u16());
         let shard = self.shard_for(hash).lock().expect("no poisoning");
         let Some(entry) = shard
-            .buckets
-            .get(&hash)
-            .and_then(|b| find(b, qname, qtype.to_u16()))
+            .at_hash(hash)
+            .find(|e| e.qtype == qtype.to_u16() && e.qname == *qname)
         else {
             return CacheHit::Miss;
         };
@@ -421,10 +429,18 @@ impl Cache {
         let deadline = now
             .saturating_add(ttl)
             .saturating_add(self.stale_window_secs);
-        let bucket = shard.buckets.entry(hash).or_default();
-        let existing = bucket
-            .iter_mut()
-            .find(|e| e.qtype == qtype.to_u16() && e.qname == *qname);
+        let is_key = |e: &Entry| e.qtype == qtype.to_u16() && e.qname == *qname;
+        let shard = &mut *shard;
+        let slot = shard.entries.get_mut(&hash);
+        let taken = slot.is_some();
+        let existing = match slot {
+            Some(e) if is_key(e) => Some(e),
+            _ => shard
+                .collided
+                .iter_mut()
+                .map(|(_, e)| e)
+                .find(|e| is_key(e)),
+        };
         if data.is_failure {
             if let Some(e) = &existing {
                 if !e.data.is_failure
@@ -446,18 +462,26 @@ impl Cache {
                 e.seq = seq;
                 e.referenced.set(true);
             }
-            // Entries outlive the resolution that created them: detach
-            // the key so it doesn't pin the caller's allocations.
+            // Entries outlive the resolution that created them, so the
+            // key must not pin the caller's allocations: it shares the
+            // block of an answer's owner, which the entry holds anyway,
+            // or is a detached copy.
             None => {
-                bucket.push(Entry {
-                    qname: qname.detached(),
+                let owner = data.answers.iter().map(|r| &r.name).find(|n| *n == qname);
+                let entry = Entry {
+                    qname: owner.cloned().unwrap_or_else(|| qname.detached()),
                     qtype: qtype.to_u16(),
                     data,
                     stored_at: now,
                     ttl,
                     seq,
                     referenced: Cell::new(false),
-                });
+                };
+                if taken {
+                    shard.collided.push((hash, entry));
+                } else {
+                    shard.entries.insert(hash, entry);
+                }
                 let occ = self.occupancy.fetch_add(1, Relaxed) + 1;
                 self.stats.occupancy_peak.fetch_max(occ, Relaxed);
             }
@@ -480,25 +504,16 @@ impl Cache {
                 let Some((h, s)) = shard.ring.pop_front() else {
                     break;
                 };
-                let is_live = shard
-                    .buckets
-                    .get(&h)
-                    .and_then(|b| b.iter().find(|e| e.seq == s))
-                    .map(|e| e.referenced.get());
-                match is_live {
-                    None => continue, // superseded slot
-                    Some(true) if chances > 0 => {
+                let Some(entry) = shard.at_hash(h).find(|e| e.seq == s) else {
+                    continue; // superseded slot
+                };
+                match entry.referenced.get() {
+                    true if chances > 0 => {
                         chances -= 1;
-                        if let Some(e) = shard
-                            .buckets
-                            .get(&h)
-                            .and_then(|b| b.iter().find(|e| e.seq == s))
-                        {
-                            e.referenced.set(false);
-                        }
+                        entry.referenced.set(false);
                         shard.ring.push_back((h, s));
                     }
-                    Some(_) => {
+                    _ => {
                         if shard.remove_slot(h, s) {
                             outcome.evicted += 1;
                             self.occupancy.fetch_sub(1, Relaxed);
@@ -520,11 +535,12 @@ impl Cache {
         self.shards
             .iter()
             .map(|s| {
-                s.lock()
-                    .expect("no poisoning")
-                    .buckets
+                let shard = s.lock().expect("no poisoning");
+                let collided = shard.collided.iter().map(|(_, e)| e);
+                shard
+                    .entries
                     .values()
-                    .flatten()
+                    .chain(collided)
                     .filter(|e| now <= e.deadline(self.stale_window_secs))
                     .count()
             })
@@ -577,18 +593,13 @@ impl Cache {
     pub fn clear(&self) {
         for s in &self.shards {
             let mut shard = s.lock().expect("no poisoning");
-            shard.buckets.clear();
+            shard.entries.clear();
+            shard.collided.clear();
             shard.wheel.clear();
             shard.ring.clear();
         }
         self.occupancy.store(0, Relaxed);
     }
-}
-
-fn find<'a>(bucket: &'a [Entry], qname: &Name, qtype: u16) -> Option<&'a Entry> {
-    bucket
-        .iter()
-        .find(|e| e.qtype == qtype && e.qname == *qname)
 }
 
 #[cfg(test)]

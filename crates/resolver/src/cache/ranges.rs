@@ -59,7 +59,7 @@
 
 use super::{CacheLimits, CacheStatsSnapshot, PutOutcome, SHARD_COUNT, WHEEL_SHIFT};
 use ede_crypto::nsec3hash;
-use ede_wire::rdata::TypeBitmap;
+use ede_wire::rdata::{Octets, TypeBitmap};
 use ede_wire::{Name, RrType};
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -77,7 +77,7 @@ pub enum ProofRange {
         /// Extra hash iterations the zone uses.
         iterations: u16,
         /// Hash salt the zone uses.
-        salt: Vec<u8>,
+        salt: Octets,
         /// NSEC3 flags field; bit 0 is opt-out.
         flags: u8,
         /// Hashed owner name (raw digest).
@@ -175,7 +175,7 @@ struct ZoneRanges {
     /// the first retained NSEC3 range; ranges under different
     /// parameters are ignored (re-keying on a parameter change would
     /// make contents order-dependent, breaking scan determinism).
-    params: Option<(u16, Vec<u8>)>,
+    params: Option<(u16, Octets)>,
     /// Hashed owner → interval.
     nsec3: BTreeMap<Vec<u8>, Interval>,
     /// Canonical owner key → interval.
@@ -749,7 +749,7 @@ mod tests {
         (0..hashed.len())
             .map(|i| ProofRange::Nsec3 {
                 iterations: ITER,
-                salt: SALT.to_vec(),
+                salt: SALT.into(),
                 flags: 0,
                 owner_hash: hashed[i].0.clone(),
                 next_hash: hashed[(i + 1) % hashed.len()].0.clone(),
@@ -1034,7 +1034,7 @@ mod tests {
         rc.retain(&zone, &chain(&[("example", APEX_TYPES)], 300, 10_000), 100);
         let alien = ProofRange::Nsec3 {
             iterations: 5,
-            salt: vec![0x01],
+            salt: [0x01].into(),
             flags: 0,
             owner_hash: vec![0u8; 20],
             next_hash: vec![0xffu8; 20],

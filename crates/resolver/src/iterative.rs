@@ -181,9 +181,13 @@ impl<'a> Engine<'a> {
         diag: &mut Diagnosis,
     ) -> SetQuery {
         let policy = &self.config.retry;
-        let order: Vec<IpAddr> = match policy.selection {
-            ServerSelection::Static => servers.iter().copied().take(MAX_SERVERS_PER_ZONE).collect(),
-            ServerSelection::SmoothedRtt => self.srtt.order(servers, MAX_SERVERS_PER_ZONE),
+        let by_rtt;
+        let order: &[IpAddr] = match policy.selection {
+            ServerSelection::Static => &servers[..servers.len().min(MAX_SERVERS_PER_ZONE)],
+            ServerSelection::SmoothedRtt => {
+                by_rtt = self.srtt.order(servers, MAX_SERVERS_PER_ZONE);
+                &by_rtt
+            }
         };
         let mut any_rcode_failure = false;
         // Hedging only helps against luck: if every failure was the
@@ -196,7 +200,7 @@ impl<'a> Engine<'a> {
             if round > 0 && !any_transient {
                 break;
             }
-            for &addr in &order {
+            for &addr in order {
                 let mut tries = 0usize; // same-server retries used
                 loop {
                     if attempt > 0 {
@@ -502,6 +506,39 @@ impl<'a> Engine<'a> {
             .collect()
     }
 
+    /// The cached root→TLD hop for `name`, if the caches hold a live one
+    /// (the worker's L1 first, then the shared tier), announced as the
+    /// `Referral` event the live hop would have emitted.
+    fn cached_first_hop(&self, name: &Name, diag: &Diagnosis) -> Option<Arc<ReferralEntry>> {
+        if !self.config.enable_cache || name.is_root() {
+            return None;
+        }
+        // The TLD the name lives under.
+        let tld = name.suffix(1);
+        let now = self.now();
+        let entry = self
+            .l1
+            .and_then(|l1| l1.get_referral(&tld, now))
+            .or_else(|| {
+                let hit = self.infra.get_referral(&tld, now);
+                if let (Some(l1), Some(entry)) = (self.l1, &hit) {
+                    l1.put_referral(Arc::clone(entry));
+                }
+                hit
+            })?;
+        let tracer = diag.tracer();
+        tracer.emit(TraceEvent::Referral {
+            zone: if tracer.wants_query_detail() {
+                entry.zone.to_string()
+            } else {
+                String::new()
+            },
+            ns_count: entry.ns_count,
+            signed: entry.signed,
+        });
+        Some(entry)
+    }
+
     /// Full iterative resolution of (qname, qtype), as a resumable
     /// task: the returned future suspends on every network exchange
     /// and retry timer via the engine's [`TaskHandle`].
@@ -559,74 +596,46 @@ impl<'a> Engine<'a> {
                 }
             }
 
-            let mut servers: Vec<IpAddr> = self.config.root_hints.iter().map(|h| h.addr).collect();
-            let mut current_zone = Name::root();
-            let mut ds_chain: Option<Vec<Rdata>> = if self.config.trust_anchors.is_empty() {
-                None
-            } else {
-                Some(self.config.trust_anchors.clone())
-            };
-            // RFC 7816: how many labels beyond the current zone we are
-            // willing to expose to its servers. Resets at each zone cut.
-            let mut min_extra_labels: usize = 1;
-
             // Referral fast-start: when the walk's first hop (the
             // root→TLD delegation every resolution crosses) is cached,
             // replay it and start one zone down. The cached hop was
             // diagnosis-neutral when it ran live (the clean-hop rule of
             // `cache::infra`), so skipping it cannot change what this
             // resolution observes — only how many root queries it costs.
-            if self.config.enable_cache {
-                // The TLD the name lives under; the root has none.
-                if let Some(tld) = (!current_name.is_root()).then(|| current_name.suffix(1)) {
-                    let now = self.now();
-                    let cached = self
-                        .l1
-                        .and_then(|l1| l1.get_referral(&tld, now))
-                        .or_else(|| {
-                            let hit = self.infra.get_referral(&tld, now);
-                            if let (Some(l1), Some(entry)) = (self.l1, &hit) {
-                                l1.put_referral(Arc::clone(entry));
-                            }
-                            hit
-                        });
-                    if let Some(entry) = cached {
-                        let tracer = diag.tracer();
-                        tracer.emit(TraceEvent::Referral {
-                            zone: if tracer.wants_query_detail() {
-                                entry.zone.to_string()
-                            } else {
-                                String::new()
-                            },
-                            ns_count: entry.ns_count,
-                            signed: entry.signed,
-                        });
-                        servers = entry.servers.clone();
-                        current_zone = entry.zone.clone();
-                        ds_chain = if entry.ds_rdatas.is_empty() {
-                            None
-                        } else {
-                            Some(entry.ds_rdatas.clone())
-                        };
-                    }
-                }
-            }
+            // Only a walk that does start at the root builds the root's
+            // server list and copies the trust anchors.
+            let mut at = match self.cached_first_hop(&current_name, diag) {
+                Some(entry) => Position::Cached(entry),
+                None => Position::Live(ReferralEntry {
+                    zone: Name::root(),
+                    servers: self.config.root_hints.iter().map(|h| h.addr).collect(),
+                    ds_rdatas: self.config.trust_anchors.clone(),
+                    // No referral leads to the root: nothing replays these.
+                    ns_count: 0,
+                    signed: false,
+                    expires: 0,
+                }),
+            };
+            // RFC 7816: how many labels beyond the current zone we are
+            // willing to expose to its servers. Resets at each zone cut.
+            let mut min_extra_labels: usize = 1;
 
             for _ in 0..MAX_REFERRALS {
                 // QNAME minimization: probe with a truncated name and NS
                 // until the remaining labels run out.
-                let (probe_name, probe_type) = if self.config.qname_minimization
-                    && current_name.label_count() > current_zone.label_count() + min_extra_labels
-                {
-                    let exposed = current_zone.label_count() + min_extra_labels;
-                    (current_name.suffix(exposed), RrType::Ns)
-                } else {
-                    (current_name.clone(), qtype)
-                };
+                let exposed = at.zone.label_count() + min_extra_labels;
+                let (probe_name, probe_type) =
+                    if self.config.qname_minimization && current_name.label_count() > exposed {
+                        (current_name.suffix(exposed), RrType::Ns)
+                    } else {
+                        (current_name.clone(), qtype)
+                    };
                 let minimized = probe_name != current_name;
+                // Signed: a DS set (or a trust anchor) vouches for the zone.
+                let zone_signed = !at.ds_rdatas.is_empty();
 
                 let (resp, responder) = match self
-                    .query_set(&servers, &probe_name, probe_type, diag)
+                    .query_set(&at.servers, &probe_name, probe_type, diag)
                     .await
                 {
                     SetQuery::Answered(resp, addr) => (resp, addr),
@@ -635,16 +644,9 @@ impl<'a> Engine<'a> {
                         // For a signed zone, probe the DNSKEY too so
                         // the diagnosis records that the chain key is
                         // unobtainable (Cloudflare's 9+22+23 bundle).
-                        if ds_chain.as_ref().is_some_and(|d| !d.is_empty())
-                            && !current_zone.is_root()
-                        {
-                            if let Some(&first) = servers.first() {
-                                let _ = self.zone_keys(
-                                    &current_zone,
-                                    ds_chain.as_deref().unwrap_or(&[]),
-                                    first,
-                                    diag,
-                                );
+                        if zone_signed && !at.zone.is_root() {
+                            if let Some(&first) = at.servers.first() {
+                                let _ = self.zone_keys(&at.zone, &at.ds_rdatas, first, diag);
                             }
                         }
                         diag.degrade(ValidationState::Indeterminate);
@@ -656,145 +658,155 @@ impl<'a> Engine<'a> {
                 };
 
                 // Referral?
-                if !resp.authoritative {
-                    if let Some(referral) = parse_referral(&resp, &probe_name, &current_zone) {
-                        // Clean-hop bookkeeping: remember what the
-                        // diagnosis looked like before this hop so we
-                        // can tell afterwards whether the hop was
-                        // invisible to it (and therefore cacheable).
-                        let pre_findings = diag.findings.len();
-                        let pre_events = diag.ns_events.len();
-                        let pre_state = diag.validation;
-                        let tracer = diag.tracer();
-                        tracer.emit(TraceEvent::Referral {
-                            zone: if tracer.wants_query_detail() {
-                                referral.zone.to_string()
+                let referral = if resp.authoritative {
+                    None
+                } else {
+                    parse_referral(&resp, &probe_name, &at.zone)
+                };
+                if let Some(referral) = referral {
+                    // Clean-hop bookkeeping: remember what the
+                    // diagnosis looked like before this hop so we
+                    // can tell afterwards whether the hop was
+                    // invisible to it (and therefore cacheable).
+                    let pre_findings = diag.findings.len();
+                    let pre_events = diag.ns_events.len();
+                    let pre_state = diag.validation;
+                    let tracer = diag.tracer();
+                    tracer.emit(TraceEvent::Referral {
+                        zone: if tracer.wants_query_detail() {
+                            referral.zone.to_string()
+                        } else {
+                            String::new()
+                        },
+                        ns_count: referral.ns_count,
+                        signed: referral.signed,
+                    });
+                    // Chain transition through the cut: the child
+                    // inherits the referral's DS set only from a signed
+                    // parent.
+                    let secure_cut = zone_signed && referral.signed;
+                    if zone_signed {
+                        let (parent_keys, _) =
+                            self.zone_keys(&at.zone, &at.ds_rdatas, responder, diag);
+                        if referral.signed {
+                            // Authenticate the DS RRset itself.
+                            if let Some(keys) = &parent_keys {
+                                let sets = collate(&resp.authorities);
+                                if let Some(ds_set) = sets.iter().find(|s| s.rtype == RrType::Ds) {
+                                    check_rrset(
+                                        ds_set,
+                                        keys.as_slice(),
+                                        self.caps,
+                                        self.now(),
+                                        crate::diagnosis::SigTarget::Answer,
+                                        diag,
+                                    );
+                                }
+                            }
+                        } else if let Some(keys) = &parent_keys {
+                            // Insecure delegation: demand the NSEC3
+                            // opt-in proof.
+                            if !insecure_proof_present(&resp.authorities, &referral.zone) {
+                                diag.add(Finding::InsecureReferralProofMissing);
+                                diag.degrade(ValidationState::Bogus);
                             } else {
-                                String::new()
-                            },
-                            ns_count: referral.ns_names.len(),
-                            signed: !referral.ds_rdatas.is_empty(),
-                        });
-                        // Chain transition through the cut.
-                        let parent_signed = ds_chain.as_ref().is_some_and(|d| !d.is_empty());
-                        let mut child_ds: Option<Vec<Rdata>> = None;
-                        if parent_signed {
-                            let (parent_keys, _) = self.zone_keys(
-                                &current_zone,
-                                ds_chain.as_deref().unwrap_or(&[]),
-                                responder,
-                                diag,
-                            );
-                            if !referral.ds_rdatas.is_empty() {
-                                // Authenticate the DS RRset itself.
-                                if let Some(keys) = &parent_keys {
-                                    let sets = collate(&resp.authorities);
-                                    if let Some(ds_set) =
-                                        sets.iter().find(|s| s.rtype == RrType::Ds)
-                                    {
-                                        check_rrset(
-                                            ds_set,
-                                            keys.as_slice(),
-                                            self.caps,
-                                            self.now(),
-                                            crate::diagnosis::SigTarget::Answer,
-                                            diag,
-                                        );
+                                // The proof's ranges belong to the
+                                // *parent* zone; retain any whose
+                                // signature re-verifies against the
+                                // parent's validated keys.
+                                if let Some(ranges) = self.ranges {
+                                    let now = self.now();
+                                    let proofs = extract_proof_ranges(
+                                        &resp.authorities,
+                                        keys.as_slice(),
+                                        now,
+                                    );
+                                    if !proofs.is_empty() {
+                                        ranges.retain(&at.zone, &proofs, now);
                                     }
                                 }
-                                child_ds = Some(referral.ds_rdatas.clone());
-                            } else if let Some(keys) = &parent_keys {
-                                // Insecure delegation: demand the NSEC3
-                                // opt-in proof.
-                                if !insecure_proof_present(&resp.authorities, &referral.zone) {
-                                    diag.add(Finding::InsecureReferralProofMissing);
-                                    diag.degrade(ValidationState::Bogus);
-                                } else {
-                                    // The proof's ranges belong to the
-                                    // *parent* zone; retain any whose
-                                    // signature re-verifies against the
-                                    // parent's validated keys.
-                                    if let Some(ranges) = self.ranges {
-                                        let now = self.now();
-                                        let proofs = extract_proof_ranges(
-                                            &resp.authorities,
-                                            keys.as_slice(),
-                                            now,
-                                        );
-                                        if !proofs.is_empty() {
-                                            ranges.retain(&current_zone, &proofs, now);
-                                        }
-                                    }
-                                    diag.degrade(ValidationState::Insecure);
-                                }
-                            } else {
                                 diag.degrade(ValidationState::Insecure);
                             }
+                        } else {
+                            diag.degrade(ValidationState::Insecure);
                         }
-
-                        // Next server set: glue, else resolve NS names.
-                        let mut next: Vec<IpAddr> = Vec::new();
-                        for ns in &referral.ns_names {
-                            for rec in resp.additionals.iter().filter(|r| r.name == *ns) {
-                                match &rec.rdata {
-                                    Rdata::A(a) => next.push(IpAddr::V4(*a)),
-                                    Rdata::Aaaa(a) => next.push(IpAddr::V6(*a)),
-                                    _ => {}
-                                }
-                            }
-                        }
-                        if next.is_empty() {
-                            for ns in &referral.ns_names {
-                                next.extend(self.resolve_ns_addresses(ns, diag, depth).await);
-                                if next.len() >= MAX_SERVERS_PER_ZONE {
-                                    break;
-                                }
-                            }
-                        }
-                        if next.is_empty() {
-                            // Lame delegation: nowhere to go.
-                            diag.add(Finding::AllServersFailed {
-                                any_rcode_failure: diag
-                                    .ns_events
-                                    .iter()
-                                    .any(|e| e.failure.is_rcode_failure()),
-                            });
-                            diag.degrade(ValidationState::Indeterminate);
-                            return EngineOutcome {
-                                rcode: Rcode::ServFail,
-                                answers: Vec::new(),
-                            };
-                        }
-                        // Cache the hop iff it was clean: a root→TLD
-                        // delegation that recorded no finding, no
-                        // nameserver event, and no validation-state
-                        // change. Replaying such a hop later is
-                        // diagnosis-neutral by construction; anything
-                        // the hop *did* record must re-walk live.
-                        if self.config.enable_cache
-                            && current_zone.is_root()
-                            && diag.findings.len() == pre_findings
-                            && diag.ns_events.len() == pre_events
-                            && diag.validation == pre_state
-                        {
-                            let entry = self.infra.put_referral(ReferralEntry {
-                                zone: referral.zone.clone(),
-                                servers: next.clone(),
-                                ds_rdatas: child_ds.clone().unwrap_or_default(),
-                                ns_count: referral.ns_names.len(),
-                                signed: !referral.ds_rdatas.is_empty(),
-                                expires: self.now() + 3600,
-                            });
-                            if let Some(l1) = self.l1 {
-                                l1.put_referral(entry);
-                            }
-                        }
-                        servers = next;
-                        current_zone = referral.zone;
-                        ds_chain = child_ds;
-                        min_extra_labels = 1;
-                        continue;
                     }
+
+                    // Next server set: glue, else resolve NS names.
+                    let mut next: Vec<IpAddr> = Vec::new();
+                    for ns in referral_ns_names(&resp) {
+                        for rec in resp.additionals.iter().filter(|r| r.name == *ns) {
+                            match &rec.rdata {
+                                Rdata::A(a) => next.push(IpAddr::V4(*a)),
+                                Rdata::Aaaa(a) => next.push(IpAddr::V6(*a)),
+                                _ => {}
+                            }
+                        }
+                    }
+                    if next.is_empty() {
+                        for ns in referral_ns_names(&resp) {
+                            next.extend(self.resolve_ns_addresses(ns, diag, depth).await);
+                            if next.len() >= MAX_SERVERS_PER_ZONE {
+                                break;
+                            }
+                        }
+                    }
+                    if next.is_empty() {
+                        // Lame delegation: nowhere to go.
+                        diag.add(Finding::AllServersFailed {
+                            any_rcode_failure: diag
+                                .ns_events
+                                .iter()
+                                .any(|e| e.failure.is_rcode_failure()),
+                        });
+                        diag.degrade(ValidationState::Indeterminate);
+                        return EngineOutcome {
+                            rcode: Rcode::ServFail,
+                            answers: Vec::new(),
+                        };
+                    }
+                    // The response is spent: its DS records move into
+                    // the hop rather than being copied out of it.
+                    let was_root = at.zone.is_root();
+                    let hop = ReferralEntry {
+                        servers: next,
+                        ds_rdatas: if secure_cut {
+                            let zone = &referral.zone;
+                            resp.authorities
+                                .into_iter()
+                                .filter(|r| r.rtype() == RrType::Ds && r.name == *zone)
+                                .map(|r| r.rdata)
+                                .collect()
+                        } else {
+                            Vec::new()
+                        },
+                        zone: referral.zone,
+                        ns_count: referral.ns_count,
+                        signed: referral.signed,
+                        expires: self.now() + 3600,
+                    };
+                    // Cache the hop iff it was clean: a root→TLD
+                    // delegation that recorded no finding, no
+                    // nameserver event, and no validation-state
+                    // change. Replaying such a hop later is
+                    // diagnosis-neutral by construction; anything
+                    // the hop *did* record must re-walk live.
+                    at = if self.config.enable_cache
+                        && was_root
+                        && diag.findings.len() == pre_findings
+                        && diag.ns_events.len() == pre_events
+                        && diag.validation == pre_state
+                    {
+                        let entry = self.infra.put_referral(hop);
+                        if let Some(l1) = self.l1 {
+                            l1.put_referral(Arc::clone(&entry));
+                        }
+                        Position::Cached(entry)
+                    } else {
+                        Position::Live(hop)
+                    };
+                    min_extra_labels = 1;
+                    continue;
                 }
 
                 if minimized {
@@ -808,19 +820,12 @@ impl<'a> Engine<'a> {
                 }
 
                 // Authoritative (or terminal) answer.
-                let zone_signed = ds_chain.as_ref().is_some_and(|d| !d.is_empty());
                 if zone_signed {
                     diag.zone_signed = true;
-                }
-                let answer_sets = collate(&resp.answers);
-
-                if zone_signed {
-                    let (trusted, published) = self.zone_keys(
-                        &current_zone,
-                        ds_chain.as_deref().unwrap_or(&[]),
-                        responder,
-                        diag,
-                    );
+                    // Only validation reads the answer as RRsets.
+                    let answer_sets = collate(&resp.answers);
+                    let (trusted, published) =
+                        self.zone_keys(&at.zone, &at.ds_rdatas, responder, diag);
                     match &trusted {
                         Some(keys) => {
                             if answer_sets.is_empty() {
@@ -835,7 +840,7 @@ impl<'a> Engine<'a> {
                                     &current_name,
                                     qtype,
                                     kind,
-                                    &current_zone,
+                                    &at.zone,
                                     keys.as_slice(),
                                     self.caps,
                                     self.now(),
@@ -854,7 +859,7 @@ impl<'a> Engine<'a> {
                                             now,
                                         );
                                         if !proofs.is_empty() {
-                                            ranges.retain(&current_zone, &proofs, now);
+                                            ranges.retain(&at.zone, &proofs, now);
                                         }
                                     }
                                 }
@@ -897,20 +902,24 @@ impl<'a> Engine<'a> {
                         };
                     }
                     cname_budget -= 1;
-                    answers_acc.extend(resp.answers.clone());
+                    answers_acc.extend(resp.answers);
                     current_name = target;
                     continue 'restart;
                 }
 
-                answers_acc.extend(resp.answers.clone());
                 let rcode = if diag.validation == ValidationState::Bogus {
                     Rcode::ServFail
                 } else {
                     resp.rcode
                 };
+                // The response is spent: without a CNAME chain before
+                // it, its answers are the outcome's as they stand.
                 let answers = if rcode == Rcode::ServFail {
                     Vec::new()
+                } else if answers_acc.is_empty() {
+                    resp.answers
                 } else {
+                    answers_acc.extend(resp.answers);
                     answers_acc
                 };
                 return EngineOutcome { rcode, answers };
@@ -926,47 +935,61 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// A parsed referral.
+/// Where the walk stands — the zone to ask, its servers, the DS set
+/// vouching for its keys — as the referral that led there: one the walk
+/// followed itself, or a cached root→TLD hop read through its `Arc`
+/// rather than copied out of it.
+enum Position {
+    Live(ReferralEntry),
+    Cached(Arc<ReferralEntry>),
+}
+
+impl std::ops::Deref for Position {
+    type Target = ReferralEntry;
+
+    fn deref(&self) -> &ReferralEntry {
+        match self {
+            Position::Live(entry) => entry,
+            Position::Cached(entry) => entry,
+        }
+    }
+}
+
+/// What a referral says besides its records, which stay in the response.
 struct Referral {
     zone: Name,
-    ns_names: Vec<Name>,
-    ds_rdatas: Vec<Rdata>,
+    ns_count: usize,
+    /// Whether a DS RRset for `zone` came with it.
+    signed: bool,
+}
+
+/// The nameserver names of a referral response, in record order.
+fn referral_ns_names(resp: &Message) -> impl Iterator<Item = &Name> {
+    resp.authorities.iter().filter_map(|r| match &r.rdata {
+        Rdata::Ns(n) => Some(n),
+        _ => None,
+    })
 }
 
 /// Interpret a non-authoritative response as a referral toward `qname`,
 /// requiring the delegation to be strictly below the zone we just asked
 /// (no sideways or upward referrals — loop protection).
 fn parse_referral(resp: &Message, qname: &Name, current_zone: &Name) -> Option<Referral> {
-    let ns_records: Vec<&Record> = resp
-        .authorities
-        .iter()
-        .filter(|r| r.rtype() == RrType::Ns)
-        .collect();
-    let first = ns_records.first()?;
-    let zone = first.name.clone();
-    if !qname.is_subdomain_of(&zone)
+    let first = resp.authorities.iter().find(|r| r.rtype() == RrType::Ns)?;
+    let zone = &first.name;
+    if !qname.is_subdomain_of(zone)
         || !zone.is_subdomain_of(current_zone)
         || zone.label_count() <= current_zone.label_count()
     {
         return None;
     }
-    let ns_names = ns_records
-        .iter()
-        .filter_map(|r| match &r.rdata {
-            Rdata::Ns(n) => Some(n.clone()),
-            _ => None,
-        })
-        .collect();
-    let ds_rdatas = resp
-        .authorities
-        .iter()
-        .filter(|r| r.rtype() == RrType::Ds && r.name == zone)
-        .map(|r| r.rdata.clone())
-        .collect();
     Some(Referral {
-        zone,
-        ns_names,
-        ds_rdatas,
+        zone: zone.clone(),
+        ns_count: referral_ns_names(resp).count(),
+        signed: resp
+            .authorities
+            .iter()
+            .any(|r| r.rtype() == RrType::Ds && r.name == *zone),
     })
 }
 

@@ -351,16 +351,31 @@ impl Resolver {
             // this resolution's transient response/zone allocations
             // (cache entries used to hold the whole working set alive
             // through shared `Arc`s, fragmenting the heap at scan
-            // scale).
+            // scale). Consecutive answers at one owner — an RRset, its
+            // RRSIG — share one detached block, and so does the
+            // entry's key (`Cache::put`).
             let mut stored = diag.clone();
             stored.set_tracer(Tracer::disabled());
             stored.detach_names();
+            let mut owner: Option<Name> = None;
+            let answers = outcome.answers.iter().map(|r| {
+                let name = match &owner {
+                    Some(shared) if *shared == r.name => shared.clone(),
+                    _ => r.name.detached(),
+                };
+                owner = Some(name.clone());
+                Record {
+                    name,
+                    rdata: r.rdata.detached(),
+                    ..*r
+                }
+            });
             let put = self.cache.put(
                 qname,
                 qtype,
                 CachedResolution {
                     rcode: outcome.rcode,
-                    answers: outcome.answers.iter().map(|r| r.detached()).collect(),
+                    answers: answers.collect(),
                     diagnosis: stored,
                     is_failure,
                 },

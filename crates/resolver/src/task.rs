@@ -72,6 +72,9 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 
+/// What an exchange leaves for the task that awaited it.
+type NetOutcome = Result<Message, NetError>;
+
 /// One registered suspension: which task is parked and what it is
 /// waiting for. At most one `Wait` per task exists at any instant
 /// (tasks await a single exchange or timer at a time).
@@ -82,43 +85,55 @@ use std::task::{Context, Poll, Wake, Waker};
 enum Wait {
     /// A network exchange in flight; servicing it completes the
     /// exchange (advancing the virtual clock to its deadline) and
-    /// deposits the outcome in `slot` for the task's next poll.
-    Net {
-        task: usize,
-        inflight: InFlight,
-        slot: Rc<RefCell<Option<Result<Message, NetError>>>>,
-    },
+    /// deposits the outcome in the task's [`Reactor::outcomes`] entry
+    /// for its next poll.
+    Net { task: usize, inflight: InFlight },
     /// A pure timer (retry backoff, hedging delay); servicing it
     /// advances the virtual clock to the queue deadline.
     Timer { task: usize },
 }
 
-impl Wait {
-    fn task(&self) -> usize {
-        match self {
-            Wait::Net { task, .. } | Wait::Timer { task } => *task,
-        }
+/// The per-pool event state shared (via `Rc`) with every task handle:
+/// the deterministic completion queue of pending waits, and where each
+/// task picks up the outcome of the exchange it awaited.
+struct Reactor {
+    queue: CompletionQueue<Wait>,
+    /// Indexed by task slot. A task awaits one exchange at a time, so
+    /// one entry per task is enough, and it is reused by every exchange
+    /// the task (and the slot's later tasks) makes.
+    outcomes: Vec<Option<NetOutcome>>,
+}
+
+impl Reactor {
+    /// A shareable reactor with outcome entries for `tasks` task slots.
+    fn shared(tasks: usize) -> Rc<RefCell<Reactor>> {
+        Rc::new(RefCell::new(Reactor {
+            queue: CompletionQueue::new(),
+            outcomes: std::iter::repeat_with(|| None).take(tasks).collect(),
+        }))
     }
 }
 
-/// The per-pool event state shared (via `Rc`) with every task handle:
-/// the deterministic completion queue of pending waits.
-struct Reactor {
-    queue: CompletionQueue<Wait>,
-}
-
-/// Service one popped wait: produce the side effects whose *timing*
-/// the queue ordered. For a network wait this completes the exchange
-/// (clock advance, delivery/timeout accounting, trace events); for a
-/// timer it advances the clock to the timer's deadline.
-fn service(net: &Network, deadline_ms: u64, wait: Wait) {
+/// Pop the earliest wait and service it: produce the side effects whose
+/// *timing* the queue ordered. For a network wait this completes the
+/// exchange (clock advance, delivery/timeout accounting, trace events)
+/// and leaves the outcome for the task; for a timer it advances the
+/// clock to the timer's deadline. Returns the task to poll next.
+fn service_next(net: &Network, reactor: &RefCell<Reactor>) -> usize {
+    let (deadline_ms, wait) = reactor
+        .borrow_mut()
+        .queue
+        .pop()
+        .expect("a pending task has registered a wait");
     match wait {
-        Wait::Net { inflight, slot, .. } => {
+        Wait::Net { task, inflight } => {
             let outcome = net.complete(inflight);
-            *slot.borrow_mut() = Some(outcome);
+            reactor.borrow_mut().outcomes[task] = Some(outcome);
+            task
         }
-        Wait::Timer { .. } => {
+        Wait::Timer { task } => {
             net.clock().advance_to_millis(deadline_ms);
+            task
         }
     }
 }
@@ -132,8 +147,14 @@ impl Wake for NoopWake {
     fn wake(self: Arc<Self>) {}
 }
 
-fn noop_waker() -> Waker {
-    Waker::from(Arc::new(NoopWake))
+thread_local! {
+    /// The thread's one inert waker (`Waker::noop` needs Rust 1.85).
+    static NOOP_WAKER: Waker = Waker::from(Arc::new(NoopWake));
+    /// The reactor the thread's last [`run_local`] call finished with,
+    /// kept so that the next call allocates neither a reactor nor a
+    /// queue buffer. A nested call (a simulated forwarder resolving
+    /// inside `Network::send`) finds it taken and builds its own.
+    static IDLE_REACTOR: RefCell<Option<Rc<RefCell<Reactor>>>> = const { RefCell::new(None) };
 }
 
 /// Capability handed to each task for suspending itself. Cloneable and
@@ -160,7 +181,6 @@ impl TaskHandle {
             reactor: self.reactor.clone(),
             task: self.task,
             inflight: Some(inflight),
-            slot: Rc::new(RefCell::new(None)),
         }
     }
 
@@ -182,29 +202,27 @@ pub struct NetFuture {
     reactor: Rc<RefCell<Reactor>>,
     task: usize,
     inflight: Option<InFlight>,
-    slot: Rc<RefCell<Option<Result<Message, NetError>>>>,
 }
 
 impl Future for NetFuture {
-    type Output = Result<Message, NetError>;
+    type Output = NetOutcome;
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        if let Some(outcome) = this.slot.borrow_mut().take() {
-            return Poll::Ready(outcome);
-        }
+        let mut reactor = this.reactor.borrow_mut();
         if let Some(inflight) = this.inflight.take() {
-            let deadline = inflight.deadline_ms();
-            this.reactor.borrow_mut().queue.push(
-                deadline,
-                Wait::Net {
-                    task: this.task,
-                    inflight,
-                    slot: this.slot.clone(),
-                },
-            );
+            let task = this.task;
+            reactor
+                .queue
+                .push(inflight.deadline_ms(), Wait::Net { task, inflight });
+            return Poll::Pending;
         }
-        Poll::Pending
+        // The pool only re-polls a task after servicing its wait, so
+        // the outcome is there.
+        match reactor.outcomes[this.task].take() {
+            Some(outcome) => Poll::Ready(outcome),
+            None => Poll::Pending,
+        }
     }
 }
 
@@ -286,15 +304,13 @@ impl<'a, T> ResolutionPool<'a, T> {
         ResolutionPool {
             net,
             tracer,
-            reactor: Rc::new(RefCell::new(Reactor {
-                queue: CompletionQueue::new(),
-            })),
+            reactor: Reactor::shared(0),
             slots: Vec::new(),
             free: Vec::new(),
             ready: VecDeque::new(),
             live: 0,
             spawned: 0,
-            waker: noop_waker(),
+            waker: NOOP_WAKER.with(Waker::clone),
         }
     }
 
@@ -340,6 +356,7 @@ impl<'a, T> ResolutionPool<'a, T> {
             Some(slot) => slot,
             None => {
                 self.slots.push(SlotEntry { fut: None, id: 0 });
+                self.reactor.borrow_mut().outcomes.push(None);
                 self.slots.len() - 1
             }
         };
@@ -405,14 +422,8 @@ impl<T> Iterator for ResolutionPool<'_, T> {
             if self.live == 0 {
                 return None;
             }
-            let (deadline_ms, wait) = self
-                .reactor
-                .borrow_mut()
-                .queue
-                .pop()
-                .expect("live tasks always hold a registered wait");
-            let slot = wait.task();
-            service(self.net, deadline_ms, wait);
+            // Live tasks always hold a registered wait.
+            let slot = service_next(self.net, &self.reactor);
             self.poll_slot(slot);
         }
     }
@@ -438,34 +449,37 @@ impl std::fmt::Debug for TaskHandle {
 
 /// Drive exactly one task to completion on the calling thread: the
 /// driver behind the blocking [`crate::Resolver::resolve`] API, a
-/// private single-slot event loop with no task-lifecycle events.
+/// private single-slot event loop with no task-lifecycle events. The
+/// task is pinned on this frame and the reactor is the thread's kept
+/// one, so a call allocates nothing of its own.
 pub(crate) fn run_local<T, F, M>(net: &Network, make: M) -> T
 where
     M: FnOnce(TaskHandle) -> F,
     F: Future<Output = T>,
 {
-    let reactor = Rc::new(RefCell::new(Reactor {
-        queue: CompletionQueue::new(),
-    }));
+    let reactor = IDLE_REACTOR
+        .with(|idle| idle.borrow_mut().take())
+        .unwrap_or_else(|| Reactor::shared(1));
     let handle = TaskHandle {
         reactor: reactor.clone(),
         clock: net.clock().clone(),
         task: 0,
     };
-    let mut fut = Box::pin(make(handle));
-    let waker = noop_waker();
-    let mut cx = Context::from_waker(&waker);
-    loop {
-        match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(result) => return result,
-            Poll::Pending => {
-                let (deadline_ms, wait) = reactor
-                    .borrow_mut()
-                    .queue
-                    .pop()
-                    .expect("a pending task has registered a wait");
-                service(net, deadline_ms, wait);
+    let mut fut = std::pin::pin!(make(handle));
+    let result = NOOP_WAKER.with(|waker| {
+        let mut cx = Context::from_waker(waker);
+        loop {
+            match fut.as_mut().poll(&mut cx) {
+                Poll::Ready(result) => return result,
+                Poll::Pending => {
+                    service_next(net, &reactor);
+                }
             }
         }
-    }
+    });
+    // A finished task has consumed every wait it registered: the
+    // reactor goes back empty.
+    debug_assert_eq!(reactor.borrow().queue.len(), 0);
+    IDLE_REACTOR.with(|idle| *idle.borrow_mut() = Some(reactor));
+    result
 }

@@ -64,6 +64,8 @@ impl PublishedKey {
 
 /// Parse the published keys out of a DNSKEY RRset.
 pub fn published_keys(dnskey_rrset: &Rrset) -> Vec<PublishedKey> {
+    // One scratch buffer for every key's tag.
+    let mut buf = Vec::new();
     dnskey_rrset
         .rdatas
         .iter()
@@ -74,7 +76,8 @@ pub fn published_keys(dnskey_rrset: &Rrset) -> Vec<PublishedKey> {
                 public_key,
                 ..
             } => {
-                let mut buf = Vec::new();
+                buf.clear();
+                buf.reserve(4 + public_key.len());
                 rd.encode(&mut buf, None);
                 Some(PublishedKey {
                     tag: keytag::key_tag(&buf),
@@ -201,8 +204,13 @@ pub fn validate_dnskey(
 ) -> DnskeyValidation {
     let before = diag.findings.len();
     let v = validate_dnskey_inner(apex, ds_rdatas, dnskey_rrset, caps, now, diag);
-    diag.tracer().emit(ede_trace::TraceEvent::ValidationStep {
-        target: format!("DNSKEY {apex}"),
+    let tracer = diag.tracer();
+    tracer.emit(ede_trace::TraceEvent::ValidationStep {
+        target: if tracer.wants_query_detail() {
+            format!("DNSKEY {apex}")
+        } else {
+            String::new()
+        },
         ok: v.trusted.is_some() && diag.findings.len() == before,
     });
     v
@@ -591,7 +599,7 @@ pub fn extract_proof_ranges(
                     salt: salt.clone(),
                     flags: *flags,
                     owner_hash,
-                    next_hash: next_hashed.clone(),
+                    next_hash: next_hashed.to_vec(),
                     types: types.clone(),
                     ttl: set.ttl,
                     sig_expiration: sig.expiration,

@@ -21,13 +21,24 @@ use std::collections::BTreeMap;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a(line: &str) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in line.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
+/// FNV-1a over whatever is written to it.
+struct Fnv1a(u64);
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+        Ok(())
     }
-    h
+}
+
+/// FNV-1a of `rec`'s outcome line, without building the line.
+fn outcome_hash(rec: &QueryRecord) -> u64 {
+    let mut h = Fnv1a(FNV_OFFSET);
+    rec.write_outcome_line(&mut h).expect("hashing cannot fail");
+    h.0
 }
 
 /// Per-nameserver evidence from Network Error EXTRA-TEXT. The `kind`
@@ -77,7 +88,7 @@ impl PartialAggregate {
         if rec.rcode == Rcode::ServFail {
             self.servfail_domains += 1;
         }
-        let h = fnv1a(&rec.outcome_line());
+        let h = outcome_hash(rec);
         self.fp_sum = self.fp_sum.wrapping_add(h);
         self.fp_xor ^= h;
 
@@ -264,6 +275,50 @@ mod tests {
     use crate::population::PopulationConfig;
     use crate::scanner::{scan, ScanConfig};
     use crate::world::ScanWorld;
+
+    /// The streamed hash is the hash of the line it no longer builds,
+    /// for every shape a record's fields take.
+    #[test]
+    fn streamed_outcome_hash_is_the_hash_of_the_outcome_line() {
+        use crate::population::Category;
+        use ede_resolver::Vendor;
+
+        let texts = [
+            None,
+            Some(String::new()),
+            Some("192.0.2.1:53 rcode=REFUSED for a.example A".to_string()),
+            // Debug escapes these; the hash must see the escaped form.
+            Some("quote \" backslash \\ newline \n tab \t é".to_string()),
+        ];
+        let mut checked = 0;
+        for name in [".", "example.com.", "a\\046b.example."] {
+            for rank in [None, Some(0), Some(u32::MAX)] {
+                for codes in [vec![], vec![22], vec![9, 22, 23]] {
+                    for (i, text) in texts.iter().enumerate() {
+                        let rec = QueryRecord {
+                            seq: 7,
+                            vtime_ms: 9,
+                            pass: 1,
+                            domain: checked,
+                            name: name.to_string(),
+                            tld: checked * 31,
+                            rank,
+                            category: Category::ALL[checked % Category::ALL.len()],
+                            vendor: Vendor::Cloudflare,
+                            rcode: [Rcode::NoError, Rcode::ServFail, Rcode::NxDomain][i % 3],
+                            codes: codes.clone(),
+                            network_error_text: text.clone(),
+                        };
+                        let mut of_line = Fnv1a(FNV_OFFSET);
+                        std::fmt::Write::write_str(&mut of_line, &rec.outcome_line()).unwrap();
+                        assert_eq!(outcome_hash(&rec), of_line.0, "{}", rec.outcome_line());
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 3 * 3 * 3 * 4);
+    }
 
     #[test]
     fn aggregate_tiny_scan() {

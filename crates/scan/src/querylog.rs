@@ -76,7 +76,18 @@ impl QueryRecord {
     /// on worker timing) and so is `pass` (a revisited domain's final
     /// record always comes from pass 2, so it adds nothing).
     pub fn outcome_line(&self) -> String {
-        format!(
+        let mut line = String::new();
+        self.write_outcome_line(&mut line)
+            .expect("writing to a String cannot fail");
+        line
+    }
+
+    /// Write [`outcome_line`](Self::outcome_line) into `out` — the
+    /// fingerprint streams it straight into its hash instead of
+    /// building the line.
+    pub fn write_outcome_line(&self, out: &mut impl std::fmt::Write) -> std::fmt::Result {
+        write!(
+            out,
             "{}|{:?}|{}|{:?}|{:?}|{:?}|{:?}",
             self.name,
             self.category,

@@ -17,6 +17,7 @@ use ede_resolver::{
 use ede_trace::{Metrics, MetricsSnapshot, SnapshotSink};
 use ede_wire::{Name, RrType};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -384,12 +385,16 @@ fn record_from(
         .iter()
         .find(|e| e.code.to_u16() == 23)
         .map(|e| e.extra_text.clone());
+    // The dotted form is one octet shorter than the wire form (bar
+    // escapes): rendered once, in a buffer that does not have to grow.
+    let mut name = String::with_capacity(d.name.wire_len());
+    write!(name, "{}", d.name).expect("writing to a String cannot fail");
     QueryRecord {
         seq: 0, // assigned by the query log at push
         vtime_ms,
         pass,
         domain: idx,
-        name: d.name.to_string(),
+        name,
         tld: d.tld,
         rank: d.rank,
         category: d.category,

@@ -199,7 +199,7 @@ fn child_signer_config(cat: Category) -> SignerConfig {
         Category::IterationLimit => {
             cfg.denial = Denial::Nsec3(Nsec3Config {
                 iterations: 2000,
-                salt: vec![0xab],
+                salt: [0xab].into(),
             });
         }
         Category::UnsupportedAlgGost => cfg.algorithm = SecAlg::ECC_GOST,
@@ -532,7 +532,7 @@ impl TldChain {
                 flags: 0,
                 iterations: self.params.iterations,
                 salt: self.params.salt.clone(),
-                next_hashed: next.to_vec(),
+                next_hashed: next.into(),
                 types,
             },
         );

@@ -1,47 +1,74 @@
-//! Allocation budget of one cold resolution over the scan world.
+//! Allocation budgets of the resolution paths over the scan world.
 //!
-//! A count that repeats exactly, so the miss path's leanness is gated by
+//! Counts that repeat exactly, so the paths' leanness is gated by
 //! something steadier than wall-clock (docs/PERFORMANCE.md, "What a miss
-//! allocates"). The counting allocator is local to this test binary and
-//! counts per thread, so the other tests of this file cannot leak in.
+//! allocates"): a cold resolve (blocking and through the task pool), a
+//! cached hit, and a ceiling for a whole scan. The counting allocator is
+//! local to this test binary. The exact pins count per thread, so the
+//! other tests of this file cannot leak in; the whole-scan ceiling counts
+//! every thread (a scan runs its workers on threads of its own), which is
+//! why the tests of this file take turns ([`serial`]).
+//!
+//! `census_of_a_cold_resolve` keeps the tool the budgets are worked out
+//! with: `cargo test -p ede-scan --test alloc_budget -- --ignored
+//! --nocapture` prints where the pinned resolve allocates.
 
-use ede_resolver::{Resolver, Vendor, VendorProfile};
+use ede_resolver::{ResolutionPool, Resolver, Vendor, VendorProfile};
 use ede_scan::population::{Category, DomainRecord};
+use ede_scan::scanner::{scan, ScanConfig};
 use ede_scan::{Population, PopulationConfig, ScanWorld};
-use ede_wire::{Rcode, RrType};
+use ede_wire::{Name, Rcode, RrType};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::Arc;
+use std::backtrace::Backtrace;
+use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 thread_local! {
-    // Const-initialised, no destructor: reading it never allocates.
+    // Const-initialised, no destructor: reading them never allocates.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Whether this thread's allocations are being recorded for the
+    /// census. Cleared while one is recorded: capturing a backtrace
+    /// allocates, and that must not record itself.
+    static CENSUS_ON: Cell<bool> = const { Cell::new(false) };
+    static CENSUS: RefCell<Vec<(usize, Backtrace)>> = const { RefCell::new(Vec::new()) };
 }
+
+/// Allocator calls of every thread of the process.
+static ALL_THREADS: AtomicU64 = AtomicU64::new(0);
 
 struct Counting;
 
-fn bump() {
+fn count(size: usize) {
+    ALL_THREADS.fetch_add(1, Relaxed);
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    if CENSUS_ON.try_with(|on| on.replace(false)) == Ok(true) {
+        let trace = Backtrace::force_capture();
+        CENSUS.with(|c| c.borrow_mut().push((size, trace)));
+        CENSUS_ON.with(|on| on.set(true));
+    }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter touches no
-// allocator state and does not allocate.
+// which upholds the `GlobalAlloc` contract; the counters touch no
+// allocator state, and the census allocates only with its own recording
+// switched off, so it cannot re-enter itself.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        count(layout.size());
         // SAFETY: the caller's `layout` obligations pass through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        count(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        count(new_size);
         // SAFETY: `ptr` came from `System` with `layout`; the caller
         // guarantees the rest.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -58,6 +85,13 @@ static GLOBAL: Counting = Counting;
 
 fn thread_allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+/// One test of this file at a time, so that the all-thread counter sees
+/// one test's threads only.
+fn serial() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Two domains of `cat` under one ordinary TLD (no stand-by key, honest
@@ -80,7 +114,8 @@ fn warm_and_cold(pop: &Population, cat: Category) -> (&DomainRecord, &DomainReco
     panic!("no ordinary TLD holds two single-NS {cat:?} domains");
 }
 
-fn cold_resolve_allocs(cat: Category) -> u64 {
+/// The tiny scan world and a Cloudflare-profile resolver over it.
+fn world_and_resolver() -> (Population, ScanWorld, Resolver) {
     let pop = Population::generate(PopulationConfig::tiny());
     let world = ScanWorld::build(&pop);
     let resolver = Resolver::new(
@@ -88,14 +123,40 @@ fn cold_resolve_allocs(cat: Category) -> u64 {
         VendorProfile::new(Vendor::Cloudflare),
         world.resolver_config.clone(),
     );
+    (pop, world, resolver)
+}
+
+/// How the warming and the counted resolve are driven.
+#[derive(Clone, Copy)]
+enum Via {
+    /// `Resolver::resolve`, the blocking wrapper.
+    Blocking,
+    /// `ResolutionPool::spawn` / `next` with one task in flight: the
+    /// scanner's path at its default window.
+    Pool,
+}
+
+/// Allocator calls of one cold resolve of a `cat` domain (a resolve runs
+/// wholly on its caller's thread, simulated servers included).
+fn cold_resolve_allocs(cat: Category, via: Via) -> u64 {
+    let _turn = serial();
+    let (pop, _world, resolver) = world_and_resolver();
     let (warm, cold) = warm_and_cold(&pop, cat);
-    assert_eq!(
-        resolver.resolve(&warm.name, RrType::A).rcode,
-        Rcode::NoError
-    );
+    let mut pool = ResolutionPool::new(resolver.network());
+    let mut resolve = |name: &Name| match via {
+        Via::Blocking => resolver.resolve(name, RrType::A),
+        Via::Pool => {
+            let (resolver, name) = (&resolver, name.clone());
+            pool.spawn(move |handle| async move {
+                resolver.resolve_with(&handle, None, &name, RrType::A).await
+            });
+            pool.next().expect("one task was spawned")
+        }
+    };
+    assert_eq!(resolve(&warm.name).rcode, Rcode::NoError);
 
     let before = thread_allocs();
-    let res = resolver.resolve(&cold.name, RrType::A);
+    let res = resolve(&cold.name);
     let allocs = thread_allocs() - before;
     assert_eq!(res.rcode, Rcode::NoError, "{:?}", res.diagnosis);
     assert_eq!(res.authentic_data, cat.signed());
@@ -104,10 +165,123 @@ fn cold_resolve_allocs(cat: Category) -> u64 {
 
 #[test]
 fn cold_unsigned_resolve_stays_within_its_allocation_budget() {
-    assert_eq!(cold_resolve_allocs(Category::HealthyUnsigned), 72);
+    assert_eq!(
+        cold_resolve_allocs(Category::HealthyUnsigned, Via::Blocking),
+        37
+    );
 }
 
 #[test]
 fn cold_signed_resolve_stays_within_its_allocation_budget() {
-    assert_eq!(cold_resolve_allocs(Category::HealthySigned), 160);
+    assert_eq!(
+        cold_resolve_allocs(Category::HealthySigned, Via::Blocking),
+        122
+    );
+}
+
+/// Through a pool that has run a task before, a resolve costs what the
+/// blocking one does plus the boxed task.
+#[test]
+fn cold_resolve_through_the_pool_stays_within_its_allocation_budget() {
+    assert_eq!(
+        cold_resolve_allocs(Category::HealthyUnsigned, Via::Pool),
+        37 + 1
+    );
+    assert_eq!(
+        cold_resolve_allocs(Category::HealthySigned, Via::Pool),
+        122 + 1
+    );
+}
+
+/// A cached answer: the `serve_hot` path up to the resolver's edge.
+#[test]
+fn cached_hit_stays_within_its_allocation_budget() {
+    let _turn = serial();
+    let (pop, _world, resolver) = world_and_resolver();
+    let (_, domain) = warm_and_cold(&pop, Category::HealthyUnsigned);
+    resolver.resolve(&domain.name, RrType::A);
+
+    let before = thread_allocs();
+    let res = resolver.resolve(&domain.name, RrType::A);
+    let allocs = thread_allocs() - before;
+    assert_eq!(res.rcode, Rcode::NoError);
+    assert_eq!(res.answers.len(), 1);
+    // The hit's own copy of the answers, and nothing else.
+    assert_eq!(allocs, 1);
+}
+
+/// Allocator calls per domain of a whole scan at one worker: population
+/// and world excluded, everything `scan` does included (both passes,
+/// the query log, the aggregates, the report). A ceiling, not an
+/// equality: hash-map seeds move the total by a few calls.
+#[test]
+fn whole_scan_stays_under_its_allocation_ceiling() {
+    let _turn = serial();
+    let pop = Population::generate(PopulationConfig::tiny());
+    let world = ScanWorld::build(&pop);
+    let config = ScanConfig::builder().workers(1).build();
+    let before = ALL_THREADS.load(Relaxed);
+    let result = scan(&pop, &world, &config);
+    let allocs = ALL_THREADS.load(Relaxed) - before;
+    assert_eq!(result.stats.ede.total_domains, pop.domains.len());
+    let per_domain = allocs as f64 / pop.domains.len() as f64;
+    assert!(
+        per_domain <= WHOLE_SCAN_CEILING,
+        "{per_domain:.1} allocator calls per domain ({allocs} over {} domains)",
+        pop.domains.len()
+    );
+}
+
+/// See `whole_scan_stays_under_its_allocation_ceiling`.
+const WHOLE_SCAN_CEILING: f64 = 60.0;
+
+/// Where the pinned cold resolve allocates: one backtrace per allocator
+/// call, grouped by the nearest three frames of this workspace's crates,
+/// with counts and bytes. `CENSUS=signed` takes the signed resolve.
+/// docs/PERFORMANCE.md's table is made from this output (debug build:
+/// release inlines the frames away).
+#[test]
+#[ignore = "tooling: prints the census, asserts nothing"]
+fn census_of_a_cold_resolve() {
+    let _turn = serial();
+    let cat = match std::env::var("CENSUS").as_deref() {
+        Ok("signed") => Category::HealthySigned,
+        _ => Category::HealthyUnsigned,
+    };
+    let (pop, _world, resolver) = world_and_resolver();
+    let (warm, cold) = warm_and_cold(&pop, cat);
+    resolver.resolve(&warm.name, RrType::A);
+    CENSUS_ON.with(|on| on.set(true));
+    let res = resolver.resolve(&cold.name, RrType::A);
+    CENSUS_ON.with(|on| on.set(false));
+    assert_eq!(res.rcode, Rcode::NoError);
+    let records = CENSUS.with(|c| std::mem::take(&mut *c.borrow_mut()));
+
+    // (calls, bytes) per site.
+    let mut sites: BTreeMap<String, (u64, usize)> = BTreeMap::new();
+    for (size, trace) in &records {
+        let text = trace.to_string();
+        // Frame lines read "  12: path::to::function"; file lines
+        // ("at ./src/...") carry no ": ".
+        let frames: Vec<&str> = text
+            .lines()
+            .filter_map(|line| line.trim_start().split_once(": "))
+            .map(|(_, function)| function.trim_start_matches('<'))
+            .filter(|function| function.starts_with("ede_"))
+            .take(3)
+            .collect();
+        let site = sites.entry(frames.join(" <- ")).or_default();
+        site.0 += 1;
+        site.1 += size;
+    }
+    let bytes: usize = records.iter().map(|(size, _)| size).sum();
+    println!(
+        "cold {cat:?} resolve: {} allocator calls, {bytes} B",
+        records.len()
+    );
+    let mut sites: Vec<_> = sites.into_iter().collect();
+    sites.sort_by_key(|(_, tally)| std::cmp::Reverse(*tally));
+    for (site, (calls, bytes)) in sites {
+        println!("{calls:4} {bytes:6} B  {site}");
+    }
 }

@@ -151,7 +151,7 @@ pub fn materialize_child_zone(spec: &DomainSpec, base: &Name, idx: usize) -> (Zo
             algorithm: spec.algorithm,
             denial: Denial::Nsec3(Nsec3Config {
                 iterations: spec.nsec3_iterations,
-                salt: vec![0xab, 0xcd],
+                salt: [0xab, 0xcd].into(),
             }),
             ..Default::default()
         };

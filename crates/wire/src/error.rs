@@ -26,6 +26,8 @@ pub enum WireError {
     /// More than one OPT record, or an OPT record somewhere other than the
     /// additional section.
     BadOpt,
+    /// An NSEC/NSEC3 type bitmap not in the form RFC 4034 §4.1.2 requires.
+    BadTypeBitmap(&'static str),
     /// A value did not fit its wire field (e.g. oversized EXTRA-TEXT).
     FieldOverflow(&'static str),
 }
@@ -44,6 +46,7 @@ impl fmt::Display for WireError {
                 write!(f, "RDATA length mismatch for RR type {rtype}")
             }
             WireError::BadOpt => write!(f, "malformed OPT pseudo-record placement"),
+            WireError::BadTypeBitmap(why) => write!(f, "malformed type bitmap: {why}"),
             WireError::FieldOverflow(what) => write!(f, "value too large for field: {what}"),
         }
     }

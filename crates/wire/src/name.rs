@@ -8,7 +8,7 @@
 
 use crate::error::WireError;
 use std::cmp::Ordering;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -447,12 +447,12 @@ impl fmt::Display for Name {
         for label in self.labels() {
             for &b in label {
                 if b.is_ascii_graphic() && b != b'.' && b != b'\\' {
-                    write!(f, "{}", b as char)?;
+                    f.write_char(b as char)?;
                 } else {
                     write!(f, "\\{b:03}")?;
                 }
             }
-            write!(f, ".")?;
+            f.write_char('.')?;
         }
         Ok(())
     }

@@ -3,7 +3,6 @@
 use crate::error::WireError;
 use crate::name::{Compressor, Name};
 use crate::rrtype::RrType;
-use std::collections::BTreeSet;
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -51,9 +50,17 @@ pub struct Rrsig {
 
 /// A set of RR types carried by NSEC/NSEC3 records
 /// (RFC 4034 §4.1.2 window-block encoding).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+///
+/// Window 0 — every type the study signs with lives there — is held
+/// inline exactly as it goes on the wire, so building, copying and
+/// dropping such a bitmap touches no heap. Types from 256 up spill into
+/// a sorted vector.
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct TypeBitmap {
-    types: BTreeSet<u16>,
+    /// Window 0: type `t` is bit `0x80 >> (t % 8)` of octet `t / 8`.
+    low: [u8; 32],
+    /// Types ≥ 256, ascending, no duplicates.
+    high: Vec<u16>,
 }
 
 impl TypeBitmap {
@@ -64,63 +71,80 @@ impl TypeBitmap {
 
     /// Build from an iterator of types.
     pub fn from_types<I: IntoIterator<Item = RrType>>(types: I) -> Self {
-        TypeBitmap {
-            types: types.into_iter().map(|t| t.to_u16()).collect(),
+        let mut bm = Self::default();
+        for t in types {
+            bm.insert(t);
         }
+        bm
     }
 
     /// Insert a type.
     pub fn insert(&mut self, t: RrType) {
-        self.types.insert(t.to_u16());
+        let v = t.to_u16();
+        if v < 256 {
+            self.low[usize::from(v / 8)] |= 0x80 >> (v % 8);
+        } else if let Err(at) = self.high.binary_search(&v) {
+            self.high.insert(at, v);
+        }
     }
 
     /// Membership test.
     pub fn contains(&self, t: RrType) -> bool {
-        self.types.contains(&t.to_u16())
+        let v = t.to_u16();
+        if v < 256 {
+            self.low[usize::from(v / 8)] & (0x80 >> (v % 8)) != 0
+        } else {
+            self.high.binary_search(&v).is_ok()
+        }
     }
 
     /// Iterate the contained types in numeric order.
     pub fn iter(&self) -> impl Iterator<Item = RrType> + '_ {
-        self.types.iter().map(|&v| RrType::from_u16(v))
+        let low = self.low.iter().enumerate().flat_map(|(i, &octet)| {
+            (0..8u16)
+                .filter(move |bit| octet & (0x80 >> bit) != 0)
+                .map(move |bit| i as u16 * 8 + bit)
+        });
+        low.chain(self.high.iter().copied()).map(RrType::from_u16)
     }
 
     /// True when no types are present.
     pub fn is_empty(&self) -> bool {
-        self.types.is_empty()
+        self.low == [0; 32] && self.high.is_empty()
     }
 
     /// Encode as RFC 4034 window blocks.
     pub fn encode(&self, buf: &mut Vec<u8>) {
-        let mut window: i32 = -1;
-        let mut bitmap = [0u8; 32];
-        let mut max_byte = 0usize;
-
-        let flush = |buf: &mut Vec<u8>, window: i32, bitmap: &[u8; 32], max_byte: usize| {
-            if window >= 0 {
-                buf.push(window as u8);
-                buf.push((max_byte + 1) as u8);
-                buf.extend_from_slice(&bitmap[..=max_byte]);
+        fn block(buf: &mut Vec<u8>, window: u8, bitmap: &[u8; 32]) {
+            if let Some(last) = bitmap.iter().rposition(|&octet| octet != 0) {
+                buf.push(window);
+                buf.push(last as u8 + 1);
+                buf.extend_from_slice(&bitmap[..=last]);
             }
-        };
-
-        for &t in &self.types {
-            let w = i32::from(t >> 8);
-            if w != window {
-                flush(buf, window, &bitmap, max_byte);
-                window = w;
-                bitmap = [0u8; 32];
-                max_byte = 0;
-            }
-            let low = (t & 0xFF) as usize;
-            bitmap[low / 8] |= 0x80 >> (low % 8);
-            max_byte = max_byte.max(low / 8);
         }
-        flush(buf, window, &bitmap, max_byte);
+        block(buf, 0, &self.low);
+        let mut rest = &self.high[..];
+        while let Some(&first) = rest.first() {
+            let window = first >> 8;
+            let n = rest.partition_point(|&t| t >> 8 == window);
+            let mut bitmap = [0u8; 32];
+            for &t in &rest[..n] {
+                bitmap[usize::from((t & 0xFF) / 8)] |= 0x80 >> (t % 8);
+            }
+            block(buf, window as u8, &bitmap);
+            rest = &rest[n..];
+        }
     }
 
     /// Decode window blocks from exactly `data`.
+    ///
+    /// Only the one encoding RFC 4034 §4.1.2 allows is accepted — blocks
+    /// in increasing window order, no trailing zero octets, no empty
+    /// block — so a decoded bitmap re-encodes to the bytes it came from,
+    /// which are the bytes its RRSIG was made over.
     pub fn decode(data: &[u8]) -> Result<Self, WireError> {
-        let mut types = BTreeSet::new();
+        let mut bm = Self::default();
+        let mut next_window = 0u16;
         let mut pos = 0;
         while pos < data.len() {
             if pos + 2 > data.len() {
@@ -136,16 +160,28 @@ impl TypeBitmap {
                     context: "type bitmap block",
                 });
             }
-            for (byte_idx, &byte) in data[pos..pos + len].iter().enumerate() {
-                for bit in 0..8 {
-                    if byte & (0x80 >> bit) != 0 {
-                        types.insert((window << 8) | ((byte_idx * 8 + bit) as u16));
-                    }
+            let octets = &data[pos..pos + len];
+            if window < next_window {
+                return Err(WireError::BadTypeBitmap("windows out of order"));
+            }
+            if octets[len - 1] == 0 {
+                return Err(WireError::BadTypeBitmap("trailing zero octet"));
+            }
+            for (i, &octet) in octets.iter().enumerate() {
+                for bit in (0..8).filter(|bit| octet & (0x80 >> bit) != 0) {
+                    bm.insert(RrType::from_u16((window << 8) | (i * 8 + bit) as u16));
                 }
             }
+            next_window = window + 1;
             pos += len;
         }
-        Ok(TypeBitmap { types })
+        Ok(bm)
+    }
+}
+
+impl fmt::Debug for TypeBitmap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
@@ -160,6 +196,65 @@ impl fmt::Display for TypeBitmap {
             first = false;
         }
         Ok(())
+    }
+}
+
+/// A short octet string with a one-octet length on the wire: an NSEC3
+/// salt or hash (RFC 5155 §3.2). Reads as a `[u8]`.
+///
+/// Up to [`Octets::INLINE`] octets — any salt in use and a SHA-1 hash —
+/// are held in place, so copying the RDATA that carries them allocates
+/// nothing; anything longer is boxed.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct Octets(OctetsRepr);
+
+/// Invariant, which makes the derived comparisons those of the strings:
+/// `Heap` only holds strings longer than [`Octets::INLINE`], and `buf` is
+/// zero past `len`.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum OctetsRepr {
+    Inline { len: u8, buf: [u8; Octets::INLINE] },
+    Heap(Box<[u8]>),
+}
+
+impl Octets {
+    /// Longest string held without a heap allocation.
+    pub const INLINE: usize = 22;
+}
+
+impl Default for Octets {
+    fn default() -> Self {
+        Octets::from([])
+    }
+}
+
+impl<T: AsRef<[u8]>> From<T> for Octets {
+    fn from(bytes: T) -> Self {
+        let bytes = bytes.as_ref();
+        if bytes.len() > Self::INLINE {
+            return Octets(OctetsRepr::Heap(bytes.into()));
+        }
+        let mut buf = [0; Self::INLINE];
+        buf[..bytes.len()].copy_from_slice(bytes);
+        let len = bytes.len() as u8;
+        Octets(OctetsRepr::Inline { len, buf })
+    }
+}
+
+impl std::ops::Deref for Octets {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            OctetsRepr::Inline { len, buf } => &buf[..usize::from(*len)],
+            OctetsRepr::Heap(bytes) => bytes,
+        }
+    }
+}
+
+impl fmt::Debug for Octets {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self[..].fmt(f)
     }
 }
 
@@ -227,9 +322,9 @@ pub enum Rdata {
         /// Extra hash iterations.
         iterations: u16,
         /// Salt (empty allowed).
-        salt: Vec<u8>,
+        salt: Octets,
         /// Next hashed owner (raw bytes, not base32).
-        next_hashed: Vec<u8>,
+        next_hashed: Octets,
         /// Types present at the original owner.
         types: TypeBitmap,
     },
@@ -242,7 +337,7 @@ pub enum Rdata {
         /// Extra hash iterations.
         iterations: u16,
         /// Salt (empty allowed).
-        salt: Vec<u8>,
+        salt: Octets,
     },
     /// Opaque RDATA for types we do not model.
     Unknown {
@@ -549,9 +644,9 @@ impl Rdata {
                 let flags = h[1];
                 let iterations = u16::from_be_bytes([h[2], h[3]]);
                 let salt_len = usize::from(take_slice(pos, 1)?[0]);
-                let salt = take_slice(pos, salt_len)?.to_vec();
+                let salt = take_slice(pos, salt_len)?.into();
                 let hash_len = usize::from(take_slice(pos, 1)?[0]);
-                let next_hashed = take_slice(pos, hash_len)?.to_vec();
+                let next_hashed = take_slice(pos, hash_len)?.into();
                 let types = TypeBitmap::decode(&msg[*pos..end])?;
                 *pos = end;
                 Rdata::Nsec3 {
@@ -569,7 +664,7 @@ impl Rdata {
                 let flags = h[1];
                 let iterations = u16::from_be_bytes([h[2], h[3]]);
                 let salt_len = usize::from(take_slice(pos, 1)?[0]);
-                let salt = take_slice(pos, salt_len)?.to_vec();
+                let salt = take_slice(pos, salt_len)?.into();
                 if *pos != end {
                     return Err(WireError::BadRdataLength { rtype: 51 });
                 }
@@ -675,15 +770,15 @@ mod tests {
             hash_alg: 1,
             flags: 1,
             iterations: 12,
-            salt: vec![0xaa, 0xbb],
-            next_hashed: vec![0x11; 20],
+            salt: [0xaa, 0xbb].into(),
+            next_hashed: [0x11; 20].into(),
             types: TypeBitmap::from_types([RrType::A, RrType::Aaaa]),
         });
         roundtrip(&Rdata::Nsec3param {
             hash_alg: 1,
             flags: 0,
             iterations: 0,
-            salt: vec![],
+            salt: Octets::default(),
         });
     }
 
@@ -733,6 +828,65 @@ mod tests {
             ]
         );
         assert_eq!(TypeBitmap::decode(&buf).unwrap(), bm);
+    }
+
+    // RFC 4034 §4.1.2 allows one encoding per set; each other shape used
+    // to decode (and re-encode to different bytes than were signed).
+
+    #[test]
+    fn bitmap_windows_out_of_order_rejected() {
+        // Window 1 {TYPE256} before window 0 {A}.
+        let wire = [0x01, 0x01, 0x80, 0x00, 0x01, 0x40];
+        assert!(matches!(
+            TypeBitmap::decode(&wire),
+            Err(WireError::BadTypeBitmap(_))
+        ));
+    }
+
+    #[test]
+    fn bitmap_repeated_window_rejected() {
+        // Window 0 {A}, then window 0 {NS} again.
+        let wire = [0x00, 0x01, 0x40, 0x00, 0x01, 0x20];
+        assert!(matches!(
+            TypeBitmap::decode(&wire),
+            Err(WireError::BadTypeBitmap(_))
+        ));
+    }
+
+    #[test]
+    fn bitmap_trailing_zero_octet_rejected() {
+        // Window 0 {A} padded with a zero octet.
+        let wire = [0x00, 0x02, 0x40, 0x00];
+        assert!(matches!(
+            TypeBitmap::decode(&wire),
+            Err(WireError::BadTypeBitmap(_))
+        ));
+    }
+
+    #[test]
+    fn bitmap_empty_block_rejected() {
+        // Window 0 {A}, then a window 2 block with no type present.
+        let wire = [0x00, 0x01, 0x40, 0x02, 0x01, 0x00];
+        assert!(matches!(
+            TypeBitmap::decode(&wire),
+            Err(WireError::BadTypeBitmap(_))
+        ));
+    }
+
+    #[test]
+    fn octets_inline_and_boxed_read_alike() {
+        for len in [0, 1, 20, Octets::INLINE, Octets::INLINE + 1, 255] {
+            let bytes: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let o = Octets::from(&bytes[..]);
+            assert_eq!(&o[..], &bytes[..]);
+            assert_eq!(o, Octets::from(bytes.clone()));
+            roundtrip(&Rdata::Nsec3param {
+                hash_alg: 1,
+                flags: 0,
+                iterations: 0,
+                salt: o,
+            });
+        }
     }
 
     #[test]

@@ -85,17 +85,6 @@ impl Record {
         self.rdata.rtype()
     }
 
-    /// A deep copy sharing no name storage with `self` — for long-lived
-    /// holders like caches; see [`Name::detached`] for the rationale.
-    pub fn detached(&self) -> Self {
-        Record {
-            name: self.name.detached(),
-            class: self.class,
-            ttl: self.ttl,
-            rdata: self.rdata.detached(),
-        }
-    }
-
     /// Encode including the owner name and RDLENGTH framing.
     pub fn encode(&self, buf: &mut Vec<u8>, mut compressor: Option<&mut Compressor>) {
         self.name.encode(buf, compressor.as_deref_mut());

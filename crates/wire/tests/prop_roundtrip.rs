@@ -154,8 +154,8 @@ fn arb_rdata(rng: &mut Rng) -> Rdata {
             hash_alg: 1,
             flags: 0,
             iterations: rng.next() as u16,
-            salt: rng.bytes(0, 8),
-            next_hashed: rng.bytes(1, 21),
+            salt: rng.bytes(0, 8).into(),
+            next_hashed: rng.bytes(1, 21).into(),
             types: arb_bitmap(rng),
         },
         _ => Rdata::Unknown {
@@ -269,7 +269,23 @@ fn decoder_never_panics_on_mutations() {
         if !wire.is_empty() {
             let i = rng.below(wire.len() as u64) as usize;
             wire[i] ^= 1 << rng.below(8);
-            let _ = Message::decode(&wire);
+            // Whatever type bitmap still decodes must be the one
+            // encoding of its set (RFC 4034 §4.1.2): re-encoded, its
+            // bytes are there in the message it came from.
+            let Ok(decoded) = Message::decode(&wire) else {
+                continue;
+            };
+            let sections = [&decoded.answers, &decoded.authorities, &decoded.additionals];
+            for record in sections.into_iter().flatten() {
+                if let Rdata::Nsec { types, .. } | Rdata::Nsec3 { types, .. } = &record.rdata {
+                    let mut bitmap = Vec::new();
+                    types.encode(&mut bitmap);
+                    assert!(
+                        bitmap.is_empty() || wire.windows(bitmap.len()).any(|w| w == bitmap),
+                        "{types:?} did not come from {bitmap:02x?}"
+                    );
+                }
+            }
         }
     }
 }

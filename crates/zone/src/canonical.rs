@@ -44,7 +44,10 @@ pub fn signing_data(sig: &Rrsig, rrset: &Rrset) -> Vec<u8> {
     // `Rdata` are already lowercase (`Name` normalizes at construction)
     // and `encode(None)` never compresses, so the plain encoding *is*
     // the canonical form.
-    let mut buf = Vec::with_capacity(256);
+    // Sized for the common sets in one allocation: an address or NSEC3
+    // record fits the base, each further record (DNSKEY sets run to
+    // ~300 octets a key) adds its share.
+    let mut buf = Vec::with_capacity(256 + 320 * rrset.rdatas.len().saturating_sub(1));
     push_rrsig_rdata_sans_signature(&mut buf, sig);
     let rrs_at = buf.len();
 

@@ -184,7 +184,7 @@ impl Misconfig {
                         }
                         for rd in &mut set.rdatas {
                             if let Rdata::Nsec3 { next_hashed, .. } = rd {
-                                *next_hashed = hash.clone();
+                                *next_hashed = (&hash).into();
                             }
                         }
                     }
@@ -213,7 +213,7 @@ impl Misconfig {
                         if let Rdata::Nsec3param { salt, .. } = rd {
                             // A salt the chain was definitely not hashed
                             // with.
-                            *salt = vec![0xde, 0xad, 0xbe, 0xef];
+                            *salt = [0xde, 0xad, 0xbe, 0xef].into();
                         }
                     }
                 }

@@ -3,7 +3,7 @@
 use crate::rrset::Rrset;
 use crate::zone::Zone;
 use ede_crypto::{base32, nsec3hash};
-use ede_wire::rdata::TypeBitmap;
+use ede_wire::rdata::{Octets, TypeBitmap};
 use ede_wire::{Name, Rdata, RrType};
 use std::collections::BTreeSet;
 
@@ -14,14 +14,14 @@ pub struct Nsec3Config {
     /// `nsec3-iter-200` case sets 200 on purpose.
     pub iterations: u16,
     /// Salt, possibly empty.
-    pub salt: Vec<u8>,
+    pub salt: Octets,
 }
 
 impl Default for Nsec3Config {
     fn default() -> Self {
         Nsec3Config {
             iterations: 0,
-            salt: vec![0xab, 0xcd],
+            salt: [0xab, 0xcd].into(),
         }
     }
 }
@@ -129,7 +129,7 @@ pub fn build_chain(zone: &mut Zone, config: &Nsec3Config) {
             flags: 0,
             iterations: config.iterations,
             salt: config.salt.clone(),
-            next_hashed: next_hash.to_vec(),
+            next_hashed: next_hash.into(),
             types: bitmap_for(zone, name, true),
         };
         zone.add_rrset(Rrset::new(owner, soa_minimum, rdata));
@@ -230,7 +230,7 @@ mod tests {
             .collect();
         for r in &nsec3s {
             match r.rdatas.first().unwrap() {
-                Rdata::Nsec3 { next_hashed, .. } => assert!(owners.contains(next_hashed)),
+                Rdata::Nsec3 { next_hashed, .. } => assert!(owners.contains(&next_hashed[..])),
                 _ => unreachable!(),
             }
         }
@@ -315,11 +315,11 @@ mod tests {
     fn high_iteration_count_changes_hashes() {
         let cfg0 = Nsec3Config {
             iterations: 0,
-            salt: vec![],
+            salt: Octets::default(),
         };
         let cfg200 = Nsec3Config {
             iterations: 200,
-            salt: vec![],
+            salt: Octets::default(),
         };
         assert_ne!(
             cfg0.hash_label(&n("example.com")),

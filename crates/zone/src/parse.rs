@@ -368,15 +368,17 @@ fn parse_rdata(rtype: RrType, fields: &[&str], line: usize) -> Result<Rdata, Par
                 hash_alg: parse_u(fields[0], "hash algorithm", line)?,
                 flags: parse_u(fields[1], "flags", line)?,
                 iterations: parse_u(fields[2], "iterations", line)?,
-                salt: parse_hex(fields[3], line)?,
-                next_hashed: base32::decode(&fields[4].to_ascii_lowercase()).ok_or_else(|| {
-                    err(
-                        line,
-                        ParseErrorKind::BadEncoding {
-                            what: "base32hex next-hash",
-                        },
-                    )
-                })?,
+                salt: parse_hex(fields[3], line)?.into(),
+                next_hashed: base32::decode(&fields[4].to_ascii_lowercase())
+                    .ok_or_else(|| {
+                        err(
+                            line,
+                            ParseErrorKind::BadEncoding {
+                                what: "base32hex next-hash",
+                            },
+                        )
+                    })?
+                    .into(),
                 types: parse_bitmap(&fields[5..], line)?,
             }
         }
@@ -386,7 +388,7 @@ fn parse_rdata(rtype: RrType, fields: &[&str], line: usize) -> Result<Rdata, Par
                 hash_alg: parse_u(fields[0], "hash algorithm", line)?,
                 flags: parse_u(fields[1], "flags", line)?,
                 iterations: parse_u(fields[2], "iterations", line)?,
-                salt: parse_hex(fields[3], line)?,
+                salt: parse_hex(fields[3], line)?.into(),
             }
         }
         other => {

@@ -269,7 +269,7 @@ mod tests {
             hash_alg: 1,
             flags: 0,
             iterations: 0,
-            salt: vec![],
+            salt: Default::default(),
         };
         assert_eq!(rdata_text(&rd), "1 0 0 -");
     }

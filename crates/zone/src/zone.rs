@@ -2,10 +2,77 @@
 
 use crate::rrset::Rrset;
 use ede_wire::{Name, Rdata, Record, RrType};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::Arc;
 
-type RrsetMap = BTreeMap<Name, BTreeMap<u16, Rrset>>;
+/// Map key: (owner, numeric type), ordered by canonical owner, then
+/// type. One flat map instead of a map of per-owner maps, so a zone of a
+/// handful of RRsets — what the scan world builds per query — is one
+/// tree node, not one per owner name.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct Key(Name, u16);
+
+/// What a lookup compares map keys against: the key's parts, borrowed,
+/// so probing clones no [`Name`].
+trait KeyParts {
+    fn parts(&self) -> (&Name, u16);
+}
+
+impl KeyParts for Key {
+    fn parts(&self) -> (&Name, u16) {
+        (&self.0, self.1)
+    }
+}
+
+impl KeyParts for (&Name, u16) {
+    fn parts(&self) -> (&Name, u16) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn KeyParts + 'a> for Key {
+    fn borrow(&self) -> &(dyn KeyParts + 'a) {
+        self
+    }
+}
+
+// The same order `Key` derives, as `Borrow` requires.
+impl Ord for dyn KeyParts + '_ {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.parts().cmp(&other.parts())
+    }
+}
+
+impl PartialOrd for dyn KeyParts + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for dyn KeyParts + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn KeyParts + '_ {}
+
+type RrsetMap = BTreeMap<Key, Rrset>;
+
+/// The entries of `map` from `name`'s first RRset on, in key order.
+fn from_name<'a>(map: &'a RrsetMap, name: &Name) -> impl Iterator<Item = (&'a Key, &'a Rrset)> {
+    let first: &dyn KeyParts = &(name, 0u16);
+    map.range::<dyn KeyParts, _>((Bound::Included(first), Bound::Unbounded))
+}
+
+/// The RRsets at exactly `name`, in type order.
+fn at_name<'a>(map: &'a RrsetMap, name: &'a Name) -> impl Iterator<Item = &'a Rrset> {
+    from_name(map, name)
+        .take_while(move |(k, _)| k.0 == *name)
+        .map(|(_, set)| set)
+}
 
 /// An authoritative zone: an apex and the RRsets at and below it.
 ///
@@ -23,8 +90,6 @@ type RrsetMap = BTreeMap<Name, BTreeMap<u16, Rrset>>;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Zone {
     apex: Name,
-    /// owner → (numeric type → rrset). The inner map is tiny (a handful of
-    /// types per name), the outer map is ordered canonically.
     rrsets: RrsetMap,
     /// The shared layer underneath; itself never layered.
     base: Option<Arc<Zone>>,
@@ -56,61 +121,48 @@ impl Zone {
         &self.apex
     }
 
-    /// The shared layer's RRsets, if there is one.
-    fn base_rrsets(&self) -> Option<&RrsetMap> {
-        self.base.as_ref().map(|b| &b.rrsets)
+    /// The zone's own RRsets, then the shared layer's if there is one.
+    fn layers(&self) -> impl Iterator<Item = &RrsetMap> {
+        std::iter::once(&self.rrsets).chain(self.base.as_ref().map(|b| &b.rrsets))
     }
 
     /// Insert one record, merging into an existing RRset of the same
     /// (owner, type) when present.
     pub fn add(&mut self, record: Record) {
         let rtype = record.rtype();
-        let by_type = self.rrsets.entry(record.name.clone()).or_default();
-        match by_type.get_mut(&rtype.to_u16()) {
+        match self.get_mut(&record.name, rtype) {
             Some(set) => set.rdatas.push(record.rdata),
-            None => {
-                by_type.insert(
-                    rtype.to_u16(),
-                    Rrset::new(record.name, record.ttl, record.rdata),
-                );
-            }
+            None => self.add_rrset(Rrset::new(record.name, record.ttl, record.rdata)),
         }
     }
 
     /// Insert a whole RRset, replacing any existing set of the same key.
     pub fn add_rrset(&mut self, rrset: Rrset) {
         self.rrsets
-            .entry(rrset.name.clone())
-            .or_default()
-            .insert(rrset.rtype.to_u16(), rrset);
+            .insert(Key(rrset.name.clone(), rrset.rtype.to_u16()), rrset);
     }
 
     /// Look up the RRset at (name, rtype).
     pub fn get(&self, name: &Name, rtype: RrType) -> Option<&Rrset> {
-        fn at<'a>(map: &'a RrsetMap, name: &Name, rtype: RrType) -> Option<&'a Rrset> {
-            map.get(name)?.get(&rtype.to_u16())
-        }
-        at(&self.rrsets, name, rtype).or_else(|| at(self.base_rrsets()?, name, rtype))
+        let key: &dyn KeyParts = &(name, rtype.to_u16());
+        self.layers().find_map(|map| map.get(key))
     }
 
     /// Mutable lookup (own layer only).
     pub fn get_mut(&mut self, name: &Name, rtype: RrType) -> Option<&mut Rrset> {
-        self.rrsets.get_mut(name)?.get_mut(&rtype.to_u16())
+        let key: &dyn KeyParts = &(name, rtype.to_u16());
+        self.rrsets.get_mut(key)
     }
 
     /// Remove and return the RRset at (name, rtype) (own layer only).
     pub fn remove(&mut self, name: &Name, rtype: RrType) -> Option<Rrset> {
-        let by_type = self.rrsets.get_mut(name)?;
-        let removed = by_type.remove(&rtype.to_u16());
-        if by_type.is_empty() {
-            self.rrsets.remove(name);
-        }
-        removed
+        let key: &dyn KeyParts = &(name, rtype.to_u16());
+        self.rrsets.remove(key)
     }
 
     /// Does any RRset exist at `name`?
     pub fn name_exists(&self, name: &Name) -> bool {
-        self.rrsets.contains_key(name) || self.base_rrsets().is_some_and(|b| b.contains_key(name))
+        self.layers().any(|map| at_name(map, name).next().is_some())
     }
 
     /// Does `name` exist either directly or as an empty non-terminal
@@ -118,20 +170,19 @@ impl Zone {
     /// descendant of `name` sorts immediately after it, so one ordered
     /// range probe answers this in O(log n).
     pub fn name_exists_or_ent(&self, name: &Name) -> bool {
-        let probe = |map: &RrsetMap| {
-            map.range(name..)
+        self.layers().any(|map| {
+            from_name(map, name)
                 .next()
-                .is_some_and(|(k, _)| k.is_subdomain_of(name))
-        };
-        probe(&self.rrsets) || self.base_rrsets().is_some_and(probe)
+                .is_some_and(|(k, _)| k.0.is_subdomain_of(name))
+        })
     }
 
     /// The types present at `name`, in numeric order.
     pub fn types_at(&self, name: &Name) -> Vec<RrType> {
-        let mut types: Vec<u16> = std::iter::once(&self.rrsets)
-            .chain(self.base_rrsets())
-            .filter_map(|map| map.get(name))
-            .flat_map(|m| m.keys().copied())
+        let mut types: Vec<u16> = self
+            .layers()
+            .flat_map(|map| at_name(map, name))
+            .map(|set| set.rtype.to_u16())
             .collect();
         if self.base.is_some() {
             types.sort_unstable();
@@ -142,39 +193,28 @@ impl Zone {
 
     /// Iterate all owner names in canonical order.
     pub fn names(&self) -> impl Iterator<Item = &Name> {
-        let shared = self
-            .base_rrsets()
-            .into_iter()
-            .flat_map(|b| b.keys())
-            .filter(|n| !self.rrsets.contains_key(n));
-        merge_sorted(self.rrsets.keys(), shared, |a, b| a.cmp(b))
+        // An owner's RRsets are consecutive: keep the first of each run.
+        let mut last = None;
+        self.iter().map(|set| &set.name).filter(move |&name| {
+            let fresh = last != Some(name);
+            last = Some(name);
+            fresh
+        })
     }
 
     /// Iterate all RRsets (canonical owner order, numeric type order).
     pub fn iter(&self) -> impl Iterator<Item = &Rrset> {
-        fn flat(map: &RrsetMap) -> impl Iterator<Item = &Rrset> {
-            map.values().flat_map(|m| m.values())
-        }
         let shared = self
-            .base_rrsets()
-            .into_iter()
-            .flat_map(flat)
-            .filter(|s| !self.holds(&s.name, s.rtype));
-        merge_sorted(flat(&self.rrsets), shared, |a, b| {
-            (&a.name, a.rtype.to_u16()).cmp(&(&b.name, b.rtype.to_u16()))
-        })
-    }
-
-    /// Does the zone's own layer hold an RRset at (name, rtype)?
-    fn holds(&self, name: &Name, rtype: RrType) -> bool {
-        self.rrsets
-            .get(name)
-            .is_some_and(|m| m.contains_key(&rtype.to_u16()))
+            .base
+            .iter()
+            .flat_map(|b| b.rrsets.iter())
+            .filter(|(k, _)| !self.rrsets.contains_key(*k));
+        merge_sorted(self.rrsets.iter(), shared, |a, b| a.0.cmp(b.0)).map(|(_, set)| set)
     }
 
     /// Mutable iteration over all RRsets (own layer only).
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Rrset> {
-        self.rrsets.values_mut().flat_map(|m| m.values_mut())
+        self.rrsets.values_mut()
     }
 
     /// The SOA RRset at the apex.

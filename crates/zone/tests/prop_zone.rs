@@ -114,7 +114,10 @@ fn signed_zones_always_verify() {
         let mut zone = build_zone(&apex, &hosts);
         let keys = ZoneKeys::generate(&apex, 8, 2048);
         let cfg = SignerConfig {
-            denial: Denial::Nsec3(Nsec3Config { iterations, salt }),
+            denial: Denial::Nsec3(Nsec3Config {
+                iterations,
+                salt: salt.into(),
+            }),
             ..Default::default()
         };
         sign_zone(&mut zone, &keys, &cfg);
