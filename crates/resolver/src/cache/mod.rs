@@ -9,8 +9,7 @@
 //!   revisits) are served without touching a lock.
 //! * **L2** ([`Cache`], this module) — the shared sharded store:
 //!   positive, negative, and failure caching with RFC 8767
-//!   serve-stale, now with a TTL wheel driving real expiry and an
-//!   optional entry budget enforced by a CLOCK (second-chance) sweep.
+//!   serve-stale.
 //! * **Infrastructure** ([`infra::InfraCache`]) — referral sets and
 //!   validated zone keys for the iterative walk, keyed by zone.
 //! * **Ranges** ([`ranges::RangeCache`]) — validated NSEC/NSEC3 denial
@@ -38,13 +37,17 @@
 //!
 //! # Expiry: the TTL wheel
 //!
-//! Every entry has a hard deadline — `stored_at + ttl + stale window` —
+//! The L2 store and the range tier bound themselves the same way, by
+//! one implementation (the private `bounded` module); each supplies
+//! only how a bookkeeping slot finds its entry.
+//!
+//! Every entry has a hard deadline — `stored_at + ttl + stale window`
+//! here, `min(stored_at + ttl, RRSIG expiration)` for a denial span —
 //! past which it can never be served again (not even stale). Each shard
 //! buckets those deadlines on a coarse clock ([`WHEEL_BUCKET_SECS`]-
 //! second buckets in a `BTreeMap`); every store operation first drains
 //! the buckets that lie wholly in the past, physically removing dead
-//! entries. Before the wheel, `len()` counted dead entries forever and
-//! memory only ever grew.
+//! entries.
 //!
 //! Overwrites are handled lazily: each entry carries a shard-scoped
 //! sequence number, and a wheel (or CLOCK ring) slot whose sequence no
@@ -52,26 +55,30 @@
 //!
 //! # Budget: the CLOCK sweep
 //!
-//! [`CacheLimits`] optionally bounds the store by entry count. The
-//! bound is **global and hard**: after any `put` returns, the whole
-//! store holds at most `max_entries` entries. Enforcement is local —
-//! the inserting shard evicts from its own insertion ring, giving
-//! recently-hit entries one second chance (CLOCK) before they go. A
-//! budget eviction may remove a perfectly live entry, so scan results
-//! are only guaranteed bit-identical when the budget never actually
-//! fires; the bounded-memory configurations trade exactness for a
-//! working-set bound, as a serving front end must.
+//! [`CacheLimits`] optionally bounds a tier by entry count. The bound
+//! is **global and hard**: after any store returns, the whole tier
+//! holds at most `max_entries` entries. Enforcement is local — the
+//! inserting shard evicts from its own insertion ring, giving
+//! recently-hit entries one second chance (CLOCK) before they go. Only
+//! a budgeted tier keeps rings, compacted as overwrites and expiries
+//! leave dead slots behind. A budget eviction may remove a perfectly
+//! live entry, so scan results are only guaranteed bit-identical when
+//! the L2 budget never actually fires (evicting a denial span only
+//! forfeits a synthesis); the bounded-memory configurations trade
+//! exactness for a working-set bound, as a serving front end must.
 
+mod bounded;
 pub mod infra;
 pub mod l1;
 pub mod ranges;
 
 use crate::diagnosis::Diagnosis;
+use bounded::{Bounded, Index};
 use ede_wire::{Name, Rcode, Record, RrType};
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
+use std::collections::HashMap;
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::Arc;
 
 /// Number of independently-locked shards. A power of two so shard
 /// selection is a mask; 16 is comfortably above any worker count the
@@ -79,14 +86,8 @@ use std::sync::{Arc, Mutex};
 /// of workers per shard lock at ~1.
 pub const SHARD_COUNT: usize = 16;
 
-/// Width of one TTL-wheel bucket, seconds (as a shift: 64 s). Coarse on
-/// purpose: the wheel only needs to find *dead* entries cheaply, the
-/// exact freshness test still runs per probe.
-const WHEEL_SHIFT: u32 = 6;
-
-/// Width of one TTL-wheel bucket in seconds (documentation constant;
-/// the code shifts by `WHEEL_SHIFT`).
-pub const WHEEL_BUCKET_SECS: u32 = 1 << WHEEL_SHIFT;
+/// Width of one TTL-wheel bucket in seconds.
+pub const WHEEL_BUCKET_SECS: u32 = 1 << bounded::WHEEL_SHIFT;
 
 /// What a completed resolution left behind.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -210,23 +211,18 @@ pub enum CacheHit {
     Miss,
 }
 
-/// One lockable slice of the store. Entries sit inline in a map keyed
-/// by the precomputed `(qname, qtype)` hash, so storing one allocates no
-/// bucket of its own; an entry whose 64-bit hash is already taken by a
+/// One shard's entries. They sit inline in a map keyed by the
+/// precomputed `(qname, qtype)` hash, so storing one allocates no bucket
+/// of its own; an entry whose 64-bit hash is already taken by a
 /// *different* key — all but unheard of — goes to `collided` instead.
 #[derive(Default)]
-struct Shard {
+struct Entries {
     entries: HashMap<u64, Entry>,
     /// `(hash, entry)` for keys that lost their hash to another key.
     collided: Vec<(u64, Entry)>,
-    /// TTL wheel: coarse deadline bucket → `(hash, seq)` slots.
-    wheel: BTreeMap<u32, Vec<(u64, u64)>>,
-    /// Insertion ring for the CLOCK sweep: `(hash, seq)` in store order.
-    ring: VecDeque<(u64, u64)>,
-    next_seq: u64,
 }
 
-impl Shard {
+impl Entries {
     /// Every stored entry hashing to `hash` (one, bar collisions).
     fn at_hash(&self, hash: u64) -> impl Iterator<Item = &Entry> {
         let collided = self.collided.iter().filter(move |(h, _)| *h == hash);
@@ -235,11 +231,18 @@ impl Shard {
             .into_iter()
             .chain(collided.map(|(_, e)| e))
     }
+}
 
-    /// Remove the entry addressed by `(hash, seq)`; true when it was
-    /// there. A stale sequence (entry overwritten or already removed)
-    /// is a no-op.
-    fn remove_slot(&mut self, hash: u64, seq: u64) -> bool {
+/// A wheel or ring slot addresses an entry as `(hash, seq)`.
+impl Index for Entries {
+    type Slot = (u64, u64);
+
+    fn reference_bit(&self, &(hash, seq): &(u64, u64)) -> Option<&Cell<bool>> {
+        let entry = self.at_hash(hash).find(|e| e.seq == seq)?;
+        Some(&entry.referenced)
+    }
+
+    fn remove(&mut self, &(hash, seq): &(u64, u64)) -> bool {
         if self.entries.get(&hash).is_some_and(|e| e.seq == seq) {
             return self.entries.remove(&hash).is_some();
         }
@@ -249,56 +252,12 @@ impl Shard {
             .position(|(h, e)| *h == hash && e.seq == seq);
         at.map(|at| self.collided.swap_remove(at)).is_some()
     }
-
-    /// Drain every wheel bucket that lies wholly before `now`,
-    /// physically removing the (certainly dead) entries it references.
-    /// Returns how many went.
-    fn advance_wheel(&mut self, now: u32) -> u64 {
-        let cutoff = now >> WHEEL_SHIFT;
-        if self
-            .wheel
-            .first_key_value()
-            .is_none_or(|(&b, _)| b >= cutoff)
-        {
-            return 0;
-        }
-        let live = self.wheel.split_off(&cutoff);
-        let dead = std::mem::replace(&mut self.wheel, live);
-        let mut removed = 0u64;
-        for (_, slots) in dead {
-            for (hash, seq) in slots {
-                if self.remove_slot(hash, seq) {
-                    removed += 1;
-                }
-            }
-        }
-        removed
-    }
-}
-
-/// Live side of [`CacheStatsSnapshot`]: lock-free atomics bumped
-/// outside the shard locks wherever possible.
-#[derive(Debug, Default)]
-struct CacheStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    stale_served: AtomicU64,
-    puts: AtomicU64,
-    expired: AtomicU64,
-    evicted: AtomicU64,
-    occupancy_peak: AtomicU64,
 }
 
 /// The shared (L2) resolver cache.
 pub struct Cache {
-    shards: [Mutex<Shard>; SHARD_COUNT],
+    store: Bounded<Entries>,
     stale_window_secs: u32,
-    limits: CacheLimits,
-    /// Stored entries across all shards (including expired-but-unpurged
-    /// ones). Global so the budget is a whole-store bound even though
-    /// eviction runs in the inserting shard.
-    occupancy: AtomicU64,
-    stats: CacheStats,
 }
 
 /// Deterministic hash of a probe key. The qname's label bytes are
@@ -320,21 +279,14 @@ impl Cache {
     /// An empty cache with the given serve-stale window and budget.
     pub fn with_limits(stale_window_secs: u32, limits: CacheLimits) -> Self {
         Cache {
-            shards: std::array::from_fn(|_| Mutex::new(Shard::default())),
+            store: Bounded::new(limits),
             stale_window_secs,
-            limits,
-            occupancy: AtomicU64::new(0),
-            stats: CacheStats::default(),
         }
     }
 
     /// The serve-stale window this store was built with.
     pub fn stale_window_secs(&self) -> u32 {
         self.stale_window_secs
-    }
-
-    fn shard_for(&self, hash: u64) -> &Mutex<Shard> {
-        &self.shards[(hash as usize) & (SHARD_COUNT - 1)]
     }
 
     /// Probe for `(qname, qtype)` at time `now`.
@@ -344,19 +296,20 @@ impl Cache {
     pub fn get(&self, qname: &Name, qtype: RrType, now: u32) -> CacheHit {
         let hit = self.get_inner(qname, qtype, now);
         match &hit {
-            CacheHit::Fresh(..) => self.stats.hits.fetch_add(1, Relaxed),
+            CacheHit::Fresh(..) => self.store.stats.hits.fetch_add(1, Relaxed),
             // A stale entry is only *served* through `get_stale_success`;
             // a plain probe that finds one proceeds to live resolution,
             // which is a miss from the client's point of view.
-            CacheHit::Stale(_) | CacheHit::Miss => self.stats.misses.fetch_add(1, Relaxed),
+            CacheHit::Stale(_) | CacheHit::Miss => self.store.stats.misses.fetch_add(1, Relaxed),
         };
         hit
     }
 
     fn get_inner(&self, qname: &Name, qtype: RrType, now: u32) -> CacheHit {
         let hash = probe_hash(qname, qtype.to_u16());
-        let shard = self.shard_for(hash).lock().expect("no poisoning");
+        let shard = self.store.lock(hash);
         let Some(entry) = shard
+            .index
             .at_hash(hash)
             .find(|e| e.qtype == qtype.to_u16() && e.qname == *qname)
         else {
@@ -384,7 +337,7 @@ impl Cache {
     ) -> Option<Arc<CachedResolution>> {
         match self.get_inner(qname, qtype, now) {
             CacheHit::Stale(data) | CacheHit::Fresh(data, ..) if !data.is_failure => {
-                self.stats.stale_served.fetch_add(1, Relaxed);
+                self.store.stats.stale_served.fetch_add(1, Relaxed);
                 Some(data)
             }
             _ => None,
@@ -402,40 +355,30 @@ impl Cache {
         ttl: u32,
         now: u32,
     ) -> PutOutcome {
-        self.stats.puts.fetch_add(1, Relaxed);
+        self.store.stats.puts.fetch_add(1, Relaxed);
         let hash = probe_hash(qname, qtype.to_u16());
         // The Arc is built outside the lock; the lock only covers the
         // bucket splice.
         let data = Arc::new(data);
-        let mut outcome = PutOutcome::default();
-        let mut shard = self.shard_for(hash).lock().expect("no poisoning");
+        let mut shard = self.store.lock(hash);
+        let expired = self.store.turn_wheel(&mut shard, now);
 
-        // 1. Turn the wheel: drop everything in this shard whose
-        //    deadline has certainly passed.
-        let expired = shard.advance_wheel(now);
-        if expired > 0 {
-            outcome.expired = expired;
-            self.occupancy.fetch_sub(expired, Relaxed);
-            self.stats.expired.fetch_add(expired, Relaxed);
-        }
-
-        // 2. Splice the entry in (or refuse: a failure never clobbers a
-        //    still-stale-servable success — the success is what
-        //    serve-stale needs later; check and insert happen under the
-        //    same shard lock, so a concurrent successful put cannot be
-        //    lost in between).
-        let seq = shard.next_seq;
-        shard.next_seq += 1;
+        // Splice the entry in (or refuse: a failure never clobbers a
+        // still-stale-servable success — the success is what serve-stale
+        // needs later; check and insert happen under the same shard
+        // lock, so a concurrent successful put cannot be lost in
+        // between).
+        let seq = shard.next_seq();
         let deadline = now
             .saturating_add(ttl)
             .saturating_add(self.stale_window_secs);
         let is_key = |e: &Entry| e.qtype == qtype.to_u16() && e.qname == *qname;
-        let shard = &mut *shard;
-        let slot = shard.entries.get_mut(&hash);
+        let index = &mut shard.index;
+        let slot = index.entries.get_mut(&hash);
         let taken = slot.is_some();
         let existing = match slot {
             Some(e) if is_key(e) => Some(e),
-            _ => shard
+            _ => index
                 .collided
                 .iter_mut()
                 .map(|(_, e)| e)
@@ -447,15 +390,13 @@ impl Cache {
                     && now.saturating_sub(e.stored_at)
                         <= e.ttl.saturating_add(self.stale_window_secs)
                 {
-                    outcome.occupancy = self.occupancy.load(Relaxed);
-                    return outcome;
+                    return self.store.outcome(expired, 0);
                 }
             }
         }
+        let new = existing.is_none();
         match existing {
             Some(e) => {
-                // Overwrite in place: the old wheel/ring slots keep the
-                // superseded sequence and will be skipped lazily.
                 e.data = data;
                 e.stored_at = now;
                 e.ttl = ttl;
@@ -478,53 +419,14 @@ impl Cache {
                     referenced: Cell::new(false),
                 };
                 if taken {
-                    shard.collided.push((hash, entry));
+                    index.collided.push((hash, entry));
                 } else {
-                    shard.entries.insert(hash, entry);
-                }
-                let occ = self.occupancy.fetch_add(1, Relaxed) + 1;
-                self.stats.occupancy_peak.fetch_max(occ, Relaxed);
-            }
-        }
-        shard
-            .wheel
-            .entry(deadline >> WHEEL_SHIFT)
-            .or_default()
-            .push((hash, seq));
-        shard.ring.push_back((hash, seq));
-
-        // 3. Enforce the budget with a CLOCK sweep over this shard's
-        //    ring. The inserting shard always holds at least the entry
-        //    just stored, so the global bound is restorable locally.
-        if let Some(max) = self.limits.max_entries {
-            // One full second-chance lap, then evict unconditionally:
-            // termination cannot depend on every entry being hot.
-            let mut chances = shard.ring.len();
-            while self.occupancy.load(Relaxed) > max as u64 {
-                let Some((h, s)) = shard.ring.pop_front() else {
-                    break;
-                };
-                let Some(entry) = shard.at_hash(h).find(|e| e.seq == s) else {
-                    continue; // superseded slot
-                };
-                match entry.referenced.get() {
-                    true if chances > 0 => {
-                        chances -= 1;
-                        entry.referenced.set(false);
-                        shard.ring.push_back((h, s));
-                    }
-                    _ => {
-                        if shard.remove_slot(h, s) {
-                            outcome.evicted += 1;
-                            self.occupancy.fetch_sub(1, Relaxed);
-                            self.stats.evicted.fetch_add(1, Relaxed);
-                        }
-                    }
+                    index.entries.insert(hash, entry);
                 }
             }
         }
-        outcome.occupancy = self.occupancy.load(Relaxed);
-        outcome
+        self.store.track(&mut shard, (hash, seq), deadline, new);
+        self.store.finish(&mut shard, expired)
     }
 
     /// Number of entries still *servable* at `now` — fresh or within
@@ -532,12 +434,12 @@ impl Cache {
     /// even if the wheel hasn't physically removed them yet, and are
     /// not counted.
     pub fn len(&self, now: u32) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                let shard = s.lock().expect("no poisoning");
-                let collided = shard.collided.iter().map(|(_, e)| e);
+        self.store
+            .shards()
+            .map(|shard| {
+                let collided = shard.index.collided.iter().map(|(_, e)| e);
                 shard
+                    .index
                     .entries
                     .values()
                     .chain(collided)
@@ -555,7 +457,7 @@ impl Cache {
     /// Total stored entries, including expired-but-unpurged ones (the
     /// quantity the entry budget bounds).
     pub fn total_entries(&self) -> usize {
-        self.occupancy.load(Relaxed) as usize
+        self.store.total_entries()
     }
 
     /// Physically remove every entry whose deadline lies before `now`,
@@ -563,42 +465,18 @@ impl Cache {
     /// shard's wheel lazily; this is the eager, whole-store form for
     /// callers that want memory back *now*.
     pub fn purge_expired(&self, now: u32) -> u64 {
-        let mut removed = 0u64;
-        for s in &self.shards {
-            let mut shard = s.lock().expect("no poisoning");
-            let expired = shard.advance_wheel(now);
-            removed += expired;
-            self.occupancy.fetch_sub(expired, Relaxed);
-            self.stats.expired.fetch_add(expired, Relaxed);
-        }
-        removed
+        self.store.purge_expired(now)
     }
 
     /// A frozen copy of the store's counters.
     pub fn stats(&self) -> CacheStatsSnapshot {
-        CacheStatsSnapshot {
-            hits: self.stats.hits.load(Relaxed),
-            misses: self.stats.misses.load(Relaxed),
-            stale_served: self.stats.stale_served.load(Relaxed),
-            puts: self.stats.puts.load(Relaxed),
-            expired: self.stats.expired.load(Relaxed),
-            evicted: self.stats.evicted.load(Relaxed),
-            occupancy: self.occupancy.load(Relaxed),
-            occupancy_peak: self.stats.occupancy_peak.load(Relaxed),
-        }
+        self.store.stats()
     }
 
     /// Drop everything (tests and flushes). Counters other than the
     /// occupancy gauge are preserved.
     pub fn clear(&self) {
-        for s in &self.shards {
-            let mut shard = s.lock().expect("no poisoning");
-            shard.entries.clear();
-            shard.collided.clear();
-            shard.wheel.clear();
-            shard.ring.clear();
-        }
-        self.occupancy.store(0, Relaxed);
+        self.store.clear();
     }
 }
 
@@ -937,6 +815,62 @@ mod tests {
             c.get(&n("same.example"), RrType::A, 1),
             CacheHit::Fresh(..)
         ));
+    }
+
+    /// Wheel and ring hold slots, not entries, and a slot outlives the
+    /// entry it addressed. Neither may grow with how often something
+    /// was stored: a long-running server re-stores the same names for
+    /// ever. The ring — one slot per store, popped only by a sweep that
+    /// runs only over budget — used to do exactly that.
+    #[test]
+    fn bookkeeping_is_bounded_by_live_entries() {
+        const STORES: u32 = 10_000;
+        let assert_bounded = |c: &Cache, budgeted: bool| {
+            for (live, ring, wheel) in c.store.bookkeeping() {
+                if budgeted {
+                    assert!(ring <= 2 * live + bounded::RING_SLACK, "{ring} / {live}");
+                } else {
+                    assert_eq!(ring, 0, "nothing reads an unbudgeted ring");
+                }
+                // One slot per store until its bucket passes: here at
+                // most one a second over TTL + window + two buckets.
+                assert!(wheel <= 60 + 100 + 2 * WHEEL_BUCKET_SECS as usize);
+            }
+        };
+        let budget = |max| CacheLimits {
+            max_entries: Some(max),
+        };
+
+        // One key overwritten, no budget and under one never exceeded.
+        for limits in [CacheLimits::default(), budget(100)] {
+            let budgeted = limits.max_entries.is_some();
+            let c = Cache::with_limits(100, limits);
+            for now in 0..STORES {
+                c.put(&n("same.example"), RrType::A, success(), 60, now);
+                assert_bounded(&c, budgeted);
+            }
+            assert_eq!(c.total_entries(), 1);
+        }
+
+        // Keys that expire and are purged, likewise.
+        for limits in [CacheLimits::default(), budget(STORES as usize)] {
+            let budgeted = limits.max_entries.is_some();
+            let c = Cache::with_limits(100, limits);
+            for now in 0..STORES {
+                c.put(
+                    &n(&format!("d{now}.example")),
+                    RrType::A,
+                    success(),
+                    60,
+                    now,
+                );
+            }
+            assert_bounded(&c, budgeted);
+            c.purge_expired(STORES + 1_000);
+            assert_eq!(c.total_entries(), 0);
+            assert_bounded(&c, budgeted);
+            assert_eq!(c.stats().evicted, 0);
+        }
     }
 
     #[test]

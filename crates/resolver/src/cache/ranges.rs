@@ -12,8 +12,8 @@
 //!
 //! Entries are grouped per zone (denial proofs are only meaningful
 //! relative to the zone that signed them), and zones are spread over
-//! [`SHARD_COUNT`] independently-locked shards by a hash of the apex
-//! name, mirroring the L2 store. Within a zone, NSEC3 intervals live in
+//! [`super::SHARD_COUNT`] independently-locked shards by a hash of the
+//! apex name, mirroring the L2 store. Within a zone, NSEC3 intervals live in
 //! a `BTreeMap` keyed by the 20-byte hashed owner (lookup = one
 //! `range(..h).next_back()` plus a wraparound check) and NSEC intervals
 //! in a `BTreeMap` keyed by the owner's canonical-order key.
@@ -44,10 +44,9 @@
 //!
 //! An interval is servable until `min(stored_at + ttl, RRSIG
 //! expiration)` — a proof must not outlive the signature that made it
-//! trustworthy. A per-shard TTL wheel drains dead intervals on store,
-//! and the same [`CacheLimits`] entry budget as the L2 store is
-//! enforced by a CLOCK (second-chance) sweep over the inserting shard's
-//! ring, reported through the same [`PutOutcome`] accounting.
+//! trustworthy. Dead intervals drain on store and a [`CacheLimits`]
+//! entry budget evicts by second chance, reported as a [`PutOutcome`]:
+//! the L2 store's policy, shared with it (see the `cache` module).
 //!
 //! # Freezing
 //!
@@ -57,15 +56,15 @@
 //! of the validated proofs seen before the freeze, independent of the
 //! order workers produced them.
 
-use super::{CacheLimits, CacheStatsSnapshot, PutOutcome, SHARD_COUNT, WHEEL_SHIFT};
+use super::bounded::{Bounded, Index};
+use super::{CacheLimits, CacheStatsSnapshot, PutOutcome};
 use ede_crypto::nsec3hash;
 use ede_wire::rdata::{Octets, TypeBitmap};
 use ede_wire::{Name, RrType};
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
 /// One validated denial span, as extracted by the validator from a
 /// proof it has fully verified (signature and shape).
@@ -202,27 +201,15 @@ impl ZoneRanges {
     }
 }
 
-/// Addresses one interval for lazy deletion: `(zone hash, map, owner
-/// key, sequence)`. A slot whose sequence no longer matches the stored
-/// interval is skipped.
-type Slot = (u64, Kind, Vec<u8>, u64);
-
-/// One lockable slice of the tier.
+/// One shard's zones: zone-apex hash → per-zone ranges. The tiny
+/// collision vector resolves 64-bit hash collisions by comparing the
+/// apex name.
 #[derive(Default)]
-struct Shard {
-    /// Zone-apex hash → per-zone ranges. The tiny collision vector
-    /// resolves 64-bit hash collisions by comparing the apex name.
-    zones: HashMap<u64, Vec<(Name, ZoneRanges)>>,
-    /// TTL wheel: coarse deadline bucket → slots.
-    wheel: BTreeMap<u32, Vec<Slot>>,
-    /// Insertion ring for the CLOCK sweep.
-    ring: VecDeque<Slot>,
-    next_seq: u64,
-}
+struct Zones(HashMap<u64, Vec<(Name, ZoneRanges)>>);
 
-impl Shard {
+impl Zones {
     fn zone(&self, hash: u64, apex: &Name) -> Option<&ZoneRanges> {
-        self.zones
+        self.0
             .get(&hash)?
             .iter()
             .find(|(n, _)| n == apex)
@@ -230,85 +217,51 @@ impl Shard {
     }
 
     fn zone_mut(&mut self, hash: u64, apex: &Name) -> &mut ZoneRanges {
-        let bucket = self.zones.entry(hash).or_default();
+        let bucket = self.0.entry(hash).or_default();
         if let Some(idx) = bucket.iter().position(|(n, _)| n == apex) {
             return &mut bucket[idx].1;
         }
         bucket.push((apex.detached(), ZoneRanges::default()));
         &mut bucket.last_mut().expect("just pushed").1
     }
-
-    /// Remove the interval addressed by `slot`; true when it was there.
-    /// A stale sequence is a no-op.
-    fn remove_slot(&mut self, slot: &Slot) -> bool {
-        let (hash, kind, key, seq) = slot;
-        let Some(bucket) = self.zones.get_mut(hash) else {
-            return false;
-        };
-        let mut removed = false;
-        let mut drop_zone = None;
-        for (idx, (_, zone)) in bucket.iter_mut().enumerate() {
-            let map = zone.map_mut(*kind);
-            if map.get(key).is_some_and(|iv| iv.seq == *seq) {
-                removed = map.remove(key).is_some();
-                if zone.is_empty() {
-                    drop_zone = Some(idx);
-                }
-                break;
-            }
-        }
-        if let Some(idx) = drop_zone {
-            bucket.swap_remove(idx);
-            if bucket.is_empty() {
-                self.zones.remove(hash);
-            }
-        }
-        removed
-    }
-
-    /// Drain every wheel bucket wholly before `now`, removing the dead
-    /// intervals it references. Returns how many went.
-    fn advance_wheel(&mut self, now: u32) -> u64 {
-        let cutoff = now >> WHEEL_SHIFT;
-        if self
-            .wheel
-            .first_key_value()
-            .is_none_or(|(&b, _)| b >= cutoff)
-        {
-            return 0;
-        }
-        let live = self.wheel.split_off(&cutoff);
-        let dead = std::mem::replace(&mut self.wheel, live);
-        let mut removed = 0u64;
-        for (_, slots) in dead {
-            for slot in slots {
-                if self.remove_slot(&slot) {
-                    removed += 1;
-                }
-            }
-        }
-        removed
-    }
 }
 
-#[derive(Debug, Default)]
-struct RangeStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    puts: AtomicU64,
-    expired: AtomicU64,
-    evicted: AtomicU64,
-    occupancy_peak: AtomicU64,
+/// A wheel or ring slot addresses an interval as `(zone hash, map,
+/// owner key, sequence)`.
+impl Index for Zones {
+    type Slot = (u64, Kind, Vec<u8>, u64);
+
+    fn reference_bit(&self, (hash, kind, key, seq): &Self::Slot) -> Option<&Cell<bool>> {
+        let mut zones = self.0.get(hash)?.iter();
+        let interval =
+            zones.find_map(|(_, z)| z.map(*kind).get(key).filter(|iv| iv.seq == *seq))?;
+        Some(&interval.referenced)
+    }
+
+    fn remove(&mut self, (hash, kind, key, seq): &Self::Slot) -> bool {
+        let Some(bucket) = self.0.get_mut(hash) else {
+            return false;
+        };
+        let holds = |z: &ZoneRanges| z.map(*kind).get(key).is_some_and(|iv| iv.seq == *seq);
+        let Some(at) = bucket.iter().position(|(_, z)| holds(z)) else {
+            return false;
+        };
+        let zone = &mut bucket[at].1;
+        zone.map_mut(*kind).remove(key);
+        if zone.is_empty() {
+            bucket.swap_remove(at);
+            if bucket.is_empty() {
+                self.0.remove(hash);
+            }
+        }
+        true
+    }
 }
 
 /// The range-keyed denial tier.
 pub struct RangeCache {
-    shards: [Mutex<Shard>; SHARD_COUNT],
-    limits: CacheLimits,
+    store: Bounded<Zones>,
     frozen: AtomicBool,
-    /// Stored intervals across all shards.
-    occupancy: AtomicU64,
-    stats: RangeStats,
 }
 
 /// Canonical-order key for NSEC lookups: labels reversed (rightmost
@@ -356,11 +309,8 @@ impl RangeCache {
     /// An empty tier with the given entry budget.
     pub fn with_limits(limits: CacheLimits) -> Self {
         RangeCache {
-            shards: std::array::from_fn(|_| Mutex::new(Shard::default())),
-            limits,
+            store: Bounded::new(limits),
             frozen: AtomicBool::new(false),
-            occupancy: AtomicU64::new(0),
-            stats: RangeStats::default(),
         }
     }
 
@@ -375,35 +325,21 @@ impl RangeCache {
         self.frozen.load(Relaxed)
     }
 
-    fn shard_for(&self, hash: u64) -> &Mutex<Shard> {
-        &self.shards[(hash as usize) & (SHARD_COUNT - 1)]
-    }
-
     /// Retain validated denial spans for `zone`. Returns the same
     /// expiry/eviction accounting as an L2 `put`.
     pub fn retain(&self, zone: &Name, ranges: &[ProofRange], now: u32) -> PutOutcome {
-        let mut outcome = PutOutcome::default();
         if ranges.is_empty() || self.is_frozen() {
-            outcome.occupancy = self.occupancy.load(Relaxed);
-            return outcome;
+            return self.store.outcome(0, 0);
         }
         let hash = zone.shard_hash();
-        let mut shard = self.shard_for(hash).lock().expect("no poisoning");
+        let mut shard = self.store.lock(hash);
+        let expired = self.store.turn_wheel(&mut shard, now);
 
-        // 1. Turn the wheel for this shard.
-        let expired = shard.advance_wheel(now);
-        if expired > 0 {
-            outcome.expired = expired;
-            self.occupancy.fetch_sub(expired, Relaxed);
-            self.stats.expired.fetch_add(expired, Relaxed);
-        }
-
-        // 2. Splice the spans in. Insertion is a set-union keyed by
-        //    owner: re-validating the same proof overwrites in place
-        //    (refreshing TTL bookkeeping), so the resulting contents do
-        //    not depend on the order concurrent workers validated them
-        //    once the clock stands still (as it does within a scan
-        //    pass).
+        // Splice the spans in. Insertion is a set-union keyed by owner:
+        // re-validating the same proof overwrites in place (refreshing
+        // TTL bookkeeping), so the resulting contents do not depend on
+        // the order concurrent workers validated them once the clock
+        // stands still (as it does within a scan pass).
         for range in ranges {
             let (kind, key, next, types, ttl, sig_expiration) = match range {
                 ProofRange::Nsec3 {
@@ -420,7 +356,7 @@ impl RangeCache {
                     if flags & 0x01 != 0 {
                         continue;
                     }
-                    let zr = shard.zone_mut(hash, zone);
+                    let zr = shard.index.zone_mut(hash, zone);
                     match &zr.params {
                         None => zr.params = Some((*iterations, salt.clone())),
                         Some((it, s)) if (it, s) != (iterations, salt) => continue,
@@ -450,89 +386,31 @@ impl RangeCache {
                     *sig_expiration,
                 ),
             };
-            self.stats.puts.fetch_add(1, Relaxed);
-            let seq = shard.next_seq;
-            shard.next_seq += 1;
+            self.store.stats.puts.fetch_add(1, Relaxed);
+            let seq = shard.next_seq();
             let deadline = now.saturating_add(ttl).min(sig_expiration);
-            let map = shard.zone_mut(hash, zone).map_mut(kind);
-            match map.get_mut(&key) {
+            let interval = Interval {
+                next,
+                types: types.clone(),
+                stored_at: now,
+                ttl,
+                sig_expiration,
+                seq,
+                referenced: Cell::new(false),
+            };
+            let map = shard.index.zone_mut(hash, zone).map_mut(kind);
+            let new = match map.get_mut(&key) {
                 Some(iv) => {
-                    iv.next = next;
-                    iv.types = types.clone();
-                    iv.stored_at = now;
-                    iv.ttl = ttl;
-                    iv.sig_expiration = sig_expiration;
-                    iv.seq = seq;
+                    *iv = interval;
                     iv.referenced.set(true);
+                    false
                 }
-                None => {
-                    map.insert(
-                        key.clone(),
-                        Interval {
-                            next,
-                            types: types.clone(),
-                            stored_at: now,
-                            ttl,
-                            sig_expiration,
-                            seq,
-                            referenced: Cell::new(false),
-                        },
-                    );
-                    let occ = self.occupancy.fetch_add(1, Relaxed) + 1;
-                    self.stats.occupancy_peak.fetch_max(occ, Relaxed);
-                }
-            }
-            shard
-                .wheel
-                .entry(deadline >> WHEEL_SHIFT)
-                .or_default()
-                .push((hash, kind, key.clone(), seq));
-            shard.ring.push_back((hash, kind, key, seq));
+                None => map.insert(key.clone(), interval).is_none(),
+            };
+            self.store
+                .track(&mut shard, (hash, kind, key, seq), deadline, new);
         }
-
-        // 3. Enforce the budget with a CLOCK sweep, exactly as the L2
-        //    store does: one full second-chance lap, then evict
-        //    unconditionally.
-        if let Some(max) = self.limits.max_entries {
-            let mut chances = shard.ring.len();
-            while self.occupancy.load(Relaxed) > max as u64 {
-                let Some(slot) = shard.ring.pop_front() else {
-                    break;
-                };
-                let (h, kind, key, seq) = &slot;
-                let is_live = shard
-                    .zones
-                    .get(h)
-                    .and_then(|b| {
-                        b.iter()
-                            .find_map(|(_, z)| z.map(*kind).get(key).filter(|iv| iv.seq == *seq))
-                    })
-                    .map(|iv| iv.referenced.get());
-                match is_live {
-                    None => continue,
-                    Some(true) if chances > 0 => {
-                        chances -= 1;
-                        if let Some(iv) = shard.zones.get(h).and_then(|b| {
-                            b.iter().find_map(|(_, z)| {
-                                z.map(*kind).get(key).filter(|iv| iv.seq == *seq)
-                            })
-                        }) {
-                            iv.referenced.set(false);
-                        }
-                        shard.ring.push_back(slot);
-                    }
-                    Some(_) => {
-                        if shard.remove_slot(&slot) {
-                            outcome.evicted += 1;
-                            self.occupancy.fetch_sub(1, Relaxed);
-                            self.stats.evicted.fetch_add(1, Relaxed);
-                        }
-                    }
-                }
-            }
-        }
-        outcome.occupancy = self.occupancy.load(Relaxed);
-        outcome
+        self.store.finish(&mut shard, expired)
     }
 
     /// Try to synthesize a denial for `(qname, qtype)` from retained
@@ -549,8 +427,8 @@ impl RangeCache {
             zone = apex.parent();
         }
         match verdict {
-            Some(_) => self.stats.hits.fetch_add(1, Relaxed),
-            None => self.stats.misses.fetch_add(1, Relaxed),
+            Some(_) => self.store.stats.hits.fetch_add(1, Relaxed),
+            None => self.store.stats.misses.fetch_add(1, Relaxed),
         };
         verdict
     }
@@ -564,8 +442,8 @@ impl RangeCache {
         now: u32,
     ) -> Option<SynthesizedDenial> {
         let hash = apex.shard_hash();
-        let shard = self.shard_for(hash).lock().expect("no poisoning");
-        let zr = shard.zone(hash, apex)?;
+        let shard = self.store.lock(hash);
+        let zr = shard.index.zone(hash, apex)?;
 
         if let Some((iterations, salt)) = &zr.params {
             let qh = nsec3hash::nsec3_hash(qname.as_wire(), salt, *iterations);
@@ -676,21 +554,13 @@ impl RangeCache {
     /// Stored intervals right now (the quantity the entry budget
     /// bounds).
     pub fn total_entries(&self) -> usize {
-        self.occupancy.load(Relaxed) as usize
+        self.store.total_entries()
     }
 
     /// Eagerly remove every interval past its deadline, across all
     /// shards.
     pub fn purge_expired(&self, now: u32) -> u64 {
-        let mut removed = 0u64;
-        for s in &self.shards {
-            let mut shard = s.lock().expect("no poisoning");
-            let expired = shard.advance_wheel(now);
-            removed += expired;
-            self.occupancy.fetch_sub(expired, Relaxed);
-            self.stats.expired.fetch_add(expired, Relaxed);
-        }
-        removed
+        self.store.purge_expired(now)
     }
 
     /// A frozen copy of the tier's counters, in the same shape as the
@@ -698,33 +568,19 @@ impl RangeCache {
     /// serve-stale for proofs). Hits and misses count [`Self::deny`]
     /// probes.
     pub fn stats(&self) -> CacheStatsSnapshot {
-        CacheStatsSnapshot {
-            hits: self.stats.hits.load(Relaxed),
-            misses: self.stats.misses.load(Relaxed),
-            stale_served: 0,
-            puts: self.stats.puts.load(Relaxed),
-            expired: self.stats.expired.load(Relaxed),
-            evicted: self.stats.evicted.load(Relaxed),
-            occupancy: self.occupancy.load(Relaxed),
-            occupancy_peak: self.stats.occupancy_peak.load(Relaxed),
-        }
+        self.store.stats()
     }
 
     /// Drop everything (tests and flushes). Counters other than the
     /// occupancy gauge are preserved.
     pub fn clear(&self) {
-        for s in &self.shards {
-            let mut shard = s.lock().expect("no poisoning");
-            shard.zones.clear();
-            shard.wheel.clear();
-            shard.ring.clear();
-        }
-        self.occupancy.store(0, Relaxed);
+        self.store.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::bounded::RING_SLACK;
     use super::*;
 
     fn n(s: &str) -> Name {
@@ -972,6 +828,33 @@ mod tests {
         let stats = rc.stats();
         assert_eq!(stats.evicted + 8, stats.puts);
         assert!(stats.occupancy_peak <= 9);
+    }
+
+    /// The range tier's half of `cache::tests`' test of the same name:
+    /// one span retained over and over leaves one ring slot per shard
+    /// entry, not one per retain (and none at all without a budget).
+    #[test]
+    fn bookkeeping_is_bounded_by_live_entries() {
+        let budget = CacheLimits {
+            max_entries: Some(100),
+        };
+        for limits in [CacheLimits::default(), budget] {
+            let budgeted = limits.max_entries.is_some();
+            let rc = RangeCache::with_limits(limits);
+            let span = chain(&[("example", APEX_TYPES)], 300, u32::MAX);
+            for now in 0..10_000 {
+                rc.retain(&n("example"), &span, now);
+            }
+            assert_eq!(rc.total_entries(), 1);
+            for (live, ring, wheel) in rc.store.bookkeeping() {
+                if budgeted {
+                    assert!(ring <= 2 * live + RING_SLACK, "{ring} / {live}");
+                } else {
+                    assert_eq!(ring, 0, "nothing reads an unbudgeted ring");
+                }
+                assert!(wheel <= 300 + 2 * 64, "{wheel} wheel slots");
+            }
+        }
     }
 
     #[test]

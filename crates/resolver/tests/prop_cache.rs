@@ -3,9 +3,13 @@
 //! EDE 3/13/19. Cases are driven by an in-file deterministic PRNG
 //! (SplitMix64), so every failure reproduces from the fixed seed.
 
-use ede_resolver::cache::{Cache, CacheHit, CacheLimits, CachedResolution};
+use ede_resolver::cache::ranges::{ProofRange, RangeCache};
+use ede_resolver::cache::{
+    Cache, CacheHit, CacheLimits, CacheStatsSnapshot, CachedResolution, PutOutcome,
+};
 use ede_resolver::diagnosis::Diagnosis;
 use ede_resolver::L1Cache;
+use ede_wire::rdata::TypeBitmap;
 use ede_wire::{Name, Rcode, RrType};
 
 /// Deterministic SplitMix64 stream driving the randomized cases.
@@ -126,51 +130,131 @@ fn failures_never_shadow_stale_successes() {
     }
 }
 
+/// The two budgeted tiers behind one face, so one model drives both.
+enum Tier {
+    L2(Box<Cache>),
+    Ranges(Box<RangeCache>),
+}
+
+impl Tier {
+    /// One random store — a name pool of 32 (4 zones of 8 owners)
+    /// forces overwrites. Returns what the store reported and how many
+    /// entries it can at most have added.
+    fn store(&self, rng: &mut Rng, now: u32) -> (PutOutcome, u64) {
+        match self {
+            Tier::L2(cache) => {
+                let name = Name::parse(&format!("n{}.example", rng.below(32))).unwrap();
+                let ttl = rng.range_u32(1, 900);
+                let data = entry(rng.below(2) == 0);
+                (cache.put(&name, RrType::A, data, ttl, now), 1)
+            }
+            Tier::Ranges(ranges) => {
+                let zone = Name::parse(&format!("z{}.example", rng.below(4))).unwrap();
+                let spans: Vec<ProofRange> = (0..1 + rng.below(3))
+                    .map(|_| {
+                        let owner = rng.below(8) as u8;
+                        ProofRange::Nsec3 {
+                            iterations: 0,
+                            salt: [].into(),
+                            flags: 0,
+                            owner_hash: vec![owner; 20],
+                            next_hash: vec![owner + 1; 20],
+                            types: TypeBitmap::new(),
+                            ttl: rng.range_u32(1, 900),
+                            sig_expiration: now + rng.range_u32(1, 2_000),
+                        }
+                    })
+                    .collect();
+                (ranges.retain(&zone, &spans, now), spans.len() as u64)
+            }
+        }
+    }
+
+    /// One random probe: sets reference bits, so later sweeps hand out
+    /// second chances.
+    fn probe(&self, rng: &mut Rng, now: u32) {
+        match self {
+            Tier::L2(cache) => {
+                let name = Name::parse(&format!("n{}.example", rng.below(32))).unwrap();
+                cache.get(&name, RrType::A, now);
+            }
+            Tier::Ranges(ranges) => {
+                let name = Name::parse(&format!("p{}.z{}.example", rng.below(8), rng.below(4)));
+                ranges.deny(&name.unwrap(), RrType::A, now);
+            }
+        }
+    }
+
+    fn purge_expired(&self, now: u32) -> u64 {
+        match self {
+            Tier::L2(cache) => cache.purge_expired(now),
+            Tier::Ranges(ranges) => ranges.purge_expired(now),
+        }
+    }
+
+    fn stats(&self) -> CacheStatsSnapshot {
+        match self {
+            Tier::L2(cache) => cache.stats(),
+            Tier::Ranges(ranges) => ranges.stats(),
+        }
+    }
+}
+
 /// The entry budget is a hard invariant under arbitrary interleavings
-/// of inserts, overwrites, expiries, and time jumps: at no observation
-/// point does the store hold more slots than the configured bound.
+/// of inserts, overwrites, probes, expiries, and time jumps, in both
+/// budgeted tiers: at no observation point does the store hold more
+/// slots than the configured bound, and every entry ever stored is
+/// accounted for exactly once — evicted, expired, or still there.
 #[test]
 fn entry_budget_holds_under_random_interleavings() {
     let mut rng = Rng(0x0025_5eed);
-    for _ in 0..64 {
-        let budget = 1 + rng.below(24) as usize;
-        let window = rng.range_u32(0, 600);
-        let cache = Cache::with_limits(
-            window,
-            CacheLimits {
-                max_entries: Some(budget),
-            },
-        );
+    for case in 0..128 {
+        let budget = 1 + rng.below(24);
+        let limits = CacheLimits {
+            max_entries: Some(budget as usize),
+        };
+        let tier = match case % 2 {
+            0 => Tier::L2(Box::new(Cache::with_limits(rng.range_u32(0, 600), limits))),
+            _ => Tier::Ranges(Box::new(RangeCache::with_limits(limits))),
+        };
         let mut now = 1_000;
+        let mut stored = 0;
+        let mut removed = 0;
         let n_ops = 50 + rng.below(150);
         for _ in 0..n_ops {
+            let before = tier.stats().occupancy;
             match rng.below(10) {
-                // Mostly inserts; a name pool of 32 forces overwrites.
-                0..=6 => {
-                    let id = rng.below(32);
-                    let name = Name::parse(&format!("n{id}.example")).unwrap();
-                    let ttl = rng.range_u32(1, 900);
-                    cache.put(&name, RrType::A, entry(rng.below(2) == 0), ttl, now);
+                0..=5 => {
+                    let (outcome, at_most) = tier.store(&mut rng, now);
+                    let gone = outcome.expired + outcome.evicted;
+                    let added = outcome.occupancy + gone - before;
+                    assert!(added <= at_most, "one store added {added} entries");
+                    stored += added;
+                    removed += gone;
                 }
+                6 => tier.probe(&mut rng, now),
                 // Time jump (possibly past whole TTL+window cohorts).
                 7..=8 => now += rng.range_u32(0, 2_000),
                 // Eager purge.
-                _ => {
-                    cache.purge_expired(now);
-                }
+                _ => removed += tier.purge_expired(now),
             }
+            let stats = tier.stats();
             assert!(
-                cache.total_entries() <= budget,
+                stats.occupancy <= budget,
                 "budget {budget} exceeded: {} slots",
-                cache.total_entries()
+                stats.occupancy
             );
+            assert_eq!(stats.evicted + stats.expired, removed);
+            assert_eq!(removed + stats.occupancy, stored, "an entry went missing");
         }
-        let stats = cache.stats();
+        // Everything left dies of old age, once.
+        removed += tier.purge_expired(u32::MAX);
+        let stats = tier.stats();
         assert_eq!(
-            stats.occupancy,
-            cache.total_entries() as u64,
-            "gauge must match the store"
+            (stats.occupancy, stats.evicted + stats.expired),
+            (0, stored)
         );
+        assert_eq!(removed, stored);
     }
 }
 

@@ -245,7 +245,7 @@ fn main() {
         println!("\n{}", result.metrics.render());
         println!("{}", result.cache.render());
         // No wall-clock fields here: stdout stays byte-identical across
-        // equal-result runs (merge_ns lives in BENCH_scan.json).
+        // equal-result runs (merge_ns lives in `ScanResult::stream`).
         println!(
             "streaming: {} merges, {} snapshots exported, \
              query log peak {}/{} ({} spilled, {} dropped)",

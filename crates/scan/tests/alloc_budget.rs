@@ -167,7 +167,7 @@ fn cold_resolve_allocs(cat: Category, via: Via) -> u64 {
 fn cold_unsigned_resolve_stays_within_its_allocation_budget() {
     assert_eq!(
         cold_resolve_allocs(Category::HealthyUnsigned, Via::Blocking),
-        37
+        36
     );
 }
 
@@ -175,7 +175,7 @@ fn cold_unsigned_resolve_stays_within_its_allocation_budget() {
 fn cold_signed_resolve_stays_within_its_allocation_budget() {
     assert_eq!(
         cold_resolve_allocs(Category::HealthySigned, Via::Blocking),
-        122
+        121
     );
 }
 
@@ -185,11 +185,11 @@ fn cold_signed_resolve_stays_within_its_allocation_budget() {
 fn cold_resolve_through_the_pool_stays_within_its_allocation_budget() {
     assert_eq!(
         cold_resolve_allocs(Category::HealthyUnsigned, Via::Pool),
-        37 + 1
+        36 + 1
     );
     assert_eq!(
         cold_resolve_allocs(Category::HealthySigned, Via::Pool),
-        122 + 1
+        121 + 1
     );
 }
 

@@ -36,7 +36,7 @@ fn streaming_is_bit_identical_to_batch_at_every_cross_point() {
         &ScanConfig::builder().workers(1).build(),
     );
 
-    for (workers, inflight) in [(1, 1), (4, 1), (1, 32), (4, 16)] {
+    for (workers, inflight) in [(1, 1), (4, 1), (8, 1), (1, 32), (1, 256), (4, 16)] {
         let sink = Arc::new(MemorySnapshotSink::new());
         let world = ede_scan::ScanWorld::build(&pop);
         let config = ScanConfig::builder()

@@ -46,6 +46,7 @@
 
 pub mod event;
 pub mod export;
+mod histogram;
 pub mod json;
 pub mod metrics;
 pub mod server;
@@ -53,6 +54,7 @@ pub mod sink;
 
 pub use event::{CacheOutcome, TimedEvent, TraceEvent};
 pub use export::{JsonlSnapshotWriter, MemorySnapshotSink, SnapshotEntry, SnapshotSink};
-pub use metrics::{Histogram, Metrics, MetricsSnapshot};
-pub use server::{ServerMetrics, ServerMetricsSnapshot, UsHistogram};
+pub use histogram::Histogram;
+pub use metrics::{Metrics, MetricsSnapshot};
+pub use server::{ServerMetrics, ServerMetricsSnapshot};
 pub use sink::{MultiSink, ResolutionTrace, TraceClock, TraceSink, Tracer, TracerCell};

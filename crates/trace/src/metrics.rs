@@ -5,95 +5,15 @@
 //! points that produce timelines also drive the counters — attach it to
 //! a network (or fan out with [`crate::MultiSink`]) and every
 //! `QuerySent` bumps `queries_sent`, every `CacheProbe` feeds the hit
-//! ratio, and so on. Counters are lock-free atomics; only the per-vendor
-//! EDE map and the histograms take a short mutex.
+//! ratio, and so on. Counters and histogram buckets are lock-free
+//! atomics; only the per-vendor EDE map takes a short mutex.
 
 use crate::event::{CacheOutcome, TraceEvent};
+use crate::histogram::{Histogram, LiveHistogram, SIM_BOUNDS_US};
 use crate::sink::TraceSink;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
-
-/// Histogram bucket upper bounds (milliseconds), chosen around the
-/// simulation's RTT (20 ms) and timeout (2 000 ms) defaults.
-pub const LATENCY_BUCKETS_MS: [u64; 8] = [1, 5, 20, 50, 100, 500, 2_000, 10_000];
-
-/// A fixed-bucket latency histogram (upper bounds in
-/// [`LATENCY_BUCKETS_MS`], plus an overflow bucket).
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    /// Per-bucket observation counts; `counts[i]` holds observations
-    /// `<= LATENCY_BUCKETS_MS[i]`, the final slot holds the overflow.
-    pub counts: [u64; LATENCY_BUCKETS_MS.len() + 1],
-    /// Total number of observations.
-    pub total: u64,
-    /// Sum of all observed values (for the mean).
-    pub sum: u64,
-    /// Largest observed value.
-    pub max: u64,
-}
-
-impl Histogram {
-    /// Mean observed value, or 0 with no observations.
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.total as f64
-        }
-    }
-
-    /// Approximate quantile: the upper bound of the bucket containing
-    /// the `q`-quantile observation (`q` in `[0, 1]`).
-    pub fn quantile_ms(&self, q: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank.max(1) {
-                return LATENCY_BUCKETS_MS.get(i).copied().unwrap_or(self.max);
-            }
-        }
-        self.max
-    }
-}
-
-/// The live side of a [`Histogram`]: per-bucket atomic counters, so the
-/// per-response record path never takes a lock. A scan's worker pool
-/// observes a latency for every delivered query *and* every finished
-/// resolution — a mutex here was a global serialization point.
-#[derive(Debug, Default)]
-struct AtomicHistogram {
-    counts: [AtomicU64; LATENCY_BUCKETS_MS.len() + 1],
-    total: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl AtomicHistogram {
-    fn observe(&self, value_ms: u64) {
-        let idx = LATENCY_BUCKETS_MS
-            .iter()
-            .position(|&ub| value_ms <= ub)
-            .unwrap_or(LATENCY_BUCKETS_MS.len());
-        self.counts[idx].fetch_add(1, Relaxed);
-        self.total.fetch_add(1, Relaxed);
-        self.sum.fetch_add(value_ms, Relaxed);
-        self.max.fetch_max(value_ms, Relaxed);
-    }
-
-    fn snapshot(&self) -> Histogram {
-        Histogram {
-            counts: std::array::from_fn(|i| self.counts[i].load(Relaxed)),
-            total: self.total.load(Relaxed),
-            sum: self.sum.load(Relaxed),
-            max: self.max.load(Relaxed),
-        }
-    }
-}
 
 /// The live registry. Cheap to share (`Arc<Metrics>`); attach as a
 /// [`TraceSink`] and read with [`Metrics::snapshot`].
@@ -129,8 +49,8 @@ pub struct Metrics {
     /// relative to queries (error domains only), so a mutex is fine
     /// here.
     ede_by_vendor: Mutex<BTreeMap<(String, u16), u64>>,
-    query_latency: AtomicHistogram,
-    resolution_duration: AtomicHistogram,
+    query_latency: LiveHistogram,
+    resolution_duration: LiveHistogram,
     tasks_spawned: AtomicU64,
     tasks_completed: AtomicU64,
     inflight_tasks_peak: AtomicU64,
@@ -173,8 +93,8 @@ impl Metrics {
             resolutions_other: self.resolutions_other.load(Relaxed),
             ede_entries: self.ede_entries.load(Relaxed),
             ede_by_vendor: self.ede_by_vendor.lock().expect("no poisoning").clone(),
-            query_latency: self.query_latency.snapshot(),
-            resolution_duration: self.resolution_duration.snapshot(),
+            query_latency: self.query_latency.snapshot(SIM_BOUNDS_US),
+            resolution_duration: self.resolution_duration.snapshot(SIM_BOUNDS_US),
             tasks_spawned: self.tasks_spawned.load(Relaxed),
             tasks_completed: self.tasks_completed.load(Relaxed),
             inflight_tasks_peak: self.inflight_tasks_peak.load(Relaxed),
@@ -198,7 +118,8 @@ impl TraceSink for Metrics {
             }
             TraceEvent::ResponseReceived { latency_ms, .. } => {
                 self.responses_received.fetch_add(1, Relaxed);
-                self.query_latency.observe(*latency_ms);
+                self.query_latency
+                    .observe(SIM_BOUNDS_US, latency_ms * 1_000);
             }
             TraceEvent::Timeout { .. } => {
                 self.timeouts.fetch_add(1, Relaxed);
@@ -274,7 +195,8 @@ impl TraceSink for Metrics {
                     2 => self.resolutions_servfail.fetch_add(1, Relaxed),
                     _ => self.resolutions_other.fetch_add(1, Relaxed),
                 };
-                self.resolution_duration.observe(*duration_ms);
+                self.resolution_duration
+                    .observe(SIM_BOUNDS_US, duration_ms * 1_000);
             }
             TraceEvent::TaskSpawned {
                 in_flight, queued, ..
@@ -325,7 +247,7 @@ pub struct MetricsSnapshot {
     /// Cache entries removed because TTL + stale window lapsed (the
     /// TTL wheel's lazy expiry).
     pub cache_expired: u64,
-    /// Cache entries removed by the entry/byte budget's CLOCK sweep.
+    /// Cache entries removed by the entry budget's CLOCK sweep.
     pub cache_evictions: u64,
     /// Peak live-entry occupancy observed at removal time. Like the
     /// scheduler gauges this measures the store's internal timing, not
@@ -362,18 +284,19 @@ pub struct MetricsSnapshot {
     pub ede_entries: u64,
     /// (vendor, INFO-CODE) → emission count.
     pub ede_by_vendor: BTreeMap<(String, u16), u64>,
-    /// Upstream query latency distribution.
+    /// Upstream query latency distribution (virtual clock: whole
+    /// milliseconds, held in µs like every [`Histogram`]).
     pub query_latency: Histogram,
-    /// Whole-resolution duration distribution.
+    /// Whole-resolution duration distribution, likewise.
     pub resolution_duration: Histogram,
     /// Resolution tasks admitted by event-driven task pools.
     pub tasks_spawned: u64,
     /// Pooled resolution tasks run to completion.
     pub tasks_completed: u64,
-    /// Peak of the in-flight-tasks gauge across all pools. Scheduler
-    /// statistics depend on the in-flight window (the blocking driver
-    /// records none at all), not on scan results, so result-equality
-    /// checks across concurrency levels should compare
+    /// Peak of the in-flight-tasks gauge across all pools: 1 at the
+    /// default window of one. Scheduler statistics depend on the
+    /// in-flight window, not on scan results, so result-equality checks
+    /// across concurrency levels should compare
     /// [`MetricsSnapshot::without_scheduler_stats`] snapshots.
     pub inflight_tasks_peak: u64,
     /// Peak of the completion-ready-queue-depth gauge across all pools.
@@ -398,10 +321,11 @@ impl MetricsSnapshot {
     ///
     /// Scan results are invariant across in-flight window sizes, but
     /// these fields measure the scheduling itself: the gauges track the
-    /// window, and the task counters distinguish pooled execution from
-    /// the blocking driver (which spawns no observable tasks). Equality
-    /// checks that sweep concurrency compare snapshots through this
-    /// adaptor.
+    /// window, and the task counters tell a pooled resolution (every
+    /// scan, at any window) from a direct `Resolver::resolve`, which
+    /// spawns no observable task. The cache removal counters go too —
+    /// they measure the store's internal timing. Equality checks that
+    /// sweep concurrency compare snapshots through this adaptor.
     pub fn without_scheduler_stats(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             tasks_spawned: 0,
@@ -471,10 +395,10 @@ impl MetricsSnapshot {
         }
         out.push_str(&format!(
             "  latency   : query mean {:.1} ms p99 {} ms; resolution mean {:.1} ms max {} ms\n",
-            self.query_latency.mean(),
+            self.query_latency.mean_ms(),
             self.query_latency.quantile_ms(0.99),
-            self.resolution_duration.mean(),
-            self.resolution_duration.max
+            self.resolution_duration.mean_ms(),
+            self.resolution_duration.max / 1_000
         ));
         if self.ede_entries > 0 {
             out.push_str(&format!(
@@ -622,7 +546,7 @@ mod tests {
             s.render()
         );
         assert_eq!(s.query_latency.total, 1);
-        assert_eq!(s.resolution_duration.max, 40);
+        assert_eq!(s.resolution_duration.max, 40_000);
         let render = s.render();
         assert!(render.contains("2 queries"), "{render}");
         assert!(render.contains("Cloudflare DNS: 7\u{00d7}1"), "{render}");
@@ -684,23 +608,5 @@ mod tests {
             stripped.queries_sent, s.queries_sent,
             "real counters survive"
         );
-    }
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let live = AtomicHistogram::default();
-        for v in [0, 1, 20, 20, 2_000, 50_000] {
-            live.observe(v);
-        }
-        let h = live.snapshot();
-        assert_eq!(h.total, 6);
-        assert_eq!(h.max, 50_000);
-        assert_eq!(h.counts[0], 2); // <= 1 ms
-        assert_eq!(h.counts[2], 2); // <= 20 ms
-        assert_eq!(h.counts[LATENCY_BUCKETS_MS.len()], 1); // overflow
-        assert_eq!(h.quantile_ms(0.0), 1);
-        assert!(h.quantile_ms(1.0) >= 2_000);
-        assert!(h.mean() > 0.0);
-        assert_eq!(Histogram::default().quantile_ms(0.5), 0);
     }
 }

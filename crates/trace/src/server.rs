@@ -12,91 +12,8 @@
 //!
 //! Snapshots ([`ServerMetricsSnapshot`]) render to an operator summary.
 
+use crate::histogram::{Histogram, LiveHistogram, SERVER_BOUNDS_US};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-/// Latency histogram bucket upper bounds in **microseconds**, chosen
-/// around in-process loopback serving times (tens of µs for a cache
-/// hit) up to full cold resolutions (ms range).
-pub const SERVER_LATENCY_BUCKETS_US: [u64; 10] =
-    [25, 50, 100, 250, 500, 1_000, 2_500, 10_000, 50_000, 250_000];
-
-/// A fixed-bucket microsecond histogram over atomic counters; the
-/// serving hot path observes without taking any lock.
-#[derive(Debug, Default)]
-struct AtomicUsHistogram {
-    counts: [AtomicU64; SERVER_LATENCY_BUCKETS_US.len() + 1],
-    total: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl AtomicUsHistogram {
-    fn observe(&self, value_us: u64) {
-        let idx = SERVER_LATENCY_BUCKETS_US
-            .iter()
-            .position(|&ub| value_us <= ub)
-            .unwrap_or(SERVER_LATENCY_BUCKETS_US.len());
-        self.counts[idx].fetch_add(1, Relaxed);
-        self.total.fetch_add(1, Relaxed);
-        self.sum.fetch_add(value_us, Relaxed);
-        self.max.fetch_max(value_us, Relaxed);
-    }
-
-    fn snapshot(&self) -> UsHistogram {
-        UsHistogram {
-            counts: std::array::from_fn(|i| self.counts[i].load(Relaxed)),
-            total: self.total.load(Relaxed),
-            sum: self.sum.load(Relaxed),
-            max: self.max.load(Relaxed),
-        }
-    }
-}
-
-/// A frozen microsecond histogram (buckets in
-/// [`SERVER_LATENCY_BUCKETS_US`], plus an overflow slot).
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct UsHistogram {
-    /// Per-bucket observation counts; `counts[i]` holds observations
-    /// `<= SERVER_LATENCY_BUCKETS_US[i]`, the final slot the overflow.
-    pub counts: [u64; SERVER_LATENCY_BUCKETS_US.len() + 1],
-    /// Total observations.
-    pub total: u64,
-    /// Sum of observed values, µs (for the mean).
-    pub sum: u64,
-    /// Largest observed value, µs.
-    pub max: u64,
-}
-
-impl UsHistogram {
-    /// Mean observed value in µs, or 0 with no observations.
-    pub fn mean_us(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.total as f64
-        }
-    }
-
-    /// Approximate quantile: the upper bound of the bucket containing
-    /// the `q`-quantile observation (`q` in `[0, 1]`).
-    pub fn quantile_us(&self, q: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank.max(1) {
-                return SERVER_LATENCY_BUCKETS_US
-                    .get(i)
-                    .copied()
-                    .unwrap_or(self.max);
-            }
-        }
-        self.max
-    }
-}
 
 /// The live serving registry. Share as `Arc<ServerMetrics>` between
 /// every worker/acceptor/connection thread; read with
@@ -118,7 +35,7 @@ pub struct ServerMetrics {
     encode_errors: AtomicU64,
     bytes_received: AtomicU64,
     bytes_sent: AtomicU64,
-    handle_latency: AtomicUsHistogram,
+    handle_latency: LiveHistogram,
 }
 
 impl ServerMetrics {
@@ -199,7 +116,7 @@ impl ServerMetrics {
     /// Observe one request's in-process handling time, µs (receive →
     /// response handed to the socket).
     pub fn observe_handle_us(&self, us: u64) {
-        self.handle_latency.observe(us);
+        self.handle_latency.observe(SERVER_BOUNDS_US, us);
     }
 
     /// A point-in-time copy of every counter and the histogram.
@@ -220,7 +137,7 @@ impl ServerMetrics {
             encode_errors: self.encode_errors.load(Relaxed),
             bytes_received: self.bytes_received.load(Relaxed),
             bytes_sent: self.bytes_sent.load(Relaxed),
-            handle_latency: self.handle_latency.snapshot(),
+            handle_latency: self.handle_latency.snapshot(SERVER_BOUNDS_US),
         }
     }
 }
@@ -260,7 +177,7 @@ pub struct ServerMetricsSnapshot {
     /// Total payload bytes sent.
     pub bytes_sent: u64,
     /// In-process request-handling latency, µs.
-    pub handle_latency: UsHistogram,
+    pub handle_latency: Histogram,
 }
 
 impl ServerMetricsSnapshot {
@@ -375,7 +292,6 @@ mod tests {
         assert_eq!(h.quantile_us(0.50), 50);
         assert_eq!(h.quantile_us(0.99), 50);
         assert_eq!(h.quantile_us(1.0), 10_000);
-        assert_eq!(UsHistogram::default().quantile_us(0.5), 0);
         assert!(h.mean_us() > 40.0);
     }
 }

@@ -8,6 +8,16 @@ disk. External links (``http://``, ``https://``, ``mailto:``) and
 pure-fragment links (``#section``) are ignored; fragments on relative
 links are stripped before the existence check.
 
+In the *live* documents (README.md, DESIGN.md, EXPERIMENTS.md,
+docs/*.md and the verify skill — not the history files, which may name
+what is gone) it also checks back-ticked repository paths: an inline
+code span that starts with ``crates/``, ``src/``, ``docs/``, ``tests/``,
+``examples/``, ``scripts/`` or ``benchmark/``, or is a bare ``*.json`` /
+``*.md`` / ``*.toml`` name, must exist relative to the repository root,
+so deleting a file finds every sentence that still points at it. A
+trailing ``:line`` or ``::item`` is ignored, ``*`` globs, and what the
+root ``.gitignore`` lists (build output) is exempt.
+
 Run from anywhere: paths are resolved against the repository root
 (the parent of this script's directory). Exit status is the number of
 broken links, capped at 1 for shell friendliness.
@@ -26,14 +36,27 @@ INLINE = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 REFDEF = re.compile(r"^\s{0,3}\[[^\]]+\]:\s+(\S+)", re.MULTILINE)
 
 
+# Documents that describe the repository as it is now.
+LIVE_DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md",
+             ".claude/skills/verify/SKILL.md"]
+CODE_SPAN = re.compile(r"`([^`\n]+)`")
+REPO_PATH = re.compile(
+    r"^(?:(?:crates|src|docs|tests|examples|scripts|benchmark)/[\w./*-]*"
+    r"|[\w.-]+\.(?:json|md|toml))(?=$|:|\s)")
+
+
 def is_external(target: str) -> bool:
     return target.startswith(("http://", "https://", "mailto:", "ftp://"))
 
 
+def strip_fences(text: str) -> str:
+    """Drop fenced code blocks — what they hold are examples and commands."""
+    return re.sub(r"```.*?```", "", text, flags=re.DOTALL)
+
+
 def strip_code_spans(text: str) -> str:
     """Drop fenced code blocks and inline code — links there are examples."""
-    text = re.sub(r"```.*?```", "", text, flags=re.DOTALL)
-    return re.sub(r"`[^`\n]*`", "", text)
+    return re.sub(r"`[^`\n]*`", "", strip_fences(text))
 
 
 def check_file(md: Path) -> list[str]:
@@ -52,18 +75,43 @@ def check_file(md: Path) -> list[str]:
     return broken
 
 
+def ignored_prefixes() -> list[str]:
+    """Root-anchored `.gitignore` entries: what a build leaves behind."""
+    lines = (ROOT / ".gitignore").read_text(encoding="utf-8").split()
+    return [line.strip("/") for line in lines if line.startswith("/")]
+
+
+def check_paths(md: Path, ignored: list[str]) -> list[str]:
+    text = strip_fences(md.read_text(encoding="utf-8"))
+    broken = []
+    for span in CODE_SPAN.findall(text):
+        match = REPO_PATH.match(span)
+        if not match:
+            continue
+        path = match.group(0).rstrip("/.")
+        if any(path == p or path.startswith(p + "/") for p in ignored):
+            continue
+        if not any(ROOT.glob(path)):
+            broken.append(f"{md.relative_to(ROOT)}: no such path -> `{span}`")
+    return broken
+
+
 def main() -> int:
     broken = []
     for md in sorted(ROOT.rglob("*.md")):
         if any(part in SKIP_DIRS for part in md.relative_to(ROOT).parts):
             continue
         broken.extend(check_file(md))
+    ignored = ignored_prefixes()
+    for pattern in LIVE_DOCS:
+        for md in sorted(ROOT.glob(pattern)):
+            broken.extend(check_paths(md, ignored))
     for line in broken:
         print(line, file=sys.stderr)
     if broken:
-        print(f"{len(broken)} broken markdown link(s)", file=sys.stderr)
+        print(f"{len(broken)} broken markdown link(s) or path(s)", file=sys.stderr)
         return 1
-    print("markdown links OK")
+    print("markdown links and paths OK")
     return 0
 
 
