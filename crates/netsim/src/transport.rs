@@ -301,6 +301,13 @@ pub struct InFlight {
     outcome: InFlightOutcome,
 }
 
+/// Which of a server's two channels an exchange uses.
+#[derive(Clone, Copy, PartialEq)]
+enum Channel {
+    Datagram,
+    Stream,
+}
+
 #[derive(Debug)]
 enum InFlightOutcome {
     Reply { msg: Message, latency_ms: u64 },
@@ -369,11 +376,6 @@ impl Network {
         }
     }
 
-    /// Detach any fault plan.
-    pub fn clear_fault_plan(&self) {
-        self.faults.set(None);
-    }
-
     /// The currently attached fault plan, if any.
     pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
         self.faults.get().map(|(plan, _)| plan)
@@ -383,16 +385,6 @@ impl Network {
     /// sink is attached — that case costs one atomic load, no lock).
     pub fn tracer(&self) -> Tracer {
         self.tracer.get()
-    }
-
-    /// Number of attached servers.
-    pub fn server_count(&self) -> usize {
-        self.routes.len()
-    }
-
-    /// Is anything routable attached at `addr`?
-    pub fn has_route(&self, addr: IpAddr) -> bool {
-        classify(addr).is_routable() && self.routes.contains_key(&addr)
     }
 
     /// Send `query` to `dst` from `src` and wait for the reply:
@@ -423,23 +415,42 @@ impl Network {
     /// Every `InFlight` must be completed, or the traffic counters will
     /// show more queries than outcomes.
     pub fn send(&self, dst: IpAddr, src: IpAddr, query: &Message) -> InFlight {
+        self.exchange(Channel::Datagram, dst, src, query)
+    }
+
+    /// Stream-channel (TCP-analogue) counterpart of [`Network::send`].
+    ///
+    /// Streams cost one extra RTT for connection setup, are exempt from
+    /// per-datagram loss, corruption, and the response-size model (a
+    /// real TCP connection retransmits and carries any size), but still
+    /// fail while the destination is flapped or blackholed.
+    pub fn send_stream(&self, dst: IpAddr, src: IpAddr, query: &Message) -> InFlight {
+        self.exchange(Channel::Stream, dst, src, query)
+    }
+
+    /// The send half of an exchange on either channel.
+    fn exchange(&self, channel: Channel, dst: IpAddr, src: IpAddr, query: &Message) -> InFlight {
         use std::sync::atomic::Ordering::Relaxed;
+        let datagram = channel == Channel::Datagram;
         self.stats.queries.fetch_add(1, Relaxed);
+        if !datagram {
+            self.stats.stream_queries.fetch_add(1, Relaxed);
+        }
         let tracer = self.tracer.get();
-        let recording = self.capture.recording();
+        // Capture records what the datagram channel carried.
+        let recording = datagram && self.capture.recording();
+        let question = query.first_question();
+        let qtype = question.map_or(0, |q| q.qtype.to_u16());
         // Rendering the question to a string costs an allocation per
         // query; skip it entirely unless someone is actually watching.
         // A metrics-only sink counts events without reading qnames, so
         // it rides the cheap path too (wants_query_detail is false).
-        let (qname, qtype) = if tracer.wants_query_detail() || recording {
-            query
-                .first_question()
-                .map(|q| (q.name.to_string(), q.qtype.to_u16()))
-                .unwrap_or_else(|| (String::from("-"), 0))
+        let qname = if tracer.wants_query_detail() || recording {
+            question.map_or_else(|| String::from("-"), |q| q.name.to_string())
         } else {
-            (String::new(), 0)
+            String::new()
         };
-        if recording && query.first_question().is_some() {
+        if recording && question.is_some() {
             self.capture.push(CapturedQuery {
                 dst,
                 qname: qname.clone(),
@@ -473,115 +484,66 @@ impl Network {
                 self.inject(&tracer, kind, dst);
                 return fail(tracer, qname, false, NetError::Timeout);
             }
+        }
+        // Loss, corruption, the response-size model and latency spikes
+        // are per-datagram: a stream retransmits and carries any size.
+        let per_datagram = fault.as_ref().filter(|_| datagram);
+        if let Some((plan, epoch_ms)) = per_datagram {
+            let at_ms = now_ms.saturating_sub(*epoch_ms);
             if let Some(kind) = plan.lose_at(dst, at_ms, query) {
                 self.inject(&tracer, kind, dst);
                 return fail(tracer, qname, false, NetError::Timeout);
             }
         }
-        if self.lose(dst, query) {
+        if datagram && self.lose(dst, query) {
             return fail(tracer, qname, false, NetError::Timeout);
         }
-        match server.handle(query, src, self.clock.now_secs()) {
-            ServerResponse::Reply(mut msg) => {
-                let mut latency_ms = self.config.rtt_ms;
-                if let Some((plan, epoch_ms)) = &fault {
-                    if plan.corrupt_at(dst, query) {
-                        self.inject(&tracer, "corrupt", dst);
-                        let mut garbled = Message::response_to(query);
-                        garbled.rcode = Rcode::FormErr;
-                        // Echo the client's OPT: the damage is to the
-                        // payload, not the EDNS negotiation, so resolvers
-                        // classify this as a FORMERR rcode failure rather
-                        // than "no EDNS support".
-                        garbled.edns = query.edns.clone();
-                        msg = garbled;
-                    }
-                    if let Some(limit) = plan.negotiated_limit(query) {
-                        if !msg.truncated && msg.encoded_len() > usize::from(limit) {
-                            msg = msg.truncated_copy();
-                            self.stats.truncated.fetch_add(1, Relaxed);
-                        }
-                    }
-                    let at_ms = now_ms.saturating_sub(*epoch_ms);
-                    let extra = plan.spike_extra_at(at_ms);
-                    if extra > 0 {
-                        self.inject(&tracer, "spike", dst);
-                        latency_ms += extra;
-                    }
-                }
-                InFlight {
-                    deadline_ms: now_ms + latency_ms,
-                    dst,
-                    tracer,
-                    qname,
-                    outcome: InFlightOutcome::Reply { msg, latency_ms },
+        let now_secs = self.clock.now_secs();
+        let response = if datagram {
+            server.handle(query, src, now_secs)
+        } else {
+            server.handle_stream(query, src, now_secs)
+        };
+        let ServerResponse::Reply(mut msg) = response else {
+            return fail(tracer, qname, false, NetError::Timeout);
+        };
+        // A stream pays one more round trip, for connection setup.
+        let mut latency_ms = if datagram {
+            self.config.rtt_ms
+        } else {
+            2 * self.config.rtt_ms
+        };
+        if let Some((plan, epoch_ms)) = per_datagram {
+            if plan.corrupt_at(dst, query) {
+                self.inject(&tracer, "corrupt", dst);
+                let mut garbled = Message::response_to(query);
+                garbled.rcode = Rcode::FormErr;
+                // Echo the client's OPT: the damage is to the
+                // payload, not the EDNS negotiation, so resolvers
+                // classify this as a FORMERR rcode failure rather
+                // than "no EDNS support".
+                garbled.edns = query.edns.clone();
+                msg = garbled;
+            }
+            if let Some(limit) = plan.negotiated_limit(query) {
+                if !msg.truncated && msg.encoded_len() > usize::from(limit) {
+                    msg = msg.truncated_copy();
+                    self.stats.truncated.fetch_add(1, Relaxed);
                 }
             }
-            ServerResponse::Drop => fail(tracer, qname, false, NetError::Timeout),
+            let at_ms = now_ms.saturating_sub(*epoch_ms);
+            let extra = plan.spike_extra_at(at_ms);
+            if extra > 0 {
+                self.inject(&tracer, "spike", dst);
+                latency_ms += extra;
+            }
         }
-    }
-
-    /// Stream-channel (TCP-analogue) counterpart of [`Network::send`].
-    ///
-    /// Streams cost one extra RTT for connection setup, are exempt from
-    /// per-datagram loss, corruption, and the response-size model (a
-    /// real TCP connection retransmits and carries any size), but still
-    /// fail while the destination is flapped or blackholed.
-    pub fn send_stream(&self, dst: IpAddr, src: IpAddr, query: &Message) -> InFlight {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.stats.queries.fetch_add(1, Relaxed);
-        self.stats.stream_queries.fetch_add(1, Relaxed);
-        let tracer = self.tracer.get();
-        let qname = if tracer.wants_query_detail() {
-            query
-                .first_question()
-                .map(|q| q.name.to_string())
-                .unwrap_or_else(|| String::from("-"))
-        } else {
-            String::new()
-        };
-        tracer.emit(TraceEvent::QuerySent {
-            dst,
-            qname: qname.clone(),
-            qtype: query
-                .first_question()
-                .map(|q| q.qtype.to_u16())
-                .unwrap_or(0),
-            id: query.id,
-        });
-        let now_ms = self.clock.now_millis();
-        let fail = |tracer: Tracer, qname: String, unroutable: bool, error: NetError| InFlight {
-            deadline_ms: now_ms + self.config.timeout_ms,
+        InFlight {
+            deadline_ms: now_ms + latency_ms,
             dst,
             tracer,
             qname,
-            outcome: InFlightOutcome::Fail { unroutable, error },
-        };
-        if !classify(dst).is_routable() {
-            return fail(tracer, qname, true, NetError::Unroutable);
-        }
-        let Some(server) = self.routes.get(&dst) else {
-            return fail(tracer, qname, false, NetError::Timeout);
-        };
-        if let Some((plan, epoch_ms)) = self.faults.get() {
-            let at_ms = now_ms.saturating_sub(epoch_ms);
-            if let Some(kind) = plan.unreachable_at(dst, at_ms) {
-                self.inject(&tracer, kind, dst);
-                return fail(tracer, qname, false, NetError::Timeout);
-            }
-        }
-        match server.handle_stream(query, src, self.clock.now_secs()) {
-            ServerResponse::Reply(msg) => {
-                let latency_ms = 2 * self.config.rtt_ms;
-                InFlight {
-                    deadline_ms: now_ms + latency_ms,
-                    dst,
-                    tracer,
-                    qname,
-                    outcome: InFlightOutcome::Reply { msg, latency_ms },
-                }
-            }
-            ServerResponse::Drop => fail(tracer, qname, false, NetError::Timeout),
+            outcome: InFlightOutcome::Reply { msg, latency_ms },
         }
     }
 

@@ -7,20 +7,30 @@
 //!   can use, its minimum key size, and its NSEC3 iteration cap. These
 //!   feed *into* validation (Cloudflare treats an Ed448-signed zone as
 //!   insecure because it cannot validate it; Knot validates it fine).
-//! * an **emission function** mapping a [`Diagnosis`] to the EDE entries
-//!   the vendor attaches. Every rule below is a function of structured
-//!   finding kinds, derived from the paper's Table 4 (and §4.2 for the
-//!   codes only the wild scan exercises). Where two vendors map the same
-//!   finding to different codes — the paper's 94 %-disagreement result —
-//!   the divergence lives here, visibly.
+//! * **emission rules** mapping a [`Diagnosis`] to the EDE entries the
+//!   vendor attaches: the paper's Table 4 (and §4.2 for the codes only
+//!   the wild scan exercises) as data. `shape_of` gives each [`Finding`]
+//!   the bit of the *shape* some vendor tells apart, a diagnosis is the
+//!   OR of its findings' shapes, and a vendor is an ordered table of
+//!   `(shapes, entry)` rows of which `first_match` — the one function
+//!   that walks a table — takes the first that intersects: position is
+//!   priority. Where two vendors map the same finding to different
+//!   codes — the paper's 94 %-disagreement result — one shape name
+//!   stands in two tables beside two codes.
 //!
-//! BIND 9.19.9 implements only the serve-stale and policy codes (its
-//! DNSSEC EDEs were still on the roadmap at measurement time, §2), so its
-//! DNSSEC column is all `None` — reproduced by an emission function that
-//! ignores DNSSEC findings entirely.
+//! Four things are not "any of these shapes ⇒ this entry" and are code:
+//! the cache codes (3, 19, 13) accompany the table's entry instead of
+//! competing with it, and BIND 9.19.9 — its DNSSEC EDEs still on the
+//! roadmap at measurement time (§2) — has the two stale ones and an
+//! empty table; Cloudflare emits combinations, the rest of which is
+//! `cloudflare_tail`; Quad9 has one rule that needs two findings at
+//! once and OpenDNS one that reads a nameserver event, each folded into
+//! a derived shape by `shapes_of`. Entry order in the output is part of
+//! the contract: scan records hash their codes unsorted.
 
 use crate::diagnosis::{
-    AlgStatus, DenialIssue, Diagnosis, DsMismatch, Finding, NegativeKind, NsFailure, SigTarget,
+    AlgStatus, DenialIssue, Diagnosis, DsMismatch, Finding, NegativeKind, NsEvent, NsFailure,
+    SigTarget,
 };
 use ede_wire::{EdeCode, EdeEntry};
 use std::collections::BTreeSet;
@@ -121,6 +131,35 @@ impl Vendor {
     }
 }
 
+/// Parses, ignoring ASCII case, a short name (`bind9`, `unbound`,
+/// `powerdns`, `knot`, `cloudflare`, `quad9`, `opendns` — also the
+/// `Debug` names the JSONL traces carry), an alias (`bind`, `pdns`,
+/// `cf`) or a display name ([`Vendor::name`]).
+impl std::str::FromStr for Vendor {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        Ok(match s.to_ascii_lowercase().as_str() {
+            "bind9" | "bind" => Vendor::Bind9,
+            "unbound" => Vendor::Unbound,
+            "powerdns" | "pdns" => Vendor::PowerDns,
+            "knot" => Vendor::Knot,
+            "cloudflare" | "cf" => Vendor::Cloudflare,
+            "quad9" => Vendor::Quad9,
+            "opendns" => Vendor::OpenDns,
+            _ => Vendor::ALL
+                .into_iter()
+                .find(|v| v.name().eq_ignore_ascii_case(s))
+                .ok_or_else(|| {
+                    format!(
+                        "unknown vendor {s:?}; known: bind9, unbound, powerdns, knot, \
+                         cloudflare, quad9, opendns"
+                    )
+                })?,
+        })
+    }
+}
+
 /// A vendor profile: caps + emission rules.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VendorProfile {
@@ -147,522 +186,397 @@ impl VendorProfile {
 
     /// Map a diagnosis to the EDE entries this vendor attaches.
     pub fn emit(&self, diag: &Diagnosis) -> Vec<EdeEntry> {
+        let shapes = shapes_of(diag);
+        let table = self.table();
+        let entry = first_match(table, shapes).map(|row| match table[row].1 {
+            Emit::Code(code) => bare(code),
+            Emit::Text(code, text) => EdeEntry::with_text(EdeCode::from_u16(code), text),
+        });
+        let mut out = Vec::new();
         match self.vendor {
-            Vendor::Bind9 => emit_bind(diag),
-            Vendor::Unbound => emit_unbound(diag),
-            Vendor::PowerDns => emit_powerdns(diag),
-            Vendor::Knot => emit_knot(diag),
-            Vendor::Cloudflare => emit_cloudflare(diag),
-            Vendor::Quad9 => emit_quad9(diag),
-            Vendor::OpenDns => emit_opendns(diag),
+            // Serve-stale only: 9.19.9 has no Cached Error either.
+            Vendor::Bind9 => cache_codes(shapes & !CACHED_ERROR, &mut out),
+            Vendor::Unbound | Vendor::PowerDns | Vendor::Knot => {
+                cache_codes(shapes, &mut out);
+                out.extend(entry);
+            }
+            Vendor::Cloudflare => {
+                out.extend(entry);
+                cloudflare_tail(diag, shapes, &mut out);
+            }
+            Vendor::Quad9 | Vendor::OpenDns => out.extend(entry),
+        }
+        out
+    }
+
+    /// Index of the row of this vendor's table that decides `diag`, or
+    /// the table's length when no row matches — so the empty diagnosis
+    /// tells a test how many rows there are to cover.
+    #[doc(hidden)]
+    pub fn winning_row(&self, diag: &Diagnosis) -> usize {
+        let table = self.table();
+        first_match(table, shapes_of(diag)).unwrap_or(table.len())
+    }
+
+    fn table(&self) -> &'static [Rule] {
+        match self.vendor {
+            Vendor::Bind9 => BIND,
+            Vendor::Unbound => UNBOUND,
+            Vendor::PowerDns => POWERDNS,
+            Vendor::Knot => KNOT,
+            Vendor::Cloudflare => CLOUDFLARE,
+            Vendor::Quad9 => QUAD9,
+            Vendor::OpenDns => OPENDNS,
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Shared helpers
+// Shapes
+// ---------------------------------------------------------------------------
+
+const ALL_SERVERS_FAILED: u64 = 1 << 0;
+const DS_ALG_RESERVED: u64 = 1 << 1;
+const DS_ALG_UNASSIGNED: u64 = 1 << 2;
+const DS_ALG_OTHER: u64 = 1 << 3;
+const DS_DIGEST: u64 = 1 << 4;
+const DS_NO_KEY_TAG: u64 = 1 << 5;
+const DS_NO_KEY_DIGEST: u64 = 1 << 6;
+const DNSKEY_UNOBTAINABLE: u64 = 1 << 7;
+const DNSKEY_KSK_SIG_MISSING: u64 = 1 << 8;
+const DNSKEY_UNSIGNED: u64 = 1 << 9;
+const DNSKEY_BOGUS: u64 = 1 << 10;
+const DNSKEY_BOGUS_ZSK_PRESENT: u64 = 1 << 11;
+const DNSKEY_BOGUS_SOME_VALID: u64 = 1 << 12;
+const DNSKEY_EXPIRED: u64 = 1 << 13;
+const DNSKEY_NOT_YET: u64 = 1 << 14;
+const DNSKEY_INVERTED: u64 = 1 << 15;
+const NO_ZONE_KEY: u64 = 1 << 16;
+const STANDBY_KEY: u64 = 1 << 17;
+const KEY_SIZE: u64 = 1 << 18;
+const ZONE_ALG_DEPRECATED: u64 = 1 << 19;
+const ZONE_ALG_OTHER: u64 = 1 << 20;
+const ANSWER_UNSIGNED: u64 = 1 << 21;
+const ANSWER_EXPIRED: u64 = 1 << 22;
+const ANSWER_NOT_YET: u64 = 1 << 23;
+const ANSWER_INVERTED: u64 = 1 << 24;
+const ANSWER_KEY_MISSING: u64 = 1 << 25;
+/// A bogus signature over any RRset; no vendor looks at which.
+const SIG_BOGUS: u64 = 1 << 26;
+const PROOF_ABSENT_NODATA: u64 = 1 << 27;
+const PROOF_ABSENT_NXDOMAIN: u64 = 1 << 28;
+const PROOF_OWNER: u64 = 1 << 29;
+const PROOF_CHAIN: u64 = 1 << 30;
+const DENIAL_UNSIGNED: u64 = 1 << 31;
+const DENIAL_BOGUS: u64 = 1 << 32;
+const NEGATIVE_UNSIGNED_NODATA: u64 = 1 << 33;
+const NEGATIVE_UNSIGNED_NXDOMAIN: u64 = 1 << 34;
+const REFERRAL_PROOF_MISSING: u64 = 1 << 35;
+const NSEC3_ITERATIONS: u64 = 1 << 36;
+const STALE_ANSWER: u64 = 1 << 37;
+const STALE_NXDOMAIN: u64 = 1 << 38;
+const CACHED_ERROR: u64 = 1 << 39;
+/// Derived: the answer's RRSIG names a key tag that is gone while the
+/// bogus DNSKEY RRset still publishes a zone-key ZSK.
+const ANSWER_KEY_MISSING_ZSK_PRESENT: u64 = 1 << 40;
+/// Derived: some nameserver answered REFUSED.
+const NS_REFUSED: u64 = 1 << 41;
+
+const DS_ALG: u64 = DS_ALG_RESERVED | DS_ALG_UNASSIGNED | DS_ALG_OTHER;
+const DS_NO_KEY: u64 = DS_NO_KEY_TAG | DS_NO_KEY_DIGEST;
+const DNSKEY_SIG_MISSING: u64 = DNSKEY_KSK_SIG_MISSING | DNSKEY_UNSIGNED;
+const ZONE_ALG: u64 = ZONE_ALG_DEPRECATED | ZONE_ALG_OTHER;
+const PROOF_ABSENT: u64 = PROOF_ABSENT_NODATA | PROOF_ABSENT_NXDOMAIN;
+const PROOF: u64 = PROOF_ABSENT | PROOF_OWNER | PROOF_CHAIN;
+const NEGATIVE_UNSIGNED: u64 = NEGATIVE_UNSIGNED_NODATA | NEGATIVE_UNSIGNED_NXDOMAIN;
+
+/// The shape of one finding: the distinctions some vendor's rules draw,
+/// and no others (0 when no vendor reports the finding at all).
+fn shape_of(finding: &Finding) -> u64 {
+    let by_target = |target, answer, dnskey| match target {
+        SigTarget::Answer => answer,
+        SigTarget::Dnskey => dnskey,
+        SigTarget::Denial => 0,
+    };
+    let by_kind = |kind, nodata, nxdomain| match kind {
+        NegativeKind::Nodata => nodata,
+        NegativeKind::Nxdomain => nxdomain,
+    };
+    let when = |flag, shape| if flag { shape } else { 0 };
+    match *finding {
+        Finding::AllServersFailed { .. } => ALL_SERVERS_FAILED,
+        Finding::DsUnknownAlgorithm { status, .. } => match status {
+            AlgStatus::Reserved => DS_ALG_RESERVED,
+            AlgStatus::Unassigned => DS_ALG_UNASSIGNED,
+            AlgStatus::UnsupportedAssigned | AlgStatus::Deprecated => DS_ALG_OTHER,
+        },
+        Finding::DsUnsupportedDigest { .. } => DS_DIGEST,
+        Finding::DsNoMatchingDnskey { cause } => match cause {
+            DsMismatch::TagOrAlgorithm => DS_NO_KEY_TAG,
+            DsMismatch::Digest => DS_NO_KEY_DIGEST,
+        },
+        Finding::DnskeyUnobtainable { .. } => DNSKEY_UNOBTAINABLE,
+        Finding::DnskeySigMissingByMatchedKey => DNSKEY_KSK_SIG_MISSING,
+        Finding::DnskeyAllSigsMissing => DNSKEY_UNSIGNED,
+        Finding::DnskeySigBogus {
+            zsk_present,
+            some_sig_valid,
+        } => {
+            DNSKEY_BOGUS
+                | when(zsk_present, DNSKEY_BOGUS_ZSK_PRESENT)
+                | when(some_sig_valid, DNSKEY_BOGUS_SOME_VALID)
+        }
+        Finding::NoZoneKeyBitSet => NO_ZONE_KEY,
+        Finding::StandbyKeyWithoutRrsig => STANDBY_KEY,
+        Finding::UnsupportedKeySize { .. } => KEY_SIZE,
+        Finding::ZoneAlgorithmUnsupported { status, .. } => match status {
+            AlgStatus::Deprecated => ZONE_ALG_DEPRECATED,
+            AlgStatus::UnsupportedAssigned | AlgStatus::Unassigned | AlgStatus::Reserved => {
+                ZONE_ALG_OTHER
+            }
+        },
+        Finding::RrsigMissing { target } => by_target(target, ANSWER_UNSIGNED, 0),
+        Finding::SignatureExpired { target } => by_target(target, ANSWER_EXPIRED, DNSKEY_EXPIRED),
+        Finding::SignatureNotYetValid { target } => {
+            by_target(target, ANSWER_NOT_YET, DNSKEY_NOT_YET)
+        }
+        Finding::SignatureExpiredBeforeValid { target } => {
+            by_target(target, ANSWER_INVERTED, DNSKEY_INVERTED)
+        }
+        Finding::SignatureBogus { .. } => SIG_BOGUS,
+        Finding::RrsigKeyMissing { target } => by_target(target, ANSWER_KEY_MISSING, 0),
+        Finding::DenialProofBroken { issue, kind } => match issue {
+            DenialIssue::Absent => by_kind(kind, PROOF_ABSENT_NODATA, PROOF_ABSENT_NXDOMAIN),
+            DenialIssue::OwnerMismatch => PROOF_OWNER,
+            DenialIssue::ChainMismatch => PROOF_CHAIN,
+        },
+        Finding::DenialSigMissing { .. } => DENIAL_UNSIGNED,
+        Finding::DenialSigBogus { .. } => DENIAL_BOGUS,
+        Finding::NegativeUnsigned { kind } => {
+            by_kind(kind, NEGATIVE_UNSIGNED_NODATA, NEGATIVE_UNSIGNED_NXDOMAIN)
+        }
+        Finding::InsecureReferralProofMissing => REFERRAL_PROOF_MISSING,
+        Finding::Nsec3IterationsExceeded { .. } => NSEC3_ITERATIONS,
+        Finding::ServedStale { nxdomain: false } => STALE_ANSWER,
+        Finding::ServedStale { nxdomain: true } => STALE_NXDOMAIN,
+        Finding::CachedError => CACHED_ERROR,
+        // Cloudflare's tail reads the server address off the finding
+        // itself; a synthesized denial must stay indistinguishable from
+        // the live one it stands in for (RFC 8198).
+        Finding::EdnsNotSupported { .. } | Finding::SynthesizedDenial { .. } => 0,
+    }
+}
+
+/// Every shape present in a diagnosis, the two derived ones included.
+fn shapes_of(diag: &Diagnosis) -> u64 {
+    let mut shapes = diag.findings.iter().fold(0, |acc, f| acc | shape_of(f));
+    if shapes & ANSWER_KEY_MISSING != 0 && shapes & DNSKEY_BOGUS_ZSK_PRESENT != 0 {
+        shapes |= ANSWER_KEY_MISSING_ZSK_PRESENT;
+    }
+    let refused = |e: &NsEvent| e.failure == NsFailure::Refused;
+    if diag.ns_events.iter().any(refused) {
+        shapes |= NS_REFUSED;
+    }
+    shapes
+}
+
+// ---------------------------------------------------------------------------
+// Rule tables: Table 4, one column each
+// ---------------------------------------------------------------------------
+
+/// What a matching row attaches.
+enum Emit {
+    /// A bare INFO-CODE.
+    Code(u16),
+    /// An INFO-CODE with fixed EXTRA-TEXT.
+    Text(u16, &'static str),
+}
+use Emit::{Code, Text};
+
+/// Any of these shapes present ⇒ this entry, unless an earlier row won.
+type Rule = (u64, Emit);
+
+/// Index of the first row whose shapes intersect `shapes`.
+fn first_match(table: &[Rule], shapes: u64) -> Option<usize> {
+    table.iter().position(|(any_of, _)| shapes & any_of != 0)
+}
+
+/// BIND 9.19.9: no DNSSEC EDEs yet — the column is all `None`.
+const BIND: &[Rule] = &[];
+
+/// Unbound 1.16.2: full DNSSEC coverage, one (most specific) code.
+const UNBOUND: &[Rule] = &[
+    (
+        DS_NO_KEY | DNSKEY_BOGUS | DNSKEY_NOT_YET | DNSKEY_INVERTED,
+        Code(9),
+    ),
+    (DNSKEY_EXPIRED, Code(7)),
+    (
+        DNSKEY_SIG_MISSING | ANSWER_UNSIGNED | NEGATIVE_UNSIGNED,
+        Code(10),
+    ),
+    (
+        ANSWER_EXPIRED | ANSWER_NOT_YET | ANSWER_INVERTED | SIG_BOGUS,
+        Code(6),
+    ),
+    (PROOF_ABSENT, Code(12)),
+    (PROOF, Code(6)),
+    (DENIAL_UNSIGNED, Code(12)),
+    (DENIAL_BOGUS, Code(6)),
+    (ANSWER_KEY_MISSING, Code(9)),
+];
+
+/// PowerDNS Recursor 4.8.2.
+const POWERDNS: &[Rule] = &[
+    (NO_ZONE_KEY, Code(10)),
+    (DS_NO_KEY | DNSKEY_KSK_SIG_MISSING, Code(9)),
+    (DNSKEY_UNSIGNED, Code(10)),
+    (DNSKEY_BOGUS, Code(6)),
+    (DNSKEY_EXPIRED | DNSKEY_INVERTED, Code(7)),
+    (DNSKEY_NOT_YET, Code(8)),
+    (NEGATIVE_UNSIGNED | ANSWER_UNSIGNED, Code(10)),
+    (ANSWER_EXPIRED | ANSWER_INVERTED, Code(7)),
+    (ANSWER_NOT_YET, Code(8)),
+    (SIG_BOGUS, Code(6)),
+];
+
+const KNOT_LSLC: &str = "LSLC: unsupported digest/key";
+
+/// Knot Resolver 5.6.0.
+const KNOT: &[Rule] = &[
+    (NO_ZONE_KEY, Code(10)),
+    (DS_ALG | DS_DIGEST | ZONE_ALG_DEPRECATED, Text(0, KNOT_LSLC)),
+    (DNSKEY_UNSIGNED, Code(10)),
+    (DS_NO_KEY | DNSKEY_KSK_SIG_MISSING | DNSKEY_BOGUS, Code(6)),
+    (DNSKEY_EXPIRED | DNSKEY_INVERTED, Code(7)),
+    (DNSKEY_NOT_YET, Code(8)),
+    (NEGATIVE_UNSIGNED | ANSWER_UNSIGNED, Code(10)),
+    (PROOF_ABSENT, Code(12)),
+    (PROOF, Code(6)),
+    (DENIAL_UNSIGNED, Code(10)),
+    (DENIAL_BOGUS | SIG_BOGUS, Code(6)),
+];
+
+/// Cloudflare DNS — the most specific implementation. This is the
+/// first entry of a combination; `cloudflare_tail` has the rest.
+const CLOUDFLARE: &[Rule] = &[
+    (DS_DIGEST, Code(2)),
+    (DS_ALG_RESERVED, Text(1, "no supported DNSKEY algorithm")),
+    (DS_ALG_UNASSIGNED, Code(9)),
+    (ZONE_ALG, Text(1, "no supported DNSKEY algorithm")),
+    (KEY_SIZE, Text(1, "unsupported key size")),
+    (DS_NO_KEY_TAG, Code(9)),
+    (DS_NO_KEY_DIGEST, Code(6)),
+    (DNSKEY_UNOBTAINABLE, Code(9)),
+    (DNSKEY_INVERTED, Code(10)),
+    (DNSKEY_EXPIRED, Code(7)),
+    (DNSKEY_NOT_YET, Code(8)),
+    (DNSKEY_BOGUS, Code(6)),
+    (
+        DNSKEY_SIG_MISSING | NEGATIVE_UNSIGNED | ANSWER_UNSIGNED,
+        Code(10),
+    ),
+    (ANSWER_EXPIRED | ANSWER_INVERTED, Code(7)),
+    (ANSWER_NOT_YET, Code(8)),
+    (SIG_BOGUS, Code(6)),
+    (ANSWER_KEY_MISSING, Code(9)),
+    (PROOF | DENIAL_UNSIGNED | DENIAL_BOGUS, Code(6)),
+    (
+        REFERRAL_PROOF_MISSING,
+        Text(12, "failed to verify an insecure referral proof"),
+    ),
+    (NSEC3_ITERATIONS, Text(0, "iteration limit exceeded")),
+    // NOERROR + EDE: key rollover in progress / stand-by key (§4.2.3).
+    (STANDBY_KEY, Code(10)),
+];
+
+/// Quad9.
+const QUAD9: &[Rule] = &[
+    (NO_ZONE_KEY, Code(10)),
+    (DNSKEY_BOGUS_SOME_VALID, Code(6)),
+    // A zone-key ZSK is still published and the answer's RRSIG points
+    // at a tag that no longer exists: Quad9 reports generic bogus.
+    (ANSWER_KEY_MISSING_ZSK_PRESENT, Code(6)),
+    (
+        DS_NO_KEY | DNSKEY_BOGUS | DNSKEY_SIG_MISSING | DNSKEY_NOT_YET | DNSKEY_INVERTED,
+        Code(9),
+    ),
+    (DNSKEY_EXPIRED, Code(7)),
+    (ANSWER_UNSIGNED, Code(10)),
+    (ANSWER_EXPIRED, Code(6)),
+    (ANSWER_NOT_YET, Code(8)),
+    (ANSWER_INVERTED, Code(7)),
+    (NEGATIVE_UNSIGNED_NODATA, Code(9)),
+    (NEGATIVE_UNSIGNED_NXDOMAIN, Code(10)),
+    (PROOF_ABSENT_NODATA, Code(9)),
+    (PROOF_OWNER | PROOF_CHAIN, Code(6)),
+    (DENIAL_UNSIGNED, Code(9)),
+    (SIG_BOGUS, Code(6)),
+];
+
+/// OpenDNS.
+const OPENDNS: &[Rule] = &[
+    (
+        DS_NO_KEY
+            | DS_ALG
+            | DNSKEY_BOGUS
+            | DNSKEY_SIG_MISSING
+            | NO_ZONE_KEY
+            | DNSKEY_EXPIRED
+            | DNSKEY_NOT_YET
+            | DNSKEY_INVERTED,
+        Code(6),
+    ),
+    (ANSWER_EXPIRED | ANSWER_INVERTED, Code(7)),
+    (ANSWER_NOT_YET, Code(8)),
+    (SIG_BOGUS, Code(6)),
+    (PROOF_ABSENT | PROOF_OWNER | DENIAL_UNSIGNED, Code(12)),
+    (PROOF_CHAIN | DENIAL_BOGUS | NEGATIVE_UNSIGNED, Code(6)),
+    // The paper's "unexpected in this context" observation (§3.3):
+    // OpenDNS answers Prohibited (18) when authorities refuse it.
+    (NS_REFUSED, Code(18)),
+];
+
+// ---------------------------------------------------------------------------
+// What the tables cannot say
 // ---------------------------------------------------------------------------
 
 fn bare(code: u16) -> EdeEntry {
     EdeEntry::bare(EdeCode::from_u16(code))
 }
 
-fn has(diag: &Diagnosis, pred: impl Fn(&Finding) -> bool) -> bool {
-    diag.any(pred)
-}
-
-fn stale_entries(diag: &Diagnosis, out: &mut Vec<EdeEntry>) {
-    if has(diag, |f| {
-        matches!(f, Finding::ServedStale { nxdomain: false })
-    }) {
-        out.push(bare(3));
-    }
-    if has(diag, |f| {
-        matches!(f, Finding::ServedStale { nxdomain: true })
-    }) {
-        out.push(bare(19));
+/// Stale Answer, Stale NXDOMAIN Answer, Cached Error: each stands for
+/// its own finding and none displaces another entry.
+fn cache_codes(shapes: u64, out: &mut Vec<EdeEntry>) {
+    for (shape, code) in [(STALE_ANSWER, 3), (STALE_NXDOMAIN, 19), (CACHED_ERROR, 13)] {
+        if shapes & shape != 0 {
+            out.push(bare(code));
+        }
     }
 }
 
-fn cached_error_entry(diag: &Diagnosis, out: &mut Vec<EdeEntry>) {
-    if has(diag, |f| matches!(f, Finding::CachedError)) {
-        out.push(bare(13));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// BIND 9.19.9 — serve-stale codes only; DNSSEC EDEs not yet implemented.
-// ---------------------------------------------------------------------------
-
-fn emit_bind(diag: &Diagnosis) -> Vec<EdeEntry> {
-    let mut out = Vec::new();
-    stale_entries(diag, &mut out);
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Unbound 1.16.2 — full DNSSEC coverage, one (most specific) code.
-// ---------------------------------------------------------------------------
-
-#[allow(clippy::if_same_then_else)] // each arm is one Table 4 rule
-fn emit_unbound(diag: &Diagnosis) -> Vec<EdeEntry> {
-    let mut out = Vec::new();
-    stale_entries(diag, &mut out);
-    cached_error_entry(diag, &mut out);
-
-    let code = if has(diag, |f| matches!(f, Finding::DsNoMatchingDnskey { .. })) {
-        Some(9)
-    } else if has(diag, |f| matches!(f, Finding::DnskeySigBogus { .. })) {
-        Some(9)
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::SignatureNotYetValid {
-                target: SigTarget::Dnskey
-            } | Finding::SignatureExpiredBeforeValid {
-                target: SigTarget::Dnskey
-            }
-        )
-    }) {
-        Some(9)
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::SignatureExpired {
-                target: SigTarget::Dnskey
-            }
-        )
-    }) {
-        Some(7)
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::DnskeySigMissingByMatchedKey | Finding::DnskeyAllSigsMissing
-        )
-    }) {
-        Some(10)
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::RrsigMissing {
-                target: SigTarget::Answer
-            } | Finding::NegativeUnsigned { .. }
-        )
-    }) {
-        Some(10)
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::SignatureExpired {
-                target: SigTarget::Answer
-            } | Finding::SignatureNotYetValid {
-                target: SigTarget::Answer
-            } | Finding::SignatureExpiredBeforeValid {
-                target: SigTarget::Answer
-            } | Finding::SignatureBogus { .. }
-        )
-    }) {
-        Some(6)
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::DenialProofBroken {
-                issue: DenialIssue::Absent,
-                ..
-            }
-        )
-    }) {
-        Some(12)
-    } else if has(diag, |f| matches!(f, Finding::DenialProofBroken { .. })) {
-        Some(6)
-    } else if has(diag, |f| matches!(f, Finding::DenialSigMissing { .. })) {
-        Some(12)
-    } else if has(diag, |f| matches!(f, Finding::DenialSigBogus { .. })) {
-        Some(6)
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::RrsigKeyMissing {
-                target: SigTarget::Answer
-            }
-        )
-    }) {
-        Some(9)
-    } else {
-        None
-    };
-    out.extend(code.map(bare));
-    out
-}
-
-// ---------------------------------------------------------------------------
-// PowerDNS Recursor 4.8.2
-// ---------------------------------------------------------------------------
-
-#[allow(clippy::if_same_then_else)] // each arm is one Table 4 rule
-fn emit_powerdns(diag: &Diagnosis) -> Vec<EdeEntry> {
-    let mut out = Vec::new();
-    stale_entries(diag, &mut out);
-    cached_error_entry(diag, &mut out);
-
-    let code = if has(diag, |f| matches!(f, Finding::NoZoneKeyBitSet)) {
-        Some(10)
-    } else if has(diag, |f| matches!(f, Finding::DsNoMatchingDnskey { .. })) {
-        Some(9)
-    } else if has(diag, |f| matches!(f, Finding::DnskeySigMissingByMatchedKey)) {
-        Some(9)
-    } else if has(diag, |f| matches!(f, Finding::DnskeyAllSigsMissing)) {
-        Some(10)
-    } else if has(diag, |f| matches!(f, Finding::DnskeySigBogus { .. })) {
-        Some(6)
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::SignatureExpired {
-                target: SigTarget::Dnskey
-            } | Finding::SignatureExpiredBeforeValid {
-                target: SigTarget::Dnskey
-            }
-        )
-    }) {
-        Some(7)
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::SignatureNotYetValid {
-                target: SigTarget::Dnskey
-            }
-        )
-    }) {
-        Some(8)
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::NegativeUnsigned { .. }
-                | Finding::RrsigMissing {
-                    target: SigTarget::Answer
-                }
-        )
-    }) {
-        Some(10)
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::SignatureExpired {
-                target: SigTarget::Answer
-            } | Finding::SignatureExpiredBeforeValid {
-                target: SigTarget::Answer
-            }
-        )
-    }) {
-        Some(7)
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::SignatureNotYetValid {
-                target: SigTarget::Answer
-            }
-        )
-    }) {
-        Some(8)
-    } else if has(diag, |f| matches!(f, Finding::SignatureBogus { .. })) {
-        Some(6)
-    } else {
-        None
-    };
-    out.extend(code.map(bare));
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Knot Resolver 5.6.0
-// ---------------------------------------------------------------------------
-
-const KNOT_LSLC: &str = "LSLC: unsupported digest/key";
-
-#[allow(clippy::if_same_then_else)] // each arm is one Table 4 rule
-fn emit_knot(diag: &Diagnosis) -> Vec<EdeEntry> {
-    let mut out = Vec::new();
-    stale_entries(diag, &mut out);
-    cached_error_entry(diag, &mut out);
-
-    let code = if has(diag, |f| matches!(f, Finding::NoZoneKeyBitSet)) {
-        Some(bare(10))
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::DsUnknownAlgorithm { .. }
-                | Finding::DsUnsupportedDigest { .. }
-                | Finding::ZoneAlgorithmUnsupported {
-                    status: AlgStatus::Deprecated,
-                    ..
-                }
-        )
-    }) {
-        Some(EdeEntry::with_text(EdeCode::Other, KNOT_LSLC))
-    } else if has(diag, |f| matches!(f, Finding::DnskeyAllSigsMissing)) {
-        Some(bare(10))
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::DsNoMatchingDnskey { .. }
-                | Finding::DnskeySigMissingByMatchedKey
-                | Finding::DnskeySigBogus { .. }
-        )
-    }) {
-        Some(bare(6))
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::SignatureExpired {
-                target: SigTarget::Dnskey
-            } | Finding::SignatureExpiredBeforeValid {
-                target: SigTarget::Dnskey
-            }
-        )
-    }) {
-        Some(bare(7))
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::SignatureNotYetValid {
-                target: SigTarget::Dnskey
-            }
-        )
-    }) {
-        Some(bare(8))
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::NegativeUnsigned { .. }
-                | Finding::RrsigMissing {
-                    target: SigTarget::Answer
-                }
-        )
-    }) {
-        Some(bare(10))
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::DenialProofBroken {
-                issue: DenialIssue::Absent,
-                ..
-            }
-        )
-    }) {
-        Some(bare(12))
-    } else if has(diag, |f| matches!(f, Finding::DenialProofBroken { .. })) {
-        Some(bare(6))
-    } else if has(diag, |f| matches!(f, Finding::DenialSigMissing { .. })) {
-        Some(bare(10))
-    } else if has(diag, |f| matches!(f, Finding::DenialSigBogus { .. })) {
-        Some(bare(6))
-    } else if has(diag, |f| matches!(f, Finding::SignatureBogus { .. })) {
-        Some(bare(6))
-    } else {
-        None
-    };
-    out.extend(code);
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Cloudflare DNS — the most specific implementation; emits combinations.
-// ---------------------------------------------------------------------------
-
-#[allow(clippy::if_same_then_else)] // each arm is one Table 4 rule
-fn emit_cloudflare(diag: &Diagnosis) -> Vec<EdeEntry> {
-    let mut out = Vec::new();
-
-    let primary: Option<EdeEntry> =
-        if has(diag, |f| matches!(f, Finding::DsUnsupportedDigest { .. })) {
-            Some(bare(2))
-        } else if has(diag, |f| {
-            matches!(
-                f,
-                Finding::DsUnknownAlgorithm {
-                    status: AlgStatus::Reserved,
-                    ..
-                }
-            )
-        }) {
-            Some(EdeEntry::with_text(
-                EdeCode::UnsupportedDnskeyAlgorithm,
-                "no supported DNSKEY algorithm",
-            ))
-        } else if has(diag, |f| {
-            matches!(
-                f,
-                Finding::DsUnknownAlgorithm {
-                    status: AlgStatus::Unassigned,
-                    ..
-                }
-            )
-        }) {
-            Some(bare(9))
-        } else if has(diag, |f| {
-            matches!(f, Finding::ZoneAlgorithmUnsupported { .. })
-        }) {
-            Some(EdeEntry::with_text(
-                EdeCode::UnsupportedDnskeyAlgorithm,
-                "no supported DNSKEY algorithm",
-            ))
-        } else if has(diag, |f| matches!(f, Finding::UnsupportedKeySize { .. })) {
-            Some(EdeEntry::with_text(
-                EdeCode::UnsupportedDnskeyAlgorithm,
-                "unsupported key size",
-            ))
-        } else if has(diag, |f| {
-            matches!(
-                f,
-                Finding::DsNoMatchingDnskey {
-                    cause: DsMismatch::TagOrAlgorithm
-                }
-            )
-        }) {
-            Some(bare(9))
-        } else if has(diag, |f| {
-            matches!(
-                f,
-                Finding::DsNoMatchingDnskey {
-                    cause: DsMismatch::Digest
-                }
-            )
-        }) {
-            Some(bare(6))
-        } else if has(diag, |f| matches!(f, Finding::DnskeyUnobtainable { .. })) {
-            Some(bare(9))
-        } else if has(diag, |f| {
-            matches!(
-                f,
-                Finding::SignatureExpiredBeforeValid {
-                    target: SigTarget::Dnskey
-                }
-            )
-        }) {
-            Some(bare(10))
-        } else if has(diag, |f| {
-            matches!(
-                f,
-                Finding::SignatureExpired {
-                    target: SigTarget::Dnskey
-                }
-            )
-        }) {
-            Some(bare(7))
-        } else if has(diag, |f| {
-            matches!(
-                f,
-                Finding::SignatureNotYetValid {
-                    target: SigTarget::Dnskey
-                }
-            )
-        }) {
-            Some(bare(8))
-        } else if has(diag, |f| matches!(f, Finding::DnskeySigBogus { .. })) {
-            Some(bare(6))
-        } else if has(diag, |f| {
-            matches!(
-                f,
-                Finding::DnskeySigMissingByMatchedKey | Finding::DnskeyAllSigsMissing
-            )
-        }) {
-            Some(bare(10))
-        } else if has(diag, |f| {
-            matches!(
-                f,
-                Finding::NegativeUnsigned { .. }
-                    | Finding::RrsigMissing {
-                        target: SigTarget::Answer
-                    }
-            )
-        }) {
-            Some(bare(10))
-        } else if has(diag, |f| {
-            matches!(
-                f,
-                Finding::SignatureExpired {
-                    target: SigTarget::Answer
-                } | Finding::SignatureExpiredBeforeValid {
-                    target: SigTarget::Answer
-                }
-            )
-        }) {
-            Some(bare(7))
-        } else if has(diag, |f| {
-            matches!(
-                f,
-                Finding::SignatureNotYetValid {
-                    target: SigTarget::Answer
-                }
-            )
-        }) {
-            Some(bare(8))
-        } else if has(diag, |f| matches!(f, Finding::SignatureBogus { .. })) {
-            Some(bare(6))
-        } else if has(diag, |f| {
-            matches!(
-                f,
-                Finding::RrsigKeyMissing {
-                    target: SigTarget::Answer
-                }
-            )
-        }) {
-            Some(bare(9))
-        } else if has(diag, |f| {
-            matches!(
-                f,
-                Finding::DenialProofBroken { .. }
-                    | Finding::DenialSigMissing { .. }
-                    | Finding::DenialSigBogus { .. }
-            )
-        }) {
-            Some(bare(6))
-        } else if let Some(Finding::InsecureReferralProofMissing) = diag
-            .findings
-            .iter()
-            .find(|f| matches!(f, Finding::InsecureReferralProofMissing))
-        {
-            Some(EdeEntry::with_text(
-                EdeCode::NsecMissing,
-                "failed to verify an insecure referral proof",
-            ))
-        } else if has(diag, |f| {
-            matches!(f, Finding::Nsec3IterationsExceeded { .. })
-        }) {
-            Some(EdeEntry::with_text(
-                EdeCode::Other,
-                "iteration limit exceeded",
-            ))
-        } else if has(diag, |f| matches!(f, Finding::StandbyKeyWithoutRrsig)) {
-            // NOERROR + EDE: key rollover in progress / stand-by key (§4.2.3).
-            Some(bare(10))
-        } else {
-            None
-        };
-    out.extend(primary);
-
+/// Everything Cloudflare attaches after its table's entry.
+fn cloudflare_tail(diag: &Diagnosis, shapes: u64, out: &mut Vec<EdeEntry>) {
     // Invalid Data (24): EDNS-oblivious servers (§4.2.6).
-    if let Some(Finding::EdnsNotSupported { addr }) = diag
-        .findings
-        .iter()
-        .find(|f| matches!(f, Finding::EdnsNotSupported { .. }))
-    {
+    let oblivious = diag.findings.iter().find_map(|f| match f {
+        Finding::EdnsNotSupported { addr } => Some(addr),
+        _ => None,
+    });
+    if let Some(addr) = oblivious {
         out.push(EdeEntry::with_text(
             EdeCode::InvalidData,
             format!("Mismatched question from the authoritative server {addr}"),
         ));
     }
 
-    stale_entries(diag, &mut out);
-    cached_error_entry(diag, &mut out);
+    cache_codes(shapes, out);
 
     // Connectivity: 22 when the whole NS set failed; 23 with the
     // offending server in EXTRA-TEXT only for *spoken* failures (an
     // RCODE arrived). Timeouts and unroutable glue stay silent on 23 —
     // §4.2.11 shows unresponsive-nameserver stale answers carrying
     // {3, 22} without a Network Error.
-    if has(diag, |f| matches!(f, Finding::AllServersFailed { .. })) {
+    if shapes & ALL_SERVERS_FAILED != 0 {
         out.push(bare(22));
     }
     if let Some(ev) = diag.ns_events.iter().find(|e| e.failure.is_rcode_failure()) {
@@ -674,248 +588,6 @@ fn emit_cloudflare(diag: &Diagnosis) -> Vec<EdeEntry> {
             ),
         ));
     }
-
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Quad9
-// ---------------------------------------------------------------------------
-
-#[allow(clippy::if_same_then_else)] // each arm is one Table 4 rule
-fn emit_quad9(diag: &Diagnosis) -> Vec<EdeEntry> {
-    let mut out = Vec::new();
-
-    let answer_key_missing = has(diag, |f| {
-        matches!(
-            f,
-            Finding::RrsigKeyMissing {
-                target: SigTarget::Answer
-            }
-        )
-    });
-
-    let code = if has(diag, |f| matches!(f, Finding::NoZoneKeyBitSet)) {
-        Some(10)
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::DnskeySigBogus {
-                some_sig_valid: true,
-                ..
-            }
-        )
-    }) {
-        Some(6)
-    } else if answer_key_missing
-        && has(diag, |f| {
-            matches!(
-                f,
-                Finding::DnskeySigBogus {
-                    zsk_present: true,
-                    ..
-                }
-            )
-        })
-    {
-        // A zone-key ZSK is still published and the answer's RRSIG points
-        // at a tag that no longer exists: Quad9 reports generic bogus.
-        Some(6)
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::DsNoMatchingDnskey { .. }
-                | Finding::DnskeySigBogus { .. }
-                | Finding::DnskeyAllSigsMissing
-                | Finding::DnskeySigMissingByMatchedKey
-                | Finding::SignatureNotYetValid {
-                    target: SigTarget::Dnskey
-                }
-                | Finding::SignatureExpiredBeforeValid {
-                    target: SigTarget::Dnskey
-                }
-        )
-    }) {
-        Some(9)
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::SignatureExpired {
-                target: SigTarget::Dnskey
-            }
-        )
-    }) {
-        Some(7)
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::RrsigMissing {
-                target: SigTarget::Answer
-            }
-        )
-    }) {
-        Some(10)
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::SignatureExpired {
-                target: SigTarget::Answer
-            }
-        )
-    }) {
-        Some(6)
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::SignatureNotYetValid {
-                target: SigTarget::Answer
-            }
-        )
-    }) {
-        Some(8)
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::SignatureExpiredBeforeValid {
-                target: SigTarget::Answer
-            }
-        )
-    }) {
-        Some(7)
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::NegativeUnsigned {
-                kind: NegativeKind::Nodata
-            }
-        )
-    }) {
-        Some(9)
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::NegativeUnsigned {
-                kind: NegativeKind::Nxdomain
-            }
-        )
-    }) {
-        Some(10)
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::DenialProofBroken {
-                issue: DenialIssue::Absent,
-                kind: NegativeKind::Nodata
-            }
-        )
-    }) {
-        Some(9)
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::DenialProofBroken {
-                issue: DenialIssue::OwnerMismatch | DenialIssue::ChainMismatch,
-                ..
-            }
-        )
-    }) {
-        Some(6)
-    } else if has(diag, |f| matches!(f, Finding::DenialSigMissing { .. })) {
-        Some(9)
-    } else if has(diag, |f| matches!(f, Finding::SignatureBogus { .. })) {
-        Some(6)
-    } else {
-        None
-    };
-    out.extend(code.map(bare));
-    out
-}
-
-// ---------------------------------------------------------------------------
-// OpenDNS
-// ---------------------------------------------------------------------------
-
-#[allow(clippy::if_same_then_else)] // each arm is one Table 4 rule
-fn emit_opendns(diag: &Diagnosis) -> Vec<EdeEntry> {
-    let mut out = Vec::new();
-
-    let code = if has(diag, |f| {
-        matches!(
-            f,
-            Finding::DsNoMatchingDnskey { .. }
-                | Finding::DsUnknownAlgorithm { .. }
-                | Finding::DnskeySigBogus { .. }
-                | Finding::DnskeyAllSigsMissing
-                | Finding::DnskeySigMissingByMatchedKey
-                | Finding::NoZoneKeyBitSet
-                | Finding::SignatureExpired {
-                    target: SigTarget::Dnskey
-                }
-                | Finding::SignatureNotYetValid {
-                    target: SigTarget::Dnskey
-                }
-                | Finding::SignatureExpiredBeforeValid {
-                    target: SigTarget::Dnskey
-                }
-        )
-    }) {
-        Some(6)
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::SignatureExpired {
-                target: SigTarget::Answer
-            } | Finding::SignatureExpiredBeforeValid {
-                target: SigTarget::Answer
-            }
-        )
-    }) {
-        Some(7)
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::SignatureNotYetValid {
-                target: SigTarget::Answer
-            }
-        )
-    }) {
-        Some(8)
-    } else if has(diag, |f| matches!(f, Finding::SignatureBogus { .. })) {
-        Some(6)
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::DenialProofBroken {
-                issue: DenialIssue::Absent | DenialIssue::OwnerMismatch,
-                ..
-            } | Finding::DenialSigMissing { .. }
-        )
-    }) {
-        Some(12)
-    } else if has(diag, |f| {
-        matches!(
-            f,
-            Finding::DenialProofBroken {
-                issue: DenialIssue::ChainMismatch,
-                ..
-            } | Finding::DenialSigBogus { .. }
-                | Finding::NegativeUnsigned { .. }
-        )
-    }) {
-        Some(6)
-    } else if diag
-        .ns_events
-        .iter()
-        .any(|e| e.failure == NsFailure::Refused)
-    {
-        // The paper's "unexpected in this context" observation (§3.3):
-        // OpenDNS answers Prohibited (18) when authorities refuse it.
-        Some(18)
-    } else {
-        None
-    };
-    out.extend(code.map(bare));
-    out
 }
 
 #[cfg(test)]

@@ -191,15 +191,15 @@ fn main() {
     eprintln!("generating population at scale 1:{scale}...");
     let pop = Population::generate(cfg);
     eprintln!("{} domains; building world...", pop.domains.len());
-    let world = ScanWorld::build(&pop);
+    let mut world = ScanWorld::build(&pop);
+    world.resolver_config.max_cache_entries = cache_budget;
+    world.resolver_config.synthesize_denial = synthesize;
+    world.resolver_config.max_range_entries = range_budget;
     eprintln!("scanning...");
     let mut builder = scanner::ScanConfig::builder()
         .progress(!json && !fingerprint)
         .l1(!no_l1)
-        .max_cache_entries(cache_budget)
-        .synthesize(synthesize)
         .sweep_ratio(sweep_ratio)
-        .max_range_entries(range_budget)
         .snapshot_cadence_secs(cadence)
         .query_log_spill(log_spill);
     if let Some(capacity) = log_capacity {

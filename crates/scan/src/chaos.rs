@@ -183,7 +183,7 @@ impl ChaosReport {
 /// Run one leg: build a fresh world, attach the fault plan (noop plans
 /// are dropped by the network), scan, and summarize.
 fn run_leg(pop: &Population, config: &ChaosConfig, intensity: f64) -> ChaosLeg {
-    let world = ScanWorld::build(pop);
+    let mut world = ScanWorld::build(pop);
     let scan_cfg = if intensity == 0.0 {
         // The baseline leg IS the plain repro-scan configuration.
         ScanConfig::builder().vendor(config.vendor).build()
@@ -191,12 +191,12 @@ fn run_leg(pop: &Population, config: &ChaosConfig, intensity: f64) -> ChaosLeg {
         world
             .net
             .set_fault_plan(FaultPlan::intensity(config.seed, intensity));
+        world.resolver_config.retry = config.retry.clone();
         // One worker: fault decisions are interleaved with the shared
         // virtual clock, so per-seed bit-stability needs a serial scan.
         ScanConfig::builder()
             .workers(1)
             .vendor(config.vendor)
-            .retry(config.retry.clone())
             .build()
     };
     let result = scan(pop, &world, &scan_cfg);
@@ -426,14 +426,12 @@ pub fn tier_configs_hold(pop: &Population, config: &ChaosConfig) -> Vec<String> 
     }
 
     const BUDGET: usize = 8;
-    let budget_world = ScanWorld::build(pop);
+    let mut budget_world = ScanWorld::build(pop);
+    budget_world.resolver_config.max_cache_entries = Some(BUDGET);
     let budgeted = scan(
         pop,
         &budget_world,
-        &ScanConfig::builder()
-            .vendor(config.vendor)
-            .max_cache_entries(Some(BUDGET))
-            .build(),
+        &ScanConfig::builder().vendor(config.vendor).build(),
     );
     if budgeted.stats.ede.total_domains != plain.stats.ede.total_domains {
         bad.push(format!(
@@ -476,13 +474,13 @@ pub fn synthesis_configs_hold(pop: &Population, config: &ChaosConfig) -> Vec<Str
         &ScanConfig::builder().vendor(config.vendor).build(),
     );
 
-    let synth_world = ScanWorld::build(pop);
+    let mut synth_world = ScanWorld::build(pop);
+    synth_world.resolver_config.synthesize_denial = true;
     let synth = scan(
         pop,
         &synth_world,
         &ScanConfig::builder()
             .vendor(config.vendor)
-            .synthesize(true)
             .sweep_ratio(1.5)
             .build(),
     );
@@ -509,15 +507,15 @@ pub fn synthesis_configs_hold(pop: &Population, config: &ChaosConfig) -> Vec<Str
     }
 
     const RANGE_BUDGET: usize = 8;
-    let budget_world = ScanWorld::build(pop);
+    let mut budget_world = ScanWorld::build(pop);
+    budget_world.resolver_config.synthesize_denial = true;
+    budget_world.resolver_config.max_range_entries = Some(RANGE_BUDGET);
     let budgeted = scan(
         pop,
         &budget_world,
         &ScanConfig::builder()
             .vendor(config.vendor)
-            .synthesize(true)
             .sweep_ratio(1.5)
-            .max_range_entries(Some(RANGE_BUDGET))
             .build(),
     );
     if !plain.stats.same_results(&budgeted.stats)

@@ -26,22 +26,6 @@ use std::fmt::Write as _;
 use std::io::{self, BufRead};
 use std::path::Path;
 
-/// Parse a vendor name with the aliases the CLIs accept (`bind`,
-/// `bind9`, `unbound`, `powerdns`, `pdns`, `knot`, `cloudflare`, `cf`,
-/// `quad9`, `opendns`).
-pub fn parse_vendor(s: &str) -> Option<Vendor> {
-    match s.to_ascii_lowercase().as_str() {
-        "bind" | "bind9" => Some(Vendor::Bind9),
-        "unbound" => Some(Vendor::Unbound),
-        "powerdns" | "pdns" => Some(Vendor::PowerDns),
-        "knot" => Some(Vendor::Knot),
-        "cloudflare" | "cf" => Some(Vendor::Cloudflare),
-        "quad9" => Some(Vendor::Quad9),
-        "opendns" => Some(Vendor::OpenDns),
-        _ => None,
-    }
-}
-
 /// Parse an RCODE by mnemonic (`noerror`, `servfail`, `nxdomain`,
 /// `refused`, `formerr`, `notimp`, `notauth`) or numeric value.
 pub fn parse_rcode(s: &str) -> Option<Rcode> {
@@ -169,11 +153,7 @@ impl QueryFilter {
                             .map_err(|_| format!("bad EDE code {value:?}"))?,
                     );
                 }
-                "vendor" => {
-                    filter.vendor = Some(
-                        parse_vendor(value).ok_or_else(|| format!("unknown vendor {value:?}"))?,
-                    );
-                }
+                "vendor" => filter.vendor = Some(value.parse()?),
                 "tld" => filter = filter.tld(value),
                 "rank" => {
                     let (lo, hi) = match value.split_once('-') {
@@ -489,9 +469,14 @@ mod tests {
 
     #[test]
     fn vendor_and_rcode_aliases() {
-        assert_eq!(parse_vendor("CF"), Some(Vendor::Cloudflare));
-        assert_eq!(parse_vendor("pdns"), Some(Vendor::PowerDns));
-        assert_eq!(parse_vendor("nope"), None);
+        assert_eq!("CF".parse(), Ok(Vendor::Cloudflare));
+        assert_eq!("pdns".parse(), Ok(Vendor::PowerDns));
+        assert_eq!("PowerDns".parse(), Ok(Vendor::PowerDns));
+        assert_eq!("bind 9.19.9".parse(), Ok(Vendor::Bind9));
+        let unknown = "nope".parse::<Vendor>().unwrap_err();
+        assert!(
+            unknown.ends_with("known: bind9, unbound, powerdns, knot, cloudflare, quad9, opendns")
+        );
         assert_eq!(parse_rcode("servfail"), Some(Rcode::ServFail));
         assert_eq!(parse_rcode("5"), Some(Rcode::Refused));
         assert_eq!(parse_rcode("nope"), None);

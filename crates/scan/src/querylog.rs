@@ -165,7 +165,7 @@ impl QueryRecord {
                     })
                 }
                 "category" => category = Some(Category::parse(&p.string()?)?),
-                "vendor" => vendor = Some(parse_vendor_debug(&p.string()?)?),
+                "vendor" => vendor = Some(p.string()?.parse().ok()?),
                 "rcode" => rcode = Some(Rcode::from_u16(u16::try_from(p.number()?).ok()?)),
                 "codes" => codes = Some(p.number_array()?),
                 "net" => net = Some(p.string_or_null()?),
@@ -215,11 +215,6 @@ impl PartialEq for QueryRecord {
 }
 
 impl Eq for QueryRecord {}
-
-/// Match a vendor by its `Debug` name (the JSONL encoding).
-fn parse_vendor_debug(s: &str) -> Option<Vendor> {
-    Vendor::ALL.into_iter().find(|v| format!("{v:?}") == s)
-}
 
 /// A minimal JSON scanner for the flat query-record schema: strings,
 /// unsigned numbers, arrays of numbers, and `null`. Hand-rolled because
@@ -535,6 +530,18 @@ mod tests {
         assert_eq!(back.seq, r.seq);
         assert_eq!(back.vtime_ms, r.vtime_ms);
         assert_eq!(back.pass, r.pass);
+        for spelling in ["cloudflare", "cf", "Cloudflare DNS"] {
+            let line = r
+                .to_json()
+                .replace("\"Cloudflare\"", &format!("{spelling:?}"));
+            assert_eq!(
+                QueryRecord::from_json(&line).as_ref(),
+                Some(&r),
+                "{spelling}"
+            );
+        }
+        let line = r.to_json().replace("\"Cloudflare\"", "\"nope\"");
+        assert_eq!(QueryRecord::from_json(&line), None);
 
         let mut none = record(8, vec![]);
         none.rank = None;

@@ -12,7 +12,7 @@ use crate::stream::{LiveCtx, SnapshotStore, StreamReport};
 use crate::world::ScanWorld;
 use ede_resolver::{
     CacheStatsSnapshot, InfraStatsSnapshot, L1Cache, L1StatsSnapshot, Resolution, ResolutionPool,
-    Resolver, RetryPolicy, Vendor, VendorProfile,
+    Resolver, Vendor, VendorProfile,
 };
 use ede_trace::{Metrics, MetricsSnapshot, SnapshotSink};
 use ede_wire::{Name, RrType};
@@ -36,8 +36,8 @@ pub struct ScanCacheReport {
     /// The infrastructure cache's counters (zone keys + referrals).
     pub infra: InfraStatsSnapshot,
     /// The range tier's counters (RFC 8198 denial synthesis). All zero
-    /// when [`ScanConfig::synthesize`] is off: the engine never probes
-    /// the tier then.
+    /// when the world's [`ede_resolver::ResolverConfig::synthesize_denial`]
+    /// is off: the engine never probes the tier then.
     pub range: CacheStatsSnapshot,
 }
 
@@ -187,34 +187,16 @@ pub struct ScanConfig {
     pub vendor: Vendor,
     /// Print live progress lines to stderr while scanning.
     pub progress: bool,
-    /// Override the world's retry policy for the scanning resolver.
-    /// `None` keeps the world's configuration (the compat baseline),
-    /// which is what the pinned repro-scan inventory is built on.
-    pub retry: Option<RetryPolicy>,
     /// Give each worker a private L1 cache tier (on by default). Purely
     /// a performance knob: scan results are bit-identical with it on or
     /// off.
     pub l1: bool,
-    /// Bound the scanning resolver's shared cache to this many entries
-    /// (`None` keeps the world's configuration, normally unbounded).
-    /// Unlike `l1` this is *not* results-neutral: evicting a live entry
-    /// turns a later replay into a live walk — see `docs/PERFORMANCE.md`.
-    pub max_cache_entries: Option<usize>,
-    /// Enable RFC 8198 denial synthesis in the scanning resolver (the
-    /// vendor gate must also agree — OpenDNS keeps it off). Off by
-    /// default: the pinned scan inventory is the synthesis-free walk.
-    /// Observation reports are EDE-equivalent either way (pinned by
-    /// test); only the traffic spent on nonexistent names changes.
-    pub synthesize: bool,
     /// Nonexistent-name probes per registered domain for the post-scan
     /// synthesis sweep (`0.0`, the default, disables the sweep). The
     /// sweep runs after both passes with the range tier frozen and its
     /// probes excluded from the records, so any setting leaves the
     /// scan report untouched.
     pub sweep_ratio: f64,
-    /// Bound the resolver's range tier to this many spans (`None` keeps
-    /// the resolver default, normally unbounded).
-    pub max_range_entries: Option<usize>,
     /// Virtual-clock seconds between mid-scan snapshot exports (only
     /// meaningful when sinks are registered via [`scan_streaming`]).
     /// `0` disables mid-scan exports; the final snapshot always
@@ -240,12 +222,8 @@ impl Default for ScanConfig {
             inflight: 1,
             vendor: Vendor::Cloudflare,
             progress: false,
-            retry: None,
             l1: true,
-            max_cache_entries: None,
-            synthesize: false,
             sweep_ratio: 0.0,
-            max_range_entries: None,
             snapshot_cadence_secs: 60,
             query_log_capacity: 65_536,
             query_log_spill: None,
@@ -267,12 +245,11 @@ impl ScanConfig {
 ///
 /// ```
 /// use ede_scan::ScanConfig;
-/// use ede_resolver::{RetryPolicy, Vendor};
+/// use ede_resolver::Vendor;
 ///
 /// let config = ScanConfig::builder()
 ///     .workers(1)
 ///     .vendor(Vendor::Cloudflare)
-///     .retry(RetryPolicy::default())
 ///     .snapshot_cadence_secs(30)
 ///     .query_log_capacity(4096)
 ///     .build();
@@ -309,39 +286,15 @@ impl ScanConfigBuilder {
         self
     }
 
-    /// Override the retry policy of the scanning resolver.
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.config.retry = Some(policy);
-        self
-    }
-
     /// Enable or disable the per-worker L1 cache tier.
     pub fn l1(mut self, on: bool) -> Self {
         self.config.l1 = on;
         self
     }
 
-    /// Bound the scanning resolver's shared cache (entries).
-    pub fn max_cache_entries(mut self, n: Option<usize>) -> Self {
-        self.config.max_cache_entries = n;
-        self
-    }
-
-    /// Enable RFC 8198 denial synthesis in the scanning resolver.
-    pub fn synthesize(mut self, on: bool) -> Self {
-        self.config.synthesize = on;
-        self
-    }
-
     /// Set the synthesis-sweep probe ratio (`0.0` disables the sweep).
     pub fn sweep_ratio(mut self, ratio: f64) -> Self {
         self.config.sweep_ratio = ratio.max(0.0);
-        self
-    }
-
-    /// Bound the resolver's range tier (spans).
-    pub fn max_range_entries(mut self, n: Option<usize>) -> Self {
-        self.config.max_range_entries = n;
         self
     }
 
@@ -695,24 +648,10 @@ pub fn scan_streaming(
         .set_trace_sink(Arc::clone(&metrics) as Arc<dyn ede_trace::TraceSink>);
     let _sink_guard = SinkGuard { net: &world.net };
 
-    let mut resolver_config = world.resolver_config.clone();
-    if let Some(policy) = &config.retry {
-        resolver_config.retry = policy.clone();
-    }
-    if config.max_cache_entries.is_some() {
-        resolver_config.max_cache_entries = config.max_cache_entries;
-    }
-    if config.synthesize {
-        resolver_config.synthesize_denial = true;
-    }
-    if config.max_range_entries.is_some() {
-        resolver_config.max_range_entries = config.max_range_entries;
-    }
-    let enable_cache = resolver_config.enable_cache;
     let resolver = Resolver::new(
         Arc::clone(&world.net),
         VendorProfile::new(config.vendor),
-        resolver_config,
+        world.resolver_config.clone(),
     );
 
     let log = QueryLog::new(config.query_log_capacity, config.query_log_spill.as_deref())
@@ -731,7 +670,7 @@ pub fn scan_streaming(
     // worker-count and in-flight configuration sees the same
     // pre-populated walk and the traffic and metrics counters stay
     // bit-identical across all of them.
-    if enable_cache {
+    if world.resolver_config.enable_cache {
         for tld in &pop.tlds {
             let _ = resolver.resolve(&tld.name, RrType::Ns);
         }
@@ -1023,14 +962,14 @@ mod tests {
     fn synthesis_is_report_neutral_and_sweep_synthesizes() {
         let run = |synthesize: bool, workers: usize, inflight: usize| {
             let pop = Population::generate(PopulationConfig::tiny());
-            let world = ScanWorld::build(&pop);
+            let mut world = ScanWorld::build(&pop);
+            world.resolver_config.synthesize_denial = synthesize;
             let result = scan(
                 &pop,
                 &world,
                 &ScanConfig::builder()
                     .workers(workers)
                     .inflight(inflight)
-                    .synthesize(synthesize)
                     .sweep_ratio(1.5)
                     .build(),
             );

@@ -230,8 +230,8 @@ impl RankBucketCurve {
     }
 }
 
-/// Cache-tier counters — the single source of the hit percentages the
-/// human report and the bench writer both print.
+/// Cache-tier counters as the snapshot document carries them (the human
+/// report prints hit ratios from the tier snapshots themselves).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub struct CacheTierStats {
@@ -289,35 +289,6 @@ impl CacheTierStats {
             range_evicted: cache.range.evicted,
             range_occupancy: cache.range.occupancy,
         }
-    }
-
-    fn pct(hits: u64, misses: u64) -> f64 {
-        let total = hits + misses;
-        if total == 0 {
-            0.0
-        } else {
-            100.0 * hits as f64 / total as f64
-        }
-    }
-
-    /// L1 hit percentage.
-    pub fn l1_hit_pct(&self) -> f64 {
-        Self::pct(self.l1_hits, self.l1_misses)
-    }
-
-    /// L2 hit percentage.
-    pub fn l2_hit_pct(&self) -> f64 {
-        Self::pct(self.l2_hits, self.l2_misses)
-    }
-
-    /// Infra referral hit percentage.
-    pub fn referral_hit_pct(&self) -> f64 {
-        Self::pct(self.infra_referral_hits, self.infra_referral_misses)
-    }
-
-    /// Range-tier hit percentage.
-    pub fn range_hit_pct(&self) -> f64 {
-        Self::pct(self.range_hits, self.range_misses)
     }
 }
 

@@ -79,11 +79,11 @@ fn streaming_is_bit_identical_to_batch_at_every_cross_point() {
     // configurations must agree with each other on everything,
     // including the sweep report.
     let run_sweep = |workers: usize, inflight: usize| {
-        let world = ede_scan::ScanWorld::build(&pop);
+        let mut world = ede_scan::ScanWorld::build(&pop);
+        world.resolver_config.synthesize_denial = true;
         let config = ScanConfig::builder()
             .workers(workers)
             .inflight(inflight)
-            .synthesize(true)
             .sweep_ratio(1.5)
             .snapshot_cadence_secs(1)
             .build();

@@ -62,7 +62,7 @@ fn main() -> ExitCode {
             }
             "--smoke" => run_smoke = true,
             "--bind" => builder = builder.bind(value()),
-            "--vendor" => vendor = parse_vendor(&value()).unwrap_or_else(|e| usage_exit(&e)),
+            "--vendor" => vendor = value().parse().unwrap_or_else(|e: String| usage_exit(&e)),
             "--workers" => {
                 let n = value();
                 builder = builder.workers(
@@ -94,10 +94,8 @@ fn main() -> ExitCode {
     }
 }
 
-fn usage() -> String {
-    let vendors: Vec<&str> = Vendor::ALL.iter().map(|v| v.name()).collect();
-    format!(
-        "repro-serve — serve the extended-dns-errors testbed over UDP+TCP\n\
+fn usage() -> &'static str {
+    "repro-serve — serve the extended-dns-errors testbed over UDP+TCP\n\
          \n\
          USAGE:\n\
          \x20 repro-serve [--bind ADDR] [--vendor NAME] [--workers N]\n\
@@ -105,21 +103,10 @@ fn usage() -> String {
          \n\
          OPTIONS:\n\
          \x20 --bind ADDR     bind address for both transports (default 127.0.0.1:5300)\n\
-         \x20 --vendor NAME   EDE emission profile: {}\n\
+         \x20 --vendor NAME   EDE emission profile (default cloudflare): bind9, unbound,\n\
+         \x20                 powerdns, knot, cloudflare, quad9, opendns\n\
          \x20 --workers N     UDP shard worker threads (default: CPU count, max 4)\n\
-         \x20 --smoke         run the CI serving smoke on an ephemeral port and exit\n",
-        vendors.join(", ")
-    )
-}
-
-fn parse_vendor(name: &str) -> Result<Vendor, String> {
-    Vendor::ALL
-        .into_iter()
-        .find(|v| v.name().eq_ignore_ascii_case(name))
-        .ok_or_else(|| {
-            let known: Vec<&str> = Vendor::ALL.iter().map(|v| v.name()).collect();
-            format!("unknown vendor {name:?}; known: {}", known.join(", "))
-        })
+         \x20 --smoke         run the CI serving smoke on an ephemeral port and exit\n"
 }
 
 fn foreground(config: ServerConfig, vendor: Vendor) -> Result<(), String> {

@@ -40,3 +40,13 @@ fn help_prints_every_flag_and_exits_0() {
         assert!(stdout.contains(flag), "{flag} missing from: {stdout}");
     }
 }
+
+/// `--vendor` takes the short names `--help` lists, not only the
+/// display names (one of which contains a space).
+#[test]
+fn vendor_short_name_is_accepted() {
+    let out = repro_serve(&["--vendor", "cloudflare", "--smoke"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let help = repro_serve(&["--help"]);
+    assert!(String::from_utf8_lossy(&help.stdout).contains("cloudflare"));
+}

@@ -10,7 +10,6 @@ use crate::rrset::Rrset;
 use crate::zone::Zone;
 use ede_crypto::{base32, base64};
 use ede_wire::rdata::{Rdata, Rrsig};
-use ede_wire::Name;
 use std::fmt::Write as _;
 
 fn hex(data: &[u8]) -> String {
@@ -159,28 +158,13 @@ pub fn zone_to_master_file(zone: &Zone) -> String {
     out
 }
 
-/// Render only the delegation-relevant parent-side records for a child
-/// (NS, DS, glue) — the "what to publish at your registrar" view.
-pub fn delegation_text(zone: &Zone, child: &Name) -> String {
-    let mut out = String::new();
-    for set in zone.iter() {
-        let relevant = set.name == *child
-            || (set.name.is_subdomain_of(child)
-                && matches!(set.rdatas.first(), Some(Rdata::A(_)) | Some(Rdata::Aaaa(_))));
-        if relevant {
-            write_rrset(&mut out, set);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::signer::{sign_zone, SignerConfig};
     use crate::ZoneKeys;
     use ede_wire::rdata::Soa;
-    use ede_wire::Record;
+    use ede_wire::{Name, Record};
 
     fn n(s: &str) -> Name {
         Name::parse(s).unwrap()

@@ -21,7 +21,7 @@
 //! the `ede_scan::query` API.
 
 use extended_dns_errors::prelude::*;
-use extended_dns_errors::scan::query::{load_jsonl, parse_vendor};
+use extended_dns_errors::scan::query::load_jsonl;
 use extended_dns_errors::trace::ResolutionTrace;
 use std::path::Path;
 use std::sync::Arc;
@@ -98,7 +98,7 @@ fn main() {
     let label = &args[0];
     let vendor = args
         .get(1)
-        .and_then(|s| parse_vendor(s))
+        .and_then(|s| s.parse().ok())
         .unwrap_or(Vendor::Cloudflare);
 
     let Some(spec) = tb.spec(label) else {

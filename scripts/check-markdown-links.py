@@ -18,6 +18,12 @@ so deleting a file finds every sentence that still points at it. A
 trailing ``:line`` or ``::item`` is ignored, ``*`` globs, and what the
 root ``.gitignore`` lists (build output) is exempt.
 
+In DESIGN.md's "System inventory" table, every back-ticked name in the
+"Key modules" column of a ``crates/<dir>`` row must be a module of that
+crate: ``crates/<dir>/src/<name>.rs`` or ``crates/<dir>/src/<name>/``
+(``a::b`` reads as ``a/b``, a trailing ``/*`` requires the directory, any
+other glob such as ``repro-*`` is matched against ``src/bin/``).
+
 Run from anywhere: paths are resolved against the repository root
 (the parent of this script's directory). Exit status is the number of
 broken links, capped at 1 for shell friendliness.
@@ -96,6 +102,27 @@ def check_paths(md: Path, ignored: list[str]) -> list[str]:
     return broken
 
 
+def check_inventory(md: Path) -> list[str]:
+    """The "Key modules" column of DESIGN.md's crate inventory."""
+    text = md.read_text(encoding="utf-8")
+    section = text.split("## System inventory", 1)[-1].split("\n## ", 1)[0]
+    broken = []
+    rows = re.findall(r"^\| `(crates/[\w-]+)`.*\|([^|]*)\|\s*$", section, re.MULTILINE)
+    for crate, modules in rows:
+        src = ROOT / crate / "src"
+        for name in CODE_SPAN.findall(modules):
+            path = name.replace("::", "/")
+            if path.endswith("/*"):
+                found = (src / path[:-2]).is_dir()
+            elif "*" in path:
+                found = any((src / "bin").glob(path))
+            else:
+                found = (src / f"{path}.rs").is_file() or (src / path).is_dir()
+            if not found:
+                broken.append(f"{md.relative_to(ROOT)}: `{crate}` has no module -> `{name}`")
+    return broken
+
+
 def main() -> int:
     broken = []
     for md in sorted(ROOT.rglob("*.md")):
@@ -106,6 +133,7 @@ def main() -> int:
     for pattern in LIVE_DOCS:
         for md in sorted(ROOT.glob(pattern)):
             broken.extend(check_paths(md, ignored))
+    broken.extend(check_inventory(ROOT / "DESIGN.md"))
     for line in broken:
         print(line, file=sys.stderr)
     if broken:

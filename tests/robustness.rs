@@ -143,14 +143,12 @@ fn lossy_scan_resolves_99_percent_with_default_policy() {
     let clean = scan(&pop, &clean_world, &ScanConfig::builder().build());
     let clean_resolved = clean.stats.ede.resolved_domains();
 
-    let lossy_world = ScanWorld::build(&pop);
+    let mut lossy_world = ScanWorld::build(&pop);
     lossy_world
         .net
         .set_fault_plan(FaultPlan::new(0xC0FFEE).with_loss(0.10));
-    let config = ScanConfig::builder()
-        .workers(1)
-        .retry(RetryPolicy::default())
-        .build();
+    lossy_world.resolver_config.retry = RetryPolicy::default();
+    let config = ScanConfig::builder().workers(1).build();
     let lossy = scan(&pop, &lossy_world, &config);
     let lossy_resolved = lossy.stats.ede.resolved_domains();
 
