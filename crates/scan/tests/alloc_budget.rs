@@ -17,7 +17,9 @@ use ede_resolver::{ResolutionPool, Resolver, Vendor, VendorProfile};
 use ede_scan::population::{Category, DomainRecord};
 use ede_scan::scanner::{scan, ScanConfig};
 use ede_scan::{Population, PopulationConfig, ScanWorld};
-use ede_wire::{Name, Rcode, RrType};
+use ede_wire::ede::{EdeCode, EdeEntry};
+use ede_wire::stream::{frame, FrameReader, MAX_FRAME_LEN};
+use ede_wire::{Edns, Message, Name, Rcode, Rdata, Record, RrType};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::backtrace::Backtrace;
 use std::cell::{Cell, RefCell};
@@ -208,6 +210,57 @@ fn cached_hit_stays_within_its_allocation_budget() {
     assert_eq!(res.answers.len(), 1);
     // The hit's own copy of the answers, and nothing else.
     assert_eq!(allocs, 1);
+}
+
+/// The serving path's codec (docs/SERVING.md, "The TCP path"): a typical
+/// answer encodes into one allocation, the output itself; into a buffer
+/// that has held one before, as the UDP worker's and a TCP connection's
+/// have, into none; and frames are lent out of a stream reader that has
+/// seen traffic without any.
+#[test]
+fn encoding_and_framing_an_answer_allocate_nothing_of_their_own() {
+    let _turn = serial();
+    let name = Name::parse("rrsig-exp-a.extended-dns-errors.com").unwrap();
+    let query = Message::query(7, name.clone(), RrType::A);
+    let mut answer = Message::response_to(&query);
+    let address = Rdata::A("192.0.2.7".parse().unwrap());
+    answer.answers.push(Record::new(name, 300, address));
+    let mut edns = Edns::with_do();
+    edns.push_ede(EdeEntry::with_text(
+        EdeCode::SignatureExpired,
+        "the A RRset",
+    ));
+    answer.edns = Some(edns);
+
+    // The OPT owner: the root name's shared block is made on first use.
+    let _ = Name::root();
+
+    let before = thread_allocs();
+    let wire = answer.encode().unwrap();
+    assert_eq!(thread_allocs() - before, 1);
+
+    let mut warm = vec![0, 0];
+    answer.encode_into(&mut warm).unwrap();
+    let before = thread_allocs();
+    for _ in 0..3 {
+        warm.truncate(2);
+        answer.encode_into(&mut warm).unwrap();
+    }
+    assert_eq!(thread_allocs() - before, 0);
+    assert_eq!(warm[2..], wire);
+
+    let framed = frame(&wire).unwrap().repeat(16);
+    let mut reader = FrameReader::new(MAX_FRAME_LEN);
+    reader.push(&framed).unwrap();
+    while reader.with_frame(|_| ()).is_some() {}
+    let before = thread_allocs();
+    reader.push(&framed).unwrap();
+    let mut frames = 0;
+    while let Some(same) = reader.with_frame(|frame| frame == wire) {
+        assert!(same);
+        frames += 1;
+    }
+    assert_eq!((frames, thread_allocs() - before), (16, 0));
 }
 
 /// Allocator calls per domain of a whole scan at one worker: population

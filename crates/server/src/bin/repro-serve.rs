@@ -11,14 +11,18 @@
 //! `--smoke` runs the CI serving smoke instead: spawn on an ephemeral
 //! port, hammer it from concurrent loopback clients across a mix of
 //! testbed labels, assert zero errors and nonzero EDE answers, exercise
-//! the TC=1 → TCP retry bit-identity contract on a second
-//! small-payload server, then drain gracefully. Exits nonzero on any
-//! failure.
+//! sixteen queries pipelined in one write on one TCP connection (answers
+//! in order, in fewer writes than answers), exercise the TC=1 → TCP
+//! retry bit-identity contract on a second small-payload server, then
+//! drain gracefully. Exits nonzero on any failure.
 
 use ede_resolver::{Resolver, Vendor};
 use ede_server::{pipeline, ProbeClient, Server, ServerConfig, ServerHandle};
 use ede_testbed::Testbed;
+use ede_wire::stream::{frame, FrameReader, MAX_FRAME_LEN};
 use ede_wire::{Message, Name, RrType};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -165,6 +169,54 @@ fn spawn_pair(
     Ok((handle, client))
 }
 
+/// Queries in the smoke's pipelined batch.
+const PIPELINED: u16 = 16;
+
+/// RFC 7766 pipelining: `PIPELINED` queries in one write on one
+/// connection must come back in request order.
+fn pipelined_leg(tcp_addr: SocketAddr) -> Result<(), String> {
+    let mut batch = Vec::new();
+    for i in 0..PIPELINED {
+        let label = SMOKE_LABELS[usize::from(i) % SMOKE_LABELS.len()];
+        let qname = Name::parse(&format!("{label}.extended-dns-errors.com"))
+            .map_err(|e| format!("pipelined leg: bad name: {e}"))?;
+        let framed = Message::query(0x9000 + i, qname, RrType::A)
+            .encode()
+            .and_then(|wire| frame(&wire))
+            .map_err(|e| format!("pipelined leg: encode: {e}"))?;
+        batch.extend(framed);
+    }
+    let io = |e: std::io::Error| format!("pipelined leg: {e}");
+    let mut stream = TcpStream::connect(tcp_addr).map_err(io)?;
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .map_err(io)?;
+    stream.write_all(&batch).map_err(io)?;
+
+    let mut reader = FrameReader::new(MAX_FRAME_LEN);
+    let mut buf = [0u8; 4096];
+    let mut answered = 0;
+    while answered < PIPELINED {
+        let n = stream.read(&mut buf).map_err(io)?;
+        if n == 0 {
+            return Err(format!("pipelined leg: EOF after {answered} answers"));
+        }
+        reader
+            .push(&buf[..n])
+            .map_err(|e| format!("pipelined leg: {e}"))?;
+        while let Some(answer) = reader.next_frame() {
+            let id = Message::decode(&answer)
+                .map_err(|e| format!("pipelined leg: answer {answered}: {e}"))?
+                .id;
+            if id != 0x9000 + answered {
+                return Err(format!("pipelined leg: answer {answered} has id {id:#x}"));
+            }
+            answered += 1;
+        }
+    }
+    Ok(())
+}
+
 fn smoke() -> Result<String, String> {
     const CLIENTS: usize = 4;
     const QUERIES_PER_CLIENT: usize = 100;
@@ -213,8 +265,11 @@ fn smoke() -> Result<String, String> {
         join.join()
             .map_err(|_| "smoke client panicked".to_string())??;
     }
+    // Leg 2: one pipelined batch over TCP on the same server, so the
+    // stats printed below show it.
+    pipelined_leg(tcp_addr)?;
     let stats = handle.shutdown().map_err(|e| format!("shutdown: {e}"))?;
-    let expected = (CLIENTS * QUERIES_PER_CLIENT) as u64;
+    let expected = (CLIENTS * QUERIES_PER_CLIENT) as u64 + u64::from(PIPELINED);
     if stats.metrics.queries() < expected {
         return Err(format!(
             "server saw {} queries, clients sent {expected}",
@@ -235,7 +290,14 @@ fn smoke() -> Result<String, String> {
         return Err("drain deadline exceeded".to_string());
     }
 
-    // Leg 2: TC=1 → TCP retry must be bit-identical to the untruncated
+    let (tcp_responses, tcp_writes) = (stats.metrics.tcp_responses, stats.metrics.tcp_writes);
+    if tcp_responses != u64::from(PIPELINED) || tcp_writes >= tcp_responses {
+        return Err(format!(
+            "pipelined leg was not batched: {tcp_responses} answers in {tcp_writes} writes"
+        ));
+    }
+
+    // Leg 3: TC=1 → TCP retry must be bit-identical to the untruncated
     // answer. A sub-512 payload cap forces truncation of every testbed
     // answer.
     let resolver = tb.resolver(Vendor::Cloudflare);
@@ -272,7 +334,7 @@ fn smoke() -> Result<String, String> {
 
     Ok(format!(
         "serve smoke OK: {CLIENTS} clients x {QUERIES_PER_CLIENT} queries, {ede_answers} EDE answers, \
-         TC=1 retry bit-identical over TCP\n{}",
+         {PIPELINED} pipelined over TCP in {tcp_writes} write(s), TC=1 retry bit-identical over TCP\n{}",
         stats.render()
     ))
 }

@@ -12,15 +12,16 @@
 //! # Architecture
 //!
 //! * **UDP shards** — one bound socket, cloned into N worker threads
-//!   that each run a blocking receive loop with opportunistic batch
-//!   drain; the kernel load-balances blocked receivers, giving
+//!   that each block in `recv_from`, answer the datagram and send the
+//!   reply; the kernel load-balances blocked receivers, giving
 //!   SO_REUSEPORT-style sharding with std only. Each worker owns a
 //!   private L1 cache tier over the shared thread-safe
 //!   [`Resolver`](ede_resolver::Resolver).
-//! * **TCP path** — a non-blocking acceptor with a connection cap,
-//!   detached per-connection handler threads, RFC 1035 §4.2.2
-//!   length-prefixed framing via `ede_wire::stream`, and per-connection
-//!   idle deadlines.
+//! * **TCP path** — a blocking acceptor with a connection cap, detached
+//!   per-connection handler threads, RFC 1035 §4.2.2 length-prefixed
+//!   framing via `ede_wire::stream`, pipelined queries answered a batch
+//!   per write, and one deadline for a peer that stops sending or stops
+//!   reading.
 //! * **One pipeline** — both transports classify, resolve, and encode
 //!   through [`pipeline`], so the malformed-query policy (drop vs
 //!   FORMERR vs NOTIMP vs REFUSED) and the EDNS/EDE rules are identical
@@ -30,9 +31,8 @@
 //!   out truncated with TC=1 and the TCP retry returns bytes identical
 //!   to the untruncated message.
 //! * **Observability** — every transport decision lands in an
-//!   `ede_trace::ServerMetrics` registry; an optional exporter thread
-//!   streams JSON snapshots (with a qps gauge) into
-//!   `ede_trace::SnapshotSink`s.
+//!   `ede_trace::ServerMetrics` registry, sampled live through
+//!   [`ServerHandle::stats`].
 //!
 //! # Quick start
 //!

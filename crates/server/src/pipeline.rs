@@ -193,13 +193,27 @@ pub fn encode_udp(
     query: &Message,
     udp_payload_max: u16,
 ) -> Result<(Vec<u8>, bool), WireError> {
-    let wire = reply.encode()?;
+    let mut wire = Vec::with_capacity(512);
+    encode_udp_into(reply, query, udp_payload_max, &mut wire).map(|truncated| (wire, truncated))
+}
+
+/// [`encode_udp`] appended to `out` (left as found on error), for a
+/// worker that reuses one buffer. Returns whether the bytes carry TC=1.
+pub(crate) fn encode_udp_into(
+    reply: &Message,
+    query: &Message,
+    udp_payload_max: u16,
+    out: &mut Vec<u8>,
+) -> Result<bool, WireError> {
+    let base = out.len();
+    reply.encode_into(out)?;
     let limit = usize::from(query.advertised_payload_size().min(udp_payload_max));
-    if wire.len() <= limit {
-        Ok((wire, false))
-    } else {
-        Ok((reply.truncated_copy().encode()?, true))
+    if out.len() - base <= limit {
+        return Ok(false);
     }
+    out.truncate(base);
+    reply.truncated_copy().encode_into(out)?;
+    Ok(true)
 }
 
 #[cfg(test)]

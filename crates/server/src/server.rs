@@ -12,6 +12,7 @@ use crate::config::{ServerConfig, ServerError};
 use crate::{tcp, udp};
 use ede_resolver::Resolver;
 use ede_trace::{ServerMetrics, ServerMetricsSnapshot};
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -25,6 +26,18 @@ pub(crate) struct Shared {
     pub(crate) stop: AtomicBool,
     pub(crate) active_conns: AtomicUsize,
     pub(crate) config: ServerConfig,
+}
+
+/// Whether a socket error is no reason to leave a serving loop: the poll
+/// tick expiring (both spellings) or a signal landing mid-call.
+pub(crate) fn is_transient(kind: ErrorKind) -> bool {
+    use ErrorKind::{Interrupted, TimedOut, WouldBlock};
+    matches!(kind, WouldBlock | TimedOut | Interrupted)
+}
+
+/// A handling time as the latency histogram takes it.
+pub(crate) fn micros(elapsed: Duration) -> u64 {
+    u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// The serving front end. A `Server` is not held after start — spawning
@@ -228,5 +241,34 @@ impl ServerStats {
         );
         out.push_str(&self.metrics.render());
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Timeouts and EINTR keep a loop running; what says the socket or
+    /// the peer is gone ends it.
+    #[test]
+    fn only_timeouts_and_interrupts_are_transient() {
+        use ErrorKind::*;
+        for kind in [WouldBlock, TimedOut, Interrupted] {
+            assert!(is_transient(kind), "{kind:?}");
+        }
+        for kind in [
+            ConnectionReset,
+            ConnectionAborted,
+            ConnectionRefused,
+            BrokenPipe,
+            NotConnected,
+            InvalidInput,
+            UnexpectedEof,
+            WriteZero,
+            OutOfMemory,
+            Other,
+        ] {
+            assert!(!is_transient(kind), "{kind:?}");
+        }
     }
 }

@@ -12,15 +12,18 @@
 //!
 //! Handlers enforce an idle deadline (`tcp_read_timeout`) by reading in
 //! short timeout chunks and tracking time since the last complete
-//! frame. On shutdown a handler finishes the request it is parsing (the
+//! frame; the same deadline bounds a write to a peer that does not read.
+//! Pipelined queries (RFC 7766) are answered a batch at a time, one
+//! `write` per `read` that brought complete frames ([`serve_stream`]).
+//! On shutdown a handler finishes the request it is parsing (the
 //! graceful-drain contract: an in-flight query gets its answer), then
 //! closes; [`ServerHandle::shutdown`](crate::ServerHandle::shutdown)
 //! polls the live-connection gauge until the drain deadline.
 
 use crate::pipeline::{self, Reply};
-use crate::server::Shared;
-use ede_wire::stream::{frame, FrameReader, MAX_FRAME_LEN};
-use std::io::{ErrorKind, Read, Write};
+use crate::server::{is_transient, micros, Shared};
+use ede_wire::stream::{FrameReader, MAX_FRAME_LEN};
+use std::io::{Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -30,6 +33,11 @@ use std::time::{Duration, Instant};
 /// the stop flag and its idle deadline; data arriving mid-read returns
 /// immediately, so this adds no request latency).
 const POLL_TICK: Duration = Duration::from_millis(20);
+
+/// A batch of answers is written once it holds more than this, whatever
+/// else is waiting: it bounds what a connection buffers and how long a
+/// finished answer waits. A rule of the handler, not a setting.
+const FLUSH_AT: usize = 16 * 1024;
 
 /// How long shutdown waits for its wake-up connection to be taken.
 const WAKE_TIMEOUT: Duration = Duration::from_millis(250);
@@ -84,23 +92,71 @@ pub(crate) fn wake_acceptor(listening: SocketAddr) {
     let _ = TcpStream::connect_timeout(&target, WAKE_TIMEOUT);
 }
 
-/// Serve one connection: framed queries in, framed responses out.
-fn serve_conn(shared: &Shared, mut stream: TcpStream) {
-    if stream.set_read_timeout(Some(POLL_TICK)).is_err() {
-        return;
+/// Serve one connection: the socket's set-up, then [`serve_stream`].
+fn serve_conn(shared: &Shared, stream: TcpStream) {
+    // A peer that does not read its answers is as slow as one that sends
+    // no queries: the same deadline bounds a blocked write.
+    let deadline = Some(shared.config.tcp_read_timeout);
+    if stream.set_read_timeout(Some(POLL_TICK)).is_ok()
+        && stream.set_write_timeout(deadline).is_ok()
+    {
+        let _ = stream.set_nodelay(true);
+        serve_stream(shared, stream);
     }
-    let _ = stream.set_nodelay(true);
+}
+
+/// Framed queries in, framed responses out, a batch at a time: every
+/// complete frame already received is answered into one buffer, which
+/// is written before the handler blocks in `read`, when it passes
+/// [`FLUSH_AT`], and before the connection closes for any reason. A lone
+/// query is one write; sixteen in one segment are one write, not sixteen.
+fn serve_stream<S: Read + Write>(shared: &Shared, mut stream: S) {
+    let metrics = &shared.metrics;
     let mut reader = FrameReader::new(MAX_FRAME_LEN);
     let mut buf = [0u8; 4096];
+    let mut batch = Batch {
+        out: Vec::with_capacity(4096),
+        unsent: Vec::new(),
+    };
     let mut last_activity = Instant::now();
 
     loop {
-        // Drain any already-buffered complete frames first (pipelining).
-        while let Some(request) = reader.next_frame() {
-            last_activity = Instant::now();
-            if !serve_frame(shared, &mut stream, &request) {
+        // Answer what has arrived, up to a full buffer or a violation...
+        let mut open = true;
+        while open && batch.out.len() <= FLUSH_AT {
+            match reader.with_frame(|request| {
+                last_activity = Instant::now();
+                batch.answer(shared, request, last_activity)
+            }) {
+                Some(keep_open) => open = keep_open,
+                None => break,
+            }
+        }
+        let more_buffered = batch.out.len() > FLUSH_AT;
+        // ...and hand it to the kernel in one write. Only then are its
+        // answers counted as sent and their handling times taken: bytes
+        // in to bytes out, the wait for the rest of the batch included.
+        if !batch.out.is_empty() {
+            let written = stream.write_all(&batch.out);
+            batch.out.clear();
+            if let Err(e) = written {
+                if is_transient(e.kind()) {
+                    metrics.tcp_read_timeout();
+                }
                 return;
             }
+            metrics.tcp_write();
+            let sent = Instant::now();
+            for (started, len) in batch.unsent.drain(..) {
+                metrics.tcp_response(len);
+                metrics.observe_handle_us(micros(sent.duration_since(started)));
+            }
+        }
+        if !open {
+            return;
+        }
+        if more_buffered {
+            continue;
         }
         // Stop only between requests — never abandon a frame we have
         // already started to receive, unless the peer stalls past the
@@ -111,7 +167,7 @@ fn serve_conn(shared: &Shared, mut stream: TcpStream) {
             return;
         }
         if last_activity.elapsed() >= shared.config.tcp_read_timeout {
-            shared.metrics.tcp_read_timeout();
+            metrics.tcp_read_timeout();
             return;
         }
         match stream.read(&mut buf) {
@@ -122,38 +178,253 @@ fn serve_conn(shared: &Shared, mut stream: TcpStream) {
                     return;
                 }
             }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if is_transient(e.kind()) => {}
             Err(_) => return,
         }
     }
 }
 
-/// Answer one framed request. Returns `false` when the connection must
-/// close (drop disposition or write failure).
-fn serve_frame(shared: &Shared, stream: &mut TcpStream, request: &[u8]) -> bool {
-    let metrics = &shared.metrics;
-    let started = Instant::now();
-    metrics.tcp_query(request.len());
-    let reply = match pipeline::serve(&shared.resolver, metrics, None, request) {
-        Reply::Nothing => return false,
-        // No TC on a stream: the full answer always fits the frame.
-        Reply::Rejection(reply) | Reply::Answer(reply, _) => reply,
-    };
-    match reply.encode().and_then(|wire| frame(&wire)) {
-        Ok(framed) => {
-            if stream.write_all(&framed).is_err() {
-                return false;
-            }
-            metrics.tcp_response(framed.len() - 2);
-            metrics.observe_handle_us(
-                u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
-            );
-            true
-        }
-        Err(_) => {
+/// One connection's answers that are encoded and not yet written.
+struct Batch {
+    /// The framed answers, in request order.
+    out: Vec<u8>,
+    /// Per answer in `out`: when its query was taken up, and its length.
+    unsent: Vec<(Instant, usize)>,
+}
+
+impl Batch {
+    /// Answer one framed request into the batch. Returns `false` when
+    /// the connection must close (drop disposition or encode failure).
+    fn answer(&mut self, shared: &Shared, request: &[u8], started: Instant) -> bool {
+        let metrics = &shared.metrics;
+        metrics.tcp_query(request.len());
+        let reply = match pipeline::serve(&shared.resolver, metrics, None, request) {
+            Reply::Nothing => return false,
+            // No TC on a stream: the full answer always fits the frame.
+            Reply::Rejection(reply) | Reply::Answer(reply, _) => reply,
+        };
+        // The length prefix is filled in once the length is known.
+        let at = self.out.len();
+        self.out.extend_from_slice(&[0, 0]);
+        let encoded = reply.encode_into(&mut self.out);
+        let (Ok(()), Ok(len)) = (encoded, u16::try_from(self.out.len() - at - 2)) else {
+            self.out.truncate(at);
             metrics.encode_error();
-            false
+            return false;
+        };
+        self.out[at..at + 2].copy_from_slice(&len.to_be_bytes());
+        self.unsent.push((started, len.into()));
+        true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ServerConfig;
+    use ede_resolver::Vendor;
+    use ede_testbed::Testbed;
+    use ede_trace::{ServerMetrics, ServerMetricsSnapshot};
+    use ede_wire::stream::frame;
+    use ede_wire::{Message, RrType};
+    use std::collections::VecDeque;
+    use std::io::{self, ErrorKind};
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
+
+    /// An in-memory peer: each `read` delivers the next scripted chunk
+    /// (then EOF), each `write` call is kept as one element.
+    #[derive(Default)]
+    struct Scripted<'a> {
+        reads: VecDeque<Vec<u8>>,
+        writes: Vec<Vec<u8>>,
+        write_error: Option<ErrorKind>,
+        /// Raised as a read delivers: shutdown finds the handler with
+        /// that chunk's frames still to answer.
+        stop_on_read: Option<&'a AtomicBool>,
+    }
+
+    impl Read for Scripted<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some(chunk) = self.reads.pop_front() else {
+                return Ok(0);
+            };
+            if let Some(stop) = self.stop_on_read {
+                stop.store(true, Ordering::Release);
+            }
+            buf[..chunk.len()].copy_from_slice(&chunk);
+            Ok(chunk.len())
+        }
+    }
+
+    impl Write for Scripted<'_> {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            if let Some(kind) = self.write_error {
+                return Err(kind.into());
+            }
+            self.writes.push(bytes.to_vec());
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// `n` framed queries of type `qtype`, IDs `0..n`: for the testbed's
+    /// names in turn, or all for `label`.
+    fn framed_queries(tb: &Testbed, n: usize, qtype: RrType, label: Option<&str>) -> Vec<Vec<u8>> {
+        (0..n)
+            .map(|i| {
+                let spec = match label {
+                    Some(label) => tb.spec(label).unwrap(),
+                    None => &tb.specs[i % tb.specs.len()],
+                };
+                let query = Message::query(i as u16, tb.query_name(spec), qtype);
+                frame(&query.encode().unwrap()).unwrap()
+            })
+            .collect()
+    }
+
+    fn shared(tb: &Testbed) -> Shared {
+        Shared {
+            resolver: tb.resolver(Vendor::Cloudflare),
+            metrics: Arc::new(ServerMetrics::new()),
+            stop: AtomicBool::new(false),
+            active_conns: AtomicUsize::new(0),
+            config: ServerConfig::default(),
+        }
+    }
+
+    /// Run `peer`'s script through a fresh handler; what it counted.
+    fn serve(tb: &Testbed, peer: &mut Scripted) -> ServerMetricsSnapshot {
+        let shared = shared(tb);
+        serve_stream(&shared, peer);
+        shared.metrics.snapshot()
+    }
+
+    /// The IDs of the framed answers in `bytes`, in order.
+    fn answer_ids(bytes: &[u8]) -> Vec<u16> {
+        let mut reader = FrameReader::new(MAX_FRAME_LEN);
+        reader.push(bytes).unwrap();
+        let ids = std::iter::from_fn(|| reader.next_frame())
+            .map(|answer| Message::decode(&answer).unwrap().id)
+            .collect();
+        assert!(!reader.has_partial(), "a write ended inside a frame");
+        ids
+    }
+
+    #[test]
+    fn one_write_per_read_that_brought_frames() {
+        let tb = Testbed::build();
+        let queries = framed_queries(&tb, 16, RrType::A, None);
+
+        // Sixteen frames in one read: one write, answers in request order.
+        let mut peer = Scripted::default();
+        peer.reads.push_back(queries.concat());
+        let stats = serve(&tb, &mut peer);
+        assert_eq!(peer.writes.len(), 1);
+        assert_eq!(answer_ids(&peer.writes[0]), (0..16).collect::<Vec<u16>>());
+        assert_eq!((stats.tcp_queries, stats.tcp_responses), (16, 16));
+        assert_eq!(stats.tcp_writes, 1);
+        assert_eq!(stats.handle_latency.total, 16, "one time per answer");
+        let sent: usize = peer.writes.iter().map(Vec::len).sum();
+        assert_eq!(stats.bytes_sent as usize, sent - 2 * 16);
+
+        // The same bytes over three reads, cut inside frames: three
+        // writes, each of whole answers, the same bytes in all.
+        let one_write = peer.writes.concat();
+        let stream = queries.concat();
+        let mut peer = Scripted::default();
+        let (a, rest) = stream.split_at(stream.len() / 3 + 1);
+        let (b, c) = rest.split_at(rest.len() / 2 + 1);
+        peer.reads.extend([a.to_vec(), b.to_vec(), c.to_vec()]);
+        let stats = serve(&tb, &mut peer);
+        assert_eq!(peer.writes.len(), 3);
+        assert_eq!(stats.tcp_writes, 3);
+        assert!(peer.writes.iter().all(|w| !answer_ids(w).is_empty()));
+        assert_eq!(peer.writes.concat(), one_write);
+    }
+
+    #[test]
+    fn a_large_batch_is_written_every_16_kib() {
+        let tb = Testbed::build();
+        // A DNSKEY answer is ~800 bytes: 52 of them are 40 KiB, asked for
+        // in one 3 KiB read.
+        let queries = framed_queries(&tb, 52, RrType::Dnskey, Some("valid"));
+        let mut peer = Scripted::default();
+        peer.reads.push_back(queries.concat());
+        let stats = serve(&tb, &mut peer);
+        let total: usize = peer.writes.iter().map(Vec::len).sum();
+        assert!(total > 40 * 1024, "{total}");
+        let answer = total / 52; // all alike but for the ID
+
+        // One write each time the buffer passes 16 KiB, ending with the
+        // answer that crossed, plus the last.
+        let (last, crossed) = peer.writes.split_last().unwrap();
+        assert_eq!(crossed.len(), 2);
+        for write in crossed {
+            assert!(write.len() > FLUSH_AT && write.len() - answer <= FLUSH_AT);
+        }
+        assert!(last.len() <= FLUSH_AT);
+        assert_eq!((stats.tcp_responses, stats.tcp_writes), (52, 3));
+        let ids: Vec<u16> = peer.writes.iter().flat_map(|w| answer_ids(w)).collect();
+        assert_eq!(ids, (0..52).collect::<Vec<u16>>());
+    }
+
+    #[test]
+    fn earned_answers_are_written_before_a_violation_closes() {
+        let tb = Testbed::build();
+        let mut queries = framed_queries(&tb, 4, RrType::A, None);
+        queries[2][2 + 2] |= 0x80; // QR: a response where a query belongs
+        let mut peer = Scripted::default();
+        peer.reads.push_back(queries.concat());
+        let stats = serve(&tb, &mut peer);
+        assert_eq!(peer.writes.len(), 1);
+        assert_eq!(answer_ids(&peer.writes[0]), [0, 1]);
+        assert_eq!((stats.tcp_queries, stats.dropped), (3, 1));
+    }
+
+    #[test]
+    fn shutdown_mid_batch_still_writes_the_batch() {
+        let tb = Testbed::build();
+        let shared = shared(&tb);
+        let queries = framed_queries(&tb, 16, RrType::A, None);
+        let mut peer = Scripted {
+            stop_on_read: Some(&shared.stop),
+            ..Default::default()
+        };
+        // The second chunk is never read: the handler stops between
+        // requests, after the write.
+        peer.reads.extend([queries.concat(), queries.concat()]);
+        serve_stream(&shared, &mut peer);
+        assert_eq!(peer.reads.len(), 1);
+        assert_eq!(peer.writes.len(), 1);
+        assert_eq!(answer_ids(&peer.writes[0]), (0..16).collect::<Vec<u16>>());
+        assert_eq!(shared.metrics.snapshot().tcp_responses, 16);
+    }
+
+    #[test]
+    fn a_failed_write_closes_and_only_a_timeout_counts_as_one() {
+        let tb = Testbed::build();
+        let queries = framed_queries(&tb, 3, RrType::A, None);
+        for (kind, timeouts) in [
+            (ErrorKind::WouldBlock, 1),
+            (ErrorKind::TimedOut, 1),
+            (ErrorKind::BrokenPipe, 0),
+        ] {
+            let mut peer = Scripted {
+                write_error: Some(kind),
+                ..Default::default()
+            };
+            // The second read is never reached.
+            peer.reads
+                .extend([queries[..2].concat(), queries[2].clone()]);
+            let stats = serve(&tb, &mut peer);
+            assert_eq!(peer.reads.len(), 1, "{kind:?}");
+            assert_eq!(stats.tcp_read_timeouts, timeouts, "{kind:?}");
+            assert_eq!((stats.tcp_queries, stats.tcp_responses), (2, 0));
+            assert_eq!(stats.tcp_writes, 0);
+            assert_eq!(stats.handle_latency.total, 0);
         }
     }
 }

@@ -12,9 +12,8 @@
 //! per datagram, nothing else. A burst waits in the socket's own queue.
 
 use crate::pipeline::{self, Reply};
-use crate::server::Shared;
+use crate::server::{is_transient, micros, Shared};
 use ede_resolver::L1Cache;
-use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -26,8 +25,8 @@ const RECV_BUF: usize = 4096;
 /// How long a blocking receive waits before re-checking the stop flag.
 const POLL_TICK: Duration = Duration::from_millis(25);
 
-/// Drive one shard worker until the stop flag is raised. Any socket
-/// error other than a timeout ends the loop (the handle surfaces
+/// Drive one shard worker until the stop flag is raised. A socket error
+/// that is not [`is_transient`] ends the loop (the handle surfaces
 /// nothing; the remaining shards keep serving).
 pub(crate) fn run_udp_worker(shared: &Shared, socket: &UdpSocket) {
     let l1 = L1Cache::new();
@@ -35,48 +34,49 @@ pub(crate) fn run_udp_worker(shared: &Shared, socket: &UdpSocket) {
         return;
     }
     let mut buf = [0u8; RECV_BUF];
+    // Every reply is encoded here: no allocation per datagram.
+    let mut out = Vec::with_capacity(RECV_BUF);
 
     while !shared.stop.load(Ordering::Acquire) {
         match socket.recv_from(&mut buf) {
-            Ok((n, peer)) => serve_datagram(shared, socket, &l1, &buf[..n], peer),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
+            Ok((n, peer)) => serve_datagram(shared, socket, &l1, &buf[..n], peer, &mut out),
+            Err(e) if is_transient(e.kind()) => continue,
             Err(_) => break,
         }
     }
 }
 
 /// Answer one datagram end-to-end, recording every metrics decision.
+/// `out` is scratch space for the encoded reply.
 fn serve_datagram(
     shared: &Shared,
     socket: &UdpSocket,
     l1: &L1Cache,
     wire: &[u8],
     peer: SocketAddr,
+    out: &mut Vec<u8>,
 ) {
     let metrics = &shared.metrics;
     let started = Instant::now();
     metrics.udp_query(wire.len());
+    out.clear();
     let (encoded, answered) = match pipeline::serve(&shared.resolver, metrics, Some(l1), wire) {
         Reply::Nothing => return,
-        Reply::Rejection(reply) => (reply.encode().map(|wire| (wire, false)), false),
+        Reply::Rejection(reply) => (reply.encode_into(out).map(|()| false), false),
         Reply::Answer(reply, query) => (
-            pipeline::encode_udp(&reply, &query, shared.config.udp_payload_max),
+            pipeline::encode_udp_into(&reply, &query, shared.config.udp_payload_max, out),
             true,
         ),
     };
     match encoded {
-        Ok((wire, truncated)) => {
-            if socket.send_to(&wire, peer).is_ok() {
-                metrics.udp_response(wire.len(), truncated);
+        Ok(truncated) => {
+            if socket.send_to(out, peer).is_ok() {
+                metrics.udp_response(out.len(), truncated);
                 if answered {
-                    metrics.observe_handle_us(elapsed_us(started));
+                    metrics.observe_handle_us(micros(started.elapsed()));
                 }
             }
         }
         Err(_) => metrics.encode_error(),
     }
-}
-
-fn elapsed_us(started: Instant) -> u64 {
-    u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
 }

@@ -1,6 +1,7 @@
 //! Integration tests over real loopback sockets: concurrent UDP load,
 //! EDE codes on the wire, the TC=1 → TCP retry contract, the
-//! malformed-query policy, connection capping, and graceful shutdown.
+//! malformed-query policy, connection capping, graceful shutdown, and
+//! RFC 7766 pipelining (batched answers, a peer that never reads).
 
 use ede_resolver::Vendor;
 use ede_server::{pipeline, ProbeClient, Server, ServerConfig, ServerError};
@@ -8,7 +9,7 @@ use ede_testbed::Testbed;
 use ede_wire::ede::EdeCode;
 use ede_wire::stream::{frame, FrameReader, MAX_FRAME_LEN};
 use ede_wire::{Message, Name, Opcode, Rcode, RrType};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpStream, UdpSocket};
 use std::sync::Arc;
 use std::time::Duration;
@@ -311,6 +312,195 @@ fn graceful_shutdown_answers_in_flight_tcp_request() {
     };
     assert_eq!(stats.metrics.tcp_queries, 1);
     assert_eq!(stats.metrics.tcp_responses, 1);
+}
+
+/// Sixteen framed queries for different testbed names, IDs `0x7000..`:
+/// clean answers, SERVFAILs with EDE, an NXDOMAIN.
+fn pipelined_queries() -> Vec<Vec<u8>> {
+    testbed().specs[..16]
+        .iter()
+        .zip(0x7000..)
+        .map(|(spec, id)| {
+            let query = Message::query(id, testbed().query_name(spec), RrType::A);
+            frame(&query.encode().unwrap()).unwrap()
+        })
+        .collect()
+}
+
+/// Read from `stream` until `want` frames have arrived, or to EOF when
+/// `want` is `None`. Panics on a read timeout or an early EOF.
+fn read_frames(stream: &mut TcpStream, want: Option<usize>) -> Vec<Vec<u8>> {
+    let mut reader = FrameReader::new(MAX_FRAME_LEN);
+    let mut frames = Vec::new();
+    let mut buf = [0u8; 16 * 1024];
+    while want != Some(frames.len()) {
+        let n = match stream.read(&mut buf) {
+            // The server hung up on bytes it had not read: an EOF too.
+            Err(e) if want.is_none() && e.kind() == ErrorKind::ConnectionReset => 0,
+            read => read.expect("the server keeps answering"),
+        };
+        if n == 0 {
+            assert_eq!(want, None, "EOF after {} frames", frames.len());
+            assert!(!reader.has_partial(), "EOF inside a frame");
+            break;
+        }
+        reader.push(&buf[..n]).unwrap();
+        frames.extend(std::iter::from_fn(|| reader.next_frame()));
+    }
+    frames
+}
+
+fn tcp_client(handle: &ede_server::ServerHandle) -> TcpStream {
+    let stream = TcpStream::connect(handle.tcp_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+}
+
+#[test]
+fn pipelined_queries_are_answered_in_order_as_if_asked_alone() {
+    let (handle, client) = spawn(ServerConfig::builder().bind("127.0.0.1:0").build());
+    let queries = pipelined_queries();
+    // First touch, so that the answers compared below are all cache hits
+    // (a repeated failure legally gains EDE 13 Cached Error).
+    for query in &queries {
+        client.query_tcp(&query[2..]).unwrap();
+    }
+
+    let mut stream = tcp_client(&handle);
+    stream.write_all(&queries.concat()).unwrap();
+    let answers = read_frames(&mut stream, Some(16));
+    for (query, answer) in queries.iter().zip(&answers) {
+        let alone = client.query_tcp(&query[2..]).unwrap();
+        assert_eq!(answer[..2], query[2..4], "request order");
+        assert_eq!(answer[2..], alone[2..], "same bytes as asked alone");
+    }
+    let codes = |wire: &Vec<u8>| Message::decode(wire).unwrap().ede_codes();
+    assert!(answers.iter().any(|a| !codes(a).is_empty()));
+
+    drop(stream);
+    let stats = handle.shutdown().unwrap();
+    assert_eq!(stats.metrics.tcp_responses, 48);
+    // 32 lone queries, one write each; the batch in fewer than 16.
+    assert!(
+        stats.metrics.tcp_writes < 48,
+        "{}",
+        stats.metrics.tcp_writes
+    );
+    assert_eq!(stats.metrics.handle_latency.total, 48);
+}
+
+#[test]
+fn answers_never_wait_for_the_rest_of_a_partial_frame() {
+    let (handle, _) = spawn(ServerConfig::builder().bind("127.0.0.1:0").build());
+    let queries = pipelined_queries();
+    let mut stream = tcp_client(&handle);
+
+    // Three whole frames and half of a fourth, then silence: the three
+    // answers must come without the client sending another byte.
+    let (half, rest) = queries[3].split_at(queries[3].len() / 2);
+    stream
+        .write_all(&[&queries[..3].concat(), half].concat())
+        .unwrap();
+    let answers = read_frames(&mut stream, Some(3));
+    stream.write_all(rest).unwrap();
+    let fourth = read_frames(&mut stream, Some(1));
+    for (query, answer) in queries.iter().zip(answers.iter().chain(&fourth)) {
+        assert_eq!(answer[..2], query[2..4]);
+    }
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn a_response_mid_batch_closes_after_the_answers_before_it() {
+    let (handle, _) = spawn(ServerConfig::builder().bind("127.0.0.1:0").build());
+    let mut queries = pipelined_queries();
+    queries[5][2 + 2] |= 0x80; // QR
+    let mut stream = tcp_client(&handle);
+    stream.write_all(&queries.concat()).unwrap();
+    let answers = read_frames(&mut stream, None);
+    assert_eq!(answers.len(), 5, "answers before the violation, then EOF");
+    for (query, answer) in queries.iter().zip(&answers) {
+        assert_eq!(answer[..2], query[2..4]);
+    }
+    let stats = handle.shutdown().unwrap();
+    assert_eq!(stats.metrics.dropped, 1);
+    assert_eq!(stats.metrics.tcp_responses, 5);
+}
+
+/// Whatever the stop flag interrupts, an answer that was earned is
+/// delivered: the client gets whole answers, in order, as many as the
+/// server took queries up, and the drain completes.
+#[test]
+fn shutdown_delivers_the_answers_of_a_batch_in_progress() {
+    let (handle, _) = spawn(
+        ServerConfig::builder()
+            .bind("127.0.0.1:0")
+            .drain_deadline(Duration::from_secs(2))
+            .build(),
+    );
+    let queries = pipelined_queries();
+    let mut stream = tcp_client(&handle);
+    // A round trip and a pause first: the handler is up and blocked in
+    // `read`, so the batch finds it before the stop flag does (if the
+    // flag wins after all, the connection closes on an unread batch,
+    // which the assertions below allow for).
+    stream.write_all(&queries[0]).unwrap();
+    read_frames(&mut stream, Some(1));
+    std::thread::sleep(Duration::from_millis(50));
+
+    stream.write_all(&queries.concat()).unwrap();
+    let stats = handle.shutdown().unwrap();
+    let answers = read_frames(&mut stream, None);
+    assert!(stats.drained);
+    assert_eq!(stats.metrics.tcp_queries, 1 + answers.len() as u64);
+    assert_eq!(stats.metrics.tcp_responses, 1 + answers.len() as u64);
+    for (query, answer) in queries.iter().zip(&answers) {
+        assert_eq!(answer[..2], query[2..4]);
+    }
+}
+
+/// A client that pipelines queries and never reads the answers: the
+/// handler's write must give up at the same deadline as an idle read, so
+/// the thread and the connection slot come back.
+#[test]
+fn a_peer_that_never_reads_is_closed_at_the_deadline() {
+    let (handle, _) = spawn(
+        ServerConfig::builder()
+            .bind("127.0.0.1:0")
+            .tcp_read_timeout(Duration::from_millis(300))
+            .drain_deadline(Duration::from_millis(500))
+            .build(),
+    );
+    // ~60 bytes of query for ~800 of answer, sixty-eight to a segment.
+    let query = Message::query(0x5107, qname("valid"), RrType::Dnskey);
+    let segment = frame(&query.encode().unwrap()).unwrap().repeat(68);
+    let stream = TcpStream::connect(handle.tcp_addr()).unwrap();
+    stream
+        .set_write_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    // Write until nothing more goes in: the server has stopped reading
+    // (it is blocked writing to us) or has already hung up.
+    let give_up = std::time::Instant::now() + Duration::from_secs(20);
+    while (&stream).write_all(&segment).is_ok() {
+        assert!(
+            std::time::Instant::now() < give_up,
+            "the server never blocked"
+        );
+    }
+
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while handle.stats().active_tcp_conns > 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(handle.stats().active_tcp_conns, 0, "handler still pinned");
+    let stats = handle.shutdown().unwrap();
+    assert!(stats.drained);
+    assert_eq!(stats.metrics.tcp_read_timeouts, 1);
+    assert!(stats.metrics.tcp_responses < stats.metrics.tcp_queries);
+    drop(stream);
 }
 
 #[test]

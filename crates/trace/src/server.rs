@@ -25,6 +25,7 @@ pub struct ServerMetrics {
     udp_truncated: AtomicU64,
     tcp_queries: AtomicU64,
     tcp_responses: AtomicU64,
+    tcp_writes: AtomicU64,
     tcp_conns_accepted: AtomicU64,
     tcp_conns_refused: AtomicU64,
     tcp_read_timeouts: AtomicU64,
@@ -72,6 +73,12 @@ impl ServerMetrics {
         self.bytes_sent.fetch_add(bytes as u64, Relaxed);
     }
 
+    /// One write carried a batch of framed responses to a stream
+    /// connection: `tcp_responses / tcp_writes` is the batch size.
+    pub fn tcp_write(&self) {
+        self.tcp_writes.fetch_add(1, Relaxed);
+    }
+
     /// A stream connection was accepted.
     pub fn tcp_conn_accepted(&self) {
         self.tcp_conns_accepted.fetch_add(1, Relaxed);
@@ -82,7 +89,9 @@ impl ServerMetrics {
         self.tcp_conns_refused.fetch_add(1, Relaxed);
     }
 
-    /// A stream connection idled past its read deadline and was closed.
+    /// A stream connection was closed because its peer was too slow, in
+    /// either direction: no complete request inside the read deadline, or
+    /// a write of answers blocked for as long.
     pub fn tcp_read_timeout(&self) {
         self.tcp_read_timeouts.fetch_add(1, Relaxed);
     }
@@ -127,6 +136,7 @@ impl ServerMetrics {
             udp_truncated: self.udp_truncated.load(Relaxed),
             tcp_queries: self.tcp_queries.load(Relaxed),
             tcp_responses: self.tcp_responses.load(Relaxed),
+            tcp_writes: self.tcp_writes.load(Relaxed),
             tcp_conns_accepted: self.tcp_conns_accepted.load(Relaxed),
             tcp_conns_refused: self.tcp_conns_refused.load(Relaxed),
             tcp_read_timeouts: self.tcp_read_timeouts.load(Relaxed),
@@ -156,11 +166,14 @@ pub struct ServerMetricsSnapshot {
     pub tcp_queries: u64,
     /// Framed responses sent over stream connections.
     pub tcp_responses: u64,
+    /// Writes that carried them: one per batch of pipelined answers.
+    pub tcp_writes: u64,
     /// Stream connections accepted.
     pub tcp_conns_accepted: u64,
     /// Stream connections turned away at the connection cap.
     pub tcp_conns_refused: u64,
-    /// Stream connections closed for idling past the read deadline.
+    /// Stream connections closed because the peer was too slow, either
+    /// direction: idle past the read deadline, or not reading answers.
     pub tcp_read_timeouts: u64,
     /// Malformed queries answered with FORMERR.
     pub rejected_formerr: u64,
@@ -200,9 +213,10 @@ impl ServerMetricsSnapshot {
             self.udp_queries, self.udp_responses, self.udp_truncated
         ));
         out.push_str(&format!(
-            "  tcp       : {} queries, {} responses; {} conns accepted, {} refused, {} idle timeouts\n",
+            "  tcp       : {} queries, {} responses in {} writes; {} conns accepted, {} refused, {} timeouts\n",
             self.tcp_queries,
             self.tcp_responses,
+            self.tcp_writes,
             self.tcp_conns_accepted,
             self.tcp_conns_refused,
             self.tcp_read_timeouts
@@ -244,6 +258,7 @@ mod tests {
         m.tcp_conn_accepted();
         m.tcp_query(40);
         m.tcp_response(420);
+        m.tcp_write();
         m.tcp_conn_refused();
         m.tcp_read_timeout();
         m.rejected_formerr();
@@ -261,6 +276,7 @@ mod tests {
         assert_eq!(s.udp_truncated, 1);
         assert_eq!(s.tcp_queries, 1);
         assert_eq!(s.tcp_responses, 1);
+        assert_eq!(s.tcp_writes, 1);
         assert_eq!(s.tcp_conns_accepted, 1);
         assert_eq!(s.tcp_conns_refused, 1);
         assert_eq!(s.tcp_read_timeouts, 1);
@@ -273,6 +289,10 @@ mod tests {
         let render = s.render();
         assert!(
             render.contains("2 queries, 2 responses (1 truncated)"),
+            "{render}"
+        );
+        assert!(
+            render.contains("1 queries, 1 responses in 1 writes; 1 conns accepted"),
             "{render}"
         );
         assert!(

@@ -264,15 +264,14 @@ impl EdeEntry {
         }
     }
 
-    /// Encode the option *payload* (INFO-CODE ‖ EXTRA-TEXT).
-    pub fn encode_payload(&self) -> Result<Vec<u8>, WireError> {
+    /// Append the option *payload* (INFO-CODE ‖ EXTRA-TEXT) to `out`.
+    pub fn encode_payload(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
         if self.extra_text.len() > usize::from(u16::MAX) - 2 {
             return Err(WireError::FieldOverflow("EDE EXTRA-TEXT"));
         }
-        let mut out = Vec::with_capacity(2 + self.extra_text.len());
         out.extend_from_slice(&self.code.to_u16().to_be_bytes());
         out.extend_from_slice(self.extra_text.as_bytes());
-        Ok(out)
+        Ok(())
     }
 
     /// Decode an option payload.
@@ -356,14 +355,16 @@ mod tests {
             EdeCode::NetworkError,
             "1.2.3.4:53 rcode=REFUSED for a.com A",
         );
-        let payload = e.encode_payload().unwrap();
+        let mut payload = Vec::new();
+        e.encode_payload(&mut payload).unwrap();
         assert_eq!(EdeEntry::decode_payload(&payload).unwrap(), e);
     }
 
     #[test]
     fn bare_payload_is_two_bytes() {
         let e = EdeEntry::bare(EdeCode::DnssecBogus);
-        let payload = e.encode_payload().unwrap();
+        let mut payload = Vec::new();
+        e.encode_payload(&mut payload).unwrap();
         assert_eq!(payload, vec![0, 6]);
         assert_eq!(EdeEntry::decode_payload(&payload).unwrap(), e);
     }

@@ -98,16 +98,16 @@ impl Edns {
         let rdlen_at = buf.len();
         buf.extend_from_slice(&[0, 0]);
         for opt in &self.options {
-            let payload = match opt {
-                EdnsOption::Ede(e) => e.encode_payload()?,
-                EdnsOption::Unknown { data, .. } => data.clone(),
-            };
-            if payload.len() > usize::from(u16::MAX) {
-                return Err(WireError::FieldOverflow("EDNS option"));
-            }
             buf.extend_from_slice(&opt.code().to_be_bytes());
-            buf.extend_from_slice(&(payload.len() as u16).to_be_bytes());
-            buf.extend_from_slice(&payload);
+            let len_at = buf.len();
+            buf.extend_from_slice(&[0, 0]);
+            match opt {
+                EdnsOption::Ede(e) => e.encode_payload(buf)?,
+                EdnsOption::Unknown { data, .. } => buf.extend_from_slice(data),
+            }
+            let len = u16::try_from(buf.len() - len_at - 2)
+                .map_err(|_| WireError::FieldOverflow("EDNS option"))?;
+            buf[len_at..len_at + 2].copy_from_slice(&len.to_be_bytes());
         }
         let rdlen = buf.len() - rdlen_at - 2;
         if rdlen > usize::from(u16::MAX) {

@@ -202,6 +202,15 @@ impl Message {
     /// Encode to wire format with name compression.
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
         let mut buf = Vec::with_capacity(512);
+        self.encode_into(&mut buf)?;
+        Ok(buf)
+    }
+
+    /// [`Message::encode`] appended to `buf`, whatever it already holds:
+    /// compression pointers count from this message's first byte. On
+    /// error `buf` is left as it was found.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
+        let base = buf.len();
         let counts_ok = |n: usize| -> Result<u16, WireError> {
             u16::try_from(n).map_err(|_| WireError::BadCount)
         };
@@ -223,11 +232,11 @@ impl Message {
                 counts_ok(self.additionals.len() + usize::from(self.edns.is_some()))?,
             ],
         };
-        header.encode(&mut buf);
+        header.encode(buf);
 
-        let mut compressor = Compressor::new();
+        let mut compressor = Compressor::at(base);
         for q in &self.questions {
-            q.encode(&mut buf, Some(&mut compressor));
+            q.encode(buf, Some(&mut compressor));
         }
         for r in self
             .answers
@@ -235,12 +244,14 @@ impl Message {
             .chain(&self.authorities)
             .chain(&self.additionals)
         {
-            r.encode(&mut buf, Some(&mut compressor));
+            r.encode(buf, Some(&mut compressor));
         }
         if let Some(edns) = &self.edns {
-            edns.encode_with_ext_rcode(&mut buf, self.rcode.extended_bits())?;
+            // The one step that can fail once bytes have been written.
+            edns.encode_with_ext_rcode(buf, self.rcode.extended_bits())
+                .inspect_err(|_| buf.truncate(base))?;
         }
-        Ok(buf)
+        Ok(())
     }
 
     /// Decode from wire format.

@@ -288,15 +288,10 @@ impl Name {
         // record the suffix position.
         let mut at = 0;
         while wire[at] != 0 {
-            let suffix = &wire[at..];
-            if let Some(&offset) = c.seen.get(suffix) {
+            if let Some(offset) = c.find_or_record(buf, &wire[at..]) {
                 // 14-bit pointer: 0b11 prefix.
                 buf.extend_from_slice(&(0xC000u16 | offset).to_be_bytes());
                 return;
-            }
-            // Only offsets that fit in 14 bits may be targets.
-            if buf.len() < 0x3FFF {
-                c.seen.insert(suffix.to_vec(), buf.len() as u16);
             }
             let end = at + 1 + usize::from(wire[at]);
             buf.extend_from_slice(&wire[at..end]);
@@ -472,16 +467,80 @@ impl std::str::FromStr for Name {
     }
 }
 
-/// Compression state shared across one message encoding.
+/// Compression state shared across one message encoding: for each name
+/// suffix written so far, `(FNV-1a of its wire form, that form's length,
+/// its offset in the message)`.
+///
+/// No suffix is copied: a lookup confirms a candidate against the bytes
+/// already in the output, following the pointers written there. The
+/// first sixteen entries live inline (length 0 marks a free slot), the
+/// rest in a spill `Vec`: a message with few names allocates nothing here.
 #[derive(Default)]
 pub struct Compressor {
-    seen: std::collections::HashMap<Vec<u8>, u16>,
+    /// Where the message starts in its buffer: pointers count from the
+    /// message's first byte, not the buffer's.
+    base: usize,
+    inline: [(u32, u8, u16); 16],
+    spill: Vec<(u32, u8, u16)>,
 }
 
 impl Compressor {
-    /// Fresh, empty compression table.
+    /// Fresh, empty compression table, for a message that starts at its
+    /// buffer's first byte.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// [`Compressor::new`] for a message that starts `base` bytes into
+    /// its buffer.
+    pub(crate) fn at(base: usize) -> Self {
+        Compressor {
+            base,
+            ..Self::default()
+        }
+    }
+
+    /// Where `suffix` (a canonical wire name) was first written in the
+    /// message at the end of `buf`. If nowhere a pointer can reach, it is
+    /// recorded as starting at `buf`'s end, where the caller writes it.
+    fn find_or_record(&mut self, buf: &[u8], suffix: &[u8]) -> Option<u16> {
+        let msg = &buf[self.base..];
+        let len = suffix.len() as u8;
+        let hash = suffix.iter().fold(0x811c_9dc5u32, |h, &b| {
+            (h ^ u32::from(b)).wrapping_mul(0x0100_0193)
+        });
+        let same =
+            |e: &&(u32, u8, u16)| (e.0, e.1) == (hash, len) && spells(msg, e.2.into(), suffix);
+        if let Some(seen) = self.inline.iter().chain(&self.spill).find(same) {
+            return Some(seen.2);
+        }
+        // Only offsets that fit in 14 bits may be targets.
+        if msg.len() < 0x3FFF {
+            let entry = (hash, len, msg.len() as u16);
+            match self.inline.iter_mut().find(|free| free.1 == 0) {
+                Some(free) => *free = entry,
+                None => self.spill.push(entry),
+            }
+        }
+        None
+    }
+}
+
+/// Whether the possibly compressed name at `msg[at..]`, which this
+/// encoder wrote, is `suffix`.
+fn spells(msg: &[u8], mut at: usize, mut suffix: &[u8]) -> bool {
+    loop {
+        let len = usize::from(msg[at]);
+        if len >= 0xC0 {
+            at = (len & 0x3F) << 8 | usize::from(msg[at + 1]);
+        } else if suffix.get(..=len) != Some(&msg[at..=at + len]) {
+            return false;
+        } else if len == 0 {
+            return true;
+        } else {
+            at += 1 + len;
+            suffix = &suffix[1 + len..];
+        }
     }
 }
 

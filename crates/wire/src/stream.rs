@@ -7,8 +7,8 @@
 //!
 //! Two shapes are provided:
 //!
-//! * [`frame`] / [`frame_into`] — prefix an encoded message with its
-//!   length, for writers that assemble the whole frame before `write`.
+//! * [`frame`] — prefix an encoded message with its length, for writers
+//!   that assemble the whole frame before `write`.
 //! * [`FrameReader`] — an incremental accumulator for readers that
 //!   receive bytes in arbitrary chunks (short reads, timeouts), with a
 //!   configurable size cap so a hostile peer cannot force a 64 KiB
@@ -30,29 +30,26 @@ pub const MAX_FRAME_LEN: usize = u16::MAX as usize;
 /// assert_eq!(framed, vec![0x00, 0x02, 0xAB, 0xCD]);
 /// ```
 pub fn frame(msg: &[u8]) -> Result<Vec<u8>, WireError> {
-    let mut out = Vec::with_capacity(msg.len() + 2);
-    frame_into(msg, &mut out)?;
-    Ok(out)
-}
-
-/// [`frame`] into an existing buffer (appended), avoiding a fresh
-/// allocation per response on a busy connection.
-pub fn frame_into(msg: &[u8], out: &mut Vec<u8>) -> Result<(), WireError> {
     let len = u16::try_from(msg.len()).map_err(|_| WireError::FieldOverflow("stream frame"))?;
+    let mut out = Vec::with_capacity(msg.len() + 2);
     out.extend_from_slice(&len.to_be_bytes());
     out.extend_from_slice(msg);
-    Ok(())
+    Ok(out)
 }
 
 /// Incremental decoder for length-prefixed stream frames.
 ///
 /// Feed raw bytes as they arrive with [`push`](FrameReader::push); take
-/// completed frames with [`next_frame`](FrameReader::next_frame). The
+/// completed frames with [`next_frame`](FrameReader::next_frame), or
+/// borrowed in place with [`with_frame`](FrameReader::with_frame). The
 /// reader handles frames split across arbitrarily many reads and
 /// multiple frames arriving in one read (pipelined queries).
 #[derive(Debug)]
 pub struct FrameReader {
     buf: Vec<u8>,
+    /// Where the pending frame's prefix starts: what is before it has
+    /// been consumed and waits for the next `push` to be dropped.
+    pos: usize,
     max_len: usize,
 }
 
@@ -62,6 +59,7 @@ impl FrameReader {
     pub fn new(max_len: usize) -> Self {
         FrameReader {
             buf: Vec::new(),
+            pos: 0,
             max_len: max_len.clamp(1, MAX_FRAME_LEN),
         }
     }
@@ -73,6 +71,13 @@ impl FrameReader {
     /// should drop the connection, since the stream can no longer be
     /// re-synchronized.
     pub fn push(&mut self, bytes: &[u8]) -> Result<(), WireError> {
+        // Compact once the consumed prefix outweighs what is left: fewer
+        // bytes move than are dropped, and a reader that was drained (the
+        // usual case) moves none.
+        if self.pos > self.buf.len() - self.pos {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
         self.buf.extend_from_slice(bytes);
         if let Some(declared) = self.declared_len() {
             if declared > self.max_len {
@@ -85,25 +90,31 @@ impl FrameReader {
     /// The length the pending frame's prefix declares, once both prefix
     /// bytes have arrived.
     fn declared_len(&self) -> Option<usize> {
-        (self.buf.len() >= 2).then(|| usize::from(u16::from_be_bytes([self.buf[0], self.buf[1]])))
+        let prefix = self.buf.get(self.pos..self.pos + 2)?;
+        Some(usize::from(u16::from_be_bytes([prefix[0], prefix[1]])))
+    }
+
+    /// Hand the next complete frame's payload to `f`, borrowed from the
+    /// accumulator, then remove it; `None` if no frame has fully arrived.
+    /// An over-cap frame is never handed out, even when all of it came in
+    /// behind the frames before it: the next `push` refuses it.
+    pub fn with_frame<R>(&mut self, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        let declared = self.declared_len().filter(|&n| n <= self.max_len)?;
+        let seen = f(self.buf.get(self.pos + 2..self.pos + 2 + declared)?);
+        self.pos += 2 + declared;
+        Some(seen)
     }
 
     /// Remove and return the next complete frame's payload, if one has
     /// fully arrived.
     pub fn next_frame(&mut self) -> Option<Vec<u8>> {
-        let declared = self.declared_len()?;
-        if self.buf.len() < 2 + declared {
-            return None;
-        }
-        let mut frame: Vec<u8> = self.buf.drain(..2 + declared).collect();
-        frame.drain(..2);
-        Some(frame)
+        self.with_frame(<[u8]>::to_vec)
     }
 
     /// True when partially-received bytes are pending (an incomplete
     /// frame): closing now would cut a request mid-flight.
     pub fn has_partial(&self) -> bool {
-        !self.buf.is_empty()
+        self.pos < self.buf.len()
     }
 }
 

@@ -45,8 +45,17 @@ impl Rng {
 const ALNUM: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789";
 const ALNUM_DASH: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789-";
 
-/// A hostname label: `[a-z0-9]([a-z0-9-]{0,14}[a-z0-9])?`.
+/// Labels that half of all generated labels are drawn from, so that
+/// generated names share suffixes and the compressor has work to do.
+const COMMON_LABELS: [&str; 6] = ["com", "example", "net", "ns", "www", "a"];
+
+/// A hostname label: one of [`COMMON_LABELS`], or
+/// `[a-z0-9]([a-z0-9-]{0,14}[a-z0-9])?`.
 fn arb_label(rng: &mut Rng) -> Vec<u8> {
+    if rng.flag() {
+        let i = rng.below(COMMON_LABELS.len() as u64) as usize;
+        return COMMON_LABELS[i].as_bytes().to_vec();
+    }
     let len = 1 + rng.below(16) as usize;
     let mut out = Vec::with_capacity(len);
     for i in 0..len {
@@ -309,11 +318,182 @@ fn ede_payload_roundtrip() {
     let mut rng = Rng(0x0006_5eed);
     for case in 0..256 {
         let entry = arb_ede_entry(&mut rng);
-        let payload = entry.encode_payload().unwrap();
+        let mut payload = Vec::new();
+        entry.encode_payload(&mut payload).unwrap();
         assert_eq!(
             EdeEntry::decode_payload(&payload).unwrap(),
             entry,
             "case {case}"
         );
+    }
+}
+
+fn n(text: &str) -> Name {
+    Name::parse(text).unwrap()
+}
+
+fn txt(owner: &str) -> Record {
+    Record::new(n(owner), 60, Rdata::Txt(vec![vec![0x5A; 64]]))
+}
+
+/// More distinct suffixes than the compressor's inline table holds.
+fn many_suffixes() -> Message {
+    let mut m = Message::query(1, n("example.com"), RrType::Ns);
+    for i in 0..40 {
+        m.answers.push(Record::new(
+            n(&format!("h{i}.z{}.example.com", i % 7)),
+            300,
+            Rdata::Ns(n(&format!("ns{i}.z{}.example.net", i % 5))),
+        ));
+    }
+    m
+}
+
+/// Each name's tail is a suffix that was itself written as a label and a
+/// pointer, so confirming a candidate has to follow pointers.
+fn suffixes_behind_pointers() -> Message {
+    let mut m = Message::query(2, n("example.com"), RrType::A);
+    m.answers = vec![
+        Record::new(
+            n("www.example.com"),
+            60,
+            Rdata::Cname(n("mail.www.example.com")),
+        ),
+        Record::new(
+            n("x.mail.www.example.com"),
+            60,
+            Rdata::Mx {
+                preference: 10,
+                exchange: n("y.x.mail.www.example.com"),
+            },
+        ),
+        txt("mail.www.example.org"),
+        txt("y.x.mail.www.example.com"),
+    ];
+    m
+}
+
+/// Past 16 KiB: names first written at or beyond offset 0x3FFF cannot be
+/// pointed at, so their repeats are spelled out again.
+fn beyond_pointer_range() -> Message {
+    let mut m = Message::query(3, n("big.example.com"), RrType::Txt);
+    m.answers = (0..300)
+        .map(|i| txt(&format!("r{i}.big.example.com")))
+        .collect();
+    m.additionals = [3, 150, 250, 299, 250]
+        .map(|i| txt(&format!("r{i}.big.example.com")))
+        .into();
+    m
+}
+
+/// Every message of `message_roundtrip`'s stream, then the three shapes
+/// above.
+fn compression_corpus() -> Vec<Message> {
+    let mut rng = Rng(0x0001_5eed);
+    let mut corpus: Vec<Message> = (0..512).map(|_| arb_message(&mut rng)).collect();
+    corpus.extend([
+        many_suffixes(),
+        suffixes_behind_pointers(),
+        beyond_pointer_range(),
+    ]);
+    corpus
+}
+
+/// The compressor's choices are part of the wire contract (the TC=1 → TCP
+/// retry and the benchmark's oracle compare bytes): the digest below is
+/// FNV-1a over the corpus as commit b09a768's `HashMap<Vec<u8>, u16>`
+/// compressor encoded it.
+#[test]
+fn compressed_output_is_pinned() {
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    for msg in compression_corpus() {
+        let wire = msg.encode().unwrap();
+        assert_eq!(Message::decode(&wire).unwrap(), msg);
+        for &b in (wire.len() as u32).to_be_bytes().iter().chain(&wire) {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    assert_eq!(digest, 0x02ff_b60b_f630_85b6, "{digest:#018x}");
+}
+
+/// All of `beyond_pointer_range`'s names are record owners and its RDATA
+/// holds none, so every pointer can be found by walking the records.
+#[test]
+fn no_pointer_targets_at_or_beyond_0x3fff() {
+    let wire = beyond_pointer_range().encode().unwrap();
+    // Walk one name; returns where it ends and the pointer it ended in.
+    let skip_name = |mut at: usize| loop {
+        match wire[at] {
+            0 => return (at + 1, None),
+            len if len & 0xC0 == 0xC0 => {
+                let target = usize::from(u16::from_be_bytes([len & 0x3F, wire[at + 1]]));
+                return (at + 2, Some(target));
+            }
+            len => at += 1 + usize::from(len),
+        }
+    };
+    let (question_end, pointer) = skip_name(12);
+    assert_eq!(pointer, None);
+    let mut at = question_end + 4;
+    // Per record: whether its owner is a bare pointer.
+    let mut bare = Vec::new();
+    while at < wire.len() {
+        let (owner_end, pointer) = skip_name(at);
+        if let Some(target) = pointer {
+            assert!(target < 0x3FFF && target < at, "{target:#x} from {at:#x}");
+        }
+        bare.push(owner_end == at + 2);
+        let rdlen = u16::from_be_bytes([wire[owner_end + 8], wire[owner_end + 9]]);
+        at = owner_end + 10 + usize::from(rdlen);
+    }
+    assert_eq!(at, wire.len());
+    assert!(wire.len() > 0x3FFF + 8_000, "{}", wire.len());
+    // r3 and r150 were first written inside pointer range and repeat as
+    // bare pointers; r250 and r299 were not, and are spelled out every
+    // time (label, then a pointer at the early `big.example.com`). The
+    // last record is the OPT.
+    assert_eq!(bare[300..], [true, true, false, false, false, false]);
+}
+
+/// `encode_into` behind other bytes is `encode`: pointers count from the
+/// message's own first byte, and what was in the buffer is not touched.
+#[test]
+fn encode_into_at_any_base_is_encode() {
+    for (case, msg) in compression_corpus().iter().enumerate() {
+        let alone = msg.encode().unwrap();
+        for base in [0, 1, 2 + case, 0x3FFF, 0x4000 + case] {
+            let mut buf = vec![0xA5; base];
+            msg.encode_into(&mut buf).unwrap();
+            assert!(buf[..base].iter().all(|&b| b == 0xA5), "case {case}");
+            assert!(buf[base..] == alone, "case {case} at base {base}");
+        }
+    }
+}
+
+/// A message that cannot be encoded leaves no trace in the buffer: not
+/// when it fails before the first byte (a section over 65 535 entries),
+/// not when it fails in the last record (an oversized EDE text).
+#[test]
+fn failed_encode_into_leaves_the_buffer_as_found() {
+    let mut too_many = many_suffixes();
+    too_many.questions = vec![too_many.questions[0].clone(); 65_536];
+    let mut too_long = many_suffixes();
+    too_long
+        .edns
+        .as_mut()
+        .unwrap()
+        .push_ede(EdeEntry::with_text(EdeCode::Other, "x".repeat(65_534)));
+    let before = many_suffixes().encode().unwrap();
+    for (broken, error) in [
+        (too_many, ede_wire::WireError::BadCount),
+        (
+            too_long,
+            ede_wire::WireError::FieldOverflow("EDE EXTRA-TEXT"),
+        ),
+    ] {
+        let mut buf = before.clone();
+        assert_eq!(broken.encode_into(&mut buf), Err(error.clone()));
+        assert_eq!(buf, before);
+        assert_eq!(broken.encode(), Err(error));
     }
 }
