@@ -7,8 +7,8 @@
 //! associative (counters add, maps union-add, the nameserver-kind
 //! witness keeps the minimum domain index, rank pairs concatenate and
 //! are sorted when the breakdowns are built), so merge order — and
-//! therefore worker count, in-flight window, and snapshot cadence —
-//! cannot change the result. The property tests in `tests/streaming.rs`
+//! therefore worker count and in-flight window — cannot change the
+//! result. The property tests in `tests/streaming.rs`
 //! pin that at every cross-point.
 
 use crate::population::Population;

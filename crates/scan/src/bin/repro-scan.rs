@@ -3,8 +3,8 @@
 //!
 //! Usage: repro-scan \[scale\] \[--json | --fingerprint\] \[--no-l1\] \[--cache-budget=N\]
 //!        \[--synthesize\] \[--sweep=R\] \[--range-budget=N\]
-//!        \[--cadence=SECS\] \[--log-capacity=N\] \[--log-spill=PATH\]
-//!        \[--snapshots=PATH\] \[--query=EXPR\] \[--stream-smoke\]
+//!        \[--log-capacity=N\] \[--log-spill=PATH\] \[--snapshots=PATH\]
+//!        \[--query=EXPR\] \[--stream-smoke\]
 //! (default scale 1000, i.e. 303k domains)
 //!
 //! `--no-l1` disables the per-worker L1 cache tier (results must stay
@@ -22,25 +22,25 @@
 //! the records and fingerprints). `--range-budget=N` bounds the range
 //! tier to N spans.
 //!
-//! Streaming analytics: `--snapshots=PATH` writes a JSONL stream of
-//! [`ede_scan::StatsSnapshot`] documents, one per `--cadence=SECS`
-//! boundary of the virtual clock plus the final complete snapshot.
+//! Streaming analytics: `--snapshots=PATH` writes the scan's two
+//! [`ede_scan::StatsSnapshot`] documents as JSONL when the scan returns:
+//! the pass-1 snapshot (`complete: false`), then the final one.
 //! `--log-capacity=N` bounds the query-log ring; `--log-spill=PATH`
 //! rotates evicted records into a JSONL trace instead of dropping them.
 //! `--query=EXPR` filters the retained records after the scan (e.g.
-//! `--query=code=23,tld=com,rank=1-500`). `--stream-smoke` runs the
-//! streaming-vs-batch equivalence check CI relies on and exits nonzero
-//! on any mismatch.
+//! `--query=code=23,tld=com,rank=1-500`) and says how many records had
+//! already left the ring. `--stream-smoke` runs the bounded-ring
+//! equivalence check CI relies on and exits nonzero on any mismatch.
 use ede_scan::query::QueryFilter;
 use ede_scan::{report, scanner, Population, PopulationConfig, ScanWorld};
-use ede_trace::{JsonlSnapshotWriter, MemorySnapshotSink, SnapshotSink};
+use std::fs::File;
+use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::Arc;
 
-/// The `--stream-smoke` leg: a streaming scan with a deliberately tiny
-/// query-log ring and a tight export cadence must produce the same
-/// results as the plain scan, export at least the final snapshot, and
-/// keep ring occupancy bounded. Exits the process nonzero on failure.
+/// The `--stream-smoke` leg: a scan with a deliberately tiny query-log
+/// ring must produce the same results as the default scan — final and
+/// pass-1 snapshots both — and keep ring occupancy bounded. Exits the
+/// process nonzero on failure.
 fn stream_smoke(scale: u32) {
     let cfg = PopulationConfig {
         scale,
@@ -51,18 +51,11 @@ fn stream_smoke(scale: u32) {
     let baseline_world = ScanWorld::build(&pop);
     let baseline = scanner::scan(&pop, &baseline_world, &scanner::ScanConfig::default());
 
-    let sink = Arc::new(MemorySnapshotSink::new());
     let streaming_world = ScanWorld::build(&pop);
     let config = scanner::ScanConfig::builder()
-        .snapshot_cadence_secs(1)
         .query_log_capacity(1024)
         .build();
-    let streaming = scanner::scan_streaming(
-        &pop,
-        &streaming_world,
-        &config,
-        &[Arc::clone(&sink) as Arc<dyn SnapshotSink>],
-    );
+    let streaming = scanner::scan(&pop, &streaming_world, &config);
 
     let mut bad = Vec::new();
     if !baseline.stats.same_results(&streaming.stats) {
@@ -74,8 +67,10 @@ fn stream_smoke(scale: u32) {
             baseline.stats.fingerprint, streaming.stats.fingerprint
         ));
     }
-    if sink.is_empty() {
-        bad.push("no snapshot was exported".to_string());
+    if !baseline.pass1.same_results(&streaming.pass1)
+        || baseline.pass1.traffic != streaming.pass1.traffic
+    {
+        bad.push("pass-1 snapshots differ".to_string());
     }
     if streaming.log.peak > streaming.log.capacity {
         bad.push(format!(
@@ -95,10 +90,10 @@ fn stream_smoke(scale: u32) {
     }
     if bad.is_empty() {
         println!(
-            "stream-smoke PASS: fingerprint {:016x}, {} snapshots exported, \
+            "stream-smoke PASS: fingerprint {:016x}, pass-1 snapshots equal ({:016x}), \
              {} merges ({} ns), ring peak {}/{} ({} dropped)",
             streaming.stats.fingerprint,
-            sink.len(),
+            streaming.pass1.fingerprint,
             streaming.stream.merges,
             streaming.stream.merge_ns,
             streaming.log.peak,
@@ -114,8 +109,8 @@ fn stream_smoke(scale: u32) {
 }
 
 const USAGE: &str = "usage: repro-scan [scale] [--json | --fingerprint] [--no-l1] \
-[--cache-budget=N] [--synthesize] [--sweep=R] [--range-budget=N] [--cadence=SECS] \
-[--log-capacity=N] [--log-spill=PATH] [--snapshots=PATH] [--query=EXPR] [--stream-smoke]";
+[--cache-budget=N] [--synthesize] [--sweep=R] [--range-budget=N] [--log-capacity=N] \
+[--log-spill=PATH] [--snapshots=PATH] [--query=EXPR] [--stream-smoke]";
 
 /// A mistyped or retired flag must not silently measure the default
 /// configuration: say what was wrong, print the usage line, exit 2.
@@ -138,7 +133,6 @@ fn main() {
     let mut synthesize = false;
     let mut sweep_ratio = 0.0f64;
     let mut range_budget: Option<usize> = None;
-    let mut cadence = 60u64;
     let mut log_capacity: Option<usize> = None;
     let mut log_spill: Option<PathBuf> = None;
     let mut snapshots: Option<PathBuf> = None;
@@ -159,7 +153,6 @@ fn main() {
             ("--cache-budget", Some(v)) => cache_budget = Some(parsed(flag, v)),
             ("--sweep", Some(v)) => sweep_ratio = parsed(flag, v),
             ("--range-budget", Some(v)) => range_budget = Some(parsed(flag, v)),
-            ("--cadence", Some(v)) => cadence = parsed(flag, v),
             ("--log-capacity", Some(v)) => log_capacity = Some(parsed(flag, v)),
             ("--log-spill", Some(v)) => log_spill = Some(PathBuf::from(v)),
             ("--snapshots", Some(v)) => snapshots = Some(PathBuf::from(v)),
@@ -200,24 +193,35 @@ fn main() {
         .progress(!json && !fingerprint)
         .l1(!no_l1)
         .sweep_ratio(sweep_ratio)
-        .snapshot_cadence_secs(cadence)
         .query_log_spill(log_spill);
     if let Some(capacity) = log_capacity {
         builder = builder.query_log_capacity(capacity);
     }
     let config = builder.build();
 
-    let mut sinks: Vec<Arc<dyn SnapshotSink>> = Vec::new();
-    if let Some(path) = &snapshots {
-        match JsonlSnapshotWriter::create(path) {
-            Ok(writer) => sinks.push(Arc::new(writer)),
-            Err(e) => {
-                eprintln!("cannot open {}: {e}", path.display());
-                std::process::exit(2);
-            }
+    // Created before the scan, so a path that cannot be written fails
+    // now and not after minutes of scanning.
+    let snapshots = snapshots.map(|path| match File::create(&path) {
+        Ok(file) => (path, file),
+        Err(e) => {
+            eprintln!("cannot open {}: {e}", path.display());
+            std::process::exit(2);
+        }
+    });
+    let result = scanner::scan(&pop, &world, &config);
+
+    if let Some((path, mut file)) = snapshots {
+        let written = writeln!(
+            file,
+            "{}\n{}",
+            result.pass1.to_json_line(),
+            result.stats.to_json_line()
+        );
+        if let Err(e) = written {
+            eprintln!("cannot write {}: {e}", path.display());
+            std::process::exit(2);
         }
     }
-    let result = scanner::scan_streaming(&pop, &world, &config, &sinks);
 
     if fingerprint {
         println!(
@@ -247,10 +251,8 @@ fn main() {
         // No wall-clock fields here: stdout stays byte-identical across
         // equal-result runs (merge_ns lives in `ScanResult::stream`).
         println!(
-            "streaming: {} merges, {} snapshots exported, \
-             query log peak {}/{} ({} spilled, {} dropped)",
+            "streaming: {} merges, query log peak {}/{} ({} spilled, {} dropped)",
             result.stream.merges,
-            result.stream.exports,
             result.log.peak,
             result.log.capacity,
             result.log.spilled,
@@ -260,5 +262,22 @@ fn main() {
 
     if let Some(filter) = filter {
         print!("\n{}", filter.summarize(&result.records).render());
+        // The filter ran over the ring's retained records only: say what
+        // it never saw, and where those records are now.
+        if result.log.dropped > 0 {
+            println!(
+                "  not seen: {} older records dropped from the {}-record ring \
+                 (raise --log-capacity)",
+                result.log.dropped, result.log.capacity
+            );
+        }
+        if let Some(spill) = config.query_log_spill.filter(|_| result.log.spilled > 0) {
+            println!(
+                "  not seen: {} older records spilled (troubleshoot --log {} --query {})",
+                result.log.spilled,
+                spill.display(),
+                filter.describe()
+            );
+        }
     }
 }

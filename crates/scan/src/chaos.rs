@@ -256,26 +256,20 @@ pub fn baseline_matches_plain_scan(pop: &Population, config: &ChaosConfig) -> Ve
     bad
 }
 
-/// Compute the 63 × 7 testbed matrix and compare it with the paper's
-/// Table 4 — the chaos binary runs this at intensity zero to prove the
-/// hardening left the headline result untouched. Returns the differing
-/// cells; empty means bit-identical.
+/// Compare the 63 × 7 testbed matrix ([`crate::stats::v1::vendor_matrix`],
+/// the serial walk) with the paper's Table 4 — the chaos binary runs
+/// this at intensity zero to prove the hardening left the headline
+/// result untouched. Returns the differing cells; empty means
+/// bit-identical.
 pub fn table4_deviation() -> Vec<String> {
-    use ede_testbed::{expectations::table4, Testbed};
-    use ede_wire::RrType;
-
-    let tb = Testbed::build();
-    let resolvers: Vec<_> = Vendor::ALL.iter().map(|&v| tb.resolver(v)).collect();
+    let matrix = crate::stats::v1::vendor_matrix();
     let mut bad = Vec::new();
-    for (spec, exp) in tb.specs.iter().zip(table4()) {
-        let qname = tb.query_name(spec);
-        for (i, r) in resolvers.iter().enumerate() {
-            r.flush();
-            let got = r.resolve(&qname, RrType::A).ede_codes();
-            if got != exp.codes[i].to_vec() {
+    for ((label, cols), exp) in matrix.rows.iter().zip(ede_testbed::expectations::table4()) {
+        for (i, got) in cols.iter().enumerate() {
+            if got != exp.codes[i] {
                 bad.push(format!(
-                    "{} col {i}: got {:?}, expected {:?}",
-                    spec.label, got, exp.codes[i]
+                    "{label} col {i}: got {got:?}, expected {:?}",
+                    exp.codes[i]
                 ));
             }
         }

@@ -59,7 +59,7 @@ pub use chaos::{campaign, ChaosConfig, ChaosLeg, ChaosReport};
 pub use population::{Category, DomainRecord, Population, PopulationConfig};
 pub use query::{FilterSummary, QueryFilter};
 pub use querylog::{QueryLog, QueryLogStats, QueryRecord};
-pub use scanner::{scan, scan_streaming, ScanConfig, ScanConfigBuilder, ScanResult, SweepReport};
+pub use scanner::{scan, ScanConfig, ScanConfigBuilder, ScanResult, SweepReport};
 pub use stats::v1::StatsSnapshot;
 pub use stream::StreamReport;
 pub use world::ScanWorld;

@@ -7,14 +7,14 @@
 use crate::aggregate::PartialAggregate;
 use crate::population::Population;
 use crate::querylog::{QueryLog, QueryLogStats, QueryRecord};
-use crate::stats::v1::StatsSnapshot;
-use crate::stream::{LiveCtx, SnapshotStore, StreamReport};
+use crate::stats::v1::{StatsSnapshot, TrafficStats, SCHEMA_VERSION};
+use crate::stream::{SnapshotStore, StreamReport};
 use crate::world::ScanWorld;
 use ede_resolver::{
     CacheStatsSnapshot, InfraStatsSnapshot, L1Cache, L1StatsSnapshot, Resolution, ResolutionPool,
     Resolver, Vendor, VendorProfile,
 };
-use ede_trace::{Metrics, MetricsSnapshot, SnapshotSink};
+use ede_trace::{Metrics, MetricsSnapshot};
 use ede_wire::{Name, RrType};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -27,7 +27,7 @@ use std::sync::Arc;
 /// Reported alongside the metrics in the end-of-run summary; never part
 /// of the determinism comparisons (tier *placement* of a hit is a
 /// performance fact, not a result).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScanCacheReport {
     /// Summed counters of every worker's L1 tier.
     pub l1: L1StatsSnapshot,
@@ -112,6 +112,11 @@ pub struct ScanResult {
     /// every report number, typed. This is what the renderers in
     /// [`crate::report`] consume.
     pub stats: StatsSnapshot,
+    /// The snapshot taken when pass 1 had joined (`complete == false`):
+    /// every non-revisit domain folded, the revisit categories still to
+    /// come. Read after every worker flushed, so it is as deterministic
+    /// in its results as `stats`.
+    pub pass1: StatsSnapshot,
     /// The query-log ring's retained records, in arrival (`seq`) order.
     /// Both passes appear (a revisited domain has a pass-1 and a pass-2
     /// record); with a ring smaller than the query count, the oldest
@@ -120,7 +125,7 @@ pub struct ScanResult {
     pub records: Vec<QueryRecord>,
     /// Query-log occupancy and spill accounting.
     pub log: QueryLogStats,
-    /// Streaming-pipeline counters (merge count/cost, exports).
+    /// Streaming-pipeline counters (merge count and cost).
     pub stream: StreamReport,
     /// Number of resolutions performed (both passes).
     pub resolutions: usize,
@@ -136,7 +141,8 @@ pub struct ScanResult {
     /// both count the same transport events.
     pub metrics: MetricsSnapshot,
     /// Per-tier cache accounting (L1 summed over workers, L2, infra,
-    /// ranges).
+    /// ranges) at the end of the scan — the same report `stats.cache`
+    /// carries.
     pub cache: ScanCacheReport,
     /// Synthesis-sweep accounting, when [`ScanConfig::sweep_ratio`] was
     /// nonzero. The sweep runs after both passes with the range tier
@@ -197,12 +203,6 @@ pub struct ScanConfig {
     /// probes excluded from the records, so any setting leaves the
     /// scan report untouched.
     pub sweep_ratio: f64,
-    /// Virtual-clock seconds between mid-scan snapshot exports (only
-    /// meaningful when sinks are registered via [`scan_streaming`]).
-    /// `0` disables mid-scan exports; the final snapshot always
-    /// exports. Purely an observability knob: the cadence cannot change
-    /// results (see `docs/CONCURRENCY.md`).
-    pub snapshot_cadence_secs: u64,
     /// Query-log ring capacity (records retained in memory). Purely a
     /// memory knob: the streaming aggregation never reads the ring, so
     /// any capacity produces the same report.
@@ -224,7 +224,6 @@ impl Default for ScanConfig {
             progress: false,
             l1: true,
             sweep_ratio: 0.0,
-            snapshot_cadence_secs: 60,
             query_log_capacity: 65_536,
             query_log_spill: None,
         }
@@ -250,7 +249,6 @@ impl ScanConfig {
 /// let config = ScanConfig::builder()
 ///     .workers(1)
 ///     .vendor(Vendor::Cloudflare)
-///     .snapshot_cadence_secs(30)
 ///     .query_log_capacity(4096)
 ///     .build();
 /// assert_eq!(config.workers, 1);
@@ -295,13 +293,6 @@ impl ScanConfigBuilder {
     /// Set the synthesis-sweep probe ratio (`0.0` disables the sweep).
     pub fn sweep_ratio(mut self, ratio: f64) -> Self {
         self.config.sweep_ratio = ratio.max(0.0);
-        self
-    }
-
-    /// Set the mid-scan snapshot export cadence (virtual seconds; `0`
-    /// exports only the final snapshot).
-    pub fn snapshot_cadence_secs(mut self, secs: u64) -> Self {
-        self.config.snapshot_cadence_secs = secs;
         self
     }
 
@@ -412,22 +403,25 @@ struct PassCtx<'a> {
     /// record comes from pass 2, and each domain must fold exactly
     /// once. Pass 2 folds everything it resolves.
     fold_revisit: bool,
+    pop: &'a Population,
+    net: &'a ede_netsim::Network,
+    log: &'a QueryLog,
+    vendor: Vendor,
     store: &'a SnapshotStore,
-    live: &'a LiveCtx<'a>,
     progress: &'a PassProgress<'a>,
 }
 
 impl PassCtx<'_> {
     /// Should this record fold into the streaming aggregate?
     fn folds(&self, idx: usize) -> bool {
-        self.fold_revisit || !self.live.pop.domains[idx].category.needs_revisit()
+        self.fold_revisit || !self.pop.domains[idx].category.needs_revisit()
     }
 
     /// Deliver one finished chunk: a single ring push and a single
     /// store merge.
     fn flush(&self, records: Vec<QueryRecord>, chunk_agg: PartialAggregate) {
-        self.live.log.push_batch(records);
-        self.store.merge(chunk_agg, self.live);
+        self.log.push_batch(records);
+        self.store.merge(chunk_agg);
     }
 
     /// Build the record for one finished resolution and fold it if the
@@ -439,12 +433,12 @@ impl PassCtx<'_> {
         chunk_agg: &mut PartialAggregate,
     ) -> QueryRecord {
         let rec = record_from(
-            self.live.pop,
+            self.pop,
             idx,
             res,
-            self.live.vendor,
+            self.vendor,
             self.pass,
-            self.live.net.clock().now_millis(),
+            self.net.clock().now_millis(),
         );
         if self.folds(idx) {
             chunk_agg.fold(&rec);
@@ -511,7 +505,7 @@ fn pass_worker(
     // pass, shared only by the tasks of this thread's pool — which is
     // what lets it skip synchronization entirely.
     let l1 = use_l1.then(L1Cache::new);
-    let pop = ctx.live.pop;
+    let pop = ctx.pop;
     let mut records = Vec::with_capacity(CLAIM_CHUNK);
     let mut chunk_agg = PartialAggregate::default();
     drive_worker(
@@ -612,14 +606,6 @@ fn sweep_pass(resolver: &Resolver, probes: &[Name], workers: usize, inflight: us
     });
 }
 
-/// Run the scan with no snapshot sinks attached. Equivalent to
-/// [`scan_streaming`] with an empty sink list; the streaming pipeline
-/// still runs (it is *the* aggregation path), it just exports nothing
-/// mid-flight.
-pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanResult {
-    scan_streaming(pop, world, config, &[])
-}
-
 /// Run the scan: one pass over every domain, then a clock advance and a
 /// revisit pass over the flap/cache categories (the paper's probes hit
 /// such domains repeatedly through Cloudflare's shared cache). Both
@@ -627,18 +613,13 @@ pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanRes
 /// partial aggregates merged into a shared snapshot store, records into
 /// the bounded query-log ring — so there is no end-of-scan aggregation
 /// barrier and no unbounded outcome buffer. Results are bit-identical
-/// at any worker count, in-flight window, or snapshot cadence.
+/// at any worker count or in-flight window.
 ///
-/// `sinks` receive a [`StatsSnapshot`] JSON document at every cadence
-/// boundary of the virtual clock (see
-/// [`ScanConfig::snapshot_cadence_secs`]) and one final complete
-/// snapshot.
-pub fn scan_streaming(
-    pop: &Population,
-    world: &ScanWorld,
-    config: &ScanConfig,
-    sinks: &[Arc<dyn SnapshotSink>],
-) -> ScanResult {
+/// The scan reports per pass: the virtual clock stands still inside a
+/// pass (the scan world charges no latency), so this thread takes one
+/// [`StatsSnapshot`] when pass 1 has joined ([`ScanResult::pass1`]) and
+/// one after pass 2 and the sweep ([`ScanResult::stats`]).
+pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanResult {
     // Every transport/resolver/EDE event of the scan feeds the metrics
     // registry through the trace pipeline. The guard detaches the sink
     // when `scan` returns *or unwinds*.
@@ -656,11 +637,7 @@ pub fn scan_streaming(
 
     let log = QueryLog::new(config.query_log_capacity, config.query_log_spill.as_deref())
         .expect("query-log spill file must be creatable");
-    let store = SnapshotStore::new(
-        sinks.to_vec(),
-        config.snapshot_cadence_secs,
-        world.net.clock().now_millis(),
-    );
+    let store = SnapshotStore::default();
 
     // Prime the infrastructure cache: one serial (TLD, NS) resolution
     // per TLD walks every root→TLD delegation once, *before* the
@@ -689,53 +666,69 @@ pub fn scan_streaming(
         total: n + revisit.len(),
         enabled: config.progress,
     };
-    let live = LiveCtx {
-        pop,
-        net: &world.net,
-        resolver: &resolver,
-        log: &log,
-        resolutions: &resolutions,
-        vendor: config.vendor,
-        scale: pop.config.scale,
+    let run_pass = |pass: u8, fold_revisit: bool, indices: &[usize]| {
+        let ctx = PassCtx {
+            pass,
+            fold_revisit,
+            pop,
+            net: &world.net,
+            log: &log,
+            vendor: config.vendor,
+            store: &store,
+            progress: &progress,
+        };
+        parallel_pass(
+            &resolver,
+            &ctx,
+            indices,
+            config.workers,
+            config.inflight,
+            config.l1,
+        )
+    };
+    // One snapshot of the store and the counters around it. Only ever
+    // called between passes — every worker joined, every chunk merged —
+    // which is what makes its results independent of worker timing.
+    let snapshot = |complete: bool, l1: L1StatsSnapshot, sweep: Option<&SweepReport>| {
+        let results = store.finalize(pop);
+        let (queries, delivered, failed) = world.net.stats().snapshot();
+        StatsSnapshot {
+            schema_version: SCHEMA_VERSION,
+            // Two snapshots per scan: pass 1 is 0, the final one 1.
+            seq: u64::from(complete),
+            vtime_ms: world.net.clock().now_millis(),
+            complete,
+            scale: pop.config.scale,
+            fingerprint: results.fingerprint,
+            ede: results.ede,
+            tlds: results.tlds,
+            ranks: results.ranks,
+            cache: ScanCacheReport {
+                l1,
+                l2: resolver.cache_stats(),
+                infra: resolver.infra_stats(),
+                range: resolver.range_stats(),
+            },
+            traffic: TrafficStats {
+                resolutions: resolutions.load(Ordering::Relaxed),
+                queries,
+                delivered,
+                failed,
+                sweep: sweep.cloned(),
+            },
+            query_log: log.stats(),
+        }
     };
 
     // Pass 1: everything, in parallel. Revisit-category domains are
     // recorded but not folded — their final answer comes from pass 2.
-    let mut l1_stats = L1StatsSnapshot::default();
-    let ctx1 = PassCtx {
-        pass: 1,
-        fold_revisit: false,
-        store: &store,
-        live: &live,
-        progress: &progress,
-    };
-    l1_stats.merge(&parallel_pass(
-        &resolver,
-        &ctx1,
-        &first_pass,
-        config.workers,
-        config.inflight,
-        config.l1,
-    ));
+    let mut l1_stats = run_pass(1, false, &first_pass);
+    let pass1 = snapshot(false, l1_stats, None);
 
     // Pass 2: revisit flap/cache domains after the flap window ("the
     // last response wins", as in a longitudinal probe).
     world.net.clock().advance_secs(120);
-    let ctx2 = PassCtx {
-        pass: 2,
-        fold_revisit: true,
-        store: &store,
-        live: &live,
-        progress: &progress,
-    };
-    l1_stats.merge(&parallel_pass(
-        &resolver,
-        &ctx2,
-        &revisit,
-        config.workers,
-        config.inflight,
-        config.l1,
-    ));
+    l1_stats.merge(&run_pass(2, true, &revisit));
 
     // Sweep phase: after both passes finish (and therefore after every
     // record is final), freeze the range tier and probe deterministic
@@ -759,12 +752,11 @@ pub fn scan_streaming(
         }
     });
 
-    let cache = ScanCacheReport {
-        l1: l1_stats,
-        l2: resolver.cache_stats(),
-        infra: resolver.infra_stats(),
-        range: resolver.range_stats(),
-    };
+    // The final snapshot: the merged streaming aggregate plus the
+    // counters only the end of the scan can know (both passes' L1
+    // tiers summed, the sweep report).
+    let stats = snapshot(true, l1_stats, sweep.as_ref());
+    let cache = stats.cache.clone();
     if config.progress {
         eprint!("{}", cache.render());
         if let Some(sweep) = &sweep {
@@ -778,30 +770,14 @@ pub fn scan_streaming(
         }
     }
 
-    // The final snapshot: the merged streaming aggregate plus the
-    // counters only the end of the scan can know (summed L1 tiers, the
-    // sweep report). Exported to every sink regardless of cadence.
-    let stats = StatsSnapshot::from_parts(
-        store.claim_seq(),
-        world.net.clock().now_millis(),
-        true,
-        pop.config.scale,
-        store.finalize(pop),
-        &cache,
-        resolutions.load(Ordering::Relaxed),
-        world.net.stats().snapshot(),
-        sweep.as_ref(),
-        log.stats(),
-    );
-    let stream = store.finish(&stats);
-
     let log_stats = log.stats();
     let records = log.into_records();
     ScanResult {
         stats,
+        pass1,
         records,
         log: log_stats,
-        stream,
+        stream: store.report(),
         resolutions: resolutions.into_inner(),
         traffic: world.net.stats().snapshot(),
         traffic_full: world.net.stats().snapshot_full(),

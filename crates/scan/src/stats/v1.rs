@@ -2,9 +2,10 @@
 //! needs, as plain data.
 //!
 //! [`StatsSnapshot`] is the scan's streaming aggregation at one moment
-//! — mid-scan (exported through [`ede_trace::SnapshotSink`] at the
-//! configured cadence) or final (`complete == true`, carried in
-//! [`crate::scanner::ScanResult::stats`]). The renderers in
+//! — after pass 1 (`complete == false`, carried in
+//! [`crate::scanner::ScanResult::pass1`]) or final (`complete == true`,
+//! [`crate::scanner::ScanResult::stats`]); both are read when every
+//! worker of the pass has joined. The renderers in
 //! [`crate::report`] consume these DTOs only; [`StatsSnapshot::to_json`]
 //! is the machine surface, versioned by [`SCHEMA_VERSION`] and pinned
 //! by a golden test.
@@ -14,7 +15,6 @@
 //! stays inside the crate (snapshots are *measured*, not assembled by
 //! hand).
 
-use crate::aggregate::ScanResults;
 use crate::querylog::QueryLogStats;
 use crate::scanner::{ScanCacheReport, SweepReport};
 use crate::stats;
@@ -48,14 +48,14 @@ pub const PAPER_INVENTORY: [(u16, &str, u64); 14] = [
 ];
 
 /// One streaming-aggregation snapshot: deterministic scan results plus
-/// the live performance counters at the moment it was taken.
+/// the performance counters at the moment it was taken.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct StatsSnapshot {
     /// JSON schema version ([`SCHEMA_VERSION`]).
     pub schema_version: u32,
-    /// Export sequence number (0 for the final snapshot of a scan that
-    /// exported nothing mid-flight).
+    /// Position among the scan's snapshots: 0 for the pass-1 snapshot,
+    /// 1 for the final one.
     pub seq: u64,
     /// Virtual-clock stamp, ms since the simulation epoch.
     pub vtime_ms: u64,
@@ -72,7 +72,7 @@ pub struct StatsSnapshot {
     /// Tranco rank curve.
     pub ranks: RankBucketCurve,
     /// Cache-tier counters (performance facts, not results).
-    pub cache: CacheTierStats,
+    pub cache: ScanCacheReport,
     /// Traffic counters (performance facts, not results).
     pub traffic: TrafficStats,
     /// Query-log ring occupancy at the snapshot.
@@ -230,68 +230,6 @@ impl RankBucketCurve {
     }
 }
 
-/// Cache-tier counters as the snapshot document carries them (the human
-/// report prints hit ratios from the tier snapshots themselves).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub struct CacheTierStats {
-    /// L1 hits (summed over workers).
-    pub l1_hits: u64,
-    /// L1 misses.
-    pub l1_misses: u64,
-    /// L1 whole-map clears forced by the capacity cap.
-    pub l1_capacity_flips: u64,
-    /// Shared (L2) cache hits.
-    pub l2_hits: u64,
-    /// L2 misses.
-    pub l2_misses: u64,
-    /// L2 stale (RFC 8767) serves.
-    pub l2_stale_served: u64,
-    /// L2 TTL-wheel expiries.
-    pub l2_expired: u64,
-    /// L2 budget evictions.
-    pub l2_evicted: u64,
-    /// L2 live entries.
-    pub l2_occupancy: u64,
-    /// Infra-cache zone-key replays.
-    pub infra_key_hits: u64,
-    /// Infra-cache referral replays.
-    pub infra_referral_hits: u64,
-    /// Infra-cache referral misses.
-    pub infra_referral_misses: u64,
-    /// Range-tier (RFC 8198) synthesis hits.
-    pub range_hits: u64,
-    /// Range-tier misses.
-    pub range_misses: u64,
-    /// Range-tier evictions.
-    pub range_evicted: u64,
-    /// Range-tier live spans.
-    pub range_occupancy: u64,
-}
-
-impl CacheTierStats {
-    pub(crate) fn from_report(cache: &ScanCacheReport) -> CacheTierStats {
-        CacheTierStats {
-            l1_hits: cache.l1.hits,
-            l1_misses: cache.l1.misses,
-            l1_capacity_flips: cache.l1.capacity_flips,
-            l2_hits: cache.l2.hits,
-            l2_misses: cache.l2.misses,
-            l2_stale_served: cache.l2.stale_served,
-            l2_expired: cache.l2.expired,
-            l2_evicted: cache.l2.evicted,
-            l2_occupancy: cache.l2.occupancy,
-            infra_key_hits: cache.infra.key_hits,
-            infra_referral_hits: cache.infra.referral_hits,
-            infra_referral_misses: cache.infra.referral_misses,
-            range_hits: cache.range.hits,
-            range_misses: cache.range.misses,
-            range_evicted: cache.range.evicted,
-            range_occupancy: cache.range.occupancy,
-        }
-    }
-}
-
 /// Traffic counters — the single source of `queries_per_domain`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 #[non_exhaustive]
@@ -316,44 +254,6 @@ impl TrafficStats {
 }
 
 impl StatsSnapshot {
-    /// Assemble a snapshot from the merged aggregate's results and the
-    /// live counters (crate-internal: snapshots are measured, not
-    /// built).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        seq: u64,
-        vtime_ms: u64,
-        complete: bool,
-        scale: u32,
-        results: ScanResults,
-        cache: &ScanCacheReport,
-        resolutions: usize,
-        traffic: (u64, u64, u64),
-        sweep: Option<&SweepReport>,
-        query_log: QueryLogStats,
-    ) -> StatsSnapshot {
-        StatsSnapshot {
-            schema_version: SCHEMA_VERSION,
-            seq,
-            vtime_ms,
-            complete,
-            scale,
-            fingerprint: results.fingerprint,
-            ede: results.ede,
-            tlds: results.tlds,
-            ranks: results.ranks,
-            cache: CacheTierStats::from_report(cache),
-            traffic: TrafficStats {
-                resolutions,
-                queries: traffic.0,
-                delivered: traffic.1,
-                failed: traffic.2,
-                sweep: sweep.cloned(),
-            },
-            query_log,
-        }
-    }
-
     /// Upstream queries per registered domain — the paper's §5 cost
     /// metric, derived once here for every consumer (report, bench,
     /// binaries).
@@ -365,7 +265,7 @@ impl StatsSnapshot {
     /// EDE breakdown, TLD ratios, and the rank curve. Performance facts
     /// (cache tiers, traffic, query-log occupancy) and snapshot
     /// provenance (`seq`, `vtime_ms`) are excluded — they legitimately
-    /// differ across worker counts and cadences.
+    /// differ across worker counts and cache configurations.
     pub fn same_results(&self, other: &StatsSnapshot) -> bool {
         self.fingerprint == other.fingerprint
             && self.ede == other.ede
@@ -467,22 +367,22 @@ impl StatsSnapshot {
         let _ = writeln!(
             out,
             "    \"l1\": {{ \"hits\": {}, \"misses\": {}, \"capacity_flips\": {} }},",
-            c.l1_hits, c.l1_misses, c.l1_capacity_flips
+            c.l1.hits, c.l1.misses, c.l1.capacity_flips
         );
         let _ = writeln!(
             out,
             "    \"l2\": {{ \"hits\": {}, \"misses\": {}, \"stale_served\": {}, \"expired\": {}, \"evicted\": {}, \"occupancy\": {} }},",
-            c.l2_hits, c.l2_misses, c.l2_stale_served, c.l2_expired, c.l2_evicted, c.l2_occupancy
+            c.l2.hits, c.l2.misses, c.l2.stale_served, c.l2.expired, c.l2.evicted, c.l2.occupancy
         );
         let _ = writeln!(
             out,
             "    \"infra\": {{ \"key_hits\": {}, \"referral_hits\": {}, \"referral_misses\": {} }},",
-            c.infra_key_hits, c.infra_referral_hits, c.infra_referral_misses
+            c.infra.key_hits, c.infra.referral_hits, c.infra.referral_misses
         );
         let _ = writeln!(
             out,
             "    \"ranges\": {{ \"hits\": {}, \"misses\": {}, \"evicted\": {}, \"occupancy\": {} }}",
-            c.range_hits, c.range_misses, c.range_evicted, c.range_occupancy
+            c.range.hits, c.range.misses, c.range.evicted, c.range.occupancy
         );
         let _ = writeln!(out, "  }},");
 
@@ -519,6 +419,16 @@ impl StatsSnapshot {
         );
         out.push_str("}\n");
         out
+    }
+
+    /// [`to_json`](Self::to_json) on a single line, for JSONL files
+    /// (the document has no string that could contain a newline).
+    pub fn to_json_line(&self) -> String {
+        self.to_json()
+            .lines()
+            .map(str::trim_start)
+            .collect::<Vec<_>>()
+            .join(" ")
     }
 }
 

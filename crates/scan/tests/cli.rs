@@ -16,6 +16,7 @@ fn repro_scan(args: &[&str]) -> Output {
 fn unknown_flags_and_bad_values_exit_2_with_usage() {
     for args in [
         &["1000000", "--fingerprint", "--no-l2"][..], // retired or mistyped flag
+        &["1000000", "--fingerprint", "--cadence=30"], // retired with the snapshot sinks
         &["1000000", "--fingerprint", "--cache-budget"], // value missing
         &["1000000", "--fingerprint", "--cache-budget=lots"], // value unparsable
         &["1000000", "--fingerprint=yes"],            // value on a switch
@@ -41,7 +42,6 @@ fn every_documented_flag_is_still_accepted() {
         "--synthesize",
         "--sweep=0.5",
         "--range-budget=64",
-        "--cadence=30",
         "--log-capacity=100",
         "--query=code=23,tld=com",
     ]);
@@ -49,6 +49,81 @@ fn every_documented_flag_is_still_accepted() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.starts_with("fingerprint "), "{stdout}");
     assert!(stdout.contains("query [code=23,tld=com]"), "{stdout}");
+}
+
+/// `--snapshots=PATH` leaves the scan's two snapshot documents: pass 1
+/// (`complete: false`), then the final one with the scan's fingerprint.
+#[test]
+fn snapshots_file_holds_the_pass1_and_final_documents() {
+    let path = std::env::temp_dir().join(format!("ede-cli-snapshots-{}.jsonl", std::process::id()));
+    let out = repro_scan(&[
+        "1000000",
+        "--fingerprint",
+        &format!("--snapshots={}", path.display()),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let fingerprint = stdout
+        .split_whitespace()
+        .nth(1)
+        .expect("fingerprint printed");
+    let body = std::fs::read_to_string(&path).expect("snapshots written");
+    std::fs::remove_file(&path).ok();
+    let lines: Vec<&str> = body.lines().collect();
+    assert_eq!(lines.len(), 2, "{body}");
+    for line in &lines {
+        assert!(line.starts_with("{ \"schema_version\": 1,"), "{line}");
+    }
+    assert!(lines[0].contains("\"complete\": false"), "{}", lines[0]);
+    assert!(lines[1].contains("\"complete\": true"), "{}", lines[1]);
+    assert!(
+        lines[1].contains(&format!("\"fingerprint\": \"{fingerprint}\"")),
+        "{}",
+        lines[1]
+    );
+}
+
+/// A `--query` over a ring that rotated records out must say how many
+/// records the filter never saw and where they went — not print counts
+/// from the truncated ring as if they were the scan's.
+#[test]
+fn query_over_a_truncated_ring_says_what_it_never_saw() {
+    let out = repro_scan(&[
+        "1000000",
+        "--fingerprint",
+        "--log-capacity=100",
+        "--query=pass=1",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("query [pass=1]"), "{stdout}");
+    let caveat = stdout
+        .lines()
+        .find(|l| l.contains("not seen:"))
+        .unwrap_or_else(|| panic!("no caveat for a 100-record ring: {stdout}"));
+    assert!(caveat.contains("dropped"), "{caveat}");
+    assert!(caveat.contains("--log-capacity"), "{caveat}");
+
+    let spill = std::env::temp_dir().join(format!("ede-cli-spill-{}.jsonl", std::process::id()));
+    let out = repro_scan(&[
+        "1000000",
+        "--fingerprint",
+        "--log-capacity=100",
+        &format!("--log-spill={}", spill.display()),
+        "--query=pass=1",
+    ]);
+    std::fs::remove_file(&spill).ok();
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let caveat = stdout
+        .lines()
+        .find(|l| l.contains("not seen:"))
+        .unwrap_or_else(|| panic!("no caveat for a spilled ring: {stdout}"));
+    assert!(caveat.contains("spilled"), "{caveat}");
+    assert!(
+        caveat.contains(&format!("troubleshoot --log {}", spill.display())),
+        "{caveat}"
+    );
 }
 
 fn repro_chaos(args: &[&str]) -> Output {

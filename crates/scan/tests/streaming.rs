@@ -1,10 +1,8 @@
 //! Streaming-analytics contracts (see `docs/OBSERVABILITY.md`):
 //!
-//! * the streaming aggregation is **bit-identical to the batch fold**
-//!   at every (workers, inflight) cross-point, with sinks attached and
-//!   the sweep running;
-//! * the export **cadence cannot change results** — only how many
-//!   mid-scan progress snapshots fan out;
+//! * the streaming aggregation is **bit-identical to the one-worker
+//!   scan** at every (workers, inflight) cross-point — the pass-1
+//!   snapshot as well as the final one — and with the sweep running;
 //! * the query-log ring is **bounded**: a capacity far below the record
 //!   count keeps peak occupancy at the cap, spills rotated records as
 //!   loadable JSONL, and still produces a fingerprint-identical report;
@@ -13,19 +11,17 @@
 
 use ede_scan::aggregate::PartialAggregate;
 use ede_scan::query::load_jsonl;
-use ede_scan::scanner::{scan, scan_streaming, ScanConfig};
+use ede_scan::scanner::{scan, ScanConfig};
 use ede_scan::{Population, PopulationConfig, QueryRecord};
-use ede_trace::{MemorySnapshotSink, SnapshotSink};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 fn tiny_pop() -> Population {
     Population::generate(PopulationConfig::tiny())
 }
 
-/// Streaming (sinks attached, tight cadence) must equal the plain batch
-/// scan at every (workers, inflight) cross-point — including a sweep
-/// leg, which must also agree with itself across configurations.
+/// Every (workers, inflight) cross-point must equal the one-worker
+/// scan, in the pass-1 snapshot as in the final one — including a
+/// sweep leg, which must also agree with itself across configurations.
 #[test]
 fn streaming_is_bit_identical_to_batch_at_every_cross_point() {
     let pop = tiny_pop();
@@ -35,21 +31,16 @@ fn streaming_is_bit_identical_to_batch_at_every_cross_point() {
         &baseline_world,
         &ScanConfig::builder().workers(1).build(),
     );
+    // Pass 1 leaves the revisit categories unfolded.
+    assert!(baseline.pass1.ede.total_domains < baseline.stats.ede.total_domains);
 
     for (workers, inflight) in [(1, 1), (4, 1), (8, 1), (1, 32), (1, 256), (4, 16)] {
-        let sink = Arc::new(MemorySnapshotSink::new());
         let world = ede_scan::ScanWorld::build(&pop);
         let config = ScanConfig::builder()
             .workers(workers)
             .inflight(inflight)
-            .snapshot_cadence_secs(1)
             .build();
-        let streaming = scan_streaming(
-            &pop,
-            &world,
-            &config,
-            &[Arc::clone(&sink) as Arc<dyn SnapshotSink>],
-        );
+        let streaming = scan(&pop, &world, &config);
         assert!(
             baseline.stats.same_results(&streaming.stats),
             "results diverged at workers={workers} inflight={inflight}"
@@ -64,15 +55,17 @@ fn streaming_is_bit_identical_to_batch_at_every_cross_point() {
             "records diverged at workers={workers} inflight={inflight}"
         );
         assert_eq!(baseline.traffic, streaming.traffic);
-        // The final complete snapshot reached the sink.
-        let entries = sink.entries();
-        assert!(!entries.is_empty(), "nothing exported");
-        let last = &entries[entries.len() - 1].json;
-        assert!(last.contains("\"complete\": true"), "final export missing");
-        assert!(last.contains(&format!(
-            "\"fingerprint\": \"{:016x}\"",
-            streaming.stats.fingerprint
-        )));
+        // The pass-1 snapshot is read when pass 1 has joined, so it is
+        // as independent of worker timing as the final one.
+        assert!(!streaming.pass1.complete && streaming.stats.complete);
+        assert!(
+            baseline.pass1.same_results(&streaming.pass1),
+            "pass-1 results diverged at workers={workers} inflight={inflight}"
+        );
+        assert_eq!(
+            baseline.pass1.traffic, streaming.pass1.traffic,
+            "pass-1 traffic diverged at workers={workers} inflight={inflight}"
+        );
     }
 
     // Sweep cross-point: synthesis + sweep streaming at two
@@ -85,15 +78,8 @@ fn streaming_is_bit_identical_to_batch_at_every_cross_point() {
             .workers(workers)
             .inflight(inflight)
             .sweep_ratio(1.5)
-            .snapshot_cadence_secs(1)
             .build();
-        let sink = Arc::new(MemorySnapshotSink::new());
-        scan_streaming(
-            &pop,
-            &world,
-            &config,
-            &[Arc::clone(&sink) as Arc<dyn SnapshotSink>],
-        )
+        scan(&pop, &world, &config)
     };
     let sweep_a = run_sweep(1, 1);
     let sweep_b = run_sweep(4, 16);
@@ -102,45 +88,6 @@ fn streaming_is_bit_identical_to_batch_at_every_cross_point() {
     assert_eq!(sweep_a.traffic, sweep_b.traffic);
     // And the sweep leg's *results* equal the sweep-free baseline.
     assert!(baseline.stats.same_results(&sweep_a.stats));
-}
-
-/// The export cadence is an observability knob, never a results knob:
-/// 0 (final-only), 1 s, and 7 s cadences must produce identical final
-/// snapshots — only the number of mid-scan exports may differ.
-#[test]
-fn export_cadence_cannot_change_results() {
-    let pop = tiny_pop();
-    let mut fingerprints = Vec::new();
-    let mut exports = Vec::new();
-    for cadence in [0u64, 1, 7] {
-        let sink = Arc::new(MemorySnapshotSink::new());
-        let world = ede_scan::ScanWorld::build(&pop);
-        let config = ScanConfig::builder()
-            .workers(4)
-            .snapshot_cadence_secs(cadence)
-            .build();
-        let result = scan_streaming(
-            &pop,
-            &world,
-            &config,
-            &[Arc::clone(&sink) as Arc<dyn SnapshotSink>],
-        );
-        fingerprints.push(result.stats.fingerprint);
-        exports.push(sink.len());
-        // Every exported document is internally consistent JSON with
-        // the pinned schema version.
-        for entry in sink.entries() {
-            assert!(entry.json.starts_with('{'), "not a JSON document");
-            assert!(entry.json.contains("\"schema_version\": 1"));
-        }
-    }
-    assert_eq!(fingerprints[0], fingerprints[1]);
-    assert_eq!(fingerprints[1], fingerprints[2]);
-    // Cadence 0 exports exactly the final snapshot; cadence 1 at least
-    // as many as cadence 7.
-    assert_eq!(exports[0], 1, "cadence 0 must export final-only");
-    assert!(exports[1] >= exports[2], "tighter cadence exported less");
-    assert!(exports[1] > 1, "1 s cadence never exported mid-scan");
 }
 
 /// A ring far smaller than the record count: bounded peak occupancy,

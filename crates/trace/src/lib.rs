@@ -45,7 +45,6 @@
 #![warn(missing_docs)]
 
 pub mod event;
-pub mod export;
 mod histogram;
 pub mod json;
 pub mod metrics;
@@ -53,7 +52,6 @@ pub mod server;
 pub mod sink;
 
 pub use event::{CacheOutcome, TimedEvent, TraceEvent};
-pub use export::{JsonlSnapshotWriter, MemorySnapshotSink, SnapshotEntry, SnapshotSink};
 pub use histogram::Histogram;
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use server::{ServerMetrics, ServerMetricsSnapshot};

@@ -81,8 +81,8 @@ pub mod prelude {
         VendorProfile,
     };
     pub use ede_scan::{
-        scan, scan_streaming, ChaosConfig, Population, PopulationConfig, QueryFilter, QueryRecord,
-        ScanConfig, ScanConfigBuilder, ScanResult, ScanWorld, StatsSnapshot,
+        scan, ChaosConfig, Population, PopulationConfig, QueryFilter, QueryRecord, ScanConfig,
+        ScanConfigBuilder, ScanResult, ScanWorld, StatsSnapshot,
     };
     pub use ede_server::{
         ProbeClient, Server, ServerConfig, ServerConfigBuilder, ServerError, ServerHandle,
@@ -90,8 +90,7 @@ pub mod prelude {
     };
     pub use ede_testbed::Testbed;
     pub use ede_trace::{
-        Metrics, ResolutionTrace, ServerMetrics, ServerMetricsSnapshot, SnapshotSink, TraceEvent,
-        TraceSink,
+        Metrics, ResolutionTrace, ServerMetrics, ServerMetricsSnapshot, TraceEvent, TraceSink,
     };
     pub use ede_wire::{EdeCode, EdeEntry, Message, Name, Rcode, RrType, WireError};
     pub use ede_zone::{ParseError, ParseErrorKind};
