@@ -1,18 +1,14 @@
 //! Composable, deterministic fault plans for the simulated network.
 //!
 //! A [`FaultPlan`] describes *how the network degrades* independently of
-//! the servers attached to it: uniform loss, clock-scheduled loss
-//! bursts, latency spikes, flapping links, hard blackhole windows,
-//! response corruption, and a response-size model that truncates UDP
-//! replies exceeding the negotiated EDNS payload size.
+//! the servers attached to it: uniform loss, response corruption, and a
+//! response-size model that truncates UDP replies exceeding the
+//! negotiated EDNS payload size.
 //!
 //! Every probabilistic decision is a deterministic FNV-1a hash over
-//! `(plan seed, fault kind, destination, message id, qname)` — the same
-//! scheme the base transport uses for its `loss_rate` — so a run with a
-//! given seed reproduces bit-for-bit. Scheduled faults (bursts, spikes,
-//! flaps, blackholes) are windows on the **virtual clock**, measured
-//! from the instant the plan was attached with
-//! [`crate::Network::set_fault_plan`].
+//! `(plan seed, fault kind, destination, message id, qname)`, so a run
+//! with a given seed and query stream reproduces bit-for-bit. No
+//! decision reads the clock.
 //!
 //! Attach a plan to a [`crate::Network`] and watch it fire through the
 //! `FaultInjected` trace events; [`crate::TrafficStats`] counts the same
@@ -20,71 +16,6 @@
 
 use ede_wire::Message;
 use std::net::IpAddr;
-
-/// Which destinations a scheduled fault applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultTarget {
-    /// Every destination on the network.
-    All,
-    /// One specific server address (a mid-resolution NS blackhole).
-    Addr(IpAddr),
-}
-
-impl FaultTarget {
-    /// Does this target cover `dst`?
-    pub fn matches(&self, dst: IpAddr) -> bool {
-        match self {
-            FaultTarget::All => true,
-            FaultTarget::Addr(a) => *a == dst,
-        }
-    }
-}
-
-/// A window of elevated loss on the virtual clock.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LossBurst {
-    /// Window start, milliseconds after plan attachment.
-    pub start_ms: u64,
-    /// Window end (exclusive), milliseconds after plan attachment.
-    pub end_ms: u64,
-    /// Loss probability in `[0, 1]` while the window is active.
-    pub rate: f64,
-}
-
-/// A window of added one-way latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LatencySpike {
-    /// Window start, milliseconds after plan attachment.
-    pub start_ms: u64,
-    /// Window end (exclusive), milliseconds after plan attachment.
-    pub end_ms: u64,
-    /// Extra latency charged per delivered exchange in the window.
-    pub extra_ms: u64,
-}
-
-/// A periodically flapping link: within every `period_ms` cycle the
-/// target is unreachable for the first `down_ms`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkFlap {
-    /// Which destinations flap.
-    pub target: FaultTarget,
-    /// Full up+down cycle length, milliseconds.
-    pub period_ms: u64,
-    /// Leading portion of each cycle during which the link is down.
-    pub down_ms: u64,
-}
-
-/// A hard unreachability window for a target — the "NS goes dark
-/// mid-resolution" scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Blackhole {
-    /// Which destinations go dark.
-    pub target: FaultTarget,
-    /// Window start, milliseconds after plan attachment.
-    pub start_ms: u64,
-    /// Window end (exclusive), milliseconds after plan attachment.
-    pub end_ms: u64,
-}
 
 /// A composable, deterministic fault plan.
 ///
@@ -101,14 +32,6 @@ pub struct FaultPlan {
     /// Probability in `[0, 1]` that a delivered reply arrives garbled —
     /// modeled as the server answering FORMERR with empty sections.
     pub corrupt: f64,
-    /// Scheduled loss windows.
-    pub bursts: Vec<LossBurst>,
-    /// Scheduled latency windows.
-    pub spikes: Vec<LatencySpike>,
-    /// Flapping links.
-    pub flaps: Vec<LinkFlap>,
-    /// Hard unreachability windows.
-    pub blackholes: Vec<Blackhole>,
     /// Response-size model: when set, a UDP reply larger than
     /// `min(this, the client's advertised EDNS payload size)` is
     /// replaced by its TC=1 truncation (the stream channel is exempt).
@@ -128,19 +51,14 @@ impl FaultPlan {
             seed,
             loss: 0.0,
             corrupt: 0.0,
-            bursts: Vec::new(),
-            spikes: Vec::new(),
-            flaps: Vec::new(),
-            blackholes: Vec::new(),
             udp_payload_limit: None,
         }
     }
 
-    /// A plan whose probabilistic knobs all scale with one `intensity`
-    /// in `[0, 1]`: loss = intensity, corruption = intensity / 4, and —
-    /// above zero — the RFC 9715-recommended 1232-byte payload cap so
-    /// oversized answers exercise the TC/stream path. Intensity 0 is the
-    /// no-op plan.
+    /// A plan set from one `intensity` in `[0, 1]`: loss = intensity,
+    /// corruption = intensity / 4, and — above zero — the RFC
+    /// 9715-recommended 1232-byte payload cap so oversized answers
+    /// exercise the TC/stream path. Intensity 0 is the no-op plan.
     pub fn intensity(seed: u64, intensity: f64) -> Self {
         let i = intensity.clamp(0.0, 1.0);
         let mut plan = FaultPlan::new(seed);
@@ -164,30 +82,6 @@ impl FaultPlan {
         self
     }
 
-    /// Add a scheduled loss burst.
-    pub fn with_burst(mut self, burst: LossBurst) -> Self {
-        self.bursts.push(burst);
-        self
-    }
-
-    /// Add a scheduled latency spike.
-    pub fn with_spike(mut self, spike: LatencySpike) -> Self {
-        self.spikes.push(spike);
-        self
-    }
-
-    /// Add a flapping link.
-    pub fn with_flap(mut self, flap: LinkFlap) -> Self {
-        self.flaps.push(flap);
-        self
-    }
-
-    /// Add a hard blackhole window.
-    pub fn with_blackhole(mut self, hole: Blackhole) -> Self {
-        self.blackholes.push(hole);
-        self
-    }
-
     /// Enable the response-size model with the given link-level cap.
     pub fn with_udp_payload_limit(mut self, limit: u16) -> Self {
         self.udp_payload_limit = Some(limit);
@@ -196,62 +90,17 @@ impl FaultPlan {
 
     /// True when the plan can never change any exchange.
     pub fn is_noop(&self) -> bool {
-        self.loss <= 0.0
-            && self.corrupt <= 0.0
-            && self.bursts.is_empty()
-            && self.spikes.is_empty()
-            && self.flaps.is_empty()
-            && self.blackholes.is_empty()
-            && self.udp_payload_limit.is_none()
+        self.loss <= 0.0 && self.corrupt <= 0.0 && self.udp_payload_limit.is_none()
     }
 
-    /// Scheduled unreachability: the fault kind tag (`"flap"` or
-    /// `"blackhole"`) when `dst` is dark `at_ms` after plan attachment.
-    pub fn unreachable_at(&self, dst: IpAddr, at_ms: u64) -> Option<&'static str> {
-        for hole in &self.blackholes {
-            if hole.target.matches(dst) && (hole.start_ms..hole.end_ms).contains(&at_ms) {
-                return Some("blackhole");
-            }
-        }
-        for flap in &self.flaps {
-            if flap.target.matches(dst)
-                && flap.period_ms > 0
-                && at_ms % flap.period_ms < flap.down_ms
-            {
-                return Some("flap");
-            }
-        }
-        None
-    }
-
-    /// Probabilistic loss: the fault kind tag (`"loss"` or `"burst"`)
-    /// when this exchange is to be dropped.
-    pub fn lose_at(&self, dst: IpAddr, at_ms: u64, query: &Message) -> Option<&'static str> {
-        if self.loss > 0.0 && self.decide(1, dst, query) < self.loss {
-            return Some("loss");
-        }
-        for burst in &self.bursts {
-            if (burst.start_ms..burst.end_ms).contains(&at_ms)
-                && self.decide(2, dst, query) < burst.rate
-            {
-                return Some("burst");
-            }
-        }
-        None
+    /// Probabilistic loss: is this exchange to be dropped?
+    pub fn loses(&self, dst: IpAddr, query: &Message) -> bool {
+        self.loss > 0.0 && self.decide(1, dst, query) < self.loss
     }
 
     /// Should this delivered reply come back garbled (FORMERR)?
-    pub fn corrupt_at(&self, dst: IpAddr, query: &Message) -> bool {
+    pub fn corrupts(&self, dst: IpAddr, query: &Message) -> bool {
         self.corrupt > 0.0 && self.decide(3, dst, query) < self.corrupt
-    }
-
-    /// Total extra latency scheduled `at_ms` after plan attachment.
-    pub fn spike_extra_at(&self, at_ms: u64) -> u64 {
-        self.spikes
-            .iter()
-            .filter(|s| (s.start_ms..s.end_ms).contains(&at_ms))
-            .map(|s| s.extra_ms)
-            .sum()
     }
 
     /// The effective UDP payload limit negotiated for `query`, when the
@@ -301,10 +150,8 @@ mod tests {
     fn empty_plan_is_noop() {
         let plan = FaultPlan::new(1);
         assert!(plan.is_noop());
-        assert_eq!(plan.unreachable_at(ip(), 0), None);
-        assert_eq!(plan.lose_at(ip(), 0, &q(1)), None);
-        assert!(!plan.corrupt_at(ip(), &q(1)));
-        assert_eq!(plan.spike_extra_at(0), 0);
+        assert!(!plan.loses(ip(), &q(1)));
+        assert!(!plan.corrupts(ip(), &q(1)));
         assert_eq!(plan.negotiated_limit(&q(1)), None);
         assert!(FaultPlan::intensity(9, 0.0).is_noop());
     }
@@ -312,12 +159,8 @@ mod tests {
     #[test]
     fn decisions_are_deterministic_and_calibrated() {
         let plan = FaultPlan::new(42).with_loss(0.3);
-        let first: Vec<bool> = (0..500)
-            .map(|i| plan.lose_at(ip(), 0, &q(i)).is_some())
-            .collect();
-        let again: Vec<bool> = (0..500)
-            .map(|i| plan.lose_at(ip(), 0, &q(i)).is_some())
-            .collect();
+        let first: Vec<bool> = (0..500).map(|i| plan.loses(ip(), &q(i))).collect();
+        let again: Vec<bool> = (0..500).map(|i| plan.loses(ip(), &q(i))).collect();
         assert_eq!(first, again);
         let lost = first.iter().filter(|&&l| l).count();
         assert!(
@@ -328,44 +171,9 @@ mod tests {
         // Loss and corruption draws are independent (different salts).
         let both = FaultPlan::new(42).with_loss(0.3).with_corruption(0.3);
         let disagree = (0..500)
-            .filter(|&i| both.lose_at(ip(), 0, &q(i)).is_some() != both.corrupt_at(ip(), &q(i)))
+            .filter(|&i| both.loses(ip(), &q(i)) != both.corrupts(ip(), &q(i)))
             .count();
         assert!(disagree > 100, "independent draws must diverge: {disagree}");
-    }
-
-    #[test]
-    fn windows_schedule_on_the_clock() {
-        let plan = FaultPlan::new(7)
-            .with_burst(LossBurst {
-                start_ms: 1_000,
-                end_ms: 2_000,
-                rate: 1.0,
-            })
-            .with_spike(LatencySpike {
-                start_ms: 500,
-                end_ms: 600,
-                extra_ms: 150,
-            })
-            .with_blackhole(Blackhole {
-                target: FaultTarget::Addr(ip()),
-                start_ms: 100,
-                end_ms: 200,
-            })
-            .with_flap(LinkFlap {
-                target: FaultTarget::All,
-                period_ms: 10_000,
-                down_ms: 2_500,
-            });
-
-        assert_eq!(plan.lose_at(ip(), 999, &q(1)), None);
-        assert_eq!(plan.lose_at(ip(), 1_500, &q(1)), Some("burst"));
-        assert_eq!(plan.spike_extra_at(550), 150);
-        assert_eq!(plan.spike_extra_at(600), 0);
-        assert_eq!(plan.unreachable_at(ip(), 150), Some("blackhole"));
-        let other: IpAddr = "198.51.100.7".parse().unwrap();
-        // The flap covers everything for the first quarter of each cycle.
-        assert_eq!(plan.unreachable_at(other, 12_000), Some("flap"));
-        assert_eq!(plan.unreachable_at(other, 5_000), None);
     }
 
     #[test]

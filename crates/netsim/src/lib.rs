@@ -11,18 +11,17 @@
 //!   (IANA registries, RFC 6890). The testbed's invalid-glue groups 6–7
 //!   are built directly on these ranges.
 //! * [`transport`] — the network itself: a routing table from `IpAddr` to
-//!   [`Server`] instances, with per-query latency, deterministic loss,
-//!   unroutability for special addresses, and a stream (TCP-analogue)
+//!   [`Server`] instances, with per-query latency, unroutability for
+//!   special addresses, and a stream (TCP-analogue)
 //!   channel for truncation fallback. Exchanges come in two shapes: the
 //!   blocking `query` call, and the event-driven `send`/`complete` pair
 //!   that lets one thread keep thousands of exchanges in flight.
 //! * [`completion`] — the deterministic completion-event queue the
 //!   event-driven shape schedules against (deadline order, FIFO among
 //!   ties). `docs/CONCURRENCY.md` specifies the full model.
-//! * [`fault`] — composable, deterministic fault plans scheduled on the
-//!   virtual clock: loss bursts, latency spikes, link flaps, NS
-//!   blackholes, response corruption, and the response-size model that
-//!   sets the TC bit on oversized UDP replies.
+//! * [`fault`] — composable, deterministic fault plans: uniform loss,
+//!   response corruption, and the response-size model that sets the TC
+//!   bit on oversized UDP replies.
 //!
 //! The design is sans-IO in the smoltcp tradition: servers are state
 //! machines handling one message at a time; no sockets, no threads, no
@@ -40,7 +39,7 @@ pub mod transport;
 pub use addr::{classify, AddrClass, SpecialUse};
 pub use clock::SimClock;
 pub use completion::CompletionQueue;
-pub use fault::{Blackhole, FaultPlan, FaultTarget, LatencySpike, LinkFlap, LossBurst};
+pub use fault::FaultPlan;
 pub use transport::{
     CapturedQuery, InFlight, NetError, Network, NetworkBuilder, NetworkConfig, Server,
     ServerResponse, TrafficSnapshot, TrafficStats,

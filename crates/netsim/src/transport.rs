@@ -1,5 +1,5 @@
-//! The simulated network: routing, latency, loss, timeouts, fault
-//! plans, and the stream (TCP-analogue) channel.
+//! The simulated network: routing, latency, timeouts, fault plans, and
+//! the stream (TCP-analogue) channel.
 
 use crate::addr::classify;
 use crate::clock::SimClock;
@@ -69,12 +69,6 @@ pub struct NetworkConfig {
     /// How long a client waits before declaring a timeout, in
     /// milliseconds.
     pub timeout_ms: u64,
-    /// Probability in [0, 1] that any given query is lost. Loss is
-    /// decided by a deterministic hash of (seed, dst, query id, qname),
-    /// so runs reproduce exactly.
-    pub loss_rate: f64,
-    /// Seed for the deterministic loss decision.
-    pub seed: u64,
 }
 
 impl Default for NetworkConfig {
@@ -82,8 +76,6 @@ impl Default for NetworkConfig {
         NetworkConfig {
             rtt_ms: 20,
             timeout_ms: 2_000,
-            loss_rate: 0.0,
-            seed: 0x0EDE,
         }
     }
 }
@@ -133,24 +125,22 @@ impl NetworkBuilder {
 }
 
 /// The fault-plan slot, same shape as [`ede_trace::TracerCell`]: no plan attached
-/// costs one atomic load per query. The attached plan is paired with
-/// the clock reading at attachment time, so plan windows are relative
-/// offsets ("a blackhole 5–10 s into the run").
+/// costs one atomic load per query.
 #[derive(Default)]
 struct FaultCell {
     enabled: std::sync::atomic::AtomicBool,
-    slot: std::sync::RwLock<Option<(Arc<FaultPlan>, u64)>>,
+    slot: std::sync::RwLock<Option<Arc<FaultPlan>>>,
 }
 
 impl FaultCell {
-    fn set(&self, plan: Option<(Arc<FaultPlan>, u64)>) {
+    fn set(&self, plan: Option<Arc<FaultPlan>>) {
         use std::sync::atomic::Ordering;
         let on = plan.is_some();
         *self.slot.write().expect("no poisoning") = plan;
         self.enabled.store(on, Ordering::Release);
     }
 
-    fn get(&self) -> Option<(Arc<FaultPlan>, u64)> {
+    fn get(&self) -> Option<Arc<FaultPlan>> {
         use std::sync::atomic::Ordering;
         if !self.enabled.load(Ordering::Acquire) {
             return None;
@@ -213,8 +203,8 @@ pub struct TrafficStats {
     /// UDP replies replaced by their TC=1 truncation by the
     /// response-size model.
     pub truncated: std::sync::atomic::AtomicU64,
-    /// Fault-plan decisions that fired (loss, burst, flap, blackhole,
-    /// corruption, spike) — one per `FaultInjected` trace event.
+    /// Fault-plan decisions that fired (loss, corruption) — one per
+    /// `FaultInjected` trace event.
     pub faults: std::sync::atomic::AtomicU64,
 }
 
@@ -363,22 +353,16 @@ impl Network {
         self.tracer.set(Tracer::disabled());
     }
 
-    /// Attach a fault plan. The plan's scheduled windows are measured
-    /// from the virtual-clock instant of this call. A no-op plan (see
-    /// [`FaultPlan::is_noop`]) is dropped outright, keeping the
-    /// fault-free fast path at one atomic load.
+    /// Attach a fault plan. A no-op plan (see [`FaultPlan::is_noop`])
+    /// is dropped outright, keeping the fault-free fast path at one
+    /// atomic load.
     pub fn set_fault_plan(&self, plan: FaultPlan) {
-        if plan.is_noop() {
-            self.faults.set(None);
-        } else {
-            self.faults
-                .set(Some((Arc::new(plan), self.clock.now_millis())));
-        }
+        self.faults.set((!plan.is_noop()).then(|| Arc::new(plan)));
     }
 
     /// The currently attached fault plan, if any.
     pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        self.faults.get().map(|(plan, _)| plan)
+        self.faults.get()
     }
 
     /// The currently attached tracer (cheap clone; disabled when no
@@ -402,9 +386,9 @@ impl Network {
     ///
     /// All *send-time* effects happen here — the query counter, capture,
     /// the `QuerySent` trace event, routability and fault-plan checks,
-    /// the deterministic loss decision, and the server's handler (servers
-    /// are synchronous state machines, so the reply is computed at send
-    /// time; only its *observation* is deferred). The returned
+    /// and the server's handler (servers are synchronous state machines,
+    /// so the reply is computed at send time; only its *observation* is
+    /// deferred). The returned
     /// [`InFlight`] token carries the absolute virtual-clock deadline at
     /// which the outcome becomes observable: one RTT after the send for a
     /// delivered exchange, the full timeout for every failure. Park it in
@@ -420,10 +404,10 @@ impl Network {
 
     /// Stream-channel (TCP-analogue) counterpart of [`Network::send`].
     ///
-    /// Streams cost one extra RTT for connection setup, are exempt from
-    /// per-datagram loss, corruption, and the response-size model (a
-    /// real TCP connection retransmits and carries any size), but still
-    /// fail while the destination is flapped or blackholed.
+    /// Streams cost one extra RTT for connection setup and are exempt
+    /// from the fault plan — loss, corruption and the response-size
+    /// model are per-datagram; a real TCP connection retransmits and
+    /// carries any size.
     pub fn send_stream(&self, dst: IpAddr, src: IpAddr, query: &Message) -> InFlight {
         self.exchange(Channel::Stream, dst, src, query)
     }
@@ -477,26 +461,14 @@ impl Network {
         let Some(server) = self.routes.get(&dst) else {
             return fail(tracer, qname, false, NetError::Timeout);
         };
-        let fault = self.faults.get();
-        if let Some((plan, epoch_ms)) = &fault {
-            let at_ms = now_ms.saturating_sub(*epoch_ms);
-            if let Some(kind) = plan.unreachable_at(dst, at_ms) {
-                self.inject(&tracer, kind, dst);
+        // Loss, corruption and the response-size model are
+        // per-datagram: a stream retransmits and carries any size.
+        let plan = if datagram { self.faults.get() } else { None };
+        if let Some(plan) = &plan {
+            if plan.loses(dst, query) {
+                self.inject(&tracer, "loss", dst);
                 return fail(tracer, qname, false, NetError::Timeout);
             }
-        }
-        // Loss, corruption, the response-size model and latency spikes
-        // are per-datagram: a stream retransmits and carries any size.
-        let per_datagram = fault.as_ref().filter(|_| datagram);
-        if let Some((plan, epoch_ms)) = per_datagram {
-            let at_ms = now_ms.saturating_sub(*epoch_ms);
-            if let Some(kind) = plan.lose_at(dst, at_ms, query) {
-                self.inject(&tracer, kind, dst);
-                return fail(tracer, qname, false, NetError::Timeout);
-            }
-        }
-        if datagram && self.lose(dst, query) {
-            return fail(tracer, qname, false, NetError::Timeout);
         }
         let now_secs = self.clock.now_secs();
         let response = if datagram {
@@ -508,13 +480,13 @@ impl Network {
             return fail(tracer, qname, false, NetError::Timeout);
         };
         // A stream pays one more round trip, for connection setup.
-        let mut latency_ms = if datagram {
+        let latency_ms = if datagram {
             self.config.rtt_ms
         } else {
             2 * self.config.rtt_ms
         };
-        if let Some((plan, epoch_ms)) = per_datagram {
-            if plan.corrupt_at(dst, query) {
+        if let Some(plan) = &plan {
+            if plan.corrupts(dst, query) {
                 self.inject(&tracer, "corrupt", dst);
                 let mut garbled = Message::response_to(query);
                 garbled.rcode = Rcode::FormErr;
@@ -530,12 +502,6 @@ impl Network {
                     msg = msg.truncated_copy();
                     self.stats.truncated.fetch_add(1, Relaxed);
                 }
-            }
-            let at_ms = now_ms.saturating_sub(*epoch_ms);
-            let extra = plan.spike_extra_at(at_ms);
-            if extra > 0 {
-                self.inject(&tracer, "spike", dst);
-                latency_ms += extra;
             }
         }
         InFlight {
@@ -601,29 +567,6 @@ impl Network {
             kind: kind.to_string(),
             dst,
         });
-    }
-
-    /// Deterministic loss decision (FNV-1a over the flow tuple).
-    fn lose(&self, dst: IpAddr, query: &Message) -> bool {
-        if self.config.loss_rate <= 0.0 {
-            return false;
-        }
-        let mut h: u64 = 0xcbf29ce484222325 ^ self.config.seed;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        match dst {
-            IpAddr::V4(a) => mix(&a.octets()),
-            IpAddr::V6(a) => mix(&a.octets()),
-        }
-        mix(&query.id.to_be_bytes());
-        if let Some(q) = query.first_question() {
-            mix(&q.name.to_wire());
-        }
-        (h as f64 / u64::MAX as f64) < self.config.loss_rate
     }
 }
 
@@ -843,37 +786,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn loss_is_deterministic_and_roughly_calibrated() {
-        let mut b = NetworkBuilder::new();
-        b.register("93.184.216.34".parse().unwrap(), Arc::new(Echo));
-        let net = b
-            .config(NetworkConfig {
-                loss_rate: 0.3,
-                ..Default::default()
-            })
-            .build(SimClock::new());
-
-        let outcomes: Vec<bool> = (0..500)
-            .map(|i| {
-                net.query("93.184.216.34".parse().unwrap(), client(), &q(i))
-                    .is_ok()
-            })
-            .collect();
-        let again: Vec<bool> = (0..500)
-            .map(|i| {
-                net.query("93.184.216.34".parse().unwrap(), client(), &q(i))
-                    .is_ok()
-            })
-            .collect();
-        assert_eq!(outcomes, again, "loss must be deterministic per flow");
-        let delivered = outcomes.iter().filter(|&&ok| ok).count();
-        assert!(
-            (250..=450).contains(&delivered),
-            "~70% delivery expected, got {delivered}/500"
-        );
-    }
-
     /// A server whose answers are large enough to exceed any sane UDP
     /// payload cap.
     struct BigAnswer;
@@ -930,41 +842,6 @@ mod tests {
         // client's own 1232-byte advertisement.
         net.set_fault_plan(FaultPlan::new(1).with_udp_payload_limit(60_000));
         assert!(net.query(dst, client(), &q(1)).unwrap().truncated);
-    }
-
-    #[test]
-    fn blackhole_window_darkens_and_recovers() {
-        let dst: IpAddr = "93.184.216.34".parse().unwrap();
-        let mut b = NetworkBuilder::new();
-        b.register(dst, Arc::new(Echo));
-        let net = b
-            .config(NetworkConfig {
-                rtt_ms: 10,
-                timeout_ms: 100,
-                ..Default::default()
-            })
-            .build(SimClock::new());
-        net.set_fault_plan(FaultPlan::new(1).with_blackhole(crate::fault::Blackhole {
-            target: crate::fault::FaultTarget::Addr(dst),
-            start_ms: 0,
-            end_ms: 150,
-        }));
-
-        // Two timeouts burn 200 ms of virtual clock; the window closes.
-        assert_eq!(net.query(dst, client(), &q(1)), Err(NetError::Timeout));
-        assert_eq!(net.query(dst, client(), &q(2)), Err(NetError::Timeout));
-        assert!(net.query(dst, client(), &q(3)).is_ok());
-        // The stream channel was equally dark during the window.
-        net.set_fault_plan(FaultPlan::new(1).with_blackhole(crate::fault::Blackhole {
-            target: crate::fault::FaultTarget::All,
-            start_ms: 0,
-            end_ms: 50,
-        }));
-        assert_eq!(
-            net.query_stream(dst, client(), &q(4)),
-            Err(NetError::Timeout)
-        );
-        assert_eq!(net.stats().snapshot_full().faults, 3);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Resolver configuration: root hints, trust anchor, cache budgets,
-//! retry policy — constructed with [`ResolverConfig::default()`] or
+//! retry count — constructed with [`ResolverConfig::default()`] or
 //! [`ResolverConfig::with_roots()`], then adjusted field by field.
 
-use crate::retry::RetryPolicy;
 use ede_wire::{Name, Rdata};
 use std::net::IpAddr;
 
@@ -21,19 +20,19 @@ pub struct RootHint {
 /// [`ResolverConfig::default()`] or [`ResolverConfig::with_roots()`],
 /// then adjust individual public fields. Struct-literal construction
 /// outside this crate no longer compiles, which is what lets new knobs
-/// (like [`retry`]) land without a breaking change.
+/// (like [`retries_per_server`]) land without a breaking change.
 ///
 /// ```
-/// use ede_resolver::{ResolverConfig, RetryPolicy};
+/// use ede_resolver::ResolverConfig;
 ///
 /// let mut config = ResolverConfig::default();
 /// config.failure_ttl_secs = 900;
 /// config.qname_minimization = true;
-/// config.retry = RetryPolicy::default();
+/// config.retries_per_server = 4;
 /// assert_eq!(config.failure_ttl_secs, 900);
 /// ```
 ///
-/// [`retry`]: ResolverConfig::retry
+/// [`retries_per_server`]: ResolverConfig::retries_per_server
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct ResolverConfig {
@@ -76,12 +75,14 @@ pub struct ResolverConfig {
     /// Hard bound on range-tier entries (`None` = unbounded). Same
     /// CLOCK-eviction trade-off as [`max_cache_entries`](Self::max_cache_entries).
     pub max_range_entries: Option<usize>,
-    /// How failed exchanges are retried, backed off, and hedged. The
-    /// default is [`RetryPolicy::none()`] — one shot per server in
-    /// referral order, exactly the historical behaviour — so pinned
-    /// traces and the Table 4 matrix are unaffected. Opt into
-    /// [`RetryPolicy::default()`] for the hardened profile.
-    pub retry: RetryPolicy,
+    /// Extra attempts on the *same* server after a transient failure
+    /// (a timeout or FORMERR — the signatures of datagram loss and
+    /// corruption; a REFUSED or SERVFAIL is the server's considered
+    /// opinion and is never retried). The default is 0, one shot per
+    /// server in referral order, so pinned traces and the Table 4
+    /// matrix are unaffected; `docs/ROBUSTNESS.md` records the trial
+    /// that chose 4 for the chaos campaigns.
+    pub retries_per_server: usize,
 }
 
 impl Default for ResolverConfig {
@@ -97,7 +98,7 @@ impl Default for ResolverConfig {
             qname_minimization: false,
             synthesize_denial: false,
             max_range_entries: None,
-            retry: RetryPolicy::none(),
+            retries_per_server: 0,
         }
     }
 }
@@ -125,8 +126,8 @@ mod tests {
         // RFC 8198 synthesis is opt-in: pinned traces and fingerprints
         // must be unaffected by the range tier's existence.
         assert!(!c.synthesize_denial);
-        // The default retry policy must be the exact-compat baseline:
-        // golden traces and the Table 4 matrix depend on it.
-        assert_eq!(c.retry, RetryPolicy::none());
+        // One shot per server by default: golden traces and the
+        // Table 4 matrix depend on it.
+        assert_eq!(c.retries_per_server, 0);
     }
 }

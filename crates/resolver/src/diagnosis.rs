@@ -61,6 +61,13 @@ impl NsFailure {
                 | NsFailure::OtherRcode(_)
         )
     }
+
+    /// True for the signatures of datagram loss and corruption, where
+    /// asking the same server again may get through. Anything else is
+    /// the server's considered opinion and is never retried.
+    pub(crate) fn is_transient(self) -> bool {
+        matches!(self, NsFailure::Timeout | NsFailure::FormErr)
+    }
 }
 
 impl fmt::Display for NsFailure {

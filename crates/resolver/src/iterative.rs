@@ -7,7 +7,6 @@ use crate::cache::ranges::RangeCache;
 use crate::config::ResolverConfig;
 use crate::diagnosis::{Diagnosis, Finding, NegativeKind, NsEvent, NsFailure, ValidationState};
 use crate::profiles::ValidatorCaps;
-use crate::retry::{ServerSelection, SrttTable};
 use crate::task::TaskHandle;
 use crate::validate::{
     advisory_answer_key_check, check_negative, check_rrset, collate, extract_proof_ranges,
@@ -42,8 +41,8 @@ pub struct EngineOutcome {
 
 /// The engine borrows everything it needs for one resolution.
 ///
-/// Every engine run is a resumable task: network exchanges and retry
-/// timers suspend through the [`TaskHandle`], so one thread can hold
+/// Every engine run is a resumable task: network exchanges suspend
+/// through the [`TaskHandle`], so one thread can hold
 /// thousands of engine runs in flight (see `docs/CONCURRENCY.md`).
 pub struct Engine<'a> {
     /// The simulated internet.
@@ -61,11 +60,8 @@ pub struct Engine<'a> {
     pub l1: Option<&'a L1Cache>,
     /// Query ID source.
     pub ids: &'a AtomicU16,
-    /// Shared per-address smoothed-RTT table (feeds
-    /// [`ServerSelection::SmoothedRtt`]).
-    pub srtt: &'a SrttTable,
-    /// Executor capability: every suspension (exchange completion,
-    /// backoff timer) of this resolution parks through it.
+    /// Executor capability: every suspension (an exchange completion)
+    /// of this resolution parks through it.
     pub handle: &'a TaskHandle,
     /// The shared range tier for RFC 8198 aggressive NSEC/NSEC3
     /// synthesis, when it is effective (config knob AND vendor gate).
@@ -92,9 +88,8 @@ impl<'a> Engine<'a> {
     }
 
     /// One transport exchange with truncation fallback: when the UDP
-    /// reply carries TC=1 and the policy allows it, announce a
-    /// [`TraceEvent::TcFallback`] and re-ask the same server over the
-    /// stream (TCP-analogue) channel.
+    /// reply carries TC=1, announce a [`TraceEvent::TcFallback`] and
+    /// re-ask the same server over the stream (TCP-analogue) channel.
     ///
     /// The exchange is event-driven: the send happens immediately (all
     /// send-time side effects land before the suspension), then the
@@ -107,7 +102,7 @@ impl<'a> Engine<'a> {
     ) -> Result<Message, NetError> {
         let sent = self.net.send(addr, self.config.source_addr, query);
         match self.handle.await_net(sent).await {
-            Ok(resp) if resp.truncated && self.config.retry.tc_fallback => {
+            Ok(resp) if resp.truncated => {
                 self.trace_tc_fallback(addr, query, diag);
                 let sent = self.net.send_stream(addr, self.config.source_addr, query);
                 self.handle.await_net(sent).await
@@ -130,7 +125,7 @@ impl<'a> Engine<'a> {
         diag: &Diagnosis,
     ) -> Result<Message, NetError> {
         match self.net.query(addr, self.config.source_addr, query) {
-            Ok(resp) if resp.truncated && self.config.retry.tc_fallback => {
+            Ok(resp) if resp.truncated => {
                 self.trace_tc_fallback(addr, query, diag);
                 self.net.query_stream(addr, self.config.source_addr, query)
             }
@@ -161,18 +156,11 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Ask the zone's server set until one gives a usable response,
-    /// following the configured [`RetryPolicy`]: server ordering,
-    /// same-server retries for transient failures (timeouts and
-    /// FORMERR), jittered backoff that advances the virtual clock, and
-    /// hedged extra rounds after a full-set failure.
-    ///
-    /// With [`RetryPolicy::none()`] — the default — this reduces
-    /// exactly to the historical behaviour: each address once, in
-    /// referral order, one `Retry` event per server change.
-    ///
-    /// [`RetryPolicy`]: crate::retry::RetryPolicy
-    /// [`RetryPolicy::none()`]: crate::retry::RetryPolicy::none
+    /// Ask the zone's server set until one gives a usable response:
+    /// each address in referral order, with up to
+    /// [`ResolverConfig::retries_per_server`] more tries on the same
+    /// address after a timeout or FORMERR. One `Retry` event precedes
+    /// every attempt but the first.
     async fn query_set(
         &self,
         servers: &[IpAddr],
@@ -180,136 +168,48 @@ impl<'a> Engine<'a> {
         qtype: RrType,
         diag: &mut Diagnosis,
     ) -> SetQuery {
-        let policy = &self.config.retry;
-        let by_rtt;
-        let order: &[IpAddr] = match policy.selection {
-            ServerSelection::Static => &servers[..servers.len().min(MAX_SERVERS_PER_ZONE)],
-            ServerSelection::SmoothedRtt => {
-                by_rtt = self.srtt.order(servers, MAX_SERVERS_PER_ZONE);
-                &by_rtt
-            }
-        };
+        let retries = self.config.retries_per_server;
         let mut any_rcode_failure = false;
-        // Hedging only helps against luck: if every failure was the
-        // server's considered opinion (REFUSED, unroutable glue, ...),
-        // sweeping the set again cannot change the outcome.
-        let mut any_transient = false;
-        let mut attempt = 0usize; // overall, across rounds
-        let mut streak = 0u32; // consecutive transient failures
-        for round in 0..=policy.hedge_rounds {
-            if round > 0 && !any_transient {
-                break;
-            }
-            for &addr in order {
-                let mut tries = 0usize; // same-server retries used
-                loop {
-                    if attempt > 0 {
-                        if round > 0 {
-                            diag.tracer().emit(TraceEvent::Hedge {
-                                attempt,
-                                next: addr,
-                            });
-                        } else {
-                            diag.tracer().emit(TraceEvent::Retry {
-                                attempt,
-                                next: addr,
-                            });
-                        }
-                        let wait = policy.backoff_ms(streak, addr, attempt);
-                        if wait > 0 {
-                            self.handle.sleep_millis(wait).await;
-                        }
-                    }
-                    attempt += 1;
-                    let query = Message::iterative_query(self.next_id(), qname.clone(), qtype);
-                    let sent_ms = self.net.clock().now_millis();
-                    match self.transact(addr, &query, diag).await {
-                        Ok(resp) => {
-                            if resp.truncated {
-                                // TC=1 with fallback disabled: the
-                                // size problem is deterministic, so
-                                // move on to the next server.
-                                diag.add_event(NsEvent {
-                                    addr,
-                                    failure: NsFailure::Truncated,
-                                    qname: qname.clone(),
-                                    qtype,
-                                });
-                                break;
-                            }
-                            if resp.edns.is_none() {
-                                // Pre-EDNS server: the response is unusable for a
-                                // DO-bit pipeline (§4.2.6 Invalid Data).
-                                diag.add(Finding::EdnsNotSupported { addr });
-                                diag.add_event(NsEvent {
-                                    addr,
-                                    failure: NsFailure::NoEdns,
-                                    qname: qname.clone(),
-                                    qtype,
-                                });
-                                break;
-                            }
-                            if let Some(failure) = NsFailure::from_rcode(resp.rcode) {
-                                any_rcode_failure |= failure.is_rcode_failure();
-                                diag.add_event(NsEvent {
-                                    addr,
-                                    failure,
-                                    qname: qname.clone(),
-                                    qtype,
-                                });
-                                if failure == NsFailure::FormErr
-                                    && tries < policy.retries_per_server
-                                {
-                                    // The signature of datagram
-                                    // corruption: a clean retry may
-                                    // get through.
-                                    any_transient = true;
-                                    streak += 1;
-                                    tries += 1;
-                                    continue;
-                                }
-                                break;
-                            }
-                            if policy.selection == ServerSelection::SmoothedRtt {
-                                let elapsed = self.net.clock().now_millis().saturating_sub(sent_ms);
-                                self.srtt.observe(addr, elapsed);
-                            }
-                            return SetQuery::Answered(resp, addr);
-                        }
-                        Err(NetError::Unroutable) => {
-                            diag.add_event(NsEvent {
-                                addr,
-                                failure: NsFailure::Unroutable,
-                                qname: qname.clone(),
-                                qtype,
-                            });
-                            // Special-purpose address: can never route,
-                            // retrying is pointless.
-                            break;
-                        }
-                        Err(NetError::Timeout) => {
-                            diag.add_event(NsEvent {
-                                addr,
-                                failure: NsFailure::Timeout,
-                                qname: qname.clone(),
-                                qtype,
-                            });
-                            any_transient = true;
-                            streak += 1;
-                            if policy.selection == ServerSelection::SmoothedRtt {
-                                // Charge the full wait so dead servers
-                                // sink in future orderings.
-                                let elapsed = self.net.clock().now_millis().saturating_sub(sent_ms);
-                                self.srtt.observe(addr, elapsed);
-                            }
-                            if tries < policy.retries_per_server {
-                                tries += 1;
-                                continue;
-                            }
-                            break;
-                        }
-                    }
+        let mut attempt = 0usize; // overall, across servers
+        for &addr in &servers[..servers.len().min(MAX_SERVERS_PER_ZONE)] {
+            let mut tries = 0usize; // same-server retries used
+            loop {
+                if attempt > 0 {
+                    diag.tracer().emit(TraceEvent::Retry {
+                        attempt,
+                        next: addr,
+                    });
                 }
+                attempt += 1;
+                let query = Message::iterative_query(self.next_id(), qname.clone(), qtype);
+                let failure = match self.transact(addr, &query, diag).await {
+                    // A stream reply that still has TC set is unusable.
+                    Ok(resp) if resp.truncated => NsFailure::Truncated,
+                    Ok(resp) if resp.edns.is_none() => {
+                        // Pre-EDNS server: the response is unusable for a
+                        // DO-bit pipeline (§4.2.6 Invalid Data).
+                        diag.add(Finding::EdnsNotSupported { addr });
+                        NsFailure::NoEdns
+                    }
+                    Ok(resp) => match NsFailure::from_rcode(resp.rcode) {
+                        Some(failure) => failure,
+                        None => return SetQuery::Answered(resp, addr),
+                    },
+                    // Special-purpose address: can never route.
+                    Err(NetError::Unroutable) => NsFailure::Unroutable,
+                    Err(NetError::Timeout) => NsFailure::Timeout,
+                };
+                any_rcode_failure |= failure.is_rcode_failure();
+                diag.add_event(NsEvent {
+                    addr,
+                    failure,
+                    qname: qname.clone(),
+                    qtype,
+                });
+                if !(failure.is_transient() && tries < retries) {
+                    break;
+                }
+                tries += 1;
             }
         }
         SetQuery::AllFailed { any_rcode_failure }
@@ -375,56 +275,41 @@ impl<'a> Engine<'a> {
         }
 
         let mut sub = Diagnosis::with_tracer(diag.tracer().clone());
-        // DNSKEY fetches follow the retry policy too: a lost DNSKEY
-        // response would otherwise turn a perfectly healthy zone Bogus.
-        // DNSKEY RRsets are also the classic oversized answer, so the
-        // truncation fallback in `transact` matters most right here.
-        let policy = &self.config.retry;
+        // DNSKEY fetches are retried like any other exchange: a lost
+        // DNSKEY response would otherwise turn a perfectly healthy zone
+        // Bogus. DNSKEY RRsets are also the classic oversized answer, so
+        // the truncation fallback in `transact` matters most right here.
+        let retries = self.config.retries_per_server;
         let mut tries = 0usize;
-        let mut streak = 0u32;
         let fetched = loop {
             if tries > 0 {
                 sub.tracer().emit(TraceEvent::Retry {
                     attempt: tries,
                     next: server,
                 });
-                let wait = policy.backoff_ms(streak, server, tries);
-                if wait > 0 {
-                    self.net.clock().advance_millis(wait);
-                }
             }
             let query = Message::iterative_query(self.next_id(), zone.clone(), RrType::Dnskey);
-            match self.transact_blocking(server, &query, &sub) {
-                Ok(resp) => {
-                    if resp.truncated {
-                        break Err(NsFailure::Truncated);
-                    }
-                    if let Some(failure) = NsFailure::from_rcode(resp.rcode) {
+            let failure = match self.transact_blocking(server, &query, &sub) {
+                Ok(resp) if resp.truncated => break Err(NsFailure::Truncated),
+                Ok(resp) => match NsFailure::from_rcode(resp.rcode) {
+                    Some(failure) => {
                         sub.add_event(NsEvent {
                             addr: server,
                             failure,
                             qname: zone.clone(),
                             qtype: RrType::Dnskey,
                         });
-                        if failure == NsFailure::FormErr && tries < policy.retries_per_server {
-                            streak += 1;
-                            tries += 1;
-                            continue;
-                        }
-                        break Err(failure);
+                        failure
                     }
-                    break Ok(resp);
-                }
+                    None => break Ok(resp),
+                },
                 Err(NetError::Unroutable) => break Err(NsFailure::Unroutable),
-                Err(NetError::Timeout) => {
-                    streak += 1;
-                    if tries < policy.retries_per_server {
-                        tries += 1;
-                        continue;
-                    }
-                    break Err(NsFailure::Timeout);
-                }
+                Err(NetError::Timeout) => NsFailure::Timeout,
+            };
+            if !(failure.is_transient() && tries < retries) {
+                break Err(failure);
             }
+            tries += 1;
         };
 
         let (trusted, published) = match fetched {
@@ -541,7 +426,7 @@ impl<'a> Engine<'a> {
 
     /// Full iterative resolution of (qname, qtype), as a resumable
     /// task: the returned future suspends on every network exchange
-    /// and retry timer via the engine's [`TaskHandle`].
+    /// via the engine's [`TaskHandle`].
     pub async fn resolve(
         &self,
         qname: &Name,

@@ -40,7 +40,7 @@
 //! # Execution model
 //!
 //! Resolutions are *resumable tasks*: the engine suspends on every
-//! network exchange and retry timer, and a [`task::ResolutionPool`]
+//! network exchange, and a [`task::ResolutionPool`]
 //! multiplexes thousands of suspended resolutions on one thread by
 //! draining a deterministic completion-event queue. There is one
 //! resolution entry point, the async [`Resolver::resolve_with`]; the
@@ -62,7 +62,6 @@ pub mod policy;
 pub mod profiles;
 pub mod reporting;
 pub mod resolver;
-pub mod retry;
 pub mod task;
 pub mod validate;
 
@@ -74,5 +73,4 @@ pub use config::ResolverConfig;
 pub use diagnosis::{Diagnosis, Finding, NsFailure, ValidationState};
 pub use profiles::{Vendor, VendorProfile};
 pub use resolver::{Resolution, Resolver};
-pub use retry::{RetryPolicy, ServerSelection, SrttTable};
 pub use task::{ResolutionPool, TaskHandle};

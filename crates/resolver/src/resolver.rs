@@ -9,7 +9,6 @@ use crate::diagnosis::{Diagnosis, Finding, ValidationState};
 use crate::iterative::Engine;
 use crate::policy::{Policy, PolicyAction};
 use crate::profiles::VendorProfile;
-use crate::retry::SrttTable;
 use crate::task::{run_local, TaskHandle};
 use ede_netsim::Network;
 use ede_trace::{CacheOutcome, TraceEvent, Tracer};
@@ -83,7 +82,6 @@ pub struct Resolver {
     /// ([`L1Cache::sync_generation`]) so a flush invalidates them too.
     generation: AtomicU64,
     ids: AtomicU16,
-    srtt: SrttTable,
 }
 
 impl Resolver {
@@ -110,7 +108,6 @@ impl Resolver {
             synthesize,
             generation: AtomicU64::new(1),
             ids: AtomicU16::new(1),
-            srtt: SrttTable::new(),
         }
     }
 
@@ -136,7 +133,6 @@ impl Resolver {
         self.cache.clear();
         self.infra.clear();
         self.ranges.clear();
-        self.srtt.clear();
         self.generation.fetch_add(1, Relaxed);
     }
 
@@ -302,7 +298,6 @@ impl Resolver {
             infra: &self.infra,
             l1,
             ids: &self.ids,
-            srtt: &self.srtt,
             handle,
             ranges: if self.synthesize {
                 Some(&self.ranges)

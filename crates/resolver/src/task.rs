@@ -61,7 +61,7 @@
 //! assert_eq!(done, 3);
 //! ```
 
-use ede_netsim::{CompletionQueue, InFlight, NetError, Network, SimClock};
+use ede_netsim::{CompletionQueue, InFlight, NetError, Network};
 use ede_trace::{TraceEvent, Tracer};
 use ede_wire::Message;
 use std::cell::RefCell;
@@ -75,22 +75,15 @@ use std::task::{Context, Poll, Wake, Waker};
 /// What an exchange leaves for the task that awaited it.
 type NetOutcome = Result<Message, NetError>;
 
-/// One registered suspension: which task is parked and what it is
-/// waiting for. At most one `Wait` per task exists at any instant
-/// (tasks await a single exchange or timer at a time).
-// `Net` dominates the queue (every parked exchange holds one) and is
-// registered on the hot path — boxing the `InFlight` to shrink the
-// rare `Timer` variant would cost an allocation per exchange.
-#[allow(clippy::large_enum_variant)]
-enum Wait {
-    /// A network exchange in flight; servicing it completes the
-    /// exchange (advancing the virtual clock to its deadline) and
-    /// deposits the outcome in the task's [`Reactor::outcomes`] entry
-    /// for its next poll.
-    Net { task: usize, inflight: InFlight },
-    /// A pure timer (retry backoff, hedging delay); servicing it
-    /// advances the virtual clock to the queue deadline.
-    Timer { task: usize },
+/// One registered suspension: which task is parked and the exchange it
+/// awaits. At most one `Wait` per task exists at any instant (a task
+/// awaits a single exchange at a time). Servicing it completes the
+/// exchange (advancing the virtual clock to its deadline) and deposits
+/// the outcome in the task's [`Reactor::outcomes`] entry for its next
+/// poll.
+struct Wait {
+    task: usize,
+    inflight: InFlight,
 }
 
 /// The per-pool event state shared (via `Rc`) with every task handle:
@@ -114,28 +107,19 @@ impl Reactor {
     }
 }
 
-/// Pop the earliest wait and service it: produce the side effects whose
-/// *timing* the queue ordered. For a network wait this completes the
-/// exchange (clock advance, delivery/timeout accounting, trace events)
-/// and leaves the outcome for the task; for a timer it advances the
-/// clock to the timer's deadline. Returns the task to poll next.
+/// Pop the earliest wait and service it: complete the exchange (clock
+/// advance, delivery/timeout accounting, trace events — the side
+/// effects whose *timing* the queue ordered) and leave the outcome for
+/// the task. Returns the task to poll next.
 fn service_next(net: &Network, reactor: &RefCell<Reactor>) -> usize {
-    let (deadline_ms, wait) = reactor
+    let (_deadline_ms, Wait { task, inflight }) = reactor
         .borrow_mut()
         .queue
         .pop()
         .expect("a pending task has registered a wait");
-    match wait {
-        Wait::Net { task, inflight } => {
-            let outcome = net.complete(inflight);
-            reactor.borrow_mut().outcomes[task] = Some(outcome);
-            task
-        }
-        Wait::Timer { task } => {
-            net.clock().advance_to_millis(deadline_ms);
-            task
-        }
-    }
+    let outcome = net.complete(inflight);
+    reactor.borrow_mut().outcomes[task] = Some(outcome);
+    task
 }
 
 /// A do-nothing waker. The pool never relies on wakeups — it knows
@@ -158,8 +142,7 @@ thread_local! {
 }
 
 /// Capability handed to each task for suspending itself. Cloneable and
-/// cheap; holds the pool's reactor, the virtual clock and the task's
-/// slot index.
+/// cheap; holds the pool's reactor and the task's slot index.
 ///
 /// A handle is only usable from futures driven by the pool (or
 /// blocking driver) that issued it — it is deliberately `!Send`, like
@@ -167,7 +150,6 @@ thread_local! {
 #[derive(Clone)]
 pub struct TaskHandle {
     reactor: Rc<RefCell<Reactor>>,
-    clock: SimClock,
     task: usize,
 }
 
@@ -181,18 +163,6 @@ impl TaskHandle {
             reactor: self.reactor.clone(),
             task: self.task,
             inflight: Some(inflight),
-        }
-    }
-
-    /// Suspend for `ms` virtual milliseconds (retry backoff, hedging
-    /// delays). The deadline is fixed when the future is created:
-    /// `now + ms` on the shared virtual clock.
-    pub fn sleep_millis(&self, ms: u64) -> TimerFuture {
-        TimerFuture {
-            reactor: self.reactor.clone(),
-            task: self.task,
-            deadline_ms: self.clock.now_millis() + ms,
-            registered: false,
         }
     }
 }
@@ -214,7 +184,7 @@ impl Future for NetFuture {
             let task = this.task;
             reactor
                 .queue
-                .push(inflight.deadline_ms(), Wait::Net { task, inflight });
+                .push(inflight.deadline_ms(), Wait { task, inflight });
             return Poll::Pending;
         }
         // The pool only re-polls a task after servicing its wait, so
@@ -223,33 +193,6 @@ impl Future for NetFuture {
             Some(outcome) => Poll::Ready(outcome),
             None => Poll::Pending,
         }
-    }
-}
-
-/// Future returned by [`TaskHandle::sleep_millis`].
-pub struct TimerFuture {
-    reactor: Rc<RefCell<Reactor>>,
-    task: usize,
-    deadline_ms: u64,
-    registered: bool,
-}
-
-impl Future for TimerFuture {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        if this.registered {
-            // The pool only re-polls a task after servicing its wait,
-            // so a second poll means the timer fired.
-            return Poll::Ready(());
-        }
-        this.registered = true;
-        this.reactor
-            .borrow_mut()
-            .queue
-            .push(this.deadline_ms, Wait::Timer { task: this.task });
-        Poll::Pending
     }
 }
 
@@ -320,8 +263,8 @@ impl<'a, T> ResolutionPool<'a, T> {
         self.live
     }
 
-    /// Number of pending completion events (network exchanges and
-    /// timers) the pool is waiting on.
+    /// Number of pending completion events (network exchanges) the
+    /// pool is waiting on.
     pub fn queued(&self) -> usize {
         self.reactor.borrow().queue.len()
     }
@@ -364,7 +307,6 @@ impl<'a, T> ResolutionPool<'a, T> {
         self.spawned += 1;
         let handle = TaskHandle {
             reactor: self.reactor.clone(),
-            clock: self.net.clock().clone(),
             task: slot,
         };
         self.slots[slot] = SlotEntry {
@@ -462,7 +404,6 @@ where
         .unwrap_or_else(|| Reactor::shared(1));
     let handle = TaskHandle {
         reactor: reactor.clone(),
-        clock: net.clock().clone(),
         task: 0,
     };
     let mut fut = std::pin::pin!(make(handle));

@@ -43,7 +43,6 @@ fn parked_world() -> Resolver {
     let config = NetworkConfig {
         rtt_ms: 0,
         timeout_ms: 0,
-        ..Default::default()
     };
     let net = Arc::new(NetworkBuilder::new().config(config).build(SimClock::new()));
     let mut config = ResolverConfig::default();

@@ -5,14 +5,16 @@
 //!
 //! * `scale` — population scale divisor (default 10000, ≈30k domains;
 //!   repro-scan's paper-shape default is 1000).
-//! * `--seed N` — fault-plan / jitter seed (default 0x0EDEFA17). Legs
-//!   are bit-stable per seed.
+//! * `--seed N` — fault-plan seed, decimal or `0x` hex (default
+//!   0x0EDEFA17). Legs are bit-stable per seed.
 //! * `--smoke` — tiny population and a short sweep, for CI.
 //!
 //! Before sweeping, the run proves the hardening left the paper's
 //! results untouched: the 63 × 7 testbed matrix must equal Table 4 cell
 //! by cell, and the intensity-0 leg must be bit-identical to a plain
-//! repro-scan.
+//! repro-scan. After it, every leg's counters must reconcile and every
+//! degraded leg must resolve at least 99.5 % of what the intensity-0
+//! leg resolves; otherwise the exit status is 1.
 
 use ede_scan::chaos::{
     baseline_matches_plain_scan, campaign, inflight_matches_window_one, synthesis_configs_hold,
@@ -29,11 +31,19 @@ fn usage_exit(problem: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parsed<T: std::str::FromStr>(what: &str, value: Option<String>) -> T {
+fn parsed<T>(what: &str, value: Option<String>, parse: impl Fn(&str) -> Option<T>) -> T {
     value
         .as_deref()
-        .and_then(|v| v.parse().ok())
+        .and_then(parse)
         .unwrap_or_else(|| usage_exit(&format!("bad or missing value {value:?} for {what}")))
+}
+
+/// A seed as the run prints it (`0xedefa17`) or in decimal.
+fn parse_seed(v: &str) -> Option<u64> {
+    match v.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => v.parse().ok(),
+    }
 }
 
 fn main() {
@@ -44,8 +54,10 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--seed" => seed = parsed("--seed", args.next()),
-            positional if !positional.starts_with('-') => scale = parsed("scale", Some(arg)),
+            "--seed" => seed = parsed("--seed", args.next(), parse_seed),
+            positional if !positional.starts_with('-') => {
+                scale = parsed("scale", Some(arg), |v| v.parse().ok())
+            }
             _ => usage_exit(&format!("unknown argument {arg:?}")),
         }
     }
@@ -154,4 +166,11 @@ fn main() {
         }
     }
     print!("{}", report.render());
+    let under = report.under_resolved();
+    for line in &under {
+        eprintln!("FAIL: {line}");
+    }
+    if !under.is_empty() {
+        std::process::exit(1);
+    }
 }

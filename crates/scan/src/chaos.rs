@@ -10,13 +10,14 @@
 //!   configuration. [`baseline_matches_plain_scan`] asserts the
 //!   equivalence by actually running both.
 //! * **Degraded legs** attach [`FaultPlan::intensity`] to the world and
-//!   scan with a single worker and a hardened [`RetryPolicy`]. One
-//!   worker keeps the interleaving of fault decisions with the shared
-//!   virtual clock deterministic, so each leg is bit-stable for a given
-//!   seed (see `docs/ROBUSTNESS.md` for why this caveat exists).
+//!   scan with a single worker and [`CHAOS_RETRIES`] same-server
+//!   retries. A fault decision hashes the message id, and ids come from
+//!   one counter per resolver, so one worker keeps the id each query
+//!   gets — and with it each leg — bit-stable for a given seed (see
+//!   `docs/ROBUSTNESS.md`).
 //!
 //! The per-leg report carries the code inventory, the resolved
-//! fraction, and the retry/hedge/TC-fallback/fault counters from both
+//! fraction, and the retry/TC-fallback/fault counters from both
 //! the metrics registry and the transport accounting — the two are
 //! reconciled in [`ChaosLeg::reconcile`].
 
@@ -24,10 +25,16 @@ use crate::population::Population;
 use crate::scanner::{scan, ScanConfig};
 use crate::world::ScanWorld;
 use ede_netsim::{FaultPlan, TrafficSnapshot};
-use ede_resolver::{RetryPolicy, Vendor};
+use ede_resolver::Vendor;
 use ede_trace::MetricsSnapshot;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// [`ede_resolver::ResolverConfig::retries_per_server`] on the degraded
+/// legs: the smallest count whose 10 %-intensity median resolves no
+/// fewer domains than the four-knob policy it replaced and sends no
+/// more queries (the trial is in `docs/ROBUSTNESS.md`).
+pub const CHAOS_RETRIES: usize = 4;
 
 /// Campaign parameters.
 ///
@@ -36,14 +43,12 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct ChaosConfig {
-    /// Seed for the fault plans (and the hardened policy's jitter).
+    /// Seed for the fault plans.
     pub seed: u64,
     /// Fault intensities to sweep, one leg each. `0.0` is the baseline.
     pub intensities: Vec<f64>,
     /// Vendor profile to scan with.
     pub vendor: Vendor,
-    /// Retry policy for the degraded (intensity > 0) legs.
-    pub retry: RetryPolicy,
 }
 
 impl Default for ChaosConfig {
@@ -52,16 +57,14 @@ impl Default for ChaosConfig {
             seed: 0x0EDE_FA17,
             intensities: vec![0.0, 0.02, 0.05, 0.10],
             vendor: Vendor::Cloudflare,
-            retry: RetryPolicy::default(),
         }
     }
 }
 
 impl ChaosConfig {
-    /// Set the fault seed (also used for retry jitter).
+    /// Set the fault seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self.retry = self.retry.with_jitter_seed(seed);
         self
     }
 
@@ -128,6 +131,10 @@ impl ChaosLeg {
     }
 }
 
+/// The least share of the baseline leg's resolved domains a degraded
+/// leg may resolve ([`ChaosReport::under_resolved`]).
+const MIN_RESOLVED_SHARE: f64 = 0.995;
+
 /// The whole sweep.
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
@@ -136,6 +143,30 @@ pub struct ChaosReport {
 }
 
 impl ChaosReport {
+    /// The gate `repro-chaos` exits 1 on: one line per degraded leg that
+    /// resolved under 99.5 % of what the first (baseline) leg resolved;
+    /// empty when every leg holds.
+    pub fn under_resolved(&self) -> Vec<String> {
+        let Some((base, degraded)) = self.legs.split_first() else {
+            return Vec::new();
+        };
+        let baseline = base.resolved as f64;
+        degraded
+            .iter()
+            .filter(|leg| (leg.resolved as f64) < MIN_RESOLVED_SHARE * baseline)
+            .map(|leg| {
+                format!(
+                    "the intensity-{} leg resolved {} of the baseline's {} ({:.2}% < {}%)",
+                    leg.intensity,
+                    leg.resolved,
+                    base.resolved,
+                    100.0 * leg.resolved as f64 / baseline,
+                    100.0 * MIN_RESOLVED_SHARE
+                )
+            })
+            .collect()
+    }
+
     /// Render an operator-facing table: per leg, the resolved fraction,
     /// hardening counters, and how the code inventory shifted relative
     /// to the first (baseline) leg.
@@ -143,8 +174,8 @@ impl ChaosReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:>9}  {:>9}  {:>8}  {:>7}  {:>7}  {:>9}  {:>7}  inventory shift vs baseline",
-            "intensity", "resolved", "fraction", "retries", "hedges", "tc-fallbk", "faults"
+            "{:>9}  {:>9}  {:>8}  {:>7}  {:>9}  {:>7}  inventory shift vs baseline",
+            "intensity", "resolved", "fraction", "retries", "tc-fallbk", "faults"
         );
         let baseline = self.legs.first().map(|l| l.per_code.clone());
         for leg in &self.legs {
@@ -165,12 +196,11 @@ impl ChaosReport {
             }
             let _ = writeln!(
                 out,
-                "{:>9.3}  {:>9}  {:>7.2}%  {:>7}  {:>7}  {:>9}  {:>7} {}",
+                "{:>9.3}  {:>9}  {:>7.2}%  {:>7}  {:>9}  {:>7} {}",
                 leg.intensity,
                 leg.resolved,
                 100.0 * leg.resolved_fraction(),
                 leg.metrics.retries,
-                leg.metrics.hedges,
                 leg.metrics.tc_fallbacks,
                 leg.metrics.faults_injected,
                 shift
@@ -180,9 +210,9 @@ impl ChaosReport {
     }
 }
 
-/// Run one leg: build a fresh world, attach the fault plan (noop plans
-/// are dropped by the network), scan, and summarize.
-fn run_leg(pop: &Population, config: &ChaosConfig, intensity: f64) -> ChaosLeg {
+/// One leg's fresh world, with the fault plan attached (noop plans are
+/// dropped by the network), and the configuration to scan it with.
+fn leg_world(pop: &Population, config: &ChaosConfig, intensity: f64) -> (ScanWorld, ScanConfig) {
     let mut world = ScanWorld::build(pop);
     let scan_cfg = if intensity == 0.0 {
         // The baseline leg IS the plain repro-scan configuration.
@@ -191,14 +221,20 @@ fn run_leg(pop: &Population, config: &ChaosConfig, intensity: f64) -> ChaosLeg {
         world
             .net
             .set_fault_plan(FaultPlan::intensity(config.seed, intensity));
-        world.resolver_config.retry = config.retry.clone();
-        // One worker: fault decisions are interleaved with the shared
-        // virtual clock, so per-seed bit-stability needs a serial scan.
+        world.resolver_config.retries_per_server = CHAOS_RETRIES;
+        // One worker: a fault decision hashes the message id, so
+        // per-seed bit-stability needs the ids handed out serially.
         ScanConfig::builder()
             .workers(1)
             .vendor(config.vendor)
             .build()
     };
+    (world, scan_cfg)
+}
+
+/// Run one leg: scan its world and summarize.
+fn run_leg(pop: &Population, config: &ChaosConfig, intensity: f64) -> ChaosLeg {
+    let (world, scan_cfg) = leg_world(pop, config, intensity);
     let result = scan(pop, &world, &scan_cfg);
     ChaosLeg {
         intensity,
@@ -570,18 +606,26 @@ mod tests {
                 leg.intensity
             );
         }
-        // Degradation can only lose domains, and mild chaos with the
-        // hardened policy must not lose many.
+        // Degradation can only lose domains, and mild chaos with
+        // retries must stay inside repro-chaos's exit-1 gate.
         let base = &report.legs[0];
         let worst = &report.legs[1];
         assert!(worst.resolved <= base.resolved);
-        assert!(
-            worst.resolved as f64 >= 0.95 * base.resolved as f64,
-            "5% chaos with retries resolved {}/{}",
-            worst.resolved,
-            base.resolved
-        );
+        assert_eq!(report.under_resolved(), Vec::<String>::new());
         assert!(!report.render().is_empty());
+    }
+
+    /// A retry is another exchange and the scan world charges no
+    /// latency, so a degraded pass leaves the virtual clock where it
+    /// found it, like a clean one: only the inter-pass gap moves it.
+    #[test]
+    fn degraded_leg_moves_the_clock_by_the_inter_pass_gap_only() {
+        let pop = Population::generate(PopulationConfig::tiny());
+        let (world, scan_cfg) = leg_world(&pop, &ChaosConfig::default().with_seed(7), 0.05);
+        let before = world.net.clock().now_millis();
+        let result = scan(&pop, &world, &scan_cfg);
+        assert!(result.metrics.retries > 100, "the leg was not degraded");
+        assert_eq!(world.net.clock().now_millis() - before, 120_000);
     }
 
     #[test]

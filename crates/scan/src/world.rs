@@ -765,7 +765,6 @@ impl ScanWorld {
         let mut net = NetworkBuilder::new().config(NetworkConfig {
             rtt_ms: 0,
             timeout_ms: 0,
-            ..Default::default()
         });
 
         // Root zone: real, signed, one delegation per TLD.

@@ -6,7 +6,7 @@
 //! own:
 //!
 //! 1. [`classify`] decides what the bytes are: a resolvable query, a
-//!    protocol violation answered with FORMERR/NOTIMP/REFUSED, or
+//!    protocol violation answered with FORMERR/NOTIMP/REFUSED/BADVERS, or
 //!    garbage that is silently dropped. The policy is explicit (and
 //!    tested) rather than the historical demo behaviour of answering
 //!    FORMERR to anything:
@@ -16,9 +16,15 @@
 //!    | shorter than a 12-byte DNS header | **drop** (no ID to echo — any reply would be a forgery oracle) |
 //!    | QR bit set (a response, not a query) | **drop** (never answer answers: reflection-loop hygiene) |
 //!    | opcode ≠ QUERY (IQUERY, STATUS, NOTIFY, UPDATE …) | **NOTIMP**, echoing ID and opcode |
-//!    | header valid but body undecodable / no question | **FORMERR**, echoing ID, opcode and RD |
+//!    | header valid but body undecodable | **FORMERR**, echoing ID, opcode and RD |
+//!    | OPT present with version ≠ 0 | **BADVERS** (RFC 6891 §6.1.3), echoing ID, RD and the question, carrying the server's own OPT (version 0) and no answer |
+//!    | no question | **FORMERR**, echoing ID, opcode and RD |
 //!    | question class ≠ IN | **REFUSED**, echoing the question |
 //!    | otherwise | resolve |
+//!
+//!    The first matching row wins: BADVERS is a MUST for any higher
+//!    version, so it goes ahead of every reply that would carry a
+//!    version-0 OPT as if the request's had been understood.
 //!
 //! 2. [`answer`] resolves the query through the attached [`Resolver`]
 //!    (full recursion, validation, vendor EDE emission) and renders the
@@ -54,6 +60,8 @@ pub enum RejectKind {
     NotImp,
     /// A question outside the served class (IN).
     Refused,
+    /// An EDNS version this server does not implement (anything but 0).
+    BadVers,
 }
 
 /// What [`classify`] decided about one request's bytes.
@@ -109,6 +117,12 @@ pub fn classify(wire: &[u8]) -> QueryDisposition {
             )
         }
     };
+    if query.edns.as_ref().is_some_and(|e| e.version != 0) {
+        let mut m = reject(&header, Rcode::BadVers);
+        m.questions = query.questions.clone();
+        m.edns = Some(Default::default());
+        return QueryDisposition::Reject(Box::new(m), RejectKind::BadVers);
+    }
     let Some(q) = query.first_question() else {
         let mut m = reject(&header, Rcode::FormErr);
         m.edns = query.edns.as_ref().map(|_| Default::default());
@@ -174,6 +188,7 @@ pub(crate) fn serve(
                 RejectKind::FormErr => metrics.rejected_formerr(),
                 RejectKind::NotImp => metrics.rejected_notimp(),
                 RejectKind::Refused => metrics.rejected_refused(),
+                RejectKind::BadVers => metrics.rejected_badvers(),
             }
             Reply::Rejection(*reply)
         }
@@ -312,6 +327,61 @@ mod tests {
                 assert_eq!(m.questions[0].qclass, Class::Ch);
             }
             other => panic!("expected REFUSED, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unknown_edns_version_gets_badvers_with_the_servers_own_opt() {
+        let wire = query_bytes(|m| {
+            m.edns = Some(Edns {
+                version: 1,
+                ..Edns::with_do()
+            })
+        });
+        match classify(&wire) {
+            QueryDisposition::Reject(m, RejectKind::BadVers) => {
+                assert_eq!(m.id, 0x1234);
+                assert_eq!(m.rcode, Rcode::BadVers);
+                assert!(m.recursion_desired, "RD echoed");
+                assert_eq!(m.questions.len(), 1);
+                assert!(m.answers.is_empty());
+                assert_eq!(m.edns, Some(Edns::default()), "the server's OPT");
+            }
+            other => panic!("expected BADVERS, got {other:?}"),
+        }
+    }
+
+    /// BADVERS outranks the rows below it: REFUSED or FORMERR with a
+    /// version-0 OPT would claim the version-1 OPT had been understood.
+    #[test]
+    fn badvers_wins_over_refused_and_the_no_question_formerr() {
+        let v1 = || {
+            Some(Edns {
+                version: 1,
+                ..Edns::with_do()
+            })
+        };
+        let chaos_class = query_bytes(|m| {
+            m.questions[0].qclass = Class::Ch;
+            m.edns = v1();
+        });
+        match classify(&chaos_class) {
+            QueryDisposition::Reject(m, RejectKind::BadVers) => {
+                assert_eq!(m.rcode, Rcode::BadVers);
+                assert_eq!(m.questions[0].qclass, Class::Ch, "question echoed");
+            }
+            other => panic!("expected BADVERS, got {other:?}"),
+        }
+        let no_question = query_bytes(|m| {
+            m.questions.clear();
+            m.edns = v1();
+        });
+        match classify(&no_question) {
+            QueryDisposition::Reject(m, RejectKind::BadVers) => {
+                assert!(m.questions.is_empty());
+                assert_eq!(m.edns, Some(Edns::default()));
+            }
+            other => panic!("expected BADVERS, got {other:?}"),
         }
     }
 

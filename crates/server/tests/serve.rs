@@ -8,7 +8,7 @@ use ede_server::{pipeline, ProbeClient, Server, ServerConfig, ServerError};
 use ede_testbed::Testbed;
 use ede_wire::ede::EdeCode;
 use ede_wire::stream::{frame, FrameReader, MAX_FRAME_LEN};
-use ede_wire::{Message, Name, Opcode, Rcode, RrType};
+use ede_wire::{Edns, Message, Name, Opcode, Rcode, RrType};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpStream, UdpSocket};
 use std::sync::Arc;
@@ -136,7 +136,7 @@ fn truncated_udp_answer_retries_over_tcp_bit_identical() {
 
 #[test]
 fn malformed_query_policy_on_the_wire() {
-    let (handle, _) = spawn(
+    let (handle, client) = spawn(
         ServerConfig::builder()
             .bind("127.0.0.1:0")
             .workers(1)
@@ -193,13 +193,35 @@ fn malformed_query_policy_on_the_wire() {
     assert_eq!(reply.rcode, Rcode::Refused);
     assert_eq!(reply.questions.len(), 1);
 
+    // An EDNS version the server does not implement (RFC 6891 §6.1.3):
+    // BADVERS on both transports, with the server's own version-0 OPT,
+    // the question echoed and nothing resolved — a name that would
+    // otherwise earn EDE 7 gets no EDE option.
+    let mut v1 = Message::query(0x7171, qname("rrsig-exp-all"), RrType::A);
+    v1.edns.as_mut().expect("queries carry an OPT").version = 1;
+    let v1 = v1.encode().unwrap();
+    for reply in [
+        client.query_udp(&v1).unwrap(),
+        client.query_tcp(&v1).unwrap(),
+    ] {
+        let reply = Message::decode(&reply).unwrap();
+        assert_eq!(reply.id, 0x7171);
+        assert_eq!(reply.rcode, Rcode::BadVers);
+        assert!(reply.recursion_desired);
+        assert_eq!(reply.questions.len(), 1);
+        assert!(reply.answers.is_empty());
+        assert_eq!(reply.edns, Some(Edns::default()));
+    }
+
     let stats = handle.shutdown().unwrap();
     assert_eq!(stats.metrics.dropped, 2);
     assert_eq!(stats.metrics.rejected_formerr, 1);
     assert_eq!(stats.metrics.rejected_notimp, 1);
     assert_eq!(stats.metrics.rejected_refused, 1);
-    assert_eq!(stats.metrics.udp_queries, 5);
-    assert_eq!(stats.metrics.udp_responses, 3);
+    assert_eq!(stats.metrics.rejected_badvers, 2);
+    assert_eq!(stats.metrics.udp_queries, 6);
+    assert_eq!(stats.metrics.udp_responses, 4);
+    assert_eq!(stats.metrics.tcp_queries, 1);
 }
 
 #[test]

@@ -88,14 +88,6 @@ pub enum TraceEvent {
         /// The server being tried next.
         next: IpAddr,
     },
-    /// A bounded hedged retry: after the whole server set failed, the
-    /// retry policy granted an extra round over the (re-ordered) set.
-    Hedge {
-        /// 1-based index of the overall attempt that this hedge issues.
-        attempt: usize,
-        /// The server being hedged to.
-        next: IpAddr,
-    },
     /// A truncated (TC=1) UDP reply made the resolver re-ask the same
     /// server over the stream (TCP-analogue) channel.
     TcFallback {
@@ -233,7 +225,6 @@ impl TraceEvent {
             TraceEvent::ResponseReceived { .. } => "response_received",
             TraceEvent::Timeout { .. } => "timeout",
             TraceEvent::Retry { .. } => "retry",
-            TraceEvent::Hedge { .. } => "hedge",
             TraceEvent::TcFallback { .. } => "tc_fallback",
             TraceEvent::FaultInjected { .. } => "fault_injected",
             TraceEvent::Referral { .. } => "referral",
@@ -280,9 +271,6 @@ impl TraceEvent {
             }
             TraceEvent::Retry { attempt, next } => {
                 format!("retry #{attempt} -> {next}")
-            }
-            TraceEvent::Hedge { attempt, next } => {
-                format!("hedge #{attempt} -> {next}")
             }
             TraceEvent::TcFallback {
                 dst,
@@ -414,10 +402,6 @@ mod tests {
             TraceEvent::Retry {
                 attempt: 1,
                 next: "192.0.2.2".parse().unwrap(),
-            },
-            TraceEvent::Hedge {
-                attempt: 5,
-                next: "192.0.2.3".parse().unwrap(),
             },
             TraceEvent::TcFallback {
                 dst: "192.0.2.1".parse().unwrap(),

@@ -78,10 +78,6 @@ pub fn event_to_json(e: &TimedEvent) -> String {
             fields.push(("attempt", attempt.to_string()));
             fields.push(("next", json_string(&next.to_string())));
         }
-        TraceEvent::Hedge { attempt, next } => {
-            fields.push(("attempt", attempt.to_string()));
-            fields.push(("next", json_string(&next.to_string())));
-        }
         TraceEvent::TcFallback {
             dst,
             qname,
@@ -221,10 +217,6 @@ mod tests {
             TraceEvent::Retry {
                 attempt: 2,
                 next: "192.0.2.2".parse().unwrap(),
-            },
-            TraceEvent::Hedge {
-                attempt: 4,
-                next: "192.0.2.3".parse().unwrap(),
             },
             TraceEvent::TcFallback {
                 dst: "192.0.2.1".parse().unwrap(),

@@ -23,7 +23,6 @@ pub struct Metrics {
     responses_received: AtomicU64,
     timeouts: AtomicU64,
     retries: AtomicU64,
-    hedges: AtomicU64,
     tc_fallbacks: AtomicU64,
     faults_injected: AtomicU64,
     referrals: AtomicU64,
@@ -70,7 +69,6 @@ impl Metrics {
             responses_received: self.responses_received.load(Relaxed),
             timeouts: self.timeouts.load(Relaxed),
             retries: self.retries.load(Relaxed),
-            hedges: self.hedges.load(Relaxed),
             tc_fallbacks: self.tc_fallbacks.load(Relaxed),
             faults_injected: self.faults_injected.load(Relaxed),
             referrals: self.referrals.load(Relaxed),
@@ -126,9 +124,6 @@ impl TraceSink for Metrics {
             }
             TraceEvent::Retry { .. } => {
                 self.retries.fetch_add(1, Relaxed);
-            }
-            TraceEvent::Hedge { .. } => {
-                self.hedges.fetch_add(1, Relaxed);
             }
             TraceEvent::TcFallback { .. } => {
                 self.tc_fallbacks.fetch_add(1, Relaxed);
@@ -230,8 +225,6 @@ pub struct MetricsSnapshot {
     pub timeouts: u64,
     /// Fallbacks to another server of the same zone.
     pub retries: u64,
-    /// Hedged extra rounds over an already-failed server set.
-    pub hedges: u64,
     /// Truncated-reply fallbacks onto the stream channel.
     pub tc_fallbacks: u64,
     /// Fault-plan decisions that fired in the simulated network.
@@ -347,10 +340,10 @@ impl MetricsSnapshot {
             "  transport : {} queries, {} responses, {} timeouts, {} retries\n",
             self.queries_sent, self.responses_received, self.timeouts, self.retries
         ));
-        if self.hedges + self.tc_fallbacks + self.faults_injected > 0 {
+        if self.tc_fallbacks + self.faults_injected > 0 {
             out.push_str(&format!(
-                "  hardening : {} hedges, {} tc-fallbacks, {} faults injected\n",
-                self.hedges, self.tc_fallbacks, self.faults_injected
+                "  hardening : {} tc-fallbacks, {} faults injected\n",
+                self.tc_fallbacks, self.faults_injected
             ));
         }
         out.push_str(&format!(

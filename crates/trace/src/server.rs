@@ -32,6 +32,7 @@ pub struct ServerMetrics {
     rejected_formerr: AtomicU64,
     rejected_notimp: AtomicU64,
     rejected_refused: AtomicU64,
+    rejected_badvers: AtomicU64,
     dropped: AtomicU64,
     encode_errors: AtomicU64,
     bytes_received: AtomicU64,
@@ -111,6 +112,12 @@ impl ServerMetrics {
         self.rejected_refused.fetch_add(1, Relaxed);
     }
 
+    /// A query with an EDNS version other than 0 was answered with
+    /// BADVERS.
+    pub fn rejected_badvers(&self) {
+        self.rejected_badvers.fetch_add(1, Relaxed);
+    }
+
     /// A datagram was dropped without any reply (shorter than a DNS
     /// header, or a response where a query belongs).
     pub fn dropped(&self) {
@@ -143,6 +150,7 @@ impl ServerMetrics {
             rejected_formerr: self.rejected_formerr.load(Relaxed),
             rejected_notimp: self.rejected_notimp.load(Relaxed),
             rejected_refused: self.rejected_refused.load(Relaxed),
+            rejected_badvers: self.rejected_badvers.load(Relaxed),
             dropped: self.dropped.load(Relaxed),
             encode_errors: self.encode_errors.load(Relaxed),
             bytes_received: self.bytes_received.load(Relaxed),
@@ -181,6 +189,8 @@ pub struct ServerMetricsSnapshot {
     pub rejected_notimp: u64,
     /// Out-of-class queries answered with REFUSED.
     pub rejected_refused: u64,
+    /// Queries with an unimplemented EDNS version answered with BADVERS.
+    pub rejected_badvers: u64,
     /// Datagrams dropped without any reply.
     pub dropped: u64,
     /// Replies that failed to encode.
@@ -222,10 +232,11 @@ impl ServerMetricsSnapshot {
             self.tcp_read_timeouts
         ));
         out.push_str(&format!(
-            "  rejected  : {} FORMERR, {} NOTIMP, {} REFUSED, {} dropped, {} encode errors\n",
+            "  rejected  : {} FORMERR, {} NOTIMP, {} REFUSED, {} BADVERS, {} dropped, {} encode errors\n",
             self.rejected_formerr,
             self.rejected_notimp,
             self.rejected_refused,
+            self.rejected_badvers,
             self.dropped,
             self.encode_errors
         ));
@@ -264,6 +275,7 @@ mod tests {
         m.rejected_formerr();
         m.rejected_notimp();
         m.rejected_refused();
+        m.rejected_badvers();
         m.dropped();
         m.encode_error();
         m.observe_handle_us(30);
@@ -296,7 +308,7 @@ mod tests {
             "{render}"
         );
         assert!(
-            render.contains("1 FORMERR, 1 NOTIMP, 1 REFUSED, 1 dropped"),
+            render.contains("1 FORMERR, 1 NOTIMP, 1 REFUSED, 1 BADVERS, 1 dropped"),
             "{render}"
         );
     }

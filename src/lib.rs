@@ -77,8 +77,7 @@ pub use ede_zone as zone;
 pub mod prelude {
     pub use ede_netsim::{FaultPlan, NetError, Network, SimClock};
     pub use ede_resolver::{
-        Diagnosis, Resolution, Resolver, ResolverConfig, RetryPolicy, ServerSelection, Vendor,
-        VendorProfile,
+        Diagnosis, Resolution, Resolver, ResolverConfig, Vendor, VendorProfile,
     };
     pub use ede_scan::{
         scan, ChaosConfig, Population, PopulationConfig, QueryFilter, QueryRecord, ScanConfig,
