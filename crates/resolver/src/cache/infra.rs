@@ -67,38 +67,22 @@ pub struct KeyEntry {
 }
 
 impl KeyEntry {
-    /// Build an entry (engine-internal).
-    pub(crate) fn new(
-        trusted: Option<Arc<Vec<PublishedKey>>>,
-        published: Arc<Vec<PublishedKey>>,
-        findings: Vec<Finding>,
-        state: ValidationState,
-        expires: u32,
-    ) -> Self {
-        KeyEntry {
-            trusted,
-            published,
-            findings,
-            state,
-            expires,
-        }
-    }
-
     /// True when the entry is still usable at `now`.
     pub(crate) fn live(&self, now: u32) -> bool {
         self.expires > now
     }
 
-    /// Replay this entry into `diag` and hand out its shared sets.
-    pub(crate) fn replay(
-        &self,
-        diag: &mut Diagnosis,
-    ) -> (Option<Arc<Vec<PublishedKey>>>, Arc<Vec<PublishedKey>>) {
+    /// Replay what validating this zone's keys found into `diag`.
+    pub(crate) fn replay(&self, diag: &mut Diagnosis) {
         for f in &self.findings {
             diag.add(f.clone());
         }
         diag.degrade(self.state);
-        (self.trusted.clone(), self.published.clone())
+    }
+
+    /// The keys that chained to the trust anchor, if validation held.
+    pub(crate) fn trusted(&self) -> Option<&[PublishedKey]> {
+        self.trusted.as_deref().map(Vec::as_slice)
     }
 }
 

@@ -60,7 +60,8 @@ use super::bounded::{Bounded, Index};
 use super::{CacheLimits, CacheStatsSnapshot, PutOutcome};
 use ede_crypto::nsec3hash;
 use ede_wire::rdata::{Octets, TypeBitmap};
-use ede_wire::{Name, RrType};
+use ede_wire::{Name, Rdata, RrType};
+use ede_zone::{nsec3, Rrset};
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
@@ -104,6 +105,42 @@ pub enum ProofRange {
         /// Covering RRSIG's expiration time.
         sig_expiration: u32,
     },
+}
+
+impl ProofRange {
+    /// The span one NSEC or NSEC3 RRset states, for the validator to
+    /// call once a signature expiring at `sig_expiration` has verified
+    /// over `set`. `None` for any other RRset, or an NSEC3 owner label
+    /// that is not a hash.
+    pub(crate) fn of_rrset(set: &Rrset, sig_expiration: u32) -> Option<ProofRange> {
+        match set.rdatas.first()? {
+            Rdata::Nsec3 {
+                flags,
+                iterations,
+                salt,
+                next_hashed,
+                types,
+                ..
+            } => Some(ProofRange::Nsec3 {
+                iterations: *iterations,
+                salt: salt.clone(),
+                flags: *flags,
+                owner_hash: nsec3::owner_hash(set)?,
+                next_hash: next_hashed.to_vec(),
+                types: types.clone(),
+                ttl: set.ttl,
+                sig_expiration,
+            }),
+            Rdata::Nsec { next, types } => Some(ProofRange::Nsec {
+                owner: set.name.clone(),
+                next: next.clone(),
+                types: types.clone(),
+                ttl: set.ttl,
+                sig_expiration,
+            }),
+            _ => None,
+        }
+    }
 }
 
 /// What the tier synthesized for a covered name. `ttl` is the smallest

@@ -1,24 +1,20 @@
 //! The iterative resolution engine: root priming, referral walking,
 //! glue, CNAME chasing, retries, and the hookup into DNSSEC validation.
 
-use crate::cache::infra::{InfraCache, KeyEntry, ReferralEntry};
+use crate::cache::infra::{InfraCache, KeyEntry, KeyShard, ReferralEntry};
 use crate::cache::l1::L1Cache;
 use crate::cache::ranges::RangeCache;
 use crate::config::ResolverConfig;
 use crate::diagnosis::{Diagnosis, Finding, NegativeKind, NsEvent, NsFailure, ValidationState};
 use crate::profiles::ValidatorCaps;
 use crate::task::TaskHandle;
-use crate::validate::{
-    advisory_answer_key_check, check_negative, check_rrset, collate, extract_proof_ranges,
-    validate_dnskey, PublishedKey,
-};
-use ede_crypto::nsec3hash;
+use crate::validate::{self, PublishedKey};
 use ede_netsim::{NetError, Network};
 use ede_trace::TraceEvent;
-use ede_wire::{Message, Name, Rcode, Rdata, Record, RrType};
+use ede_wire::{Message, Name, Question, Rcode, Rdata, Record, RrType};
 use std::net::IpAddr;
 use std::sync::atomic::{AtomicU16, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Referral-depth limit for one resolution.
 const MAX_REFERRALS: usize = 24;
@@ -76,6 +72,18 @@ enum SetQuery {
     Answered(Message, IpAddr),
     /// Everything failed; flag says whether any failure was an RCODE.
     AllFailed { any_rcode_failure: bool },
+}
+
+/// What one exchange yielded: a reply to read, or how the server failed.
+/// A stream reply that still has TC set is unusable, and a special-purpose
+/// address can never route.
+fn usable_reply(reply: Result<Message, NetError>) -> Result<Message, NsFailure> {
+    match reply {
+        Ok(resp) if resp.truncated => Err(NsFailure::Truncated),
+        Ok(resp) => NsFailure::from_rcode(resp.rcode).map_or(Ok(resp), Err),
+        Err(NetError::Unroutable) => Err(NsFailure::Unroutable),
+        Err(NetError::Timeout) => Err(NsFailure::Timeout),
+    }
 }
 
 impl<'a> Engine<'a> {
@@ -183,21 +191,16 @@ impl<'a> Engine<'a> {
                 attempt += 1;
                 let query = Message::iterative_query(self.next_id(), qname.clone(), qtype);
                 let failure = match self.transact(addr, &query, diag).await {
-                    // A stream reply that still has TC set is unusable.
-                    Ok(resp) if resp.truncated => NsFailure::Truncated,
-                    Ok(resp) if resp.edns.is_none() => {
+                    Ok(resp) if !resp.truncated && resp.edns.is_none() => {
                         // Pre-EDNS server: the response is unusable for a
                         // DO-bit pipeline (§4.2.6 Invalid Data).
                         diag.add(Finding::EdnsNotSupported { addr });
                         NsFailure::NoEdns
                     }
-                    Ok(resp) => match NsFailure::from_rcode(resp.rcode) {
-                        Some(failure) => failure,
-                        None => return SetQuery::Answered(resp, addr),
+                    reply => match usable_reply(reply) {
+                        Ok(resp) => return SetQuery::Answered(resp, addr),
+                        Err(failure) => failure,
                     },
-                    // Special-purpose address: can never route.
-                    Err(NetError::Unroutable) => NsFailure::Unroutable,
-                    Err(NetError::Timeout) => NsFailure::Timeout,
                 };
                 any_rcode_failure |= failure.is_rcode_failure();
                 diag.add_event(NsEvent {
@@ -227,51 +230,46 @@ impl<'a> Engine<'a> {
         ds: &[Rdata],
         server: IpAddr,
         diag: &mut Diagnosis,
-    ) -> (Option<Arc<Vec<PublishedKey>>>, Arc<Vec<PublishedKey>>) {
+    ) -> Arc<KeyEntry> {
         let now = self.now();
         // L1 first: a private, lock-free probe on the worker's own
         // tier. The entry is a shared `Arc` with embedded expiry, so
         // serving it here is indistinguishable from serving it out of
         // the shared store.
-        if let Some(l1) = self.l1 {
-            if let Some(entry) = l1.get_key(zone, now) {
-                return entry.replay(diag);
-            }
+        if let Some(entry) = self.l1.and_then(|l1| l1.get_key(zone, now)) {
+            entry.replay(diag);
+            return entry;
         }
+        // The shared tier, probed before and after taking the permit:
+        // `live` borrows the locked shard (the first probe goes on to
+        // take the permit under the same lock), `serve` runs once the
+        // lock is gone — a hit counted, mirrored into L1, replayed.
+        let live = |shard: &KeyShard| shard.entries.get(zone).filter(|e| e.live(now)).cloned();
+        let serve = |entry: Arc<KeyEntry>, diag: &mut Diagnosis| {
+            self.infra.count_key_hit();
+            if let Some(l1) = self.l1 {
+                l1.put_key(zone, Arc::clone(&entry));
+            }
+            entry.replay(diag);
+            entry
+        };
         // Fast path plus singleflight admission: a usable entry is
         // replayed immediately; otherwise this thread takes (or waits
         // for) the zone's build permit.
-        let permit: Arc<Mutex<()>> = {
+        let permit = {
             let mut shard = self.infra.key_shard(zone).lock().expect("no poisoning");
-            if let Some(entry) = shard.entries.get(zone) {
-                if entry.live(now) {
-                    let entry = Arc::clone(entry);
-                    drop(shard);
-                    self.infra.count_key_hit();
-                    if let Some(l1) = self.l1 {
-                        l1.put_key(zone, Arc::clone(&entry));
-                    }
-                    return entry.replay(diag);
-                }
+            if let Some(entry) = live(&shard) {
+                drop(shard);
+                return serve(entry, diag);
             }
             Arc::clone(shard.building.entry(zone.clone()).or_default())
         };
         let _build = permit.lock().expect("no poisoning");
         // Re-check: if we waited on the permit, the winner has already
         // cached the entry and we must not fetch again.
-        {
-            let shard = self.infra.key_shard(zone).lock().expect("no poisoning");
-            if let Some(entry) = shard.entries.get(zone) {
-                if entry.live(now) {
-                    let entry = Arc::clone(entry);
-                    drop(shard);
-                    self.infra.count_key_hit();
-                    if let Some(l1) = self.l1 {
-                        l1.put_key(zone, Arc::clone(&entry));
-                    }
-                    return entry.replay(diag);
-                }
-            }
+        let recheck = live(&self.infra.key_shard(zone).lock().expect("no poisoning"));
+        if let Some(entry) = recheck {
+            return serve(entry, diag);
         }
 
         let mut sub = Diagnosis::with_tracer(diag.tracer().clone());
@@ -289,78 +287,61 @@ impl<'a> Engine<'a> {
                 });
             }
             let query = Message::iterative_query(self.next_id(), zone.clone(), RrType::Dnskey);
-            let failure = match self.transact_blocking(server, &query, &sub) {
-                Ok(resp) if resp.truncated => break Err(NsFailure::Truncated),
-                Ok(resp) => match NsFailure::from_rcode(resp.rcode) {
-                    Some(failure) => {
+            match usable_reply(self.transact_blocking(server, &query, &sub)) {
+                Ok(resp) => break Ok(resp),
+                Err(failure) => {
+                    if failure.is_rcode_failure() {
                         sub.add_event(NsEvent {
                             addr: server,
                             failure,
                             qname: zone.clone(),
                             qtype: RrType::Dnskey,
                         });
-                        failure
                     }
-                    None => break Ok(resp),
-                },
-                Err(NetError::Unroutable) => break Err(NsFailure::Unroutable),
-                Err(NetError::Timeout) => NsFailure::Timeout,
-            };
-            if !(failure.is_transient() && tries < retries) {
-                break Err(failure);
-            }
-            tries += 1;
-        };
-
-        let (trusted, published) = match fetched {
-            Err(failure) => {
-                sub.add(Finding::DnskeyUnobtainable { failure });
-                sub.degrade(ValidationState::Bogus);
-                (None, Vec::new())
-            }
-            Ok(resp) => {
-                let sets = collate(&resp.answers);
-                match sets
-                    .iter()
-                    .find(|s| s.rtype == RrType::Dnskey && s.name == *zone)
-                {
-                    None => {
-                        sub.add(Finding::DnskeyUnobtainable {
-                            failure: NsFailure::OtherRcode(0),
-                        });
-                        sub.degrade(ValidationState::Bogus);
-                        (None, Vec::new())
-                    }
-                    Some(dnskey_set) => {
-                        let v = validate_dnskey(zone, ds, dnskey_set, self.caps, now, &mut sub);
-                        (v.trusted, v.published)
+                    if !(failure.is_transient() && tries < retries) {
+                        break Err(failure);
                     }
                 }
             }
+            tries += 1;
         };
-        let trusted = trusted.map(Arc::new);
-        let published = Arc::new(published);
+        let keys = validate::keys_link(zone, ds, fetched, self.caps, now, &mut sub);
 
         // Merge the sub-diagnosis into the caller's and cache it. The
         // sub shares the caller's tracer, so `absorb` (not `add`) avoids
         // announcing each finding twice.
         diag.absorb(&sub);
-        let entry = Arc::new(KeyEntry::new(
-            trusted.clone(),
-            published.clone(),
-            sub.findings,
-            sub.validation,
-            now + if trusted.is_some() { 3600 } else { 30 },
-        ));
+        let expires = now + if keys.trusted.is_some() { 3600 } else { 30 };
+        let entry = Arc::new(KeyEntry {
+            trusted: keys.trusted.map(Arc::new),
+            published: Arc::new(keys.published),
+            findings: sub.findings,
+            state: sub.validation,
+            expires,
+        });
         {
             let mut shard = self.infra.key_shard(zone).lock().expect("no poisoning");
             shard.entries.insert(zone.detached(), Arc::clone(&entry));
             shard.building.remove(zone);
         }
         if let Some(l1) = self.l1 {
-            l1.put_key(zone, entry);
+            l1.put_key(zone, Arc::clone(&entry));
         }
-        (trusted, published)
+        entry
+    }
+
+    /// RFC 8198 retention of a proof the chain just accepted (an insecure
+    /// delegation's, or a denial's): the ranges of `authority` belong to
+    /// `zone`, and those whose signature re-verifies against its
+    /// validated `keys` enter the range tier.
+    fn retain_proof(&self, zone: &Name, authority: &[Record], keys: &[PublishedKey]) {
+        if let Some(ranges) = self.ranges {
+            let now = self.now();
+            let proofs = validate::extract_proof_ranges(authority, keys, now);
+            if !proofs.is_empty() {
+                ranges.retain(zone, &proofs, now);
+            }
+        }
     }
 
     /// Resolve addresses for a nameserver name (used when a referral
@@ -571,49 +552,17 @@ impl<'a> Engine<'a> {
                     // parent.
                     let secure_cut = zone_signed && referral.signed;
                     if zone_signed {
-                        let (parent_keys, _) =
-                            self.zone_keys(&at.zone, &at.ds_rdatas, responder, diag);
-                        if referral.signed {
-                            // Authenticate the DS RRset itself.
-                            if let Some(keys) = &parent_keys {
-                                let sets = collate(&resp.authorities);
-                                if let Some(ds_set) = sets.iter().find(|s| s.rtype == RrType::Ds) {
-                                    check_rrset(
-                                        ds_set,
-                                        keys.as_slice(),
-                                        self.caps,
-                                        self.now(),
-                                        crate::diagnosis::SigTarget::Answer,
-                                        diag,
-                                    );
-                                }
-                            }
-                        } else if let Some(keys) = &parent_keys {
-                            // Insecure delegation: demand the NSEC3
-                            // opt-in proof.
-                            if !insecure_proof_present(&resp.authorities, &referral.zone) {
-                                diag.add(Finding::InsecureReferralProofMissing);
-                                diag.degrade(ValidationState::Bogus);
-                            } else {
-                                // The proof's ranges belong to the
-                                // *parent* zone; retain any whose
-                                // signature re-verifies against the
-                                // parent's validated keys.
-                                if let Some(ranges) = self.ranges {
-                                    let now = self.now();
-                                    let proofs = extract_proof_ranges(
-                                        &resp.authorities,
-                                        keys.as_slice(),
-                                        now,
-                                    );
-                                    if !proofs.is_empty() {
-                                        ranges.retain(&at.zone, &proofs, now);
-                                    }
-                                }
-                                diag.degrade(ValidationState::Insecure);
-                            }
-                        } else {
-                            diag.degrade(ValidationState::Insecure);
+                        let parent = self.zone_keys(&at.zone, &at.ds_rdatas, responder, diag);
+                        if let Some(keys) = validate::cut_link(
+                            &resp.authorities,
+                            &referral.zone,
+                            referral.signed,
+                            parent.trusted(),
+                            self.caps,
+                            self.now(),
+                            diag,
+                        ) {
+                            self.retain_proof(&at.zone, &resp.authorities, keys);
                         }
                     }
 
@@ -704,70 +653,21 @@ impl<'a> Engine<'a> {
                     continue;
                 }
 
-                // Authoritative (or terminal) answer.
-                if zone_signed {
-                    diag.zone_signed = true;
-                    // Only validation reads the answer as RRsets.
-                    let answer_sets = collate(&resp.answers);
-                    let (trusted, published) =
-                        self.zone_keys(&at.zone, &at.ds_rdatas, responder, diag);
-                    match &trusted {
-                        Some(keys) => {
-                            if answer_sets.is_empty() {
-                                let kind = if resp.rcode == Rcode::NxDomain {
-                                    NegativeKind::Nxdomain
-                                } else {
-                                    NegativeKind::Nodata
-                                };
-                                let pre_findings = diag.findings.len();
-                                check_negative(
-                                    &resp.authorities,
-                                    &current_name,
-                                    qtype,
-                                    kind,
-                                    &at.zone,
-                                    keys.as_slice(),
-                                    self.caps,
-                                    self.now(),
-                                    diag,
-                                );
-                                // Retain the proof's ranges only when
-                                // the denial validated cleanly — a
-                                // proof that recorded any finding must
-                                // never seed synthesis.
-                                if diag.findings.len() == pre_findings {
-                                    if let Some(ranges) = self.ranges {
-                                        let now = self.now();
-                                        let proofs = extract_proof_ranges(
-                                            &resp.authorities,
-                                            keys.as_slice(),
-                                            now,
-                                        );
-                                        if !proofs.is_empty() {
-                                            ranges.retain(&at.zone, &proofs, now);
-                                        }
-                                    }
-                                }
-                            } else {
-                                for set in &answer_sets {
-                                    check_rrset(
-                                        set,
-                                        keys.as_slice(),
-                                        self.caps,
-                                        self.now(),
-                                        crate::diagnosis::SigTarget::Answer,
-                                        diag,
-                                    );
-                                }
-                            }
-                        }
-                        None => {
-                            advisory_answer_key_check(&answer_sets, published.as_slice(), diag);
-                        }
-                    }
-                } else if diag.validation == ValidationState::Secure {
-                    // No chain of trust reaches this zone.
-                    diag.degrade(ValidationState::Insecure);
+                // Authoritative (or terminal) answer: the last link of
+                // the chain, when one reaches this zone.
+                diag.zone_signed |= zone_signed;
+                let keys =
+                    zone_signed.then(|| self.zone_keys(&at.zone, &at.ds_rdatas, responder, diag));
+                if let Some(trusted) = validate::answer_link(
+                    &resp,
+                    &Question::new(current_name.clone(), qtype),
+                    &at.zone,
+                    keys.as_deref(),
+                    self.caps,
+                    self.now(),
+                    diag,
+                ) {
+                    self.retain_proof(&at.zone, &resp.authorities, trusted);
                 }
 
                 // CNAME chasing: restart when the alias leads out of the
@@ -876,34 +776,4 @@ fn parse_referral(resp: &Message, qname: &Name, current_zone: &Name) -> Option<R
             .iter()
             .any(|r| r.rtype() == RrType::Ds && r.name == *zone),
     })
-}
-
-/// Light check that a referral's authority section proves the delegation
-/// insecure: an NSEC3 (or plain NSEC) matching the delegation owner
-/// whose bitmap lacks DS.
-fn insecure_proof_present(authority: &[Record], deleg: &Name) -> bool {
-    for rec in authority {
-        match &rec.rdata {
-            Rdata::Nsec3 {
-                salt,
-                iterations,
-                types,
-                ..
-            } => {
-                let label = nsec3hash::nsec3_hash_label(deleg.as_wire(), salt, *iterations);
-                let owner_matches = rec
-                    .name
-                    .first_label()
-                    .is_some_and(|l| l.eq_ignore_ascii_case(&label));
-                if owner_matches && !types.contains(RrType::Ds) {
-                    return true;
-                }
-            }
-            Rdata::Nsec { types, .. } if rec.name == *deleg && !types.contains(RrType::Ds) => {
-                return true;
-            }
-            _ => {}
-        }
-    }
-    false
 }

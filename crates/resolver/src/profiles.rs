@@ -423,6 +423,11 @@ const UNBOUND: &[Rule] = &[
     (PROOF, Code(6)),
     (DENIAL_UNSIGNED, Code(12)),
     (DENIAL_BOGUS, Code(6)),
+    // Shadowed by construction: an answer's RRSIG names a missing key
+    // only beside the DNSKEY-level finding that removed it, which the
+    // first row takes. Kept as the transcription of Unbound's own
+    // mapping (`val_sigcrypt.c`: "signatures from unknown keys" is
+    // DNSKEY Missing).
     (ANSWER_KEY_MISSING, Code(9)),
 ];
 
@@ -479,6 +484,10 @@ const CLOUDFLARE: &[Rule] = &[
     (ANSWER_EXPIRED | ANSWER_INVERTED, Code(7)),
     (ANSWER_NOT_YET, Code(8)),
     (SIG_BOGUS, Code(6)),
+    // Shadowed like Unbound's: `DNSKEY_BOGUS` or `DS_NO_KEY_*` above
+    // always wins. Transcribes the "Extended DNS error codes" reference
+    // of the 1.1.1.1 documentation, where 9 keeps its RFC 8914 §4.10
+    // meaning: the key a signature needs is not in the DNSKEY RRset.
     (ANSWER_KEY_MISSING, Code(9)),
     (PROOF | DENIAL_UNSIGNED | DENIAL_BOGUS, Code(6)),
     (
@@ -783,5 +792,53 @@ mod tests {
         let entries = VendorProfile::new(Vendor::Knot).emit(&d);
         assert_eq!(codes(&entries), vec![0]);
         assert_eq!(entries[0].extra_text, KNOT_LSLC);
+    }
+
+    // `fn shapes() -> Vec<Finding>`: the 63 instantiations
+    // `tests/emission_pin.rs` enumerates.
+    include!("../tests/common/shapes.rs");
+
+    /// `shape_of`, the rule tables and `explain_finding` are three
+    /// exhaustive accounts of `Finding` that must agree: every bit
+    /// `shape_of` can return is read by something (a table row,
+    /// `cache_codes`, `cloudflare_tail`, or a derived shape) — no orphan
+    /// bit — and two findings some vendor tells apart are explained to
+    /// the operator in different words.
+    #[test]
+    fn shapes_tables_and_explanations_agree() {
+        let rows = Vendor::ALL
+            .into_iter()
+            .flat_map(|v| VendorProfile::new(v).table())
+            .fold(0, |acc, (any_of, _)| acc | any_of);
+        let beside_the_tables = STALE_ANSWER | STALE_NXDOMAIN | CACHED_ERROR // cache_codes
+            | ALL_SERVERS_FAILED // cloudflare_tail
+            | DNSKEY_BOGUS_ZSK_PRESENT; // feeds ANSWER_KEY_MISSING_ZSK_PRESENT
+        let shapes = shapes();
+        assert_eq!(shapes.len(), 63);
+        let mut returned = 0;
+        for f in &shapes {
+            let shape = shape_of(f);
+            let orphans = shape & !(rows | beside_the_tables);
+            assert_eq!(orphans, 0, "{f:?}: bit(s) {orphans:#x} nothing reads");
+            returned |= shape;
+            assert!(!crate::explain::explain_finding(f).is_empty(), "{f:?}");
+        }
+        // Conversely, every primitive bit a row names is one `shape_of`
+        // returns: the derived two are all that is left over.
+        assert_eq!(
+            rows & !returned,
+            ANSWER_KEY_MISSING_ZSK_PRESENT | NS_REFUSED
+        );
+        for (i, f) in shapes.iter().enumerate() {
+            for g in &shapes[i + 1..] {
+                if shape_of(f) != shape_of(g) {
+                    assert_ne!(
+                        crate::explain::explain_finding(f),
+                        crate::explain::explain_finding(g),
+                        "{f:?} and {g:?} differ in shape but not in explanation"
+                    );
+                }
+            }
+        }
     }
 }

@@ -54,7 +54,7 @@ impl Resolution {
         resp.recursion_available = true;
         resp.authentic_data = self.authentic_data;
         resp.answers = self.answers.clone();
-        let mut edns = Edns::default();
+        let mut edns = query.edns.as_ref().map_or_else(Edns::default, Edns::reply);
         for entry in &self.ede {
             edns.push_ede(entry.clone());
         }

@@ -1,27 +1,45 @@
-//! DNSSEC chain-of-trust validation.
+//! DNSSEC chain-of-trust validation, as links.
 //!
 //! Implements the validator side of RFC 4034/4035/5155 to the depth the
-//! paper's observations require: DS → DNSKEY matching with registry
-//! status handling, DNSKEY RRset authentication, per-RRset signature
-//! verification with validity windows, and NSEC3 denial-proof checking.
-//! Every failure mode is reported as a structured
-//! [`Finding`] — rather than a bare error — so the
-//! vendor emission profiles can reproduce Table 4.
+//! paper's observations require, link by link in chain order:
 //!
-//! [`Finding`]: crate::diagnosis::Finding
+//! 1. **trust anchor → DS**: crossing a zone cut, `cut_link`
+//!    authenticates the child's DS RRset with the parent's keys, or
+//!    demands proof that the delegation is insecure and leaves the chain;
+//! 2. **DS → DNSKEY**: `keys_link` takes what the DNSKEY fetch yielded,
+//!    and [`validate_dnskey`] matches DS records to published keys (with
+//!    registry-status handling) and authenticates the DNSKEY RRset;
+//! 3. **DNSKEY → RRset or denial**: `answer_link` verifies every answer
+//!    RRset ([`check_rrset`]: signatures and validity windows) or the
+//!    NSEC/NSEC3 denial proof ([`check_negative`]).
+//!
+//! A link is a private function that returns its verdict: `Ok` with what
+//! the next link needs, or `Err(Broken)` — the [`Finding`] that names the
+//! break and the [`ValidationState`] it forces. One function, `step`,
+//! records a broken link: the finding, the state joined into the
+//! diagnosis ([`Diagnosis::degrade`]), the one `ValidationStep` event.
+//! Every `Bogus` and `Insecure` is decided in this module; the iterative
+//! walk decides only `Indeterminate` (no answer to validate). Failures
+//! are structured findings — not bare errors — so the vendor profiles can
+//! reproduce Table 4, and links add advisory findings (a stand-by key,
+//! an unusable DS) on their way in a fixed order: the order of findings
+//! is contract.
 
+use crate::cache::infra::KeyEntry;
 use crate::cache::ranges::ProofRange;
 use crate::diagnosis::{
-    AlgStatus, DenialIssue, Diagnosis, DsMismatch, Finding, NegativeKind, SigTarget,
+    AlgStatus, DenialIssue, Diagnosis, DsMismatch, Finding, NegativeKind, NsFailure, SigTarget,
     ValidationState,
 };
 use crate::profiles::ValidatorCaps;
-use ede_crypto::{base32, keytag, nsec3hash, simsig, Digest, Sha1, Sha256, Sha384};
+use ede_crypto::{keytag, simsig};
+use ede_trace::TraceEvent;
 use ede_wire::rdata::Rrsig;
 use ede_wire::registry::RegistryStatus;
-use ede_wire::{DigestAlg, Name, Rdata, Record, RrType, SecAlg};
-use ede_zone::canonical::{ds_digest_input, signing_data};
-use ede_zone::Rrset;
+use ede_wire::{DigestAlg, Message, Name, Question, Rcode, Rdata, Record, RrType, SecAlg};
+use ede_zone::canonical::{ds_digest, signing_data};
+use ede_zone::nsec3;
+use ede_zone::rrset::{collate, Rrset};
 
 /// A DNSKEY as published by a zone, parsed for validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,77 +109,70 @@ pub fn published_keys(dnskey_rrset: &Rrset) -> Vec<PublishedKey> {
         .collect()
 }
 
-/// Regroup a flat record list (one section of a response) into RRsets
-/// with their covering RRSIGs attached — the inverse of serving.
-pub fn collate(records: &[Record]) -> Vec<Rrset> {
-    let mut sets: Vec<Rrset> = Vec::new();
-    // Data records first.
-    for rec in records {
-        if rec.rtype() == RrType::Rrsig {
-            continue;
-        }
-        match sets
-            .iter_mut()
-            .find(|s| s.name == rec.name && s.rtype == rec.rtype())
-        {
-            Some(set) => set.rdatas.push(rec.rdata.clone()),
-            None => sets.push(Rrset {
-                name: rec.name.clone(),
-                rtype: rec.rtype(),
-                ttl: rec.ttl,
-                rdatas: vec![rec.rdata.clone()],
-                sigs: Vec::new(),
-            }),
-        }
-    }
-    // Then attach signatures.
-    for rec in records {
-        if let Rdata::Rrsig(sig) = &rec.rdata {
-            if let Some(set) = sets
-                .iter_mut()
-                .find(|s| s.name == rec.name && s.rtype == sig.type_covered)
-            {
-                set.sigs.push(sig.clone());
-            }
-        }
-    }
-    sets
+/// A broken link: the finding that names the break (none when the chain
+/// of trust merely ends) and the verdict it forces on the resolution.
+type Broken = (Option<Finding>, ValidationState);
+
+/// The usual break: `finding` makes the resolution Bogus.
+fn bogus(finding: Finding) -> Broken {
+    (Some(finding), ValidationState::Bogus)
 }
 
-/// How one RRSIG's validity window relates to `now`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Window {
-    Valid,
-    Expired,
-    NotYet,
-    ExpiredBeforeValid,
+/// Record a broken link: its finding, then its verdict joined into the
+/// state. Called directly only where no `ValidationStep` is announced.
+fn record(diag: &mut Diagnosis, (finding, verdict): Broken) {
+    if let Some(finding) = finding {
+        diag.add(finding);
+    }
+    diag.degrade(verdict);
 }
 
-fn check_window(sig: &Rrsig, now: u32) -> Window {
+/// Run one link of the chain: record it if it broke, and announce the
+/// step under `label` — `ok` when the link held and recorded nothing,
+/// not even an advisory finding. Hands on what the link yielded.
+fn step<T>(
+    diag: &mut Diagnosis,
+    label: impl FnOnce() -> String,
+    link: impl FnOnce(&mut Diagnosis) -> Result<T, Broken>,
+) -> Option<T> {
+    let before = diag.findings.len();
+    let held = match link(diag) {
+        Ok(yielded) => Some(yielded),
+        Err(broken) => {
+            record(diag, broken);
+            None
+        }
+    };
+    let tracer = diag.tracer();
+    tracer.emit(TraceEvent::ValidationStep {
+        target: if tracer.wants_query_detail() {
+            label()
+        } else {
+            String::new()
+        },
+        ok: held.is_some() && diag.findings.len() == before,
+    });
+    held
+}
+
+/// The finding for an RRSIG whose validity window excludes `now`.
+fn window_finding(sig: &Rrsig, now: u32, target: SigTarget) -> Option<Finding> {
     if sig.expiration < sig.inception {
-        Window::ExpiredBeforeValid
+        Some(Finding::SignatureExpiredBeforeValid { target })
     } else if now > sig.expiration {
-        Window::Expired
+        Some(Finding::SignatureExpired { target })
     } else if now < sig.inception {
-        Window::NotYet
+        Some(Finding::SignatureNotYetValid { target })
     } else {
-        Window::Valid
-    }
-}
-
-fn window_finding(w: Window, target: SigTarget) -> Option<Finding> {
-    match w {
-        Window::Valid => None,
-        Window::Expired => Some(Finding::SignatureExpired { target }),
-        Window::NotYet => Some(Finding::SignatureNotYetValid { target }),
-        Window::ExpiredBeforeValid => Some(Finding::SignatureExpiredBeforeValid { target }),
+        None
     }
 }
 
 /// Verify one signature over one RRset against one key, including the
 /// window. Returns true only when everything checks out.
 fn sig_verifies(sig: &Rrsig, rrset: &Rrset, key: &PublishedKey, now: u32) -> bool {
-    if check_window(sig, now) != Window::Valid {
+    // Whichever target: only whether the window excludes `now` matters.
+    if window_finding(sig, now, SigTarget::Answer).is_some() {
         return false;
     }
     if sig.key_tag != key.tag || sig.algorithm != key.algorithm {
@@ -169,6 +180,12 @@ fn sig_verifies(sig: &Rrsig, rrset: &Rrset, key: &PublishedKey, now: u32) -> boo
     }
     let data = signing_data(sig, rrset);
     simsig::verify(&key.public_key, sig.algorithm, &data, &sig.signature).is_ok()
+}
+
+/// The first signature over `rrset` that one of `keys` verifies.
+fn verified_sig<'s>(rrset: &'s Rrset, keys: &[PublishedKey], now: u32) -> Option<&'s Rrsig> {
+    let by_a_key = |sig: &&Rrsig| keys.iter().any(|k| sig_verifies(sig, rrset, k, now));
+    rrset.sigs.iter().find(by_a_key)
 }
 
 fn alg_status_for(alg: u8, caps: &ValidatorCaps) -> Option<AlgStatus> {
@@ -183,6 +200,7 @@ fn alg_status_for(alg: u8, caps: &ValidatorCaps) -> Option<AlgStatus> {
 }
 
 /// Outcome of validating one zone's DNSKEY RRset against its DS set.
+#[derive(Default)]
 pub struct DnskeyValidation {
     /// Keys usable for signature verification below this zone, when the
     /// chain link validated.
@@ -202,35 +220,23 @@ pub fn validate_dnskey(
     now: u32,
     diag: &mut Diagnosis,
 ) -> DnskeyValidation {
-    let before = diag.findings.len();
-    let v = validate_dnskey_inner(apex, ds_rdatas, dnskey_rrset, caps, now, diag);
-    let tracer = diag.tracer();
-    tracer.emit(ede_trace::TraceEvent::ValidationStep {
-        target: if tracer.wants_query_detail() {
-            format!("DNSKEY {apex}")
-        } else {
-            String::new()
-        },
-        ok: v.trusted.is_some() && diag.findings.len() == before,
-    });
-    v
+    let published = published_keys(dnskey_rrset);
+    let trusted = step(
+        diag,
+        || format!("DNSKEY {apex}"),
+        |diag| dnskey_link(apex, ds_rdatas, dnskey_rrset, &published, caps, now, diag),
+    );
+    DnskeyValidation { trusted, published }
 }
 
-fn validate_dnskey_inner(
-    apex: &Name,
-    ds_rdatas: &[Rdata],
-    dnskey_rrset: &Rrset,
+/// The DS records this validator can use at all; every other one leaves
+/// an advisory finding saying why not.
+fn usable_ds<'d>(
+    ds_rdatas: &'d [Rdata],
     caps: &ValidatorCaps,
-    now: u32,
     diag: &mut Diagnosis,
-) -> DnskeyValidation {
-    let published = published_keys(dnskey_rrset);
-    let zsk_present = published.iter().any(|k| {
-        k.is_zone_key() && !k.is_sep() && SecAlg(k.algorithm).status() != RegistryStatus::Unassigned
-    });
-
-    // 1. Which DS records can this validator use at all?
-    let mut usable_ds: Vec<&Rdata> = Vec::new();
+) -> Vec<&'d Rdata> {
+    let mut usable = Vec::new();
     for ds in ds_rdatas {
         let Rdata::Ds {
             algorithm,
@@ -240,55 +246,44 @@ fn validate_dnskey_inner(
         else {
             continue;
         };
-        if let Some(status) = alg_status_for(*algorithm, caps) {
-            match status {
+        let algorithm = *algorithm;
+        if let Some(status) = alg_status_for(algorithm, caps) {
+            diag.add(match status {
                 AlgStatus::Unassigned | AlgStatus::Reserved => {
-                    diag.add(Finding::DsUnknownAlgorithm {
-                        status,
-                        algorithm: *algorithm,
-                    })
+                    Finding::DsUnknownAlgorithm { status, algorithm }
                 }
                 AlgStatus::Deprecated | AlgStatus::UnsupportedAssigned => {
-                    diag.add(Finding::ZoneAlgorithmUnsupported {
-                        status,
-                        algorithm: *algorithm,
-                    })
+                    Finding::ZoneAlgorithmUnsupported { status, algorithm }
                 }
-            }
+            });
             continue;
         }
-        let dt = DigestAlg(*digest_type);
-        if dt.status() == RegistryStatus::Unassigned || dt.status() == RegistryStatus::Reserved {
+        let assigned = !matches!(
+            DigestAlg(*digest_type).status(),
+            RegistryStatus::Unassigned | RegistryStatus::Reserved
+        );
+        if !assigned || !caps.digests.contains(digest_type) {
             diag.add(Finding::DsUnsupportedDigest {
-                assigned: false,
+                assigned,
                 digest_type: *digest_type,
             });
             continue;
         }
-        if !caps.digests.contains(digest_type) {
-            diag.add(Finding::DsUnsupportedDigest {
-                assigned: true,
-                digest_type: *digest_type,
-            });
-            continue;
-        }
-        usable_ds.push(ds);
+        usable.push(ds);
     }
+    usable
+}
 
-    if usable_ds.is_empty() {
-        // RFC 4035 §5.2: no supported DS algorithm ⇒ treat the zone as
-        // unsigned.
-        diag.degrade(ValidationState::Insecure);
-        return DnskeyValidation {
-            trusted: None,
-            published,
-        };
-    }
-
-    // 2. Match DS records to published keys.
+/// The published zone key a usable DS vouches for, DS records and keys
+/// tried in RRset order.
+fn ds_matched_key<'k>(
+    apex: &Name,
+    usable_ds: &[&Rdata],
+    published: &'k [PublishedKey],
+    diag: &mut Diagnosis,
+) -> Result<&'k PublishedKey, Broken> {
     let mut digest_mismatch_seen = false;
-    let mut matched: Option<(&Rdata, &PublishedKey)> = None;
-    'outer: for ds in &usable_ds {
+    for ds in usable_ds {
         let Rdata::Ds {
             key_tag,
             algorithm,
@@ -302,102 +297,72 @@ fn validate_dnskey_inner(
             .iter()
             .filter(|k| k.tag == *key_tag && k.algorithm == *algorithm)
         {
-            let input = ds_digest_input(apex, &key.dnskey_rdata());
-            let computed = match DigestAlg(*digest_type) {
-                DigestAlg::SHA1 => Sha1::digest(&input),
-                DigestAlg::SHA384 => Sha384::digest(&input),
-                _ => Sha256::digest(&input),
-            };
-            if computed != *digest {
+            if ds_digest(apex, &key.dnskey_rdata(), DigestAlg(*digest_type)) != *digest {
                 digest_mismatch_seen = true;
-                continue;
+            } else if key.is_zone_key() {
+                return Ok(key);
             }
-            if !key.is_zone_key() {
-                continue;
-            }
-            matched = Some((ds, key));
-            break 'outer;
         }
     }
+    if !published.is_empty() && published.iter().all(|k| !k.is_zone_key()) {
+        diag.add(Finding::NoZoneKeyBitSet);
+    }
+    Err(bogus(Finding::DsNoMatchingDnskey {
+        cause: if digest_mismatch_seen {
+            DsMismatch::Digest
+        } else {
+            DsMismatch::TagOrAlgorithm
+        },
+    }))
+}
 
-    let Some((_, ksk)) = matched else {
-        if !published.is_empty() && published.iter().all(|k| !k.is_zone_key()) {
-            diag.add(Finding::NoZoneKeyBitSet);
-        }
-        diag.add(Finding::DsNoMatchingDnskey {
-            cause: if digest_mismatch_seen {
-                DsMismatch::Digest
-            } else {
-                DsMismatch::TagOrAlgorithm
-            },
-        });
-        diag.degrade(ValidationState::Bogus);
-        return DnskeyValidation {
-            trusted: None,
-            published,
-        };
-    };
+/// The DS → DNSKEY link: the keys trusted below `apex`, when a usable DS
+/// selects a published key and that key's signature authenticates the
+/// DNSKEY RRset.
+fn dnskey_link(
+    apex: &Name,
+    ds_rdatas: &[Rdata],
+    dnskey_rrset: &Rrset,
+    published: &[PublishedKey],
+    caps: &ValidatorCaps,
+    now: u32,
+    diag: &mut Diagnosis,
+) -> Result<Vec<PublishedKey>, Broken> {
+    let usable_ds = usable_ds(ds_rdatas, caps, diag);
+    if usable_ds.is_empty() {
+        // RFC 4035 §5.2: no supported DS algorithm ⇒ treat the zone as
+        // unsigned.
+        return Err((None, ValidationState::Insecure));
+    }
+    let ksk = ds_matched_key(apex, &usable_ds, published, diag)?;
 
-    // 3. Authenticate the DNSKEY RRset with the matched KSK.
+    // Authenticate the DNSKEY RRset with the matched KSK.
     let sigs = &dnskey_rrset.sigs;
     if sigs.is_empty() {
-        diag.add(Finding::DnskeyAllSigsMissing);
-        diag.degrade(ValidationState::Bogus);
-        return DnskeyValidation {
-            trusted: None,
-            published,
-        };
+        return Err(bogus(Finding::DnskeyAllSigsMissing));
     }
-    let Some(ksk_sig) = sigs
+    let ksk_sig = sigs
         .iter()
         .find(|s| s.key_tag == ksk.tag && s.algorithm == ksk.algorithm)
-    else {
-        diag.add(Finding::DnskeySigMissingByMatchedKey);
-        diag.degrade(ValidationState::Bogus);
-        return DnskeyValidation {
-            trusted: None,
-            published,
-        };
-    };
-
-    if let Some(f) = window_finding(check_window(ksk_sig, now), SigTarget::Dnskey) {
-        diag.add(f);
-        diag.degrade(ValidationState::Bogus);
-        return DnskeyValidation {
-            trusted: None,
-            published,
-        };
+        .ok_or_else(|| bogus(Finding::DnskeySigMissingByMatchedKey))?;
+    if let Some(f) = window_finding(ksk_sig, now, SigTarget::Dnskey) {
+        return Err(bogus(f));
+    }
+    if !sig_verifies(ksk_sig, dnskey_rrset, ksk, now) {
+        return Err(bogus(Finding::DnskeySigBogus {
+            zsk_present: published.iter().any(|k| {
+                k.is_zone_key()
+                    && !k.is_sep()
+                    && SecAlg(k.algorithm).status() != RegistryStatus::Unassigned
+            }),
+            // Advisory: does *any* signature over the RRset verify against
+            // *any* published key? (Quad9 demonstrably distinguishes this.)
+            some_sig_valid: verified_sig(dnskey_rrset, published, now).is_some(),
+        }));
     }
 
-    let data = signing_data(ksk_sig, dnskey_rrset);
-    if simsig::verify(
-        &ksk.public_key,
-        ksk_sig.algorithm,
-        &data,
-        &ksk_sig.signature,
-    )
-    .is_err()
-    {
-        // Advisory: does *any* signature over the RRset verify against
-        // *any* published key? (Quad9 demonstrably distinguishes this.)
-        let some_sig_valid = sigs.iter().any(|s| {
-            published
-                .iter()
-                .any(|k| sig_verifies(s, dnskey_rrset, k, now))
-        });
-        diag.add(Finding::DnskeySigBogus {
-            zsk_present,
-            some_sig_valid,
-        });
-        diag.degrade(ValidationState::Bogus);
-        return DnskeyValidation {
-            trusted: None,
-            published,
-        };
-    }
-
-    // 4. Chain link established. Advisory scan-era findings:
-    for key in &published {
+    // Chain link established. Advisory scan-era findings:
+    for key in published {
         // A SEP-flagged key that is not DS-matched and signs nothing is a
         // stand-by key (§4.2.3) — Cloudflare flags it.
         if key.is_sep() && key.tag != ksk.tag && !sigs.iter().any(|s| s.key_tag == key.tag) {
@@ -409,15 +374,36 @@ fn validate_dnskey_inner(
             });
         }
     }
-
-    let trusted: Vec<PublishedKey> = published
+    Ok(published
         .iter()
         .filter(|k| k.is_zone_key())
         .cloned()
-        .collect();
-    DnskeyValidation {
-        trusted: Some(trusted),
-        published,
+        .collect())
+}
+
+/// What the DNSKEY fetch for `zone` yielded, as the DS → DNSKEY link: a
+/// failed fetch, or a reply without the RRset, leaves the zone's keys
+/// unobtainable; anything else goes to [`validate_dnskey`].
+pub(crate) fn keys_link(
+    zone: &Name,
+    ds_rdatas: &[Rdata],
+    fetched: Result<Message, NsFailure>,
+    caps: &ValidatorCaps,
+    now: u32,
+    diag: &mut Diagnosis,
+) -> DnskeyValidation {
+    let dnskey_set = fetched.and_then(|resp| {
+        collate(&resp.answers)
+            .into_iter()
+            .find(|s| s.rtype == RrType::Dnskey && s.name == *zone)
+            .ok_or(NsFailure::OtherRcode(0))
+    });
+    match dnskey_set {
+        Ok(set) => validate_dnskey(zone, ds_rdatas, &set, caps, now, diag),
+        Err(failure) => {
+            record(diag, bogus(Finding::DnskeyUnobtainable { failure }));
+            DnskeyValidation::default()
+        }
     }
 }
 
@@ -432,33 +418,26 @@ pub fn check_rrset(
     target: SigTarget,
     diag: &mut Diagnosis,
 ) -> bool {
-    let ok = check_rrset_inner(rrset, trusted, caps, now, target, diag);
-    let tracer = diag.tracer();
-    tracer.emit(ede_trace::TraceEvent::ValidationStep {
-        target: if tracer.wants_query_detail() {
-            format!("{} {} rrsig", rrset.name, rrset.rtype)
-        } else {
-            String::new()
-        },
-        ok,
-    });
-    ok
+    step(
+        diag,
+        || format!("{} {} rrsig", rrset.name, rrset.rtype),
+        |_| rrset_link(rrset, trusted, caps, now, target),
+    )
+    .is_some()
 }
 
-fn check_rrset_inner(
+/// The DNSKEY → RRset link: holds when one signature by a trusted key
+/// verifies; otherwise breaks on the first signature's issue.
+fn rrset_link(
     rrset: &Rrset,
     trusted: &[PublishedKey],
     caps: &ValidatorCaps,
     now: u32,
     target: SigTarget,
-    diag: &mut Diagnosis,
-) -> bool {
+) -> Result<(), Broken> {
     if rrset.sigs.is_empty() {
-        diag.add(Finding::RrsigMissing { target });
-        diag.degrade(ValidationState::Bogus);
-        return false;
+        return Err(bogus(Finding::RrsigMissing { target }));
     }
-
     let mut first_issue: Option<Finding> = None;
     let mut all_unsupported = true;
     for sig in &rrset.sigs {
@@ -470,7 +449,7 @@ fn check_rrset_inner(
             continue;
         }
         all_unsupported = false;
-        if let Some(f) = window_finding(check_window(sig, now), target) {
+        if let Some(f) = window_finding(sig, now, target) {
             first_issue.get_or_insert(f);
             continue;
         }
@@ -481,78 +460,137 @@ fn check_rrset_inner(
             first_issue.get_or_insert(Finding::RrsigKeyMissing { target });
             continue;
         };
-        let data = signing_data(sig, rrset);
-        if simsig::verify(&key.public_key, sig.algorithm, &data, &sig.signature).is_ok() {
-            return true;
+        if sig_verifies(sig, rrset, key, now) {
+            return Ok(());
         }
         first_issue.get_or_insert(Finding::SignatureBogus { target });
     }
-
-    if all_unsupported {
-        // A zone signed exclusively with unsupported algorithms is
-        // insecure, not bogus.
-        if let Some(f) = first_issue {
-            diag.add(f);
-        }
-        diag.degrade(ValidationState::Insecure);
-        return false;
-    }
-    if let Some(f) = first_issue {
-        diag.add(f);
-    }
-    diag.degrade(ValidationState::Bogus);
-    false
+    // A zone signed exclusively with unsupported algorithms is insecure,
+    // not bogus.
+    let verdict = if all_unsupported {
+        ValidationState::Insecure
+    } else {
+        ValidationState::Bogus
+    };
+    Err((first_issue, verdict))
 }
 
-/// Validate a plain-NSEC denial proof (RFC 4035 §3.1.3 / §5.4).
-fn check_negative_nsec(
-    nsec_sets: &[&Rrset],
+/// The structure of a denial (RFC 4035 §3.1.3 / §5.4, RFC 5155 §8): the
+/// NSEC or NSEC3 RRsets among `sets` that deny (`qname`, `qtype`), still
+/// unauthenticated. Structure is checked before signatures: a proof that
+/// points at the wrong hashes is a different observable than a proof
+/// whose signatures are broken, and vendors report them differently.
+fn negative_link<'s>(
+    sets: &'s [Rrset],
     qname: &Name,
     qtype: RrType,
     kind: NegativeKind,
+    zone_apex: &Name,
+    caps: &ValidatorCaps,
+) -> Result<Vec<&'s Rrset>, Broken> {
+    let of_type = |rtype| -> Vec<&Rrset> { sets.iter().filter(|s| s.rtype == rtype).collect() };
+    let broken = |issue| bogus(Finding::DenialProofBroken { issue, kind });
+    let lacks_qtype = |set: &Rrset| match set.rdatas.first() {
+        Some(Rdata::Nsec { types, .. } | Rdata::Nsec3 { types, .. }) => !types.contains(qtype),
+        _ => false,
+    };
+
+    let nsec3_sets = of_type(RrType::Nsec3);
+    if nsec3_sets.is_empty() {
+        // Plain-NSEC proofs take a simpler structural path: owner names
+        // are compared directly in canonical order.
+        let nsec_sets = of_type(RrType::Nsec);
+        if nsec_sets.is_empty() {
+            let soa_signed = sets
+                .iter()
+                .find(|s| s.rtype == RrType::Soa)
+                .is_some_and(|s| !s.sigs.is_empty());
+            return Err(if soa_signed {
+                broken(DenialIssue::Absent)
+            } else {
+                bogus(Finding::NegativeUnsigned { kind })
+            });
+        }
+        let denies = |s: &&Rrset| match kind {
+            NegativeKind::Nodata => s.name == *qname && lacks_qtype(s),
+            NegativeKind::Nxdomain => match s.rdatas.first() {
+                Some(Rdata::Nsec { next, .. }) => ede_zone::nsec::covers(&s.name, next, qname),
+                _ => false,
+            },
+        };
+        if !nsec_sets.iter().any(denies) {
+            return Err(broken(DenialIssue::OwnerMismatch));
+        }
+        return Ok(nsec_sets);
+    }
+
+    // Iteration cap (RFC 9276 / vendor limits).
+    let max_iter = nsec3_sets
+        .iter()
+        .filter_map(|s| match s.rdatas.first() {
+            Some(Rdata::Nsec3 { iterations, .. }) => Some(*iterations),
+            _ => None,
+        })
+        .max()
+        .unwrap_or(0);
+    if max_iter > caps.nsec3_iteration_cap {
+        return Err(bogus(Finding::Nsec3IterationsExceeded {
+            iterations: max_iter,
+        }));
+    }
+
+    match kind {
+        NegativeKind::Nodata => {
+            if !nsec3_sets
+                .iter()
+                .any(|s| nsec3::matches(s, qname) && lacks_qtype(s))
+            {
+                return Err(broken(DenialIssue::OwnerMismatch));
+            }
+        }
+        NegativeKind::Nxdomain => {
+            // Closest encloser: walk qname's ancestors, up to the apex,
+            // looking for a matching NSEC3. The name one label below it
+            // on the way is the next closer name.
+            let mut next_closer = qname.clone();
+            loop {
+                let ancestor = next_closer.parent();
+                let a = ancestor.ok_or_else(|| broken(DenialIssue::OwnerMismatch))?;
+                if nsec3_sets.iter().any(|s| nsec3::matches(s, &a)) {
+                    break;
+                }
+                if a == *zone_apex {
+                    return Err(broken(DenialIssue::OwnerMismatch));
+                }
+                next_closer = a;
+            }
+            // Next closer name must be covered.
+            if !nsec3_sets.iter().any(|s| nsec3::covers(s, &next_closer)) {
+                return Err(broken(DenialIssue::ChainMismatch));
+            }
+        }
+    }
+    Ok(nsec3_sets)
+}
+
+/// The signature tail NSEC and NSEC3 proofs share: every proof RRset is
+/// signed, and each carries a signature one trusted key verifies.
+fn denial_sigs_link(
+    proof: &[&Rrset],
+    kind: NegativeKind,
     trusted: &[PublishedKey],
     now: u32,
-    diag: &mut Diagnosis,
-) {
-    let structural_ok = match kind {
-        NegativeKind::Nodata => nsec_sets.iter().any(|s| {
-            s.name == *qname
-                && match s.rdatas.first() {
-                    Some(Rdata::Nsec { types, .. }) => !types.contains(qtype),
-                    _ => false,
-                }
-        }),
-        NegativeKind::Nxdomain => nsec_sets.iter().any(|s| match s.rdatas.first() {
-            Some(Rdata::Nsec { next, .. }) => ede_zone::nsec::covers(&s.name, next, qname),
-            _ => false,
-        }),
-    };
-    if !structural_ok {
-        diag.add(Finding::DenialProofBroken {
-            issue: DenialIssue::OwnerMismatch,
-            kind,
-        });
-        diag.degrade(ValidationState::Bogus);
-        return;
+) -> Result<(), Broken> {
+    if proof.iter().any(|set| set.sigs.is_empty()) {
+        return Err(bogus(Finding::DenialSigMissing { kind }));
     }
-    for set in nsec_sets {
-        if set.sigs.is_empty() {
-            diag.add(Finding::DenialSigMissing { kind });
-            diag.degrade(ValidationState::Bogus);
-            return;
-        }
+    if proof
+        .iter()
+        .any(|set| verified_sig(set, trusted, now).is_none())
+    {
+        return Err(bogus(Finding::DenialSigBogus { kind }));
     }
-    for set in nsec_sets {
-        let ok = set
-            .sigs
-            .iter()
-            .any(|sig| trusted.iter().any(|k| sig_verifies(sig, set, k, now)));
-        if !ok {
-            diag.add(Finding::DenialSigBogus { kind });
-            diag.degrade(ValidationState::Bogus);
-            return;
-        }
-    }
+    Ok(())
 }
 
 /// Extract retainable denial spans from a proof's records: every
@@ -567,77 +605,8 @@ pub fn extract_proof_ranges(
     trusted: &[PublishedKey],
     now: u32,
 ) -> Vec<ProofRange> {
-    let mut ranges = Vec::new();
-    for set in collate(records) {
-        let Some(sig) = set
-            .sigs
-            .iter()
-            .find(|sig| trusted.iter().any(|k| sig_verifies(sig, &set, k, now)))
-        else {
-            continue;
-        };
-        match set.rdatas.first() {
-            Some(Rdata::Nsec3 {
-                flags,
-                iterations,
-                salt,
-                next_hashed,
-                types,
-                ..
-            }) => {
-                let Some(owner_label) = set.name.first_label() else {
-                    continue;
-                };
-                let Ok(owner_str) = std::str::from_utf8(owner_label) else {
-                    continue;
-                };
-                let Some(owner_hash) = base32::decode(owner_str) else {
-                    continue;
-                };
-                ranges.push(ProofRange::Nsec3 {
-                    iterations: *iterations,
-                    salt: salt.clone(),
-                    flags: *flags,
-                    owner_hash,
-                    next_hash: next_hashed.to_vec(),
-                    types: types.clone(),
-                    ttl: set.ttl,
-                    sig_expiration: sig.expiration,
-                });
-            }
-            Some(Rdata::Nsec { next, types }) => {
-                ranges.push(ProofRange::Nsec {
-                    owner: set.name.clone(),
-                    next: next.clone(),
-                    types: types.clone(),
-                    ttl: set.ttl,
-                    sig_expiration: sig.expiration,
-                });
-            }
-            _ => {}
-        }
-    }
-    ranges
-}
-
-/// Advisory check used by the Quad9 profile: do the answer's RRSIG key
-/// tags exist among the zone's published keys at all? Records
-/// [`Finding::RrsigKeyMissing`] without degrading validation (the chain
-/// verdict was already made elsewhere).
-pub fn advisory_answer_key_check(
-    answer_sets: &[Rrset],
-    published: &[PublishedKey],
-    diag: &mut Diagnosis,
-) {
-    for set in answer_sets {
-        for sig in &set.sigs {
-            if !published.iter().any(|k| k.tag == sig.key_tag) {
-                diag.add(Finding::RrsigKeyMissing {
-                    target: SigTarget::Answer,
-                });
-            }
-        }
-    }
+    let span = |set: &Rrset| ProofRange::of_rrset(set, verified_sig(set, trusted, now)?.expiration);
+    collate(records).iter().filter_map(span).collect()
 }
 
 /// Validate the denial-of-existence proof of a negative answer from a
@@ -654,199 +623,126 @@ pub fn check_negative(
     now: u32,
     diag: &mut Diagnosis,
 ) {
-    let before = diag.findings.len();
-    check_negative_inner(
-        authority, qname, qtype, kind, zone_apex, trusted, caps, now, diag,
-    );
-    let tracer = diag.tracer();
-    tracer.emit(ede_trace::TraceEvent::ValidationStep {
-        target: if tracer.wants_query_detail() {
-            format!("denial {qname} ({kind:?})")
-        } else {
-            String::new()
+    step(
+        diag,
+        || format!("denial {qname} ({kind:?})"),
+        |_| {
+            let sets = collate(authority);
+            let proof = negative_link(&sets, qname, qtype, kind, zone_apex, caps)?;
+            denial_sigs_link(&proof, kind, trusted, now)
         },
-        ok: diag.findings.len() == before,
-    });
+    );
 }
 
-#[allow(clippy::too_many_arguments)]
-fn check_negative_inner(
+/// Does a referral's authority section prove the delegation to `deleg`
+/// insecure: an NSEC3 (or plain NSEC) matching the delegation owner
+/// whose bitmap lacks DS? A light check — signatures are not verified.
+fn insecure_proof_present(authority: &[Record], deleg: &Name) -> bool {
+    authority.iter().any(|rec| match &rec.rdata {
+        Rdata::Nsec3 {
+            salt,
+            iterations,
+            types,
+            ..
+        } => !types.contains(RrType::Ds) && nsec3::owner_is(&rec.name, salt, *iterations, deleg),
+        Rdata::Nsec { types, .. } => rec.name == *deleg && !types.contains(RrType::Ds),
+        _ => false,
+    })
+}
+
+/// Crossing a zone cut out of a signed parent, toward `child`. A
+/// delegation with a DS RRset continues the chain, and the RRset is
+/// authenticated with the parent's keys; one without leaves the chain
+/// (Insecure), and a parent whose keys validated must prove that it
+/// does. Returns the keys under which the walk may retain that proof's
+/// ranges for RFC 8198 — they belong to the *parent* zone.
+pub(crate) fn cut_link<'k>(
     authority: &[Record],
-    qname: &Name,
-    qtype: RrType,
-    kind: NegativeKind,
-    zone_apex: &Name,
-    trusted: &[PublishedKey],
+    child: &Name,
+    child_signed: bool,
+    parent_keys: Option<&'k [PublishedKey]>,
     caps: &ValidatorCaps,
     now: u32,
     diag: &mut Diagnosis,
-) {
-    let sets = collate(authority);
-    let soa_signed = sets
-        .iter()
-        .find(|s| s.rtype == RrType::Soa)
-        .map(|s| !s.sigs.is_empty())
-        .unwrap_or(false);
-    let nsec3_sets: Vec<&Rrset> = sets.iter().filter(|s| s.rtype == RrType::Nsec3).collect();
-    let nsec_sets: Vec<&Rrset> = sets.iter().filter(|s| s.rtype == RrType::Nsec).collect();
-
-    // Plain-NSEC proofs (RFC 4035 §3.1.3) take a simpler structural
-    // path: owner names are compared directly in canonical order.
-    if nsec3_sets.is_empty() && !nsec_sets.is_empty() {
-        check_negative_nsec(&nsec_sets, qname, qtype, kind, trusted, now, diag);
-        return;
-    }
-
-    if nsec3_sets.is_empty() {
-        if soa_signed {
-            diag.add(Finding::DenialProofBroken {
-                issue: DenialIssue::Absent,
-                kind,
-            });
-        } else {
-            diag.add(Finding::NegativeUnsigned { kind });
+) -> Option<&'k [PublishedKey]> {
+    if child_signed {
+        // Authenticate the DS RRset itself.
+        let keys = parent_keys?;
+        let sets = collate(authority);
+        if let Some(ds_set) = sets.iter().find(|s| s.rtype == RrType::Ds) {
+            check_rrset(ds_set, keys, caps, now, SigTarget::Answer, diag);
         }
-        diag.degrade(ValidationState::Bogus);
-        return;
+        return None;
     }
-
-    // Iteration cap (RFC 9276 / vendor limits).
-    let max_iter = nsec3_sets
-        .iter()
-        .filter_map(|s| match s.rdatas.first() {
-            Some(Rdata::Nsec3 { iterations, .. }) => Some(*iterations),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(0);
-    if max_iter > caps.nsec3_iteration_cap {
-        diag.add(Finding::Nsec3IterationsExceeded {
-            iterations: max_iter,
-        });
-        diag.degrade(ValidationState::Bogus);
-        return;
-    }
-
-    // Structural checks run before signature checks: a proof that points
-    // at the wrong hashes is a different observable than a proof whose
-    // signatures are broken, and vendors report them differently.
-    let matches_name = |set: &Rrset, name: &Name| -> bool {
-        let Some(Rdata::Nsec3 {
-            salt, iterations, ..
-        }) = set.rdatas.first()
-        else {
-            return false;
-        };
-        let label = nsec3hash::nsec3_hash_label(name.as_wire(), salt, *iterations);
-        set.name
-            .first_label()
-            .is_some_and(|l| l.eq_ignore_ascii_case(&label))
+    let proven = parent_keys.filter(|_| insecure_proof_present(authority, child));
+    let verdict = if parent_keys.is_some() && proven.is_none() {
+        bogus(Finding::InsecureReferralProofMissing)
+    } else {
+        (None, ValidationState::Insecure)
     };
-    let covers_name = |set: &Rrset, name: &Name| -> bool {
-        let Some(Rdata::Nsec3 {
-            salt,
-            iterations,
-            next_hashed,
-            ..
-        }) = set.rdatas.first()
-        else {
-            return false;
-        };
-        let target = &nsec3hash::nsec3_hash(name.as_wire(), salt, *iterations)[..];
-        let Some(owner_label) = set.name.first_label() else {
-            return false;
-        };
-        let Ok(owner_str) = std::str::from_utf8(owner_label) else {
-            return false;
-        };
-        let Some(owner_hash) = base32::decode(owner_str) else {
-            return false;
-        };
-        let (owner_hash, next_hashed) = (&owner_hash[..], &next_hashed[..]);
-        if owner_hash < next_hashed {
-            target > owner_hash && target < next_hashed
-        } else {
-            target > owner_hash || target < next_hashed
-        }
+    record(diag, verdict);
+    proven
+}
+
+/// An authoritative (or terminal) answer to `asked` from `zone`, whose
+/// keys are `keys` — `None` when no chain of trust reaches the zone
+/// (Insecure). Trusted keys verify every answer RRset, or the denial
+/// proof of an empty answer; with keys that failed validation the
+/// verdict is already in, and only the advisory key check runs. Returns
+/// the keys under which the walk may retain a denial's ranges for
+/// RFC 8198: only when the proof recorded no finding at all.
+pub(crate) fn answer_link<'k>(
+    resp: &Message,
+    asked: &Question,
+    zone: &Name,
+    keys: Option<&'k KeyEntry>,
+    caps: &ValidatorCaps,
+    now: u32,
+    diag: &mut Diagnosis,
+) -> Option<&'k [PublishedKey]> {
+    let Some(keys) = keys else {
+        record(diag, (None, ValidationState::Insecure));
+        return None;
     };
-
-    match kind {
-        NegativeKind::Nodata => {
-            let ok = nsec3_sets.iter().any(|s| {
-                matches_name(s, qname)
-                    && match s.rdatas.first() {
-                        Some(Rdata::Nsec3 { types, .. }) => !types.contains(qtype),
-                        _ => false,
-                    }
-            });
-            if !ok {
-                diag.add(Finding::DenialProofBroken {
-                    issue: DenialIssue::OwnerMismatch,
-                    kind,
+    // Only validation reads the answer as RRsets.
+    let answer_sets = collate(&resp.answers);
+    let Some(trusted) = keys.trusted() else {
+        // Used by the Quad9 profile: do the answer's RRSIG key tags exist
+        // among the zone's published keys at all? The chain verdict was
+        // made at the DNSKEY link, so nothing degrades here.
+        for sig in answer_sets.iter().flat_map(|set| &set.sigs) {
+            if !keys.published.iter().any(|k| k.tag == sig.key_tag) {
+                diag.add(Finding::RrsigKeyMissing {
+                    target: SigTarget::Answer,
                 });
-                diag.degrade(ValidationState::Bogus);
-                return;
             }
         }
-        NegativeKind::Nxdomain => {
-            // Closest encloser: walk qname's ancestors looking for a
-            // matching NSEC3.
-            let mut encloser: Option<Name> = None;
-            let mut cursor = qname.parent();
-            while let Some(a) = cursor {
-                if nsec3_sets.iter().any(|s| matches_name(s, &a)) {
-                    encloser = Some(a);
-                    break;
-                }
-                if a == *zone_apex {
-                    break;
-                }
-                cursor = a.parent();
-            }
-            let Some(encloser) = encloser else {
-                diag.add(Finding::DenialProofBroken {
-                    issue: DenialIssue::OwnerMismatch,
-                    kind,
-                });
-                diag.degrade(ValidationState::Bogus);
-                return;
-            };
-            // Next closer name must be covered.
-            let depth_diff = qname.label_count() - encloser.label_count();
-            let mut next_closer = qname.clone();
-            for _ in 1..depth_diff {
-                next_closer = next_closer.parent().expect("above qname");
-            }
-            if !nsec3_sets.iter().any(|s| covers_name(s, &next_closer)) {
-                diag.add(Finding::DenialProofBroken {
-                    issue: DenialIssue::ChainMismatch,
-                    kind,
-                });
-                diag.degrade(ValidationState::Bogus);
-                return;
-            }
-        }
+        return None;
+    };
+    if answer_sets.is_empty() {
+        let kind = if resp.rcode == Rcode::NxDomain {
+            NegativeKind::Nxdomain
+        } else {
+            NegativeKind::Nodata
+        };
+        let before = diag.findings.len();
+        check_negative(
+            &resp.authorities,
+            &asked.name,
+            asked.qtype,
+            kind,
+            zone,
+            trusted,
+            caps,
+            now,
+            diag,
+        );
+        return (diag.findings.len() == before).then_some(trusted);
     }
-
-    // Signature checks over the proof records.
-    for set in &nsec3_sets {
-        if set.sigs.is_empty() {
-            diag.add(Finding::DenialSigMissing { kind });
-            diag.degrade(ValidationState::Bogus);
-            return;
-        }
+    for set in &answer_sets {
+        check_rrset(set, trusted, caps, now, SigTarget::Answer, diag);
     }
-    for set in &nsec3_sets {
-        let ok = set
-            .sigs
-            .iter()
-            .any(|sig| trusted.iter().any(|k| sig_verifies(sig, set, k, now)));
-        if !ok {
-            diag.add(Finding::DenialSigBogus { kind });
-            diag.degrade(ValidationState::Bogus);
-            return;
-        }
-    }
+    None
 }
 
 #[cfg(test)]

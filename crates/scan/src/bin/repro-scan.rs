@@ -229,7 +229,7 @@ fn main() {
             result.stats.fingerprint, result.stats.ede.total_domains, result.cache.l2.evicted,
         );
         if synthesize || sweep_ratio > 0.0 {
-            let sweep = result.sweep.clone().unwrap_or_default();
+            let sweep = result.stats.traffic.sweep.clone().unwrap_or_default();
             println!(
                 "ranges hits {} probes {} evicted {} live {} sweep_hit_pct {:.1} \
                  queries_per_domain {:.3}",

@@ -280,10 +280,10 @@ pub fn baseline_matches_plain_scan(pop: &Population, config: &ChaosConfig) -> Ve
     if !plain.stats.same_results(&leg.stats) || plain.final_records() != leg.final_records() {
         bad.push("scan results differ at intensity 0".to_string());
     }
-    if plain.traffic != leg.traffic {
+    if plain.traffic_full != leg.traffic_full {
         bad.push(format!(
             "traffic differs at intensity 0: {:?} != {:?}",
-            plain.traffic, leg.traffic
+            plain.traffic_full, leg.traffic_full
         ));
     }
     if plain.metrics != leg.metrics {
@@ -518,7 +518,7 @@ pub fn synthesis_configs_hold(pop: &Population, config: &ChaosConfig) -> Vec<Str
     if !plain.stats.same_results(&synth.stats) || plain.final_records() != synth.final_records() {
         bad.push("scan results differ with denial synthesis enabled".to_string());
     }
-    match &synth.sweep {
+    match &synth.stats.traffic.sweep {
         None => bad.push("sweep_ratio 1.5 produced no sweep report".to_string()),
         Some(sweep) => {
             if sweep.synthesized == 0 {

@@ -127,27 +127,22 @@ pub struct ScanResult {
     pub log: QueryLogStats,
     /// Streaming-pipeline counters (merge count and cost).
     pub stream: StreamReport,
-    /// Number of resolutions performed (both passes).
-    pub resolutions: usize,
-    /// Transport-level traffic counters: (queries, delivered, failed) —
-    /// the simulated analogue of the paper's §5 traffic accounting.
-    pub traffic: (u64, u64, u64),
-    /// The full transport accounting, including the stream-channel,
-    /// truncation, and fault counters the 3-tuple predates.
+    /// The transport's accounting — the simulated analogue of the
+    /// paper's §5 traffic accounting: queries, delivered, failed, and
+    /// the stream-channel, truncation and fault counters. The number of
+    /// resolutions and the synthesis-sweep report (the sweep runs after
+    /// both passes with the range tier frozen, so it never perturbs the
+    /// records above) are in `stats.traffic`.
     pub traffic_full: ede_netsim::TrafficSnapshot,
     /// Metrics collected through the trace pipeline during the scan
     /// (query/outcome counters, cache ratios, per-vendor EDE counts,
-    /// latency histograms). `metrics.queries_sent` equals `traffic.0`:
-    /// both count the same transport events.
+    /// latency histograms). `metrics.queries_sent` equals
+    /// `traffic_full.queries`: both count the same transport events.
     pub metrics: MetricsSnapshot,
     /// Per-tier cache accounting (L1 summed over workers, L2, infra,
     /// ranges) at the end of the scan — the same report `stats.cache`
     /// carries.
     pub cache: ScanCacheReport,
-    /// Synthesis-sweep accounting, when [`ScanConfig::sweep_ratio`] was
-    /// nonzero. The sweep runs after both passes with the range tier
-    /// frozen, so it never perturbs the records above.
-    pub sweep: Option<SweepReport>,
 }
 
 impl ScanResult {
@@ -778,12 +773,9 @@ pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanRes
         records,
         log: log_stats,
         stream: store.report(),
-        resolutions: resolutions.into_inner(),
-        traffic: world.net.stats().snapshot(),
         traffic_full: world.net.stats().snapshot_full(),
         metrics: metrics.snapshot(),
         cache,
-        sweep,
     }
 }
 
@@ -815,7 +807,7 @@ mod tests {
         let finals = result.final_records();
         assert_eq!(finals.len(), pop.domains.len());
         assert_eq!(result.stats.ede.total_domains, pop.domains.len());
-        assert!(result.resolutions >= pop.domains.len());
+        assert!(result.stats.traffic.resolutions >= pop.domains.len());
         assert!(result.stats.complete);
 
         // Healthy domains resolve cleanly; lame ones carry codes.
@@ -863,8 +855,8 @@ mod tests {
         let serial = run(1);
         let parallel = run(16);
         assert_eq!(serial.final_records(), parallel.final_records());
-        assert_eq!(serial.resolutions, parallel.resolutions);
-        assert_eq!(serial.traffic, parallel.traffic);
+        assert_eq!(serial.stats.traffic, parallel.stats.traffic);
+        assert_eq!(serial.traffic_full, parallel.traffic_full);
         assert_eq!(serial.metrics, parallel.metrics);
         assert!(serial.stats.same_results(&parallel.stats));
         assert_eq!(serial.stats.fingerprint, parallel.stats.fingerprint);
@@ -893,7 +885,8 @@ mod tests {
             result
         };
         let single = run(1, 1);
-        assert_eq!(single.metrics.tasks_spawned, single.resolutions as u64);
+        let resolutions = single.stats.traffic.resolutions as u64;
+        assert_eq!(single.metrics.tasks_spawned, resolutions);
         assert_eq!(single.metrics.inflight_tasks_peak, 1);
         for (workers, inflight) in [(1, 2), (1, 64), (4, 16)] {
             let pooled = run(workers, inflight);
@@ -902,8 +895,7 @@ mod tests {
                 pooled.final_records(),
                 "inflight {inflight}"
             );
-            assert_eq!(single.resolutions, pooled.resolutions);
-            assert_eq!(single.traffic, pooled.traffic);
+            assert_eq!(single.stats.traffic, pooled.stats.traffic);
             assert_eq!(single.traffic_full, pooled.traffic_full);
             assert!(
                 single.stats.same_results(&pooled.stats),
@@ -916,7 +908,7 @@ mod tests {
             );
             // Every domain became a task, every task completed, and the
             // wider window really was used.
-            assert_eq!(pooled.metrics.tasks_spawned, single.resolutions as u64);
+            assert_eq!(pooled.metrics.tasks_spawned, resolutions);
             assert_eq!(pooled.metrics.tasks_completed, pooled.metrics.tasks_spawned);
             assert!(
                 pooled.metrics.inflight_tasks_peak > 1,
@@ -964,8 +956,8 @@ mod tests {
 
         // The sweep ran in both legs, probing the same names; only the
         // synthesis leg answered some from the range tier.
-        let sweep_off = off.sweep.clone().expect("sweep ran");
-        let sweep_on = on.sweep.clone().expect("sweep ran");
+        let sweep_off = off.stats.traffic.sweep.clone().expect("sweep ran");
+        let sweep_on = on.stats.traffic.sweep.clone().expect("sweep ran");
         assert_eq!(sweep_off.probes, sweep_on.probes);
         assert_eq!(sweep_off.synthesized, 0);
         assert_eq!(sweep_off.queries, sweep_off.probes as u64);
@@ -980,18 +972,12 @@ mod tests {
         assert!(on.queries_per_domain() < off.queries_per_domain());
         assert!(on.cache.range.hits > 0);
         assert_eq!(off.cache.range.hits + off.cache.range.misses, 0);
-        // The sweep rides into the snapshot's traffic section.
-        assert_eq!(
-            on.stats.traffic.sweep.as_ref().map(|s| s.synthesized),
-            Some(sweep_on.synthesized)
-        );
-
         // Deterministic at any worker count / in-flight window, sweep
         // included: same records, same traffic, same sweep report.
         let (on_parallel, _) = run(true, 4, 16);
         assert_eq!(on.final_records(), on_parallel.final_records());
-        assert_eq!(on.traffic, on_parallel.traffic);
-        assert_eq!(on.sweep, on_parallel.sweep);
+        assert_eq!(on.traffic_full, on_parallel.traffic_full);
+        assert_eq!(on.stats.traffic, on_parallel.stats.traffic);
         assert!(on.stats.same_results(&on_parallel.stats));
     }
 

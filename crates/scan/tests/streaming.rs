@@ -54,7 +54,7 @@ fn streaming_is_bit_identical_to_batch_at_every_cross_point() {
             streaming.final_records(),
             "records diverged at workers={workers} inflight={inflight}"
         );
-        assert_eq!(baseline.traffic, streaming.traffic);
+        assert_eq!(baseline.traffic_full, streaming.traffic_full);
         // The pass-1 snapshot is read when pass 1 has joined, so it is
         // as independent of worker timing as the final one.
         assert!(!streaming.pass1.complete && streaming.stats.complete);
@@ -84,8 +84,8 @@ fn streaming_is_bit_identical_to_batch_at_every_cross_point() {
     let sweep_a = run_sweep(1, 1);
     let sweep_b = run_sweep(4, 16);
     assert!(sweep_a.stats.same_results(&sweep_b.stats));
-    assert_eq!(sweep_a.sweep, sweep_b.sweep);
-    assert_eq!(sweep_a.traffic, sweep_b.traffic);
+    assert_eq!(sweep_a.stats.traffic, sweep_b.stats.traffic);
+    assert_eq!(sweep_a.traffic_full, sweep_b.traffic_full);
     // And the sweep leg's *results* equal the sweep-free baseline.
     assert!(baseline.stats.same_results(&sweep_a.stats));
 }
@@ -140,7 +140,7 @@ fn bounded_ring_spills_and_keeps_the_report_identical() {
     assert_eq!(all.len() as u64, bounded.log.spilled);
     all.extend(bounded.records.iter().cloned());
     all.sort_by_key(|r| r.seq);
-    assert_eq!(all.len(), bounded.resolutions);
+    assert_eq!(all.len(), bounded.stats.traffic.resolutions);
     let mut last: BTreeMap<usize, &QueryRecord> = BTreeMap::new();
     for r in &all {
         last.insert(r.domain, r);

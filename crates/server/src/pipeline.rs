@@ -16,15 +16,21 @@
 //!    | shorter than a 12-byte DNS header | **drop** (no ID to echo — any reply would be a forgery oracle) |
 //!    | QR bit set (a response, not a query) | **drop** (never answer answers: reflection-loop hygiene) |
 //!    | opcode ≠ QUERY (IQUERY, STATUS, NOTIFY, UPDATE …) | **NOTIMP**, echoing ID and opcode |
+//!    | a second OPT, an OPT outside the additional section, or one not at the root | **FORMERR** (RFC 6891 §6.1.1), echoing ID, opcode and RD, carrying the server's own OPT: the query did send one |
 //!    | header valid but body undecodable | **FORMERR**, echoing ID, opcode and RD |
 //!    | OPT present with version ≠ 0 | **BADVERS** (RFC 6891 §6.1.3), echoing ID, RD and the question, carrying the server's own OPT (version 0) and no answer |
 //!    | no question | **FORMERR**, echoing ID, opcode and RD |
 //!    | question class ≠ IN | **REFUSED**, echoing the question |
 //!    | otherwise | resolve |
+//!    | OPT present, DO bit either way | the same DO bit in every OPT sent back (RFC 3225 §3, RFC 6891 §6.1.4): the answer, BADVERS, the no-question FORMERR, REFUSED |
+//!    | OPT with an option the server does not know | ignored, never echoed (RFC 6891 §6.1.2) |
+//!    | OPT advertising fewer than 512 bytes | served as 512 (RFC 6891 §6.2.3) |
 //!
-//!    The first matching row wins: BADVERS is a MUST for any higher
-//!    version, so it goes ahead of every reply that would carry a
-//!    version-0 OPT as if the request's had been understood.
+//!    Down to "otherwise" the first matching row wins: BADVERS is a MUST
+//!    for any higher version, so it goes ahead of every reply that would
+//!    carry a version-0 OPT as if the request's had been understood. The
+//!    last three rows are not dispositions: they hold for whichever reply
+//!    the rows above chose.
 //!
 //! 2. [`answer`] resolves the query through the attached [`Resolver`]
 //!    (full recursion, validation, vendor EDE emission) and renders the
@@ -39,7 +45,7 @@
 
 use ede_resolver::{L1Cache, Resolver};
 use ede_trace::ServerMetrics;
-use ede_wire::{Class, Header, Message, Opcode, Rcode, WireError};
+use ede_wire::{Class, Edns, Header, Message, Opcode, Rcode, WireError};
 
 /// Why a datagram was dropped without any reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,28 +116,30 @@ pub fn classify(wire: &[u8]) -> QueryDisposition {
     }
     let query = match Message::decode(wire) {
         Ok(q) => q,
-        Err(_) => {
-            return QueryDisposition::Reject(
-                Box::new(reject(&header, Rcode::FormErr)),
-                RejectKind::FormErr,
-            )
+        Err(e) => {
+            let mut m = reject(&header, Rcode::FormErr);
+            // A broken OPT is still an OPT: the client speaks EDNS.
+            m.edns = (e == WireError::BadOpt).then(Edns::default);
+            return QueryDisposition::Reject(Box::new(m), RejectKind::FormErr);
         }
     };
+    // The server's own OPT, for a reply to a query that carried one.
+    let own_opt = query.edns.as_ref().map(Edns::reply);
     if query.edns.as_ref().is_some_and(|e| e.version != 0) {
         let mut m = reject(&header, Rcode::BadVers);
         m.questions = query.questions.clone();
-        m.edns = Some(Default::default());
+        m.edns = own_opt;
         return QueryDisposition::Reject(Box::new(m), RejectKind::BadVers);
     }
     let Some(q) = query.first_question() else {
         let mut m = reject(&header, Rcode::FormErr);
-        m.edns = query.edns.as_ref().map(|_| Default::default());
+        m.edns = own_opt;
         return QueryDisposition::Reject(Box::new(m), RejectKind::FormErr);
     };
     if q.qclass != Class::In {
         let mut m = reject(&header, Rcode::Refused);
         m.questions = query.questions.clone();
-        m.edns = query.edns.as_ref().map(|_| Default::default());
+        m.edns = own_opt;
         return QueryDisposition::Reject(Box::new(m), RejectKind::Refused);
     }
     QueryDisposition::Resolve(Box::new(query))
@@ -345,7 +353,7 @@ mod tests {
                 assert!(m.recursion_desired, "RD echoed");
                 assert_eq!(m.questions.len(), 1);
                 assert!(m.answers.is_empty());
-                assert_eq!(m.edns, Some(Edns::default()), "the server's OPT");
+                assert_eq!(m.edns, Some(Edns::with_do()), "the server's OPT, DO copied");
             }
             other => panic!("expected BADVERS, got {other:?}"),
         }
@@ -379,10 +387,115 @@ mod tests {
         match classify(&no_question) {
             QueryDisposition::Reject(m, RejectKind::BadVers) => {
                 assert!(m.questions.is_empty());
-                assert_eq!(m.edns, Some(Edns::default()));
+                assert_eq!(m.edns, Some(Edns::with_do()));
             }
             other => panic!("expected BADVERS, got {other:?}"),
         }
+    }
+
+    /// RFC 6891 §6.1.1: a second OPT (or one outside the additional
+    /// section, or not at the root) is a FORMERR — and the client did
+    /// send an OPT, so the reply carries the server's. Any other
+    /// undecodable body still gets the bare FORMERR.
+    #[test]
+    fn second_opt_gets_formerr_with_the_servers_opt() {
+        let mut wire = query_bytes(|_| {});
+        let opt = wire[wire.len() - 11..].to_vec();
+        wire.extend_from_slice(&opt);
+        wire[11] = 2; // ARCOUNT
+        assert_eq!(Message::decode(&wire), Err(WireError::BadOpt));
+        match classify(&wire) {
+            QueryDisposition::Reject(m, RejectKind::FormErr) => {
+                assert_eq!(m.id, 0x1234);
+                assert_eq!(m.rcode, Rcode::FormErr);
+                assert!(m.recursion_desired, "RD echoed");
+                assert_eq!(m.edns, Some(Edns::default()), "the server's OPT");
+            }
+            other => panic!("expected FORMERR, got {other:?}"),
+        }
+        let mut cut = query_bytes(|_| {});
+        cut.truncate(14);
+        match classify(&cut) {
+            QueryDisposition::Reject(m, RejectKind::FormErr) => assert_eq!(m.edns, None),
+            other => panic!("expected FORMERR, got {other:?}"),
+        }
+    }
+
+    /// RFC 3225 §3, RFC 6891 §6.1.4: every OPT the server sends copies
+    /// the query's DO bit — answers and the three rejections with an OPT.
+    #[test]
+    fn do_bit_is_copied_into_every_opt_the_server_sends() {
+        let tb = Testbed::build();
+        let resolver = tb.resolver(Vendor::Cloudflare);
+        for dnssec_ok in [true, false] {
+            let edns = || {
+                Some(Edns {
+                    dnssec_ok,
+                    ..Default::default()
+                })
+            };
+            let query = Message::decode(&query_bytes(|m| m.edns = edns())).unwrap();
+            let mut sent = vec![answer(&resolver, None, &query)];
+            let rejected = [
+                query_bytes(|m| m.edns = edns().map(|e| Edns { version: 1, ..e })),
+                query_bytes(|m| {
+                    m.questions.clear();
+                    m.edns = edns();
+                }),
+                query_bytes(|m| {
+                    m.questions[0].qclass = Class::Ch;
+                    m.edns = edns();
+                }),
+            ];
+            for wire in &rejected {
+                match classify(wire) {
+                    QueryDisposition::Reject(m, _) => sent.push(*m),
+                    other => panic!("expected a rejection, got {other:?}"),
+                }
+            }
+            let rcodes: Vec<Rcode> = sent.iter().map(|m| m.rcode).collect();
+            assert_eq!(
+                rcodes,
+                [
+                    Rcode::NoError,
+                    Rcode::BadVers,
+                    Rcode::FormErr,
+                    Rcode::Refused
+                ]
+            );
+            for m in &sent {
+                let opt = m.edns.as_ref().expect("every one of these carries an OPT");
+                assert_eq!(opt.dnssec_ok, dnssec_ok, "{:?}", m.rcode);
+                assert_eq!(opt.version, 0);
+            }
+        }
+    }
+
+    /// Two things that were already right, pinned: an option the server
+    /// does not know (RFC 6891 §6.1.2) is ignored and not echoed, and an
+    /// advertisement below 512 is served as 512 (§6.2.3).
+    #[test]
+    fn unknown_option_is_ignored_and_a_small_advertisement_is_512() {
+        let tb = Testbed::build();
+        let resolver = tb.resolver(Vendor::Cloudflare);
+        let wire = query_bytes(|m| {
+            let edns = m.edns.as_mut().expect("queries carry an OPT");
+            edns.udp_payload_size = 100;
+            edns.options.push(ede_wire::EdnsOption::Unknown {
+                code: 65001,
+                data: vec![1, 2, 3],
+            });
+        });
+        let QueryDisposition::Resolve(query) = classify(&wire) else {
+            panic!("an unknown option must not stop the query resolving");
+        };
+        let reply = answer(&resolver, None, &query);
+        assert_eq!(reply.rcode, Rcode::NoError);
+        assert_eq!(reply.edns, Some(Edns::with_do()), "nothing echoed");
+
+        let (bytes, truncated) = encode_udp(&reply, &query, 1232).unwrap();
+        assert!((101..=512).contains(&bytes.len()), "{}", bytes.len());
+        assert!(!truncated, "100 is served as 512");
     }
 
     #[test]

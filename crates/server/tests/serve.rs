@@ -210,18 +210,81 @@ fn malformed_query_policy_on_the_wire() {
         assert!(reply.recursion_desired);
         assert_eq!(reply.questions.len(), 1);
         assert!(reply.answers.is_empty());
+        assert_eq!(reply.edns, Some(Edns::with_do()), "DO copied");
+    }
+
+    // A second OPT (RFC 6891 §6.1.1): FORMERR on both transports, and
+    // because the query did carry an OPT the reply carries the server's.
+    let mut two_opts = Message::query(0x8181, qname("valid"), RrType::A)
+        .encode()
+        .unwrap();
+    let opt = two_opts[two_opts.len() - 11..].to_vec();
+    two_opts.extend_from_slice(&opt);
+    two_opts[11] = 2; // ARCOUNT
+    for reply in [
+        client.query_udp(&two_opts).unwrap(),
+        client.query_tcp(&two_opts).unwrap(),
+    ] {
+        let reply = Message::decode(&reply).unwrap();
+        assert_eq!(reply.id, 0x8181);
+        assert_eq!(reply.rcode, Rcode::FormErr);
         assert_eq!(reply.edns, Some(Edns::default()));
+    }
+
+    // The DO bit comes back as it was sent (RFC 3225 §3), on an answer
+    // and on a rejection, over both transports.
+    for dnssec_ok in [true, false] {
+        let mut answered = Message::query(0x9191, qname("valid"), RrType::A);
+        answered.edns.as_mut().unwrap().dnssec_ok = dnssec_ok;
+        let mut refused = answered.clone();
+        refused.questions[0].qclass = ede_wire::Class::Ch;
+        for (query, rcode) in [(answered, Rcode::NoError), (refused, Rcode::Refused)] {
+            let wire = query.encode().unwrap();
+            for reply in [
+                client.query_udp(&wire).unwrap(),
+                client.query_tcp(&wire).unwrap(),
+            ] {
+                let reply = Message::decode(&reply).unwrap();
+                assert_eq!(reply.rcode, rcode);
+                let opt = reply.edns.expect("an OPT for an EDNS client");
+                assert_eq!(opt.dnssec_ok, dnssec_ok, "{rcode:?}");
+            }
+        }
+    }
+
+    // Already right, pinned over the wire: an unknown option (RFC 6891
+    // §6.1.2) is ignored and not echoed, and an advertisement of 100
+    // bytes is served as 512 (§6.2.3) — the answer is longer than 100
+    // and arrives whole.
+    let mut small = Message::query(0xA1A1, qname("valid"), RrType::A);
+    let edns = small.edns.as_mut().unwrap();
+    edns.udp_payload_size = 100;
+    edns.options.push(ede_wire::EdnsOption::Unknown {
+        code: 65001,
+        data: vec![1, 2, 3],
+    });
+    let small = small.encode().unwrap();
+    for wire in [
+        client.query_udp(&small).unwrap(),
+        client.query_tcp(&small).unwrap(),
+    ] {
+        assert!(wire.len() > 100);
+        let reply = Message::decode(&wire).unwrap();
+        assert_eq!(reply.rcode, Rcode::NoError);
+        assert!(!reply.truncated && !reply.answers.is_empty());
+        assert_eq!(reply.edns, Some(Edns::with_do()), "nothing echoed");
     }
 
     let stats = handle.shutdown().unwrap();
     assert_eq!(stats.metrics.dropped, 2);
-    assert_eq!(stats.metrics.rejected_formerr, 1);
+    assert_eq!(stats.metrics.rejected_formerr, 3);
     assert_eq!(stats.metrics.rejected_notimp, 1);
-    assert_eq!(stats.metrics.rejected_refused, 1);
+    assert_eq!(stats.metrics.rejected_refused, 5);
     assert_eq!(stats.metrics.rejected_badvers, 2);
-    assert_eq!(stats.metrics.udp_queries, 6);
-    assert_eq!(stats.metrics.udp_responses, 4);
-    assert_eq!(stats.metrics.tcp_queries, 1);
+    assert_eq!(stats.metrics.udp_queries, 12);
+    assert_eq!(stats.metrics.udp_responses, 10);
+    assert_eq!(stats.metrics.udp_truncated, 0);
+    assert_eq!(stats.metrics.tcp_queries, 7);
 }
 
 #[test]

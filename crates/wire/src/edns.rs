@@ -71,6 +71,16 @@ impl Edns {
         }
     }
 
+    /// The OPT a server answers this one with: its own payload size and
+    /// version 0, none of the client's options echoed, and the DO bit
+    /// copied (RFC 3225 §3, RFC 6891 §6.1.4).
+    pub fn reply(&self) -> Self {
+        Edns {
+            dnssec_ok: self.dnssec_ok,
+            ..Default::default()
+        }
+    }
+
     /// Iterate the EDE entries present, in order.
     pub fn ede_entries(&self) -> impl Iterator<Item = &EdeEntry> {
         self.options.iter().filter_map(|o| match o {

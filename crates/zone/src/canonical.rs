@@ -14,8 +14,9 @@
 //! `ede-resolver` (validator) share one implementation.
 
 use crate::rrset::Rrset;
+use ede_crypto::{Digest, Sha1, Sha256, Sha384};
 use ede_wire::rdata::Rrsig;
-use ede_wire::{Class, Name, Rdata};
+use ede_wire::{Class, DigestAlg, Name, Rdata};
 
 /// Append the RRSIG RDATA with the signature field left out — the prefix
 /// of the signing data.
@@ -87,6 +88,21 @@ pub fn ds_digest_input(owner: &Name, dnskey_rdata: &Rdata) -> Vec<u8> {
     buf.extend_from_slice(owner.as_wire());
     dnskey_rdata.encode(&mut buf, None);
     buf
+}
+
+/// The digest a DS of `digest_type` carries for this key at `owner`.
+///
+/// Types 1 (SHA-1), 2 (SHA-256) and 4 (SHA-384) are computed for real.
+/// Everything else is a SHA-256 relabeled: type 3 (GOST), which no
+/// modeled validator supports — the point of the paper's §4.2.10 — and
+/// the unassigned types are never checked by anyone here.
+pub fn ds_digest(owner: &Name, dnskey_rdata: &Rdata, digest_type: DigestAlg) -> Vec<u8> {
+    let input = ds_digest_input(owner, dnskey_rdata);
+    match digest_type {
+        DigestAlg::SHA1 => Sha1::digest(&input),
+        DigestAlg::SHA384 => Sha384::digest(&input),
+        _ => Sha256::digest(&input),
+    }
 }
 
 #[cfg(test)]

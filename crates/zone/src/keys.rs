@@ -1,8 +1,8 @@
 //! Zone key management: KSK/ZSK pairs, DNSKEY records, DS production.
 
-use crate::canonical::ds_digest_input;
+use crate::canonical::ds_digest;
+use ede_crypto::keytag;
 use ede_crypto::simsig::SigningKey;
-use ede_crypto::{keytag, Digest, Sha1, Sha256, Sha384};
 use ede_wire::{DigestAlg, Name, Rdata};
 
 /// DNSKEY flags value for a Zone Signing Key (Zone Key bit).
@@ -60,26 +60,14 @@ impl ZoneKey {
         self.key_tag
     }
 
-    /// Produce the DS RDATA a parent would publish for this key.
-    ///
-    /// Digest types 1 (SHA-1), 2 (SHA-256) and 4 (SHA-384) are computed
-    /// for real. Type 3 (GOST) — which no modeled validator supports, the
-    /// point of the paper's §4.2.10 — is emitted as a SHA-256 digest
-    /// relabeled, since its value can never be checked by anyone here.
-    /// Unassigned types get a fixed-length placeholder digest.
+    /// Produce the DS RDATA a parent would publish for this key (see
+    /// [`ds_digest`] for which digest types are computed for real).
     pub fn ds_rdata(&self, owner: &Name, digest_type: DigestAlg) -> Rdata {
-        let input = ds_digest_input(owner, &self.dnskey_rdata());
-        let digest = match digest_type {
-            DigestAlg::SHA1 => Sha1::digest(&input),
-            DigestAlg::SHA256 | DigestAlg::GOST => Sha256::digest(&input),
-            DigestAlg::SHA384 => Sha384::digest(&input),
-            _ => Sha256::digest(&input), // unassigned: value is never verified
-        };
         Rdata::Ds {
             key_tag: self.key_tag(),
             algorithm: self.signing.algorithm,
             digest_type: digest_type.0,
-            digest,
+            digest: ds_digest(owner, &self.dnskey_rdata(), digest_type),
         }
     }
 }

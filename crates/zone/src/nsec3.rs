@@ -147,31 +147,64 @@ pub fn find_matching<'a>(zone: &'a Zone, config: &Nsec3Config, name: &Name) -> O
 /// hash of `name` (used for NXDOMAIN proofs).
 pub fn find_covering<'a>(zone: &'a Zone, config: &Nsec3Config, name: &Name) -> Option<&'a Rrset> {
     let target = config.hash_raw(name);
-    for rrset in zone.iter() {
-        if rrset.rtype != RrType::Nsec3 {
-            continue;
-        }
-        let Some(Rdata::Nsec3 { next_hashed, .. }) = rrset.rdatas.first() else {
-            continue;
-        };
-        let Some(label) = rrset.name.first_label() else {
-            continue;
-        };
-        let Some(owner_hash) = base32::decode(std::str::from_utf8(label).ok()?) else {
-            continue;
-        };
-        let (target, owner_hash, next_hashed) = (&target[..], &owner_hash[..], &next_hashed[..]);
-        let covers = if owner_hash < next_hashed {
-            target > owner_hash && target < next_hashed
-        } else {
-            // Wrap-around interval (last chain link).
-            target > owner_hash || target < next_hashed
-        };
-        if covers {
-            return Some(rrset);
-        }
+    zone.iter()
+        .find(|set| set.rtype == RrType::Nsec3 && interval_covers(set, &target))
+}
+
+/// The hash an NSEC3 RRset's owner label spells, if it is base32hex.
+pub fn owner_hash(set: &Rrset) -> Option<Vec<u8>> {
+    base32::decode(std::str::from_utf8(set.name.first_label()?).ok()?)
+}
+
+/// Does `target`, a raw hash, fall strictly inside this NSEC3 RRset's
+/// (owner hash, next hash) interval?
+pub fn interval_covers(set: &Rrset, target: &[u8]) -> bool {
+    let (Some(Rdata::Nsec3 { next_hashed, .. }), Some(owner_hash)) =
+        (set.rdatas.first(), owner_hash(set))
+    else {
+        return false;
+    };
+    let (owner_hash, next_hashed) = (&owner_hash[..], &next_hashed[..]);
+    if owner_hash < next_hashed {
+        target > owner_hash && target < next_hashed
+    } else {
+        // Wrap-around interval (last chain link).
+        target > owner_hash || target < next_hashed
     }
-    None
+}
+
+/// Is `owner`'s first label the NSEC3 hash of `name` under these
+/// parameters?
+pub fn owner_is(owner: &Name, salt: &[u8], iterations: u16, name: &Name) -> bool {
+    let label = nsec3hash::nsec3_hash_label(name.as_wire(), salt, iterations);
+    owner
+        .first_label()
+        .is_some_and(|l| l.eq_ignore_ascii_case(&label))
+}
+
+/// The validator's side of [`find_matching`]: does this NSEC3 RRset's
+/// owner match `name`, hashed under the RRset's own parameters?
+pub fn matches(set: &Rrset, name: &Name) -> bool {
+    match set.rdatas.first() {
+        Some(Rdata::Nsec3 {
+            salt, iterations, ..
+        }) => owner_is(&set.name, salt, *iterations, name),
+        _ => false,
+    }
+}
+
+/// The validator's side of [`find_covering`]: does this NSEC3 RRset's
+/// interval cover `name`, hashed under the RRset's own parameters?
+pub fn covers(set: &Rrset, name: &Name) -> bool {
+    match set.rdatas.first() {
+        Some(Rdata::Nsec3 {
+            salt, iterations, ..
+        }) => interval_covers(
+            set,
+            &nsec3hash::nsec3_hash(name.as_wire(), salt, *iterations),
+        ),
+        _ => false,
+    }
 }
 
 #[cfg(test)]

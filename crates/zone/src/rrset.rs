@@ -74,6 +74,43 @@ impl Rrset {
     }
 }
 
+/// Regroup a flat record list (one section of a response) into RRsets
+/// with their covering RRSIGs attached — the inverse of serving.
+pub fn collate(records: &[Record]) -> Vec<Rrset> {
+    let mut sets: Vec<Rrset> = Vec::new();
+    // Data records first.
+    for rec in records {
+        if rec.rtype() == RrType::Rrsig {
+            continue;
+        }
+        match sets
+            .iter_mut()
+            .find(|s| s.name == rec.name && s.rtype == rec.rtype())
+        {
+            Some(set) => set.rdatas.push(rec.rdata.clone()),
+            None => sets.push(Rrset {
+                name: rec.name.clone(),
+                rtype: rec.rtype(),
+                ttl: rec.ttl,
+                rdatas: vec![rec.rdata.clone()],
+                sigs: Vec::new(),
+            }),
+        }
+    }
+    // Then attach signatures.
+    for rec in records {
+        if let Rdata::Rrsig(sig) = &rec.rdata {
+            if let Some(set) = sets
+                .iter_mut()
+                .find(|s| s.name == rec.name && s.rtype == sig.type_covered)
+            {
+                set.sigs.push(sig.clone());
+            }
+        }
+    }
+    sets
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

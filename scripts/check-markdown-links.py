@@ -24,6 +24,12 @@ crate: ``crates/<dir>/src/<name>.rs`` or ``crates/<dir>/src/<name>/``
 (``a::b`` reads as ``a/b``, a trailing ``/*`` requires the directory, any
 other glob such as ``repro-*`` is matched against ``src/bin/``).
 
+The malformed-query policy is written down twice — the table in the
+module doc of ``crates/server/src/pipeline.rs`` and the one in
+docs/SERVING.md — and the two must list the same inputs, in the same
+order: the first column of every row of the first ``| Input |`` table in
+each file is compared.
+
 Run from anywhere: paths are resolved against the repository root
 (the parent of this script's directory). Exit status is the number of
 broken links, capped at 1 for shell friendliness.
@@ -123,6 +129,39 @@ def check_inventory(md: Path) -> list[str]:
     return broken
 
 
+def policy_inputs(path: Path) -> list[str]:
+    """First column of the first `| Input |` table in `path`."""
+    inputs = None
+    for line in path.read_text(encoding="utf-8").splitlines():
+        line = line.strip().removeprefix("//!").strip()
+        if inputs is None:
+            if line.startswith("| Input |"):
+                inputs = []
+        elif line.startswith("|"):
+            cell = line.split("|")[1].strip()
+            if cell.strip("-"):
+                inputs.append(cell)
+        else:
+            break
+    return inputs or []
+
+
+def check_policy_tables() -> list[str]:
+    """pipeline.rs and docs/SERVING.md must list the same inputs."""
+    code = policy_inputs(ROOT / "crates/server/src/pipeline.rs")
+    docs = policy_inputs(ROOT / "docs/SERVING.md")
+    if not code or not docs:
+        return ["malformed-query policy: no `| Input |` table in pipeline.rs or docs/SERVING.md"]
+    if code == docs:
+        return []
+    lines = ["malformed-query policy: pipeline.rs and docs/SERVING.md list different inputs"]
+    for row in dict.fromkeys(code + docs):
+        where = "both" if row in code and row in docs else (
+            "pipeline.rs only" if row in code else "SERVING.md only")
+        lines.append(f"  {where}: {row}")
+    return ["\n".join(lines)]
+
+
 def main() -> int:
     broken = []
     for md in sorted(ROOT.rglob("*.md")):
@@ -134,6 +173,7 @@ def main() -> int:
         for md in sorted(ROOT.glob(pattern)):
             broken.extend(check_paths(md, ignored))
     broken.extend(check_inventory(ROOT / "DESIGN.md"))
+    broken.extend(check_policy_tables())
     for line in broken:
         print(line, file=sys.stderr)
     if broken:
