@@ -1,5 +1,6 @@
 //! Assembly of authenticated denial-of-existence proofs (RFC 5155 §7.2).
 
+use crate::layout::push_rrset;
 use ede_wire::{Name, Rdata, Record, RrType};
 use ede_zone::{nsec, nsec3, Nsec3Config, Rrset, Zone};
 
@@ -36,14 +37,6 @@ pub fn zone_nsec3_params(zone: &Zone) -> Option<Nsec3Config> {
         })
 }
 
-/// Collect an RRset plus its signatures as records.
-fn emit(set: &Rrset, dnssec: bool, out: &mut Vec<Record>) {
-    out.extend(set.records());
-    if dnssec {
-        out.extend(set.sig_records());
-    }
-}
-
 /// Are the zone's NSEC3 records' embedded parameters consistent with the
 /// parameters the server is hashing with? When they are and a hash lookup
 /// still fails, the chain's owner names are damaged — a real server's
@@ -67,7 +60,7 @@ fn params_consistent(zone: &Zone, params: &Nsec3Config) -> bool {
 /// order, standing in for a tree-predecessor walk over a damaged chain.
 fn nearby_nsec3(zone: &Zone, dnssec: bool, out: &mut Vec<Record>) {
     for set in zone.iter().filter(|s| s.rtype == RrType::Nsec3).take(2) {
-        emit(set, dnssec, out);
+        push_rrset(out, set, dnssec);
     }
 }
 
@@ -82,7 +75,7 @@ pub fn nodata_proof(
 ) {
     let proof_at = out.len();
     if let Some(set) = nsec3::find_matching(zone, params, qname) {
-        emit(set, dnssec, out);
+        push_rrset(out, set, dnssec);
     }
     if out.len() == proof_at && params_consistent(zone, params) {
         nearby_nsec3(zone, dnssec, out);
@@ -118,7 +111,7 @@ pub fn nxdomain_proof(
     let mut push_unique = |set: Option<&Rrset>, out: &mut Vec<Record>| {
         if let Some(set) = set {
             if seen.insert(set.name.clone()) {
-                emit(set, dnssec, out);
+                push_rrset(out, set, dnssec);
             }
         }
     };
@@ -155,7 +148,7 @@ pub fn zone_uses_nsec(zone: &Zone) -> bool {
 /// matching `qname`.
 pub fn nsec_nodata_proof(zone: &Zone, qname: &Name, dnssec: bool, out: &mut Vec<Record>) {
     if let Some(set) = nsec::find_matching(zone, qname) {
-        emit(set, dnssec, out);
+        push_rrset(out, set, dnssec);
     }
 }
 
@@ -166,7 +159,7 @@ pub fn nsec_nxdomain_proof(zone: &Zone, qname: &Name, dnssec: bool, out: &mut Ve
     let mut push_unique = |set: Option<&Rrset>, out: &mut Vec<Record>| {
         if let Some(set) = set {
             if seen.insert(set.name.clone()) {
-                emit(set, dnssec, out);
+                push_rrset(out, set, dnssec);
             }
         }
     };

@@ -11,6 +11,9 @@
 //!   set (closest-encloser match, next-closer cover, wildcard cover);
 //! * authoritative DS answers at the parent side of a cut.
 //!
+//! Where the RRsets of a referral and of a positive answer go is written
+//! once, in [`layout`], for servers with a zone and without one.
+//!
 //! [`behavior::Behavior`] layers the fault modes the paper observes in
 //! the wild on top: REFUSED-to-everyone, client ACLs
 //! (`allow-query-none` / `allow-query-localhost`), SERVFAIL, NOTAUTH,
@@ -22,6 +25,7 @@
 
 pub mod behavior;
 pub mod denial;
+pub mod layout;
 pub mod server;
 pub mod store;
 

@@ -5,11 +5,12 @@ use crate::denial::{
     no_ds_proof, nodata_proof, nsec_nodata_proof, nsec_nxdomain_proof, nxdomain_proof,
     zone_nsec3_params, zone_uses_nsec,
 };
+use crate::layout::{self, push_rrset};
 use crate::store::ZoneStore;
 use ede_netsim::{Server, ServerResponse};
 use ede_trace::{TraceEvent, Tracer, TracerCell};
 use ede_wire::{Edns, Message, Name, Rcode, Rdata, RrType};
-use ede_zone::{Rrset, Zone};
+use ede_zone::Zone;
 use std::net::IpAddr;
 
 /// An authoritative nameserver: a zone store plus a behavior mode.
@@ -111,16 +112,7 @@ impl ZoneServer {
         let qname = q.name.clone();
         let qtype = q.qtype;
 
-        let edns_aware = self.behavior != Behavior::NoEdns;
-        let dnssec_ok = edns_aware && query.edns.as_ref().is_some_and(|e| e.dnssec_ok);
-
-        let mut resp = Message::response_to(query);
-        if edns_aware && query.edns.is_some() {
-            resp.edns = Some(Edns {
-                dnssec_ok,
-                ..Default::default()
-            });
-        }
+        let (mut resp, dnssec_ok) = layout::reply_to(query, self.behavior != Behavior::NoEdns);
 
         let Some(zone) = self.store.find(&qname) else {
             resp.rcode = Rcode::Refused;
@@ -145,26 +137,24 @@ impl ZoneServer {
 
     /// Fill a referral response for a delegation owned by `zone`.
     fn answer_referral(&self, resp: &mut Message, zone: &Zone, deleg: &Name, dnssec_ok: bool) {
-        resp.authoritative = false;
         let ns_set = zone
             .get(deleg, RrType::Ns)
             .expect("caller verified the delegation");
-        resp.authorities.extend(ns_set.records());
+        let ds = zone.get(deleg, RrType::Ds);
+        // Glue for in-zone (or below-cut) nameserver names.
+        let hosts = ns_set.rdatas.iter().filter_map(|rd| match rd {
+            Rdata::Ns(ns_name) => Some(ns_name),
+            _ => None,
+        });
+        let glue = hosts.flat_map(|host| zone.glue_for(host)).collect();
+        layout::referral(resp, ns_set, ds, glue, dnssec_ok);
 
-        if dnssec_ok {
-            if let Some(ds) = zone.get(deleg, RrType::Ds) {
-                push_rrset(&mut resp.authorities, ds, true);
-            } else if zone_uses_nsec(zone) {
+        // An insecure delegation: the zone's own proof that no DS exists.
+        if dnssec_ok && ds.is_none() {
+            if zone_uses_nsec(zone) {
                 nsec_nodata_proof(zone, deleg, true, &mut resp.authorities);
             } else if let Some(params) = zone_nsec3_params(zone) {
                 no_ds_proof(zone, &params, deleg, true, &mut resp.authorities);
-            }
-        }
-
-        // Glue for in-zone (or below-cut) nameserver names.
-        for rd in &ns_set.rdatas {
-            if let Rdata::Ns(ns_name) = rd {
-                resp.additionals.extend(zone.glue_for(ns_name));
             }
         }
     }
@@ -178,12 +168,10 @@ impl ZoneServer {
         qtype: RrType,
         dnssec_ok: bool,
     ) {
-        resp.authoritative = true;
-
         if let Some(set) = zone.get(qname, qtype) {
-            push_rrset(&mut resp.answers, set, dnssec_ok);
-            return;
+            return layout::positive(resp, set, dnssec_ok);
         }
+        resp.authoritative = true;
 
         // CNAME at the name (and the query is not for the CNAME itself):
         // answer the alias and chase in-zone.
@@ -272,14 +260,6 @@ impl Server for ZoneServer {
     fn handle_stream(&self, query: &Message, src: IpAddr, _now: u32) -> ServerResponse {
         // Streams have no size limit: the full answer, cap or not.
         self.answer(query, src)
-    }
-}
-
-/// Append an RRset (and, when `dnssec` is set, its RRSIGs) to a section.
-fn push_rrset(section: &mut Vec<ede_wire::Record>, set: &Rrset, dnssec: bool) {
-    section.extend(set.records());
-    if dnssec {
-        section.extend(set.sig_records());
     }
 }
 

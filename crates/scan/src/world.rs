@@ -6,22 +6,24 @@
 //!
 //! * the **root zone** is a real, signed [`ede_zone::Zone`] with one
 //!   delegation (and DS) per TLD;
-//! * each **TLD server** keeps a pre-signed apex skeleton (SOA + NS +
-//!   NSEC3PARAM, built once per TLD and shared, never copied) and
-//!   layers over it, per query, a micro-zone holding just the queried
-//!   delegation (NS + glue + DS or the matching NSEC3), signing only the
-//!   RRsets a referral-shaped response can actually carry, then answers
-//!   through the ordinary [`ede_authority::ZoneServer`] logic — wire
-//!   behavior is identical to a full zone because referral content only
-//!   ever depends on the one delegation (a differential test holds the
-//!   two against each other, `Message` for `Message`);
-//! * each **hosting server** builds the queried domain's child zone
-//!   from its planted [`Category`] (signing it, breaking it, or
-//!   flapping it as the category demands) and serves that; a tiny
-//!   per-worker burst cache keeps the zone alive across one domain's
-//!   A → DNSKEY query burst so it is not rebuilt back-to-back
-//!   (deliberately tiny: a large shared memo measurably wrecks
-//!   allocator locality at scan scale);
+//! * each **TLD server** answers the query it gets a million times — the
+//!   referral to a registered child — straight from the child's registry
+//!   record: the NS set, the glue and the signed DS set or the child's
+//!   own NSEC3 from the TLD's honest chain are built and handed to
+//!   [`ede_authority::layout::referral`], with no zone in between,
+//!   because referral content only ever depends on the one delegation.
+//!   Every other shape (the apex, an unregistered name, a child's
+//!   parent-side DS) gets a micro-zone of just the RRsets it can touch,
+//!   signed per query and served by the ordinary
+//!   [`ede_authority::ZoneServer`] logic;
+//! * each **hosting server** answers a healthy child's apex A (and a
+//!   healthy signed child's DNSKEY) the same way, from the record and
+//!   the child's derived keys through [`ede_authority::layout::positive`],
+//!   and builds the child zone from its planted [`Category`] (signing
+//!   it, breaking it, or flapping it as the category demands) for every
+//!   other shape and every misconfigured child — a differential test
+//!   holds both servers against fully materialised, fully signed zones,
+//!   `Message` for `Message`;
 //! * **broken-pool servers** implement the per-address fault modes
 //!   (REFUSED / SERVFAIL / silence) of §4.2.2's 293 k lame nameservers.
 //!
@@ -30,7 +32,7 @@
 //! tomorrow.
 
 use crate::population::{broken_mode, tld_addr, BrokenMode, Category, DomainRecord, Population};
-use ede_authority::{Behavior, ZoneServer, ZoneStore};
+use ede_authority::{layout, Behavior, ZoneServer, ZoneStore};
 use ede_crypto::nsec3hash::{self, NSEC3_HASH_LEN};
 use ede_netsim::{Network, NetworkBuilder, NetworkConfig, Server, ServerResponse, SimClock};
 use ede_resolver::config::RootHint;
@@ -216,6 +218,34 @@ fn child_signer_config(cat: Category) -> SignerConfig {
     cfg
 }
 
+/// The address every child that has one publishes at its apex.
+fn apex_a(apex: &Name) -> Rrset {
+    Rrset::new(apex.clone(), 60, Rdata::A(Ipv4Addr::new(203, 0, 113, 10)))
+}
+
+/// The apex RRset a child serves for `qtype`, when it is known without
+/// building the child's zone: the A of an unsigned child, and the A and
+/// the DNSKEY set of a healthy signed one (a stand-by TLD's member is
+/// one: the condition is its parent's), signed. A misconfigured signed
+/// child's condition is a mutation of its zone, so it gets one.
+fn known_apex_rrset(rec: &DomainRecord, qtype: RrType) -> Option<Rrset> {
+    let (apex, cat) = (&rec.name, rec.category);
+    if !cat.signed() {
+        return (qtype == RrType::A).then(|| apex_a(apex));
+    }
+    let healthy = matches!(cat, Category::HealthySigned | Category::StandbyTldMember);
+    if !healthy || !matches!(qtype, RrType::A | RrType::Dnskey) {
+        return None;
+    }
+    let keys = child_keys(apex, cat);
+    let mut set = match qtype {
+        RrType::A => apex_a(apex),
+        _ => keys.dnskey_rrset(apex),
+    };
+    signer::sign_in_place(&mut set, &keys, apex, child_signer_config(cat).window());
+    Some(set)
+}
+
 /// The child zone's plain records, before any signing.
 fn unsigned_child(rec: &DomainRecord) -> Zone {
     let apex = &rec.name;
@@ -230,11 +260,7 @@ fn unsigned_child(rec: &DomainRecord) -> Zone {
     // Most categories publish an apex A; denial-driven ones must not.
     let wants_a = !matches!(cat, Category::BrokenDenial | Category::IterationLimit);
     if wants_a {
-        zone.add(Record::new(
-            apex.clone(),
-            60,
-            Rdata::A(Ipv4Addr::new(203, 0, 113, 10)),
-        ));
+        zone.add_rrset(apex_a(apex));
     }
     zone
 }
@@ -242,36 +268,13 @@ fn unsigned_child(rec: &DomainRecord) -> Zone {
 /// Build the child zone for a domain per its category. Returns the zone
 /// (already signed/mutated where applicable).
 fn materialize_child(rec: &DomainRecord) -> Zone {
-    let apex = &rec.name;
     let cat = rec.category;
     let mut zone = unsigned_child(rec);
     if cat.signed() {
-        let keys = child_keys(apex, cat);
-        if cat == Category::HealthySigned {
-            // Lean signing: a healthy signed child only ever serves two
-            // RRsets positively — its apex A and its DNSKEY — and a
-            // positive answer carries nothing else (no SOA, no denial
-            // proof). Signing just those two sets and skipping the
-            // NSEC3 chain entirely produces byte-identical responses
-            // for every query the scan can send, at a fraction of the
-            // build cost. Every misconfigured category still takes the
-            // full sign_zone path below.
-            let mut dnskey_set = Rrset::empty(apex.clone(), RrType::Dnskey, 3600);
-            dnskey_set.push(keys.zsk.dnskey_rdata());
-            dnskey_set.push(keys.ksk.dnskey_rdata());
-            zone.add_rrset(dnskey_set);
-            let window = child_signer_config(cat).window();
-            signer::resign_rrset(&mut zone, apex, RrType::A, &keys, window);
-            signer::resign_rrset(&mut zone, apex, RrType::Dnskey, &keys, window);
-        } else {
-            signer::sign_zone(&mut zone, &keys, &child_signer_config(cat));
-            match cat {
-                Category::BrokenDenial => Misconfig::BadNsec3Next.apply(&mut zone, &keys),
-                Category::SigExpired => {
-                    // Window already expired via config; nothing else.
-                }
-                _ => {}
-            }
+        let keys = child_keys(&rec.name, cat);
+        signer::sign_zone(&mut zone, &keys, &child_signer_config(cat));
+        if cat == Category::BrokenDenial {
+            Misconfig::BadNsec3Next.apply(&mut zone, &keys);
         }
     }
     zone
@@ -304,31 +307,12 @@ impl FlapTable {
     }
 }
 
-/// Worker-local cache of the few child zones a resolution touches
-/// back-to-back. Deliberately tiny: it only needs to survive one
-/// domain's query burst, and keeping it small keeps the heap flat (a
-/// large shared memo measurably wrecks allocator locality at scan
-/// scale).
-const CHILD_BURST_SLOTS: usize = 4;
-
-thread_local! {
-    static CHILD_BURST: std::cell::RefCell<Vec<(u64, Name, Arc<ZoneServer>)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Monotonic id handed to each built world (see `HostingNs::world_id`).
-static NEXT_WORLD_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
 /// The hosting fabric: serves every healthy-pool domain per its planted
 /// category, with per-domain flap state.
 struct HostingNs {
     registry: Arc<Registry>,
     /// Query counters for flapping domains.
     flap: FlapTable,
-    /// Distinguishes this world's zones in the thread-local memo, so
-    /// tests that build several worlds in one thread cannot cross-serve
-    /// a same-named domain from an older world.
-    world_id: u64,
 }
 
 impl HostingNs {
@@ -374,36 +358,21 @@ impl Server for HostingNs {
             _ => {}
         }
 
-        if behavior == Behavior::Normal {
-            // The common case. A resolution hits the same child zone in
-            // an immediate burst (A, then DNSKEY for signed domains), so
-            // a handful of thread-local slots absorbs the repeat builds
-            // without any shared state or long-lived heap.
-            let server = CHILD_BURST.with(|m| {
-                let mut m = m.borrow_mut();
-                if let Some((_, _, s)) = m
-                    .iter()
-                    .find(|(id, n, _)| *id == self.world_id && n == &rec.name)
-                {
-                    return Arc::clone(s);
-                }
-                let mut store = ZoneStore::new();
-                store.insert(materialize_child(rec));
-                let s = Arc::new(ZoneServer::new(store));
-                if m.len() >= CHILD_BURST_SLOTS {
-                    m.remove(0);
-                }
-                m.push((self.world_id, rec.name.clone(), Arc::clone(&s)));
-                s
-            });
-            return server.answer(query, src);
+        // The common case: a well-behaved server asked for a healthy
+        // child's apex A (or DNSKEY) answers without a zone.
+        if behavior == Behavior::Normal && q.name == rec.name {
+            if let Some(set) = known_apex_rrset(rec, q.qtype) {
+                let (mut resp, dnssec_ok) = layout::reply_to(query, true);
+                layout::positive(&mut resp, &set, dnssec_ok);
+                return ServerResponse::Reply(resp);
+            }
         }
 
-        // Misbehaving servers (flap, no-EDNS, NOTAUTH) are a sliver of
-        // the population; build fresh so behavior stays per-query.
-        let zone = materialize_child(rec);
+        // Every other shape, the misconfigured signed children and the
+        // misbehaving servers are a sliver of the traffic: each query
+        // builds the child's zone and looks its answer up.
         let mut store = ZoneStore::new();
-        store.insert(zone);
+        store.insert(materialize_child(rec));
         ZoneServer::with_behavior(store, behavior).answer(query, src)
     }
 }
@@ -483,6 +452,11 @@ impl TldChain {
         }
     }
 
+    /// Index of a registered child's own record.
+    fn slot_of(&self, child: &Registered) -> usize {
+        self.child_slots[child.ordinal as usize] as usize
+    }
+
     /// Index of the owner whose hash equals `hash`, if any.
     fn matching(&self, hash: &[u8; NSEC3_HASH_LEN]) -> Option<usize> {
         self.owners.binary_search_by(|(h, _)| h.cmp(hash)).ok()
@@ -544,7 +518,8 @@ impl TldChain {
 /// TTL of the NSEC3 records a TLD serves.
 const NSEC3_TTL: u32 = 3600;
 
-/// A TLD server: synthesizes the relevant micro-slice of its zone per
+/// A TLD server: answers a referral from the child's registry record,
+/// and synthesizes the relevant micro-slice of its zone for every other
 /// query.
 struct TldServer {
     tld: Name,
@@ -552,10 +527,6 @@ struct TldServer {
     registry: Arc<Registry>,
     /// The TLD's keys, derived once instead of per query.
     keys: ZoneKeys,
-    /// Signed apex skeleton (SOA + NS + NSEC3PARAM, no denial chain),
-    /// built lazily on the first query and shared by every referral
-    /// zone layered over it.
-    template: OnceLock<Arc<Zone>>,
     /// Honest registry-wide NSEC3 chain, hashed once on first use.
     chain: OnceLock<TldChain>,
 }
@@ -568,7 +539,6 @@ impl TldServer {
             entry,
             registry,
             keys,
-            template: OnceLock::new(),
             chain: OnceLock::new(),
         }
     }
@@ -586,37 +556,71 @@ impl TldServer {
         })
     }
 
-    /// An unsigned zone holding the apex SOA and NS.
-    fn apex_zone(&self) -> Zone {
+    /// The referral to a registered child, filled from its record with
+    /// no zone in between: referral content only ever depends on the one
+    /// delegation, and only the RRsets a referral carries are built (and
+    /// signed).
+    fn referral(&self, query: &Message, child: &Registered) -> ServerResponse {
+        let rec = &child.rec;
+        let (mut resp, dnssec_ok) = layout::reply_to(query, true);
+        let mut ns = Rrset::empty(rec.name.clone(), RrType::Ns, 3600);
+        let mut glue = Vec::with_capacity(rec.ns_addrs.len());
+        for (i, addr) in rec.ns_addrs.iter().enumerate() {
+            let host = ns_host(&rec.name, i);
+            ns.push(Rdata::Ns(host.clone()));
+            glue.push(Record::new(host, 3600, Rdata::A(*addr)));
+        }
+        let proof = if !dnssec_ok {
+            None
+        } else if rec.category.signed() {
+            let mut ds = Rrset::empty(rec.name.clone(), RrType::Ds, 3600);
+            ds.rdatas = child_ds(rec);
+            signer::sign_in_place(&mut ds, &self.keys, &self.tld, DEFAULT_WINDOW);
+            Some(ds)
+        } else {
+            // Insecure delegation: the child's matching NSEC3 — unless
+            // this TLD deliberately lost it (§4.2.9). The record is
+            // pulled from the honest registry-wide chain, so its
+            // interval never covers another registered name: resolvers
+            // that retain validated ranges (RFC 8198) must be able to
+            // trust it.
+            (!self.entry.broken_insecure_proof).then(|| {
+                let chain = self.chain();
+                chain.rrset(chain.slot_of(child), &self.tld, &self.keys, DEFAULT_WINDOW)
+            })
+        };
+        layout::referral(&mut resp, &ns, proof.as_ref(), glue, dnssec_ok);
+        ServerResponse::Reply(resp)
+    }
+
+    /// The full build for every query that is not a referral: the apex
+    /// (DNSKEY/SOA), names outside the registry, and the parent-side DS
+    /// of a `registered` child, whose delegation then goes in.
+    fn micro_zone(&self, qname: &Name, registered: Option<&Registered>) -> Zone {
         let mut zone = Zone::new(self.tld.clone());
         zone.add(Record::new(self.tld.clone(), 3600, soa_for(&self.tld)));
         let tld_ns = ns_host(&self.tld, 0);
         zone.add(Record::new(self.tld.clone(), 3600, Rdata::Ns(tld_ns)));
-        zone
-    }
+        if let Some(child) = registered {
+            add_delegation(&mut zone, &child.rec);
+        }
 
-    /// Sign `zone` without a denial chain, then publish the apex
-    /// NSEC3PARAM as `sign_zone` with the default chain would.
-    ///
-    /// Signing with `Denial::None` and grafting denial records per
-    /// query is safe because RRSIG presence in NSEC3 bitmaps is driven
-    /// by a flag, not by the signing order, so the bitmaps (and the
-    /// deterministic signatures) come out byte-identical to signing the
-    /// whole registry. The PARAM stays on broken TLDs (§4.2.9) too:
-    /// `Misconfig::Nsec3Missing` removes the chain but leaves it (and
-    /// its RRSIG) behind, which is what keeps the server *claiming* it
-    /// can prove denials.
-    fn sign_apex(&self, zone: &mut Zone) {
-        signer::sign_zone(
-            zone,
-            &self.keys,
-            &SignerConfig {
-                denial: Denial::None,
-                ..SignerConfig::default()
-            },
-        );
+        // Sign without a denial chain, then publish the apex NSEC3PARAM
+        // as `sign_zone` with the default chain would. Grafting denial
+        // records per query is safe because RRSIG presence in NSEC3
+        // bitmaps is driven by a flag, not by the signing order, so the
+        // bitmaps (and the deterministic signatures) come out
+        // byte-identical to signing the whole registry. The PARAM stays
+        // on broken TLDs (§4.2.9) too: `Misconfig::Nsec3Missing` removes
+        // the chain but leaves it (and its RRSIG) behind, which is what
+        // keeps the server *claiming* it can prove denials.
+        let unchained = SignerConfig {
+            denial: Denial::None,
+            ..SignerConfig::default()
+        };
+        signer::sign_zone(&mut zone, &self.keys, &unchained);
         let params = Nsec3Config::default();
-        zone.add_rrset(Rrset::new(
+        let mut param = Rrset::new(
             self.tld.clone(),
             0,
             Rdata::Nsec3param {
@@ -625,61 +629,9 @@ impl TldServer {
                 iterations: params.iterations,
                 salt: params.salt,
             },
-        ));
-        signer::resign_rrset(
-            zone,
-            &self.tld,
-            RrType::Nsec3param,
-            &self.keys,
-            DEFAULT_WINDOW,
         );
-    }
-
-    /// The signed apex skeleton every referral zone is layered over.
-    fn template(&self) -> &Arc<Zone> {
-        self.template.get_or_init(|| {
-            let mut zone = self.apex_zone();
-            self.sign_apex(&mut zone);
-            // The template only ever answers below-apex query shapes
-            // (referrals, parent-side DS, their denials) and those never
-            // carry the apex DNSKEY RRset — apex DNSKEY queries take the
-            // `micro_zone` path, which also applies the standby-SEP
-            // mutation.
-            zone.remove(&self.tld, RrType::Dnskey);
-            Arc::new(zone)
-        })
-    }
-
-    /// Referral zone for a registered child: the delegation layered over
-    /// the shared apex template, signing only RRsets a referral-shaped
-    /// response (or a parent-side DS answer) can actually carry.
-    fn referral_zone(&self, child: &Registered) -> Zone {
-        let rec = &child.rec;
-        let mut zone = Zone::layered(Arc::clone(self.template()));
-        add_delegation(&mut zone, rec);
-        if rec.category.signed() {
-            signer::resign_rrset(&mut zone, &rec.name, RrType::Ds, &self.keys, DEFAULT_WINDOW);
-        } else if !self.entry.broken_insecure_proof {
-            // Insecure delegation: referrals and DS NODATA answers need
-            // the child's matching NSEC3 — unless this TLD deliberately
-            // lost it (§4.2.9). The record is pulled from the honest
-            // registry-wide chain, so its interval never covers another
-            // registered name: resolvers that retain validated ranges
-            // (RFC 8198) must be able to trust it. Only the matching
-            // NSEC3 is ever emitted for the query shapes this zone
-            // serves, so that is the one RRset worth a signature.
-            let chain = self.chain();
-            let slot = chain.child_slots[child.ordinal as usize] as usize;
-            zone.add_rrset(chain.rrset(slot, &self.tld, &self.keys, DEFAULT_WINDOW));
-        }
-        zone
-    }
-
-    /// The full build for apex queries (DNSKEY/SOA) and names outside
-    /// the registry.
-    fn micro_zone(&self, qname: &Name) -> Zone {
-        let mut zone = self.apex_zone();
-        self.sign_apex(&mut zone);
+        signer::sign_in_place(&mut param, &self.keys, &self.tld, DEFAULT_WINDOW);
+        zone.add_rrset(param);
 
         if self.entry.standby_key {
             // Publish an extra SEP key that signs nothing, then re-sign
@@ -708,11 +660,14 @@ impl TldServer {
                     .matching(&chain.params.hash_raw(&self.tld))
                     .expect("apex is a chain owner"),
             );
-            if qname != &self.tld && qname.is_subdomain_of(&self.tld) {
-                // Any below-apex name this path serves is unregistered
-                // (registered SLDs take the referral path), so the
-                // closest encloser is the apex and an NXDOMAIN proof
-                // needs the next-closer and wildcard covers.
+            if let Some(child) = registered {
+                // The DS NODATA of an insecure delegation is proved by
+                // the child's own record.
+                grafted.insert(chain.slot_of(child));
+            } else if qname != &self.tld && qname.is_subdomain_of(&self.tld) {
+                // An unregistered name: the closest encloser is the
+                // apex and an NXDOMAIN proof needs the next-closer and
+                // wildcard covers.
                 let next_closer = qname.suffix(self.tld.label_count() + 1);
                 let nc_hash = chain.params.hash_raw(&next_closer);
                 if chain.matching(&nc_hash).is_none() {
@@ -735,18 +690,18 @@ impl Server for TldServer {
         let Some(q) = query.first_question() else {
             return ServerResponse::Drop;
         };
-        // Fast path: queries below the apex for a domain registered here are
-        // referral-shaped (or parent-side DS lookups) — serve them from
-        // the delegation layered over the pre-signed apex template
-        // rather than signing a full micro-zone from scratch per query.
         let registered = self
             .registry
             .domains
             .get(&q.name.suffix(2))
             .filter(|_| q.name.is_subdomain_of(&self.tld));
+        // At or below a registered child every query is referred to it,
+        // except for the child's own DS, which the parent side answers.
         let zone = match registered {
-            Some(child) => self.referral_zone(child),
-            None => self.micro_zone(&q.name),
+            Some(child) if q.qtype != RrType::Ds || q.name != child.rec.name => {
+                return self.referral(query, child)
+            }
+            _ => self.micro_zone(&q.name, registered),
         };
         let mut store = ZoneStore::new();
         store.insert(zone);
@@ -810,7 +765,6 @@ impl ScanWorld {
         let hosting = Arc::new(HostingNs {
             registry: Arc::clone(&registry),
             flap: FlapTable::new(),
-            world_id: NEXT_WORLD_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         });
         for addr in &pop.healthy_ns {
             net.register(IpAddr::V4(*addr), hosting.clone() as Arc<dyn Server>);
@@ -871,7 +825,12 @@ mod tests {
     }
 
     fn reply(server: &dyn Server, qname: &Name, qtype: RrType) -> Message {
-        let query = Message::iterative_query(0x5eed, qname.clone(), qtype);
+        ask(server, qname, qtype, true)
+    }
+
+    fn ask(server: &dyn Server, qname: &Name, qtype: RrType, dnssec_ok: bool) -> Message {
+        let mut query = Message::iterative_query(0x5eed, qname.clone(), qtype);
+        query.edns.as_mut().unwrap().dnssec_ok = dnssec_ok;
         match server.handle(&query, "203.0.113.9".parse().unwrap(), 0) {
             ServerResponse::Reply(m) => m,
             ServerResponse::Drop => panic!("{qname} {qtype}: dropped"),
@@ -913,11 +872,12 @@ mod tests {
         ZoneServer::new(store)
     }
 
-    /// The lean servers — a delegation layered over a shared template at
-    /// the TLD, two signed RRsets at a healthy signed child — must be
-    /// indistinguishable from servers over fully materialised, fully
-    /// signed zones for every query shape the scan sends: `Message` for
-    /// `Message`, signatures included.
+    /// The lean servers — a referral filled from the registry record at
+    /// the TLD, the healthy children's apex A and DNSKEY at the hosting
+    /// fabric — must be indistinguishable from servers over fully
+    /// materialised, fully signed zones for every query shape the scan
+    /// sends, and must leave every other shape to a zone: `Message` for
+    /// `Message`, signatures included, with DO and without.
     #[test]
     fn lean_servers_answer_as_fully_materialised_zones_do() {
         let pop = Population::generate(PopulationConfig::tiny());
@@ -951,38 +911,46 @@ mod tests {
                         reply(full, qname, qtype),
                         "{cat:?}: {qname} {qtype} at the TLD"
                     );
+                    assert_eq!(
+                        ask(&lean, qname, qtype, false),
+                        ask(full, qname, qtype, false),
+                        "{cat:?}: {qname} {qtype} at the TLD, DO clear"
+                    );
                 }
+                let plain = ask(&lean, &rec.name, RrType::A, false);
+                assert!(plain.authorities.iter().all(|r| r.rtype() == RrType::Ns));
             }
         }
 
-        // The one lean child: a healthy signed domain signs only the two
-        // RRsets it ever serves positively.
-        for rec in pop
-            .domains
-            .iter()
-            .filter(|d| d.category == Category::HealthySigned)
-            .take(5)
-        {
-            let serve = |zone: Zone| {
+        // The hosting half, for every category whose server answers.
+        // A server per query: a flapping domain answers only until its
+        // first apex A.
+        let hosting = || HostingNs {
+            registry: Arc::clone(&registry),
+            flap: FlapTable::new(),
+        };
+        let answering = |cat: &Category| !matches!(cat, Category::NoEdns | Category::NotAuthCached);
+        for cat in Category::ALL.into_iter().filter(answering) {
+            for rec in pop.domains.iter().filter(|d| d.category == cat).take(3) {
                 let mut store = ZoneStore::new();
-                store.insert(zone);
-                ZoneServer::new(store)
-            };
-            let lean = serve(materialize_child(rec));
-            let mut zone = unsigned_child(rec);
-            signer::sign_zone(
-                &mut zone,
-                &child_keys(&rec.name, rec.category),
-                &child_signer_config(rec.category),
-            );
-            let full = serve(zone);
-            for qtype in [RrType::A, RrType::Dnskey] {
-                assert_eq!(
-                    reply(&lean, &rec.name, qtype),
-                    reply(&full, &rec.name, qtype),
-                    "{} {qtype} at the child",
-                    rec.name
-                );
+                store.insert(materialize_child(rec));
+                let full = ZoneServer::new(store);
+                let below = rec.name.child("www").unwrap();
+                for (qname, qtype) in [
+                    (&rec.name, RrType::A),
+                    (&rec.name, RrType::Dnskey),
+                    (&rec.name, RrType::Ns),
+                    (&rec.name, RrType::Aaaa),
+                    (&below, RrType::A),
+                ] {
+                    for dnssec_ok in [true, false] {
+                        assert_eq!(
+                            ask(&hosting(), qname, qtype, dnssec_ok),
+                            ask(&full, qname, qtype, dnssec_ok),
+                            "{cat:?}: {qname} {qtype} at the child, DO {dnssec_ok}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -289,6 +289,13 @@ fn smoke() -> Result<String, String> {
     if !stats.drained {
         return Err("drain deadline exceeded".to_string());
     }
+    if stats.udp_workers_alive() < stats.workers {
+        return Err(format!(
+            "{} of {} UDP workers alive at drain",
+            stats.udp_workers_alive(),
+            stats.workers
+        ));
+    }
 
     let (tcp_responses, tcp_writes) = (stats.metrics.tcp_responses, stats.metrics.tcp_writes);
     if tcp_responses != u64::from(PIPELINED) || tcp_writes >= tcp_responses {

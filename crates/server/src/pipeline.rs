@@ -15,14 +15,14 @@
 //!    |---|---|
 //!    | shorter than a 12-byte DNS header | **drop** (no ID to echo — any reply would be a forgery oracle) |
 //!    | QR bit set (a response, not a query) | **drop** (never answer answers: reflection-loop hygiene) |
-//!    | opcode ≠ QUERY (IQUERY, STATUS, NOTIFY, UPDATE …) | **NOTIMP**, echoing ID and opcode |
+//!    | opcode ≠ QUERY (IQUERY, STATUS, NOTIFY, UPDATE …) | **NOTIMP**, echoing ID and opcode, carrying the server's own OPT if the body decodes and has a version-0 one |
 //!    | a second OPT, an OPT outside the additional section, or one not at the root | **FORMERR** (RFC 6891 §6.1.1), echoing ID, opcode and RD, carrying the server's own OPT: the query did send one |
 //!    | header valid but body undecodable | **FORMERR**, echoing ID, opcode and RD |
 //!    | OPT present with version ≠ 0 | **BADVERS** (RFC 6891 §6.1.3), echoing ID, RD and the question, carrying the server's own OPT (version 0) and no answer |
 //!    | no question | **FORMERR**, echoing ID, opcode and RD |
 //!    | question class ≠ IN | **REFUSED**, echoing the question |
 //!    | otherwise | resolve |
-//!    | OPT present, DO bit either way | the same DO bit in every OPT sent back (RFC 3225 §3, RFC 6891 §6.1.4): the answer, BADVERS, the no-question FORMERR, REFUSED |
+//!    | OPT present, DO bit either way | the same DO bit in every OPT sent back (RFC 3225 §3, RFC 6891 §6.1.4): the answer, NOTIMP, BADVERS, the no-question FORMERR, REFUSED |
 //!    | OPT with an option the server does not know | ignored, never echoed (RFC 6891 §6.1.2) |
 //!    | OPT advertising fewer than 512 bytes | served as 512 (RFC 6891 §6.2.3) |
 //!
@@ -109,10 +109,12 @@ pub fn classify(wire: &[u8]) -> QueryDisposition {
         return QueryDisposition::Drop(DropReason::UnexpectedResponse);
     }
     if header.opcode != Opcode::Query {
-        return QueryDisposition::Reject(
-            Box::new(reject(&header, Rcode::NotImp)),
-            RejectKind::NotImp,
-        );
+        let mut m = reject(&header, Rcode::NotImp);
+        // Another opcode's body need not read as a query's; an OPT this
+        // server understands is answered with one all the same.
+        let sent = Message::decode(wire).ok().and_then(|q| q.edns);
+        m.edns = sent.filter(|e| e.version == 0).as_ref().map(Edns::reply);
+        return QueryDisposition::Reject(Box::new(m), RejectKind::NotImp);
     }
     let query = match Message::decode(wire) {
         Ok(q) => q,
@@ -286,8 +288,19 @@ mod tests {
                 assert_eq!(m.opcode, Opcode::Status);
                 assert_eq!(m.rcode, Rcode::NotImp);
                 assert!(m.response && m.recursion_available);
+                assert_eq!(m.edns, Some(Edns::with_do()), "the server's OPT, DO copied");
             }
             other => panic!("expected NOTIMP, got {other:?}"),
+        }
+        // No OPT sent, none back; and a body that does not decode
+        // leaves a bare NOTIMP.
+        let mut plain = query_bytes(|m| (m.opcode, m.edns) = (Opcode::Status, None));
+        for cut in [plain.len(), 14] {
+            plain.truncate(cut);
+            match classify(&plain) {
+                QueryDisposition::Reject(m, RejectKind::NotImp) => assert_eq!(m.edns, None),
+                other => panic!("expected NOTIMP, got {other:?}"),
+            }
         }
     }
 

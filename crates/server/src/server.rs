@@ -209,7 +209,7 @@ pub struct ServerStats {
     pub udp_addr: SocketAddr,
     /// Bound TCP address.
     pub tcp_addr: SocketAddr,
-    /// Configured UDP shard worker count.
+    /// UDP shard workers spawned.
     pub workers: usize,
     /// Time since [`Server::spawn`] returned.
     pub uptime: Duration,
@@ -224,12 +224,20 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
+    /// UDP shard workers that have not left their loop on a socket
+    /// error, of the [`workers`](Self::workers) spawned.
+    pub fn udp_workers_alive(&self) -> usize {
+        let died = usize::try_from(self.metrics.udp_workers_died).unwrap_or(usize::MAX);
+        self.workers.saturating_sub(died)
+    }
+
     /// Render as an operator-facing summary block.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "ede-server on udp {} / tcp {} — {} workers, up {:.1}s, {} open conns{}\n",
+            "ede-server on udp {} / tcp {} — {} of {} workers alive, up {:.1}s, {} open conns{}\n",
             self.udp_addr,
             self.tcp_addr,
+            self.udp_workers_alive(),
             self.workers,
             self.uptime.as_secs_f64(),
             self.active_tcp_conns,

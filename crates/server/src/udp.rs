@@ -26,12 +26,12 @@ const RECV_BUF: usize = 4096;
 const POLL_TICK: Duration = Duration::from_millis(25);
 
 /// Drive one shard worker until the stop flag is raised. A socket error
-/// that is not [`is_transient`] ends the loop (the handle surfaces
-/// nothing; the remaining shards keep serving).
+/// that is not [`is_transient`] ends the loop, counted and said on
+/// standard error; the remaining shards keep serving.
 pub(crate) fn run_udp_worker(shared: &Shared, socket: &UdpSocket) {
     let l1 = L1Cache::new();
-    if socket.set_read_timeout(Some(POLL_TICK)).is_err() {
-        return;
+    if let Err(e) = socket.set_read_timeout(Some(POLL_TICK)) {
+        return died(shared, &e);
     }
     let mut buf = [0u8; RECV_BUF];
     // Every reply is encoded here: no allocation per datagram.
@@ -41,9 +41,15 @@ pub(crate) fn run_udp_worker(shared: &Shared, socket: &UdpSocket) {
         match socket.recv_from(&mut buf) {
             Ok((n, peer)) => serve_datagram(shared, socket, &l1, &buf[..n], peer, &mut out),
             Err(e) if is_transient(e.kind()) => continue,
-            Err(_) => break,
+            Err(e) => return died(shared, &e),
         }
     }
+}
+
+/// A worker's last act: its end counted, and said with the error's kind.
+fn died(shared: &Shared, error: &std::io::Error) {
+    shared.metrics.udp_worker_died();
+    eprintln!("ede-server: a UDP worker stopped: {:?}", error.kind());
 }
 
 /// Answer one datagram end-to-end, recording every metrics decision.
@@ -78,5 +84,49 @@ fn serve_datagram(
             }
         }
         Err(_) => metrics.encode_error(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ede_resolver::Vendor;
+    use ede_testbed::Testbed;
+    use ede_trace::ServerMetrics;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::sync::Arc;
+
+    /// A worker whose `recv_from` fails for good is counted, once, and
+    /// returns. The failure is a real one: a datagram sent from a
+    /// connected socket to a loopback port nobody holds comes back as
+    /// an ICMP error, which the next receive reports as
+    /// `ConnectionRefused`.
+    #[test]
+    fn a_worker_that_dies_of_a_socket_error_is_counted_once() {
+        let shared = Shared {
+            resolver: Testbed::build().resolver(Vendor::Cloudflare),
+            metrics: Arc::new(ServerMetrics::new()),
+            stop: AtomicBool::new(false),
+            active_conns: AtomicUsize::new(0),
+            config: crate::ServerConfig::default(),
+        };
+        let vacated = UdpSocket::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+        socket.connect(vacated).unwrap();
+        socket.send(&[0]).unwrap();
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(|| run_udp_worker(&shared, &socket));
+            // Not a hang if the error never arrives: stop, then fail.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !worker.is_finished() && Instant::now() < deadline {
+                std::thread::sleep(POLL_TICK);
+            }
+            shared.stop.store(true, Ordering::Release);
+        });
+        assert_eq!(shared.metrics.snapshot().udp_workers_died, 1);
+        assert_eq!(shared.metrics.snapshot().udp_queries, 0);
     }
 }

@@ -173,15 +173,21 @@ fn malformed_query_policy_on_the_wire() {
     assert_eq!(reply.id, 0xBEEF);
     assert_eq!(reply.rcode, Rcode::FormErr);
 
-    // Unimplemented opcode: NOTIMP.
+    // Unimplemented opcode: NOTIMP on both transports, and because the
+    // query carried an OPT the reply carries the server's.
     let mut status = Message::query(0x5151, qname("valid"), RrType::A);
     status.opcode = Opcode::Status;
-    probe.send(&status.encode().unwrap()).unwrap();
-    let n = probe.recv(&mut buf).unwrap();
-    let reply = Message::decode(&buf[..n]).unwrap();
-    assert_eq!(reply.id, 0x5151);
-    assert_eq!(reply.rcode, Rcode::NotImp);
-    assert_eq!(reply.opcode, Opcode::Status);
+    let status = status.encode().unwrap();
+    for reply in [
+        client.query_udp(&status).unwrap(),
+        client.query_tcp(&status).unwrap(),
+    ] {
+        let reply = Message::decode(&reply).unwrap();
+        assert_eq!(reply.id, 0x5151);
+        assert_eq!(reply.rcode, Rcode::NotImp);
+        assert_eq!(reply.opcode, Opcode::Status);
+        assert_eq!(reply.edns, Some(Edns::with_do()), "DO copied");
+    }
 
     // Out-of-class question: REFUSED with the question echoed.
     let mut chaos = Message::query(0x6161, qname("valid"), RrType::Txt);
@@ -278,13 +284,13 @@ fn malformed_query_policy_on_the_wire() {
     let stats = handle.shutdown().unwrap();
     assert_eq!(stats.metrics.dropped, 2);
     assert_eq!(stats.metrics.rejected_formerr, 3);
-    assert_eq!(stats.metrics.rejected_notimp, 1);
+    assert_eq!(stats.metrics.rejected_notimp, 2);
     assert_eq!(stats.metrics.rejected_refused, 5);
     assert_eq!(stats.metrics.rejected_badvers, 2);
     assert_eq!(stats.metrics.udp_queries, 12);
     assert_eq!(stats.metrics.udp_responses, 10);
     assert_eq!(stats.metrics.udp_truncated, 0);
-    assert_eq!(stats.metrics.tcp_queries, 7);
+    assert_eq!(stats.metrics.tcp_queries, 8);
 }
 
 #[test]

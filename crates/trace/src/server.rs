@@ -35,6 +35,7 @@ pub struct ServerMetrics {
     rejected_badvers: AtomicU64,
     dropped: AtomicU64,
     encode_errors: AtomicU64,
+    udp_workers_died: AtomicU64,
     bytes_received: AtomicU64,
     bytes_sent: AtomicU64,
     handle_latency: LiveHistogram,
@@ -129,6 +130,11 @@ impl ServerMetrics {
         self.encode_errors.fetch_add(1, Relaxed);
     }
 
+    /// A UDP shard worker left its loop on a socket error.
+    pub fn udp_worker_died(&self) {
+        self.udp_workers_died.fetch_add(1, Relaxed);
+    }
+
     /// Observe one request's in-process handling time, µs (receive →
     /// response handed to the socket).
     pub fn observe_handle_us(&self, us: u64) {
@@ -153,6 +159,7 @@ impl ServerMetrics {
             rejected_badvers: self.rejected_badvers.load(Relaxed),
             dropped: self.dropped.load(Relaxed),
             encode_errors: self.encode_errors.load(Relaxed),
+            udp_workers_died: self.udp_workers_died.load(Relaxed),
             bytes_received: self.bytes_received.load(Relaxed),
             bytes_sent: self.bytes_sent.load(Relaxed),
             handle_latency: self.handle_latency.snapshot(SERVER_BOUNDS_US),
@@ -195,6 +202,8 @@ pub struct ServerMetricsSnapshot {
     pub dropped: u64,
     /// Replies that failed to encode.
     pub encode_errors: u64,
+    /// UDP shard workers that left their loop on a socket error.
+    pub udp_workers_died: u64,
     /// Total payload bytes received.
     pub bytes_received: u64,
     /// Total payload bytes sent.

@@ -1,9 +1,10 @@
 //! Zone key management: KSK/ZSK pairs, DNSKEY records, DS production.
 
 use crate::canonical::ds_digest;
+use crate::rrset::Rrset;
 use ede_crypto::keytag;
 use ede_crypto::simsig::SigningKey;
-use ede_wire::{DigestAlg, Name, Rdata};
+use ede_wire::{DigestAlg, Name, Rdata, RrType};
 
 /// DNSKEY flags value for a Zone Signing Key (Zone Key bit).
 pub const FLAGS_ZSK: u16 = 256;
@@ -98,6 +99,15 @@ impl ZoneKeys {
             ksk: ZoneKey::generate(apex, "ksk", algorithm, key_bits, FLAGS_KSK),
             zsk: ZoneKey::generate(apex, "zsk", algorithm, key_bits, FLAGS_ZSK),
         }
+    }
+
+    /// The DNSKEY RRset a zone at `apex` publishes for this pair,
+    /// unsigned.
+    pub fn dnskey_rrset(&self, apex: &Name) -> Rrset {
+        let mut set = Rrset::empty(apex.clone(), RrType::Dnskey, 3600);
+        set.push(self.zsk.dnskey_rdata());
+        set.push(self.ksk.dnskey_rdata());
+        set
     }
 }
 

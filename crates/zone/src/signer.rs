@@ -100,10 +100,7 @@ pub fn sign_zone(zone: &mut Zone, keys: &ZoneKeys, config: &SignerConfig) {
     let apex = zone.apex().clone();
 
     // 1. DNSKEY RRset.
-    let mut dnskey_set = Rrset::empty(apex.clone(), RrType::Dnskey, 3600);
-    dnskey_set.push(keys.zsk.dnskey_rdata());
-    dnskey_set.push(keys.ksk.dnskey_rdata());
-    zone.add_rrset(dnskey_set);
+    zone.add_rrset(keys.dnskey_rrset(&apex));
 
     // 2. Denial chain.
     match &config.denial {

@@ -5,7 +5,6 @@ use ede_wire::{Name, Rdata, Record, RrType};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::ops::Bound;
-use std::sync::Arc;
 
 /// Map key: (owner, numeric type), ordered by canonical owner, then
 /// type. One flat map instead of a map of per-owner maps, so a zone of a
@@ -79,20 +78,10 @@ fn at_name<'a>(map: &'a RrsetMap, name: &'a Name) -> impl Iterator<Item = &'a Rr
 /// Names are kept in RFC 4034 canonical order (the `Ord` of
 /// [`ede_wire::Name`]), which the NSEC3 chain builder and negative-answer
 /// logic rely on.
-///
-/// A zone may be *layered* over a shared read-only base
-/// ([`Zone::layered`]): a server that synthesizes a small zone per query
-/// around a fixed, pre-signed skeleton shares the skeleton instead of
-/// copying it. Every read sees both layers, the zone's own RRset winning
-/// where both hold one for an (owner, type); every write — including
-/// [`Zone::get_mut`], [`Zone::remove`] and [`Zone::iter_mut`] — touches
-/// the zone's own layer only.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Zone {
     apex: Name,
     rrsets: RrsetMap,
-    /// The shared layer underneath; itself never layered.
-    base: Option<Arc<Zone>>,
 }
 
 impl Zone {
@@ -101,29 +90,12 @@ impl Zone {
         Zone {
             apex,
             rrsets: BTreeMap::new(),
-            base: None,
-        }
-    }
-
-    /// An empty zone layered over `base` (same apex). `base` must not be
-    /// layered itself.
-    pub fn layered(base: Arc<Zone>) -> Self {
-        assert!(base.base.is_none(), "a base zone is a single layer");
-        Zone {
-            apex: base.apex.clone(),
-            rrsets: BTreeMap::new(),
-            base: Some(base),
         }
     }
 
     /// The zone apex.
     pub fn apex(&self) -> &Name {
         &self.apex
-    }
-
-    /// The zone's own RRsets, then the shared layer's if there is one.
-    fn layers(&self) -> impl Iterator<Item = &RrsetMap> {
-        std::iter::once(&self.rrsets).chain(self.base.as_ref().map(|b| &b.rrsets))
     }
 
     /// Insert one record, merging into an existing RRset of the same
@@ -145,16 +117,16 @@ impl Zone {
     /// Look up the RRset at (name, rtype).
     pub fn get(&self, name: &Name, rtype: RrType) -> Option<&Rrset> {
         let key: &dyn KeyParts = &(name, rtype.to_u16());
-        self.layers().find_map(|map| map.get(key))
+        self.rrsets.get(key)
     }
 
-    /// Mutable lookup (own layer only).
+    /// Mutable lookup.
     pub fn get_mut(&mut self, name: &Name, rtype: RrType) -> Option<&mut Rrset> {
         let key: &dyn KeyParts = &(name, rtype.to_u16());
         self.rrsets.get_mut(key)
     }
 
-    /// Remove and return the RRset at (name, rtype) (own layer only).
+    /// Remove and return the RRset at (name, rtype).
     pub fn remove(&mut self, name: &Name, rtype: RrType) -> Option<Rrset> {
         let key: &dyn KeyParts = &(name, rtype.to_u16());
         self.rrsets.remove(key)
@@ -162,7 +134,7 @@ impl Zone {
 
     /// Does any RRset exist at `name`?
     pub fn name_exists(&self, name: &Name) -> bool {
-        self.layers().any(|map| at_name(map, name).next().is_some())
+        at_name(&self.rrsets, name).next().is_some()
     }
 
     /// Does `name` exist either directly or as an empty non-terminal
@@ -170,25 +142,14 @@ impl Zone {
     /// descendant of `name` sorts immediately after it, so one ordered
     /// range probe answers this in O(log n).
     pub fn name_exists_or_ent(&self, name: &Name) -> bool {
-        self.layers().any(|map| {
-            from_name(map, name)
-                .next()
-                .is_some_and(|(k, _)| k.0.is_subdomain_of(name))
-        })
+        from_name(&self.rrsets, name)
+            .next()
+            .is_some_and(|(k, _)| k.0.is_subdomain_of(name))
     }
 
     /// The types present at `name`, in numeric order.
     pub fn types_at(&self, name: &Name) -> Vec<RrType> {
-        let mut types: Vec<u16> = self
-            .layers()
-            .flat_map(|map| at_name(map, name))
-            .map(|set| set.rtype.to_u16())
-            .collect();
-        if self.base.is_some() {
-            types.sort_unstable();
-            types.dedup();
-        }
-        types.into_iter().map(RrType::from_u16).collect()
+        at_name(&self.rrsets, name).map(|set| set.rtype).collect()
     }
 
     /// Iterate all owner names in canonical order.
@@ -204,15 +165,10 @@ impl Zone {
 
     /// Iterate all RRsets (canonical owner order, numeric type order).
     pub fn iter(&self) -> impl Iterator<Item = &Rrset> {
-        let shared = self
-            .base
-            .iter()
-            .flat_map(|b| b.rrsets.iter())
-            .filter(|(k, _)| !self.rrsets.contains_key(*k));
-        merge_sorted(self.rrsets.iter(), shared, |a, b| a.0.cmp(b.0)).map(|(_, set)| set)
+        self.rrsets.values()
     }
 
-    /// Mutable iteration over all RRsets (own layer only).
+    /// Mutable iteration over all RRsets.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Rrset> {
         self.rrsets.values_mut()
     }
@@ -293,23 +249,8 @@ impl Zone {
 
     /// Total number of RRsets (for reports and sanity checks).
     pub fn rrset_count(&self) -> usize {
-        self.iter().count()
+        self.rrsets.len()
     }
-}
-
-/// Merge two iterators that are each sorted by `cmp` into one that is.
-/// Where both sides hold equal items, `a`'s come first.
-fn merge_sorted<T>(
-    a: impl Iterator<Item = T>,
-    b: impl Iterator<Item = T>,
-    cmp: impl Fn(&T, &T) -> std::cmp::Ordering,
-) -> impl Iterator<Item = T> {
-    let (mut a, mut b) = (a.peekable(), b.peekable());
-    std::iter::from_fn(move || match (a.peek(), b.peek()) {
-        (Some(x), Some(y)) if cmp(x, y).is_gt() => b.next(),
-        (Some(_), _) => a.next(),
-        (None, _) => b.next(),
-    })
 }
 
 #[cfg(test)]

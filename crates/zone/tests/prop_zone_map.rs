@@ -2,16 +2,14 @@
 //!
 //! `Zone` keeps its RRsets in one ordered map keyed (owner, type) and
 //! answers per-name questions with range probes over it. The model here
-//! is the obvious representation — owner → (type → RRset), one such map
-//! per layer — with every operation written the slow, plain way; seeded
-//! random edit scripts (SplitMix64, so every failure reproduces) are run
-//! against both, plain and layered over a shared base, and every read
-//! the zone offers is compared after every edit.
+//! is the obvious representation — owner → (type → RRset) — with every
+//! operation written the slow, plain way; seeded random edit scripts
+//! (SplitMix64, so every failure reproduces) are run against both, and
+//! every read the zone offers is compared after every edit.
 
 use ede_wire::{Name, Rdata, Record, RrType};
 use ede_zone::{Rrset, Zone};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 struct Rng(u64);
 
@@ -33,22 +31,15 @@ impl Rng {
     }
 }
 
-type Layer = BTreeMap<Name, BTreeMap<u16, Rrset>>;
-
-/// The reference: the zone's own layer over an optional shared one.
+/// The reference.
 struct Model {
     apex: Name,
-    own: Layer,
-    base: Option<Layer>,
+    owners: BTreeMap<Name, BTreeMap<u16, Rrset>>,
 }
 
 impl Model {
-    fn layers(&self) -> impl Iterator<Item = &Layer> {
-        std::iter::once(&self.own).chain(&self.base)
-    }
-
     fn add(&mut self, record: Record) {
-        let by_type = self.own.entry(record.name.clone()).or_default();
+        let by_type = self.owners.entry(record.name.clone()).or_default();
         match by_type.get_mut(&record.rtype().to_u16()) {
             Some(set) => set.rdatas.push(record.rdata),
             None => {
@@ -59,67 +50,51 @@ impl Model {
     }
 
     fn add_rrset(&mut self, set: Rrset) {
-        self.own
+        self.owners
             .entry(set.name.clone())
             .or_default()
             .insert(set.rtype.to_u16(), set);
     }
 
     fn get(&self, name: &Name, rtype: RrType) -> Option<&Rrset> {
-        self.layers()
-            .find_map(|layer| layer.get(name)?.get(&rtype.to_u16()))
+        self.owners.get(name)?.get(&rtype.to_u16())
     }
 
     fn get_mut(&mut self, name: &Name, rtype: RrType) -> Option<&mut Rrset> {
-        self.own.get_mut(name)?.get_mut(&rtype.to_u16())
+        self.owners.get_mut(name)?.get_mut(&rtype.to_u16())
     }
 
     fn remove(&mut self, name: &Name, rtype: RrType) -> Option<Rrset> {
-        let by_type = self.own.get_mut(name)?;
+        let by_type = self.owners.get_mut(name)?;
         let removed = by_type.remove(&rtype.to_u16());
         if by_type.is_empty() {
-            self.own.remove(name);
+            self.owners.remove(name);
         }
         removed
     }
 
     fn name_exists(&self, name: &Name) -> bool {
-        self.layers().any(|layer| layer.contains_key(name))
+        self.owners.contains_key(name)
     }
 
     fn name_exists_or_ent(&self, name: &Name) -> bool {
-        self.layers()
-            .any(|layer| layer.keys().any(|owner| owner.is_subdomain_of(name)))
+        self.owners.keys().any(|owner| owner.is_subdomain_of(name))
     }
 
     fn types_at(&self, name: &Name) -> Vec<RrType> {
-        let mut types: Vec<u16> = self
-            .layers()
-            .filter_map(|layer| layer.get(name))
-            .flat_map(|by_type| by_type.keys().copied())
-            .collect();
-        types.sort_unstable();
-        types.dedup();
-        types.into_iter().map(RrType::from_u16).collect()
+        let by_type = self.owners.get(name);
+        let types = by_type.into_iter().flat_map(|by_type| by_type.keys());
+        types.map(|t| RrType::from_u16(*t)).collect()
     }
 
     fn names(&self) -> Vec<Name> {
-        let mut names: Vec<Name> = self.layers().flat_map(|l| l.keys().cloned()).collect();
-        names.sort();
-        names.dedup();
-        names
+        self.owners.keys().cloned().collect()
     }
 
-    /// Every RRset, the own layer's winning, by owner then type.
+    /// Every RRset, by owner then type.
     fn iter(&self) -> Vec<Rrset> {
-        let mut sets: BTreeMap<(Name, u16), Rrset> = BTreeMap::new();
-        for layer in self.layers() {
-            for set in layer.values().flat_map(|by_type| by_type.values()) {
-                sets.entry((set.name.clone(), set.rtype.to_u16()))
-                    .or_insert_with(|| set.clone());
-            }
-        }
-        sets.into_values().collect()
+        let sets = self.owners.values().flat_map(|by_type| by_type.values());
+        sets.cloned().collect()
     }
 
     /// The highest NS owner strictly below the apex on the way up from
@@ -250,36 +225,15 @@ fn edit(rng: &mut Rng, zone: &mut Zone, model: &mut Model, names: &[Name]) -> St
     }
 }
 
-fn run(seed: u64, layered: bool) {
+fn run(seed: u64) {
     let mut rng = Rng(seed);
     let apex = Name::parse("zone.test").unwrap();
     let names = universe(&apex);
     let mut zone = Zone::new(apex.clone());
     let mut model = Model {
         apex,
-        own: Layer::new(),
-        base: None,
+        owners: BTreeMap::new(),
     };
-    if layered {
-        // Fill a base, freeze it, and go on editing over it.
-        for _ in 0..20 {
-            edit(&mut rng, &mut zone, &mut model, &names);
-        }
-        let base = Arc::new(zone);
-        zone = Zone::layered(Arc::clone(&base));
-        model.base = Some(std::mem::take(&mut model.own));
-        assert_same_reads(&zone, &model, &names, "fresh over its base");
-        // Writes never reach the shared layer.
-        for _ in 0..40 {
-            edit(&mut rng, &mut zone, &mut model, &names);
-        }
-        let frozen = Model {
-            apex: model.apex.clone(),
-            own: model.base.clone().unwrap(),
-            base: None,
-        };
-        assert_eq!(base.iter().cloned().collect::<Vec<_>>(), frozen.iter());
-    }
     for step in 0..60 {
         let what = edit(&mut rng, &mut zone, &mut model, &names);
         assert_same_reads(
@@ -294,13 +248,6 @@ fn run(seed: u64, layered: bool) {
 #[test]
 fn plain_zones_read_as_the_map_of_maps_does() {
     for case in 0..24 {
-        run(0x20e_0000 + case, false);
-    }
-}
-
-#[test]
-fn layered_zones_read_as_the_map_of_maps_does() {
-    for case in 0..24 {
-        run(0x1a7_0000 + case, true);
+        run(0x20e_0000 + case);
     }
 }
