@@ -1,12 +1,7 @@
 //! The tiered resolution cache.
 //!
-//! Four tiers serve the scan's access pattern:
+//! Three tiers serve the scan's access pattern:
 //!
-//! * **L1** ([`l1::L1Cache`]) — a small per-worker map with zero
-//!   synchronization (no `Mutex`, no atomics). Each scan worker owns
-//!   one and probes it before the shared store, so the extremely hot
-//!   entries (TLD referrals, validated zone keys, repeat-qname
-//!   revisits) are served without touching a lock.
 //! * **L2** ([`Cache`], this module) — the shared sharded store:
 //!   positive, negative, and failure caching with RFC 8767
 //!   serve-stale.
@@ -69,7 +64,6 @@
 
 mod bounded;
 pub mod infra;
-pub mod l1;
 pub mod ranges;
 
 use crate::diagnosis::Diagnosis;
@@ -201,10 +195,8 @@ impl Entry {
 /// never under a cache lock.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CacheHit {
-    /// Within TTL. Carries `(data, stored_at, ttl)` so an L1 tier can
-    /// mirror the entry's exact freshness window (coherence rule: an L1
-    /// copy must never outlive the L2 entry's own window).
-    Fresh(Arc<CachedResolution>, u32, u32),
+    /// Within TTL.
+    Fresh(Arc<CachedResolution>),
     /// Expired but inside the serve-stale window.
     Stale(Arc<CachedResolution>),
     /// Nothing usable.
@@ -263,7 +255,7 @@ pub struct Cache {
 /// Deterministic hash of a probe key. The qname's label bytes are
 /// hashed in place ([`Name::shard_hash`]) — no wire-form allocation,
 /// no clone — then the qtype is mixed in.
-pub(crate) fn probe_hash(qname: &Name, qtype: u16) -> u64 {
+fn probe_hash(qname: &Name, qtype: u16) -> u64 {
     let mut h = qname.shard_hash();
     h ^= u64::from(qtype);
     h = h.wrapping_mul(0x100000001b3);
@@ -318,7 +310,7 @@ impl Cache {
         let age = now.saturating_sub(entry.stored_at);
         if age <= entry.ttl {
             entry.referenced.set(true);
-            CacheHit::Fresh(Arc::clone(&entry.data), entry.stored_at, entry.ttl)
+            CacheHit::Fresh(Arc::clone(&entry.data))
         } else if age <= entry.ttl.saturating_add(self.stale_window_secs) {
             entry.referenced.set(true);
             CacheHit::Stale(Arc::clone(&entry.data))
@@ -336,7 +328,7 @@ impl Cache {
         now: u32,
     ) -> Option<Arc<CachedResolution>> {
         match self.get_inner(qname, qtype, now) {
-            CacheHit::Stale(data) | CacheHit::Fresh(data, ..) if !data.is_failure => {
+            CacheHit::Stale(data) | CacheHit::Fresh(data) if !data.is_failure => {
                 self.store.stats.stale_served.fetch_add(1, Relaxed);
                 Some(data)
             }
@@ -543,7 +535,7 @@ mod tests {
         let c = Cache::new(100);
         c.put(&n("b.com"), RrType::A, failure(), 30, 1000);
         match c.get(&n("b.com"), RrType::A, 1010) {
-            CacheHit::Fresh(data, ..) => assert!(data.is_failure),
+            CacheHit::Fresh(data) => assert!(data.is_failure),
             other => panic!("expected fresh failure, got {other:?}"),
         }
         assert!(c.get_stale_success(&n("b.com"), RrType::A, 1010).is_none());
@@ -566,7 +558,7 @@ mod tests {
         // same allocation.
         let c = Cache::new(100);
         c.put(&n("a.com"), RrType::A, success(), 60, 1000);
-        let (CacheHit::Fresh(first, ..), CacheHit::Fresh(second, ..)) = (
+        let (CacheHit::Fresh(first), CacheHit::Fresh(second)) = (
             c.get(&n("a.com"), RrType::A, 1010),
             c.get(&n("a.com"), RrType::A, 1020),
         ) else {

@@ -2,7 +2,6 @@
 //! glue, CNAME chasing, retries, and the hookup into DNSSEC validation.
 
 use crate::cache::infra::{InfraCache, KeyEntry, KeyShard, ReferralEntry};
-use crate::cache::l1::L1Cache;
 use crate::cache::ranges::RangeCache;
 use crate::config::ResolverConfig;
 use crate::diagnosis::{Diagnosis, Finding, NegativeKind, NsEvent, NsFailure, ValidationState};
@@ -50,10 +49,6 @@ pub struct Engine<'a> {
     /// Shared infrastructure cache: validated zone keys plus root→TLD
     /// referral sets.
     pub infra: &'a InfraCache,
-    /// The calling worker's private L1 tier, when it has one. Probed
-    /// before `infra` on both the key and referral paths; never shared
-    /// between threads (it is `!Sync`).
-    pub l1: Option<&'a L1Cache>,
     /// Query ID source.
     pub ids: &'a AtomicU16,
     /// Executor capability: every suspension (an exchange completion)
@@ -232,24 +227,13 @@ impl<'a> Engine<'a> {
         diag: &mut Diagnosis,
     ) -> Arc<KeyEntry> {
         let now = self.now();
-        // L1 first: a private, lock-free probe on the worker's own
-        // tier. The entry is a shared `Arc` with embedded expiry, so
-        // serving it here is indistinguishable from serving it out of
-        // the shared store.
-        if let Some(entry) = self.l1.and_then(|l1| l1.get_key(zone, now)) {
-            entry.replay(diag);
-            return entry;
-        }
         // The shared tier, probed before and after taking the permit:
         // `live` borrows the locked shard (the first probe goes on to
         // take the permit under the same lock), `serve` runs once the
-        // lock is gone — a hit counted, mirrored into L1, replayed.
+        // lock is gone — a hit counted and replayed.
         let live = |shard: &KeyShard| shard.entries.get(zone).filter(|e| e.live(now)).cloned();
         let serve = |entry: Arc<KeyEntry>, diag: &mut Diagnosis| {
             self.infra.count_key_hit();
-            if let Some(l1) = self.l1 {
-                l1.put_key(zone, Arc::clone(&entry));
-            }
             entry.replay(diag);
             entry
         };
@@ -324,9 +308,6 @@ impl<'a> Engine<'a> {
             shard.entries.insert(zone.detached(), Arc::clone(&entry));
             shard.building.remove(zone);
         }
-        if let Some(l1) = self.l1 {
-            l1.put_key(zone, Arc::clone(&entry));
-        }
         entry
     }
 
@@ -372,26 +353,16 @@ impl<'a> Engine<'a> {
             .collect()
     }
 
-    /// The cached root→TLD hop for `name`, if the caches hold a live one
-    /// (the worker's L1 first, then the shared tier), announced as the
-    /// `Referral` event the live hop would have emitted.
+    /// The cached root→TLD hop for `name`, if the infrastructure tier
+    /// holds a live one, announced as the `Referral` event the live hop
+    /// would have emitted.
     fn cached_first_hop(&self, name: &Name, diag: &Diagnosis) -> Option<Arc<ReferralEntry>> {
         if !self.config.enable_cache || name.is_root() {
             return None;
         }
         // The TLD the name lives under.
         let tld = name.suffix(1);
-        let now = self.now();
-        let entry = self
-            .l1
-            .and_then(|l1| l1.get_referral(&tld, now))
-            .or_else(|| {
-                let hit = self.infra.get_referral(&tld, now);
-                if let (Some(l1), Some(entry)) = (self.l1, &hit) {
-                    l1.put_referral(Arc::clone(entry));
-                }
-                hit
-            })?;
+        let entry = self.infra.get_referral(&tld, self.now())?;
         let tracer = diag.tracer();
         tracer.emit(TraceEvent::Referral {
             zone: if tracer.wants_query_detail() {
@@ -631,11 +602,7 @@ impl<'a> Engine<'a> {
                         && diag.ns_events.len() == pre_events
                         && diag.validation == pre_state
                     {
-                        let entry = self.infra.put_referral(hop);
-                        if let Some(l1) = self.l1 {
-                            l1.put_referral(Arc::clone(&entry));
-                        }
-                        Position::Cached(entry)
+                        Position::Cached(self.infra.put_referral(hop))
                     } else {
                         Position::Live(hop)
                     };

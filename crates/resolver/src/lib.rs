@@ -27,7 +27,6 @@
 //! The [`cache`] implements positive, negative and failure caching with
 //! RFC 8767 serve-stale — the substrate behind EDE 3 (*Stale Answer*),
 //! 13 (*Cached Error*) and 19 (*Stale NXDOMAIN Answer*). It is tiered:
-//! a private per-worker L1 ([`cache::l1`], lock-free by construction),
 //! the shared bounded L2 with TTL-wheel expiry and CLOCK eviction
 //! ([`cache::Cache`]), an infrastructure cache for the referral
 //! walk's hot path ([`cache::infra`]), and a range-keyed tier of
@@ -66,7 +65,6 @@ pub mod task;
 pub mod validate;
 
 pub use cache::infra::{InfraCache, InfraStatsSnapshot, ReferralEntry};
-pub use cache::l1::{L1Cache, L1StatsSnapshot};
 pub use cache::ranges::{ProofRange, RangeCache, SynthesizedDenial};
 pub use cache::{Cache, CacheHit, CacheLimits, CacheStatsSnapshot, CachedResolution};
 pub use config::ResolverConfig;

@@ -1,7 +1,6 @@
 //! The public resolver API: policy, cache, engine, and EDE emission.
 
 use crate::cache::infra::{InfraCache, InfraStatsSnapshot};
-use crate::cache::l1::L1Cache;
 use crate::cache::ranges::RangeCache;
 use crate::cache::{Cache, CacheHit, CacheLimits, CacheStatsSnapshot, CachedResolution};
 use crate::config::ResolverConfig;
@@ -13,7 +12,7 @@ use crate::task::{run_local, TaskHandle};
 use ede_netsim::Network;
 use ede_trace::{CacheOutcome, TraceEvent, Tracer};
 use ede_wire::{EdeEntry, Edns, Message, Name, Rcode, Record, RrType};
-use std::sync::atomic::{AtomicU16, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::AtomicU16;
 use std::sync::Arc;
 
 /// Serve expired cache entries when live resolution fails (RFC 8767);
@@ -77,10 +76,6 @@ pub struct Resolver {
     /// The *effective* synthesis switch: the config knob AND the
     /// vendor gate, resolved once at construction.
     synthesize: bool,
-    /// Cache generation, bumped by [`flush`](Self::flush). Workers'
-    /// private L1 tiers adopt it once per resolution
-    /// ([`L1Cache::sync_generation`]) so a flush invalidates them too.
-    generation: AtomicU64,
     ids: AtomicU16,
 }
 
@@ -106,7 +101,6 @@ impl Resolver {
             infra: InfraCache::new(),
             ranges,
             synthesize,
-            generation: AtomicU64::new(1),
             ids: AtomicU16::new(1),
         }
     }
@@ -126,14 +120,11 @@ impl Resolver {
         &self.net
     }
 
-    /// Flush caches (tests and scan shards). Bumps the cache
-    /// generation so every worker's private L1 tier clears itself on
-    /// its next resolution.
+    /// Flush caches (tests and scan shards).
     pub fn flush(&self) {
         self.cache.clear();
         self.infra.clear();
         self.ranges.clear();
-        self.generation.fetch_add(1, Relaxed);
     }
 
     /// True when RFC 8198 synthesis is effective for this resolver:
@@ -190,16 +181,7 @@ impl Resolver {
     /// instead.
     pub fn resolve(&self, qname: &Name, qtype: RrType) -> Resolution {
         run_local(&self.net, |handle| async move {
-            self.resolve_with(&handle, None, qname, qtype).await
-        })
-    }
-
-    /// [`resolve`](Self::resolve) with a caller-owned L1 tier probed
-    /// before the shared cache. The caller (one server worker, say) must
-    /// use the same `l1` from one thread only — the type enforces it.
-    pub fn resolve_l1(&self, qname: &Name, qtype: RrType, l1: &L1Cache) -> Resolution {
-        run_local(&self.net, |handle| async move {
-            self.resolve_with(&handle, Some(l1), qname, qtype).await
+            self.resolve_with(&handle, qname, qtype).await
         })
     }
 
@@ -207,19 +189,12 @@ impl Resolver {
     /// entry point every caller reaches. It suspends on `handle`
     /// whenever it would block on the network, so it runs wherever a
     /// [`TaskHandle`] comes from — [`crate::ResolutionPool::spawn`] for
-    /// many in flight on one thread, or the blocking wrappers above.
+    /// many in flight on one thread, or the blocking wrapper above.
     /// Semantics (policy, cache, validation, EDE emission) are the same
     /// on both; only the scheduling differs.
-    ///
-    /// `l1` is the calling thread's private tier, if it has one: all
-    /// tasks of one pool run on the pool's thread, so they may all
-    /// borrow the same `&L1Cache` ([`spawn`](crate::ResolutionPool::spawn)
-    /// deliberately has no `Send` bound, which is what makes this
-    /// legal — see `docs/CONCURRENCY.md`).
     pub async fn resolve_with(
         &self,
         handle: &TaskHandle,
-        l1: Option<&L1Cache>,
         qname: &Name,
         qtype: RrType,
     ) -> Resolution {
@@ -247,37 +222,14 @@ impl Resolver {
             return resolution;
         }
 
-        // 2. Cache probe: the worker's private L1 tier first (fresh
-        // entries only, zero synchronization), then the shared L2.
-        // Either hit emits the same `CacheProbe { Hit }` event and
-        // materializes the same resolution, so the tiering is invisible
-        // to traces and reports.
+        // 2. Cache probe.
         if self.config.enable_cache {
-            if let Some(l1) = l1 {
-                l1.sync_generation(self.generation.load(Relaxed));
-                if let Some(data) = l1.get_answer(qname, qtype, now) {
-                    tracer.emit(TraceEvent::CacheProbe {
-                        qname: qd(qname),
-                        qtype: qtype.to_u16(),
-                        outcome: CacheOutcome::Hit,
-                    });
-                    let resolution = self.materialize_hit(&tracer, &data);
-                    self.trace_finish(&tracer, started_ms, &resolution);
-                    return resolution;
-                }
-            }
-            if let CacheHit::Fresh(data, stored_at, ttl) = self.cache.get(qname, qtype, now) {
+            if let CacheHit::Fresh(data) = self.cache.get(qname, qtype, now) {
                 tracer.emit(TraceEvent::CacheProbe {
                     qname: qd(qname),
                     qtype: qtype.to_u16(),
                     outcome: CacheOutcome::Hit,
                 });
-                // Mirror the hit into the L1 with the L2 entry's exact
-                // freshness window, so the copy can never outlive the
-                // original's TTL.
-                if let Some(l1) = l1 {
-                    l1.put_answer(qname, qtype, Arc::clone(&data), stored_at, ttl);
-                }
                 let resolution = self.materialize_hit(&tracer, &data);
                 self.trace_finish(&tracer, started_ms, &resolution);
                 return resolution;
@@ -296,7 +248,6 @@ impl Resolver {
             config: &self.config,
             caps: &self.profile.caps,
             infra: &self.infra,
-            l1,
             ids: &self.ids,
             handle,
             ranges: if self.synthesize {
@@ -400,10 +351,9 @@ impl Resolver {
         resolution
     }
 
-    /// Turn a cached entry (from either tier) into a full
-    /// [`Resolution`]. The hit handed back a shared `Arc`; the clones
-    /// below are this resolution's own copies, taken outside any cache
-    /// lock.
+    /// Turn a cached entry into a full [`Resolution`]. The hit handed
+    /// back a shared `Arc`; the clones below are this resolution's own
+    /// copies, taken outside any cache lock.
     fn materialize_hit(&self, tracer: &Tracer, data: &CachedResolution) -> Resolution {
         let mut diag = data.diagnosis.clone();
         diag.set_tracer(tracer.clone());

@@ -50,7 +50,7 @@
 //! for (i, qname) in names.iter().enumerate() {
 //!     let resolver = &resolver;
 //!     pool.spawn(move |handle| async move {
-//!         (i, resolver.resolve_with(&handle, None, qname, RrType::A).await)
+//!         (i, resolver.resolve_with(&handle, qname, RrType::A).await)
 //!     });
 //! }
 //! let mut done = 0;
@@ -222,8 +222,8 @@ struct SlotEntry<'a, T> {
 /// order, every run produces the identical event sequence.
 ///
 /// `'a` is how long the pool borrows its network, and the bound on what
-/// tasks may borrow: a task can hold `&'a Resolver`, `&'a L1Cache` and
-/// `&'a Name` instead of owning clones of them.
+/// tasks may borrow: a task can hold `&'a Resolver` and `&'a Name`
+/// instead of owning clones of them.
 pub struct ResolutionPool<'a, T> {
     net: &'a Network,
     tracer: Tracer,

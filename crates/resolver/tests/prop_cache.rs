@@ -8,7 +8,6 @@ use ede_resolver::cache::{
     Cache, CacheHit, CacheLimits, CacheStatsSnapshot, CachedResolution, PutOutcome,
 };
 use ede_resolver::diagnosis::Diagnosis;
-use ede_resolver::L1Cache;
 use ede_wire::rdata::TypeBitmap;
 use ede_wire::{Name, Rcode, RrType};
 
@@ -255,64 +254,6 @@ fn entry_budget_holds_under_random_interleavings() {
             (0, stored)
         );
         assert_eq!(removed, stored);
-    }
-}
-
-/// L1/L2 coherence: whatever interleaving of puts, probes and time
-/// jumps happens, an L1 hit is never served past the freshness window
-/// of the L2 entry it mirrored — the tiers can disagree on *whether*
-/// to answer (L1 may miss where L2 hits) but never on freshness.
-#[test]
-fn l1_never_serves_past_the_mirrored_window() {
-    let mut rng = Rng(0x0026_5eed);
-    for _ in 0..64 {
-        let window = rng.range_u32(0, 600);
-        let cache = Cache::new(window);
-        let l1 = L1Cache::new();
-        let mut now = 1_000;
-        let n_ops = 40 + rng.below(120);
-        for _ in 0..n_ops {
-            let id = rng.below(8);
-            let name = Name::parse(&format!("c{id}.example")).unwrap();
-            match rng.below(10) {
-                // A resolution, with the resolver's exact discipline:
-                // probe L1, then L2; a fresh L2 hit is mirrored into
-                // L1, anything else "resolves live" and stores. An L2
-                // entry is therefore only ever replaced after its
-                // freshness lapsed — the structural fact the coherence
-                // argument rests on.
-                0..=7 => {
-                    if l1.get_answer(&name, RrType::A, now).is_none() {
-                        match cache.get(&name, RrType::A, now) {
-                            CacheHit::Fresh(data, stored_at, ttl) => {
-                                l1.put_answer(&name, RrType::A, data, stored_at, ttl);
-                            }
-                            _ => {
-                                let ttl = rng.range_u32(1, 400);
-                                cache.put(&name, RrType::A, entry(false), ttl, now);
-                            }
-                        }
-                    }
-                }
-                _ => now += rng.range_u32(0, 800),
-            }
-            // The invariant: an L1 hit implies the L2 probe at the same
-            // instant is Fresh or Stale with the same data — never past
-            // the entry's stale window (i.e. never a plain miss), and
-            // never fresh-in-L1 while expired-in-L2.
-            for id in 0..8 {
-                let name = Name::parse(&format!("c{id}.example")).unwrap();
-                if l1.get_answer(&name, RrType::A, now).is_some() {
-                    assert!(
-                        matches!(
-                            cache.get(&name, RrType::A, now),
-                            CacheHit::Fresh(..) | CacheHit::Stale(_)
-                        ),
-                        "L1 hit for a name L2 considers dead at {now}"
-                    );
-                }
-            }
-        }
     }
 }
 

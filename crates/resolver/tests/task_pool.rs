@@ -60,12 +60,7 @@ fn spawn_lookup<'a>(
 ) {
     let qname = Name::parse(&format!("task-{i}.stress.example")).unwrap();
     pool.spawn(move |handle| async move {
-        (
-            i,
-            resolver
-                .resolve_with(&handle, None, &qname, RrType::A)
-                .await,
-        )
+        (i, resolver.resolve_with(&handle, &qname, RrType::A).await)
     });
 }
 

@@ -1,18 +1,16 @@
 //! Regenerate the §4.2 inventory: run the scaled Internet-wide scan and
 //! print measured vs paper counts per INFO-CODE.
 //!
-//! Usage: repro-scan \[scale\] \[--json | --fingerprint\] \[--no-l1\] \[--cache-budget=N\]
+//! Usage: repro-scan \[scale\] \[--json | --fingerprint\] \[--cache-budget=N\]
 //!        \[--synthesize\] \[--sweep=R\] \[--range-budget=N\]
 //!        \[--log-capacity=N\] \[--log-spill=PATH\] \[--snapshots=PATH\]
 //!        \[--query=EXPR\] \[--stream-smoke\]
 //! (default scale 1000, i.e. 303k domains)
 //!
-//! `--no-l1` disables the per-worker L1 cache tier (results must stay
-//! bit-identical — compare `--fingerprint` outputs). `--cache-budget=N`
-//! bounds the shared cache to N entries; with a budget smaller than the
-//! working set the scan still completes, with bounded memory and
-//! nonzero evictions, but eviction legally changes results, so
-//! budgeted fingerprints are *not* comparable.
+//! `--cache-budget=N` bounds the shared cache to N entries; with a
+//! budget smaller than the working set the scan still completes, with
+//! bounded memory and nonzero evictions, but eviction legally changes
+//! results, so budgeted fingerprints are *not* comparable.
 //!
 //! `--synthesize` turns on RFC 8198 denial synthesis in the scanning
 //! resolver; scan fingerprints must stay identical to the
@@ -108,7 +106,7 @@ fn stream_smoke(scale: u32) {
     }
 }
 
-const USAGE: &str = "usage: repro-scan [scale] [--json | --fingerprint] [--no-l1] \
+const USAGE: &str = "usage: repro-scan [scale] [--json | --fingerprint] \
 [--cache-budget=N] [--synthesize] [--sweep=R] [--range-budget=N] [--log-capacity=N] \
 [--log-spill=PATH] [--snapshots=PATH] [--query=EXPR] [--stream-smoke]";
 
@@ -128,7 +126,6 @@ fn parsed<T: std::str::FromStr>(what: &str, value: &str) -> T {
 fn main() {
     let mut json = false;
     let mut fingerprint = false;
-    let mut no_l1 = false;
     let mut cache_budget: Option<usize> = None;
     let mut synthesize = false;
     let mut sweep_ratio = 0.0f64;
@@ -147,7 +144,6 @@ fn main() {
         match (flag, value) {
             ("--json", None) => json = true,
             ("--fingerprint", None) => fingerprint = true,
-            ("--no-l1", None) => no_l1 = true,
             ("--synthesize", None) => synthesize = true,
             ("--stream-smoke", None) => smoke = true,
             ("--cache-budget", Some(v)) => cache_budget = Some(parsed(flag, v)),
@@ -191,7 +187,6 @@ fn main() {
     eprintln!("scanning...");
     let mut builder = scanner::ScanConfig::builder()
         .progress(!json && !fingerprint)
-        .l1(!no_l1)
         .sweep_ratio(sweep_ratio)
         .query_log_spill(log_spill);
     if let Some(capacity) = log_capacity {

@@ -11,8 +11,8 @@ use crate::stats::v1::{StatsSnapshot, TrafficStats, SCHEMA_VERSION};
 use crate::stream::{SnapshotStore, StreamReport};
 use crate::world::ScanWorld;
 use ede_resolver::{
-    CacheStatsSnapshot, InfraStatsSnapshot, L1Cache, L1StatsSnapshot, Resolution, ResolutionPool,
-    Resolver, Vendor, VendorProfile,
+    CacheStatsSnapshot, InfraStatsSnapshot, Resolution, ResolutionPool, Resolver, Vendor,
+    VendorProfile,
 };
 use ede_trace::{Metrics, MetricsSnapshot};
 use ede_wire::{Name, RrType};
@@ -22,15 +22,26 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Per-tier cache accounting for one scan: the workers' private L1
-/// tiers (summed), the shared L2 store, and the infrastructure cache.
-/// Reported alongside the metrics in the end-of-run summary; never part
-/// of the determinism comparisons (tier *placement* of a hit is a
-/// performance fact, not a result).
+/// Shim: the counters of the per-worker L1 tier, which is gone; always
+/// zero. `benchmark/src/ledger.rs` still reads both fields; ROADMAP
+/// item 3's benchmark-only PR removes this type and its field below.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RetiredL1 {
+    /// Always 0.
+    pub hits: u64,
+    /// Always 0.
+    pub misses: u64,
+}
+
+/// Per-tier cache accounting for one scan: the shared L2 store, the
+/// infrastructure cache and the range tier. Reported alongside the
+/// metrics in the end-of-run summary; never part of the determinism
+/// comparisons (tier *placement* of a hit is a performance fact, not a
+/// result).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScanCacheReport {
-    /// Summed counters of every worker's L1 tier.
-    pub l1: L1StatsSnapshot,
+    /// Shim, always zero (see [`RetiredL1`]).
+    pub l1: RetiredL1,
     /// The shared (L2) resolution cache's counters.
     pub l2: CacheStatsSnapshot,
     /// The infrastructure cache's counters (zone keys + referrals).
@@ -47,13 +58,6 @@ impl ScanCacheReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str("cache tiers:\n");
-        out.push_str(&format!(
-            "  L1        : {} hits / {} probes ({:.1}%), {} flips\n",
-            self.l1.hits,
-            self.l1.hits + self.l1.misses,
-            100.0 * self.l1.hit_ratio(),
-            self.l1.capacity_flips,
-        ));
         out.push_str(&format!(
             "  L2        : {} hits / {} probes ({:.1}%), {} stale, {} expired, {} evicted, {} live\n",
             self.l2.hits,
@@ -139,9 +143,8 @@ pub struct ScanResult {
     /// latency histograms). `metrics.queries_sent` equals
     /// `traffic_full.queries`: both count the same transport events.
     pub metrics: MetricsSnapshot,
-    /// Per-tier cache accounting (L1 summed over workers, L2, infra,
-    /// ranges) at the end of the scan — the same report `stats.cache`
-    /// carries.
+    /// Per-tier cache accounting (L2, infra, ranges) at the end of the
+    /// scan — the same report `stats.cache` carries.
     pub cache: ScanCacheReport,
 }
 
@@ -188,10 +191,6 @@ pub struct ScanConfig {
     pub vendor: Vendor,
     /// Print live progress lines to stderr while scanning.
     pub progress: bool,
-    /// Give each worker a private L1 cache tier (on by default). Purely
-    /// a performance knob: scan results are bit-identical with it on or
-    /// off.
-    pub l1: bool,
     /// Nonexistent-name probes per registered domain for the post-scan
     /// synthesis sweep (`0.0`, the default, disables the sweep). The
     /// sweep runs after both passes with the range tier frozen and its
@@ -217,7 +216,6 @@ impl Default for ScanConfig {
             inflight: 1,
             vendor: Vendor::Cloudflare,
             progress: false,
-            l1: true,
             sweep_ratio: 0.0,
             query_log_capacity: 65_536,
             query_log_spill: None,
@@ -276,12 +274,6 @@ impl ScanConfigBuilder {
     /// Enable or disable live progress lines.
     pub fn progress(mut self, on: bool) -> Self {
         self.config.progress = on;
-        self
-    }
-
-    /// Enable or disable the per-worker L1 cache tier.
-    pub fn l1(mut self, on: bool) -> Self {
-        self.config.l1 = on;
         self
     }
 
@@ -450,7 +442,6 @@ impl PassCtx<'_> {
 /// completion order, which at a window of one is claim order.
 fn drive_worker<'a>(
     resolver: &'a Resolver,
-    l1: Option<&'a L1Cache>,
     count: usize,
     name_of: impl Fn(usize) -> &'a Name,
     cursor: &AtomicUsize,
@@ -470,10 +461,7 @@ fn drive_worker<'a>(
             };
             let qname = name_of(i);
             pool.spawn(move |handle| async move {
-                (
-                    i,
-                    resolver.resolve_with(&handle, l1, qname, RrType::A).await,
-                )
+                (i, resolver.resolve_with(&handle, qname, RrType::A).await)
             });
         }
         match pool.next() {
@@ -494,18 +482,12 @@ fn pass_worker(
     indices: &[usize],
     cursor: &AtomicUsize,
     inflight: usize,
-    use_l1: bool,
-) -> L1StatsSnapshot {
-    // The worker's private tier: lives on this thread, dies with this
-    // pass, shared only by the tasks of this thread's pool — which is
-    // what lets it skip synchronization entirely.
-    let l1 = use_l1.then(L1Cache::new);
+) {
     let pop = ctx.pop;
     let mut records = Vec::with_capacity(CLAIM_CHUNK);
     let mut chunk_agg = PartialAggregate::default();
     drive_worker(
         resolver,
-        l1.as_ref(),
         indices.len(),
         |j| &pop.domains[indices[j]].name,
         cursor,
@@ -521,7 +503,6 @@ fn pass_worker(
         },
     );
     ctx.flush(records, chunk_agg);
-    l1.map(|l1| l1.stats()).unwrap_or_default()
 }
 
 /// One parallel pass over `indices`: workers claim chunks off a shared
@@ -536,23 +517,13 @@ fn parallel_pass(
     indices: &[usize],
     workers: usize,
     inflight: usize,
-    use_l1: bool,
-) -> L1StatsSnapshot {
+) {
     let cursor = AtomicUsize::new(0);
-    let stats: Vec<L1StatsSnapshot> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers.max(1))
-            .map(|_| s.spawn(|| pass_worker(resolver, ctx, indices, &cursor, inflight, use_l1)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scan worker panicked"))
-            .collect()
+    std::thread::scope(|s| {
+        for _ in 0..workers.max(1) {
+            s.spawn(|| pass_worker(resolver, ctx, indices, &cursor, inflight));
+        }
     });
-    let mut l1 = L1StatsSnapshot::default();
-    for s in stats {
-        l1.merge(&s);
-    }
-    l1
 }
 
 /// Deterministic nonexistent probe names for the synthesis sweep: per
@@ -589,7 +560,6 @@ fn sweep_pass(resolver: &Resolver, probes: &[Name], workers: usize, inflight: us
             s.spawn(|| {
                 drive_worker(
                     resolver,
-                    None,
                     probes.len(),
                     |i| &probes[i],
                     &cursor,
@@ -672,19 +642,12 @@ pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanRes
             store: &store,
             progress: &progress,
         };
-        parallel_pass(
-            &resolver,
-            &ctx,
-            indices,
-            config.workers,
-            config.inflight,
-            config.l1,
-        )
+        parallel_pass(&resolver, &ctx, indices, config.workers, config.inflight)
     };
     // One snapshot of the store and the counters around it. Only ever
     // called between passes — every worker joined, every chunk merged —
     // which is what makes its results independent of worker timing.
-    let snapshot = |complete: bool, l1: L1StatsSnapshot, sweep: Option<&SweepReport>| {
+    let snapshot = |complete: bool, sweep: Option<&SweepReport>| {
         let results = store.finalize(pop);
         let (queries, delivered, failed) = world.net.stats().snapshot();
         StatsSnapshot {
@@ -699,7 +662,7 @@ pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanRes
             tlds: results.tlds,
             ranks: results.ranks,
             cache: ScanCacheReport {
-                l1,
+                l1: RetiredL1::default(),
                 l2: resolver.cache_stats(),
                 infra: resolver.infra_stats(),
                 range: resolver.range_stats(),
@@ -717,13 +680,13 @@ pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanRes
 
     // Pass 1: everything, in parallel. Revisit-category domains are
     // recorded but not folded — their final answer comes from pass 2.
-    let mut l1_stats = run_pass(1, false, &first_pass);
-    let pass1 = snapshot(false, l1_stats, None);
+    run_pass(1, false, &first_pass);
+    let pass1 = snapshot(false, None);
 
     // Pass 2: revisit flap/cache domains after the flap window ("the
     // last response wins", as in a longitudinal probe).
     world.net.clock().advance_secs(120);
-    l1_stats.merge(&run_pass(2, true, &revisit));
+    run_pass(2, true, &revisit);
 
     // Sweep phase: after both passes finish (and therefore after every
     // record is final), freeze the range tier and probe deterministic
@@ -748,9 +711,8 @@ pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanRes
     });
 
     // The final snapshot: the merged streaming aggregate plus the
-    // counters only the end of the scan can know (both passes' L1
-    // tiers summed, the sweep report).
-    let stats = snapshot(true, l1_stats, sweep.as_ref());
+    // sweep report, which only the end of the scan can know.
+    let stats = snapshot(true, sweep.as_ref());
     let cache = stats.cache.clone();
     if config.progress {
         eprint!("{}", cache.render());

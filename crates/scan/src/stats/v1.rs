@@ -366,11 +366,6 @@ impl StatsSnapshot {
         let _ = writeln!(out, "  \"cache\": {{");
         let _ = writeln!(
             out,
-            "    \"l1\": {{ \"hits\": {}, \"misses\": {}, \"capacity_flips\": {} }},",
-            c.l1.hits, c.l1.misses, c.l1.capacity_flips
-        );
-        let _ = writeln!(
-            out,
             "    \"l2\": {{ \"hits\": {}, \"misses\": {}, \"stale_served\": {}, \"expired\": {}, \"evicted\": {}, \"occupancy\": {} }},",
             c.l2.hits, c.l2.misses, c.l2.stale_served, c.l2.expired, c.l2.evicted, c.l2.occupancy
         );

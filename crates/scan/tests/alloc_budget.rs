@@ -150,7 +150,7 @@ fn cold_resolve_allocs(cat: Category, via: Via) -> u64 {
         Via::Pool => {
             let (resolver, name) = (&resolver, name.clone());
             pool.spawn(move |handle| async move {
-                resolver.resolve_with(&handle, None, &name, RrType::A).await
+                resolver.resolve_with(&handle, &name, RrType::A).await
             });
             pool.next().expect("one task was spawned")
         }
@@ -286,7 +286,7 @@ fn whole_scan_stays_under_its_allocation_ceiling() {
 }
 
 /// See `whole_scan_stays_under_its_allocation_ceiling`.
-const WHOLE_SCAN_CEILING: f64 = 50.0;
+const WHOLE_SCAN_CEILING: f64 = 49.8;
 
 /// Where the pinned cold resolve allocates: one backtrace per allocator
 /// call, grouped by the nearest three frames of this workspace's crates,

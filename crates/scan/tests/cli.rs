@@ -17,6 +17,7 @@ fn unknown_flags_and_bad_values_exit_2_with_usage() {
     for args in [
         &["1000000", "--fingerprint", "--no-l2"][..], // retired or mistyped flag
         &["1000000", "--fingerprint", "--cadence=30"], // retired with the snapshot sinks
+        &["1000000", "--fingerprint", "--no-l1"],     // retired with the L1 tier
         &["1000000", "--fingerprint", "--cache-budget"], // value missing
         &["1000000", "--fingerprint", "--cache-budget=lots"], // value unparsable
         &["1000000", "--fingerprint=yes"],            // value on a switch
@@ -37,7 +38,6 @@ fn every_documented_flag_is_still_accepted() {
     let out = repro_scan(&[
         "1000000",
         "--fingerprint",
-        "--no-l1",
         "--cache-budget=5000",
         "--synthesize",
         "--sweep=0.5",

@@ -53,10 +53,7 @@ fn run(
                         break;
                     };
                     pool.spawn(move |handle| async move {
-                        (
-                            i,
-                            resolver.resolve_with(&handle, None, name, RrType::A).await,
-                        )
+                        (i, resolver.resolve_with(&handle, name, RrType::A).await)
                     });
                 }
                 match pool.next() {

@@ -39,6 +39,12 @@ const SMOKE_LABELS: [&str; 6] = [
     "rrsig-no-all",
 ];
 
+/// Entries the foreground server's answer cache may hold. The cache is
+/// reachable from the network — every nonexistent name a client invents
+/// is an entry with its diagnosis — so it is bounded; past the budget
+/// the store evicts in CLOCK order (docs/PERFORMANCE.md).
+const CACHE_ENTRY_BUDGET: usize = 100_000;
+
 /// A mistyped flag or value must not silently serve the default
 /// configuration: say what was wrong, print the usage line, exit 2.
 fn usage_exit(problem: &str) -> ! {
@@ -118,7 +124,8 @@ fn foreground(config: ServerConfig, vendor: Vendor) -> Result<(), String> {
         "building testbed ({} zones)...",
         ede_testbed::all_specs().len()
     );
-    let tb = Testbed::build();
+    let mut tb = Testbed::build();
+    tb.resolver_config.max_cache_entries = Some(CACHE_ENTRY_BUDGET);
     let handle = Server::spawn(tb.resolver(vendor), config)
         .map_err(|e| format!("cannot start server: {e}"))?;
 
@@ -295,6 +302,9 @@ fn smoke() -> Result<String, String> {
             stats.udp_workers_alive(),
             stats.workers
         ));
+    }
+    if !stats.tcp_acceptor_alive() {
+        return Err("the TCP acceptor was dead at drain".to_string());
     }
 
     let (tcp_responses, tcp_writes) = (stats.metrics.tcp_responses, stats.metrics.tcp_writes);

@@ -76,7 +76,7 @@ pub struct ServerConfig {
     /// even when the UDP port was ephemeral.
     pub tcp_bind: Option<String>,
     /// Number of UDP shard worker threads, each owning a cloned socket
-    /// handle, a private L1 cache tier, and its own receive loop.
+    /// handle and its own receive loop.
     pub workers: usize,
     /// Server-side cap on UDP response payloads, bytes. The effective
     /// limit per response is `min(client's EDNS advertisement, this)`;

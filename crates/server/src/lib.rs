@@ -14,9 +14,8 @@
 //! * **UDP shards** — one bound socket, cloned into N worker threads
 //!   that each block in `recv_from`, answer the datagram and send the
 //!   reply; the kernel load-balances blocked receivers, giving
-//!   SO_REUSEPORT-style sharding with std only. Each worker owns a
-//!   private L1 cache tier over the shared thread-safe
-//!   [`Resolver`](ede_resolver::Resolver).
+//!   SO_REUSEPORT-style sharding with std only. Every worker answers
+//!   from the one shared thread-safe [`Resolver`](ede_resolver::Resolver).
 //! * **TCP path** — a blocking acceptor with a connection cap, detached
 //!   per-connection handler threads, RFC 1035 §4.2.2 length-prefixed
 //!   framing via `ede_wire::stream`, pipelined queries answered a batch

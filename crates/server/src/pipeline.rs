@@ -43,7 +43,7 @@
 //!    a TCP answer is never truncated, which is what makes the TC=1 →
 //!    TCP retry bit-identical to the untruncated message.
 
-use ede_resolver::{L1Cache, Resolver};
+use ede_resolver::Resolver;
 use ede_trace::ServerMetrics;
 use ede_wire::{Class, Edns, Header, Message, Opcode, Rcode, WireError};
 
@@ -149,18 +149,18 @@ pub fn classify(wire: &[u8]) -> QueryDisposition {
 
 /// Resolve a classified query and render the wire response.
 ///
-/// `l1` is the calling worker's private cache tier (UDP shard workers
-/// each own one); pass `None` to resolve against the shared tiers only
-/// (the TCP path and one-shot callers do).
-pub fn answer(resolver: &Resolver, l1: Option<&L1Cache>, query: &Message) -> Message {
+/// The middle parameter is a shim: it was the worker's L1 tier, which is
+/// gone, and only `None` fills it. `benchmark/src/inproc.rs` still writes
+/// that `None`; ROADMAP item 3's benchmark-only PR removes the parameter.
+pub fn answer(
+    resolver: &Resolver,
+    _l1: Option<std::convert::Infallible>,
+    query: &Message,
+) -> Message {
     let q = query
         .first_question()
         .expect("classify() only yields Resolve for messages with a question");
-    let resolution = match l1 {
-        Some(l1) => resolver.resolve_l1(&q.name, q.qtype, l1),
-        None => resolver.resolve(&q.name, q.qtype),
-    };
-    let mut resp = resolution.to_message(query);
+    let mut resp = resolver.resolve(&q.name, q.qtype).to_message(query);
     if query.edns.is_none() {
         // RFC 6891: never volunteer an OPT record (or EDE options riding
         // on it) to a client that did not signal EDNS support.
@@ -181,13 +181,8 @@ pub(crate) enum Reply {
 }
 
 /// The request path both transports share: [`classify`], count the
-/// disposition, [`answer`]. `l1` is passed through to [`answer`].
-pub(crate) fn serve(
-    resolver: &Resolver,
-    metrics: &ServerMetrics,
-    l1: Option<&L1Cache>,
-    wire: &[u8],
-) -> Reply {
+/// disposition, [`answer`].
+pub(crate) fn serve(resolver: &Resolver, metrics: &ServerMetrics, wire: &[u8]) -> Reply {
     match classify(wire) {
         QueryDisposition::Drop(_) => {
             metrics.dropped();
@@ -202,7 +197,7 @@ pub(crate) fn serve(
             }
             Reply::Rejection(*reply)
         }
-        QueryDisposition::Resolve(query) => Reply::Answer(answer(resolver, l1, &query), query),
+        QueryDisposition::Resolve(query) => Reply::Answer(answer(resolver, None, &query), query),
     }
 }
 

@@ -10,7 +10,7 @@
 
 use crate::config::{ServerConfig, ServerError};
 use crate::{tcp, udp};
-use ede_resolver::Resolver;
+use ede_resolver::{CacheStatsSnapshot, Resolver};
 use ede_trace::{ServerMetrics, ServerMetricsSnapshot};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, UdpSocket};
@@ -49,9 +49,8 @@ impl Server {
     /// Bind sockets and start serving `resolver` per `config`.
     ///
     /// The resolver is moved in and shared across all workers (it is
-    /// thread-safe; per-worker L1 cache tiers come on top). Returns the
-    /// handle once every thread is running and both transports are
-    /// reachable.
+    /// thread-safe). Returns the handle once every thread is running
+    /// and both transports are reachable.
     pub fn spawn(resolver: Resolver, config: ServerConfig) -> Result<ServerHandle, ServerError> {
         config.validate()?;
 
@@ -180,6 +179,7 @@ impl ServerHandle {
             active_tcp_conns: self.shared.active_conns.load(Ordering::Acquire),
             drained: drained.unwrap_or(true),
             metrics: self.shared.metrics.snapshot(),
+            cache: self.shared.resolver.cache_stats(),
         }
     }
 }
@@ -221,6 +221,9 @@ pub struct ServerStats {
     pub drained: bool,
     /// Counters and latency histogram.
     pub metrics: ServerMetricsSnapshot,
+    /// The resolver's shared answer cache: probes, live entries, what
+    /// the TTL wheel and the entry budget removed.
+    pub cache: CacheStatsSnapshot,
 }
 
 impl ServerStats {
@@ -231,14 +234,24 @@ impl ServerStats {
         self.workers.saturating_sub(died)
     }
 
+    /// Whether the TCP acceptor has not left its loop on a socket error.
+    pub fn tcp_acceptor_alive(&self) -> bool {
+        self.metrics.tcp_acceptors_died == 0
+    }
+
     /// Render as an operator-facing summary block.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "ede-server on udp {} / tcp {} — {} of {} workers alive, up {:.1}s, {} open conns{}\n",
+            "ede-server on udp {} / tcp {} — {} of {} workers alive, acceptor {}, up {:.1}s, {} open conns{}\n",
             self.udp_addr,
             self.tcp_addr,
             self.udp_workers_alive(),
             self.workers,
+            if self.tcp_acceptor_alive() {
+                "alive"
+            } else {
+                "DEAD"
+            },
             self.uptime.as_secs_f64(),
             self.active_tcp_conns,
             if self.drained {
@@ -248,6 +261,10 @@ impl ServerStats {
             },
         );
         out.push_str(&self.metrics.render());
+        out.push_str(&format!(
+            "  cache     : {} hits, {} misses, {} live, {} evicted\n",
+            self.cache.hits, self.cache.misses, self.cache.occupancy, self.cache.evicted
+        ));
         out
     }
 }

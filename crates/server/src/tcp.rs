@@ -5,10 +5,12 @@
 //! connection — the TC=1 fallback — is picked up the moment it arrives
 //! and an idle server does not wake at all; shutdown raises the stop
 //! flag and then wakes the acceptor with a throw-away loopback
-//! connection ([`wake_acceptor`]). Each accepted connection gets a
-//! detached handler thread, bounded by `tcp_conn_cap` — connections
-//! over the cap are closed immediately and counted as refused rather
-//! than left to queue.
+//! connection ([`wake_acceptor`]). An `accept` that fails for a reason
+//! that passes (a signal, a client that reset first) is retried; any
+//! other error ends the acceptor, counted and said on standard error.
+//! Each accepted connection gets a detached handler thread, bounded by
+//! `tcp_conn_cap` — connections over the cap are closed immediately and
+//! counted as refused rather than left to queue.
 //!
 //! Handlers enforce an idle deadline (`tcp_read_timeout`) by reading in
 //! short timeout chunks and tracking time since the last complete
@@ -23,7 +25,7 @@
 use crate::pipeline::{self, Reply};
 use crate::server::{is_transient, micros, Shared};
 use ede_wire::stream::{FrameReader, MAX_FRAME_LEN};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -42,7 +44,10 @@ const FLUSH_AT: usize = 16 * 1024;
 /// How long shutdown waits for its wake-up connection to be taken.
 const WAKE_TIMEOUT: Duration = Duration::from_millis(250);
 
-/// Accept connections until the stop flag is raised.
+/// Accept connections until the stop flag is raised. An error that is
+/// [`is_transient`], or a client that reset before `accept` took it
+/// (`ConnectionAborted`), is no reason to stop; any other error ends the
+/// loop, counted and said on standard error.
 pub(crate) fn run_acceptor(shared: Arc<Shared>, listener: TcpListener) {
     loop {
         let accepted = listener.accept();
@@ -51,8 +56,16 @@ pub(crate) fn run_acceptor(shared: Arc<Shared>, listener: TcpListener) {
         if shared.stop.load(Ordering::Acquire) {
             return;
         }
-        let Ok((stream, _peer)) = accepted else {
-            return;
+        let stream = match accepted {
+            Ok((stream, _peer)) => stream,
+            Err(e) if is_transient(e.kind()) || e.kind() == ErrorKind::ConnectionAborted => {
+                continue
+            }
+            Err(e) => {
+                shared.metrics.tcp_acceptor_died();
+                eprintln!("ede-server: the TCP acceptor stopped: {:?}", e.kind());
+                return;
+            }
         };
         // Reserve a slot before spawning; release on refusal.
         let occupied = shared.active_conns.fetch_add(1, Ordering::AcqRel);
@@ -62,17 +75,21 @@ pub(crate) fn run_acceptor(shared: Arc<Shared>, listener: TcpListener) {
             drop(stream);
             continue;
         }
-        shared.metrics.tcp_conn_accepted();
         let conn_shared = Arc::clone(&shared);
         let spawned = std::thread::Builder::new()
             .name("ede-tcp-conn".to_string())
             .spawn(move || {
+                // Accepted means a handler has it: counted here, before
+                // the first answer, not ahead of the spawn.
+                conn_shared.metrics.tcp_conn_accepted();
                 serve_conn(&conn_shared, stream);
                 conn_shared.active_conns.fetch_sub(1, Ordering::AcqRel);
             });
         if spawned.is_err() {
-            // Thread spawn failed: give the slot back.
+            // No handler: the stream went with the closure, the slot
+            // goes back, and the connection counts as refused.
             shared.active_conns.fetch_sub(1, Ordering::AcqRel);
+            shared.metrics.tcp_conn_refused();
         }
     }
 }
@@ -198,7 +215,7 @@ impl Batch {
     fn answer(&mut self, shared: &Shared, request: &[u8], started: Instant) -> bool {
         let metrics = &shared.metrics;
         metrics.tcp_query(request.len());
-        let reply = match pipeline::serve(&shared.resolver, metrics, None, request) {
+        let reply = match pipeline::serve(&shared.resolver, metrics, request) {
             Reply::Nothing => return false,
             // No TC on a stream: the full answer always fits the frame.
             Reply::Rejection(reply) | Reply::Answer(reply, _) => reply,
@@ -226,13 +243,14 @@ mod tests {
     use ede_testbed::Testbed;
     use ede_trace::{ServerMetrics, ServerMetricsSnapshot};
     use ede_wire::stream::frame;
-    use ede_wire::{Message, RrType};
+    use ede_wire::{Class, Message, Rcode, RrType};
     use std::collections::VecDeque;
-    use std::io::{self, ErrorKind};
+    use std::io;
     use std::sync::atomic::{AtomicBool, AtomicUsize};
 
-    /// An in-memory peer: each `read` delivers the next scripted chunk
-    /// (then EOF), each `write` call is kept as one element.
+    /// An in-memory peer: each `read` delivers the next scripted chunk,
+    /// or as much of it as the buffer takes (then EOF), each `write` call
+    /// is kept as one element.
     #[derive(Default)]
     struct Scripted<'a> {
         reads: VecDeque<Vec<u8>>,
@@ -245,11 +263,14 @@ mod tests {
 
     impl Read for Scripted<'_> {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            let Some(chunk) = self.reads.pop_front() else {
+            let Some(mut chunk) = self.reads.pop_front() else {
                 return Ok(0);
             };
             if let Some(stop) = self.stop_on_read {
                 stop.store(true, Ordering::Release);
+            }
+            if chunk.len() > buf.len() {
+                self.reads.push_front(chunk.split_off(buf.len()));
             }
             buf[..chunk.len()].copy_from_slice(&chunk);
             Ok(chunk.len())
@@ -426,5 +447,271 @@ mod tests {
             assert_eq!(stats.tcp_writes, 0);
             assert_eq!(stats.handle_latency.total, 0);
         }
+    }
+
+    /// An `accept` that fails for a passing reason is retried: over a
+    /// non-blocking listener every idle `accept` is `WouldBlock`, and a
+    /// client that connects later is served all the same.
+    #[test]
+    fn an_accept_that_would_block_does_not_end_the_acceptor() {
+        let tb = Testbed::build();
+        let shared = Arc::new(shared(&tb));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let acceptor = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || run_acceptor(shared, listener))
+        };
+        std::thread::sleep(Duration::from_millis(50));
+
+        let mut client = TcpStream::connect(addr).expect("the acceptor still listens");
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let query = &framed_queries(&tb, 1, RrType::A, None)[0];
+        client.write_all(query).unwrap();
+        let mut len = [0u8; 2];
+        client.read_exact(&mut len).expect("an answer");
+        let mut answer = vec![0u8; usize::from(u16::from_be_bytes(len))];
+        client.read_exact(&mut answer).unwrap();
+        assert_eq!(Message::decode(&answer).unwrap().id, 0);
+
+        shared.stop.store(true, Ordering::Release);
+        acceptor.join().unwrap();
+        let stats = shared.metrics.snapshot();
+        assert_eq!(stats.tcp_acceptors_died, 0);
+        assert_eq!(stats.tcp_conns_accepted, 1);
+    }
+
+    /// SplitMix64, as the wire crate's property tests draw from.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (((z ^ (z >> 31)) as u128 * n as u128) >> 64) as usize
+        }
+    }
+
+    /// The row of the policy table (`pipeline.rs`) that matches `wire`
+    /// first, read off the bytes: `None` is a drop, `Some(NoError)` a
+    /// resolution, any other code the rejection.
+    fn first_matching_row(wire: &[u8]) -> Option<Rcode> {
+        if wire.len() < 12 || wire[2] & 0x80 != 0 {
+            return None;
+        }
+        if wire[2] & 0x78 != 0 {
+            return Some(Rcode::NotImp);
+        }
+        let Ok(query) = Message::decode(wire) else {
+            return Some(Rcode::FormErr);
+        };
+        if query.edns.as_ref().is_some_and(|e| e.version != 0) {
+            return Some(Rcode::BadVers);
+        }
+        Some(match query.first_question() {
+            None => Rcode::FormErr,
+            Some(q) if q.qclass != Class::In => Rcode::Refused,
+            Some(_) => Rcode::NoError,
+        })
+    }
+
+    /// `header ‖ qname ‖ A IN ‖ the OPT of `Message::query``, ARCOUNT 1.
+    fn raw_query(id: u16, qname: &[u8]) -> Vec<u8> {
+        let mut wire = id.to_be_bytes().to_vec();
+        wire.extend([0x01, 0x00, 0, 1, 0, 0, 0, 0, 0, 1]);
+        wire.extend_from_slice(qname);
+        wire.extend([0, 1, 0, 1]);
+        wire.extend([0, 0, 41, 0x04, 0xD0, 0, 0, 0x80, 0, 0, 0]);
+        wire
+    }
+
+    /// A name of `labels`' lengths, as it goes on the wire.
+    fn raw_name(labels: &[u8]) -> Vec<u8> {
+        let mut name = Vec::new();
+        for &len in labels {
+            name.push(len);
+            name.resize(name.len() + usize::from(len), b'a');
+        }
+        name.push(0);
+        name
+    }
+
+    /// Every structured mutation of one testbed query, then single-bit
+    /// flips of it up to `total` cases.
+    fn mutations(id: u16, qname: &[u8], total: usize, rng: &mut Rng) -> Vec<Vec<u8>> {
+        let base = raw_query(id, qname);
+        let q_end = 12 + qname.len() + 4;
+        let opt = base[q_end..].to_vec();
+        let mut cases = Vec::new();
+
+        // Cut at every octet, the section boundaries among them.
+        cases.extend((0..base.len()).map(|cut| base[..cut].to_vec()));
+
+        // RDLENGTH that lies, both ways, about an OPT holding one
+        // eight-octet option.
+        let mut optioned = base.clone();
+        optioned.extend([0xFD, 0xE9, 0, 4, 1, 2, 3, 4]);
+        for rdlength in [0u16, 4, 7, 9, u16::MAX] {
+            let mut wire = optioned.clone();
+            wire[base.len() - 2..base.len()].copy_from_slice(&rdlength.to_be_bytes());
+            cases.push(wire);
+        }
+
+        // A compression pointer to itself, and two that point at each
+        // other, where the qname belongs.
+        cases.push(raw_query(id, &[0xC0, 12]));
+        cases.push(raw_query(id, &[0xC0, 14, 0xC0, 12]));
+        // The longest legal name, and one octet more.
+        let longest = raw_name(&[63, 63, 63, 61]);
+        assert_eq!(longest.len(), 255);
+        cases.push(raw_query(id, &longest));
+        cases.push(raw_query(id, &raw_name(&[63, 63, 63, 62])));
+
+        // A second OPT; the OPT in the answer section; an OPT not at
+        // the root.
+        let mut wire = base.clone();
+        wire.extend_from_slice(&opt);
+        wire[11] = 2;
+        cases.push(wire);
+        let mut wire = base.clone();
+        (wire[7], wire[11]) = (1, 0);
+        cases.push(wire);
+        let mut wire = base[..q_end].to_vec();
+        wire.extend([1, b'x']);
+        wire.extend_from_slice(&opt);
+        cases.push(wire);
+
+        // An answer larger than the advertisement: the DNSKEY RRset,
+        // asked for with room for 100 octets (served as 512).
+        let mut wire = base.clone();
+        wire[q_end - 3] = 48;
+        wire[q_end + 3..q_end + 5].copy_from_slice(&100u16.to_be_bytes());
+        cases.push(wire);
+
+        // A response; every opcode but QUERY.
+        let mut wire = base.clone();
+        wire[2] |= 0x80;
+        cases.push(wire);
+        for opcode in 1..16u8 {
+            let mut wire = base.clone();
+            wire[2] |= opcode << 3;
+            cases.push(wire);
+        }
+
+        while cases.len() < total {
+            let mut wire = base.clone();
+            wire[rng.below(base.len())] ^= 1 << rng.below(8);
+            cases.push(wire);
+        }
+        cases
+    }
+
+    /// What every reply owes the request it answers, whatever the
+    /// request was.
+    fn assert_reply_fits(request: &[u8], row: Rcode, reply: &[u8]) {
+        let decoded = Message::decode(reply)
+            .unwrap_or_else(|e| panic!("reply to {request:02x?} does not decode: {e}"));
+        assert!(decoded.response, "{request:02x?}");
+        assert_eq!(decoded.id.to_be_bytes(), request[..2], "{request:02x?}");
+        // Rows that read the request as a query echo its question.
+        if matches!(row, Rcode::NoError | Rcode::BadVers | Rcode::Refused) {
+            let query = Message::decode(request).unwrap();
+            assert_eq!(decoded.questions, query.questions, "{request:02x?}");
+        }
+        if row != Rcode::NoError {
+            assert_eq!(decoded.rcode, row, "{request:02x?}");
+        }
+    }
+
+    /// Structure-aware mutation of the 63 testbed queries through the
+    /// whole request path, on both transports: `classify → answer →
+    /// encode_udp` a case at a time, and `serve_stream` over a few
+    /// hundred framed cases a connection.
+    #[test]
+    fn mutated_queries_never_break_the_request_path() {
+        use crate::pipeline::{answer, classify, encode_udp, QueryDisposition};
+
+        let tb = Testbed::build();
+        let mut rng = Rng(0x0024_5eed);
+        let cases: Vec<Vec<u8>> = (0..tb.specs.len())
+            .flat_map(|i| {
+                let name = tb.query_name(&tb.specs[i]);
+                let mut qname = Vec::new();
+                name.encode(&mut qname, None);
+                let query = Message::query(i as u16, name, RrType::A);
+                assert_eq!(raw_query(i as u16, &qname), query.encode().unwrap());
+                mutations(i as u16, &qname, 320, &mut rng)
+            })
+            .collect();
+        assert!(cases.len() >= 20_000, "{}", cases.len());
+        let rows: Vec<Option<Rcode>> = cases.iter().map(|c| first_matching_row(c)).collect();
+        // Every row of the table is met.
+        for row in [
+            None,
+            Some(Rcode::NotImp),
+            Some(Rcode::FormErr),
+            Some(Rcode::BadVers),
+            Some(Rcode::Refused),
+            Some(Rcode::NoError),
+        ] {
+            assert!(rows.contains(&row), "no case for {row:?}");
+        }
+
+        // A connection carries up to 300 cases, ending with its first
+        // drop (a drop closes it); the datagram path takes the same
+        // cases just before, so the stream meets their answers cached.
+        let shared = shared(&tb);
+        let cap = shared.config.udp_payload_max;
+        let mut at = 0;
+        while at < cases.len() {
+            let first_drop = rows[at..].iter().take(300).position(Option::is_none);
+            let end = at + first_drop.map_or(300.min(cases.len() - at), |d| d + 1);
+            let batch = || cases[at..end].iter().zip(&rows[at..end]);
+
+            for (case, row) in batch() {
+                let (reply, limit) = match (classify(case), row) {
+                    (QueryDisposition::Drop(_), None) => continue,
+                    (QueryDisposition::Reject(reply, _), Some(row)) if reply.rcode == *row => {
+                        (reply.encode().unwrap(), 512)
+                    }
+                    (QueryDisposition::Resolve(query), Some(Rcode::NoError)) => {
+                        let reply = answer(&shared.resolver, None, &query);
+                        let (bytes, _) = encode_udp(&reply, &query, cap).unwrap();
+                        (bytes, query.advertised_payload_size().min(cap))
+                    }
+                    (other, row) => panic!("{case:02x?}: {other:?}, the table says {row:?}"),
+                };
+                assert!(reply.len() <= usize::from(limit), "{case:02x?}");
+                assert_reply_fits(case, row.unwrap(), &reply);
+            }
+
+            let mut peer = Scripted::default();
+            let frames = cases[at..end].iter().map(|c| frame(c).unwrap());
+            peer.reads.push_back(frames.flatten().collect());
+            serve_stream(&shared, &mut peer);
+            let mut reader = FrameReader::new(MAX_FRAME_LEN);
+            reader.push(&peer.writes.concat()).unwrap();
+            for (case, row) in batch() {
+                let Some(row) = row else { continue };
+                let reply = reader.next_frame().expect("a reply per request");
+                assert_reply_fits(case, *row, &reply);
+            }
+            assert!(reader.next_frame().is_none() && !reader.has_partial());
+            at = end;
+        }
+        let stats = shared.metrics.snapshot();
+        let count = |row| rows.iter().filter(|r| **r == row).count() as u64;
+        assert_eq!(stats.tcp_queries, cases.len() as u64);
+        assert_eq!(stats.dropped, count(None));
+        assert_eq!(stats.rejected_notimp, count(Some(Rcode::NotImp)));
+        assert_eq!(stats.rejected_formerr, count(Some(Rcode::FormErr)));
+        assert_eq!(stats.rejected_badvers, count(Some(Rcode::BadVers)));
+        assert_eq!(stats.rejected_refused, count(Some(Rcode::Refused)));
+        assert_eq!(stats.tcp_responses, cases.len() as u64 - count(None));
     }
 }

@@ -2,9 +2,7 @@
 //!
 //! Each worker owns a cloned handle of the one bound socket — blocked
 //! receivers on the same socket are load-balanced by the kernel, which
-//! gives SO_REUSEPORT-style sharding with nothing but `try_clone()` —
-//! plus a private [`L1Cache`] tier, so the hot path never contends on a
-//! lock for cached answers.
+//! gives SO_REUSEPORT-style sharding with nothing but `try_clone()`.
 //!
 //! A worker blocks in `recv_from` (with a short timeout so it can
 //! observe the stop flag), answers the datagram out of the receive
@@ -13,7 +11,6 @@
 
 use crate::pipeline::{self, Reply};
 use crate::server::{is_transient, micros, Shared};
-use ede_resolver::L1Cache;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -29,7 +26,6 @@ const POLL_TICK: Duration = Duration::from_millis(25);
 /// that is not [`is_transient`] ends the loop, counted and said on
 /// standard error; the remaining shards keep serving.
 pub(crate) fn run_udp_worker(shared: &Shared, socket: &UdpSocket) {
-    let l1 = L1Cache::new();
     if let Err(e) = socket.set_read_timeout(Some(POLL_TICK)) {
         return died(shared, &e);
     }
@@ -39,7 +35,7 @@ pub(crate) fn run_udp_worker(shared: &Shared, socket: &UdpSocket) {
 
     while !shared.stop.load(Ordering::Acquire) {
         match socket.recv_from(&mut buf) {
-            Ok((n, peer)) => serve_datagram(shared, socket, &l1, &buf[..n], peer, &mut out),
+            Ok((n, peer)) => serve_datagram(shared, socket, &buf[..n], peer, &mut out),
             Err(e) if is_transient(e.kind()) => continue,
             Err(e) => return died(shared, &e),
         }
@@ -57,7 +53,6 @@ fn died(shared: &Shared, error: &std::io::Error) {
 fn serve_datagram(
     shared: &Shared,
     socket: &UdpSocket,
-    l1: &L1Cache,
     wire: &[u8],
     peer: SocketAddr,
     out: &mut Vec<u8>,
@@ -66,7 +61,7 @@ fn serve_datagram(
     let started = Instant::now();
     metrics.udp_query(wire.len());
     out.clear();
-    let (encoded, answered) = match pipeline::serve(&shared.resolver, metrics, Some(l1), wire) {
+    let (encoded, answered) = match pipeline::serve(&shared.resolver, metrics, wire) {
         Reply::Nothing => return,
         Reply::Rejection(reply) => (reply.encode_into(out).map(|()| false), false),
         Reply::Answer(reply, query) => (

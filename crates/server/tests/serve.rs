@@ -3,7 +3,7 @@
 //! malformed-query policy, connection capping, graceful shutdown, and
 //! RFC 7766 pipelining (batched answers, a peer that never reads).
 
-use ede_resolver::Vendor;
+use ede_resolver::{Resolver, Vendor, VendorProfile};
 use ede_server::{pipeline, ProbeClient, Server, ServerConfig, ServerError};
 use ede_testbed::Testbed;
 use ede_wire::ede::EdeCode;
@@ -335,6 +335,10 @@ fn tcp_connection_cap_refuses_excess_conns() {
     assert!(stats.metrics.tcp_conns_refused >= 1);
     assert!(stats.metrics.tcp_conns_accepted >= 2);
     assert_eq!(stats.metrics.tcp_responses, 1);
+    // Three connections were made and each is one or the other (the
+    // wake-up connection of `shutdown` comes after the stop flag).
+    let m = &stats.metrics;
+    assert_eq!(m.tcp_conns_accepted + m.tcp_conns_refused, 3);
 }
 
 #[test]
@@ -627,6 +631,47 @@ fn udp_burst_reconciles_with_stats() {
     assert_eq!(stats.metrics.udp_responses, received);
     assert_eq!(stats.metrics.udp_queries, received);
     assert!(stats.drained);
+}
+
+/// A flood of invented names cannot grow a budgeted cache: every
+/// NXDOMAIN is an entry with its diagnosis, the store holds 64, and
+/// `ServerStats::cache` is where a running server says so.
+#[test]
+fn a_random_subdomain_flood_stays_inside_the_cache_budget() {
+    let tb = testbed();
+    let mut config = tb.resolver_config.clone();
+    config.max_cache_entries = Some(64);
+    let resolver = Resolver::new(
+        Arc::clone(&tb.net),
+        VendorProfile::new(Vendor::Cloudflare),
+        config,
+    );
+    let handle = Server::spawn(
+        resolver,
+        ServerConfig::builder()
+            .bind("127.0.0.1:0")
+            .workers(2)
+            .build(),
+    )
+    .unwrap();
+    let client = ProbeClient::connect(handle.udp_addr(), handle.tcp_addr()).unwrap();
+
+    for i in 0..1000u16 {
+        let query = Message::query(i, qname(&format!("flood{i}.valid")), RrType::A);
+        let exchange = client.query(&query).unwrap();
+        assert_eq!(exchange.response.id, i);
+        assert_eq!(exchange.response.rcode, Rcode::NxDomain, "flood{i}");
+    }
+
+    let cache = handle.stats().cache;
+    assert_eq!(cache.misses, 1000);
+    assert!(cache.occupancy <= 64, "{cache:?}");
+    assert!(cache.evicted > 0, "{cache:?}");
+    let rendered = handle.shutdown().unwrap().render();
+    assert!(
+        rendered.contains("  cache     : 0 hits, 1000 misses, "),
+        "{rendered}"
+    );
 }
 
 /// A burst waits in the socket's queue: one client sends 64 datagrams

@@ -36,6 +36,7 @@ pub struct ServerMetrics {
     dropped: AtomicU64,
     encode_errors: AtomicU64,
     udp_workers_died: AtomicU64,
+    tcp_acceptors_died: AtomicU64,
     bytes_received: AtomicU64,
     bytes_sent: AtomicU64,
     handle_latency: LiveHistogram,
@@ -86,7 +87,8 @@ impl ServerMetrics {
         self.tcp_conns_accepted.fetch_add(1, Relaxed);
     }
 
-    /// A stream connection was turned away at the connection cap.
+    /// A stream connection was closed unserved: turned away at the
+    /// connection cap, or no handler thread could be started for it.
     pub fn tcp_conn_refused(&self) {
         self.tcp_conns_refused.fetch_add(1, Relaxed);
     }
@@ -135,6 +137,11 @@ impl ServerMetrics {
         self.udp_workers_died.fetch_add(1, Relaxed);
     }
 
+    /// The TCP acceptor left its loop on a socket error.
+    pub fn tcp_acceptor_died(&self) {
+        self.tcp_acceptors_died.fetch_add(1, Relaxed);
+    }
+
     /// Observe one request's in-process handling time, µs (receive →
     /// response handed to the socket).
     pub fn observe_handle_us(&self, us: u64) {
@@ -160,6 +167,7 @@ impl ServerMetrics {
             dropped: self.dropped.load(Relaxed),
             encode_errors: self.encode_errors.load(Relaxed),
             udp_workers_died: self.udp_workers_died.load(Relaxed),
+            tcp_acceptors_died: self.tcp_acceptors_died.load(Relaxed),
             bytes_received: self.bytes_received.load(Relaxed),
             bytes_sent: self.bytes_sent.load(Relaxed),
             handle_latency: self.handle_latency.snapshot(SERVER_BOUNDS_US),
@@ -185,7 +193,8 @@ pub struct ServerMetricsSnapshot {
     pub tcp_writes: u64,
     /// Stream connections accepted.
     pub tcp_conns_accepted: u64,
-    /// Stream connections turned away at the connection cap.
+    /// Stream connections closed unserved: at the connection cap, or
+    /// because no handler thread could be started.
     pub tcp_conns_refused: u64,
     /// Stream connections closed because the peer was too slow, either
     /// direction: idle past the read deadline, or not reading answers.
@@ -204,6 +213,8 @@ pub struct ServerMetricsSnapshot {
     pub encode_errors: u64,
     /// UDP shard workers that left their loop on a socket error.
     pub udp_workers_died: u64,
+    /// TCP acceptors that left their loop on a socket error.
+    pub tcp_acceptors_died: u64,
     /// Total payload bytes received.
     pub bytes_received: u64,
     /// Total payload bytes sent.

@@ -144,8 +144,7 @@ fn main() {
 
         // Per-tier cache counters for this resolution (the resolver was
         // freshly built, so the counters cover exactly this walk). The
-        // per-worker L1 tier only exists inside scan workers, so a
-        // single troubleshoot resolution reports the two shared tiers.
+        // range tier is off here, so two of the three tiers report.
         let l2 = resolver.cache_stats();
         let infra = resolver.infra_stats();
         println!("\n;; CACHE TIERS:");

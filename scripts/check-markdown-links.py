@@ -30,6 +30,13 @@ docs/SERVING.md — and the two must list the same inputs, in the same
 order: the first column of every row of the first ``| Input |`` table in
 each file is compared.
 
+A ``--flag`` in a code span or a fenced block of a live document must
+be one some program here parses: it has to appear in a string literal
+(comments do not count) of a Rust file under ``crates/*/src/bin``,
+``examples/``, ``crates/*/examples`` or ``benchmark/``, or be one of
+``FOREIGN_FLAGS`` — so a retired flag finds the command lines that
+still show it.
+
 Run from anywhere: paths are resolved against the repository root
 (the parent of this script's directory). Exit status is the number of
 broken links, capped at 1 for shell friendliness.
@@ -55,6 +62,21 @@ CODE_SPAN = re.compile(r"`([^`\n]+)`")
 REPO_PATH = re.compile(
     r"^(?:(?:crates|src|docs|tests|examples|scripts|benchmark)/[\w./*-]*"
     r"|[\w.-]+\.(?:json|md|toml))(?=$|:|\s)")
+
+
+FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+STRING_LITERAL = re.compile(r'"(?:[^"\\]|\\.)*"', re.DOTALL)
+FLAG_SOURCES = ["crates/*/src/bin", "examples", "crates/*/examples", "benchmark"]
+# Flags the live documents name that no program of this repository
+# parses: cargo's and its test harness's, smoltcp's — and the two the
+# verify skill shows as examples of what the binaries refuse.
+FOREIGN_FLAGS = {
+    "--all", "--bin", "--bins", "--check", "--doc", "--example", "--examples",
+    "--ignored", "--lib", "--manifest-path", "--no-deps", "--no-fail-fast",
+    "--nocapture", "--offline", "--quiet", "--release", "--test", "--workspace",
+    "--pcap",
+    "--no-l2", "--sede",
+}
 
 
 def is_external(target: str) -> bool:
@@ -105,6 +127,34 @@ def check_paths(md: Path, ignored: list[str]) -> list[str]:
             continue
         if not any(ROOT.glob(path)):
             broken.append(f"{md.relative_to(ROOT)}: no such path -> `{span}`")
+    return broken
+
+
+def parsed_flags() -> set[str]:
+    """Every `--flag` inside a string literal of the programs' sources."""
+    flags = set()
+    for pattern in FLAG_SOURCES:
+        for src in ROOT.glob(pattern + "/**/*.rs"):
+            if "target" in src.relative_to(ROOT).parts:
+                continue
+            code = "\n".join(line for line in src.read_text(encoding="utf-8").splitlines()
+                             if not line.lstrip().startswith("//"))
+            for literal in STRING_LITERAL.findall(code):
+                flags.update(FLAG.findall(literal))
+    return flags
+
+
+def check_flags(md: Path, parsed: set[str]) -> list[str]:
+    broken = []
+    fenced = False
+    for number, line in enumerate(md.read_text(encoding="utf-8").splitlines(), 1):
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+            continue
+        code = line if fenced else " ".join(CODE_SPAN.findall(line))
+        for flag in FLAG.findall(code):
+            if flag not in parsed and flag not in FOREIGN_FLAGS:
+                broken.append(f"{md.relative_to(ROOT)}:{number}: no program parses -> {flag}")
     return broken
 
 
@@ -169,15 +219,17 @@ def main() -> int:
             continue
         broken.extend(check_file(md))
     ignored = ignored_prefixes()
+    parsed = parsed_flags()
     for pattern in LIVE_DOCS:
         for md in sorted(ROOT.glob(pattern)):
             broken.extend(check_paths(md, ignored))
+            broken.extend(check_flags(md, parsed))
     broken.extend(check_inventory(ROOT / "DESIGN.md"))
     broken.extend(check_policy_tables())
     for line in broken:
         print(line, file=sys.stderr)
     if broken:
-        print(f"{len(broken)} broken markdown link(s) or path(s)", file=sys.stderr)
+        print(f"{len(broken)} broken markdown link(s), path(s) or flag(s)", file=sys.stderr)
         return 1
     print("markdown links and paths OK")
     return 0
