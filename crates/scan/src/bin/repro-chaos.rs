@@ -12,9 +12,9 @@
 //! Before sweeping, the run proves the hardening left the paper's
 //! results untouched: the 63 × 7 testbed matrix must equal Table 4 cell
 //! by cell, and the intensity-0 leg must be bit-identical to a plain
-//! repro-scan. After it, every leg's counters must reconcile and every
-//! degraded leg must resolve at least 99.5 % of what the intensity-0
-//! leg resolves; otherwise the exit status is 1.
+//! repro-scan. After it, every degraded leg must resolve at least
+//! 99.5 % of what the intensity-0 leg resolves; otherwise the exit
+//! status is 1.
 
 use ede_scan::chaos::{
     baseline_matches_plain_scan, campaign, inflight_matches_window_one, synthesis_configs_hold,
@@ -153,18 +153,6 @@ fn main() {
 
     eprintln!("sweeping fault intensity (seed {seed:#x})...");
     let report = campaign(&pop, &config);
-    for leg in &report.legs {
-        let bad = leg.reconcile();
-        if !bad.is_empty() {
-            for b in &bad {
-                eprintln!(
-                    "  reconciliation failure at intensity {}: {b}",
-                    leg.intensity
-                );
-            }
-            std::process::exit(1);
-        }
-    }
     print!("{}", report.render());
     let under = report.under_resolved();
     for line in &under {

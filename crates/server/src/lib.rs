@@ -29,8 +29,8 @@
 //!   `min(client EDNS advertisement, server cap)`; larger answers go
 //!   out truncated with TC=1 and the TCP retry returns bytes identical
 //!   to the untruncated message.
-//! * **Observability** — every transport decision lands in an
-//!   `ede_trace::ServerMetrics` registry, sampled live through
+//! * **Observability** — every transport decision lands in the server
+//!   section of an `ede_trace::Metrics` registry, sampled live through
 //!   [`ServerHandle::stats`].
 //!
 //! # Quick start

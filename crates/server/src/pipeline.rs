@@ -44,7 +44,7 @@
 //!    TCP retry bit-identical to the untruncated message.
 
 use ede_resolver::Resolver;
-use ede_trace::ServerMetrics;
+use ede_trace::Metrics;
 use ede_wire::{Class, Edns, Header, Message, Opcode, Rcode, WireError};
 
 /// Why a datagram was dropped without any reply.
@@ -182,7 +182,7 @@ pub(crate) enum Reply {
 
 /// The request path both transports share: [`classify`], count the
 /// disposition, [`answer`].
-pub(crate) fn serve(resolver: &Resolver, metrics: &ServerMetrics, wire: &[u8]) -> Reply {
+pub(crate) fn serve(resolver: &Resolver, metrics: &Metrics, wire: &[u8]) -> Reply {
     match classify(wire) {
         QueryDisposition::Drop(_) => {
             metrics.dropped();

@@ -11,7 +11,7 @@
 use crate::config::{ServerConfig, ServerError};
 use crate::{tcp, udp};
 use ede_resolver::{CacheStatsSnapshot, Resolver};
-use ede_trace::{ServerMetrics, ServerMetricsSnapshot};
+use ede_trace::{Metrics, MetricsSnapshot};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 /// State shared by every worker, acceptor, and connection thread.
 pub(crate) struct Shared {
     pub(crate) resolver: Resolver,
-    pub(crate) metrics: Arc<ServerMetrics>,
+    pub(crate) metrics: Arc<Metrics>,
     pub(crate) stop: AtomicBool,
     pub(crate) active_conns: AtomicUsize,
     pub(crate) config: ServerConfig,
@@ -74,7 +74,7 @@ impl Server {
 
         let shared = Arc::new(Shared {
             resolver,
-            metrics: Arc::new(ServerMetrics::new()),
+            metrics: Arc::new(Metrics::new()),
             stop: AtomicBool::new(false),
             active_conns: AtomicUsize::new(0),
             config,
@@ -219,8 +219,10 @@ pub struct ServerStats {
     /// connection closed inside the drain deadline. `true` on live
     /// samples.
     pub drained: bool,
-    /// Counters and latency histogram.
-    pub metrics: ServerMetricsSnapshot,
+    /// The server's registry: its server section holds the counters
+    /// and the handling-latency histogram (nothing feeds its resolution
+    /// section).
+    pub metrics: MetricsSnapshot,
     /// The resolver's shared answer cache: probes, live entries, what
     /// the TTL wheel and the entry budget removed.
     pub cache: CacheStatsSnapshot,

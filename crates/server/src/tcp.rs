@@ -241,7 +241,7 @@ mod tests {
     use crate::ServerConfig;
     use ede_resolver::Vendor;
     use ede_testbed::Testbed;
-    use ede_trace::{ServerMetrics, ServerMetricsSnapshot};
+    use ede_trace::{Metrics, MetricsSnapshot};
     use ede_wire::stream::frame;
     use ede_wire::{Class, Message, Rcode, RrType};
     use std::collections::VecDeque;
@@ -309,7 +309,7 @@ mod tests {
     fn shared(tb: &Testbed) -> Shared {
         Shared {
             resolver: tb.resolver(Vendor::Cloudflare),
-            metrics: Arc::new(ServerMetrics::new()),
+            metrics: Arc::new(Metrics::new()),
             stop: AtomicBool::new(false),
             active_conns: AtomicUsize::new(0),
             config: ServerConfig::default(),
@@ -317,7 +317,7 @@ mod tests {
     }
 
     /// Run `peer`'s script through a fresh handler; what it counted.
-    fn serve(tb: &Testbed, peer: &mut Scripted) -> ServerMetricsSnapshot {
+    fn serve(tb: &Testbed, peer: &mut Scripted) -> MetricsSnapshot {
         let shared = shared(tb);
         serve_stream(&shared, peer);
         shared.metrics.snapshot()
@@ -542,8 +542,15 @@ mod tests {
     }
 
     /// Every structured mutation of one testbed query, then single-bit
-    /// flips of it up to `total` cases.
-    fn mutations(id: u16, qname: &[u8], total: usize, rng: &mut Rng) -> Vec<Vec<u8>> {
+    /// flips of it up to `total` cases, then `compound` cases that put a
+    /// second mutation on top of a structured one.
+    fn mutations(
+        id: u16,
+        qname: &[u8],
+        total: usize,
+        compound: usize,
+        rng: &mut Rng,
+    ) -> Vec<Vec<u8>> {
         let base = raw_query(id, qname);
         let q_end = 12 + qname.len() + 4;
         let opt = base[q_end..].to_vec();
@@ -603,9 +610,35 @@ mod tests {
             cases.push(wire);
         }
 
+        let structured = base.len()..cases.len();
         while cases.len() < total {
             let mut wire = base.clone();
             wire[rng.below(base.len())] ^= 1 << rng.below(8);
+            cases.push(wire);
+        }
+
+        // Two kinds in one query: one of the structured cases above but
+        // the cuts, with a cut, a bit flip, QR, an opcode, a second OPT
+        // or a lying RDLENGTH in its last RR on top — a cut after a lie,
+        // a 256-octet name with a second OPT, a pointer loop as a
+        // response.
+        for _ in 0..compound {
+            let mut wire = cases[structured.start + rng.below(structured.len())].clone();
+            let end = wire.len();
+            match rng.below(6) {
+                0 => wire.truncate(rng.below(end)),
+                1 => wire[rng.below(end)] ^= 1 << rng.below(8),
+                2 => wire[2] |= 0x80,
+                3 => wire[2] |= (1 + rng.below(15) as u8) << 3,
+                4 => {
+                    wire.extend_from_slice(&opt);
+                    wire[11] = wire[11].wrapping_add(1);
+                }
+                _ => {
+                    let rdlength = [0u16, 4, 9, u16::MAX][rng.below(4)];
+                    wire[end - 2..].copy_from_slice(&rdlength.to_be_bytes());
+                }
+            }
             cases.push(wire);
         }
         cases
@@ -628,10 +661,10 @@ mod tests {
         }
     }
 
-    /// Structure-aware mutation of the 63 testbed queries through the
-    /// whole request path, on both transports: `classify → answer →
-    /// encode_udp` a case at a time, and `serve_stream` over a few
-    /// hundred framed cases a connection.
+    /// Structure-aware mutation of the 63 testbed queries, one kind and
+    /// two kinds at a time, through the whole request path, on both
+    /// transports: `classify → answer → encode_udp` a case at a time, and
+    /// `serve_stream` over a few hundred framed cases a connection.
     #[test]
     fn mutated_queries_never_break_the_request_path() {
         use crate::pipeline::{answer, classify, encode_udp, QueryDisposition};
@@ -645,10 +678,10 @@ mod tests {
                 name.encode(&mut qname, None);
                 let query = Message::query(i as u16, name, RrType::A);
                 assert_eq!(raw_query(i as u16, &qname), query.encode().unwrap());
-                mutations(i as u16, &qname, 320, &mut rng)
+                mutations(i as u16, &qname, 320, 80, &mut rng)
             })
             .collect();
-        assert!(cases.len() >= 20_000, "{}", cases.len());
+        assert!(cases.len() >= 25_000, "{}", cases.len());
         let rows: Vec<Option<Rcode>> = cases.iter().map(|c| first_matching_row(c)).collect();
         // Every row of the table is met.
         for row in [
@@ -665,15 +698,19 @@ mod tests {
         // A connection carries up to 300 cases, ending with its first
         // drop (a drop closes it); the datagram path takes the same
         // cases just before, so the stream meets their answers cached.
-        let shared = shared(&tb);
-        let cap = shared.config.udp_payload_max;
+        let mut connections = Vec::new();
         let mut at = 0;
         while at < cases.len() {
             let first_drop = rows[at..].iter().take(300).position(Option::is_none);
             let end = at + first_drop.map_or(300.min(cases.len() - at), |d| d + 1);
-            let batch = || cases[at..end].iter().zip(&rows[at..end]);
-
-            for (case, row) in batch() {
+            connections.push(at..end);
+            at = end;
+        }
+        let shared = shared(&tb);
+        let cap = shared.config.udp_payload_max;
+        let check = |connection: &std::ops::Range<usize>| {
+            let (cases, rows) = (&cases[connection.clone()], &rows[connection.clone()]);
+            for (case, row) in cases.iter().zip(rows) {
                 let (reply, limit) = match (classify(case), row) {
                     (QueryDisposition::Drop(_), None) => continue,
                     (QueryDisposition::Reject(reply, _), Some(row)) if reply.rcode == *row => {
@@ -691,19 +728,24 @@ mod tests {
             }
 
             let mut peer = Scripted::default();
-            let frames = cases[at..end].iter().map(|c| frame(c).unwrap());
+            let frames = cases.iter().map(|c| frame(c).unwrap());
             peer.reads.push_back(frames.flatten().collect());
             serve_stream(&shared, &mut peer);
             let mut reader = FrameReader::new(MAX_FRAME_LEN);
             reader.push(&peer.writes.concat()).unwrap();
-            for (case, row) in batch() {
+            for (case, row) in cases.iter().zip(rows) {
                 let Some(row) = row else { continue };
                 let reply = reader.next_frame().expect("a reply per request");
                 assert_reply_fits(case, *row, &reply);
             }
             assert!(reader.next_frame().is_none() && !reader.has_partial());
-            at = end;
-        }
+        };
+        // Two threads take turns at the connections: one case in six
+        // asks a name no case asked before, a cold resolution each.
+        std::thread::scope(|scope| {
+            scope.spawn(|| connections.iter().skip(1).step_by(2).for_each(&check));
+            connections.iter().step_by(2).for_each(&check);
+        });
         let stats = shared.metrics.snapshot();
         let count = |row| rows.iter().filter(|r| **r == row).count() as u64;
         assert_eq!(stats.tcp_queries, cases.len() as u64);

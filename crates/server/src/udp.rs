@@ -71,11 +71,12 @@ fn serve_datagram(
     };
     match encoded {
         Ok(truncated) => {
-            if socket.send_to(out, peer).is_ok() {
-                metrics.udp_response(out.len(), truncated);
-                if answered {
-                    metrics.observe_handle_us(micros(started.elapsed()));
-                }
+            if socket.send_to(out, peer).is_err() {
+                return metrics.udp_send_error();
+            }
+            metrics.udp_response(out.len(), truncated);
+            if answered {
+                metrics.observe_handle_us(micros(started.elapsed()));
             }
         }
         Err(_) => metrics.encode_error(),
@@ -87,9 +88,20 @@ mod tests {
     use super::*;
     use ede_resolver::Vendor;
     use ede_testbed::Testbed;
-    use ede_trace::ServerMetrics;
+    use ede_trace::Metrics;
+    use ede_wire::{Message, RrType};
     use std::sync::atomic::{AtomicBool, AtomicUsize};
     use std::sync::Arc;
+
+    fn shared(tb: &Testbed) -> Shared {
+        Shared {
+            resolver: tb.resolver(Vendor::Cloudflare),
+            metrics: Arc::new(Metrics::new()),
+            stop: AtomicBool::new(false),
+            active_conns: AtomicUsize::new(0),
+            config: crate::ServerConfig::default(),
+        }
+    }
 
     /// A worker whose `recv_from` fails for good is counted, once, and
     /// returns. The failure is a real one: a datagram sent from a
@@ -98,13 +110,7 @@ mod tests {
     /// `ConnectionRefused`.
     #[test]
     fn a_worker_that_dies_of_a_socket_error_is_counted_once() {
-        let shared = Shared {
-            resolver: Testbed::build().resolver(Vendor::Cloudflare),
-            metrics: Arc::new(ServerMetrics::new()),
-            stop: AtomicBool::new(false),
-            active_conns: AtomicUsize::new(0),
-            config: crate::ServerConfig::default(),
-        };
+        let shared = shared(&Testbed::build());
         let vacated = UdpSocket::bind("127.0.0.1:0")
             .unwrap()
             .local_addr()
@@ -123,5 +129,21 @@ mod tests {
         });
         assert_eq!(shared.metrics.snapshot().udp_workers_died, 1);
         assert_eq!(shared.metrics.snapshot().udp_queries, 0);
+    }
+
+    /// A reply the socket refuses is counted, not lost in silence: on
+    /// Linux `sendto` port 0 fails with `EINVAL`.
+    #[test]
+    fn a_reply_that_fails_to_send_is_counted() {
+        let tb = Testbed::build();
+        let shared = shared(&tb);
+        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let query = Message::query(7, tb.query_name(&tb.specs[0]), RrType::A);
+        let peer: SocketAddr = "127.0.0.1:0".parse().unwrap();
+        let mut out = Vec::new();
+        serve_datagram(&shared, &socket, &query.encode().unwrap(), peer, &mut out);
+        let stats = shared.metrics.snapshot();
+        assert_eq!((stats.udp_queries, stats.udp_send_errors), (1, 1));
+        assert_eq!((stats.udp_responses, stats.handle_latency.total), (0, 0));
     }
 }

@@ -1,12 +1,12 @@
 //! The one latency histogram: fixed buckets over atomic counters,
 //! microseconds throughout.
 //!
-//! Both registries feed it — [`Metrics`](crate::Metrics) with
-//! virtual-clock durations, which arrive in milliseconds and are read
-//! back through the `_ms` views, [`ServerMetrics`](crate::ServerMetrics)
-//! with wall-clock handling times. The bucket bounds are data: each
-//! registry names the set it buckets by, and the frozen [`Histogram`]
-//! carries it along.
+//! Both sections of [`Metrics`](crate::Metrics) feed it — the
+//! resolution section with virtual-clock durations, which arrive in
+//! milliseconds and are read back through the `_ms` views, the server
+//! section with wall-clock handling times. The bucket bounds are data:
+//! each histogram names the set it buckets by, and the frozen
+//! [`Histogram`] carries it along.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 

@@ -18,6 +18,10 @@
 //!   check. A [`ResolutionTrace`] ring buffer retains timelines, a
 //!   [`Metrics`] registry turns the same stream into counters and
 //!   latency histograms, and [`MultiSink`] fans out to both.
+//! * **One registry, two sections** — [`Metrics`] counts what a
+//!   resolution does from its events and, in its server section, what a
+//!   serving front end does from direct calls on the wall clock; a
+//!   count the transport or the cache already keeps is theirs alone.
 //! * **Virtual time only** — events are stamped through the
 //!   [`TraceClock`] trait (implemented by `ede-netsim`'s `SimClock`),
 //!   never the host clock, so traces are deterministic and
@@ -48,11 +52,9 @@ pub mod event;
 mod histogram;
 pub mod json;
 pub mod metrics;
-pub mod server;
 pub mod sink;
 
 pub use event::{CacheOutcome, TimedEvent, TraceEvent};
 pub use histogram::Histogram;
 pub use metrics::{Metrics, MetricsSnapshot};
-pub use server::{ServerMetrics, ServerMetricsSnapshot};
 pub use sink::{MultiSink, ResolutionTrace, TraceClock, TraceSink, Tracer, TracerCell};

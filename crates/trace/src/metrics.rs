@@ -1,37 +1,39 @@
-//! The metrics registry: atomic counters and latency histograms fed by
-//! the trace event stream.
+//! The metrics registry: atomic counters and latency histograms in two
+//! sections, one registry.
 //!
-//! [`Metrics`] implements [`TraceSink`], so the same instrumentation
-//! points that produce timelines also drive the counters — attach it to
-//! a network (or fan out with [`crate::MultiSink`]) and every
-//! `QuerySent` bumps `queries_sent`, every `CacheProbe` feeds the hit
-//! ratio, and so on. Counters and histogram buckets are lock-free
-//! atomics; only the per-vendor EDE map takes a short mutex.
+//! * The **resolution section** is fed by the trace event stream on the
+//!   virtual clock. [`Metrics`] implements [`TraceSink`], so the same
+//!   instrumentation points that produce timelines also drive the
+//!   counters — attach it to a network (or fan out with
+//!   [`crate::MultiSink`]) and every `Referral` bumps `referrals`, every
+//!   `ResolutionFinished` feeds the outcome counters, and so on.
+//! * The **server section** is fed by direct calls from a serving front
+//!   end (the `ede-server` crate) on the wall clock: every transport
+//!   decision it makes, and its request-handling latency.
+//!
+//! A count another layer already keeps is not kept here a second time:
+//! the transport's queries, deliveries, failures, stream fallbacks and
+//! faults are `ede_netsim::TrafficSnapshot`'s, the answer cache's
+//! probes and removals `ede_resolver::CacheStatsSnapshot`'s. Their
+//! events still flow (timelines and JSONL need them); this registry
+//! ignores them, except that `ResponseReceived` feeds `query_latency`.
+//! Counters and histogram buckets are lock-free atomics; only the
+//! per-vendor EDE map takes a short mutex.
 
-use crate::event::{CacheOutcome, TraceEvent};
-use crate::histogram::{Histogram, LiveHistogram, SIM_BOUNDS_US};
+use crate::event::TraceEvent;
+use crate::histogram::{Histogram, LiveHistogram, SERVER_BOUNDS_US, SIM_BOUNDS_US};
 use crate::sink::TraceSink;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 
 /// The live registry. Cheap to share (`Arc<Metrics>`); attach as a
-/// [`TraceSink`] and read with [`Metrics::snapshot`].
+/// [`TraceSink`], call the server section's recording methods, and read
+/// with [`Metrics::snapshot`].
 #[derive(Debug, Default)]
 pub struct Metrics {
-    queries_sent: AtomicU64,
-    responses_received: AtomicU64,
-    timeouts: AtomicU64,
     retries: AtomicU64,
-    tc_fallbacks: AtomicU64,
-    faults_injected: AtomicU64,
     referrals: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    stale_served: AtomicU64,
-    cache_expired: AtomicU64,
-    cache_evictions: AtomicU64,
-    cache_occupancy_peak: AtomicU64,
     denials_synthesized_nxdomain: AtomicU64,
     denials_synthesized_nodata: AtomicU64,
     validation_steps: AtomicU64,
@@ -54,6 +56,28 @@ pub struct Metrics {
     tasks_completed: AtomicU64,
     inflight_tasks_peak: AtomicU64,
     ready_queue_peak: AtomicU64,
+    // The server section.
+    udp_queries: AtomicU64,
+    udp_responses: AtomicU64,
+    udp_truncated: AtomicU64,
+    udp_send_errors: AtomicU64,
+    tcp_queries: AtomicU64,
+    tcp_responses: AtomicU64,
+    tcp_writes: AtomicU64,
+    tcp_conns_accepted: AtomicU64,
+    tcp_conns_refused: AtomicU64,
+    tcp_read_timeouts: AtomicU64,
+    rejected_formerr: AtomicU64,
+    rejected_notimp: AtomicU64,
+    rejected_refused: AtomicU64,
+    rejected_badvers: AtomicU64,
+    dropped: AtomicU64,
+    encode_errors: AtomicU64,
+    udp_workers_died: AtomicU64,
+    tcp_acceptors_died: AtomicU64,
+    bytes_received: AtomicU64,
+    bytes_sent: AtomicU64,
+    handle_latency: LiveHistogram,
 }
 
 impl Metrics {
@@ -62,22 +86,116 @@ impl Metrics {
         Metrics::default()
     }
 
+    /// One query datagram arrived over UDP (`bytes` on the wire).
+    pub fn udp_query(&self, bytes: usize) {
+        self.udp_queries.fetch_add(1, Relaxed);
+        self.bytes_received.fetch_add(bytes as u64, Relaxed);
+    }
+
+    /// One response datagram left over UDP; `truncated` when it carried
+    /// TC=1 because the full answer exceeded the negotiated payload.
+    pub fn udp_response(&self, bytes: usize, truncated: bool) {
+        self.udp_responses.fetch_add(1, Relaxed);
+        self.bytes_sent.fetch_add(bytes as u64, Relaxed);
+        if truncated {
+            self.udp_truncated.fetch_add(1, Relaxed);
+        }
+    }
+
+    /// A response datagram was encoded but the socket refused to send it.
+    pub fn udp_send_error(&self) {
+        self.udp_send_errors.fetch_add(1, Relaxed);
+    }
+
+    /// One framed query arrived over a stream connection.
+    pub fn tcp_query(&self, bytes: usize) {
+        self.tcp_queries.fetch_add(1, Relaxed);
+        self.bytes_received.fetch_add(bytes as u64, Relaxed);
+    }
+
+    /// One framed response left over a stream connection.
+    pub fn tcp_response(&self, bytes: usize) {
+        self.tcp_responses.fetch_add(1, Relaxed);
+        self.bytes_sent.fetch_add(bytes as u64, Relaxed);
+    }
+
+    /// One write carried a batch of framed responses to a stream
+    /// connection: `tcp_responses / tcp_writes` is the batch size.
+    pub fn tcp_write(&self) {
+        self.tcp_writes.fetch_add(1, Relaxed);
+    }
+
+    /// A stream connection was accepted.
+    pub fn tcp_conn_accepted(&self) {
+        self.tcp_conns_accepted.fetch_add(1, Relaxed);
+    }
+
+    /// A stream connection was closed unserved: turned away at the
+    /// connection cap, or no handler thread could be started for it.
+    pub fn tcp_conn_refused(&self) {
+        self.tcp_conns_refused.fetch_add(1, Relaxed);
+    }
+
+    /// A stream connection was closed because its peer was too slow, in
+    /// either direction: no complete request inside the read deadline, or
+    /// a write of answers blocked for as long.
+    pub fn tcp_read_timeout(&self) {
+        self.tcp_read_timeouts.fetch_add(1, Relaxed);
+    }
+
+    /// A malformed query was answered with FORMERR.
+    pub fn rejected_formerr(&self) {
+        self.rejected_formerr.fetch_add(1, Relaxed);
+    }
+
+    /// A non-QUERY opcode was answered with NOTIMP.
+    pub fn rejected_notimp(&self) {
+        self.rejected_notimp.fetch_add(1, Relaxed);
+    }
+
+    /// A query outside the served class was answered with REFUSED.
+    pub fn rejected_refused(&self) {
+        self.rejected_refused.fetch_add(1, Relaxed);
+    }
+
+    /// A query with an EDNS version other than 0 was answered with
+    /// BADVERS.
+    pub fn rejected_badvers(&self) {
+        self.rejected_badvers.fetch_add(1, Relaxed);
+    }
+
+    /// A datagram was dropped without any reply (shorter than a DNS
+    /// header, or a response where a query belongs).
+    pub fn dropped(&self) {
+        self.dropped.fetch_add(1, Relaxed);
+    }
+
+    /// A reply failed to encode (never sent).
+    pub fn encode_error(&self) {
+        self.encode_errors.fetch_add(1, Relaxed);
+    }
+
+    /// A UDP shard worker left its loop on a socket error.
+    pub fn udp_worker_died(&self) {
+        self.udp_workers_died.fetch_add(1, Relaxed);
+    }
+
+    /// The TCP acceptor left its loop on a socket error.
+    pub fn tcp_acceptor_died(&self) {
+        self.tcp_acceptors_died.fetch_add(1, Relaxed);
+    }
+
+    /// Observe one request's in-process handling time, µs (receive →
+    /// response handed to the socket).
+    pub fn observe_handle_us(&self, us: u64) {
+        self.handle_latency.observe(SERVER_BOUNDS_US, us);
+    }
+
     /// A point-in-time copy of every counter and histogram.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            queries_sent: self.queries_sent.load(Relaxed),
-            responses_received: self.responses_received.load(Relaxed),
-            timeouts: self.timeouts.load(Relaxed),
             retries: self.retries.load(Relaxed),
-            tc_fallbacks: self.tc_fallbacks.load(Relaxed),
-            faults_injected: self.faults_injected.load(Relaxed),
             referrals: self.referrals.load(Relaxed),
-            cache_hits: self.cache_hits.load(Relaxed),
-            cache_misses: self.cache_misses.load(Relaxed),
-            stale_served: self.stale_served.load(Relaxed),
-            cache_expired: self.cache_expired.load(Relaxed),
-            cache_evictions: self.cache_evictions.load(Relaxed),
-            cache_occupancy_peak: self.cache_occupancy_peak.load(Relaxed),
             denials_synthesized_nxdomain: self.denials_synthesized_nxdomain.load(Relaxed),
             denials_synthesized_nodata: self.denials_synthesized_nodata.load(Relaxed),
             validation_steps: self.validation_steps.load(Relaxed),
@@ -97,6 +215,27 @@ impl Metrics {
             tasks_completed: self.tasks_completed.load(Relaxed),
             inflight_tasks_peak: self.inflight_tasks_peak.load(Relaxed),
             ready_queue_peak: self.ready_queue_peak.load(Relaxed),
+            udp_queries: self.udp_queries.load(Relaxed),
+            udp_responses: self.udp_responses.load(Relaxed),
+            udp_truncated: self.udp_truncated.load(Relaxed),
+            udp_send_errors: self.udp_send_errors.load(Relaxed),
+            tcp_queries: self.tcp_queries.load(Relaxed),
+            tcp_responses: self.tcp_responses.load(Relaxed),
+            tcp_writes: self.tcp_writes.load(Relaxed),
+            tcp_conns_accepted: self.tcp_conns_accepted.load(Relaxed),
+            tcp_conns_refused: self.tcp_conns_refused.load(Relaxed),
+            tcp_read_timeouts: self.tcp_read_timeouts.load(Relaxed),
+            rejected_formerr: self.rejected_formerr.load(Relaxed),
+            rejected_notimp: self.rejected_notimp.load(Relaxed),
+            rejected_refused: self.rejected_refused.load(Relaxed),
+            rejected_badvers: self.rejected_badvers.load(Relaxed),
+            dropped: self.dropped.load(Relaxed),
+            encode_errors: self.encode_errors.load(Relaxed),
+            udp_workers_died: self.udp_workers_died.load(Relaxed),
+            tcp_acceptors_died: self.tcp_acceptors_died.load(Relaxed),
+            bytes_received: self.bytes_received.load(Relaxed),
+            bytes_sent: self.bytes_sent.load(Relaxed),
+            handle_latency: self.handle_latency.snapshot(SERVER_BOUNDS_US),
         }
     }
 }
@@ -110,46 +249,23 @@ impl TraceSink for Metrics {
 
     fn record(&self, _at_ms: u64, event: &TraceEvent) {
         match event {
-            TraceEvent::ResolutionStarted { .. } => {}
-            TraceEvent::QuerySent { .. } => {
-                self.queries_sent.fetch_add(1, Relaxed);
-            }
+            // Counted where they happen: by the transport and the cache.
+            TraceEvent::ResolutionStarted { .. }
+            | TraceEvent::QuerySent { .. }
+            | TraceEvent::Timeout { .. }
+            | TraceEvent::TcFallback { .. }
+            | TraceEvent::FaultInjected { .. }
+            | TraceEvent::CacheProbe { .. }
+            | TraceEvent::CacheEvicted { .. } => {}
             TraceEvent::ResponseReceived { latency_ms, .. } => {
-                self.responses_received.fetch_add(1, Relaxed);
                 self.query_latency
                     .observe(SIM_BOUNDS_US, latency_ms * 1_000);
-            }
-            TraceEvent::Timeout { .. } => {
-                self.timeouts.fetch_add(1, Relaxed);
             }
             TraceEvent::Retry { .. } => {
                 self.retries.fetch_add(1, Relaxed);
             }
-            TraceEvent::TcFallback { .. } => {
-                self.tc_fallbacks.fetch_add(1, Relaxed);
-            }
-            TraceEvent::FaultInjected { .. } => {
-                self.faults_injected.fetch_add(1, Relaxed);
-            }
             TraceEvent::Referral { .. } => {
                 self.referrals.fetch_add(1, Relaxed);
-            }
-            TraceEvent::CacheProbe { outcome, .. } => {
-                match outcome {
-                    CacheOutcome::Hit => &self.cache_hits,
-                    CacheOutcome::Miss => &self.cache_misses,
-                    CacheOutcome::StaleServed => &self.stale_served,
-                }
-                .fetch_add(1, Relaxed);
-            }
-            TraceEvent::CacheEvicted {
-                expired,
-                evicted,
-                occupancy,
-            } => {
-                self.cache_expired.fetch_add(*expired, Relaxed);
-                self.cache_evictions.fetch_add(*evicted, Relaxed);
-                self.cache_occupancy_peak.fetch_max(*occupancy, Relaxed);
             }
             TraceEvent::DenialSynthesized { nxdomain, .. } => {
                 if *nxdomain {
@@ -217,41 +333,15 @@ impl TraceSink for Metrics {
 /// render offline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    /// Queries handed to the transport.
-    pub queries_sent: u64,
-    /// Responses that came back.
-    pub responses_received: u64,
-    /// Queries that timed out (including unroutable destinations).
-    pub timeouts: u64,
     /// Fallbacks to another server of the same zone.
     pub retries: u64,
-    /// Truncated-reply fallbacks onto the stream channel.
-    pub tc_fallbacks: u64,
-    /// Fault-plan decisions that fired in the simulated network.
-    pub faults_injected: u64,
     /// Zone cuts crossed.
     pub referrals: u64,
-    /// Fresh cache answers.
-    pub cache_hits: u64,
-    /// Cache misses (live resolution followed).
-    pub cache_misses: u64,
-    /// RFC 8767 stale answers served.
-    pub stale_served: u64,
-    /// Cache entries removed because TTL + stale window lapsed (the
-    /// TTL wheel's lazy expiry).
-    pub cache_expired: u64,
-    /// Cache entries removed by the entry budget's CLOCK sweep.
-    pub cache_evictions: u64,
-    /// Peak live-entry occupancy observed at removal time. Like the
-    /// scheduler gauges this measures the store's internal timing, not
-    /// scan results, so [`MetricsSnapshot::without_scheduler_stats`]
-    /// strips it (and the two removal counters) too.
-    pub cache_occupancy_peak: u64,
     /// Negative answers synthesized as NXDOMAIN from cached,
-    /// DNSSEC-validated NSEC/NSEC3 ranges (RFC 8198). Unlike the
-    /// eviction gauges these count a *result-shaping* decision (an
-    /// authority round-trip that never happened), so
-    /// [`MetricsSnapshot::without_scheduler_stats`] keeps them.
+    /// DNSSEC-validated NSEC/NSEC3 ranges (RFC 8198). These count a
+    /// *result-shaping* decision (an authority round-trip that never
+    /// happened), so [`MetricsSnapshot::without_scheduler_stats`] keeps
+    /// them.
     pub denials_synthesized_nxdomain: u64,
     /// Negative answers synthesized as NODATA from cached ranges.
     pub denials_synthesized_nodata: u64,
@@ -294,19 +384,61 @@ pub struct MetricsSnapshot {
     pub inflight_tasks_peak: u64,
     /// Peak of the completion-ready-queue-depth gauge across all pools.
     pub ready_queue_peak: u64,
+    /// Server section: query datagrams received over UDP.
+    pub udp_queries: u64,
+    /// Response datagrams sent over UDP.
+    pub udp_responses: u64,
+    /// ... of which carried TC=1 (client must retry over a stream).
+    pub udp_truncated: u64,
+    /// Response datagrams encoded that the socket refused to send.
+    pub udp_send_errors: u64,
+    /// Framed queries received over stream connections.
+    pub tcp_queries: u64,
+    /// Framed responses sent over stream connections.
+    pub tcp_responses: u64,
+    /// Writes that carried them: one per batch of pipelined answers.
+    pub tcp_writes: u64,
+    /// Stream connections accepted.
+    pub tcp_conns_accepted: u64,
+    /// Stream connections closed unserved: at the connection cap, or
+    /// because no handler thread could be started.
+    pub tcp_conns_refused: u64,
+    /// Stream connections closed because the peer was too slow, either
+    /// direction: idle past the read deadline, or not reading answers.
+    pub tcp_read_timeouts: u64,
+    /// Malformed queries answered with FORMERR.
+    pub rejected_formerr: u64,
+    /// Non-QUERY opcodes answered with NOTIMP.
+    pub rejected_notimp: u64,
+    /// Out-of-class queries answered with REFUSED.
+    pub rejected_refused: u64,
+    /// Queries with an unimplemented EDNS version answered with BADVERS.
+    pub rejected_badvers: u64,
+    /// Datagrams dropped without any reply.
+    pub dropped: u64,
+    /// Replies that failed to encode.
+    pub encode_errors: u64,
+    /// UDP shard workers that left their loop on a socket error.
+    pub udp_workers_died: u64,
+    /// TCP acceptors that left their loop on a socket error.
+    pub tcp_acceptors_died: u64,
+    /// Total payload bytes received.
+    pub bytes_received: u64,
+    /// Total payload bytes sent.
+    pub bytes_sent: u64,
+    /// In-process request-handling latency, µs.
+    pub handle_latency: Histogram,
 }
 
 impl MetricsSnapshot {
-    /// Cache hit ratio in `[0, 1]` over hit + miss probes (stale serves
-    /// count as hits — the client got an answer from cache).
-    pub fn cache_hit_ratio(&self) -> f64 {
-        let hits = self.cache_hits + self.stale_served;
-        let total = hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
+    /// Queries served, both transports.
+    pub fn queries(&self) -> u64 {
+        self.udp_queries + self.tcp_queries
+    }
+
+    /// Responses served, both transports.
+    pub fn responses(&self) -> u64 {
+        self.udp_responses + self.tcp_responses
     }
 
     /// This snapshot with the scheduler statistics (task counters and
@@ -316,53 +448,57 @@ impl MetricsSnapshot {
     /// these fields measure the scheduling itself: the gauges track the
     /// window, and the task counters tell a pooled resolution (every
     /// scan, at any window) from a direct `Resolver::resolve`, which
-    /// spawns no observable task. The cache removal counters go too —
-    /// they measure the store's internal timing. Equality checks that
-    /// sweep concurrency compare snapshots through this adaptor.
+    /// spawns no observable task. Equality checks that sweep
+    /// concurrency compare snapshots through this adaptor.
     pub fn without_scheduler_stats(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             tasks_spawned: 0,
             tasks_completed: 0,
             inflight_tasks_peak: 0,
             ready_queue_peak: 0,
-            cache_expired: 0,
-            cache_evictions: 0,
-            cache_occupancy_peak: 0,
             ..self.clone()
         }
     }
 
-    /// Render as an operator-facing summary block.
+    /// Render as an operator-facing summary: a block per section that
+    /// has counted something. A registry that has counted nothing renders
+    /// the server section, zeroed — an idle server's, which is where an
+    /// empty registry is read.
     pub fn render(&self) -> String {
+        // Every resolution-section event happens inside a resolution, a
+        // pooled task or an exchange; every server-section one after a
+        // query, a connection or a worker's end.
+        let resolved = self.resolutions
+            + self.tasks_spawned
+            + self.query_latency.total
+            + self.authority_answers
+            > 0;
+        let served = self.queries()
+            + self.tcp_conns_accepted
+            + self.tcp_conns_refused
+            + self.udp_workers_died
+            + self.tcp_acceptors_died
+            > 0;
         let mut out = String::new();
+        if resolved {
+            self.render_resolution(&mut out);
+        }
+        if served || !resolved {
+            self.render_server(&mut out);
+        }
+        out
+    }
+
+    fn render_resolution(&self, out: &mut String) {
         out.push_str("metrics summary\n");
         out.push_str(&format!(
-            "  transport : {} queries, {} responses, {} timeouts, {} retries\n",
-            self.queries_sent, self.responses_received, self.timeouts, self.retries
+            "  iteration : {} referrals, {} retries, {} validation steps ({} failed), {} findings\n",
+            self.referrals,
+            self.retries,
+            self.validation_steps,
+            self.validation_failures,
+            self.findings
         ));
-        if self.tc_fallbacks + self.faults_injected > 0 {
-            out.push_str(&format!(
-                "  hardening : {} tc-fallbacks, {} faults injected\n",
-                self.tc_fallbacks, self.faults_injected
-            ));
-        }
-        out.push_str(&format!(
-            "  iteration : {} referrals, {} validation steps ({} failed), {} findings\n",
-            self.referrals, self.validation_steps, self.validation_failures, self.findings
-        ));
-        out.push_str(&format!(
-            "  cache     : {} hits, {} misses, {} stale served (hit ratio {:.1}%)\n",
-            self.cache_hits,
-            self.cache_misses,
-            self.stale_served,
-            100.0 * self.cache_hit_ratio()
-        ));
-        if self.cache_expired + self.cache_evictions > 0 {
-            out.push_str(&format!(
-                "  eviction  : {} expired, {} evicted (peak occupancy {})\n",
-                self.cache_expired, self.cache_evictions, self.cache_occupancy_peak
-            ));
-        }
         if self.denials_synthesized_nxdomain + self.denials_synthesized_nodata > 0 {
             out.push_str(&format!(
                 "  synthesis : {} NXDOMAIN, {} NODATA answered from cached ranges\n",
@@ -410,39 +546,90 @@ impl MetricsSnapshot {
                 out.push_str(&format!("    {vendor}: {}\n", detail.join(", ")));
             }
         }
-        out
+    }
+
+    fn render_server(&self, out: &mut String) {
+        out.push_str("server metrics\n");
+        out.push_str(&format!(
+            "  udp       : {} queries, {} responses ({} truncated), {} send errors\n",
+            self.udp_queries, self.udp_responses, self.udp_truncated, self.udp_send_errors
+        ));
+        out.push_str(&format!(
+            "  tcp       : {} queries, {} responses in {} writes; {} conns accepted, {} refused, {} timeouts\n",
+            self.tcp_queries,
+            self.tcp_responses,
+            self.tcp_writes,
+            self.tcp_conns_accepted,
+            self.tcp_conns_refused,
+            self.tcp_read_timeouts
+        ));
+        out.push_str(&format!(
+            "  rejected  : {} FORMERR, {} NOTIMP, {} REFUSED, {} BADVERS, {} dropped, {} encode errors\n",
+            self.rejected_formerr,
+            self.rejected_notimp,
+            self.rejected_refused,
+            self.rejected_badvers,
+            self.dropped,
+            self.encode_errors
+        ));
+        out.push_str(&format!(
+            "  traffic   : {} bytes in, {} bytes out\n",
+            self.bytes_received, self.bytes_sent
+        ));
+        out.push_str(&format!(
+            "  latency   : mean {:.1} µs, p50 {} µs, p99 {} µs, max {} µs\n",
+            self.handle_latency.mean_us(),
+            self.handle_latency.quantile_us(0.50),
+            self.handle_latency.quantile_us(0.99),
+            self.handle_latency.max
+        ));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::CacheOutcome;
 
     fn ip() -> std::net::IpAddr {
         "192.0.2.1".parse().unwrap()
     }
 
+    /// The transport's and the cache's events are theirs to count.
     #[test]
-    fn counters_follow_events() {
+    fn counts_kept_elsewhere_are_not_kept_here() {
         let m = Metrics::new();
-        m.record(
-            0,
-            &TraceEvent::QuerySent {
+        for event in [
+            TraceEvent::QuerySent {
                 dst: ip(),
                 qname: "a".into(),
                 qtype: 1,
                 id: 1,
             },
-        );
-        m.record(
-            0,
-            &TraceEvent::QuerySent {
+            TraceEvent::Timeout {
                 dst: ip(),
                 qname: "a".into(),
-                qtype: 1,
-                id: 2,
+                unroutable: true,
             },
-        );
+            TraceEvent::CacheProbe {
+                qname: "a".into(),
+                qtype: 1,
+                outcome: CacheOutcome::Hit,
+            },
+            TraceEvent::CacheEvicted {
+                expired: 4,
+                evicted: 2,
+                occupancy: 9,
+            },
+        ] {
+            m.record(0, &event);
+        }
+        assert_eq!(m.snapshot(), Metrics::new().snapshot());
+    }
+
+    #[test]
+    fn counters_follow_events() {
+        let m = Metrics::new();
         m.record(
             20,
             &TraceEvent::ResponseReceived {
@@ -454,33 +641,9 @@ mod tests {
         );
         m.record(
             0,
-            &TraceEvent::Timeout {
-                dst: ip(),
-                qname: "a".into(),
-                unroutable: true,
-            },
-        );
-        m.record(
-            0,
             &TraceEvent::Retry {
                 attempt: 1,
                 next: ip(),
-            },
-        );
-        m.record(
-            0,
-            &TraceEvent::CacheProbe {
-                qname: "a".into(),
-                qtype: 1,
-                outcome: CacheOutcome::Hit,
-            },
-        );
-        m.record(
-            0,
-            &TraceEvent::CacheProbe {
-                qname: "a".into(),
-                qtype: 1,
-                outcome: CacheOutcome::Miss,
             },
         );
         m.record(
@@ -516,13 +679,7 @@ mod tests {
         );
 
         let s = m.snapshot();
-        assert_eq!(s.queries_sent, 2);
-        assert_eq!(s.responses_received, 1);
-        assert_eq!(s.timeouts, 1);
         assert_eq!(s.retries, 1);
-        assert_eq!(s.cache_hits, 1);
-        assert_eq!(s.cache_misses, 1);
-        assert!((s.cache_hit_ratio() - 0.5).abs() < 1e-9);
         assert_eq!(s.validation_steps, 1);
         assert_eq!(s.validation_failures, 1);
         assert_eq!(s.ede_entries, 1);
@@ -533,16 +690,13 @@ mod tests {
         // Synthesis shapes results, so concurrency-invariance checks
         // must still see it after stripping the scheduler gauges.
         assert_eq!(s.without_scheduler_stats().denials_synthesized_nxdomain, 1);
-        assert!(
-            s.render().contains("1 NXDOMAIN, 0 NODATA"),
-            "{}",
-            s.render()
-        );
         assert_eq!(s.query_latency.total, 1);
         assert_eq!(s.resolution_duration.max, 40_000);
         let render = s.render();
-        assert!(render.contains("2 queries"), "{render}");
+        assert!(render.contains("1 NXDOMAIN, 0 NODATA"), "{render}");
+        assert!(render.contains("0 referrals, 1 retries"), "{render}");
         assert!(render.contains("Cloudflare DNS: 7\u{00d7}1"), "{render}");
+        assert!(!render.contains("server metrics"), "{render}");
     }
 
     #[test]
@@ -566,23 +720,7 @@ mod tests {
                 queued: 1,
             },
         );
-        m.record(
-            0,
-            &TraceEvent::CacheEvicted {
-                expired: 4,
-                evicted: 2,
-                occupancy: 9,
-            },
-        );
         let s = m.snapshot();
-        assert_eq!(s.cache_expired, 4);
-        assert_eq!(s.cache_evictions, 2);
-        assert_eq!(s.cache_occupancy_peak, 9);
-        assert!(
-            s.render().contains("4 expired, 2 evicted"),
-            "{}",
-            s.render()
-        );
         assert_eq!(s.tasks_spawned, 3);
         assert_eq!(s.tasks_completed, 1);
         assert_eq!(s.inflight_tasks_peak, 3);
@@ -594,12 +732,80 @@ mod tests {
         assert_eq!(stripped.ready_queue_peak, 0);
         assert_eq!(stripped.tasks_spawned, 0);
         assert_eq!(stripped.tasks_completed, 0);
-        assert_eq!(stripped.cache_expired, 0);
-        assert_eq!(stripped.cache_evictions, 0);
-        assert_eq!(stripped.cache_occupancy_peak, 0);
-        assert_eq!(
-            stripped.queries_sent, s.queries_sent,
-            "real counters survive"
+    }
+
+    #[test]
+    fn server_counters_accumulate_and_render() {
+        let m = Metrics::new();
+        m.udp_query(40);
+        m.udp_response(200, false);
+        m.udp_query(40);
+        m.udp_response(52, true);
+        m.udp_query(40);
+        m.udp_send_error();
+        m.tcp_conn_accepted();
+        m.tcp_query(40);
+        m.tcp_response(420);
+        m.tcp_write();
+        m.tcp_conn_refused();
+        m.tcp_read_timeout();
+        m.rejected_formerr();
+        m.rejected_notimp();
+        m.rejected_refused();
+        m.rejected_badvers();
+        m.dropped();
+        m.encode_error();
+        m.observe_handle_us(30);
+        m.observe_handle_us(400);
+        m.observe_handle_us(1_000_000);
+
+        let s = m.snapshot();
+        assert_eq!(s.udp_queries, 3);
+        assert_eq!(s.udp_responses, 2);
+        assert_eq!(s.udp_truncated, 1);
+        assert_eq!(s.udp_send_errors, 1);
+        assert_eq!(s.tcp_queries, 1);
+        assert_eq!(s.tcp_responses, 1);
+        assert_eq!(s.tcp_writes, 1);
+        assert_eq!(s.tcp_conns_accepted, 1);
+        assert_eq!(s.tcp_conns_refused, 1);
+        assert_eq!(s.tcp_read_timeouts, 1);
+        assert_eq!(s.queries(), 4);
+        assert_eq!(s.responses(), 3);
+        assert_eq!(s.bytes_received, 160);
+        assert_eq!(s.bytes_sent, 672);
+        assert_eq!(s.handle_latency.total, 3);
+        assert_eq!(s.handle_latency.max, 1_000_000);
+        let render = s.render();
+        assert!(
+            render.contains("3 queries, 2 responses (1 truncated), 1 send errors"),
+            "{render}"
         );
+        assert!(
+            render.contains("1 queries, 1 responses in 1 writes; 1 conns accepted"),
+            "{render}"
+        );
+        assert!(
+            render.contains("1 FORMERR, 1 NOTIMP, 1 REFUSED, 1 BADVERS, 1 dropped"),
+            "{render}"
+        );
+        // A server's registry resolves nothing itself: one block.
+        assert!(!render.contains("metrics summary"), "{render}");
+        let empty = Metrics::new().snapshot().render();
+        assert!(empty.starts_with("server metrics\n  udp       : 0 queries"));
+    }
+
+    #[test]
+    fn handle_quantiles_follow_buckets() {
+        let m = Metrics::new();
+        for _ in 0..99 {
+            m.observe_handle_us(40);
+        }
+        m.observe_handle_us(9_000);
+        let h = m.snapshot().handle_latency;
+        assert_eq!(h.quantile_us(0.50), 50);
+        assert_eq!(h.quantile_us(0.99), 50);
+        assert_eq!(h.quantile_us(1.0), 10_000);
+        assert!(h.mean_us() > 40.0);
     }
 }

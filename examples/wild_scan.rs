@@ -33,5 +33,9 @@ fn main() {
     println!("{}", report::scan_summary(&result.stats));
     println!("{}", report::figure1(&result.stats));
     println!("{}", report::figure2(&result.stats));
+    // Each count from its home, as `repro-scan` prints them: the
+    // transport's, the registry's, the cache tiers'.
+    println!("{}\n", report::traffic_line(&result.stats));
     println!("{}", result.metrics.render());
+    println!("{}", result.cache.render());
 }

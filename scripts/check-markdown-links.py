@@ -28,7 +28,11 @@ The malformed-query policy is written down twice — the table in the
 module doc of ``crates/server/src/pipeline.rs`` and the one in
 docs/SERVING.md — and the two must list the same inputs, in the same
 order: the first column of every row of the first ``| Input |`` table in
-each file is compared.
+each file is compared. In the same way docs/OBSERVABILITY.md's event
+schema (the ``| kind |`` table) must list exactly the ``=> "tag"`` arms
+of ``TraceEvent::kind``, and its metrics catalogue (the ``| metric |``
+table, every back-ticked name in the first column) exactly the ``pub``
+fields of ``MetricsSnapshot``.
 
 A ``--flag`` in a code span or a fenced block of a live document must
 be one some program here parses: it has to appear in a string literal
@@ -179,37 +183,68 @@ def check_inventory(md: Path) -> list[str]:
     return broken
 
 
-def policy_inputs(path: Path) -> list[str]:
-    """First column of the first `| Input |` table in `path`."""
-    inputs = None
+def first_column(path: Path, header: str) -> list[str]:
+    """First column of the first table in `path` whose header row starts
+    with `header`."""
+    cells = None
     for line in path.read_text(encoding="utf-8").splitlines():
         line = line.strip().removeprefix("//!").strip()
-        if inputs is None:
-            if line.startswith("| Input |"):
-                inputs = []
+        if cells is None:
+            if line.startswith(header):
+                cells = []
         elif line.startswith("|"):
             cell = line.split("|")[1].strip()
             if cell.strip("-"):
-                inputs.append(cell)
+                cells.append(cell)
         else:
             break
-    return inputs or []
+    return cells or []
+
+
+def differences(what: str, code: tuple[str, list[str]], docs: tuple[str, list[str]]) -> list[str]:
+    """One failure naming every entry that only one side lists — or, when
+    both list the same entries in another order, every entry."""
+    (code_name, code_rows), (docs_name, docs_rows) = code, docs
+    if not code_rows or not docs_rows:
+        return [f"{what}: nothing found in {code_name} or {docs_name}"]
+    if code_rows == docs_rows:
+        return []
+    lines = [f"{what}: {code_name} and {docs_name} differ"]
+    same = set(code_rows) == set(docs_rows)
+    for row in dict.fromkeys(code_rows + docs_rows):
+        if row in code_rows and row in docs_rows:
+            if same:
+                lines.append(f"  both: {row}")
+        else:
+            lines.append(f"  {code_name if row in code_rows else docs_name} only: {row}")
+    return ["\n".join(lines)]
 
 
 def check_policy_tables() -> list[str]:
     """pipeline.rs and docs/SERVING.md must list the same inputs."""
-    code = policy_inputs(ROOT / "crates/server/src/pipeline.rs")
-    docs = policy_inputs(ROOT / "docs/SERVING.md")
-    if not code or not docs:
-        return ["malformed-query policy: no `| Input |` table in pipeline.rs or docs/SERVING.md"]
-    if code == docs:
-        return []
-    lines = ["malformed-query policy: pipeline.rs and docs/SERVING.md list different inputs"]
-    for row in dict.fromkeys(code + docs):
-        where = "both" if row in code and row in docs else (
-            "pipeline.rs only" if row in code else "SERVING.md only")
-        lines.append(f"  {where}: {row}")
-    return ["\n".join(lines)]
+    return differences(
+        "malformed-query policy",
+        ("pipeline.rs", first_column(ROOT / "crates/server/src/pipeline.rs", "| Input |")),
+        ("SERVING.md", first_column(ROOT / "docs/SERVING.md", "| Input |")))
+
+
+def check_observability_tables() -> list[str]:
+    """The event schema and the metrics catalogue of OBSERVABILITY.md
+    against `TraceEvent::kind` and `MetricsSnapshot`."""
+    doc = ROOT / "docs/OBSERVABILITY.md"
+    event = (ROOT / "crates/trace/src/event.rs").read_text(encoding="utf-8")
+    kind_fn = event.split("pub fn kind(", 1)[-1].split("\n    }\n", 1)[0]
+    kinds = sorted(re.findall(r'=> "(\w+)"', kind_fn))
+    documented = sorted(cell.strip("`") for cell in first_column(doc, "| kind |"))
+    metrics = (ROOT / "crates/trace/src/metrics.rs").read_text(encoding="utf-8")
+    snapshot = metrics.split("pub struct MetricsSnapshot {", 1)[-1].split("\n}\n", 1)[0]
+    fields = sorted(re.findall(r"^\s*pub (\w+):", snapshot, re.MULTILINE))
+    catalogued = sorted({name for cell in first_column(doc, "| metric |")
+                         for name in CODE_SPAN.findall(cell)})
+    return (differences("event schema", ("TraceEvent::kind", kinds),
+                        ("OBSERVABILITY.md", documented))
+            + differences("metrics catalogue", ("MetricsSnapshot", fields),
+                          ("OBSERVABILITY.md", catalogued)))
 
 
 def main() -> int:
@@ -226,6 +261,7 @@ def main() -> int:
             broken.extend(check_flags(md, parsed))
     broken.extend(check_inventory(ROOT / "DESIGN.md"))
     broken.extend(check_policy_tables())
+    broken.extend(check_observability_tables())
     for line in broken:
         print(line, file=sys.stderr)
     if broken:

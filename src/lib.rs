@@ -71,7 +71,9 @@ pub use ede_zone as zone;
 /// [`Server::spawn`](ede_server::Server::spawn) with
 /// [`ServerConfig::builder`](ede_server::ServerConfig::builder)),
 /// injecting faults ([`FaultPlan`](ede_netsim::FaultPlan)), and attaching
-/// observability ([`ResolutionTrace`](ede_trace::ResolutionTrace)).
+/// observability ([`ResolutionTrace`](ede_trace::ResolutionTrace), and
+/// [`Metrics`](ede_trace::Metrics), the one registry: resolution
+/// counters from trace events, a server section from `Server`).
 /// Structured error types from every layer ride along so `?`-style
 /// plumbing needs no extra imports.
 pub mod prelude {
@@ -88,9 +90,7 @@ pub mod prelude {
         ServerStats,
     };
     pub use ede_testbed::Testbed;
-    pub use ede_trace::{
-        Metrics, ResolutionTrace, ServerMetrics, ServerMetricsSnapshot, TraceEvent, TraceSink,
-    };
+    pub use ede_trace::{Metrics, MetricsSnapshot, ResolutionTrace, TraceEvent, TraceSink};
     pub use ede_wire::{EdeCode, EdeEntry, Message, Name, Rcode, RrType, WireError};
     pub use ede_zone::{ParseError, ParseErrorKind};
 }

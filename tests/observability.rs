@@ -1,10 +1,11 @@
 //! Golden tests for the `ede-trace` observability pipeline: the exact
 //! event sequence of one healthy and one broken resolution through the
-//! Cloudflare profile, the JSONL export, and the metrics registry's
-//! agreement with the transport's own traffic accounting.
+//! Cloudflare profile, the JSONL export, and the event stream's
+//! completeness against the transport's own traffic accounting.
 
 use extended_dns_errors::prelude::*;
-use extended_dns_errors::trace::{Metrics, ResolutionTrace, TraceEvent};
+use extended_dns_errors::scan::chaos::CHAOS_RETRIES;
+use extended_dns_errors::trace::MultiSink;
 use std::sync::Arc;
 
 /// The healthy control (`valid`): three signed zone cuts walked with a
@@ -180,28 +181,53 @@ fn tracing_does_not_change_resolution_results() {
     assert_eq!(untraced.ede_codes(), traced.ede_codes());
 }
 
+/// Every count the transport keeps has one event per count, so a
+/// timeline misses no exchange, no fallback and no fault: loss makes
+/// timeouts, faults and retries, and a 512-byte payload limit makes TC
+/// fallbacks. The metrics registry counts what the transport does not.
 #[test]
-fn metrics_registry_agrees_with_transport_accounting() {
+fn every_transport_count_has_its_trace_event() {
     let tb = Testbed::build();
+    let trace = Arc::new(ResolutionTrace::new(1 << 16));
     let metrics = Arc::new(Metrics::new());
-    tb.attach_trace_sink(Arc::clone(&metrics) as _);
-
-    let resolver = tb.resolver(Vendor::Cloudflare);
-    for label in ["valid", "rrsig-exp-all", "allow-query-none", "valid"] {
-        let spec = tb.spec(label).expect("testbed domain");
+    tb.attach_trace_sink(Arc::new(MultiSink::new(vec![
+        Arc::clone(&trace) as _,
+        Arc::clone(&metrics) as _,
+    ])));
+    tb.net.set_fault_plan(
+        FaultPlan::new(0x0ede_7ace)
+            .with_loss(0.10)
+            .with_udp_payload_limit(512),
+    );
+    let mut config = tb.resolver_config.clone();
+    config.retries_per_server = CHAOS_RETRIES;
+    let resolver = Resolver::new(
+        Arc::clone(&tb.net),
+        VendorProfile::new(Vendor::Cloudflare),
+        config,
+    );
+    for spec in &tb.specs {
         resolver.resolve(&tb.query_name(spec), RrType::A);
     }
 
-    let snap = metrics.snapshot();
-    let (queries, delivered, failed) = tb.net.stats().snapshot();
-    // The QuerySent event is emitted at the exact point the transport
-    // counts a query, so the two accountings must agree.
-    assert_eq!(snap.queries_sent, queries);
-    assert_eq!(snap.responses_received, delivered);
-    assert_eq!(snap.timeouts, failed);
+    assert_eq!(trace.dropped(), 0);
+    let events = trace.events();
+    let count = |kind| events.iter().filter(|e| e.event.kind() == kind).count() as u64;
+    let traffic = tb.net.stats().snapshot_full();
+    assert!(
+        traffic.failed > 0 && traffic.stream_queries > 0 && traffic.faults > 0,
+        "the plan did not bite: {traffic:?}"
+    );
+    assert_eq!(count("query_sent"), traffic.queries);
+    assert_eq!(count("response_received"), traffic.delivered);
+    assert_eq!(count("timeout"), traffic.failed);
+    assert_eq!(count("tc_fallback"), traffic.stream_queries);
+    assert_eq!(count("fault_injected"), traffic.faults);
 
-    assert_eq!(snap.resolutions, 4);
-    assert!(snap.cache_hits >= 1, "second 'valid' lookup hits the cache");
+    let snap = metrics.snapshot();
+    assert_eq!(snap.resolutions, tb.specs.len() as u64);
+    assert_eq!(snap.retries, count("retry"));
+    assert_eq!(snap.query_latency.total, traffic.delivered);
     assert!(snap
         .ede_by_vendor
         .contains_key(&("Cloudflare DNS".to_string(), 7)));

@@ -7,9 +7,12 @@
 //! 2. the paper's Table 4 matrix stays pinned cell by cell under mild
 //!    packet loss once retries are on;
 //! 3. oversized UDP answers recover over the stream channel, visibly
-//!    (TC-fallback metrics reconcile with stream-query accounting);
+//!    (the transport counts the stream queries);
 //! 4. a 10%-loss scan with the campaigns' retry count still resolves
-//!    ≥ 99% of what the clean scan resolves, and its counters reconcile.
+//!    ≥ 99% of what the clean scan resolves.
+//!
+//! That every transport count has its trace event is
+//! `tests/observability.rs`'s to show.
 
 use extended_dns_errors::prelude::*;
 use extended_dns_errors::resolver::Resolver;
@@ -90,8 +93,6 @@ fn truncated_answers_recover_over_the_stream_channel() {
     // longer fit, the authority sets TC, and the resolver must fall
     // back to the stream channel — reaching the same result.
     let tb = Testbed::build();
-    let metrics = Arc::new(Metrics::new());
-    tb.attach_trace_sink(Arc::clone(&metrics) as _);
     tb.net
         .set_fault_plan(FaultPlan::new(1).with_udp_payload_limit(512));
     let capped = tb.resolver(Vendor::Cloudflare).resolve(&qname, RrType::A);
@@ -105,11 +106,6 @@ fn truncated_answers_recover_over_the_stream_channel() {
     let traffic = tb.net.stats().snapshot_full();
     assert!(traffic.truncated > 0, "nothing was truncated at 512 B");
     assert!(traffic.stream_queries > 0, "no stream fallback happened");
-    let snap = metrics.snapshot();
-    assert_eq!(
-        snap.tc_fallbacks, traffic.stream_queries,
-        "every stream query must come from exactly one TC fallback"
-    );
 }
 
 #[test]
@@ -135,11 +131,4 @@ fn lossy_scan_resolves_99_percent_with_default_policy() {
     );
     // The retries had to actually work for a living.
     assert!(lossy.metrics.retries > 0, "10% loss should force retries");
-    // And the books must balance.
-    assert_eq!(lossy.metrics.queries_sent, lossy.traffic_full.queries);
-    assert_eq!(
-        lossy.metrics.tc_fallbacks,
-        lossy.traffic_full.stream_queries
-    );
-    assert_eq!(lossy.metrics.faults_injected, lossy.traffic_full.faults);
 }
