@@ -24,7 +24,7 @@ const STALE_WINDOW_SECS: u32 = 3 * 86_400;
 
 /// The complete result of one recursive resolution, as a client of this
 /// resolver would see it (plus the internal diagnosis for analysis).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Resolution {
     /// Final response code.
     pub rcode: Rcode,
@@ -185,11 +185,10 @@ impl Resolver {
         })
     }
 
-    /// The resolution pipeline itself, as a resumable task: the one
-    /// entry point every caller reaches. It suspends on `handle`
-    /// whenever it would block on the network, so it runs wherever a
-    /// [`TaskHandle`] comes from — [`crate::ResolutionPool::spawn`] for
-    /// many in flight on one thread, or the blocking wrapper above.
+    /// The resolution pipeline itself, as a resumable task. It suspends
+    /// on `handle` whenever it would block on the network, so it runs
+    /// wherever a [`TaskHandle`] comes from — [`crate::ResolutionPool::spawn`]
+    /// for many in flight on one thread, or the blocking wrapper above.
     /// Semantics (policy, cache, validation, EDE emission) are the same
     /// on both; only the scheduling differs.
     pub async fn resolve_with(
@@ -197,6 +196,34 @@ impl Resolver {
         handle: &TaskHandle,
         qname: &Name,
         qtype: RrType,
+    ) -> Resolution {
+        self.pipeline(handle, qname, qtype, true).await
+    }
+
+    /// [`resolve_with`](Self::resolve_with) for a name the caller will
+    /// not ask again: the same pipeline — policy, answer-cache probe,
+    /// engine, serve-stale, EDE emission — returning the same
+    /// [`Resolution`], except that the answer is not stored in the
+    /// answer cache. A name stored earlier is still served from it. A
+    /// scan calls this for every domain it never revisits, so its answer
+    /// cache holds only what it reads back.
+    pub async fn resolve_once(
+        &self,
+        handle: &TaskHandle,
+        qname: &Name,
+        qtype: RrType,
+    ) -> Resolution {
+        self.pipeline(handle, qname, qtype, false).await
+    }
+
+    /// The body of both entry points; `store` is whether step 5 keeps
+    /// the answer.
+    async fn pipeline(
+        &self,
+        handle: &TaskHandle,
+        qname: &Name,
+        qtype: RrType,
+        store: bool,
     ) -> Resolution {
         let now = self.net.clock().now_secs();
         let tracer = self.net.tracer();
@@ -283,8 +310,8 @@ impl Resolver {
             }
         }
 
-        // 5. Cache the result.
-        if self.config.enable_cache {
+        // 5. Cache the result, unless the caller will not ask again.
+        if store && self.config.enable_cache {
             let is_failure = outcome.rcode == Rcode::ServFail;
             let ttl = if is_failure {
                 self.config.failure_ttl_secs

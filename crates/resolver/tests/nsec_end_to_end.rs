@@ -4,7 +4,9 @@
 use ede_authority::{ZoneServer, ZoneStore};
 use ede_netsim::{NetworkBuilder, SimClock};
 use ede_resolver::config::RootHint;
-use ede_resolver::{Resolver, ResolverConfig, ValidationState, Vendor, VendorProfile};
+use ede_resolver::{
+    ResolutionPool, Resolver, ResolverConfig, ValidationState, Vendor, VendorProfile,
+};
 use ede_wire::rdata::Soa;
 use ede_wire::{DigestAlg, Name, Rcode, Rdata, Record, RrType};
 use ede_zone::signer::{sign_zone, SignerConfig};
@@ -202,4 +204,41 @@ fn corrupted_nsec_sigs_are_detected() {
     let res = r.resolve_a("missing.nsec.test");
     assert_eq!(res.rcode, Rcode::ServFail);
     assert_eq!(res.ede_codes(), vec![6], "{:?}", res.diagnosis);
+}
+
+/// `resolve_once` is `resolve_with` without the store: on twin
+/// resolvers it returns the same resolution and leaves the answer cache
+/// untouched, and a name stored earlier is still served from the cache.
+#[test]
+fn resolve_once_answers_alike_and_stores_nothing() {
+    let run = |resolver: &Resolver, qname: &Name, once: bool| {
+        let mut pool = ResolutionPool::new(resolver.network());
+        pool.spawn(|handle| async move {
+            if once {
+                resolver.resolve_once(&handle, qname, RrType::A).await
+            } else {
+                resolver.resolve_with(&handle, qname, RrType::A).await
+            }
+        });
+        pool.next().expect("one task was spawned")
+    };
+    let storing = build(Vendor::Cloudflare, |_, _| {});
+    let passing = build(Vendor::Cloudflare, |_, _| {});
+    for name in ["www.nsec.test", "missing.nsec.test"] {
+        let qname = n(name);
+        let stored = run(&storing, &qname, false);
+        let puts = passing.cache_stats().puts;
+        assert_eq!(run(&passing, &qname, true), stored, "{name}");
+        assert_eq!(passing.cache_stats().puts, puts, "{name}");
+    }
+    assert_eq!(storing.cache_stats().puts, 2);
+    assert_eq!(passing.cache_stats().occupancy, 0);
+
+    // The probe stays: once stored, the name is a hit for either call.
+    let qname = n("www.nsec.test");
+    let stored = run(&passing, &qname, false);
+    let before = passing.cache_stats();
+    assert_eq!(run(&passing, &qname, true), stored);
+    let after = passing.cache_stats();
+    assert_eq!((after.hits, after.puts), (before.hits + 1, before.puts));
 }

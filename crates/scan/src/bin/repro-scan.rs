@@ -1,16 +1,16 @@
 //! Regenerate the §4.2 inventory: run the scaled Internet-wide scan and
 //! print measured vs paper counts per INFO-CODE.
 //!
-//! Usage: repro-scan \[scale\] \[--json | --fingerprint\] \[--cache-budget=N\]
-//!        \[--synthesize\] \[--sweep=R\] \[--range-budget=N\]
+//! Usage: repro-scan \[scale\] \[--json | --fingerprint\] \[--synthesize\]
+//!        \[--sweep=R\] \[--range-budget=N\]
 //!        \[--log-capacity=N\] \[--log-spill=PATH\] \[--snapshots=PATH\]
 //!        \[--query=EXPR\] \[--stream-smoke\]
 //! (default scale 1000, i.e. 303k domains)
 //!
-//! `--cache-budget=N` bounds the shared cache to N entries; with a
-//! budget smaller than the working set the scan still completes, with
-//! bounded memory and nonzero evictions, but eviction legally changes
-//! results, so budgeted fingerprints are *not* comparable.
+//! The answer cache has no budget flag: a scan stores only the answers
+//! its revisit pass reads back (and the TLD priming's), about 1 500
+//! entries at any scale, so a budget above that changes nothing and one
+//! below it only evicts what pass 2 needs.
 //!
 //! `--synthesize` turns on RFC 8198 denial synthesis in the scanning
 //! resolver; scan fingerprints must stay identical to the
@@ -107,7 +107,7 @@ fn stream_smoke(scale: u32) {
 }
 
 const USAGE: &str = "usage: repro-scan [scale] [--json | --fingerprint] \
-[--cache-budget=N] [--synthesize] [--sweep=R] [--range-budget=N] [--log-capacity=N] \
+[--synthesize] [--sweep=R] [--range-budget=N] [--log-capacity=N] \
 [--log-spill=PATH] [--snapshots=PATH] [--query=EXPR] [--stream-smoke]";
 
 /// A mistyped or retired flag must not silently measure the default
@@ -126,7 +126,6 @@ fn parsed<T: std::str::FromStr>(what: &str, value: &str) -> T {
 fn main() {
     let mut json = false;
     let mut fingerprint = false;
-    let mut cache_budget: Option<usize> = None;
     let mut synthesize = false;
     let mut sweep_ratio = 0.0f64;
     let mut range_budget: Option<usize> = None;
@@ -146,7 +145,6 @@ fn main() {
             ("--fingerprint", None) => fingerprint = true,
             ("--synthesize", None) => synthesize = true,
             ("--stream-smoke", None) => smoke = true,
-            ("--cache-budget", Some(v)) => cache_budget = Some(parsed(flag, v)),
             ("--sweep", Some(v)) => sweep_ratio = parsed(flag, v),
             ("--range-budget", Some(v)) => range_budget = Some(parsed(flag, v)),
             ("--log-capacity", Some(v)) => log_capacity = Some(parsed(flag, v)),
@@ -181,7 +179,6 @@ fn main() {
     let pop = Population::generate(cfg);
     eprintln!("{} domains; building world...", pop.domains.len());
     let mut world = ScanWorld::build(&pop);
-    world.resolver_config.max_cache_entries = cache_budget;
     world.resolver_config.synthesize_denial = synthesize;
     world.resolver_config.max_range_entries = range_budget;
     eprintln!("scanning...");

@@ -8,6 +8,7 @@
 use crate::rng::SplitMix64;
 use ede_wire::Name;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// What is wrong (or right) with one planted domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -325,8 +326,10 @@ pub struct Population {
     pub config: PopulationConfig,
     /// All TLDs.
     pub tlds: Vec<TldInfo>,
-    /// All domains, in randomized scan order.
-    pub domains: Vec<DomainRecord>,
+    /// All domains, in randomized scan order: the only copy of each.
+    /// The scan world's registry indexes this slice (shared, not
+    /// cloned), and a domain's position in it is its index everywhere.
+    pub domains: Arc<[DomainRecord]>,
     /// Addresses of the healthy hosting pool.
     pub healthy_ns: Vec<Ipv4Addr>,
     /// Addresses of the broken hosting pool (lame nameservers).
@@ -675,7 +678,7 @@ impl Population {
         Population {
             config,
             tlds,
-            domains,
+            domains: domains.into(),
             healthy_ns,
             broken_ns,
         }
@@ -684,7 +687,7 @@ impl Population {
     /// Count of domains per category (diagnostics, ground truth).
     pub fn category_counts(&self) -> Vec<(Category, usize)> {
         let mut map = std::collections::BTreeMap::new();
-        for d in &self.domains {
+        for d in self.domains.iter() {
             *map.entry(d.category).or_insert(0usize) += 1;
         }
         map.into_iter().collect()
@@ -700,7 +703,7 @@ mod tests {
         let a = Population::generate(PopulationConfig::tiny());
         let b = Population::generate(PopulationConfig::tiny());
         assert_eq!(a.domains.len(), b.domains.len());
-        for (x, y) in a.domains.iter().zip(&b.domains) {
+        for (x, y) in a.domains.iter().zip(b.domains.iter()) {
             assert_eq!(x.name, y.name);
             assert_eq!(x.category, y.category);
             assert_eq!(x.ns_addrs, y.ns_addrs);
@@ -723,7 +726,7 @@ mod tests {
     #[test]
     fn standby_members_live_under_standby_cctlds() {
         let p = Population::generate(PopulationConfig::tiny());
-        for d in &p.domains {
+        for d in p.domains.iter() {
             if d.category == Category::StandbyTldMember {
                 assert!(p.tlds[d.tld].standby_key, "{}", d.name);
             }

@@ -438,13 +438,19 @@ impl PassCtx<'_> {
 
 /// The one worker loop, shared by both passes and the sweep: claim a
 /// chunk of `0..count` off the shared cursor, keep up to `inflight`
-/// resumable resolutions of `name_of(i)` in flight on one
-/// [`ResolutionPool`], and hand each finished one to `done` — in
-/// completion order, which at a window of one is claim order.
+/// resumable resolutions in flight on one [`ResolutionPool`], and hand
+/// each finished one to `done` — in completion order, which at a window
+/// of one is claim order.
+///
+/// `query_of(i)` is the name to resolve and whether the scan asks it
+/// again. Only then does the answer cache keep the answer
+/// ([`Resolver::resolve_with`]); every other name goes through
+/// [`Resolver::resolve_once`]. The choice rides in each task, so it is
+/// the same at any window and worker count.
 fn drive_worker<'a>(
     resolver: &'a Resolver,
     count: usize,
-    name_of: impl Fn(usize) -> &'a Name,
+    query_of: impl Fn(usize) -> (&'a Name, bool),
     cursor: &AtomicUsize,
     inflight: usize,
     mut done: impl FnMut(usize, Resolution),
@@ -460,9 +466,14 @@ fn drive_worker<'a>(
                 backlog = start..(start + CLAIM_CHUNK).min(count);
                 continue;
             };
-            let qname = name_of(i);
+            let (qname, asked_again) = query_of(i);
             pool.spawn(move |handle| async move {
-                (i, resolver.resolve_with(&handle, qname, RrType::A).await)
+                let res = if asked_again {
+                    resolver.resolve_with(&handle, qname, RrType::A).await
+                } else {
+                    resolver.resolve_once(&handle, qname, RrType::A).await
+                };
+                (i, res)
             });
         }
         match pool.next() {
@@ -490,7 +501,10 @@ fn pass_worker(
     drive_worker(
         resolver,
         indices.len(),
-        |j| &pop.domains[indices[j]].name,
+        |j| {
+            let d = &pop.domains[indices[j]];
+            (&d.name, d.category.needs_revisit())
+        },
         cursor,
         inflight,
         |j, res| {
@@ -534,7 +548,7 @@ fn parallel_pass(
 /// domain.
 fn sweep_probes(pop: &Population, ratio: f64) -> Vec<Name> {
     let mut per_tld = vec![0usize; pop.tlds.len()];
-    for d in &pop.domains {
+    for d in pop.domains.iter() {
         per_tld[d.tld] += 1;
     }
     let mut probes = Vec::new();
@@ -562,7 +576,7 @@ fn sweep_pass(resolver: &Resolver, probes: &[Name], workers: usize, inflight: us
                 drive_worker(
                     resolver,
                     probes.len(),
-                    |i| &probes[i],
+                    |i| (&probes[i], false),
                     &cursor,
                     inflight,
                     |_, _| {},
@@ -865,6 +879,37 @@ mod tests {
                 pooled.metrics.inflight_tasks_peak > 1,
                 "inflight {inflight}"
             );
+        }
+    }
+
+    /// The answer cache keeps only what the scan reads back: the
+    /// revisit-category domains pass 2 asks again, plus the TLD
+    /// priming's one entry per TLD — never one entry per domain, at any
+    /// window or worker count.
+    #[test]
+    fn answer_cache_keeps_only_what_pass_2_reads_back() {
+        let pop = Population::generate(PopulationConfig::tiny());
+        let revisited = pop
+            .domains
+            .iter()
+            .filter(|d| d.category.needs_revisit())
+            .count();
+        let bound = (revisited + pop.tlds.len()) as u64;
+        assert!(bound < pop.domains.len() as u64);
+        for (workers, inflight) in [(1, 1), (4, 16)] {
+            let world = ScanWorld::build(&pop);
+            let config = ScanConfig::builder()
+                .workers(workers)
+                .inflight(inflight)
+                .build();
+            let l2 = scan(&pop, &world, &config).cache.l2;
+            assert!(
+                l2.occupancy_peak <= bound,
+                "{workers} workers, window {inflight}: {} entries at peak, bound {bound}",
+                l2.occupancy_peak
+            );
+            // Pass 2 found every revisited domain's pass-1 entry.
+            assert!(l2.hits + l2.stale_served >= revisited as u64, "{l2:?}");
         }
     }
 

@@ -72,14 +72,14 @@ FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 STRING_LITERAL = re.compile(r'"(?:[^"\\]|\\.)*"', re.DOTALL)
 FLAG_SOURCES = ["crates/*/src/bin", "examples", "crates/*/examples", "benchmark"]
 # Flags the live documents name that no program of this repository
-# parses: cargo's and its test harness's, smoltcp's — and the two the
+# parses: cargo's and its test harness's, smoltcp's — and the ones the
 # verify skill shows as examples of what the binaries refuse.
 FOREIGN_FLAGS = {
     "--all", "--bin", "--bins", "--check", "--doc", "--example", "--examples",
     "--ignored", "--lib", "--manifest-path", "--no-deps", "--no-fail-fast",
     "--nocapture", "--offline", "--quiet", "--release", "--test", "--workspace",
     "--pcap",
-    "--no-l2", "--sede",
+    "--no-l2", "--no-l1", "--cache-budget", "--sede",
 }
 
 
