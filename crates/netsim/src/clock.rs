@@ -62,8 +62,17 @@ impl SimClock {
     /// latencies, so overlapping exchanges overlap in virtual time too.
     /// Returns the clock value after the call.
     ///
+    /// The clock is read first and written only when the deadline is
+    /// ahead of it: in a world that charges no latency every completion
+    /// lands on "now", and a write per completion would take the line
+    /// every reader of the clock shares away from all of them.
+    ///
     /// [`advance_millis`]: SimClock::advance_millis
     pub fn advance_to_millis(&self, deadline_ms: u64) -> u64 {
+        let now = self.now_millis();
+        if deadline_ms <= now {
+            return now;
+        }
         self.millis
             .fetch_max(deadline_ms, Ordering::Relaxed)
             .max(deadline_ms)

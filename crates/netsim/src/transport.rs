@@ -4,11 +4,12 @@
 use crate::addr::classify;
 use crate::clock::SimClock;
 use crate::fault::FaultPlan;
-use ede_trace::{TraceEvent, TraceSink, Tracer, TracerCell};
+use ede_trace::{Striped, TraceEvent, TraceSink, Tracer, TracerCell};
 use ede_wire::{Message, Rcode};
 use std::collections::HashMap;
 use std::fmt;
 use std::net::IpAddr;
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 
 /// What a server does with one query.
@@ -124,8 +125,9 @@ impl NetworkBuilder {
     }
 }
 
-/// The fault-plan slot, same shape as [`ede_trace::TracerCell`]: no plan attached
-/// costs one atomic load per query.
+/// The fault-plan slot: no plan attached costs one atomic load per
+/// query, an attached one a read lock and an `Arc` clone (chaos runs
+/// only).
 #[derive(Default)]
 struct FaultCell {
     enabled: std::sync::atomic::AtomicBool,
@@ -149,7 +151,7 @@ impl FaultCell {
     }
 }
 
-/// The capture slot, same shape again: captures are a
+/// The capture slot, same shape: captures are a
 /// debugging tool, so the per-query cost while *not* capturing is one
 /// atomic load.
 #[derive(Default)]
@@ -188,47 +190,40 @@ impl CaptureCell {
 
 /// Counters over everything a network carried — the simulated analogue
 /// of the paper's §5 traffic accounting ("peaked at 11.5 K packets per
-/// second … 12 hours in total").
+/// second … 12 hours in total"). Every exchange counts from the thread
+/// that made it, into that thread's stripe ([`Striped`]); a snapshot
+/// sums them.
 #[derive(Debug, Default)]
-pub struct TrafficStats {
-    /// Queries attempted (each costs up to two datagrams).
-    pub queries: std::sync::atomic::AtomicU64,
-    /// Queries that received a reply.
-    pub delivered: std::sync::atomic::AtomicU64,
-    /// Queries that failed at the transport (unroutable / timeout / loss).
-    pub failed: std::sync::atomic::AtomicU64,
-    /// Queries carried over the stream (TCP-analogue) channel. Also
-    /// counted in `queries`.
-    pub stream_queries: std::sync::atomic::AtomicU64,
-    /// UDP replies replaced by their TC=1 truncation by the
-    /// response-size model.
-    pub truncated: std::sync::atomic::AtomicU64,
-    /// Fault-plan decisions that fired (loss, corruption) — one per
-    /// `FaultInjected` trace event.
-    pub faults: std::sync::atomic::AtomicU64,
+pub struct TrafficStats(Striped<TrafficCounts>);
+
+/// One stripe of [`TrafficStats`]; the fields are [`TrafficSnapshot`]'s.
+#[derive(Debug, Default)]
+struct TrafficCounts {
+    queries: AtomicU64,
+    delivered: AtomicU64,
+    failed: AtomicU64,
+    stream_queries: AtomicU64,
+    truncated: AtomicU64,
+    faults: AtomicU64,
 }
 
 impl TrafficStats {
     /// Snapshot (queries, delivered, failed).
     pub fn snapshot(&self) -> (u64, u64, u64) {
-        use std::sync::atomic::Ordering::Relaxed;
-        (
-            self.queries.load(Relaxed),
-            self.delivered.load(Relaxed),
-            self.failed.load(Relaxed),
-        )
+        let full = self.snapshot_full();
+        (full.queries, full.delivered, full.failed)
     }
 
     /// Full snapshot including the robustness-layer counters.
     pub fn snapshot_full(&self) -> TrafficSnapshot {
-        use std::sync::atomic::Ordering::Relaxed;
+        let c = &self.0;
         TrafficSnapshot {
-            queries: self.queries.load(Relaxed),
-            delivered: self.delivered.load(Relaxed),
-            failed: self.failed.load(Relaxed),
-            stream_queries: self.stream_queries.load(Relaxed),
-            truncated: self.truncated.load(Relaxed),
-            faults: self.faults.load(Relaxed),
+            queries: c.sum(|c| &c.queries),
+            delivered: c.sum(|c| &c.delivered),
+            failed: c.sum(|c| &c.failed),
+            stream_queries: c.sum(|c| &c.stream_queries),
+            truncated: c.sum(|c| &c.truncated),
+            faults: c.sum(|c| &c.faults),
         }
     }
 }
@@ -365,8 +360,9 @@ impl Network {
         self.faults.get()
     }
 
-    /// The currently attached tracer (cheap clone; disabled when no
-    /// sink is attached — that case costs one atomic load, no lock).
+    /// The currently attached tracer: this thread's copy of it, no lock
+    /// and no shared reference count (see [`TracerCell`]); disabled when
+    /// no sink is attached, which costs one atomic load.
     pub fn tracer(&self) -> Tracer {
         self.tracer.get()
     }
@@ -414,11 +410,10 @@ impl Network {
 
     /// The send half of an exchange on either channel.
     fn exchange(&self, channel: Channel, dst: IpAddr, src: IpAddr, query: &Message) -> InFlight {
-        use std::sync::atomic::Ordering::Relaxed;
         let datagram = channel == Channel::Datagram;
-        self.stats.queries.fetch_add(1, Relaxed);
+        self.stats.0.bump(|c| &c.queries);
         if !datagram {
-            self.stats.stream_queries.fetch_add(1, Relaxed);
+            self.stats.0.bump(|c| &c.stream_queries);
         }
         let tracer = self.tracer.get();
         // Capture records what the datagram channel carried.
@@ -500,7 +495,7 @@ impl Network {
             if let Some(limit) = plan.negotiated_limit(query) {
                 if !msg.truncated && msg.encoded_len() > usize::from(limit) {
                     msg = msg.truncated_copy();
-                    self.stats.truncated.fetch_add(1, Relaxed);
+                    self.stats.0.bump(|c| &c.truncated);
                 }
             }
         }
@@ -521,11 +516,10 @@ impl Network {
     /// applies the outcome-time effects: the delivered/failed counter
     /// and the `ResponseReceived` / `Timeout` trace event.
     pub fn complete(&self, inflight: InFlight) -> Result<Message, NetError> {
-        use std::sync::atomic::Ordering::Relaxed;
         self.clock.advance_to_millis(inflight.deadline_ms);
         match inflight.outcome {
             InFlightOutcome::Reply { msg, latency_ms } => {
-                self.stats.delivered.fetch_add(1, Relaxed);
+                self.stats.0.bump(|c| &c.delivered);
                 inflight.tracer.emit(TraceEvent::ResponseReceived {
                     src: inflight.dst,
                     rcode: msg.rcode.to_u16(),
@@ -535,7 +529,7 @@ impl Network {
                 Ok(msg)
             }
             InFlightOutcome::Fail { unroutable, error } => {
-                self.stats.failed.fetch_add(1, Relaxed);
+                self.stats.0.bump(|c| &c.failed);
                 inflight.tracer.emit(TraceEvent::Timeout {
                     dst: inflight.dst,
                     qname: inflight.qname,
@@ -560,9 +554,7 @@ impl Network {
 
     /// Count one fired fault decision and surface it to any tracer.
     fn inject(&self, tracer: &Tracer, kind: &'static str, dst: IpAddr) {
-        self.stats
-            .faults
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.stats.0.bump(|c| &c.faults);
         tracer.emit(TraceEvent::FaultInjected {
             kind: kind.to_string(),
             dst,

@@ -10,6 +10,7 @@
 //! bit of the entry a slot addresses and how to remove it.
 
 use super::{CacheLimits, CacheStatsSnapshot, PutOutcome, SHARD_COUNT};
+use ede_trace::Striped;
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -100,16 +101,24 @@ pub(super) struct Bounded<I: Index> {
 }
 
 /// Live side of [`CacheStatsSnapshot`]: lock-free atomics. The tier
-/// bumps the probe and store counters, the store its own removals.
+/// bumps the probe and store counts — once per probe, from every
+/// worker, so they go to the writing thread's stripe — and the store its
+/// own removals, which happen under a shard lock.
 #[derive(Default)]
 pub(super) struct Counters {
+    pub probes: Striped<ProbeCounts>,
+    expired: AtomicU64,
+    evicted: AtomicU64,
+    occupancy_peak: AtomicU64,
+}
+
+/// One stripe of a tier's probe and store counts.
+#[derive(Debug, Default)]
+pub(super) struct ProbeCounts {
     pub hits: AtomicU64,
     pub misses: AtomicU64,
     pub stale_served: AtomicU64,
     pub puts: AtomicU64,
-    expired: AtomicU64,
-    evicted: AtomicU64,
-    occupancy_peak: AtomicU64,
 }
 
 impl<I: Index> Bounded<I> {
@@ -242,10 +251,10 @@ impl<I: Index> Bounded<I> {
     /// A frozen copy of the counters.
     pub fn stats(&self) -> CacheStatsSnapshot {
         CacheStatsSnapshot {
-            hits: self.stats.hits.load(Relaxed),
-            misses: self.stats.misses.load(Relaxed),
-            stale_served: self.stats.stale_served.load(Relaxed),
-            puts: self.stats.puts.load(Relaxed),
+            hits: self.stats.probes.sum(|c| &c.hits),
+            misses: self.stats.probes.sum(|c| &c.misses),
+            stale_served: self.stats.probes.sum(|c| &c.stale_served),
+            puts: self.stats.probes.sum(|c| &c.puts),
             expired: self.stats.expired.load(Relaxed),
             evicted: self.stats.evicted.load(Relaxed),
             occupancy: self.occupancy.load(Relaxed),

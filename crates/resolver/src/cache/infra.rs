@@ -39,10 +39,11 @@
 
 use crate::diagnosis::{Diagnosis, Finding, ValidationState};
 use crate::validate::PublishedKey;
+use ede_trace::Striped;
 use ede_wire::{Name, Rdata};
 use std::collections::HashMap;
 use std::net::IpAddr;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 
 /// Number of independently-locked shards (power of two). Both halves of
@@ -129,25 +130,22 @@ pub(crate) struct KeyShard {
 }
 
 /// The infrastructure cache: sharded zone-key and referral stores, plus
-/// hit counters for the per-tier cache report.
+/// hit counters for the per-tier cache report. Every resolution bumps a
+/// counter here, so they go to the writing thread's stripe.
+#[derive(Default)]
 pub struct InfraCache {
     key_shards: [Mutex<KeyShard>; INFRA_SHARDS],
     referral_shards: [Mutex<HashMap<Name, Arc<ReferralEntry>>>; INFRA_SHARDS],
+    counts: Striped<InfraCounts>,
+}
+
+/// One stripe of the infrastructure cache's counters; the fields are
+/// [`InfraStatsSnapshot`]'s.
+#[derive(Debug, Default)]
+struct InfraCounts {
     key_hits: AtomicU64,
     referral_hits: AtomicU64,
     referral_misses: AtomicU64,
-}
-
-impl Default for InfraCache {
-    fn default() -> Self {
-        InfraCache {
-            key_shards: std::array::from_fn(|_| Mutex::new(KeyShard::default())),
-            referral_shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            key_hits: AtomicU64::new(0),
-            referral_hits: AtomicU64::new(0),
-            referral_misses: AtomicU64::new(0),
-        }
-    }
 }
 
 /// A frozen copy of the infrastructure cache's counters.
@@ -186,7 +184,7 @@ impl InfraCache {
     /// Count one shared-store key replay (the engine calls this when it
     /// serves a key entry out of a `key_shard`).
     pub(crate) fn count_key_hit(&self) {
-        self.key_hits.fetch_add(1, Relaxed);
+        self.counts.bump(|c| &c.key_hits);
     }
 
     fn referral_shard(&self, zone: &Name) -> &Mutex<HashMap<Name, Arc<ReferralEntry>>> {
@@ -198,11 +196,11 @@ impl InfraCache {
         let shard = self.referral_shard(zone).lock().expect("no poisoning");
         match shard.get(zone) {
             Some(e) if e.live(now) => {
-                self.referral_hits.fetch_add(1, Relaxed);
+                self.counts.bump(|c| &c.referral_hits);
                 Some(Arc::clone(e))
             }
             _ => {
-                self.referral_misses.fetch_add(1, Relaxed);
+                self.counts.bump(|c| &c.referral_misses);
                 None
             }
         }
@@ -225,9 +223,9 @@ impl InfraCache {
     /// A frozen copy of the hit counters.
     pub fn stats(&self) -> InfraStatsSnapshot {
         InfraStatsSnapshot {
-            key_hits: self.key_hits.load(Relaxed),
-            referral_hits: self.referral_hits.load(Relaxed),
-            referral_misses: self.referral_misses.load(Relaxed),
+            key_hits: self.counts.sum(|c| &c.key_hits),
+            referral_hits: self.counts.sum(|c| &c.referral_hits),
+            referral_misses: self.counts.sum(|c| &c.referral_misses),
         }
     }
 

@@ -71,7 +71,6 @@ use bounded::{Bounded, Index};
 use ede_wire::{Name, Rcode, Record, RrType};
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
 /// Number of independently-locked shards. A power of two so shard
@@ -288,12 +287,12 @@ impl Cache {
     pub fn get(&self, qname: &Name, qtype: RrType, now: u32) -> CacheHit {
         let hit = self.get_inner(qname, qtype, now);
         match &hit {
-            CacheHit::Fresh(..) => self.store.stats.hits.fetch_add(1, Relaxed),
+            CacheHit::Fresh(..) => self.store.stats.probes.bump(|c| &c.hits),
             // A stale entry is only *served* through `get_stale_success`;
             // a plain probe that finds one proceeds to live resolution,
             // which is a miss from the client's point of view.
-            CacheHit::Stale(_) | CacheHit::Miss => self.store.stats.misses.fetch_add(1, Relaxed),
-        };
+            CacheHit::Stale(_) | CacheHit::Miss => self.store.stats.probes.bump(|c| &c.misses),
+        }
         hit
     }
 
@@ -329,7 +328,7 @@ impl Cache {
     ) -> Option<Arc<CachedResolution>> {
         match self.get_inner(qname, qtype, now) {
             CacheHit::Stale(data) | CacheHit::Fresh(data) if !data.is_failure => {
-                self.store.stats.stale_served.fetch_add(1, Relaxed);
+                self.store.stats.probes.bump(|c| &c.stale_served);
                 Some(data)
             }
             _ => None,
@@ -347,7 +346,7 @@ impl Cache {
         ttl: u32,
         now: u32,
     ) -> PutOutcome {
-        self.store.stats.puts.fetch_add(1, Relaxed);
+        self.store.stats.probes.bump(|c| &c.puts);
         let hash = probe_hash(qname, qtype.to_u16());
         // The Arc is built outside the lock; the lock only covers the
         // bucket splice.

@@ -423,7 +423,7 @@ impl RangeCache {
                     *sig_expiration,
                 ),
             };
-            self.store.stats.puts.fetch_add(1, Relaxed);
+            self.store.stats.probes.bump(|c| &c.puts);
             let seq = shard.next_seq();
             let deadline = now.saturating_add(ttl).min(sig_expiration);
             let interval = Interval {
@@ -464,9 +464,9 @@ impl RangeCache {
             zone = apex.parent();
         }
         match verdict {
-            Some(_) => self.store.stats.hits.fetch_add(1, Relaxed),
-            None => self.store.stats.misses.fetch_add(1, Relaxed),
-        };
+            Some(_) => self.store.stats.probes.bump(|c| &c.hits),
+            None => self.store.stats.probes.bump(|c| &c.misses),
+        }
         verdict
     }
 

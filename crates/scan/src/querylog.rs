@@ -26,7 +26,6 @@ use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// One completed scan resolution, as retained by the query log.
@@ -405,15 +404,16 @@ pub struct QueryLogStats {
 pub struct QueryLog {
     capacity: usize,
     inner: Mutex<LogInner>,
-    next_seq: AtomicU64,
-    peak: AtomicUsize,
-    spilled: AtomicU64,
-    dropped: AtomicU64,
 }
 
+/// Everything a push writes, written only under the lock.
 struct LogInner {
     ring: VecDeque<QueryRecord>,
     spill: Option<(PathBuf, BufWriter<File>)>,
+    next_seq: u64,
+    peak: usize,
+    spilled: u64,
+    dropped: u64,
 }
 
 impl QueryLog {
@@ -429,11 +429,11 @@ impl QueryLog {
             inner: Mutex::new(LogInner {
                 ring: VecDeque::new(),
                 spill,
+                next_seq: 0,
+                peak: 0,
+                spilled: 0,
+                dropped: 0,
             }),
-            next_seq: AtomicU64::new(0),
-            peak: AtomicUsize::new(0),
-            spilled: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
         })
     }
 
@@ -446,28 +446,35 @@ impl QueryLog {
     /// When the ring is full the oldest record rotates out — to the
     /// spill file when one is configured, otherwise it is dropped (and
     /// counted).
+    ///
+    /// What rotates out is freed after the lock is released, so the other
+    /// workers' pushes do not wait on the allocator.
     pub fn push_batch(&self, records: Vec<QueryRecord>) {
         if records.is_empty() {
             return;
         }
         let mut g = self.inner.lock().expect("query log lock");
+        let overflow = (g.ring.len() + records.len()).saturating_sub(self.capacity);
+        let mut evicted = Vec::with_capacity(overflow);
         for mut r in records {
-            r.seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+            r.seq = g.next_seq;
+            g.next_seq += 1;
             if g.ring.len() == self.capacity {
-                let evicted = g.ring.pop_front().expect("full ring");
+                let old = g.ring.pop_front().expect("full ring");
                 match &mut g.spill {
                     Some((_, w)) => {
-                        let _ = writeln!(w, "{}", evicted.to_json());
-                        self.spilled.fetch_add(1, Ordering::Relaxed);
+                        let _ = writeln!(w, "{}", old.to_json());
+                        g.spilled += 1;
                     }
-                    None => {
-                        self.dropped.fetch_add(1, Ordering::Relaxed);
-                    }
+                    None => g.dropped += 1,
                 }
+                evicted.push(old);
             }
             g.ring.push_back(r);
         }
-        self.peak.fetch_max(g.ring.len(), Ordering::Relaxed);
+        g.peak = g.peak.max(g.ring.len());
+        drop(g);
+        drop(evicted);
     }
 
     /// Flush the spill writer (call once, at the end of the scan).
@@ -479,13 +486,13 @@ impl QueryLog {
 
     /// Occupancy and spill accounting.
     pub fn stats(&self) -> QueryLogStats {
-        let len = self.inner.lock().expect("query log lock").ring.len();
+        let g = self.inner.lock().expect("query log lock");
         QueryLogStats {
             capacity: self.capacity,
-            len,
-            peak: self.peak.load(Ordering::Relaxed),
-            spilled: self.spilled.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
+            len: g.ring.len(),
+            peak: g.peak,
+            spilled: g.spilled,
+            dropped: g.dropped,
         }
     }
 

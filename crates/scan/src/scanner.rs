@@ -352,8 +352,9 @@ impl Drop for SinkGuard<'_> {
 /// How many domains a worker claims per cursor bump. Chunking amortizes
 /// the shared-cursor traffic without hurting load balance: chunks are
 /// tiny relative to any real population. The same chunk is the unit of
-/// streaming delivery: one query-log push and one partial-aggregate
-/// merge per chunk, so neither lock is per-resolution hot.
+/// streaming delivery: one query-log push, one partial-aggregate merge
+/// and one progress count per chunk, so neither lock nor the shared
+/// count is per-resolution hot.
 const CLAIM_CHUNK: usize = 16;
 
 /// Shared progress state for [`parallel_pass`].
@@ -366,12 +367,15 @@ struct PassProgress<'a> {
 }
 
 impl PassProgress<'_> {
-    /// Count one finished resolution and maybe print a progress line:
-    /// the transport's query count and the answer cache's hit ratio,
-    /// each read from the layer that keeps it.
-    fn tick(&self) {
-        let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.enabled && done.is_multiple_of(self.step) {
+    /// Count `n` finished resolutions — a flushed chunk's, so the shared
+    /// count is written once per chunk, not once per resolution — and
+    /// print a progress line when the count crosses a multiple of
+    /// `step`: the transport's query count and the answer cache's hit
+    /// ratio, each read from the layer that keeps it.
+    fn tick(&self, n: usize) {
+        let before = self.done.fetch_add(n, Ordering::Relaxed);
+        let done = before + n;
+        if self.enabled && before / self.step != done / self.step {
             eprintln!(
                 "scan: {done}/{} resolutions, {} queries, cache hit ratio {:.1}%",
                 self.total,
@@ -405,9 +409,10 @@ impl PassCtx<'_> {
         self.fold_revisit || !self.pop.domains[idx].category.needs_revisit()
     }
 
-    /// Deliver one finished chunk: a single ring push and a single
-    /// store merge.
+    /// Deliver one finished chunk: a single progress count, a single
+    /// ring push and a single store merge.
     fn flush(&self, records: Vec<QueryRecord>, chunk_agg: PartialAggregate) {
+        self.progress.tick(records.len());
         self.log.push_batch(records);
         self.store.merge(chunk_agg);
     }
@@ -431,7 +436,6 @@ impl PassCtx<'_> {
         if self.folds(idx) {
             chunk_agg.fold(&rec);
         }
-        self.progress.tick();
         rec
     }
 }
@@ -823,6 +827,9 @@ mod tests {
         assert_eq!(serial.stats.traffic, parallel.stats.traffic);
         assert_eq!(serial.traffic_full, parallel.traffic_full);
         assert_eq!(serial.metrics, parallel.metrics);
+        // The cache tiers' counts are summed over stripes too: L2, infra
+        // and ranges alike.
+        assert_eq!(serial.cache, parallel.cache);
         assert!(serial.stats.same_results(&parallel.stats));
         assert_eq!(serial.stats.fingerprint, parallel.stats.fingerprint);
     }
@@ -862,6 +869,7 @@ mod tests {
             );
             assert_eq!(single.stats.traffic, pooled.stats.traffic);
             assert_eq!(single.traffic_full, pooled.traffic_full);
+            assert_eq!(single.cache, pooled.cache, "inflight {inflight}");
             assert!(
                 single.stats.same_results(&pooled.stats),
                 "inflight {inflight}"

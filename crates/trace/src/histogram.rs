@@ -90,7 +90,9 @@ impl Histogram {
 /// The live side of a [`Histogram`]: per-bucket atomic counters, so
 /// neither a scan's worker pool (a latency for every delivered query
 /// and every finished resolution) nor the serving hot path takes a lock
-/// to observe. The bounds are the caller's, the same at every call.
+/// to observe. [`Metrics`](crate::Metrics) keeps one per stripe and
+/// freezes them together ([`LiveHistogram::merged`]). The bounds are the
+/// caller's, the same at every call.
 #[derive(Debug, Default)]
 pub(crate) struct LiveHistogram {
     counts: [AtomicU64; MAX_BOUNDS + 1],
@@ -111,14 +113,25 @@ impl LiveHistogram {
         self.max.fetch_max(value_us, Relaxed);
     }
 
-    pub(crate) fn snapshot(&self, bounds_us: &'static [u64]) -> Histogram {
-        Histogram {
+    /// Freeze the sum of `lives` — the stripes of one histogram: counts,
+    /// total and sum add up, `max` is the largest of theirs.
+    pub(crate) fn merged<'a>(
+        bounds_us: &'static [u64],
+        lives: impl IntoIterator<Item = &'a LiveHistogram>,
+    ) -> Histogram {
+        let mut frozen = Histogram {
             bounds_us,
-            counts: std::array::from_fn(|i| self.counts[i].load(Relaxed)),
-            total: self.total.load(Relaxed),
-            sum: self.sum.load(Relaxed),
-            max: self.max.load(Relaxed),
+            ..Histogram::default()
+        };
+        for live in lives {
+            for (count, live) in frozen.counts.iter_mut().zip(&live.counts) {
+                *count += live.load(Relaxed);
+            }
+            frozen.total += live.total.load(Relaxed);
+            frozen.sum += live.sum.load(Relaxed);
+            frozen.max = frozen.max.max(live.max.load(Relaxed));
         }
+        frozen
     }
 }
 
@@ -132,7 +145,7 @@ mod tests {
         for ms in [0, 1, 20, 20, 2_000, 50_000] {
             live.observe(SIM_BOUNDS_US, ms * 1_000);
         }
-        let h = live.snapshot(SIM_BOUNDS_US);
+        let h = LiveHistogram::merged(SIM_BOUNDS_US, [&live]);
         assert_eq!(h.total, 6);
         assert_eq!(h.max, 50_000_000);
         assert_eq!(h.counts[0], 2); // <= 1 ms
@@ -142,6 +155,24 @@ mod tests {
         assert_eq!(h.quantile_ms(1.0), 50_000);
         assert!(h.mean_ms() > 0.0);
         assert_eq!(Histogram::default().quantile_us(0.5), 0);
+    }
+
+    /// Stripes freeze into the histogram one live copy would have held.
+    #[test]
+    fn stripes_merge_into_one_histogram() {
+        let values = [0, 3, 20, 20, 700, 2_000, 50_000];
+        let (one, halves) = (
+            LiveHistogram::default(),
+            [LiveHistogram::default(), LiveHistogram::default()],
+        );
+        for (i, &ms) in values.iter().enumerate() {
+            one.observe(SIM_BOUNDS_US, ms * 1_000);
+            halves[i % 2].observe(SIM_BOUNDS_US, ms * 1_000);
+        }
+        assert_eq!(
+            LiveHistogram::merged(SIM_BOUNDS_US, &halves),
+            LiveHistogram::merged(SIM_BOUNDS_US, [&one])
+        );
     }
 
     /// One of the two histograms this type replaced — they differed in
@@ -207,8 +238,8 @@ mod tests {
             server.observe(SERVER_BOUNDS_US, v);
         }
         let (sim, server) = (
-            sim.snapshot(SIM_BOUNDS_US),
-            server.snapshot(SERVER_BOUNDS_US),
+            LiveHistogram::merged(SIM_BOUNDS_US, [&sim]),
+            LiveHistogram::merged(SERVER_BOUNDS_US, [&server]),
         );
         let (ms, us) = (
             Twin::of(TWIN_BOUNDS_MS, values),

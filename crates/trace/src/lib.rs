@@ -22,6 +22,10 @@
 //!   resolution does from its events and, in its server section, what a
 //!   serving front end does from direct calls on the wall clock; a
 //!   count the transport or the cache already keeps is theirs alone.
+//! * **No shared write per resolution** — a count taken per resolution
+//!   goes to the writing thread's copy of a [`Striped`] block and is
+//!   summed at snapshot; [`TracerCell::get`] hands each thread its own
+//!   copy of the attached tracer.
 //! * **Virtual time only** — events are stamped through the
 //!   [`TraceClock`] trait (implemented by `ede-netsim`'s `SimClock`),
 //!   never the host clock, so traces are deterministic and
@@ -53,8 +57,10 @@ mod histogram;
 pub mod json;
 pub mod metrics;
 pub mod sink;
+mod stripe;
 
 pub use event::{CacheOutcome, TimedEvent, TraceEvent};
 pub use histogram::Histogram;
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use sink::{MultiSink, ResolutionTrace, TraceClock, TraceSink, Tracer, TracerCell};
+pub use stripe::{Striped, STRIPES};

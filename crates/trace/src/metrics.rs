@@ -17,12 +17,14 @@
 //! probes and removals `ede_resolver::CacheStatsSnapshot`'s. Their
 //! events still flow (timelines and JSONL need them); this registry
 //! ignores them, except that `ResponseReceived` feeds `query_latency`.
-//! Counters and histogram buckets are lock-free atomics; only the
+//! Counters and histogram buckets are lock-free atomics, striped per
+//! writing thread ([`Striped`]) and summed at snapshot; only the
 //! per-vendor EDE map takes a short mutex.
 
 use crate::event::TraceEvent;
 use crate::histogram::{Histogram, LiveHistogram, SERVER_BOUNDS_US, SIM_BOUNDS_US};
 use crate::sink::TraceSink;
+use crate::stripe::Striped;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
@@ -30,8 +32,23 @@ use std::sync::Mutex;
 /// The live registry. Cheap to share (`Arc<Metrics>`); attach as a
 /// [`TraceSink`], call the server section's recording methods, and read
 /// with [`Metrics::snapshot`].
+///
+/// Both sections are [`Striped`]: a count goes to the writing thread's
+/// stripe, so a scan's workers, each counting every resolution, never
+/// write one cache line between them. A snapshot sums the stripes.
 #[derive(Debug, Default)]
 pub struct Metrics {
+    resolution: Striped<ResolutionCounts>,
+    /// (vendor, INFO-CODE) → emission count. EDE emission is rare
+    /// relative to queries (error domains only), so a mutex is fine
+    /// here.
+    ede_by_vendor: Mutex<BTreeMap<(String, u16), u64>>,
+    server: Striped<ServerCounts>,
+}
+
+/// One stripe of the resolution section.
+#[derive(Debug, Default)]
+struct ResolutionCounts {
     retries: AtomicU64,
     referrals: AtomicU64,
     denials_synthesized_nxdomain: AtomicU64,
@@ -46,17 +63,17 @@ pub struct Metrics {
     resolutions_servfail: AtomicU64,
     resolutions_other: AtomicU64,
     ede_entries: AtomicU64,
-    /// (vendor, INFO-CODE) → emission count. EDE emission is rare
-    /// relative to queries (error domains only), so a mutex is fine
-    /// here.
-    ede_by_vendor: Mutex<BTreeMap<(String, u16), u64>>,
     query_latency: LiveHistogram,
     resolution_duration: LiveHistogram,
     tasks_spawned: AtomicU64,
     tasks_completed: AtomicU64,
     inflight_tasks_peak: AtomicU64,
     ready_queue_peak: AtomicU64,
-    // The server section.
+}
+
+/// One stripe of the server section.
+#[derive(Debug, Default)]
+struct ServerCounts {
     udp_queries: AtomicU64,
     udp_responses: AtomicU64,
     udp_truncated: AtomicU64,
@@ -80,6 +97,11 @@ pub struct Metrics {
     handle_latency: LiveHistogram,
 }
 
+/// Bump one of the calling thread's counters by one.
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Relaxed);
+}
+
 impl Metrics {
     /// A zeroed registry.
     pub fn new() -> Self {
@@ -88,154 +110,171 @@ impl Metrics {
 
     /// One query datagram arrived over UDP (`bytes` on the wire).
     pub fn udp_query(&self, bytes: usize) {
-        self.udp_queries.fetch_add(1, Relaxed);
-        self.bytes_received.fetch_add(bytes as u64, Relaxed);
+        let s = self.server.local();
+        bump(&s.udp_queries);
+        s.bytes_received.fetch_add(bytes as u64, Relaxed);
     }
 
     /// One response datagram left over UDP; `truncated` when it carried
     /// TC=1 because the full answer exceeded the negotiated payload.
     pub fn udp_response(&self, bytes: usize, truncated: bool) {
-        self.udp_responses.fetch_add(1, Relaxed);
-        self.bytes_sent.fetch_add(bytes as u64, Relaxed);
+        let s = self.server.local();
+        bump(&s.udp_responses);
+        s.bytes_sent.fetch_add(bytes as u64, Relaxed);
         if truncated {
-            self.udp_truncated.fetch_add(1, Relaxed);
+            bump(&s.udp_truncated);
         }
     }
 
     /// A response datagram was encoded but the socket refused to send it.
     pub fn udp_send_error(&self) {
-        self.udp_send_errors.fetch_add(1, Relaxed);
+        self.server.bump(|c| &c.udp_send_errors);
     }
 
     /// One framed query arrived over a stream connection.
     pub fn tcp_query(&self, bytes: usize) {
-        self.tcp_queries.fetch_add(1, Relaxed);
-        self.bytes_received.fetch_add(bytes as u64, Relaxed);
+        let s = self.server.local();
+        bump(&s.tcp_queries);
+        s.bytes_received.fetch_add(bytes as u64, Relaxed);
     }
 
     /// One framed response left over a stream connection.
     pub fn tcp_response(&self, bytes: usize) {
-        self.tcp_responses.fetch_add(1, Relaxed);
-        self.bytes_sent.fetch_add(bytes as u64, Relaxed);
+        let s = self.server.local();
+        bump(&s.tcp_responses);
+        s.bytes_sent.fetch_add(bytes as u64, Relaxed);
     }
 
     /// One write carried a batch of framed responses to a stream
     /// connection: `tcp_responses / tcp_writes` is the batch size.
     pub fn tcp_write(&self) {
-        self.tcp_writes.fetch_add(1, Relaxed);
+        self.server.bump(|c| &c.tcp_writes);
     }
 
     /// A stream connection was accepted.
     pub fn tcp_conn_accepted(&self) {
-        self.tcp_conns_accepted.fetch_add(1, Relaxed);
+        self.server.bump(|c| &c.tcp_conns_accepted);
     }
 
     /// A stream connection was closed unserved: turned away at the
     /// connection cap, or no handler thread could be started for it.
     pub fn tcp_conn_refused(&self) {
-        self.tcp_conns_refused.fetch_add(1, Relaxed);
+        self.server.bump(|c| &c.tcp_conns_refused);
     }
 
     /// A stream connection was closed because its peer was too slow, in
     /// either direction: no complete request inside the read deadline, or
     /// a write of answers blocked for as long.
     pub fn tcp_read_timeout(&self) {
-        self.tcp_read_timeouts.fetch_add(1, Relaxed);
+        self.server.bump(|c| &c.tcp_read_timeouts);
     }
 
     /// A malformed query was answered with FORMERR.
     pub fn rejected_formerr(&self) {
-        self.rejected_formerr.fetch_add(1, Relaxed);
+        self.server.bump(|c| &c.rejected_formerr);
     }
 
     /// A non-QUERY opcode was answered with NOTIMP.
     pub fn rejected_notimp(&self) {
-        self.rejected_notimp.fetch_add(1, Relaxed);
+        self.server.bump(|c| &c.rejected_notimp);
     }
 
     /// A query outside the served class was answered with REFUSED.
     pub fn rejected_refused(&self) {
-        self.rejected_refused.fetch_add(1, Relaxed);
+        self.server.bump(|c| &c.rejected_refused);
     }
 
     /// A query with an EDNS version other than 0 was answered with
     /// BADVERS.
     pub fn rejected_badvers(&self) {
-        self.rejected_badvers.fetch_add(1, Relaxed);
+        self.server.bump(|c| &c.rejected_badvers);
     }
 
     /// A datagram was dropped without any reply (shorter than a DNS
     /// header, or a response where a query belongs).
     pub fn dropped(&self) {
-        self.dropped.fetch_add(1, Relaxed);
+        self.server.bump(|c| &c.dropped);
     }
 
     /// A reply failed to encode (never sent).
     pub fn encode_error(&self) {
-        self.encode_errors.fetch_add(1, Relaxed);
+        self.server.bump(|c| &c.encode_errors);
     }
 
     /// A UDP shard worker left its loop on a socket error.
     pub fn udp_worker_died(&self) {
-        self.udp_workers_died.fetch_add(1, Relaxed);
+        self.server.bump(|c| &c.udp_workers_died);
     }
 
     /// The TCP acceptor left its loop on a socket error.
     pub fn tcp_acceptor_died(&self) {
-        self.tcp_acceptors_died.fetch_add(1, Relaxed);
+        self.server.bump(|c| &c.tcp_acceptors_died);
     }
 
     /// Observe one request's in-process handling time, µs (receive →
     /// response handed to the socket).
     pub fn observe_handle_us(&self, us: u64) {
-        self.handle_latency.observe(SERVER_BOUNDS_US, us);
+        self.server
+            .local()
+            .handle_latency
+            .observe(SERVER_BOUNDS_US, us);
     }
 
-    /// A point-in-time copy of every counter and histogram.
+    /// A point-in-time copy of every counter and histogram: each count
+    /// summed over the stripes, each peak and histogram `max` the
+    /// largest of theirs.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let r = &self.resolution;
+        let s = &self.server;
         MetricsSnapshot {
-            retries: self.retries.load(Relaxed),
-            referrals: self.referrals.load(Relaxed),
-            denials_synthesized_nxdomain: self.denials_synthesized_nxdomain.load(Relaxed),
-            denials_synthesized_nodata: self.denials_synthesized_nodata.load(Relaxed),
-            validation_steps: self.validation_steps.load(Relaxed),
-            validation_failures: self.validation_failures.load(Relaxed),
-            findings: self.findings.load(Relaxed),
-            authority_answers: self.authority_answers.load(Relaxed),
-            resolutions: self.resolutions.load(Relaxed),
-            resolutions_noerror: self.resolutions_noerror.load(Relaxed),
-            resolutions_nxdomain: self.resolutions_nxdomain.load(Relaxed),
-            resolutions_servfail: self.resolutions_servfail.load(Relaxed),
-            resolutions_other: self.resolutions_other.load(Relaxed),
-            ede_entries: self.ede_entries.load(Relaxed),
+            retries: r.sum(|c| &c.retries),
+            referrals: r.sum(|c| &c.referrals),
+            denials_synthesized_nxdomain: r.sum(|c| &c.denials_synthesized_nxdomain),
+            denials_synthesized_nodata: r.sum(|c| &c.denials_synthesized_nodata),
+            validation_steps: r.sum(|c| &c.validation_steps),
+            validation_failures: r.sum(|c| &c.validation_failures),
+            findings: r.sum(|c| &c.findings),
+            authority_answers: r.sum(|c| &c.authority_answers),
+            resolutions: r.sum(|c| &c.resolutions),
+            resolutions_noerror: r.sum(|c| &c.resolutions_noerror),
+            resolutions_nxdomain: r.sum(|c| &c.resolutions_nxdomain),
+            resolutions_servfail: r.sum(|c| &c.resolutions_servfail),
+            resolutions_other: r.sum(|c| &c.resolutions_other),
+            ede_entries: r.sum(|c| &c.ede_entries),
             ede_by_vendor: self.ede_by_vendor.lock().expect("no poisoning").clone(),
-            query_latency: self.query_latency.snapshot(SIM_BOUNDS_US),
-            resolution_duration: self.resolution_duration.snapshot(SIM_BOUNDS_US),
-            tasks_spawned: self.tasks_spawned.load(Relaxed),
-            tasks_completed: self.tasks_completed.load(Relaxed),
-            inflight_tasks_peak: self.inflight_tasks_peak.load(Relaxed),
-            ready_queue_peak: self.ready_queue_peak.load(Relaxed),
-            udp_queries: self.udp_queries.load(Relaxed),
-            udp_responses: self.udp_responses.load(Relaxed),
-            udp_truncated: self.udp_truncated.load(Relaxed),
-            udp_send_errors: self.udp_send_errors.load(Relaxed),
-            tcp_queries: self.tcp_queries.load(Relaxed),
-            tcp_responses: self.tcp_responses.load(Relaxed),
-            tcp_writes: self.tcp_writes.load(Relaxed),
-            tcp_conns_accepted: self.tcp_conns_accepted.load(Relaxed),
-            tcp_conns_refused: self.tcp_conns_refused.load(Relaxed),
-            tcp_read_timeouts: self.tcp_read_timeouts.load(Relaxed),
-            rejected_formerr: self.rejected_formerr.load(Relaxed),
-            rejected_notimp: self.rejected_notimp.load(Relaxed),
-            rejected_refused: self.rejected_refused.load(Relaxed),
-            rejected_badvers: self.rejected_badvers.load(Relaxed),
-            dropped: self.dropped.load(Relaxed),
-            encode_errors: self.encode_errors.load(Relaxed),
-            udp_workers_died: self.udp_workers_died.load(Relaxed),
-            tcp_acceptors_died: self.tcp_acceptors_died.load(Relaxed),
-            bytes_received: self.bytes_received.load(Relaxed),
-            bytes_sent: self.bytes_sent.load(Relaxed),
-            handle_latency: self.handle_latency.snapshot(SERVER_BOUNDS_US),
+            query_latency: LiveHistogram::merged(SIM_BOUNDS_US, r.iter().map(|c| &c.query_latency)),
+            resolution_duration: LiveHistogram::merged(
+                SIM_BOUNDS_US,
+                r.iter().map(|c| &c.resolution_duration),
+            ),
+            tasks_spawned: r.sum(|c| &c.tasks_spawned),
+            tasks_completed: r.sum(|c| &c.tasks_completed),
+            inflight_tasks_peak: r.max(|c| &c.inflight_tasks_peak),
+            ready_queue_peak: r.max(|c| &c.ready_queue_peak),
+            udp_queries: s.sum(|c| &c.udp_queries),
+            udp_responses: s.sum(|c| &c.udp_responses),
+            udp_truncated: s.sum(|c| &c.udp_truncated),
+            udp_send_errors: s.sum(|c| &c.udp_send_errors),
+            tcp_queries: s.sum(|c| &c.tcp_queries),
+            tcp_responses: s.sum(|c| &c.tcp_responses),
+            tcp_writes: s.sum(|c| &c.tcp_writes),
+            tcp_conns_accepted: s.sum(|c| &c.tcp_conns_accepted),
+            tcp_conns_refused: s.sum(|c| &c.tcp_conns_refused),
+            tcp_read_timeouts: s.sum(|c| &c.tcp_read_timeouts),
+            rejected_formerr: s.sum(|c| &c.rejected_formerr),
+            rejected_notimp: s.sum(|c| &c.rejected_notimp),
+            rejected_refused: s.sum(|c| &c.rejected_refused),
+            rejected_badvers: s.sum(|c| &c.rejected_badvers),
+            dropped: s.sum(|c| &c.dropped),
+            encode_errors: s.sum(|c| &c.encode_errors),
+            udp_workers_died: s.sum(|c| &c.udp_workers_died),
+            tcp_acceptors_died: s.sum(|c| &c.tcp_acceptors_died),
+            bytes_received: s.sum(|c| &c.bytes_received),
+            bytes_sent: s.sum(|c| &c.bytes_sent),
+            handle_latency: LiveHistogram::merged(
+                SERVER_BOUNDS_US,
+                s.iter().map(|c| &c.handle_latency),
+            ),
         }
     }
 }
@@ -248,6 +287,7 @@ impl TraceSink for Metrics {
     }
 
     fn record(&self, _at_ms: u64, event: &TraceEvent) {
+        let c = self.resolution.local();
         match event {
             // Counted where they happen: by the transport and the cache.
             TraceEvent::ResolutionStarted { .. }
@@ -258,34 +298,24 @@ impl TraceSink for Metrics {
             | TraceEvent::CacheProbe { .. }
             | TraceEvent::CacheEvicted { .. } => {}
             TraceEvent::ResponseReceived { latency_ms, .. } => {
-                self.query_latency
-                    .observe(SIM_BOUNDS_US, latency_ms * 1_000);
+                c.query_latency.observe(SIM_BOUNDS_US, latency_ms * 1_000);
             }
-            TraceEvent::Retry { .. } => {
-                self.retries.fetch_add(1, Relaxed);
-            }
-            TraceEvent::Referral { .. } => {
-                self.referrals.fetch_add(1, Relaxed);
-            }
-            TraceEvent::DenialSynthesized { nxdomain, .. } => {
-                if *nxdomain {
-                    &self.denials_synthesized_nxdomain
-                } else {
-                    &self.denials_synthesized_nodata
-                }
-                .fetch_add(1, Relaxed);
-            }
+            TraceEvent::Retry { .. } => bump(&c.retries),
+            TraceEvent::Referral { .. } => bump(&c.referrals),
+            TraceEvent::DenialSynthesized { nxdomain, .. } => bump(if *nxdomain {
+                &c.denials_synthesized_nxdomain
+            } else {
+                &c.denials_synthesized_nodata
+            }),
             TraceEvent::ValidationStep { ok, .. } => {
-                self.validation_steps.fetch_add(1, Relaxed);
+                bump(&c.validation_steps);
                 if !ok {
-                    self.validation_failures.fetch_add(1, Relaxed);
+                    bump(&c.validation_failures);
                 }
             }
-            TraceEvent::FindingRecorded { .. } => {
-                self.findings.fetch_add(1, Relaxed);
-            }
+            TraceEvent::FindingRecorded { .. } => bump(&c.findings),
             TraceEvent::EdeEmitted { vendor, code, .. } => {
-                self.ede_entries.fetch_add(1, Relaxed);
+                bump(&c.ede_entries);
                 *self
                     .ede_by_vendor
                     .lock()
@@ -293,37 +323,33 @@ impl TraceSink for Metrics {
                     .entry((vendor.clone(), *code))
                     .or_insert(0) += 1;
             }
-            TraceEvent::AuthorityAnswer { .. } => {
-                self.authority_answers.fetch_add(1, Relaxed);
-            }
+            TraceEvent::AuthorityAnswer { .. } => bump(&c.authority_answers),
             TraceEvent::ResolutionFinished {
                 rcode, duration_ms, ..
             } => {
-                self.resolutions.fetch_add(1, Relaxed);
-                match rcode {
-                    0 => self.resolutions_noerror.fetch_add(1, Relaxed),
-                    3 => self.resolutions_nxdomain.fetch_add(1, Relaxed),
-                    2 => self.resolutions_servfail.fetch_add(1, Relaxed),
-                    _ => self.resolutions_other.fetch_add(1, Relaxed),
-                };
-                self.resolution_duration
+                bump(&c.resolutions);
+                bump(match rcode {
+                    0 => &c.resolutions_noerror,
+                    3 => &c.resolutions_nxdomain,
+                    2 => &c.resolutions_servfail,
+                    _ => &c.resolutions_other,
+                });
+                c.resolution_duration
                     .observe(SIM_BOUNDS_US, duration_ms * 1_000);
             }
             TraceEvent::TaskSpawned {
                 in_flight, queued, ..
-            } => {
-                self.tasks_spawned.fetch_add(1, Relaxed);
-                self.inflight_tasks_peak
-                    .fetch_max(*in_flight as u64, Relaxed);
-                self.ready_queue_peak.fetch_max(*queued as u64, Relaxed);
             }
-            TraceEvent::TaskCompleted {
+            | TraceEvent::TaskCompleted {
                 in_flight, queued, ..
             } => {
-                self.tasks_completed.fetch_add(1, Relaxed);
-                self.inflight_tasks_peak
-                    .fetch_max(*in_flight as u64, Relaxed);
-                self.ready_queue_peak.fetch_max(*queued as u64, Relaxed);
+                bump(if matches!(event, TraceEvent::TaskSpawned { .. }) {
+                    &c.tasks_spawned
+                } else {
+                    &c.tasks_completed
+                });
+                c.inflight_tasks_peak.fetch_max(*in_flight as u64, Relaxed);
+                c.ready_queue_peak.fetch_max(*queued as u64, Relaxed);
             }
         }
     }

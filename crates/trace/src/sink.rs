@@ -9,7 +9,9 @@
 //! costs nothing but that branch.
 
 use crate::event::{TimedEvent, TraceEvent};
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// A source of virtual time. `ede-netsim`'s `SimClock` implements this;
 /// the trace crate itself never reads host time, keeping traces
@@ -72,6 +74,18 @@ impl Tracer {
         })))
     }
 
+    /// A tracer with its own `Arc`, holding the same sink and clock: what
+    /// one clones and drops touches none of this one's reference counts.
+    fn copy(&self) -> Tracer {
+        Tracer(self.0.as_ref().map(|inner| {
+            Arc::new(TracerInner {
+                sink: Arc::clone(&inner.sink),
+                clock: Arc::clone(&inner.clock),
+                wants_detail: inner.wants_detail,
+            })
+        }))
+    }
+
     /// The disabled tracer (drops every event).
     pub fn disabled() -> Self {
         Tracer(None)
@@ -104,41 +118,96 @@ impl Tracer {
     }
 }
 
-/// A slot holding a [`Tracer`] that can be swapped at run time, with a
-/// lock-free fast path.
+/// A slot holding a [`Tracer`] that can be swapped at run time, read
+/// without a lock and without a shared reference count.
 ///
-/// Every simulated query and every authoritative reply consults its
-/// tracer, but a tracer is *attached* only at scan/troubleshoot
-/// boundaries. Guarding the slot with a plain `Mutex` made every worker
-/// of a scan serialize on it per query — even with tracing disabled.
-/// Here the common read is one atomic load: disabled means no lock at
-/// all, and when a sink is attached readers share an `RwLock` read lock
-/// (writers are rare and brief).
+/// Every simulated query, every resolution and every authoritative reply
+/// consults its tracer, but a tracer is *attached* only at
+/// scan/troubleshoot boundaries. With no sink attached, a read is one
+/// atomic load. With one attached, each thread reads its own copy of the
+/// tracer — its own `Arc`, holding the same sink and clock — so cloning
+/// and dropping it writes only that thread's cache lines; the slot's
+/// read lock is taken once per thread and attachment, when the thread
+/// first misses.
+///
+/// Copies are keyed by a generation that [`set`](Self::set) draws from a
+/// process-wide counter, never by the cell: a cell freed and another
+/// made at the same address cannot hand out the first one's sink.
 #[derive(Default)]
 pub struct TracerCell {
-    enabled: std::sync::atomic::AtomicBool,
-    slot: std::sync::RwLock<Tracer>,
+    /// The generation in `slot`; 0 while the tracer is disabled.
+    generation: AtomicU64,
+    slot: RwLock<(u64, Tracer)>,
+}
+
+/// The next generation [`TracerCell::set`] hands out; 0 is "disabled".
+static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
+
+/// How many `(generation, tracer)` copies a thread keeps.
+const THREAD_COPIES: usize = 4;
+
+/// One thread's tracer copies, oldest first.
+struct ThreadCopies(Vec<(u64, Tracer)>);
+
+impl ThreadCopies {
+    /// This thread's copy of the tracer of `generation`, if it has one.
+    fn find(&self, generation: u64) -> Option<Tracer> {
+        let (_, tracer) = self.0.iter().find(|(g, _)| *g == generation)?;
+        Some(tracer.clone())
+    }
+
+    /// Keep a copy, returning the oldest one when it had to make room.
+    fn keep(&mut self, generation: u64, tracer: Tracer) -> Option<(u64, Tracer)> {
+        let oldest = (self.0.len() == THREAD_COPIES).then(|| self.0.remove(0));
+        self.0.push((generation, tracer));
+        oldest
+    }
+}
+
+thread_local! {
+    static COPIES: RefCell<ThreadCopies> = const { RefCell::new(ThreadCopies(Vec::new())) };
 }
 
 impl TracerCell {
     /// Replace the tracer.
     pub fn set(&self, tracer: Tracer) {
-        use std::sync::atomic::Ordering;
-        let on = tracer.enabled();
-        // Order matters when disabling: readers that still see the flag
-        // up momentarily grab the (already replaced) disabled tracer,
-        // never a stale sink.
-        *self.slot.write().expect("no poisoning") = tracer;
-        self.enabled.store(on, Ordering::Release);
+        let mut slot = self.slot.write().expect("no poisoning");
+        let generation = if tracer.enabled() {
+            NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)
+        } else {
+            0
+        };
+        *slot = (generation, tracer);
+        self.generation.store(generation, Ordering::Release);
     }
 
-    /// The current tracer (cheap clone; disabled when none is attached).
+    /// The current tracer, as this thread's copy (disabled when none is
+    /// attached).
     pub fn get(&self) -> Tracer {
-        use std::sync::atomic::Ordering;
-        if !self.enabled.load(Ordering::Acquire) {
+        let generation = self.generation.load(Ordering::Acquire);
+        if generation == 0 {
             return Tracer::disabled();
         }
-        self.slot.read().expect("no poisoning").clone()
+        // No copy when this thread's copies are already gone (it is
+        // exiting): then every read is a miss.
+        let hit = COPIES.try_with(|copies| copies.borrow().find(generation));
+        hit.ok().flatten().unwrap_or_else(|| self.miss())
+    }
+
+    /// This thread has no copy of the current tracer: make one under the
+    /// read lock and keep it.
+    fn miss(&self) -> Tracer {
+        let (generation, tracer) = {
+            let slot = self.slot.read().expect("no poisoning");
+            (slot.0, slot.1.copy())
+        };
+        if generation != 0 {
+            // The copy this one replaces drops here, after the borrow is
+            // released: its sink's destructor may read a tracer.
+            let _oldest =
+                COPIES.try_with(|copies| copies.borrow_mut().keep(generation, tracer.clone()));
+        }
+        tracer
     }
 }
 
@@ -330,6 +399,61 @@ mod tests {
         tracer.emit(ev(9));
         assert_eq!(a.0.load(Ordering::Relaxed), 1);
         assert_eq!(b.len(), 1);
+    }
+
+    #[test]
+    fn a_thread_that_read_one_sink_follows_the_cell_to_the_next() {
+        let cell = TracerCell::default();
+        let (a, b) = (
+            Arc::new(ResolutionTrace::new(8)),
+            Arc::new(ResolutionTrace::new(8)),
+        );
+        cell.set(Tracer::new(a.clone(), Arc::new(FixedClock(1))));
+        cell.get().emit(ev(1));
+        cell.get().emit(ev(2));
+        cell.set(Tracer::new(b.clone(), Arc::new(FixedClock(2))));
+        cell.get().emit(ev(3));
+        assert_eq!((a.len(), b.len()), (2, 1));
+        assert_eq!(b.events()[0].at_ms, 2);
+
+        // Clearing: disabled, and nothing reaches either sink.
+        cell.set(Tracer::disabled());
+        let cleared = cell.get();
+        assert!(!cleared.enabled());
+        cleared.emit(ev(4));
+        assert_eq!((a.len(), b.len()), (2, 1));
+    }
+
+    /// A thread's copies are keyed by generation, not by cell: a cell
+    /// made where a dropped one lived starts from its own sink.
+    #[test]
+    fn a_new_cell_never_serves_an_earlier_cells_sink() {
+        for round in 0..64 {
+            let cell = TracerCell::default();
+            let sink = Arc::new(ResolutionTrace::new(8));
+            cell.set(Tracer::new(sink.clone(), Arc::new(FixedClock(round))));
+            cell.get().emit(ev(0));
+            assert_eq!(sink.len(), 1, "round {round}");
+            assert_eq!(sink.events()[0].at_ms, round);
+        }
+    }
+
+    #[test]
+    fn copies_share_the_sink_not_the_reference_count() {
+        let cell = TracerCell::default();
+        let sink = Arc::new(ResolutionTrace::new(8));
+        let tracer = Tracer::new(sink.clone(), Arc::new(FixedClock(0)));
+        cell.set(tracer.clone());
+        let (first, second) = (cell.get(), cell.get());
+        let (Some(first), Some(second), Some(set)) = (&first.0, &second.0, &tracer.0) else {
+            panic!("enabled tracers");
+        };
+        assert!(Arc::ptr_eq(first, second), "one copy per thread");
+        assert!(!Arc::ptr_eq(first, set), "not the attached handle");
+        let other = std::thread::scope(|s| s.spawn(|| cell.get()).join().unwrap());
+        assert!(!Arc::ptr_eq(first, other.0.as_ref().unwrap()));
+        other.emit(ev(1));
+        assert_eq!(sink.len(), 1);
     }
 
     #[test]
