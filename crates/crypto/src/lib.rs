@@ -21,15 +21,16 @@
 //!
 //! The crate is `std`-only, dependency-free, and deterministic. On
 //! x86-64 CPUs with the SHA extensions, SHA-1 and SHA-256 dispatch to
-//! hardware compression kernels ([`accel`]) that compute the identical
-//! FIPS 180-4 function — digests are bit-for-bit the same on every
-//! path. That module is the crate's only `unsafe` (intrinsics require
-//! it); everything else stays forbidden via `deny(unsafe_code)`.
+//! hardware compression kernels (the private `accel` module) that
+//! compute the identical FIPS 180-4 function — digests are bit-for-bit
+//! the same on every path. That module is the product's only `unsafe`
+//! (intrinsics require it); everything else stays forbidden via
+//! `deny(unsafe_code)`, and `scripts/check-unsafe.py` holds the line.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod accel;
+mod accel;
 pub mod base32;
 pub mod base64;
 pub mod hmac;

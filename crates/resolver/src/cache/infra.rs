@@ -208,11 +208,8 @@ impl InfraCache {
 
     /// Store one clean root→TLD referral hop.
     pub fn put_referral(&self, entry: ReferralEntry) -> Arc<ReferralEntry> {
-        let zone = entry.zone.detached();
-        let entry = Arc::new(ReferralEntry {
-            zone: zone.clone(),
-            ..entry
-        });
+        let zone = entry.zone.clone();
+        let entry = Arc::new(entry);
         self.referral_shard(&zone)
             .lock()
             .expect("no poisoning")

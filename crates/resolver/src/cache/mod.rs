@@ -394,14 +394,9 @@ impl Cache {
                 e.seq = seq;
                 e.referenced.set(true);
             }
-            // Entries outlive the resolution that created them, so the
-            // key must not pin the caller's allocations: it shares the
-            // block of an answer's owner, which the entry holds anyway,
-            // or is a detached copy.
             None => {
-                let owner = data.answers.iter().map(|r| &r.name).find(|n| *n == qname);
                 let entry = Entry {
-                    qname: owner.cloned().unwrap_or_else(|| qname.detached()),
+                    qname: qname.clone(),
                     qtype: qtype.to_u16(),
                     data,
                     stored_at: now,

@@ -258,7 +258,7 @@ impl Zones {
         if let Some(idx) = bucket.iter().position(|(n, _)| n == apex) {
             return &mut bucket[idx].1;
         }
-        bucket.push((apex.detached(), ZoneRanges::default()));
+        bucket.push((apex.clone(), ZoneRanges::default()));
         &mut bucket.last_mut().expect("just pushed").1
     }
 }

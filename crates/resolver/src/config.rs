@@ -43,8 +43,6 @@ pub struct ResolverConfig {
     pub trust_anchors: Vec<Rdata>,
     /// Source address used for queries (ACLs see this).
     pub source_addr: IpAddr,
-    /// Enable the answer/failure cache.
-    pub enable_cache: bool,
     /// TTL for cached resolution failures (SERVFAIL), seconds — the
     /// substrate of EDE 13 (*Cached Error*).
     pub failure_ttl_secs: u32,
@@ -91,7 +89,6 @@ impl Default for ResolverConfig {
             root_hints: Vec::new(),
             trust_anchors: Vec::new(),
             source_addr: "192.0.32.59".parse().expect("valid"),
-            enable_cache: true,
             failure_ttl_secs: 30,
             max_cache_entries: None,
             error_reporting: None,
@@ -121,7 +118,6 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let c = ResolverConfig::default();
-        assert!(c.enable_cache);
         assert!(c.failure_ttl_secs > 0);
         // RFC 8198 synthesis is opt-in: pinned traces and fingerprints
         // must be unaffected by the range tier's existence.

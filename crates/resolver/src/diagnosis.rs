@@ -390,17 +390,6 @@ impl Diagnosis {
         self.tracer = tracer;
     }
 
-    /// Re-allocate every embedded [`Name`] so this diagnosis shares no
-    /// storage with the resolution's working set (see
-    /// [`Name::detached`]). Long-lived holders — the resolution cache —
-    /// call this before storing so cached diagnoses don't pin transient
-    /// response and zone allocations.
-    pub fn detach_names(&mut self) {
-        for ev in &mut self.ns_events {
-            ev.qname = ev.qname.detached();
-        }
-    }
-
     /// The tracer findings are announced to (disabled by default).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer

@@ -305,7 +305,7 @@ impl<'a> Engine<'a> {
         });
         {
             let mut shard = self.infra.key_shard(zone).lock().expect("no poisoning");
-            shard.entries.insert(zone.detached(), Arc::clone(&entry));
+            shard.entries.insert(zone.clone(), Arc::clone(&entry));
             shard.building.remove(zone);
         }
         entry
@@ -357,7 +357,7 @@ impl<'a> Engine<'a> {
     /// holds a live one, announced as the `Referral` event the live hop
     /// would have emitted.
     fn cached_first_hop(&self, name: &Name, diag: &Diagnosis) -> Option<Arc<ReferralEntry>> {
-        if !self.config.enable_cache || name.is_root() {
+        if name.is_root() {
             return None;
         }
         // The TLD the name lives under.
@@ -596,8 +596,7 @@ impl<'a> Engine<'a> {
                     // change. Replaying such a hop later is
                     // diagnosis-neutral by construction; anything
                     // the hop *did* record must re-walk live.
-                    at = if self.config.enable_cache
-                        && was_root
+                    at = if was_root
                         && diag.findings.len() == pre_findings
                         && diag.ns_events.len() == pre_events
                         && diag.validation == pre_state

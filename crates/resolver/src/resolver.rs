@@ -250,23 +250,21 @@ impl Resolver {
         }
 
         // 2. Cache probe.
-        if self.config.enable_cache {
-            if let CacheHit::Fresh(data) = self.cache.get(qname, qtype, now) {
-                tracer.emit(TraceEvent::CacheProbe {
-                    qname: qd(qname),
-                    qtype: qtype.to_u16(),
-                    outcome: CacheOutcome::Hit,
-                });
-                let resolution = self.materialize_hit(&tracer, &data);
-                self.trace_finish(&tracer, started_ms, &resolution);
-                return resolution;
-            }
+        if let CacheHit::Fresh(data) = self.cache.get(qname, qtype, now) {
             tracer.emit(TraceEvent::CacheProbe {
                 qname: qd(qname),
                 qtype: qtype.to_u16(),
-                outcome: CacheOutcome::Miss,
+                outcome: CacheOutcome::Hit,
             });
+            let resolution = self.materialize_hit(&tracer, &data);
+            self.trace_finish(&tracer, started_ms, &resolution);
+            return resolution;
         }
+        tracer.emit(TraceEvent::CacheProbe {
+            qname: qd(qname),
+            qtype: qtype.to_u16(),
+            outcome: CacheOutcome::Miss,
+        });
 
         // 3. Live resolution.
         let mut diag = Diagnosis::with_tracer(tracer.clone());
@@ -286,7 +284,7 @@ impl Resolver {
         let outcome = engine.resolve(qname, qtype, &mut diag, 0).await;
 
         // 4. Serve-stale fallback (RFC 8767) on failure.
-        if outcome.rcode == Rcode::ServFail && SERVE_STALE && self.config.enable_cache {
+        if outcome.rcode == Rcode::ServFail && SERVE_STALE {
             if let Some(stale) = self.cache.get_stale_success(qname, qtype, now) {
                 tracer.emit(TraceEvent::CacheProbe {
                     qname: qd(qname),
@@ -311,7 +309,7 @@ impl Resolver {
         }
 
         // 5. Cache the result, unless the caller will not ask again.
-        if store && self.config.enable_cache {
+        if store {
             let is_failure = outcome.rcode == Rcode::ServFail;
             let ttl = if is_failure {
                 self.config.failure_ttl_secs
@@ -320,35 +318,14 @@ impl Resolver {
             };
             // Cached diagnoses must not keep announcing to this
             // resolution's sink when replayed later: strip the tracer.
-            // Names are detached so the long-lived entry doesn't pin
-            // this resolution's transient response/zone allocations
-            // (cache entries used to hold the whole working set alive
-            // through shared `Arc`s, fragmenting the heap at scan
-            // scale). Consecutive answers at one owner — an RRset, its
-            // RRSIG — share one detached block, and so does the
-            // entry's key (`Cache::put`).
             let mut stored = diag.clone();
             stored.set_tracer(Tracer::disabled());
-            stored.detach_names();
-            let mut owner: Option<Name> = None;
-            let answers = outcome.answers.iter().map(|r| {
-                let name = match &owner {
-                    Some(shared) if *shared == r.name => shared.clone(),
-                    _ => r.name.detached(),
-                };
-                owner = Some(name.clone());
-                Record {
-                    name,
-                    rdata: r.rdata.detached(),
-                    ..*r
-                }
-            });
             let put = self.cache.put(
                 qname,
                 qtype,
                 CachedResolution {
                     rcode: outcome.rcode,
-                    answers: answers.collect(),
+                    answers: outcome.answers.clone(),
                     diagnosis: stored,
                     is_failure,
                 },

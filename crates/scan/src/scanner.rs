@@ -631,10 +631,8 @@ pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanRes
     // worker-count and in-flight configuration sees the same
     // pre-populated walk and the traffic and metrics counters stay
     // bit-identical across all of them.
-    if world.resolver_config.enable_cache {
-        for tld in &pop.tlds {
-            let _ = resolver.resolve(&tld.name, RrType::Ns);
-        }
+    for tld in &pop.tlds {
+        let _ = resolver.resolve(&tld.name, RrType::Ns);
     }
 
     let n = pop.domains.len();

@@ -44,6 +44,10 @@ pub struct ProbeClient {
 /// Per-exchange timeout.
 const TIMEOUT: Duration = Duration::from_secs(5);
 
+/// Receive buffer: the largest datagram UDP can carry, so no answer is
+/// cut short (`recv` drops what does not fit without a word).
+const RECV_BUF: usize = u16::MAX as usize;
+
 impl ProbeClient {
     /// Connect a client to a server's bound addresses.
     pub fn connect(udp_addr: SocketAddr, tcp_addr: SocketAddr) -> Result<Self, ServerError> {
@@ -59,7 +63,7 @@ impl ProbeClient {
     /// Send raw query bytes over UDP and return the raw response bytes.
     pub fn query_udp(&self, wire: &[u8]) -> Result<Vec<u8>, ServerError> {
         self.udp.send(wire)?;
-        let mut buf = [0u8; 4096];
+        let mut buf = vec![0u8; RECV_BUF];
         let n = self.udp.recv(&mut buf)?;
         Ok(buf[..n].to_vec())
     }
@@ -72,7 +76,7 @@ impl ProbeClient {
         let _ = stream.set_nodelay(true);
         stream.write_all(&frame(wire)?)?;
         let mut reader = FrameReader::new(MAX_FRAME_LEN);
-        let mut buf = [0u8; 4096];
+        let mut buf = vec![0u8; RECV_BUF];
         let deadline = Instant::now() + TIMEOUT;
         loop {
             if let Some(response) = reader.next_frame() {

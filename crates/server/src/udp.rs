@@ -15,9 +15,11 @@ use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-/// Largest datagram a client can send us; EDNS advertisements beyond
-/// this are legal but nothing in the testbed produces queries near it.
-const RECV_BUF: usize = 4096;
+/// Largest datagram UDP can carry (its length field is 16 bits), so a
+/// receive never cuts a query short: `recv_from` drops whatever does
+/// not fit without a word, and a cut query would be answered FORMERR
+/// where TCP resolves the same bytes.
+const RECV_BUF: usize = u16::MAX as usize;
 
 /// How long a blocking receive waits before re-checking the stop flag.
 const POLL_TICK: Duration = Duration::from_millis(25);
@@ -29,9 +31,9 @@ pub(crate) fn run_udp_worker(shared: &Shared, socket: &UdpSocket) {
     if let Err(e) = socket.set_read_timeout(Some(POLL_TICK)) {
         return died(shared, &e);
     }
-    let mut buf = [0u8; RECV_BUF];
+    let mut buf = vec![0u8; RECV_BUF];
     // Every reply is encoded here: no allocation per datagram.
-    let mut out = Vec::with_capacity(RECV_BUF);
+    let mut out = Vec::with_capacity(4096);
 
     while !shared.stop.load(Ordering::Acquire) {
         match socket.recv_from(&mut buf) {

@@ -293,6 +293,42 @@ fn malformed_query_policy_on_the_wire() {
     assert_eq!(stats.metrics.tcp_queries, 8);
 }
 
+/// A query longer than any answer buffer — padded with option 12 to
+/// 4 097 bytes and to 65 000 — is read whole on both transports: the
+/// UDP reply has the rcode and answer section of the TCP one.
+#[test]
+fn a_long_query_gets_the_same_answer_over_udp_and_tcp() {
+    let (handle, client) = spawn(
+        ServerConfig::builder()
+            .bind("127.0.0.1:0")
+            .workers(1)
+            .build(),
+    );
+    let padded = |len: usize| {
+        let mut query = Message::query(0xB1B1, qname("valid"), RrType::A);
+        let base = query.encode().unwrap().len() + 4;
+        let padding = ede_wire::EdnsOption::Unknown {
+            code: 12,
+            data: vec![0; len - base],
+        };
+        query.edns.as_mut().unwrap().options.push(padding);
+        let wire = query.encode().unwrap();
+        assert_eq!(wire.len(), len);
+        wire
+    };
+    for len in [4_097, 65_000] {
+        let wire = padded(len);
+        let udp = Message::decode(&client.query_udp(&wire).unwrap()).unwrap();
+        let tcp = Message::decode(&client.query_tcp(&wire).unwrap()).unwrap();
+        assert_eq!(tcp.rcode, Rcode::NoError, "{len} bytes");
+        assert!(!tcp.answers.is_empty(), "{len} bytes");
+        assert_eq!(udp.rcode, tcp.rcode, "{len} bytes");
+        assert_eq!(udp.answers, tcp.answers, "{len} bytes");
+    }
+    let stats = handle.shutdown().unwrap();
+    assert_eq!(stats.metrics.rejected_formerr, 0);
+}
+
 #[test]
 fn tcp_connection_cap_refuses_excess_conns() {
     let (handle, client) = spawn(

@@ -129,29 +129,6 @@ impl Name {
         }
     }
 
-    /// A deep copy in a freshly allocated block of its own, sharing
-    /// nothing with `self`.
-    ///
-    /// A plain `clone()` bumps the `Arc` refcount, which is what hot
-    /// paths want — but it also keeps the *original* allocation alive,
-    /// and an ancestor cut out of a longer name keeps the whole longer
-    /// name alive. Long-lived holders (caches, logs) that clone names
-    /// out of short-lived working sets (a parsed response, a freshly
-    /// built zone) end up pinning those transient heap regions,
-    /// fragmenting the allocator. Such holders should store
-    /// `name.detached()` instead: same value, equal and hashing
-    /// identically, but backed by an allocation made at detach time and
-    /// exactly as long as the name.
-    pub fn detached(&self) -> Self {
-        if self.is_root() {
-            return Name::root();
-        }
-        Name {
-            buf: Arc::from(self.as_wire()),
-            start: 0,
-        }
-    }
-
     /// Parse a dotted textual name. Accepts an optional trailing dot; all
     /// names are treated as fully qualified. `"."` and `""` both give the
     /// root. Escapes are not supported (the testbed never needs them).

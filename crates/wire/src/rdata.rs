@@ -349,39 +349,6 @@ pub enum Rdata {
 }
 
 impl Rdata {
-    /// A deep copy whose embedded [`Name`]s share no storage with
-    /// `self` (see [`Name::detached`]). `Vec` payloads are freshly
-    /// allocated by `clone()` already; only the `Arc`-backed names need
-    /// explicit detaching.
-    pub fn detached(&self) -> Self {
-        match self {
-            Rdata::Ns(n) => Rdata::Ns(n.detached()),
-            Rdata::Cname(n) => Rdata::Cname(n.detached()),
-            Rdata::Ptr(n) => Rdata::Ptr(n.detached()),
-            Rdata::Mx {
-                preference,
-                exchange,
-            } => Rdata::Mx {
-                preference: *preference,
-                exchange: exchange.detached(),
-            },
-            Rdata::Soa(soa) => Rdata::Soa(Soa {
-                mname: soa.mname.detached(),
-                rname: soa.rname.detached(),
-                ..soa.clone()
-            }),
-            Rdata::Rrsig(sig) => Rdata::Rrsig(Rrsig {
-                signer: sig.signer.detached(),
-                ..sig.clone()
-            }),
-            Rdata::Nsec { next, types } => Rdata::Nsec {
-                next: next.detached(),
-                types: types.clone(),
-            },
-            other => other.clone(),
-        }
-    }
-
     /// The RR type this RDATA belongs to.
     pub fn rtype(&self) -> RrType {
         match self {

@@ -210,37 +210,19 @@ fn relations_between_names_agree_with_the_model() {
 }
 
 /// Equal names are equal, and hash equally, however they were made:
-/// parsed, decoded, cut out of a longer name, or detached.
+/// parsed, cut out of a longer name, stepped up from a child, or built.
 #[test]
 fn eq_and_hash_ignore_how_a_name_was_built() {
     let parsed = Name::parse("Example.COM").unwrap();
     let cut = Name::parse("a.b.example.com").unwrap().suffix(2);
     let stepped = Name::parse("www.example.com").unwrap().parent().unwrap();
     let built = Name::parse("com").unwrap().child("EXAMPLE").unwrap();
-    let detached = cut.detached();
-    for other in [&cut, &stepped, &built, &detached] {
+    for other in [&cut, &stepped, &built] {
         assert_eq!(&parsed, other);
         assert_eq!(std_hash(&parsed), std_hash(other));
         assert_eq!(parsed.shard_hash(), other.shard_hash());
         assert_eq!(parsed.cmp(other), Ordering::Equal);
     }
-}
-
-/// `detached` copies: the result does not keep the name it came from
-/// (or the longer name *that* was cut from) alive.
-#[test]
-fn detached_shares_nothing() {
-    let long = Name::parse("a.b.c.example.com").unwrap();
-    let cut = long.suffix(2);
-    // A cut name borrows the long name's buffer: same bytes in memory.
-    let long_wire = long.as_wire().as_ptr_range();
-    assert!(long_wire.contains(&cut.as_wire().as_ptr()));
-
-    let detached = cut.detached();
-    assert_eq!(detached, cut);
-    assert!(!long_wire.contains(&detached.as_wire().as_ptr()));
-    let copy = detached.detached();
-    assert_ne!(copy.as_wire().as_ptr(), detached.as_wire().as_ptr());
 }
 
 #[test]
