@@ -12,6 +12,7 @@
 //! compute (Cloudflare's "iteration limit exceeded" EXTRA-TEXT in §4.2.14
 //! of the paper comes from such a cap).
 
+use crate::sha1::{OneBlock, ONE_BLOCK_MAX};
 use crate::{base32, Digest, Sha1};
 
 /// The single registered NSEC3 hash algorithm (SHA-1).
@@ -28,18 +29,49 @@ pub const NSEC3_LABEL_LEN: usize = 32;
 ///
 /// The caller must supply the name already lowercased (canonical form);
 /// this function performs no case folding.
+///
+/// A name and salt of at most 55 bytes together cost one compression
+/// and no streaming state, and so does each iteration while the salt is
+/// at most 35 bytes.
 pub fn nsec3_hash(name_wire: &[u8], salt: &[u8], iterations: u16) -> [u8; NSEC3_HASH_LEN] {
+    let mut digest = salted(name_wire, salt);
+    if iterations == 0 {
+        return digest;
+    }
+    let len = NSEC3_HASH_LEN + salt.len();
+    if len <= ONE_BLOCK_MAX {
+        // Every iteration hashes a message of one length: the block and
+        // its salt are laid out once, and only the digest is rewritten.
+        let mut block = OneBlock::new(len);
+        block.message_mut()[NSEC3_HASH_LEN..].copy_from_slice(salt);
+        for _ in 0..iterations {
+            block.message_mut()[..NSEC3_HASH_LEN].copy_from_slice(&digest);
+            digest = block.digest();
+        }
+    } else {
+        for _ in 0..iterations {
+            digest = salted(&digest, salt);
+        }
+    }
+    digest
+}
+
+/// `H(x ‖ salt)`: one compression when the message fits a single
+/// block, the streaming hasher when it does not.
+fn salted(x: &[u8], salt: &[u8]) -> [u8; NSEC3_HASH_LEN] {
+    let len = x.len() + salt.len();
+    if len <= ONE_BLOCK_MAX {
+        let mut block = OneBlock::new(len);
+        let message = block.message_mut();
+        message[..x.len()].copy_from_slice(x);
+        message[x.len()..].copy_from_slice(salt);
+        return block.digest();
+    }
     let mut digest = [0u8; NSEC3_HASH_LEN];
     let mut h = Sha1::new();
-    h.update(name_wire);
+    h.update(x);
     h.update(salt);
     h.finalize_into(&mut digest);
-    for _ in 0..iterations {
-        let mut h = Sha1::new();
-        h.update(&digest);
-        h.update(salt);
-        h.finalize_into(&mut digest);
-    }
     digest
 }
 
@@ -117,5 +149,45 @@ mod tests {
     fn salt_changes_output() {
         let name = wire("example.com");
         assert_ne!(nsec3_hash(&name, b"", 0), nsec3_hash(&name, b"\x01", 0));
+    }
+
+    /// RFC 5155's definition through the streaming hasher: the reference
+    /// the one-block layout is held to.
+    fn streamed(name: &[u8], salt: &[u8], iterations: u16) -> [u8; NSEC3_HASH_LEN] {
+        let mut digest = [0u8; NSEC3_HASH_LEN];
+        let mut h = Sha1::new();
+        h.update(name);
+        h.update(salt);
+        h.finalize_into(&mut digest);
+        for _ in 0..iterations {
+            let mut h = Sha1::new();
+            h.update(&digest);
+            h.update(salt);
+            h.finalize_into(&mut digest);
+        }
+        digest
+    }
+
+    /// Every name length against salts on both sides of the one-block
+    /// bounds (55 bytes of name and salt, 35 of salt per iteration), and
+    /// every salt length against names on both sides of them.
+    #[test]
+    fn one_block_and_streaming_hashes_agree() {
+        let bytes = |seed: usize| -> Vec<u8> { (0..255).map(|i| (i * 131 + seed) as u8).collect() };
+        let (name, salt) = (bytes(7), bytes(91));
+        let salt_lens = [0, 1, 2, 34, 35, 36, 54, 55, 56, 255];
+        let name_lens = [1, 2, 20, 35, 53, 54, 55, 56, 57, 64, 255];
+        let pairs = (1..=255)
+            .flat_map(|n| salt_lens.map(|s| (n, s)))
+            .chain((0..=255).flat_map(|s| name_lens.map(|n| (n, s))));
+        for (n, s) in pairs {
+            for iterations in 0..=3 {
+                assert_eq!(
+                    nsec3_hash(&name[..n], &salt[..s], iterations),
+                    streamed(&name[..n], &salt[..s], iterations),
+                    "{n}-byte name, {s}-byte salt, {iterations} iterations"
+                );
+            }
+        }
     }
 }

@@ -10,6 +10,64 @@ use crate::Digest;
 
 const BLOCK_LEN: usize = 64;
 
+/// The initial hash value H(0) (FIPS 180-4 §5.3.1).
+const INIT: [u32; 5] = [
+    0x6745_2301,
+    0xEFCD_AB89,
+    0x98BA_DCFE,
+    0x1032_5476,
+    0xC3D2_E1F0,
+];
+
+/// The longest message whose padding (the 0x80 byte and the 64-bit
+/// length) still fits its own block.
+pub(crate) const ONE_BLOCK_MAX: usize = BLOCK_LEN - 9;
+
+/// A message of at most [`ONE_BLOCK_MAX`] bytes, laid out with its
+/// padding as the one block SHA-1 compresses: hashing it is a single
+/// compression with no streaming state. The padding depends only on the
+/// length, so a caller that hashes many messages of one length (NSEC3's
+/// iterations) lays the block out once and rewrites the message bytes.
+pub(crate) struct OneBlock {
+    block: [u8; BLOCK_LEN],
+    len: usize,
+}
+
+impl OneBlock {
+    /// A zeroed message of `len` bytes, padded.
+    pub(crate) fn new(len: usize) -> OneBlock {
+        assert!(
+            len <= ONE_BLOCK_MAX,
+            "a {len}-byte message needs two blocks"
+        );
+        let mut block = [0u8; BLOCK_LEN];
+        block[len] = 0x80;
+        block[56..].copy_from_slice(&(len as u64 * 8).to_be_bytes());
+        OneBlock { block, len }
+    }
+
+    /// The message's bytes, in place in the block.
+    pub(crate) fn message_mut(&mut self) -> &mut [u8] {
+        &mut self.block[..self.len]
+    }
+
+    /// The SHA-1 digest of the message.
+    pub(crate) fn digest(&self) -> [u8; 20] {
+        let mut state = INIT;
+        Sha1::compress_state(&mut state, &self.block);
+        digest_of(state)
+    }
+}
+
+/// The digest a final state spells: its words, big-endian.
+fn digest_of(state: [u32; 5]) -> [u8; 20] {
+    let mut out = [0u8; 20];
+    for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
 /// Streaming SHA-1 hasher.
 #[derive(Clone)]
 pub struct Sha1 {
@@ -28,10 +86,14 @@ impl Default for Sha1 {
 
 impl Sha1 {
     fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        if crate::accel::sha1_compress(&mut self.state, block) {
+        Self::compress_state(&mut self.state, block);
+    }
+
+    fn compress_state(state: &mut [u32; 5], block: &[u8; BLOCK_LEN]) {
+        if crate::accel::sha1_compress(state, block) {
             return;
         }
-        Self::compress_scalar(&mut self.state, block);
+        Self::compress_scalar(state, block);
     }
 
     /// Portable compression core; also the reference the accelerated
@@ -79,13 +141,7 @@ impl Digest for Sha1 {
 
     fn new() -> Self {
         Sha1 {
-            state: [
-                0x6745_2301,
-                0xEFCD_AB89,
-                0x98BA_DCFE,
-                0x1032_5476,
-                0xC3D2_E1F0,
-            ],
+            state: INIT,
             len: 0,
             buf: [0; BLOCK_LEN],
             buf_len: 0,
@@ -132,9 +188,7 @@ impl Digest for Sha1 {
         self.compress(&block);
 
         assert_eq!(out.len(), Self::OUTPUT_LEN, "digest buffer width");
-        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
-            chunk.copy_from_slice(&word.to_be_bytes());
-        }
+        out.copy_from_slice(&digest_of(self.state));
     }
 }
 

@@ -475,6 +475,27 @@ fn rrset_link(
     Err((first_issue, verdict))
 }
 
+/// The iteration cap (RFC 9276 / vendor limits) over the NSEC3 records
+/// among `rdatas`, which holds before any of them is hashed.
+fn iteration_cap_link<'r>(
+    rdatas: impl Iterator<Item = &'r Rdata>,
+    caps: &ValidatorCaps,
+) -> Result<(), Broken> {
+    let max_iter = rdatas
+        .filter_map(|rdata| match rdata {
+            Rdata::Nsec3 { iterations, .. } => Some(*iterations),
+            _ => None,
+        })
+        .max()
+        .unwrap_or(0);
+    if max_iter > caps.nsec3_iteration_cap {
+        return Err(bogus(Finding::Nsec3IterationsExceeded {
+            iterations: max_iter,
+        }));
+    }
+    Ok(())
+}
+
 /// The structure of a denial (RFC 4035 §3.1.3 / §5.4, RFC 5155 §8): the
 /// NSEC or NSEC3 RRsets among `sets` that deny (`qname`, `qtype`), still
 /// unauthenticated. Structure is checked before signatures: a proof that
@@ -524,20 +545,7 @@ fn negative_link<'s>(
         return Ok(nsec_sets);
     }
 
-    // Iteration cap (RFC 9276 / vendor limits).
-    let max_iter = nsec3_sets
-        .iter()
-        .filter_map(|s| match s.rdatas.first() {
-            Some(Rdata::Nsec3 { iterations, .. }) => Some(*iterations),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(0);
-    if max_iter > caps.nsec3_iteration_cap {
-        return Err(bogus(Finding::Nsec3IterationsExceeded {
-            iterations: max_iter,
-        }));
-    }
+    iteration_cap_link(nsec3_sets.iter().filter_map(|s| s.rdatas.first()), caps)?;
 
     match kind {
         NegativeKind::Nodata => {
@@ -674,11 +682,21 @@ pub(crate) fn cut_link<'k>(
         }
         return None;
     }
-    let proven = parent_keys.filter(|_| insecure_proof_present(authority, child));
-    let verdict = if parent_keys.is_some() && proven.is_none() {
-        bogus(Finding::InsecureReferralProofMissing)
-    } else {
-        (None, ValidationState::Insecure)
+    let Some(keys) = parent_keys else {
+        record(diag, (None, ValidationState::Insecure));
+        return None;
+    };
+    // The denial path's cap, before anything is hashed: a proof over it
+    // would cost a hash per iteration here, and once retained, on every
+    // range probe too.
+    if let Err(broken) = iteration_cap_link(authority.iter().map(|rec| &rec.rdata), caps) {
+        record(diag, broken);
+        return None;
+    }
+    let proven = insecure_proof_present(authority, child).then_some(keys);
+    let verdict = match proven {
+        Some(_) => (None, ValidationState::Insecure),
+        None => bogus(Finding::InsecureReferralProofMissing),
     };
     record(diag, verdict);
     proven
@@ -1047,5 +1065,55 @@ mod tests {
         assert!(v.trusted.is_some(), "chain still validates");
         assert!(diag.any(|f| matches!(f, Finding::StandbyKeyWithoutRrsig)));
         assert_eq!(diag.validation, ValidationState::Secure);
+    }
+
+    /// An insecure referral's NSEC3 that asks for 65 535 iterations is
+    /// refused at the cap, as a denial's would be, before it is hashed:
+    /// the record is otherwise an honest proof (its owner is the child's
+    /// hash under those parameters, and its bitmap lacks DS), so without
+    /// the cap it would be accepted and its range retained.
+    #[test]
+    fn insecure_referral_proof_over_the_iteration_cap_is_refused() {
+        use ede_crypto::nsec3hash;
+        use ede_wire::rdata::TypeBitmap;
+        let (z, _, ds) = signed_zone();
+        let parent = n("test.example");
+        let mut diag = Diagnosis::new();
+        let trusted = validate_dnskey(&parent, &ds, &dnskey_rrset(&z), &caps(), SIM_NOW, &mut diag)
+            .trusted
+            .expect("chain should validate");
+        let child = n("child.test.example");
+        let (salt, iterations) = ([0xab], u16::MAX);
+        let label = nsec3hash::nsec3_hash_label(child.as_wire(), &salt, iterations);
+        let proof = Rdata::Nsec3 {
+            hash_alg: nsec3hash::NSEC3_HASH_ALG_SHA1,
+            flags: 0,
+            iterations,
+            salt: salt.into(),
+            next_hashed: (&[0xff; nsec3hash::NSEC3_HASH_LEN]).into(),
+            types: TypeBitmap::from_types([RrType::Ns]),
+        };
+        let authority = [
+            Record::new(child.clone(), 3600, Rdata::Ns(n("ns1.child.test.example"))),
+            Record::new(parent.child_bytes(&label).unwrap(), 3600, proof),
+        ];
+
+        let retained = cut_link(
+            &authority,
+            &child,
+            false,
+            Some(&trusted),
+            &caps(),
+            SIM_NOW,
+            &mut diag,
+        );
+        assert!(retained.is_none(), "no range over the cap is retained");
+        assert!(diag.any(|f| matches!(
+            f,
+            Finding::Nsec3IterationsExceeded {
+                iterations: u16::MAX
+            }
+        )));
+        assert_eq!(diag.validation, ValidationState::Bogus);
     }
 }

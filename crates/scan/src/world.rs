@@ -12,10 +12,14 @@
 //!   own NSEC3 from the TLD's honest chain are built and handed to
 //!   [`ede_authority::layout::referral`], with no zone in between,
 //!   because referral content only ever depends on the one delegation.
-//!   Every other shape (the apex, an unregistered name, a child's
-//!   parent-side DS) gets a micro-zone of just the RRsets it can touch,
-//!   signed per query and served by the ordinary
-//!   [`ede_authority::ZoneServer`] logic;
+//!   The apex NS and DNSKEY sets (priming's and validation's one query
+//!   each per TLD) are built from the TLD's keys the same way and go
+//!   through [`ede_authority::layout::positive`]. Every other shape (the
+//!   rest of the apex, an unregistered name, a child's parent-side DS)
+//!   gets a micro-zone of just the RRsets it can touch, signed per query
+//!   and served by the ordinary [`ede_authority::ZoneServer`] logic. The
+//!   TLD's NSEC3 chain, which insecure referrals and micro-zones draw
+//!   on, is hashed on first use, once per world;
 //! * each **hosting server** answers a healthy child's apex A (and a
 //!   healthy signed child's DNSKEY) the same way, from the record and
 //!   the child's derived keys through [`ede_authority::layout::positive`],
@@ -414,7 +418,7 @@ impl Server for BrokenNs {
 
 /// Which kind of owner a [`TldChain`] entry is — the only thing that
 /// differs between their NSEC3 type bitmaps.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ChainOwner {
     /// The TLD apex.
     Apex,
@@ -443,32 +447,75 @@ struct TldChain {
 }
 
 impl TldChain {
-    /// The chain over `children`: the TLD's registered domains (name,
-    /// signed) in ordinal order.
-    fn build(tld: &Name, children: &[(&Name, bool)]) -> TldChain {
+    /// The chain over `children`: the TLD's registered domains in
+    /// ordinal order.
+    fn build<'a>(
+        tld: &Name,
+        children: impl ExactSizeIterator<Item = &'a DomainRecord>,
+    ) -> TldChain {
         let params = Nsec3Config::default();
-        // (hash, kind, child ordinal) until sorted.
-        let mut hashed = Vec::with_capacity(children.len() + 2);
-        hashed.push((params.hash_raw(tld), ChainOwner::Apex, None));
-        hashed.push((params.hash_raw(&ns_host(tld, 0)), ChainOwner::Host, None));
-        for (ordinal, (child, signed)) in children.iter().enumerate() {
-            let kind = if *signed {
-                ChainOwner::Secure
-            } else {
-                ChainOwner::Insecure
-            };
-            hashed.push((params.hash_raw(child), kind, Some(ordinal)));
+        // The children's wire names, gathered into one buffer before any
+        // hashing: the records and their names lie scattered through
+        // memory, and loads that wait on no hash overlap. Read inside the
+        // hashing loop, they raised the p99 of single resolves on a fresh
+        // world (where a TLD's first referral builds its chain) by a
+        // third.
+        let mut wire = Vec::with_capacity(children.len() * 24);
+        let mut ends = Vec::with_capacity(children.len());
+        let mut signed = Vec::with_capacity(children.len());
+        for rec in children {
+            wire.extend_from_slice(rec.name.as_wire());
+            ends.push(wire.len());
+            signed.push(rec.category.signed());
         }
-        hashed.sort_by_key(|owner| owner.0);
-        let mut child_slots = vec![0u32; children.len()];
-        for (slot, (_, _, ordinal)) in hashed.iter().enumerate() {
-            if let Some(ordinal) = ordinal {
-                child_slots[*ordinal] = slot as u32;
-            }
+
+        // Sort keys: the hash as two big-endian integers, whose order is
+        // the bytes' order, then a tag that makes the order total and
+        // says whose hash it is — the apex, the host, then each child by
+        // ordinal, the order a stable sort by hash alone would keep.
+        const APEX: u32 = 0;
+        const HOST: u32 = 1;
+        const FIRST_CHILD: u32 = 2;
+        let key = |name: &[u8], tag: u32| {
+            let hash = nsec3hash::nsec3_hash(name, &params.salt, params.iterations);
+            let high = u128::from_be_bytes(hash[..16].try_into().expect("16 bytes"));
+            let low = u32::from_be_bytes(hash[16..].try_into().expect("4 bytes"));
+            (high, low, tag)
+        };
+        let mut keys = Vec::with_capacity(ends.len() + 2);
+        keys.push(key(tld.as_wire(), APEX));
+        keys.push(key(ns_host(tld, 0).as_wire(), HOST));
+        let mut start = 0;
+        for (ordinal, &end) in ends.iter().enumerate() {
+            keys.push(key(&wire[start..end], FIRST_CHILD + ordinal as u32));
+            start = end;
+        }
+        keys.sort_unstable();
+
+        let mut child_slots = vec![0u32; ends.len()];
+        let mut owners = Vec::with_capacity(keys.len());
+        for (slot, &(high, low, tag)) in keys.iter().enumerate() {
+            let mut hash = [0u8; NSEC3_HASH_LEN];
+            hash[..16].copy_from_slice(&high.to_be_bytes());
+            hash[16..].copy_from_slice(&low.to_be_bytes());
+            let kind = match tag {
+                APEX => ChainOwner::Apex,
+                HOST => ChainOwner::Host,
+                _ => {
+                    let ordinal = (tag - FIRST_CHILD) as usize;
+                    child_slots[ordinal] = slot as u32;
+                    if signed[ordinal] {
+                        ChainOwner::Secure
+                    } else {
+                        ChainOwner::Insecure
+                    }
+                }
+            };
+            owners.push((hash, kind));
         }
         TldChain {
             params,
-            owners: hashed.into_iter().map(|(h, kind, _)| (h, kind)).collect(),
+            owners,
             child_slots,
         }
     }
@@ -572,20 +619,31 @@ impl TldServer {
                 .children
                 .get(&self.tld)
                 .map_or(&[][..], Vec::as_slice);
-            // Gathered before any hashing: the records lie scattered
-            // through the population, and loads that wait on no hash
-            // overlap. Read inside the hashing loop, they raised the p99
-            // of single resolves on a fresh world (where a TLD's first
-            // referral builds its chain) by a third.
-            let children: Vec<(&Name, bool)> = indices
-                .iter()
-                .map(|&i| {
-                    let d = &registry.domains[i as usize];
-                    (&d.name, d.category.signed())
-                })
-                .collect();
-            TldChain::build(&self.tld, &children)
+            let children = indices.iter().map(|&i| &registry.domains[i as usize]);
+            TldChain::build(&self.tld, children)
         })
+    }
+
+    /// The apex RRset the TLD serves for `qtype` without a zone: its NS
+    /// set, and its DNSKEY set — with the extra SEP key a stand-by TLD
+    /// publishes and signs nothing with (§4.2.3) — signed as
+    /// `sign_zone` would sign them.
+    fn apex_rrset(&self, qtype: RrType) -> Option<Rrset> {
+        let tld = &self.tld;
+        let mut set = match qtype {
+            RrType::Ns => Rrset::new(tld.clone(), 3600, Rdata::Ns(ns_host(tld, 0))),
+            RrType::Dnskey => {
+                let mut set = self.keys.dnskey_rrset(tld);
+                if self.entry.standby_key {
+                    let standby = ZoneKey::generate(tld, "standby", 8, 2048, 257);
+                    set.push(standby.dnskey_rdata());
+                }
+                set
+            }
+            _ => return None,
+        };
+        signer::sign_in_place(&mut set, &self.keys, tld, DEFAULT_WINDOW);
+        Some(set)
     }
 
     /// The referral to a registered child, filled from its record with
@@ -625,9 +683,12 @@ impl TldServer {
         ServerResponse::Reply(resp)
     }
 
-    /// The full build for every query that is not a referral: the apex
-    /// (DNSKEY/SOA), names outside the registry, and the parent-side DS
-    /// of a `registered` child, whose delegation then goes in.
+    /// The full build for every query that is neither a referral nor
+    /// the apex NS or DNSKEY set: the rest of the apex (SOA, NODATA),
+    /// names outside the registry, and the parent-side DS of a
+    /// `registered` child, whose delegation then goes in. No shape served
+    /// from it carries the DNSKEY set, so a stand-by TLD's extra key is
+    /// not published here.
     fn micro_zone(&self, qname: &Name, registered: Option<Registered<'_>>) -> Zone {
         let mut zone = Zone::new(self.tld.clone());
         zone.add(Record::new(self.tld.clone(), 3600, soa_for(&self.tld)));
@@ -664,22 +725,6 @@ impl TldServer {
         );
         signer::sign_in_place(&mut param, &self.keys, &self.tld, DEFAULT_WINDOW);
         zone.add_rrset(param);
-
-        if self.entry.standby_key {
-            // Publish an extra SEP key that signs nothing, then re-sign
-            // the DNSKEY RRset so the chain still validates (§4.2.3).
-            let standby = ZoneKey::generate(&self.tld, "standby", 8, 2048, 257);
-            if let Some(set) = zone.get_mut(&self.tld, RrType::Dnskey) {
-                set.rdatas.push(standby.dnskey_rdata());
-            }
-            signer::resign_rrset(
-                &mut zone,
-                &self.tld,
-                RrType::Dnskey,
-                &self.keys,
-                DEFAULT_WINDOW,
-            );
-        }
 
         // Honest TLDs graft exactly the chain records the queried shape
         // needs, pulled from the registry-wide honest chain; broken TLDs
@@ -722,6 +767,15 @@ impl Server for TldServer {
         let Some(q) = query.first_question() else {
             return ServerResponse::Drop;
         };
+        // The apex sets priming and validation ask for, once per TLD:
+        // one RRset each, built and signed with no zone (and no chain).
+        if q.name == self.tld {
+            if let Some(set) = self.apex_rrset(q.qtype) {
+                let (mut resp, dnssec_ok) = layout::reply_to(query, true);
+                layout::positive(&mut resp, &set, dnssec_ok);
+                return ServerResponse::Reply(resp);
+            }
+        }
         let registered = self
             .registry
             .get(&q.name.suffix(2))
@@ -903,9 +957,10 @@ mod tests {
         ZoneServer::new(store)
     }
 
-    /// The lean servers — a referral filled from the registry record at
-    /// the TLD, the healthy children's apex A and DNSKEY at the hosting
-    /// fabric — must be indistinguishable from servers over fully
+    /// The lean servers — a referral and the apex NS and DNSKEY sets
+    /// filled from the registry record and the keys at the TLD, the
+    /// healthy children's apex A and DNSKEY at the hosting fabric — must
+    /// be indistinguishable from servers over fully
     /// materialised, fully signed zones for every query shape the scan
     /// sends, and must leave every other shape to a zone: `Message` for
     /// `Message`, signatures included, with DO and without.
@@ -935,6 +990,8 @@ mod tests {
                     (&rec.name, RrType::Ds),
                     (&below, RrType::A),
                     (&tld.name, RrType::Dnskey),
+                    (&tld.name, RrType::Ns),
+                    (&tld.name, RrType::Soa),
                     (&unregistered, RrType::A),
                 ] {
                     assert_eq!(
@@ -983,6 +1040,65 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Every TLD's chain equals the one its owners give when each is
+    /// hashed by the streaming hasher and the list is sorted stably by
+    /// the hashes' bytes: the owners, their kinds and where each child's
+    /// own record sits.
+    #[test]
+    fn chains_match_a_streamed_and_stably_sorted_reference() {
+        use ede_crypto::{Digest, Sha1};
+        let pop = Population::generate(PopulationConfig::tiny());
+        let registry = Arc::new(Registry::of(&pop));
+        let params = Nsec3Config::default();
+        let streamed = |name: &Name| {
+            let mut hash = [0u8; NSEC3_HASH_LEN];
+            let mut input = name.to_wire();
+            for _ in 0..=params.iterations {
+                input.extend_from_slice(&params.salt);
+                let mut h = Sha1::new();
+                h.update(&input);
+                h.finalize_into(&mut hash);
+                input = hash.to_vec();
+            }
+            hash
+        };
+        for (index, tld) in pop.tlds.iter().enumerate() {
+            let server = TldServer::new(
+                tld.name.clone(),
+                registry.tlds[&tld.name].clone(),
+                Arc::clone(&registry),
+            );
+            let chain = server.chain();
+            let mut reference = vec![
+                (streamed(&tld.name), ChainOwner::Apex, None),
+                (streamed(&ns_host(&tld.name, 0)), ChainOwner::Host, None),
+            ];
+            let children = pop.domains.iter().filter(|d| d.tld == index);
+            for (ordinal, d) in children.enumerate() {
+                let kind = if d.category.signed() {
+                    ChainOwner::Secure
+                } else {
+                    ChainOwner::Insecure
+                };
+                reference.push((streamed(&d.name), kind, Some(ordinal)));
+            }
+            reference.sort_by_key(|owner| owner.0);
+
+            let owners: Vec<_> = reference
+                .iter()
+                .map(|&(hash, kind, _)| (hash, kind))
+                .collect();
+            assert_eq!(chain.owners, owners, "{}", tld.name);
+            let mut slots = vec![0u32; reference.len() - 2];
+            for (slot, (_, _, ordinal)) in reference.iter().enumerate() {
+                if let Some(ordinal) = ordinal {
+                    slots[*ordinal] = slot as u32;
+                }
+            }
+            assert_eq!(chain.child_slots, slots, "{}", tld.name);
         }
     }
 
