@@ -3,24 +3,23 @@
 //!
 //! Usage: repro-chaos \[scale\] \[--seed N\] \[--smoke\]
 //!
-//! * `scale` — population scale divisor (default 10000, ≈30k domains;
-//!   repro-scan's paper-shape default is 1000).
+//! * `scale` — population scale divisor, at least 1 (default 10000,
+//!   ≈30k domains; repro-scan's paper-shape default is 1000).
 //! * `--seed N` — fault-plan seed, decimal or `0x` hex (default
 //!   0x0EDEFA17). Legs are bit-stable per seed.
 //! * `--smoke` — tiny population and a short sweep, for CI.
 //!
 //! Before sweeping, the run proves the hardening left the paper's
-//! results untouched: the 63 × 7 testbed matrix must equal Table 4 cell
-//! by cell, and the intensity-0 leg must be bit-identical to a plain
-//! repro-scan. After it, every degraded leg must resolve at least
-//! 99.5 % of what the intensity-0 leg resolves; otherwise the exit
+//! headline result untouched: the 63 × 7 testbed matrix must equal
+//! Table 4 cell by cell, walked serially and with the seven vendors of a
+//! row in flight at once. (The intensity-0 leg is a plain repro-scan by
+//! construction.) After the sweep, every degraded leg must resolve at
+//! least 99.5 % of what the intensity-0 leg resolves; otherwise the exit
 //! status is 1.
 
-use ede_scan::chaos::{
-    baseline_matches_plain_scan, campaign, inflight_matches_window_one, synthesis_configs_hold,
-    table4_concurrent_deviation, table4_deviation, tier_configs_hold, ChaosConfig,
-};
+use ede_scan::chaos::{campaign, table4_concurrent_deviation, table4_deviation, ChaosConfig};
 use ede_scan::{Population, PopulationConfig};
+use std::num::NonZeroU32;
 
 const USAGE: &str = "usage: repro-chaos [scale] [--seed N] [--smoke]";
 
@@ -56,7 +55,7 @@ fn main() {
             "--smoke" => smoke = true,
             "--seed" => seed = parsed("--seed", args.next(), parse_seed),
             positional if !positional.starts_with('-') => {
-                scale = parsed("scale", Some(arg), |v| v.parse().ok())
+                scale = parsed("scale", Some(arg), |v| v.parse().ok().map(NonZeroU32::get))
             }
             _ => usage_exit(&format!("unknown argument {arg:?}")),
         }
@@ -106,50 +105,6 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!("  ok: 63 x 7 cells bit-identical with 7 resolutions in flight");
-
-    eprintln!("checking an inflight=32 scan against the window-1 scan...");
-    let diffs = inflight_matches_window_one(&pop, &config, 32);
-    if !diffs.is_empty() {
-        for d in &diffs {
-            eprintln!("  inflight deviation: {d}");
-        }
-        eprintln!("FAIL: the inflight=32 scan is not bit-identical to the window-1 scan");
-        std::process::exit(1);
-    }
-    eprintln!("  ok: bit-identical observations, traffic, and metrics at inflight 32");
-
-    eprintln!("checking the cache-tier configuration (8-entry L2 budget)...");
-    let diffs = tier_configs_hold(&pop, &config);
-    if !diffs.is_empty() {
-        for d in &diffs {
-            eprintln!("  tier deviation: {d}");
-        }
-        eprintln!("FAIL: the cache budget breaks the scan contract");
-        std::process::exit(1);
-    }
-    eprintln!("  ok: tiny budget bounded with evictions");
-
-    eprintln!("checking the RFC 8198 synthesis legs (on/off fingerprint; tiny range budget)...");
-    let diffs = synthesis_configs_hold(&pop, &config);
-    if !diffs.is_empty() {
-        for d in &diffs {
-            eprintln!("  synthesis deviation: {d}");
-        }
-        eprintln!("FAIL: denial-synthesis configurations break the scan contract");
-        std::process::exit(1);
-    }
-    eprintln!("  ok: synthesis-on bit-identical, sweep served from ranges, budget bounded");
-
-    eprintln!("checking the intensity-0 leg against a plain scan...");
-    let diffs = baseline_matches_plain_scan(&pop, &config);
-    if !diffs.is_empty() {
-        for d in &diffs {
-            eprintln!("  baseline deviation: {d}");
-        }
-        eprintln!("FAIL: intensity-0 leg is not the plain scan");
-        std::process::exit(1);
-    }
-    eprintln!("  ok: bit-identical observations, traffic, and metrics");
 
     eprintln!("sweeping fault intensity (seed {seed:#x})...");
     let report = campaign(&pop, &config);

@@ -4,8 +4,8 @@
 //! Usage: repro-scan \[scale\] \[--json | --fingerprint\] \[--synthesize\]
 //!        \[--sweep=R\] \[--range-budget=N\]
 //!        \[--log-capacity=N\] \[--log-spill=PATH\] \[--snapshots=PATH\]
-//!        \[--query=EXPR\] \[--stream-smoke\]
-//! (default scale 1000, i.e. 303k domains)
+//!        \[--query=EXPR\]
+//! (scale at least 1; default 1000, i.e. 303k domains)
 //!
 //! The answer cache has no budget flag: a scan stores only the answers
 //! its revisit pass reads back (and the TLD priming's), about 1 500
@@ -17,8 +17,8 @@
 //! synthesis-free walk (registered names are never covered by validated
 //! ranges). `--sweep=R` adds R nonexistent-name probes per registered
 //! domain after both passes (range tier frozen, probes excluded from
-//! the records and fingerprints). `--range-budget=N` bounds the range
-//! tier to N spans.
+//! the records and fingerprints); R must be finite and at least 0.
+//! `--range-budget=N` bounds the range tier to N spans.
 //!
 //! Streaming analytics: `--snapshots=PATH` writes the scan's two
 //! [`ede_scan::StatsSnapshot`] documents as JSONL when the scan returns:
@@ -27,88 +27,17 @@
 //! rotates evicted records into a JSONL trace instead of dropping them.
 //! `--query=EXPR` filters the retained records after the scan (e.g.
 //! `--query=code=23,tld=com,rank=1-500`) and says how many records had
-//! already left the ring. `--stream-smoke` runs the bounded-ring
-//! equivalence check CI relies on and exits nonzero on any mismatch.
+//! already left the ring.
 use ede_scan::query::QueryFilter;
 use ede_scan::{report, scanner, Population, PopulationConfig, ScanWorld};
 use std::fs::File;
 use std::io::Write as _;
+use std::num::NonZeroU32;
 use std::path::PathBuf;
-
-/// The `--stream-smoke` leg: a scan with a deliberately tiny query-log
-/// ring must produce the same results as the default scan — final and
-/// pass-1 snapshots both — and keep ring occupancy bounded. Exits the
-/// process nonzero on failure.
-fn stream_smoke(scale: u32) {
-    let cfg = PopulationConfig {
-        scale,
-        ..Default::default()
-    };
-    let pop = Population::generate(cfg);
-
-    let baseline_world = ScanWorld::build(&pop);
-    let baseline = scanner::scan(&pop, &baseline_world, &scanner::ScanConfig::default());
-
-    let streaming_world = ScanWorld::build(&pop);
-    let config = scanner::ScanConfig::builder()
-        .query_log_capacity(1024)
-        .build();
-    let streaming = scanner::scan(&pop, &streaming_world, &config);
-
-    let mut bad = Vec::new();
-    if !baseline.stats.same_results(&streaming.stats) {
-        bad.push("streaming results differ from the batch scan".to_string());
-    }
-    if baseline.stats.fingerprint != streaming.stats.fingerprint {
-        bad.push(format!(
-            "fingerprint mismatch: {:016x} != {:016x}",
-            baseline.stats.fingerprint, streaming.stats.fingerprint
-        ));
-    }
-    if !baseline.pass1.same_results(&streaming.pass1)
-        || baseline.pass1.traffic != streaming.pass1.traffic
-    {
-        bad.push("pass-1 snapshots differ".to_string());
-    }
-    if streaming.log.peak > streaming.log.capacity {
-        bad.push(format!(
-            "ring peak {} exceeded capacity {}",
-            streaming.log.peak, streaming.log.capacity
-        ));
-    }
-    if streaming.records.len() > streaming.log.capacity {
-        bad.push(format!(
-            "retained {} records from a {}-record ring",
-            streaming.records.len(),
-            streaming.log.capacity
-        ));
-    }
-    if streaming.stream.merges == 0 {
-        bad.push("no partial-aggregate merges were recorded".to_string());
-    }
-    if bad.is_empty() {
-        println!(
-            "stream-smoke PASS: fingerprint {:016x}, pass-1 snapshots equal ({:016x}), \
-             {} merges ({} ns), ring peak {}/{} ({} dropped)",
-            streaming.stats.fingerprint,
-            streaming.pass1.fingerprint,
-            streaming.stream.merges,
-            streaming.stream.merge_ns,
-            streaming.log.peak,
-            streaming.log.capacity,
-            streaming.log.dropped,
-        );
-    } else {
-        for b in &bad {
-            eprintln!("stream-smoke FAIL: {b}");
-        }
-        std::process::exit(1);
-    }
-}
 
 const USAGE: &str = "usage: repro-scan [scale] [--json | --fingerprint] \
 [--synthesize] [--sweep=R] [--range-budget=N] [--log-capacity=N] \
-[--log-spill=PATH] [--snapshots=PATH] [--query=EXPR] [--stream-smoke]";
+[--log-spill=PATH] [--snapshots=PATH] [--query=EXPR]";
 
 /// A mistyped or retired flag must not silently measure the default
 /// configuration: say what was wrong, print the usage line, exit 2.
@@ -133,7 +62,6 @@ fn main() {
     let mut log_spill: Option<PathBuf> = None;
     let mut snapshots: Option<PathBuf> = None;
     let mut query: Option<String> = None;
-    let mut smoke = false;
     let mut scale = 1000u32;
     for arg in std::env::args().skip(1) {
         let (flag, value) = match arg.split_once('=') {
@@ -144,23 +72,20 @@ fn main() {
             ("--json", None) => json = true,
             ("--fingerprint", None) => fingerprint = true,
             ("--synthesize", None) => synthesize = true,
-            ("--stream-smoke", None) => smoke = true,
-            ("--sweep", Some(v)) => sweep_ratio = parsed(flag, v),
+            ("--sweep", Some(v)) => match parsed::<f64>(flag, v) {
+                ratio if ratio.is_finite() && ratio >= 0.0 => sweep_ratio = ratio,
+                _ => usage_exit(&format!("--sweep takes a finite ratio >= 0, not {v:?}")),
+            },
             ("--range-budget", Some(v)) => range_budget = Some(parsed(flag, v)),
             ("--log-capacity", Some(v)) => log_capacity = Some(parsed(flag, v)),
             ("--log-spill", Some(v)) => log_spill = Some(PathBuf::from(v)),
             ("--snapshots", Some(v)) => snapshots = Some(PathBuf::from(v)),
             ("--query", Some(v)) => query = Some(v.to_string()),
             (positional, None) if !positional.starts_with('-') => {
-                scale = parsed("scale", positional)
+                scale = parsed::<NonZeroU32>("scale", positional).get()
             }
             _ => usage_exit(&format!("unknown or malformed argument {arg:?}")),
         }
-    }
-
-    if smoke {
-        stream_smoke(scale);
-        return;
     }
 
     let filter = query.map(|expr| match QueryFilter::parse(&expr) {

@@ -33,8 +33,9 @@
 //!    `repro-*` binaries regenerate everything from the command line;
 //! 6. [`chaos`] sweeps `ede-netsim` fault-plan intensity over the scan
 //!    world (the `repro-chaos` binary) and reports how the EDE-code
-//!    inventory shifts under loss, corruption, and truncation — with
-//!    the intensity-0 leg pinned bit-identical to the plain scan.
+//!    inventory shifts under loss, corruption, and truncation, after
+//!    checking Table 4 serially and with seven resolutions in flight;
+//!    its intensity-0 leg is the plain scan by construction.
 //!
 //! Every number reported is *measured* through the resolver — the
 //! planting only decides what is broken, the pipeline decides what EDE

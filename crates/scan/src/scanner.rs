@@ -891,7 +891,10 @@ mod tests {
     /// The answer cache keeps only what the scan reads back: the
     /// revisit-category domains pass 2 asks again, plus the TLD
     /// priming's one entry per TLD — never one entry per domain, at any
-    /// window or worker count.
+    /// window or worker count. Under an entry budget far below that, it
+    /// keeps no more than the budget and evicts, and the scan still folds
+    /// every domain (an eviction may legally change what pass 2 observes,
+    /// so that scan is compared with nothing).
     #[test]
     fn answer_cache_keeps_only_what_pass_2_reads_back() {
         let pop = Population::generate(PopulationConfig::tiny());
@@ -902,13 +905,21 @@ mod tests {
             .count();
         let bound = (revisited + pop.tlds.len()) as u64;
         assert!(bound < pop.domains.len() as u64);
-        for (workers, inflight) in [(1, 1), (4, 16)] {
-            let world = ScanWorld::build(&pop);
+        for (workers, inflight, budget) in [(1, 1, None), (4, 16, None), (1, 1, Some(8))] {
+            let mut world = ScanWorld::build(&pop);
+            world.resolver_config.max_cache_entries = budget;
             let config = ScanConfig::builder()
                 .workers(workers)
                 .inflight(inflight)
                 .build();
-            let l2 = scan(&pop, &world, &config).cache.l2;
+            let result = scan(&pop, &world, &config);
+            assert_eq!(result.stats.ede.total_domains, pop.domains.len());
+            let l2 = result.cache.l2;
+            if let Some(budget) = budget {
+                assert!(l2.occupancy <= budget as u64, "budget {budget}: {l2:?}");
+                assert!(l2.evicted > 0, "budget {budget} evicted nothing: {l2:?}");
+                continue;
+            }
             assert!(
                 l2.occupancy_peak <= bound,
                 "{workers} workers, window {inflight}: {} entries at peak, bound {bound}",
@@ -927,13 +938,16 @@ mod tests {
     /// nonexistent probes synthesize, and those are excluded from the
     /// records. The sweep itself must really fire (nonzero
     /// synthesis, cheaper traffic) and stay deterministic across
-    /// worker/in-flight configurations.
+    /// worker/in-flight configurations. A range budget far below what
+    /// the scan retains bounds the tier and evicts, and still changes no
+    /// result: evicting a span forfeits synthesis, never an answer.
     #[test]
     fn synthesis_is_report_neutral_and_sweep_synthesizes() {
-        let run = |synthesize: bool, workers: usize, inflight: usize| {
+        let run = |synthesize: bool, budget: Option<usize>, workers: usize, inflight: usize| {
             let pop = Population::generate(PopulationConfig::tiny());
             let mut world = ScanWorld::build(&pop);
             world.resolver_config.synthesize_denial = synthesize;
+            world.resolver_config.max_range_entries = budget;
             let result = scan(
                 &pop,
                 &world,
@@ -946,8 +960,8 @@ mod tests {
             let summary = crate::report::scan_summary(&result.stats);
             (result, summary)
         };
-        let (off, summary_off) = run(false, 1, 1);
-        let (on, summary_on) = run(true, 1, 1);
+        let (off, summary_off) = run(false, None, 1, 1);
+        let (on, summary_on) = run(true, None, 1, 1);
 
         // Identical results: synthesis changes traffic, never what the
         // scan observes. (The full JSON documents differ only in the
@@ -976,11 +990,24 @@ mod tests {
         assert_eq!(off.cache.range.hits + off.cache.range.misses, 0);
         // Deterministic at any worker count / in-flight window, sweep
         // included: same records, same traffic, same sweep report.
-        let (on_parallel, _) = run(true, 4, 16);
+        let (on_parallel, _) = run(true, None, 4, 16);
         assert_eq!(on.final_records(), on_parallel.final_records());
         assert_eq!(on.traffic_full, on_parallel.traffic_full);
         assert_eq!(on.stats.traffic, on_parallel.stats.traffic);
         assert!(on.stats.same_results(&on_parallel.stats));
+
+        let (budgeted, _) = run(true, Some(8), 1, 1);
+        assert_eq!(off.final_records(), budgeted.final_records());
+        assert!(
+            off.stats.same_results(&budgeted.stats),
+            "a range budget changed results"
+        );
+        let range = &budgeted.cache.range;
+        assert!(range.occupancy <= 8, "{range:?}");
+        assert!(
+            range.evicted > 0,
+            "an 8-span budget evicted nothing: {range:?}"
+        );
     }
 
     /// A panic inside the scan must not leak the metrics sink into the

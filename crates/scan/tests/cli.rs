@@ -1,7 +1,8 @@
-//! The command lines of `repro-scan` and `repro-chaos`, driven through
-//! the built binaries: a flag one does not know, or a value it cannot
-//! parse, must stop the run with a usage line and exit code 2 — never
-//! measure the default configuration in silence.
+//! The command lines of `repro-scan`, `repro-chaos`, `repro-fig1` and
+//! `repro-fig2`, driven through the built binaries: a flag one does not
+//! know, or a value it cannot parse or use, must stop the run with a
+//! usage line and exit code 2 — never measure the default configuration
+//! in silence, panic, or run out of memory.
 
 use std::process::{Command, Output};
 
@@ -19,11 +20,16 @@ fn unknown_flags_and_bad_values_exit_2_with_usage() {
         &["1000000", "--fingerprint", "--cadence=30"], // retired with the snapshot sinks
         &["1000000", "--fingerprint", "--no-l1"],     // retired with the L1 tier
         &["1000000", "--fingerprint", "--cache-budget=5000"], // retired: a scan stores ~1 500 answers
-        &["1000000", "--fingerprint", "--range-budget"],      // value missing
+        &["1000000", "--stream-smoke"], // retired: the test suite checks the bounded ring
+        &["1000000", "--fingerprint", "--range-budget"], // value missing
         &["1000000", "--fingerprint", "--range-budget=lots"], // value unparsable
-        &["1000000", "--fingerprint=yes"],                    // value on a switch
+        &["1000000", "--fingerprint=yes"], // value on a switch
         &["--sweep=1,5"],
-        &["10e6"], // scale unparsable
+        &["1000000", "--fingerprint", "--sweep=inf"], // used to allocate probes until killed
+        &["1000000", "--fingerprint", "--sweep=-1"],  // used to mean "no sweep"
+        &["1000000", "--fingerprint", "--sweep=NaN"], // likewise
+        &["10e6"],                                    // scale unparsable
+        &["0", "--fingerprint"],                      // scale 0 used to divide by zero
         &["-h"],
     ] {
         let out = repro_scan(args);
@@ -141,6 +147,7 @@ fn chaos_unknown_flags_and_bad_values_exit_2_with_usage() {
         &["--smoke", "--seed", "abc"],   // value unparsable
         &["--smoke", "--seed=7"],        // not this binary's spelling
         &["--smoke", "10e6"],            // scale unparsable
+        &["0"],                          // scale 0 used to divide by zero
         &["--smoke", "--fingerprint"],   // another binary's flag
     ] {
         let out = repro_chaos(args);
@@ -198,4 +205,26 @@ fn chaos_seed_is_accepted_as_printed() {
         "intensity resolved fraction retries tc-fallbk faults"
     );
     assert!(String::from_utf8_lossy(&hex.stderr).contains("(seed 0xedefa17)"));
+}
+
+/// The figure binaries take one argument, the scale, and refuse
+/// anything else: they used to read `abc` or a flag as the default scale
+/// (1:1000, measured in silence) and divide by zero at scale 0.
+#[test]
+fn figure_binaries_refuse_what_they_cannot_use() {
+    for (name, exe) in [
+        ("repro-fig1", env!("CARGO_BIN_EXE_repro-fig1")),
+        ("repro-fig2", env!("CARGO_BIN_EXE_repro-fig2")),
+    ] {
+        for args in [&["0"][..], &["abc"], &["1000000", "--json"]] {
+            let out = Command::new(exe).args(args).output().expect("runs");
+            assert_eq!(out.status.code(), Some(2), "{name} {args:?}");
+            assert!(
+                out.stdout.is_empty(),
+                "{name} {args:?} still printed a figure"
+            );
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains(&format!("usage: {name}")), "{stderr}");
+        }
+    }
 }

@@ -91,8 +91,8 @@ fn streaming_is_bit_identical_to_batch_at_every_cross_point() {
 }
 
 /// A ring far smaller than the record count: bounded peak occupancy,
-/// rotated records spilled as loadable JSONL, and a report that is
-/// fingerprint-identical to the unbounded scan — the aggregation never
+/// rotated records spilled as loadable JSONL, and pass-1 and final
+/// snapshots equal to the unbounded scan's — the aggregation never
 /// depended on the buffer.
 #[test]
 fn bounded_ring_spills_and_keeps_the_report_identical() {
@@ -121,7 +121,8 @@ fn bounded_ring_spills_and_keeps_the_report_identical() {
         .build();
     let bounded = scan(&pop, &world, &config);
 
-    // Bounded memory, identical report.
+    // Bounded memory, identical report: the pass-1 snapshot, taken after
+    // the ring had already spilled, as well as the final one.
     assert!(
         bounded.log.peak <= CAPACITY,
         "peak {} > cap",
@@ -130,8 +131,17 @@ fn bounded_ring_spills_and_keeps_the_report_identical() {
     assert!(bounded.records.len() <= CAPACITY);
     assert!(bounded.log.spilled > 0, "nothing spilled");
     assert_eq!(bounded.log.dropped, 0, "spill configured, nothing may drop");
+    assert!(
+        unbounded.pass1.same_results(&bounded.pass1),
+        "pass-1 results depend on the ring"
+    );
+    assert_eq!(unbounded.pass1.traffic, bounded.pass1.traffic);
     assert!(unbounded.stats.same_results(&bounded.stats));
     assert_eq!(unbounded.stats.fingerprint, bounded.stats.fingerprint);
+    assert!(
+        bounded.stream.merges > 0,
+        "no partial-aggregate merges recorded"
+    );
 
     // Spill + retained ring = the complete record stream: replaying the
     // last-wins record per domain through a fresh fold reproduces the

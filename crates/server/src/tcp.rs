@@ -662,14 +662,9 @@ mod tests {
     }
 
     /// Structure-aware mutation of the 63 testbed queries, one kind and
-    /// two kinds at a time, through the whole request path, on both
-    /// transports: `classify → answer → encode_udp` a case at a time, and
-    /// `serve_stream` over a few hundred framed cases a connection.
-    #[test]
-    fn mutated_queries_never_break_the_request_path() {
-        use crate::pipeline::{answer, classify, encode_udp, QueryDisposition};
-
-        let tb = Testbed::build();
+    /// two kinds at a time, with the row of the policy table each case
+    /// meets first. Every row of the table is met.
+    fn corpus(tb: &Testbed) -> (Vec<Vec<u8>>, Vec<Option<Rcode>>) {
         let mut rng = Rng(0x0024_5eed);
         let cases: Vec<Vec<u8>> = (0..tb.specs.len())
             .flat_map(|i| {
@@ -683,7 +678,6 @@ mod tests {
             .collect();
         assert!(cases.len() >= 25_000, "{}", cases.len());
         let rows: Vec<Option<Rcode>> = cases.iter().map(|c| first_matching_row(c)).collect();
-        // Every row of the table is met.
         for row in [
             None,
             Some(Rcode::NotImp),
@@ -694,37 +688,66 @@ mod tests {
         ] {
             assert!(rows.contains(&row), "no case for {row:?}");
         }
+        (cases, rows)
+    }
 
-        // A connection carries up to 300 cases, ending with its first
-        // drop (a drop closes it); the datagram path takes the same
-        // cases just before, so the stream meets their answers cached.
+    /// The corpus cut into TCP connections: up to 300 cases each, ending
+    /// with its first drop (a drop closes it).
+    fn connections(rows: &[Option<Rcode>]) -> Vec<std::ops::Range<usize>> {
         let mut connections = Vec::new();
         let mut at = 0;
-        while at < cases.len() {
+        while at < rows.len() {
             let first_drop = rows[at..].iter().take(300).position(Option::is_none);
-            let end = at + first_drop.map_or(300.min(cases.len() - at), |d| d + 1);
+            let end = at + first_drop.map_or(300.min(rows.len() - at), |d| d + 1);
             connections.push(at..end);
             at = end;
         }
+        connections
+    }
+
+    /// The size a datagram reply to `request` may take: the advertisement
+    /// floored at 512 and capped by the server for an answer, 512 for a
+    /// rejection.
+    fn udp_limit(request: &[u8], row: Rcode, cap: u16) -> usize {
+        usize::from(match row {
+            Rcode::NoError => Message::decode(request)
+                .unwrap()
+                .advertised_payload_size()
+                .min(cap),
+            _ => 512,
+        })
+    }
+
+    /// The corpus through the whole request path, on both transports:
+    /// `classify → answer → encode_udp` a case at a time, and
+    /// `serve_stream` over a few hundred framed cases a connection.
+    #[test]
+    fn mutated_queries_never_break_the_request_path() {
+        use crate::pipeline::{answer, classify, encode_udp, QueryDisposition};
+
+        let tb = Testbed::build();
+        let (cases, rows) = corpus(&tb);
+        // The datagram path takes a connection's cases just before the
+        // stream does, so the stream meets their answers cached.
+        let connections = connections(&rows);
         let shared = shared(&tb);
         let cap = shared.config.udp_payload_max;
         let check = |connection: &std::ops::Range<usize>| {
             let (cases, rows) = (&cases[connection.clone()], &rows[connection.clone()]);
             for (case, row) in cases.iter().zip(rows) {
-                let (reply, limit) = match (classify(case), row) {
+                let (reply, row) = match (classify(case), row) {
                     (QueryDisposition::Drop(_), None) => continue,
                     (QueryDisposition::Reject(reply, _), Some(row)) if reply.rcode == *row => {
-                        (reply.encode().unwrap(), 512)
+                        (reply.encode().unwrap(), *row)
                     }
                     (QueryDisposition::Resolve(query), Some(Rcode::NoError)) => {
                         let reply = answer(&shared.resolver, None, &query);
-                        let (bytes, _) = encode_udp(&reply, &query, cap).unwrap();
-                        (bytes, query.advertised_payload_size().min(cap))
+                        (encode_udp(&reply, &query, cap).unwrap().0, Rcode::NoError)
                     }
                     (other, row) => panic!("{case:02x?}: {other:?}, the table says {row:?}"),
                 };
-                assert!(reply.len() <= usize::from(limit), "{case:02x?}");
-                assert_reply_fits(case, row.unwrap(), &reply);
+                assert!(reply.len() <= udp_limit(case, row, cap), "{case:02x?}");
+                assert_reply_fits(case, row, &reply);
             }
 
             let mut peer = Scripted::default();
@@ -755,5 +778,84 @@ mod tests {
         assert_eq!(stats.rejected_badvers, count(Some(Rcode::BadVers)));
         assert_eq!(stats.rejected_refused, count(Some(Rcode::Refused)));
         assert_eq!(stats.tcp_responses, cases.len() as u64 - count(None));
+    }
+
+    /// The same corpus against a running server over loopback sockets:
+    /// every case as a datagram to its one UDP worker, then the same
+    /// connections over TCP. A drop is sent without waiting; the next
+    /// reply awaited shows the worker still serves, and a last plain
+    /// query does so after the corpus's final case. The server's counts
+    /// reconcile with the table, and it drains with every thread alive.
+    #[test]
+    fn mutated_queries_never_break_a_loopback_server() {
+        let tb = Testbed::build();
+        let (cases, rows) = corpus(&tb);
+        let config = ServerConfig::builder()
+            .bind("127.0.0.1:0")
+            .workers(1)
+            .build();
+        let cap = config.udp_payload_max;
+        let server = crate::Server::spawn(tb.resolver(Vendor::Cloudflare), config).unwrap();
+
+        let udp = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+        udp.connect(server.udp_addr()).unwrap();
+        udp.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let last = Message::query(0, tb.query_name(&tb.specs[0]), RrType::A);
+        let last = (last.encode().unwrap(), Some(Rcode::NoError));
+        let mut reply = vec![0u8; usize::from(u16::MAX)];
+        for (case, row) in cases.iter().zip(&rows).chain([(&last.0, &last.1)]) {
+            udp.send(case).unwrap();
+            let Some(row) = *row else { continue };
+            let n = udp.recv(&mut reply).expect("a reply per answered datagram");
+            assert!(n <= udp_limit(case, row, cap), "{case:02x?}");
+            assert_reply_fits(case, row, &reply[..n]);
+        }
+
+        let mut buf = [0u8; 4096];
+        for connection in connections(&rows) {
+            let (cases, rows) = (&cases[connection.clone()], &rows[connection]);
+            let mut tcp = TcpStream::connect(server.tcp_addr()).unwrap();
+            tcp.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let frames: Vec<u8> = cases.iter().flat_map(|c| frame(c).unwrap()).collect();
+            tcp.write_all(&frames).unwrap();
+            let mut reader = FrameReader::new(MAX_FRAME_LEN);
+            for (case, row) in cases.iter().zip(rows) {
+                let Some(row) = row else { continue };
+                let reply = loop {
+                    if let Some(reply) = reader.next_frame() {
+                        break reply;
+                    }
+                    let n = tcp.read(&mut buf).unwrap();
+                    assert!(n > 0, "closed before the reply to {case:02x?}");
+                    reader.push(&buf[..n]).unwrap();
+                };
+                assert_reply_fits(case, *row, &reply);
+            }
+            assert!(reader.next_frame().is_none() && !reader.has_partial());
+            // A drop closes the connection. Waiting for that close keeps
+            // the client from closing first, which would leave its port
+            // in TIME_WAIT, where a later listener could not bind it.
+            if rows.last() == Some(&None) {
+                assert_eq!(tcp.read(&mut buf).unwrap(), 0, "a drop closes");
+            }
+        }
+
+        let stats = server.shutdown().unwrap();
+        assert!(stats.drained);
+        assert_eq!(stats.udp_workers_alive(), 1);
+        assert!(stats.tcp_acceptor_alive());
+        let stats = stats.metrics;
+        let count = |row| rows.iter().filter(|r| **r == row).count() as u64;
+        let sent = cases.len() as u64;
+        assert_eq!(stats.udp_queries, sent + 1);
+        assert_eq!(stats.udp_responses, sent + 1 - count(None));
+        assert_eq!(stats.tcp_queries, sent);
+        assert_eq!(stats.tcp_responses, sent - count(None));
+        // Each case went once over each transport.
+        assert_eq!(stats.dropped, 2 * count(None));
+        assert_eq!(stats.rejected_notimp, 2 * count(Some(Rcode::NotImp)));
+        assert_eq!(stats.rejected_formerr, 2 * count(Some(Rcode::FormErr)));
+        assert_eq!(stats.rejected_badvers, 2 * count(Some(Rcode::BadVers)));
+        assert_eq!(stats.rejected_refused, 2 * count(Some(Rcode::Refused)));
     }
 }
