@@ -1,17 +1,12 @@
-//! Expiry, budget and accounting for the sharded tiers, written once.
+//! Expiry, budget and accounting for the L2 store.
 //!
-//! The L2 store (`Cache`) and the range tier (`RangeCache`) keep
-//! different things — resolutions by `(qname, qtype)`, denial spans by
-//! zone and owner — and bound them identically; the `cache` module's
-//! header describes the policy. [`Bounded`] is its one implementation:
-//! [`SHARD_COUNT`] independently-locked shards, each a tier's own
-//! entries (an [`Index`]) beside the wheel and ring that expire and
-//! evict them. A tier tells the store only how to find the reference
-//! bit of the entry a slot addresses and how to remove it.
+//! The `cache` module's header describes the policy. [`Bounded`] is its
+//! implementation: [`SHARD_COUNT`] independently-locked shards, each the
+//! store's own entries beside the wheel and ring that expire and evict
+//! them.
 
-use super::{CacheLimits, CacheStatsSnapshot, PutOutcome, SHARD_COUNT};
+use super::{CacheLimits, CacheStatsSnapshot, Entries, PutOutcome, Slot, SHARD_COUNT};
 use ede_trace::Striped;
-use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard};
@@ -25,49 +20,22 @@ pub(super) const WHEEL_SHIFT: u32 = 6;
 /// plus this; keeps tiny shards from compacting on every store.
 pub(super) const RING_SLACK: usize = 16;
 
-/// One shard's worth of a tier's own entries, as the store sees them.
-pub(super) trait Index: Default {
-    /// Addresses one stored entry *at one sequence number*; wheel and
-    /// ring hold these instead of references.
-    type Slot: Clone;
-
-    /// The CLOCK reference bit of the entry `slot` addresses, or `None`
-    /// when that entry is gone or has been overwritten since.
-    fn reference_bit(&self, slot: &Self::Slot) -> Option<&Cell<bool>>;
-
-    /// Remove the entry `slot` addresses; true when it was there. A
-    /// stale sequence is a no-op.
-    fn remove(&mut self, slot: &Self::Slot) -> bool;
-}
-
-/// One lockable slice of a tier.
-pub(super) struct Shard<I: Index> {
-    /// The tier's entries.
-    pub index: I,
+/// One lockable slice of the store.
+#[derive(Default)]
+pub(super) struct Shard {
+    /// The store's entries.
+    pub index: Entries,
     /// TTL wheel: coarse deadline bucket → slots.
-    wheel: BTreeMap<u32, Vec<I::Slot>>,
+    wheel: BTreeMap<u32, Vec<Slot>>,
     /// Insertion ring for the CLOCK sweep, in store order; empty
     /// without a budget.
-    ring: VecDeque<I::Slot>,
+    ring: VecDeque<Slot>,
     next_seq: u64,
     /// Entries in `index` right now.
     live: usize,
 }
 
-// Not derived: that would ask `I::Slot` for a default nothing needs.
-impl<I: Index> Default for Shard<I> {
-    fn default() -> Self {
-        Shard {
-            index: I::default(),
-            wheel: BTreeMap::new(),
-            ring: VecDeque::new(),
-            next_seq: 0,
-            live: 0,
-        }
-    }
-}
-
-impl<I: Index> Shard<I> {
+impl Shard {
     /// A fresh shard-scoped sequence number for an entry about to be
     /// stored or overwritten.
     pub fn next_seq(&mut self) -> u64 {
@@ -89,18 +57,18 @@ impl<I: Index> Shard<I> {
     }
 }
 
-/// A sharded tier's shards, budget and counters.
-pub(super) struct Bounded<I: Index> {
-    shards: [Mutex<Shard<I>>; SHARD_COUNT],
+/// The store's shards, budget and counters.
+pub(super) struct Bounded {
+    shards: [Mutex<Shard>; SHARD_COUNT],
     max_entries: Option<usize>,
     /// Stored entries across all shards (including expired-but-unpurged
-    /// ones). Global so the budget is a whole-tier bound even though
+    /// ones). Global so the budget is a whole-store bound even though
     /// eviction runs in the inserting shard.
     occupancy: AtomicU64,
     pub stats: Counters,
 }
 
-/// Live side of [`CacheStatsSnapshot`]: lock-free atomics. The tier
+/// Live side of [`CacheStatsSnapshot`]: lock-free atomics. The cache
 /// bumps the probe and store counts — once per probe, from every
 /// worker, so they go to the writing thread's stripe — and the store its
 /// own removals, which happen under a shard lock.
@@ -112,7 +80,7 @@ pub(super) struct Counters {
     occupancy_peak: AtomicU64,
 }
 
-/// One stripe of a tier's probe and store counts.
+/// One stripe of the store's probe and store counts.
 #[derive(Debug, Default)]
 pub(super) struct ProbeCounts {
     pub hits: AtomicU64,
@@ -121,8 +89,8 @@ pub(super) struct ProbeCounts {
     pub puts: AtomicU64,
 }
 
-impl<I: Index> Bounded<I> {
-    /// An empty tier with the given entry budget.
+impl Bounded {
+    /// An empty store with the given entry budget.
     pub fn new(limits: CacheLimits) -> Self {
         Bounded {
             shards: std::array::from_fn(|_| Mutex::default()),
@@ -133,21 +101,21 @@ impl<I: Index> Bounded<I> {
     }
 
     /// Lock the shard `hash` selects.
-    pub fn lock(&self, hash: u64) -> MutexGuard<'_, Shard<I>> {
+    pub fn lock(&self, hash: u64) -> MutexGuard<'_, Shard> {
         self.shards[(hash as usize) & (SHARD_COUNT - 1)]
             .lock()
             .expect("no poisoning")
     }
 
     /// Every shard in turn, locked one at a time.
-    pub fn shards(&self) -> impl Iterator<Item = MutexGuard<'_, Shard<I>>> {
+    pub fn shards(&self) -> impl Iterator<Item = MutexGuard<'_, Shard>> {
         self.shards.iter().map(|s| s.lock().expect("no poisoning"))
     }
 
     /// First step of a store: drain every wheel bucket of `shard` that
     /// lies wholly before `now`, physically removing the (certainly
     /// dead) entries it references. Returns how many went.
-    pub fn turn_wheel(&self, shard: &mut Shard<I>, now: u32) -> u64 {
+    pub fn turn_wheel(&self, shard: &mut Shard, now: u32) -> u64 {
         let cutoff = now >> WHEEL_SHIFT;
         if shard
             .wheel
@@ -171,18 +139,18 @@ impl<I: Index> Bounded<I> {
         expired as u64
     }
 
-    /// Second step, once per entry the tier has just put in
+    /// Second step, once per entry the cache has just put in
     /// `shard.index`: file `slot` under `deadline`, and count the entry
     /// when it is `new` rather than an overwrite (whose old slots keep
     /// the superseded sequence and are skipped lazily).
-    pub fn track(&self, shard: &mut Shard<I>, slot: I::Slot, deadline: u32, new: bool) {
+    pub fn track(&self, shard: &mut Shard, slot: Slot, deadline: u32, new: bool) {
         if new {
             shard.live += 1;
             let occupancy = self.occupancy.fetch_add(1, Relaxed) + 1;
             self.stats.occupancy_peak.fetch_max(occupancy, Relaxed);
         }
         if self.max_entries.is_some() {
-            shard.ring.push_back(slot.clone());
+            shard.ring.push_back(slot);
             shard.compact_ring();
         }
         shard
@@ -196,7 +164,7 @@ impl<I: Index> Bounded<I> {
     /// ring (the inserting shard always holds at least the entry just
     /// stored, so the global bound is restorable locally) and report
     /// what the whole store operation removed.
-    pub fn finish(&self, shard: &mut Shard<I>, expired: u64) -> PutOutcome {
+    pub fn finish(&self, shard: &mut Shard, expired: u64) -> PutOutcome {
         let mut evicted = 0;
         if let Some(max) = self.max_entries {
             // One full second-chance lap, then evict unconditionally:
@@ -241,7 +209,7 @@ impl<I: Index> Bounded<I> {
 
     /// Turn every shard's wheel to `now`, returning how many entries
     /// went. Stores turn their own shard's wheel lazily; this is the
-    /// eager, whole-tier form.
+    /// eager, whole-store form.
     pub fn purge_expired(&self, now: u32) -> u64 {
         self.shards()
             .map(|mut shard| self.turn_wheel(&mut shard, now))

@@ -1,16 +1,12 @@
 //! The tiered resolution cache.
 //!
-//! Three tiers serve the scan's access pattern:
+//! Two tiers serve the scan's access pattern:
 //!
 //! * **L2** ([`Cache`], this module) — the shared sharded store:
 //!   positive, negative, and failure caching with RFC 8767
 //!   serve-stale.
 //! * **Infrastructure** ([`infra::InfraCache`]) — referral sets and
 //!   validated zone keys for the iterative walk, keyed by zone.
-//! * **Ranges** ([`ranges::RangeCache`]) — validated NSEC/NSEC3 denial
-//!   intervals, keyed by zone and ordered by owner (hash), from which
-//!   NXDOMAIN/NODATA answers are synthesized for *covered* names
-//!   without asking the authority (RFC 8198).
 //!
 //! # The shared store
 //!
@@ -32,12 +28,10 @@
 //!
 //! # Expiry: the TTL wheel
 //!
-//! The L2 store and the range tier bound themselves the same way, by
-//! one implementation (the private `bounded` module); each supplies
-//! only how a bookkeeping slot finds its entry.
+//! The private `bounded` module keeps the L2 store's expiry, budget and
+//! counters beside its entries.
 //!
-//! Every entry has a hard deadline — `stored_at + ttl + stale window`
-//! here, `min(stored_at + ttl, RRSIG expiration)` for a denial span —
+//! Every entry has a hard deadline — `stored_at + ttl + stale window` —
 //! past which it can never be served again (not even stale). Each shard
 //! buckets those deadlines on a coarse clock ([`WHEEL_BUCKET_SECS`]-
 //! second buckets in a `BTreeMap`); every store operation first drains
@@ -50,24 +44,22 @@
 //!
 //! # Budget: the CLOCK sweep
 //!
-//! [`CacheLimits`] optionally bounds a tier by entry count. The bound
-//! is **global and hard**: after any store returns, the whole tier
+//! [`CacheLimits`] optionally bounds the store by entry count. The bound
+//! is **global and hard**: after any store returns, the whole store
 //! holds at most `max_entries` entries. Enforcement is local — the
 //! inserting shard evicts from its own insertion ring, giving
 //! recently-hit entries one second chance (CLOCK) before they go. Only
-//! a budgeted tier keeps rings, compacted as overwrites and expiries
+//! a budgeted store keeps rings, compacted as overwrites and expiries
 //! leave dead slots behind. A budget eviction may remove a perfectly
 //! live entry, so scan results are only guaranteed bit-identical when
-//! the L2 budget never actually fires (evicting a denial span only
-//! forfeits a synthesis); the bounded-memory configurations trade
-//! exactness for a working-set bound, as a serving front end must.
+//! the L2 budget never actually fires; the bounded-memory configurations
+//! trade exactness for a working-set bound, as a serving front end must.
 
 mod bounded;
 pub mod infra;
-pub mod ranges;
 
 use crate::diagnosis::Diagnosis;
-use bounded::{Bounded, Index};
+use bounded::Bounded;
 use ede_wire::{Name, Rcode, Record, RrType};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -222,18 +214,17 @@ impl Entries {
             .into_iter()
             .chain(collided.map(|(_, e)| e))
     }
-}
 
-/// A wheel or ring slot addresses an entry as `(hash, seq)`.
-impl Index for Entries {
-    type Slot = (u64, u64);
-
-    fn reference_bit(&self, &(hash, seq): &(u64, u64)) -> Option<&Cell<bool>> {
+    /// The CLOCK reference bit of the entry `slot` addresses, or `None`
+    /// when that entry is gone or has been overwritten since.
+    fn reference_bit(&self, &(hash, seq): &Slot) -> Option<&Cell<bool>> {
         let entry = self.at_hash(hash).find(|e| e.seq == seq)?;
         Some(&entry.referenced)
     }
 
-    fn remove(&mut self, &(hash, seq): &(u64, u64)) -> bool {
+    /// Remove the entry `slot` addresses; true when it was there. A
+    /// stale sequence is a no-op.
+    fn remove(&mut self, &(hash, seq): &Slot) -> bool {
         if self.entries.get(&hash).is_some_and(|e| e.seq == seq) {
             return self.entries.remove(&hash).is_some();
         }
@@ -245,9 +236,13 @@ impl Index for Entries {
     }
 }
 
+/// A wheel or ring slot addresses one entry *at one sequence number*
+/// as `(hash, seq)`; wheel and ring hold these instead of references.
+type Slot = (u64, u64);
+
 /// The shared (L2) resolver cache.
 pub struct Cache {
-    store: Bounded<Entries>,
+    store: Bounded,
     stale_window_secs: u32,
 }
 

@@ -62,17 +62,6 @@ pub struct ResolverConfig {
     /// per zone while walking referrals (probing with NS queries), in
     /// the "relaxed" style deployed resolvers use. Off by default.
     pub qname_minimization: bool,
-    /// RFC 8198 aggressive use of the DNSSEC-validated cache: retain
-    /// NSEC/NSEC3 ranges from validated denial and insecure-delegation
-    /// proofs in a range-keyed cache tier, and answer later queries
-    /// falling inside a still-valid range with a synthesized
-    /// NXDOMAIN/NODATA instead of asking the authority. Off by default
-    /// (the historical behaviour); even when on, the per-vendor gate
-    /// [`crate::Vendor::synthesizes_denial`] must also agree.
-    pub synthesize_denial: bool,
-    /// Hard bound on range-tier entries (`None` = unbounded). Same
-    /// CLOCK-eviction trade-off as [`max_cache_entries`](Self::max_cache_entries).
-    pub max_range_entries: Option<usize>,
     /// Extra attempts on the *same* server after a transient failure
     /// (a timeout or FORMERR — the signatures of datagram loss and
     /// corruption; a REFUSED or SERVFAIL is the server's considered
@@ -93,8 +82,6 @@ impl Default for ResolverConfig {
             max_cache_entries: None,
             error_reporting: None,
             qname_minimization: false,
-            synthesize_denial: false,
-            max_range_entries: None,
             retries_per_server: 0,
         }
     }
@@ -119,9 +106,6 @@ mod tests {
     fn defaults_are_sane() {
         let c = ResolverConfig::default();
         assert!(c.failure_ttl_secs > 0);
-        // RFC 8198 synthesis is opt-in: pinned traces and fingerprints
-        // must be unaffected by the range tier's existence.
-        assert!(!c.synthesize_denial);
         // One shot per server by default: golden traces and the
         // Table 4 matrix depend on it.
         assert_eq!(c.retries_per_server, 0);

@@ -302,15 +302,6 @@ pub enum Finding {
     },
 
     // ---- Caching -----------------------------------------------------------
-    /// The negative answer was synthesized from DNSSEC-validated
-    /// NSEC/NSEC3 ranges already in the cache's range tier (RFC 8198
-    /// aggressive use) — no authority was asked. Deliberately mapped to
-    /// an EDE by *no* vendor profile: on the wire a synthesized denial
-    /// must be indistinguishable from the live one it stands in for.
-    SynthesizedDenial {
-        /// NODATA or NXDOMAIN.
-        kind: NegativeKind,
-    },
     /// The answer was served from cache past its TTL (RFC 8767).
     ServedStale {
         /// True when the stale record was an NXDOMAIN (EDE 19 vs 3).

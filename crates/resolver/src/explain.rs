@@ -155,11 +155,6 @@ pub fn explain_finding(f: &Finding) -> String {
         Finding::Nsec3IterationsExceeded { iterations } => format!(
             "the zone's NSEC3 iteration count ({iterations}) exceeds this resolver's limit (RFC 9276 requires 0)"
         ),
-        Finding::SynthesizedDenial { kind } => format!(
-            "the {} was synthesized from DNSSEC-validated NSEC3/NSEC ranges already in cache \
-             (RFC 8198) — no authority was asked",
-            kind_noun(*kind)
-        ),
         Finding::ServedStale { nxdomain: false } => {
             "live resolution failed; an expired cached answer was served instead (RFC 8767)".into()
         }
@@ -306,12 +301,6 @@ mod tests {
             },
             InsecureReferralProofMissing,
             Nsec3IterationsExceeded { iterations: 2000 },
-            SynthesizedDenial {
-                kind: NegativeKind::Nxdomain,
-            },
-            SynthesizedDenial {
-                kind: NegativeKind::Nodata,
-            },
             ServedStale { nxdomain: false },
             ServedStale { nxdomain: true },
             CachedError,

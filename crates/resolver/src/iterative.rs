@@ -2,12 +2,11 @@
 //! glue, CNAME chasing, retries, and the hookup into DNSSEC validation.
 
 use crate::cache::infra::{InfraCache, KeyEntry, KeyShard, ReferralEntry};
-use crate::cache::ranges::RangeCache;
 use crate::config::ResolverConfig;
-use crate::diagnosis::{Diagnosis, Finding, NegativeKind, NsEvent, NsFailure, ValidationState};
+use crate::diagnosis::{Diagnosis, Finding, NsEvent, NsFailure, ValidationState};
 use crate::profiles::ValidatorCaps;
 use crate::task::TaskHandle;
-use crate::validate::{self, PublishedKey};
+use crate::validate;
 use ede_netsim::{NetError, Network};
 use ede_trace::TraceEvent;
 use ede_wire::{Message, Name, Question, Rcode, Rdata, Record, RrType};
@@ -54,11 +53,6 @@ pub struct Engine<'a> {
     /// Executor capability: every suspension (an exchange completion)
     /// of this resolution parks through it.
     pub handle: &'a TaskHandle,
-    /// The shared range tier for RFC 8198 aggressive NSEC/NSEC3
-    /// synthesis, when it is effective (config knob AND vendor gate).
-    /// `None` keeps the engine byte-identical to the historical walk:
-    /// no retention, no synthesis probe, no trace events.
-    pub ranges: Option<&'a RangeCache>,
 }
 
 /// Outcome of querying a server set.
@@ -311,20 +305,6 @@ impl<'a> Engine<'a> {
         entry
     }
 
-    /// RFC 8198 retention of a proof the chain just accepted (an insecure
-    /// delegation's, or a denial's): the ranges of `authority` belong to
-    /// `zone`, and those whose signature re-verifies against its
-    /// validated `keys` enter the range tier.
-    fn retain_proof(&self, zone: &Name, authority: &[Record], keys: &[PublishedKey]) {
-        if let Some(ranges) = self.ranges {
-            let now = self.now();
-            let proofs = validate::extract_proof_ranges(authority, keys, now);
-            if !proofs.is_empty() {
-                ranges.retain(zone, &proofs, now);
-            }
-        }
-    }
-
     /// Resolve addresses for a nameserver name (used when a referral
     /// came without glue). Shares the caller's diagnosis so failures in
     /// the nameserver's own domain surface, as §4.2.8 observes.
@@ -391,48 +371,6 @@ impl<'a> Engine<'a> {
         let mut cname_budget = MAX_DEPTH;
 
         'restart: loop {
-            // RFC 8198 fast path: before any network send, ask the
-            // range tier whether a still-valid, DNSSEC-validated
-            // NSEC/NSEC3 interval already denies (name, type). A hit
-            // synthesizes the negative answer outright — the proof was
-            // cryptographically verified when it was retained, so the
-            // result is exactly what the authority would have said,
-            // minus the round-trip. The marker finding is mapped to an
-            // EDE by no vendor (pinned by `profiles` tests), keeping
-            // synthesized and live denials wire-indistinguishable.
-            if let Some(ranges) = self.ranges {
-                if let Some(denial) = ranges.deny(&current_name, qtype, self.now()) {
-                    let kind = if denial.is_nxdomain() {
-                        NegativeKind::Nxdomain
-                    } else {
-                        NegativeKind::Nodata
-                    };
-                    diag.zone_signed = true;
-                    diag.add(Finding::SynthesizedDenial { kind });
-                    let tracer = diag.tracer();
-                    if tracer.enabled() {
-                        tracer.emit(TraceEvent::DenialSynthesized {
-                            qname: if tracer.wants_query_detail() {
-                                current_name.to_string()
-                            } else {
-                                String::new()
-                            },
-                            nxdomain: denial.is_nxdomain(),
-                            ttl: denial.ttl(),
-                        });
-                    }
-                    let rcode = if denial.is_nxdomain() {
-                        Rcode::NxDomain
-                    } else {
-                        Rcode::NoError
-                    };
-                    return EngineOutcome {
-                        rcode,
-                        answers: answers_acc,
-                    };
-                }
-            }
-
             // Referral fast-start: when the walk's first hop (the
             // root→TLD delegation every resolution crosses) is cached,
             // replay it and start one zone down. The cached hop was
@@ -524,7 +462,7 @@ impl<'a> Engine<'a> {
                     let secure_cut = zone_signed && referral.signed;
                     if zone_signed {
                         let parent = self.zone_keys(&at.zone, &at.ds_rdatas, responder, diag);
-                        if let Some(keys) = validate::cut_link(
+                        validate::cut_link(
                             &resp.authorities,
                             &referral.zone,
                             referral.signed,
@@ -532,9 +470,7 @@ impl<'a> Engine<'a> {
                             self.caps,
                             self.now(),
                             diag,
-                        ) {
-                            self.retain_proof(&at.zone, &resp.authorities, keys);
-                        }
+                        );
                     }
 
                     // Next server set: glue, else resolve NS names.
@@ -624,7 +560,7 @@ impl<'a> Engine<'a> {
                 diag.zone_signed |= zone_signed;
                 let keys =
                     zone_signed.then(|| self.zone_keys(&at.zone, &at.ds_rdatas, responder, diag));
-                if let Some(trusted) = validate::answer_link(
+                validate::answer_link(
                     &resp,
                     &Question::new(current_name.clone(), qtype),
                     &at.zone,
@@ -632,9 +568,7 @@ impl<'a> Engine<'a> {
                     self.caps,
                     self.now(),
                     diag,
-                ) {
-                    self.retain_proof(&at.zone, &resp.authorities, trusted);
-                }
+                );
 
                 // CNAME chasing: restart when the alias leads out of the
                 // current zone and the answer does not already contain

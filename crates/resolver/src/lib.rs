@@ -26,15 +26,11 @@
 //!
 //! The [`cache`] implements positive, negative and failure caching with
 //! RFC 8767 serve-stale — the substrate behind EDE 3 (*Stale Answer*),
-//! 13 (*Cached Error*) and 19 (*Stale NXDOMAIN Answer*). It is tiered:
-//! the shared bounded L2 with TTL-wheel expiry and CLOCK eviction
-//! ([`cache::Cache`]), an infrastructure cache for the referral
-//! walk's hot path ([`cache::infra`]), and a range-keyed tier of
-//! DNSSEC-validated NSEC/NSEC3 intervals ([`cache::ranges`]) that,
-//! when [`ResolverConfig::synthesize_denial`] and the vendor gate
-//! agree, answers misses with a synthesized denial before any network
-//! send (RFC 8198 aggressive use). A [`policy`] layer reproduces
-//! blocklist-style codes (4, 15–18).
+//! 13 (*Cached Error*) and 19 (*Stale NXDOMAIN Answer*). It has two
+//! tiers: the shared bounded L2 with TTL-wheel expiry and CLOCK
+//! eviction ([`cache::Cache`]), and an infrastructure cache for the
+//! referral walk's hot path ([`cache::infra`]). A [`policy`] layer
+//! reproduces blocklist-style codes (4, 15–18).
 //!
 //! # Execution model
 //!
@@ -65,7 +61,6 @@ pub mod task;
 pub mod validate;
 
 pub use cache::infra::{InfraCache, InfraStatsSnapshot, ReferralEntry};
-pub use cache::ranges::{ProofRange, RangeCache, SynthesizedDenial};
 pub use cache::{Cache, CacheHit, CacheLimits, CacheStatsSnapshot, CachedResolution};
 pub use config::ResolverConfig;
 pub use diagnosis::{Diagnosis, Finding, NsFailure, ValidationState};

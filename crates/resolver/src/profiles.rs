@@ -104,19 +104,6 @@ impl Vendor {
         Vendor::OpenDns,
     ];
 
-    /// Whether this vendor turns on RFC 8198 aggressive NSEC/NSEC3
-    /// synthesis when the resolver-level knob
-    /// ([`crate::ResolverConfig::synthesize_denial`]) requests it.
-    /// Deployed vendors differ on defaulting it on: the open-source
-    /// validators and the big anycast services ship it (Unbound since
-    /// 1.7, BIND since 9.12, Knot/PowerDNS behind a default-on option,
-    /// Cloudflare and Quad9 operationally), while OpenDNS — whose
-    /// filtering pipeline rewrites NXDOMAIN — does not. The effective
-    /// switch is the config knob AND this gate.
-    pub fn synthesizes_denial(self) -> bool {
-        !matches!(self, Vendor::OpenDns)
-    }
-
     /// Display name matching the paper.
     pub fn name(self) -> &'static str {
         match self {
@@ -361,9 +348,8 @@ fn shape_of(finding: &Finding) -> u64 {
         Finding::ServedStale { nxdomain: true } => STALE_NXDOMAIN,
         Finding::CachedError => CACHED_ERROR,
         // Cloudflare's tail reads the server address off the finding
-        // itself; a synthesized denial must stay indistinguishable from
-        // the live one it stands in for (RFC 8198).
-        Finding::EdnsNotSupported { .. } | Finding::SynthesizedDenial { .. } => 0,
+        // itself.
+        Finding::EdnsNotSupported { .. } => 0,
     }
 }
 
@@ -750,34 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn no_vendor_maps_synthesized_denial_to_an_ede() {
-        // The RFC 8198 contract: a synthesized denial must be
-        // EDE-indistinguishable from the live denial it replaces, so
-        // the marker finding is invisible to every emission function.
-        let d = diag_with(vec![
-            Finding::SynthesizedDenial {
-                kind: NegativeKind::Nxdomain,
-            },
-            Finding::SynthesizedDenial {
-                kind: NegativeKind::Nodata,
-            },
-        ]);
-        for p in VendorProfile::all() {
-            assert!(p.emit(&d).is_empty(), "{:?} emitted", p.vendor);
-        }
-    }
-
-    #[test]
-    fn opendns_is_the_only_vendor_gating_synthesis_off() {
-        let on: Vec<Vendor> = Vendor::ALL
-            .into_iter()
-            .filter(|v| v.synthesizes_denial())
-            .collect();
-        assert_eq!(on.len(), 6);
-        assert!(!Vendor::OpenDns.synthesizes_denial());
-    }
-
-    #[test]
     fn cloudflare_caps_lack_ed448() {
         assert!(!ValidatorCaps::cloudflare().algorithms.contains(&16));
         assert!(ValidatorCaps::full().algorithms.contains(&16));
@@ -794,7 +752,7 @@ mod tests {
         assert_eq!(entries[0].extra_text, KNOT_LSLC);
     }
 
-    // `fn shapes() -> Vec<Finding>`: the 63 instantiations
+    // `fn shapes() -> Vec<Finding>`: the 61 instantiations
     // `tests/emission_pin.rs` enumerates.
     include!("../tests/common/shapes.rs");
 
@@ -814,7 +772,7 @@ mod tests {
             | ALL_SERVERS_FAILED // cloudflare_tail
             | DNSKEY_BOGUS_ZSK_PRESENT; // feeds ANSWER_KEY_MISSING_ZSK_PRESENT
         let shapes = shapes();
-        assert_eq!(shapes.len(), 63);
+        assert_eq!(shapes.len(), 61);
         let mut returned = 0;
         for f in &shapes {
             let shape = shape_of(f);

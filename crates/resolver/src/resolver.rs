@@ -1,7 +1,6 @@
 //! The public resolver API: policy, cache, engine, and EDE emission.
 
 use crate::cache::infra::{InfraCache, InfraStatsSnapshot};
-use crate::cache::ranges::RangeCache;
 use crate::cache::{Cache, CacheHit, CacheLimits, CacheStatsSnapshot, CachedResolution};
 use crate::config::ResolverConfig;
 use crate::diagnosis::{Diagnosis, Finding, ValidationState};
@@ -71,11 +70,6 @@ pub struct Resolver {
     policy: Policy,
     cache: Cache,
     infra: InfraCache,
-    /// The RFC 8198 range tier (validated NSEC/NSEC3 intervals).
-    ranges: RangeCache,
-    /// The *effective* synthesis switch: the config knob AND the
-    /// vendor gate, resolved once at construction.
-    synthesize: bool,
     ids: AtomicU16,
 }
 
@@ -88,10 +82,6 @@ impl Resolver {
                 max_entries: config.max_cache_entries,
             },
         );
-        let ranges = RangeCache::with_limits(CacheLimits {
-            max_entries: config.max_range_entries,
-        });
-        let synthesize = config.synthesize_denial && profile.vendor.synthesizes_denial();
         Resolver {
             net,
             profile,
@@ -99,8 +89,6 @@ impl Resolver {
             policy: Policy::new(),
             cache,
             infra: InfraCache::new(),
-            ranges,
-            synthesize,
             ids: AtomicU16::new(1),
         }
     }
@@ -124,28 +112,6 @@ impl Resolver {
     pub fn flush(&self) {
         self.cache.clear();
         self.infra.clear();
-        self.ranges.clear();
-    }
-
-    /// True when RFC 8198 synthesis is effective for this resolver:
-    /// the config knob is on AND the vendor's gate agrees
-    /// ([`crate::Vendor::synthesizes_denial`]).
-    pub fn synthesis_active(&self) -> bool {
-        self.synthesize
-    }
-
-    /// A frozen copy of the range tier's counters (hits/misses count
-    /// synthesis probes; puts/evictions count interval retention).
-    pub fn range_stats(&self) -> CacheStatsSnapshot {
-        self.ranges.stats()
-    }
-
-    /// Freeze (or thaw) the range tier: frozen, it keeps answering
-    /// synthesis probes but retains nothing new. Measurement phases use
-    /// this to hold the tier's contents fixed regardless of probe
-    /// order, keeping sweeps deterministic across concurrency levels.
-    pub fn freeze_ranges(&self, frozen: bool) {
-        self.ranges.freeze(frozen);
     }
 
     /// A frozen copy of the shared (L2) resolution-cache counters.
@@ -275,11 +241,6 @@ impl Resolver {
             infra: &self.infra,
             ids: &self.ids,
             handle,
-            ranges: if self.synthesize {
-                Some(&self.ranges)
-            } else {
-                None
-            },
         };
         let outcome = engine.resolve(qname, qtype, &mut diag, 0).await;
 

@@ -26,7 +26,6 @@
 //! is contract.
 
 use crate::cache::infra::KeyEntry;
-use crate::cache::ranges::ProofRange;
 use crate::diagnosis::{
     AlgStatus, DenialIssue, Diagnosis, DsMismatch, Finding, NegativeKind, NsFailure, SigTarget,
     ValidationState,
@@ -601,22 +600,6 @@ fn denial_sigs_link(
     Ok(())
 }
 
-/// Extract retainable denial spans from a proof's records: every
-/// NSEC/NSEC3 RRset whose signature verifies against `trusted` becomes
-/// a [`ProofRange`] for the RFC 8198 range tier. Verification is
-/// re-done here (rather than piggybacked on `check_negative`) so the
-/// synthesis-off resolution path is byte-for-byte unchanged; callers
-/// invoke this only when synthesis is enabled, and only after the
-/// proof as a whole validated cleanly.
-pub fn extract_proof_ranges(
-    records: &[Record],
-    trusted: &[PublishedKey],
-    now: u32,
-) -> Vec<ProofRange> {
-    let span = |set: &Rrset| ProofRange::of_rrset(set, verified_sig(set, trusted, now)?.expiration);
-    collate(records).iter().filter_map(span).collect()
-}
-
 /// Validate the denial-of-existence proof of a negative answer from a
 /// signed zone.
 #[allow(clippy::too_many_arguments)] // the RFC 5155 proof inputs really are this many
@@ -662,65 +645,61 @@ fn insecure_proof_present(authority: &[Record], deleg: &Name) -> bool {
 /// delegation with a DS RRset continues the chain, and the RRset is
 /// authenticated with the parent's keys; one without leaves the chain
 /// (Insecure), and a parent whose keys validated must prove that it
-/// does. Returns the keys under which the walk may retain that proof's
-/// ranges for RFC 8198 — they belong to the *parent* zone.
-pub(crate) fn cut_link<'k>(
+/// does.
+pub(crate) fn cut_link(
     authority: &[Record],
     child: &Name,
     child_signed: bool,
-    parent_keys: Option<&'k [PublishedKey]>,
+    parent_keys: Option<&[PublishedKey]>,
     caps: &ValidatorCaps,
     now: u32,
     diag: &mut Diagnosis,
-) -> Option<&'k [PublishedKey]> {
+) {
+    let Some(keys) = parent_keys else {
+        if !child_signed {
+            record(diag, (None, ValidationState::Insecure));
+        }
+        return;
+    };
     if child_signed {
         // Authenticate the DS RRset itself.
-        let keys = parent_keys?;
         let sets = collate(authority);
         if let Some(ds_set) = sets.iter().find(|s| s.rtype == RrType::Ds) {
             check_rrset(ds_set, keys, caps, now, SigTarget::Answer, diag);
         }
-        return None;
+        return;
     }
-    let Some(keys) = parent_keys else {
-        record(diag, (None, ValidationState::Insecure));
-        return None;
-    };
     // The denial path's cap, before anything is hashed: a proof over it
-    // would cost a hash per iteration here, and once retained, on every
-    // range probe too.
+    // would cost a hash per iteration here.
     if let Err(broken) = iteration_cap_link(authority.iter().map(|rec| &rec.rdata), caps) {
         record(diag, broken);
-        return None;
+        return;
     }
-    let proven = insecure_proof_present(authority, child).then_some(keys);
-    let verdict = match proven {
-        Some(_) => (None, ValidationState::Insecure),
-        None => bogus(Finding::InsecureReferralProofMissing),
+    let verdict = if insecure_proof_present(authority, child) {
+        (None, ValidationState::Insecure)
+    } else {
+        bogus(Finding::InsecureReferralProofMissing)
     };
     record(diag, verdict);
-    proven
 }
 
 /// An authoritative (or terminal) answer to `asked` from `zone`, whose
 /// keys are `keys` — `None` when no chain of trust reaches the zone
 /// (Insecure). Trusted keys verify every answer RRset, or the denial
 /// proof of an empty answer; with keys that failed validation the
-/// verdict is already in, and only the advisory key check runs. Returns
-/// the keys under which the walk may retain a denial's ranges for
-/// RFC 8198: only when the proof recorded no finding at all.
-pub(crate) fn answer_link<'k>(
+/// verdict is already in, and only the advisory key check runs.
+pub(crate) fn answer_link(
     resp: &Message,
     asked: &Question,
     zone: &Name,
-    keys: Option<&'k KeyEntry>,
+    keys: Option<&KeyEntry>,
     caps: &ValidatorCaps,
     now: u32,
     diag: &mut Diagnosis,
-) -> Option<&'k [PublishedKey]> {
+) {
     let Some(keys) = keys else {
         record(diag, (None, ValidationState::Insecure));
-        return None;
+        return;
     };
     // Only validation reads the answer as RRsets.
     let answer_sets = collate(&resp.answers);
@@ -735,7 +714,7 @@ pub(crate) fn answer_link<'k>(
                 });
             }
         }
-        return None;
+        return;
     };
     if answer_sets.is_empty() {
         let kind = if resp.rcode == Rcode::NxDomain {
@@ -743,7 +722,6 @@ pub(crate) fn answer_link<'k>(
         } else {
             NegativeKind::Nodata
         };
-        let before = diag.findings.len();
         check_negative(
             &resp.authorities,
             &asked.name,
@@ -755,12 +733,11 @@ pub(crate) fn answer_link<'k>(
             now,
             diag,
         );
-        return (diag.findings.len() == before).then_some(trusted);
+        return;
     }
     for set in &answer_sets {
         check_rrset(set, trusted, caps, now, SigTarget::Answer, diag);
     }
-    None
 }
 
 #[cfg(test)]
@@ -1071,7 +1048,7 @@ mod tests {
     /// refused at the cap, as a denial's would be, before it is hashed:
     /// the record is otherwise an honest proof (its owner is the child's
     /// hash under those parameters, and its bitmap lacks DS), so without
-    /// the cap it would be accepted and its range retained.
+    /// the cap it would be accepted and the delegation ruled Insecure.
     #[test]
     fn insecure_referral_proof_over_the_iteration_cap_is_refused() {
         use ede_crypto::nsec3hash;
@@ -1098,7 +1075,7 @@ mod tests {
             Record::new(parent.child_bytes(&label).unwrap(), 3600, proof),
         ];
 
-        let retained = cut_link(
+        cut_link(
             &authority,
             &child,
             false,
@@ -1107,7 +1084,6 @@ mod tests {
             SIM_NOW,
             &mut diag,
         );
-        assert!(retained.is_none(), "no range over the cap is retained");
         assert!(diag.any(|f| matches!(
             f,
             Finding::Nsec3IterationsExceeded {

@@ -1,5 +1,5 @@
 // Every `Finding` variant at every parameter value an emission rule (or
-// an explanation) could tell apart: 63 instantiations. Included by
+// an explanation) could tell apart: 61 instantiations. Included by
 // `tests/emission_pin.rs`, which pins what the vendors emit for them,
 // and by `profiles::tests`, which checks that the shape bits, the rule
 // tables and the explanations agree about them. The includer imports
@@ -86,7 +86,6 @@ fn shapes() -> Vec<Finding> {
         out.push(DenialSigMissing { kind });
         out.push(DenialSigBogus { kind });
         out.push(NegativeUnsigned { kind });
-        out.push(SynthesizedDenial { kind });
     }
     out
 }

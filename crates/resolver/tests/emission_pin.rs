@@ -18,10 +18,10 @@ use ede_resolver::diagnosis::{
 use ede_resolver::VendorProfile;
 use ede_wire::{Name, RrType};
 
-const GOLDEN: u64 = 0x7fec_0cb5_13a0_94d9;
-const EMISSIONS: u64 = 1_223_068;
+const GOLDEN: u64 = 0xa5f9_f9ed_c634_e085;
+const EMISSIONS: u64 = 1_111_936;
 
-// `fn shapes() -> Vec<Finding>`: the 63 instantiations, shared with the
+// `fn shapes() -> Vec<Finding>`: the 61 instantiations, shared with the
 // agreement test in `profiles::tests`.
 include!("common/shapes.rs");
 
@@ -78,7 +78,7 @@ impl Fold {
 #[test]
 fn emission_is_pinned_over_the_enumerated_diagnosis_space() {
     let shapes = shapes();
-    assert_eq!(shapes.len(), 63);
+    assert_eq!(shapes.len(), 61);
     let mut fold = Fold {
         hash: 0xcbf2_9ce4_8422_2325,
         emissions: 0,

@@ -1,8 +1,7 @@
 //! Regenerate the §4.2 inventory: run the scaled Internet-wide scan and
 //! print measured vs paper counts per INFO-CODE.
 //!
-//! Usage: repro-scan \[scale\] \[--json | --fingerprint\] \[--synthesize\]
-//!        \[--sweep=R\] \[--range-budget=N\]
+//! Usage: repro-scan \[scale\] \[--json | --fingerprint\]
 //!        \[--log-capacity=N\] \[--log-spill=PATH\] \[--snapshots=PATH\]
 //!        \[--query=EXPR\]
 //! (scale at least 1; default 1000, i.e. 303k domains)
@@ -12,19 +11,13 @@
 //! entries at any scale, so a budget above that changes nothing and one
 //! below it only evicts what pass 2 needs.
 //!
-//! `--synthesize` turns on RFC 8198 denial synthesis in the scanning
-//! resolver; scan fingerprints must stay identical to the
-//! synthesis-free walk (registered names are never covered by validated
-//! ranges). `--sweep=R` adds R nonexistent-name probes per registered
-//! domain after both passes (range tier frozen, probes excluded from
-//! the records and fingerprints); R must be finite and at least 0.
-//! `--range-budget=N` bounds the range tier to N spans.
-//!
 //! Streaming analytics: `--snapshots=PATH` writes the scan's two
 //! [`ede_scan::StatsSnapshot`] documents as JSONL when the scan returns:
 //! the pass-1 snapshot (`complete: false`), then the final one.
 //! `--log-capacity=N` bounds the query-log ring; `--log-spill=PATH`
-//! rotates evicted records into a JSONL trace instead of dropping them.
+//! rotates evicted records into a JSONL trace instead of dropping them;
+//! a spill that cannot be written counts its records as dropped, and the
+//! run says so and exits 2 after its report.
 //! `--query=EXPR` filters the retained records after the scan (e.g.
 //! `--query=code=23,tld=com,rank=1-500`) and says how many records had
 //! already left the ring.
@@ -36,8 +29,7 @@ use std::num::NonZeroU32;
 use std::path::PathBuf;
 
 const USAGE: &str = "usage: repro-scan [scale] [--json | --fingerprint] \
-[--synthesize] [--sweep=R] [--range-budget=N] [--log-capacity=N] \
-[--log-spill=PATH] [--snapshots=PATH] [--query=EXPR]";
+[--log-capacity=N] [--log-spill=PATH] [--snapshots=PATH] [--query=EXPR]";
 
 /// A mistyped or retired flag must not silently measure the default
 /// configuration: say what was wrong, print the usage line, exit 2.
@@ -55,9 +47,6 @@ fn parsed<T: std::str::FromStr>(what: &str, value: &str) -> T {
 fn main() {
     let mut json = false;
     let mut fingerprint = false;
-    let mut synthesize = false;
-    let mut sweep_ratio = 0.0f64;
-    let mut range_budget: Option<usize> = None;
     let mut log_capacity: Option<usize> = None;
     let mut log_spill: Option<PathBuf> = None;
     let mut snapshots: Option<PathBuf> = None;
@@ -71,12 +60,6 @@ fn main() {
         match (flag, value) {
             ("--json", None) => json = true,
             ("--fingerprint", None) => fingerprint = true,
-            ("--synthesize", None) => synthesize = true,
-            ("--sweep", Some(v)) => match parsed::<f64>(flag, v) {
-                ratio if ratio.is_finite() && ratio >= 0.0 => sweep_ratio = ratio,
-                _ => usage_exit(&format!("--sweep takes a finite ratio >= 0, not {v:?}")),
-            },
-            ("--range-budget", Some(v)) => range_budget = Some(parsed(flag, v)),
             ("--log-capacity", Some(v)) => log_capacity = Some(parsed(flag, v)),
             ("--log-spill", Some(v)) => log_spill = Some(PathBuf::from(v)),
             ("--snapshots", Some(v)) => snapshots = Some(PathBuf::from(v)),
@@ -103,13 +86,10 @@ fn main() {
     eprintln!("generating population at scale 1:{scale}...");
     let pop = Population::generate(cfg);
     eprintln!("{} domains; building world...", pop.domains.len());
-    let mut world = ScanWorld::build(&pop);
-    world.resolver_config.synthesize_denial = synthesize;
-    world.resolver_config.max_range_entries = range_budget;
+    let world = ScanWorld::build(&pop);
     eprintln!("scanning...");
     let mut builder = scanner::ScanConfig::builder()
         .progress(!json && !fingerprint)
-        .sweep_ratio(sweep_ratio)
         .query_log_spill(log_spill);
     if let Some(capacity) = log_capacity {
         builder = builder.query_log_capacity(capacity);
@@ -145,19 +125,6 @@ fn main() {
             "fingerprint {:016x} domains {} evictions {}",
             result.stats.fingerprint, result.stats.ede.total_domains, result.cache.l2.evicted,
         );
-        if synthesize || sweep_ratio > 0.0 {
-            let sweep = result.stats.traffic.sweep.clone().unwrap_or_default();
-            println!(
-                "ranges hits {} probes {} evicted {} live {} sweep_hit_pct {:.1} \
-                 queries_per_domain {:.3}",
-                result.cache.range.hits,
-                result.cache.range.hits + result.cache.range.misses,
-                result.cache.range.evicted,
-                result.cache.range.occupancy,
-                100.0 * sweep.hit_ratio(),
-                result.queries_per_domain(),
-            );
-        }
     } else if json {
         print!("{}", report::scan_json(&result.stats));
     } else {
@@ -188,7 +155,11 @@ fn main() {
                 result.log.dropped, result.log.capacity
             );
         }
-        if let Some(spill) = config.query_log_spill.filter(|_| result.log.spilled > 0) {
+        if let Some(spill) = config
+            .query_log_spill
+            .as_ref()
+            .filter(|_| result.log.spilled > 0)
+        {
             println!(
                 "  not seen: {} older records spilled (troubleshoot --log {} --query {})",
                 result.log.spilled,
@@ -196,5 +167,16 @@ fn main() {
                 filter.describe()
             );
         }
+    }
+
+    // A spill that failed counted its records as dropped: nothing of
+    // what the scan rotated out is in the file.
+    if let Some(spill) = config.query_log_spill.filter(|_| result.log.dropped > 0) {
+        eprintln!(
+            "repro-scan: the query-log spill to {} failed: {} records dropped",
+            spill.display(),
+            result.log.dropped
+        );
+        std::process::exit(2);
     }
 }

@@ -25,7 +25,7 @@
 //! checks `repro-chaos` runs first: serial ([`table4_deviation`]) and
 //! seven vendors in flight ([`table4_concurrent_deviation`]). The
 //! contracts of the other scan configurations (worker count, window,
-//! cache budgets, synthesis, ring size) are the test suite's to assert
+//! cache budgets, ring size) are the test suite's to assert
 //! (`scanner::tests`, `crates/scan/tests/streaming.rs`), not this
 //! module's.
 

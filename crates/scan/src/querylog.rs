@@ -416,6 +416,40 @@ struct LogInner {
     dropped: u64,
 }
 
+impl LogInner {
+    /// Write a rotated-out record to the spill file, or count it dropped
+    /// when there is none — or when the write fails, which closes it.
+    fn rotate_out(&mut self, old: &QueryRecord) {
+        match self
+            .spill
+            .as_mut()
+            .map(|(_, w)| writeln!(w, "{}", old.to_json()))
+        {
+            Some(Ok(())) => self.spilled += 1,
+            Some(Err(_)) => {
+                self.spill_failed();
+                self.dropped += 1;
+            }
+            None => self.dropped += 1,
+        }
+    }
+
+    fn flush_spill(&mut self) {
+        let failed = self.spill.as_mut().is_some_and(|(_, w)| w.flush().is_err());
+        if failed {
+            self.spill_failed();
+        }
+    }
+
+    /// A spill write or flush failed: the records counted as spilled may
+    /// never have reached the file, so they count as dropped, and the
+    /// writer is closed — every later rotation is dropped too.
+    fn spill_failed(&mut self) {
+        self.spill = None;
+        self.dropped += std::mem::take(&mut self.spilled);
+    }
+}
+
 impl QueryLog {
     /// A log retaining at most `capacity` records, spilling rotated-out
     /// records to `spill` as JSONL when a path is given.
@@ -461,13 +495,7 @@ impl QueryLog {
             g.next_seq += 1;
             if g.ring.len() == self.capacity {
                 let old = g.ring.pop_front().expect("full ring");
-                match &mut g.spill {
-                    Some((_, w)) => {
-                        let _ = writeln!(w, "{}", old.to_json());
-                        g.spilled += 1;
-                    }
-                    None => g.dropped += 1,
-                }
+                g.rotate_out(&old);
                 evicted.push(old);
             }
             g.ring.push_back(r);
@@ -479,9 +507,7 @@ impl QueryLog {
 
     /// Flush the spill writer (call once, at the end of the scan).
     pub fn flush_spill(&self) {
-        if let Some((_, w)) = &mut self.inner.lock().expect("query log lock").spill {
-            let _ = w.flush();
-        }
+        self.inner.lock().expect("query log lock").flush_spill();
     }
 
     /// Occupancy and spill accounting.
@@ -499,9 +525,7 @@ impl QueryLog {
     /// Drain the ring in `seq` order (consumes the retained records).
     pub fn into_records(self) -> Vec<QueryRecord> {
         let mut inner = self.inner.into_inner().expect("query log lock");
-        if let Some((_, w)) = &mut inner.spill {
-            let _ = w.flush();
-        }
+        inner.flush_spill();
         let mut records: Vec<QueryRecord> = inner.ring.into_iter().collect();
         records.sort_by_key(|r| r.seq);
         records
@@ -675,6 +699,19 @@ mod tests {
         // Ring + spill = the complete log.
         assert_eq!(spilled.len() + log.stats().len, 8);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A spill that cannot be written is no spill: what went to it, and
+    /// every later rotation, is counted as dropped.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_spill_that_cannot_be_written_counts_its_records_dropped() {
+        let log = QueryLog::new(3, Some(Path::new("/dev/full"))).expect("/dev/full opens");
+        log.push_batch((0..8).map(|i| record(i, vec![22])).collect());
+        log.flush_spill();
+        let stats = log.stats();
+        assert_eq!((stats.spilled, stats.dropped), (0, 5));
+        assert_eq!(log.into_records().len(), 3);
     }
 
     #[test]

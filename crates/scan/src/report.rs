@@ -114,7 +114,7 @@ pub fn table4() -> String {
 /// §5-style traffic accounting for one scan.
 pub fn traffic_line(snapshot: &StatsSnapshot) -> String {
     let t = &snapshot.traffic;
-    let mut out = format!(
+    format!(
         "Traffic: {} resolutions issued {} upstream queries ({} delivered, {} failed) — \
          {:.1} queries/resolution, {:.3} queries/domain \
          (paper: 11.5k pps peak over 12 h for 303M domains)",
@@ -124,19 +124,7 @@ pub fn traffic_line(snapshot: &StatsSnapshot) -> String {
         t.failed,
         t.queries_per_resolution(),
         snapshot.queries_per_domain(),
-    );
-    if let Some(sweep) = &t.sweep {
-        let _ = write!(
-            out,
-            "\nSweep: {} nonexistent-name probes, {} synthesized from cached ranges ({:.1}%), \
-             {} upstream queries spent (RFC 8198)",
-            sweep.probes,
-            sweep.synthesized,
-            100.0 * sweep.hit_ratio(),
-            sweep.queries,
-        );
-    }
-    out
+    )
 }
 
 /// The §4.2 inventory: per-code domain counts vs the paper's values.

@@ -33,8 +33,8 @@ pub struct RetiredL1 {
     pub misses: u64,
 }
 
-/// Per-tier cache accounting for one scan: the shared L2 store, the
-/// infrastructure cache and the range tier. Reported alongside the
+/// Per-tier cache accounting for one scan: the shared L2 store and the
+/// infrastructure cache. Reported alongside the
 /// metrics in the end-of-run summary; never part of the determinism
 /// comparisons (tier *placement* of a hit is a performance fact, not a
 /// result).
@@ -46,10 +46,6 @@ pub struct ScanCacheReport {
     pub l2: CacheStatsSnapshot,
     /// The infrastructure cache's counters (zone keys + referrals).
     pub infra: InfraStatsSnapshot,
-    /// The range tier's counters (RFC 8198 denial synthesis). All zero
-    /// when the world's [`ede_resolver::ResolverConfig::synthesize_denial`]
-    /// is off: the engine never probes the tier then.
-    pub range: CacheStatsSnapshot,
 }
 
 impl ScanCacheReport {
@@ -75,38 +71,7 @@ impl ScanCacheReport {
             self.infra.referral_hits + self.infra.referral_misses,
             100.0 * self.infra.referral_hit_ratio(),
         ));
-        if self.range.hits + self.range.misses > 0 {
-            out.push_str(&format!(
-                "  ranges    : {} synthesized / {} probes ({:.1}%), {} evicted, {} live spans\n",
-                self.range.hits,
-                self.range.hits + self.range.misses,
-                100.0 * self.range.hit_ratio(),
-                self.range.evicted,
-                self.range.occupancy,
-            ));
-        }
         out
-    }
-}
-
-/// Accounting for the post-scan synthesis sweep: deterministic
-/// nonexistent-name probes that measure how much of each TLD's denial
-/// space the range tier already covers. Sweep probes never contribute
-/// records — they exist purely to exercise RFC 8198 synthesis.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SweepReport {
-    /// Probe resolutions issued.
-    pub probes: usize,
-    /// Probes answered from the range tier (no authority asked).
-    pub synthesized: u64,
-    /// Upstream queries the sweep cost (misses walking to the TLDs).
-    pub queries: u64,
-}
-
-impl SweepReport {
-    /// Fraction of probes the range tier answered.
-    pub fn hit_ratio(&self) -> f64 {
-        self.synthesized as f64 / self.probes.max(1) as f64
     }
 }
 
@@ -134,16 +99,14 @@ pub struct ScanResult {
     /// The transport's accounting — the simulated analogue of the
     /// paper's §5 traffic accounting: queries, delivered, failed, and
     /// the stream-channel, truncation and fault counters. The number of
-    /// resolutions and the synthesis-sweep report (the sweep runs after
-    /// both passes with the range tier frozen, so it never perturbs the
-    /// records above) are in `stats.traffic`.
+    /// resolutions is in `stats.traffic`.
     pub traffic_full: ede_netsim::TrafficSnapshot,
     /// Metrics collected through the trace pipeline during the scan
     /// (walk, validation and outcome counters, per-vendor EDE counts,
     /// latency histograms). Transport counts are `traffic_full`'s and
     /// cache counts `cache`'s, not counted here a second time.
     pub metrics: MetricsSnapshot,
-    /// Per-tier cache accounting (L2, infra, ranges) at the end of the
+    /// Per-tier cache accounting (L2, infra) at the end of the
     /// scan — the same report `stats.cache` carries.
     pub cache: ScanCacheReport,
 }
@@ -191,12 +154,6 @@ pub struct ScanConfig {
     pub vendor: Vendor,
     /// Print live progress lines to stderr while scanning.
     pub progress: bool,
-    /// Nonexistent-name probes per registered domain for the post-scan
-    /// synthesis sweep (`0.0`, the default, disables the sweep). The
-    /// sweep runs after both passes with the range tier frozen and its
-    /// probes excluded from the records, so any setting leaves the
-    /// scan report untouched.
-    pub sweep_ratio: f64,
     /// Query-log ring capacity (records retained in memory). Purely a
     /// memory knob: the streaming aggregation never reads the ring, so
     /// any capacity produces the same report.
@@ -216,7 +173,6 @@ impl Default for ScanConfig {
             inflight: 1,
             vendor: Vendor::Cloudflare,
             progress: false,
-            sweep_ratio: 0.0,
             query_log_capacity: 65_536,
             query_log_spill: None,
         }
@@ -274,12 +230,6 @@ impl ScanConfigBuilder {
     /// Enable or disable live progress lines.
     pub fn progress(mut self, on: bool) -> Self {
         self.config.progress = on;
-        self
-    }
-
-    /// Set the synthesis-sweep probe ratio (`0.0` disables the sweep).
-    pub fn sweep_ratio(mut self, ratio: f64) -> Self {
-        self.config.sweep_ratio = ratio.max(0.0);
         self
     }
 
@@ -440,7 +390,7 @@ impl PassCtx<'_> {
     }
 }
 
-/// The one worker loop, shared by both passes and the sweep: claim a
+/// The one worker loop, shared by both passes: claim a
 /// chunk of `0..count` off the shared cursor, keep up to `inflight`
 /// resumable resolutions in flight on one [`ResolutionPool`], and hand
 /// each finished one to `done` — in completion order, which at a window
@@ -545,51 +495,6 @@ fn parallel_pass(
     });
 }
 
-/// Deterministic nonexistent probe names for the synthesis sweep: per
-/// TLD, `ceil(children × ratio)` names one label below the TLD apex.
-/// The `-sweep` suffix keeps them disjoint from every generated
-/// population name, so a probe can never collide with a registered
-/// domain.
-fn sweep_probes(pop: &Population, ratio: f64) -> Vec<Name> {
-    let mut per_tld = vec![0usize; pop.tlds.len()];
-    for d in pop.domains.iter() {
-        per_tld[d.tld] += 1;
-    }
-    let mut probes = Vec::new();
-    for (t, tld) in pop.tlds.iter().enumerate() {
-        let n = (per_tld[t] as f64 * ratio).ceil() as usize;
-        for j in 0..n {
-            let label = format!("zzq{j}-sweep");
-            probes.push(tld.name.child(&label).expect("probe label fits"));
-        }
-    }
-    probes
-}
-
-/// Drive the sweep probes through the worker pool, discarding results:
-/// sweep probes measure the range tier, they never contribute
-/// records. Runs with the range tier frozen (the caller freezes
-/// it), so every probe's outcome is a pure function of what the two
-/// passes retained — bit-identical at any worker count or in-flight
-/// window, exactly like the passes themselves.
-fn sweep_pass(resolver: &Resolver, probes: &[Name], workers: usize, inflight: usize) {
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers.max(1) {
-            s.spawn(|| {
-                drive_worker(
-                    resolver,
-                    probes.len(),
-                    |i| (&probes[i], false),
-                    &cursor,
-                    inflight,
-                    |_, _| {},
-                );
-            });
-        }
-    });
-}
-
 /// Run the scan: one pass over every domain, then a clock advance and a
 /// revisit pass over the flap/cache categories (the paper's probes hit
 /// such domains repeatedly through Cloudflare's shared cache). Both
@@ -602,7 +507,7 @@ fn sweep_pass(resolver: &Resolver, probes: &[Name], workers: usize, inflight: us
 /// The scan reports per pass: the virtual clock stands still inside a
 /// pass (the scan world charges no latency), so this thread takes one
 /// [`StatsSnapshot`] when pass 1 has joined ([`ScanResult::pass1`]) and
-/// one after pass 2 and the sweep ([`ScanResult::stats`]).
+/// one after pass 2 ([`ScanResult::stats`]).
 pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanResult {
     // Every transport/resolver/EDE event of the scan feeds the metrics
     // registry through the trace pipeline. The guard detaches the sink
@@ -664,7 +569,7 @@ pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanRes
     // One snapshot of the store and the counters around it. Only ever
     // called between passes — every worker joined, every chunk merged —
     // which is what makes its results independent of worker timing.
-    let snapshot = |complete: bool, sweep: Option<&SweepReport>| {
+    let snapshot = |complete: bool| {
         let results = store.finalize(pop);
         let (queries, delivered, failed) = world.net.stats().snapshot();
         StatsSnapshot {
@@ -682,14 +587,12 @@ pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanRes
                 l1: RetiredL1::default(),
                 l2: resolver.cache_stats(),
                 infra: resolver.infra_stats(),
-                range: resolver.range_stats(),
             },
             traffic: TrafficStats {
                 resolutions: resolutions.load(Ordering::Relaxed),
                 queries,
                 delivered,
                 failed,
-                sweep: sweep.cloned(),
             },
             query_log: log.stats(),
         }
@@ -698,38 +601,17 @@ pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanRes
     // Pass 1: everything, in parallel. Revisit-category domains are
     // recorded but not folded — their final answer comes from pass 2.
     run_pass(1, false, &first_pass);
-    let pass1 = snapshot(false, None);
+    let pass1 = snapshot(false);
 
     // Pass 2: revisit flap/cache domains after the flap window ("the
     // last response wins", as in a longitudinal probe).
     world.net.clock().advance_secs(120);
     run_pass(2, true, &revisit);
 
-    // Sweep phase: after both passes finish (and therefore after every
-    // record is final), freeze the range tier and probe deterministic
-    // nonexistent names against it. Freezing makes every probe's
-    // outcome a pure function of what the passes retained —
-    // deterministic at any worker count — and running strictly last
-    // means the sweep cannot perturb records, whatever it does to the
-    // caches.
-    let sweep = (config.sweep_ratio > 0.0).then(|| {
-        resolver.freeze_ranges(true);
-        let range_before = resolver.range_stats();
-        let (queries_before, _, _) = world.net.stats().snapshot();
-        let probes = sweep_probes(pop, config.sweep_ratio);
-        sweep_pass(&resolver, &probes, config.workers, config.inflight);
-        let range_after = resolver.range_stats();
-        let (queries_after, _, _) = world.net.stats().snapshot();
-        SweepReport {
-            probes: probes.len(),
-            synthesized: range_after.hits - range_before.hits,
-            queries: queries_after - queries_before,
-        }
-    });
-
-    // The final snapshot: the merged streaming aggregate plus the
-    // sweep report, which only the end of the scan can know.
-    let stats = snapshot(true, sweep.as_ref());
+    // The spill is flushed first, so that the final snapshot counts a
+    // spill that could not be written as dropped.
+    log.flush_spill();
+    let stats = snapshot(true);
     let cache = stats.cache.clone();
 
     let log_stats = log.stats();
@@ -825,8 +707,8 @@ mod tests {
         assert_eq!(serial.stats.traffic, parallel.stats.traffic);
         assert_eq!(serial.traffic_full, parallel.traffic_full);
         assert_eq!(serial.metrics, parallel.metrics);
-        // The cache tiers' counts are summed over stripes too: L2, infra
-        // and ranges alike.
+        // The cache tiers' counts are summed over stripes too: L2 and
+        // infra alike.
         assert_eq!(serial.cache, parallel.cache);
         assert!(serial.stats.same_results(&parallel.stats));
         assert_eq!(serial.stats.fingerprint, parallel.stats.fingerprint);
@@ -928,86 +810,6 @@ mod tests {
             // Pass 2 found every revisited domain's pass-1 entry.
             assert!(l2.hits + l2.stale_served >= revisited as u64, "{l2:?}");
         }
-    }
-
-    /// The RFC 8198 pin: turning denial synthesis on (with a sweep)
-    /// must leave every record — and therefore the whole per-EDE /
-    /// per-TLD report — byte-identical to the synthesis-free scan.
-    /// Registered names are chain owners of their TLD's NSEC3 registry,
-    /// so no validated range ever covers one; only the sweep's
-    /// nonexistent probes synthesize, and those are excluded from the
-    /// records. The sweep itself must really fire (nonzero
-    /// synthesis, cheaper traffic) and stay deterministic across
-    /// worker/in-flight configurations. A range budget far below what
-    /// the scan retains bounds the tier and evicts, and still changes no
-    /// result: evicting a span forfeits synthesis, never an answer.
-    #[test]
-    fn synthesis_is_report_neutral_and_sweep_synthesizes() {
-        let run = |synthesize: bool, budget: Option<usize>, workers: usize, inflight: usize| {
-            let pop = Population::generate(PopulationConfig::tiny());
-            let mut world = ScanWorld::build(&pop);
-            world.resolver_config.synthesize_denial = synthesize;
-            world.resolver_config.max_range_entries = budget;
-            let result = scan(
-                &pop,
-                &world,
-                &ScanConfig::builder()
-                    .workers(workers)
-                    .inflight(inflight)
-                    .sweep_ratio(1.5)
-                    .build(),
-            );
-            let summary = crate::report::scan_summary(&result.stats);
-            (result, summary)
-        };
-        let (off, summary_off) = run(false, None, 1, 1);
-        let (on, summary_on) = run(true, None, 1, 1);
-
-        // Identical results: synthesis changes traffic, never what the
-        // scan observes. (The full JSON documents differ only in the
-        // traffic/cache performance sections, so compare results.)
-        assert_eq!(off.final_records(), on.final_records());
-        assert!(off.stats.same_results(&on.stats), "scan results changed");
-        assert_eq!(summary_off, summary_on, "human summary changed");
-
-        // The sweep ran in both legs, probing the same names; only the
-        // synthesis leg answered some from the range tier.
-        let sweep_off = off.stats.traffic.sweep.clone().expect("sweep ran");
-        let sweep_on = on.stats.traffic.sweep.clone().expect("sweep ran");
-        assert_eq!(sweep_off.probes, sweep_on.probes);
-        assert_eq!(sweep_off.synthesized, 0);
-        assert_eq!(sweep_off.queries, sweep_off.probes as u64);
-        assert!(
-            sweep_on.synthesized > 0,
-            "no probe was answered from cached ranges"
-        );
-        assert!(
-            sweep_on.queries < sweep_off.queries,
-            "synthesis did not save upstream traffic"
-        );
-        assert!(on.queries_per_domain() < off.queries_per_domain());
-        assert!(on.cache.range.hits > 0);
-        assert_eq!(off.cache.range.hits + off.cache.range.misses, 0);
-        // Deterministic at any worker count / in-flight window, sweep
-        // included: same records, same traffic, same sweep report.
-        let (on_parallel, _) = run(true, None, 4, 16);
-        assert_eq!(on.final_records(), on_parallel.final_records());
-        assert_eq!(on.traffic_full, on_parallel.traffic_full);
-        assert_eq!(on.stats.traffic, on_parallel.stats.traffic);
-        assert!(on.stats.same_results(&on_parallel.stats));
-
-        let (budgeted, _) = run(true, Some(8), 1, 1);
-        assert_eq!(off.final_records(), budgeted.final_records());
-        assert!(
-            off.stats.same_results(&budgeted.stats),
-            "a range budget changed results"
-        );
-        let range = &budgeted.cache.range;
-        assert!(range.occupancy <= 8, "{range:?}");
-        assert!(
-            range.evicted > 0,
-            "an 8-span budget evicted nothing: {range:?}"
-        );
     }
 
     /// A panic inside the scan must not leak the metrics sink into the

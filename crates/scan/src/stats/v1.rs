@@ -16,7 +16,7 @@
 //! hand).
 
 use crate::querylog::QueryLogStats;
-use crate::scanner::{ScanCacheReport, SweepReport};
+use crate::scanner::ScanCacheReport;
 use crate::stats;
 use ede_resolver::Vendor;
 use ede_testbed::domains::all_specs;
@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// The JSON schema version emitted by [`StatsSnapshot::to_json`].
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// The §4.2 paper inventory: (code, description, paper count) — the
 /// typed counterpart of the table `scan_summary` prints.
@@ -242,8 +242,6 @@ pub struct TrafficStats {
     pub delivered: u64,
     /// Failed.
     pub failed: u64,
-    /// Synthesis-sweep accounting, when the sweep ran.
-    pub sweep: Option<SweepReport>,
 }
 
 impl TrafficStats {
@@ -371,13 +369,8 @@ impl StatsSnapshot {
         );
         let _ = writeln!(
             out,
-            "    \"infra\": {{ \"key_hits\": {}, \"referral_hits\": {}, \"referral_misses\": {} }},",
+            "    \"infra\": {{ \"key_hits\": {}, \"referral_hits\": {}, \"referral_misses\": {} }}",
             c.infra.key_hits, c.infra.referral_hits, c.infra.referral_misses
-        );
-        let _ = writeln!(
-            out,
-            "    \"ranges\": {{ \"hits\": {}, \"misses\": {}, \"evicted\": {}, \"occupancy\": {} }}",
-            c.range.hits, c.range.misses, c.range.evicted, c.range.occupancy
         );
         let _ = writeln!(out, "  }},");
 
@@ -389,21 +382,9 @@ impl StatsSnapshot {
         let _ = writeln!(out, "    \"failed\": {},", t.failed);
         let _ = writeln!(
             out,
-            "    \"queries_per_domain\": {:.3},",
+            "    \"queries_per_domain\": {:.3}",
             self.queries_per_domain()
         );
-        match &t.sweep {
-            Some(s) => {
-                let _ = writeln!(
-                    out,
-                    "    \"sweep\": {{ \"probes\": {}, \"synthesized\": {}, \"queries\": {} }}",
-                    s.probes, s.synthesized, s.queries
-                );
-            }
-            None => {
-                let _ = writeln!(out, "    \"sweep\": null");
-            }
-        }
         let _ = writeln!(out, "  }},");
 
         let q = &self.query_log;

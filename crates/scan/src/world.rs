@@ -434,10 +434,8 @@ enum ChainOwner {
 /// full zone would contain, hashed and sorted once per TLD. Individual
 /// NSEC3 RRsets are synthesized (and signed) on demand from this index,
 /// so per-query cost stays at one binary search plus one signature —
-/// yet the intervals served to resolvers are globally consistent. That
-/// honesty is a prerequisite for RFC 8198 range caching: an interval
-/// that dishonestly covered a registered name would let a resolver
-/// synthesize NXDOMAIN for a domain that exists.
+/// yet the intervals served to resolvers are globally consistent: none
+/// covers a registered name.
 struct TldChain {
     params: Nsec3Config,
     /// (owner hash, kind), sorted by hash.
@@ -567,7 +565,7 @@ impl TldChain {
             // Registry operators publish denial records with multi-hour
             // TTLs (com/net use 86400 s); 3600 keeps the chain alive
             // across the scan's 120 s revisit window. Scan observations
-            // never read this TTL — only the RFC 8198 range tier does.
+            // never read this TTL.
             NSEC3_TTL,
             Rdata::Nsec3 {
                 hash_alg: nsec3hash::NSEC3_HASH_ALG_SHA1,
@@ -671,9 +669,7 @@ impl TldServer {
             // Insecure delegation: the child's matching NSEC3 — unless
             // this TLD deliberately lost it (§4.2.9). The record is
             // pulled from the honest registry-wide chain, so its
-            // interval never covers another registered name: resolvers
-            // that retain validated ranges (RFC 8198) must be able to
-            // trust it.
+            // interval never covers another registered name.
             (!self.entry.broken_insecure_proof).then(|| {
                 let chain = self.chain();
                 chain.rrset(chain.slot_of(child), &self.tld, &self.keys, DEFAULT_WINDOW)

@@ -21,15 +21,14 @@ fn unknown_flags_and_bad_values_exit_2_with_usage() {
         &["1000000", "--fingerprint", "--no-l1"],     // retired with the L1 tier
         &["1000000", "--fingerprint", "--cache-budget=5000"], // retired: a scan stores ~1 500 answers
         &["1000000", "--stream-smoke"], // retired: the test suite checks the bounded ring
-        &["1000000", "--fingerprint", "--range-budget"], // value missing
-        &["1000000", "--fingerprint", "--range-budget=lots"], // value unparsable
+        &["1000000", "--fingerprint", "--synthesize"], // retired with the range tier
+        &["1000000", "--fingerprint", "--sweep=1.5"], // likewise
+        &["1000000", "--fingerprint", "--range-budget=64"], // likewise
+        &["1000000", "--fingerprint", "--log-capacity"], // value missing
+        &["1000000", "--fingerprint", "--log-capacity=lots"], // value unparsable
         &["1000000", "--fingerprint=yes"], // value on a switch
-        &["--sweep=1,5"],
-        &["1000000", "--fingerprint", "--sweep=inf"], // used to allocate probes until killed
-        &["1000000", "--fingerprint", "--sweep=-1"],  // used to mean "no sweep"
-        &["1000000", "--fingerprint", "--sweep=NaN"], // likewise
-        &["10e6"],                                    // scale unparsable
-        &["0", "--fingerprint"],                      // scale 0 used to divide by zero
+        &["10e6"],                      // scale unparsable
+        &["0", "--fingerprint"],        // scale 0 used to divide by zero
         &["-h"],
     ] {
         let out = repro_scan(args);
@@ -45,9 +44,6 @@ fn every_documented_flag_is_still_accepted() {
     let out = repro_scan(&[
         "1000000",
         "--fingerprint",
-        "--synthesize",
-        "--sweep=0.5",
-        "--range-budget=64",
         "--log-capacity=100",
         "--query=code=23,tld=com",
     ]);
@@ -78,7 +74,7 @@ fn snapshots_file_holds_the_pass1_and_final_documents() {
     let lines: Vec<&str> = body.lines().collect();
     assert_eq!(lines.len(), 2, "{body}");
     for line in &lines {
-        assert!(line.starts_with("{ \"schema_version\": 1,"), "{line}");
+        assert!(line.starts_with("{ \"schema_version\": 2,"), "{line}");
     }
     assert!(lines[0].contains("\"complete\": false"), "{}", lines[0]);
     assert!(lines[1].contains("\"complete\": true"), "{}", lines[1]);
@@ -130,6 +126,29 @@ fn query_over_a_truncated_ring_says_what_it_never_saw() {
         caveat.contains(&format!("troubleshoot --log {}", spill.display())),
         "{caveat}"
     );
+}
+
+/// A spill file that cannot be written is not reported as written: its
+/// records count as dropped, the `--query` caveat says so instead of
+/// pointing at the file, and the run exits 2 after its report.
+#[test]
+fn a_spill_that_cannot_be_written_fails_the_run() {
+    let out = repro_scan(&[
+        "20000",
+        "--log-capacity=16",
+        "--log-spill=/dev/full",
+        "--query=code=23",
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("query [code=23]"), "{stdout}");
+    assert!(
+        stdout.contains("dropped from the 16-record ring"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("troubleshoot --log"), "{stdout}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("spill to /dev/full failed"), "{stderr}");
 }
 
 fn repro_chaos(args: &[&str]) -> Output {

@@ -144,6 +144,11 @@ impl ServerConfig {
         if self.tcp_conn_cap == 0 {
             return Err(ServerError::InvalidConfig("tcp_conn_cap must be >= 1"));
         }
+        // It is also each connection's write timeout, which the OS
+        // refuses at zero: every connection would close unanswered.
+        if self.tcp_read_timeout.is_zero() {
+            return Err(ServerError::InvalidConfig("tcp_read_timeout must be > 0"));
+        }
         Ok(())
     }
 }
@@ -248,9 +253,20 @@ mod tests {
     }
 
     #[test]
-    fn zero_workers_rejected() {
-        let c = ServerConfig::builder().workers(0).build();
-        assert!(matches!(c.validate(), Err(ServerError::InvalidConfig(_))));
+    fn invalid_configs_rejected() {
+        for c in [
+            ServerConfig::builder().workers(0).build(),
+            ServerConfig::builder().tcp_conn_cap(0).build(),
+            ServerConfig::builder()
+                .tcp_read_timeout(Duration::ZERO)
+                .build(),
+        ] {
+            let verdict = c.validate();
+            assert!(
+                matches!(verdict, Err(ServerError::InvalidConfig(_))),
+                "{c:?}"
+            );
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! malformed-query policy, connection capping, graceful shutdown, and
 //! RFC 7766 pipelining (batched answers, a peer that never reads).
 
+use ede_netsim::FaultPlan;
 use ede_resolver::{Resolver, Vendor, VendorProfile};
 use ede_server::{pipeline, ProbeClient, Server, ServerConfig, ServerError};
 use ede_testbed::Testbed;
@@ -746,6 +747,62 @@ fn back_to_back_datagrams_are_all_answered() {
     let stats = handle.shutdown().unwrap();
     assert_eq!(stats.metrics.udp_queries, 64);
     assert_eq!(stats.metrics.udp_responses, 64);
+}
+
+/// Under a seeded non-zero fault plan the 63 testbed names get the same
+/// answers in process, over UDP and over TCP. Each way runs on a fresh
+/// testbed carrying the same plan and asks the names in the same order,
+/// so the resolver's message IDs — which the fault decisions hash — and
+/// therefore the faults themselves follow one sequence on all three. (A
+/// pool at window 64 would send in another order and draw other faults.)
+#[test]
+fn a_faulted_testbed_answers_alike_in_process_over_udp_and_over_tcp() {
+    let faulted = || {
+        let tb = Testbed::build();
+        tb.net.set_fault_plan(FaultPlan::intensity(0xEDE5, 0.1));
+        tb
+    };
+    let (local, udp_tb, tcp_tb) = (faulted(), faulted(), faulted());
+    let resolver = local.resolver(Vendor::Cloudflare);
+    let config = ServerConfig::builder()
+        .bind("127.0.0.1:0")
+        .workers(1)
+        .build();
+    let udp = Server::spawn(udp_tb.resolver(Vendor::Cloudflare), config.clone()).unwrap();
+    let tcp = Server::spawn(tcp_tb.resolver(Vendor::Cloudflare), config.clone()).unwrap();
+    let udp_client = ProbeClient::connect(udp.udp_addr(), udp.tcp_addr()).unwrap();
+    let tcp_client = ProbeClient::connect(tcp.udp_addr(), tcp.tcp_addr()).unwrap();
+
+    for (spec, id) in local.specs.iter().zip(0x6300..) {
+        let wire = Message::query(id, local.query_name(spec), RrType::A)
+            .encode()
+            .unwrap();
+        let query = Message::decode(&wire).unwrap();
+        let expected = pipeline::answer(&resolver, None, &query);
+        let (expected_udp, _) =
+            pipeline::encode_udp(&expected, &query, config.udp_payload_max).unwrap();
+        let over_udp = udp_client.query_udp(&wire).unwrap();
+        assert_eq!(over_udp[2..], expected_udp[2..], "{} over UDP", spec.label);
+        let over_tcp = tcp_client.query_tcp(&wire).unwrap();
+        for (way, reply) in [("UDP", over_udp), ("TCP", over_tcp)] {
+            let reply = Message::decode(&reply).unwrap();
+            assert_eq!(reply.rcode, expected.rcode, "{} over {way}", spec.label);
+            assert_eq!(reply.answers, expected.answers, "{} over {way}", spec.label);
+            assert_eq!(
+                reply.ede_codes(),
+                expected.ede_codes(),
+                "{} over {way}",
+                spec.label
+            );
+        }
+    }
+    // The plan fired, and the same faults fired on all three networks.
+    let traffic = local.net.stats().snapshot_full();
+    assert!(traffic.faults > 0, "{traffic:?}");
+    assert_eq!(udp_tb.net.stats().snapshot_full(), traffic);
+    assert_eq!(tcp_tb.net.stats().snapshot_full(), traffic);
+    udp.shutdown().unwrap();
+    tcp.shutdown().unwrap();
 }
 
 #[test]

@@ -141,17 +141,6 @@ pub enum TraceEvent {
         /// Live entries remaining in the store after the removal.
         occupancy: u64,
     },
-    /// A negative answer was synthesized from DNSSEC-validated
-    /// NSEC/NSEC3 ranges already in cache (RFC 8198 aggressive use),
-    /// skipping the authority round-trip entirely.
-    DenialSynthesized {
-        /// Queried name, dotted.
-        qname: String,
-        /// True for a synthesized NXDOMAIN, false for NODATA.
-        nxdomain: bool,
-        /// Remaining validity of the covering proof, seconds.
-        ttl: u32,
-    },
     /// One DNSSEC validation step ran.
     ValidationStep {
         /// What was validated (e.g. `"DNSKEY example.com"`,
@@ -230,7 +219,6 @@ impl TraceEvent {
             TraceEvent::Referral { .. } => "referral",
             TraceEvent::CacheProbe { .. } => "cache_probe",
             TraceEvent::CacheEvicted { .. } => "cache_evicted",
-            TraceEvent::DenialSynthesized { .. } => "denial_synthesized",
             TraceEvent::ValidationStep { .. } => "validation_step",
             TraceEvent::FindingRecorded { .. } => "finding_recorded",
             TraceEvent::EdeEmitted { .. } => "ede_emitted",
@@ -308,14 +296,6 @@ impl TraceEvent {
                 occupancy,
             } => {
                 format!("cache evict {evicted} (expired {expired}), {occupancy} live")
-            }
-            TraceEvent::DenialSynthesized {
-                qname,
-                nxdomain,
-                ttl,
-            } => {
-                let kind = if *nxdomain { "NXDOMAIN" } else { "NODATA" };
-                format!("synthesize {kind} {qname} (ttl {ttl})")
             }
             TraceEvent::ValidationStep { target, ok } => {
                 let mark = if *ok { "ok" } else { "FAILED" };
@@ -427,11 +407,6 @@ mod tests {
                 expired: 2,
                 evicted: 1,
                 occupancy: 97,
-            },
-            TraceEvent::DenialSynthesized {
-                qname: "a".into(),
-                nxdomain: true,
-                ttl: 60,
             },
             TraceEvent::ValidationStep {
                 target: "DNSKEY com".into(),

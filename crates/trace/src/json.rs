@@ -120,15 +120,6 @@ pub fn event_to_json(e: &TimedEvent) -> String {
             fields.push(("evicted", evicted.to_string()));
             fields.push(("occupancy", occupancy.to_string()));
         }
-        TraceEvent::DenialSynthesized {
-            qname,
-            nxdomain,
-            ttl,
-        } => {
-            fields.push(("qname", json_string(qname)));
-            fields.push(("nxdomain", nxdomain.to_string()));
-            fields.push(("ttl", ttl.to_string()));
-        }
         TraceEvent::ValidationStep { target, ok } => {
             fields.push(("target", json_string(target)));
             fields.push(("ok", ok.to_string()));
@@ -242,11 +233,6 @@ mod tests {
                 expired: 3,
                 evicted: 0,
                 occupancy: 61,
-            },
-            TraceEvent::DenialSynthesized {
-                qname: "a.com".into(),
-                nxdomain: false,
-                ttl: 42,
             },
             TraceEvent::ValidationStep {
                 target: "DNSKEY \"com\"".into(),

@@ -51,8 +51,6 @@ pub struct Metrics {
 struct ResolutionCounts {
     retries: AtomicU64,
     referrals: AtomicU64,
-    denials_synthesized_nxdomain: AtomicU64,
-    denials_synthesized_nodata: AtomicU64,
     validation_steps: AtomicU64,
     validation_failures: AtomicU64,
     findings: AtomicU64,
@@ -229,8 +227,6 @@ impl Metrics {
         MetricsSnapshot {
             retries: r.sum(|c| &c.retries),
             referrals: r.sum(|c| &c.referrals),
-            denials_synthesized_nxdomain: r.sum(|c| &c.denials_synthesized_nxdomain),
-            denials_synthesized_nodata: r.sum(|c| &c.denials_synthesized_nodata),
             validation_steps: r.sum(|c| &c.validation_steps),
             validation_failures: r.sum(|c| &c.validation_failures),
             findings: r.sum(|c| &c.findings),
@@ -302,11 +298,6 @@ impl TraceSink for Metrics {
             }
             TraceEvent::Retry { .. } => bump(&c.retries),
             TraceEvent::Referral { .. } => bump(&c.referrals),
-            TraceEvent::DenialSynthesized { nxdomain, .. } => bump(if *nxdomain {
-                &c.denials_synthesized_nxdomain
-            } else {
-                &c.denials_synthesized_nodata
-            }),
             TraceEvent::ValidationStep { ok, .. } => {
                 bump(&c.validation_steps);
                 if !ok {
@@ -363,14 +354,6 @@ pub struct MetricsSnapshot {
     pub retries: u64,
     /// Zone cuts crossed.
     pub referrals: u64,
-    /// Negative answers synthesized as NXDOMAIN from cached,
-    /// DNSSEC-validated NSEC/NSEC3 ranges (RFC 8198). These count a
-    /// *result-shaping* decision (an authority round-trip that never
-    /// happened), so [`MetricsSnapshot::without_scheduler_stats`] keeps
-    /// them.
-    pub denials_synthesized_nxdomain: u64,
-    /// Negative answers synthesized as NODATA from cached ranges.
-    pub denials_synthesized_nodata: u64,
     /// DNSSEC validation steps run.
     pub validation_steps: u64,
     /// Validation steps that recorded at least one finding.
@@ -525,12 +508,6 @@ impl MetricsSnapshot {
             self.validation_failures,
             self.findings
         ));
-        if self.denials_synthesized_nxdomain + self.denials_synthesized_nodata > 0 {
-            out.push_str(&format!(
-                "  synthesis : {} NXDOMAIN, {} NODATA answered from cached ranges\n",
-                self.denials_synthesized_nxdomain, self.denials_synthesized_nodata
-            ));
-        }
         out.push_str(&format!(
             "  outcomes  : {} resolutions (NOERROR {}, NXDOMAIN {}, SERVFAIL {}, other {})\n",
             self.resolutions,
@@ -689,14 +666,6 @@ mod tests {
         );
         m.record(
             0,
-            &TraceEvent::DenialSynthesized {
-                qname: "a".into(),
-                nxdomain: true,
-                ttl: 60,
-            },
-        );
-        m.record(
-            0,
             &TraceEvent::ResolutionFinished {
                 rcode: 2,
                 ede_count: 1,
@@ -711,15 +680,9 @@ mod tests {
         assert_eq!(s.ede_entries, 1);
         assert_eq!(s.ede_by_vendor[&("Cloudflare DNS".to_string(), 7)], 1);
         assert_eq!(s.resolutions_servfail, 1);
-        assert_eq!(s.denials_synthesized_nxdomain, 1);
-        assert_eq!(s.denials_synthesized_nodata, 0);
-        // Synthesis shapes results, so concurrency-invariance checks
-        // must still see it after stripping the scheduler gauges.
-        assert_eq!(s.without_scheduler_stats().denials_synthesized_nxdomain, 1);
         assert_eq!(s.query_latency.total, 1);
         assert_eq!(s.resolution_duration.max, 40_000);
         let render = s.render();
-        assert!(render.contains("1 NXDOMAIN, 0 NODATA"), "{render}");
         assert!(render.contains("0 referrals, 1 retries"), "{render}");
         assert!(render.contains("Cloudflare DNS: 7\u{00d7}1"), "{render}");
         assert!(!render.contains("server metrics"), "{render}");

@@ -143,8 +143,7 @@ fn main() {
         print!("{}", trace.render_timeline());
 
         // Per-tier cache counters for this resolution (the resolver was
-        // freshly built, so the counters cover exactly this walk). The
-        // range tier is off here, so two of the three tiers report.
+        // freshly built, so the counters cover exactly this walk).
         let l2 = resolver.cache_stats();
         let infra = resolver.infra_stats();
         println!("\n;; CACHE TIERS:");

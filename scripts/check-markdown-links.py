@@ -80,6 +80,7 @@ FOREIGN_FLAGS = {
     "--nocapture", "--offline", "--quiet", "--release", "--test", "--workspace",
     "--pcap",
     "--no-l2", "--no-l1", "--cache-budget", "--sede",
+    "--synthesize", "--sweep", "--range-budget",
 }
 
 
