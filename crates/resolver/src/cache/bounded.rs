@@ -1,20 +1,14 @@
-//! Expiry, budget and accounting for the L2 store.
+//! Budget and accounting for the L2 store.
 //!
 //! The `cache` module's header describes the policy. [`Bounded`] is its
 //! implementation: [`SHARD_COUNT`] independently-locked shards, each the
-//! store's own entries beside the wheel and ring that expire and evict
-//! them.
+//! store's own entries beside the ring that evicts them.
 
-use super::{CacheLimits, CacheStatsSnapshot, Entries, PutOutcome, Slot, SHARD_COUNT};
+use super::{CacheStatsSnapshot, Entries, PutOutcome, Slot, SHARD_COUNT};
 use ede_trace::Striped;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard};
-
-/// Width of one TTL-wheel bucket, seconds (as a shift: 64 s). Coarse on
-/// purpose: the wheel only needs to find *dead* entries cheaply, the
-/// exact freshness test still runs per probe.
-pub(super) const WHEEL_SHIFT: u32 = 6;
 
 /// A ring is compacted when it outgrows twice its shard's live entries
 /// plus this; keeps tiny shards from compacting on every store.
@@ -25,8 +19,6 @@ pub(super) const RING_SLACK: usize = 16;
 pub(super) struct Shard {
     /// The store's entries.
     pub index: Entries,
-    /// TTL wheel: coarse deadline bucket → slots.
-    wheel: BTreeMap<u32, Vec<Slot>>,
     /// Insertion ring for the CLOCK sweep, in store order; empty
     /// without a budget.
     ring: VecDeque<Slot>,
@@ -51,7 +43,7 @@ impl Shard {
         let bound = 2 * self.live + RING_SLACK;
         if self.ring.len() > bound {
             let index = &self.index;
-            self.ring.retain(|slot| index.reference_bit(slot).is_some());
+            self.ring.retain(|slot| index.at_slot(slot).is_some());
             self.ring.shrink_to(bound);
         }
     }
@@ -61,9 +53,9 @@ impl Shard {
 pub(super) struct Bounded {
     shards: [Mutex<Shard>; SHARD_COUNT],
     max_entries: Option<usize>,
-    /// Stored entries across all shards (including expired-but-unpurged
-    /// ones). Global so the budget is a whole-store bound even though
-    /// eviction runs in the inserting shard.
+    /// Stored entries across all shards, dead or alive. Global so the
+    /// budget is a whole-store bound even though eviction runs in the
+    /// inserting shard.
     occupancy: AtomicU64,
     pub stats: Counters,
 }
@@ -90,11 +82,11 @@ pub(super) struct ProbeCounts {
 }
 
 impl Bounded {
-    /// An empty store with the given entry budget.
-    pub fn new(limits: CacheLimits) -> Self {
+    /// An empty store with the given entry budget (`None`: unbounded).
+    pub fn new(max_entries: Option<usize>) -> Self {
         Bounded {
             shards: std::array::from_fn(|_| Mutex::default()),
-            max_entries: limits.max_entries,
+            max_entries,
             occupancy: AtomicU64::new(0),
             stats: Counters::default(),
         }
@@ -112,38 +104,11 @@ impl Bounded {
         self.shards.iter().map(|s| s.lock().expect("no poisoning"))
     }
 
-    /// First step of a store: drain every wheel bucket of `shard` that
-    /// lies wholly before `now`, physically removing the (certainly
-    /// dead) entries it references. Returns how many went.
-    pub fn turn_wheel(&self, shard: &mut Shard, now: u32) -> u64 {
-        let cutoff = now >> WHEEL_SHIFT;
-        if shard
-            .wheel
-            .first_key_value()
-            .is_none_or(|(&b, _)| b >= cutoff)
-        {
-            return 0;
-        }
-        let live = shard.wheel.split_off(&cutoff);
-        let dead = std::mem::replace(&mut shard.wheel, live);
-        let mut expired = 0;
-        for slot in dead.into_values().flatten() {
-            if shard.index.remove(&slot) {
-                expired += 1;
-            }
-        }
-        shard.live -= expired;
-        shard.compact_ring();
-        self.occupancy.fetch_sub(expired as u64, Relaxed);
-        self.stats.expired.fetch_add(expired as u64, Relaxed);
-        expired as u64
-    }
-
-    /// Second step, once per entry the cache has just put in
-    /// `shard.index`: file `slot` under `deadline`, and count the entry
-    /// when it is `new` rather than an overwrite (whose old slots keep
-    /// the superseded sequence and are skipped lazily).
-    pub fn track(&self, shard: &mut Shard, slot: Slot, deadline: u32, new: bool) {
+    /// First step, once per entry the cache has just put in
+    /// `shard.index`: ring `slot` under a budget, and count the entry
+    /// when it is `new` rather than an overwrite (whose old slot keeps
+    /// the superseded sequence and is skipped lazily).
+    pub fn track(&self, shard: &mut Shard, slot: Slot, new: bool) {
         if new {
             shard.live += 1;
             let occupancy = self.occupancy.fetch_add(1, Relaxed) + 1;
@@ -153,19 +118,16 @@ impl Bounded {
             shard.ring.push_back(slot);
             shard.compact_ring();
         }
-        shard
-            .wheel
-            .entry(deadline >> WHEEL_SHIFT)
-            .or_default()
-            .push(slot);
     }
 
     /// Last step: enforce the budget with a CLOCK sweep over `shard`'s
     /// ring (the inserting shard always holds at least the entry just
     /// stored, so the global bound is restorable locally) and report
-    /// what the whole store operation removed.
-    pub fn finish(&self, shard: &mut Shard, expired: u64) -> PutOutcome {
-        let mut evicted = 0;
+    /// what it removed. An entry past its deadline at `now` — its TTL
+    /// and `stale_window` both spent — goes without a second chance and
+    /// counts as expired; a live one is evicted.
+    pub fn finish(&self, shard: &mut Shard, now: u32, stale_window: u32) -> PutOutcome {
+        let (mut expired, mut evicted) = (0, 0);
         if let Some(max) = self.max_entries {
             // One full second-chance lap, then evict unconditionally:
             // termination cannot depend on every entry being hot.
@@ -174,18 +136,23 @@ impl Bounded {
                 let Some(slot) = shard.ring.pop_front() else {
                     break;
                 };
-                let Some(referenced) = shard.index.reference_bit(&slot) else {
+                let Some(entry) = shard.index.at_slot(&slot) else {
                     continue; // superseded slot
                 };
-                if referenced.get() && chances > 0 {
+                let dead = now > entry.deadline(stale_window);
+                if !dead && chances > 0 && entry.referenced.replace(false) {
                     chances -= 1;
-                    referenced.set(false);
                     shard.ring.push_back(slot);
                 } else if shard.index.remove(&slot) {
                     shard.live -= 1;
-                    evicted += 1;
                     self.occupancy.fetch_sub(1, Relaxed);
-                    self.stats.evicted.fetch_add(1, Relaxed);
+                    if dead {
+                        expired += 1;
+                        self.stats.expired.fetch_add(1, Relaxed);
+                    } else {
+                        evicted += 1;
+                        self.stats.evicted.fetch_add(1, Relaxed);
+                    }
                 }
             }
         }
@@ -199,21 +166,6 @@ impl Bounded {
             evicted,
             occupancy: self.occupancy.load(Relaxed),
         }
-    }
-
-    /// Stored entries right now, including expired-but-unpurged ones
-    /// (the quantity the entry budget bounds).
-    pub fn total_entries(&self) -> usize {
-        self.occupancy.load(Relaxed) as usize
-    }
-
-    /// Turn every shard's wheel to `now`, returning how many entries
-    /// went. Stores turn their own shard's wheel lazily; this is the
-    /// eager, whole-store form.
-    pub fn purge_expired(&self, now: u32) -> u64 {
-        self.shards()
-            .map(|mut shard| self.turn_wheel(&mut shard, now))
-            .sum()
     }
 
     /// A frozen copy of the counters.
@@ -239,14 +191,9 @@ impl Bounded {
         self.occupancy.store(0, Relaxed);
     }
 
-    /// Per shard `(live entries, ring slots, wheel slots)`.
+    /// Per shard `(live entries, ring slots)`.
     #[cfg(test)]
-    pub fn bookkeeping(&self) -> Vec<(usize, usize, usize)> {
-        self.shards()
-            .map(|s| {
-                let wheel = s.wheel.values().map(Vec::len).sum();
-                (s.live, s.ring.len(), wheel)
-            })
-            .collect()
+    pub fn bookkeeping(&self) -> Vec<(usize, usize)> {
+        self.shards().map(|s| (s.live, s.ring.len())).collect()
     }
 }

@@ -26,34 +26,34 @@
 //! answer: replaying a cached failure must replay its findings so the
 //! profile can emit the original codes next to *Cached Error (13)*.
 //!
-//! # Expiry: the TTL wheel
-//!
-//! The private `bounded` module keeps the L2 store's expiry, budget and
-//! counters beside its entries.
+//! # Expiry: checked per probe
 //!
 //! Every entry has a hard deadline — `stored_at + ttl + stale window` —
-//! past which it can never be served again (not even stale). Each shard
-//! buckets those deadlines on a coarse clock ([`WHEEL_BUCKET_SECS`]-
-//! second buckets in a `BTreeMap`); every store operation first drains
-//! the buckets that lie wholly in the past, physically removing dead
-//! entries.
-//!
-//! Overwrites are handled lazily: each entry carries a shard-scoped
-//! sequence number, and a wheel (or CLOCK ring) slot whose sequence no
-//! longer matches the stored entry is simply skipped.
+//! past which it can never be served again, not even stale. Every probe
+//! checks that deadline itself, so a dead entry is a miss wherever it
+//! still sits. Nothing removes it on a timer: a store without a budget
+//! keeps it until the same key is stored again.
 //!
 //! # Budget: the CLOCK sweep
 //!
-//! [`CacheLimits`] optionally bounds the store by entry count. The bound
+//! [`Cache::new`] optionally bounds the store by entry count. The bound
 //! is **global and hard**: after any store returns, the whole store
 //! holds at most `max_entries` entries. Enforcement is local — the
-//! inserting shard evicts from its own insertion ring, giving
-//! recently-hit entries one second chance (CLOCK) before they go. Only
-//! a budgeted store keeps rings, compacted as overwrites and expiries
-//! leave dead slots behind. A budget eviction may remove a perfectly
-//! live entry, so scan results are only guaranteed bit-identical when
-//! the L2 budget never actually fires; the bounded-memory configurations
-//! trade exactness for a working-set bound, as a serving front end must.
+//! inserting shard sweeps its own insertion ring, in store order. A
+//! dead entry the sweep reaches goes at once and counts as *expired*; a
+//! live one that was hit since the sweep last passed gets one second
+//! chance (CLOCK), and otherwise goes and counts as *evicted*. The
+//! private `bounded` module keeps the shards, the rings and the
+//! counters.
+//!
+//! Overwrites are handled lazily: each entry carries a shard-scoped
+//! sequence number, and a ring slot whose sequence no longer matches
+//! the stored entry is simply skipped. Only a budgeted store keeps
+//! rings, compacted as overwrites and removals leave dead slots
+//! behind. A budget eviction may remove a perfectly live entry, so scan
+//! results are only guaranteed bit-identical when the L2 budget never
+//! actually fires; the bounded-memory configurations trade exactness
+//! for a working-set bound, as a serving front end must.
 
 mod bounded;
 pub mod infra;
@@ -71,9 +71,6 @@ use std::sync::Arc;
 /// of workers per shard lock at ~1.
 pub const SHARD_COUNT: usize = 16;
 
-/// Width of one TTL-wheel bucket in seconds.
-pub const WHEEL_BUCKET_SECS: u32 = 1 << bounded::WHEEL_SHIFT;
-
 /// What a completed resolution left behind.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CachedResolution {
@@ -88,23 +85,15 @@ pub struct CachedResolution {
     pub is_failure: bool,
 }
 
-/// Entry budget for the shared store. `None` means unbounded (the
-/// historical behaviour).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CacheLimits {
-    /// Maximum stored entries across all shards.
-    pub max_entries: Option<usize>,
-}
-
 /// What one store operation did to the cache, for the caller's
 /// telemetry (the resolver turns a non-zero outcome into a
 /// `CacheEvicted` trace event).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PutOutcome {
-    /// Entries removed because their deadline (TTL + stale window) had
-    /// lapsed.
+    /// Entries the budget's sweep removed because their deadline (TTL +
+    /// stale window) had lapsed.
     pub expired: u64,
-    /// Entries removed by the budget's CLOCK sweep.
+    /// Live entries removed by the budget's CLOCK sweep.
     pub evicted: u64,
     /// Stored entries remaining across the whole cache afterwards.
     pub occupancy: u64,
@@ -129,12 +118,12 @@ pub struct CacheStatsSnapshot {
     pub stale_served: u64,
     /// Store operations.
     pub puts: u64,
-    /// Entries removed by the TTL wheel.
+    /// Dead entries removed by the budget's sweep.
     pub expired: u64,
-    /// Entries removed by the budget's CLOCK sweep.
+    /// Live entries removed by the budget's CLOCK sweep.
     pub evicted: u64,
-    /// Stored entries right now (including expired-but-unpurged ones;
-    /// the wheel removes those on the next store to their shard).
+    /// Stored entries right now, dead or alive (the quantity the entry
+    /// budget bounds).
     pub occupancy: u64,
     /// Peak of `occupancy` over the store's lifetime.
     pub occupancy_peak: u64,
@@ -163,8 +152,8 @@ struct Entry {
     data: Arc<CachedResolution>,
     stored_at: u32,
     ttl: u32,
-    /// Shard-scoped sequence number; wheel and ring slots referencing a
-    /// superseded sequence are skipped (lazy deletion).
+    /// Shard-scoped sequence number; ring slots referencing a superseded
+    /// sequence are skipped (lazy deletion).
     seq: u64,
     /// CLOCK reference bit: set on every hit, cleared (once) by the
     /// sweep before the entry becomes evictable. `Cell` because hits
@@ -215,11 +204,10 @@ impl Entries {
             .chain(collided.map(|(_, e)| e))
     }
 
-    /// The CLOCK reference bit of the entry `slot` addresses, or `None`
-    /// when that entry is gone or has been overwritten since.
-    fn reference_bit(&self, &(hash, seq): &Slot) -> Option<&Cell<bool>> {
-        let entry = self.at_hash(hash).find(|e| e.seq == seq)?;
-        Some(&entry.referenced)
+    /// The entry `slot` addresses, or `None` when that entry is gone or
+    /// has been overwritten since.
+    fn at_slot(&self, &(hash, seq): &Slot) -> Option<&Entry> {
+        self.at_hash(hash).find(|e| e.seq == seq)
     }
 
     /// Remove the entry `slot` addresses; true when it was there. A
@@ -236,8 +224,8 @@ impl Entries {
     }
 }
 
-/// A wheel or ring slot addresses one entry *at one sequence number*
-/// as `(hash, seq)`; wheel and ring hold these instead of references.
+/// A ring slot addresses one entry *at one sequence number* as
+/// `(hash, seq)`; the ring holds these instead of references.
 type Slot = (u64, u64);
 
 /// The shared (L2) resolver cache.
@@ -257,22 +245,13 @@ fn probe_hash(qname: &Name, qtype: u16) -> u64 {
 }
 
 impl Cache {
-    /// An empty, unbounded cache with the given serve-stale window.
-    pub fn new(stale_window_secs: u32) -> Self {
-        Cache::with_limits(stale_window_secs, CacheLimits::default())
-    }
-
-    /// An empty cache with the given serve-stale window and budget.
-    pub fn with_limits(stale_window_secs: u32, limits: CacheLimits) -> Self {
+    /// An empty cache with the given serve-stale window, holding at
+    /// most `max_entries` entries across all shards (`None`: unbounded).
+    pub fn new(stale_window_secs: u32, max_entries: Option<usize>) -> Self {
         Cache {
-            store: Bounded::new(limits),
+            store: Bounded::new(max_entries),
             stale_window_secs,
         }
-    }
-
-    /// The serve-stale window this store was built with.
-    pub fn stale_window_secs(&self) -> u32 {
-        self.stale_window_secs
     }
 
     /// Probe for `(qname, qtype)` at time `now`.
@@ -330,9 +309,8 @@ impl Cache {
         }
     }
 
-    /// Store a resolution with the given TTL. Returns what the store
-    /// removed along the way: TTL-wheel expiries for this shard, plus
-    /// any CLOCK evictions the budget forced.
+    /// Store a resolution with the given TTL. Returns what the budget's
+    /// sweep removed to make room.
     pub fn put(
         &self,
         qname: &Name,
@@ -347,7 +325,6 @@ impl Cache {
         // bucket splice.
         let data = Arc::new(data);
         let mut shard = self.store.lock(hash);
-        let expired = self.store.turn_wheel(&mut shard, now);
 
         // Splice the entry in (or refuse: a failure never clobbers a
         // still-stale-servable success — the success is what serve-stale
@@ -355,9 +332,6 @@ impl Cache {
         // lock, so a concurrent successful put cannot be lost in
         // between).
         let seq = shard.next_seq();
-        let deadline = now
-            .saturating_add(ttl)
-            .saturating_add(self.stale_window_secs);
         let is_key = |e: &Entry| e.qtype == qtype.to_u16() && e.qname == *qname;
         let index = &mut shard.index;
         let slot = index.entries.get_mut(&hash);
@@ -376,7 +350,7 @@ impl Cache {
                     && now.saturating_sub(e.stored_at)
                         <= e.ttl.saturating_add(self.stale_window_secs)
                 {
-                    return self.store.outcome(expired, 0);
+                    return self.store.outcome(0, 0);
                 }
             }
         }
@@ -406,47 +380,8 @@ impl Cache {
                 }
             }
         }
-        self.store.track(&mut shard, (hash, seq), deadline, new);
-        self.store.finish(&mut shard, expired)
-    }
-
-    /// Number of entries still *servable* at `now` — fresh or within
-    /// the serve-stale window. Entries past their deadline are dead
-    /// even if the wheel hasn't physically removed them yet, and are
-    /// not counted.
-    pub fn len(&self, now: u32) -> usize {
-        self.store
-            .shards()
-            .map(|shard| {
-                let collided = shard.index.collided.iter().map(|(_, e)| e);
-                shard
-                    .index
-                    .entries
-                    .values()
-                    .chain(collided)
-                    .filter(|e| now <= e.deadline(self.stale_window_secs))
-                    .count()
-            })
-            .sum()
-    }
-
-    /// True when no entry is servable at `now`.
-    pub fn is_empty(&self, now: u32) -> bool {
-        self.len(now) == 0
-    }
-
-    /// Total stored entries, including expired-but-unpurged ones (the
-    /// quantity the entry budget bounds).
-    pub fn total_entries(&self) -> usize {
-        self.store.total_entries()
-    }
-
-    /// Physically remove every entry whose deadline lies before `now`,
-    /// across all shards, returning how many went. `put` turns each
-    /// shard's wheel lazily; this is the eager, whole-store form for
-    /// callers that want memory back *now*.
-    pub fn purge_expired(&self, now: u32) -> u64 {
-        self.store.purge_expired(now)
+        self.store.track(&mut shard, (hash, seq), new);
+        self.store.finish(&mut shard, now, self.stale_window_secs)
     }
 
     /// A frozen copy of the store's counters.
@@ -489,7 +424,7 @@ mod tests {
 
     #[test]
     fn fresh_then_stale_then_miss() {
-        let c = Cache::new(100);
+        let c = Cache::new(100, None);
         c.put(&n("a.com"), RrType::A, success(), 60, 1000);
         assert!(matches!(
             c.get(&n("a.com"), RrType::A, 1030),
@@ -511,7 +446,7 @@ mod tests {
 
     #[test]
     fn failure_does_not_clobber_stale_success() {
-        let c = Cache::new(1000);
+        let c = Cache::new(1000, None);
         c.put(&n("a.com"), RrType::A, success(), 60, 1000);
         // Success has expired (stale), a failure comes in.
         c.put(&n("a.com"), RrType::A, failure(), 30, 1100);
@@ -521,7 +456,7 @@ mod tests {
 
     #[test]
     fn failure_cached_when_no_success_exists() {
-        let c = Cache::new(100);
+        let c = Cache::new(100, None);
         c.put(&n("b.com"), RrType::A, failure(), 30, 1000);
         match c.get(&n("b.com"), RrType::A, 1010) {
             CacheHit::Fresh(data) => assert!(data.is_failure),
@@ -532,7 +467,7 @@ mod tests {
 
     #[test]
     fn types_are_separate() {
-        let c = Cache::new(100);
+        let c = Cache::new(100, None);
         c.put(&n("a.com"), RrType::A, success(), 60, 1000);
         assert!(matches!(
             c.get(&n("a.com"), RrType::Aaaa, 1000),
@@ -545,7 +480,7 @@ mod tests {
         // The Arc-returning API is what enforces "zero deep clones on
         // the hit path": two probes of the same entry must hand back the
         // same allocation.
-        let c = Cache::new(100);
+        let c = Cache::new(100, None);
         c.put(&n("a.com"), RrType::A, success(), 60, 1000);
         let (CacheHit::Fresh(first), CacheHit::Fresh(second)) = (
             c.get(&n("a.com"), RrType::A, 1010),
@@ -560,12 +495,11 @@ mod tests {
     fn entries_spread_and_survive_across_shards() {
         // Many names land in many shards; every one must stay
         // retrievable (shard selection and bucket lookup must agree).
-        let c = Cache::new(100);
+        let c = Cache::new(100, None);
         for i in 0..200 {
             c.put(&n(&format!("d{i}.example")), RrType::A, success(), 60, 0);
         }
-        assert_eq!(c.len(10), 200);
-        assert_eq!(c.total_entries(), 200);
+        assert_eq!(c.stats().occupancy, 200);
         for i in 0..200 {
             assert!(
                 matches!(
@@ -576,77 +510,23 @@ mod tests {
             );
         }
         c.clear();
-        assert!(c.is_empty(10));
-        assert_eq!(c.total_entries(), 0);
-    }
-
-    #[test]
-    fn len_counts_only_servable_entries() {
-        let c = Cache::new(100);
-        c.put(&n("short.example"), RrType::A, success(), 10, 1000);
-        c.put(&n("long.example"), RrType::A, success(), 10_000, 1000);
-        assert_eq!(c.len(1005), 2);
-        // short's deadline is 1000 + 10 + 100 = 1110.
-        assert_eq!(c.len(1111), 1);
-        assert!(!c.is_empty(1111));
-        assert_eq!(c.len(20_000), 0);
-        assert!(c.is_empty(20_000));
-        // The dead entries are still *stored* until a wheel turn.
-        assert_eq!(c.total_entries(), 2);
-    }
-
-    #[test]
-    fn purge_expired_removes_dead_entries() {
-        let c = Cache::new(50);
-        for i in 0..64 {
-            c.put(&n(&format!("d{i}.example")), RrType::A, success(), 30, 0);
-        }
-        assert_eq!(c.total_entries(), 64);
-        // Deadline 0 + 30 + 50 = 80; the 64 s wheel bucket containing it
-        // is wholly past once now reaches 128.
-        assert_eq!(c.purge_expired(128), 64);
-        assert_eq!(c.total_entries(), 0);
-        assert_eq!(c.stats().expired, 64);
-        // Purging again finds nothing.
-        assert_eq!(c.purge_expired(1_000_000), 0);
-    }
-
-    #[test]
-    fn wheel_turns_lazily_on_put() {
-        let c = Cache::new(0);
-        c.put(&n("old.example"), RrType::A, success(), 10, 0);
-        // Same shard or not, a much-later put must report the expiry of
-        // whatever died in its own shard; drive the clock far enough
-        // that every wheel bucket is past, then touch all shards.
-        let mut expired = 0;
-        for i in 0..64 {
-            expired += c
-                .put(
-                    &n(&format!("new{i}.example")),
-                    RrType::A,
-                    success(),
-                    10,
-                    10_000,
-                )
-                .expired;
-        }
-        assert_eq!(expired, 1, "the dead entry expired exactly once");
-        assert_eq!(c.stats().expired, 1);
+        assert_eq!(c.stats().occupancy, 0);
+        assert!(matches!(
+            c.get(&n("d0.example"), RrType::A, 10),
+            CacheHit::Miss
+        ));
     }
 
     #[test]
     fn entry_budget_is_a_hard_global_bound() {
-        let limits = CacheLimits {
-            max_entries: Some(10),
-        };
-        let c = Cache::with_limits(100, limits);
+        let c = Cache::new(100, Some(10));
         let mut evicted = 0;
         for i in 0..100 {
             let out = c.put(&n(&format!("d{i}.example")), RrType::A, success(), 60, 0);
-            assert!(c.total_entries() <= 10, "over budget after put {i}");
+            assert!(c.stats().occupancy <= 10, "over budget after put {i}");
             evicted += out.evicted;
         }
-        assert_eq!(c.total_entries(), 10);
+        assert_eq!(c.stats().occupancy, 10);
         assert_eq!(evicted, 90);
         assert_eq!(c.stats().evicted, 90);
         assert!(c.stats().occupancy_peak <= 11);
@@ -654,10 +534,7 @@ mod tests {
 
     #[test]
     fn clock_gives_hot_entries_a_second_chance() {
-        let limits = CacheLimits {
-            max_entries: Some(4),
-        };
-        let c = Cache::with_limits(100, limits);
+        let c = Cache::new(100, Some(4));
         // Names chosen freely; what matters is that the hot one is
         // probed (setting its reference bit) before pressure arrives.
         for i in 0..4 {
@@ -670,7 +547,7 @@ mod tests {
         for i in 4..12 {
             c.put(&n(&format!("d{i}.example")), RrType::A, success(), 60, 1);
         }
-        assert_eq!(c.total_entries(), 4);
+        assert_eq!(c.stats().occupancy, 4);
         // The referenced entry survived at least the first wave of
         // evictions in its shard; pressure in *other* shards can never
         // evict it at all. (d0 may eventually go if its own shard keeps
@@ -680,76 +557,20 @@ mod tests {
         assert_eq!(stats.evicted, 8);
     }
 
-    /// `purge_expired` exactly on a 64 s bucket boundary. A deadline of
-    /// 64 lands in bucket 1 (`64 >> 6`), and the wheel only drains
-    /// buckets *wholly* before `now`: at `now == 64` the entry is still
-    /// servable (deadline is the last servable instant), so the bucket
-    /// must survive; through `now == 127` the entry is dead but its
-    /// bucket is not yet wholly past, so the coarse wheel legally keeps
-    /// it (only `len` drops); at `now == 128` the bucket finally drains.
+    /// A budgeted store full of dead entries makes room from them
+    /// first: the sweep removes a dead entry it reaches as `expired`,
+    /// without the second chance a live one gets, and spends `evicted`
+    /// only on live entries — so the new wave mostly survives, and the
+    /// budget holds after every store.
     #[test]
-    fn purge_on_wheel_bucket_boundary() {
-        let c = Cache::new(0); // no stale window: deadline = stored_at + ttl
-        c.put(
-            &n("edge.example"),
-            RrType::A,
-            success(),
-            WHEEL_BUCKET_SECS,
-            0,
-        );
-
-        // Exactly on the boundary: still alive, nothing may go.
-        assert_eq!(c.purge_expired(WHEEL_BUCKET_SECS), 0);
-        assert_eq!(c.len(WHEEL_BUCKET_SECS), 1);
-        assert!(matches!(
-            c.get(&n("edge.example"), RrType::A, WHEEL_BUCKET_SECS),
-            CacheHit::Fresh(..)
-        ));
-
-        // One past the boundary: dead for `len`/`get`, but the bucket
-        // is not wholly past — the wheel holds the memory a little
-        // longer by design.
-        assert_eq!(c.purge_expired(WHEEL_BUCKET_SECS + 1), 0);
-        assert_eq!(c.len(WHEEL_BUCKET_SECS + 1), 0);
-        assert!(matches!(
-            c.get(&n("edge.example"), RrType::A, WHEEL_BUCKET_SECS + 1),
-            CacheHit::Miss
-        ));
-        assert_eq!(c.total_entries(), 1, "physically present until drained");
-
-        // Last instant of the bucket: still physically present.
-        assert_eq!(c.purge_expired(2 * WHEEL_BUCKET_SECS - 1), 0);
-        assert_eq!(c.total_entries(), 1);
-
-        // First instant of the next bucket: drained, counted expired.
-        assert_eq!(c.purge_expired(2 * WHEEL_BUCKET_SECS), 1);
-        assert_eq!(c.total_entries(), 0);
-        let s = c.stats();
-        assert_eq!(s.expired, 1);
-        assert_eq!(s.evicted, 0, "wheel expiry is not a budget eviction");
-    }
-
-    /// CLOCK eviction interacting with entries that expire mid-sweep:
-    /// a bounded store full of dead-but-unpurged entries must reclaim
-    /// them through the wheel (`expired`) as new stores arrive, skip
-    /// their superseded ring slots without burning second chances, and
-    /// spend budget evictions (`evicted`) only on live entries.
-    #[test]
-    fn clock_sweep_skips_entries_the_wheel_already_expired() {
-        let limits = CacheLimits {
-            max_entries: Some(64),
-        };
-        let c = Cache::with_limits(0, limits);
+    fn clock_sweep_takes_dead_entries_first() {
+        let c = Cache::new(0, Some(64));
         for i in 0..64 {
             c.put(&n(&format!("old{i}.example")), RrType::A, success(), 32, 0);
         }
-        assert_eq!(c.total_entries(), 64);
+        assert_eq!(c.stats().occupancy, 64);
 
-        // t = 100: every first-wave entry is past its deadline but
-        // still stored (the wheel is lazy). Each second-wave put turns
-        // its own shard's wheel before enforcing the budget, so dead
-        // entries drain as expiries, not evictions, and the budget
-        // holds throughout.
+        // t = 100: every first-wave entry is past its deadline (32).
         for i in 0..64 {
             c.put(
                 &n(&format!("new{i}.example")),
@@ -758,105 +579,65 @@ mod tests {
                 64,
                 100,
             );
-            assert!(c.total_entries() <= 64, "budget violated at put {i}");
+            assert!(c.stats().occupancy <= 64, "budget violated at put {i}");
         }
 
-        // Shards that saw no second-wave put may still hold first-wave
-        // corpses; drain them eagerly so the accounting below is exact.
-        c.purge_expired(101);
-        let live = c.len(101);
         let s = c.stats();
-        assert_eq!(s.expired, 64, "every dead entry expires exactly once");
-        assert_eq!(
-            s.evicted as usize,
-            64 - live,
-            "evictions account precisely for the live entries that went"
-        );
-        // The sweep never removed a live entry while dead ones remained
-        // in the same shard — so the overwhelming share of the second
-        // wave must have survived.
-        assert!(live >= 48, "only {live}/64 second-wave entries survived");
+        assert_eq!(s.expired + s.evicted, 64, "one removal per store");
         for i in 0..64 {
             let hit = c.get(&n(&format!("old{i}.example")), RrType::A, 101);
             assert!(matches!(hit, CacheHit::Miss), "old{i} outlived expiry");
         }
+        let live = (0..64)
+            .filter(|i| {
+                let hit = c.get(&n(&format!("new{i}.example")), RrType::A, 101);
+                matches!(hit, CacheHit::Fresh(..))
+            })
+            .count();
+        assert!(live >= 48, "only {live}/64 second-wave entries survived");
     }
 
     #[test]
     fn overwrite_does_not_leak_occupancy() {
-        let c = Cache::new(100);
+        let c = Cache::new(100, None);
         for _ in 0..50 {
             c.put(&n("same.example"), RrType::A, success(), 60, 0);
         }
-        assert_eq!(c.total_entries(), 1);
-        assert_eq!(c.len(1), 1);
-        // Superseded wheel slots must not remove the live entry.
-        assert_eq!(c.purge_expired(1), 0);
+        assert_eq!(c.stats().occupancy, 1);
         assert!(matches!(
             c.get(&n("same.example"), RrType::A, 1),
             CacheHit::Fresh(..)
         ));
     }
 
-    /// Wheel and ring hold slots, not entries, and a slot outlives the
-    /// entry it addressed. Neither may grow with how often something
-    /// was stored: a long-running server re-stores the same names for
+    /// The ring holds slots, not entries, and a slot outlives the entry
+    /// it addressed. It may not grow with how often something was
+    /// stored: a long-running server re-stores the same names for
     /// ever. The ring — one slot per store, popped only by a sweep that
     /// runs only over budget — used to do exactly that.
     #[test]
     fn bookkeeping_is_bounded_by_live_entries() {
         const STORES: u32 = 10_000;
-        let assert_bounded = |c: &Cache, budgeted: bool| {
-            for (live, ring, wheel) in c.store.bookkeeping() {
-                if budgeted {
-                    assert!(ring <= 2 * live + bounded::RING_SLACK, "{ring} / {live}");
-                } else {
-                    assert_eq!(ring, 0, "nothing reads an unbudgeted ring");
-                }
-                // One slot per store until its bucket passes: here at
-                // most one a second over TTL + window + two buckets.
-                assert!(wheel <= 60 + 100 + 2 * WHEEL_BUCKET_SECS as usize);
-            }
-        };
-        let budget = |max| CacheLimits {
-            max_entries: Some(max),
-        };
-
         // One key overwritten, no budget and under one never exceeded.
-        for limits in [CacheLimits::default(), budget(100)] {
-            let budgeted = limits.max_entries.is_some();
-            let c = Cache::with_limits(100, limits);
+        for max_entries in [None, Some(100)] {
+            let c = Cache::new(100, max_entries);
             for now in 0..STORES {
                 c.put(&n("same.example"), RrType::A, success(), 60, now);
-                assert_bounded(&c, budgeted);
+                for (live, ring) in c.store.bookkeeping() {
+                    if max_entries.is_some() {
+                        assert!(ring <= 2 * live + bounded::RING_SLACK, "{ring} / {live}");
+                    } else {
+                        assert_eq!(ring, 0, "nothing reads an unbudgeted ring");
+                    }
+                }
             }
-            assert_eq!(c.total_entries(), 1);
-        }
-
-        // Keys that expire and are purged, likewise.
-        for limits in [CacheLimits::default(), budget(STORES as usize)] {
-            let budgeted = limits.max_entries.is_some();
-            let c = Cache::with_limits(100, limits);
-            for now in 0..STORES {
-                c.put(
-                    &n(&format!("d{now}.example")),
-                    RrType::A,
-                    success(),
-                    60,
-                    now,
-                );
-            }
-            assert_bounded(&c, budgeted);
-            c.purge_expired(STORES + 1_000);
-            assert_eq!(c.total_entries(), 0);
-            assert_bounded(&c, budgeted);
-            assert_eq!(c.stats().evicted, 0);
+            assert_eq!(c.stats().occupancy, 1);
         }
     }
 
     #[test]
     fn stats_track_probes() {
-        let c = Cache::new(100);
+        let c = Cache::new(100, None);
         c.put(&n("a.com"), RrType::A, success(), 60, 1000);
         let _ = c.get(&n("a.com"), RrType::A, 1010); // hit
         let _ = c.get(&n("b.com"), RrType::A, 1010); // miss

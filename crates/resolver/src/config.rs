@@ -47,8 +47,9 @@ pub struct ResolverConfig {
     /// substrate of EDE 13 (*Cached Error*).
     pub failure_ttl_secs: u32,
     /// Hard bound on shared-cache entries (`None` = unbounded). When a
-    /// put would exceed it, the cache evicts expired entries first and
-    /// then live ones in CLOCK order. Eviction can change what a later
+    /// put would exceed it, the cache sweeps its entries in store order:
+    /// a dead one goes at once, a live one after one second chance
+    /// (CLOCK). Eviction can change what a later
     /// resolution observes (a replay becomes a live walk), so bounded
     /// configurations trade bit-identical reproducibility for bounded
     /// memory — see `docs/PERFORMANCE.md`.

@@ -27,9 +27,10 @@
 //! The [`cache`] implements positive, negative and failure caching with
 //! RFC 8767 serve-stale — the substrate behind EDE 3 (*Stale Answer*),
 //! 13 (*Cached Error*) and 19 (*Stale NXDOMAIN Answer*). It has two
-//! tiers: the shared bounded L2 with TTL-wheel expiry and CLOCK
-//! eviction ([`cache::Cache`]), and an infrastructure cache for the
-//! referral walk's hot path ([`cache::infra`]). A [`policy`] layer
+//! tiers: the shared L2 ([`cache::Cache`]), which checks expiry on
+//! every probe and keeps an optional entry budget with a CLOCK sweep,
+//! and an infrastructure cache for the referral walk's hot path
+//! ([`cache::infra`]). A [`policy`] layer
 //! reproduces blocklist-style codes (4, 15–18).
 //!
 //! # Execution model
@@ -61,7 +62,7 @@ pub mod task;
 pub mod validate;
 
 pub use cache::infra::{InfraCache, InfraStatsSnapshot, ReferralEntry};
-pub use cache::{Cache, CacheHit, CacheLimits, CacheStatsSnapshot, CachedResolution};
+pub use cache::{Cache, CacheHit, CacheStatsSnapshot, CachedResolution};
 pub use config::ResolverConfig;
 pub use diagnosis::{Diagnosis, Finding, NsFailure, ValidationState};
 pub use profiles::{Vendor, VendorProfile};

@@ -1,7 +1,7 @@
 //! The public resolver API: policy, cache, engine, and EDE emission.
 
 use crate::cache::infra::{InfraCache, InfraStatsSnapshot};
-use crate::cache::{Cache, CacheHit, CacheLimits, CacheStatsSnapshot, CachedResolution};
+use crate::cache::{Cache, CacheHit, CacheStatsSnapshot, CachedResolution};
 use crate::config::ResolverConfig;
 use crate::diagnosis::{Diagnosis, Finding, ValidationState};
 use crate::iterative::Engine;
@@ -14,11 +14,8 @@ use ede_wire::{EdeEntry, Edns, Message, Name, Rcode, Record, RrType};
 use std::sync::atomic::AtomicU16;
 use std::sync::Arc;
 
-/// Serve expired cache entries when live resolution fails (RFC 8767);
-/// produces EDE 3 / 19.
-const SERVE_STALE: bool = true;
-
-/// How long after expiry an entry may still be served stale, seconds.
+/// How long after expiry an entry may still be served stale (RFC 8767,
+/// EDE 3 / 19), seconds.
 const STALE_WINDOW_SECS: u32 = 3 * 86_400;
 
 /// The complete result of one recursive resolution, as a client of this
@@ -76,12 +73,7 @@ pub struct Resolver {
 impl Resolver {
     /// Build a resolver.
     pub fn new(net: Arc<Network>, profile: VendorProfile, config: ResolverConfig) -> Self {
-        let cache = Cache::with_limits(
-            STALE_WINDOW_SECS,
-            CacheLimits {
-                max_entries: config.max_cache_entries,
-            },
-        );
+        let cache = Cache::new(STALE_WINDOW_SECS, config.max_cache_entries);
         Resolver {
             net,
             profile,
@@ -122,12 +114,6 @@ impl Resolver {
     /// A frozen copy of the infrastructure-cache counters.
     pub fn infra_stats(&self) -> InfraStatsSnapshot {
         self.infra.stats()
-    }
-
-    /// Eagerly drop every L2 entry whose stale window has lapsed at
-    /// `now`; returns how many were dropped.
-    pub fn purge_expired(&self, now: u32) -> u64 {
-        self.cache.purge_expired(now)
     }
 
     /// Resolve one (name, type) with full recursion, validation, policy,
@@ -245,7 +231,7 @@ impl Resolver {
         let outcome = engine.resolve(qname, qtype, &mut diag, 0).await;
 
         // 4. Serve-stale fallback (RFC 8767) on failure.
-        if outcome.rcode == Rcode::ServFail && SERVE_STALE {
+        if outcome.rcode == Rcode::ServFail {
             if let Some(stale) = self.cache.get_stale_success(qname, qtype, now) {
                 tracer.emit(TraceEvent::CacheProbe {
                     qname: qd(qname),
@@ -303,7 +289,7 @@ impl Resolver {
         }
 
         let ede = self.profile.emit(&diag);
-        self.maybe_report(qname, qtype, &ede);
+        self.maybe_report(handle, qname, qtype, &ede).await;
         let resolution = Resolution {
             rcode: outcome.rcode,
             answers: outcome.answers,
@@ -359,8 +345,17 @@ impl Resolver {
     /// RFC 9567: fire an error report for the first EDE entry of a
     /// failed resolution, if an agent is configured. Report queries are
     /// fire-and-forget (the answer only matters for caching) and are
-    /// never generated for names under the agent itself.
-    fn maybe_report(&self, qname: &Name, qtype: RrType, ede: &[EdeEntry]) {
+    /// never generated for names under the agent itself. The report
+    /// suspends on `handle` like any other exchange, so in a pool it
+    /// waits its turn on the completion queue instead of stalling every
+    /// other task's clock.
+    async fn maybe_report(
+        &self,
+        handle: &TaskHandle,
+        qname: &Name,
+        qtype: RrType,
+        ede: &[EdeEntry],
+    ) {
         let Some((agent, agent_addr)) = &self.config.error_reporting else {
             return;
         };
@@ -380,7 +375,8 @@ impl Resolver {
             report_name,
             RrType::Txt,
         );
-        let _ = self.net.query(*agent_addr, self.config.source_addr, &query);
+        let sent = self.net.send(*agent_addr, self.config.source_addr, &query);
+        let _ = handle.await_net(sent).await;
     }
 
     /// Convenience: resolve an A record by dotted name.

@@ -33,7 +33,7 @@ fn name(thread: usize, i: usize) -> Name {
 fn concurrent_put_get_across_shards() {
     const THREADS: usize = 8;
     const NAMES: usize = 200;
-    let cache = Cache::new(100);
+    let cache = Cache::new(100, None);
     let misses = AtomicUsize::new(0);
 
     std::thread::scope(|s| {
@@ -70,7 +70,7 @@ fn concurrent_put_get_across_shards() {
             }
         }
     }
-    assert_eq!(cache.len(1_010), THREADS * NAMES);
+    assert_eq!(cache.stats().occupancy, (THREADS * NAMES) as u64);
     // Sanity: the key space is much larger than SHARD_COUNT, so the
     // storm genuinely exercised every shard.
     const { assert!(THREADS * NAMES > SHARD_COUNT) };
@@ -83,7 +83,7 @@ fn concurrent_put_get_across_shards() {
 fn failure_puts_never_clobber_stale_success_under_contention() {
     const THREADS: usize = 8;
     const ROUNDS: usize = 500;
-    let cache = Cache::new(10_000);
+    let cache = Cache::new(10_000, None);
     let qname = Name::parse("flappy.example").unwrap();
     // Stored at t=1000 with ttl 60: stale (but servable) at t=1100.
     cache.put(&qname, RrType::A, entry(false), 60, 1_000);
@@ -114,7 +114,7 @@ fn failure_puts_never_clobber_stale_success_under_contention() {
 #[test]
 fn concurrent_hits_share_one_allocation() {
     const THREADS: usize = 8;
-    let cache = Cache::new(100);
+    let cache = Cache::new(100, None);
     let qname = Name::parse("shared.example").unwrap();
     cache.put(&qname, RrType::A, entry(false), 60, 1_000);
     let reference = match cache.get(&qname, RrType::A, 1_001) {

@@ -191,7 +191,7 @@ impl ChaosReport {
 fn leg_world(pop: &Population, config: &ChaosConfig, intensity: f64) -> (ScanWorld, ScanConfig) {
     let mut world = ScanWorld::build(pop);
     // The baseline leg IS the plain repro-scan configuration.
-    let mut scan_cfg = ScanConfig::builder().vendor(Vendor::Cloudflare);
+    let mut scan_cfg = ScanConfig::builder();
     if intensity != 0.0 {
         world
             .net

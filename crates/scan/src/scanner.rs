@@ -135,6 +135,11 @@ impl ScanResult {
     }
 }
 
+/// The vendor profile every scan resolves through: Cloudflare, the
+/// resolver of the paper's §4 scan. Each record still names it
+/// (`QueryRecord::vendor`), so a spill stays self-describing.
+const SCAN_VENDOR: Vendor = Vendor::Cloudflare;
+
 /// Scan config.
 ///
 /// `#[non_exhaustive]`: construct with [`ScanConfig::default()`] or the
@@ -150,8 +155,6 @@ pub struct ScanConfig {
     /// resumable resolutions per worker thread. Results are
     /// bit-identical at any window (see `docs/CONCURRENCY.md`).
     pub inflight: usize,
-    /// Vendor to scan with (the paper uses Cloudflare).
-    pub vendor: Vendor,
     /// Print live progress lines to stderr while scanning.
     pub progress: bool,
     /// Query-log ring capacity (records retained in memory). Purely a
@@ -171,7 +174,6 @@ impl Default for ScanConfig {
                 .unwrap_or(4)
                 .min(16),
             inflight: 1,
-            vendor: Vendor::Cloudflare,
             progress: false,
             query_log_capacity: 65_536,
             query_log_spill: None,
@@ -193,11 +195,9 @@ impl ScanConfig {
 ///
 /// ```
 /// use ede_scan::ScanConfig;
-/// use ede_resolver::Vendor;
 ///
 /// let config = ScanConfig::builder()
 ///     .workers(1)
-///     .vendor(Vendor::Cloudflare)
 ///     .query_log_capacity(4096)
 ///     .build();
 /// assert_eq!(config.workers, 1);
@@ -218,12 +218,6 @@ impl ScanConfigBuilder {
     /// Set the per-worker in-flight resolution window (at least `1`).
     pub fn inflight(mut self, n: usize) -> Self {
         self.config.inflight = n.max(1);
-        self
-    }
-
-    /// Set the scanning vendor profile.
-    pub fn vendor(mut self, vendor: Vendor) -> Self {
-        self.config.vendor = vendor;
         self
     }
 
@@ -256,7 +250,6 @@ fn record_from(
     pop: &Population,
     idx: usize,
     res: &Resolution,
-    vendor: Vendor,
     pass: u8,
     vtime_ms: u64,
 ) -> QueryRecord {
@@ -279,7 +272,7 @@ fn record_from(
         tld: d.tld,
         rank: d.rank,
         category: d.category,
-        vendor,
+        vendor: SCAN_VENDOR,
         rcode: res.rcode,
         codes: res.ede_codes(),
         network_error_text,
@@ -348,7 +341,6 @@ struct PassCtx<'a> {
     pop: &'a Population,
     net: &'a ede_netsim::Network,
     log: &'a QueryLog,
-    vendor: Vendor,
     store: &'a SnapshotStore,
     progress: &'a PassProgress<'a>,
 }
@@ -375,14 +367,7 @@ impl PassCtx<'_> {
         res: &Resolution,
         chunk_agg: &mut PartialAggregate,
     ) -> QueryRecord {
-        let rec = record_from(
-            self.pop,
-            idx,
-            res,
-            self.vendor,
-            self.pass,
-            self.net.clock().now_millis(),
-        );
+        let rec = record_from(self.pop, idx, res, self.pass, self.net.clock().now_millis());
         if self.folds(idx) {
             chunk_agg.fold(&rec);
         }
@@ -520,7 +505,7 @@ pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanRes
 
     let resolver = Resolver::new(
         Arc::clone(&world.net),
-        VendorProfile::new(config.vendor),
+        VendorProfile::new(SCAN_VENDOR),
         world.resolver_config.clone(),
     );
 
@@ -560,7 +545,6 @@ pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanRes
             pop,
             net: &world.net,
             log: &log,
-            vendor: config.vendor,
             store: &store,
             progress: &progress,
         };
@@ -693,10 +677,7 @@ mod tests {
             let result = scan(
                 &pop,
                 &world,
-                &ScanConfig::builder()
-                    .workers(workers)
-                    .vendor(Vendor::Cloudflare)
-                    .build(),
+                &ScanConfig::builder().workers(workers).build(),
             );
             assert_refold_matches(&pop, &result);
             result

@@ -171,7 +171,7 @@ fn cold_resolve_allocs(cat: Category, via: Via) -> u64 {
 fn cold_unsigned_resolve_stays_within_its_allocation_budget() {
     assert_eq!(
         cold_resolve_allocs(Category::HealthyUnsigned, Via::Blocking),
-        22
+        20
     );
 }
 
@@ -179,7 +179,7 @@ fn cold_unsigned_resolve_stays_within_its_allocation_budget() {
 fn cold_signed_resolve_stays_within_its_allocation_budget() {
     assert_eq!(
         cold_resolve_allocs(Category::HealthySigned, Via::Blocking),
-        111
+        109
     );
 }
 
@@ -189,11 +189,11 @@ fn cold_signed_resolve_stays_within_its_allocation_budget() {
 fn cold_resolve_through_the_pool_stays_within_its_allocation_budget() {
     assert_eq!(
         cold_resolve_allocs(Category::HealthyUnsigned, Via::Pool),
-        22 + 1
+        20 + 1
     );
     assert_eq!(
         cold_resolve_allocs(Category::HealthySigned, Via::Pool),
-        111 + 1
+        109 + 1
     );
 }
 

@@ -223,8 +223,9 @@ pub struct ServerStats {
     /// and the handling-latency histogram (nothing feeds its resolution
     /// section).
     pub metrics: MetricsSnapshot,
-    /// The resolver's shared answer cache: probes, live entries, what
-    /// the TTL wheel and the entry budget removed.
+    /// The resolver's shared answer cache: probes, stored entries, and
+    /// the dead (`expired`) and live (`evicted`) entries the entry
+    /// budget's sweep removed.
     pub cache: CacheStatsSnapshot,
 }
 

@@ -129,16 +129,16 @@ pub enum TraceEvent {
         /// What the probe produced.
         outcome: CacheOutcome,
     },
-    /// A cache store removed entries: TTL-wheel expiry, budget (CLOCK)
-    /// eviction, or both. Emitted once per store operation that removed
-    /// anything, so an unbounded cache under a standing clock emits
-    /// none of these.
+    /// A cache store's budget sweep removed entries: dead ones, live
+    /// ones (CLOCK eviction), or both. Emitted once per store operation
+    /// that removed anything, so an unbounded cache emits none of these.
     CacheEvicted {
-        /// Entries removed because their TTL + stale window had lapsed.
+        /// Dead entries the sweep removed: their TTL + stale window had
+        /// lapsed.
         expired: u64,
-        /// Entries removed by the entry/byte budget's CLOCK sweep.
+        /// Live entries the sweep removed (CLOCK eviction).
         evicted: u64,
-        /// Live entries remaining in the store after the removal.
+        /// Entries remaining in the store after the removal.
         occupancy: u64,
     },
     /// One DNSSEC validation step ran.
