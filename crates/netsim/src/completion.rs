@@ -18,7 +18,7 @@
 //! window is bit-reproducible (and `ede-scan` asserts it is).
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 struct Entry<T> {
     deadline_ms: u64,
@@ -70,15 +70,7 @@ impl<T> Eq for Entry<T> {}
 /// ```
 #[derive(Default)]
 pub struct CompletionQueue<T> {
-    /// Out-of-order arrivals (a push whose deadline precedes an already
-    /// pending one). Rare outside fault-heavy worlds.
     heap: BinaryHeap<Entry<T>>,
-    /// Monotone arrivals: entries pushed with a deadline `>=` every
-    /// deadline already pending, kept in push (= pop) order. In the
-    /// zero-latency scan worlds the virtual clock only moves forward
-    /// between sends, so *every* push lands here and pop is a plain
-    /// `pop_front` — no O(log n) sift moving the large entries around.
-    lane: VecDeque<Entry<T>>,
     next_seq: u64,
 }
 
@@ -87,7 +79,6 @@ impl<T> CompletionQueue<T> {
     pub fn new() -> Self {
         CompletionQueue {
             heap: BinaryHeap::new(),
-            lane: VecDeque::new(),
             next_seq: 0,
         }
     }
@@ -97,68 +88,35 @@ impl<T> CompletionQueue<T> {
     pub fn push(&mut self, deadline_ms: u64, item: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = Entry {
+        self.heap.push(Entry {
             deadline_ms,
             seq,
             item,
-        };
-        // The lane accepts any deadline at or past its newest entry:
-        // such an entry pops after everything already queued in the
-        // lane, and — because its seq is the largest so far — after any
-        // heap entry sharing its deadline, so FIFO order is preserved
-        // exactly. Everything else (a deadline *before* the lane tail)
-        // goes through the heap.
-        match self.lane.back() {
-            Some(back) if deadline_ms < back.deadline_ms => self.heap.push(entry),
-            _ => self.lane.push_back(entry),
-        }
+        });
     }
 
     /// Remove and return the earliest pending completion as
     /// `(deadline_ms, item)`, or `None` when nothing is pending.
     pub fn pop(&mut self) -> Option<(u64, T)> {
-        // `Entry: Ord` is inverted (min-first), so `earlier` means
-        // `cmp == Greater` under the raw ordering — compare keys
-        // directly instead to keep this readable.
-        let lane_first = match (self.lane.front(), self.heap.peek()) {
-            (Some(l), Some(h)) => (l.deadline_ms, l.seq) <= (h.deadline_ms, h.seq),
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        let e = if lane_first {
-            self.lane.pop_front()
-        } else {
-            self.heap.pop()
-        }?;
-        Some((e.deadline_ms, e.item))
-    }
-
-    /// The earliest pending deadline, if any.
-    pub fn peek_deadline(&self) -> Option<u64> {
-        match (self.lane.front(), self.heap.peek()) {
-            (Some(l), Some(h)) => Some(l.deadline_ms.min(h.deadline_ms)),
-            (Some(l), None) => Some(l.deadline_ms),
-            (None, Some(h)) => Some(h.deadline_ms),
-            (None, None) => None,
-        }
+        self.heap.pop().map(|e| (e.deadline_ms, e.item))
     }
 
     /// Number of pending completions.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.lane.len()
+        self.heap.len()
     }
 
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.lane.is_empty()
+        self.heap.is_empty()
     }
 }
 
 impl<T> std::fmt::Debug for CompletionQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompletionQueue")
-            .field("len", &self.heap.len())
-            .field("next_deadline_ms", &self.peek_deadline())
+            .field("len", &self.len())
+            .field("next_deadline_ms", &self.heap.peek().map(|e| e.deadline_ms))
             .finish()
     }
 }
@@ -173,7 +131,6 @@ mod tests {
         q.push(30, 'c');
         q.push(10, 'a');
         q.push(20, 'b');
-        assert_eq!(q.peek_deadline(), Some(10));
         assert_eq!(q.pop(), Some((10, 'a')));
         assert_eq!(q.pop(), Some((20, 'b')));
         assert_eq!(q.pop(), Some((30, 'c')));
@@ -195,15 +152,13 @@ mod tests {
         }
     }
 
-    /// Exhaustive order check across the lane/heap split: random-ish
-    /// deadline patterns must pop in exact `(deadline, seq)` order, the
-    /// same order a single sorted structure would produce.
+    /// Mixed deadline patterns must pop in exact `(deadline, seq)`
+    /// order, the same order a sorted list would produce.
     #[test]
-    fn lane_and_heap_merge_preserves_total_order() {
-        // A deliberately nasty pattern: monotone runs (lane), dips
-        // below the lane tail (heap), pops draining the lane so late
-        // small deadlines re-enter an empty lane ahead of pending heap
-        // entries.
+    fn mixed_deadlines_pop_in_total_order() {
+        // Monotone runs, dips below the newest deadline, equal
+        // deadlines, and a second wave pushed after half the queue has
+        // drained, some of it ahead of what is still pending.
         let pattern: &[u64] = &[10, 10, 5, 7, 20, 3, 20, 1, 15, 15, 2, 30, 8];
         let mut q = CompletionQueue::new();
         let mut expect: Vec<(u64, u64)> = Vec::new();

@@ -226,21 +226,28 @@ fn chaos_seed_is_accepted_as_printed() {
     assert!(String::from_utf8_lossy(&hex.stderr).contains("(seed 0xedefa17)"));
 }
 
-/// The figure binaries take one argument, the scale, and refuse
-/// anything else: they used to read `abc` or a flag as the default scale
-/// (1:1000, measured in silence) and divide by zero at scale 0.
+/// The figure binaries take one argument, the scale, and the table
+/// binaries none; each refuses anything else. They used to read `abc` or
+/// a flag as the default (a figure at 1:1000, measured in silence; a
+/// table printed as if asked) and the figures divided by zero at scale 0.
 #[test]
 fn figure_binaries_refuse_what_they_cannot_use() {
-    for (name, exe) in [
-        ("repro-fig1", env!("CARGO_BIN_EXE_repro-fig1")),
-        ("repro-fig2", env!("CARGO_BIN_EXE_repro-fig2")),
+    let figure: &[&[&str]] = &[&["0"], &["abc"], &["1000000", "--json"]];
+    let table: &[&[&str]] = &[&["--json"], &["abc"]];
+    for (name, exe, refused) in [
+        ("repro-fig1", env!("CARGO_BIN_EXE_repro-fig1"), figure),
+        ("repro-fig2", env!("CARGO_BIN_EXE_repro-fig2"), figure),
+        ("repro-table1", env!("CARGO_BIN_EXE_repro-table1"), table),
+        ("repro-table2", env!("CARGO_BIN_EXE_repro-table2"), table),
+        ("repro-table3", env!("CARGO_BIN_EXE_repro-table3"), table),
+        ("repro-table4", env!("CARGO_BIN_EXE_repro-table4"), table),
     ] {
-        for args in [&["0"][..], &["abc"], &["1000000", "--json"]] {
-            let out = Command::new(exe).args(args).output().expect("runs");
+        for args in refused {
+            let out = Command::new(exe).args(*args).output().expect("runs");
             assert_eq!(out.status.code(), Some(2), "{name} {args:?}");
             assert!(
                 out.stdout.is_empty(),
-                "{name} {args:?} still printed a figure"
+                "{name} {args:?} still printed its output"
             );
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert!(stderr.contains(&format!("usage: {name}")), "{stderr}");

@@ -1,16 +1,15 @@
 //! A minimal loopback client for exercising a running server.
 //!
 //! `ProbeClient` speaks exactly the stub-resolver subset the
-//! integration tests, the smoke harness, and the serving benchmark
-//! need: one UDP exchange, one framed TCP exchange, and the composite
-//! [`query`](ProbeClient::query) that retries over TCP when the UDP
-//! answer came back truncated — reusing the *identical* query bytes, so
-//! a TC=1 retry can be compared bit-for-bit against the untruncated
-//! response.
+//! integration tests need: one UDP exchange, one framed TCP exchange,
+//! and the composite [`query`](ProbeClient::query) that retries over
+//! TCP when the UDP answer came back truncated — reusing the
+//! *identical* query bytes, so a TC=1 retry can be compared
+//! bit-for-bit against the untruncated response.
 //!
 //! It is deliberately not a general resolver client (no retries over
-//! loss, no 0x20 encoding, no cookies); it exists so tests and benches
-//! measure the server, not a client's cleverness.
+//! loss, no 0x20 encoding, no cookies); it exists so tests measure the
+//! server, not a client's cleverness.
 
 use crate::config::ServerError;
 use ede_wire::stream::{frame, FrameReader, MAX_FRAME_LEN};

@@ -91,6 +91,9 @@ fn concurrent_udp_clients_get_correct_ede_codes() {
     assert_eq!(stats.metrics.encode_errors, 0);
     assert!(stats.drained);
     assert!(stats.metrics.handle_latency.total >= 100);
+    assert_eq!(stats.metrics.dropped, 0);
+    assert_eq!(stats.udp_workers_alive(), 2);
+    assert!(stats.tcp_acceptor_alive());
 }
 
 #[test]
