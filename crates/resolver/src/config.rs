@@ -27,7 +27,6 @@ pub struct RootHint {
 ///
 /// let mut config = ResolverConfig::default();
 /// config.failure_ttl_secs = 900;
-/// config.qname_minimization = true;
 /// config.retries_per_server = 4;
 /// assert_eq!(config.failure_ttl_secs, 900);
 /// ```
@@ -54,15 +53,6 @@ pub struct ResolverConfig {
     /// configurations trade bit-identical reproducibility for bounded
     /// memory — see `docs/PERFORMANCE.md`.
     pub max_cache_entries: Option<usize>,
-    /// DNS Error Reporting (RFC 9567): when set to an (agent domain,
-    /// agent server address) pair, every EDE-carrying resolution also
-    /// fires a report query toward the agent. The address stands in for
-    /// resolving the agent's own NS set — a documented simplification.
-    pub error_reporting: Option<(Name, IpAddr)>,
-    /// QNAME minimization (RFC 7816): expose only one additional label
-    /// per zone while walking referrals (probing with NS queries), in
-    /// the "relaxed" style deployed resolvers use. Off by default.
-    pub qname_minimization: bool,
     /// Extra attempts on the *same* server after a transient failure
     /// (a timeout or FORMERR — the signatures of datagram loss and
     /// corruption; a REFUSED or SERVFAIL is the server's considered
@@ -81,8 +71,6 @@ impl Default for ResolverConfig {
             source_addr: "192.0.32.59".parse().expect("valid"),
             failure_ttl_secs: 30,
             max_cache_entries: None,
-            error_reporting: None,
-            qname_minimization: false,
             retries_per_server: 0,
         }
     }

@@ -391,26 +391,13 @@ impl<'a> Engine<'a> {
                     expires: 0,
                 }),
             };
-            // RFC 7816: how many labels beyond the current zone we are
-            // willing to expose to its servers. Resets at each zone cut.
-            let mut min_extra_labels: usize = 1;
 
             for _ in 0..MAX_REFERRALS {
-                // QNAME minimization: probe with a truncated name and NS
-                // until the remaining labels run out.
-                let exposed = at.zone.label_count() + min_extra_labels;
-                let (probe_name, probe_type) =
-                    if self.config.qname_minimization && current_name.label_count() > exposed {
-                        (current_name.suffix(exposed), RrType::Ns)
-                    } else {
-                        (current_name.clone(), qtype)
-                    };
-                let minimized = probe_name != current_name;
                 // Signed: a DS set (or a trust anchor) vouches for the zone.
                 let zone_signed = !at.ds_rdatas.is_empty();
 
                 let (resp, responder) = match self
-                    .query_set(&at.servers, &probe_name, probe_type, diag)
+                    .query_set(&at.servers, &current_name, qtype, diag)
                     .await
                 {
                     SetQuery::Answered(resp, addr) => (resp, addr),
@@ -436,7 +423,7 @@ impl<'a> Engine<'a> {
                 let referral = if resp.authoritative {
                     None
                 } else {
-                    parse_referral(&resp, &probe_name, &at.zone)
+                    parse_referral(&resp, &current_name, &at.zone)
                 };
                 if let Some(referral) = referral {
                     // Clean-hop bookkeeping: remember what the
@@ -541,17 +528,6 @@ impl<'a> Engine<'a> {
                     } else {
                         Position::Live(hop)
                     };
-                    min_extra_labels = 1;
-                    continue;
-                }
-
-                if minimized {
-                    // The minimized probe was answered authoritatively
-                    // (the label exists inside the current zone, or the
-                    // server says NXDOMAIN). Relaxed minimization: expose
-                    // one more label and re-ask the same servers; the
-                    // full query performs the validated, final exchange.
-                    min_extra_labels += 1;
                     continue;
                 }
 

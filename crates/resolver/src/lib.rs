@@ -52,11 +52,9 @@ pub mod cache;
 pub mod config;
 pub mod diagnosis;
 pub mod explain;
-pub mod forwarder;
 pub mod iterative;
 pub mod policy;
 pub mod profiles;
-pub mod reporting;
 pub mod resolver;
 pub mod task;
 pub mod validate;

@@ -289,7 +289,6 @@ impl Resolver {
         }
 
         let ede = self.profile.emit(&diag);
-        self.maybe_report(handle, qname, qtype, &ede).await;
         let resolution = Resolution {
             rcode: outcome.rcode,
             answers: outcome.answers,
@@ -340,43 +339,6 @@ impl Resolver {
             ede_count: res.ede.len(),
             duration_ms: now_ms.saturating_sub(started_ms.unwrap_or(now_ms)),
         });
-    }
-
-    /// RFC 9567: fire an error report for the first EDE entry of a
-    /// failed resolution, if an agent is configured. Report queries are
-    /// fire-and-forget (the answer only matters for caching) and are
-    /// never generated for names under the agent itself. The report
-    /// suspends on `handle` like any other exchange, so in a pool it
-    /// waits its turn on the completion queue instead of stalling every
-    /// other task's clock.
-    async fn maybe_report(
-        &self,
-        handle: &TaskHandle,
-        qname: &Name,
-        qtype: RrType,
-        ede: &[EdeEntry],
-    ) {
-        let Some((agent, agent_addr)) = &self.config.error_reporting else {
-            return;
-        };
-        let Some(first) = ede.first() else {
-            return;
-        };
-        if qname.is_subdomain_of(agent) {
-            return; // no reports about reporting
-        }
-        let Ok(report_name) =
-            crate::reporting::report_qname(qname, qtype, first.code.to_u16(), agent)
-        else {
-            return;
-        };
-        let query = Message::iterative_query(
-            self.ids.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            report_name,
-            RrType::Txt,
-        );
-        let sent = self.net.send(*agent_addr, self.config.source_addr, &query);
-        let _ = handle.await_net(sent).await;
     }
 
     /// Convenience: resolve an A record by dotted name.

@@ -136,8 +136,7 @@ thread_local! {
     static NOOP_WAKER: Waker = Waker::from(Arc::new(NoopWake));
     /// The reactor the thread's last [`run_local`] call finished with,
     /// kept so that the next call allocates neither a reactor nor a
-    /// queue buffer. A nested call (a simulated forwarder resolving
-    /// inside `Network::send`) finds it taken and builds its own.
+    /// queue buffer.
     static IDLE_REACTOR: RefCell<Option<Rc<RefCell<Reactor>>>> = const { RefCell::new(None) };
 }
 

@@ -2,8 +2,8 @@
 //!
 //! Captures the upstream queries of the first N domains of a population
 //! from a bare `Resolver::resolve` loop, times the same loop uncaptured,
-//! then replays the queries in their original order on a fresh world (the hosting servers' burst memo and
-//! flap counters depend on it), timing every `Network::query` from
+//! then replays the queries in their original order on a fresh world (the flap
+//! counters depend on it), timing every `Network::query` from
 //! outside and grouping by destination pool and qtype. A group's row is
 //! calls per domain and ns per call; the bare loop's µs per domain is
 //! the figure they are a share of. `Network::query` is the server's

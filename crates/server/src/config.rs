@@ -1,6 +1,5 @@
 //! Server configuration and the structured serving error type.
 
-use ede_wire::WireError;
 use std::fmt;
 use std::io;
 use std::time::Duration;
@@ -18,9 +17,6 @@ pub enum ServerError {
     },
     /// Socket-level failure after binding (receive, send, clone).
     Io(io::Error),
-    /// A message could not be encoded to — or decoded from — wire
-    /// format.
-    Wire(WireError),
     /// The configuration refuses to describe a runnable server.
     InvalidConfig(&'static str),
 }
@@ -30,7 +26,6 @@ impl fmt::Display for ServerError {
         match self {
             ServerError::Bind { addr, source } => write!(f, "cannot bind {addr}: {source}"),
             ServerError::Io(e) => write!(f, "socket error: {e}"),
-            ServerError::Wire(e) => write!(f, "wire codec error: {e}"),
             ServerError::InvalidConfig(what) => write!(f, "invalid server config: {what}"),
         }
     }
@@ -41,7 +36,6 @@ impl std::error::Error for ServerError {
         match self {
             ServerError::Bind { source, .. } => Some(source),
             ServerError::Io(e) => Some(e),
-            ServerError::Wire(e) => Some(e),
             ServerError::InvalidConfig(_) => None,
         }
     }
@@ -50,12 +44,6 @@ impl std::error::Error for ServerError {
 impl From<io::Error> for ServerError {
     fn from(e: io::Error) -> Self {
         ServerError::Io(e)
-    }
-}
-
-impl From<WireError> for ServerError {
-    fn from(e: WireError) -> Self {
-        ServerError::Wire(e)
     }
 }
 
@@ -276,9 +264,11 @@ mod tests {
             source: io::Error::from(io::ErrorKind::PermissionDenied),
         };
         assert!(bind.to_string().contains("cannot bind 127.0.0.1:53"));
-        assert!(ServerError::from(WireError::BadCount)
-            .to_string()
-            .contains("wire codec"));
+        assert!(
+            ServerError::from(io::Error::from(io::ErrorKind::BrokenPipe))
+                .to_string()
+                .contains("socket error")
+        );
         assert!(std::error::Error::source(&bind).is_some());
     }
 }

@@ -36,10 +36,12 @@
 //! # Quick start
 //!
 //! ```
-//! use ede_server::{ProbeClient, Server, ServerConfig};
+//! use ede_server::{Server, ServerConfig};
 //! use ede_resolver::Vendor;
 //! use ede_testbed::Testbed;
 //! use ede_wire::{Message, Name, RrType};
+//! use std::net::UdpSocket;
+//! use std::time::Duration;
 //!
 //! let tb = Testbed::build();
 //! let handle = Server::spawn(
@@ -47,10 +49,15 @@
 //!     ServerConfig::builder().bind("127.0.0.1:0").workers(2).build(),
 //! ).unwrap();
 //!
-//! let client = ProbeClient::connect(handle.udp_addr(), handle.tcp_addr()).unwrap();
+//! let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+//! client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
 //! let query = Message::query(1, Name::parse("valid.extended-dns-errors.com").unwrap(), RrType::A);
-//! let exchange = client.query(&query).unwrap();
-//! assert!(!exchange.response.answers.is_empty());
+//! client.send_to(&query.encode().unwrap(), handle.udp_addr()).unwrap();
+//! let mut buf = [0u8; 4096];
+//! let n = client.recv(&mut buf).unwrap();
+//! let response = Message::decode(&buf[..n]).unwrap();
+//! assert_eq!(response.id, 1);
+//! assert!(!response.answers.is_empty());
 //!
 //! let stats = handle.shutdown().unwrap();
 //! assert_eq!(stats.metrics.udp_queries, 1);
@@ -59,14 +66,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod client;
 pub mod config;
 pub mod pipeline;
 mod server;
 mod tcp;
 mod udp;
 
-pub use client::{Exchange, ProbeClient};
 pub use config::{ServerConfig, ServerConfigBuilder, ServerError};
 pub use pipeline::{DropReason, QueryDisposition, RejectKind};
 pub use server::{Server, ServerHandle, ServerStats};

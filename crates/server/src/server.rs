@@ -40,6 +40,53 @@ pub(crate) fn micros(elapsed: Duration) -> u64 {
     u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX)
 }
 
+/// How many ephemeral UDP ports [`bind_sockets`] tries before it gives
+/// up on finding one whose TCP twin is free.
+const EPHEMERAL_BIND_ATTEMPTS: usize = 8;
+
+/// Bind the UDP socket and the TCP listener. With no explicit TCP bind
+/// the listener mirrors the *bound* UDP address, so an ephemeral UDP port
+/// yields both transports on the same port (what a stub resolver doing
+/// TC=1 → TCP retry expects). That twin port can still be taken — by a
+/// client connection in TIME_WAIT, say — so when the kernel chose the
+/// UDP port, an `AddrInUse` on TCP asks it for another. The rejected
+/// sockets stay open until the end, so the kernel cannot hand one back.
+/// A port the caller named fails at once.
+fn bind_sockets(config: &ServerConfig) -> Result<(UdpSocket, TcpListener), ServerError> {
+    let ephemeral = config.tcp_bind.is_none()
+        && config
+            .udp_bind
+            .rsplit_once(':')
+            .is_some_and(|(_, port)| port == "0");
+    let mut rejected = Vec::new();
+    loop {
+        let udp = UdpSocket::bind(&config.udp_bind).map_err(|source| ServerError::Bind {
+            addr: config.udp_bind.clone(),
+            source,
+        })?;
+        let tcp_bind = match &config.tcp_bind {
+            Some(addr) => addr.clone(),
+            None => udp.local_addr()?.to_string(),
+        };
+        match TcpListener::bind(&tcp_bind) {
+            Ok(listener) => return Ok((udp, listener)),
+            Err(e)
+                if ephemeral
+                    && e.kind() == ErrorKind::AddrInUse
+                    && rejected.len() + 1 < EPHEMERAL_BIND_ATTEMPTS =>
+            {
+                rejected.push(udp);
+            }
+            Err(source) => {
+                return Err(ServerError::Bind {
+                    addr: tcp_bind,
+                    source,
+                })
+            }
+        }
+    }
+}
+
 /// The serving front end. A `Server` is not held after start — spawning
 /// consumes the configuration and hands back a [`ServerHandle`].
 #[derive(Debug)]
@@ -54,22 +101,8 @@ impl Server {
     pub fn spawn(resolver: Resolver, config: ServerConfig) -> Result<ServerHandle, ServerError> {
         config.validate()?;
 
-        let udp = UdpSocket::bind(&config.udp_bind).map_err(|source| ServerError::Bind {
-            addr: config.udp_bind.clone(),
-            source,
-        })?;
+        let (udp, listener) = bind_sockets(&config)?;
         let udp_addr = udp.local_addr()?;
-        // No explicit TCP bind → mirror the *bound* UDP address, so an
-        // ephemeral UDP port yields both transports on the same port
-        // (what a stub resolver doing TC=1 → TCP retry expects).
-        let tcp_bind = config
-            .tcp_bind
-            .clone()
-            .unwrap_or_else(|| udp_addr.to_string());
-        let listener = TcpListener::bind(&tcp_bind).map_err(|source| ServerError::Bind {
-            addr: tcp_bind.clone(),
-            source,
-        })?;
         let tcp_addr = listener.local_addr()?;
 
         let shared = Arc::new(Shared {

@@ -11,19 +11,18 @@
 //! loss, no 0x20 encoding, no cookies); it exists so tests measure the
 //! server, not a client's cleverness.
 
-use crate::config::ServerError;
 use ede_wire::stream::{frame, FrameReader, MAX_FRAME_LEN};
 use ede_wire::Message;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, UdpSocket};
 use std::time::{Duration, Instant};
+
+/// A socket failure or a message that did not encode or decode.
+pub type Result<T> = std::result::Result<T, Box<dyn std::error::Error>>;
 
 /// One completed query exchange.
 #[derive(Debug, Clone)]
 pub struct Exchange {
-    /// The exact query bytes that were sent (both transports reuse
-    /// them verbatim).
-    pub wire: Vec<u8>,
     /// The decoded final response (the TCP one when a retry happened).
     pub response: Message,
     /// Raw bytes of the final response.
@@ -49,18 +48,15 @@ const RECV_BUF: usize = u16::MAX as usize;
 
 impl ProbeClient {
     /// Connect a client to a server's bound addresses.
-    pub fn connect(udp_addr: SocketAddr, tcp_addr: SocketAddr) -> Result<Self, ServerError> {
-        let udp = UdpSocket::bind(("127.0.0.1", 0)).map_err(|source| ServerError::Bind {
-            addr: "127.0.0.1:0".to_string(),
-            source,
-        })?;
+    pub fn connect(udp_addr: SocketAddr, tcp_addr: SocketAddr) -> Result<Self> {
+        let udp = UdpSocket::bind(("127.0.0.1", 0))?;
         udp.connect(udp_addr)?;
         udp.set_read_timeout(Some(TIMEOUT))?;
         Ok(ProbeClient { udp, tcp_addr })
     }
 
     /// Send raw query bytes over UDP and return the raw response bytes.
-    pub fn query_udp(&self, wire: &[u8]) -> Result<Vec<u8>, ServerError> {
+    pub fn query_udp(&self, wire: &[u8]) -> Result<Vec<u8>> {
         self.udp.send(wire)?;
         let mut buf = vec![0u8; RECV_BUF];
         let n = self.udp.recv(&mut buf)?;
@@ -69,7 +65,7 @@ impl ProbeClient {
 
     /// Send raw query bytes over a fresh TCP connection (RFC 1035
     /// framing) and return the raw response bytes.
-    pub fn query_tcp(&self, wire: &[u8]) -> Result<Vec<u8>, ServerError> {
+    pub fn query_tcp(&self, wire: &[u8]) -> Result<Vec<u8>> {
         let mut stream = TcpStream::connect_timeout(&self.tcp_addr, TIMEOUT)?;
         stream.set_read_timeout(Some(TIMEOUT))?;
         let _ = stream.set_nodelay(true);
@@ -82,26 +78,25 @@ impl ProbeClient {
                 return Ok(response);
             }
             if Instant::now() >= deadline {
-                return Err(ServerError::Io(ErrorKind::TimedOut.into()));
+                return Err(io::Error::from(ErrorKind::TimedOut).into());
             }
             match stream.read(&mut buf) {
-                Ok(0) => return Err(ServerError::Io(ErrorKind::UnexpectedEof.into())),
+                Ok(0) => return Err(io::Error::from(ErrorKind::UnexpectedEof).into()),
                 Ok(n) => reader.push(&buf[..n])?,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(ServerError::Io(e)),
+                Err(e) => return Err(e.into()),
             }
         }
     }
 
     /// Full stub-resolver exchange: UDP first, and on a TC=1 answer
     /// retry the identical bytes over TCP.
-    pub fn query(&self, query: &Message) -> Result<Exchange, ServerError> {
+    pub fn query(&self, query: &Message) -> Result<Exchange> {
         let wire = query.encode()?;
         let udp_response = self.query_udp(&wire)?;
         let decoded = Message::decode(&udp_response)?;
         if !decoded.truncated {
             return Ok(Exchange {
-                wire,
                 response: decoded,
                 response_wire: udp_response,
                 retried_over_tcp: false,
@@ -110,7 +105,6 @@ impl ProbeClient {
         let tcp_response = self.query_tcp(&wire)?;
         let decoded = Message::decode(&tcp_response)?;
         Ok(Exchange {
-            wire,
             response: decoded,
             response_wire: tcp_response,
             retried_over_tcp: true,

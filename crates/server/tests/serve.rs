@@ -3,9 +3,12 @@
 //! malformed-query policy, connection capping, graceful shutdown, and
 //! RFC 7766 pipelining (batched answers, a peer that never reads).
 
+mod client;
+
+use client::ProbeClient;
 use ede_netsim::FaultPlan;
 use ede_resolver::{Resolver, Vendor, VendorProfile};
-use ede_server::{pipeline, ProbeClient, Server, ServerConfig, ServerError};
+use ede_server::{pipeline, Server, ServerConfig, ServerError};
 use ede_testbed::Testbed;
 use ede_wire::ede::EdeCode;
 use ede_wire::stream::{frame, FrameReader, MAX_FRAME_LEN};
@@ -41,20 +44,45 @@ fn concurrent_udp_clients_get_correct_ede_codes() {
     );
     let (udp_addr, tcp_addr) = (handle.udp_addr(), handle.tcp_addr());
 
-    // Each case: (label, expected rcode, expected EDE codes on the wire).
-    let cases: &[(&str, Rcode, &[EdeCode])] = &[
-        ("valid", Rcode::NoError, &[]),
+    // Each case: (label, expected rcode, expected EDE codes on the wire,
+    // and an EXTRA-TEXT fragment one of those entries must carry).
+    type Case = (
+        &'static str,
+        Rcode,
+        &'static [EdeCode],
+        Option<(EdeCode, &'static str)>,
+    );
+    let cases: &[Case] = &[
+        ("valid", Rcode::NoError, &[], None),
         (
             "rrsig-exp-all",
             Rcode::ServFail,
             &[EdeCode::SignatureExpired],
+            None,
         ),
-        ("bad-zsk", Rcode::ServFail, &[EdeCode::DnssecBogus]),
-        ("rrsig-no-all", Rcode::ServFail, &[EdeCode::RrsigsMissing]),
+        ("bad-zsk", Rcode::ServFail, &[EdeCode::DnssecBogus], None),
+        (
+            "rrsig-no-all",
+            Rcode::ServFail,
+            &[EdeCode::RrsigsMissing],
+            None,
+        ),
+        // Cloudflare's 9 + 22 + 23 bundle, with the refusing
+        // nameserver's rcode in code 23's EXTRA-TEXT.
+        (
+            "allow-query-none",
+            Rcode::ServFail,
+            &[
+                EdeCode::DnskeyMissing,
+                EdeCode::NoReachableAuthority,
+                EdeCode::NetworkError,
+            ],
+            Some((EdeCode::NetworkError, "rcode=REFUSED")),
+        ),
     ];
 
     let mut joins = Vec::new();
-    for (t, &(label, rcode, ede)) in cases.iter().enumerate() {
+    for (t, &(label, rcode, ede, extra_text)) in cases.iter().enumerate() {
         joins.push(std::thread::spawn(move || {
             let client = ProbeClient::connect(udp_addr, tcp_addr).unwrap();
             for i in 0..25u16 {
@@ -76,6 +104,13 @@ fn concurrent_udp_clients_get_correct_ede_codes() {
                         "{label}: unexpected {code:?}"
                     );
                 }
+                if let Some((code, fragment)) = extra_text {
+                    let entry = exchange.response.ede_entries().find(|e| e.code == code);
+                    assert!(
+                        entry.is_some_and(|e| e.extra_text.contains(fragment)),
+                        "{label}: {entry:?}"
+                    );
+                }
                 assert!(!exchange.retried_over_tcp);
             }
         }));
@@ -85,12 +120,12 @@ fn concurrent_udp_clients_get_correct_ede_codes() {
     }
 
     let stats = handle.shutdown().unwrap();
-    assert_eq!(stats.metrics.udp_queries, 100);
-    assert_eq!(stats.metrics.udp_responses, 100);
+    assert_eq!(stats.metrics.udp_queries, 125);
+    assert_eq!(stats.metrics.udp_responses, 125);
     assert_eq!(stats.metrics.udp_truncated, 0);
     assert_eq!(stats.metrics.encode_errors, 0);
     assert!(stats.drained);
-    assert!(stats.metrics.handle_latency.total >= 100);
+    assert!(stats.metrics.handle_latency.total >= 125);
     assert_eq!(stats.metrics.dropped, 0);
     assert_eq!(stats.udp_workers_alive(), 2);
     assert!(stats.tcp_acceptor_alive());
@@ -819,6 +854,23 @@ fn bind_failure_is_a_structured_error() {
     .unwrap_err();
     match err {
         ServerError::Bind { addr, .. } => assert_eq!(addr, "192.0.2.1:0"),
+        other => panic!("expected Bind error, got {other:?}"),
+    }
+
+    // A port the caller named is not traded for another: with its TCP
+    // twin held, spawn fails at once on the TCP bind.
+    let held = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let twin = held.local_addr().unwrap().to_string();
+    let err = Server::spawn(
+        testbed().resolver(Vendor::Bind9),
+        ServerConfig::builder().bind(twin.as_str()).build(),
+    )
+    .unwrap_err();
+    match err {
+        ServerError::Bind { addr, source } => {
+            assert_eq!(addr, twin);
+            assert_eq!(source.kind(), ErrorKind::AddrInUse);
+        }
         other => panic!("expected Bind error, got {other:?}"),
     }
 

@@ -5,7 +5,6 @@ use crate::domains::{all_specs, DomainSpec, GlueKind, QueryKind, ServerMode};
 use ede_authority::{Behavior, ZoneServer, ZoneStore};
 use ede_netsim::{Network, NetworkBuilder, SimClock};
 use ede_resolver::config::RootHint;
-use ede_resolver::reporting::ReportingAgent;
 use ede_resolver::{Resolver, ResolverConfig, Vendor, VendorProfile};
 use ede_wire::rdata::Soa;
 use ede_wire::{DigestAlg, Name, Rdata, Record};
@@ -19,8 +18,6 @@ pub const ROOT_SERVER: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
 pub const COM_SERVER: Ipv4Addr = Ipv4Addr::new(192, 5, 6, 30);
 /// Address of the `extended-dns-errors.com` parent server.
 pub const PARENT_SERVER: Ipv4Addr = Ipv4Addr::new(185, 199, 108, 53);
-/// Address of the RFC 9567 reporting agent's server.
-pub const REPORT_AGENT_SERVER: Ipv4Addr = Ipv4Addr::new(185, 199, 108, 99);
 
 /// The built testbed.
 pub struct Testbed {
@@ -33,9 +30,6 @@ pub struct Testbed {
     /// Resolver configuration (root hints + trust anchor) for this
     /// internet.
     pub resolver_config: ResolverConfig,
-    /// The RFC 9567 reporting agent attached to the network (collects
-    /// reports when a resolver is configured to send them).
-    pub reporting_agent: Arc<ReportingAgent>,
     /// Every authoritative server registered on the network (root, com,
     /// parent, children) — kept so a tracer can be attached to all of
     /// them at once.
@@ -69,17 +63,6 @@ impl Testbed {
             VendorProfile::new(vendor),
             self.resolver_config.clone(),
         )
-    }
-
-    /// Like [`Testbed::resolver`], but with RFC 9567 error reporting
-    /// toward this testbed's agent enabled.
-    pub fn resolver_with_reporting(&self, vendor: Vendor) -> Resolver {
-        let mut config = self.resolver_config.clone();
-        config.error_reporting = Some((
-            self.reporting_agent.agent().clone(),
-            IpAddr::V4(REPORT_AGENT_SERVER),
-        ));
-        Resolver::new(Arc::clone(&self.net), VendorProfile::new(vendor), config)
     }
 
     /// The name the testbed queries for a given spec (see
@@ -277,13 +260,6 @@ impl TestbedBuilder {
             zone_servers.push(Arc::clone(&server));
             net.register(IpAddr::V4(addr), server);
         }
-        let reporting_agent = Arc::new(ReportingAgent::new(
-            Name::parse("agent.extended-dns-errors.com").expect("valid"),
-        ));
-        net.register(
-            IpAddr::V4(REPORT_AGENT_SERVER),
-            Arc::clone(&reporting_agent) as Arc<dyn ede_netsim::Server>,
-        );
 
         let resolver_config = ResolverConfig::with_roots(
             vec![RootHint {
@@ -298,7 +274,6 @@ impl TestbedBuilder {
             base,
             specs,
             resolver_config,
-            reporting_agent,
             zone_servers,
         }
     }

@@ -28,7 +28,6 @@ pub mod keys;
 pub mod misconfig;
 pub mod nsec;
 pub mod nsec3;
-pub mod parse;
 pub mod rrset;
 pub mod signer;
 pub mod textual;
@@ -37,7 +36,6 @@ pub mod zone;
 pub use keys::{ZoneKey, ZoneKeys};
 pub use misconfig::{Misconfig, TypeSel};
 pub use nsec3::Nsec3Config;
-pub use parse::{parse_master_file, ParseError, ParseErrorKind};
 pub use rrset::Rrset;
 pub use signer::{Denial, SignerConfig};
 pub use zone::Zone;

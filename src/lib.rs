@@ -86,11 +86,9 @@ pub mod prelude {
         ScanConfigBuilder, ScanResult, ScanWorld, StatsSnapshot,
     };
     pub use ede_server::{
-        ProbeClient, Server, ServerConfig, ServerConfigBuilder, ServerError, ServerHandle,
-        ServerStats,
+        Server, ServerConfig, ServerConfigBuilder, ServerError, ServerHandle, ServerStats,
     };
     pub use ede_testbed::Testbed;
     pub use ede_trace::{Metrics, MetricsSnapshot, ResolutionTrace, TraceEvent, TraceSink};
     pub use ede_wire::{EdeCode, EdeEntry, Message, Name, Rcode, RrType, WireError};
-    pub use ede_zone::{ParseError, ParseErrorKind};
 }
