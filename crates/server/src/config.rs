@@ -2,7 +2,6 @@
 
 use std::fmt;
 use std::io;
-use std::time::Duration;
 
 /// Errors from the serving front end, split by layer.
 #[derive(Debug)]
@@ -52,8 +51,9 @@ impl From<io::Error> for ServerError {
 /// The struct is `#[non_exhaustive]`: construct it with
 /// [`ServerConfig::default()`] or the fluent
 /// [`ServerConfig::builder()`], then adjust individual public fields —
-/// the same idiom as `ResolverConfig` and `ScanConfig`, so new knobs
-/// can land without breaking callers.
+/// the same idiom as `ResolverConfig` and `ScanConfig`. The TCP
+/// connection cap (64) and the idle (5 s) and drain (3 s) deadlines are
+/// constants, not settings.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct ServerConfig {
@@ -73,15 +73,6 @@ pub struct ServerConfig {
     /// truncation path in tests) even though RFC 6891 clients never
     /// advertise less.
     pub udp_payload_max: u16,
-    /// Maximum simultaneously-open TCP connections; further accepts are
-    /// closed immediately and counted as refused.
-    pub tcp_conn_cap: usize,
-    /// How long a TCP connection may sit idle (no complete request
-    /// frame) before the server closes it.
-    pub tcp_read_timeout: Duration,
-    /// How long [`shutdown`](crate::ServerHandle::shutdown) waits for
-    /// in-flight TCP connections to finish before abandoning them.
-    pub drain_deadline: Duration,
 }
 
 impl Default for ServerConfig {
@@ -95,9 +86,6 @@ impl Default for ServerConfig {
             tcp_bind: None,
             workers,
             udp_payload_max: 1232,
-            tcp_conn_cap: 64,
-            tcp_read_timeout: Duration::from_secs(5),
-            drain_deadline: Duration::from_secs(3),
         }
     }
 }
@@ -107,14 +95,11 @@ impl ServerConfig {
     ///
     /// ```
     /// use ede_server::ServerConfig;
-    /// use std::time::Duration;
     ///
     /// let config = ServerConfig::builder()
     ///     .bind("127.0.0.1:5300")
     ///     .workers(4)
     ///     .udp_payload_max(1232)
-    ///     .tcp_conn_cap(128)
-    ///     .drain_deadline(Duration::from_secs(1))
     ///     .build();
     /// assert_eq!(config.workers, 4);
     /// ```
@@ -128,14 +113,6 @@ impl ServerConfig {
     pub(crate) fn validate(&self) -> Result<(), ServerError> {
         if self.workers == 0 {
             return Err(ServerError::InvalidConfig("workers must be >= 1"));
-        }
-        if self.tcp_conn_cap == 0 {
-            return Err(ServerError::InvalidConfig("tcp_conn_cap must be >= 1"));
-        }
-        // It is also each connection's write timeout, which the OS
-        // refuses at zero: every connection would close unanswered.
-        if self.tcp_read_timeout.is_zero() {
-            return Err(ServerError::InvalidConfig("tcp_read_timeout must be > 0"));
         }
         Ok(())
     }
@@ -182,24 +159,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Set the simultaneous TCP connection cap.
-    pub fn tcp_conn_cap(mut self, n: usize) -> Self {
-        self.config.tcp_conn_cap = n;
-        self
-    }
-
-    /// Set the TCP idle read deadline.
-    pub fn tcp_read_timeout(mut self, timeout: Duration) -> Self {
-        self.config.tcp_read_timeout = timeout;
-        self
-    }
-
-    /// Set the shutdown drain deadline.
-    pub fn drain_deadline(mut self, deadline: Duration) -> Self {
-        self.config.drain_deadline = deadline;
-        self
-    }
-
     /// Finish, yielding the configuration.
     pub fn build(self) -> ServerConfig {
         self.config
@@ -215,7 +174,6 @@ mod tests {
         let c = ServerConfig::default();
         assert!(c.workers >= 1);
         assert_eq!(c.udp_payload_max, 1232);
-        assert!(c.tcp_conn_cap >= 1);
         assert!(c.tcp_bind.is_none());
         assert!(c.validate().is_ok());
     }
@@ -227,34 +185,17 @@ mod tests {
             .tcp_bind("127.0.0.1:5301")
             .workers(7)
             .udp_payload_max(512)
-            .tcp_conn_cap(9)
-            .tcp_read_timeout(Duration::from_millis(750))
-            .drain_deadline(Duration::from_millis(250))
             .build();
         assert_eq!(c.udp_bind, "127.0.0.1:5300");
         assert_eq!(c.tcp_bind.as_deref(), Some("127.0.0.1:5301"));
         assert_eq!(c.workers, 7);
         assert_eq!(c.udp_payload_max, 512);
-        assert_eq!(c.tcp_conn_cap, 9);
-        assert_eq!(c.tcp_read_timeout, Duration::from_millis(750));
-        assert_eq!(c.drain_deadline, Duration::from_millis(250));
     }
 
     #[test]
     fn invalid_configs_rejected() {
-        for c in [
-            ServerConfig::builder().workers(0).build(),
-            ServerConfig::builder().tcp_conn_cap(0).build(),
-            ServerConfig::builder()
-                .tcp_read_timeout(Duration::ZERO)
-                .build(),
-        ] {
-            let verdict = c.validate();
-            assert!(
-                matches!(verdict, Err(ServerError::InvalidConfig(_))),
-                "{c:?}"
-            );
-        }
+        let c = ServerConfig::builder().workers(0).build();
+        assert!(matches!(c.validate(), Err(ServerError::InvalidConfig(_))));
     }
 
     #[test]

@@ -16,11 +16,14 @@
 //!   reply; the kernel load-balances blocked receivers, giving
 //!   SO_REUSEPORT-style sharding with std only. Every worker answers
 //!   from the one shared thread-safe [`Resolver`](ede_resolver::Resolver).
-//! * **TCP path** — a blocking acceptor with a connection cap, detached
-//!   per-connection handler threads, RFC 1035 §4.2.2 length-prefixed
-//!   framing via `ede_wire::stream`, pipelined queries answered a batch
-//!   per write, and one deadline for a peer that stops sending or stops
-//!   reading.
+//! * **TCP path** — a blocking acceptor with a connection cap (64),
+//!   detached per-connection handler threads, RFC 1035 §4.2.2
+//!   length-prefixed framing via `ede_wire::stream`, pipelined queries
+//!   answered a batch at a time, and one 5 s deadline for a peer that
+//!   stops sending or stops reading a batch.
+//! * **One seam** — both serving loops take their peer (a datagram
+//!   socket, a byte stream) and their clock as arguments, so the tests
+//!   run every deadline at its shipped value on a clock they move.
 //! * **One pipeline** — both transports classify, resolve, and encode
 //!   through [`pipeline`], so the malformed-query policy (drop vs
 //!   FORMERR vs NOTIMP vs REFUSED) and the EDNS/EDE rules are identical

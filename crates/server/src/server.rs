@@ -35,6 +35,14 @@ pub(crate) fn is_transient(kind: ErrorKind) -> bool {
     matches!(kind, WouldBlock | TimedOut | Interrupted)
 }
 
+/// How long a blocking socket call waits before its loop re-checks the
+/// stop flag and its deadlines; data arriving mid-wait returns at once.
+pub(crate) const POLL_TICK: Duration = Duration::from_millis(25);
+
+/// How long [`ServerHandle::shutdown`] waits for open TCP connections to
+/// finish, and how long a handler stopped mid-frame waits for the rest.
+pub(crate) const DRAIN_DEADLINE: Duration = Duration::from_secs(3);
+
 /// A handling time as the latency histogram takes it.
 pub(crate) fn micros(elapsed: Duration) -> u64 {
     u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX)
@@ -184,7 +192,7 @@ impl ServerHandle {
     }
 
     /// Gracefully stop: raise the stop flag, join every worker and the
-    /// acceptor, then wait up to the configured drain deadline for
+    /// acceptor, then wait up to the drain deadline (3 s) for
     /// in-flight TCP connections to finish. Returns the final stats;
     /// [`ServerStats::drained`] reports whether every connection closed
     /// inside the deadline.
@@ -195,7 +203,7 @@ impl ServerHandle {
             // joining the rest still matters more than propagating it.
             let _ = t.join();
         }
-        let deadline = Instant::now() + self.shared.config.drain_deadline;
+        let deadline = Instant::now() + DRAIN_DEADLINE;
         while self.shared.active_conns.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
@@ -306,8 +314,22 @@ impl ServerStats {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use ede_resolver::Vendor;
+    use ede_testbed::Testbed;
+
+    /// What a worker, acceptor or handler shares, over `tb`'s resolver
+    /// as Cloudflare, with the default configuration.
+    pub(crate) fn shared(tb: &Testbed) -> Shared {
+        Shared {
+            resolver: tb.resolver(Vendor::Cloudflare),
+            metrics: Arc::new(Metrics::new()),
+            stop: AtomicBool::new(false),
+            active_conns: AtomicUsize::new(0),
+            config: ServerConfig::default(),
+        }
+    }
 
     /// Timeouts and EINTR keep a loop running; what says the socket or
     /// the peer is gone ends it.

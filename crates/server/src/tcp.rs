@@ -9,32 +9,32 @@
 //! that passes (a signal, a client that reset first) is retried; any
 //! other error ends the acceptor, counted and said on standard error.
 //! Each accepted connection gets a detached handler thread, bounded by
-//! `tcp_conn_cap` — connections over the cap are closed immediately and
-//! counted as refused rather than left to queue.
+//! [`TCP_CONN_CAP`] — connections over the cap are closed immediately
+//! and counted as refused rather than left to queue.
 //!
-//! Handlers enforce an idle deadline (`tcp_read_timeout`) by reading in
-//! short timeout chunks and tracking time since the last complete
-//! frame; the same deadline bounds a write to a peer that does not read.
-//! Pipelined queries (RFC 7766) are answered a batch at a time, one
-//! `write` per `read` that brought complete frames ([`serve_stream`]).
-//! On shutdown a handler finishes the request it is parsing (the
-//! graceful-drain contract: an in-flight query gets its answer), then
-//! closes; [`ServerHandle::shutdown`](crate::ServerHandle::shutdown)
-//! polls the live-connection gauge until the drain deadline.
+//! Handlers enforce an idle deadline ([`IDLE_TIMEOUT`]) on the time since
+//! the last complete frame, and on the writing of one batch to a peer
+//! that does not read, in [`POLL_TICK`] steps, on the clock they are given.
+//! Pipelined queries (RFC 7766) are answered a batch at a time, one batch
+//! per `read` that brought complete frames ([`serve_stream`]). On shutdown
+//! a handler finishes the request it is parsing (the graceful-drain
+//! contract: an in-flight query gets its answer), then closes.
 
 use crate::pipeline::{self, Reply};
-use crate::server::{is_transient, micros, Shared};
+use crate::server::{is_transient, micros, Shared, DRAIN_DEADLINE, POLL_TICK};
 use ede_wire::stream::{FrameReader, MAX_FRAME_LEN};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Handler read-chunk timeout (bounds how often a handler re-checks
-/// the stop flag and its idle deadline; data arriving mid-read returns
-/// immediately, so this adds no request latency).
-const POLL_TICK: Duration = Duration::from_millis(20);
+/// Most TCP connections open at once; the acceptor closes any more.
+const TCP_CONN_CAP: usize = 64;
+
+/// How long a connection may go without a complete request frame, or
+/// take to write one batch of answers, before the handler closes it.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A batch of answers is written once it holds more than this, whatever
 /// else is waiting: it bounds what a connection buffers and how long a
@@ -69,7 +69,7 @@ pub(crate) fn run_acceptor(shared: Arc<Shared>, listener: TcpListener) {
         };
         // Reserve a slot before spawning; release on refusal.
         let occupied = shared.active_conns.fetch_add(1, Ordering::AcqRel);
-        if occupied >= shared.config.tcp_conn_cap {
+        if occupied >= TCP_CONN_CAP {
             shared.active_conns.fetch_sub(1, Ordering::AcqRel);
             shared.metrics.tcp_conn_refused();
             drop(stream);
@@ -111,14 +111,11 @@ pub(crate) fn wake_acceptor(listening: SocketAddr) {
 
 /// Serve one connection: the socket's set-up, then [`serve_stream`].
 fn serve_conn(shared: &Shared, stream: TcpStream) {
-    // A peer that does not read its answers is as slow as one that sends
-    // no queries: the same deadline bounds a blocked write.
-    let deadline = Some(shared.config.tcp_read_timeout);
     if stream.set_read_timeout(Some(POLL_TICK)).is_ok()
-        && stream.set_write_timeout(deadline).is_ok()
+        && stream.set_write_timeout(Some(POLL_TICK)).is_ok()
     {
         let _ = stream.set_nodelay(true);
-        serve_stream(shared, stream);
+        serve_stream(shared, stream, Instant::now);
     }
 }
 
@@ -127,7 +124,7 @@ fn serve_conn(shared: &Shared, stream: TcpStream) {
 /// is written before the handler blocks in `read`, when it passes
 /// [`FLUSH_AT`], and before the connection closes for any reason. A lone
 /// query is one write; sixteen in one segment are one write, not sixteen.
-fn serve_stream<S: Read + Write>(shared: &Shared, mut stream: S) {
+fn serve_stream<S: Read + Write>(shared: &Shared, mut stream: S, now: impl Fn() -> Instant) {
     let metrics = &shared.metrics;
     let mut reader = FrameReader::new(MAX_FRAME_LEN);
     let mut buf = [0u8; 4096];
@@ -135,14 +132,14 @@ fn serve_stream<S: Read + Write>(shared: &Shared, mut stream: S) {
         out: Vec::with_capacity(4096),
         unsent: Vec::new(),
     };
-    let mut last_activity = Instant::now();
+    let mut last_activity = now();
 
     loop {
         // Answer what has arrived, up to a full buffer or a violation...
         let mut open = true;
         while open && batch.out.len() <= FLUSH_AT {
             match reader.with_frame(|request| {
-                last_activity = Instant::now();
+                last_activity = now();
                 batch.answer(shared, request, last_activity)
             }) {
                 Some(keep_open) => open = keep_open,
@@ -150,11 +147,11 @@ fn serve_stream<S: Read + Write>(shared: &Shared, mut stream: S) {
             }
         }
         let more_buffered = batch.out.len() > FLUSH_AT;
-        // ...and hand it to the kernel in one write. Only then are its
-        // answers counted as sent and their handling times taken: bytes
-        // in to bytes out, the wait for the rest of the batch included.
+        // ...and hand it to the kernel whole. Only then are its answers
+        // counted as sent and their handling times taken: bytes in to
+        // bytes out, the wait for the rest of the batch included.
         if !batch.out.is_empty() {
-            let written = stream.write_all(&batch.out);
+            let written = write_batch(&mut stream, &batch.out, &now);
             batch.out.clear();
             if let Err(e) = written {
                 if is_transient(e.kind()) {
@@ -163,7 +160,7 @@ fn serve_stream<S: Read + Write>(shared: &Shared, mut stream: S) {
                 return;
             }
             metrics.tcp_write();
-            let sent = Instant::now();
+            let sent = now();
             for (started, len) in batch.unsent.drain(..) {
                 metrics.tcp_response(len);
                 metrics.observe_handle_us(micros(sent.duration_since(started)));
@@ -178,12 +175,12 @@ fn serve_stream<S: Read + Write>(shared: &Shared, mut stream: S) {
         // Stop only between requests — never abandon a frame we have
         // already started to receive, unless the peer stalls past the
         // drain window.
-        if shared.stop.load(Ordering::Acquire)
-            && (!reader.has_partial() || last_activity.elapsed() >= shared.config.drain_deadline)
+        let idle = now().duration_since(last_activity);
+        if shared.stop.load(Ordering::Acquire) && (!reader.has_partial() || idle >= DRAIN_DEADLINE)
         {
             return;
         }
-        if last_activity.elapsed() >= shared.config.tcp_read_timeout {
+        if idle >= IDLE_TIMEOUT {
             metrics.tcp_read_timeout();
             return;
         }
@@ -199,6 +196,29 @@ fn serve_stream<S: Read + Write>(shared: &Shared, mut stream: S) {
             Err(_) => return,
         }
     }
+}
+
+/// Write all of `bytes`, a write that times out tried again, unless
+/// [`IDLE_TIMEOUT`] passes from the first (a `TimedOut` error): a peer
+/// that does not read is as slow as one that sends no queries.
+fn write_batch(
+    stream: &mut impl Write,
+    mut bytes: &[u8],
+    now: &impl Fn() -> Instant,
+) -> io::Result<()> {
+    let started = now();
+    while !bytes.is_empty() {
+        match stream.write(bytes) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => bytes = &bytes[n..],
+            Err(e) if is_transient(e.kind()) => {}
+            Err(e) => return Err(e),
+        }
+        if !bytes.is_empty() && now().duration_since(started) >= IDLE_TIMEOUT {
+            return Err(ErrorKind::TimedOut.into());
+        }
+    }
+    Ok(())
 }
 
 /// One connection's answers that are encoded and not yet written.
@@ -238,27 +258,55 @@ impl Batch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::tests::shared;
+    use crate::udp::serve_datagrams;
+    use crate::udp::tests::{peer, ScriptedSocket};
     use crate::ServerConfig;
     use ede_resolver::Vendor;
     use ede_testbed::Testbed;
-    use ede_trace::{Metrics, MetricsSnapshot};
+    use ede_trace::MetricsSnapshot;
     use ede_wire::stream::frame;
     use ede_wire::{Class, Message, Rcode, RrType};
+    use std::cell::Cell;
     use std::collections::VecDeque;
-    use std::io;
-    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::rc::Rc;
+    use std::sync::atomic::AtomicBool;
 
-    /// An in-memory peer: each `read` delivers the next scripted chunk,
-    /// or as much of it as the buffer takes (then EOF), each `write` call
-    /// is kept as one element.
-    #[derive(Default)]
+    /// An in-memory peer on a clock of its own: each `read` delivers the
+    /// next scripted chunk, or as much of it as the buffer takes (then
+    /// EOF); an empty chunk is a read that times out, one [`POLL_TICK`]
+    /// on the clock. Each `write` call is kept as one element.
     struct Scripted<'a> {
         reads: VecDeque<Vec<u8>>,
         writes: Vec<Vec<u8>>,
+        /// Every write fails so, a [`POLL_TICK`] on the clock each.
         write_error: Option<ErrorKind>,
+        /// Every write takes one byte and this long on the clock.
+        trickle: Option<Duration>,
         /// Raised as a read delivers: shutdown finds the handler with
         /// that chunk's frames still to answer.
         stop_on_read: Option<&'a AtomicBool>,
+        /// What the handler reads as the time; only the peer moves it.
+        clock: Rc<Cell<Instant>>,
+    }
+
+    impl Default for Scripted<'_> {
+        fn default() -> Self {
+            Scripted {
+                reads: VecDeque::new(),
+                writes: Vec::new(),
+                write_error: None,
+                trickle: None,
+                stop_on_read: None,
+                clock: Rc::new(Cell::new(Instant::now())),
+            }
+        }
+    }
+
+    impl Scripted<'_> {
+        fn wait(&self, how_long: Duration) {
+            self.clock.set(self.clock.get() + how_long);
+        }
     }
 
     impl Read for Scripted<'_> {
@@ -266,6 +314,10 @@ mod tests {
             let Some(mut chunk) = self.reads.pop_front() else {
                 return Ok(0);
             };
+            if chunk.is_empty() {
+                self.wait(POLL_TICK);
+                return Err(ErrorKind::WouldBlock.into());
+            }
             if let Some(stop) = self.stop_on_read {
                 stop.store(true, Ordering::Release);
             }
@@ -280,15 +332,37 @@ mod tests {
     impl Write for Scripted<'_> {
         fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
             if let Some(kind) = self.write_error {
+                self.wait(POLL_TICK);
                 return Err(kind.into());
             }
-            self.writes.push(bytes.to_vec());
-            Ok(bytes.len())
+            let taken = match self.trickle {
+                Some(per_byte) => {
+                    self.wait(per_byte);
+                    1
+                }
+                None => bytes.len(),
+            };
+            self.writes.push(bytes[..taken].to_vec());
+            Ok(taken)
         }
 
         fn flush(&mut self) -> io::Result<()> {
             Ok(())
         }
+    }
+
+    /// `n` reads that time out: a silent peer for `n` poll ticks.
+    fn silence(n: usize) -> Vec<Vec<u8>> {
+        vec![Vec::new(); n]
+    }
+
+    /// Run `peer`'s script through `shared`'s handler on the peer's
+    /// clock; how long, on that clock, the handler kept it open.
+    fn serve_on(shared: &Shared, peer: &mut Scripted) -> Duration {
+        let clock = Rc::clone(&peer.clock);
+        let opened = clock.get();
+        serve_stream(shared, &mut *peer, move || clock.get());
+        peer.clock.get() - opened
     }
 
     /// `n` framed queries of type `qtype`, IDs `0..n`: for the testbed's
@@ -306,20 +380,10 @@ mod tests {
             .collect()
     }
 
-    fn shared(tb: &Testbed) -> Shared {
-        Shared {
-            resolver: tb.resolver(Vendor::Cloudflare),
-            metrics: Arc::new(Metrics::new()),
-            stop: AtomicBool::new(false),
-            active_conns: AtomicUsize::new(0),
-            config: ServerConfig::default(),
-        }
-    }
-
     /// Run `peer`'s script through a fresh handler; what it counted.
     fn serve(tb: &Testbed, peer: &mut Scripted) -> MetricsSnapshot {
         let shared = shared(tb);
-        serve_stream(&shared, peer);
+        serve_on(&shared, peer);
         shared.metrics.snapshot()
     }
 
@@ -417,22 +481,26 @@ mod tests {
         // The second chunk is never read: the handler stops between
         // requests, after the write.
         peer.reads.extend([queries.concat(), queries.concat()]);
-        serve_stream(&shared, &mut peer);
+        serve_on(&shared, &mut peer);
         assert_eq!(peer.reads.len(), 1);
         assert_eq!(peer.writes.len(), 1);
         assert_eq!(answer_ids(&peer.writes[0]), (0..16).collect::<Vec<u16>>());
         assert_eq!(shared.metrics.snapshot().tcp_responses, 16);
     }
 
+    /// A write that times out is tried again until [`IDLE_TIMEOUT`] has
+    /// passed, then the connection closes, counted as one timeout; any
+    /// other failure closes it at once, uncounted.
     #[test]
     fn a_failed_write_closes_and_only_a_timeout_counts_as_one() {
         let tb = Testbed::build();
         let queries = framed_queries(&tb, 3, RrType::A, None);
-        for (kind, timeouts) in [
-            (ErrorKind::WouldBlock, 1),
-            (ErrorKind::TimedOut, 1),
-            (ErrorKind::BrokenPipe, 0),
+        for (kind, timeouts, open) in [
+            (ErrorKind::WouldBlock, 1, IDLE_TIMEOUT),
+            (ErrorKind::TimedOut, 1, IDLE_TIMEOUT),
+            (ErrorKind::BrokenPipe, 0, POLL_TICK),
         ] {
+            let shared = shared(&tb);
             let mut peer = Scripted {
                 write_error: Some(kind),
                 ..Default::default()
@@ -440,13 +508,103 @@ mod tests {
             // The second read is never reached.
             peer.reads
                 .extend([queries[..2].concat(), queries[2].clone()]);
-            let stats = serve(&tb, &mut peer);
+            assert_eq!(serve_on(&shared, &mut peer), open, "{kind:?}");
+            let stats = shared.metrics.snapshot();
             assert_eq!(peer.reads.len(), 1, "{kind:?}");
             assert_eq!(stats.tcp_read_timeouts, timeouts, "{kind:?}");
             assert_eq!((stats.tcp_queries, stats.tcp_responses), (2, 0));
             assert_eq!(stats.tcp_writes, 0);
             assert_eq!(stats.handle_latency.total, 0);
         }
+    }
+
+    /// A peer that takes one byte per write, a second each, is closed
+    /// at [`IDLE_TIMEOUT`] from the batch's first write: the deadline
+    /// bounds the batch, not each write, and missing it counts once.
+    #[test]
+    fn a_peer_that_takes_a_byte_a_second_is_closed_at_the_deadline() {
+        let tb = Testbed::build();
+        let shared = shared(&tb);
+        let mut peer = Scripted {
+            trickle: Some(Duration::from_secs(1)),
+            ..Default::default()
+        };
+        peer.reads.extend(framed_queries(&tb, 2, RrType::A, None));
+        assert_eq!(serve_on(&shared, &mut peer), IDLE_TIMEOUT);
+        assert_eq!(peer.writes.concat().len(), 5, "a byte a second");
+        assert_eq!(peer.reads.len(), 1, "never read again");
+        let stats = shared.metrics.snapshot();
+        assert_eq!(stats.tcp_read_timeouts, 1);
+        assert_eq!((stats.tcp_queries, stats.tcp_responses), (1, 0));
+        assert_eq!(stats.tcp_writes, 0);
+    }
+
+    /// How many poll ticks make `deadline`.
+    fn ticks(deadline: Duration) -> usize {
+        (deadline.as_nanos() / POLL_TICK.as_nanos()) as usize
+    }
+
+    /// A peer that says nothing, or half a frame and then nothing, is
+    /// closed at [`IDLE_TIMEOUT`], counted once: only a complete frame
+    /// resets the idle deadline.
+    #[test]
+    fn a_silent_peer_is_closed_at_the_idle_deadline_even_mid_frame() {
+        let tb = Testbed::build();
+        let query = &framed_queries(&tb, 1, RrType::A, None)[0];
+        for said in [&[][..], &query[..query.len() / 2]] {
+            let shared = shared(&tb);
+            let mut peer = Scripted::default();
+            if !said.is_empty() {
+                peer.reads.push_back(said.to_vec());
+            }
+            peer.reads.extend(silence(ticks(IDLE_TIMEOUT) + 10));
+            assert_eq!(serve_on(&shared, &mut peer), IDLE_TIMEOUT, "{said:?}");
+            assert_eq!(peer.reads.len(), 10, "{said:?}");
+            let stats = shared.metrics.snapshot();
+            assert_eq!((stats.tcp_read_timeouts, stats.tcp_queries), (1, 0));
+            assert!(peer.writes.is_empty());
+        }
+    }
+
+    /// Stop raised with half a frame received; the handler waits for the
+    /// rest for up to [`DRAIN_DEADLINE`]. `rest` arrives a tick before
+    /// it, or never. How long the connection stayed open, and what the
+    /// handler counted and wrote.
+    fn stopped_mid_frame(rest: bool) -> (Duration, MetricsSnapshot, Vec<Vec<u8>>) {
+        let tb = Testbed::build();
+        let shared = shared(&tb);
+        let query = &framed_queries(&tb, 1, RrType::A, None)[0];
+        let (first, second) = query.split_at(query.len() / 2);
+        let mut peer = Scripted {
+            stop_on_read: Some(&shared.stop),
+            ..Default::default()
+        };
+        peer.reads.push_back(first.to_vec());
+        peer.reads.extend(silence(ticks(DRAIN_DEADLINE) - 1));
+        if rest {
+            peer.reads.push_back(second.to_vec());
+        }
+        peer.reads.extend(silence(10));
+        let open = serve_on(&shared, &mut peer);
+        (open, shared.metrics.snapshot(), peer.writes)
+    }
+
+    #[test]
+    fn stopped_mid_frame_the_rest_is_still_answered() {
+        let (open, stats, writes) = stopped_mid_frame(true);
+        assert_eq!(open, DRAIN_DEADLINE - POLL_TICK);
+        assert_eq!(writes.len(), 1);
+        assert_eq!(answer_ids(&writes[0]), [0]);
+        assert_eq!((stats.tcp_queries, stats.tcp_responses), (1, 1));
+        assert_eq!(stats.tcp_read_timeouts, 0);
+    }
+
+    #[test]
+    fn stopped_mid_frame_a_rest_that_never_comes_is_given_up_at_the_drain_deadline() {
+        let (open, stats, writes) = stopped_mid_frame(false);
+        assert_eq!(open, DRAIN_DEADLINE);
+        assert!(writes.is_empty());
+        assert_eq!((stats.tcp_queries, stats.tcp_read_timeouts), (0, 0));
     }
 
     /// An `accept` that fails for a passing reason is retried: over a
@@ -482,6 +640,78 @@ mod tests {
         let stats = shared.metrics.snapshot();
         assert_eq!(stats.tcp_acceptors_died, 0);
         assert_eq!(stats.tcp_conns_accepted, 1);
+    }
+
+    /// Over [`TCP_CONN_CAP`] the acceptor closes a connection unanswered
+    /// and counts it refused; once a slot frees, service resumes; every
+    /// connection made before the stop flag is accepted or refused. The
+    /// slots are taken by connections that each had an answer, so their
+    /// handlers run, and one is freed by the server's close, which the
+    /// gauge shows: nothing here waits on a guess.
+    #[test]
+    fn connections_over_the_cap_are_refused_until_a_slot_frees() {
+        let tb = Testbed::build();
+        let shared = Arc::new(shared(&tb));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let acceptor = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || run_acceptor(shared, listener))
+        };
+        let query = &framed_queries(&tb, 1, RrType::A, None)[0];
+        let connect = || {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            stream
+        };
+        let answered = |mut stream: TcpStream| {
+            stream.write_all(query).unwrap();
+            let mut len = [0u8; 2];
+            stream.read_exact(&mut len).expect("an answer");
+            let mut answer = vec![0u8; usize::from(u16::from_be_bytes(len))];
+            stream.read_exact(&mut answer).unwrap();
+            assert_eq!(Message::decode(&answer).unwrap().id, 0);
+            stream
+        };
+        // The server closes first, so no client port is left in TIME_WAIT.
+        let closed_by_server = |mut stream: TcpStream| match stream.read(&mut [0u8; 64]) {
+            Ok(0) => {}
+            Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+            other => panic!("open: {other:?}"),
+        };
+
+        let mut holders: Vec<TcpStream> = (0..TCP_CONN_CAP).map(|_| answered(connect())).collect();
+        let mut refused = connect();
+        // The write may land before the close; the answer never comes.
+        let _ = refused.write_all(query);
+        closed_by_server(refused);
+
+        // A response where a query belongs is dropped and closes its
+        // connection; the handler gives the slot back as it returns.
+        let mut leaving = holders.pop().unwrap();
+        let mut response = query.clone();
+        response[2 + 2] |= 0x80;
+        leaving.write_all(&response).unwrap();
+        closed_by_server(leaving);
+        let give_up = Instant::now() + Duration::from_secs(5);
+        while shared.active_conns.load(Ordering::Acquire) == TCP_CONN_CAP {
+            assert!(Instant::now() < give_up, "the slot never came back");
+            std::thread::yield_now();
+        }
+        holders.push(answered(connect()));
+
+        shared.stop.store(true, Ordering::Release);
+        wake_acceptor(addr);
+        acceptor.join().unwrap();
+        holders.into_iter().for_each(closed_by_server);
+        let stats = shared.metrics.snapshot();
+        assert_eq!(stats.tcp_conns_refused, 1);
+        assert_eq!(stats.tcp_conns_accepted, TCP_CONN_CAP as u64 + 1);
+        assert_eq!(stats.tcp_responses, TCP_CONN_CAP as u64 + 1);
+        let made = TCP_CONN_CAP as u64 + 2;
+        assert_eq!(stats.tcp_conns_accepted + stats.tcp_conns_refused, made);
     }
 
     /// SplitMix64, as the wire crate's property tests draw from.
@@ -719,41 +949,54 @@ mod tests {
     }
 
     /// The corpus through the whole request path, on both transports:
-    /// `classify → answer → encode_udp` a case at a time, and
-    /// `serve_stream` over a few hundred framed cases a connection.
+    /// every case a datagram to two workers sharing one scripted socket,
+    /// then `serve_stream` over a few hundred framed cases a connection.
     #[test]
     fn mutated_queries_never_break_the_request_path() {
-        use crate::pipeline::{answer, classify, encode_udp, QueryDisposition};
-
         let tb = Testbed::build();
         let (cases, rows) = corpus(&tb);
-        // The datagram path takes a connection's cases just before the
-        // stream does, so the stream meets their answers cached.
-        let connections = connections(&rows);
         let shared = shared(&tb);
         let cap = shared.config.udp_payload_max;
+
+        // Two workers take turns at one socket, as shards do: one case in
+        // six asks a name no case asked before, a cold resolution each.
+        // The script spent raises the stop flag, which ends both.
+        let socket = ScriptedSocket::new(&shared.stop);
+        for (n, case) in cases.iter().enumerate() {
+            socket.push(case, peer(n as u32));
+        }
+        std::thread::scope(|scope| {
+            scope.spawn(|| serve_datagrams(&shared, &socket, Instant::now));
+            serve_datagrams(&shared, &socket, Instant::now);
+        });
+        shared.stop.store(false, Ordering::Release);
+        let mut replies = vec![None; cases.len()];
+        for (reply, to) in socket.sends.into_inner().unwrap() {
+            let IpAddr::V4(n) = to.ip() else {
+                panic!("{to}")
+            };
+            let earlier = replies[u32::from(n) as usize].replace(reply);
+            assert!(earlier.is_none(), "two replies to {to}");
+        }
+        for ((case, row), reply) in cases.iter().zip(&rows).zip(&replies) {
+            match (row, reply) {
+                (None, None) => {}
+                (Some(row), Some(reply)) => {
+                    assert!(reply.len() <= udp_limit(case, *row, cap), "{case:02x?}");
+                    assert_reply_fits(case, *row, reply);
+                }
+                (row, reply) => panic!("{case:02x?}: {reply:02x?}, the table says {row:?}"),
+            }
+        }
+
+        // The same cases as streams, so they meet their answers cached.
+        let connections = connections(&rows);
         let check = |connection: &std::ops::Range<usize>| {
             let (cases, rows) = (&cases[connection.clone()], &rows[connection.clone()]);
-            for (case, row) in cases.iter().zip(rows) {
-                let (reply, row) = match (classify(case), row) {
-                    (QueryDisposition::Drop(_), None) => continue,
-                    (QueryDisposition::Reject(reply, _), Some(row)) if reply.rcode == *row => {
-                        (reply.encode().unwrap(), *row)
-                    }
-                    (QueryDisposition::Resolve(query), Some(Rcode::NoError)) => {
-                        let reply = answer(&shared.resolver, None, &query);
-                        (encode_udp(&reply, &query, cap).unwrap().0, Rcode::NoError)
-                    }
-                    (other, row) => panic!("{case:02x?}: {other:?}, the table says {row:?}"),
-                };
-                assert!(reply.len() <= udp_limit(case, row, cap), "{case:02x?}");
-                assert_reply_fits(case, row, &reply);
-            }
-
             let mut peer = Scripted::default();
             let frames = cases.iter().map(|c| frame(c).unwrap());
             peer.reads.push_back(frames.flatten().collect());
-            serve_stream(&shared, &mut peer);
+            serve_on(&shared, &mut peer);
             let mut reader = FrameReader::new(MAX_FRAME_LEN);
             reader.push(&peer.writes.concat()).unwrap();
             for (case, row) in cases.iter().zip(rows) {
@@ -763,21 +1006,27 @@ mod tests {
             }
             assert!(reader.next_frame().is_none() && !reader.has_partial());
         };
-        // Two threads take turns at the connections: one case in six
-        // asks a name no case asked before, a cold resolution each.
+        // Two threads take turns at the connections.
         std::thread::scope(|scope| {
             scope.spawn(|| connections.iter().skip(1).step_by(2).for_each(&check));
             connections.iter().step_by(2).for_each(&check);
         });
         let stats = shared.metrics.snapshot();
         let count = |row| rows.iter().filter(|r| **r == row).count() as u64;
-        assert_eq!(stats.tcp_queries, cases.len() as u64);
-        assert_eq!(stats.dropped, count(None));
-        assert_eq!(stats.rejected_notimp, count(Some(Rcode::NotImp)));
-        assert_eq!(stats.rejected_formerr, count(Some(Rcode::FormErr)));
-        assert_eq!(stats.rejected_badvers, count(Some(Rcode::BadVers)));
-        assert_eq!(stats.rejected_refused, count(Some(Rcode::Refused)));
-        assert_eq!(stats.tcp_responses, cases.len() as u64 - count(None));
+        let sent = cases.len() as u64;
+        assert_eq!(stats.udp_queries, sent);
+        assert_eq!(stats.udp_responses, sent - count(None));
+        assert_eq!(stats.tcp_queries, sent);
+        assert_eq!(stats.tcp_responses, sent - count(None));
+        // Each case went once over each transport, and every reply is timed.
+        assert_eq!(stats.dropped, 2 * count(None));
+        assert_eq!(stats.rejected_notimp, 2 * count(Some(Rcode::NotImp)));
+        assert_eq!(stats.rejected_formerr, 2 * count(Some(Rcode::FormErr)));
+        assert_eq!(stats.rejected_badvers, 2 * count(Some(Rcode::BadVers)));
+        assert_eq!(stats.rejected_refused, 2 * count(Some(Rcode::Refused)));
+        assert_eq!(stats.handle_latency.total, 2 * (sent - count(None)));
+        assert_eq!((stats.udp_send_errors, stats.encode_errors), (0, 0));
+        assert_eq!(stats.udp_workers_died, 0);
     }
 
     /// The same corpus against a running server over loopback sockets:

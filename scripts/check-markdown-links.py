@@ -39,7 +39,10 @@ be one some program here parses: it has to appear in a string literal
 (comments do not count) of a Rust file under ``crates/*/src/bin``,
 ``examples/``, ``crates/*/examples`` or ``benchmark/``, or be one of
 ``FOREIGN_FLAGS`` — so a retired flag finds the command lines that
-still show it.
+still show it. In the same way every ``.name(`` chained on an
+``X::builder()`` call, in a code span or a fenced block of a live
+document, must be a ``pub fn`` of ``XBuilder`` under ``crates/*/src``,
+so a retired setter finds the examples that still call it.
 
 Run from anywhere: paths are resolved against the repository root
 (the parent of this script's directory). Exit status is the number of
@@ -82,6 +85,13 @@ FOREIGN_FLAGS = {
     "--no-l2", "--no-l1", "--cache-budget", "--sede",
     "--synthesize", "--sweep", "--range-budget",
 }
+
+
+FENCE = re.compile(r"```.*?```", re.DOTALL)
+BUILDER_CALL = re.compile(r"\b(\w+)::builder\(\)")
+# Whitespace and `//` comments, then `.name(`.
+CHAINED_CALL = re.compile(r"(?:\s|//[^\n]*)*\.(\w+)\(")
+BUILDER_IMPL = re.compile(r"^impl (\w+Builder) \{\n(.*?)^\}", re.MULTILINE | re.DOTALL)
 
 
 def is_external(target: str) -> bool:
@@ -160,6 +170,52 @@ def check_flags(md: Path, parsed: set[str]) -> list[str]:
         for flag in FLAG.findall(code):
             if flag not in parsed and flag not in FOREIGN_FLAGS:
                 broken.append(f"{md.relative_to(ROOT)}:{number}: no program parses -> {flag}")
+    return broken
+
+
+def builder_setters() -> dict[str, set[str]]:
+    """The `pub fn`s of every `impl XBuilder` block under crates/*/src."""
+    setters: dict[str, set[str]] = {}
+    for src in ROOT.glob("crates/*/src/**/*.rs"):
+        for builder, body in BUILDER_IMPL.findall(src.read_text(encoding="utf-8")):
+            names = re.findall(r"^\s*pub fn (\w+)", body, re.MULTILINE)
+            setters.setdefault(builder, set()).update(names)
+    return setters
+
+
+def code_pieces(text: str) -> list[tuple[int, str]]:
+    """(offset, code) of every fenced block, and of every code span
+    outside them."""
+    pieces = [(m.start(), m.group(0)) for m in FENCE.finditer(text)]
+    blanked = FENCE.sub(lambda m: re.sub(r"[^\n]", " ", m.group(0)), text)
+    pieces += [(m.start(1), m.group(1)) for m in CODE_SPAN.finditer(blanked)]
+    return pieces
+
+
+def chained_calls(code: str):
+    """(offset, X, name) for every `.name(` chained on an `X::builder()`."""
+    for call in BUILDER_CALL.finditer(code):
+        at = call.end()
+        while chained := CHAINED_CALL.match(code, at):
+            yield chained.start(1), call.group(1), chained.group(1)
+            depth, at = 1, chained.end()
+            while depth and at < len(code):
+                if code[at] == '"':
+                    at = code.find('"', at + 1)
+                    if at < 0:
+                        return
+                depth += {"(": 1, ")": -1}.get(code[at], 0)
+                at += 1
+
+
+def check_builders(md: Path, setters: dict[str, set[str]]) -> list[str]:
+    text = md.read_text(encoding="utf-8")
+    broken = []
+    for offset, code in code_pieces(text):
+        for at, config, name in chained_calls(code):
+            if name not in setters.get(config + "Builder", set()):
+                line = text.count("\n", 0, offset + at) + 1
+                broken.append(f"{md.relative_to(ROOT)}:{line}: {config}Builder has no setter -> .{name}(")
     return broken
 
 
@@ -256,17 +312,20 @@ def main() -> int:
         broken.extend(check_file(md))
     ignored = ignored_prefixes()
     parsed = parsed_flags()
+    setters = builder_setters()
     for pattern in LIVE_DOCS:
         for md in sorted(ROOT.glob(pattern)):
             broken.extend(check_paths(md, ignored))
             broken.extend(check_flags(md, parsed))
+            broken.extend(check_builders(md, setters))
     broken.extend(check_inventory(ROOT / "DESIGN.md"))
     broken.extend(check_policy_tables())
     broken.extend(check_observability_tables())
     for line in broken:
         print(line, file=sys.stderr)
     if broken:
-        print(f"{len(broken)} broken markdown link(s), path(s) or flag(s)", file=sys.stderr)
+        print(f"{len(broken)} broken markdown link(s), path(s), flag(s) or setter(s)",
+              file=sys.stderr)
         return 1
     print("markdown links and paths OK")
     return 0
