@@ -13,9 +13,9 @@
 //! * [`transport`] — the network itself: a routing table from `IpAddr` to
 //!   [`Server`] instances, with per-query latency, unroutability for
 //!   special addresses, and a stream (TCP-analogue)
-//!   channel for truncation fallback. Exchanges come in two shapes: the
-//!   blocking `query` call, and the event-driven `send`/`complete` pair
-//!   that lets one thread keep thousands of exchanges in flight.
+//!   channel for truncation fallback. An exchange is an event-driven
+//!   `send`/`complete` pair, which lets one thread keep thousands of
+//!   exchanges in flight; the blocking `query` is the two in one call.
 //! * [`completion`] — the deterministic completion-event queue the
 //!   event-driven shape schedules against (deadline order, FIFO among
 //!   ties). `docs/CONCURRENCY.md` specifies the full model.

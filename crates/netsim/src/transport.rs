@@ -373,7 +373,8 @@ impl Network {
     /// Latency accounting: a delivered exchange moves the clock one RTT
     /// past the send instant; every failure (unroutable, silent drop,
     /// loss, no route) moves it the full timeout past, as the querier
-    /// has to wait that long to learn nothing.
+    /// has to wait that long to learn nothing. No product code calls it
+    /// (the resolver parks every exchange on its task pool).
     pub fn query(&self, dst: IpAddr, src: IpAddr, query: &Message) -> Result<Message, NetError> {
         self.complete(self.send(dst, src, query))
     }
@@ -538,18 +539,6 @@ impl Network {
                 Err(error)
             }
         }
-    }
-
-    /// Send `query` to `dst` from `src` over the stream (TCP-analogue)
-    /// channel and wait for the reply — the truncation-fallback path:
-    /// [`send_stream`](Self::send_stream) completed on the spot.
-    pub fn query_stream(
-        &self,
-        dst: IpAddr,
-        src: IpAddr,
-        query: &Message,
-    ) -> Result<Message, NetError> {
-        self.complete(self.send_stream(dst, src, query))
     }
 
     /// Count one fired fault decision and surface it to any tracer.
@@ -812,7 +801,7 @@ mod tests {
 
         // The stream path serves it whole, at handshake + exchange cost.
         let t0 = net.clock().now_millis();
-        let tcp = net.query_stream(dst, client(), &q(2)).unwrap();
+        let tcp = net.complete(net.send_stream(dst, client(), &q(2))).unwrap();
         assert!(!tcp.truncated);
         assert_eq!(tcp.answers.len(), 40);
         assert_eq!(net.clock().now_millis() - t0, 40);

@@ -16,9 +16,10 @@
 //! which lives at a TLD) visible in every resolution that crosses the
 //! zone. Key sets are `Arc`-shared: every resolution crossing a popular
 //! zone (a TLD, say) borrows the same validated vectors instead of
-//! deep-cloning them per crossing. The shards carry a *singleflight*
-//! build permit per zone (see `KeyShard::building`) so a miss storm
-//! performs exactly one upstream fetch.
+//! deep-cloning them per crossing. The shards mark each zone whose keys
+//! are being fetched (see `KeyShard::building`), so a miss storm performs
+//! exactly one upstream fetch: the task that set the mark fetches, and
+//! the others park until it is gone (`Engine::zone_keys`).
 //!
 //! # Referrals
 //!
@@ -41,10 +42,10 @@ use crate::diagnosis::{Diagnosis, Finding, ValidationState};
 use crate::validate::PublishedKey;
 use ede_trace::Striped;
 use ede_wire::{Name, Rdata};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::net::IpAddr;
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Number of independently-locked shards (power of two). Both halves of
 /// the infrastructure cache are hit once per zone cut of every
@@ -116,17 +117,36 @@ impl ReferralEntry {
     }
 }
 
-/// One lockable slice of the key cache: the validated entries plus one
-/// build permit per zone currently being fetched. The permit gives the
-/// cache *singleflight* semantics — when several workers miss on the
-/// same zone at once, exactly one performs the DNSKEY fetch and the
-/// rest wait on the permit and then replay the cached entry. Without
-/// it, a miss storm duplicates upstream queries, which both wastes
-/// work and makes the scan's query counters depend on thread timing.
+/// One lockable slice of the key cache: the validated entries plus the
+/// zones whose DNSKEY fetch is under way. The marks give the cache
+/// *singleflight* semantics — when several tasks miss on the same zone
+/// at once, exactly one performs the fetch and the rest replay the
+/// entry it stores. Without them, a miss storm duplicates upstream
+/// queries, which both wastes work and makes the scan's query counters
+/// depend on thread timing.
 #[derive(Default)]
 pub(crate) struct KeyShard {
     pub(crate) entries: HashMap<Name, Arc<KeyEntry>>,
-    pub(crate) building: HashMap<Name, Arc<Mutex<()>>>,
+    pub(crate) building: HashSet<Name>,
+}
+
+/// A zone's mark in [`KeyShard::building`], held by the task fetching
+/// its keys. Dropping it removes the mark however the build ends —
+/// stored, or its task dropped mid-fetch — so a parked task then finds
+/// the entry or builds it itself.
+pub(crate) struct BuildMark<'a> {
+    pub(crate) infra: &'a InfraCache,
+    pub(crate) zone: &'a Name,
+}
+
+impl Drop for BuildMark<'_> {
+    /// Never panics, which would abort a thread that is unwinding: a
+    /// shard poisoned by a panic elsewhere still holds valid maps.
+    fn drop(&mut self) {
+        let shard = self.infra.key_shard(self.zone).lock();
+        let mut shard = shard.unwrap_or_else(PoisonError::into_inner);
+        shard.building.remove(self.zone);
+    }
 }
 
 /// The infrastructure cache: sharded zone-key and referral stores, plus
@@ -226,12 +246,11 @@ impl InfraCache {
         }
     }
 
-    /// Drop everything (flushes and tests). Counters are preserved.
+    /// Drop every entry (flushes and tests). Counters are preserved, and
+    /// so are build marks: each belongs to a fetch under way.
     pub fn clear(&self) {
         for shard in &self.key_shards {
-            let mut shard = shard.lock().expect("no poisoning");
-            shard.entries.clear();
-            shard.building.clear();
+            shard.lock().expect("no poisoning").entries.clear();
         }
         for shard in &self.referral_shards {
             shard.lock().expect("no poisoning").clear();

@@ -1,7 +1,7 @@
 //! The iterative resolution engine: root priming, referral walking,
 //! glue, CNAME chasing, retries, and the hookup into DNSSEC validation.
 
-use crate::cache::infra::{InfraCache, KeyEntry, KeyShard, ReferralEntry};
+use crate::cache::infra::{BuildMark, InfraCache, KeyEntry, ReferralEntry};
 use crate::config::ResolverConfig;
 use crate::diagnosis::{Diagnosis, Finding, NsEvent, NsFailure, ValidationState};
 use crate::profiles::ValidatorCaps;
@@ -100,56 +100,28 @@ impl<'a> Engine<'a> {
         let sent = self.net.send(addr, self.config.source_addr, query);
         match self.handle.await_net(sent).await {
             Ok(resp) if resp.truncated => {
-                self.trace_tc_fallback(addr, query, diag);
+                let tracer = diag.tracer();
+                if tracer.enabled() {
+                    tracer.emit(TraceEvent::TcFallback {
+                        dst: addr,
+                        qname: if tracer.wants_query_detail() {
+                            query
+                                .first_question()
+                                .map(|q| q.name.to_string())
+                                .unwrap_or_default()
+                        } else {
+                            String::new()
+                        },
+                        // Only the TC bit is visible here; the full
+                        // answer's size is the stream reply's business.
+                        size: 0,
+                        limit: query.advertised_payload_size(),
+                    });
+                }
                 let sent = self.net.send_stream(addr, self.config.source_addr, query);
                 self.handle.await_net(sent).await
             }
             other => other,
-        }
-    }
-
-    /// Blocking twin of [`transact`](Self::transact), used only by
-    /// [`zone_keys`](Self::zone_keys): the DNSKEY fetch holds the key
-    /// cache's singleflight build permit, which must never span a
-    /// suspension point (a parked permit holder would deadlock every
-    /// other task missing on the same zone). Key fetches therefore run
-    /// as one atomic step on the blocking transport — a documented
-    /// determinism rule of `docs/CONCURRENCY.md`.
-    fn transact_blocking(
-        &self,
-        addr: IpAddr,
-        query: &Message,
-        diag: &Diagnosis,
-    ) -> Result<Message, NetError> {
-        match self.net.query(addr, self.config.source_addr, query) {
-            Ok(resp) if resp.truncated => {
-                self.trace_tc_fallback(addr, query, diag);
-                self.net.query_stream(addr, self.config.source_addr, query)
-            }
-            other => other,
-        }
-    }
-
-    /// Announce the TC=1 → stream fallback shared by both transact
-    /// flavours.
-    fn trace_tc_fallback(&self, addr: IpAddr, query: &Message, diag: &Diagnosis) {
-        let tracer = diag.tracer();
-        if tracer.enabled() {
-            tracer.emit(TraceEvent::TcFallback {
-                dst: addr,
-                qname: if tracer.wants_query_detail() {
-                    query
-                        .first_question()
-                        .map(|q| q.name.to_string())
-                        .unwrap_or_default()
-                } else {
-                    String::new()
-                },
-                // Only the TC bit is visible here; the full
-                // answer's size is the stream reply's business.
-                size: 0,
-                limit: query.advertised_payload_size(),
-            });
         }
     }
 
@@ -207,48 +179,39 @@ impl<'a> Engine<'a> {
         SetQuery::AllFailed { any_rcode_failure }
     }
 
-    /// Fetch + validate (with caching) the DNSKEY RRset of `zone` using
-    /// `server`, against the already-validated `ds` set.
+    /// Fetch + validate (with caching) the DNSKEY RRset of `at`'s zone
+    /// using `server`, against the already-validated DS set of `at`.
     ///
-    /// Deliberately synchronous: the whole fetch runs as one atomic
-    /// step while holding the zone's singleflight build permit, on the
-    /// blocking transport (see [`transact_blocking`](Self::transact_blocking)).
-    fn zone_keys(
+    /// Singleflight: the first task to miss marks the zone as building
+    /// and fetches; a task that finds the mark parks on
+    /// [`TaskHandle::recheck`] and looks again, so a miss storm makes one
+    /// DNSKEY fetch and no thread blocks on another task's.
+    async fn zone_keys(
         &self,
-        zone: &Name,
-        ds: &[Rdata],
+        at: &ReferralEntry,
         server: IpAddr,
         diag: &mut Diagnosis,
     ) -> Arc<KeyEntry> {
-        let now = self.now();
-        // The shared tier, probed before and after taking the permit:
-        // `live` borrows the locked shard (the first probe goes on to
-        // take the permit under the same lock), `serve` runs once the
-        // lock is gone — a hit counted and replayed.
-        let live = |shard: &KeyShard| shard.entries.get(zone).filter(|e| e.live(now)).cloned();
-        let serve = |entry: Arc<KeyEntry>, diag: &mut Diagnosis| {
-            self.infra.count_key_hit();
-            entry.replay(diag);
-            entry
-        };
-        // Fast path plus singleflight admission: a usable entry is
-        // replayed immediately; otherwise this thread takes (or waits
-        // for) the zone's build permit.
-        let permit = {
-            let mut shard = self.infra.key_shard(zone).lock().expect("no poisoning");
-            if let Some(entry) = live(&shard) {
-                drop(shard);
-                return serve(entry, diag);
+        let (zone, now) = (&at.zone, self.now());
+        let _building = loop {
+            let hit = {
+                let mut shard = self.infra.key_shard(zone).lock().expect("no poisoning");
+                let hit = shard.entries.get(zone).filter(|e| e.live(now)).cloned();
+                if hit.is_none() && shard.building.insert(zone.clone()) {
+                    let infra = self.infra;
+                    break BuildMark { infra, zone };
+                }
+                hit
+            };
+            match hit {
+                Some(entry) => {
+                    self.infra.count_key_hit();
+                    entry.replay(diag);
+                    return entry;
+                }
+                None => self.handle.recheck().await,
             }
-            Arc::clone(shard.building.entry(zone.clone()).or_default())
         };
-        let _build = permit.lock().expect("no poisoning");
-        // Re-check: if we waited on the permit, the winner has already
-        // cached the entry and we must not fetch again.
-        let recheck = live(&self.infra.key_shard(zone).lock().expect("no poisoning"));
-        if let Some(entry) = recheck {
-            return serve(entry, diag);
-        }
 
         let mut sub = Diagnosis::with_tracer(diag.tracer().clone());
         // DNSKEY fetches are retried like any other exchange: a lost
@@ -265,7 +228,7 @@ impl<'a> Engine<'a> {
                 });
             }
             let query = Message::iterative_query(self.next_id(), zone.clone(), RrType::Dnskey);
-            match usable_reply(self.transact_blocking(server, &query, &sub)) {
+            match usable_reply(self.transact(server, &query, &sub).await) {
                 Ok(resp) => break Ok(resp),
                 Err(failure) => {
                     if failure.is_rcode_failure() {
@@ -283,7 +246,7 @@ impl<'a> Engine<'a> {
             }
             tries += 1;
         };
-        let keys = validate::keys_link(zone, ds, fetched, self.caps, now, &mut sub);
+        let keys = validate::keys_link(zone, &at.ds_rdatas, fetched, self.caps, now, &mut sub);
 
         // Merge the sub-diagnosis into the caller's and cache it. The
         // sub shares the caller's tracer, so `absorb` (not `add`) avoids
@@ -297,11 +260,12 @@ impl<'a> Engine<'a> {
             state: sub.validation,
             expires,
         });
-        {
-            let mut shard = self.infra.key_shard(zone).lock().expect("no poisoning");
-            shard.entries.insert(zone.clone(), Arc::clone(&entry));
-            shard.building.remove(zone);
-        }
+        self.infra
+            .key_shard(zone)
+            .lock()
+            .expect("no poisoning")
+            .entries
+            .insert(zone.clone(), Arc::clone(&entry));
         entry
     }
 
@@ -408,7 +372,7 @@ impl<'a> Engine<'a> {
                         // unobtainable (Cloudflare's 9+22+23 bundle).
                         if zone_signed && !at.zone.is_root() {
                             if let Some(&first) = at.servers.first() {
-                                let _ = self.zone_keys(&at.zone, &at.ds_rdatas, first, diag);
+                                self.zone_keys(&at, first, diag).await;
                             }
                         }
                         diag.degrade(ValidationState::Indeterminate);
@@ -448,7 +412,7 @@ impl<'a> Engine<'a> {
                     // parent.
                     let secure_cut = zone_signed && referral.signed;
                     if zone_signed {
-                        let parent = self.zone_keys(&at.zone, &at.ds_rdatas, responder, diag);
+                        let parent = self.zone_keys(&at, responder, diag).await;
                         validate::cut_link(
                             &resp.authorities,
                             &referral.zone,
@@ -534,8 +498,11 @@ impl<'a> Engine<'a> {
                 // Authoritative (or terminal) answer: the last link of
                 // the chain, when one reaches this zone.
                 diag.zone_signed |= zone_signed;
-                let keys =
-                    zone_signed.then(|| self.zone_keys(&at.zone, &at.ds_rdatas, responder, diag));
+                let keys = if zone_signed {
+                    Some(self.zone_keys(&at, responder, diag).await)
+                } else {
+                    None
+                };
                 validate::answer_link(
                     &resp,
                     &Question::new(current_name.clone(), qtype),

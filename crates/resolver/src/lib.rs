@@ -30,8 +30,7 @@
 //! tiers: the shared L2 ([`cache::Cache`]), which checks expiry on
 //! every probe and keeps an optional entry budget with a CLOCK sweep,
 //! and an infrastructure cache for the referral walk's hot path
-//! ([`cache::infra`]). A [`policy`] layer
-//! reproduces blocklist-style codes (4, 15–18).
+//! ([`cache::infra`]).
 //!
 //! # Execution model
 //!
@@ -53,7 +52,6 @@ pub mod config;
 pub mod diagnosis;
 pub mod explain;
 pub mod iterative;
-pub mod policy;
 pub mod profiles;
 pub mod resolver;
 pub mod task;

@@ -1,11 +1,10 @@
-//! The public resolver API: policy, cache, engine, and EDE emission.
+//! The public resolver API: cache, engine, and EDE emission.
 
 use crate::cache::infra::{InfraCache, InfraStatsSnapshot};
 use crate::cache::{Cache, CacheHit, CacheStatsSnapshot, CachedResolution};
 use crate::config::ResolverConfig;
 use crate::diagnosis::{Diagnosis, Finding, ValidationState};
 use crate::iterative::Engine;
-use crate::policy::{Policy, PolicyAction};
 use crate::profiles::VendorProfile;
 use crate::task::{run_local, TaskHandle};
 use ede_netsim::Network;
@@ -64,7 +63,6 @@ pub struct Resolver {
     net: Arc<Network>,
     profile: VendorProfile,
     config: ResolverConfig,
-    policy: Policy,
     cache: Cache,
     infra: InfraCache,
     ids: AtomicU16,
@@ -78,16 +76,10 @@ impl Resolver {
             net,
             profile,
             config,
-            policy: Policy::new(),
             cache,
             infra: InfraCache::new(),
             ids: AtomicU16::new(1),
         }
-    }
-
-    /// Attach a policy table (blocklists, filtering, forged answers).
-    pub fn set_policy(&mut self, policy: Policy) {
-        self.policy = policy;
     }
 
     /// The vendor profile in use.
@@ -116,8 +108,8 @@ impl Resolver {
         self.infra.stats()
     }
 
-    /// Resolve one (name, type) with full recursion, validation, policy,
-    /// caching, and EDE emission.
+    /// Resolve one (name, type) with full recursion, validation, caching,
+    /// and EDE emission.
     ///
     /// When a trace sink is attached to the underlying network (see
     /// `Network::set_trace_sink`), the resolution is bracketed with
@@ -130,7 +122,9 @@ impl Resolver {
     /// thread via a private single-task event loop, with no
     /// task-lifecycle events. To hold many resolutions in flight on one
     /// thread, spawn `resolve_with` on a [`crate::ResolutionPool`]
-    /// instead.
+    /// instead. Do not call it on a thread whose pool holds tasks of this
+    /// resolver in flight: it would wait for ever on a zone's keys that
+    /// a parked task of that pool is fetching.
     pub fn resolve(&self, qname: &Name, qtype: RrType) -> Resolution {
         run_local(&self.net, |handle| async move {
             self.resolve_with(&handle, qname, qtype).await
@@ -141,7 +135,7 @@ impl Resolver {
     /// on `handle` whenever it would block on the network, so it runs
     /// wherever a [`TaskHandle`] comes from — [`crate::ResolutionPool::spawn`]
     /// for many in flight on one thread, or the blocking wrapper above.
-    /// Semantics (policy, cache, validation, EDE emission) are the same
+    /// Semantics (cache, validation, EDE emission) are the same
     /// on both; only the scheduling differs.
     pub async fn resolve_with(
         &self,
@@ -153,7 +147,7 @@ impl Resolver {
     }
 
     /// [`resolve_with`](Self::resolve_with) for a name the caller will
-    /// not ask again: the same pipeline — policy, answer-cache probe,
+    /// not ask again: the same pipeline — answer-cache probe,
     /// engine, serve-stale, EDE emission — returning the same
     /// [`Resolution`], except that the answer is not stored in the
     /// answer cache. A name stored earlier is still served from it. A
@@ -168,7 +162,7 @@ impl Resolver {
         self.pipeline(handle, qname, qtype, false).await
     }
 
-    /// The body of both entry points; `store` is whether step 5 keeps
+    /// The body of both entry points; `store` is whether step 4 keeps
     /// the answer.
     async fn pipeline(
         &self,
@@ -194,14 +188,7 @@ impl Resolver {
             qtype: qtype.to_u16(),
         });
 
-        // 1. Policy gate.
-        if let Some(action) = self.policy.lookup(qname) {
-            let resolution = self.policy_resolution(qname, action.clone());
-            self.trace_finish(&tracer, started_ms, &resolution);
-            return resolution;
-        }
-
-        // 2. Cache probe.
+        // 1. Cache probe.
         if let CacheHit::Fresh(data) = self.cache.get(qname, qtype, now) {
             tracer.emit(TraceEvent::CacheProbe {
                 qname: qd(qname),
@@ -218,7 +205,7 @@ impl Resolver {
             outcome: CacheOutcome::Miss,
         });
 
-        // 3. Live resolution.
+        // 2. Live resolution.
         let mut diag = Diagnosis::with_tracer(tracer.clone());
         let engine = Engine {
             net: &self.net,
@@ -230,7 +217,7 @@ impl Resolver {
         };
         let outcome = engine.resolve(qname, qtype, &mut diag, 0).await;
 
-        // 4. Serve-stale fallback (RFC 8767) on failure.
+        // 3. Serve-stale fallback (RFC 8767) on failure.
         if outcome.rcode == Rcode::ServFail {
             if let Some(stale) = self.cache.get_stale_success(qname, qtype, now) {
                 tracer.emit(TraceEvent::CacheProbe {
@@ -255,7 +242,7 @@ impl Resolver {
             }
         }
 
-        // 5. Cache the result, unless the caller will not ask again.
+        // 4. Cache the result, unless the caller will not ask again.
         if store {
             let is_failure = outcome.rcode == Rcode::ServFail;
             let ttl = if is_failure {
@@ -345,29 +332,5 @@ impl Resolver {
     pub fn resolve_a(&self, name: &str) -> Resolution {
         let qname = Name::parse(name).expect("caller passes a valid name");
         self.resolve(&qname, RrType::A)
-    }
-
-    fn policy_resolution(&self, qname: &Name, action: PolicyAction) -> Resolution {
-        let mut diag = Diagnosis::new();
-        diag.degrade(ValidationState::Indeterminate);
-        let entry = EdeEntry::bare(action.ede_code());
-        match action {
-            PolicyAction::Forge(addr) => Resolution {
-                rcode: Rcode::NoError,
-                answers: vec![Policy::forged_record(qname, addr)],
-                ede: vec![entry],
-                authentic_data: false,
-                validation: diag.validation,
-                diagnosis: diag,
-            },
-            _ => Resolution {
-                rcode: Rcode::NxDomain,
-                answers: Vec::new(),
-                ede: vec![entry],
-                authentic_data: false,
-                validation: diag.validation,
-                diagnosis: diag,
-            },
-        }
     }
 }

@@ -7,9 +7,10 @@
 //! one OS thread by draining a deterministic completion-event queue
 //! ([`ede_netsim::CompletionQueue`]): the earliest-deadline event is
 //! serviced, the owning task is polled one step, and any new waits it
-//! registers go back into the queue. No OS scheduler, no wakers that do
-//! anything, no nondeterminism — `docs/CONCURRENCY.md` specifies the
-//! full model.
+//! registers go back into the queue; a task waiting for a zone's keys
+//! that another task is fetching is polled again after every step. No
+//! OS scheduler, no wakers that do anything, no nondeterminism —
+//! `docs/CONCURRENCY.md` specifies the full model.
 //!
 //! Two entry points share the machinery:
 //!
@@ -20,7 +21,10 @@
 //! * `run_local` (crate-internal) — drives exactly one task to
 //!   completion behind the blocking [`crate::Resolver::resolve`] call.
 //!   It emits no task-lifecycle events, and is the independent
-//!   reference the pool is compared against.
+//!   reference the pool is compared against. It polls no pool, so a
+//!   thread whose pool holds tasks in flight does not call it on the
+//!   same resolver: its task could wait for ever on a zone a parked
+//!   pool task is building.
 //!
 //! # Example
 //!
@@ -87,14 +91,17 @@ struct Wait {
 }
 
 /// The per-pool event state shared (via `Rc`) with every task handle:
-/// the deterministic completion queue of pending waits, and where each
-/// task picks up the outcome of the exchange it awaited.
+/// the deterministic completion queue of pending waits, where each
+/// task picks up the outcome of the exchange it awaited, and the tasks
+/// parked on [`TaskHandle::recheck`].
 struct Reactor {
     queue: CompletionQueue<Wait>,
     /// Indexed by task slot. A task awaits one exchange at a time, so
     /// one entry per task is enough, and it is reused by every exchange
     /// the task (and the slot's later tasks) makes.
     outcomes: Vec<Option<NetOutcome>>,
+    /// Task slots to poll again once time has passed.
+    parked: Vec<usize>,
 }
 
 impl Reactor {
@@ -103,6 +110,7 @@ impl Reactor {
         Rc::new(RefCell::new(Reactor {
             queue: CompletionQueue::new(),
             outcomes: std::iter::repeat_with(|| None).take(tasks).collect(),
+            parked: Vec::new(),
         }))
     }
 }
@@ -110,16 +118,18 @@ impl Reactor {
 /// Pop the earliest wait and service it: complete the exchange (clock
 /// advance, delivery/timeout accounting, trace events — the side
 /// effects whose *timing* the queue ordered) and leave the outcome for
-/// the task. Returns the task to poll next.
-fn service_next(net: &Network, reactor: &RefCell<Reactor>) -> usize {
-    let (_deadline_ms, Wait { task, inflight }) = reactor
-        .borrow_mut()
-        .queue
-        .pop()
-        .expect("a pending task has registered a wait");
+/// the task. Returns the task to poll next. With no wait pending, every
+/// live task is parked on a zone a task of another thread is building:
+/// yield the thread to it and return `None`.
+fn service_next(net: &Network, reactor: &RefCell<Reactor>) -> Option<usize> {
+    let popped = reactor.borrow_mut().queue.pop();
+    let Some((_deadline_ms, Wait { task, inflight })) = popped else {
+        std::thread::yield_now();
+        return None;
+    };
     let outcome = net.complete(inflight);
     reactor.borrow_mut().outcomes[task] = Some(outcome);
-    task
+    Some(task)
 }
 
 /// A do-nothing waker. The pool never relies on wakeups — it knows
@@ -163,6 +173,20 @@ impl TaskHandle {
             task: self.task,
             inflight: Some(inflight),
         }
+    }
+
+    /// Suspend until time has passed: the next exchange on this thread
+    /// completed, or, with none pending, the thread yielded. How a task
+    /// waits for a zone's keys that another task is fetching.
+    pub(crate) fn recheck(&self) -> impl Future<Output = ()> + '_ {
+        let mut parked = false;
+        std::future::poll_fn(move |_| {
+            if std::mem::replace(&mut parked, true) {
+                return Poll::Ready(());
+            }
+            self.reactor.borrow_mut().parked.push(self.task);
+            Poll::Pending
+        })
     }
 }
 
@@ -355,6 +379,9 @@ impl<T> Iterator for ResolutionPool<'_, T> {
     /// result, or `None` when the pool is idle. Results arrive in
     /// completion order. The pool is not fused: spawning after `None`
     /// makes `next` yield results again.
+    ///
+    /// Each step services the earliest wait and polls its task, then
+    /// polls every task parked on a zone's keys (`TaskHandle::recheck`).
     fn next(&mut self) -> Option<T> {
         loop {
             if let Some(result) = self.ready.pop_front() {
@@ -363,9 +390,13 @@ impl<T> Iterator for ResolutionPool<'_, T> {
             if self.live == 0 {
                 return None;
             }
-            // Live tasks always hold a registered wait.
-            let slot = service_next(self.net, &self.reactor);
-            self.poll_slot(slot);
+            if let Some(slot) = service_next(self.net, &self.reactor) {
+                self.poll_slot(slot);
+            }
+            let parked = std::mem::take(&mut self.reactor.borrow_mut().parked);
+            for slot in parked {
+                self.poll_slot(slot);
+            }
         }
     }
 }
@@ -413,6 +444,7 @@ where
                 Poll::Ready(result) => return result,
                 Poll::Pending => {
                     service_next(net, &reactor);
+                    reactor.borrow_mut().parked.clear();
                 }
             }
         }

@@ -179,7 +179,7 @@ fn cold_unsigned_resolve_stays_within_its_allocation_budget() {
 fn cold_signed_resolve_stays_within_its_allocation_budget() {
     assert_eq!(
         cold_resolve_allocs(Category::HealthySigned, Via::Blocking),
-        109
+        108
     );
 }
 
@@ -193,7 +193,7 @@ fn cold_resolve_through_the_pool_stays_within_its_allocation_budget() {
     );
     assert_eq!(
         cold_resolve_allocs(Category::HealthySigned, Via::Pool),
-        109 + 1
+        108 + 1
     );
 }
 
