@@ -14,12 +14,16 @@
 //! RRset. Replaying the stored findings on every hit keeps
 //! ancestor-zone conditions (like the stand-by-key case of §4.2.3,
 //! which lives at a TLD) visible in every resolution that crosses the
-//! zone. Key sets are `Arc`-shared: every resolution crossing a popular
-//! zone (a TLD, say) borrows the same validated vectors instead of
-//! deep-cloning them per crossing. The shards mark each zone whose keys
-//! are being fetched (see `KeyShard::building`), so a miss storm performs
-//! exactly one upstream fetch: the task that set the mark fetches, and
-//! the others park until it is gone (`Engine::zone_keys`).
+//! zone. An entry holds one copy of what later links read: the trusted
+//! keys when validation held, or else only the tags of the keys the
+//! zone published (the one thing the advisory check of a bogus zone's
+//! answers reads). The shards store entries as `Arc<KeyEntry>`, so
+//! every resolution crossing a popular zone (a TLD, say) borrows the
+//! same keys instead of deep-cloning them per crossing. The shards mark
+//! each zone whose keys are being fetched (see `KeyShard::building`), so
+//! a miss storm performs exactly one upstream fetch: the task that set
+//! the mark fetches, and the others park until it is gone
+//! (`Engine::zone_keys`).
 //!
 //! # Referrals
 //!
@@ -39,7 +43,7 @@
 //! budget or eviction machinery needed.
 
 use crate::diagnosis::{Diagnosis, Finding, ValidationState};
-use crate::validate::PublishedKey;
+use crate::validate::{DnskeyValidation, PublishedKey};
 use ede_trace::Striped;
 use ede_wire::{Name, Rdata};
 use std::collections::{HashMap, HashSet};
@@ -55,11 +59,9 @@ const INFRA_SHARDS: usize = 16;
 
 /// Cached result of validating one zone's DNSKEY RRset.
 pub struct KeyEntry {
-    /// Keys that chained to the trust anchor (`None` = validation
-    /// failed; the zone is effectively bogus until re-fetch).
-    pub(crate) trusted: Option<Arc<Vec<PublishedKey>>>,
-    /// Everything the zone published, trusted or not (advisory checks).
-    pub(crate) published: Arc<Vec<PublishedKey>>,
+    /// What validating the zone's keys left for its data to be checked
+    /// against.
+    pub(crate) keys: ChainKeys,
     /// Findings the original validation recorded; replayed on every hit.
     pub(crate) findings: Vec<Finding>,
     /// The validation state the original validation degraded to.
@@ -84,7 +86,36 @@ impl KeyEntry {
 
     /// The keys that chained to the trust anchor, if validation held.
     pub(crate) fn trusted(&self) -> Option<&[PublishedKey]> {
-        self.trusted.as_deref().map(Vec::as_slice)
+        match &self.keys {
+            ChainKeys::Trusted(keys) => Some(keys),
+            ChainKeys::Bogus { .. } => None,
+        }
+    }
+}
+
+/// The keys a [`KeyEntry`] keeps: the trusted ones, or — when the chain
+/// failed and the zone is bogus until re-fetch — the tags of the keys it
+/// published, and nothing else of them.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum ChainKeys {
+    /// The zone keys that chained to the trust anchor.
+    Trusted(Vec<PublishedKey>),
+    /// Validation failed.
+    Bogus {
+        /// Every published key's tag, in RRset order.
+        published_tags: Vec<u16>,
+    },
+}
+
+impl ChainKeys {
+    /// What to keep of a validation's outcome.
+    pub(crate) fn keep(validation: DnskeyValidation) -> Self {
+        match validation.trusted {
+            Some(keys) => ChainKeys::Trusted(keys),
+            None => ChainKeys::Bogus {
+                published_tags: validation.published.iter().map(|k| k.tag).collect(),
+            },
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! The iterative resolution engine: root priming, referral walking,
 //! glue, CNAME chasing, retries, and the hookup into DNSSEC validation.
 
-use crate::cache::infra::{BuildMark, InfraCache, KeyEntry, ReferralEntry};
+use crate::cache::infra::{BuildMark, ChainKeys, InfraCache, KeyEntry, ReferralEntry};
 use crate::config::ResolverConfig;
 use crate::diagnosis::{Diagnosis, Finding, NsEvent, NsFailure, ValidationState};
 use crate::profiles::ValidatorCaps;
@@ -254,8 +254,7 @@ impl<'a> Engine<'a> {
         diag.absorb(&sub);
         let expires = now + if keys.trusted.is_some() { 3600 } else { 30 };
         let entry = Arc::new(KeyEntry {
-            trusted: keys.trusted.map(Arc::new),
-            published: Arc::new(keys.published),
+            keys: ChainKeys::keep(keys),
             findings: sub.findings,
             state: sub.validation,
             expires,

@@ -334,3 +334,154 @@ impl Resolver {
         self.resolve(&qname, RrType::A)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    //! The key tier's shape: what the infrastructure cache keeps of a
+    //! zone whose keys the engine validated, over a mini internet of a
+    //! signed root and two signed children, one with a DS that matches
+    //! no key.
+
+    use super::*;
+    use crate::cache::infra::{ChainKeys, KeyEntry};
+    use crate::config::RootHint;
+    use crate::profiles::Vendor;
+    use crate::validate::{published_keys, PublishedKey};
+    use ede_authority::{ZoneServer, ZoneStore};
+    use ede_netsim::{NetworkBuilder, SimClock};
+    use ede_wire::rdata::Soa;
+    use ede_wire::{DigestAlg, Rdata};
+    use ede_zone::signer::{sign_zone, SignerConfig};
+    use ede_zone::{Misconfig, Zone, ZoneKeys};
+    use std::net::{IpAddr, Ipv4Addr};
+
+    const ROOT_ADDR: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
+    const CHILD_ADDR: Ipv4Addr = Ipv4Addr::new(185, 199, 120, 1);
+
+    fn n(s: &str) -> Name {
+        Name::parse(s).unwrap()
+    }
+
+    /// A zone with an SOA, an NS and its server's address, and an apex A.
+    fn zone(apex: &Name) -> Zone {
+        let mut z = Zone::new(apex.clone());
+        let ns = apex.child("ns1").unwrap();
+        let soa = Rdata::Soa(Soa {
+            mname: ns.clone(),
+            rname: apex.child("hostmaster").unwrap(),
+            serial: 1,
+            refresh: 7200,
+            retry: 3600,
+            expire: 1209600,
+            minimum: 300,
+        });
+        z.add(Record::new(apex.clone(), 3600, soa));
+        z.add(Record::new(apex.clone(), 3600, Rdata::Ns(ns)));
+        z.add_a(apex.clone(), "203.0.113.5".parse().unwrap());
+        z
+    }
+
+    /// The resolver over the mini internet, and each child zone as it
+    /// is served. `healthy.test`'s DS matches its KSK; `mismatch.test`'s
+    /// carries a key tag that no key of the zone has.
+    fn world() -> (Resolver, Vec<Zone>) {
+        let root = Name::root();
+        let mut root_zone = zone(&root);
+        root_zone.add_a(n("ns1"), ROOT_ADDR);
+        let mut store = ZoneStore::new();
+        let mut children = Vec::new();
+        for (apex, broken) in [
+            ("healthy.test", None),
+            ("mismatch.test", Some(Misconfig::DsBadTag)),
+        ] {
+            let apex = n(apex);
+            let mut child = zone(&apex);
+            let ns = apex.child("ns1").unwrap();
+            child.add_a(ns.clone(), CHILD_ADDR);
+            let keys = ZoneKeys::generate(&apex, 8, 2048);
+            sign_zone(&mut child, &keys, &SignerConfig::default());
+            root_zone.add(Record::new(apex.clone(), 3600, Rdata::Ns(ns.clone())));
+            root_zone.add_a(ns, CHILD_ADDR);
+            let ds = match broken {
+                None => vec![keys.ksk.ds_rdata(&apex, DigestAlg::SHA256)],
+                Some(broken) => broken.parent_ds(&keys, &apex),
+            };
+            for rdata in ds {
+                root_zone.add(Record::new(apex.clone(), 3600, rdata));
+            }
+            store.insert(child.clone());
+            children.push(child);
+        }
+        let root_keys = ZoneKeys::generate(&root, 8, 2048);
+        sign_zone(&mut root_zone, &root_keys, &SignerConfig::default());
+        let anchor = root_keys.ksk.ds_rdata(&root, DigestAlg::SHA256);
+
+        let mut net = NetworkBuilder::new();
+        let mut root_store = ZoneStore::new();
+        root_store.insert(root_zone);
+        net.register(IpAddr::V4(ROOT_ADDR), Arc::new(ZoneServer::new(root_store)));
+        net.register(IpAddr::V4(CHILD_ADDR), Arc::new(ZoneServer::new(store)));
+        let hints = vec![RootHint {
+            name: n("ns1"),
+            addr: IpAddr::V4(ROOT_ADDR),
+        }];
+        let resolver = Resolver::new(
+            Arc::new(net.build(SimClock::new())),
+            VendorProfile::new(Vendor::Quad9),
+            ResolverConfig::with_roots(hints, vec![anchor]),
+        );
+        (resolver, children)
+    }
+
+    /// What the key tier holds for `zone`, and the keys `zone` publishes.
+    fn kept(resolver: &Resolver, zone: &Zone) -> (Arc<KeyEntry>, Vec<PublishedKey>) {
+        let apex = zone.apex();
+        let shard = resolver.infra.key_shard(apex).lock().unwrap();
+        let entry = Arc::clone(
+            shard
+                .entries
+                .get(apex)
+                .expect("the zone's keys were fetched"),
+        );
+        let dnskeys = zone.get(apex, RrType::Dnskey).expect("a signed zone");
+        (entry, published_keys(dnskeys))
+    }
+
+    /// A zone whose chain holds keeps its zone keys, once, and no tags.
+    #[test]
+    fn a_validated_zone_keeps_its_keys_once() {
+        let (resolver, children) = world();
+        let res = resolver.resolve_a("healthy.test");
+        assert_eq!(
+            res.validation,
+            ValidationState::Secure,
+            "{:?}",
+            res.diagnosis
+        );
+
+        let (entry, published) = kept(&resolver, &children[0]);
+        assert_eq!(published.len(), 2);
+        assert!(published.iter().all(|k| k.is_zone_key()));
+        assert_eq!(entry.keys, ChainKeys::Trusted(published));
+    }
+
+    /// A zone whose DS matches none of its keys keeps no key, only the
+    /// tags of the keys it published, which is all the advisory check
+    /// of its answers reads.
+    #[test]
+    fn a_bogus_zone_keeps_only_its_published_tags() {
+        let (resolver, children) = world();
+        let res = resolver.resolve_a("mismatch.test");
+        assert_eq!(
+            res.validation,
+            ValidationState::Bogus,
+            "{:?}",
+            res.diagnosis
+        );
+
+        let (entry, published) = kept(&resolver, &children[1]);
+        assert_eq!(published.len(), 2);
+        let published_tags = published.iter().map(|k| k.tag).collect();
+        assert_eq!(entry.keys, ChainKeys::Bogus { published_tags });
+    }
+}

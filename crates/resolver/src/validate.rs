@@ -25,7 +25,7 @@
 //! an unusable DS) on their way in a fixed order: the order of findings
 //! is contract.
 
-use crate::cache::infra::KeyEntry;
+use crate::cache::infra::{ChainKeys, KeyEntry};
 use crate::diagnosis::{
     AlgStatus, DenialIssue, Diagnosis, DsMismatch, Finding, NegativeKind, NsFailure, SigTarget,
     ValidationState,
@@ -373,11 +373,12 @@ fn dnskey_link(
             });
         }
     }
-    Ok(published
-        .iter()
-        .filter(|k| k.is_zone_key())
-        .cloned()
-        .collect())
+    // Sized exactly: the key cache keeps this vector for the zone's
+    // lifetime.
+    let zone_keys = published.iter().filter(|k| k.is_zone_key());
+    let mut trusted = Vec::with_capacity(zone_keys.clone().count());
+    trusted.extend(zone_keys.cloned());
+    Ok(trusted)
 }
 
 /// What the DNSKEY fetch for `zone` yielded, as the DS → DNSKEY link: a
@@ -703,18 +704,22 @@ pub(crate) fn answer_link(
     };
     // Only validation reads the answer as RRsets.
     let answer_sets = collate(&resp.answers);
-    let Some(trusted) = keys.trusted() else {
-        // Used by the Quad9 profile: do the answer's RRSIG key tags exist
-        // among the zone's published keys at all? The chain verdict was
-        // made at the DNSKEY link, so nothing degrades here.
-        for sig in answer_sets.iter().flat_map(|set| &set.sigs) {
-            if !keys.published.iter().any(|k| k.tag == sig.key_tag) {
-                diag.add(Finding::RrsigKeyMissing {
-                    target: SigTarget::Answer,
-                });
+    let trusted = match &keys.keys {
+        ChainKeys::Trusted(trusted) => trusted,
+        ChainKeys::Bogus { published_tags } => {
+            // Used by the Quad9 profile: do the answer's RRSIG key tags
+            // exist among the zone's published keys at all? The chain
+            // verdict was made at the DNSKEY link, so nothing degrades
+            // here.
+            for sig in answer_sets.iter().flat_map(|set| &set.sigs) {
+                if !published_tags.contains(&sig.key_tag) {
+                    diag.add(Finding::RrsigKeyMissing {
+                        target: SigTarget::Answer,
+                    });
+                }
             }
+            return;
         }
-        return;
     };
     if answer_sets.is_empty() {
         let kind = if resp.rcode == Rcode::NxDomain {

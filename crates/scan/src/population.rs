@@ -178,10 +178,46 @@ pub struct DomainRecord {
     /// Planted condition.
     pub category: Category,
     /// Addresses of the domain's nameservers (hosting-pool addresses).
-    pub ns_addrs: Vec<Ipv4Addr>,
+    pub ns_addrs: NsAddrs,
     /// Tranco-style popularity rank (1-based), if the domain is in the
     /// scaled top list.
     pub rank: Option<u32>,
+}
+
+/// A domain's one or two nameserver addresses, held inline: a domain
+/// record owns no heap block for them. Reads as the `[Ipv4Addr]` it
+/// holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NsAddrs {
+    /// The addresses; past `len`, unused and always `0.0.0.0`.
+    addrs: [Ipv4Addr; 2],
+    len: u8,
+}
+
+impl NsAddrs {
+    /// One nameserver.
+    pub fn one(addr: Ipv4Addr) -> Self {
+        NsAddrs {
+            addrs: [addr, Ipv4Addr::UNSPECIFIED],
+            len: 1,
+        }
+    }
+
+    /// Two nameservers, asked in this order.
+    pub fn two(first: Ipv4Addr, second: Ipv4Addr) -> Self {
+        NsAddrs {
+            addrs: [first, second],
+            len: 2,
+        }
+    }
+}
+
+impl std::ops::Deref for NsAddrs {
+    type Target = [Ipv4Addr];
+
+    fn deref(&self) -> &[Ipv4Addr] {
+        &self.addrs[..usize::from(self.len)]
+    }
 }
 
 /// Generator configuration.
@@ -613,18 +649,20 @@ impl Population {
             let label = format!("d{:07}", i);
             let name = tlds[tld].name.child(&label).expect("valid label");
 
-            let ns_addrs: Vec<Ipv4Addr> = match category {
+            let ns_addrs = match category {
                 Category::LameRcode | Category::UnreachableSigned => {
-                    vec![pick_broken_rcode(&mut rng)]
+                    NsAddrs::one(pick_broken_rcode(&mut rng))
                 }
-                Category::LameSilent => vec![pick_broken_silent(&mut rng)],
-                Category::PartialBroken => vec![
-                    pick_broken_rcode(&mut rng),
-                    healthy_addr(rng.gen_index(healthy_ns_count)),
-                ],
+                Category::LameSilent => NsAddrs::one(pick_broken_silent(&mut rng)),
+                // The broken address is drawn first, as the population's
+                // RNG order has always had it, and is asked first.
+                Category::PartialBroken => {
+                    let broken = pick_broken_rcode(&mut rng);
+                    NsAddrs::two(broken, healthy_addr(rng.gen_index(healthy_ns_count)))
+                }
                 // NotAuth and flapping behavior is per-domain and lives
                 // in the hosting fabric.
-                _ => vec![healthy_addr(rng.gen_index(healthy_ns_count))],
+                _ => NsAddrs::one(healthy_addr(rng.gen_index(healthy_ns_count))),
             };
 
             domains.push(DomainRecord {
@@ -647,7 +685,7 @@ impl Population {
                     name,
                     tld: t,
                     category: Category::LameRcode,
-                    ns_addrs: vec![pick_broken_rcode(&mut rng)],
+                    ns_addrs: NsAddrs::one(pick_broken_rcode(&mut rng)),
                     rank: None,
                 });
             }

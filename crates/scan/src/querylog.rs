@@ -523,12 +523,14 @@ impl QueryLog {
     }
 
     /// Drain the ring in `seq` order (consumes the retained records).
+    ///
+    /// The ring is already in that order — [`QueryLog::push_batch`]
+    /// numbers each record as it pushes it to the back — so the records
+    /// stay in the ring's own buffer: no second buffer, no sort.
     pub fn into_records(self) -> Vec<QueryRecord> {
         let mut inner = self.inner.into_inner().expect("query log lock");
         inner.flush_spill();
-        let mut records: Vec<QueryRecord> = inner.ring.into_iter().collect();
-        records.sort_by_key(|r| r.seq);
-        records
+        Vec::from(inner.ring)
     }
 }
 

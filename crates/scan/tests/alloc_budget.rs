@@ -3,8 +3,8 @@
 //! Counts that repeat exactly, so the paths' leanness is gated by
 //! something steadier than wall-clock (docs/PERFORMANCE.md, "What a miss
 //! allocates"): a cold resolve (blocking and through the task pool), a
-//! cached hit, a TLD server's apex answers, and a ceiling for a whole
-//! scan. The counting allocator is
+//! cached hit, a TLD server's apex answers, the query log's drain, and a
+//! ceiling for a whole scan. The counting allocator is
 //! local to this test binary. The exact pins count per thread, so the
 //! other tests of this file cannot leak in; the whole-scan ceiling counts
 //! every thread (a scan runs its workers on threads of its own), which is
@@ -17,7 +17,7 @@
 use ede_resolver::{ResolutionPool, Resolver, Vendor, VendorProfile};
 use ede_scan::population::{tld_addr, Category, DomainRecord};
 use ede_scan::scanner::{scan, ScanConfig};
-use ede_scan::{Population, PopulationConfig, ScanWorld};
+use ede_scan::{Population, PopulationConfig, QueryLog, QueryRecord, ScanWorld};
 use ede_wire::ede::{EdeCode, EdeEntry};
 use ede_wire::stream::{frame, FrameReader, MAX_FRAME_LEN};
 use ede_wire::{Edns, Message, Name, Rcode, Rdata, Record, RrType};
@@ -179,7 +179,7 @@ fn cold_unsigned_resolve_stays_within_its_allocation_budget() {
 fn cold_signed_resolve_stays_within_its_allocation_budget() {
     assert_eq!(
         cold_resolve_allocs(Category::HealthySigned, Via::Blocking),
-        108
+        106
     );
 }
 
@@ -193,7 +193,7 @@ fn cold_resolve_through_the_pool_stays_within_its_allocation_budget() {
     );
     assert_eq!(
         cold_resolve_allocs(Category::HealthySigned, Via::Pool),
-        108 + 1
+        106 + 1
     );
 }
 
@@ -298,6 +298,40 @@ fn encoding_and_framing_an_answer_allocate_nothing_of_their_own() {
         frames += 1;
     }
     assert_eq!((frames, thread_allocs() - before), (16, 0));
+}
+
+/// The end of a scan hands the query log's records over in the ring's
+/// own buffer: a full ring whose oldest records rotated out, so that its
+/// start has wrapped round the buffer, drains without an allocator call,
+/// its records in `seq` order.
+#[test]
+fn draining_a_wrapped_query_log_allocates_nothing() {
+    let _turn = serial();
+    const CAPACITY: usize = 8;
+    let record = |domain: usize| QueryRecord {
+        seq: 0,
+        vtime_ms: 0,
+        pass: 1,
+        domain,
+        name: format!("d{domain}.example."),
+        tld: 0,
+        rank: None,
+        category: Category::HealthyUnsigned,
+        vendor: Vendor::Cloudflare,
+        rcode: Rcode::NoError,
+        codes: Vec::new(),
+        network_error_text: None,
+    };
+    let log = QueryLog::new(CAPACITY, None).expect("no spill file");
+    log.push_batch((0..CAPACITY).map(record).collect());
+    log.push_batch((CAPACITY..CAPACITY + 3).map(record).collect());
+
+    let before = thread_allocs();
+    let records = log.into_records();
+    assert_eq!(thread_allocs() - before, 0);
+    let kept: Vec<(u64, usize)> = records.iter().map(|r| (r.seq, r.domain)).collect();
+    let newest: Vec<(u64, usize)> = (3..CAPACITY + 3).map(|i| (i as u64, i)).collect();
+    assert_eq!(kept, newest);
 }
 
 /// Allocator calls per domain of a whole scan at one worker: population
