@@ -11,7 +11,8 @@
 //!    ~1,475 TLDs with misconfigurations *planted* at rates calibrated
 //!    to §4.2's observed counts — but the planted conditions are root
 //!    causes (a REFUSED nameserver, a missing RRSIG, a stand-by TLD
-//!    key), never EDE codes;
+//!    key), never EDE codes. Each condition is one row of the
+//!    [`category`] table;
 //! 2. [`world`] materializes the population as a simulated internet of
 //!    synthetic-but-faithful servers (a real signed root zone, per-TLD
 //!    referral servers, shared hosting servers with per-address fault
@@ -45,6 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
+pub mod category;
 pub mod chaos;
 pub mod population;
 pub mod query;

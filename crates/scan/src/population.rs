@@ -1,157 +1,20 @@
 //! Synthetic registered-domain population with calibrated planting.
 //!
-//! Calibration targets come straight from the paper's §4.2 (counts per
-//! 303 M domains) and §4.3 (per-TLD concentration). The generator plants
-//! *root causes*; the scanner later measures what EDE codes those causes
-//! produce through the full resolution pipeline.
+//! What is planted, and how many of each, is the category table
+//! ([`crate::category::ROWS`]): §4.2's counts per 303 M domains, scaled
+//! by [`PopulationConfig::scaled`], with each row's nameserver draw and
+//! TLD placement. This module supplies what the rows draw from: the
+//! TLDs with §4.3's per-TLD concentration, the hosting pools, and the
+//! Tranco ranks. The generator plants *root causes*; the scanner later
+//! measures what EDE codes those causes produce through the full
+//! resolution pipeline.
 
+pub use crate::category::Category;
+use crate::category::{Count, NsDraw, TldPlacement, FULLY_BROKEN_TLD_MEMBER, ROWS};
 use crate::rng::SplitMix64;
 use ede_wire::Name;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
-
-/// What is wrong (or right) with one planted domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Category {
-    /// Correctly served, unsigned.
-    HealthyUnsigned,
-    /// Correctly served and DNSSEC-signed.
-    HealthySigned,
-    /// Every nameserver answers REFUSED (or SERVFAIL) — the dominant
-    /// lame-delegation mode (§4.2.1/2 → EDE 22+23).
-    LameRcode,
-    /// Every nameserver is silent or the glue is unroutable (→ 22 only).
-    LameSilent,
-    /// One nameserver is broken but another answers (→ 23 on NOERROR).
-    PartialBroken,
-    /// Lives under a TLD publishing a stand-by KSK (§4.2.3 → EDE 10 on
-    /// NOERROR).
-    StandbyTldMember,
-    /// Signed, but the DS does not match any DNSKEY (§4.2.4 → EDE 9).
-    DsMismatch,
-    /// Signed and entirely unreachable (§4.2.4's "accompanied by 22"
-    /// flavor → 9+22+23).
-    UnreachableSigned,
-    /// Signed, no apex A, and broken denial-of-existence (§4.2.5 → 6).
-    BrokenDenial,
-    /// Nameservers predate EDNS (§4.2.6 → 24).
-    NoEdns,
-    /// Zone signed with an algorithm Cloudflare lacks (GOST) (§4.2.7 → 1).
-    UnsupportedAlgGost,
-    /// Zone signed with a deprecated algorithm (DSA) (§4.2.7 → 1).
-    UnsupportedAlgDsa,
-    /// Zone keys are 512-bit (§4.2.7 "unsupported key size" → 1).
-    SmallKey,
-    /// All RRSIGs expired (§4.2.8 → 7).
-    SigExpired,
-    /// Unsigned delegation whose (signed) parent fails to prove DS
-    /// absence (§4.2.9 → 12).
-    InsecureProofBroken,
-    /// DS uses the GOST digest type (§4.2.10 → 2).
-    GostDigest,
-    /// DS uses an unassigned digest type (8) (§4.2.10 → 2).
-    UnassignedDigest,
-    /// Server answers once then starts refusing — revisits serve stale
-    /// (§4.2.11 → 3 [+22, +23]).
-    StaleFlapRefuse,
-    /// Server answers once then goes silent (§4.2.11 → 3+22).
-    StaleFlapDrop,
-    /// All RRSIGs not yet valid (§4.2.12 → 8).
-    SigNotYetValid,
-    /// Nameservers answer NOTAUTH; the second probe hits the failure
-    /// cache (§4.2.13 → 13).
-    NotAuthCached,
-    /// NSEC3 iteration count above any validator cap (§4.2.14 → 0,
-    /// "iteration limit exceeded").
-    IterationLimit,
-}
-
-impl Category {
-    /// Every category, for iteration and name-based parsing.
-    pub const ALL: [Category; 22] = [
-        Category::HealthyUnsigned,
-        Category::HealthySigned,
-        Category::LameRcode,
-        Category::LameSilent,
-        Category::PartialBroken,
-        Category::StandbyTldMember,
-        Category::DsMismatch,
-        Category::UnreachableSigned,
-        Category::BrokenDenial,
-        Category::NoEdns,
-        Category::UnsupportedAlgGost,
-        Category::UnsupportedAlgDsa,
-        Category::SmallKey,
-        Category::SigExpired,
-        Category::InsecureProofBroken,
-        Category::GostDigest,
-        Category::UnassignedDigest,
-        Category::StaleFlapRefuse,
-        Category::StaleFlapDrop,
-        Category::SigNotYetValid,
-        Category::NotAuthCached,
-        Category::IterationLimit,
-    ];
-
-    /// The stable name of this category (its variant name) — used by
-    /// the query-log JSONL schema.
-    pub fn name(self) -> &'static str {
-        match self {
-            Category::HealthyUnsigned => "HealthyUnsigned",
-            Category::HealthySigned => "HealthySigned",
-            Category::LameRcode => "LameRcode",
-            Category::LameSilent => "LameSilent",
-            Category::PartialBroken => "PartialBroken",
-            Category::StandbyTldMember => "StandbyTldMember",
-            Category::DsMismatch => "DsMismatch",
-            Category::UnreachableSigned => "UnreachableSigned",
-            Category::BrokenDenial => "BrokenDenial",
-            Category::NoEdns => "NoEdns",
-            Category::UnsupportedAlgGost => "UnsupportedAlgGost",
-            Category::UnsupportedAlgDsa => "UnsupportedAlgDsa",
-            Category::SmallKey => "SmallKey",
-            Category::SigExpired => "SigExpired",
-            Category::InsecureProofBroken => "InsecureProofBroken",
-            Category::GostDigest => "GostDigest",
-            Category::UnassignedDigest => "UnassignedDigest",
-            Category::StaleFlapRefuse => "StaleFlapRefuse",
-            Category::StaleFlapDrop => "StaleFlapDrop",
-            Category::SigNotYetValid => "SigNotYetValid",
-            Category::NotAuthCached => "NotAuthCached",
-            Category::IterationLimit => "IterationLimit",
-        }
-    }
-
-    /// Parse a category from its [`name`](Category::name).
-    pub fn parse(s: &str) -> Option<Category> {
-        Category::ALL.into_iter().find(|c| c.name() == s)
-    }
-
-    /// True when the scanner should probe this domain a second time
-    /// (after the flap / with a warm failure cache).
-    pub fn needs_revisit(self) -> bool {
-        matches!(
-            self,
-            Category::StaleFlapRefuse | Category::StaleFlapDrop | Category::NotAuthCached
-        )
-    }
-
-    /// True when the domain's zone is DNSSEC-signed.
-    pub fn signed(self) -> bool {
-        !matches!(
-            self,
-            Category::HealthyUnsigned
-                | Category::LameRcode
-                | Category::LameSilent
-                | Category::PartialBroken
-                | Category::NoEdns
-                | Category::InsecureProofBroken
-                | Category::StaleFlapRefuse
-                | Category::StaleFlapDrop
-                | Category::NotAuthCached
-        )
-    }
-}
 
 /// One TLD of the population.
 #[derive(Debug, Clone)]
@@ -274,88 +137,6 @@ impl PopulationConfig {
     }
 }
 
-/// Planting targets, straight out of §4.2 (counts per 303 M domains).
-pub struct Targets {
-    /// Lame with RCODE failures on all NSes (22 ∩ 23).
-    pub lame_rcode: usize,
-    /// Lame with silence/unroutability (22 only).
-    pub lame_silent: usize,
-    /// One broken + one working NS (23 only).
-    pub partial_broken: usize,
-    /// Domains under stand-by-key TLDs (code 10).
-    pub standby_members: usize,
-    /// DS mismatch (code 9, reachable).
-    pub ds_mismatch: usize,
-    /// Signed + unreachable (9+22+23).
-    pub unreachable_signed: usize,
-    /// Broken denial (code 6).
-    pub broken_denial: usize,
-    /// EDNS-oblivious (code 24).
-    pub no_edns: usize,
-    /// GOST-signed zones (code 1).
-    pub alg_gost: usize,
-    /// DSA-signed zones (code 1).
-    pub alg_dsa: usize,
-    /// 512-bit keys (code 1).
-    pub small_key: usize,
-    /// Expired signatures (code 7).
-    pub sig_expired: usize,
-    /// Broken insecure-referral proofs (code 12).
-    pub insecure_proof: usize,
-    /// GOST DS digests (code 2).
-    pub gost_digest: usize,
-    /// Unassigned DS digest type 8 (code 2).
-    pub unassigned_digest: usize,
-    /// Stale with REFUSED flap (3+22+23).
-    pub stale_refuse: usize,
-    /// Stale with silent flap (3+22).
-    pub stale_drop: usize,
-    /// Not-yet-valid signatures (code 8).
-    pub not_yet_valid: usize,
-    /// NOTAUTH + cached error (code 13).
-    pub notauth_cached: usize,
-    /// Iteration-limit zones (code 0).
-    pub iteration_limit: usize,
-}
-
-impl Targets {
-    /// Derive targets from the paper's §4.2 counts at the configured
-    /// scale.
-    pub fn from_config(cfg: &PopulationConfig) -> Targets {
-        // |22| = 13,965,865 and |23| = 11,647,551 with |22 ∪ 23| ≈
-        // 14.8 M (§4.2.2) ⇒ |22 ∩ 23| ≈ 10.8 M.
-        let both = 10_817_000u64;
-        let only22 = 13_965_865u64 - both;
-        let only23 = 11_647_551u64 - both;
-        let code9 = 296_643u64;
-        let unreachable_signed = code9 * 2 / 5; // the "accompanied by 22" flavor
-        Targets {
-            lame_rcode: cfg.scaled(both),
-            lame_silent: cfg.scaled(only22),
-            partial_broken: cfg.scaled(only23),
-            standby_members: cfg.scaled(2_746_604),
-            ds_mismatch: cfg.scaled(code9 - unreachable_signed),
-            unreachable_signed: cfg.scaled(unreachable_signed),
-            broken_denial: cfg.scaled(82_465),
-            no_edns: cfg.scaled(12_268),
-            // §4.2.7's 8,751 domains split across GOST, prohibited
-            // algorithms, and undersized keys.
-            alg_gost: cfg.scaled(5_800),
-            alg_dsa: cfg.scaled(1_500),
-            small_key: cfg.scaled(1_451),
-            sig_expired: cfg.scaled(2_877),
-            insecure_proof: cfg.scaled(1_980),
-            gost_digest: 54,
-            unassigned_digest: 8,
-            stale_refuse: 20,
-            stale_drop: 12,
-            not_yet_valid: 29,
-            notauth_cached: 8,
-            iteration_limit: 7,
-        }
-    }
-}
-
 /// The generated population.
 pub struct Population {
     /// Generator configuration.
@@ -387,14 +168,19 @@ pub enum BrokenMode {
     Drop,
 }
 
+/// Where the silent segment of a broken pool of `total` servers starts:
+/// the servers before it speak (REFUSED, then SERVFAIL), it and the
+/// rest never answer.
+fn silent_start(total: usize) -> usize {
+    total * 95 / 100
+}
+
 /// The fault mode of broken nameserver `i` out of `total`.
 pub fn broken_mode(i: usize, total: usize) -> BrokenMode {
     // 267/303 ≈ 88 % REFUSED, 21/303 ≈ 7 % SERVFAIL, rest silent.
-    let refused_end = total * 88 / 100;
-    let servfail_end = total * 95 / 100;
-    if i < refused_end {
+    if i < total * 88 / 100 {
         BrokenMode::Refused
-    } else if i < servfail_end {
+    } else if i < silent_start(total) {
         BrokenMode::ServFail
     } else {
         BrokenMode::Drop
@@ -425,7 +211,6 @@ impl Population {
     /// Generate a population.
     pub fn generate(config: PopulationConfig) -> Population {
         let mut rng = SplitMix64::seed_from_u64(config.seed);
-        let targets = Targets::from_config(&config);
         let total = config.scaled(303_000_000);
 
         // --- TLDs ----------------------------------------------------------
@@ -512,100 +297,53 @@ impl Population {
             }
             hi - 1
         };
-        let rcode_end = broken_ns_count * 95 / 100; // Refused + ServFail
+        let rcode_end = silent_start(broken_ns_count);
         let pick_broken_rcode =
             |rng: &mut SplitMix64| broken_addr(zipf_in(rng, 0, rcode_end.max(1)));
         let drop_start = rcode_end.min(broken_ns_count - 1);
         let pick_broken_silent =
             |rng: &mut SplitMix64| broken_addr(zipf_in(rng, drop_start, broken_ns_count));
 
-        // --- Build the category list -----------------------------------------------
-        let mut categories: Vec<Category> = Vec::with_capacity(total);
-        let push = |cat: Category, n: usize, categories: &mut Vec<Category>| {
-            categories.extend(std::iter::repeat_n(cat, n));
+        let draw_ns = |rng: &mut SplitMix64, draw: NsDraw| match draw {
+            NsDraw::Healthy => NsAddrs::one(healthy_addr(rng.gen_index(healthy_ns_count))),
+            NsDraw::BrokenSpeaking => NsAddrs::one(pick_broken_rcode(rng)),
+            NsDraw::BrokenSilent => NsAddrs::one(pick_broken_silent(rng)),
+            // The broken address is drawn first, as the population's RNG
+            // order has always had it, and is asked first.
+            NsDraw::BrokenThenHealthy => {
+                let broken = pick_broken_rcode(rng);
+                NsAddrs::two(broken, healthy_addr(rng.gen_index(healthy_ns_count)))
+            }
         };
-        push(Category::LameRcode, targets.lame_rcode, &mut categories);
-        push(Category::LameSilent, targets.lame_silent, &mut categories);
-        push(
-            Category::PartialBroken,
-            targets.partial_broken,
-            &mut categories,
-        );
-        push(
-            Category::StandbyTldMember,
-            targets.standby_members,
-            &mut categories,
-        );
-        push(Category::DsMismatch, targets.ds_mismatch, &mut categories);
-        push(
-            Category::UnreachableSigned,
-            targets.unreachable_signed,
-            &mut categories,
-        );
-        push(
-            Category::BrokenDenial,
-            targets.broken_denial,
-            &mut categories,
-        );
-        push(Category::NoEdns, targets.no_edns, &mut categories);
-        push(
-            Category::UnsupportedAlgGost,
-            targets.alg_gost,
-            &mut categories,
-        );
-        push(
-            Category::UnsupportedAlgDsa,
-            targets.alg_dsa,
-            &mut categories,
-        );
-        push(Category::SmallKey, targets.small_key, &mut categories);
-        push(Category::SigExpired, targets.sig_expired, &mut categories);
-        push(
-            Category::InsecureProofBroken,
-            targets.insecure_proof,
-            &mut categories,
-        );
-        push(Category::GostDigest, targets.gost_digest, &mut categories);
-        push(
-            Category::UnassignedDigest,
-            targets.unassigned_digest,
-            &mut categories,
-        );
-        push(
-            Category::StaleFlapRefuse,
-            targets.stale_refuse,
-            &mut categories,
-        );
-        push(Category::StaleFlapDrop, targets.stale_drop, &mut categories);
-        push(
-            Category::SigNotYetValid,
-            targets.not_yet_valid,
-            &mut categories,
-        );
-        push(
-            Category::NotAuthCached,
-            targets.notauth_cached,
-            &mut categories,
-        );
-        push(
-            Category::IterationLimit,
-            targets.iteration_limit,
-            &mut categories,
-        );
-        // Fill with healthy domains (~15 % of the healthy pool signed,
-        // matching global DNSSEC deployment levels).
+
+        // --- Build the category list -----------------------------------------------
+        // Every row with a paper count in table order, then the healthy
+        // fill: each remaining domain takes the first fill row whose
+        // running share exceeds its draw.
+        let mut categories: Vec<Category> = Vec::with_capacity(total);
+        let mut fill = Vec::new();
+        for row in &ROWS {
+            match row.count {
+                Count::Paper(n) => {
+                    categories.extend(std::iter::repeat_n(row.category, config.scaled(n)))
+                }
+                Count::Share(share) => fill.push((share, row.category)),
+            }
+        }
+        let (_, last_fill) = *fill.last().expect("the table has a fill");
         while categories.len() < total {
-            let signed = rng.gen_f64() < 0.15;
-            categories.push(if signed {
-                Category::HealthySigned
-            } else {
-                Category::HealthyUnsigned
+            let x = rng.gen_f64();
+            let mut upto = 0.0;
+            let pick = fill.iter().find(|&&(share, _)| {
+                upto += share;
+                x < upto
             });
+            categories.push(pick.map_or(last_fill, |&(_, category)| category));
         }
         categories.truncate(total);
 
         // --- Assign TLDs and nameservers ----------------------------------------------
-        let pick_tld = |rng: &mut SplitMix64, broken: bool, tld_weights: &[f64]| -> usize {
+        let pick_tld = |rng: &mut SplitMix64, not_clean: bool, tld_weights: &[f64]| -> usize {
             loop {
                 let mut x = rng.gen_f64() * weight_sum;
                 let mut idx = tlds.len() - 1;
@@ -624,7 +362,7 @@ impl Population {
                 }
                 let is_clean = (idx < clean_gtlds && !tlds[idx].cc)
                     || (tlds[idx].cc && idx - config.gtlds < clean_cctlds);
-                if broken && is_clean {
+                if not_clean && is_clean {
                     continue; // clean TLDs host no misconfigured domains
                 }
                 return idx;
@@ -632,38 +370,17 @@ impl Population {
         };
 
         let mut domains: Vec<DomainRecord> = Vec::with_capacity(total);
-        let mut counter_per_tld = vec![0usize; tlds.len()];
         for (i, &category) in categories.iter().enumerate() {
-            let broken = !matches!(
-                category,
-                Category::HealthyUnsigned | Category::HealthySigned
-            );
-            // Stand-by members must live under the stand-by ccTLDs;
-            // insecure-proof cases under the broken-proof gTLDs.
-            let tld = match category {
-                Category::StandbyTldMember => config.gtlds + (i % 2),
-                Category::InsecureProofBroken => insecure_tlds[i % insecure_tlds.len()],
-                _ => pick_tld(&mut rng, broken, &weights),
+            let row = category.row();
+            let tld = match row.tld {
+                TldPlacement::Any => pick_tld(&mut rng, false, &weights),
+                TldPlacement::NotClean => pick_tld(&mut rng, true, &weights),
+                TldPlacement::Standby => config.gtlds + (i % 2),
+                TldPlacement::BrokenProof => insecure_tlds[i % insecure_tlds.len()],
             };
-            counter_per_tld[tld] += 1;
             let label = format!("d{:07}", i);
             let name = tlds[tld].name.child(&label).expect("valid label");
-
-            let ns_addrs = match category {
-                Category::LameRcode | Category::UnreachableSigned => {
-                    NsAddrs::one(pick_broken_rcode(&mut rng))
-                }
-                Category::LameSilent => NsAddrs::one(pick_broken_silent(&mut rng)),
-                // The broken address is drawn first, as the population's
-                // RNG order has always had it, and is asked first.
-                Category::PartialBroken => {
-                    let broken = pick_broken_rcode(&mut rng);
-                    NsAddrs::two(broken, healthy_addr(rng.gen_index(healthy_ns_count)))
-                }
-                // NotAuth and flapping behavior is per-domain and lives
-                // in the hosting fabric.
-                _ => NsAddrs::one(healthy_addr(rng.gen_index(healthy_ns_count))),
-            };
+            let ns_addrs = draw_ns(&mut rng, row.ns);
 
             domains.push(DomainRecord {
                 name,
@@ -684,8 +401,8 @@ impl Population {
                 domains.push(DomainRecord {
                     name,
                     tld: t,
-                    category: Category::LameRcode,
-                    ns_addrs: NsAddrs::one(pick_broken_rcode(&mut rng)),
+                    category: FULLY_BROKEN_TLD_MEMBER,
+                    ns_addrs: draw_ns(&mut rng, FULLY_BROKEN_TLD_MEMBER.row().ns),
                     rank: None,
                 });
             }

@@ -137,9 +137,15 @@ impl QueryFilter {
     /// Parse a compact filter expression: comma-separated `key=value`
     /// pairs. Keys: `code`, `vendor`, `tld`, `rank` (`lo-hi` or a
     /// single rank), `vtime` (`lo-hi` ms), `rcode`, `category`, `pass`,
-    /// `name`. Example: `code=23,tld=com,rank=1-500`.
+    /// `name`. Example: `code=23,tld=com,rank=1-500`. A lone `*` is the
+    /// match-everything filter, as [`describe`] renders it.
+    ///
+    /// [`describe`]: QueryFilter::describe
     pub fn parse(expr: &str) -> Result<QueryFilter, String> {
         let mut filter = QueryFilter::new();
+        if expr.trim() == "*" {
+            return Ok(filter);
+        }
         for pair in expr.split(',').map(str::trim).filter(|p| !p.is_empty()) {
             let (key, value) = pair
                 .split_once('=')
@@ -463,6 +469,10 @@ mod tests {
         let reparsed = QueryFilter::parse(&filter.describe()).expect("round trip");
         assert_eq!(filter, reparsed);
         assert_eq!(QueryFilter::new().describe(), "*");
+        assert_eq!(
+            QueryFilter::parse(&QueryFilter::new().describe()),
+            Ok(QueryFilter::new())
+        );
         assert!(QueryFilter::parse("frobnicate=1").is_err());
         assert!(QueryFilter::parse("rank=x").is_err());
     }

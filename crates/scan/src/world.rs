@@ -20,31 +20,36 @@
 //!   and served by the ordinary [`ede_authority::ZoneServer`] logic. The
 //!   TLD's NSEC3 chain, which insecure referrals and micro-zones draw
 //!   on, is hashed on first use, once per world;
-//! * each **hosting server** answers a healthy child's apex A (and a
-//!   healthy signed child's DNSKEY) the same way, from the record and
-//!   the child's derived keys through [`ede_authority::layout::positive`],
-//!   and builds the child zone from its planted [`Category`] (signing
-//!   it, breaking it, or flapping it as the category demands) for every
-//!   other shape and every misconfigured child — a differential test
-//!   holds both servers against fully materialised, fully signed zones,
-//!   `Message` for `Message`;
+//! * each **hosting server** answers a child's apex A (and a signed
+//!   child's DNSKEY) the same way, from the record and the child's
+//!   derived keys through [`ede_authority::layout::positive`], unless
+//!   the child's zone is mutated after signing or its server misbehaves.
+//!   For every other shape it builds the child zone as the child's
+//!   [`Row`] says (keys, DS, window, NSEC3, mutation, apex A) and
+//!   answers as the row's hosting column says (normally, without EDNS,
+//!   NOTAUTH, or flapping) — a differential test holds both servers
+//!   against fully materialised, fully signed zones, `Message` for
+//!   `Message`;
 //! * **broken-pool servers** implement the per-address fault modes
 //!   (REFUSED / SERVFAIL / silence) of §4.2.2's 293 k lame nameservers.
 //!
+//! Neither server names a category: what a planted condition means for
+//! its zone and its server is one row of [`crate::category::ROWS`].
 //! All key material is derived deterministically from names, so a DS
 //! served by a TLD today matches the DNSKEY a hosting server synthesizes
 //! tomorrow.
 
-use crate::population::{broken_mode, tld_addr, BrokenMode, Category, DomainRecord, Population};
+use crate::category::{Hosting, Row};
+use crate::population::{broken_mode, tld_addr, BrokenMode, DomainRecord, Population};
 use ede_authority::{layout, Behavior, ZoneServer, ZoneStore};
 use ede_crypto::nsec3hash::{self, NSEC3_HASH_LEN};
 use ede_netsim::{Network, NetworkBuilder, NetworkConfig, Server, ServerResponse, SimClock};
 use ede_resolver::config::RootHint;
 use ede_resolver::ResolverConfig;
 use ede_wire::rdata::{Soa, TypeBitmap};
-use ede_wire::{DigestAlg, Message, Name, Rdata, Record, RrType, SecAlg};
-use ede_zone::signer::{self, SignerConfig, DAY, DEFAULT_WINDOW, SIM_NOW};
-use ede_zone::{Denial, Misconfig, Nsec3Config, Rrset, Zone, ZoneKey, ZoneKeys};
+use ede_wire::{DigestAlg, Message, Name, Rdata, Record, RrType};
+use ede_zone::signer::{self, SignerConfig, DEFAULT_WINDOW};
+use ede_zone::{Denial, Nsec3Config, Rrset, Zone, ZoneKey, ZoneKeys};
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
@@ -159,7 +164,7 @@ fn add_delegation(zone: &mut Zone, rec: &DomainRecord) {
         zone.add(Record::new(rec.name.clone(), 3600, Rdata::Ns(ns.clone())));
         zone.add(Record::new(ns, 3600, Rdata::A(*addr)));
     }
-    for ds in child_ds(rec) {
+    for ds in rec.category.row().parent_ds(&rec.name) {
         zone.add(Record::new(rec.name.clone(), 3600, ds));
     }
 }
@@ -181,98 +186,37 @@ fn tld_keys(tld: &Name) -> ZoneKeys {
     ZoneKeys::generate(tld, 8, 2048)
 }
 
-/// Deterministic keys for a child domain, with category-dependent
-/// algorithm/size.
-fn child_keys(apex: &Name, category: Category) -> ZoneKeys {
-    match category {
-        Category::UnsupportedAlgGost => ZoneKeys::generate(apex, SecAlg::ECC_GOST.0, 2048),
-        Category::UnsupportedAlgDsa => ZoneKeys::generate(apex, SecAlg::DSA.0, 1024),
-        Category::SmallKey => ZoneKeys::generate(apex, SecAlg::RSASHA1.0, 512),
-        _ => ZoneKeys::generate(apex, SecAlg::RSASHA256.0, 2048),
-    }
-}
-
-/// The DS RDATA(s) a TLD publishes for a domain, per category.
-fn child_ds(rec: &DomainRecord) -> Vec<Rdata> {
-    let apex = &rec.name;
-    let cat = rec.category;
-    if !cat.signed() {
-        return Vec::new();
-    }
-    let keys = child_keys(apex, cat);
-    match cat {
-        Category::DsMismatch => Misconfig::DsBadTag.parent_ds(&keys, apex),
-        Category::GostDigest => vec![keys.ksk.ds_rdata(apex, DigestAlg::GOST)],
-        Category::UnassignedDigest => vec![keys.ksk.ds_rdata(apex, DigestAlg(8))],
-        _ => vec![keys.ksk.ds_rdata(apex, DigestAlg::SHA256)],
-    }
-}
-
-/// Signer config per category (validity windows, NSEC3 iterations).
-fn child_signer_config(cat: Category) -> SignerConfig {
-    let mut cfg = SignerConfig::default();
-    match cat {
-        Category::SigExpired => {
-            cfg.inception = SIM_NOW - 400 * DAY;
-            cfg.expiration = SIM_NOW - 300 * DAY;
-        }
-        Category::SigNotYetValid => {
-            // §4.2.12: signatures valid starting 2045.
-            cfg.inception = SIM_NOW + 8000 * DAY;
-            cfg.expiration = SIM_NOW + 8400 * DAY;
-        }
-        Category::IterationLimit => {
-            cfg.denial = Denial::Nsec3(Nsec3Config {
-                iterations: 2000,
-                salt: [0xab].into(),
-            });
-        }
-        Category::UnsupportedAlgGost => cfg.algorithm = SecAlg::ECC_GOST,
-        Category::UnsupportedAlgDsa => {
-            cfg.algorithm = SecAlg::DSA;
-            cfg.key_bits = 1024;
-        }
-        Category::SmallKey => {
-            cfg.algorithm = SecAlg::RSASHA1;
-            cfg.key_bits = 512;
-        }
-        _ => {}
-    }
-    cfg
-}
-
 /// The address every child that has one publishes at its apex.
 fn apex_a(apex: &Name) -> Rrset {
     Rrset::new(apex.clone(), 60, Rdata::A(Ipv4Addr::new(203, 0, 113, 10)))
 }
 
 /// The apex RRset a child serves for `qtype`, when it is known without
-/// building the child's zone: the A of an unsigned child, and the A and
-/// the DNSKEY set of a healthy signed one (a stand-by TLD's member is
-/// one: the condition is its parent's), signed. A misconfigured signed
-/// child's condition is a mutation of its zone, so it gets one.
-fn known_apex_rrset(rec: &DomainRecord, qtype: RrType) -> Option<Rrset> {
-    let (apex, cat) = (&rec.name, rec.category);
-    if !cat.signed() {
-        return (qtype == RrType::A).then(|| apex_a(apex));
+/// building the child's zone: its A, and the DNSKEY set of a signed
+/// child, signed as `sign_zone` would sign them. A child whose row
+/// mutates the zone after signing gets its zone.
+fn known_apex_rrset(rec: &DomainRecord, row: &Row, qtype: RrType) -> Option<Rrset> {
+    let apex = &rec.name;
+    let a = qtype == RrType::A && row.apex_a;
+    if !row.signed {
+        return a.then(|| apex_a(apex));
     }
-    let healthy = matches!(cat, Category::HealthySigned | Category::StandbyTldMember);
-    if !healthy || !matches!(qtype, RrType::A | RrType::Dnskey) {
+    if row.mutation.is_some() || !(a || qtype == RrType::Dnskey) {
         return None;
     }
-    let keys = child_keys(apex, cat);
+    let keys = row.keys(apex);
     let mut set = match qtype {
         RrType::A => apex_a(apex),
         _ => keys.dnskey_rrset(apex),
     };
-    signer::sign_in_place(&mut set, &keys, apex, child_signer_config(cat).window());
+    signer::sign_in_place(&mut set, &keys, apex, row.window);
     Some(set)
 }
 
-/// The child zone's plain records, before any signing.
-fn unsigned_child(rec: &DomainRecord) -> Zone {
-    let apex = &rec.name;
-    let cat = rec.category;
+/// Build the child zone for a domain as its row says: its plain
+/// records, then signed and mutated where the row asks for it.
+fn materialize_child(rec: &DomainRecord) -> Zone {
+    let (apex, row) = (&rec.name, rec.category.row());
     let mut zone = Zone::new(apex.clone());
     zone.add(Record::new(apex.clone(), 60, soa_for(apex)));
     for (i, addr) in rec.ns_addrs.iter().enumerate() {
@@ -280,24 +224,14 @@ fn unsigned_child(rec: &DomainRecord) -> Zone {
         zone.add(Record::new(apex.clone(), 60, Rdata::Ns(ns.clone())));
         zone.add(Record::new(ns, 60, Rdata::A(*addr)));
     }
-    // Most categories publish an apex A; denial-driven ones must not.
-    let wants_a = !matches!(cat, Category::BrokenDenial | Category::IterationLimit);
-    if wants_a {
+    if row.apex_a {
         zone.add_rrset(apex_a(apex));
     }
-    zone
-}
-
-/// Build the child zone for a domain per its category. Returns the zone
-/// (already signed/mutated where applicable).
-fn materialize_child(rec: &DomainRecord) -> Zone {
-    let cat = rec.category;
-    let mut zone = unsigned_child(rec);
-    if cat.signed() {
-        let keys = child_keys(&rec.name, cat);
-        signer::sign_zone(&mut zone, &keys, &child_signer_config(cat));
-        if cat == Category::BrokenDenial {
-            Misconfig::BadNsec3Next.apply(&mut zone, &keys);
+    if row.signed {
+        let keys = row.keys(apex);
+        signer::sign_zone(&mut zone, &keys, &row.signer_config());
+        if let Some(mutation) = row.mutation {
+            mutation.apply(&mut zone, &keys);
         }
     }
     zone
@@ -330,20 +264,12 @@ impl FlapTable {
     }
 }
 
-/// The hosting fabric: serves every healthy-pool domain per its planted
-/// category, with per-domain flap state.
+/// The hosting fabric: serves every healthy-pool domain as its row's
+/// hosting column says, with per-domain flap state.
 struct HostingNs {
     registry: Arc<Registry>,
     /// Query counters for flapping domains.
     flap: FlapTable,
-}
-
-impl HostingNs {
-    /// Extract the registered domain (label.tld) an arbitrary qname
-    /// belongs to.
-    fn domain_of(&self, qname: &Name) -> Option<&DomainRecord> {
-        self.registry.get(&qname.suffix(2)).map(|r| r.rec)
-    }
 }
 
 impl Server for HostingNs {
@@ -351,40 +277,37 @@ impl Server for HostingNs {
         let Some(q) = query.first_question() else {
             return ServerResponse::Drop;
         };
-        let Some(rec) = self.domain_of(&q.name) else {
+        // The registered domain (label.tld) the qname belongs to.
+        let Some(rec) = self.registry.get(&q.name.suffix(2)).map(|r| r.rec) else {
             // Not a domain we host.
             let mut resp = Message::response_to(query);
             resp.rcode = ede_wire::Rcode::Refused;
             return ServerResponse::Reply(resp);
         };
 
-        // Flap state: stale/cached-error categories change behavior
-        // after their first A answer.
-        let mut behavior = Behavior::Normal;
-        match rec.category {
-            Category::NoEdns => behavior = Behavior::NoEdns,
-            Category::NotAuthCached => behavior = Behavior::NotAuthAll,
-            Category::StaleFlapRefuse | Category::StaleFlapDrop => {
+        let row = rec.category.row();
+        let behavior = match &row.hosting {
+            Hosting::Steady(behavior) => behavior.clone(),
+            // A flapping server changes after its first apex A answer.
+            Hosting::Flaps(after) => {
                 let mut flap = self.flap.shard(&rec.name);
                 let count = flap.entry(rec.name.clone()).or_insert(0);
-                if *count > 0 {
-                    behavior = if rec.category == Category::StaleFlapRefuse {
-                        Behavior::RefuseAll
-                    } else {
-                        Behavior::Timeout
-                    };
-                }
+                let behavior = if *count > 0 {
+                    after.clone()
+                } else {
+                    Behavior::Normal
+                };
                 if q.qtype == RrType::A && q.name == rec.name {
                     *count += 1;
                 }
+                behavior
             }
-            _ => {}
-        }
+        };
 
-        // The common case: a well-behaved server asked for a healthy
-        // child's apex A (or DNSKEY) answers without a zone.
+        // The common case: a well-behaved server asked for a child's
+        // apex A (or DNSKEY) answers without a zone.
         if behavior == Behavior::Normal && q.name == rec.name {
-            if let Some(set) = known_apex_rrset(rec, q.qtype) {
+            if let Some(set) = known_apex_rrset(rec, row, q.qtype) {
                 let (mut resp, dnssec_ok) = layout::reply_to(query, true);
                 layout::positive(&mut resp, &set, dnssec_ok);
                 return ServerResponse::Reply(resp);
@@ -658,11 +581,12 @@ impl TldServer {
             ns.push(Rdata::Ns(host.clone()));
             glue.push(Record::new(host, 3600, Rdata::A(*addr)));
         }
+        let row = rec.category.row();
         let proof = if !dnssec_ok {
             None
-        } else if rec.category.signed() {
+        } else if row.signed {
             let mut ds = Rrset::empty(rec.name.clone(), RrType::Ds, 3600);
-            ds.rdatas = child_ds(rec);
+            ds.rdatas = row.parent_ds(&rec.name);
             signer::sign_in_place(&mut ds, &self.keys, &self.tld, DEFAULT_WINDOW);
             Some(ds)
         } else {
@@ -881,9 +805,10 @@ impl ScanWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::population::PopulationConfig;
+    use crate::population::{Category, PopulationConfig};
     use ede_resolver::{Resolver, Vendor, VendorProfile};
     use ede_wire::Rcode;
+    use ede_zone::Misconfig;
 
     fn world_and_resolver() -> (Population, ScanWorld, Resolver) {
         let pop = Population::generate(PopulationConfig::tiny());
@@ -1238,18 +1163,37 @@ mod tests {
 
     #[test]
     fn stale_flap_serves_stale_on_revisit() {
-        let (pop, world, resolver) = world_and_resolver();
-        let d = first_of(&pop, Category::StaleFlapRefuse);
-        let first = resolver.resolve(&d.name, RrType::A);
-        assert_eq!(first.rcode, Rcode::NoError, "{:?}", first.diagnosis);
-        // Let the 60 s TTL lapse, then revisit: the flap makes the live
-        // path fail and the stale entry is served.
-        world.net.clock().advance_secs(120);
-        let second = resolver.resolve(&d.name, RrType::A);
-        assert_eq!(second.rcode, Rcode::NoError);
-        let codes = second.ede_codes();
-        assert!(codes.contains(&3), "{codes:?} {:?}", second.diagnosis);
-        assert!(codes.contains(&22), "{codes:?}");
+        // §4.2.11: a server that starts refusing may add 23 to 3+22; one
+        // that goes silent never does.
+        for (cat, may_add_23) in [
+            (Category::StaleFlapRefuse, true),
+            (Category::StaleFlapDrop, false),
+        ] {
+            let (pop, world, resolver) = world_and_resolver();
+            let d = first_of(&pop, cat);
+            let first = resolver.resolve(&d.name, RrType::A);
+            assert_eq!(
+                first.rcode,
+                Rcode::NoError,
+                "{cat:?}: {:?}",
+                first.diagnosis
+            );
+            // Let the 60 s TTL lapse, then revisit: the flap makes the
+            // live path fail and the stale entry is served.
+            world.net.clock().advance_secs(120);
+            let second = resolver.resolve(&d.name, RrType::A);
+            assert_eq!(second.rcode, Rcode::NoError, "{cat:?}");
+            let codes = second.ede_codes();
+            assert!(
+                codes.contains(&3),
+                "{cat:?}: {codes:?} {:?}",
+                second.diagnosis
+            );
+            assert!(codes.contains(&22), "{cat:?}: {codes:?}");
+            if !may_add_23 {
+                assert!(!codes.contains(&23), "{cat:?}: {codes:?}");
+            }
+        }
     }
 
     #[test]

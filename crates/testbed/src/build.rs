@@ -131,7 +131,6 @@ pub fn materialize_child_zone(spec: &DomainSpec, base: &Name, idx: usize) -> (Zo
     if spec.signed {
         let keys = ZoneKeys::generate(&apex, spec.algorithm.0, 2048);
         let cfg = SignerConfig {
-            algorithm: spec.algorithm,
             denial: Denial::Nsec3(Nsec3Config {
                 iterations: spec.nsec3_iterations,
                 salt: [0xab, 0xcd].into(),

@@ -7,7 +7,7 @@ use crate::nsec3::{self, Nsec3Config};
 use crate::rrset::Rrset;
 use crate::zone::Zone;
 use ede_wire::rdata::Rrsig;
-use ede_wire::{Name, RrType, SecAlg};
+use ede_wire::{Name, RrType};
 
 /// The simulation's "now": 2023-05-15 00:00:00 UTC, the month of the
 /// paper's measurement. All validity windows and cache decisions are
@@ -33,13 +33,10 @@ pub enum Denial {
     None,
 }
 
-/// Zone-signing parameters.
+/// Zone-signing parameters: the validity window and the denial chain.
+/// Algorithm and key size are the [`ZoneKeys`]' own.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignerConfig {
-    /// DNSSEC algorithm for both keys.
-    pub algorithm: SecAlg,
-    /// Modeled key size in bits.
-    pub key_bits: u16,
     /// RRSIG inception (epoch seconds).
     pub inception: u32,
     /// RRSIG expiration (epoch seconds).
@@ -51,8 +48,6 @@ pub struct SignerConfig {
 impl Default for SignerConfig {
     fn default() -> Self {
         SignerConfig {
-            algorithm: SecAlg::RSASHA256,
-            key_bits: 2048,
             inception: DEFAULT_WINDOW.0,
             expiration: DEFAULT_WINDOW.1,
             denial: Denial::Nsec3(Nsec3Config::default()),
