@@ -25,6 +25,14 @@
 //! the mark fetches, and the others park until it is gone
 //! (`Engine::zone_keys`).
 //!
+//! A one-shot resolution (`Resolver::resolve_once`) stores the keys of
+//! every zone it crosses at a cut (the root, a TLD), which the next
+//! resolution through that cut reads, but not those of the zone its
+//! answer comes from: a caller that will not ask the name again will
+//! not cross that zone again either. A scan's key tier therefore holds
+//! its TLDs and the domains it revisits, not one entry per signed
+//! domain. The fetch still sets and clears the zone's build mark.
+//!
 //! # Referrals
 //!
 //! [`ReferralEntry`] caches one root→TLD delegation: the delegated

@@ -53,6 +53,10 @@ pub struct Engine<'a> {
     /// Executor capability: every suspension (an exchange completion)
     /// of this resolution parks through it.
     pub handle: &'a TaskHandle,
+    /// Whether the key entry of the zone an answer comes from (or whose
+    /// servers all failed) is stored: the pipeline's `store`. Keys met
+    /// at a cut are stored regardless.
+    pub(crate) store: bool,
 }
 
 /// Outcome of querying a server set.
@@ -181,6 +185,8 @@ impl<'a> Engine<'a> {
 
     /// Fetch + validate (with caching) the DNSKEY RRset of `at`'s zone
     /// using `server`, against the already-validated DS set of `at`.
+    /// A fetched entry is stored only when `store` says so; a cached one
+    /// is replayed either way.
     ///
     /// Singleflight: the first task to miss marks the zone as building
     /// and fetches; a task that finds the mark parks on
@@ -191,6 +197,7 @@ impl<'a> Engine<'a> {
         at: &ReferralEntry,
         server: IpAddr,
         diag: &mut Diagnosis,
+        store: bool,
     ) -> Arc<KeyEntry> {
         let (zone, now) = (&at.zone, self.now());
         let _building = loop {
@@ -259,12 +266,14 @@ impl<'a> Engine<'a> {
             state: sub.validation,
             expires,
         });
-        self.infra
-            .key_shard(zone)
-            .lock()
-            .expect("no poisoning")
-            .entries
-            .insert(zone.clone(), Arc::clone(&entry));
+        if store {
+            self.infra
+                .key_shard(zone)
+                .lock()
+                .expect("no poisoning")
+                .entries
+                .insert(zone.clone(), Arc::clone(&entry));
+        }
         entry
     }
 
@@ -371,7 +380,7 @@ impl<'a> Engine<'a> {
                         // unobtainable (Cloudflare's 9+22+23 bundle).
                         if zone_signed && !at.zone.is_root() {
                             if let Some(&first) = at.servers.first() {
-                                self.zone_keys(&at, first, diag).await;
+                                self.zone_keys(&at, first, diag, self.store).await;
                             }
                         }
                         diag.degrade(ValidationState::Indeterminate);
@@ -411,7 +420,7 @@ impl<'a> Engine<'a> {
                     // parent.
                     let secure_cut = zone_signed && referral.signed;
                     if zone_signed {
-                        let parent = self.zone_keys(&at, responder, diag).await;
+                        let parent = self.zone_keys(&at, responder, diag, true).await;
                         validate::cut_link(
                             &resp.authorities,
                             &referral.zone,
@@ -498,7 +507,7 @@ impl<'a> Engine<'a> {
                 // the chain, when one reaches this zone.
                 diag.zone_signed |= zone_signed;
                 let keys = if zone_signed {
-                    Some(self.zone_keys(&at, responder, diag).await)
+                    Some(self.zone_keys(&at, responder, diag, self.store).await)
                 } else {
                     None
                 };

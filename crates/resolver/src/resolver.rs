@@ -149,10 +149,14 @@ impl Resolver {
     /// [`resolve_with`](Self::resolve_with) for a name the caller will
     /// not ask again: the same pipeline — answer-cache probe,
     /// engine, serve-stale, EDE emission — returning the same
-    /// [`Resolution`], except that the answer is not stored in the
-    /// answer cache. A name stored earlier is still served from it. A
-    /// scan calls this for every domain it never revisits, so its answer
-    /// cache holds only what it reads back.
+    /// [`Resolution`], except that it leaves two things behind. The
+    /// answer is not stored in the answer cache, and neither is the key
+    /// entry of the zone the answer comes from (nor of a zone whose
+    /// servers all failed). The keys of every zone the walk crossed at a
+    /// cut, the root's and a TLD's, are stored as on any resolution, and
+    /// a name or zone stored earlier is still served from its cache. A
+    /// scan calls this for every domain it never revisits, so its caches
+    /// hold only what it reads back.
     pub async fn resolve_once(
         &self,
         handle: &TaskHandle,
@@ -163,7 +167,7 @@ impl Resolver {
     }
 
     /// The body of both entry points; `store` is whether step 4 keeps
-    /// the answer.
+    /// the answer and the engine keeps the answer zone's keys.
     async fn pipeline(
         &self,
         handle: &TaskHandle,
@@ -214,6 +218,7 @@ impl Resolver {
             infra: &self.infra,
             ids: &self.ids,
             handle,
+            store,
         };
         let outcome = engine.resolve(qname, qtype, &mut diag, 0).await;
 
@@ -338,9 +343,9 @@ impl Resolver {
 #[cfg(test)]
 mod tests {
     //! The key tier's shape: what the infrastructure cache keeps of a
-    //! zone whose keys the engine validated, over a mini internet of a
-    //! signed root and two signed children, one with a DS that matches
-    //! no key.
+    //! zone whose keys the engine validated, and for which entry points,
+    //! over a mini internet of a signed root and two signed children,
+    //! one with a DS that matches no key.
 
     use super::*;
     use crate::cache::infra::{ChainKeys, KeyEntry};
@@ -483,5 +488,31 @@ mod tests {
         assert_eq!(published.len(), 2);
         let published_tags = published.iter().map(|k| k.tag).collect();
         assert_eq!(entry.keys, ChainKeys::Bogus { published_tags });
+    }
+
+    /// A one-shot resolution of a signed name leaves its zone's key
+    /// entry behind and keeps the root's, which it met at the cut into
+    /// the zone; `resolve_with` keeps both.
+    #[test]
+    fn a_one_shot_resolution_keeps_only_the_keys_met_at_a_cut() {
+        let qname = n("healthy.test");
+        for once in [true, false] {
+            let (resolver, _) = world();
+            let (r, q) = (&resolver, &qname);
+            let res = run_local(&resolver.net, |handle| async move {
+                if once {
+                    r.resolve_once(&handle, q, RrType::A).await
+                } else {
+                    r.resolve_with(&handle, q, RrType::A).await
+                }
+            });
+            assert_eq!(res.validation, ValidationState::Secure, "once {once}");
+            let held = |apex: &Name| {
+                let shard = resolver.infra.key_shard(apex).lock().unwrap();
+                shard.entries.contains_key(apex)
+            };
+            assert!(held(&Name::root()), "once {once}: the root's keys");
+            assert_eq!(held(&qname), !once, "once {once}: the answer zone's keys");
+        }
     }
 }

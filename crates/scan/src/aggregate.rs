@@ -1,7 +1,7 @@
 //! Aggregate scan records into the paper's §4.2 / §4.3 numbers.
 //!
-//! Each scan worker folds its claim chunks into a private
-//! [`PartialAggregate`] and merges it into the shared snapshot store as
+//! Each scan worker folds its results into a private
+//! [`PartialAggregate`], one batch at a time, and merges it into the shared snapshot store as
 //! it goes (see [`crate::stream`]); nothing is buffered until the end
 //! of the scan. [`PartialAggregate::merge`] is commutative and
 //! associative (counters add, maps union-add, the nameserver-kind
@@ -52,7 +52,7 @@ struct NsEntry {
     kind: String,
 }
 
-/// One worker's (or one chunk's) partial aggregation: every counter the
+/// One worker's (or one batch's) partial aggregation: every counter the
 /// report needs, foldable one record at a time and mergeable with any
 /// other partial. `Default` is the empty aggregation.
 #[derive(Debug, Clone, Default)]

@@ -44,6 +44,19 @@ fn parsed<T: std::str::FromStr>(what: &str, value: &str) -> T {
         .unwrap_or_else(|_| usage_exit(&format!("bad value {value:?} for {what}")))
 }
 
+/// `word` as one word of a POSIX shell command line: as it is when no
+/// character in it means anything to the shell, else in single quotes
+/// (a quote inside closes, escapes and reopens them). A filter of `*`
+/// pasted bare would expand to the files in the working directory.
+fn shell_word(word: &str) -> String {
+    let plain = |c: char| c.is_ascii_alphanumeric() || "-_./=,:@%+".contains(c);
+    if !word.is_empty() && word.chars().all(plain) {
+        word.to_string()
+    } else {
+        format!("'{}'", word.replace('\'', r"'\''"))
+    }
+}
+
 fn main() {
     let mut json = false;
     let mut fingerprint = false;
@@ -163,8 +176,8 @@ fn main() {
             println!(
                 "  not seen: {} older records spilled (troubleshoot --log {} --query {})",
                 result.log.spilled,
-                spill.display(),
-                filter.describe()
+                shell_word(&spill.display().to_string()),
+                shell_word(&filter.describe())
             );
         }
     }

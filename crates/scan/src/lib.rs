@@ -18,10 +18,11 @@
 //!    referral servers, shared hosting servers with per-address fault
 //!    modes);
 //! 3. [`scanner`] drives a Cloudflare-profile resolver over the whole
-//!    input list from a scoped worker pool (collecting live metrics
+//!    input list from a scoped worker pool, one TLD's domains per
+//!    claim (collecting live metrics
 //!    through the `ede-trace` pipeline), with a revisit pass that
 //!    exercises the serve-stale and cached-error paths — results stream
-//!    out as they happen: per-chunk partial aggregates merge into a
+//!    out as they happen: per-batch partial aggregates merge into a
 //!    shared snapshot store ([`stream`]) and records land in a bounded
 //!    query-log ring ([`querylog`]), so there is no end-of-scan
 //!    aggregation barrier and no unbounded outcome buffer;

@@ -399,8 +399,8 @@ pub struct QueryLogStats {
 }
 
 /// The bounded ring + spill store itself. Workers push records in
-/// per-chunk batches (one lock acquisition per [`crate::scanner`] claim
-/// chunk), so the lock never becomes a per-resolution hot spot.
+/// batches (one lock acquisition per [`crate::scanner`] batch of up to
+/// 16 results), so the lock never becomes a per-resolution hot spot.
 pub struct QueryLog {
     capacity: usize,
     inner: Mutex<LogInner>,

@@ -15,7 +15,7 @@ use ede_resolver::{
     VendorProfile,
 };
 use ede_trace::{Metrics, MetricsSnapshot};
-use ede_wire::{Name, RrType};
+use ede_wire::RrType;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -292,13 +292,12 @@ impl Drop for SinkGuard<'_> {
     }
 }
 
-/// How many domains a worker claims per cursor bump. Chunking amortizes
-/// the shared-cursor traffic without hurting load balance: chunks are
-/// tiny relative to any real population. The same chunk is the unit of
-/// streaming delivery: one query-log push, one partial-aggregate merge
-/// and one progress count per chunk, so neither lock nor the shared
-/// count is per-resolution hot.
-const CLAIM_CHUNK: usize = 16;
+/// How many results a worker folds before it streams them out: one
+/// query-log push, one partial-aggregate merge and one progress count
+/// per batch, so neither lock nor the shared count is per-resolution
+/// hot. A worker also streams out what it holds at the end of each
+/// claim.
+const FLUSH_EVERY: usize = 16;
 
 /// Shared progress state for [`parallel_pass`].
 struct PassProgress<'a> {
@@ -310,8 +309,8 @@ struct PassProgress<'a> {
 }
 
 impl PassProgress<'_> {
-    /// Count `n` finished resolutions — a flushed chunk's, so the shared
-    /// count is written once per chunk, not once per resolution — and
+    /// Count `n` finished resolutions — a flushed batch's, so the shared
+    /// count is written once per batch, not once per resolution — and
     /// print a progress line when the count crosses a multiple of
     /// `step`: the transport's query count and the answer cache's hit
     /// ratio, each read from the layer that keeps it.
@@ -329,6 +328,57 @@ impl PassProgress<'_> {
     }
 }
 
+/// One claim: a run of one TLD's domains, by population index.
+struct Claim<'a> {
+    tld: usize,
+    indices: &'a [u32],
+}
+
+/// A pass's work, TLD-major: one claim per TLD, largest TLD first (ties
+/// by TLD index), so that a TLD's chain and delegation state are live
+/// only while its claims are in flight.
+///
+/// A TLD larger than a worker's share of the pass is claimed in pieces
+/// of that share, so that no claim holds more than one worker's share
+/// and the pass never ends waiting on one worker alone inside the
+/// largest TLD. The share is rounded up to a multiple of
+/// [`FLUSH_EVERY`]: every piece but a TLD's last then streams out in
+/// full batches, and the pass merges as many batches at any worker
+/// count.
+struct ClaimPlan<'a> {
+    claims: Vec<Claim<'a>>,
+    /// By TLD index: its claims not yet completed.
+    open: Vec<AtomicUsize>,
+}
+
+impl<'a> ClaimPlan<'a> {
+    /// The plan over `groups`, the pass's domains of each TLD in TLD
+    /// index order.
+    fn new<G: AsRef<[u32]>>(groups: &'a [G], workers: usize) -> Self {
+        let groups: Vec<&'a [u32]> = groups.iter().map(AsRef::as_ref).collect();
+        let total: usize = groups.iter().map(|g| g.len()).sum();
+        let piece = total
+            .div_ceil(workers.max(1))
+            .next_multiple_of(FLUSH_EVERY)
+            .max(FLUSH_EVERY);
+        let mut order: Vec<usize> = (0..groups.len()).collect();
+        order.sort_by_key(|&tld| (std::cmp::Reverse(groups[tld].len()), tld));
+        let claims: Vec<Claim<'a>> = order
+            .into_iter()
+            .flat_map(|tld| {
+                groups[tld]
+                    .chunks(piece)
+                    .map(move |indices| Claim { tld, indices })
+            })
+            .collect();
+        let open: Vec<AtomicUsize> = groups
+            .iter()
+            .map(|g| AtomicUsize::new(g.len().div_ceil(piece)))
+            .collect();
+        ClaimPlan { claims, open }
+    }
+}
+
 /// Everything a pass worker needs besides the resolver: the streaming
 /// destinations and the fold gate.
 struct PassCtx<'a> {
@@ -339,7 +389,7 @@ struct PassCtx<'a> {
     /// once. Pass 2 folds everything it resolves.
     fold_revisit: bool,
     pop: &'a Population,
-    net: &'a ede_netsim::Network,
+    world: &'a ScanWorld,
     log: &'a QueryLog,
     store: &'a SnapshotStore,
     progress: &'a PassProgress<'a>,
@@ -351,12 +401,14 @@ impl PassCtx<'_> {
         self.fold_revisit || !self.pop.domains[idx].category.needs_revisit()
     }
 
-    /// Deliver one finished chunk: a single progress count, a single
-    /// ring push and a single store merge.
-    fn flush(&self, records: Vec<QueryRecord>, chunk_agg: PartialAggregate) {
+    /// Deliver the batch in `records` and `batch_agg`, leaving both
+    /// empty: a single progress count, a single ring push and a single
+    /// store merge.
+    fn flush(&self, records: &mut Vec<QueryRecord>, batch_agg: &mut PartialAggregate) {
+        let records = std::mem::replace(records, Vec::with_capacity(FLUSH_EVERY));
         self.progress.tick(records.len());
         self.log.push_batch(records);
-        self.store.merge(chunk_agg);
+        self.store.merge(std::mem::take(batch_agg));
     }
 
     /// Build the record for one finished resolution and fold it if the
@@ -365,117 +417,95 @@ impl PassCtx<'_> {
         &self,
         idx: usize,
         res: &Resolution,
-        chunk_agg: &mut PartialAggregate,
+        batch_agg: &mut PartialAggregate,
     ) -> QueryRecord {
-        let rec = record_from(self.pop, idx, res, self.pass, self.net.clock().now_millis());
+        let rec = record_from(
+            self.pop,
+            idx,
+            res,
+            self.pass,
+            self.world.net.clock().now_millis(),
+        );
         if self.folds(idx) {
-            chunk_agg.fold(&rec);
+            batch_agg.fold(&rec);
         }
         rec
     }
 }
 
-/// The one worker loop, shared by both passes: claim a
-/// chunk of `0..count` off the shared cursor, keep up to `inflight`
-/// resumable resolutions in flight on one [`ResolutionPool`], and hand
-/// each finished one to `done` — in completion order, which at a window
-/// of one is claim order.
+/// One pass worker: take the plan's next claim off the shared cursor,
+/// keep up to `inflight` resumable resolutions of it in flight on one
+/// [`ResolutionPool`], and fold each finished one into a **private**
+/// partial aggregate, streamed out every [`FLUSH_EVERY`] results and at
+/// the end of the claim. The worker drains a claim before it takes the
+/// next; the one that completes a TLD's last claim releases the TLD's
+/// chain. Results surface in completion order, which at a window of one
+/// is claim order; the streaming fold is order-independent, so the
+/// window changes nothing downstream.
 ///
-/// `query_of(i)` is the name to resolve and whether the scan asks it
-/// again. Only then does the answer cache keep the answer
+/// A name the scan asks again keeps its answer in the answer cache
 /// ([`Resolver::resolve_with`]); every other name goes through
 /// [`Resolver::resolve_once`]. The choice rides in each task, so it is
 /// the same at any window and worker count.
-fn drive_worker<'a>(
-    resolver: &'a Resolver,
-    count: usize,
-    query_of: impl Fn(usize) -> (&'a Name, bool),
+fn pass_worker(
+    resolver: &Resolver,
+    ctx: &PassCtx<'_>,
+    plan: &ClaimPlan<'_>,
     cursor: &AtomicUsize,
     inflight: usize,
-    mut done: impl FnMut(usize, Resolution),
 ) {
+    let domains = &ctx.pop.domains;
     let mut pool: ResolutionPool<(usize, Resolution)> = ResolutionPool::new(resolver.network());
-    let mut backlog = 0..0;
-    let mut exhausted = false;
-    loop {
-        while pool.in_flight() < inflight && !exhausted {
-            let Some(i) = backlog.next() else {
-                let start = cursor.fetch_add(CLAIM_CHUNK, Ordering::Relaxed);
-                exhausted = start >= count;
-                backlog = start..(start + CLAIM_CHUNK).min(count);
-                continue;
-            };
-            let (qname, asked_again) = query_of(i);
-            pool.spawn(move |handle| async move {
-                let res = if asked_again {
-                    resolver.resolve_with(&handle, qname, RrType::A).await
-                } else {
-                    resolver.resolve_once(&handle, qname, RrType::A).await
-                };
-                (i, res)
-            });
+    let mut records = Vec::with_capacity(FLUSH_EVERY);
+    let mut batch_agg = PartialAggregate::default();
+    while let Some(claim) = plan.claims.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+        let mut pending = claim.indices.iter().map(|&i| i as usize);
+        loop {
+            while pool.in_flight() < inflight {
+                let Some(i) = pending.next() else { break };
+                let d = &domains[i];
+                let (qname, asked_again) = (&d.name, d.category.needs_revisit());
+                pool.spawn(move |handle| async move {
+                    let res = if asked_again {
+                        resolver.resolve_with(&handle, qname, RrType::A).await
+                    } else {
+                        resolver.resolve_once(&handle, qname, RrType::A).await
+                    };
+                    (i, res)
+                });
+            }
+            let Some((i, res)) = pool.next() else { break };
+            records.push(ctx.record(i, &res, &mut batch_agg));
+            if records.len() == FLUSH_EVERY {
+                ctx.flush(&mut records, &mut batch_agg);
+            }
         }
-        match pool.next() {
-            Some((i, res)) => done(i, res),
-            None => break,
+        if !records.is_empty() {
+            ctx.flush(&mut records, &mut batch_agg);
+        }
+        if plan.open[claim.tld].fetch_sub(1, Ordering::AcqRel) == 1 {
+            ctx.world.release_chain(claim.tld);
         }
     }
 }
 
-/// One pass worker: [`drive_worker`] over `indices`, folding each
-/// finished resolution into a **private** partial aggregate and
-/// streaming it out every `CLAIM_CHUNK` results. Results surface in
-/// completion order; the streaming fold is order-independent, so the
-/// window changes nothing downstream.
-fn pass_worker(
-    resolver: &Resolver,
-    ctx: &PassCtx<'_>,
-    indices: &[usize],
-    cursor: &AtomicUsize,
-    inflight: usize,
-) {
-    let pop = ctx.pop;
-    let mut records = Vec::with_capacity(CLAIM_CHUNK);
-    let mut chunk_agg = PartialAggregate::default();
-    drive_worker(
-        resolver,
-        indices.len(),
-        |j| {
-            let d = &pop.domains[indices[j]];
-            (&d.name, d.category.needs_revisit())
-        },
-        cursor,
-        inflight,
-        |j, res| {
-            records.push(ctx.record(indices[j], &res, &mut chunk_agg));
-            if records.len() >= CLAIM_CHUNK {
-                ctx.flush(
-                    std::mem::replace(&mut records, Vec::with_capacity(CLAIM_CHUNK)),
-                    std::mem::take(&mut chunk_agg),
-                );
-            }
-        },
-    );
-    ctx.flush(records, chunk_agg);
-}
-
-/// One parallel pass over `indices`: workers claim chunks off a shared
-/// cursor, fold each chunk into a **private** partial aggregate, and
-/// stream it — one query-log push and one snapshot-store merge per
-/// chunk. There is no end-of-pass output structure at all: by the time
-/// the scope joins, every record is already in the ring and every fold
+/// One parallel pass over `plan`: workers take claims off a shared
+/// cursor, fold each into a **private** partial aggregate, and stream
+/// it — one query-log push and one snapshot-store merge per batch.
+/// There is no end-of-pass output structure at all: by the time the
+/// scope joins, every record is already in the ring and every fold
 /// already merged.
 fn parallel_pass(
     resolver: &Resolver,
     ctx: &PassCtx<'_>,
-    indices: &[usize],
+    plan: &ClaimPlan<'_>,
     workers: usize,
     inflight: usize,
 ) {
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 0..workers.max(1) {
-            s.spawn(|| pass_worker(resolver, ctx, indices, &cursor, inflight));
+            s.spawn(|| pass_worker(resolver, ctx, plan, &cursor, inflight));
         }
     });
 }
@@ -483,11 +513,17 @@ fn parallel_pass(
 /// Run the scan: one pass over every domain, then a clock advance and a
 /// revisit pass over the flap/cache categories (the paper's probes hit
 /// such domains repeatedly through Cloudflare's shared cache). Both
-/// passes run on the worker pool and stream their results — per-chunk
-/// partial aggregates merged into a shared snapshot store, records into
-/// the bounded query-log ring — so there is no end-of-scan aggregation
-/// barrier and no unbounded outcome buffer. Results are bit-identical
+/// passes run on the worker pool, claiming one TLD's domains at a time,
+/// and stream their results — per-batch partial aggregates merged into
+/// a shared snapshot store, records into the bounded query-log ring —
+/// so there is no end-of-scan aggregation barrier and no unbounded
+/// outcome buffer. Results are bit-identical
 /// at any worker count or in-flight window.
+///
+/// The scan keeps only what it reads again: a TLD's NSEC3 chain is
+/// released when the pass's last claim in the TLD completes, and a
+/// domain the scan does not revisit leaves neither its answer nor its
+/// zone's keys in the resolver's caches ([`Resolver::resolve_once`]).
 ///
 /// The scan reports per pass: the virtual clock stands still inside a
 /// pass (the scan world charges no latency), so this thread takes one
@@ -525,33 +561,42 @@ pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanRes
         let _ = resolver.resolve(&tld.name, RrType::Ns);
     }
 
-    let n = pop.domains.len();
-    let first_pass: Vec<usize> = (0..n).collect();
-    let revisit: Vec<usize> = (0..n)
-        .filter(|&i| pop.domains[i].category.needs_revisit())
+    // Pass 1 claims every TLD's children, pass 2 the revisit domains
+    // among them, each TLD-major (see [`ClaimPlan`]).
+    let children: Vec<&[u32]> = (0..pop.tlds.len()).map(|t| world.tld_children(t)).collect();
+    let revisits: Vec<Vec<u32>> = children
+        .iter()
+        .map(|c| {
+            c.iter()
+                .copied()
+                .filter(|&i| pop.domains[i as usize].category.needs_revisit())
+                .collect()
+        })
         .collect();
+    let n = pop.domains.len();
+    let revisit_count: usize = revisits.iter().map(Vec::len).sum();
     let resolutions = AtomicUsize::new(0);
     let progress = PassProgress {
         resolver: &resolver,
         done: &resolutions,
         step: (n / 10).max(1),
-        total: n + revisit.len(),
+        total: n + revisit_count,
         enabled: config.progress,
     };
-    let run_pass = |pass: u8, fold_revisit: bool, indices: &[usize]| {
+    let run_pass = |pass: u8, fold_revisit: bool, plan: &ClaimPlan<'_>| {
         let ctx = PassCtx {
             pass,
             fold_revisit,
             pop,
-            net: &world.net,
+            world,
             log: &log,
             store: &store,
             progress: &progress,
         };
-        parallel_pass(&resolver, &ctx, indices, config.workers, config.inflight)
+        parallel_pass(&resolver, &ctx, plan, config.workers, config.inflight)
     };
     // One snapshot of the store and the counters around it. Only ever
-    // called between passes — every worker joined, every chunk merged —
+    // called between passes — every worker joined, every batch merged —
     // which is what makes its results independent of worker timing.
     let snapshot = |complete: bool| {
         let results = store.finalize(pop);
@@ -584,13 +629,13 @@ pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanRes
 
     // Pass 1: everything, in parallel. Revisit-category domains are
     // recorded but not folded — their final answer comes from pass 2.
-    run_pass(1, false, &first_pass);
+    run_pass(1, false, &ClaimPlan::new(&children, config.workers));
     let pass1 = snapshot(false);
 
     // Pass 2: revisit flap/cache domains after the flap window ("the
     // last response wins", as in a longitudinal probe).
     world.net.clock().advance_secs(120);
-    run_pass(2, true, &revisit);
+    run_pass(2, true, &ClaimPlan::new(&revisits, config.workers));
 
     // The spill is flushed first, so that the final snapshot counts a
     // spill that could not be written as dropped.
@@ -693,6 +738,38 @@ mod tests {
         assert_eq!(serial.cache, parallel.cache);
         assert!(serial.stats.same_results(&parallel.stats));
         assert_eq!(serial.stats.fingerprint, parallel.stats.fingerprint);
+        // The merge count is the claim plan's, which splits a TLD at 16
+        // workers but into pieces that flush in full batches.
+        assert_eq!(serial.stream.merges, parallel.stream.merges);
+    }
+
+    /// A TLD's chain lives while its claims are in flight: once `scan`
+    /// returns, no TLD server holds one, at one worker, at two and at
+    /// sixteen, where the largest TLDs are claimed in pieces.
+    #[test]
+    fn a_finished_scan_holds_no_tld_chain() {
+        let pop = Population::generate(PopulationConfig::tiny());
+        for workers in [1, 2, 16] {
+            let world = ScanWorld::build(&pop);
+            let children: Vec<&[u32]> =
+                (0..pop.tlds.len()).map(|t| world.tld_children(t)).collect();
+            let plan = ClaimPlan::new(&children, workers);
+            let split = children.iter().filter(|c| !c.is_empty()).count() < plan.claims.len();
+            assert_eq!(split, workers == 16, "{workers} workers");
+            scan(
+                &pop,
+                &world,
+                &ScanConfig::builder().workers(workers).build(),
+            );
+            let held: Vec<_> = (0..pop.tlds.len())
+                .filter(|&t| world.holds_chain(t))
+                .map(|t| pop.tlds[t].name.to_string())
+                .collect();
+            assert!(
+                held.is_empty(),
+                "{workers} workers: chains held for {held:?}"
+            );
+        }
     }
 
     /// The event-driven task pools must not buy concurrency with

@@ -1,11 +1,11 @@
 //! The streaming side of the scan: a shared `SnapshotStore` (crate
-//! internal) that workers merge their per-chunk [`PartialAggregate`]s
+//! internal) that workers merge their per-batch [`PartialAggregate`]s
 //! into, and that the scanner's own thread reads once per pass.
 //!
 //! # Merge model
 //!
-//! Workers never share an output buffer: each claim chunk is folded
-//! into a worker-private partial and merged under one short mutex hold
+//! Workers never share an output buffer: each batch of results is
+//! folded into a worker-private partial and merged under one short mutex hold
 //! (`SnapshotStore::merge`). Because [`PartialAggregate::merge`] is
 //! commutative and associative, the merged aggregate at a join is
 //! independent of worker timing — the merge-order determinism rule in
@@ -40,16 +40,16 @@ pub(crate) struct SnapshotStore {
 }
 
 impl SnapshotStore {
-    /// Merge one chunk partial. Called by workers after every claim
-    /// chunk.
-    pub fn merge(&self, chunk: PartialAggregate) {
-        if chunk.domains() == 0 {
+    /// Merge one batch's partial. Called by workers after every batch
+    /// of results.
+    pub fn merge(&self, batch: PartialAggregate) {
+        if batch.domains() == 0 {
             return;
         }
         let t = Instant::now();
         {
             let mut merged = self.merged.lock().expect("snapshot store lock");
-            merged.merge(chunk);
+            merged.merge(batch);
         }
         self.merge_ns
             .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);

@@ -19,7 +19,12 @@
 //!   gets a micro-zone of just the RRsets it can touch, signed per query
 //!   and served by the ordinary [`ede_authority::ZoneServer`] logic. The
 //!   TLD's NSEC3 chain, which insecure referrals and micro-zones draw
-//!   on, is hashed on first use, once per world;
+//!   on, is hashed on first use and held until a scan releases it: the
+//!   scanner claims its work one TLD at a time and empties the TLD's
+//!   chain slot when its last claim there completes, so the chains a
+//!   scan holds are those of the TLDs in flight. A query served after
+//!   that hashes the chain again, to the same records; a world no scan
+//!   runs on (a server's, a table's) keeps each chain once built;
 //! * each **hosting server** answers a child's apex A (and a signed
 //!   child's DNSKEY) the same way, from the record and the child's
 //!   derived keys through [`ede_authority::layout::positive`], unless
@@ -40,7 +45,7 @@
 //! tomorrow.
 
 use crate::category::{Hosting, Row};
-use crate::population::{broken_mode, tld_addr, BrokenMode, DomainRecord, Population};
+use crate::population::{broken_mode, tld_addr, BrokenMode, DomainRecord, Population, TldInfo};
 use ede_authority::{layout, Behavior, ZoneServer, ZoneStore};
 use ede_crypto::nsec3hash::{self, NSEC3_HASH_LEN};
 use ede_netsim::{Network, NetworkBuilder, NetworkConfig, Server, ServerResponse, SimClock};
@@ -52,8 +57,7 @@ use ede_zone::signer::{self, SignerConfig, DEFAULT_WINDOW};
 use ede_zone::{Denial, Nsec3Config, Rrset, Zone, ZoneKey, ZoneKeys};
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
-use std::sync::Arc;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Address of the scan world's root server.
 pub const ROOT_SERVER: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
@@ -84,21 +88,19 @@ struct Registry {
     domains: Arc<[DomainRecord]>,
     /// Domain apex → its place.
     places: HashMap<Name, Place>,
-    /// TLD name → (index, standby, broken_proof).
-    tlds: HashMap<Name, TldEntry>,
-    /// TLD name → the indices of its registered children, in population
-    /// order (a child's ordinal is its position here): the input to
-    /// each TLD's honest NSEC3 chain.
-    children: HashMap<Name, Vec<u32>>,
+    /// By TLD index: the indices of its registered children, in
+    /// population order (a child's ordinal is its position here). The
+    /// input to each TLD's honest NSEC3 chain, and the scanner's claims.
+    children: Vec<Vec<u32>>,
 }
 
 impl Registry {
     fn of(pop: &Population) -> Registry {
-        let mut children: HashMap<Name, Vec<u32>> = HashMap::new();
+        let mut children: Vec<Vec<u32>> = vec![Vec::new(); pop.tlds.len()];
         let mut places = HashMap::with_capacity(pop.domains.len());
         for (index, d) in pop.domains.iter().enumerate() {
             let index = u32::try_from(index).expect("a population fits u32 indices");
-            let siblings = children.entry(pop.tlds[d.tld].name.clone()).or_default();
+            let siblings = &mut children[d.tld];
             let ordinal = siblings.len() as u32;
             places.insert(d.name.clone(), Place { index, ordinal });
             siblings.push(index);
@@ -106,19 +108,6 @@ impl Registry {
         Registry {
             domains: Arc::clone(&pop.domains),
             places,
-            tlds: pop
-                .tlds
-                .iter()
-                .map(|t| {
-                    (
-                        t.name.clone(),
-                        TldEntry {
-                            standby_key: t.standby_key,
-                            broken_insecure_proof: t.broken_insecure_proof,
-                        },
-                    )
-                })
-                .collect(),
             children,
         }
     }
@@ -132,18 +121,17 @@ impl Registry {
     }
 }
 
-#[derive(Clone)]
-struct TldEntry {
-    standby_key: bool,
-    broken_insecure_proof: bool,
-}
-
 /// The built scan world.
 pub struct ScanWorld {
     /// The network to scan.
     pub net: Arc<Network>,
     /// Resolver configuration (root hints + trust anchor).
     pub resolver_config: ResolverConfig,
+    /// The lookup tables the servers share.
+    registry: Arc<Registry>,
+    /// Each TLD's server, by TLD index, for the scanner to release its
+    /// chain through.
+    tld_servers: Vec<Arc<TldServer>>,
 }
 
 /// The `i`-th nameserver host of `apex`: `ns1.<apex>`, `ns2.<apex>`, ….
@@ -354,11 +342,13 @@ enum ChainOwner {
 }
 
 /// The honest NSEC3 chain over one TLD's registry: every owner the
-/// full zone would contain, hashed and sorted once per TLD. Individual
+/// full zone would contain, hashed and sorted in one go. Individual
 /// NSEC3 RRsets are synthesized (and signed) on demand from this index,
 /// so per-query cost stays at one binary search plus one signature —
 /// yet the intervals served to resolvers are globally consistent: none
-/// covers a registered name.
+/// covers a registered name. It is a function of the registry alone, so
+/// a chain built again after a release (see [`TldServer`]) is the same
+/// chain.
 struct TldChain {
     params: Nsec3Config,
     /// (owner hash, kind), sorted by hash.
@@ -510,39 +500,61 @@ const NSEC3_TTL: u32 = 3600;
 /// A TLD server: answers a referral from the child's registry record,
 /// and synthesizes the relevant micro-slice of its zone for every other
 /// query.
+///
+/// Its chain lives in a slot: built by the first query that needs it,
+/// shared by every query after, and emptied only by
+/// [`ScanWorld::release_chain`] — which a scan calls once its last claim
+/// in the TLD completes. The next query that needs the chain then builds
+/// it again.
 struct TldServer {
     tld: Name,
-    entry: TldEntry,
+    /// The TLD's index in the population.
+    index: usize,
+    /// Publishes a stand-by KSK (§4.2.3).
+    standby_key: bool,
+    /// Leaves the NSEC3 proof out of insecure referrals (§4.2.9).
+    broken_insecure_proof: bool,
     registry: Arc<Registry>,
     /// The TLD's keys, derived once instead of per query.
     keys: ZoneKeys,
-    /// Honest registry-wide NSEC3 chain, hashed once on first use.
-    chain: OnceLock<TldChain>,
+    /// Honest registry-wide NSEC3 chain, hashed on first use after
+    /// construction or a release. The lock is held while a chain is
+    /// built, so concurrent queries build it once.
+    chain: Mutex<Option<Arc<TldChain>>>,
 }
 
 impl TldServer {
-    fn new(tld: Name, entry: TldEntry, registry: Arc<Registry>) -> Self {
+    /// The server of `info`, the population's TLD number `index`.
+    fn new(index: usize, info: &TldInfo, registry: Arc<Registry>) -> Self {
+        let tld = info.name.clone();
         let keys = tld_keys(&tld);
         TldServer {
             tld,
-            entry,
+            index,
+            standby_key: info.standby_key,
+            broken_insecure_proof: info.broken_insecure_proof,
             registry,
             keys,
-            chain: OnceLock::new(),
+            chain: Mutex::new(None),
         }
     }
 
-    /// The TLD's honest registry chain.
-    fn chain(&self) -> &TldChain {
-        self.chain.get_or_init(|| {
+    /// The TLD's honest registry chain, built if the slot is empty.
+    fn chain(&self) -> Arc<TldChain> {
+        let mut slot = self.chain.lock().expect("no poisoning");
+        let chain = slot.get_or_insert_with(|| {
             let registry = &self.registry;
-            let indices = registry
-                .children
-                .get(&self.tld)
-                .map_or(&[][..], Vec::as_slice);
+            let indices = &registry.children[self.index];
             let children = indices.iter().map(|&i| &registry.domains[i as usize]);
-            TldChain::build(&self.tld, children)
-        })
+            Arc::new(TldChain::build(&self.tld, children))
+        });
+        Arc::clone(chain)
+    }
+
+    /// Empty the chain slot. A query in flight keeps its own handle on
+    /// the chain until it is done with it.
+    fn release_chain(&self) {
+        self.chain.lock().expect("no poisoning").take();
     }
 
     /// The apex RRset the TLD serves for `qtype` without a zone: its NS
@@ -555,7 +567,7 @@ impl TldServer {
             RrType::Ns => Rrset::new(tld.clone(), 3600, Rdata::Ns(ns_host(tld, 0))),
             RrType::Dnskey => {
                 let mut set = self.keys.dnskey_rrset(tld);
-                if self.entry.standby_key {
+                if self.standby_key {
                     let standby = ZoneKey::generate(tld, "standby", 8, 2048, 257);
                     set.push(standby.dnskey_rdata());
                 }
@@ -594,7 +606,7 @@ impl TldServer {
             // this TLD deliberately lost it (§4.2.9). The record is
             // pulled from the honest registry-wide chain, so its
             // interval never covers another registered name.
-            (!self.entry.broken_insecure_proof).then(|| {
+            (!self.broken_insecure_proof).then(|| {
                 let chain = self.chain();
                 chain.rrset(chain.slot_of(child), &self.tld, &self.keys, DEFAULT_WINDOW)
             })
@@ -649,7 +661,7 @@ impl TldServer {
         // Honest TLDs graft exactly the chain records the queried shape
         // needs, pulled from the registry-wide honest chain; broken TLDs
         // (§4.2.9) publish the PARAM but no chain.
-        if !self.entry.broken_insecure_proof {
+        if !self.broken_insecure_proof {
             let chain = self.chain();
             let mut grafted = std::collections::BTreeSet::new();
             grafted.insert(
@@ -754,15 +766,14 @@ impl ScanWorld {
         net.register(IpAddr::V4(ROOT_SERVER), Arc::new(ZoneServer::new(store)));
 
         // TLD servers.
-        for tld in &pop.tlds {
+        let mut tld_servers = Vec::with_capacity(pop.tlds.len());
+        for (index, tld) in pop.tlds.iter().enumerate() {
+            let server = Arc::new(TldServer::new(index, tld, Arc::clone(&registry)));
             net.register(
                 IpAddr::V4(tld_addr(tld.server_index)),
-                Arc::new(TldServer::new(
-                    tld.name.clone(),
-                    registry.tlds[&tld.name].clone(),
-                    Arc::clone(&registry),
-                )),
+                Arc::clone(&server) as Arc<dyn Server>,
             );
+            tld_servers.push(server);
         }
 
         // Hosting fabric: one shared server object on every healthy
@@ -798,7 +809,32 @@ impl ScanWorld {
         ScanWorld {
             net: Arc::new(net.build(clock)),
             resolver_config,
+            registry,
+            tld_servers,
         }
+    }
+
+    /// The population indices of TLD `tld`'s registered children, in
+    /// population order: the scanner's claims are cut from these.
+    pub(crate) fn tld_children(&self, tld: usize) -> &[u32] {
+        &self.registry.children[tld]
+    }
+
+    /// Drop TLD `tld`'s NSEC3 chain; a later query that needs it builds
+    /// it again. The scanner calls this when its last claim in the TLD
+    /// completes.
+    pub(crate) fn release_chain(&self, tld: usize) {
+        self.tld_servers[tld].release_chain();
+    }
+
+    /// Whether TLD `tld`'s server holds a built chain.
+    #[cfg(test)]
+    pub(crate) fn holds_chain(&self, tld: usize) -> bool {
+        self.tld_servers[tld]
+            .chain
+            .lock()
+            .expect("no poisoning")
+            .is_some()
     }
 }
 
@@ -895,11 +931,7 @@ mod tests {
             assert!(!sample.is_empty(), "population lacks {cat:?}");
             for rec in sample.into_iter().take(3) {
                 let tld = &pop.tlds[rec.tld];
-                let lean = TldServer::new(
-                    tld.name.clone(),
-                    registry.tlds[&tld.name].clone(),
-                    Arc::clone(&registry),
-                );
+                let lean = TldServer::new(rec.tld, tld, Arc::clone(&registry));
                 let full = full_tlds
                     .entry(rec.tld)
                     .or_insert_with(|| full_tld_server(&pop, rec.tld));
@@ -987,11 +1019,7 @@ mod tests {
             hash
         };
         for (index, tld) in pop.tlds.iter().enumerate() {
-            let server = TldServer::new(
-                tld.name.clone(),
-                registry.tlds[&tld.name].clone(),
-                Arc::clone(&registry),
-            );
+            let server = TldServer::new(index, tld, Arc::clone(&registry));
             let chain = server.chain();
             let mut reference = vec![
                 (streamed(&tld.name), ChainOwner::Apex, None),
@@ -1020,6 +1048,40 @@ mod tests {
                 }
             }
             assert_eq!(chain.child_slots, slots, "{}", tld.name);
+        }
+    }
+
+    /// Releasing a TLD's chain changes nothing a resolver can see: the
+    /// referral to an insecure child, which carries the child's record
+    /// of the chain, and an unregistered name's denial, which carries
+    /// covering records, are the same `Message` after a release as
+    /// before it, and the query after the release built the chain again.
+    #[test]
+    fn answers_after_a_chain_release_are_the_answers_before() {
+        let pop = Population::generate(PopulationConfig::tiny());
+        let world = ScanWorld::build(&pop);
+        let rec = pop
+            .domains
+            .iter()
+            .find(|d| !d.category.signed() && !pop.tlds[d.tld].broken_insecure_proof)
+            .expect("an insecure child under an honest TLD");
+        let tld = rec.tld;
+        let server = world.tld_servers[tld].as_ref();
+        let unregistered = pop.tlds[tld].name.child("never-registered").unwrap();
+        for qname in [&rec.name, &unregistered] {
+            let before = reply(server, qname, RrType::A);
+            assert!(
+                before
+                    .authorities
+                    .iter()
+                    .any(|r| r.rtype() == RrType::Nsec3),
+                "{qname}: no chain record in {before:?}"
+            );
+            assert!(world.holds_chain(tld));
+            world.release_chain(tld);
+            assert!(!world.holds_chain(tld));
+            assert_eq!(reply(server, qname, RrType::A), before, "{qname}");
+            assert!(world.holds_chain(tld), "{qname}: the chain was not rebuilt");
         }
     }
 

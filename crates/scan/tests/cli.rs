@@ -106,26 +106,33 @@ fn query_over_a_truncated_ring_says_what_it_never_saw() {
     assert!(caveat.contains("dropped"), "{caveat}");
     assert!(caveat.contains("--log-capacity"), "{caveat}");
 
+    // The hint is a command line to paste: the match-all filter is
+    // quoted, or the shell would expand it to the working directory.
     let spill = std::env::temp_dir().join(format!("ede-cli-spill-{}.jsonl", std::process::id()));
-    let out = repro_scan(&[
-        "1000000",
-        "--fingerprint",
-        "--log-capacity=100",
-        &format!("--log-spill={}", spill.display()),
-        "--query=pass=1",
-    ]);
-    std::fs::remove_file(&spill).ok();
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let caveat = stdout
-        .lines()
-        .find(|l| l.contains("not seen:"))
-        .unwrap_or_else(|| panic!("no caveat for a spilled ring: {stdout}"));
-    assert!(caveat.contains("spilled"), "{caveat}");
-    assert!(
-        caveat.contains(&format!("troubleshoot --log {}", spill.display())),
-        "{caveat}"
-    );
+    for (query, hint) in [("pass=1", "pass=1"), ("", "'*'")] {
+        let out = repro_scan(&[
+            "1000000",
+            "--fingerprint",
+            "--log-capacity=100",
+            &format!("--log-spill={}", spill.display()),
+            &format!("--query={query}"),
+        ]);
+        std::fs::remove_file(&spill).ok();
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let caveat = stdout
+            .lines()
+            .find(|l| l.contains("not seen:"))
+            .unwrap_or_else(|| panic!("no caveat for a spilled ring: {stdout}"));
+        assert!(caveat.contains("spilled"), "{caveat}");
+        assert!(
+            caveat.contains(&format!(
+                "troubleshoot --log {} --query {hint})",
+                spill.display()
+            )),
+            "{caveat}"
+        );
+    }
 }
 
 /// A spill file that cannot be written is not reported as written: its
@@ -181,17 +188,24 @@ fn chaos_unknown_flags_and_bad_values_exit_2_with_usage() {
 /// without a `--`, its value used to be picked up a second time as the
 /// positional scale (1:7, a 43 M-domain population).
 ///
-/// This is also the full (non-smoke) sweep end to end, and on 316
-/// domains its 10 % leg loses two (0.84 %): every check before the
-/// sweep passes, the table is printed, and the resolved-share gate —
-/// nothing else — fails the run with exit 1.
+/// This is also the full (non-smoke) sweep end to end. On 316 domains
+/// seed 7's legs all pass the gate, and seed 3's 10 % leg loses two
+/// (0.84 %): every check before the sweep passes, the table is printed,
+/// and the resolved-share gate — nothing else — fails the run with
+/// exit 1, naming that leg.
 #[test]
 fn chaos_seed_value_is_not_the_scale() {
     let out = repro_chaos(&["--seed", "7", "1000000"]);
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("scale 1:1000000"), "{stderr}");
     assert!(stderr.contains("(seed 0x7)"), "{stderr}");
+    assert!(!stderr.contains("FAIL"), "{stderr}");
+
+    let out = repro_chaos(&["--seed", "3", "1000000"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("(seed 0x3)"), "{stderr}");
     let fails: Vec<&str> = stderr.lines().filter(|l| l.contains("FAIL")).collect();
     assert_eq!(
         fails,
