@@ -1,9 +1,9 @@
 //! Aggregate scan records into the paper's §4.2 / §4.3 numbers.
 //!
-//! Each scan worker folds its results into a private
-//! [`PartialAggregate`], one batch at a time, and merges it into the shared snapshot store as
-//! it goes (see [`crate::stream`]); nothing is buffered until the end
-//! of the scan. [`PartialAggregate::merge`] is commutative and
+//! Each scan worker folds its results into one private
+//! [`PartialAggregate`] as they finish, and the scanner merges the
+//! workers' partials when a pass joins; no record is buffered for the
+//! fold. [`PartialAggregate::merge`] is commutative and
 //! associative (counters add, maps union-add, the nameserver-kind
 //! witness keeps the minimum domain index, rank pairs concatenate and
 //! are sorted when the breakdowns are built), so merge order — and
@@ -52,7 +52,7 @@ struct NsEntry {
     kind: String,
 }
 
-/// One worker's (or one batch's) partial aggregation: every counter the
+/// One worker's partial aggregation: every counter the
 /// report needs, foldable one record at a time and mergeable with any
 /// other partial. `Default` is the empty aggregation.
 #[derive(Debug, Clone, Default)]
@@ -137,8 +137,8 @@ impl PartialAggregate {
 
     /// Merge another partial into this one. Commutative and
     /// associative: `a.merge(b)` then `merge(c)` equals any other
-    /// order, which is what makes the streaming pipeline's final
-    /// numbers independent of worker timing.
+    /// order, which is what makes the scan's numbers independent of
+    /// worker timing.
     pub fn merge(&mut self, other: PartialAggregate) {
         self.domains += other.domains;
         self.ede_domains += other.ede_domains;
@@ -177,11 +177,6 @@ impl PartialAggregate {
         self.tranco.extend(other.tranco);
         self.fp_sum = self.fp_sum.wrapping_add(other.fp_sum);
         self.fp_xor ^= other.fp_xor;
-    }
-
-    /// Domains folded so far.
-    pub fn domains(&self) -> usize {
-        self.domains
     }
 
     /// The commutative scan fingerprint over every folded record's

@@ -1,10 +1,12 @@
 //! Regenerate the §4.2 inventory: run the scaled Internet-wide scan and
 //! print measured vs paper counts per INFO-CODE.
 //!
-//! Usage: repro-scan \[scale\] \[--json | --fingerprint\]
+//! Usage: repro-scan \[scale\] \[--json | \[--fingerprint\] \[--query=EXPR\]\]
 //!        \[--log-capacity=N\] \[--log-spill=PATH\] \[--snapshots=PATH\]
-//!        \[--query=EXPR\]
 //! (scale at least 1; default 1000, i.e. 303k domains)
+//!
+//! `--json` prints one JSON document and nothing else, so it takes
+//! neither `--fingerprint` nor `--query`.
 //!
 //! The answer cache has no budget flag: a scan stores only the answers
 //! its revisit pass reads back (and the TLD priming's), about 1 500
@@ -28,8 +30,8 @@ use std::io::Write as _;
 use std::num::NonZeroU32;
 use std::path::PathBuf;
 
-const USAGE: &str = "usage: repro-scan [scale] [--json | --fingerprint] \
-[--log-capacity=N] [--log-spill=PATH] [--snapshots=PATH] [--query=EXPR]";
+const USAGE: &str = "usage: repro-scan [scale] [--json | [--fingerprint] [--query=EXPR]] \
+[--log-capacity=N] [--log-spill=PATH] [--snapshots=PATH]";
 
 /// A mistyped or retired flag must not silently measure the default
 /// configuration: say what was wrong, print the usage line, exit 2.
@@ -82,6 +84,9 @@ fn main() {
             }
             _ => usage_exit(&format!("unknown or malformed argument {arg:?}")),
         }
+    }
+    if json && (fingerprint || query.is_some()) {
+        usage_exit("--json prints one JSON document: no --fingerprint or --query beside it");
     }
 
     let filter = query.map(|expr| match QueryFilter::parse(&expr) {
@@ -145,15 +150,11 @@ fn main() {
         println!("\n{}", report::traffic_line(&result.stats));
         println!("\n{}", result.metrics.render());
         println!("{}", result.cache.render());
-        // No wall-clock fields here: stdout stays byte-identical across
-        // equal-result runs (merge_ns lives in `ScanResult::stream`).
+        // Nothing here depends on the worker count or the wall clock:
+        // stdout stays byte-identical across equal-result runs.
         println!(
-            "streaming: {} merges, query log peak {}/{} ({} spilled, {} dropped)",
-            result.stream.merges,
-            result.log.peak,
-            result.log.capacity,
-            result.log.spilled,
-            result.log.dropped,
+            "streaming: query log peak {}/{} ({} spilled, {} dropped)",
+            result.log.peak, result.log.capacity, result.log.spilled, result.log.dropped,
         );
     }
 

@@ -214,7 +214,7 @@ fn run_leg(pop: &Population, config: &ChaosConfig, intensity: f64) -> ChaosLeg {
         total: result.stats.ede.total_domains,
         per_code: result.stats.ede.per_code.clone(),
         metrics: result.metrics,
-        traffic: result.traffic_full,
+        traffic: result.stats.traffic,
     }
 }
 

@@ -21,11 +21,10 @@
 //!    input list from a scoped worker pool, one TLD's domains per
 //!    claim (collecting live metrics
 //!    through the `ede-trace` pipeline), with a revisit pass that
-//!    exercises the serve-stale and cached-error paths — results stream
-//!    out as they happen: per-batch partial aggregates merge into a
-//!    shared snapshot store ([`stream`]) and records land in a bounded
-//!    query-log ring ([`querylog`]), so there is no end-of-scan
-//!    aggregation barrier and no unbounded outcome buffer;
+//!    exercises the serve-stale and cached-error paths — each worker
+//!    folds its results into a private partial aggregate, merged when
+//!    the pass joins, and its records land in a bounded query-log ring
+//!    ([`querylog`]), so there is no unbounded outcome buffer;
 //! 4. [`aggregate`] and [`stats`] compute the paper's numbers: the
 //!    §4.2 per-INFO-CODE inventory, nameserver concentration, Figure 1's
 //!    per-TLD CDFs, and Figure 2's Tranco-rank distribution — exposed
@@ -56,14 +55,12 @@ pub mod report;
 pub mod rng;
 pub mod scanner;
 pub mod stats;
-pub mod stream;
 pub mod world;
 
 pub use chaos::{campaign, ChaosConfig, ChaosLeg, ChaosReport};
 pub use population::{Category, DomainRecord, Population, PopulationConfig};
 pub use query::{FilterSummary, QueryFilter};
 pub use querylog::{QueryLog, QueryLogStats, QueryRecord};
-pub use scanner::{scan, ScanConfig, ScanConfigBuilder, ScanResult};
+pub use scanner::{scan, ScanConfig, ScanConfigBuilder, ScanResult, StreamReport};
 pub use stats::v1::StatsSnapshot;
-pub use stream::StreamReport;
 pub use world::ScanWorld;

@@ -118,11 +118,11 @@ pub fn traffic_line(snapshot: &StatsSnapshot) -> String {
         "Traffic: {} resolutions issued {} upstream queries ({} delivered, {} failed) — \
          {:.1} queries/resolution, {:.3} queries/domain \
          (paper: 11.5k pps peak over 12 h for 303M domains)",
-        t.resolutions,
+        snapshot.resolutions,
         t.queries,
         t.delivered,
         t.failed,
-        t.queries_per_resolution(),
+        snapshot.queries_per_resolution(),
         snapshot.queries_per_domain(),
     )
 }

@@ -1,14 +1,14 @@
 //! The scanner: drive a resolver over the whole input list from a
-//! worker pool, folding results into the streaming analytics pipeline
-//! as it goes — per-worker partial aggregates merged into a shared
-//! snapshot store, a bounded query-log ring instead of an unbounded
-//! outcome buffer — plus the revisit pass for flap/cache phenomena.
+//! worker pool, each worker folding its results into one private
+//! partial aggregate that the scan merges when the pass joins, and
+//! pushing its records into a bounded query-log ring instead of an
+//! unbounded outcome buffer — plus the revisit pass for flap/cache
+//! phenomena.
 
 use crate::aggregate::PartialAggregate;
 use crate::population::Population;
 use crate::querylog::{QueryLog, QueryLogStats, QueryRecord};
-use crate::stats::v1::{StatsSnapshot, TrafficStats, SCHEMA_VERSION};
-use crate::stream::{SnapshotStore, StreamReport};
+use crate::stats::v1::{StatsSnapshot, SCHEMA_VERSION};
 use crate::world::ScanWorld;
 use ede_resolver::{
     CacheStatsSnapshot, InfraStatsSnapshot, Resolution, ResolutionPool, Resolver, Vendor,
@@ -21,6 +21,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Shim: the counters of the per-worker L1 tier, which is gone; always
 /// zero. `benchmark/src/ledger.rs` still reads both fields; ROADMAP
@@ -75,6 +76,31 @@ impl ScanCacheReport {
     }
 }
 
+/// The scan's merges of its workers' partial aggregates: one per worker
+/// and pass, when the pass has joined. Reported in [`ScanResult`] and
+/// the bench log.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StreamReport {
+    /// Partial-aggregate merges performed.
+    pub merges: u64,
+    /// Wall-clock nanoseconds spent merging (the `aggregate_merge_ns`
+    /// bench field).
+    pub merge_ns: u64,
+}
+
+impl StreamReport {
+    /// Merge a joined pass's `partials` into `into`, counting and timing
+    /// each merge.
+    fn merge_all(&mut self, into: &mut PartialAggregate, partials: Vec<PartialAggregate>) {
+        for partial in partials {
+            let t = Instant::now();
+            into.merge(partial);
+            self.merge_ns += t.elapsed().as_nanos() as u64;
+            self.merges += 1;
+        }
+    }
+}
+
 /// The complete scan output.
 pub struct ScanResult {
     /// The final streaming-aggregation snapshot (`complete == true`):
@@ -83,8 +109,8 @@ pub struct ScanResult {
     pub stats: StatsSnapshot,
     /// The snapshot taken when pass 1 had joined (`complete == false`):
     /// every non-revisit domain folded, the revisit categories still to
-    /// come. Read after every worker flushed, so it is as deterministic
-    /// in its results as `stats`.
+    /// come. Taken from the merge of every worker's partial, so it is as
+    /// deterministic in its results as `stats`.
     pub pass1: StatsSnapshot,
     /// The query-log ring's retained records, in arrival (`seq`) order.
     /// Both passes appear (a revisited domain has a pass-1 and a pass-2
@@ -94,17 +120,12 @@ pub struct ScanResult {
     pub records: Vec<QueryRecord>,
     /// Query-log occupancy and spill accounting.
     pub log: QueryLogStats,
-    /// Streaming-pipeline counters (merge count and cost).
+    /// The join merges' count and cost.
     pub stream: StreamReport,
-    /// The transport's accounting — the simulated analogue of the
-    /// paper's §5 traffic accounting: queries, delivered, failed, and
-    /// the stream-channel, truncation and fault counters. The number of
-    /// resolutions is in `stats.traffic`.
-    pub traffic_full: ede_netsim::TrafficSnapshot,
     /// Metrics collected through the trace pipeline during the scan
     /// (walk, validation and outcome counters, per-vendor EDE counts,
-    /// latency histograms). Transport counts are `traffic_full`'s and
-    /// cache counts `cache`'s, not counted here a second time.
+    /// latency histograms). Transport counts are `stats.traffic`'s and
+    /// cache counts `stats.cache`'s, not counted here a second time.
     pub metrics: MetricsSnapshot,
     /// Per-tier cache accounting (L2, infra) at the end of the
     /// scan — the same report `stats.cache` carries.
@@ -125,13 +146,6 @@ impl ScanResult {
             last.insert(r.domain, r);
         }
         last.into_values().collect()
-    }
-
-    /// Upstream queries per *registered domain* — the paper's §5 cost
-    /// metric, derived from the shared [`StatsSnapshot`] so the report
-    /// and the bench writer can never drift.
-    pub fn queries_per_domain(&self) -> f64 {
-        self.stats.queries_per_domain()
     }
 }
 
@@ -292,11 +306,10 @@ impl Drop for SinkGuard<'_> {
     }
 }
 
-/// How many results a worker folds before it streams them out: one
-/// query-log push, one partial-aggregate merge and one progress count
-/// per batch, so neither lock nor the shared count is per-resolution
-/// hot. A worker also streams out what it holds at the end of each
-/// claim.
+/// How many records a worker holds before it hands them on: one
+/// query-log push and one progress count per batch, so neither the
+/// ring's lock nor the shared count is per-resolution hot. A worker also
+/// hands on what it holds when it finishes.
 const FLUSH_EVERY: usize = 16;
 
 /// Shared progress state for [`parallel_pass`].
@@ -341,10 +354,7 @@ struct Claim<'a> {
 /// A TLD larger than a worker's share of the pass is claimed in pieces
 /// of that share, so that no claim holds more than one worker's share
 /// and the pass never ends waiting on one worker alone inside the
-/// largest TLD. The share is rounded up to a multiple of
-/// [`FLUSH_EVERY`]: every piece but a TLD's last then streams out in
-/// full batches, and the pass merges as many batches at any worker
-/// count.
+/// largest TLD.
 struct ClaimPlan<'a> {
     claims: Vec<Claim<'a>>,
     /// By TLD index: its claims not yet completed.
@@ -357,10 +367,7 @@ impl<'a> ClaimPlan<'a> {
     fn new<G: AsRef<[u32]>>(groups: &'a [G], workers: usize) -> Self {
         let groups: Vec<&'a [u32]> = groups.iter().map(AsRef::as_ref).collect();
         let total: usize = groups.iter().map(|g| g.len()).sum();
-        let piece = total
-            .div_ceil(workers.max(1))
-            .next_multiple_of(FLUSH_EVERY)
-            .max(FLUSH_EVERY);
+        let piece = total.div_ceil(workers.max(1)).max(1);
         let mut order: Vec<usize> = (0..groups.len()).collect();
         order.sort_by_key(|&tld| (std::cmp::Reverse(groups[tld].len()), tld));
         let claims: Vec<Claim<'a>> = order
@@ -379,8 +386,8 @@ impl<'a> ClaimPlan<'a> {
     }
 }
 
-/// Everything a pass worker needs besides the resolver: the streaming
-/// destinations and the fold gate.
+/// Everything a pass worker needs besides the resolver: the query log,
+/// the progress count and the fold gate.
 struct PassCtx<'a> {
     /// Which pass this is (stamped into records).
     pass: u8,
@@ -391,7 +398,6 @@ struct PassCtx<'a> {
     pop: &'a Population,
     world: &'a ScanWorld,
     log: &'a QueryLog,
-    store: &'a SnapshotStore,
     progress: &'a PassProgress<'a>,
 }
 
@@ -401,24 +407,17 @@ impl PassCtx<'_> {
         self.fold_revisit || !self.pop.domains[idx].category.needs_revisit()
     }
 
-    /// Deliver the batch in `records` and `batch_agg`, leaving both
-    /// empty: a single progress count, a single ring push and a single
-    /// store merge.
-    fn flush(&self, records: &mut Vec<QueryRecord>, batch_agg: &mut PartialAggregate) {
+    /// Deliver the batch in `records`, leaving it empty: a single
+    /// progress count and a single ring push.
+    fn flush(&self, records: &mut Vec<QueryRecord>) {
         let records = std::mem::replace(records, Vec::with_capacity(FLUSH_EVERY));
         self.progress.tick(records.len());
         self.log.push_batch(records);
-        self.store.merge(std::mem::take(batch_agg));
     }
 
-    /// Build the record for one finished resolution and fold it if the
-    /// gate says so.
-    fn record(
-        &self,
-        idx: usize,
-        res: &Resolution,
-        batch_agg: &mut PartialAggregate,
-    ) -> QueryRecord {
+    /// Build the record for one finished resolution and fold it into
+    /// `partial` if the gate says so.
+    fn record(&self, idx: usize, res: &Resolution, partial: &mut PartialAggregate) -> QueryRecord {
         let rec = record_from(
             self.pop,
             idx,
@@ -427,7 +426,7 @@ impl PassCtx<'_> {
             self.world.net.clock().now_millis(),
         );
         if self.folds(idx) {
-            batch_agg.fold(&rec);
+            partial.fold(&rec);
         }
         rec
     }
@@ -435,13 +434,13 @@ impl PassCtx<'_> {
 
 /// One pass worker: take the plan's next claim off the shared cursor,
 /// keep up to `inflight` resumable resolutions of it in flight on one
-/// [`ResolutionPool`], and fold each finished one into a **private**
-/// partial aggregate, streamed out every [`FLUSH_EVERY`] results and at
-/// the end of the claim. The worker drains a claim before it takes the
-/// next; the one that completes a TLD's last claim releases the TLD's
-/// chain. Results surface in completion order, which at a window of one
-/// is claim order; the streaming fold is order-independent, so the
-/// window changes nothing downstream.
+/// [`ResolutionPool`], and fold each finished one into its **private**
+/// partial aggregate, which it returns when the plan is exhausted. Its
+/// records go to the query log every [`FLUSH_EVERY`] results. The worker
+/// drains a claim before it takes the next; the one that completes a
+/// TLD's last claim releases the TLD's chain. Results surface in
+/// completion order, which at a window of one is claim order; the fold
+/// is order-independent, so the window changes nothing downstream.
 ///
 /// A name the scan asks again keeps its answer in the answer cache
 /// ([`Resolver::resolve_with`]); every other name goes through
@@ -453,11 +452,11 @@ fn pass_worker(
     plan: &ClaimPlan<'_>,
     cursor: &AtomicUsize,
     inflight: usize,
-) {
+) -> PartialAggregate {
     let domains = &ctx.pop.domains;
     let mut pool: ResolutionPool<(usize, Resolution)> = ResolutionPool::new(resolver.network());
     let mut records = Vec::with_capacity(FLUSH_EVERY);
-    let mut batch_agg = PartialAggregate::default();
+    let mut partial = PartialAggregate::default();
     while let Some(claim) = plan.claims.get(cursor.fetch_add(1, Ordering::Relaxed)) {
         let mut pending = claim.indices.iter().map(|&i| i as usize);
         loop {
@@ -475,50 +474,52 @@ fn pass_worker(
                 });
             }
             let Some((i, res)) = pool.next() else { break };
-            records.push(ctx.record(i, &res, &mut batch_agg));
+            records.push(ctx.record(i, &res, &mut partial));
             if records.len() == FLUSH_EVERY {
-                ctx.flush(&mut records, &mut batch_agg);
+                ctx.flush(&mut records);
             }
-        }
-        if !records.is_empty() {
-            ctx.flush(&mut records, &mut batch_agg);
         }
         if plan.open[claim.tld].fetch_sub(1, Ordering::AcqRel) == 1 {
             ctx.world.release_chain(claim.tld);
         }
     }
+    if !records.is_empty() {
+        ctx.flush(&mut records);
+    }
+    partial
 }
 
 /// One parallel pass over `plan`: workers take claims off a shared
-/// cursor, fold each into a **private** partial aggregate, and stream
-/// it — one query-log push and one snapshot-store merge per batch.
-/// There is no end-of-pass output structure at all: by the time the
-/// scope joins, every record is already in the ring and every fold
-/// already merged.
+/// cursor and fold them into **private** partial aggregates, which the
+/// pass returns, one per worker, when the scope joins. By then every
+/// record is in the ring.
 fn parallel_pass(
     resolver: &Resolver,
     ctx: &PassCtx<'_>,
     plan: &ClaimPlan<'_>,
     workers: usize,
     inflight: usize,
-) {
+) -> Vec<PartialAggregate> {
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|s| {
-        for _ in 0..workers.max(1) {
-            s.spawn(|| pass_worker(resolver, ctx, plan, &cursor, inflight));
-        }
-    });
+        let handles: Vec<_> = (0..workers.max(1))
+            .map(|_| s.spawn(|| pass_worker(resolver, ctx, plan, &cursor, inflight)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
 }
 
 /// Run the scan: one pass over every domain, then a clock advance and a
 /// revisit pass over the flap/cache categories (the paper's probes hit
 /// such domains repeatedly through Cloudflare's shared cache). Both
-/// passes run on the worker pool, claiming one TLD's domains at a time,
-/// and stream their results — per-batch partial aggregates merged into
-/// a shared snapshot store, records into the bounded query-log ring —
-/// so there is no end-of-scan aggregation barrier and no unbounded
-/// outcome buffer. Results are bit-identical
-/// at any worker count or in-flight window.
+/// passes run on the worker pool, claiming one TLD's domains at a time.
+/// Each worker folds into its own partial aggregate, merged into the
+/// scan's when the pass joins, and pushes its records into the bounded
+/// query-log ring, so there is no unbounded outcome buffer. Results are
+/// bit-identical at any worker count or in-flight window.
 ///
 /// The scan keeps only what it reads again: a TLD's NSEC3 chain is
 /// released when the pass's last claim in the TLD completes, and a
@@ -528,7 +529,8 @@ fn parallel_pass(
 /// The scan reports per pass: the virtual clock stands still inside a
 /// pass (the scan world charges no latency), so this thread takes one
 /// [`StatsSnapshot`] when pass 1 has joined ([`ScanResult::pass1`]) and
-/// one after pass 2 ([`ScanResult::stats`]).
+/// one after pass 2 ([`ScanResult::stats`]), each from the merged
+/// aggregate.
 pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanResult {
     // Every transport/resolver/EDE event of the scan feeds the metrics
     // registry through the trace pipeline. The guard detaches the sink
@@ -547,7 +549,6 @@ pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanRes
 
     let log = QueryLog::new(config.query_log_capacity, config.query_log_spill.as_deref())
         .expect("query-log spill file must be creatable");
-    let store = SnapshotStore::default();
 
     // Prime the infrastructure cache: one serial (TLD, NS) resolution
     // per TLD walks every root→TLD delegation once, *before* the
@@ -590,17 +591,16 @@ pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanRes
             pop,
             world,
             log: &log,
-            store: &store,
             progress: &progress,
         };
         parallel_pass(&resolver, &ctx, plan, config.workers, config.inflight)
     };
-    // One snapshot of the store and the counters around it. Only ever
-    // called between passes — every worker joined, every batch merged —
-    // which is what makes its results independent of worker timing.
-    let snapshot = |complete: bool| {
-        let results = store.finalize(pop);
-        let (queries, delivered, failed) = world.net.stats().snapshot();
+    // One snapshot of the merged aggregate and the counters around it.
+    // Only ever taken between passes — every worker joined, every
+    // partial merged — which is what makes its results independent of
+    // worker timing.
+    let snapshot = |merged: &PartialAggregate, complete: bool| {
+        let results = merged.finalize(pop);
         StatsSnapshot {
             schema_version: SCHEMA_VERSION,
             // Two snapshots per scan: pass 1 is 0, the final one 1.
@@ -617,30 +617,30 @@ pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanRes
                 l2: resolver.cache_stats(),
                 infra: resolver.infra_stats(),
             },
-            traffic: TrafficStats {
-                resolutions: resolutions.load(Ordering::Relaxed),
-                queries,
-                delivered,
-                failed,
-            },
+            resolutions: resolutions.load(Ordering::Relaxed),
+            traffic: world.net.stats().snapshot_full(),
             query_log: log.stats(),
         }
     };
 
     // Pass 1: everything, in parallel. Revisit-category domains are
     // recorded but not folded — their final answer comes from pass 2.
-    run_pass(1, false, &ClaimPlan::new(&children, config.workers));
-    let pass1 = snapshot(false);
+    let mut merged = PartialAggregate::default();
+    let mut stream = StreamReport::default();
+    let partials = run_pass(1, false, &ClaimPlan::new(&children, config.workers));
+    stream.merge_all(&mut merged, partials);
+    let pass1 = snapshot(&merged, false);
 
     // Pass 2: revisit flap/cache domains after the flap window ("the
     // last response wins", as in a longitudinal probe).
     world.net.clock().advance_secs(120);
-    run_pass(2, true, &ClaimPlan::new(&revisits, config.workers));
+    let partials = run_pass(2, true, &ClaimPlan::new(&revisits, config.workers));
+    stream.merge_all(&mut merged, partials);
 
     // The spill is flushed first, so that the final snapshot counts a
     // spill that could not be written as dropped.
     log.flush_spill();
-    let stats = snapshot(true);
+    let stats = snapshot(&merged, true);
     let cache = stats.cache.clone();
 
     let log_stats = log.stats();
@@ -650,8 +650,7 @@ pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanRes
         pass1,
         records,
         log: log_stats,
-        stream: store.report(),
-        traffic_full: world.net.stats().snapshot_full(),
+        stream,
         metrics: metrics.snapshot(),
         cache,
     }
@@ -685,7 +684,7 @@ mod tests {
         let finals = result.final_records();
         assert_eq!(finals.len(), pop.domains.len());
         assert_eq!(result.stats.ede.total_domains, pop.domains.len());
-        assert!(result.stats.traffic.resolutions >= pop.domains.len());
+        assert!(result.stats.resolutions >= pop.domains.len());
         assert!(result.stats.complete);
 
         // Healthy domains resolve cleanly; lame ones carry codes.
@@ -710,7 +709,7 @@ mod tests {
     }
 
     /// The contention work (sharded caches, per-worker buffers,
-    /// singleflight key fetches, streaming merges) must not buy speed
+    /// singleflight key fetches, per-worker partials) must not buy speed
     /// with nondeterminism: 1 worker and 16 workers must produce
     /// identical records, streaming aggregates, metrics counters, and
     /// traffic totals.
@@ -730,17 +729,17 @@ mod tests {
         let serial = run(1);
         let parallel = run(16);
         assert_eq!(serial.final_records(), parallel.final_records());
+        assert_eq!(serial.stats.resolutions, parallel.stats.resolutions);
         assert_eq!(serial.stats.traffic, parallel.stats.traffic);
-        assert_eq!(serial.traffic_full, parallel.traffic_full);
         assert_eq!(serial.metrics, parallel.metrics);
         // The cache tiers' counts are summed over stripes too: L2 and
         // infra alike.
         assert_eq!(serial.cache, parallel.cache);
         assert!(serial.stats.same_results(&parallel.stats));
         assert_eq!(serial.stats.fingerprint, parallel.stats.fingerprint);
-        // The merge count is the claim plan's, which splits a TLD at 16
-        // workers but into pieces that flush in full batches.
-        assert_eq!(serial.stream.merges, parallel.stream.merges);
+        // One merge per worker and pass, when the pass joins.
+        assert_eq!(serial.stream.merges, 2);
+        assert_eq!(parallel.stream.merges, 2 * 16);
     }
 
     /// A TLD's chain lives while its claims are in flight: once `scan`
@@ -795,7 +794,7 @@ mod tests {
             result
         };
         let single = run(1, 1);
-        let resolutions = single.stats.traffic.resolutions as u64;
+        let resolutions = single.stats.resolutions as u64;
         assert_eq!(single.metrics.tasks_spawned, resolutions);
         assert_eq!(single.metrics.inflight_tasks_peak, 1);
         for (workers, inflight) in [(1, 2), (1, 64), (4, 16)] {
@@ -805,8 +804,8 @@ mod tests {
                 pooled.final_records(),
                 "inflight {inflight}"
             );
+            assert_eq!(single.stats.resolutions, pooled.stats.resolutions);
             assert_eq!(single.stats.traffic, pooled.stats.traffic);
-            assert_eq!(single.traffic_full, pooled.traffic_full);
             assert_eq!(single.cache, pooled.cache, "inflight {inflight}");
             assert!(
                 single.stats.same_results(&pooled.stats),

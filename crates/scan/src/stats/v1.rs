@@ -1,11 +1,13 @@
 //! Version 1 of the typed stats API: every number a report renderer
 //! needs, as plain data.
 //!
-//! [`StatsSnapshot`] is the scan's streaming aggregation at one moment
-//! — after pass 1 (`complete == false`, carried in
+//! [`StatsSnapshot`] is the scan's aggregation at one moment — after
+//! pass 1 (`complete == false`, carried in
 //! [`crate::scanner::ScanResult::pass1`]) or final (`complete == true`,
-//! [`crate::scanner::ScanResult::stats`]); both are read when every
-//! worker of the pass has joined. The renderers in
+//! [`crate::scanner::ScanResult::stats`]); both are taken when every
+//! worker of the pass has joined and its partial has been merged. Its
+//! `traffic` is the transport's own [`ede_netsim::TrafficSnapshot`],
+//! not a copy of some of its fields. The renderers in
 //! [`crate::report`] consume these DTOs only; [`StatsSnapshot::to_json`]
 //! is the machine surface, versioned by [`SCHEMA_VERSION`] and pinned
 //! by a golden test.
@@ -73,8 +75,10 @@ pub struct StatsSnapshot {
     pub ranks: RankBucketCurve,
     /// Cache-tier counters (performance facts, not results).
     pub cache: ScanCacheReport,
-    /// Traffic counters (performance facts, not results).
-    pub traffic: TrafficStats,
+    /// Resolutions performed so far (both passes in the final snapshot).
+    pub resolutions: usize,
+    /// The transport's counters (performance facts, not results).
+    pub traffic: ede_netsim::TrafficSnapshot,
     /// Query-log ring occupancy at the snapshot.
     pub query_log: QueryLogStats,
 }
@@ -230,28 +234,12 @@ impl RankBucketCurve {
     }
 }
 
-/// Traffic counters — the single source of `queries_per_domain`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub struct TrafficStats {
-    /// Resolutions performed (both passes).
-    pub resolutions: usize,
-    /// Upstream queries sent.
-    pub queries: u64,
-    /// Delivered.
-    pub delivered: u64,
-    /// Failed.
-    pub failed: u64,
-}
-
-impl TrafficStats {
+impl StatsSnapshot {
     /// Upstream queries per resolution.
     pub fn queries_per_resolution(&self) -> f64 {
-        self.queries as f64 / self.resolutions.max(1) as f64
+        self.traffic.queries as f64 / self.resolutions.max(1) as f64
     }
-}
 
-impl StatsSnapshot {
     /// Upstream queries per registered domain — the paper's §5 cost
     /// metric, derived once here for every consumer (report, bench,
     /// binaries).
@@ -376,7 +364,7 @@ impl StatsSnapshot {
 
         let t = &self.traffic;
         let _ = writeln!(out, "  \"traffic\": {{");
-        let _ = writeln!(out, "    \"resolutions\": {},", t.resolutions);
+        let _ = writeln!(out, "    \"resolutions\": {},", self.resolutions);
         let _ = writeln!(out, "    \"queries\": {},", t.queries);
         let _ = writeln!(out, "    \"delivered\": {},", t.delivered);
         let _ = writeln!(out, "    \"failed\": {},", t.failed);

@@ -357,7 +357,7 @@ fn whole_scan_stays_under_its_allocation_ceiling() {
 }
 
 /// See `whole_scan_stays_under_its_allocation_ceiling`.
-const WHOLE_SCAN_CEILING: f64 = 45.0;
+const WHOLE_SCAN_CEILING: f64 = 40.0;
 
 /// Where the pinned cold resolve allocates: one backtrace per allocator
 /// call, grouped by the nearest three frames of this workspace's crates,

@@ -29,6 +29,8 @@ fn unknown_flags_and_bad_values_exit_2_with_usage() {
         &["1000000", "--fingerprint=yes"], // value on a switch
         &["10e6"],                      // scale unparsable
         &["0", "--fingerprint"],        // scale 0 used to divide by zero
+        &["1000000", "--json", "--query=code=23"], // the summary would follow the document
+        &["1000000", "--json", "--fingerprint"], // one of the two would be ignored
         &["-h"],
     ] {
         let out = repro_scan(args);

@@ -53,7 +53,8 @@ fn streaming_is_bit_identical_to_batch_at_every_cross_point() {
             streaming.final_records(),
             "records diverged at workers={workers} inflight={inflight}"
         );
-        assert_eq!(baseline.traffic_full, streaming.traffic_full);
+        assert_eq!(baseline.stats.traffic, streaming.stats.traffic);
+        assert_eq!(baseline.stats.resolutions, streaming.stats.resolutions);
         // The pass-1 snapshot is read when pass 1 has joined, so it is
         // as independent of worker timing as the final one.
         assert!(!streaming.pass1.complete && streaming.stats.complete);
@@ -64,6 +65,10 @@ fn streaming_is_bit_identical_to_batch_at_every_cross_point() {
         assert_eq!(
             baseline.pass1.traffic, streaming.pass1.traffic,
             "pass-1 traffic diverged at workers={workers} inflight={inflight}"
+        );
+        assert_eq!(
+            baseline.pass1.resolutions, streaming.pass1.resolutions,
+            "pass-1 resolutions diverged at workers={workers} inflight={inflight}"
         );
     }
 }
@@ -114,6 +119,7 @@ fn bounded_ring_spills_and_keeps_the_report_identical() {
         "pass-1 results depend on the ring"
     );
     assert_eq!(unbounded.pass1.traffic, bounded.pass1.traffic);
+    assert_eq!(unbounded.pass1.resolutions, bounded.pass1.resolutions);
     assert!(unbounded.stats.same_results(&bounded.stats));
     assert_eq!(unbounded.stats.fingerprint, bounded.stats.fingerprint);
     assert!(
@@ -128,7 +134,7 @@ fn bounded_ring_spills_and_keeps_the_report_identical() {
     assert_eq!(all.len() as u64, bounded.log.spilled);
     all.extend(bounded.records.iter().cloned());
     all.sort_by_key(|r| r.seq);
-    assert_eq!(all.len(), bounded.stats.traffic.resolutions);
+    assert_eq!(all.len(), bounded.stats.resolutions);
     let mut last: BTreeMap<usize, &QueryRecord> = BTreeMap::new();
     for r in &all {
         last.insert(r.domain, r);
