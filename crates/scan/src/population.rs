@@ -143,10 +143,11 @@ pub struct Population {
     pub config: PopulationConfig,
     /// All TLDs.
     pub tlds: Vec<TldInfo>,
-    /// All domains, in randomized scan order: the only copy of each.
-    /// The scan world's registry indexes this slice (shared, not
-    /// cloned), and a domain's position in it is its index everywhere.
-    pub domains: Arc<[DomainRecord]>,
+    /// All domains, in randomized scan order: the only copy of each, in
+    /// the one buffer the generator filled, exactly sized. The scan
+    /// world's registry indexes it (shared, not cloned), and a domain's
+    /// position in it is its index everywhere.
+    pub domains: Arc<Vec<DomainRecord>>,
     /// Addresses of the healthy hosting pool.
     pub healthy_ns: Vec<Ipv4Addr>,
     /// Addresses of the broken hosting pool (lame nameservers).
@@ -207,11 +208,80 @@ pub fn tld_addr(i: usize) -> Ipv4Addr {
     pool_addr(33, i)
 }
 
+/// How many fully-broken tiny TLDs there are (§4.3): the last 11 gTLDs
+/// and the last 2 ccTLDs.
+const FULLY_BROKEN_TLDS: usize = 13;
+
+/// How a population numbers its domains. A serial is a domain's position
+/// before the scan-order shuffle, and its label spells it: `d{serial:07}`,
+/// or `fb{k:02}x{j:05}` for serial `total + k·per_tld + j` in the
+/// fully-broken tail. Written and read back here, stored nowhere.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Serials {
+    /// Planted domains, before the tail.
+    total: usize,
+    /// Domains per fully-broken TLD.
+    per_tld: usize,
+}
+
+impl Serials {
+    /// The numbering of the population `config` generates.
+    pub(crate) fn of(config: &PopulationConfig) -> Serials {
+        let tail = config.scaled(108_000).max(FULLY_BROKEN_TLDS);
+        Serials {
+            total: config.scaled(303_000_000),
+            per_tld: (tail / FULLY_BROKEN_TLDS).max(1),
+        }
+    }
+
+    /// Number of domains, one per serial.
+    pub(crate) fn len(&self) -> usize {
+        self.total + FULLY_BROKEN_TLDS * self.per_tld
+    }
+
+    /// The label of domain `serial`.
+    pub(crate) fn label(&self, serial: usize) -> String {
+        match serial.checked_sub(self.total) {
+            None => format!("d{serial:07}"),
+            Some(tail) => format!("fb{:02}x{:05}", tail / self.per_tld, tail % self.per_tld),
+        }
+    }
+
+    /// The serial `label` names, if it has either form and the serial is
+    /// in range. A lookup still compares names: `d5` names serial 5 too.
+    pub(crate) fn serial(&self, label: &[u8]) -> Option<usize> {
+        let number = |digits: &[u8]| std::str::from_utf8(digits).ok()?.parse().ok();
+        if let Some(rest) = label.strip_prefix(b"fb") {
+            let x = rest.iter().position(|&b| b == b'x')?;
+            let (k, j) = (number(&rest[..x])?, number(&rest[x + 1..])?);
+            (k < FULLY_BROKEN_TLDS && j < self.per_tld).then(|| self.total + k * self.per_tld + j)
+        } else {
+            number(label.strip_prefix(b"d")?).filter(|&serial| serial < self.total)
+        }
+    }
+}
+
+/// A Zipf draw over broken servers `lo..hi`, server `lo + i` weighing
+/// `weights[i]`: the sum is taken once, and a draw subtracts weights.
+fn broken_zipf(weights: &[f64], lo: usize, hi: usize) -> impl Fn(&mut SplitMix64) -> Ipv4Addr + '_ {
+    let weights = &weights[..hi - lo];
+    let sum: f64 = weights.iter().sum();
+    move |rng| {
+        let mut x = rng.gen_f64() * sum;
+        let hit = weights.iter().position(|w| {
+            x -= w;
+            x <= 0.0
+        });
+        broken_addr(hit.map_or(hi - 1, |i| lo + i))
+    }
+}
+
 impl Population {
     /// Generate a population.
     pub fn generate(config: PopulationConfig) -> Population {
         let mut rng = SplitMix64::seed_from_u64(config.seed);
-        let total = config.scaled(303_000_000);
+        let serials = Serials::of(&config);
+        let total = serials.total;
 
         // --- TLDs ----------------------------------------------------------
         // §4.3: 38 % of gTLDs and 4 % of ccTLDs have no misconfigured
@@ -284,25 +354,13 @@ impl Population {
         // head nameservers accumulate most lame domains. Draws are
         // segment-aware so a category needing a *spoken* failure never
         // lands on a silent server and vice versa.
-        let zipf_in = |rng: &mut SplitMix64, lo: usize, hi: usize| -> usize {
-            debug_assert!(lo < hi);
-            let span = hi - lo;
-            let weights: f64 = (0..span).map(|i| 1.0 / ((i + 1) as f64).powf(1.12)).sum();
-            let mut x = rng.gen_f64() * weights;
-            for i in 0..span {
-                x -= 1.0 / ((i + 1) as f64).powf(1.12);
-                if x <= 0.0 {
-                    return lo + i;
-                }
-            }
-            hi - 1
-        };
+        let zipf_weights: Vec<f64> = (0..broken_ns_count)
+            .map(|i| 1.0 / ((i + 1) as f64).powf(1.12))
+            .collect();
         let rcode_end = silent_start(broken_ns_count);
-        let pick_broken_rcode =
-            |rng: &mut SplitMix64| broken_addr(zipf_in(rng, 0, rcode_end.max(1)));
+        let pick_broken_rcode = broken_zipf(&zipf_weights, 0, rcode_end.max(1));
         let drop_start = rcode_end.min(broken_ns_count - 1);
-        let pick_broken_silent =
-            |rng: &mut SplitMix64| broken_addr(zipf_in(rng, drop_start, broken_ns_count));
+        let pick_broken_silent = broken_zipf(&zipf_weights, drop_start, broken_ns_count);
 
         let draw_ns = |rng: &mut SplitMix64, draw: NsDraw| match draw {
             NsDraw::Healthy => NsAddrs::one(healthy_addr(rng.gen_index(healthy_ns_count))),
@@ -369,7 +427,8 @@ impl Population {
             }
         };
 
-        let mut domains: Vec<DomainRecord> = Vec::with_capacity(total);
+        // One buffer, the fully-broken tail included, that the `Arc` takes.
+        let mut domains: Vec<DomainRecord> = Vec::with_capacity(serials.len());
         for (i, &category) in categories.iter().enumerate() {
             let row = category.row();
             let tld = match row.tld {
@@ -378,7 +437,7 @@ impl Population {
                 TldPlacement::Standby => config.gtlds + (i % 2),
                 TldPlacement::BrokenProof => insecure_tlds[i % insecure_tlds.len()],
             };
-            let label = format!("d{:07}", i);
+            let label = serials.label(i);
             let name = tlds[tld].name.child(&label).expect("valid label");
             let ns_addrs = draw_ns(&mut rng, row.ns);
 
@@ -392,20 +451,16 @@ impl Population {
         }
 
         // --- Fully-broken tiny TLDs (§4.3's 100 %-misconfigured tail) -------------
-        let fully_broken_total = config.scaled(108_000).max(fully_broken.len());
-        let per_tld = (fully_broken_total / fully_broken.len()).max(1);
-        for (k, &t) in fully_broken.iter().enumerate() {
-            for j in 0..per_tld {
-                let label = format!("fb{k:02}x{j:05}");
-                let name = tlds[t].name.child(&label).expect("valid label");
-                domains.push(DomainRecord {
-                    name,
-                    tld: t,
-                    category: FULLY_BROKEN_TLD_MEMBER,
-                    ns_addrs: draw_ns(&mut rng, FULLY_BROKEN_TLD_MEMBER.row().ns),
-                    rank: None,
-                });
-            }
+        for serial in total..serials.len() {
+            let t = fully_broken[(serial - total) / serials.per_tld];
+            let label = serials.label(serial);
+            domains.push(DomainRecord {
+                name: tlds[t].name.child(&label).expect("valid label"),
+                tld: t,
+                category: FULLY_BROKEN_TLD_MEMBER,
+                ns_addrs: draw_ns(&mut rng, FULLY_BROKEN_TLD_MEMBER.row().ns),
+                rank: None,
+            });
         }
 
         // --- Tranco ranks: assigned independently of misconfiguration --------------
@@ -433,7 +488,7 @@ impl Population {
         Population {
             config,
             tlds,
-            domains: domains.into(),
+            domains: Arc::new(domains),
             healthy_ns,
             broken_ns,
         }
@@ -462,6 +517,55 @@ mod tests {
             assert_eq!(x.name, y.name);
             assert_eq!(x.category, y.category);
             assert_eq!(x.ns_addrs, y.ns_addrs);
+        }
+    }
+
+    #[test]
+    fn the_domain_buffer_is_exactly_sized() {
+        let p = Population::generate(PopulationConfig::tiny());
+        assert_eq!(p.domains.len(), p.domains.capacity());
+        assert_eq!(p.domains.len(), Serials::of(&p.config).len());
+    }
+
+    /// Label → serial → label, for both forms, up to the 8-digit labels
+    /// a 1:10 population has, without generating one.
+    #[test]
+    fn labels_and_serials_round_trip() {
+        let tenth = Serials::of(&PopulationConfig {
+            scale: 10,
+            ..Default::default()
+        });
+        assert_eq!(tenth.total, 30_300_000);
+        let tail = tenth.total + 3 * tenth.per_tld + 17;
+        for (serial, label) in [
+            (0, "d0000000"),
+            (5, "d0000005"),
+            (9_999_999, "d9999999"),
+            (10_000_000, "d10000000"),
+            (30_299_999, "d30299999"),
+            (tenth.total, "fb00x00000"),
+            (tail, "fb03x00017"),
+            (tenth.len() - 1, "fb12x00829"),
+        ] {
+            assert_eq!(tenth.label(serial), label);
+            assert_eq!(tenth.serial(label.as_bytes()), Some(serial), "{label}");
+        }
+        let tiny = Serials::of(&PopulationConfig::tiny());
+        for serial in 0..tiny.len() {
+            assert_eq!(tiny.serial(tiny.label(serial).as_bytes()), Some(serial));
+        }
+        for label in [
+            "d0000x05",
+            "d30300000",
+            "e0000005",
+            "fb13x00000",
+            "fb03x00830",
+            "fb03y00017",
+            "fb03x",
+            "d99999999999999999999999",
+            "",
+        ] {
+            assert_eq!(tenth.serial(label.as_bytes()), None, "{label}");
         }
     }
 

@@ -42,9 +42,11 @@
 //! its zone and its server is one row of [`crate::category::ROWS`].
 //! All key material is derived deterministically from names, so a DS
 //! served by a TLD today matches the DNSKEY a hosting server synthesizes
-//! tomorrow.
+//! tomorrow. A domain is found from its name alone: its label spells its
+//! serial, and the registry keeps an 8-byte place per serial.
 
 use crate::category::{Hosting, Row};
+use crate::population::Serials;
 use crate::population::{broken_mode, tld_addr, BrokenMode, DomainRecord, Population, TldInfo};
 use ede_authority::{layout, Behavior, ZoneServer, ZoneStore};
 use ede_crypto::nsec3hash::{self, NSEC3_HASH_LEN};
@@ -74,20 +76,23 @@ struct Registered<'a> {
 }
 
 /// Where a registered domain sits: its index in the population and its
-/// ordinal among its TLD's children.
-#[derive(Clone, Copy)]
+/// ordinal among its TLD's children. 8 bytes a domain.
+#[derive(Clone, Copy, Default)]
 struct Place {
     index: u32,
     ordinal: u32,
 }
 
 /// Shared lookup tables over the population's domains, which they index
-/// rather than copy.
+/// rather than copy. No table is keyed by a name: a name's label spells
+/// its serial ([`Serials`]), and the serial is its slot in `places`.
 struct Registry {
     /// The population's domains, shared with it.
-    domains: Arc<[DomainRecord]>,
-    /// Domain apex → its place.
-    places: HashMap<Name, Place>,
+    domains: Arc<Vec<DomainRecord>>,
+    /// How the population numbers its domains.
+    serials: Serials,
+    /// By serial: the domain's place, exactly one slot per domain.
+    places: Vec<Place>,
     /// By TLD index: the indices of its registered children, in
     /// population order (a child's ordinal is its position here). The
     /// input to each TLD's honest NSEC3 chain, and the scanner's claims.
@@ -95,27 +100,36 @@ struct Registry {
 }
 
 impl Registry {
+    /// The tables over `pop`, which [`Population::generate`] made: each
+    /// name has a serial, or this panics naming it.
     fn of(pop: &Population) -> Registry {
+        let serials = Serials::of(&pop.config);
         let mut children: Vec<Vec<u32>> = vec![Vec::new(); pop.tlds.len()];
-        let mut places = HashMap::with_capacity(pop.domains.len());
+        let mut places = vec![Place::default(); serials.len()];
         for (index, d) in pop.domains.iter().enumerate() {
             let index = u32::try_from(index).expect("a population fits u32 indices");
             let siblings = &mut children[d.tld];
             let ordinal = siblings.len() as u32;
-            places.insert(d.name.clone(), Place { index, ordinal });
+            let serial = d.name.first_label().and_then(|label| serials.serial(label));
+            let serial = serial.unwrap_or_else(|| panic!("{} has no serial", d.name));
+            places[serial] = Place { index, ordinal };
             siblings.push(index);
         }
         Registry {
             domains: Arc::clone(&pop.domains),
+            serials,
             places,
             children,
         }
     }
 
-    /// The registered domain whose apex is `apex`.
+    /// The registered domain whose apex is `apex`: the record at its
+    /// label's serial, if it bears that very name.
     fn get(&self, apex: &Name) -> Option<Registered<'_>> {
-        self.places.get(apex).map(|place| Registered {
-            rec: &self.domains[place.index as usize],
+        let place = self.places.get(self.serials.serial(apex.first_label()?)?)?;
+        let rec = &self.domains[place.index as usize];
+        (rec.name == *apex).then_some(Registered {
+            rec,
             ordinal: place.ordinal,
         })
     }
@@ -912,6 +926,51 @@ mod tests {
         let mut store = ZoneStore::new();
         store.insert(zone);
         ZoneServer::new(store)
+    }
+
+    /// Every domain is found by its own name, at its own index and
+    /// ordinal, and a name that only looks like one is not.
+    #[test]
+    fn the_registry_finds_each_domain_by_its_name_and_no_near_miss() {
+        let pop = Population::generate(PopulationConfig::tiny());
+        let registry = Registry::of(&pop);
+        let mut ordinals = vec![0u32; pop.tlds.len()];
+        for (index, d) in pop.domains.iter().enumerate() {
+            let found = registry.get(&d.name).expect("registered");
+            assert!(std::ptr::eq(found.rec, d), "{}", d.name);
+            assert_eq!(found.ordinal, ordinals[d.tld], "{}", d.name);
+            assert_eq!(
+                registry.children[d.tld][found.ordinal as usize],
+                index as u32
+            );
+            ordinals[d.tld] += 1;
+        }
+
+        let serials = Serials::of(&pop.config);
+        let d = &pop.domains[0];
+        let label = std::str::from_utf8(d.name.first_label().unwrap()).unwrap();
+        let elsewhere = &pop.tlds[(d.tld + 1) % pop.tlds.len()].name;
+        let tld = &pop.tlds[d.tld].name;
+        let per_tld = pop
+            .domains
+            .iter()
+            .filter(|d| d.name.first_label().unwrap().starts_with(b"fb00x"))
+            .count();
+        assert!(per_tld > 0, "no fully-broken tail");
+        let misses = [
+            elsewhere.child(label).unwrap(),
+            tld.child("d5").unwrap(),
+            tld.child(&serials.label(pop.domains.len())).unwrap(),
+            tld.child(&format!("d{:07}", pop.domains.len())).unwrap(),
+            tld.child(&format!("fb00x{per_tld:05}")).unwrap(),
+            tld.child("dabcdefg").unwrap(),
+            tld.child("never-registered").unwrap(),
+            tld.clone(),
+            Name::root(),
+        ];
+        for name in misses {
+            assert!(registry.get(&name).is_none(), "{name} was found");
+        }
     }
 
     /// The lean servers — a referral and the apex NS and DNSKEY sets
