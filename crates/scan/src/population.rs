@@ -36,8 +36,8 @@ pub struct TldInfo {
 pub struct DomainRecord {
     /// Fully qualified registered name.
     pub name: Name,
-    /// Index into [`Population::tlds`].
-    pub tld: usize,
+    /// Index into [`Population::tlds`] (`usize::from(d.tld)`).
+    pub tld: u16,
     /// Planted condition.
     pub category: Category,
     /// Addresses of the domain's nameservers (hosting-pool addresses).
@@ -261,6 +261,15 @@ impl Serials {
     }
 }
 
+/// The name of TLD `i`: the gTLDs come first, then the ccTLDs.
+fn tld_name(config: &PopulationConfig, i: usize) -> Name {
+    let text = match i.checked_sub(config.gtlds) {
+        None => format!("gtld{i:04}"),
+        Some(cc) => format!("cc{cc:03}"),
+    };
+    Name::parse(&text).expect("valid")
+}
+
 /// A Zipf draw over broken servers `lo..hi`, server `lo + i` weighing
 /// `weights[i]`: the sum is taken once, and a draw subtracts weights.
 fn broken_zipf(weights: &[f64], lo: usize, hi: usize) -> impl Fn(&mut SplitMix64) -> Ipv4Addr + '_ {
@@ -282,6 +291,13 @@ impl Population {
         let mut rng = SplitMix64::seed_from_u64(config.seed);
         let serials = Serials::of(&config);
         let total = serials.total;
+        // A domain record holds its TLD's index in a `u16`.
+        let tld_count = config.gtlds + config.cctlds;
+        assert!(
+            tld_count <= usize::from(u16::MAX),
+            "{tld_count} TLDs: a domain record indexes at most 65 535"
+        );
+        let tld_index = |t: usize| u16::try_from(t).expect("checked against the TLD count");
 
         // --- TLDs ----------------------------------------------------------
         // §4.3: 38 % of gTLDs and 4 % of ccTLDs have no misconfigured
@@ -291,7 +307,7 @@ impl Population {
         let mut tlds = Vec::new();
         for i in 0..config.gtlds {
             tlds.push(TldInfo {
-                name: Name::parse(&format!("gtld{i:04}")).expect("valid"),
+                name: tld_name(&config, i),
                 cc: false,
                 standby_key: false,
                 broken_insecure_proof: false,
@@ -300,7 +316,7 @@ impl Population {
         }
         for i in 0..config.cctlds {
             tlds.push(TldInfo {
-                name: Name::parse(&format!("cc{i:03}")).expect("valid"),
+                name: tld_name(&config, config.gtlds + i),
                 cc: true,
                 standby_key: i < 2, // the two stand-by-KSK ccTLDs (§4.2.3)
                 broken_insecure_proof: false,
@@ -443,7 +459,7 @@ impl Population {
 
             domains.push(DomainRecord {
                 name,
-                tld,
+                tld: tld_index(tld),
                 category,
                 ns_addrs,
                 rank: None,
@@ -456,7 +472,7 @@ impl Population {
             let label = serials.label(serial);
             domains.push(DomainRecord {
                 name: tlds[t].name.child(&label).expect("valid label"),
-                tld: t,
+                tld: tld_index(t),
                 category: FULLY_BROKEN_TLD_MEMBER,
                 ns_addrs: draw_ns(&mut rng, FULLY_BROKEN_TLD_MEMBER.row().ns),
                 rank: None,
@@ -507,6 +523,7 @@ impl Population {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ede_wire::name::MAX_INLINE_LEN;
 
     #[test]
     fn generation_is_deterministic() {
@@ -569,6 +586,42 @@ mod tests {
         }
     }
 
+    /// The longest label of each form under the longest gTLD and ccTLD
+    /// names at 1:1, without generating that population: no domain's
+    /// name needs a heap block.
+    #[test]
+    fn every_domain_name_at_full_scale_is_held_inline() {
+        let full = PopulationConfig {
+            scale: 1,
+            ..Default::default()
+        };
+        let serials = Serials::of(&full);
+        let tlds = [full.gtlds - 1, full.gtlds + full.cctlds - 1];
+        for label in [
+            serials.label(serials.total - 1),
+            serials.label(serials.len() - 1),
+        ] {
+            for &t in &tlds {
+                let name = tld_name(&full, t).child(&label).unwrap();
+                assert!(name.wire_len() <= MAX_INLINE_LEN, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_domain_record_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<DomainRecord>(), 48);
+    }
+
+    #[test]
+    #[should_panic(expected = "65536 TLDs")]
+    fn more_tlds_than_a_record_can_index_are_refused() {
+        Population::generate(PopulationConfig {
+            gtlds: 65_536 - 12,
+            ..PopulationConfig::tiny()
+        });
+    }
+
     #[test]
     fn tiny_population_has_all_rare_categories() {
         let p = Population::generate(PopulationConfig::tiny());
@@ -586,11 +639,12 @@ mod tests {
     fn standby_members_live_under_standby_cctlds() {
         let p = Population::generate(PopulationConfig::tiny());
         for d in p.domains.iter() {
+            let tld = &p.tlds[usize::from(d.tld)];
             if d.category == Category::StandbyTldMember {
-                assert!(p.tlds[d.tld].standby_key, "{}", d.name);
+                assert!(tld.standby_key, "{}", d.name);
             }
             if d.category == Category::InsecureProofBroken {
-                assert!(p.tlds[d.tld].broken_insecure_proof, "{}", d.name);
+                assert!(tld.broken_insecure_proof, "{}", d.name);
             }
         }
     }

@@ -283,7 +283,7 @@ fn record_from(
         pass,
         domain: idx,
         name,
-        tld: d.tld,
+        tld: usize::from(d.tld),
         rank: d.rank,
         category: d.category,
         vendor: SCAN_VENDOR,

@@ -108,7 +108,7 @@ impl Registry {
         let mut places = vec![Place::default(); serials.len()];
         for (index, d) in pop.domains.iter().enumerate() {
             let index = u32::try_from(index).expect("a population fits u32 indices");
-            let siblings = &mut children[d.tld];
+            let siblings = &mut children[usize::from(d.tld)];
             let ordinal = siblings.len() as u32;
             let serial = d.name.first_label().and_then(|label| serials.serial(label));
             let serial = serial.unwrap_or_else(|| panic!("{} has no serial", d.name));
@@ -905,7 +905,11 @@ mod tests {
         let host = ns_host(&tld.name, 0);
         zone.add(Record::new(tld.name.clone(), 3600, Rdata::Ns(host.clone())));
         zone.add_a(host, tld_addr(tld.server_index));
-        for d in pop.domains.iter().filter(|d| d.tld == tld_index) {
+        for d in pop
+            .domains
+            .iter()
+            .filter(|d| usize::from(d.tld) == tld_index)
+        {
             add_delegation(&mut zone, d);
         }
         let keys = tld_keys(&tld.name);
@@ -938,19 +942,17 @@ mod tests {
         for (index, d) in pop.domains.iter().enumerate() {
             let found = registry.get(&d.name).expect("registered");
             assert!(std::ptr::eq(found.rec, d), "{}", d.name);
-            assert_eq!(found.ordinal, ordinals[d.tld], "{}", d.name);
-            assert_eq!(
-                registry.children[d.tld][found.ordinal as usize],
-                index as u32
-            );
-            ordinals[d.tld] += 1;
+            let t = usize::from(d.tld);
+            assert_eq!(found.ordinal, ordinals[t], "{}", d.name);
+            assert_eq!(registry.children[t][found.ordinal as usize], index as u32);
+            ordinals[t] += 1;
         }
 
         let serials = Serials::of(&pop.config);
         let d = &pop.domains[0];
         let label = std::str::from_utf8(d.name.first_label().unwrap()).unwrap();
-        let elsewhere = &pop.tlds[(d.tld + 1) % pop.tlds.len()].name;
-        let tld = &pop.tlds[d.tld].name;
+        let elsewhere = &pop.tlds[(usize::from(d.tld) + 1) % pop.tlds.len()].name;
+        let tld = &pop.tlds[usize::from(d.tld)].name;
         let per_tld = pop
             .domains
             .iter()
@@ -989,11 +991,12 @@ mod tests {
             let sample: Vec<_> = pop.domains.iter().filter(|d| d.category == cat).collect();
             assert!(!sample.is_empty(), "population lacks {cat:?}");
             for rec in sample.into_iter().take(3) {
-                let tld = &pop.tlds[rec.tld];
-                let lean = TldServer::new(rec.tld, tld, Arc::clone(&registry));
+                let t = usize::from(rec.tld);
+                let tld = &pop.tlds[t];
+                let lean = TldServer::new(t, tld, Arc::clone(&registry));
                 let full = full_tlds
-                    .entry(rec.tld)
-                    .or_insert_with(|| full_tld_server(&pop, rec.tld));
+                    .entry(t)
+                    .or_insert_with(|| full_tld_server(&pop, t));
                 let below = rec.name.child("www").unwrap();
                 let unregistered = tld.name.child("never-registered").unwrap();
                 for (qname, qtype) in [
@@ -1084,7 +1087,7 @@ mod tests {
                 (streamed(&tld.name), ChainOwner::Apex, None),
                 (streamed(&ns_host(&tld.name, 0)), ChainOwner::Host, None),
             ];
-            let children = pop.domains.iter().filter(|d| d.tld == index);
+            let children = pop.domains.iter().filter(|d| usize::from(d.tld) == index);
             for (ordinal, d) in children.enumerate() {
                 let kind = if d.category.signed() {
                     ChainOwner::Secure
@@ -1122,9 +1125,9 @@ mod tests {
         let rec = pop
             .domains
             .iter()
-            .find(|d| !d.category.signed() && !pop.tlds[d.tld].broken_insecure_proof)
+            .find(|d| !d.category.signed() && !pop.tlds[usize::from(d.tld)].broken_insecure_proof)
             .expect("an insecure child under an honest TLD");
-        let tld = rec.tld;
+        let tld = usize::from(rec.tld);
         let server = world.tld_servers[tld].as_ref();
         let unregistered = pop.tlds[tld].name.child("never-registered").unwrap();
         for qname in [&rec.name, &unregistered] {

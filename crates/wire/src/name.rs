@@ -16,6 +16,8 @@ use std::sync::Arc;
 pub const MAX_LABEL_LEN: usize = 63;
 /// Maximum length of a name on the wire (labels + length octets + root).
 pub const MAX_NAME_LEN: usize = 255;
+/// Longest wire form a [`Name`] holds inside itself, with no heap block.
+pub const MAX_INLINE_LEN: usize = 22;
 /// Most labels a name of [`MAX_NAME_LEN`] octets can hold.
 const MAX_LABELS: usize = MAX_NAME_LEN / 2;
 
@@ -25,25 +27,39 @@ const MAX_LABELS: usize = MAX_NAME_LEN / 2;
 /// (lowercased ASCII at rest), ordered leaf-first.
 ///
 /// A name *is* its canonical wire form (RFC 4034 §6.2: lowercase, no
-/// compression, root octet included), held in one shared heap block:
-/// `buf[start..]`. Names appear in every record, question, cache key and
-/// zone entry and are cloned on all of those paths, so a clone is a
-/// refcount bump; an ancestor ([`Name::parent`], [`Name::suffix`]) is
-/// the same block with a larger `start`, so walking up a name allocates
-/// nothing; and hashing, signing and NSEC3 code borrow the wire form
-/// ([`Name::as_wire`]) instead of building it. Names are immutable after
-/// construction, so the sharing is never observable.
+/// compression, root octet included). A form of at most
+/// [`MAX_INLINE_LEN`] octets sits inside the `Name`, so a short name
+/// owns no heap block and a clone is a copy; a longer one is held in one
+/// shared heap block, `buf[start..]`, so a clone is a refcount bump. An
+/// ancestor ([`Name::parent`], [`Name::suffix`]) of a long name is the
+/// same block with a larger `start`, or an inline copy once it fits, so
+/// walking up a name allocates nothing. Hashing, signing and NSEC3 code
+/// borrow the wire form ([`Name::as_wire`]) instead of building it, and
+/// equality, hashing and ordering compare those bytes, never the form.
+/// Names are immutable after construction, so the sharing is never
+/// observable.
 #[derive(Clone)]
-pub struct Name {
-    /// Wire form of this name or of a descendant it was cut from.
-    /// Invariant: `buf[start..]` is a well-formed uncompressed lowercase
-    /// name of at most [`MAX_NAME_LEN`] octets ending in the root octet.
-    buf: Arc<[u8]>,
-    start: u8,
+pub struct Name(Repr);
+
+/// Where a name's wire form lives. Canonical: `Inline` exactly when the
+/// form has at most [`MAX_INLINE_LEN`] octets. Either way the form is a
+/// well-formed uncompressed lowercase name of at most [`MAX_NAME_LEN`]
+/// octets ending in the root octet.
+#[derive(Clone)]
+enum Repr {
+    /// The form is `bytes[..len]`.
+    Inline {
+        len: u8,
+        bytes: [u8; MAX_INLINE_LEN],
+    },
+    /// The form is `buf[start..]`: this name's, or a descendant's it was
+    /// cut from.
+    Shared { buf: Arc<[u8]>, start: u8 },
 }
 
 /// Wire form under construction: one stack buffer, so that every
-/// constructor makes exactly one heap allocation (the final `Arc`).
+/// constructor allocates at most once (the final `Arc`), and never for
+/// a name of at most [`MAX_INLINE_LEN`] octets.
 struct Builder {
     buf: [u8; MAX_NAME_LEN],
     len: usize,
@@ -83,9 +99,14 @@ impl Builder {
             return Err(WireError::NameTooLong);
         }
         self.buf[self.len..end].copy_from_slice(tail);
-        Ok(Name {
-            buf: Arc::from(&self.buf[..end]),
-            start: 0,
+        let wire = &self.buf[..end];
+        Ok(if end <= MAX_INLINE_LEN {
+            Name::inline(wire)
+        } else {
+            Name(Repr::Shared {
+                buf: Arc::from(wire),
+                start: 0,
+            })
         })
     }
 
@@ -120,12 +141,30 @@ impl<'a> Iterator for Labels<'a> {
 impl Name {
     /// The root name `.`.
     pub fn root() -> Self {
-        // One shared block: the root is constructed often (zone walks,
-        // parent() chains ending at the root zone).
-        static ROOT: std::sync::OnceLock<Arc<[u8]>> = std::sync::OnceLock::new();
-        Name {
-            buf: Arc::clone(ROOT.get_or_init(|| Arc::from(&[0u8][..]))),
-            start: 0,
+        Name::inline(&[0])
+    }
+
+    /// A name held inline; `wire` is canonical and fits.
+    fn inline(wire: &[u8]) -> Self {
+        let mut bytes = [0; MAX_INLINE_LEN];
+        bytes[..wire.len()].copy_from_slice(wire);
+        Name(Repr::Inline {
+            len: wire.len() as u8,
+            bytes,
+        })
+    }
+
+    /// The ancestor whose wire form starts `at` octets into this one's:
+    /// inline if it fits, else the same shared block.
+    fn tail(&self, at: usize) -> Self {
+        match &self.0 {
+            Repr::Shared { buf, start } if self.wire_len() - at > MAX_INLINE_LEN => {
+                Name(Repr::Shared {
+                    buf: Arc::clone(buf),
+                    start: start + at as u8,
+                })
+            }
+            _ => Name::inline(&self.as_wire()[at..]),
         }
     }
 
@@ -170,19 +209,16 @@ impl Name {
     }
 
     /// The name with the leftmost label removed; `None` for the root.
-    /// Shares `self`'s storage: no allocation.
+    /// Shares `self`'s storage or copies a short tail: no allocation.
     pub fn parent(&self) -> Option<Self> {
-        let len = self.as_wire()[0];
-        (len != 0).then(|| Name {
-            buf: Arc::clone(&self.buf),
-            start: self.start + 1 + len,
-        })
+        let len = usize::from(self.as_wire()[0]);
+        (len != 0).then(|| self.tail(1 + len))
     }
 
     /// The ancestor made of the rightmost `labels` labels — `self` when
     /// it has no more than that. `suffix(1)` of `www.example.com` is
     /// `com`, `suffix(2)` the registered domain. Shares `self`'s
-    /// storage: no allocation.
+    /// storage or copies a short tail: no allocation.
     pub fn suffix(&self, labels: usize) -> Self {
         let wire = self.as_wire();
         let mut skip = self.label_count().saturating_sub(labels);
@@ -191,10 +227,7 @@ impl Name {
             at += 1 + usize::from(wire[at]);
             skip -= 1;
         }
-        Name {
-            buf: Arc::clone(&self.buf),
-            start: self.start + at as u8,
-        }
+        self.tail(at)
     }
 
     /// Number of labels (0 for the root). This is the RRSIG `labels` field
@@ -243,7 +276,10 @@ impl Name {
     /// lowercase labels, no compression, root octet last. This is the
     /// form hashed by NSEC3 and signed by RRSIG.
     pub fn as_wire(&self) -> &[u8] {
-        &self.buf[usize::from(self.start)..]
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Repr::Shared { buf, start } => &buf[usize::from(*start)..],
+        }
     }
 
     /// [`Name::as_wire`] as an owned buffer.
@@ -627,6 +663,39 @@ mod tests {
         assert!(n("example.com").is_subdomain_of(&Name::root()));
         assert!(!n("example.com").is_subdomain_of(&n("example.org")));
         assert!(!n("xexample.com").is_subdomain_of(&n("example.com")));
+    }
+
+    fn is_inline(name: &Name) -> bool {
+        matches!(name.0, Repr::Inline { .. })
+    }
+
+    #[test]
+    fn a_name_is_no_larger_than_the_shared_form_was() {
+        assert_eq!(std::mem::size_of::<Name>(), 24);
+        assert_eq!(std::mem::size_of::<Option<Name>>(), 24);
+    }
+
+    /// Inline exactly when the wire form fits, however the name was made.
+    #[test]
+    fn the_form_follows_the_length() {
+        // 1 + 16 + 1 + 3 + 1 = 22 octets; one more letter is 23.
+        let fits = n("abcdefghijklmnop.com");
+        let long = n("abcdefghijklmnopq.com");
+        assert_eq!((fits.wire_len(), long.wire_len()), (MAX_INLINE_LEN, 23));
+        assert!(is_inline(&fits) && !is_inline(&long));
+        assert!(is_inline(&Name::root()));
+        assert!(is_inline(&long.parent().unwrap()));
+        assert!(is_inline(&long.suffix(1)));
+        let deep = n("a.abcdefghijklmnopq.com");
+        assert!(!is_inline(&deep.parent().unwrap()));
+        assert_eq!(deep.parent().unwrap(), long);
+        let above_fits = n("a.abcdefghijklmnop.com");
+        assert!(!is_inline(&above_fits) && is_inline(&above_fits.parent().unwrap()));
+        assert_eq!(above_fits.suffix(2), fits);
+        assert!(is_inline(&fits.child("a").unwrap().parent().unwrap()));
+        assert!(!is_inline(&fits.child("a").unwrap()));
+        let mut pos = 0;
+        assert!(!is_inline(&Name::decode(long.as_wire(), &mut pos).unwrap()));
     }
 
     #[test]

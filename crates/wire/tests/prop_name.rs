@@ -1,13 +1,15 @@
 //! `Name` against a label-vector reference model.
 //!
-//! `Name` keeps its canonical wire form in one shared buffer and cuts
-//! ancestors out of it by offset. The model here is the obvious
-//! representation — a vector of lowercased labels, leaf first — with
-//! every operation written the slow, plain way; the properties hold the
-//! two against each other on seeded random names (SplitMix64, so every
-//! failure reproduces), names cut out of longer names included.
+//! `Name` keeps a canonical wire form of up to `MAX_INLINE_LEN` octets
+//! inside itself and a longer one in a shared buffer it cuts ancestors
+//! out of by offset. The model here is the obvious representation — a
+//! vector of lowercased labels, leaf first — with every operation
+//! written the slow, plain way; the properties hold the two against
+//! each other on seeded random names (SplitMix64, so every failure
+//! reproduces), names cut out of longer names and names on both sides
+//! of the inline limit included.
 
-use ede_wire::name::Compressor;
+use ede_wire::name::{Compressor, MAX_INLINE_LEN};
 use ede_wire::Name;
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
@@ -106,12 +108,36 @@ fn arb_label(rng: &mut Rng) -> Vec<u8> {
         .collect()
 }
 
+/// Wire lengths on both sides of the inline limit, and a long one.
+const EDGE_LENGTHS: [usize; 4] = [MAX_INLINE_LEN - 1, MAX_INLINE_LEN, MAX_INLINE_LEN + 1, 80];
+
+/// Labels (mixed case) whose wire form is exactly `wire_len` octets.
+fn arb_sized(rng: &mut Rng, wire_len: usize) -> Vec<Vec<u8>> {
+    let mut labels = Vec::new();
+    let mut left = wire_len - 1;
+    while left > 0 {
+        let mut len = 1 + rng.below(12.min(left as u64 - 1)) as usize;
+        if left - 1 - len == 1 {
+            len = left - 1; // one octet cannot hold a label
+        }
+        labels.push(
+            (0..len)
+                .map(|_| LABEL_BYTES[rng.below(LABEL_BYTES.len() as u64) as usize])
+                .collect(),
+        );
+        left -= 1 + len;
+    }
+    labels
+}
+
 /// A random name (mixed case going in) and its model, as likely as not
 /// cut out of a longer name so that offsets into shared storage are
-/// exercised.
+/// exercised, and one time in four of a wire length in [`EDGE_LENGTHS`].
 fn arb_pair(rng: &mut Rng) -> (Name, Model) {
-    let n = rng.below(6) as usize;
-    let labels: Vec<Vec<u8>> = (0..n).map(|_| arb_label(rng)).collect();
+    let labels: Vec<Vec<u8>> = match rng.below(8) as usize {
+        edge @ 0..=3 => arb_sized(rng, EDGE_LENGTHS[edge]),
+        _ => (0..rng.below(6)).map(|_| arb_label(rng)).collect(),
+    };
     let mut name = Name::from_labels(&labels).expect("short enough");
     let mut model = Model(labels.iter().map(|l| l.to_ascii_lowercase()).collect());
     for _ in 0..rng.below(3) {
@@ -262,6 +288,71 @@ fn decode_follows_compression_pointers() {
         pointers_followed > 100,
         "only {pointers_followed} compressed"
     );
+}
+
+/// Every observable of `name` agrees with those of `fresh`, a name
+/// parsed from the same text.
+fn assert_agree(name: &Name, fresh: &Name, case: usize) {
+    assert_eq!(name.as_wire(), fresh.as_wire(), "case {case}");
+    assert_eq!(name, fresh, "case {case}");
+    assert_eq!(std_hash(name), std_hash(fresh), "case {case}");
+    assert_eq!(name.cmp(fresh), Ordering::Equal, "case {case}");
+    assert_eq!(name.shard_hash(), fresh.shard_hash(), "case {case}");
+    assert_eq!(name.to_string(), fresh.to_string(), "case {case}");
+}
+
+/// However a name was made — parsed, built, cut out of a longer name —
+/// and whichever side of the inline limit it and its ancestors fall
+/// on, it is indistinguishable from the name parsed from its text, and
+/// so is each ancestor `parent()` steps up to.
+#[test]
+fn both_forms_agree_with_a_freshly_parsed_name() {
+    let mut rng = Rng(0x000d_5eed);
+    let mut lengths_seen = [0usize; EDGE_LENGTHS.len()];
+    for case in 0..2000 {
+        let (name, mut model) = arb_pair(&mut rng);
+        if let Some(i) = EDGE_LENGTHS.iter().position(|&l| l == name.wire_len()) {
+            lengths_seen[i] += 1;
+        }
+        assert_agree(&name, &Name::parse(&model.text()).unwrap(), case);
+        let mut step = name;
+        while let (Some(p), Some(m)) = (step.parent(), model.parent()) {
+            assert_agree(&p, &Name::parse(&m.text()).unwrap(), case);
+            (step, model) = (p, m);
+        }
+        assert!(step.is_root() && model.0.is_empty(), "case {case}");
+    }
+    assert!(lengths_seen.iter().all(|&n| n > 50), "{lengths_seen:?}");
+}
+
+/// A name on either side of the inline limit, written as its own suffix
+/// (root to whole name) and then the name compressed against it, so
+/// that the pointer lands on every label boundary, decodes to the name
+/// parsed from its text.
+#[test]
+fn decode_across_the_inline_limit_gives_the_parsed_name() {
+    let mut rng = Rng(0x000e_5eed);
+    for case in 0..400 {
+        let model = Model(
+            arb_sized(&mut rng, EDGE_LENGTHS[case % EDGE_LENGTHS.len()])
+                .iter()
+                .map(|l| l.to_ascii_lowercase())
+                .collect(),
+        );
+        let parsed = Name::parse(&model.text()).unwrap();
+        for keep in 0..=model.0.len() {
+            let mut buf = vec![0u8; rng.below(8) as usize];
+            let mut compressor = Compressor::new();
+            parsed.suffix(keep).encode(&mut buf, Some(&mut compressor));
+            let at = buf.len();
+            parsed.encode(&mut buf, Some(&mut compressor));
+            assert_eq!(keep == 0, buf.len() - at == parsed.wire_len());
+            let mut pos = at;
+            let decoded = Name::decode(&buf, &mut pos).unwrap();
+            assert_eq!(pos, buf.len(), "case {case}");
+            assert_agree(&decoded, &parsed, case);
+        }
+    }
 }
 
 /// RFC 4034 §6.1's own example, sorted by `Ord`.
