@@ -6,8 +6,7 @@ use std::net::IpAddr;
 ///
 /// These reproduce the §3 testbed ACL cases and the §4.2 wild-scan
 /// failure modes: REFUSED (267 k nameservers), SERVFAIL (21 k), timeouts
-/// (15 k), NOTAUTH (§4.2.13), EDNS-oblivious servers (§4.2.6) and
-/// REFUSED-for-non-recursive-queries (§4.2.14).
+/// (15 k), NOTAUTH (§4.2.13) and EDNS-oblivious servers (§4.2.6).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Behavior {
     /// Answer normally.
@@ -28,9 +27,6 @@ pub enum Behavior {
     /// Pre-EDNS legacy server: answers, but ignores the OPT record and
     /// never includes one in responses (§4.2.6 *Invalid Data*).
     NoEdns,
-    /// REFUSED for queries without the RD bit — breaks iterative
-    /// resolution while looking fine to stub clients (§4.2.14).
-    RefuseNonRecursive,
 }
 
 impl Behavior {

@@ -2,7 +2,7 @@
 
 use crate::layout::push_rrset;
 use ede_wire::{Name, Rdata, Record, RrType};
-use ede_zone::{nsec, nsec3, Nsec3Config, Rrset, Zone};
+use ede_zone::{nsec3, Nsec3Config, Rrset, Zone};
 
 /// Read the zone's NSEC3 parameters.
 ///
@@ -65,7 +65,9 @@ fn nearby_nsec3(zone: &Zone, dnssec: bool, out: &mut Vec<Record>) {
 }
 
 /// NSEC3 proof for a NODATA answer, appended to `out`: the single NSEC3
-/// matching `qname` (whose bitmap shows the queried type absent).
+/// matching `qname` (whose bitmap shows the queried type absent). At a
+/// delegation without DS it is also the proof that the delegation is
+/// insecure: the bitmap there has NS but not DS.
 pub fn nodata_proof(
     zone: &Zone,
     params: &Nsec3Config,
@@ -123,59 +125,6 @@ pub fn nxdomain_proof(
     }
     if out.len() == proof_at && params_consistent(zone, params) {
         nearby_nsec3(zone, dnssec, out);
-    }
-}
-
-/// NSEC3 proof that a delegation is insecure (no DS), appended to `out`:
-/// the NSEC3 matching the delegation owner, whose bitmap has NS but not
-/// DS.
-pub fn no_ds_proof(
-    zone: &Zone,
-    params: &Nsec3Config,
-    deleg: &Name,
-    dnssec: bool,
-    out: &mut Vec<Record>,
-) {
-    nodata_proof(zone, params, deleg, dnssec, out)
-}
-
-/// Does the zone use plain NSEC denial (any NSEC RRset present)?
-pub fn zone_uses_nsec(zone: &Zone) -> bool {
-    zone.get(zone.apex(), RrType::Nsec).is_some()
-}
-
-/// Plain-NSEC proof for a NODATA answer, appended to `out`: the NSEC
-/// matching `qname`.
-pub fn nsec_nodata_proof(zone: &Zone, qname: &Name, dnssec: bool, out: &mut Vec<Record>) {
-    if let Some(set) = nsec::find_matching(zone, qname) {
-        push_rrset(out, set, dnssec);
-    }
-}
-
-/// Plain-NSEC proof for NXDOMAIN, appended to `out`: cover the name and
-/// the wildcard at the closest encloser (RFC 4035 §3.1.3.2).
-pub fn nsec_nxdomain_proof(zone: &Zone, qname: &Name, dnssec: bool, out: &mut Vec<Record>) {
-    let mut seen = std::collections::BTreeSet::new();
-    let mut push_unique = |set: Option<&Rrset>, out: &mut Vec<Record>| {
-        if let Some(set) = set {
-            if seen.insert(set.name.clone()) {
-                push_rrset(out, set, dnssec);
-            }
-        }
-    };
-    push_unique(nsec::find_covering(zone, qname), out);
-    // Wildcard cover at the closest existing encloser.
-    let mut encloser = qname.parent();
-    while let Some(e) = encloser.clone() {
-        if zone.name_exists_or_ent(&e) || e == *zone.apex() {
-            break;
-        }
-        encloser = e.parent();
-    }
-    if let Some(e) = encloser {
-        if let Ok(wildcard) = e.child("*") {
-            push_unique(nsec::find_covering(zone, &wildcard), out);
-        }
     }
 }
 

@@ -8,7 +8,8 @@
 //! * referrals at zone cuts with DS records (secure delegation) or NSEC3
 //!   opt-in proofs of DS absence (insecure delegation), plus glue;
 //! * NODATA and NXDOMAIN responses with the full RFC 5155 NSEC3 proof
-//!   set (closest-encloser match, next-closer cover, wildcard cover);
+//!   set (closest-encloser match, next-closer cover, wildcard cover) —
+//!   NSEC3 is the only denial chain a zone here carries;
 //! * authoritative DS answers at the parent side of a cut.
 //!
 //! Where the RRsets of a referral and of a positive answer go is written
@@ -17,8 +18,11 @@
 //! [`behavior::Behavior`] layers the fault modes the paper observes in
 //! the wild on top: REFUSED-to-everyone, client ACLs
 //! (`allow-query-none` / `allow-query-localhost`), SERVFAIL, NOTAUTH,
-//! silent drops, EDNS-oblivious legacy servers, and servers that refuse
-//! non-recursive queries (§4.2.14).
+//! silent drops and EDNS-oblivious legacy servers.
+//!
+//! A server answers every query in full on either channel: whether a
+//! datagram reply is truncated is the link's decision (the fault plan's
+//! response-size model in `ede-netsim`), not the server's.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,10 +1,7 @@
 //! The authoritative query-processing state machine.
 
 use crate::behavior::Behavior;
-use crate::denial::{
-    no_ds_proof, nodata_proof, nsec_nodata_proof, nsec_nxdomain_proof, nxdomain_proof,
-    zone_nsec3_params, zone_uses_nsec,
-};
+use crate::denial::{nodata_proof, nxdomain_proof, zone_nsec3_params};
 use crate::layout::{self, push_rrset};
 use crate::store::ZoneStore;
 use ede_netsim::{Server, ServerResponse};
@@ -18,7 +15,6 @@ pub struct ZoneServer {
     store: ZoneStore,
     behavior: Behavior,
     tracer: TracerCell,
-    payload_cap: Option<u16>,
 }
 
 impl ZoneServer {
@@ -28,7 +24,6 @@ impl ZoneServer {
             store,
             behavior: Behavior::Normal,
             tracer: TracerCell::default(),
-            payload_cap: None,
         }
     }
 
@@ -38,19 +33,7 @@ impl ZoneServer {
             store,
             behavior,
             tracer: TracerCell::default(),
-            payload_cap: None,
         }
-    }
-
-    /// Cap this server's UDP answers at `cap` bytes (floored at the
-    /// classic 512): a datagram answer whose encoding exceeds
-    /// `min(cap, the client's advertised EDNS payload size)` goes out
-    /// as its TC=1 truncation instead, and the full answer is only
-    /// served over the stream channel. No cap (the default) means the
-    /// datagram path always carries the full answer.
-    pub fn with_payload_cap(mut self, cap: u16) -> Self {
-        self.payload_cap = Some(cap.max(512));
-        self
     }
 
     /// Attach a tracer: every answered query emits an
@@ -100,9 +83,6 @@ impl ZoneServer {
             }
             Behavior::ServfailAll => return rcode_reply(query, Rcode::ServFail),
             Behavior::NotAuthAll => return rcode_reply(query, Rcode::NotAuth),
-            Behavior::RefuseNonRecursive if !query.recursion_desired => {
-                return rcode_reply(query, Rcode::Refused)
-            }
             _ => {}
         }
 
@@ -151,10 +131,8 @@ impl ZoneServer {
 
         // An insecure delegation: the zone's own proof that no DS exists.
         if dnssec_ok && ds.is_none() {
-            if zone_uses_nsec(zone) {
-                nsec_nodata_proof(zone, deleg, true, &mut resp.authorities);
-            } else if let Some(params) = zone_nsec3_params(zone) {
-                no_ds_proof(zone, &params, deleg, true, &mut resp.authorities);
+            if let Some(params) = zone_nsec3_params(zone) {
+                nodata_proof(zone, &params, deleg, true, &mut resp.authorities);
             }
         }
     }
@@ -200,39 +178,30 @@ impl ZoneServer {
 
         // Negative answers carry the SOA; signed zones add denial proofs.
         let soa = zone.soa();
-        let params = zone_nsec3_params(zone);
-        let uses_nsec = zone_uses_nsec(zone);
         // A server that lost its NSEC3PARAM record no longer knows the
         // zone is NSEC3-signed: it cannot locate denial records and its
         // negative responses go out entirely unsigned — the behavior
         // behind the paper's `nsec3param-missing` / `no-nsec3param-nsec3`
-        // cases. Plain-NSEC zones need no PARAM.
-        let can_prove = uses_nsec || zone.get(zone.apex(), RrType::Nsec3param).is_some();
+        // cases.
+        let can_prove = zone.get(zone.apex(), RrType::Nsec3param).is_some();
         let negative_dnssec = dnssec_ok && can_prove;
+        let params = negative_dnssec.then(|| zone_nsec3_params(zone)).flatten();
 
         if zone.name_exists_or_ent(qname) {
             // NODATA.
             if let Some(soa) = soa {
                 push_rrset(&mut resp.authorities, soa, negative_dnssec);
             }
-            if negative_dnssec {
-                if uses_nsec {
-                    nsec_nodata_proof(zone, qname, true, &mut resp.authorities);
-                } else if let Some(params) = &params {
-                    nodata_proof(zone, params, qname, true, &mut resp.authorities);
-                }
+            if let Some(params) = &params {
+                nodata_proof(zone, params, qname, true, &mut resp.authorities);
             }
         } else {
             resp.rcode = Rcode::NxDomain;
             if let Some(soa) = soa {
                 push_rrset(&mut resp.authorities, soa, negative_dnssec);
             }
-            if negative_dnssec {
-                if uses_nsec {
-                    nsec_nxdomain_proof(zone, qname, true, &mut resp.authorities);
-                } else if let Some(params) = &params {
-                    nxdomain_proof(zone, params, qname, true, &mut resp.authorities);
-                }
+            if let Some(params) = &params {
+                nxdomain_proof(zone, params, qname, true, &mut resp.authorities);
             }
         }
     }
@@ -240,25 +209,6 @@ impl ZoneServer {
 
 impl Server for ZoneServer {
     fn handle(&self, query: &Message, src: IpAddr, _now: u32) -> ServerResponse {
-        let resp = self.answer(query, src);
-        let Some(cap) = self.payload_cap else {
-            return resp;
-        };
-        match resp {
-            ServerResponse::Reply(m) => {
-                let limit = cap.min(query.advertised_payload_size());
-                if !m.truncated && m.encoded_len() > usize::from(limit) {
-                    ServerResponse::Reply(m.truncated_copy())
-                } else {
-                    ServerResponse::Reply(m)
-                }
-            }
-            drop => drop,
-        }
-    }
-
-    fn handle_stream(&self, query: &Message, src: IpAddr, _now: u32) -> ServerResponse {
-        // Streams have no size limit: the full answer, cap or not.
         self.answer(query, src)
     }
 }
@@ -401,37 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn payload_cap_truncates_udp_but_not_stream() {
-        let s = build_server().with_payload_cap(512);
-        // A signed NXDOMAIN carries several NSEC3s + RRSIGs — far more
-        // than 512 bytes.
-        let q = Message::iterative_query(1, n("missing.example.com"), RrType::A);
-        let udp = match s.handle(&q, client(), 0) {
-            ServerResponse::Reply(m) => m,
-            ServerResponse::Drop => panic!("dropped"),
-        };
-        assert!(udp.truncated, "oversized datagram answer must set TC");
-        assert!(udp.answers.is_empty() && udp.authorities.is_empty());
-        assert_eq!(udp.rcode, Rcode::NxDomain, "rcode survives truncation");
-        assert!(udp.encoded_len() <= 512);
-
-        let tcp = match s.handle_stream(&q, client(), 0) {
-            ServerResponse::Reply(m) => m,
-            ServerResponse::Drop => panic!("dropped"),
-        };
-        assert!(!tcp.truncated);
-        assert!(tcp.authorities.iter().any(|r| r.rtype() == RrType::Nsec3));
-
-        // Small answers pass the datagram path whole.
-        let small = reply(&s, "www.example.com", RrType::A);
-        let _ = small; // `reply` goes through answer(); check via handle:
-        let sq = Message::iterative_query(2, n("example.com"), RrType::Soa);
-        if let ServerResponse::Reply(m) = s.handle(&sq, client(), 0) {
-            assert!(!m.truncated || m.encoded_len() > 512);
-        }
-    }
-
-    #[test]
     fn secure_referral_carries_ds() {
         let s = build_server();
         let m = reply(&s, "host.secure.example.com", RrType::A);
@@ -504,28 +423,6 @@ mod tests {
         // with a different path: the zone lookup).
         match s.answer(&q, "127.0.0.1".parse().unwrap()) {
             ServerResponse::Reply(m) => assert_eq!(m.rcode, Rcode::Refused),
-            _ => panic!(),
-        }
-    }
-
-    #[test]
-    fn refuse_non_recursive_passes_rd_queries() {
-        let store_server = ZoneServer::with_behavior(
-            {
-                let mut st = ZoneStore::new();
-                st.insert(Zone::new(n("example.com")));
-                st
-            },
-            Behavior::RefuseNonRecursive,
-        );
-        let iterative = Message::iterative_query(1, n("example.com"), RrType::A);
-        match store_server.answer(&iterative, client()) {
-            ServerResponse::Reply(m) => assert_eq!(m.rcode, Rcode::Refused),
-            _ => panic!(),
-        }
-        let recursive = Message::query(1, n("example.com"), RrType::A);
-        match store_server.answer(&recursive, client()) {
-            ServerResponse::Reply(m) => assert_ne!(m.rcode, Rcode::Refused),
             _ => panic!(),
         }
     }

@@ -12,9 +12,10 @@
 //!   the public key can recompute and check signatures — mirroring how a
 //!   real verifier uses the public key. Since the threat model here is
 //!   *misconfiguration*, not forgery, revealing the secret is harmless;
-//! * a signature is `HMAC-SHA256(secret, algorithm ‖ message)`, truncated
-//!   or zero-padded to a per-algorithm length so that wire sizes resemble
-//!   real signatures.
+//! * a signature is `HMAC-SHA256(secret, algorithm ‖ message)`:
+//!   [`SIGNATURE_LEN`] (32) bytes for every algorithm, so an RRSIG is not
+//!   the size a real one of its algorithm would be (an RSA-2048 RRSIG is
+//!   224 bytes short). Wire-true sizes are ROADMAP item 11.
 //!
 //! Public key wire layout: `"SK" ‖ version(1) ‖ algorithm(1) ‖ secret(16) ‖
 //! zero padding` up to the modeled key size. The modeled size matters: the

@@ -28,17 +28,10 @@ pub enum ServerResponse {
 /// schedules) must use interior mutability.
 pub trait Server: Send + Sync {
     /// Handle one query arriving from `src` at simulated time `now`
-    /// (seconds).
+    /// (seconds), on either channel. The reply is the full answer:
+    /// truncating an oversized datagram reply is the link's business
+    /// (the fault plan's response-size model), never the server's.
     fn handle(&self, query: &Message, src: IpAddr, now: u32) -> ServerResponse;
-
-    /// Handle one query arriving over the stream (TCP-analogue)
-    /// channel. Streams carry no payload-size limit, so servers that
-    /// truncate oversized datagram answers serve the full answer here.
-    /// The default forwards to [`Server::handle`] — correct for every
-    /// server whose datagram answers are never truncated.
-    fn handle_stream(&self, query: &Message, src: IpAddr, now: u32) -> ServerResponse {
-        self.handle(query, src, now)
-    }
 }
 
 /// Transport-level failures, as a resolver perceives them.
@@ -467,12 +460,7 @@ impl Network {
             }
         }
         let now_secs = self.clock.now_secs();
-        let response = if datagram {
-            server.handle(query, src, now_secs)
-        } else {
-            server.handle_stream(query, src, now_secs)
-        };
-        let ServerResponse::Reply(mut msg) = response else {
+        let ServerResponse::Reply(mut msg) = server.handle(query, src, now_secs) else {
             return fail(tracer, qname, false, NetError::Timeout);
         };
         // A stream pays one more round trip, for connection setup.

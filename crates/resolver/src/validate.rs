@@ -11,7 +11,7 @@
 //!    registry-status handling) and authenticates the DNSKEY RRset;
 //! 3. **DNSKEY → RRset or denial**: `answer_link` verifies every answer
 //!    RRset ([`check_rrset`]: signatures and validity windows) or the
-//!    NSEC/NSEC3 denial proof ([`check_negative`]).
+//!    NSEC3 denial proof ([`check_negative`]).
 //!
 //! A link is a private function that returns its verdict: `Ok` with what
 //! the next link needs, or `Err(Broken)` — the [`Finding`] that names the
@@ -496,11 +496,13 @@ fn iteration_cap_link<'r>(
     Ok(())
 }
 
-/// The structure of a denial (RFC 4035 §3.1.3 / §5.4, RFC 5155 §8): the
-/// NSEC or NSEC3 RRsets among `sets` that deny (`qname`, `qtype`), still
-/// unauthenticated. Structure is checked before signatures: a proof that
-/// points at the wrong hashes is a different observable than a proof
-/// whose signatures are broken, and vendors report them differently.
+/// The structure of a denial (RFC 5155 §8): the NSEC3 RRsets among
+/// `sets` that deny (`qname`, `qtype`), still unauthenticated. NSEC3 is
+/// the only proof read: a signed negative answer without one — plain
+/// NSEC records included — carries no proof. Structure is checked
+/// before signatures: a proof that points at the wrong hashes is a
+/// different observable than a proof whose signatures are broken, and
+/// vendors report them differently.
 fn negative_link<'s>(
     sets: &'s [Rrset],
     qname: &Name,
@@ -509,40 +511,23 @@ fn negative_link<'s>(
     zone_apex: &Name,
     caps: &ValidatorCaps,
 ) -> Result<Vec<&'s Rrset>, Broken> {
-    let of_type = |rtype| -> Vec<&Rrset> { sets.iter().filter(|s| s.rtype == rtype).collect() };
     let broken = |issue| bogus(Finding::DenialProofBroken { issue, kind });
     let lacks_qtype = |set: &Rrset| match set.rdatas.first() {
-        Some(Rdata::Nsec { types, .. } | Rdata::Nsec3 { types, .. }) => !types.contains(qtype),
+        Some(Rdata::Nsec3 { types, .. }) => !types.contains(qtype),
         _ => false,
     };
 
-    let nsec3_sets = of_type(RrType::Nsec3);
+    let nsec3_sets: Vec<&Rrset> = sets.iter().filter(|s| s.rtype == RrType::Nsec3).collect();
     if nsec3_sets.is_empty() {
-        // Plain-NSEC proofs take a simpler structural path: owner names
-        // are compared directly in canonical order.
-        let nsec_sets = of_type(RrType::Nsec);
-        if nsec_sets.is_empty() {
-            let soa_signed = sets
-                .iter()
-                .find(|s| s.rtype == RrType::Soa)
-                .is_some_and(|s| !s.sigs.is_empty());
-            return Err(if soa_signed {
-                broken(DenialIssue::Absent)
-            } else {
-                bogus(Finding::NegativeUnsigned { kind })
-            });
-        }
-        let denies = |s: &&Rrset| match kind {
-            NegativeKind::Nodata => s.name == *qname && lacks_qtype(s),
-            NegativeKind::Nxdomain => match s.rdatas.first() {
-                Some(Rdata::Nsec { next, .. }) => ede_zone::nsec::covers(&s.name, next, qname),
-                _ => false,
-            },
-        };
-        if !nsec_sets.iter().any(denies) {
-            return Err(broken(DenialIssue::OwnerMismatch));
-        }
-        return Ok(nsec_sets);
+        let soa_signed = sets
+            .iter()
+            .find(|s| s.rtype == RrType::Soa)
+            .is_some_and(|s| !s.sigs.is_empty());
+        return Err(if soa_signed {
+            broken(DenialIssue::Absent)
+        } else {
+            bogus(Finding::NegativeUnsigned { kind })
+        });
     }
 
     iteration_cap_link(nsec3_sets.iter().filter_map(|s| s.rdatas.first()), caps)?;
@@ -581,8 +566,8 @@ fn negative_link<'s>(
     Ok(nsec3_sets)
 }
 
-/// The signature tail NSEC and NSEC3 proofs share: every proof RRset is
-/// signed, and each carries a signature one trusted key verifies.
+/// The signature tail of a proof: every proof RRset is signed, and each
+/// carries a signature one trusted key verifies.
 fn denial_sigs_link(
     proof: &[&Rrset],
     kind: NegativeKind,
@@ -627,8 +612,8 @@ pub fn check_negative(
 }
 
 /// Does a referral's authority section prove the delegation to `deleg`
-/// insecure: an NSEC3 (or plain NSEC) matching the delegation owner
-/// whose bitmap lacks DS? A light check — signatures are not verified.
+/// insecure: an NSEC3 matching the delegation owner whose bitmap lacks
+/// DS? A light check — signatures are not verified.
 fn insecure_proof_present(authority: &[Record], deleg: &Name) -> bool {
     authority.iter().any(|rec| match &rec.rdata {
         Rdata::Nsec3 {
@@ -637,7 +622,6 @@ fn insecure_proof_present(authority: &[Record], deleg: &Name) -> bool {
             types,
             ..
         } => !types.contains(RrType::Ds) && nsec3::owner_is(&rec.name, salt, *iterations, deleg),
-        Rdata::Nsec { types, .. } => rec.name == *deleg && !types.contains(RrType::Ds),
         _ => false,
     })
 }
@@ -1093,6 +1077,67 @@ mod tests {
             f,
             Finding::Nsec3IterationsExceeded {
                 iterations: u16::MAX
+            }
+        )));
+        assert_eq!(diag.validation, ValidationState::Bogus);
+    }
+
+    /// A signed negative answer whose only proof is plain NSEC (RFC 4034
+    /// §4) has no proof the validator reads: the NSEC below is honest and
+    /// signed by the zone's ZSK, yet the answer is Bogus with the proof
+    /// absent, exactly as if the authority section held the SOA alone.
+    #[test]
+    fn a_signed_negative_answer_with_only_nsec_records_has_no_proof() {
+        use ede_wire::rdata::TypeBitmap;
+        use ede_zone::signer::sign_rrset;
+        let (z, keys, ds) = signed_zone();
+        let apex = n("test.example");
+        let mut diag = Diagnosis::new();
+        let trusted = validate_dnskey(&apex, &ds, &dnskey_rrset(&z), &caps(), SIM_NOW, &mut diag)
+            .trusted
+            .expect("chain should validate");
+        let mut nsec = Rrset::new(
+            apex.clone(),
+            300,
+            Rdata::Nsec {
+                next: n("ns1.test.example"),
+                types: TypeBitmap::from_types([
+                    RrType::A,
+                    RrType::Ns,
+                    RrType::Soa,
+                    RrType::Rrsig,
+                    RrType::Nsec,
+                    RrType::Dnskey,
+                ]),
+            },
+        );
+        let window = SignerConfig::default().window();
+        nsec.sigs.push(sign_rrset(&nsec, &keys.zsk, &apex, window));
+        let soa = z.get(&apex, RrType::Soa).unwrap();
+        assert!(!soa.sigs.is_empty());
+        let authority: Vec<Record> = soa
+            .records()
+            .chain(soa.sig_records())
+            .chain(nsec.records())
+            .chain(nsec.sig_records())
+            .collect();
+
+        check_negative(
+            &authority,
+            &apex,
+            RrType::Txt,
+            NegativeKind::Nodata,
+            &apex,
+            &trusted,
+            &caps(),
+            SIM_NOW,
+            &mut diag,
+        );
+        assert!(diag.any(|f| matches!(
+            f,
+            Finding::DenialProofBroken {
+                issue: DenialIssue::Absent,
+                ..
             }
         )));
         assert_eq!(diag.validation, ValidationState::Bogus);

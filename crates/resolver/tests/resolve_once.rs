@@ -1,16 +1,14 @@
-//! End-to-end coverage for plain-NSEC zones: a mini internet with an
-//! NSEC-signed root and child, resolved and validated.
+//! `Resolver::resolve_once` end to end: a mini internet with a signed
+//! root and child, resolved through twin resolvers.
 
 use ede_authority::{ZoneServer, ZoneStore};
 use ede_netsim::{NetworkBuilder, SimClock};
 use ede_resolver::config::RootHint;
-use ede_resolver::{
-    ResolutionPool, Resolver, ResolverConfig, ValidationState, Vendor, VendorProfile,
-};
+use ede_resolver::{ResolutionPool, Resolver, ResolverConfig, Vendor, VendorProfile};
 use ede_wire::rdata::Soa;
-use ede_wire::{DigestAlg, Name, Rcode, Rdata, Record, RrType};
+use ede_wire::{DigestAlg, Name, Rdata, Record, RrType};
 use ede_zone::signer::{sign_zone, SignerConfig};
-use ede_zone::{Denial, Zone, ZoneKeys};
+use ede_zone::{Zone, ZoneKeys};
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
 
@@ -34,9 +32,8 @@ fn soa_for(apex: &Name) -> Rdata {
 }
 
 /// Build a world where both the root and `nsec.test` are signed with
-/// plain NSEC chains; returns a resolver over it. `mutate` gets a chance
-/// to break the child zone after signing.
-fn build(vendor: Vendor, mutate: impl FnOnce(&mut Zone, &ZoneKeys)) -> Resolver {
+/// the default signer (NSEC3); returns a resolver over it.
+fn build(vendor: Vendor) -> Resolver {
     let clock = SimClock::new();
     let mut net = NetworkBuilder::new();
 
@@ -52,12 +49,7 @@ fn build(vendor: Vendor, mutate: impl FnOnce(&mut Zone, &ZoneKeys)) -> Resolver 
     child.add_a(child_apex.clone(), "203.0.113.5".parse().unwrap());
     child.add_a(n("www.nsec.test"), "203.0.113.6".parse().unwrap());
     let child_keys = ZoneKeys::generate(&child_apex, 8, 2048);
-    let cfg = SignerConfig {
-        denial: Denial::Nsec,
-        ..Default::default()
-    };
-    sign_zone(&mut child, &child_keys, &cfg);
-    mutate(&mut child, &child_keys);
+    sign_zone(&mut child, &child_keys, &SignerConfig::default());
 
     let root = Name::root();
     let mut root_zone = Zone::new(root.clone());
@@ -81,14 +73,7 @@ fn build(vendor: Vendor, mutate: impl FnOnce(&mut Zone, &ZoneKeys)) -> Resolver 
     // Remove the extra `test` NS so there is a single clean cut.
     root_zone.remove(&n("test"), RrType::Ns);
     let root_keys = ZoneKeys::generate(&root, 8, 2048);
-    sign_zone(
-        &mut root_zone,
-        &root_keys,
-        &SignerConfig {
-            denial: Denial::Nsec,
-            ..Default::default()
-        },
-    );
+    sign_zone(&mut root_zone, &root_keys, &SignerConfig::default());
     let anchor = root_keys.ksk.ds_rdata(&root, DigestAlg::SHA256);
 
     let mut root_store = ZoneStore::new();
@@ -115,97 +100,6 @@ fn build(vendor: Vendor, mutate: impl FnOnce(&mut Zone, &ZoneKeys)) -> Resolver 
     )
 }
 
-#[test]
-fn nsec_zone_validates_secure() {
-    let r = build(Vendor::Unbound, |_, _| {});
-    let res = r.resolve_a("www.nsec.test");
-    assert_eq!(res.rcode, Rcode::NoError, "{:?}", res.diagnosis);
-    assert_eq!(res.validation, ValidationState::Secure);
-    assert!(res.authentic_data);
-    assert!(res.ede.is_empty());
-}
-
-#[test]
-fn nsec_nodata_proof_validates() {
-    let r = build(Vendor::Unbound, |_, _| {});
-    let res = r.resolve(&n("www.nsec.test"), RrType::Aaaa);
-    assert_eq!(res.rcode, Rcode::NoError, "{:?}", res.diagnosis);
-    assert_eq!(
-        res.validation,
-        ValidationState::Secure,
-        "{:?}",
-        res.diagnosis
-    );
-    assert!(res.ede.is_empty());
-}
-
-#[test]
-fn nsec_nxdomain_proof_validates() {
-    let r = build(Vendor::Cloudflare, |_, _| {});
-    let res = r.resolve_a("missing.nsec.test");
-    assert_eq!(res.rcode, Rcode::NxDomain, "{:?}", res.diagnosis);
-    assert_eq!(
-        res.validation,
-        ValidationState::Secure,
-        "{:?}",
-        res.diagnosis
-    );
-    assert!(res.ede.is_empty());
-}
-
-#[test]
-fn stripped_nsec_chain_is_detected() {
-    let r = build(Vendor::Unbound, |zone, _| {
-        let owners: Vec<Name> = zone
-            .iter()
-            .filter(|s| s.rtype == RrType::Nsec)
-            .map(|s| s.name.clone())
-            .collect();
-        for o in owners {
-            zone.remove(&o, RrType::Nsec);
-        }
-    });
-    let res = r.resolve_a("missing.nsec.test");
-    assert_eq!(res.rcode, Rcode::ServFail, "{:?}", res.diagnosis);
-    // With the whole chain gone the server can no longer tell the zone
-    // uses NSEC at all and sends the negative answer unsigned — the same
-    // observable as the testbed's no-nsec3param-nsec3 case, which
-    // Unbound reports as RRSIGs Missing (10).
-    assert_eq!(res.ede_codes(), vec![10], "{:?}", res.diagnosis);
-}
-
-#[test]
-fn unsigned_nsec_proof_is_detected() {
-    let r = build(Vendor::Unbound, |zone, _| {
-        for set in zone.iter_mut() {
-            if set.rtype == RrType::Nsec {
-                set.sigs.clear();
-            }
-        }
-    });
-    let res = r.resolve_a("missing.nsec.test");
-    assert_eq!(res.rcode, Rcode::ServFail);
-    assert_eq!(res.ede_codes(), vec![12], "{:?}", res.diagnosis);
-}
-
-#[test]
-fn corrupted_nsec_sigs_are_detected() {
-    let r = build(Vendor::Cloudflare, |zone, _| {
-        for set in zone.iter_mut() {
-            if set.rtype == RrType::Nsec {
-                for sig in &mut set.sigs {
-                    if let Some(b) = sig.signature.first_mut() {
-                        *b ^= 0xff;
-                    }
-                }
-            }
-        }
-    });
-    let res = r.resolve_a("missing.nsec.test");
-    assert_eq!(res.rcode, Rcode::ServFail);
-    assert_eq!(res.ede_codes(), vec![6], "{:?}", res.diagnosis);
-}
-
 /// `resolve_once` is `resolve_with` without the store: on twin
 /// resolvers it returns the same resolution and leaves the answer cache
 /// untouched, and a name stored earlier is still served from the cache.
@@ -222,8 +116,8 @@ fn resolve_once_answers_alike_and_stores_nothing() {
         });
         pool.next().expect("one task was spawned")
     };
-    let storing = build(Vendor::Cloudflare, |_, _| {});
-    let passing = build(Vendor::Cloudflare, |_, _| {});
+    let storing = build(Vendor::Cloudflare);
+    let passing = build(Vendor::Cloudflare);
     for name in ["www.nsec.test", "missing.nsec.test"] {
         let qname = n(name);
         let stored = run(&storing, &qname, false);

@@ -584,6 +584,9 @@ pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanRes
         total: n + revisit_count,
         enabled: config.progress,
     };
+    // A public field: the builder's clamp may not have run, and a window
+    // of 0 would admit no resolution at all.
+    let inflight = config.inflight.max(1);
     let run_pass = |pass: u8, fold_revisit: bool, plan: &ClaimPlan<'_>| {
         let ctx = PassCtx {
             pass,
@@ -593,7 +596,7 @@ pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanRes
             log: &log,
             progress: &progress,
         };
-        parallel_pass(&resolver, &ctx, plan, config.workers, config.inflight)
+        parallel_pass(&resolver, &ctx, plan, config.workers, inflight)
     };
     // One snapshot of the merged aggregate and the counters around it.
     // Only ever taken between passes — every worker joined, every
@@ -825,6 +828,25 @@ mod tests {
                 "inflight {inflight}"
             );
         }
+    }
+
+    /// `inflight` is a public field, so a window of 0 can reach `scan`
+    /// without the builder's clamp. It scans as a window of one: every
+    /// domain is folded, with the same results.
+    #[test]
+    fn a_zero_window_scans_as_a_window_of_one() {
+        let run = |inflight: usize| {
+            let pop = Population::generate(PopulationConfig::tiny());
+            let world = ScanWorld::build(&pop);
+            let mut config = ScanConfig::builder().workers(1).build();
+            config.inflight = inflight;
+            let result = scan(&pop, &world, &config);
+            assert_eq!(result.final_records().len(), pop.domains.len());
+            result
+        };
+        let (zero, one) = (run(0), run(1));
+        assert!(zero.stats.same_results(&one.stats));
+        assert_eq!(zero.stats.resolutions, one.stats.resolutions);
     }
 
     /// The answer cache keeps only what the scan reads back: the

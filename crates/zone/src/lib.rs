@@ -10,7 +10,8 @@
 //!   exact byte string a DNSSEC signature covers).
 //! * [`keys`] — KSK/ZSK key management, DNSKEY/DS record production.
 //! * [`nsec3`] — NSEC3 chain generation (RFC 5155), including empty
-//!   non-terminals and delegation bitmaps.
+//!   non-terminals and delegation bitmaps: the one denial chain the
+//!   signer builds, as in the paper's testbed.
 //! * [`signer`] — whole-zone signing with configurable validity windows.
 //! * [`misconfig`] — the heart of the testbed: a composable
 //!   [`misconfig::Misconfig`] enum implementing every mutation of the
@@ -19,6 +20,7 @@
 //!   Mutations are applied *after* signing, exactly as the authors edited
 //!   zone files after `dnssec-signzone`, so stale-signature side effects
 //!   are reproduced faithfully.
+//! * [`textual`] — master-file presentation of any zone, broken or not.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,7 +28,6 @@
 pub mod canonical;
 pub mod keys;
 pub mod misconfig;
-pub mod nsec;
 pub mod nsec3;
 pub mod rrset;
 pub mod signer;

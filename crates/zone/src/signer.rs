@@ -2,7 +2,6 @@
 
 use crate::canonical::signing_data;
 use crate::keys::{ZoneKey, ZoneKeys};
-use crate::nsec;
 use crate::nsec3::{self, Nsec3Config};
 use crate::rrset::Rrset;
 use crate::zone::Zone;
@@ -27,8 +26,6 @@ pub enum Denial {
     /// Hashed denial (RFC 5155) with the given parameters — the modern
     /// default and what the paper's testbed uses.
     Nsec3(Nsec3Config),
-    /// Plain NSEC (RFC 4034 §4).
-    Nsec,
     /// No denial chain at all (only deliberately broken zones).
     None,
 }
@@ -100,7 +97,6 @@ pub fn sign_zone(zone: &mut Zone, keys: &ZoneKeys, config: &SignerConfig) {
     // 2. Denial chain.
     match &config.denial {
         Denial::Nsec3(nsec3_cfg) => nsec3::build_chain(zone, nsec3_cfg),
-        Denial::Nsec => nsec::build_chain(zone),
         Denial::None => {}
     }
 

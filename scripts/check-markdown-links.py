@@ -22,7 +22,9 @@ In DESIGN.md's "System inventory" table, every back-ticked name in the
 "Key modules" column of a ``crates/<dir>`` row must be a module of that
 crate: ``crates/<dir>/src/<name>.rs`` or ``crates/<dir>/src/<name>/``
 (``a::b`` reads as ``a/b``, a trailing ``/*`` requires the directory, any
-other glob such as ``repro-*`` is matched against ``src/bin/``).
+other glob such as ``repro-*`` is matched against ``src/bin/``). The
+other way round, every ``pub mod`` of ``crates/<dir>/src/lib.rs`` must
+be named in that cell, so a new public module cannot go unlisted.
 
 The malformed-query policy is written down twice — the table in the
 module doc of ``crates/server/src/pipeline.rs`` and the one in
@@ -91,6 +93,7 @@ FENCE = re.compile(r"```.*?```", re.DOTALL)
 BUILDER_CALL = re.compile(r"\b(\w+)::builder\(\)")
 # Whitespace and `//` comments, then `.name(`.
 CHAINED_CALL = re.compile(r"(?:\s|//[^\n]*)*\.(\w+)\(")
+PUB_MOD = re.compile(r"^pub mod (\w+);", re.MULTILINE)
 BUILDER_IMPL = re.compile(r"^impl (\w+Builder) \{\n(.*?)^\}", re.MULTILINE | re.DOTALL)
 
 
@@ -237,6 +240,11 @@ def check_inventory(md: Path) -> list[str]:
                 found = (src / f"{path}.rs").is_file() or (src / path).is_dir()
             if not found:
                 broken.append(f"{md.relative_to(ROOT)}: `{crate}` has no module -> `{name}`")
+        listed = {name.split("::")[0] for name in CODE_SPAN.findall(modules)}
+        lib = (src / "lib.rs").read_text(encoding="utf-8")
+        for name in PUB_MOD.findall(lib):
+            if name not in listed:
+                broken.append(f"{md.relative_to(ROOT)}: `{crate}` does not list `pub mod {name}`")
     return broken
 
 
