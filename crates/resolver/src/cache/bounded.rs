@@ -22,16 +22,19 @@ pub(super) struct Shard {
     /// Insertion ring for the CLOCK sweep, in store order; empty
     /// without a budget.
     ring: VecDeque<Slot>,
-    next_seq: u64,
+    next_seq: u32,
     /// Entries in `index` right now.
     live: usize,
 }
 
 impl Shard {
     /// A fresh shard-scoped sequence number for an entry about to be
-    /// stored or overwritten.
-    pub fn next_seq(&mut self) -> u64 {
-        self.next_seq += 1;
+    /// stored or overwritten. It wraps after 2³² stores to the shard,
+    /// which no slot lives to see: a slot goes stale when its entry is
+    /// stored again or removed, and the compaction below drops every
+    /// stale slot within 2 × live + `RING_SLACK` stores.
+    pub fn next_seq(&mut self) -> u32 {
+        self.next_seq = self.next_seq.wrapping_add(1);
         self.next_seq
     }
 

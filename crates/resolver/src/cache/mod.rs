@@ -22,9 +22,12 @@
 //!
 //! Entries are stored as `Arc<CachedResolution>` and hits hand the `Arc`
 //! back: no answer records or diagnosis findings are ever deep-cloned
-//! under a shard lock. Entries store the *diagnosis* alongside the
-//! answer: replaying a cached failure must replay its findings so the
-//! profile can emit the original codes next to *Cached Error (13)*.
+//! under a shard lock. An entry is what a hit returns, rendered once
+//! when it is stored: the answer, the *diagnosis* (for a failure, with
+//! its *Cached Error* finding already added) and the EDE list the
+//! resolver's profile emits for that diagnosis, so a hit on a cached
+//! failure carries the original codes next to *Cached Error (13)*
+//! without emitting anything itself.
 //!
 //! # Expiry: checked per probe
 //!
@@ -60,7 +63,7 @@ pub mod infra;
 
 use crate::diagnosis::Diagnosis;
 use bounded::Bounded;
-use ede_wire::{Name, Rcode, Record, RrType};
+use ede_wire::{EdeEntry, Name, Rcode, Record, RrType};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -71,15 +74,23 @@ use std::sync::Arc;
 /// of workers per shard lock at ~1.
 pub const SHARD_COUNT: usize = 16;
 
-/// What a completed resolution left behind.
+/// What a completed resolution left behind: everything a hit on it
+/// returns. The two lists are exactly sized boxed slices, which keeps
+/// the shared allocation, the `Arc`'s two counts included, within 120
+/// bytes: one 128-byte malloc chunk per entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CachedResolution {
     /// Final RCODE.
     pub rcode: Rcode,
     /// Answer records (empty for negative/failure entries).
-    pub answers: Vec<Record>,
-    /// The diagnosis attached to the resolution.
+    pub answers: Box<[Record]>,
+    /// The diagnosis a hit reports: the resolution's own, plus
+    /// [`Finding::CachedError`](crate::Finding::CachedError) for a
+    /// failure.
     pub diagnosis: Diagnosis,
+    /// The EDE entries a hit returns: the profile's emission over
+    /// `diagnosis`.
+    pub ede: Box<[EdeEntry]>,
     /// True when this entry is a resolution *failure* (SERVFAIL) — a hit
     /// on it is a *Cached Error*.
     pub is_failure: bool,
@@ -153,8 +164,9 @@ struct Entry {
     stored_at: u32,
     ttl: u32,
     /// Shard-scoped sequence number; ring slots referencing a superseded
-    /// sequence are skipped (lazy deletion).
-    seq: u64,
+    /// sequence are skipped (lazy deletion). 32 bits, so that an entry
+    /// fits 48 bytes: the shard's table holds one per bucket.
+    seq: u32,
     /// CLOCK reference bit: set on every hit, cleared (once) by the
     /// sweep before the entry becomes evictable. `Cell` because hits
     /// hold only a shared borrow of the shard's interior.
@@ -226,7 +238,7 @@ impl Entries {
 
 /// A ring slot addresses one entry *at one sequence number* as
 /// `(hash, seq)`; the ring holds these instead of references.
-type Slot = (u64, u64);
+type Slot = (u64, u32);
 
 /// The shared (L2) resolver cache.
 pub struct Cache {
@@ -407,8 +419,9 @@ mod tests {
     fn success() -> CachedResolution {
         CachedResolution {
             rcode: Rcode::NoError,
-            answers: Vec::new(),
+            answers: Box::default(),
             diagnosis: Diagnosis::new(),
+            ede: Box::default(),
             is_failure: false,
         }
     }
@@ -416,10 +429,24 @@ mod tests {
     fn failure() -> CachedResolution {
         CachedResolution {
             rcode: Rcode::ServFail,
-            answers: Vec::new(),
+            answers: Box::default(),
             diagnosis: Diagnosis::new(),
+            ede: Box::default(),
             is_failure: true,
         }
+    }
+
+    /// A serving cache holds per entry one table bucket (the hash and
+    /// an `Entry`) and one shared allocation, so their sizes are the
+    /// cache's footprint: the bucket is 56 bytes, and keeping the EDE
+    /// list must not take the allocation past its 128-byte malloc chunk
+    /// (8 bytes of which are the chunk's header).
+    #[test]
+    fn an_entry_fits_its_bucket_and_one_malloc_chunk() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<(u64, Entry)>(), 56);
+        let shared = size_of::<CachedResolution>() + 2 * size_of::<usize>();
+        assert!(shared <= 120, "{shared} bytes");
     }
 
     #[test]

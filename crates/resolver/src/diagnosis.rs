@@ -311,6 +311,19 @@ pub enum Finding {
     CachedError,
 }
 
+impl Finding {
+    /// Announce this finding to `tracer` as it lands.
+    pub(crate) fn announce(&self, tracer: &Tracer) {
+        tracer.emit(TraceEvent::FindingRecorded {
+            finding: if tracer.wants_query_detail() {
+                format!("{self:?}")
+            } else {
+                String::new()
+            },
+        });
+    }
+}
+
 /// Overall DNSSEC outcome of the resolution (RFC 4035 §4.3 states).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValidationState {
@@ -390,13 +403,7 @@ impl Diagnosis {
     /// retried query cannot double-report).
     pub fn add(&mut self, finding: Finding) {
         if !self.findings.contains(&finding) {
-            self.tracer.emit(TraceEvent::FindingRecorded {
-                finding: if self.tracer.wants_query_detail() {
-                    format!("{finding:?}")
-                } else {
-                    String::new()
-                },
-            });
+            finding.announce(&self.tracer);
             self.findings.push(finding);
         }
     }

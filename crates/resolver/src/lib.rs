@@ -62,5 +62,5 @@ pub use cache::{Cache, CacheHit, CacheStatsSnapshot, CachedResolution};
 pub use config::ResolverConfig;
 pub use diagnosis::{Diagnosis, Finding, NsFailure, ValidationState};
 pub use profiles::{Vendor, VendorProfile};
-pub use resolver::{Resolution, Resolver};
+pub use resolver::{Resolution, Resolver, SharedDiagnosis};
 pub use task::{ResolutionPool, TaskHandle};

@@ -9,7 +9,9 @@ use crate::profiles::VendorProfile;
 use crate::task::{run_local, TaskHandle};
 use ede_netsim::Network;
 use ede_trace::{CacheOutcome, TraceEvent, Tracer};
-use ede_wire::{EdeEntry, Edns, Message, Name, Rcode, Record, RrType};
+use ede_wire::{EdeEntry, Edns, EdnsOption, Message, Name, Rcode, Record, RrType};
+use std::fmt;
+use std::ops::Deref;
 use std::sync::atomic::AtomicU16;
 use std::sync::Arc;
 
@@ -32,7 +34,7 @@ pub struct Resolution {
     /// Final validation state.
     pub validation: ValidationState,
     /// The engine's full structured diagnosis.
-    pub diagnosis: Diagnosis,
+    pub diagnosis: SharedDiagnosis,
 }
 
 impl Resolution {
@@ -41,21 +43,63 @@ impl Resolution {
         self.ede.iter().map(|e| e.code.to_u16()).collect()
     }
 
-    /// Render as a wire response to `query` (used by the UDP front end).
+    /// Render as a wire response to `query`, leaving this resolution
+    /// whole; [`into_message`](Self::into_message) moves it instead.
     pub fn to_message(&self, query: &Message) -> Message {
-        let mut resp = Message::response_to(query);
-        resp.rcode = self.rcode;
-        resp.recursion_available = true;
-        resp.authentic_data = self.authentic_data;
-        resp.answers = self.answers.clone();
-        let mut edns = query.edns.as_ref().map_or_else(Edns::default, Edns::reply);
-        for entry in &self.ede {
-            edns.push_ede(entry.clone());
-        }
-        resp.edns = Some(edns);
-        resp
+        let (answers, ede) = (self.answers.clone(), self.ede.iter().cloned());
+        render(query, self.rcode, self.authentic_data, answers, ede)
+    }
+
+    /// Render as a wire response to `query`, moving the answer records
+    /// and EDE entries into it (what the serving pipeline does).
+    pub fn into_message(self, query: &Message) -> Message {
+        let (answers, ede) = (self.answers, self.ede.into_iter());
+        render(query, self.rcode, self.authentic_data, answers, ede)
     }
 }
+
+/// A resolution's diagnosis: the one its own walk recorded, or, for an
+/// answer-cache hit, the one the cache entry keeps, shared rather than
+/// copied. Either way it derefs to the [`Diagnosis`].
+#[derive(Clone)]
+pub struct SharedDiagnosis(Held);
+
+#[derive(Clone)]
+enum Held {
+    Own(Diagnosis),
+    Entry(Arc<CachedResolution>),
+}
+
+impl From<Diagnosis> for SharedDiagnosis {
+    fn from(diagnosis: Diagnosis) -> Self {
+        SharedDiagnosis(Held::Own(diagnosis))
+    }
+}
+
+impl Deref for SharedDiagnosis {
+    type Target = Diagnosis;
+
+    fn deref(&self) -> &Diagnosis {
+        match &self.0 {
+            Held::Own(diagnosis) => diagnosis,
+            Held::Entry(entry) => &entry.diagnosis,
+        }
+    }
+}
+
+impl fmt::Debug for SharedDiagnosis {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        Diagnosis::fmt(self, f)
+    }
+}
+
+impl PartialEq for SharedDiagnosis {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for SharedDiagnosis {}
 
 /// An EDE-capable validating recursive resolver bound to one simulated
 /// network and one vendor profile.
@@ -199,7 +243,17 @@ impl Resolver {
                 qtype: qtype.to_u16(),
                 outcome: CacheOutcome::Hit,
             });
-            let resolution = self.materialize_hit(&tracer, &data);
+            if data.is_failure {
+                Finding::CachedError.announce(&tracer);
+            }
+            let resolution = Resolution {
+                rcode: data.rcode,
+                answers: data.answers.to_vec(),
+                ede: data.ede.to_vec(),
+                authentic_data: authentic(&data.diagnosis),
+                validation: data.diagnosis.validation,
+                diagnosis: SharedDiagnosis(Held::Entry(data)),
+            };
             self.trace_finish(&tracer, started_ms, &resolution);
             return resolution;
         }
@@ -236,11 +290,11 @@ impl Resolver {
                 let ede = self.profile.emit(&diag);
                 let resolution = Resolution {
                     rcode: stale.rcode,
-                    answers: stale.answers.clone(),
+                    answers: stale.answers.to_vec(),
                     authentic_data: false,
                     validation: diag.validation,
                     ede,
-                    diagnosis: diag,
+                    diagnosis: diag.into(),
                 };
                 self.trace_finish(&tracer, started_ms, &resolution);
                 return resolution;
@@ -248,6 +302,7 @@ impl Resolver {
         }
 
         // 4. Cache the result, unless the caller will not ask again.
+        let ede = self.profile.emit(&diag);
         if store {
             let is_failure = outcome.rcode == Rcode::ServFail;
             let ttl = if is_failure {
@@ -255,17 +310,29 @@ impl Resolver {
             } else {
                 outcome.answers.iter().map(|r| r.ttl).min().unwrap_or(300)
             };
-            // Cached diagnoses must not keep announcing to this
-            // resolution's sink when replayed later: strip the tracer.
+            // The entry is what a hit returns. Its diagnosis must not
+            // keep announcing to this resolution's sink: strip the
+            // tracer. A failure's hits report Cached Error beside the
+            // original findings, so add it now (in an exactly sized
+            // list, as the clone's), and emit once for all of them; a
+            // success's hits return this resolution's codes.
             let mut stored = diag.clone();
             stored.set_tracer(Tracer::disabled());
+            let stored_ede = if is_failure {
+                stored.findings.reserve_exact(1);
+                stored.add(Finding::CachedError);
+                self.profile.emit(&stored)
+            } else {
+                ede.clone()
+            };
             let put = self.cache.put(
                 qname,
                 qtype,
                 CachedResolution {
                     rcode: outcome.rcode,
-                    answers: outcome.answers.clone(),
+                    answers: outcome.answers.as_slice().into(),
                     diagnosis: stored,
+                    ede: stored_ede.into_boxed_slice(),
                     is_failure,
                 },
                 ttl,
@@ -280,37 +347,16 @@ impl Resolver {
             }
         }
 
-        let ede = self.profile.emit(&diag);
         let resolution = Resolution {
             rcode: outcome.rcode,
             answers: outcome.answers,
-            authentic_data: diag.validation == ValidationState::Secure && diag.zone_signed,
+            authentic_data: authentic(&diag),
             validation: diag.validation,
             ede,
-            diagnosis: diag,
+            diagnosis: diag.into(),
         };
         self.trace_finish(&tracer, started_ms, &resolution);
         resolution
-    }
-
-    /// Turn a cached entry into a full [`Resolution`]. The hit handed
-    /// back a shared `Arc`; the clones below are this resolution's own
-    /// copies, taken outside any cache lock.
-    fn materialize_hit(&self, tracer: &Tracer, data: &CachedResolution) -> Resolution {
-        let mut diag = data.diagnosis.clone();
-        diag.set_tracer(tracer.clone());
-        if data.is_failure {
-            diag.add(Finding::CachedError);
-        }
-        let ede = self.profile.emit(&diag);
-        Resolution {
-            rcode: data.rcode,
-            answers: data.answers.clone(),
-            authentic_data: diag.validation == ValidationState::Secure && diag.zone_signed,
-            validation: diag.validation,
-            ede,
-            diagnosis: diag,
-        }
     }
 
     /// Announce the EDE entries and the `ResolutionFinished` bracket.
@@ -338,6 +384,31 @@ impl Resolver {
         let qname = Name::parse(name).expect("caller passes a valid name");
         self.resolve(&qname, RrType::A)
     }
+}
+
+/// The one body of [`Resolution::to_message`] and
+/// [`Resolution::into_message`].
+fn render(
+    query: &Message,
+    rcode: Rcode,
+    authentic_data: bool,
+    answers: Vec<Record>,
+    ede: impl Iterator<Item = EdeEntry>,
+) -> Message {
+    let mut resp = Message::response_to(query);
+    resp.rcode = rcode;
+    resp.recursion_available = true;
+    resp.authentic_data = authentic_data;
+    resp.answers = answers;
+    let mut edns = query.edns.as_ref().map_or_else(Edns::default, Edns::reply);
+    edns.options = ede.map(EdnsOption::Ede).collect();
+    resp.edns = Some(edns);
+    resp
+}
+
+/// The AD bit: the answer validated as Secure in a signed zone.
+fn authentic(diag: &Diagnosis) -> bool {
+    diag.validation == ValidationState::Secure && diag.zone_signed
 }
 
 #[cfg(test)]

@@ -35,8 +35,9 @@ fn entry(is_failure: bool) -> CachedResolution {
         } else {
             Rcode::NoError
         },
-        answers: Vec::new(),
+        answers: Box::default(),
         diagnosis: Diagnosis::new(),
+        ede: Box::default(),
         is_failure,
     }
 }

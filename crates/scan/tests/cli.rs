@@ -191,10 +191,11 @@ fn chaos_unknown_flags_and_bad_values_exit_2_with_usage() {
 /// positional scale (1:7, a 43 M-domain population).
 ///
 /// This is also the full (non-smoke) sweep end to end. On 316 domains
-/// seed 7's legs all pass the gate, and seed 3's 10 % leg loses two
-/// (0.84 %): every check before the sweep passes, the table is printed,
-/// and the resolved-share gate — nothing else — fails the run with
-/// exit 1, naming that leg.
+/// seed 7's legs all pass the gate, and seed 5's 10 % leg loses two
+/// (0.84 %: two stale-flapping domains whose first answer was lost
+/// answer Cached Error): every check before the sweep passes, the table
+/// is printed, and the resolved-share gate — nothing else — fails the
+/// run with exit 1, naming that leg.
 #[test]
 fn chaos_seed_value_is_not_the_scale() {
     let out = repro_chaos(&["--seed", "7", "1000000"]);
@@ -204,10 +205,10 @@ fn chaos_seed_value_is_not_the_scale() {
     assert!(stderr.contains("(seed 0x7)"), "{stderr}");
     assert!(!stderr.contains("FAIL"), "{stderr}");
 
-    let out = repro_chaos(&["--seed", "3", "1000000"]);
+    let out = repro_chaos(&["--seed", "5", "1000000"]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("(seed 0x3)"), "{stderr}");
+    assert!(stderr.contains("(seed 0x5)"), "{stderr}");
     let fails: Vec<&str> = stderr.lines().filter(|l| l.contains("FAIL")).collect();
     assert_eq!(
         fails,

@@ -33,10 +33,12 @@
 //!    the rows above chose.
 //!
 //! 2. [`answer`] resolves the query through the attached [`Resolver`]
-//!    (full recursion, validation, vendor EDE emission) and renders the
-//!    response, honoring EDNS presence: a client that sent no OPT
-//!    record gets none back (and therefore no EDE options — RFC 8914
-//!    signals require EDNS).
+//!    (full recursion, validation, vendor EDE emission) and moves the
+//!    resolution into the response, honoring EDNS presence: a client
+//!    that sent no OPT record gets none back (and therefore no EDE
+//!    options — RFC 8914 signals require EDNS). A hit on the answer
+//!    cache costs one probe: the entry keeps the EDE list and the
+//!    diagnosis, so nothing is emitted or deep-copied per request.
 //! 3. [`encode_udp`] encodes for the datagram transport, truncating to
 //!    TC=1 when the response exceeds the negotiated payload limit so
 //!    the client retries over TCP. Stream transports encode directly —
@@ -74,7 +76,7 @@ pub enum RejectKind {
 #[derive(Debug)]
 pub enum QueryDisposition {
     /// A well-formed IN-class QUERY: resolve it.
-    Resolve(Box<Message>),
+    Resolve(Message),
     /// A protocol violation with enough structure to answer: send the
     /// pre-built rejection.
     Reject(Box<Message>, RejectKind),
@@ -144,7 +146,7 @@ pub fn classify(wire: &[u8]) -> QueryDisposition {
         m.edns = own_opt;
         return QueryDisposition::Reject(Box::new(m), RejectKind::Refused);
     }
-    QueryDisposition::Resolve(Box::new(query))
+    QueryDisposition::Resolve(query)
 }
 
 /// Resolve a classified query and render the wire response.
@@ -160,7 +162,7 @@ pub fn answer(
     let q = query
         .first_question()
         .expect("classify() only yields Resolve for messages with a question");
-    let mut resp = resolver.resolve(&q.name, q.qtype).to_message(query);
+    let mut resp = resolver.resolve(&q.name, q.qtype).into_message(query);
     if query.edns.is_none() {
         // RFC 6891: never volunteer an OPT record (or EDE options riding
         // on it) to a client that did not signal EDNS support.
@@ -177,7 +179,7 @@ pub(crate) enum Reply {
     Rejection(Message),
     /// The resolved answer, with the query it answers (the datagram
     /// transport needs its EDNS advertisement to encode).
-    Answer(Message, Box<Message>),
+    Answer(Message, Message),
 }
 
 /// The request path both transports share: [`classify`], count the
@@ -491,7 +493,7 @@ mod tests {
             edns.udp_payload_size = 100;
             edns.options.push(ede_wire::EdnsOption::Unknown {
                 code: 65001,
-                data: vec![1, 2, 3],
+                data: Box::new([1, 2, 3]),
             });
         });
         let QueryDisposition::Resolve(query) = classify(&wire) else {

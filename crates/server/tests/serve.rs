@@ -306,7 +306,7 @@ fn malformed_query_policy_on_the_wire() {
     edns.udp_payload_size = 100;
     edns.options.push(ede_wire::EdnsOption::Unknown {
         code: 65001,
-        data: vec![1, 2, 3],
+        data: Box::new([1, 2, 3]),
     });
     let small = small.encode().unwrap();
     for wire in [
@@ -348,7 +348,7 @@ fn a_long_query_gets_the_same_answer_over_udp_and_tcp() {
         let base = query.encode().unwrap().len() + 4;
         let padding = ede_wire::EdnsOption::Unknown {
             code: 12,
-            data: vec![0; len - base],
+            data: vec![0; len - base].into(),
         };
         query.edns.as_mut().unwrap().options.push(padding);
         let wire = query.encode().unwrap();

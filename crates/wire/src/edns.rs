@@ -15,6 +15,11 @@ use crate::rrtype::RrType;
 pub const DEFAULT_UDP_PAYLOAD: u16 = 1232;
 
 /// One EDNS option.
+///
+/// The same size as an [`EdeEntry`] (the opaque data is a boxed slice,
+/// not a `Vec`), so a list of EDE entries becomes a list of options in
+/// its own allocation: a served answer maps its EDE list into its OPT
+/// record without allocating.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum EdnsOption {
     /// RFC 8914 Extended DNS Error.
@@ -24,9 +29,11 @@ pub enum EdnsOption {
         /// OPTION-CODE.
         code: u16,
         /// OPTION-DATA.
-        data: Vec<u8>,
+        data: Box<[u8]>,
     },
 }
+
+const _: () = assert!(std::mem::size_of::<EdnsOption>() == std::mem::size_of::<EdeEntry>());
 
 impl EdnsOption {
     fn code(&self) -> u16 {
@@ -166,7 +173,7 @@ impl Edns {
             } else {
                 EdnsOption::Unknown {
                     code,
-                    data: data.to_vec(),
+                    data: data.into(),
                 }
             });
         }
@@ -226,7 +233,7 @@ mod tests {
         let mut e = Edns::default();
         e.options.push(EdnsOption::Unknown {
             code: 10,
-            data: vec![1, 2, 3, 4, 5, 6, 7, 8],
+            data: Box::new([1, 2, 3, 4, 5, 6, 7, 8]),
         });
         assert_eq!(roundtrip(&e), e);
     }

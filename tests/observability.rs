@@ -5,7 +5,7 @@
 
 use extended_dns_errors::prelude::*;
 use extended_dns_errors::scan::chaos::CHAOS_RETRIES;
-use extended_dns_errors::trace::MultiSink;
+use extended_dns_errors::trace::{CacheOutcome, MultiSink};
 use std::sync::Arc;
 
 /// The healthy control (`valid`): three signed zone cuts walked with a
@@ -167,6 +167,57 @@ fn broken_resolution_matches_golden_sequence() {
         assert!(line.ends_with('}'), "{line}");
     }
     assert!(jsonl.contains("\"kind\":\"ede_emitted\",\"vendor\":\"Cloudflare DNS\",\"code\":7"));
+}
+
+/// A hit on a cached failure walks nothing and renders nothing (its
+/// entry was rendered when it was stored), but it still announces what
+/// the client gets: the probe's hit, the Cached Error finding, every
+/// code of the entry — the original three and 13 — and the bracket.
+#[test]
+fn a_cached_failure_hit_announces_its_finding_and_codes() {
+    let tb = Testbed::build();
+    let qname = tb.query_name(tb.spec("allow-query-none").expect("testbed domain"));
+    let resolver = tb.resolver(Vendor::Cloudflare);
+    assert_eq!(resolver.resolve(&qname, RrType::A).rcode, Rcode::ServFail);
+
+    let trace = Arc::new(ResolutionTrace::new(64));
+    tb.attach_trace_sink(Arc::clone(&trace) as _);
+    let hit = resolver.resolve(&qname, RrType::A);
+    assert_eq!(hit.ede_codes(), [9, 13, 22, 23]);
+
+    let dotted = qname.to_string();
+    let vendor = Vendor::Cloudflare.name().to_string();
+    let mut want = vec![
+        TraceEvent::ResolutionStarted {
+            qname: dotted.clone(),
+            qtype: 1,
+        },
+        TraceEvent::CacheProbe {
+            qname: dotted,
+            qtype: 1,
+            outcome: CacheOutcome::Hit,
+        },
+        TraceEvent::FindingRecorded {
+            finding: "CachedError".into(),
+        },
+    ];
+    want.extend(hit.ede.iter().map(|entry| TraceEvent::EdeEmitted {
+        vendor: vendor.clone(),
+        code: entry.code.to_u16(),
+        extra_text: entry.extra_text.clone(),
+    }));
+    want.push(TraceEvent::ResolutionFinished {
+        rcode: 2,
+        ede_count: 4,
+        duration_ms: 0,
+    });
+    let events: Vec<TraceEvent> = trace.events().into_iter().map(|e| e.event).collect();
+    assert_eq!(events, want);
+    assert!(
+        hit.ede[3].extra_text.contains("rcode=REFUSED"),
+        "{:?}",
+        hit.ede
+    );
 }
 
 #[test]
