@@ -100,7 +100,7 @@ impl PartialAggregate {
         if rec.rcode == Rcode::NoError {
             self.noerror_with_ede += 1;
         }
-        let mut combo = rec.codes.clone();
+        let mut combo = rec.codes.to_vec();
         combo.sort_unstable();
         combo.dedup();
         for &c in &combo {
@@ -277,6 +277,7 @@ mod tests {
     fn streamed_outcome_hash_is_the_hash_of_the_outcome_line() {
         use crate::population::Category;
         use ede_resolver::Vendor;
+        use ede_wire::Name;
 
         let texts = [
             None,
@@ -295,14 +296,14 @@ mod tests {
                             vtime_ms: 9,
                             pass: 1,
                             domain: checked,
-                            name: name.to_string(),
+                            name: Name::parse(name).unwrap(),
                             tld: checked * 31,
                             rank,
                             category: Category::ALL[checked % Category::ALL.len()],
                             vendor: Vendor::Cloudflare,
                             rcode: [Rcode::NoError, Rcode::ServFail, Rcode::NxDomain][i % 3],
-                            codes: codes.clone(),
-                            network_error_text: text.clone(),
+                            codes: codes.clone().into(),
+                            network_error_text: text.as_deref().map(Box::from),
                         };
                         let mut of_line = Fnv1a(FNV_OFFSET);
                         std::fmt::Write::write_str(&mut of_line, &rec.outcome_line()).unwrap();

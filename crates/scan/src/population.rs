@@ -14,6 +14,7 @@ use crate::category::{Count, NsDraw, TldPlacement, FULLY_BROKEN_TLD_MEMBER, ROWS
 use crate::rng::SplitMix64;
 use ede_wire::Name;
 use std::net::Ipv4Addr;
+use std::num::NonZeroU32;
 use std::sync::Arc;
 
 /// One TLD of the population.
@@ -42,9 +43,9 @@ pub struct DomainRecord {
     pub category: Category,
     /// Addresses of the domain's nameservers (hosting-pool addresses).
     pub ns_addrs: NsAddrs,
-    /// Tranco-style popularity rank (1-based), if the domain is in the
-    /// scaled top list.
-    pub rank: Option<u32>,
+    /// Tranco-style popularity rank, if the domain is in the scaled top
+    /// list. Ranks count from 1, so a record holds one in 4 bytes.
+    pub rank: Option<NonZeroU32>,
 }
 
 /// A domain's one or two nameserver addresses, held inline: a domain
@@ -487,12 +488,12 @@ impl Population {
         while rank_targets.len() < (config.tranco_size as usize).min(n) {
             let idx = rng.gen_index(n);
             if domains[idx].rank.is_none() {
-                domains[idx].rank = Some(0); // placeholder, numbered below
+                domains[idx].rank = Some(NonZeroU32::MAX); // placeholder, numbered below
                 rank_targets.push(idx);
             }
         }
-        for (rank0, &idx) in rank_targets.iter().enumerate() {
-            domains[idx].rank = Some(rank0 as u32 + 1);
+        for (rank, &idx) in (1..).zip(&rank_targets) {
+            domains[idx].rank = NonZeroU32::new(rank);
         }
 
         // Randomize scan order, as the paper did to spread load.
@@ -609,8 +610,9 @@ mod tests {
     }
 
     #[test]
-    fn a_domain_record_is_48_bytes() {
-        assert_eq!(std::mem::size_of::<DomainRecord>(), 48);
+    fn a_domain_record_is_40_bytes() {
+        assert_eq!(std::mem::size_of::<DomainRecord>(), 40);
+        assert_eq!(std::mem::size_of::<Option<NonZeroU32>>(), 4);
     }
 
     #[test]
@@ -661,7 +663,11 @@ mod tests {
     #[test]
     fn tranco_ranks_unique_and_bounded() {
         let p = Population::generate(PopulationConfig::tiny());
-        let mut ranks: Vec<u32> = p.domains.iter().filter_map(|d| d.rank).collect();
+        let mut ranks: Vec<u32> = p
+            .domains
+            .iter()
+            .filter_map(|d| d.rank.map(NonZeroU32::get))
+            .collect();
         ranks.sort_unstable();
         let expected: Vec<u32> = (1..=p.config.tranco_size.min(ranks.len() as u32)).collect();
         assert_eq!(ranks, expected);

@@ -256,7 +256,7 @@ impl QueryFilter {
             }
         }
         if let Some(tld) = &self.tld {
-            if !record.tld_label().eq_ignore_ascii_case(tld) {
+            if !record.tld_label().eq_ignore_ascii_case(tld.as_bytes()) {
                 return false;
             }
         }
@@ -287,7 +287,7 @@ impl QueryFilter {
             }
         }
         if let Some(needle) = &self.name_contains {
-            if !record.name.to_ascii_lowercase().contains(needle) {
+            if !record.name.to_string().contains(needle) {
                 return false;
             }
         }
@@ -347,7 +347,7 @@ impl FilterSummary {
             }
             *summary
                 .per_tld
-                .entry(r.tld_label().to_string())
+                .entry(r.name.suffix(1).to_string().trim_end_matches('.').into())
                 .or_insert(0) += 1;
             *summary.per_category.entry(r.category.name()).or_insert(0) += 1;
             summary.vtime_span = Some(match summary.vtime_span {
@@ -427,6 +427,7 @@ pub fn load_jsonl(path: &Path) -> io::Result<Vec<QueryRecord>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ede_wire::Name;
 
     fn record(name: &str, rank: Option<u32>, codes: Vec<u16>, pass: u8) -> QueryRecord {
         QueryRecord {
@@ -434,13 +435,13 @@ mod tests {
             vtime_ms: 1000 * u64::from(pass),
             pass,
             domain: rank.unwrap_or(0) as usize,
-            name: name.to_string(),
+            name: Name::parse(name).unwrap(),
             tld: 0,
             rank,
             category: Category::HealthyUnsigned,
             vendor: Vendor::Cloudflare,
             rcode: Rcode::NoError,
-            codes,
+            codes: codes.into(),
             network_error_text: None,
         }
     }
@@ -456,7 +457,7 @@ mod tests {
         let filter = QueryFilter::new().code(23).tld("com").rank_range(1, 500);
         let hits = filter.filter(&records);
         assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].name, "a.com.");
+        assert_eq!(hits[0].name.to_string(), "a.com.");
     }
 
     #[test]

@@ -18,17 +18,23 @@
 //! fields**, and the aggregate fingerprint hashes
 //! [`QueryRecord::outcome_line`], which excludes both.
 
-use crate::population::Category;
-use ede_resolver::Vendor;
+use crate::population::{Category, DomainRecord};
+use ede_resolver::{Resolution, Vendor};
 use ede_trace::json::json_string;
-use ede_wire::Rcode;
+use ede_wire::{Name, Rcode};
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
+use std::num::NonZeroU32;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// One completed scan resolution, as retained by the query log.
+///
+/// A record of a population domain owns no heap block unless its
+/// resolution had EDE: the name is held inline (a population name's
+/// wire form fits [`ede_wire::name::MAX_INLINE_LEN`]), and an empty
+/// code list and an absent text allocate nothing.
 #[derive(Debug, Clone)]
 pub struct QueryRecord {
     /// Ring arrival sequence (assigned at push; timing-dependent).
@@ -39,8 +45,8 @@ pub struct QueryRecord {
     pub pass: u8,
     /// Index of the domain in the population.
     pub domain: usize,
-    /// The queried name, dotted presentation form.
-    pub name: String,
+    /// The queried name.
+    pub name: Name,
     /// TLD index in the population.
     pub tld: usize,
     /// Tranco rank, if ranked.
@@ -52,21 +58,49 @@ pub struct QueryRecord {
     /// Final RCODE.
     pub rcode: Rcode,
     /// Observed EDE codes, wire order.
-    pub codes: Vec<u16>,
+    pub codes: Box<[u16]>,
     /// EXTRA-TEXT of the Network Error entry, when present.
-    pub network_error_text: Option<String>,
+    pub network_error_text: Option<Box<str>>,
 }
 
 impl QueryRecord {
-    /// The record's TLD label, derived from the name (last label before
-    /// the root dot) — lets filters work on historical JSONL traces
-    /// without the population in hand.
-    pub fn tld_label(&self) -> &str {
-        self.name
-            .trim_end_matches('.')
-            .rsplit('.')
-            .next()
-            .unwrap_or("")
+    /// The record of `res`, the resolution of `d`, domain `domain` of
+    /// the population, by `vendor` in scan pass `pass`, completed at
+    /// `vtime_ms`; the query log assigns its `seq` at push. The name is
+    /// copied, not formatted.
+    pub fn of_resolution(
+        domain: usize,
+        d: &DomainRecord,
+        res: &Resolution,
+        vendor: Vendor,
+        pass: u8,
+        vtime_ms: u64,
+    ) -> QueryRecord {
+        QueryRecord {
+            seq: 0,
+            vtime_ms,
+            pass,
+            domain,
+            name: d.name.clone(),
+            tld: usize::from(d.tld),
+            rank: d.rank.map(NonZeroU32::get),
+            category: d.category,
+            vendor,
+            rcode: res.rcode,
+            codes: res.ede_codes().into(),
+            network_error_text: res
+                .ede
+                .iter()
+                .find(|e| e.code.to_u16() == 23)
+                .map(|e| e.extra_text.as_str().into()),
+        }
+    }
+
+    /// The record's TLD label, derived from the name (its last label)
+    /// — lets filters work on historical JSONL traces without the
+    /// population in hand.
+    pub fn tld_label(&self) -> &[u8] {
+        self.name.labels().last().unwrap_or_default()
     }
 
     /// The canonical outcome line: every deterministic field, one
@@ -105,7 +139,10 @@ impl QueryRecord {
         out.push_str(&format!("\"vtime\":{},", self.vtime_ms));
         out.push_str(&format!("\"pass\":{},", self.pass));
         out.push_str(&format!("\"domain\":{},", self.domain));
-        out.push_str(&format!("\"name\":{},", json_string(&self.name)));
+        out.push_str(&format!(
+            "\"name\":{},",
+            json_string(&self.name.to_string())
+        ));
         out.push_str(&format!("\"tld\":{},", self.tld));
         match self.rank {
             Some(r) => out.push_str(&format!("\"rank\":{r},")),
@@ -131,7 +168,8 @@ impl QueryRecord {
     }
 
     /// Parse one JSONL line back into a record. Returns `None` on any
-    /// schema mismatch — callers treat a bad line as corrupt input.
+    /// schema mismatch — a `name` that is not a DNS name included —
+    /// callers treat a bad line as corrupt input.
     pub fn from_json(line: &str) -> Option<QueryRecord> {
         let mut p = JsonParser::new(line);
         p.expect('{')?;
@@ -155,7 +193,7 @@ impl QueryRecord {
                 "vtime" => vtime = Some(p.number()?),
                 "pass" => pass = Some(u8::try_from(p.number()?).ok()?),
                 "domain" => domain = Some(usize::try_from(p.number()?).ok()?),
-                "name" => name = Some(p.string()?),
+                "name" => name = Some(Name::parse(&p.string()?).ok()?),
                 "tld" => tld = Some(usize::try_from(p.number()?).ok()?),
                 "rank" => {
                     rank = Some(match p.number_or_null()? {
@@ -189,7 +227,7 @@ impl QueryRecord {
                 .into_iter()
                 .map(|n| u16::try_from(n).ok())
                 .collect::<Option<_>>()?,
-            network_error_text: net?,
+            network_error_text: net?.map(String::into_boxed_str),
         })
     }
 }
@@ -544,14 +582,14 @@ mod tests {
             vtime_ms: 42,
             pass: 1,
             domain,
-            name: format!("d{domain}.example."),
+            name: Name::parse(&format!("d{domain}.example.")).unwrap(),
             tld: 3,
             rank: domain.is_multiple_of(2).then_some(domain as u32 + 1),
             category: Category::LameRcode,
             vendor: Vendor::Cloudflare,
             rcode: Rcode::ServFail,
-            codes,
-            network_error_text: Some(format!("192.0.2.{domain}:53 rcode=REFUSED for x A")),
+            codes: codes.into(),
+            network_error_text: Some(format!("192.0.2.{domain}:53 rcode=REFUSED for x A").into()),
         }
     }
 
@@ -586,8 +624,9 @@ mod tests {
     }
 
     /// `from_json` reads back exactly what `to_json` writes, for any
-    /// `name` / `net` text (non-ASCII, quotes, backslashes, control
-    /// characters) and at the numeric boundaries of every field.
+    /// `name` (label octets of every value, written with escapes), any
+    /// `net` text (non-ASCII, quotes, backslashes, control characters)
+    /// and at the numeric boundaries of every field.
     #[test]
     fn json_round_trips_arbitrary_strings_and_boundary_numbers() {
         const ALPHABET: [char; 16] = [
@@ -600,6 +639,15 @@ mod tests {
                 .map(|_| ALPHABET[rng.gen_index(ALPHABET.len())])
                 .collect()
         };
+        let name = |rng: &mut crate::rng::SplitMix64| -> Name {
+            let labels: Vec<Vec<u8>> = (0..rng.gen_index(4))
+                .map(|_| {
+                    let len = 1 + rng.gen_index(12);
+                    (0..len).map(|_| rng.next_u64() as u8).collect()
+                })
+                .collect();
+            Name::from_labels(labels).expect("at most 4 × 13 octets")
+        };
         let edge = |rng: &mut crate::rng::SplitMix64, max: u64| match rng.gen_index(3) {
             0 => 0,
             1 => max,
@@ -611,7 +659,7 @@ mod tests {
                 vtime_ms: edge(&mut rng, u64::MAX),
                 pass: edge(&mut rng, u64::from(u8::MAX)) as u8,
                 domain: edge(&mut rng, usize::MAX as u64) as usize,
-                name: text(&mut rng),
+                name: name(&mut rng),
                 tld: edge(&mut rng, usize::MAX as u64) as usize,
                 rank: (i % 3 != 0).then(|| edge(&mut rng, u64::from(u32::MAX)) as u32),
                 category: Category::LameRcode,
@@ -620,7 +668,7 @@ mod tests {
                 codes: (0..rng.gen_index(4))
                     .map(|_| edge(&mut rng, u64::from(u16::MAX)) as u16)
                     .collect(),
-                network_error_text: (i % 4 != 0).then(|| text(&mut rng)),
+                network_error_text: (i % 4 != 0).then(|| text(&mut rng).into()),
             };
             let line = r.to_json();
             let back = QueryRecord::from_json(&line).unwrap_or_else(|| panic!("rejects {line}"));
@@ -650,6 +698,46 @@ mod tests {
         }
     }
 
+    /// A `name` that is not a DNS name is corrupt input, like any other
+    /// schema violation.
+    #[test]
+    fn a_name_that_is_no_dns_name_is_rejected() {
+        let line = record(7, vec![22]).to_json();
+        let from = "\"name\":\"d7.example.\",";
+        assert!(line.contains(from), "{line} lacks {from}");
+        let long_label = "x".repeat(64);
+        let long_name = ["y".repeat(63).as_str(); 4].join(".");
+        for bad in [
+            "a..example.",
+            ".a.",
+            &long_label,
+            &long_name,
+            "\\\\256.example.",
+            "a\\\\04x.example.",
+            "trailing\\\\",
+        ] {
+            let to = format!("\"name\":\"{bad}\",");
+            assert_eq!(
+                QueryRecord::from_json(&line.replace(from, &to)),
+                None,
+                "{to}"
+            );
+        }
+        let to = "\"name\":\"a\\\\.b.Example\",";
+        let back = QueryRecord::from_json(&line.replace(from, to)).expect("a DNS name");
+        assert_eq!(
+            back.name.labels().collect::<Vec<_>>(),
+            [&b"a.b"[..], b"example"]
+        );
+    }
+
+    /// A ring of 65 536 records is ≈ 6.8 MB, with no heap block behind
+    /// a population domain's record unless it has EDE.
+    #[test]
+    fn a_query_record_is_at_most_104_bytes() {
+        assert!(std::mem::size_of::<QueryRecord>() <= 104);
+    }
+
     #[test]
     fn equality_ignores_timing_fields() {
         let mut a = record(1, vec![22]);
@@ -659,7 +747,7 @@ mod tests {
         a.vtime_ms = 1;
         b.vtime_ms = 2;
         assert_eq!(a, b);
-        b.codes = vec![23];
+        b.codes = Box::new([23]);
         assert_ne!(a, b);
     }
 
@@ -719,6 +807,10 @@ mod tests {
     #[test]
     fn tld_label_derives_from_name() {
         let r = record(1, vec![]);
-        assert_eq!(r.tld_label(), "example");
+        assert_eq!(r.tld_label(), b"example");
+        assert_eq!(
+            QueryRecord::from_json(&r.to_json()).unwrap().tld_label(),
+            b"example"
+        );
     }
 }

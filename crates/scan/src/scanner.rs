@@ -17,7 +17,6 @@ use ede_resolver::{
 use ede_trace::{Metrics, MetricsSnapshot};
 use ede_wire::RrType;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -259,40 +258,6 @@ impl ScanConfigBuilder {
     }
 }
 
-/// Fold one finished resolution into a query record.
-fn record_from(
-    pop: &Population,
-    idx: usize,
-    res: &Resolution,
-    pass: u8,
-    vtime_ms: u64,
-) -> QueryRecord {
-    let d = &pop.domains[idx];
-    let network_error_text = res
-        .ede
-        .iter()
-        .find(|e| e.code.to_u16() == 23)
-        .map(|e| e.extra_text.clone());
-    // The dotted form is one octet shorter than the wire form (bar
-    // escapes): rendered once, in a buffer that does not have to grow.
-    let mut name = String::with_capacity(d.name.wire_len());
-    write!(name, "{}", d.name).expect("writing to a String cannot fail");
-    QueryRecord {
-        seq: 0, // assigned by the query log at push
-        vtime_ms,
-        pass,
-        domain: idx,
-        name,
-        tld: usize::from(d.tld),
-        rank: d.rank,
-        category: d.category,
-        vendor: SCAN_VENDOR,
-        rcode: res.rcode,
-        codes: res.ede_codes(),
-        network_error_text,
-    }
-}
-
 /// Detaches the world's trace sink on drop — including during unwind,
 /// so a panicking worker cannot leak this scan's metrics sink into the
 /// next scan (or troubleshoot run) on the same world.
@@ -418,10 +383,11 @@ impl PassCtx<'_> {
     /// Build the record for one finished resolution and fold it into
     /// `partial` if the gate says so.
     fn record(&self, idx: usize, res: &Resolution, partial: &mut PartialAggregate) -> QueryRecord {
-        let rec = record_from(
-            self.pop,
+        let rec = QueryRecord::of_resolution(
             idx,
+            &self.pop.domains[idx],
             res,
+            SCAN_VENDOR,
             self.pass,
             self.world.net.clock().now_millis(),
         );
@@ -698,7 +664,7 @@ mod tests {
                     assert!(obs.codes.is_empty(), "{}: {:?}", obs.name, obs.codes);
                 }
                 Category::LameRcode => {
-                    assert_eq!(obs.codes, vec![22, 23], "{}", obs.name);
+                    assert_eq!(*obs.codes, [22, 23], "{}", obs.name);
                 }
                 Category::StaleFlapRefuse => {
                     assert!(obs.codes.contains(&3), "{}: {:?}", obs.name, obs.codes);

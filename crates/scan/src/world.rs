@@ -94,8 +94,9 @@ struct Registry {
     /// By serial: the domain's place, exactly one slot per domain.
     places: Vec<Place>,
     /// By TLD index: the indices of its registered children, in
-    /// population order (a child's ordinal is its position here). The
-    /// input to each TLD's honest NSEC3 chain, and the scanner's claims.
+    /// population order (a child's ordinal is its position here), each
+    /// list exactly sized. The input to each TLD's honest NSEC3 chain,
+    /// and the scanner's claims.
     children: Vec<Vec<u32>>,
 }
 
@@ -104,7 +105,12 @@ impl Registry {
     /// name has a serial, or this panics naming it.
     fn of(pop: &Population) -> Registry {
         let serials = Serials::of(&pop.config);
-        let mut children: Vec<Vec<u32>> = vec![Vec::new(); pop.tlds.len()];
+        // Counted first, so that each list is allocated once, exactly.
+        let mut counts = vec![0usize; pop.tlds.len()];
+        for d in pop.domains.iter() {
+            counts[usize::from(d.tld)] += 1;
+        }
+        let mut children: Vec<Vec<u32>> = counts.into_iter().map(Vec::with_capacity).collect();
         let mut places = vec![Place::default(); serials.len()];
         for (index, d) in pop.domains.iter().enumerate() {
             let index = u32::try_from(index).expect("a population fits u32 indices");
@@ -374,62 +380,79 @@ struct TldChain {
 impl TldChain {
     /// The chain over `children`: the TLD's registered domains in
     /// ordinal order.
+    ///
+    /// At its peak it holds a sort key (24 B), an owner (21 B) and a
+    /// slot (4 B) per child; it keeps the owner and the slot.
     fn build<'a>(
         tld: &Name,
         children: impl ExactSizeIterator<Item = &'a DomainRecord>,
     ) -> TldChain {
         let params = Nsec3Config::default();
-        // The children's wire names, gathered into one buffer before any
-        // hashing: the records and their names lie scattered through
-        // memory, and loads that wait on no hash overlap. Read inside the
-        // hashing loop, they raised the p99 of single resolves on a fresh
-        // world (where a TLD's first referral builds its chain) by a
-        // third.
-        let mut wire = Vec::with_capacity(children.len() * 24);
-        let mut ends = Vec::with_capacity(children.len());
-        let mut signed = Vec::with_capacity(children.len());
-        for rec in children {
-            wire.extend_from_slice(rec.name.as_wire());
-            ends.push(wire.len());
-            signed.push(rec.category.signed());
-        }
-
-        // Sort keys: the hash as two big-endian integers, whose order is
-        // the bytes' order, then a tag that makes the order total and
-        // says whose hash it is — the apex, the host, then each child by
-        // ordinal, the order a stable sort by hash alone would keep.
+        // Sort keys: the hash as three big-endian integers, whose order
+        // is the bytes' order, the last one's low half a tag that makes
+        // the order total and says whose hash it is — the apex, the
+        // host, then each child by ordinal, the order a stable sort by
+        // hash alone would keep — and, in its lowest bit, whether a
+        // child is signed.
         const APEX: u32 = 0;
         const HOST: u32 = 1;
-        const FIRST_CHILD: u32 = 2;
+        let child_tag = |ordinal: usize, signed: bool| {
+            u32::try_from(2 * (ordinal + 1) + usize::from(signed))
+                .expect("a TLD has fewer than 2^31 children")
+        };
         let key = |name: &[u8], tag: u32| {
             let hash = nsec3hash::nsec3_hash(name, &params.salt, params.iterations);
-            let high = u128::from_be_bytes(hash[..16].try_into().expect("16 bytes"));
+            let word =
+                |at: usize| u64::from_be_bytes(hash[at..at + 8].try_into().expect("8 bytes"));
             let low = u32::from_be_bytes(hash[16..].try_into().expect("4 bytes"));
-            (high, low, tag)
+            [word(0), word(8), u64::from(low) << 32 | u64::from(tag)]
         };
-        let mut keys = Vec::with_capacity(ends.len() + 2);
+        let count = children.len();
+        let mut keys = Vec::with_capacity(count + 2);
         keys.push(key(tld.as_wire(), APEX));
         keys.push(key(ns_host(tld, 0).as_wire(), HOST));
-        let mut start = 0;
-        for (ordinal, &end) in ends.iter().enumerate() {
-            keys.push(key(&wire[start..end], FIRST_CHILD + ordinal as u32));
-            start = end;
+
+        // The children's wire names, gathered a batch at a time before
+        // any of the batch is hashed: the records and their names lie
+        // scattered through memory, and loads that wait on no hash
+        // overlap. Read inside the hashing loop, they raised the p99 of
+        // single resolves on a fresh world (where a TLD's first referral
+        // builds its chain) by a third.
+        const BATCH: usize = 1024;
+        let mut wire = Vec::with_capacity(BATCH.min(count) * 24);
+        let mut ends = Vec::with_capacity(BATCH.min(count));
+        let mut children = children.enumerate();
+        loop {
+            wire.clear();
+            ends.clear();
+            for (ordinal, rec) in children.by_ref().take(BATCH) {
+                wire.extend_from_slice(rec.name.as_wire());
+                ends.push((wire.len(), child_tag(ordinal, rec.category.signed())));
+            }
+            if ends.is_empty() {
+                break;
+            }
+            let mut start = 0;
+            for &(end, tag) in &ends {
+                keys.push(key(&wire[start..end], tag));
+                start = end;
+            }
         }
         keys.sort_unstable();
 
-        let mut child_slots = vec![0u32; ends.len()];
+        let mut child_slots = vec![0u32; count];
         let mut owners = Vec::with_capacity(keys.len());
-        for (slot, &(high, low, tag)) in keys.iter().enumerate() {
+        for (slot, [high, middle, low]) in keys.into_iter().enumerate() {
             let mut hash = [0u8; NSEC3_HASH_LEN];
-            hash[..16].copy_from_slice(&high.to_be_bytes());
-            hash[16..].copy_from_slice(&low.to_be_bytes());
-            let kind = match tag {
+            hash[..8].copy_from_slice(&high.to_be_bytes());
+            hash[8..16].copy_from_slice(&middle.to_be_bytes());
+            hash[16..].copy_from_slice(&((low >> 32) as u32).to_be_bytes());
+            let kind = match low as u32 {
                 APEX => ChainOwner::Apex,
                 HOST => ChainOwner::Host,
-                _ => {
-                    let ordinal = (tag - FIRST_CHILD) as usize;
-                    child_slots[ordinal] = slot as u32;
-                    if signed[ordinal] {
+                tag => {
+                    child_slots[(tag >> 1) as usize - 1] = slot as u32;
+                    if tag & 1 == 1 {
                         ChainOwner::Secure
                     } else {
                         ChainOwner::Insecure
@@ -972,6 +995,41 @@ mod tests {
         ];
         for name in misses {
             assert!(registry.get(&name).is_none(), "{name} was found");
+        }
+    }
+
+    /// Each TLD's list of children is allocated once, at its length.
+    #[test]
+    fn every_registry_list_is_exactly_sized() {
+        let pop = Population::generate(PopulationConfig::tiny());
+        let registry = Registry::of(&pop);
+        assert_eq!(registry.children.len(), pop.tlds.len());
+        for (t, list) in registry.children.iter().enumerate() {
+            assert_eq!(list.len(), list.capacity(), "TLD {t}");
+        }
+        let listed: usize = registry.children.iter().map(Vec::len).sum();
+        assert_eq!(listed, pop.domains.len());
+    }
+
+    /// What a chain keeps once built: an owner of 21 bytes and a slot of
+    /// 4 per child, and the apex's and the host's owners, in exactly
+    /// sized buffers.
+    #[test]
+    fn a_retained_chain_holds_25_bytes_per_child() {
+        let pop = Population::generate(PopulationConfig::tiny());
+        let registry = Arc::new(Registry::of(&pop));
+        let owner = std::mem::size_of::<([u8; NSEC3_HASH_LEN], ChainOwner)>();
+        assert_eq!(owner, 21);
+        for (index, tld) in pop.tlds.iter().enumerate() {
+            let chain = TldServer::new(index, tld, Arc::clone(&registry)).chain();
+            let children = registry.children[index].len();
+            let retained = chain.owners.capacity() * owner
+                + chain.child_slots.capacity() * std::mem::size_of::<u32>();
+            assert!(
+                retained <= 25 * children + 2 * owner,
+                "{}: {retained} B for {children} children",
+                tld.name
+            );
         }
     }
 

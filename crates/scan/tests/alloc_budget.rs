@@ -313,13 +313,13 @@ fn draining_a_wrapped_query_log_allocates_nothing() {
         vtime_ms: 0,
         pass: 1,
         domain,
-        name: format!("d{domain}.example."),
+        name: Name::parse(&format!("d{domain}.example.")).unwrap(),
         tld: 0,
         rank: None,
         category: Category::HealthyUnsigned,
         vendor: Vendor::Cloudflare,
         rcode: Rcode::NoError,
-        codes: Vec::new(),
+        codes: Box::default(),
         network_error_text: None,
     };
     let log = QueryLog::new(CAPACITY, None).expect("no spill file");
@@ -332,6 +332,34 @@ fn draining_a_wrapped_query_log_allocates_nothing() {
     let kept: Vec<(u64, usize)> = records.iter().map(|r| (r.seq, r.domain)).collect();
     let newest: Vec<(u64, usize)> = (3..CAPACITY + 3).map(|i| (i as u64, i)).collect();
     assert_eq!(kept, newest);
+}
+
+/// A query-log record of a population domain copies its name, which is
+/// held inline: a resolution without EDE logs with no allocator call,
+/// and one with EDE 22 and 23 with two, its codes and its Network Error
+/// text.
+#[test]
+fn a_query_log_record_allocates_only_for_its_ede() {
+    let _turn = serial();
+    let (pop, _world, resolver) = world_and_resolver();
+    for (cat, codes, allocs) in [
+        (Category::HealthyUnsigned, &[][..], 0),
+        (Category::LameRcode, &[22, 23], 2),
+    ] {
+        let (_, domain) = warm_and_cold(&pop, cat);
+        let index = pop
+            .domains
+            .iter()
+            .position(|d| d.name == domain.name)
+            .unwrap();
+        let res = resolver.resolve(&domain.name, RrType::A);
+
+        let before = thread_allocs();
+        let record = QueryRecord::of_resolution(index, domain, &res, Vendor::Cloudflare, 1, 0);
+        assert_eq!(thread_allocs() - before, allocs, "{cat:?}");
+        assert_eq!((&*record.codes, record.name), (codes, domain.name.clone()));
+        assert_eq!(record.network_error_text.is_some(), allocs > 0, "{cat:?}");
+    }
 }
 
 /// Allocator calls per domain of a whole scan at one worker: population
@@ -357,7 +385,7 @@ fn whole_scan_stays_under_its_allocation_ceiling() {
 }
 
 /// See `whole_scan_stays_under_its_allocation_ceiling`.
-const WHOLE_SCAN_CEILING: f64 = 40.0;
+const WHOLE_SCAN_CEILING: f64 = 36.8;
 
 /// Where the pinned cold resolve allocates: one backtrace per allocator
 /// call, grouped by the nearest three frames of this workspace's crates,

@@ -170,14 +170,45 @@ impl Name {
 
     /// Parse a dotted textual name. Accepts an optional trailing dot; all
     /// names are treated as fully qualified. `"."` and `""` both give the
-    /// root. Escapes are not supported (the testbed never needs them).
+    /// root. Reads the escapes [`Display`](fmt::Display) writes (RFC 1035
+    /// §5.1): `\DDD` is the octet with decimal value `DDD`, and `\X`
+    /// for any other `X` is `X` itself, so `\.` is a dot inside a label.
     pub fn parse(text: &str) -> Result<Self, WireError> {
-        let trimmed = text.strip_suffix('.').unwrap_or(text);
         let mut b = Builder::new();
-        if !trimmed.is_empty() {
-            for label in trimmed.split('.') {
-                b.push(label.as_bytes())?;
+        if text == "." {
+            return Ok(b.finish());
+        }
+        let bad = || WireError::BadLabel(text.to_string());
+        let (mut label, mut len) = ([0u8; MAX_LABEL_LEN + 1], 0);
+        let mut octets = text.bytes();
+        while let Some(octet) = octets.next() {
+            let octet = match octet {
+                b'.' => {
+                    b.push(&label[..len])?;
+                    len = 0;
+                    continue;
+                }
+                b'\\' => match octets.next().ok_or_else(bad)? {
+                    first @ b'0'..=b'9' => {
+                        let mut value = u32::from(first - b'0');
+                        for _ in 0..2 {
+                            let digit = octets.next().filter(u8::is_ascii_digit);
+                            value = value * 10 + u32::from(digit.ok_or_else(bad)? - b'0');
+                        }
+                        u8::try_from(value).map_err(|_| bad())?
+                    }
+                    other => other,
+                },
+                plain => plain,
+            };
+            // One octet past the limit is enough for `push` to refuse.
+            if len <= MAX_LABEL_LEN {
+                label[len] = octet;
+                len += 1;
             }
+        }
+        if len > 0 {
+            b.push(&label[..len])?;
         }
         Ok(b.finish())
     }
@@ -452,11 +483,17 @@ impl fmt::Display for Name {
         if self.is_root() {
             return write!(f, ".");
         }
+        let plain = |b: &u8| b.is_ascii_graphic() && *b != b'.' && *b != b'\\';
         for label in self.labels() {
-            for &b in label {
-                if b.is_ascii_graphic() && b != b'.' && b != b'\\' {
-                    f.write_char(b as char)?;
-                } else {
+            // Each run of plain octets in one write, then the escape
+            // that ends it.
+            for run in label.split_inclusive(|b| !plain(b)) {
+                let (text, escaped) = match run.split_last() {
+                    Some((&b, text)) if !plain(&b) => (text, Some(b)),
+                    _ => (run, None),
+                };
+                f.write_str(std::str::from_utf8(text).expect("plain octets are ASCII"))?;
+                if let Some(b) = escaped {
                     write!(f, "\\{b:03}")?;
                 }
             }

@@ -355,6 +355,73 @@ fn decode_across_the_inline_limit_gives_the_parsed_name() {
     }
 }
 
+/// A label of arbitrary octets: dots, backslashes, spaces, control and
+/// non-ASCII octets included, one time in eight at the 63-octet limit.
+fn arb_octet_label(rng: &mut Rng) -> Vec<u8> {
+    let len = match rng.below(8) {
+        0 => 63,
+        _ => 1 + rng.below(10) as usize,
+    };
+    (0..len).map(|_| rng.below(256) as u8).collect()
+}
+
+/// The text a name is written as by hand, RFC 1035 §5.1 style: each
+/// octet of `labels` plain where it may be, else escaped at random as
+/// `\DDD` or, when it is ASCII and no digit, as `\X`; a plain octet
+/// is escaped now and then too.
+fn hand_written(rng: &mut Rng, labels: &[Vec<u8>]) -> String {
+    let mut text = String::new();
+    for label in labels {
+        for &b in label {
+            let plain = b.is_ascii_graphic() && b != b'.' && b != b'\\';
+            match rng.below(4) {
+                0 | 1 if plain => text.push(char::from(b)),
+                0 | 1 if b.is_ascii() && !b.is_ascii_digit() => {
+                    text.extend(['\\', char::from(b)]);
+                }
+                _ => text.push_str(&format!("\\{b:03}")),
+            }
+        }
+        text.push('.');
+    }
+    text
+}
+
+/// `parse` reads back what `Display` writes for any label octets, and
+/// the other escapes RFC 1035 §5.1 allows: text round trips land on an
+/// equal name, and a hand-written text on the same name as its octets.
+#[test]
+fn text_round_trips_arbitrary_label_octets() {
+    let mut rng = Rng(0x000f_5eed);
+    for case in 0..2000 {
+        let labels: Vec<Vec<u8>> = (0..rng.below(5))
+            .map(|_| arb_octet_label(&mut rng))
+            .collect();
+        let Ok(name) = Name::from_labels(&labels) else {
+            continue; // past 255 octets
+        };
+        let text = name.to_string();
+        let reparsed = Name::parse(&text).unwrap_or_else(|e| panic!("case {case}: {text}: {e}"));
+        assert_eq!(reparsed, name, "case {case}: {text}");
+        assert_eq!(reparsed.to_string(), text, "case {case}");
+        let by_hand = hand_written(&mut rng, &labels);
+        let parsed = Name::parse(&by_hand).unwrap_or_else(|e| panic!("{by_hand}: {e}"));
+        assert_eq!(parsed, name, "case {case}: {by_hand}");
+    }
+    for (text, wire) in [
+        ("a\\046b.com.", &b"\x03a.b\x03com\x00"[..]),
+        ("a\\.b.com", b"\x03a.b\x03com\x00"),
+        ("\\195\\169.com.", b"\x02\xc3\xa9\x03com\x00"),
+        ("\\\\\\ x.", b"\x03\\ x\x00"),
+        ("\\065\\066.", b"\x02ab\x00"),
+    ] {
+        assert_eq!(Name::parse(text).unwrap().as_wire(), wire, "{text}");
+    }
+    for text in ["a\\", "a\\04", "a\\04x.com", "\\256.com", "a..com", ".a"] {
+        assert!(Name::parse(text).is_err(), "{text}");
+    }
+}
+
 /// RFC 4034 §6.1's own example, sorted by `Ord`.
 #[test]
 fn canonical_order_matches_rfc4034() {
