@@ -151,31 +151,6 @@ impl ZoneServer {
         }
         resp.authoritative = true;
 
-        // CNAME at the name (and the query is not for the CNAME itself):
-        // answer the alias and chase in-zone.
-        if qtype != RrType::Cname {
-            let mut current = qname.clone();
-            let mut chased = 0;
-            while let Some(cname_set) = zone.get(&current, RrType::Cname) {
-                push_rrset(&mut resp.answers, cname_set, dnssec_ok);
-                let Some(Rdata::Cname(target)) = cname_set.rdatas.first() else {
-                    break;
-                };
-                current = target.clone();
-                chased += 1;
-                if chased > 8 || !current.is_subdomain_of(zone.apex()) {
-                    break;
-                }
-                if let Some(set) = zone.get(&current, qtype) {
-                    push_rrset(&mut resp.answers, set, dnssec_ok);
-                    break;
-                }
-            }
-            if !resp.answers.is_empty() {
-                return;
-            }
-        }
-
         // Negative answers carry the SOA; signed zones add denial proofs.
         let soa = zone.soa();
         // A server that lost its NSEC3PARAM record no longer knows the
@@ -263,11 +238,6 @@ mod tests {
         z.add_a(n("ns1.example.com"), "192.0.2.1".parse().unwrap());
         z.add_a(apex.clone(), "192.0.2.2".parse().unwrap());
         z.add_a(n("www.example.com"), "192.0.2.3".parse().unwrap());
-        z.add(Record::new(
-            n("alias.example.com"),
-            3600,
-            Rdata::Cname(n("www.example.com")),
-        ));
         // Secure delegation.
         z.add(Record::new(
             n("secure.example.com"),
@@ -317,14 +287,6 @@ mod tests {
         assert!(m.authoritative);
         assert!(m.answers.iter().any(|r| r.rtype() == RrType::A));
         assert!(m.answers.iter().any(|r| r.rtype() == RrType::Rrsig));
-    }
-
-    #[test]
-    fn cname_is_chased_in_zone() {
-        let s = build_server();
-        let m = reply(&s, "alias.example.com", RrType::A);
-        assert!(m.answers.iter().any(|r| r.rtype() == RrType::Cname));
-        assert!(m.answers.iter().any(|r| r.rtype() == RrType::A));
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The iterative resolution engine: root priming, referral walking,
-//! glue, CNAME chasing, retries, and the hookup into DNSSEC validation.
+//! The iterative resolution engine: root priming, referrals followed
+//! strictly downward to the servers their glue names, retries, and the
+//! hookup into DNSSEC validation.
 
 use crate::cache::infra::{BuildMark, ChainKeys, InfraCache, KeyEntry, ReferralEntry};
 use crate::config::ResolverConfig;
@@ -17,20 +18,16 @@ use std::sync::Arc;
 /// Referral-depth limit for one resolution.
 const MAX_REFERRALS: usize = 24;
 
-/// Recursion limit for out-of-bailiwick nameserver lookups and CNAME
-/// chains.
-const MAX_DEPTH: usize = 8;
-
 /// How many addresses of a zone's NS set to try before giving up.
 const MAX_SERVERS_PER_ZONE: usize = 4;
 
 /// What one engine run produced.
 #[derive(Debug, Clone)]
-pub struct EngineOutcome {
+pub(crate) struct EngineOutcome {
     /// Final response code.
-    pub rcode: Rcode,
+    pub(crate) rcode: Rcode,
     /// Answer records (validated answers, or empty on failure).
-    pub answers: Vec<Record>,
+    pub(crate) answers: Vec<Record>,
 }
 
 /// The engine borrows everything it needs for one resolution.
@@ -38,21 +35,21 @@ pub struct EngineOutcome {
 /// Every engine run is a resumable task: network exchanges suspend
 /// through the [`TaskHandle`], so one thread can hold
 /// thousands of engine runs in flight (see `docs/CONCURRENCY.md`).
-pub struct Engine<'a> {
+pub(crate) struct Engine<'a> {
     /// The simulated internet.
-    pub net: &'a Network,
+    pub(crate) net: &'a Network,
     /// Resolver configuration.
-    pub config: &'a ResolverConfig,
+    pub(crate) config: &'a ResolverConfig,
     /// The active vendor's validation capabilities.
-    pub caps: &'a ValidatorCaps,
+    pub(crate) caps: &'a ValidatorCaps,
     /// Shared infrastructure cache: validated zone keys plus root→TLD
     /// referral sets.
-    pub infra: &'a InfraCache,
+    pub(crate) infra: &'a InfraCache,
     /// Query ID source.
-    pub ids: &'a AtomicU16,
+    pub(crate) ids: &'a AtomicU16,
     /// Executor capability: every suspension (an exchange completion)
     /// of this resolution parks through it.
-    pub handle: &'a TaskHandle,
+    pub(crate) handle: &'a TaskHandle,
     /// Whether the key entry of the zone an answer comes from (or whose
     /// servers all failed) is stored: the pipeline's `store`. Keys met
     /// at a cut are stored regardless.
@@ -277,34 +274,6 @@ impl<'a> Engine<'a> {
         entry
     }
 
-    /// Resolve addresses for a nameserver name (used when a referral
-    /// came without glue). Shares the caller's diagnosis so failures in
-    /// the nameserver's own domain surface, as §4.2.8 observes.
-    async fn resolve_ns_addresses(
-        &self,
-        ns_name: &Name,
-        diag: &mut Diagnosis,
-        depth: usize,
-    ) -> Vec<IpAddr> {
-        if depth >= MAX_DEPTH {
-            return Vec::new();
-        }
-        // The one boxing point that breaks the resolve →
-        // resolve_ns_addresses → resolve type recursion.
-        let fut: std::pin::Pin<Box<dyn std::future::Future<Output = EngineOutcome> + '_>> =
-            Box::pin(self.resolve(ns_name, RrType::A, diag, depth + 1));
-        let outcome = fut.await;
-        outcome
-            .answers
-            .iter()
-            .filter_map(|r| match &r.rdata {
-                Rdata::A(a) => Some(IpAddr::V4(*a)),
-                Rdata::Aaaa(a) => Some(IpAddr::V6(*a)),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// The cached root→TLD hop for `name`, if the infrastructure tier
     /// holds a live one, announced as the `Referral` event the live hop
     /// would have emitted.
@@ -331,178 +300,59 @@ impl<'a> Engine<'a> {
     /// Full iterative resolution of (qname, qtype), as a resumable
     /// task: the returned future suspends on every network exchange
     /// via the engine's [`TaskHandle`].
-    pub async fn resolve(
+    pub(crate) async fn resolve(
         &self,
         qname: &Name,
         qtype: RrType,
         diag: &mut Diagnosis,
-        depth: usize,
     ) -> EngineOutcome {
-        let mut current_name = qname.clone();
-        let mut answers_acc: Vec<Record> = Vec::new();
-        let mut cname_budget = MAX_DEPTH;
+        // Referral fast-start: when the walk's first hop (the root→TLD
+        // delegation every resolution crosses) is cached, replay it and
+        // start one zone down. The cached hop was diagnosis-neutral when
+        // it ran live (the clean-hop rule of `cache::infra`), so skipping
+        // it cannot change what this resolution observes — only how many
+        // root queries it costs. Only a walk that does start at the root
+        // builds the root's server list and copies the trust anchors.
+        let mut at = match self.cached_first_hop(qname, diag) {
+            Some(entry) => Position::Cached(entry),
+            None => Position::Live(ReferralEntry {
+                zone: Name::root(),
+                servers: self.config.root_hints.iter().map(|h| h.addr).collect(),
+                ds_rdatas: self.config.trust_anchors.clone(),
+                // No referral leads to the root: nothing replays these.
+                ns_count: 0,
+                signed: false,
+                expires: 0,
+            }),
+        };
 
-        'restart: loop {
-            // Referral fast-start: when the walk's first hop (the
-            // root→TLD delegation every resolution crosses) is cached,
-            // replay it and start one zone down. The cached hop was
-            // diagnosis-neutral when it ran live (the clean-hop rule of
-            // `cache::infra`), so skipping it cannot change what this
-            // resolution observes — only how many root queries it costs.
-            // Only a walk that does start at the root builds the root's
-            // server list and copies the trust anchors.
-            let mut at = match self.cached_first_hop(&current_name, diag) {
-                Some(entry) => Position::Cached(entry),
-                None => Position::Live(ReferralEntry {
-                    zone: Name::root(),
-                    servers: self.config.root_hints.iter().map(|h| h.addr).collect(),
-                    ds_rdatas: self.config.trust_anchors.clone(),
-                    // No referral leads to the root: nothing replays these.
-                    ns_count: 0,
-                    signed: false,
-                    expires: 0,
-                }),
+        for _ in 0..MAX_REFERRALS {
+            // Signed: a DS set (or a trust anchor) vouches for the zone.
+            let zone_signed = !at.ds_rdatas.is_empty();
+
+            let (resp, responder) = match self.query_set(&at.servers, qname, qtype, diag).await {
+                SetQuery::Answered(resp, addr) => (resp, addr),
+                SetQuery::AllFailed { any_rcode_failure } => {
+                    diag.add(Finding::AllServersFailed { any_rcode_failure });
+                    // For a signed zone, probe the DNSKEY too so the
+                    // diagnosis records that the chain key is
+                    // unobtainable (Cloudflare's 9+22+23 bundle).
+                    if zone_signed && !at.zone.is_root() {
+                        if let Some(&first) = at.servers.first() {
+                            self.zone_keys(&at, first, diag, self.store).await;
+                        }
+                    }
+                    return servfail(diag);
+                }
             };
 
-            for _ in 0..MAX_REFERRALS {
-                // Signed: a DS set (or a trust anchor) vouches for the zone.
-                let zone_signed = !at.ds_rdatas.is_empty();
-
-                let (resp, responder) = match self
-                    .query_set(&at.servers, &current_name, qtype, diag)
-                    .await
-                {
-                    SetQuery::Answered(resp, addr) => (resp, addr),
-                    SetQuery::AllFailed { any_rcode_failure } => {
-                        diag.add(Finding::AllServersFailed { any_rcode_failure });
-                        // For a signed zone, probe the DNSKEY too so
-                        // the diagnosis records that the chain key is
-                        // unobtainable (Cloudflare's 9+22+23 bundle).
-                        if zone_signed && !at.zone.is_root() {
-                            if let Some(&first) = at.servers.first() {
-                                self.zone_keys(&at, first, diag, self.store).await;
-                            }
-                        }
-                        diag.degrade(ValidationState::Indeterminate);
-                        return EngineOutcome {
-                            rcode: Rcode::ServFail,
-                            answers: Vec::new(),
-                        };
-                    }
-                };
-
-                // Referral?
-                let referral = if resp.authoritative {
-                    None
-                } else {
-                    parse_referral(&resp, &current_name, &at.zone)
-                };
-                if let Some(referral) = referral {
-                    // Clean-hop bookkeeping: remember what the
-                    // diagnosis looked like before this hop so we
-                    // can tell afterwards whether the hop was
-                    // invisible to it (and therefore cacheable).
-                    let pre_findings = diag.findings.len();
-                    let pre_events = diag.ns_events.len();
-                    let pre_state = diag.validation;
-                    let tracer = diag.tracer();
-                    tracer.emit(TraceEvent::Referral {
-                        zone: if tracer.wants_query_detail() {
-                            referral.zone.to_string()
-                        } else {
-                            String::new()
-                        },
-                        ns_count: referral.ns_count,
-                        signed: referral.signed,
-                    });
-                    // Chain transition through the cut: the child
-                    // inherits the referral's DS set only from a signed
-                    // parent.
-                    let secure_cut = zone_signed && referral.signed;
-                    if zone_signed {
-                        let parent = self.zone_keys(&at, responder, diag, true).await;
-                        validate::cut_link(
-                            &resp.authorities,
-                            &referral.zone,
-                            referral.signed,
-                            parent.trusted(),
-                            self.caps,
-                            self.now(),
-                            diag,
-                        );
-                    }
-
-                    // Next server set: glue, else resolve NS names.
-                    let mut next: Vec<IpAddr> = Vec::new();
-                    for ns in referral_ns_names(&resp) {
-                        for rec in resp.additionals.iter().filter(|r| r.name == *ns) {
-                            match &rec.rdata {
-                                Rdata::A(a) => next.push(IpAddr::V4(*a)),
-                                Rdata::Aaaa(a) => next.push(IpAddr::V6(*a)),
-                                _ => {}
-                            }
-                        }
-                    }
-                    if next.is_empty() {
-                        for ns in referral_ns_names(&resp) {
-                            next.extend(self.resolve_ns_addresses(ns, diag, depth).await);
-                            if next.len() >= MAX_SERVERS_PER_ZONE {
-                                break;
-                            }
-                        }
-                    }
-                    if next.is_empty() {
-                        // Lame delegation: nowhere to go.
-                        diag.add(Finding::AllServersFailed {
-                            any_rcode_failure: diag
-                                .ns_events
-                                .iter()
-                                .any(|e| e.failure.is_rcode_failure()),
-                        });
-                        diag.degrade(ValidationState::Indeterminate);
-                        return EngineOutcome {
-                            rcode: Rcode::ServFail,
-                            answers: Vec::new(),
-                        };
-                    }
-                    // The response is spent: its DS records move into
-                    // the hop rather than being copied out of it.
-                    let was_root = at.zone.is_root();
-                    let hop = ReferralEntry {
-                        servers: next,
-                        ds_rdatas: if secure_cut {
-                            let zone = &referral.zone;
-                            resp.authorities
-                                .into_iter()
-                                .filter(|r| r.rtype() == RrType::Ds && r.name == *zone)
-                                .map(|r| r.rdata)
-                                .collect()
-                        } else {
-                            Vec::new()
-                        },
-                        zone: referral.zone,
-                        ns_count: referral.ns_count,
-                        signed: referral.signed,
-                        expires: self.now() + 3600,
-                    };
-                    // Cache the hop iff it was clean: a root→TLD
-                    // delegation that recorded no finding, no
-                    // nameserver event, and no validation-state
-                    // change. Replaying such a hop later is
-                    // diagnosis-neutral by construction; anything
-                    // the hop *did* record must re-walk live.
-                    at = if was_root
-                        && diag.findings.len() == pre_findings
-                        && diag.ns_events.len() == pre_events
-                        && diag.validation == pre_state
-                    {
-                        Position::Cached(self.infra.put_referral(hop))
-                    } else {
-                        Position::Live(hop)
-                    };
-                    continue;
-                }
-
+            // Referral?
+            let referral = if resp.authoritative {
+                None
+            } else {
+                parse_referral(&resp, qname, &at.zone)
+            };
+            let Some(referral) = referral else {
                 // Authoritative (or terminal) answer: the last link of
                 // the chain, when one reaches this zone.
                 diag.zone_signed |= zone_signed;
@@ -513,61 +363,127 @@ impl<'a> Engine<'a> {
                 };
                 validate::answer_link(
                     &resp,
-                    &Question::new(current_name.clone(), qtype),
+                    &Question::new(qname.clone(), qtype),
                     &at.zone,
                     keys.as_deref(),
                     self.caps,
                     self.now(),
                     diag,
                 );
-
-                // CNAME chasing: restart when the alias leads out of the
-                // current zone and the answer does not already contain
-                // the target type.
-                let has_qtype = resp.answers.iter().any(|r| r.rtype() == qtype);
-                let cname_target = resp.answers.iter().find_map(|r| match &r.rdata {
-                    Rdata::Cname(t) if qtype != RrType::Cname => Some(t.clone()),
-                    _ => None,
-                });
-                if let (false, Some(target)) = (has_qtype, cname_target) {
-                    if cname_budget == 0 {
-                        diag.degrade(ValidationState::Indeterminate);
-                        return EngineOutcome {
-                            rcode: Rcode::ServFail,
-                            answers: Vec::new(),
-                        };
-                    }
-                    cname_budget -= 1;
-                    answers_acc.extend(resp.answers);
-                    current_name = target;
-                    continue 'restart;
-                }
-
                 let rcode = if diag.validation == ValidationState::Bogus {
                     Rcode::ServFail
                 } else {
                     resp.rcode
                 };
-                // The response is spent: without a CNAME chain before
-                // it, its answers are the outcome's as they stand.
+                // The response is spent: its answers are the outcome's
+                // as they stand.
                 let answers = if rcode == Rcode::ServFail {
                     Vec::new()
-                } else if answers_acc.is_empty() {
-                    resp.answers
                 } else {
-                    answers_acc.extend(resp.answers);
-                    answers_acc
+                    resp.answers
                 };
                 return EngineOutcome { rcode, answers };
+            };
+
+            // Clean-hop bookkeeping: remember what the diagnosis looked
+            // like before this hop so we can tell afterwards whether the
+            // hop was invisible to it (and therefore cacheable).
+            let pre_findings = diag.findings.len();
+            let pre_events = diag.ns_events.len();
+            let pre_state = diag.validation;
+            let tracer = diag.tracer();
+            tracer.emit(TraceEvent::Referral {
+                zone: if tracer.wants_query_detail() {
+                    referral.zone.to_string()
+                } else {
+                    String::new()
+                },
+                ns_count: referral.ns_count,
+                signed: referral.signed,
+            });
+            // Chain transition through the cut: the child inherits the
+            // referral's DS set only from a signed parent.
+            let secure_cut = zone_signed && referral.signed;
+            if zone_signed {
+                let parent = self.zone_keys(&at, responder, diag, true).await;
+                validate::cut_link(
+                    &resp.authorities,
+                    &referral.zone,
+                    referral.signed,
+                    parent.trusted(),
+                    self.caps,
+                    self.now(),
+                    diag,
+                );
             }
 
-            // Referral budget exhausted.
-            diag.degrade(ValidationState::Indeterminate);
-            return EngineOutcome {
-                rcode: Rcode::ServFail,
-                answers: Vec::new(),
+            // Next server set: the referral's glue.
+            let mut next: Vec<IpAddr> = Vec::new();
+            for ns in referral_ns_names(&resp) {
+                for rec in resp.additionals.iter().filter(|r| r.name == *ns) {
+                    match &rec.rdata {
+                        Rdata::A(a) => next.push(IpAddr::V4(*a)),
+                        Rdata::Aaaa(a) => next.push(IpAddr::V6(*a)),
+                        _ => {}
+                    }
+                }
+            }
+            if next.is_empty() {
+                // Lame delegation: a referral without glue leaves
+                // nowhere to go.
+                diag.add(Finding::AllServersFailed {
+                    any_rcode_failure: diag.ns_events.iter().any(|e| e.failure.is_rcode_failure()),
+                });
+                return servfail(diag);
+            }
+            // The response is spent: its DS records move into the hop
+            // rather than being copied out of it.
+            let was_root = at.zone.is_root();
+            let hop = ReferralEntry {
+                servers: next,
+                ds_rdatas: if secure_cut {
+                    let zone = &referral.zone;
+                    resp.authorities
+                        .into_iter()
+                        .filter(|r| r.rtype() == RrType::Ds && r.name == *zone)
+                        .map(|r| r.rdata)
+                        .collect()
+                } else {
+                    Vec::new()
+                },
+                zone: referral.zone,
+                ns_count: referral.ns_count,
+                signed: referral.signed,
+                expires: self.now() + 3600,
+            };
+            // Cache the hop iff it was clean: a root→TLD delegation that
+            // recorded no finding, no nameserver event, and no
+            // validation-state change. Replaying such a hop later is
+            // diagnosis-neutral by construction; anything the hop *did*
+            // record must re-walk live.
+            at = if was_root
+                && diag.findings.len() == pre_findings
+                && diag.ns_events.len() == pre_events
+                && diag.validation == pre_state
+            {
+                Position::Cached(self.infra.put_referral(hop))
+            } else {
+                Position::Live(hop)
             };
         }
+
+        // Referral budget exhausted.
+        servfail(diag)
+    }
+}
+
+/// A failed resolution: SERVFAIL with no answers, the validation state
+/// degraded to Indeterminate.
+fn servfail(diag: &mut Diagnosis) -> EngineOutcome {
+    diag.degrade(ValidationState::Indeterminate);
+    EngineOutcome {
+        rcode: Rcode::ServFail,
+        answers: Vec::new(),
     }
 }
 

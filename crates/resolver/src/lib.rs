@@ -9,11 +9,12 @@
 //! "correct": they map one underlying condition onto differently-specific
 //! INFO-CODEs. This crate models that separation explicitly:
 //!
-//! * the **engine** ([`iterative`] + [`validate`]) performs full
-//!   iterative resolution (root priming, referrals, glue, CNAME chasing,
-//!   retries over a zone's NS set) and DNSSEC chain-of-trust validation,
-//!   recording every protocol-visible condition as a structured
-//!   [`diagnosis::Finding`];
+//! * the **engine** (the private `iterative` module + [`validate`])
+//!   performs full iterative resolution (root priming, referrals
+//!   followed strictly downward to the servers their glue names, a
+//!   referral without glue taken as lame, retries over a zone's NS set)
+//!   and DNSSEC chain-of-trust validation, recording every
+//!   protocol-visible condition as a structured [`diagnosis::Finding`];
 //! * a **vendor profile** ([`profiles`]) is a pure function from a
 //!   [`diagnosis::Diagnosis`] to the list of [`ede_wire::EdeEntry`]s that
 //!   vendor attaches, plus a capability set (supported algorithms,
@@ -51,7 +52,7 @@ pub mod cache;
 pub mod config;
 pub mod diagnosis;
 pub mod explain;
-pub mod iterative;
+mod iterative;
 pub mod profiles;
 pub mod resolver;
 pub mod task;

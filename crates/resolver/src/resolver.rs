@@ -274,7 +274,7 @@ impl Resolver {
             handle,
             store,
         };
-        let outcome = engine.resolve(qname, qtype, &mut diag, 0).await;
+        let outcome = engine.resolve(qname, qtype, &mut diag).await;
 
         // 3. Serve-stale fallback (RFC 8767) on failure.
         if outcome.rcode == Rcode::ServFail {

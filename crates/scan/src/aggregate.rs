@@ -100,13 +100,34 @@ impl PartialAggregate {
         if rec.rcode == Rcode::NoError {
             self.noerror_with_ede += 1;
         }
-        let mut combo = rec.codes.to_vec();
-        combo.sort_unstable();
-        combo.dedup();
-        for &c in &combo {
+        // The code set, sorted and deduplicated on the stack when it fits:
+        // a key is allocated only for a combination not counted yet.
+        let (mut buf, mut spill) = ([0u16; 8], Vec::new());
+        let room = match buf.get_mut(..rec.codes.len()) {
+            Some(room) => room,
+            None => {
+                spill.resize(rec.codes.len(), 0);
+                &mut spill[..]
+            }
+        };
+        let mut len = 0;
+        for &c in rec.codes.iter() {
+            if let Err(at) = room[..len].binary_search(&c) {
+                room.copy_within(at..len, at + 1);
+                room[at] = c;
+                len += 1;
+            }
+        }
+        let combo = &room[..len];
+        for &c in combo {
             *self.per_code.entry(c).or_insert(0) += 1;
         }
-        *self.per_combo.entry(combo).or_insert(0) += 1;
+        match self.per_combo.get_mut(combo) {
+            Some(n) => *n += 1,
+            None => {
+                self.per_combo.insert(combo.to_vec(), 1);
+            }
+        }
 
         if let Some(text) = &rec.network_error_text {
             // Texts look like "192.0.2.1:53 rcode=REFUSED for x.tld A".
@@ -314,6 +335,38 @@ mod tests {
             }
         }
         assert_eq!(checked, 3 * 3 * 3 * 4);
+    }
+
+    /// A record's codes count once each, as one sorted combination,
+    /// whether they fit the fold's stack buffer or spill past it.
+    #[test]
+    fn fold_counts_each_code_set_sorted_and_deduplicated() {
+        use crate::population::Category;
+        use ede_resolver::Vendor;
+        use ede_wire::Name;
+
+        let record = |codes: &[u16]| QueryRecord {
+            seq: 0,
+            vtime_ms: 0,
+            pass: 1,
+            domain: 0,
+            name: Name::parse("example.com.").unwrap(),
+            tld: 0,
+            rank: None,
+            category: Category::LameRcode,
+            vendor: Vendor::Cloudflare,
+            rcode: Rcode::ServFail,
+            codes: codes.into(),
+            network_error_text: None,
+        };
+        let long: Vec<u16> = (0..12).rev().chain([3, 3]).collect();
+        let mut partial = PartialAggregate::default();
+        for codes in [&[23, 22, 23][..], &[22, 23], &long] {
+            partial.fold(&record(codes));
+        }
+        let combos: Vec<_> = partial.per_combo.into_iter().collect();
+        assert_eq!(combos, [((0..12).collect(), 1), (vec![22, 23], 2)]);
+        assert_eq!((partial.per_code[&3], partial.per_code[&22]), (1, 2));
     }
 
     #[test]
