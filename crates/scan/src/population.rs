@@ -12,6 +12,7 @@
 pub use crate::category::Category;
 use crate::category::{Count, NsDraw, TldPlacement, FULLY_BROKEN_TLD_MEMBER, ROWS};
 use crate::rng::SplitMix64;
+use ede_wire::name::MAX_LABEL_LEN;
 use ede_wire::Name;
 use std::net::Ipv4Addr;
 use std::num::NonZeroU32;
@@ -242,9 +243,37 @@ impl Serials {
 
     /// The label of domain `serial`.
     pub(crate) fn label(&self, serial: usize) -> String {
+        let mut buf = [0u8; MAX_LABEL_LEN];
+        let len = self.write_label(serial, &mut buf);
+        String::from_utf8(buf[..len].to_vec()).expect("a label is ASCII")
+    }
+
+    /// The length of domain `serial`'s label.
+    pub(crate) fn label_len(&self, serial: usize) -> usize {
         match serial.checked_sub(self.total) {
-            None => format!("d{serial:07}"),
-            Some(tail) => format!("fb{:02}x{:05}", tail / self.per_tld, tail % self.per_tld),
+            None => 1 + digit_count(serial, 7),
+            Some(tail) => {
+                let (k, j) = (tail / self.per_tld, tail % self.per_tld);
+                2 + digit_count(k, 2) + 1 + digit_count(j, 5)
+            }
+        }
+    }
+
+    /// Write domain `serial`'s label into `out`, returning its length:
+    /// `d{serial:07}`, or `fb{k:02}x{j:05}` in the fully-broken tail.
+    /// No allocation, and no record read.
+    pub(crate) fn write_label(&self, serial: usize, out: &mut [u8]) -> usize {
+        match serial.checked_sub(self.total) {
+            None => {
+                out[0] = b'd';
+                1 + write_digits(serial, 7, &mut out[1..])
+            }
+            Some(tail) => {
+                out[..2].copy_from_slice(b"fb");
+                let at = 2 + write_digits(tail / self.per_tld, 2, &mut out[2..]);
+                out[at] = b'x';
+                at + 1 + write_digits(tail % self.per_tld, 5, &mut out[at + 1..])
+            }
         }
     }
 
@@ -260,6 +289,22 @@ impl Serials {
             number(label.strip_prefix(b"d")?).filter(|&serial| serial < self.total)
         }
     }
+}
+
+/// How many digits `format!("{n:0width$}")` writes.
+fn digit_count(n: usize, width: usize) -> usize {
+    width.max(n.checked_ilog10().map_or(1, |log| log as usize + 1))
+}
+
+/// Write `n` in decimal into `out`, zero-padded to at least `width`
+/// digits (`format!("{n:0width$}")`), returning the number of digits.
+fn write_digits(mut n: usize, width: usize, out: &mut [u8]) -> usize {
+    let len = digit_count(n, width);
+    for digit in out[..len].iter_mut().rev() {
+        *digit = b'0' + (n % 10) as u8;
+        n /= 10;
+    }
+    len
 }
 
 /// The name of TLD `i`: the gTLDs come first, then the ccTLDs.

@@ -277,6 +277,15 @@ impl Drop for SinkGuard<'_> {
 /// hands on what it holds when it finishes.
 const FLUSH_EVERY: usize = 16;
 
+/// How many of a claim's children a worker looks up at a time: each
+/// child's population index, read at a random place of the registry,
+/// and then its record, two cache misses in a row. Taken one resolution
+/// at a time they stalled it (≈ 1 100 cycles per domain at 1:1000,
+/// against ≈ 400 for the record alone when claims held indices; see
+/// docs/PERFORMANCE.md, "The claims' lookups"); a batch's lookups
+/// depend on nothing and overlap.
+const MAP_AHEAD: usize = 64;
+
 /// Shared progress state for [`parallel_pass`].
 struct PassProgress<'a> {
     resolver: &'a Resolver,
@@ -306,10 +315,11 @@ impl PassProgress<'_> {
     }
 }
 
-/// One claim: a run of one TLD's domains, by population index.
+/// One claim: a run of one TLD's domains, as
+/// [`ScanWorld::tld_children`] lists them.
 struct Claim<'a> {
     tld: usize,
-    indices: &'a [u32],
+    children: &'a [u32],
 }
 
 /// A pass's work, TLD-major: one claim per TLD, largest TLD first (ties
@@ -340,7 +350,7 @@ impl<'a> ClaimPlan<'a> {
             .flat_map(|tld| {
                 groups[tld]
                     .chunks(piece)
-                    .map(move |indices| Claim { tld, indices })
+                    .map(move |children| Claim { tld, children })
             })
             .collect();
         let open: Vec<AtomicUsize> = groups
@@ -424,12 +434,20 @@ fn pass_worker(
     let mut records = Vec::with_capacity(FLUSH_EVERY);
     let mut partial = PartialAggregate::default();
     while let Some(claim) = plan.claims.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-        let mut pending = claim.indices.iter().map(|&i| i as usize);
+        let mut pending = claim.children.chunks(MAP_AHEAD).flat_map(|batch| {
+            let mut ahead = [(0, false); MAP_AHEAD];
+            for (slot, &child) in ahead.iter_mut().zip(batch) {
+                let i = ctx.world.domain_index(child);
+                *slot = (i, domains[i].category.needs_revisit());
+            }
+            ahead.into_iter().take(batch.len())
+        });
         loop {
             while pool.in_flight() < inflight {
-                let Some(i) = pending.next() else { break };
-                let d = &domains[i];
-                let (qname, asked_again) = (&d.name, d.category.needs_revisit());
+                let Some((i, asked_again)) = pending.next() else {
+                    break;
+                };
+                let qname = &domains[i].name;
                 pool.spawn(move |handle| async move {
                     let res = if asked_again {
                         resolver.resolve_with(&handle, qname, RrType::A).await
@@ -536,7 +554,7 @@ pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanRes
         .map(|c| {
             c.iter()
                 .copied()
-                .filter(|&i| pop.domains[i as usize].category.needs_revisit())
+                .filter(|&c| pop.domains[world.domain_index(c)].category.needs_revisit())
                 .collect()
         })
         .collect();

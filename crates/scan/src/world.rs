@@ -19,12 +19,15 @@
 //!   gets a micro-zone of just the RRsets it can touch, signed per query
 //!   and served by the ordinary [`ede_authority::ZoneServer`] logic. The
 //!   TLD's NSEC3 chain, which insecure referrals and micro-zones draw
-//!   on, is hashed on first use and held until a scan releases it: the
-//!   scanner claims its work one TLD at a time and empties the TLD's
-//!   chain slot when its last claim there completes, so the chains a
-//!   scan holds are those of the TLDs in flight. A query served after
-//!   that hashes the chain again, to the same records; a world no scan
-//!   runs on (a server's, a table's) keeps each chain once built;
+//!   on, is hashed on first use from the children's serials alone —
+//!   each name is written from its serial into one laid-out SHA-1
+//!   block, and no record is read — and held until a scan
+//!   releases it: the scanner claims its work one TLD at a time and
+//!   empties the TLD's chain slot when its last claim there completes,
+//!   so the chains a scan holds are those of the TLDs in flight. A
+//!   query served after that hashes the chain again, to the same
+//!   records; a world no scan runs on (a server's, a table's) keeps
+//!   each chain once built;
 //! * each **hosting server** answers a child's apex A (and a signed
 //!   child's DNSKEY) the same way, from the record and the child's
 //!   derived keys through [`ede_authority::layout::positive`], unless
@@ -43,13 +46,14 @@
 //! All key material is derived deterministically from names, so a DS
 //! served by a TLD today matches the DNSKEY a hosting server synthesizes
 //! tomorrow. A domain is found from its name alone: its label spells its
-//! serial, and the registry keeps an 8-byte place per serial.
+//! serial, and the registry keeps an 8-byte place per serial; each TLD
+//! lists its children by serial, which is all its chain needs.
 
 use crate::category::{Hosting, Row};
 use crate::population::Serials;
 use crate::population::{broken_mode, tld_addr, BrokenMode, DomainRecord, Population, TldInfo};
 use ede_authority::{layout, Behavior, ZoneServer, ZoneStore};
-use ede_crypto::nsec3hash::{self, NSEC3_HASH_LEN};
+use ede_crypto::nsec3hash::{self, OwnerBlock, NSEC3_HASH_LEN};
 use ede_netsim::{Network, NetworkBuilder, NetworkConfig, Server, ServerResponse, SimClock};
 use ede_resolver::config::RootHint;
 use ede_resolver::ResolverConfig;
@@ -83,6 +87,16 @@ struct Place {
     ordinal: u32,
 }
 
+/// The top bit of an entry of [`Registry::children`], set when the
+/// child is signed. The other 31 bits are the child's serial, which
+/// stays below 2³¹ even at the paper's full scale.
+const SIGNED: u32 = 1 << 31;
+
+/// The serial of `child`, an entry of [`Registry::children`].
+fn serial_of(child: u32) -> usize {
+    (child & !SIGNED) as usize
+}
+
 /// Shared lookup tables over the population's domains, which they index
 /// rather than copy. No table is keyed by a name: a name's label spells
 /// its serial ([`Serials`]), and the serial is its slot in `places`.
@@ -93,10 +107,11 @@ struct Registry {
     serials: Serials,
     /// By serial: the domain's place, exactly one slot per domain.
     places: Vec<Place>,
-    /// By TLD index: the indices of its registered children, in
-    /// population order (a child's ordinal is its position here), each
-    /// list exactly sized. The input to each TLD's honest NSEC3 chain,
-    /// and the scanner's claims.
+    /// By TLD index: its registered children as serials, each with its
+    /// [`SIGNED`] bit, in population order (a child's ordinal is its
+    /// position here), each list exactly sized. Each TLD's honest NSEC3
+    /// chain is derived from these alone, and the scanner's claims are
+    /// cut from them.
     children: Vec<Vec<u32>>,
 }
 
@@ -119,7 +134,15 @@ impl Registry {
             let serial = d.name.first_label().and_then(|label| serials.serial(label));
             let serial = serial.unwrap_or_else(|| panic!("{} has no serial", d.name));
             places[serial] = Place { index, ordinal };
-            siblings.push(index);
+            let serial = u32::try_from(serial)
+                .ok()
+                .filter(|&serial| serial < SIGNED)
+                .expect("serials stay below 2^31");
+            siblings.push(if d.category.signed() {
+                serial | SIGNED
+            } else {
+                serial
+            });
         }
         Registry {
             domains: Arc::clone(&pop.domains),
@@ -138,6 +161,11 @@ impl Registry {
             rec,
             ordinal: place.ordinal,
         })
+    }
+
+    /// The population index of `child`, an entry of `children`.
+    fn index_of(&self, child: u32) -> usize {
+        self.places[serial_of(child)].index as usize
     }
 }
 
@@ -347,6 +375,22 @@ impl Server for BrokenNs {
     }
 }
 
+/// Write the wire name of domain `serial`, a child of the TLD whose wire
+/// form is `tld`, into `block`, from the serial alone. A block laid out
+/// for a name of that length keeps its length octet, TLD and salt, and
+/// only the label is written; any other is laid out again first.
+fn write_child(serials: &Serials, serial: usize, tld: &[u8], salt: &[u8], block: &mut OwnerBlock) {
+    let label = serials.label_len(serial);
+    if block.name_len() != 1 + label + tld.len() {
+        *block = OwnerBlock::new(1 + label + tld.len(), salt)
+            .expect("a child's name and the salt fit one block");
+        let name = block.name_mut();
+        name[0] = label as u8;
+        name[1 + label..].copy_from_slice(tld);
+    }
+    serials.write_label(serial, &mut block.name_mut()[1..=label]);
+}
+
 /// Which kind of owner a [`TldChain`] entry is — the only thing that
 /// differs between their NSEC3 type bitmaps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -366,9 +410,9 @@ enum ChainOwner {
 /// NSEC3 RRsets are synthesized (and signed) on demand from this index,
 /// so per-query cost stays at one binary search plus one signature —
 /// yet the intervals served to resolvers are globally consistent: none
-/// covers a registered name. It is a function of the registry alone, so
-/// a chain built again after a release (see [`TldServer`]) is the same
-/// chain.
+/// covers a registered name. It is a function of the TLD's list of
+/// children alone — serials and signed bits, no record — so a chain
+/// built again after a release (see [`TldServer`]) is the same chain.
 struct TldChain {
     params: Nsec3Config,
     /// (owner hash, kind), sorted by hash.
@@ -378,16 +422,16 @@ struct TldChain {
 }
 
 impl TldChain {
-    /// The chain over `children`: the TLD's registered domains in
-    /// ordinal order.
+    /// The chain of the TLD `tld` over `children`, its entries of
+    /// [`Registry::children`], numbered as `serials` says. Each child's
+    /// name is written from its serial ([`write_child`]), so no record
+    /// is read.
     ///
     /// At its peak it holds a sort key (24 B), an owner (21 B) and a
     /// slot (4 B) per child; it keeps the owner and the slot.
-    fn build<'a>(
-        tld: &Name,
-        children: impl ExactSizeIterator<Item = &'a DomainRecord>,
-    ) -> TldChain {
+    fn build(tld: &Name, serials: &Serials, children: &[u32]) -> TldChain {
         let params = Nsec3Config::default();
+        let (salt, iterations) = (&params.salt[..], params.iterations);
         // Sort keys: the hash as three big-endian integers, whose order
         // is the bytes' order, the last one's low half a tag that makes
         // the order total and says whose hash it is — the apex, the
@@ -396,51 +440,31 @@ impl TldChain {
         // child is signed.
         const APEX: u32 = 0;
         const HOST: u32 = 1;
-        let child_tag = |ordinal: usize, signed: bool| {
-            u32::try_from(2 * (ordinal + 1) + usize::from(signed))
-                .expect("a TLD has fewer than 2^31 children")
+        let child_tag = |ordinal: usize, child: u32| {
+            let tag = u32::try_from(2 * (ordinal + 1)).expect("a TLD has fewer than 2^31 children");
+            tag | u32::from(child & SIGNED != 0)
         };
-        let key = |name: &[u8], tag: u32| {
-            let hash = nsec3hash::nsec3_hash(name, &params.salt, params.iterations);
+        let key = |hash: [u8; NSEC3_HASH_LEN], tag: u32| {
             let word =
                 |at: usize| u64::from_be_bytes(hash[at..at + 8].try_into().expect("8 bytes"));
             let low = u32::from_be_bytes(hash[16..].try_into().expect("4 bytes"));
             [word(0), word(8), u64::from(low) << 32 | u64::from(tag)]
         };
-        let count = children.len();
-        let mut keys = Vec::with_capacity(count + 2);
-        keys.push(key(tld.as_wire(), APEX));
-        keys.push(key(ns_host(tld, 0).as_wire(), HOST));
+        let mut keys = Vec::with_capacity(children.len() + 2);
+        let hash = |name: &Name| nsec3hash::nsec3_hash(name.as_wire(), salt, iterations);
+        keys.push(key(hash(tld), APEX));
+        keys.push(key(hash(&ns_host(tld, 0)), HOST));
 
-        // The children's wire names, gathered a batch at a time before
-        // any of the batch is hashed: the records and their names lie
-        // scattered through memory, and loads that wait on no hash
-        // overlap. Read inside the hashing loop, they raised the p99 of
-        // single resolves on a fresh world (where a TLD's first referral
-        // builds its chain) by a third.
-        const BATCH: usize = 1024;
-        let mut wire = Vec::with_capacity(BATCH.min(count) * 24);
-        let mut ends = Vec::with_capacity(BATCH.min(count));
-        let mut children = children.enumerate();
-        loop {
-            wire.clear();
-            ends.clear();
-            for (ordinal, rec) in children.by_ref().take(BATCH) {
-                wire.extend_from_slice(rec.name.as_wire());
-                ends.push((wire.len(), child_tag(ordinal, rec.category.signed())));
-            }
-            if ends.is_empty() {
-                break;
-            }
-            let mut start = 0;
-            for &(end, tag) in &ends {
-                keys.push(key(&wire[start..end], tag));
-                start = end;
-            }
+        // One block, each child's name written into it in turn.
+        let tld = tld.as_wire();
+        let mut block = OwnerBlock::new(0, salt).expect("the salt fits one block");
+        for (ordinal, &child) in children.iter().enumerate() {
+            write_child(serials, serial_of(child), tld, salt, &mut block);
+            keys.push(key(block.hash(iterations), child_tag(ordinal, child)));
         }
         keys.sort_unstable();
 
-        let mut child_slots = vec![0u32; count];
+        let mut child_slots = vec![0u32; children.len()];
         let mut owners = Vec::with_capacity(keys.len());
         for (slot, [high, middle, low]) in keys.into_iter().enumerate() {
             let mut hash = [0u8; NSEC3_HASH_LEN];
@@ -547,13 +571,15 @@ struct TldServer {
     tld: Name,
     /// The TLD's index in the population.
     index: usize,
-    /// Publishes a stand-by KSK (§4.2.3).
-    standby_key: bool,
     /// Leaves the NSEC3 proof out of insecure referrals (§4.2.9).
     broken_insecure_proof: bool,
     registry: Arc<Registry>,
     /// The TLD's keys, derived once instead of per query.
     keys: ZoneKeys,
+    /// The DNSKEY of the stand-by KSK the TLD publishes and signs
+    /// nothing with (§4.2.3), if it has one; derived once, like `keys`,
+    /// and boxed: two TLDs have one, and an `Rdata` is 112 bytes.
+    standby_dnskey: Option<Box<Rdata>>,
     /// Honest registry-wide NSEC3 chain, hashed on first use after
     /// construction or a release. The lock is held while a chain is
     /// built, so concurrent queries build it once.
@@ -565,13 +591,16 @@ impl TldServer {
     fn new(index: usize, info: &TldInfo, registry: Arc<Registry>) -> Self {
         let tld = info.name.clone();
         let keys = tld_keys(&tld);
+        let standby_dnskey = info
+            .standby_key
+            .then(|| Box::new(ZoneKey::generate(&tld, "standby", 8, 2048, 257).dnskey_rdata()));
         TldServer {
             tld,
             index,
-            standby_key: info.standby_key,
             broken_insecure_proof: info.broken_insecure_proof,
             registry,
             keys,
+            standby_dnskey,
             chain: Mutex::new(None),
         }
     }
@@ -581,9 +610,8 @@ impl TldServer {
         let mut slot = self.chain.lock().expect("no poisoning");
         let chain = slot.get_or_insert_with(|| {
             let registry = &self.registry;
-            let indices = &registry.children[self.index];
-            let children = indices.iter().map(|&i| &registry.domains[i as usize]);
-            Arc::new(TldChain::build(&self.tld, children))
+            let children = &registry.children[self.index];
+            Arc::new(TldChain::build(&self.tld, &registry.serials, children))
         });
         Arc::clone(chain)
     }
@@ -604,9 +632,8 @@ impl TldServer {
             RrType::Ns => Rrset::new(tld.clone(), 3600, Rdata::Ns(ns_host(tld, 0))),
             RrType::Dnskey => {
                 let mut set = self.keys.dnskey_rrset(tld);
-                if self.standby_key {
-                    let standby = ZoneKey::generate(tld, "standby", 8, 2048, 257);
-                    set.push(standby.dnskey_rdata());
+                if let Some(standby) = &self.standby_dnskey {
+                    set.push(Rdata::clone(standby));
                 }
                 set
             }
@@ -851,10 +878,16 @@ impl ScanWorld {
         }
     }
 
-    /// The population indices of TLD `tld`'s registered children, in
-    /// population order: the scanner's claims are cut from these.
+    /// TLD `tld`'s registered children, in population order, each as
+    /// [`Self::domain_index`] reads it: the scanner's claims are cut
+    /// from these.
     pub(crate) fn tld_children(&self, tld: usize) -> &[u32] {
         &self.registry.children[tld]
+    }
+
+    /// The population index of `child`, an entry of [`Self::tld_children`].
+    pub(crate) fn domain_index(&self, child: u32) -> usize {
+        self.registry.index_of(child)
     }
 
     /// Drop TLD `tld`'s NSEC3 chain; a later query that needs it builds
@@ -956,22 +989,27 @@ mod tests {
     }
 
     /// Every domain is found by its own name, at its own index and
-    /// ordinal, and a name that only looks like one is not.
+    /// ordinal, where its TLD lists it by its serial and signed bit, and
+    /// a name that only looks like one is not.
     #[test]
     fn the_registry_finds_each_domain_by_its_name_and_no_near_miss() {
         let pop = Population::generate(PopulationConfig::tiny());
         let registry = Registry::of(&pop);
+        let serials = Serials::of(&pop.config);
         let mut ordinals = vec![0u32; pop.tlds.len()];
         for (index, d) in pop.domains.iter().enumerate() {
             let found = registry.get(&d.name).expect("registered");
             assert!(std::ptr::eq(found.rec, d), "{}", d.name);
             let t = usize::from(d.tld);
             assert_eq!(found.ordinal, ordinals[t], "{}", d.name);
-            assert_eq!(registry.children[t][found.ordinal as usize], index as u32);
+            let child = registry.children[t][found.ordinal as usize];
+            assert_eq!(registry.index_of(child), index, "{}", d.name);
+            let serial = serials.serial(d.name.first_label().unwrap());
+            assert_eq!(Some(serial_of(child)), serial, "{}", d.name);
+            assert_eq!(child & SIGNED != 0, d.category.signed(), "{}", d.name);
             ordinals[t] += 1;
         }
 
-        let serials = Serials::of(&pop.config);
         let d = &pop.domains[0];
         let label = std::str::from_utf8(d.name.first_label().unwrap()).unwrap();
         let elsewhere = &pop.tlds[(usize::from(d.tld) + 1) % pop.tlds.len()].name;
@@ -995,6 +1033,59 @@ mod tests {
         ];
         for name in misses {
             assert!(registry.get(&name).is_none(), "{name} was found");
+        }
+    }
+
+    /// Each child's wire name, written from its serial under its TLD, is
+    /// the name its record holds: every domain of the tiny population
+    /// and of 1:20000, the fully-broken tail included.
+    #[test]
+    fn names_derived_from_serials_are_the_records_names() {
+        let twenty_thousandth = PopulationConfig {
+            scale: 20_000,
+            ..Default::default()
+        };
+        for config in [PopulationConfig::tiny(), twenty_thousandth] {
+            let pop = Population::generate(config);
+            let registry = Registry::of(&pop);
+            let salt = Nsec3Config::default().salt;
+            let (mut derived, mut tail) = (0, 0);
+            for (t, children) in registry.children.iter().enumerate() {
+                // One block per TLD, as a chain build keeps.
+                let mut block = OwnerBlock::new(0, &salt).unwrap();
+                let tld = pop.tlds[t].name.as_wire();
+                for &child in children {
+                    let rec = &pop.domains[registry.index_of(child)];
+                    write_child(&registry.serials, serial_of(child), tld, &salt, &mut block);
+                    assert_eq!(block.name_mut(), rec.name.as_wire(), "{}", rec.name);
+                    derived += 1;
+                    tail += usize::from(rec.name.first_label().unwrap().starts_with(b"fb"));
+                }
+            }
+            assert_eq!(derived, pop.domains.len());
+            assert!(tail > 0, "1:{}: no fully-broken tail", pop.config.scale);
+        }
+    }
+
+    /// One block under one TLD, written with serials whose labels change
+    /// length — 7 digits to 8 and back, then the fully-broken tail's
+    /// form — holds each name as the label spells it: at 1:10, without
+    /// generating that population.
+    #[test]
+    fn a_block_is_laid_out_again_when_a_name_changes_length() {
+        let tenth = PopulationConfig {
+            scale: 10,
+            ..Default::default()
+        };
+        let serials = Serials::of(&tenth);
+        let tld = Name::parse("gtld0007").unwrap();
+        let salt = Nsec3Config::default().salt;
+        let mut block = OwnerBlock::new(0, &salt).unwrap();
+        let tail = serials.len() - 1;
+        for serial in [5, 9_999_999, 10_000_000, 10_000_001, 42, tail, 7, tail - 1] {
+            write_child(&serials, serial, tld.as_wire(), &salt, &mut block);
+            let name = tld.child(&serials.label(serial)).unwrap();
+            assert_eq!(block.name_mut(), name.as_wire(), "{name}");
         }
     }
 
@@ -1117,14 +1208,24 @@ mod tests {
     }
 
     /// Every TLD's chain equals the one its owners give when each is
-    /// hashed by the streaming hasher and the list is sorted stably by
-    /// the hashes' bytes: the owners, their kinds and where each child's
-    /// own record sits.
+    /// hashed by the streaming hasher from its record's name and the
+    /// list is sorted stably by the hashes' bytes: the owners, their
+    /// kinds and where each child's own record sits. The tiny population
+    /// and 1:20000.
     #[test]
     fn chains_match_a_streamed_and_stably_sorted_reference() {
+        let twenty_thousandth = PopulationConfig {
+            scale: 20_000,
+            ..Default::default()
+        };
+        for config in [PopulationConfig::tiny(), twenty_thousandth] {
+            chains_match_a_streamed_reference(&Population::generate(config));
+        }
+    }
+
+    fn chains_match_a_streamed_reference(pop: &Population) {
         use ede_crypto::{Digest, Sha1};
-        let pop = Population::generate(PopulationConfig::tiny());
-        let registry = Arc::new(Registry::of(&pop));
+        let registry = Arc::new(Registry::of(pop));
         let params = Nsec3Config::default();
         let streamed = |name: &Name| {
             let mut hash = [0u8; NSEC3_HASH_LEN];
@@ -1138,6 +1239,10 @@ mod tests {
             }
             hash
         };
+        let mut by_tld = vec![Vec::new(); pop.tlds.len()];
+        for d in pop.domains.iter() {
+            by_tld[usize::from(d.tld)].push(d);
+        }
         for (index, tld) in pop.tlds.iter().enumerate() {
             let server = TldServer::new(index, tld, Arc::clone(&registry));
             let chain = server.chain();
@@ -1145,8 +1250,7 @@ mod tests {
                 (streamed(&tld.name), ChainOwner::Apex, None),
                 (streamed(&ns_host(&tld.name, 0)), ChainOwner::Host, None),
             ];
-            let children = pop.domains.iter().filter(|d| usize::from(d.tld) == index);
-            for (ordinal, d) in children.enumerate() {
+            for (ordinal, d) in by_tld[index].iter().enumerate() {
                 let kind = if d.category.signed() {
                     ChainOwner::Secure
                 } else {
