@@ -1,16 +1,17 @@
-//! What a scan holds per domain, stage by stage: the process's resident
-//! set after the population is generated, after the world is built and
-//! after a two-worker scan, each as `VmRSS` (now) and `VmHWM` (the peak
-//! so far) from `/proc/self/status`, and the peak over the domain count.
-//! The last stage's peak per domain is the figure `scripts/peak-rss.py`
-//! reads for `repro-scan` (`ru_maxrss`, the same high-water mark), taken
-//! here without the report.
+//! What a scan costs per domain, stage by stage: the wall time of each
+//! stage — generating the population, building the world, a two-worker
+//! scan — beside the process's resident set after it, as `VmRSS` (now)
+//! and `VmHWM` (the peak so far) from `/proc/self/status`, and the peak
+//! over the domain count. The last stage's peak per domain is the figure
+//! `scripts/peak-rss.py` reads for `repro-scan` (`ru_maxrss`, the same
+//! high-water mark), taken here without the report.
 //!
 //! `cargo run --release -p ede-scan --example bytes_per_domain -- [SCALE]`
 //! (default 1:1000); `--smoke` is the tiny population.
 
 use ede_scan::{scan, Population, PopulationConfig, ScanConfig, ScanWorld};
 use std::process::ExitCode;
+use std::time::Instant;
 
 /// `VmRSS` and `VmHWM` of this process, bytes.
 fn resident() -> (u64, u64) {
@@ -51,28 +52,33 @@ fn main() -> ExitCode {
 
     const MIB: f64 = 1024.0 * 1024.0;
     let (start, _) = resident();
+    let started = Instant::now();
     let pop = Population::generate(config);
+    let generated = started.elapsed();
     let domains = pop.domains.len();
     println!(
         "{domains} domains at 1:{}, 2 workers; at start VmRSS {:.1} MiB",
         pop.config.scale,
         start as f64 / MIB
     );
-    println!("stage        VmRSS MiB  VmHWM MiB  VmHWM B/domain");
-    let report = |stage: &str| {
+    println!("stage        wall ms  VmRSS MiB  VmHWM MiB  VmHWM B/domain");
+    let report = |stage: &str, wall: std::time::Duration| {
         let (rss, hwm) = resident();
         println!(
-            "{stage:<11}  {:9.1}  {:9.1}  {:14.1}",
+            "{stage:<11}  {:7.1}  {:9.1}  {:9.1}  {:14.1}",
+            wall.as_secs_f64() * 1e3,
             rss as f64 / MIB,
             hwm as f64 / MIB,
             hwm as f64 / domains as f64
         );
     };
-    report("population");
+    report("population", generated);
+    let started = Instant::now();
     let world = ScanWorld::build(&pop);
-    report("world");
+    report("world", started.elapsed());
+    let started = Instant::now();
     let result = scan(&pop, &world, &ScanConfig::builder().workers(2).build());
-    report("scan");
+    report("scan", started.elapsed());
     println!("fingerprint {:016x}", result.stats.fingerprint);
     ExitCode::SUCCESS
 }

@@ -11,7 +11,7 @@
 
 pub use crate::category::Category;
 use crate::category::{Count, NsDraw, TldPlacement, FULLY_BROKEN_TLD_MEMBER, ROWS};
-use crate::rng::SplitMix64;
+use crate::rng::{SplitMix64, WeightedIndex};
 use ede_wire::name::MAX_LABEL_LEN;
 use ede_wire::Name;
 use std::net::Ipv4Addr;
@@ -241,7 +241,8 @@ impl Serials {
         self.total + FULLY_BROKEN_TLDS * self.per_tld
     }
 
-    /// The label of domain `serial`.
+    /// The label of domain `serial`, as a string.
+    #[cfg(test)]
     pub(crate) fn label(&self, serial: usize) -> String {
         let mut buf = [0u8; MAX_LABEL_LEN];
         let len = self.write_label(serial, &mut buf);
@@ -280,7 +281,6 @@ impl Serials {
     /// The serial `label` names, if it has either form and the serial is
     /// in range. A lookup still compares names: `d5` names serial 5 too.
     pub(crate) fn serial(&self, label: &[u8]) -> Option<usize> {
-        let number = |digits: &[u8]| std::str::from_utf8(digits).ok()?.parse().ok();
         if let Some(rest) = label.strip_prefix(b"fb") {
             let x = rest.iter().position(|&b| b == b'x')?;
             let (k, j) = (number(&rest[..x])?, number(&rest[x + 1..])?);
@@ -289,6 +289,22 @@ impl Serials {
             number(label.strip_prefix(b"d")?).filter(|&serial| serial < self.total)
         }
     }
+}
+
+/// The number `digits` spells in decimal: ASCII digits only, at least
+/// one, no sign, and no overflow.
+fn number(digits: &[u8]) -> Option<usize> {
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0usize, |n, &b| {
+        let digit = usize::from(b.wrapping_sub(b'0'));
+        if digit < 10 {
+            n.checked_mul(10)?.checked_add(digit)
+        } else {
+            None
+        }
+    })
 }
 
 /// How many digits `format!("{n:0width$}")` writes.
@@ -307,28 +323,35 @@ fn write_digits(mut n: usize, width: usize, out: &mut [u8]) -> usize {
     len
 }
 
-/// The name of TLD `i`: the gTLDs come first, then the ccTLDs.
+/// The name of TLD `i`: the gTLDs come first, then the ccTLDs —
+/// `gtld{i:04}` and `cc{cc:03}`, written on the stack.
 fn tld_name(config: &PopulationConfig, i: usize) -> Name {
-    let text = match i.checked_sub(config.gtlds) {
-        None => format!("gtld{i:04}"),
-        Some(cc) => format!("cc{cc:03}"),
+    let mut label = [0u8; MAX_LABEL_LEN];
+    let len = match i.checked_sub(config.gtlds) {
+        None => {
+            label[..4].copy_from_slice(b"gtld");
+            4 + write_digits(i, 4, &mut label[4..])
+        }
+        Some(cc) => {
+            label[..2].copy_from_slice(b"cc");
+            2 + write_digits(cc, 3, &mut label[2..])
+        }
     };
-    Name::parse(&text).expect("valid")
+    Name::from_labels([&label[..len]]).expect("valid")
 }
 
 /// A Zipf draw over broken servers `lo..hi`, server `lo + i` weighing
-/// `weights[i]`: the sum is taken once, and a draw subtracts weights.
+/// `weights[i]` (server `hi − 1` when the draw hits none).
 fn broken_zipf(weights: &[f64], lo: usize, hi: usize) -> impl Fn(&mut SplitMix64) -> Ipv4Addr + '_ {
-    let weights = &weights[..hi - lo];
-    let sum: f64 = weights.iter().sum();
-    move |rng| {
-        let mut x = rng.gen_f64() * sum;
-        let hit = weights.iter().position(|w| {
-            x -= w;
-            x <= 0.0
-        });
-        broken_addr(hit.map_or(hi - 1, |i| lo + i))
-    }
+    let draw = WeightedIndex::new(&weights[..hi - lo]);
+    move |rng| broken_addr(lo + draw.sample(rng))
+}
+
+/// Domain `serial`'s name under `tld`, its label written on the stack.
+fn child_name(tld: &Name, serials: &Serials, serial: usize) -> Name {
+    let mut label = [0u8; MAX_LABEL_LEN];
+    let len = serials.write_label(serial, &mut label);
+    tld.child_bytes(&label[..len]).expect("valid label")
 }
 
 impl Population {
@@ -350,7 +373,7 @@ impl Population {
         // domain; 11 gTLDs + 2 ccTLDs are fully broken; 2 ccTLDs carry
         // stand-by keys; a handful of gTLDs fail insecure-referral
         // proofs.
-        let mut tlds = Vec::new();
+        let mut tlds = Vec::with_capacity(tld_count);
         for i in 0..config.gtlds {
             tlds.push(TldInfo {
                 name: tld_name(&config, i),
@@ -402,7 +425,7 @@ impl Population {
             // The fully-broken TLDs are tiny (108 k domains across 13).
             weights[t] = 0.0;
         }
-        let weight_sum: f64 = weights.iter().sum();
+        let tld_draw = WeightedIndex::new(&weights);
 
         // --- Hosting pools ------------------------------------------------------
         // §4.2.2: 293 k broken nameservers; 6 giants serve >100 k domains
@@ -463,17 +486,9 @@ impl Population {
         categories.truncate(total);
 
         // --- Assign TLDs and nameservers ----------------------------------------------
-        let pick_tld = |rng: &mut SplitMix64, not_clean: bool, tld_weights: &[f64]| -> usize {
+        let pick_tld = |rng: &mut SplitMix64, not_clean: bool| -> usize {
             loop {
-                let mut x = rng.gen_f64() * weight_sum;
-                let mut idx = tlds.len() - 1;
-                for (i, w) in tld_weights.iter().enumerate() {
-                    x -= w;
-                    if x <= 0.0 {
-                        idx = i;
-                        break;
-                    }
-                }
+                let idx = tld_draw.sample(rng);
                 // Special TLDs host only their designated categories:
                 // everything under a stand-by-key or broken-proof TLD
                 // would otherwise inherit that TLD's condition.
@@ -494,13 +509,12 @@ impl Population {
         for (i, &category) in categories.iter().enumerate() {
             let row = category.row();
             let tld = match row.tld {
-                TldPlacement::Any => pick_tld(&mut rng, false, &weights),
-                TldPlacement::NotClean => pick_tld(&mut rng, true, &weights),
+                TldPlacement::Any => pick_tld(&mut rng, false),
+                TldPlacement::NotClean => pick_tld(&mut rng, true),
                 TldPlacement::Standby => config.gtlds + (i % 2),
                 TldPlacement::BrokenProof => insecure_tlds[i % insecure_tlds.len()],
             };
-            let label = serials.label(i);
-            let name = tlds[tld].name.child(&label).expect("valid label");
+            let name = child_name(&tlds[tld].name, &serials, i);
             let ns_addrs = draw_ns(&mut rng, row.ns);
 
             domains.push(DomainRecord {
@@ -515,9 +529,8 @@ impl Population {
         // --- Fully-broken tiny TLDs (§4.3's 100 %-misconfigured tail) -------------
         for serial in total..serials.len() {
             let t = fully_broken[(serial - total) / serials.per_tld];
-            let label = serials.label(serial);
             domains.push(DomainRecord {
-                name: tlds[t].name.child(&label).expect("valid label"),
+                name: child_name(&tlds[t].name, &serials, serial),
                 tld: tld_index(t),
                 category: FULLY_BROKEN_TLD_MEMBER,
                 ns_addrs: draw_ns(&mut rng, FULLY_BROKEN_TLD_MEMBER.row().ns),
@@ -583,6 +596,79 @@ mod tests {
         }
     }
 
+    /// FNV-1a over every domain in scan order — name, TLD, category,
+    /// nameservers, rank — and every TLD's name and flags.
+    fn digest(p: &Population) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for t in &p.tlds {
+            eat(t.name.as_wire());
+            eat(&[
+                u8::from(t.cc),
+                u8::from(t.standby_key),
+                u8::from(t.broken_insecure_proof),
+            ]);
+        }
+        for d in p.domains.iter() {
+            eat(d.name.as_wire());
+            eat(&d.tld.to_le_bytes());
+            eat(&[d.category as u8, d.ns_addrs.len() as u8]);
+            for addr in d.ns_addrs.iter() {
+                eat(&addr.octets());
+            }
+            eat(&d.rank.map_or(0, NonZeroU32::get).to_le_bytes());
+        }
+        h
+    }
+
+    /// Every name, TLD, category, nameserver set and rank of the tiny
+    /// population and of 1:20000, at three seeds, as the generator made
+    /// them when it drew with sequential loops and a heap label per
+    /// domain.
+    #[test]
+    fn populations_are_pinned() {
+        let pins: [(PopulationConfig, [u64; 3]); 2] = [
+            (
+                PopulationConfig::tiny(),
+                [
+                    0x4d2d_f9d9_b41d_bf39,
+                    0x1c62_8281_9666_476b,
+                    0x18b9_501a_e345_b96a,
+                ],
+            ),
+            (
+                PopulationConfig {
+                    scale: 20_000,
+                    ..Default::default()
+                },
+                [
+                    0xb810_30ec_9d91_a848,
+                    0xd7e5_5d71_d8ea_1031,
+                    0x5bae_8101_f06b_3beb,
+                ],
+            ),
+        ];
+        for (config, digests) in pins {
+            for (seed, pinned) in [0xEDE_2023, 7, 5001].into_iter().zip(digests) {
+                let pop = Population::generate(PopulationConfig {
+                    seed,
+                    ..config.clone()
+                });
+                assert_eq!(
+                    digest(&pop),
+                    pinned,
+                    "1:{} seed {seed}: {:#018x}",
+                    config.scale,
+                    digest(&pop)
+                );
+            }
+        }
+    }
+
     #[test]
     fn the_domain_buffer_is_exactly_sized() {
         let p = Population::generate(PopulationConfig::tiny());
@@ -626,6 +712,12 @@ mod tests {
             "fb03y00017",
             "fb03x",
             "d99999999999999999999999",
+            "d18446744073709551616",
+            "d+000005",
+            "fb+3x00017",
+            "fb03x+0017",
+            "d",
+            "fbx00017",
             "",
         ] {
             assert_eq!(tenth.serial(label.as_bytes()), None, "{label}");

@@ -496,6 +496,17 @@ fn parallel_pass(
     })
 }
 
+/// Pass 2's domains by TLD, each list in population order, as
+/// [`ScanWorld::tld_children`] holds them: one walk over the population,
+/// and a registry lookup for a revisit domain only.
+fn revisit_lists(pop: &Population, world: &ScanWorld) -> Vec<Vec<u32>> {
+    let mut revisits = vec![Vec::new(); pop.tlds.len()];
+    for domain in pop.domains.iter().filter(|d| d.category.needs_revisit()) {
+        revisits[usize::from(domain.tld)].push(world.child_entry(domain));
+    }
+    revisits
+}
+
 /// Run the scan: one pass over every domain, then a clock advance and a
 /// revisit pass over the flap/cache categories (the paper's probes hit
 /// such domains repeatedly through Cloudflare's shared cache). Both
@@ -549,15 +560,7 @@ pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanRes
     // Pass 1 claims every TLD's children, pass 2 the revisit domains
     // among them, each TLD-major (see [`ClaimPlan`]).
     let children: Vec<&[u32]> = (0..pop.tlds.len()).map(|t| world.tld_children(t)).collect();
-    let revisits: Vec<Vec<u32>> = children
-        .iter()
-        .map(|c| {
-            c.iter()
-                .copied()
-                .filter(|&c| pop.domains[world.domain_index(c)].category.needs_revisit())
-                .collect()
-        })
-        .collect();
+    let revisits = revisit_lists(pop, world);
     let n = pop.domains.len();
     let revisit_count: usize = revisits.iter().map(Vec::len).sum();
     let resolutions = AtomicUsize::new(0);
@@ -727,6 +730,34 @@ mod tests {
         // One merge per worker and pass, when the pass joins.
         assert_eq!(serial.stream.merges, 2);
         assert_eq!(parallel.stream.merges, 2 * 16);
+    }
+
+    /// Pass 2's lists, built in one walk over the population, are the
+    /// lists that filtering each TLD's children makes, at the tiny scale
+    /// and at 1:20000.
+    #[test]
+    fn revisit_lists_are_each_tlds_revisit_children_in_order() {
+        let twenty_thousandth = PopulationConfig {
+            scale: 20_000,
+            ..Default::default()
+        };
+        for config in [PopulationConfig::tiny(), twenty_thousandth] {
+            let pop = Population::generate(config);
+            let world = ScanWorld::build(&pop);
+            let filtered: Vec<Vec<u32>> = (0..pop.tlds.len())
+                .map(|t| {
+                    world
+                        .tld_children(t)
+                        .iter()
+                        .copied()
+                        .filter(|&c| pop.domains[world.domain_index(c)].category.needs_revisit())
+                        .collect()
+                })
+                .collect();
+            let revisits = revisit_lists(&pop, &world);
+            assert!(revisits.iter().map(Vec::len).sum::<usize>() > 0);
+            assert_eq!(revisits, filtered, "1:{}", pop.config.scale);
+        }
     }
 
     /// A TLD's chain lives while its claims are in flight: once `scan`

@@ -790,6 +790,32 @@ impl Server for TldServer {
     }
 }
 
+/// The scan world's root zone before [`ScanWorld::build`] signs it with
+/// the root's keys (`ZoneKeys::generate(&Name::root(), 8, 2048)`) and the
+/// default signer configuration: the root's SOA, its NS and that host's
+/// address, and for each of `tlds` its delegation — NS, glue, and the DS
+/// of the TLD's key.
+pub fn unsigned_root_zone(tlds: &[TldInfo]) -> Zone {
+    let root = Name::root();
+    let mut root_zone = Zone::new(root.clone());
+    root_zone.add(Record::new(root.clone(), 3600, soa_for(&root)));
+    let root_ns = Name::parse("ns1").expect("valid");
+    root_zone.add(Record::new(root, 3600, Rdata::Ns(root_ns.clone())));
+    root_zone.add_a(root_ns, ROOT_SERVER);
+    for tld in tlds {
+        let ns = ns_host(&tld.name, 0);
+        root_zone.add(Record::new(tld.name.clone(), 3600, Rdata::Ns(ns.clone())));
+        root_zone.add_a(ns, tld_addr(tld.server_index));
+        let keys = tld_keys(&tld.name);
+        root_zone.add(Record::new(
+            tld.name.clone(),
+            3600,
+            keys.ksk.ds_rdata(&tld.name, DigestAlg::SHA256),
+        ));
+    }
+    root_zone
+}
+
 impl ScanWorld {
     /// Build the world for a population.
     pub fn build(pop: &Population) -> ScanWorld {
@@ -805,22 +831,7 @@ impl ScanWorld {
 
         // Root zone: real, signed, one delegation per TLD.
         let root = Name::root();
-        let mut root_zone = Zone::new(root.clone());
-        root_zone.add(Record::new(root.clone(), 3600, soa_for(&root)));
-        let root_ns = Name::parse("ns1").expect("valid");
-        root_zone.add(Record::new(root.clone(), 3600, Rdata::Ns(root_ns.clone())));
-        root_zone.add_a(root_ns, ROOT_SERVER);
-        for tld in &pop.tlds {
-            let ns = ns_host(&tld.name, 0);
-            root_zone.add(Record::new(tld.name.clone(), 3600, Rdata::Ns(ns.clone())));
-            root_zone.add_a(ns, tld_addr(tld.server_index));
-            let keys = tld_keys(&tld.name);
-            root_zone.add(Record::new(
-                tld.name.clone(),
-                3600,
-                keys.ksk.ds_rdata(&tld.name, DigestAlg::SHA256),
-            ));
-        }
+        let mut root_zone = unsigned_root_zone(&pop.tlds);
         let root_keys = ZoneKeys::generate(&root, 8, 2048);
         signer::sign_zone(&mut root_zone, &root_keys, &SignerConfig::default());
         let trust_anchor = root_keys.ksk.ds_rdata(&root, DigestAlg::SHA256);
@@ -888,6 +899,16 @@ impl ScanWorld {
     /// The population index of `child`, an entry of [`Self::tld_children`].
     pub(crate) fn domain_index(&self, child: u32) -> usize {
         self.registry.index_of(child)
+    }
+
+    /// `domain`'s entry in its TLD's [`Self::tld_children`], found from
+    /// its name.
+    pub(crate) fn child_entry(&self, domain: &DomainRecord) -> u32 {
+        let registered = self.registry.get(&domain.name);
+        let ordinal = registered
+            .expect("a population domain is registered")
+            .ordinal;
+        self.registry.children[usize::from(domain.tld)][ordinal as usize]
     }
 
     /// Drop TLD `tld`'s NSEC3 chain; a later query that needs it builds

@@ -111,21 +111,25 @@ pub fn child_server_addr(idx: usize) -> Ipv4Addr {
     Ipv4Addr::new(185, 199, 110 + (idx / 200) as u8, (idx % 200 + 1) as u8)
 }
 
+/// One testbed child zone before signing: the skeleton (SOA, NS and
+/// the server's address) and the optional apex A.
+pub fn unsigned_child_zone(spec: &DomainSpec, base: &Name, idx: usize) -> Zone {
+    let apex = base.child(spec.label).expect("valid label");
+    let (mut zone, _ns_name) = skeleton(&apex, child_server_addr(idx));
+    if spec.apex_a {
+        // The answer value is arbitrary; nothing ever connects to it.
+        zone.add_a(apex, Ipv4Addr::new(203, 0, 113, (idx % 250 + 1) as u8));
+    }
+    zone
+}
+
 /// Materialize one testbed child zone exactly as the builder does:
 /// skeleton, optional apex A, signing, and the spec's mutation. Returns
 /// the zone plus the DS RDATA(s) the parent publishes for it. Used both
 /// by the builder and by the zone-dump tooling.
 pub fn materialize_child_zone(spec: &DomainSpec, base: &Name, idx: usize) -> (Zone, Vec<Rdata>) {
-    let apex = base.child(spec.label).expect("valid label");
-    let server_addr = child_server_addr(idx);
-    let (mut zone, _ns_name) = skeleton(&apex, server_addr);
-    if spec.apex_a {
-        // The answer value is arbitrary; nothing ever connects to it.
-        zone.add_a(
-            apex.clone(),
-            Ipv4Addr::new(203, 0, 113, (idx % 250 + 1) as u8),
-        );
-    }
+    let mut zone = unsigned_child_zone(spec, base, idx);
+    let apex = zone.apex().clone();
 
     let mut ds_rdatas: Vec<Rdata> = Vec::new();
     if spec.signed {

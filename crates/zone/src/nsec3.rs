@@ -1,11 +1,10 @@
 //! NSEC3 chain generation (RFC 5155).
 
 use crate::rrset::Rrset;
-use crate::zone::Zone;
+use crate::zone::{Role, Zone};
 use ede_crypto::{base32, nsec3hash};
 use ede_wire::rdata::{Octets, TypeBitmap};
 use ede_wire::{Name, Rdata, RrType};
-use std::collections::BTreeSet;
 
 /// NSEC3 parameters used when signing a zone.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,50 +37,125 @@ impl Nsec3Config {
     }
 }
 
-/// All owner names the NSEC3 chain must cover: every authoritative owner
-/// plus empty non-terminals, excluding glue below zone cuts.
-fn chain_names(zone: &Zone) -> BTreeSet<Name> {
-    let mut names: BTreeSet<Name> = BTreeSet::new();
-    for name in zone.names() {
-        if zone.is_glue(name) && !zone.is_delegation(name) {
-            continue;
-        }
-        names.insert(name.clone());
-        // Empty non-terminals between this owner and the apex.
-        let mut current = name.parent();
-        while let Some(n) = current {
-            if !n.is_subdomain_of(zone.apex()) || n == *zone.apex() {
-                break;
-            }
-            names.insert(n.clone());
-            current = n.parent();
-        }
-    }
-    names.insert(zone.apex().clone());
-    names
+/// One owner of the chain being gathered: its raw hash, its name, and
+/// its type bitmap — `None` for a name the walk did not visit (an empty
+/// non-terminal), looked up once the walk is done.
+type ChainOwner = ([u8; nsec3hash::NSEC3_HASH_LEN], Name, Option<TypeBitmap>);
+
+/// The chain owners one walk gathers, each once.
+struct Gather<'c> {
+    config: &'c Nsec3Config,
+    apex: Name,
+    owners: Vec<ChainOwner>,
+    /// The last owner the walk put in the chain. An ancestor already in
+    /// the list is an ancestor of this one: the owners below any name
+    /// are contiguous in the walk's order.
+    last: Option<Name>,
+    apex_seen: bool,
+    /// The owner being walked: its name and role, and its types so far.
+    current: Option<(Name, Role, TypeBitmap)>,
 }
 
-/// The type bitmap for one owner (RFC 5155 §7.1 rules).
-fn bitmap_for(zone: &Zone, name: &Name, signed: bool) -> TypeBitmap {
-    let mut bm = TypeBitmap::new();
-    if zone.is_delegation(name) {
-        // Delegation point: only NS and (when present) DS are
-        // authoritative at the cut; glue addresses are not listed.
-        bm.insert(RrType::Ns);
-        if zone.get(name, RrType::Ds).is_some() {
-            bm.insert(RrType::Ds);
-            if signed {
-                bm.insert(RrType::Rrsig);
-            }
+impl Gather<'_> {
+    /// The walk's next RRset, of an owner of `role`.
+    fn visit(&mut self, role: Role, set: &Rrset) {
+        if self.current.as_ref().map(|(name, ..)| name) != Some(&set.name) {
+            self.leave();
+            self.current = Some((set.name.clone(), role, TypeBitmap::new()));
         }
-        return bm;
+        let (_, _, types) = self.current.as_mut().expect("just set");
+        if set.rtype != RrType::Nsec3 {
+            types.insert(set.rtype);
+        }
     }
+
+    /// The walk is done: the owners gathered, the apex among them.
+    fn finish(mut self) -> Vec<ChainOwner> {
+        self.leave();
+        if !self.apex_seen {
+            self.push(self.apex.clone(), None);
+        }
+        self.owners
+    }
+
+    fn push(&mut self, name: Name, bitmap: Option<TypeBitmap>) {
+        self.owners
+            .push((self.config.hash_raw(&name), name, bitmap));
+    }
+
+    /// The walk has left the current owner: add it and the empty
+    /// non-terminals above it, unless it is glue.
+    fn leave(&mut self) {
+        let Some((name, role, types)) = self.current.take() else {
+            return;
+        };
+        if role == Role::BelowCut && name != self.apex {
+            return;
+        }
+        self.apex_seen |= name == self.apex;
+        let bitmap = if role == Role::Cut {
+            // Delegation point: only NS and (when present) DS are
+            // authoritative at the cut; glue addresses are not listed.
+            let mut cut = TypeBitmap::new();
+            cut.insert(RrType::Ns);
+            if types.contains(RrType::Ds) {
+                cut.insert(RrType::Ds);
+                cut.insert(RrType::Rrsig);
+            }
+            cut
+        } else {
+            let mut types = types;
+            if !types.is_empty() {
+                types.insert(RrType::Rrsig);
+            }
+            types
+        };
+        let mut ancestor = name.parent();
+        while let Some(n) = ancestor {
+            let listed = self
+                .last
+                .as_ref()
+                .is_some_and(|last| last.is_subdomain_of(&n));
+            if listed || !n.is_subdomain_of(&self.apex) || n == self.apex {
+                break;
+            }
+            ancestor = n.parent();
+            self.push(n, None);
+        }
+        self.push(name.clone(), Some(bitmap));
+        self.last = Some(name);
+    }
+}
+
+/// Every owner name the NSEC3 chain must cover, with its bitmap: every
+/// authoritative owner and cut, the apex, and the empty non-terminals
+/// between them and the apex — not glue below a cut. One walk of the
+/// zone in canonical order ([`Zone::walk_roles`]) gathers them, each
+/// hashed under `config`.
+fn chain_owners(zone: &mut Zone, config: &Nsec3Config) -> Vec<ChainOwner> {
+    let mut gather = Gather {
+        config,
+        apex: zone.apex().clone(),
+        owners: Vec::new(),
+        last: None,
+        apex_seen: false,
+        current: None,
+    };
+    zone.walk_roles(|role, set| gather.visit(role, set));
+    gather.finish()
+}
+
+/// The type bitmap of an owner the walk did not visit (RFC 5155 §7.1
+/// rules): an empty non-terminal's is empty, unless the name holds glue
+/// below a cut, which is listed.
+fn bitmap_for(zone: &Zone, name: &Name) -> TypeBitmap {
+    let mut bm = TypeBitmap::new();
     for t in zone.types_at(name) {
         if t != RrType::Nsec3 {
             bm.insert(t);
         }
     }
-    if signed && !bm.is_empty() {
+    if !bm.is_empty() {
         bm.insert(RrType::Rrsig);
     }
     bm
@@ -109,18 +183,19 @@ pub fn build_chain(zone: &mut Zone, config: &Nsec3Config) {
         },
     ));
 
-    let names = chain_names(zone);
-    // (raw hash, source name) sorted by hash — the chain order.
-    let mut hashed: Vec<([u8; nsec3hash::NSEC3_HASH_LEN], Name)> = names
-        .into_iter()
-        .map(|n| (config.hash_raw(&n), n))
-        .collect();
-    hashed.sort();
+    let mut hashed = chain_owners(zone, config);
+    for (_, name, bitmap) in &mut hashed {
+        if bitmap.is_none() {
+            *bitmap = Some(bitmap_for(zone, name));
+        }
+    }
+    // Sorted by hash: the chain order.
+    hashed.sort_unstable_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
 
     let count = hashed.len();
     for i in 0..count {
-        let (hash, name) = &hashed[i];
-        let (next_hash, _) = &hashed[(i + 1) % count];
+        let next_hash = hashed[(i + 1) % count].0;
+        let (hash, _, types) = &mut hashed[i];
         let owner = apex
             .child_bytes(&nsec3hash::nsec3_label(hash))
             .expect("hash label fits");
@@ -130,7 +205,7 @@ pub fn build_chain(zone: &mut Zone, config: &Nsec3Config) {
             iterations: config.iterations,
             salt: config.salt.clone(),
             next_hashed: next_hash.into(),
-            types: bitmap_for(zone, name, true),
+            types: types.take().expect("every bitmap is filled"),
         };
         zone.add_rrset(Rrset::new(owner, soa_minimum, rdata));
     }
@@ -212,6 +287,7 @@ mod tests {
     use super::*;
     use ede_wire::rdata::Soa;
     use ede_wire::Record;
+    use std::collections::BTreeSet;
 
     fn n(s: &str) -> Name {
         Name::parse(s).unwrap()

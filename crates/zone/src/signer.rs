@@ -1,10 +1,20 @@
 //! Whole-zone DNSSEC signing.
+//!
+//! Which RRsets get signatures follows from each owner's role, and the
+//! signer learns the roles in the same ordered walk of the zone that
+//! signs ([`Zone::walk_roles`]): no search of the map per RRset. The walk
+//! can tell an owner below a zone cut from one that is not because, in
+//! canonical order, a cut's whole subtree follows the cut contiguously —
+//! so the walk only has to remember the outermost cut it is inside, and
+//! forgets it at the first owner outside it (the `zone` module explains
+//! why the subtree is contiguous). The NSEC3 chain takes its owners and
+//! bitmaps from the same walk.
 
 use crate::canonical::signing_data;
 use crate::keys::{ZoneKey, ZoneKeys};
 use crate::nsec3::{self, Nsec3Config};
 use crate::rrset::Rrset;
-use crate::zone::Zone;
+use crate::zone::{Role, Zone};
 use ede_wire::rdata::Rrsig;
 use ede_wire::{Name, RrType};
 
@@ -105,30 +115,24 @@ pub fn sign_zone(zone: &mut Zone, keys: &ZoneKeys, config: &SignerConfig) {
 }
 
 /// (Re-)generate every RRSIG in the zone with the given window, replacing
-/// existing signatures. Used both by [`sign_zone`] and by mutations that
-/// need genuinely-verifying signatures with pathological windows.
+/// existing signatures, in one walk of the zone. Used both by
+/// [`sign_zone`] and by mutations that need genuinely-verifying
+/// signatures with pathological windows.
 pub fn resign_all(zone: &mut Zone, keys: &ZoneKeys, window: (u32, u32)) {
-    // Collect keys of rrsets to sign first (cannot mutate while iterating).
-    let targets: Vec<(Name, RrType)> = zone
-        .iter()
-        .filter(|set| {
-            if set.rtype == RrType::Rrsig {
-                return false;
-            }
-            if zone.is_delegation(&set.name) {
-                // At a zone cut only the DS RRset is authoritative
-                // parent-side data (RFC 4035 §2.2); NS and glue stay
-                // unsigned.
-                return set.rtype == RrType::Ds;
-            }
-            !zone.is_glue(&set.name)
-        })
-        .map(|set| (set.name.clone(), set.rtype))
-        .collect();
-
-    for (name, rtype) in targets {
-        resign_rrset(zone, &name, rtype, keys, window);
-    }
+    let apex = zone.apex().clone();
+    zone.walk_roles(|role, set| {
+        let signed = match role {
+            Role::Authoritative => set.rtype != RrType::Rrsig,
+            // At a zone cut only the DS RRset is authoritative
+            // parent-side data (RFC 4035 §2.2); NS and glue stay
+            // unsigned.
+            Role::Cut => set.rtype == RrType::Ds,
+            Role::BelowCut => false,
+        };
+        if signed {
+            sign_in_place(set, keys, &apex, window);
+        }
+    });
 }
 
 /// Replace the signatures over one RRset, signing with the role-appropriate

@@ -1,8 +1,24 @@
 //! The zone container: RRsets indexed by owner name and type.
+//!
+//! The map is ordered by canonical owner name, then type, and that order
+//! is what lets the signer and the NSEC3 chain learn every owner's role
+//! in one walk ([`Zone::walk_roles`]). In RFC 4034 canonical order a
+//! name's descendants sort immediately after it, before any name that is
+//! not one: names compare label by label from the right, so every name
+//! below `cut` shares `cut`'s labels as its rightmost ones and runs past
+//! them, which puts it after `cut` and before the next name that differs
+//! within them. A zone cut's subtree — its glue and anything else below
+//! it — is therefore one contiguous run right after the cut, and a walk
+//! that remembers the outermost cut it has entered knows an owner is
+//! below a cut by asking only whether it is still under that one name.
+//! An owner's RRsets are one run too, in type order, and only types 0
+//! and 1 (A) sort before NS, so an owner's role is settled with at most
+//! two of its RRsets held back.
 
 use crate::rrset::Rrset;
 use ede_wire::{Name, Rdata, Record, RrType};
 use std::borrow::Borrow;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -73,6 +89,63 @@ fn at_name<'a>(map: &'a RrsetMap, name: &'a Name) -> impl Iterator<Item = &'a Rr
         .map(|(_, set)| set)
 }
 
+/// What an owner name is to its zone, as signing and the NSEC3 chain
+/// see it (RFC 4035 §2.2, RFC 5155 §7.1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// Authoritative data: every RRset but a stored RRSIG set is signed,
+    /// and the owner is in the denial chain with the types it holds.
+    Authoritative,
+    /// A zone cut, an NS RRset at an owner other than the apex (even
+    /// below another cut): only its DS is signed, and its chain bitmap
+    /// is NS and DS.
+    Cut,
+    /// Below a cut (glue), or the apex below an out-of-zone cut: neither
+    /// signed nor chained.
+    BelowCut,
+}
+
+/// The cuts a walk in canonical order is inside: the outermost of all
+/// (for the apex and out-of-zone owners, which [`Zone::is_glue`] checks
+/// against every ancestor) and the outermost strictly below the apex
+/// (for the owners there, which it checks up to the apex only).
+struct Cuts<'a> {
+    apex: &'a Name,
+    outer: Option<&'a Name>,
+    inner: Option<&'a Name>,
+}
+
+impl<'a> Cuts<'a> {
+    /// Is `name`, the walk's next owner, below a cut? Cuts the walk has
+    /// left are forgotten: their subtrees are contiguous, so it never
+    /// comes back to them.
+    fn below(&mut self, name: &Name) -> bool {
+        for cut in [&mut self.outer, &mut self.inner] {
+            if cut.is_some_and(|c| !name.is_subdomain_of(c)) {
+                *cut = None;
+            }
+        }
+        if strictly_below(name, self.apex) {
+            self.inner.is_some()
+        } else {
+            self.outer.is_some()
+        }
+    }
+
+    /// `cut`, the owner just settled, is a cut.
+    fn enter(&mut self, cut: &'a Name) {
+        self.outer.get_or_insert(cut);
+        if strictly_below(cut, self.apex) {
+            self.inner.get_or_insert(cut);
+        }
+    }
+}
+
+/// Is `name` below `apex` and not `apex` itself?
+fn strictly_below(name: &Name, apex: &Name) -> bool {
+    name != apex && name.is_subdomain_of(apex)
+}
+
 /// An authoritative zone: an apex and the RRsets at and below it.
 ///
 /// Names are kept in RFC 4034 canonical order (the `Ord` of
@@ -99,12 +172,15 @@ impl Zone {
     }
 
     /// Insert one record, merging into an existing RRset of the same
-    /// (owner, type) when present.
+    /// (owner, type) when present: one search of the map.
     pub fn add(&mut self, record: Record) {
-        let rtype = record.rtype();
-        match self.get_mut(&record.name, rtype) {
-            Some(set) => set.rdatas.push(record.rdata),
-            None => self.add_rrset(Rrset::new(record.name, record.ttl, record.rdata)),
+        let rtype = record.rtype().to_u16();
+        match self.rrsets.entry(Key(record.name, rtype)) {
+            Entry::Occupied(set) => set.into_mut().rdatas.push(record.rdata),
+            Entry::Vacant(slot) => {
+                let name = slot.key().0.clone();
+                slot.insert(Rrset::new(name, record.ttl, record.rdata));
+            }
         }
     }
 
@@ -171,6 +247,51 @@ impl Zone {
     /// Mutable iteration over all RRsets.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Rrset> {
         self.rrsets.values_mut()
+    }
+
+    /// Visit every RRset in canonical order with its owner's [`Role`],
+    /// learned in the same walk — no search of the map. The roles are
+    /// those [`Zone::is_delegation`] and [`Zone::is_glue`] give: a cut
+    /// is an owner other than the apex with an NS RRset; below a cut is
+    /// an owner with a cut among its ancestors short of the apex (any
+    /// ancestor, for the apex itself and owners outside it). See the
+    /// module documentation for why one ordered walk can tell.
+    pub fn walk_roles(&mut self, mut visit: impl FnMut(Role, &mut Rrset)) {
+        let apex = &self.apex;
+        let mut cuts = Cuts {
+            apex,
+            outer: None,
+            inner: None,
+        };
+        let ns = RrType::Ns.to_u16();
+        let mut entries = self.rrsets.iter_mut().peekable();
+        while let Some(key) = entries.peek().map(|(key, _)| *key) {
+            let owner = &key.0;
+            let below = cuts.below(owner);
+            // The owner's RRsets of types 0 and 1 sort before its NS, if
+            // any: held back until its role is settled.
+            let mut held: [Option<&mut Rrset>; 2] = [None, None];
+            while let Some((key, set)) = entries.next_if(|(k, _)| k.0 == *owner && k.1 < ns) {
+                held[usize::from(key.1)] = Some(set);
+            }
+            let has_ns = entries
+                .peek()
+                .is_some_and(|(k, _)| k.0 == *owner && k.1 == ns);
+            let role = if has_ns && owner != apex {
+                cuts.enter(owner);
+                Role::Cut
+            } else if below {
+                Role::BelowCut
+            } else {
+                Role::Authoritative
+            };
+            for set in held.into_iter().flatten() {
+                visit(role, set);
+            }
+            while let Some((_, set)) = entries.next_if(|(k, _)| k.0 == *owner) {
+                visit(role, set);
+            }
+        }
     }
 
     /// The SOA RRset at the apex.
