@@ -6,28 +6,26 @@
 //!
 //! * the **root zone** is a real, signed [`ede_zone::Zone`] with one
 //!   delegation (and DS) per TLD;
-//! * each **TLD server** answers the query it gets a million times — the
-//!   referral to a registered child — straight from the child's registry
-//!   record: the NS set, the glue and the signed DS set or the child's
-//!   own NSEC3 from the TLD's honest chain are built and handed to
-//!   [`ede_authority::layout::referral`], with no zone in between,
-//!   because referral content only ever depends on the one delegation.
-//!   The apex NS and DNSKEY sets (priming's and validation's one query
-//!   each per TLD) are built from the TLD's keys the same way and go
-//!   through [`ede_authority::layout::positive`]. Every other shape (the
-//!   rest of the apex, an unregistered name, a child's parent-side DS)
-//!   gets a micro-zone of just the RRsets it can touch, signed per query
-//!   and served by the ordinary [`ede_authority::ZoneServer`] logic. The
-//!   TLD's NSEC3 chain, which insecure referrals and micro-zones draw
-//!   on, is hashed on first use from the children's serials alone —
-//!   each name is written from its serial into one laid-out SHA-1
-//!   block, and no record is read — and held until a scan
-//!   releases it: the scanner claims its work one TLD at a time and
-//!   empties the TLD's chain slot when its last claim there completes,
-//!   so the chains a scan holds are those of the TLDs in flight. A
-//!   query served after that hashes the chain again, to the same
-//!   records; a world no scan runs on (a server's, a table's) keeps
-//!   each chain once built;
+//! * each **TLD server** answers what a walk of referrals asks it and
+//!   nothing else. The referral to a registered child is built straight
+//!   from the child's registry record: the NS set, the glue and the
+//!   signed DS set or the child's own NSEC3 from the TLD's honest chain
+//!   are handed to [`ede_authority::layout::referral`], with no zone in
+//!   between, because referral content only ever depends on the one
+//!   delegation. The apex NS and DNSKEY sets (priming's and
+//!   validation's one query each per TLD) are built from the TLD's keys
+//!   the same way and go through [`ede_authority::layout::positive`].
+//!   Every other shape (the rest of the apex, an unregistered name, a
+//!   child's parent-side DS) is REFUSED, as a name the server does not
+//!   serve. The TLD's NSEC3 chain, which insecure referrals draw on, is
+//!   hashed on first use from the children's serials alone — each name
+//!   is written from its serial into one laid-out SHA-1 block, and no
+//!   record is read — and held until a scan releases it: the scanner
+//!   claims its work one TLD at a time and empties the TLD's chain slot
+//!   when its last claim there completes, so the chains a scan holds are
+//!   those of the TLDs in flight. A query served after that hashes the
+//!   chain again, to the same records; a world no scan runs on (a
+//!   server's, a table's) keeps each chain once built;
 //! * each **hosting server** answers a child's apex A (and a signed
 //!   child's DNSKEY) the same way, from the record and the child's
 //!   derived keys through [`ede_authority::layout::positive`], unless
@@ -60,7 +58,7 @@ use ede_resolver::ResolverConfig;
 use ede_wire::rdata::{Soa, TypeBitmap};
 use ede_wire::{DigestAlg, Message, Name, Rdata, Record, RrType};
 use ede_zone::signer::{self, SignerConfig, DEFAULT_WINDOW};
-use ede_zone::{Denial, Nsec3Config, Rrset, Zone, ZoneKey, ZoneKeys};
+use ede_zone::{Nsec3Config, Rrset, Zone, ZoneKey, ZoneKeys};
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::{Arc, Mutex};
@@ -87,16 +85,6 @@ struct Place {
     ordinal: u32,
 }
 
-/// The top bit of an entry of [`Registry::children`], set when the
-/// child is signed. The other 31 bits are the child's serial, which
-/// stays below 2³¹ even at the paper's full scale.
-const SIGNED: u32 = 1 << 31;
-
-/// The serial of `child`, an entry of [`Registry::children`].
-fn serial_of(child: u32) -> usize {
-    (child & !SIGNED) as usize
-}
-
 /// Shared lookup tables over the population's domains, which they index
 /// rather than copy. No table is keyed by a name: a name's label spells
 /// its serial ([`Serials`]), and the serial is its slot in `places`.
@@ -107,11 +95,10 @@ struct Registry {
     serials: Serials,
     /// By serial: the domain's place, exactly one slot per domain.
     places: Vec<Place>,
-    /// By TLD index: its registered children as serials, each with its
-    /// [`SIGNED`] bit, in population order (a child's ordinal is its
-    /// position here), each list exactly sized. Each TLD's honest NSEC3
-    /// chain is derived from these alone, and the scanner's claims are
-    /// cut from them.
+    /// By TLD index: its registered children as serials, in population
+    /// order (a child's ordinal is its position here), each list exactly
+    /// sized. Each TLD's honest NSEC3 chain is derived from these alone,
+    /// and the scanner's claims are cut from them.
     children: Vec<Vec<u32>>,
 }
 
@@ -134,15 +121,7 @@ impl Registry {
             let serial = d.name.first_label().and_then(|label| serials.serial(label));
             let serial = serial.unwrap_or_else(|| panic!("{} has no serial", d.name));
             places[serial] = Place { index, ordinal };
-            let serial = u32::try_from(serial)
-                .ok()
-                .filter(|&serial| serial < SIGNED)
-                .expect("serials stay below 2^31");
-            siblings.push(if d.category.signed() {
-                serial | SIGNED
-            } else {
-                serial
-            });
+            siblings.push(u32::try_from(serial).expect("serials fit u32"));
         }
         Registry {
             domains: Arc::clone(&pop.domains),
@@ -165,7 +144,7 @@ impl Registry {
 
     /// The population index of `child`, an entry of `children`.
     fn index_of(&self, child: u32) -> usize {
-        self.places[serial_of(child)].index as usize
+        self.places[child as usize].index as usize
     }
 }
 
@@ -190,19 +169,6 @@ fn ns_host(apex: &Name, i: usize) -> Name {
         None => apex.child(&format!("ns{}", i + 1)),
     }
     .expect("valid")
-}
-
-/// Add `rec`'s delegation as its parent publishes it: NS, glue, and the
-/// DS set of a signed child (unsigned).
-fn add_delegation(zone: &mut Zone, rec: &DomainRecord) {
-    for (i, addr) in rec.ns_addrs.iter().enumerate() {
-        let ns = ns_host(&rec.name, i);
-        zone.add(Record::new(rec.name.clone(), 3600, Rdata::Ns(ns.clone())));
-        zone.add(Record::new(ns, 3600, Rdata::A(*addr)));
-    }
-    for ds in rec.category.row().parent_ds(&rec.name) {
-        zone.add(Record::new(rec.name.clone(), 3600, ds));
-    }
 }
 
 fn soa_for(apex: &Name) -> Rdata {
@@ -300,6 +266,15 @@ impl FlapTable {
     }
 }
 
+/// The answer to a query a server does not serve — a name the hosting
+/// fabric does not host, a shape a TLD server is never asked by a walk
+/// of referrals: REFUSED.
+fn refused(query: &Message) -> ServerResponse {
+    let mut resp = Message::response_to(query);
+    resp.rcode = ede_wire::Rcode::Refused;
+    ServerResponse::Reply(resp)
+}
+
 /// The hosting fabric: serves every healthy-pool domain as its row's
 /// hosting column says, with per-domain flap state.
 struct HostingNs {
@@ -315,10 +290,7 @@ impl Server for HostingNs {
         };
         // The registered domain (label.tld) the qname belongs to.
         let Some(rec) = self.registry.get(&q.name.suffix(2)).map(|r| r.rec) else {
-            // Not a domain we host.
-            let mut resp = Message::response_to(query);
-            resp.rcode = ede_wire::Rcode::Refused;
-            return ServerResponse::Reply(resp);
+            return refused(query);
         };
 
         let row = rec.category.row();
@@ -391,32 +363,19 @@ fn write_child(serials: &Serials, serial: usize, tld: &[u8], salt: &[u8], block:
     serials.write_label(serial, &mut block.name_mut()[1..=label]);
 }
 
-/// Which kind of owner a [`TldChain`] entry is — the only thing that
-/// differs between their NSEC3 type bitmaps.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ChainOwner {
-    /// The TLD apex.
-    Apex,
-    /// The in-zone nameserver host (`ns1.<tld>`).
-    Host,
-    /// An insecure (unsigned-child) delegation.
-    Insecure,
-    /// A secure delegation (DS published).
-    Secure,
-}
-
 /// The honest NSEC3 chain over one TLD's registry: every owner the
-/// full zone would contain, hashed and sorted in one go. Individual
-/// NSEC3 RRsets are synthesized (and signed) on demand from this index,
-/// so per-query cost stays at one binary search plus one signature —
-/// yet the intervals served to resolvers are globally consistent: none
-/// covers a registered name. It is a function of the TLD's list of
-/// children alone — serials and signed bits, no record — so a chain
-/// built again after a release (see [`TldServer`]) is the same chain.
+/// full zone would contain — the apex, its nameserver host and every
+/// child, signed or not — hashed and sorted in one go, so the interval
+/// of each record served ends at the next owner the full zone would
+/// have. Only an insecure child's own record is ever served (by
+/// [`TldServer::referral`]), synthesized and signed on demand from this
+/// index. It is a function of the TLD's list of children alone —
+/// serials, no record — so a chain built again after a release (see
+/// [`TldServer`]) is the same chain.
 struct TldChain {
     params: Nsec3Config,
-    /// (owner hash, kind), sorted by hash.
-    owners: Vec<([u8; NSEC3_HASH_LEN], ChainOwner)>,
+    /// Owner hashes, sorted.
+    owners: Vec<[u8; NSEC3_HASH_LEN]>,
     /// Where each child (by its ordinal in the TLD) sits in `owners`.
     child_slots: Vec<u32>,
 }
@@ -427,63 +386,49 @@ impl TldChain {
     /// name is written from its serial ([`write_child`]), so no record
     /// is read.
     ///
-    /// At its peak it holds a sort key (24 B), an owner (21 B) and a
+    /// At its peak it holds a sort key (24 B), an owner (20 B) and a
     /// slot (4 B) per child; it keeps the owner and the slot.
     fn build(tld: &Name, serials: &Serials, children: &[u32]) -> TldChain {
         let params = Nsec3Config::default();
         let (salt, iterations) = (&params.salt[..], params.iterations);
         // Sort keys: the hash as three big-endian integers, whose order
         // is the bytes' order, the last one's low half a tag that makes
-        // the order total and says whose hash it is — the apex, the
-        // host, then each child by ordinal, the order a stable sort by
-        // hash alone would keep — and, in its lowest bit, whether a
-        // child is signed.
-        const APEX: u32 = 0;
-        const HOST: u32 = 1;
-        let child_tag = |ordinal: usize, child: u32| {
-            let tag = u32::try_from(2 * (ordinal + 1)).expect("a TLD has fewer than 2^31 children");
-            tag | u32::from(child & SIGNED != 0)
-        };
-        let key = |hash: [u8; NSEC3_HASH_LEN], tag: u32| {
+        // the order total and says whose hash it is — the apex (0), the
+        // host (1), then each child by ordinal, the order a stable sort
+        // by hash alone would keep.
+        const FIRST_CHILD: usize = 2;
+        let key = |hash: [u8; NSEC3_HASH_LEN], tag: usize| {
+            let tag = u32::try_from(tag).expect("a TLD has fewer than 2^32 - 2 children");
             let word =
                 |at: usize| u64::from_be_bytes(hash[at..at + 8].try_into().expect("8 bytes"));
             let low = u32::from_be_bytes(hash[16..].try_into().expect("4 bytes"));
             [word(0), word(8), u64::from(low) << 32 | u64::from(tag)]
         };
-        let mut keys = Vec::with_capacity(children.len() + 2);
+        let mut keys = Vec::with_capacity(children.len() + FIRST_CHILD);
         let hash = |name: &Name| nsec3hash::nsec3_hash(name.as_wire(), salt, iterations);
-        keys.push(key(hash(tld), APEX));
-        keys.push(key(hash(&ns_host(tld, 0)), HOST));
+        keys.push(key(hash(tld), 0));
+        keys.push(key(hash(&ns_host(tld, 0)), 1));
 
         // One block, each child's name written into it in turn.
         let tld = tld.as_wire();
         let mut block = OwnerBlock::new(0, salt).expect("the salt fits one block");
         for (ordinal, &child) in children.iter().enumerate() {
-            write_child(serials, serial_of(child), tld, salt, &mut block);
-            keys.push(key(block.hash(iterations), child_tag(ordinal, child)));
+            write_child(serials, child as usize, tld, salt, &mut block);
+            keys.push(key(block.hash(iterations), FIRST_CHILD + ordinal));
         }
         keys.sort_unstable();
 
         let mut child_slots = vec![0u32; children.len()];
         let mut owners = Vec::with_capacity(keys.len());
         for (slot, [high, middle, low]) in keys.into_iter().enumerate() {
+            if let Some(ordinal) = (low as u32 as usize).checked_sub(FIRST_CHILD) {
+                child_slots[ordinal] = slot as u32;
+            }
             let mut hash = [0u8; NSEC3_HASH_LEN];
             hash[..8].copy_from_slice(&high.to_be_bytes());
             hash[8..16].copy_from_slice(&middle.to_be_bytes());
             hash[16..].copy_from_slice(&((low >> 32) as u32).to_be_bytes());
-            let kind = match low as u32 {
-                APEX => ChainOwner::Apex,
-                HOST => ChainOwner::Host,
-                tag => {
-                    child_slots[(tag >> 1) as usize - 1] = slot as u32;
-                    if tag & 1 == 1 {
-                        ChainOwner::Secure
-                    } else {
-                        ChainOwner::Insecure
-                    }
-                }
-            };
-            owners.push((hash, kind));
+            owners.push(hash);
         }
         TldChain {
             params,
@@ -492,47 +437,13 @@ impl TldChain {
         }
     }
 
-    /// Index of a registered child's own record.
-    fn slot_of(&self, child: Registered<'_>) -> usize {
-        self.child_slots[child.ordinal as usize] as usize
-    }
-
-    /// Index of the owner whose hash equals `hash`, if any.
-    fn matching(&self, hash: &[u8; NSEC3_HASH_LEN]) -> Option<usize> {
-        self.owners.binary_search_by(|(h, _)| h.cmp(hash)).ok()
-    }
-
-    /// Index of the owner whose (owner, next-owner) arc covers `hash`.
-    /// Callers check [`Self::matching`] first — an owner's own hash
-    /// belongs to no arc.
-    fn covering(&self, hash: &[u8; NSEC3_HASH_LEN]) -> usize {
-        match self.owners.binary_search_by(|(h, _)| h.cmp(hash)) {
-            Ok(i) => i,
-            // Before the first owner: covered by the wraparound arc.
-            Err(0) => self.owners.len() - 1,
-            Err(i) => i - 1,
-        }
-    }
-
-    /// Synthesize the signed NSEC3 RRset for owner `idx`.
-    fn rrset(&self, idx: usize, apex: &Name, keys: &ZoneKeys, window: (u32, u32)) -> Rrset {
-        let (hash, kind) = &self.owners[idx];
-        let (next, _) = &self.owners[(idx + 1) % self.owners.len()];
-        let listed: &[RrType] = match kind {
-            ChainOwner::Apex => &[
-                RrType::Soa,
-                RrType::Ns,
-                RrType::Dnskey,
-                RrType::Nsec3param,
-                RrType::Rrsig,
-            ],
-            ChainOwner::Host => &[RrType::A, RrType::Rrsig],
-            ChainOwner::Insecure => &[RrType::Ns],
-            ChainOwner::Secure => &[RrType::Ns, RrType::Ds, RrType::Rrsig],
-        };
-        let types = TypeBitmap::from_types(listed.iter().copied());
+    /// The signed NSEC3 RRset of `child`, an insecure child of the TLD
+    /// `apex`: its own record, whose bitmap lists NS alone.
+    fn rrset(&self, child: Registered<'_>, apex: &Name, keys: &ZoneKeys) -> Rrset {
+        let slot = self.child_slots[child.ordinal as usize] as usize;
+        let next = &self.owners[(slot + 1) % self.owners.len()];
         let owner = apex
-            .child_bytes(&nsec3hash::nsec3_label(hash))
+            .child_bytes(&nsec3hash::nsec3_label(&self.owners[slot]))
             .expect("hash label fits");
         let mut set = Rrset::new(
             owner,
@@ -547,10 +458,10 @@ impl TldChain {
                 iterations: self.params.iterations,
                 salt: self.params.salt.clone(),
                 next_hashed: next.into(),
-                types,
+                types: TypeBitmap::from_types([RrType::Ns]),
             },
         );
-        set.sigs = vec![signer::sign_rrset(&set, &keys.zsk, apex, window)];
+        set.sigs = vec![signer::sign_rrset(&set, &keys.zsk, apex, DEFAULT_WINDOW)];
         set
     }
 }
@@ -558,9 +469,11 @@ impl TldChain {
 /// TTL of the NSEC3 records a TLD serves.
 const NSEC3_TTL: u32 = 3600;
 
-/// A TLD server: answers a referral from the child's registry record,
-/// and synthesizes the relevant micro-slice of its zone for every other
-/// query.
+/// A TLD server: answers what a walk of referrals asks it — the
+/// referral to a registered child, from the child's registry record,
+/// and the apex NS and DNSKEY sets, from the TLD's keys — and REFUSES
+/// every other query ([`refused`]): the rest of its apex, its children's
+/// parent-side DS sets and names outside its registry.
 ///
 /// Its chain lives in a slot: built by the first query that needs it,
 /// shared by every query after, and emptied only by
@@ -670,96 +583,15 @@ impl TldServer {
             // this TLD deliberately lost it (§4.2.9). The record is
             // pulled from the honest registry-wide chain, so its
             // interval never covers another registered name.
-            (!self.broken_insecure_proof).then(|| {
-                let chain = self.chain();
-                chain.rrset(chain.slot_of(child), &self.tld, &self.keys, DEFAULT_WINDOW)
-            })
+            (!self.broken_insecure_proof).then(|| self.chain().rrset(child, &self.tld, &self.keys))
         };
         layout::referral(&mut resp, &ns, proof.as_ref(), glue, dnssec_ok);
         ServerResponse::Reply(resp)
     }
-
-    /// The full build for every query that is neither a referral nor
-    /// the apex NS or DNSKEY set: the rest of the apex (SOA, NODATA),
-    /// names outside the registry, and the parent-side DS of a
-    /// `registered` child, whose delegation then goes in. No shape served
-    /// from it carries the DNSKEY set, so a stand-by TLD's extra key is
-    /// not published here.
-    fn micro_zone(&self, qname: &Name, registered: Option<Registered<'_>>) -> Zone {
-        let mut zone = Zone::new(self.tld.clone());
-        zone.add(Record::new(self.tld.clone(), 3600, soa_for(&self.tld)));
-        let tld_ns = ns_host(&self.tld, 0);
-        zone.add(Record::new(self.tld.clone(), 3600, Rdata::Ns(tld_ns)));
-        if let Some(child) = registered {
-            add_delegation(&mut zone, child.rec);
-        }
-
-        // Sign without a denial chain, then publish the apex NSEC3PARAM
-        // as `sign_zone` with the default chain would. Grafting denial
-        // records per query is safe because RRSIG presence in NSEC3
-        // bitmaps is driven by a flag, not by the signing order, so the
-        // bitmaps (and the deterministic signatures) come out
-        // byte-identical to signing the whole registry. The PARAM stays
-        // on broken TLDs (§4.2.9) too: `Misconfig::Nsec3Missing` removes
-        // the chain but leaves it (and its RRSIG) behind, which is what
-        // keeps the server *claiming* it can prove denials.
-        let unchained = SignerConfig {
-            denial: Denial::None,
-            ..SignerConfig::default()
-        };
-        signer::sign_zone(&mut zone, &self.keys, &unchained);
-        let params = Nsec3Config::default();
-        let mut param = Rrset::new(
-            self.tld.clone(),
-            0,
-            Rdata::Nsec3param {
-                hash_alg: nsec3hash::NSEC3_HASH_ALG_SHA1,
-                flags: 0,
-                iterations: params.iterations,
-                salt: params.salt,
-            },
-        );
-        signer::sign_in_place(&mut param, &self.keys, &self.tld, DEFAULT_WINDOW);
-        zone.add_rrset(param);
-
-        // Honest TLDs graft exactly the chain records the queried shape
-        // needs, pulled from the registry-wide honest chain; broken TLDs
-        // (§4.2.9) publish the PARAM but no chain.
-        if !self.broken_insecure_proof {
-            let chain = self.chain();
-            let mut grafted = std::collections::BTreeSet::new();
-            grafted.insert(
-                chain
-                    .matching(&chain.params.hash_raw(&self.tld))
-                    .expect("apex is a chain owner"),
-            );
-            if let Some(child) = registered {
-                // The DS NODATA of an insecure delegation is proved by
-                // the child's own record.
-                grafted.insert(chain.slot_of(child));
-            } else if qname != &self.tld && qname.is_subdomain_of(&self.tld) {
-                // An unregistered name: the closest encloser is the
-                // apex and an NXDOMAIN proof needs the next-closer and
-                // wildcard covers.
-                let next_closer = qname.suffix(self.tld.label_count() + 1);
-                let nc_hash = chain.params.hash_raw(&next_closer);
-                if chain.matching(&nc_hash).is_none() {
-                    grafted.insert(chain.covering(&nc_hash));
-                    if let Ok(wildcard) = self.tld.child("*") {
-                        grafted.insert(chain.covering(&chain.params.hash_raw(&wildcard)));
-                    }
-                }
-            }
-            for idx in grafted {
-                zone.add_rrset(chain.rrset(idx, &self.tld, &self.keys, DEFAULT_WINDOW));
-            }
-        }
-        zone
-    }
 }
 
 impl Server for TldServer {
-    fn handle(&self, query: &Message, src: IpAddr, now: u32) -> ServerResponse {
+    fn handle(&self, query: &Message, _src: IpAddr, _now: u32) -> ServerResponse {
         let Some(q) = query.first_question() else {
             return ServerResponse::Drop;
         };
@@ -772,21 +604,18 @@ impl Server for TldServer {
                 return ServerResponse::Reply(resp);
             }
         }
+        // At or below a registered child every query is referred to it,
+        // except for the child's own DS, which is the parent side's.
         let registered = self
             .registry
             .get(&q.name.suffix(2))
             .filter(|_| q.name.is_subdomain_of(&self.tld));
-        // At or below a registered child every query is referred to it,
-        // except for the child's own DS, which the parent side answers.
-        let zone = match registered {
+        match registered {
             Some(child) if q.qtype != RrType::Ds || q.name != child.rec.name => {
-                return self.referral(query, child)
+                self.referral(query, child)
             }
-            _ => self.micro_zone(&q.name, registered),
-        };
-        let mut store = ZoneStore::new();
-        store.insert(zone);
-        ZoneServer::new(store).handle(query, src, now)
+            _ => refused(query),
+        }
     }
 }
 
@@ -970,6 +799,19 @@ mod tests {
         }
     }
 
+    /// Add `rec`'s delegation as its parent publishes it: NS, glue, and
+    /// the DS set of a signed child (unsigned).
+    fn add_delegation(zone: &mut Zone, rec: &DomainRecord) {
+        for (i, addr) in rec.ns_addrs.iter().enumerate() {
+            let ns = ns_host(&rec.name, i);
+            zone.add(Record::new(rec.name.clone(), 3600, Rdata::Ns(ns.clone())));
+            zone.add(Record::new(ns, 3600, Rdata::A(*addr)));
+        }
+        for ds in rec.category.row().parent_ds(&rec.name) {
+            zone.add(Record::new(rec.name.clone(), 3600, ds));
+        }
+    }
+
     /// The TLD zone as a registry would publish it whole: every
     /// delegation of the population materialised, `sign_zone` over all
     /// of it (full NSEC3 chain), then the two things the world does on
@@ -1010,8 +852,8 @@ mod tests {
     }
 
     /// Every domain is found by its own name, at its own index and
-    /// ordinal, where its TLD lists it by its serial and signed bit, and
-    /// a name that only looks like one is not.
+    /// ordinal, where its TLD lists it by its serial, and a name that
+    /// only looks like one is not.
     #[test]
     fn the_registry_finds_each_domain_by_its_name_and_no_near_miss() {
         let pop = Population::generate(PopulationConfig::tiny());
@@ -1026,8 +868,7 @@ mod tests {
             let child = registry.children[t][found.ordinal as usize];
             assert_eq!(registry.index_of(child), index, "{}", d.name);
             let serial = serials.serial(d.name.first_label().unwrap());
-            assert_eq!(Some(serial_of(child)), serial, "{}", d.name);
-            assert_eq!(child & SIGNED != 0, d.category.signed(), "{}", d.name);
+            assert_eq!(Some(child as usize), serial, "{}", d.name);
             ordinals[t] += 1;
         }
 
@@ -1077,7 +918,7 @@ mod tests {
                 let tld = pop.tlds[t].name.as_wire();
                 for &child in children {
                     let rec = &pop.domains[registry.index_of(child)];
-                    write_child(&registry.serials, serial_of(child), tld, &salt, &mut block);
+                    write_child(&registry.serials, child as usize, tld, &salt, &mut block);
                     assert_eq!(block.name_mut(), rec.name.as_wire(), "{}", rec.name);
                     derived += 1;
                     tail += usize::from(rec.name.first_label().unwrap().starts_with(b"fb"));
@@ -1123,22 +964,22 @@ mod tests {
         assert_eq!(listed, pop.domains.len());
     }
 
-    /// What a chain keeps once built: an owner of 21 bytes and a slot of
+    /// What a chain keeps once built: an owner of 20 bytes and a slot of
     /// 4 per child, and the apex's and the host's owners, in exactly
     /// sized buffers.
     #[test]
-    fn a_retained_chain_holds_25_bytes_per_child() {
+    fn a_retained_chain_holds_24_bytes_per_child() {
         let pop = Population::generate(PopulationConfig::tiny());
         let registry = Arc::new(Registry::of(&pop));
-        let owner = std::mem::size_of::<([u8; NSEC3_HASH_LEN], ChainOwner)>();
-        assert_eq!(owner, 21);
+        let owner = std::mem::size_of::<[u8; NSEC3_HASH_LEN]>();
+        assert_eq!(owner, 20);
         for (index, tld) in pop.tlds.iter().enumerate() {
             let chain = TldServer::new(index, tld, Arc::clone(&registry)).chain();
             let children = registry.children[index].len();
             let retained = chain.owners.capacity() * owner
                 + chain.child_slots.capacity() * std::mem::size_of::<u32>();
             assert!(
-                retained <= 25 * children + 2 * owner,
+                retained <= 24 * children + 2 * owner,
                 "{}: {retained} B for {children} children",
                 tld.name
             );
@@ -1148,10 +989,10 @@ mod tests {
     /// The lean servers — a referral and the apex NS and DNSKEY sets
     /// filled from the registry record and the keys at the TLD, the
     /// healthy children's apex A and DNSKEY at the hosting fabric — must
-    /// be indistinguishable from servers over fully
-    /// materialised, fully signed zones for every query shape the scan
-    /// sends, and must leave every other shape to a zone: `Message` for
-    /// `Message`, signatures included, with DO and without.
+    /// be indistinguishable from servers over fully materialised, fully
+    /// signed zones for every query shape the scan sends, and the
+    /// hosting fabric must leave every other shape to a zone: `Message`
+    /// for `Message`, signatures included, with DO and without.
     #[test]
     fn lean_servers_answer_as_fully_materialised_zones_do() {
         let pop = Population::generate(PopulationConfig::tiny());
@@ -1168,16 +1009,12 @@ mod tests {
                     .entry(t)
                     .or_insert_with(|| full_tld_server(&pop, t));
                 let below = rec.name.child("www").unwrap();
-                let unregistered = tld.name.child("never-registered").unwrap();
                 for (qname, qtype) in [
                     (&rec.name, RrType::A),
                     (&rec.name, RrType::Dnskey),
-                    (&rec.name, RrType::Ds),
                     (&below, RrType::A),
                     (&tld.name, RrType::Dnskey),
                     (&tld.name, RrType::Ns),
-                    (&tld.name, RrType::Soa),
-                    (&unregistered, RrType::A),
                 ] {
                     assert_eq!(
                         reply(&lean, qname, qtype),
@@ -1230,9 +1067,9 @@ mod tests {
 
     /// Every TLD's chain equals the one its owners give when each is
     /// hashed by the streaming hasher from its record's name and the
-    /// list is sorted stably by the hashes' bytes: the owners, their
-    /// kinds and where each child's own record sits. The tiny population
-    /// and 1:20000.
+    /// list is sorted stably by the hashes' bytes: the owners' hashes and
+    /// where each child's own record sits. The tiny population and
+    /// 1:20000.
     #[test]
     fn chains_match_a_streamed_and_stably_sorted_reference() {
         let twenty_thousandth = PopulationConfig {
@@ -1268,26 +1105,18 @@ mod tests {
             let server = TldServer::new(index, tld, Arc::clone(&registry));
             let chain = server.chain();
             let mut reference = vec![
-                (streamed(&tld.name), ChainOwner::Apex, None),
-                (streamed(&ns_host(&tld.name, 0)), ChainOwner::Host, None),
+                (streamed(&tld.name), None),
+                (streamed(&ns_host(&tld.name, 0)), None),
             ];
             for (ordinal, d) in by_tld[index].iter().enumerate() {
-                let kind = if d.category.signed() {
-                    ChainOwner::Secure
-                } else {
-                    ChainOwner::Insecure
-                };
-                reference.push((streamed(&d.name), kind, Some(ordinal)));
+                reference.push((streamed(&d.name), Some(ordinal)));
             }
             reference.sort_by_key(|owner| owner.0);
 
-            let owners: Vec<_> = reference
-                .iter()
-                .map(|&(hash, kind, _)| (hash, kind))
-                .collect();
+            let owners: Vec<_> = reference.iter().map(|&(hash, _)| hash).collect();
             assert_eq!(chain.owners, owners, "{}", tld.name);
             let mut slots = vec![0u32; reference.len() - 2];
-            for (slot, (_, _, ordinal)) in reference.iter().enumerate() {
+            for (slot, (_, ordinal)) in reference.iter().enumerate() {
                 if let Some(ordinal) = ordinal {
                     slots[*ordinal] = slot as u32;
                 }
@@ -1298,9 +1127,8 @@ mod tests {
 
     /// Releasing a TLD's chain changes nothing a resolver can see: the
     /// referral to an insecure child, which carries the child's record
-    /// of the chain, and an unregistered name's denial, which carries
-    /// covering records, are the same `Message` after a release as
-    /// before it, and the query after the release built the chain again.
+    /// of the chain, is the same `Message` after a release as before it,
+    /// and the query after the release built the chain again.
     #[test]
     fn answers_after_a_chain_release_are_the_answers_before() {
         let pop = Population::generate(PopulationConfig::tiny());
@@ -1312,21 +1140,56 @@ mod tests {
             .expect("an insecure child under an honest TLD");
         let tld = usize::from(rec.tld);
         let server = world.tld_servers[tld].as_ref();
-        let unregistered = pop.tlds[tld].name.child("never-registered").unwrap();
-        for qname in [&rec.name, &unregistered] {
-            let before = reply(server, qname, RrType::A);
-            assert!(
-                before
-                    .authorities
-                    .iter()
-                    .any(|r| r.rtype() == RrType::Nsec3),
-                "{qname}: no chain record in {before:?}"
-            );
-            assert!(world.holds_chain(tld));
-            world.release_chain(tld);
-            assert!(!world.holds_chain(tld));
-            assert_eq!(reply(server, qname, RrType::A), before, "{qname}");
-            assert!(world.holds_chain(tld), "{qname}: the chain was not rebuilt");
+        let before = reply(server, &rec.name, RrType::A);
+        assert!(
+            before
+                .authorities
+                .iter()
+                .any(|r| r.rtype() == RrType::Nsec3),
+            "no chain record in {before:?}"
+        );
+        assert!(world.holds_chain(tld));
+        world.release_chain(tld);
+        assert!(!world.holds_chain(tld));
+        assert_eq!(reply(server, &rec.name, RrType::A), before);
+        assert!(world.holds_chain(tld), "the chain was not rebuilt");
+    }
+
+    /// What a server does not serve is REFUSED, with nothing in the
+    /// reply: at a TLD, a registered child's parent-side DS, the apex
+    /// SOA and a name outside the registry; at the hosting fabric, a
+    /// name it does not host.
+    #[test]
+    fn what_a_server_does_not_serve_is_refused() {
+        let pop = Population::generate(PopulationConfig::tiny());
+        let world = ScanWorld::build(&pop);
+        let rec = first_of(&pop, Category::HealthySigned);
+        let tld = &pop.tlds[usize::from(rec.tld)].name;
+        let unregistered = tld.child("never-registered").unwrap();
+        let tld_server: &dyn Server = world.tld_servers[usize::from(rec.tld)].as_ref();
+        let hosting = HostingNs {
+            registry: Arc::clone(&world.registry),
+            flap: FlapTable::new(),
+        };
+        let foreign = Name::parse("www.example.org").unwrap();
+        for (server, qname, qtype) in [
+            (tld_server, &rec.name, RrType::Ds),
+            (tld_server, tld, RrType::Soa),
+            (tld_server, &unregistered, RrType::A),
+            (&hosting, &foreign, RrType::A),
+        ] {
+            for dnssec_ok in [true, false] {
+                let resp = ask(server, qname, qtype, dnssec_ok);
+                assert_eq!(
+                    resp.rcode,
+                    Rcode::Refused,
+                    "{qname} {qtype}, DO {dnssec_ok}"
+                );
+                assert!(
+                    resp.answers.is_empty() && resp.authorities.is_empty(),
+                    "{qname} {qtype}: {resp:?}"
+                );
+            }
         }
     }
 

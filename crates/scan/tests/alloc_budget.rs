@@ -341,12 +341,10 @@ fn exchange_allocs(world: &ScanWorld, dst: Ipv4Addr, qname: &Name, qtype: RrType
     allocs
 }
 
-/// The exchanges that build a zone per query: a TLD's micro-zone (the
-/// parent-side DS of a signed child, and a name outside the registry)
-/// and a hosting server's materialized child (the SOA of a healthy
-/// signed child, and the apex A of a child on a healthy server whose row
-/// mutates its zone after signing). Each zone is signed in one walk of
-/// it.
+/// The exchanges that build a zone per query, a hosting server's
+/// materialized child: the SOA of a healthy signed child, and the apex A
+/// of a child on a healthy server whose row mutates its zone after
+/// signing. Each zone is signed in one walk of it.
 #[test]
 fn zones_built_per_query_stay_within_their_allocation_budgets() {
     let _turn = serial();
@@ -368,17 +366,12 @@ fn zones_built_per_query_stay_within_their_allocation_budgets() {
         .filter(ordinary)
         .find(|d| d.category.row().mutation.is_some() && pop.healthy_ns.contains(&d.ns_addrs[0]))
         .expect("a child whose zone is mutated");
-    let tld = &pop.tlds[usize::from(signed.tld)];
-    let tld_server = tld_addr(tld.server_index);
-    let stranger = tld.name.child("not-registered").unwrap();
     let counts = [
-        exchange_allocs(&world, tld_server, &signed.name, RrType::Ds),
-        exchange_allocs(&world, tld_server, &stranger, RrType::A),
         exchange_allocs(&world, signed.ns_addrs[0], &signed.name, RrType::Soa),
         exchange_allocs(&world, mutated.ns_addrs[0], &mutated.name, RrType::A),
     ];
-    // The search-based signer: [61, 58, 65, 64].
-    assert_eq!(counts, [60, 57, 59, 59], "{:?}", mutated.category);
+    // The search-based signer: [65, 64].
+    assert_eq!(counts, [59, 59], "{:?}", mutated.category);
 }
 
 /// Allocator calls of generating the population `config` describes.
