@@ -1,5 +1,8 @@
 //! Server fault behaviors observed by the paper.
 
+use crate::layout;
+use ede_netsim::ServerResponse;
+use ede_wire::{Message, Rcode};
 use std::net::IpAddr;
 
 /// How a server (mis)behaves before any zone logic runs.
@@ -36,6 +39,22 @@ impl Behavior {
             "127.0.0.1".parse().expect("valid"),
             "::1".parse().expect("valid"),
         ])
+    }
+
+    /// What a server with this behavior does with `query` from `src`
+    /// before any zone logic runs, like a front-end ACL: drop it, answer
+    /// the rcode alone ([`layout::rcode_only`]), or, with `None`, let it
+    /// through to the zones.
+    pub fn gate(&self, query: &Message, src: IpAddr) -> Option<ServerResponse> {
+        let rcode = match self {
+            Behavior::Timeout => return Some(ServerResponse::Drop),
+            Behavior::RefuseAll => Rcode::Refused,
+            Behavior::AllowOnly(allowed) if !allowed.contains(&src) => Rcode::Refused,
+            Behavior::ServfailAll => Rcode::ServFail,
+            Behavior::NotAuthAll => Rcode::NotAuth,
+            Behavior::Normal | Behavior::AllowOnly(_) | Behavior::NoEdns => return None,
+        };
+        Some(ServerResponse::Reply(layout::rcode_only(query, rcode)))
     }
 }
 

@@ -5,7 +5,7 @@
 //! up in a [`ede_zone::Zone`], a server that knows its few answer shapes
 //! in advance (the scan world's) builds them and needs no zone.
 
-use ede_wire::{Edns, Message, Record};
+use ede_wire::{Edns, Message, Rcode, Record};
 use ede_zone::Rrset;
 
 /// Start the reply to `query`: its header and question mirrored, and,
@@ -20,6 +20,14 @@ pub fn reply_to(query: &Message, edns_aware: bool) -> (Message, bool) {
         ..Default::default()
     });
     (resp, dnssec_ok)
+}
+
+/// A reply with `rcode` alone and [`reply_to`]'s header, question and OPT:
+/// each fault, refusal and FORMERR an EDNS-aware server gives.
+pub fn rcode_only(query: &Message, rcode: Rcode) -> Message {
+    let (mut resp, _) = reply_to(query, true);
+    resp.rcode = rcode;
+    resp
 }
 
 /// Fill a referral: `ns` → authority; with DO, `proof` — the DS set of a

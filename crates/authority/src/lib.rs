@@ -18,7 +18,9 @@
 //! [`behavior::Behavior`] layers the fault modes the paper observes in
 //! the wild on top: REFUSED-to-everyone, client ACLs
 //! (`allow-query-none` / `allow-query-localhost`), SERVFAIL, NOTAUTH,
-//! silent drops and EDNS-oblivious legacy servers.
+//! silent drops and EDNS-oblivious legacy servers. All but the last are
+//! one gate, [`Behavior::gate`], run before any zone logic, whose
+//! replies carry the rcode alone ([`layout::rcode_only`]).
 //!
 //! A server answers every query in full on either channel: whether a
 //! datagram reply is truncated is the link's decision (the fault plan's

@@ -6,7 +6,7 @@ use crate::layout::{self, push_rrset};
 use crate::store::ZoneStore;
 use ede_netsim::{Server, ServerResponse};
 use ede_trace::{TraceEvent, Tracer, TracerCell};
-use ede_wire::{Edns, Message, Name, Rcode, Rdata, RrType};
+use ede_wire::{Message, Name, Rcode, Rdata, RrType};
 use ede_zone::Zone;
 use std::net::IpAddr;
 
@@ -74,20 +74,11 @@ impl ZoneServer {
     }
 
     fn answer_inner(&self, query: &Message, src: IpAddr) -> ServerResponse {
-        // Behavior gates run before any zone logic, like a front-end ACL.
-        match &self.behavior {
-            Behavior::Timeout => return ServerResponse::Drop,
-            Behavior::RefuseAll => return rcode_reply(query, Rcode::Refused),
-            Behavior::AllowOnly(allowed) if !allowed.contains(&src) => {
-                return rcode_reply(query, Rcode::Refused)
-            }
-            Behavior::ServfailAll => return rcode_reply(query, Rcode::ServFail),
-            Behavior::NotAuthAll => return rcode_reply(query, Rcode::NotAuth),
-            _ => {}
+        if let Some(resp) = self.behavior.gate(query, src) {
+            return resp;
         }
-
         let Some(q) = query.first_question() else {
-            return rcode_reply(query, Rcode::FormErr);
+            return ServerResponse::Reply(layout::rcode_only(query, Rcode::FormErr));
         };
         let qname = q.name.clone();
         let qtype = q.qtype;
@@ -188,21 +179,11 @@ impl Server for ZoneServer {
     }
 }
 
-/// A minimal reply carrying only an RCODE (and mirrored EDNS).
-fn rcode_reply(query: &Message, rcode: Rcode) -> ServerResponse {
-    let mut resp = Message::response_to(query);
-    resp.rcode = rcode;
-    if query.edns.is_some() {
-        resp.edns = Some(Edns::default());
-    }
-    ServerResponse::Reply(resp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ede_wire::rdata::Soa;
-    use ede_wire::Record;
+    use ede_wire::{Edns, Record};
     use ede_zone::{signer, SignerConfig, ZoneKeys};
 
     fn n(s: &str) -> Name {
@@ -371,6 +352,41 @@ mod tests {
             make(Behavior::Timeout).answer(&q, client()),
             ServerResponse::Drop
         ));
+    }
+
+    /// Every reply that carries an rcode alone — each fault gate's, the
+    /// FORMERR to a question-less query, the REFUSED for no zone here —
+    /// has one OPT shape: present for an EDNS query with its DO bit
+    /// copied (RFC 3225 §3), absent for a plain query.
+    #[test]
+    fn rcode_only_replies_copy_do() {
+        let make = |b| ZoneServer::with_behavior(ZoneStore::new(), b);
+        let cases = [
+            (Behavior::RefuseAll, true, Rcode::Refused),
+            (Behavior::allow_localhost_only(), true, Rcode::Refused),
+            (Behavior::ServfailAll, true, Rcode::ServFail),
+            (Behavior::NotAuthAll, true, Rcode::NotAuth),
+            (Behavior::Normal, true, Rcode::Refused),
+            (Behavior::Normal, false, Rcode::FormErr),
+        ];
+        for (behavior, with_question, rcode) in cases {
+            for edns in [Some(true), Some(false), None] {
+                let mut q = Message::iterative_query(9, n("x.example.com"), RrType::A);
+                if !with_question {
+                    q.questions.clear();
+                }
+                q.edns = edns.map(|dnssec_ok| Edns {
+                    dnssec_ok,
+                    ..Default::default()
+                });
+                let ServerResponse::Reply(m) = make(behavior.clone()).answer(&q, client()) else {
+                    panic!("{behavior:?} dropped the query");
+                };
+                assert_eq!(m.rcode, rcode, "{behavior:?}, EDNS {edns:?}");
+                assert_eq!(m.edns.map(|e| e.dnssec_ok), edns, "{behavior:?}, {rcode:?}");
+                assert!(m.answers.is_empty() && m.authorities.is_empty());
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 pub use crate::category::Category;
 use crate::category::{Count, NsDraw, TldPlacement, FULLY_BROKEN_TLD_MEMBER, ROWS};
 use crate::rng::{SplitMix64, WeightedIndex};
+use ede_authority::Behavior;
 use ede_wire::name::MAX_LABEL_LEN;
 use ede_wire::Name;
 use std::net::Ipv4Addr;
@@ -156,21 +157,6 @@ pub struct Population {
     pub broken_ns: Vec<Ipv4Addr>,
 }
 
-/// How a broken-pool nameserver misbehaves. The mode is a deterministic
-/// function of the address index so the generator and the world builder
-/// agree without communicating. Segment sizes follow §4.2.2's breakdown
-/// of 293 k broken nameservers: 267 k REFUSED, 21 k SERVFAIL, 15 k
-/// silent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BrokenMode {
-    /// Answers REFUSED.
-    Refused,
-    /// Answers SERVFAIL.
-    ServFail,
-    /// Never answers.
-    Drop,
-}
-
 /// Where the silent segment of a broken pool of `total` servers starts:
 /// the servers before it speak (REFUSED, then SERVFAIL), it and the
 /// rest never answer.
@@ -178,15 +164,19 @@ fn silent_start(total: usize) -> usize {
     total * 95 / 100
 }
 
-/// The fault mode of broken nameserver `i` out of `total`.
-pub fn broken_mode(i: usize, total: usize) -> BrokenMode {
+/// How broken nameserver `i` out of `total` misbehaves: a deterministic
+/// function of the address index, so the generator and the world
+/// builder agree without communicating. The segments follow §4.2.2's
+/// breakdown of 293 k broken nameservers: 267 k REFUSED, 21 k SERVFAIL,
+/// 15 k silent.
+pub fn broken_mode(i: usize, total: usize) -> Behavior {
     // 267/303 ≈ 88 % REFUSED, 21/303 ≈ 7 % SERVFAIL, rest silent.
     if i < total * 88 / 100 {
-        BrokenMode::Refused
+        Behavior::RefuseAll
     } else if i < silent_start(total) {
-        BrokenMode::ServFail
+        Behavior::ServfailAll
     } else {
-        BrokenMode::Drop
+        Behavior::Timeout
     }
 }
 

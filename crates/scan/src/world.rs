@@ -16,28 +16,31 @@
 //!   validation's one query each per TLD) are built from the TLD's keys
 //!   the same way and go through [`ede_authority::layout::positive`].
 //!   Every other shape (the rest of the apex, an unregistered name, a
-//!   child's parent-side DS) is REFUSED, as a name the server does not
-//!   serve. The TLD's NSEC3 chain, which insecure referrals draw on, is
-//!   hashed on first use from the children's serials alone — each name
-//!   is written from its serial into one laid-out SHA-1 block, and no
-//!   record is read — and held until a scan releases it: the scanner
-//!   claims its work one TLD at a time and empties the TLD's chain slot
-//!   when its last claim there completes, so the chains a scan holds are
-//!   those of the TLDs in flight. A query served after that hashes the
-//!   chain again, to the same records; a world no scan runs on (a
-//!   server's, a table's) keeps each chain once built;
-//! * each **hosting server** answers a child's apex A (and a signed
-//!   child's DNSKEY) the same way, from the record and the child's
-//!   derived keys through [`ede_authority::layout::positive`], unless
-//!   the child's zone is mutated after signing or its server misbehaves.
-//!   For every other shape it builds the child zone as the child's
-//!   [`Row`] says (keys, DS, window, NSEC3, mutation, apex A) and
-//!   answers as the row's hosting column says (normally, without EDNS,
-//!   NOTAUTH, or flapping) — a differential test holds both servers
-//!   against fully materialised, fully signed zones, `Message` for
+//!   child's parent-side DS) is REFUSED, in the shape of every
+//!   rcode-only reply ([`ede_authority::layout::rcode_only`]). The TLD's
+//!   NSEC3 chain, which insecure referrals draw on, is hashed on first
+//!   use from the children's serials alone — each name is written from
+//!   its serial into one laid-out SHA-1 block, and no record is read —
+//!   and held until a scan releases it: the scanner claims its work one
+//!   TLD at a time and empties the TLD's chain slot when its last claim
+//!   there completes, so the chains a scan holds are those of the TLDs in
+//!   flight. A query served after that hashes the chain again, to the
+//!   same records; a world no scan runs on (a server's, a table's) keeps
+//!   each chain once built;
+//! * each **hosting server** first runs the fault gate
+//!   ([`ede_authority::Behavior::gate`]) of the child's row's hosting
+//!   column (for a flapping row, its second behavior once the apex A has
+//!   been answered), so a server that fails the query builds nothing. A
+//!   well-behaved one answers a child's apex A (and a signed child's
+//!   DNSKEY) from the record and the child's derived keys, unless its
+//!   zone is mutated after signing. Any other shape, and a server
+//!   without EDNS, builds the child zone as the child's [`Row`] says and
+//!   answers from it — a differential test holds both servers against
+//!   fully materialised zones behind the row's behavior, `Message` for
 //!   `Message`;
-//! * **broken-pool servers** implement the per-address fault modes
-//!   (REFUSED / SERVFAIL / silence) of §4.2.2's 293 k lame nameservers.
+//! * the **broken pool** is three [`ede_authority::ZoneServer`]s with no
+//!   zone, one per fault mode of §4.2.2's lame nameservers, each on every
+//!   address of its segment ([`crate::population::broken_mode`]).
 //!
 //! Neither server names a category: what a planted condition means for
 //! its zone and its server is one row of [`crate::category::ROWS`].
@@ -49,17 +52,17 @@
 
 use crate::category::{Hosting, Row};
 use crate::population::Serials;
-use crate::population::{broken_mode, tld_addr, BrokenMode, DomainRecord, Population, TldInfo};
+use crate::population::{broken_mode, tld_addr, DomainRecord, Population, TldInfo};
 use ede_authority::{layout, Behavior, ZoneServer, ZoneStore};
 use ede_crypto::nsec3hash::{self, OwnerBlock, NSEC3_HASH_LEN};
 use ede_netsim::{Network, NetworkBuilder, NetworkConfig, Server, ServerResponse, SimClock};
 use ede_resolver::config::RootHint;
 use ede_resolver::ResolverConfig;
 use ede_wire::rdata::{Soa, TypeBitmap};
-use ede_wire::{DigestAlg, Message, Name, Rdata, Record, RrType};
+use ede_wire::{DigestAlg, Message, Name, Rcode, Rdata, Record, RrType};
 use ede_zone::signer::{self, SignerConfig, DEFAULT_WINDOW};
 use ede_zone::{Nsec3Config, Rrset, Zone, ZoneKey, ZoneKeys};
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::{Arc, Mutex};
 
@@ -239,82 +242,47 @@ fn materialize_child(rec: &DomainRecord) -> Zone {
     zone
 }
 
-/// Number of flap-table shards; a power of two, matching the resolver
-/// cache's shard count.
-const FLAP_SHARDS: usize = 16;
-
-/// Per-domain flap counters, sharded by [`Name::shard_hash`] like the
-/// resolver cache: the single hosting server object is shared by every
-/// healthy address, so one `Mutex<HashMap>` here would serialize all
-/// workers that happen to be visiting flapping domains.
-struct FlapTable {
-    shards: [Mutex<HashMap<Name, u32>>; FLAP_SHARDS],
-}
-
-impl FlapTable {
-    fn new() -> Self {
-        FlapTable {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-        }
-    }
-
-    /// Lock the shard owning `name`.
-    fn shard(&self, name: &Name) -> std::sync::MutexGuard<'_, HashMap<Name, u32>> {
-        self.shards[(name.shard_hash() as usize) & (FLAP_SHARDS - 1)]
-            .lock()
-            .expect("no poisoning")
-    }
-}
-
-/// The answer to a query a server does not serve — a name the hosting
-/// fabric does not host, a shape a TLD server is never asked by a walk
-/// of referrals: REFUSED.
-fn refused(query: &Message) -> ServerResponse {
-    let mut resp = Message::response_to(query);
-    resp.rcode = ede_wire::Rcode::Refused;
-    ServerResponse::Reply(resp)
-}
-
 /// The hosting fabric: serves every healthy-pool domain as its row's
-/// hosting column says, with per-domain flap state.
+/// hosting column says.
 struct HostingNs {
     registry: Arc<Registry>,
-    /// Query counters for flapping domains.
-    flap: FlapTable,
+    /// The flapping domains that have answered their apex A, after which
+    /// their servers answer as the row's [`Hosting::Flaps`] says. Only
+    /// those rows' queries take the lock.
+    flapped: Mutex<HashSet<Name>>,
 }
 
 impl Server for HostingNs {
     fn handle(&self, query: &Message, src: IpAddr, _now: u32) -> ServerResponse {
         let Some(q) = query.first_question() else {
-            return ServerResponse::Drop;
+            return ServerResponse::Reply(layout::rcode_only(query, Rcode::FormErr));
         };
         // The registered domain (label.tld) the qname belongs to.
         let Some(rec) = self.registry.get(&q.name.suffix(2)).map(|r| r.rec) else {
-            return refused(query);
+            return ServerResponse::Reply(layout::rcode_only(query, Rcode::Refused));
         };
 
         let row = rec.category.row();
         let behavior = match &row.hosting {
-            Hosting::Steady(behavior) => behavior.clone(),
+            Hosting::Steady(behavior) => behavior,
             // A flapping server changes after its first apex A answer.
             Hosting::Flaps(after) => {
-                let mut flap = self.flap.shard(&rec.name);
-                let count = flap.entry(rec.name.clone()).or_insert(0);
-                let behavior = if *count > 0 {
-                    after.clone()
-                } else {
-                    Behavior::Normal
-                };
+                let mut flapped = self.flapped.lock().expect("no poisoning");
+                let behavior = flapped.contains(&rec.name).then_some(after);
                 if q.qtype == RrType::A && q.name == rec.name {
-                    *count += 1;
+                    flapped.insert(rec.name.clone());
                 }
-                behavior
+                behavior.unwrap_or(&Behavior::Normal)
             }
         };
+        // A fault answers before any zone is built.
+        if let Some(resp) = behavior.gate(query, src) {
+            return resp;
+        }
 
         // The common case: a well-behaved server asked for a child's
         // apex A (or DNSKEY) answers without a zone.
-        if behavior == Behavior::Normal && q.name == rec.name {
+        if *behavior == Behavior::Normal && q.name == rec.name {
             if let Some(set) = known_apex_rrset(rec, row, q.qtype) {
                 let (mut resp, dnssec_ok) = layout::reply_to(query, true);
                 layout::positive(&mut resp, &set, dnssec_ok);
@@ -323,27 +291,11 @@ impl Server for HostingNs {
         }
 
         // Every other shape, the misconfigured signed children and the
-        // misbehaving servers are a sliver of the traffic: each query
+        // servers without EDNS are a sliver of the traffic: each query
         // builds the child's zone and looks its answer up.
         let mut store = ZoneStore::new();
         store.insert(materialize_child(rec));
-        ZoneServer::with_behavior(store, behavior).answer(query, src)
-    }
-}
-
-/// A broken-pool nameserver with a fixed fault mode.
-struct BrokenNs {
-    mode: BrokenMode,
-}
-
-impl Server for BrokenNs {
-    fn handle(&self, query: &Message, src: IpAddr, now: u32) -> ServerResponse {
-        let behavior = match self.mode {
-            BrokenMode::Refused => Behavior::RefuseAll,
-            BrokenMode::ServFail => Behavior::ServfailAll,
-            BrokenMode::Drop => Behavior::Timeout,
-        };
-        ZoneServer::with_behavior(ZoneStore::new(), behavior).handle(query, src, now)
+        ZoneServer::with_behavior(store, behavior.clone()).answer(query, src)
     }
 }
 
@@ -472,8 +424,8 @@ const NSEC3_TTL: u32 = 3600;
 /// A TLD server: answers what a walk of referrals asks it — the
 /// referral to a registered child, from the child's registry record,
 /// and the apex NS and DNSKEY sets, from the TLD's keys — and REFUSES
-/// every other query ([`refused`]): the rest of its apex, its children's
-/// parent-side DS sets and names outside its registry.
+/// every other query: the rest of its apex, its children's parent-side
+/// DS sets and names outside its registry.
 ///
 /// Its chain lives in a slot: built by the first query that needs it,
 /// shared by every query after, and emptied only by
@@ -593,7 +545,7 @@ impl TldServer {
 impl Server for TldServer {
     fn handle(&self, query: &Message, _src: IpAddr, _now: u32) -> ServerResponse {
         let Some(q) = query.first_question() else {
-            return ServerResponse::Drop;
+            return ServerResponse::Reply(layout::rcode_only(query, Rcode::FormErr));
         };
         // The apex sets priming and validation ask for, once per TLD:
         // one RRset each, built and signed with no zone (and no chain).
@@ -614,7 +566,7 @@ impl Server for TldServer {
             Some(child) if q.qtype != RrType::Ds || q.name != child.rec.name => {
                 self.referral(query, child)
             }
-            _ => refused(query),
+            _ => ServerResponse::Reply(layout::rcode_only(query, Rcode::Refused)),
         }
     }
 }
@@ -684,21 +636,25 @@ impl ScanWorld {
         // address.
         let hosting = Arc::new(HostingNs {
             registry: Arc::clone(&registry),
-            flap: FlapTable::new(),
+            flapped: Mutex::default(),
         });
         for addr in &pop.healthy_ns {
             net.register(IpAddr::V4(*addr), hosting.clone() as Arc<dyn Server>);
         }
 
-        // Broken pool.
-        let total_broken = pop.broken_ns.len();
+        // Broken pool: one server per fault mode, with no zone, shared
+        // by every address of the mode's segment.
+        let modes = [
+            Behavior::RefuseAll,
+            Behavior::ServfailAll,
+            Behavior::Timeout,
+        ]
+        .map(|mode| Arc::new(ZoneServer::with_behavior(ZoneStore::new(), mode)));
         for (i, addr) in pop.broken_ns.iter().enumerate() {
-            net.register(
-                IpAddr::V4(*addr),
-                Arc::new(BrokenNs {
-                    mode: broken_mode(i, total_broken),
-                }),
-            );
+            let mode = broken_mode(i, pop.broken_ns.len());
+            let server = modes.iter().find(|s| *s.behavior() == mode);
+            let server = Arc::clone(server.expect("a server per mode"));
+            net.register(IpAddr::V4(*addr), server as Arc<dyn Server>);
         }
 
         let mut resolver_config = ResolverConfig::with_roots(
@@ -763,8 +719,9 @@ mod tests {
     use super::*;
     use crate::population::{Category, PopulationConfig};
     use ede_resolver::{Resolver, Vendor, VendorProfile};
-    use ede_wire::Rcode;
+    use ede_wire::Edns;
     use ede_zone::Misconfig;
+    use std::collections::HashMap;
 
     fn world_and_resolver() -> (Population, ScanWorld, Resolver) {
         let pop = Population::generate(PopulationConfig::tiny());
@@ -791,11 +748,22 @@ mod tests {
     }
 
     fn ask(server: &dyn Server, qname: &Name, qtype: RrType, dnssec_ok: bool) -> Message {
+        outcome(server, qname, qtype, dnssec_ok)
+            .unwrap_or_else(|| panic!("{qname} {qtype}: dropped"))
+    }
+
+    /// The reply to an EDNS query, or `None` for a dropped one.
+    fn outcome(
+        server: &dyn Server,
+        qname: &Name,
+        qtype: RrType,
+        dnssec_ok: bool,
+    ) -> Option<Message> {
         let mut query = Message::iterative_query(0x5eed, qname.clone(), qtype);
         query.edns.as_mut().unwrap().dnssec_ok = dnssec_ok;
         match server.handle(&query, "203.0.113.9".parse().unwrap(), 0) {
-            ServerResponse::Reply(m) => m,
-            ServerResponse::Drop => panic!("{qname} {qtype}: dropped"),
+            ServerResponse::Reply(m) => Some(m),
+            ServerResponse::Drop => None,
         }
     }
 
@@ -991,8 +959,9 @@ mod tests {
     /// healthy children's apex A and DNSKEY at the hosting fabric — must
     /// be indistinguishable from servers over fully materialised, fully
     /// signed zones for every query shape the scan sends, and the
-    /// hosting fabric must leave every other shape to a zone: `Message`
-    /// for `Message`, signatures included, with DO and without.
+    /// hosting fabric, whatever its row's behavior, from a zone server
+    /// with that behavior for every shape: `Message` for `Message`,
+    /// signatures included, with DO and without.
     #[test]
     fn lean_servers_answer_as_fully_materialised_zones_do() {
         let pop = Population::generate(PopulationConfig::tiny());
@@ -1032,33 +1001,43 @@ mod tests {
             }
         }
 
-        // The hosting half, for every category whose server answers.
-        // A server per query: a flapping domain answers only until its
-        // first apex A.
-        let hosting = || HostingNs {
-            registry: Arc::clone(&registry),
-            flap: FlapTable::new(),
-        };
-        let answering = |cat: &Category| !matches!(cat, Category::NoEdns | Category::NotAuthCached);
-        for cat in Category::ALL.into_iter().filter(answering) {
+        // The hosting half, for every category, against a zone server
+        // with the row's behavior: a flapping row before its first apex
+        // A (asked last) and after it, on a fresh fabric per DO value.
+        for cat in Category::ALL {
             for rec in pop.domains.iter().filter(|d| d.category == cat).take(3) {
-                let mut store = ZoneStore::new();
-                store.insert(materialize_child(rec));
-                let full = ZoneServer::new(store);
+                let (first, then) = match &rec.category.row().hosting {
+                    Hosting::Steady(behavior) => (behavior, behavior),
+                    Hosting::Flaps(after) => (&Behavior::Normal, after),
+                };
+                let full = |behavior: &Behavior| {
+                    let mut store = ZoneStore::new();
+                    store.insert(materialize_child(rec));
+                    ZoneServer::with_behavior(store, behavior.clone())
+                };
+                let (first, then) = (full(first), full(then));
                 let below = rec.name.child("www").unwrap();
-                for (qname, qtype) in [
-                    (&rec.name, RrType::A),
+                let shapes = [
                     (&rec.name, RrType::Dnskey),
                     (&rec.name, RrType::Ns),
                     (&rec.name, RrType::Aaaa),
                     (&below, RrType::A),
-                ] {
-                    for dnssec_ok in [true, false] {
-                        assert_eq!(
-                            ask(&hosting(), qname, qtype, dnssec_ok),
-                            ask(&full, qname, qtype, dnssec_ok),
-                            "{cat:?}: {qname} {qtype} at the child, DO {dnssec_ok}"
-                        );
+                    (&rec.name, RrType::A),
+                ];
+                for dnssec_ok in [true, false] {
+                    let hosting = HostingNs {
+                        registry: Arc::clone(&registry),
+                        flapped: Mutex::default(),
+                    };
+                    for (full, phase) in [(&first, "before"), (&then, "after")] {
+                        for (qname, qtype) in shapes {
+                            assert_eq!(
+                                outcome(&hosting, qname, qtype, dnssec_ok),
+                                outcome(full, qname, qtype, dnssec_ok),
+                                "{cat:?}: {qname} {qtype} at the child, DO {dnssec_ok}, \
+                                 {phase} its first apex A"
+                            );
+                        }
                     }
                 }
             }
@@ -1155,41 +1134,75 @@ mod tests {
         assert!(world.holds_chain(tld), "the chain was not rebuilt");
     }
 
-    /// What a server does not serve is REFUSED, with nothing in the
-    /// reply: at a TLD, a registered child's parent-side DS, the apex
-    /// SOA and a name outside the registry; at the hosting fabric, a
-    /// name it does not host.
+    /// What a server does not serve is REFUSED, a query without a
+    /// question FORMERR and a fault its rcode, each in the one shape an
+    /// rcode-only reply has: nothing in it but, for an EDNS query, an OPT
+    /// with the query's DO bit. Asked over the world's network: at a TLD,
+    /// a registered child's parent-side DS, the apex SOA and a name
+    /// outside the registry; at the hosting fabric, a name it does not
+    /// host; at the broken pool's refusing and failing segments, a
+    /// child's A; and each of these servers and the root without a
+    /// question (the pool's gate answers first). The silent segment
+    /// answers nothing.
     #[test]
     fn what_a_server_does_not_serve_is_refused() {
         let pop = Population::generate(PopulationConfig::tiny());
         let world = ScanWorld::build(&pop);
         let rec = first_of(&pop, Category::HealthySigned);
-        let tld = &pop.tlds[usize::from(rec.tld)].name;
-        let unregistered = tld.child("never-registered").unwrap();
-        let tld_server: &dyn Server = world.tld_servers[usize::from(rec.tld)].as_ref();
-        let hosting = HostingNs {
-            registry: Arc::clone(&world.registry),
-            flap: FlapTable::new(),
-        };
+        let tld = &pop.tlds[usize::from(rec.tld)];
+        let unregistered = tld.name.child("never-registered").unwrap();
         let foreign = Name::parse("www.example.org").unwrap();
-        for (server, qname, qtype) in [
-            (tld_server, &rec.name, RrType::Ds),
-            (tld_server, tld, RrType::Soa),
-            (tld_server, &unregistered, RrType::A),
-            (&hosting, &foreign, RrType::A),
-        ] {
-            for dnssec_ok in [true, false] {
-                let resp = ask(server, qname, qtype, dnssec_ok);
-                assert_eq!(
-                    resp.rcode,
-                    Rcode::Refused,
-                    "{qname} {qtype}, DO {dnssec_ok}"
-                );
-                assert!(
-                    resp.answers.is_empty() && resp.authorities.is_empty(),
-                    "{qname} {qtype}: {resp:?}"
-                );
+        let tld_server = IpAddr::V4(tld_addr(tld.server_index));
+        let hosting = IpAddr::V4(pop.healthy_ns[0]);
+        let broken = |mode: Behavior| {
+            let total = pop.broken_ns.len();
+            let i = (0..total).find(|&i| broken_mode(i, total) == mode);
+            IpAddr::V4(pop.broken_ns[i.unwrap_or_else(|| panic!("no {mode:?} segment"))])
+        };
+        let refusing = broken(Behavior::RefuseAll);
+        let failing = broken(Behavior::ServfailAll);
+        let a = Some((&rec.name, RrType::A));
+        let cases = [
+            (tld_server, Some((&rec.name, RrType::Ds)), Rcode::Refused),
+            (tld_server, Some((&tld.name, RrType::Soa)), Rcode::Refused),
+            (tld_server, Some((&unregistered, RrType::A)), Rcode::Refused),
+            (hosting, Some((&foreign, RrType::A)), Rcode::Refused),
+            (refusing, a, Rcode::Refused),
+            (failing, a, Rcode::ServFail),
+            (tld_server, None, Rcode::FormErr),
+            (hosting, None, Rcode::FormErr),
+            (IpAddr::V4(ROOT_SERVER), None, Rcode::FormErr),
+            (refusing, None, Rcode::Refused),
+            (failing, None, Rcode::ServFail),
+        ];
+        let query = |question: Option<(&Name, RrType)>, edns: Option<bool>| {
+            let (qname, qtype) = question.unwrap_or((&rec.name, RrType::A));
+            let mut query = Message::iterative_query(0x5eed, qname.clone(), qtype);
+            if question.is_none() {
+                query.questions.clear();
             }
+            query.edns = edns.map(|dnssec_ok| Edns {
+                dnssec_ok,
+                ..Default::default()
+            });
+            query
+        };
+        let src = "203.0.113.9".parse().unwrap();
+        for (server, question, rcode) in cases {
+            for edns in [Some(true), Some(false), None] {
+                let resp = world.net.query(server, src, &query(question, edns));
+                let resp = resp.unwrap_or_else(|e| panic!("{server} {question:?}: {e:?}"));
+                let case = format!("{server} {question:?}, EDNS {edns:?}");
+                assert_eq!(resp.rcode, rcode, "{case}");
+                assert_eq!(resp.edns.as_ref().map(|e| e.dnssec_ok), edns, "{case}");
+                let sections = [&resp.answers, &resp.authorities, &resp.additionals];
+                assert!(sections.iter().all(|s| s.is_empty()), "{case}: {resp:?}");
+            }
+        }
+        let silent = broken(Behavior::Timeout);
+        for question in [a, None] {
+            let resp = world.net.query(silent, src, &query(question, Some(true)));
+            assert_eq!(resp.err(), Some(ede_netsim::NetError::Timeout));
         }
     }
 
