@@ -3,6 +3,7 @@
 use crate::layout::push_rrset;
 use ede_wire::{Name, Rdata, Record, RrType};
 use ede_zone::{nsec3, Nsec3Config, Rrset, Zone};
+use std::borrow::Cow;
 
 /// Read the zone's NSEC3 parameters.
 ///
@@ -60,7 +61,7 @@ fn params_consistent(zone: &Zone, params: &Nsec3Config) -> bool {
 /// order, standing in for a tree-predecessor walk over a damaged chain.
 fn nearby_nsec3(zone: &Zone, dnssec: bool, out: &mut Vec<Record>) {
     for set in zone.iter().filter(|s| s.rtype == RrType::Nsec3).take(2) {
-        push_rrset(out, set, dnssec);
+        push_rrset(out, Cow::Borrowed(set), dnssec);
     }
 }
 
@@ -77,7 +78,7 @@ pub fn nodata_proof(
 ) {
     let proof_at = out.len();
     if let Some(set) = nsec3::find_matching(zone, params, qname) {
-        push_rrset(out, set, dnssec);
+        push_rrset(out, Cow::Borrowed(set), dnssec);
     }
     if out.len() == proof_at && params_consistent(zone, params) {
         nearby_nsec3(zone, dnssec, out);
@@ -113,7 +114,7 @@ pub fn nxdomain_proof(
     let mut push_unique = |set: Option<&Rrset>, out: &mut Vec<Record>| {
         if let Some(set) = set {
             if seen.insert(set.name.clone()) {
-                push_rrset(out, set, dnssec);
+                push_rrset(out, Cow::Borrowed(set), dnssec);
             }
         }
     };

@@ -8,6 +8,7 @@ use ede_netsim::{Server, ServerResponse};
 use ede_trace::{TraceEvent, Tracer, TracerCell};
 use ede_wire::{Message, Name, Rcode, Rdata, RrType};
 use ede_zone::Zone;
+use std::borrow::Cow;
 use std::net::IpAddr;
 
 /// An authoritative nameserver: a zone store plus a behavior mode.
@@ -118,7 +119,13 @@ impl ZoneServer {
             _ => None,
         });
         let glue = hosts.flat_map(|host| zone.glue_for(host)).collect();
-        layout::referral(resp, ns_set, ds, glue, dnssec_ok);
+        layout::referral(
+            resp,
+            Cow::Borrowed(ns_set),
+            ds.map(Cow::Borrowed),
+            glue,
+            dnssec_ok,
+        );
 
         // An insecure delegation: the zone's own proof that no DS exists.
         if dnssec_ok && ds.is_none() {
@@ -138,7 +145,7 @@ impl ZoneServer {
         dnssec_ok: bool,
     ) {
         if let Some(set) = zone.get(qname, qtype) {
-            return layout::positive(resp, set, dnssec_ok);
+            return layout::positive(resp, Cow::Borrowed(set), dnssec_ok);
         }
         resp.authoritative = true;
 
@@ -156,7 +163,7 @@ impl ZoneServer {
         if zone.name_exists_or_ent(qname) {
             // NODATA.
             if let Some(soa) = soa {
-                push_rrset(&mut resp.authorities, soa, negative_dnssec);
+                push_rrset(&mut resp.authorities, Cow::Borrowed(soa), negative_dnssec);
             }
             if let Some(params) = &params {
                 nodata_proof(zone, params, qname, true, &mut resp.authorities);
@@ -164,7 +171,7 @@ impl ZoneServer {
         } else {
             resp.rcode = Rcode::NxDomain;
             if let Some(soa) = soa {
-                push_rrset(&mut resp.authorities, soa, negative_dnssec);
+                push_rrset(&mut resp.authorities, Cow::Borrowed(soa), negative_dnssec);
             }
             if let Some(params) = &params {
                 nxdomain_proof(zone, params, qname, true, &mut resp.authorities);

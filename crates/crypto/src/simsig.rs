@@ -76,11 +76,19 @@ impl SigningKey {
     /// `(algorithm, key_bits, seed)` triple always yields the same key,
     /// which keeps key tags and zone contents reproducible.
     pub fn from_seed(algorithm: u8, key_bits: u16, seed: &[u8]) -> Self {
+        Self::from_seed_parts(algorithm, key_bits, &[seed])
+    }
+
+    /// [`SigningKey::from_seed`] of the seed that is `parts` joined, each
+    /// streamed into the derivation in turn: no joined copy is made.
+    pub fn from_seed_parts(algorithm: u8, key_bits: u16, parts: &[&[u8]]) -> Self {
         let mut h = Sha256::new();
         h.update(b"EDE-KEYGEN-v1");
         h.update(&[algorithm]);
         h.update(&key_bits.to_be_bytes());
-        h.update(seed);
+        for part in parts {
+            h.update(part);
+        }
         let mut digest = [0u8; Sha256::OUTPUT_LEN];
         h.finalize_into(&mut digest);
         let mut secret = [0u8; SECRET_LEN];
@@ -95,14 +103,26 @@ impl SigningKey {
     /// Encode the public half. Total length is `max(key_bits/8, 20)` bytes
     /// so that the modeled key size is observable on the wire.
     pub fn public_key(&self) -> Vec<u8> {
-        let target = usize::from(self.key_bits / 8).max(MIN_PUBKEY_LEN);
-        let mut out = Vec::with_capacity(target);
-        out.extend_from_slice(MAGIC);
-        out.push(VERSION);
-        out.push(self.algorithm);
-        out.extend_from_slice(&self.secret);
-        out.resize(target, 0);
+        let mut out = Vec::with_capacity(self.public_key_len());
+        out.extend_from_slice(&self.public_key_head());
+        out.resize(self.public_key_len(), 0);
         out
+    }
+
+    /// The leading octets of [`SigningKey::public_key`], the header and
+    /// the secret: every octet after them is zero.
+    pub fn public_key_head(&self) -> [u8; MIN_PUBKEY_LEN] {
+        let mut head = [0u8; MIN_PUBKEY_LEN];
+        head[..2].copy_from_slice(MAGIC);
+        head[2] = VERSION;
+        head[3] = self.algorithm;
+        head[4..].copy_from_slice(&self.secret);
+        head
+    }
+
+    /// The length in octets of [`SigningKey::public_key`].
+    pub fn public_key_len(&self) -> usize {
+        usize::from(self.key_bits / 8).max(MIN_PUBKEY_LEN)
     }
 
     /// Sign `message`, producing a [`SIGNATURE_LEN`]-byte signature.
@@ -122,25 +142,55 @@ fn compute_signature(secret: &[u8], algorithm: u8, message: &[u8]) -> [u8; SIGNA
     out
 }
 
-/// Parsed view of a simulated public key.
+/// A parsed simulated public key: all that verification reads of the
+/// encoded key, held without it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PublicKey<'a> {
+pub struct PublicKey {
     /// Algorithm number embedded at key generation time.
     pub algorithm: u8,
     /// Modeled key size in bits, recovered from the encoded length.
     pub key_bits: u16,
-    secret: &'a [u8],
+    secret: [u8; SECRET_LEN],
+}
+
+impl PublicKey {
+    /// [`verify`] with this key, parsed once instead of per signature.
+    pub fn verify(
+        &self,
+        algorithm: u8,
+        message: &[u8],
+        signature: &[u8],
+    ) -> Result<(), VerifyError> {
+        if self.algorithm != algorithm {
+            return Err(VerifyError::AlgorithmMismatch);
+        }
+        let expect = compute_signature(&self.secret, algorithm, message);
+        // Constant-time comparison is irrelevant for a simulation, but cheap.
+        if expect.len() == signature.len()
+            && expect
+                .iter()
+                .zip(signature)
+                .fold(0u8, |acc, (a, b)| acc | (a ^ b))
+                == 0
+        {
+            Ok(())
+        } else {
+            Err(VerifyError::BadSignature)
+        }
+    }
 }
 
 /// Parse an encoded public key.
-pub fn parse_public_key(bytes: &[u8]) -> Option<PublicKey<'_>> {
+pub fn parse_public_key(bytes: &[u8]) -> Option<PublicKey> {
     if bytes.len() < MIN_PUBKEY_LEN || &bytes[..2] != MAGIC || bytes[2] != VERSION {
         return None;
     }
+    let mut secret = [0u8; SECRET_LEN];
+    secret.copy_from_slice(&bytes[4..4 + SECRET_LEN]);
     Some(PublicKey {
         algorithm: bytes[3],
         key_bits: (bytes.len() as u16).saturating_mul(8),
-        secret: &bytes[4..4 + SECRET_LEN],
+        secret,
     })
 }
 
@@ -153,23 +203,9 @@ pub fn verify(
     message: &[u8],
     signature: &[u8],
 ) -> Result<(), VerifyError> {
-    let key = parse_public_key(public_key).ok_or(VerifyError::MalformedKey)?;
-    if key.algorithm != algorithm {
-        return Err(VerifyError::AlgorithmMismatch);
-    }
-    let expect = compute_signature(key.secret, algorithm, message);
-    // Constant-time comparison is irrelevant for a simulation, but cheap.
-    if expect.len() == signature.len()
-        && expect
-            .iter()
-            .zip(signature)
-            .fold(0u8, |acc, (a, b)| acc | (a ^ b))
-            == 0
-    {
-        Ok(())
-    } else {
-        Err(VerifyError::BadSignature)
-    }
+    parse_public_key(public_key)
+        .ok_or(VerifyError::MalformedKey)?
+        .verify(algorithm, message, signature)
 }
 
 #[cfg(test)]
@@ -238,6 +274,20 @@ mod tests {
         assert_eq!(small.public_key().len(), 64);
         assert_eq!(big.public_key().len(), 256);
         assert_eq!(parse_public_key(&small.public_key()).unwrap().key_bits, 512);
+    }
+
+    #[test]
+    fn a_seed_in_parts_is_the_joined_seed() {
+        let joined = SigningKey::from_seed(8, 2048, b"zone/ksk");
+        assert_eq!(
+            SigningKey::from_seed_parts(8, 2048, &[b"zone", b"/", b"ksk"]),
+            joined
+        );
+        let head = joined.public_key_head();
+        let public = joined.public_key();
+        assert_eq!(public.len(), joined.public_key_len());
+        assert_eq!(&public[..head.len()], &head);
+        assert!(public[head.len()..].iter().all(|&b| b == 0));
     }
 
     #[test]

@@ -76,6 +76,18 @@ fn usable_reply(reply: Result<Message, NetError>) -> Result<Message, NsFailure> 
     }
 }
 
+/// Whether a reply to an EDNS query shows a server without EDNS (RFC
+/// 6891 §7): a whole reply it could have given, or the FORMERR §7 has
+/// such a server answer an OPT with, and no OPT in it. Any other failing
+/// rcode is the server's own answer, OPT or not — a lame server's.
+fn lacks_edns(resp: &Message) -> bool {
+    let usable_or_formerr = matches!(
+        NsFailure::from_rcode(resp.rcode),
+        None | Some(NsFailure::FormErr)
+    );
+    !resp.truncated && resp.edns.is_none() && usable_or_formerr
+}
+
 impl<'a> Engine<'a> {
     fn next_id(&self) -> u16 {
         self.ids.fetch_add(1, Ordering::Relaxed)
@@ -153,7 +165,7 @@ impl<'a> Engine<'a> {
                 attempt += 1;
                 let query = Message::iterative_query(self.next_id(), qname.clone(), qtype);
                 let failure = match self.transact(addr, &query, diag).await {
-                    Ok(resp) if !resp.truncated && resp.edns.is_none() => {
+                    Ok(resp) if lacks_edns(&resp) => {
                         // Pre-EDNS server: the response is unusable for a
                         // DO-bit pipeline (§4.2.6 Invalid Data).
                         diag.add(Finding::EdnsNotSupported { addr });

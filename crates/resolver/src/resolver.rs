@@ -480,7 +480,7 @@ mod tests {
             root_zone.add_a(ns, CHILD_ADDR);
             let ds = match broken {
                 None => vec![keys.ksk.ds_rdata(&apex, DigestAlg::SHA256)],
-                Some(broken) => broken.parent_ds(&keys, &apex),
+                Some(broken) => broken.parent_ds(&keys.ksk, &apex),
             };
             for rdata in ds {
                 root_zone.add(Record::new(apex.clone(), 3600, rdata));

@@ -31,16 +31,18 @@ use crate::diagnosis::{
     ValidationState,
 };
 use crate::profiles::ValidatorCaps;
-use ede_crypto::{keytag, simsig};
+use ede_crypto::simsig;
 use ede_trace::TraceEvent;
 use ede_wire::rdata::Rrsig;
 use ede_wire::registry::RegistryStatus;
 use ede_wire::{DigestAlg, Message, Name, Question, Rcode, Rdata, Record, RrType, SecAlg};
-use ede_zone::canonical::{ds_digest, signing_data};
+use ede_zone::canonical::{ds_digest_of, with_signing_data, DnskeyFields};
 use ede_zone::nsec3;
-use ede_zone::rrset::{collate, Rrset};
+use ede_zone::rrset::{sets_in, Rrset, RrsetRef};
 
-/// A DNSKEY as published by a zone, parsed for validation.
+/// A DNSKEY as published by a zone, parsed for validation: its public
+/// key is held as verification reads it, not copied. The DS check reads
+/// the key's RDATA where it was published.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PublishedKey {
     /// RFC 4034 Appendix B key tag.
@@ -49,11 +51,26 @@ pub struct PublishedKey {
     pub algorithm: u8,
     /// DNSKEY flags.
     pub flags: u16,
-    /// Raw public key bytes.
-    pub public_key: Vec<u8>,
+    /// Modeled key size in bits, from the public key's length.
+    key_bits: u16,
+    /// The parsed public key; `None` for one that does not parse, which
+    /// verifies no signature.
+    key: Option<simsig::PublicKey>,
 }
 
 impl PublishedKey {
+    /// The key a DNSKEY RDATA publishes; `None` for any other type.
+    fn of(rdata: &Rdata) -> Option<Self> {
+        let fields = DnskeyFields::of(rdata)?;
+        Some(PublishedKey {
+            tag: fields.key_tag(),
+            algorithm: fields.algorithm,
+            flags: fields.flags,
+            key_bits: (fields.key_len as u16).saturating_mul(8),
+            key: simsig::parse_public_key(fields.key),
+        })
+    }
+
     /// Zone Key bit (RFC 4034 §2.1.1).
     pub fn is_zone_key(&self) -> bool {
         self.flags & 0x0100 != 0
@@ -66,46 +83,18 @@ impl PublishedKey {
 
     /// Modeled key size in bits.
     pub fn key_bits(&self) -> u16 {
-        (self.public_key.len() as u16).saturating_mul(8)
-    }
-
-    fn dnskey_rdata(&self) -> Rdata {
-        Rdata::Dnskey {
-            flags: self.flags,
-            protocol: 3,
-            algorithm: self.algorithm,
-            public_key: self.public_key.clone(),
-        }
+        self.key_bits
     }
 }
 
 /// Parse the published keys out of a DNSKEY RRset.
 pub fn published_keys(dnskey_rrset: &Rrset) -> Vec<PublishedKey> {
-    // One scratch buffer for every key's tag.
-    let mut buf = Vec::new();
-    dnskey_rrset
-        .rdatas
-        .iter()
-        .filter_map(|rd| match rd {
-            Rdata::Dnskey {
-                flags,
-                algorithm,
-                public_key,
-                ..
-            } => {
-                buf.clear();
-                buf.reserve(4 + public_key.len());
-                rd.encode(&mut buf, None);
-                Some(PublishedKey {
-                    tag: keytag::key_tag(&buf),
-                    algorithm: *algorithm,
-                    flags: *flags,
-                    public_key: public_key.clone(),
-                })
-            }
-            _ => None,
-        })
-        .collect()
+    keys_of(dnskey_rrset.into())
+}
+
+/// The keys a DNSKEY RRset publishes, in RRset order.
+fn keys_of(set: RrsetRef<'_>) -> Vec<PublishedKey> {
+    set.rdatas().filter_map(PublishedKey::of).collect()
 }
 
 /// A broken link: the finding that names the break (none when the chain
@@ -169,7 +158,7 @@ fn window_finding(sig: &Rrsig, now: u32, target: SigTarget) -> Option<Finding> {
 
 /// Verify one signature over one RRset against one key, including the
 /// window. Returns true only when everything checks out.
-fn sig_verifies(sig: &Rrsig, rrset: &Rrset, key: &PublishedKey, now: u32) -> bool {
+fn sig_verifies(sig: &Rrsig, set: RrsetRef<'_>, key: &PublishedKey, now: u32) -> bool {
     // Whichever target: only whether the window excludes `now` matters.
     if window_finding(sig, now, SigTarget::Answer).is_some() {
         return false;
@@ -177,14 +166,18 @@ fn sig_verifies(sig: &Rrsig, rrset: &Rrset, key: &PublishedKey, now: u32) -> boo
     if sig.key_tag != key.tag || sig.algorithm != key.algorithm {
         return false;
     }
-    let data = signing_data(sig, rrset);
-    simsig::verify(&key.public_key, sig.algorithm, &data, &sig.signature).is_ok()
+    let Some(public) = &key.key else {
+        return false;
+    };
+    with_signing_data(sig, set, |data| {
+        public.verify(sig.algorithm, data, &sig.signature).is_ok()
+    })
 }
 
-/// The first signature over `rrset` that one of `keys` verifies.
-fn verified_sig<'s>(rrset: &'s Rrset, keys: &[PublishedKey], now: u32) -> Option<&'s Rrsig> {
-    let by_a_key = |sig: &&Rrsig| keys.iter().any(|k| sig_verifies(sig, rrset, k, now));
-    rrset.sigs.iter().find(by_a_key)
+/// The first signature over `set` that one of `keys` verifies.
+fn verified_sig<'s>(set: RrsetRef<'s>, keys: &[PublishedKey], now: u32) -> Option<&'s Rrsig> {
+    let by_a_key = |sig: &&Rrsig| keys.iter().any(|k| sig_verifies(sig, set, k, now));
+    set.sigs().find(by_a_key)
 }
 
 fn alg_status_for(alg: u8, caps: &ValidatorCaps) -> Option<AlgStatus> {
@@ -219,11 +212,23 @@ pub fn validate_dnskey(
     now: u32,
     diag: &mut Diagnosis,
 ) -> DnskeyValidation {
-    let published = published_keys(dnskey_rrset);
+    validate_dnskey_set(apex, ds_rdatas, dnskey_rrset.into(), caps, now, diag)
+}
+
+/// [`validate_dnskey`] over the DNSKEY RRset read in place.
+fn validate_dnskey_set(
+    apex: &Name,
+    ds_rdatas: &[Rdata],
+    set: RrsetRef<'_>,
+    caps: &ValidatorCaps,
+    now: u32,
+    diag: &mut Diagnosis,
+) -> DnskeyValidation {
+    let published = keys_of(set);
     let trusted = step(
         diag,
         || format!("DNSKEY {apex}"),
-        |diag| dnskey_link(apex, ds_rdatas, dnskey_rrset, &published, caps, now, diag),
+        |diag| dnskey_link(apex, ds_rdatas, set, &published, caps, now, diag),
     );
     DnskeyValidation { trusted, published }
 }
@@ -274,10 +279,12 @@ fn usable_ds<'d>(
 }
 
 /// The published zone key a usable DS vouches for, DS records and keys
-/// tried in RRset order.
+/// tried in RRset order. `published` are the keys of `set`, in its
+/// order; each digest is taken over the RDATA `set` holds.
 fn ds_matched_key<'k>(
     apex: &Name,
     usable_ds: &[&Rdata],
+    set: RrsetRef<'_>,
     published: &'k [PublishedKey],
     diag: &mut Diagnosis,
 ) -> Result<&'k PublishedKey, Broken> {
@@ -292,11 +299,9 @@ fn ds_matched_key<'k>(
         else {
             continue;
         };
-        for key in published
-            .iter()
-            .filter(|k| k.tag == *key_tag && k.algorithm == *algorithm)
-        {
-            if ds_digest(apex, &key.dnskey_rdata(), DigestAlg(*digest_type)) != *digest {
+        let keys = set.rdatas().filter_map(DnskeyFields::of).zip(published);
+        for (fields, key) in keys.filter(|(_, k)| k.tag == *key_tag && k.algorithm == *algorithm) {
+            if *ds_digest_of(apex, &fields, DigestAlg(*digest_type)) != digest[..] {
                 digest_mismatch_seen = true;
             } else if key.is_zone_key() {
                 return Ok(key);
@@ -321,7 +326,7 @@ fn ds_matched_key<'k>(
 fn dnskey_link(
     apex: &Name,
     ds_rdatas: &[Rdata],
-    dnskey_rrset: &Rrset,
+    set: RrsetRef<'_>,
     published: &[PublishedKey],
     caps: &ValidatorCaps,
     now: u32,
@@ -333,21 +338,20 @@ fn dnskey_link(
         // unsigned.
         return Err((None, ValidationState::Insecure));
     }
-    let ksk = ds_matched_key(apex, &usable_ds, published, diag)?;
+    let ksk = ds_matched_key(apex, &usable_ds, set, published, diag)?;
 
     // Authenticate the DNSKEY RRset with the matched KSK.
-    let sigs = &dnskey_rrset.sigs;
-    if sigs.is_empty() {
+    if set.sigs().next().is_none() {
         return Err(bogus(Finding::DnskeyAllSigsMissing));
     }
-    let ksk_sig = sigs
-        .iter()
+    let ksk_sig = set
+        .sigs()
         .find(|s| s.key_tag == ksk.tag && s.algorithm == ksk.algorithm)
         .ok_or_else(|| bogus(Finding::DnskeySigMissingByMatchedKey))?;
     if let Some(f) = window_finding(ksk_sig, now, SigTarget::Dnskey) {
         return Err(bogus(f));
     }
-    if !sig_verifies(ksk_sig, dnskey_rrset, ksk, now) {
+    if !sig_verifies(ksk_sig, set, ksk, now) {
         return Err(bogus(Finding::DnskeySigBogus {
             zsk_present: published.iter().any(|k| {
                 k.is_zone_key()
@@ -356,7 +360,7 @@ fn dnskey_link(
             }),
             // Advisory: does *any* signature over the RRset verify against
             // *any* published key? (Quad9 demonstrably distinguishes this.)
-            some_sig_valid: verified_sig(dnskey_rrset, published, now).is_some(),
+            some_sig_valid: verified_sig(set, published, now).is_some(),
         }));
     }
 
@@ -364,7 +368,7 @@ fn dnskey_link(
     for key in published {
         // A SEP-flagged key that is not DS-matched and signs nothing is a
         // stand-by key (§4.2.3) — Cloudflare flags it.
-        if key.is_sep() && key.tag != ksk.tag && !sigs.iter().any(|s| s.key_tag == key.tag) {
+        if key.is_sep() && key.tag != ksk.tag && !set.sigs().any(|s| s.key_tag == key.tag) {
             diag.add(Finding::StandbyKeyWithoutRrsig);
         }
         if key.key_bits() < caps.min_key_bits {
@@ -392,14 +396,16 @@ pub(crate) fn keys_link(
     now: u32,
     diag: &mut Diagnosis,
 ) -> DnskeyValidation {
-    let dnskey_set = fetched.and_then(|resp| {
-        collate(&resp.answers)
-            .into_iter()
-            .find(|s| s.rtype == RrType::Dnskey && s.name == *zone)
-            .ok_or(NsFailure::OtherRcode(0))
-    });
+    let dnskey_set = fetched
+        .as_ref()
+        .map_err(|failure| *failure)
+        .and_then(|resp| {
+            sets_in(&resp.answers)
+                .find(|s| s.rtype() == RrType::Dnskey && s.name() == zone)
+                .ok_or(NsFailure::OtherRcode(0))
+        });
     match dnskey_set {
-        Ok(set) => validate_dnskey(zone, ds_rdatas, &set, caps, now, diag),
+        Ok(set) => validate_dnskey_set(zone, ds_rdatas, set, caps, now, diag),
         Err(failure) => {
             record(diag, bogus(Finding::DnskeyUnobtainable { failure }));
             DnskeyValidation::default()
@@ -418,10 +424,22 @@ pub fn check_rrset(
     target: SigTarget,
     diag: &mut Diagnosis,
 ) -> bool {
+    check_set(rrset.into(), trusted, caps, now, target, diag)
+}
+
+/// [`check_rrset`] over the RRset read in place.
+fn check_set(
+    set: RrsetRef<'_>,
+    trusted: &[PublishedKey],
+    caps: &ValidatorCaps,
+    now: u32,
+    target: SigTarget,
+    diag: &mut Diagnosis,
+) -> bool {
     step(
         diag,
-        || format!("{} {} rrsig", rrset.name, rrset.rtype),
-        |_| rrset_link(rrset, trusted, caps, now, target),
+        || format!("{} {} rrsig", set.name(), set.rtype()),
+        |_| rrset_link(set, trusted, caps, now, target),
     )
     .is_some()
 }
@@ -429,18 +447,18 @@ pub fn check_rrset(
 /// The DNSKEY → RRset link: holds when one signature by a trusted key
 /// verifies; otherwise breaks on the first signature's issue.
 fn rrset_link(
-    rrset: &Rrset,
+    set: RrsetRef<'_>,
     trusted: &[PublishedKey],
     caps: &ValidatorCaps,
     now: u32,
     target: SigTarget,
 ) -> Result<(), Broken> {
-    if rrset.sigs.is_empty() {
+    if set.sigs().next().is_none() {
         return Err(bogus(Finding::RrsigMissing { target }));
     }
     let mut first_issue: Option<Finding> = None;
     let mut all_unsupported = true;
-    for sig in &rrset.sigs {
+    for sig in set.sigs() {
         if let Some(status) = alg_status_for(sig.algorithm, caps) {
             first_issue.get_or_insert(Finding::ZoneAlgorithmUnsupported {
                 status,
@@ -460,7 +478,7 @@ fn rrset_link(
             first_issue.get_or_insert(Finding::RrsigKeyMissing { target });
             continue;
         };
-        if sig_verifies(sig, rrset, key, now) {
+        if sig_verifies(sig, set, key, now) {
             return Ok(());
         }
         first_issue.get_or_insert(Finding::SignatureBogus { target });
@@ -496,33 +514,34 @@ fn iteration_cap_link<'r>(
     Ok(())
 }
 
-/// The structure of a denial (RFC 5155 §8): the NSEC3 RRsets among
-/// `sets` that deny (`qname`, `qtype`), still unauthenticated. NSEC3 is
+/// The structure of a denial (RFC 5155 §8): the NSEC3 RRsets of
+/// `authority` that deny (`qname`, `qtype`), still unauthenticated. NSEC3 is
 /// the only proof read: a signed negative answer without one — plain
 /// NSEC records included — carries no proof. Structure is checked
 /// before signatures: a proof that points at the wrong hashes is a
 /// different observable than a proof whose signatures are broken, and
 /// vendors report them differently.
 fn negative_link<'s>(
-    sets: &'s [Rrset],
+    authority: &'s [Record],
     qname: &Name,
     qtype: RrType,
     kind: NegativeKind,
     zone_apex: &Name,
     caps: &ValidatorCaps,
-) -> Result<Vec<&'s Rrset>, Broken> {
+) -> Result<Vec<RrsetRef<'s>>, Broken> {
     let broken = |issue| bogus(Finding::DenialProofBroken { issue, kind });
-    let lacks_qtype = |set: &Rrset| match set.rdatas.first() {
+    let lacks_qtype = |set: RrsetRef<'_>| match set.rdatas().next() {
         Some(Rdata::Nsec3 { types, .. }) => !types.contains(qtype),
         _ => false,
     };
 
-    let nsec3_sets: Vec<&Rrset> = sets.iter().filter(|s| s.rtype == RrType::Nsec3).collect();
+    let nsec3_sets: Vec<RrsetRef<'s>> = sets_in(authority)
+        .filter(|s| s.rtype() == RrType::Nsec3)
+        .collect();
     if nsec3_sets.is_empty() {
-        let soa_signed = sets
-            .iter()
-            .find(|s| s.rtype == RrType::Soa)
-            .is_some_and(|s| !s.sigs.is_empty());
+        let soa_signed = sets_in(authority)
+            .find(|s| s.rtype() == RrType::Soa)
+            .is_some_and(|s| s.sigs().next().is_some());
         return Err(if soa_signed {
             broken(DenialIssue::Absent)
         } else {
@@ -530,13 +549,13 @@ fn negative_link<'s>(
         });
     }
 
-    iteration_cap_link(nsec3_sets.iter().filter_map(|s| s.rdatas.first()), caps)?;
+    iteration_cap_link(nsec3_sets.iter().filter_map(|s| s.rdatas().next()), caps)?;
 
     match kind {
         NegativeKind::Nodata => {
             if !nsec3_sets
                 .iter()
-                .any(|s| nsec3::matches(s, qname) && lacks_qtype(s))
+                .any(|&s| nsec3::matches(s, qname) && lacks_qtype(s))
             {
                 return Err(broken(DenialIssue::OwnerMismatch));
             }
@@ -549,7 +568,7 @@ fn negative_link<'s>(
             loop {
                 let ancestor = next_closer.parent();
                 let a = ancestor.ok_or_else(|| broken(DenialIssue::OwnerMismatch))?;
-                if nsec3_sets.iter().any(|s| nsec3::matches(s, &a)) {
+                if nsec3_sets.iter().any(|&s| nsec3::matches(s, &a)) {
                     break;
                 }
                 if a == *zone_apex {
@@ -558,7 +577,7 @@ fn negative_link<'s>(
                 next_closer = a;
             }
             // Next closer name must be covered.
-            if !nsec3_sets.iter().any(|s| nsec3::covers(s, &next_closer)) {
+            if !nsec3_sets.iter().any(|&s| nsec3::covers(s, &next_closer)) {
                 return Err(broken(DenialIssue::ChainMismatch));
             }
         }
@@ -569,17 +588,17 @@ fn negative_link<'s>(
 /// The signature tail of a proof: every proof RRset is signed, and each
 /// carries a signature one trusted key verifies.
 fn denial_sigs_link(
-    proof: &[&Rrset],
+    proof: &[RrsetRef<'_>],
     kind: NegativeKind,
     trusted: &[PublishedKey],
     now: u32,
 ) -> Result<(), Broken> {
-    if proof.iter().any(|set| set.sigs.is_empty()) {
+    if proof.iter().any(|set| set.sigs().next().is_none()) {
         return Err(bogus(Finding::DenialSigMissing { kind }));
     }
     if proof
         .iter()
-        .any(|set| verified_sig(set, trusted, now).is_none())
+        .any(|&set| verified_sig(set, trusted, now).is_none())
     {
         return Err(bogus(Finding::DenialSigBogus { kind }));
     }
@@ -604,8 +623,7 @@ pub fn check_negative(
         diag,
         || format!("denial {qname} ({kind:?})"),
         |_| {
-            let sets = collate(authority);
-            let proof = negative_link(&sets, qname, qtype, kind, zone_apex, caps)?;
+            let proof = negative_link(authority, qname, qtype, kind, zone_apex, caps)?;
             denial_sigs_link(&proof, kind, trusted, now)
         },
     );
@@ -648,9 +666,8 @@ pub(crate) fn cut_link(
     };
     if child_signed {
         // Authenticate the DS RRset itself.
-        let sets = collate(authority);
-        if let Some(ds_set) = sets.iter().find(|s| s.rtype == RrType::Ds) {
-            check_rrset(ds_set, keys, caps, now, SigTarget::Answer, diag);
+        if let Some(ds_set) = sets_in(authority).find(|s| s.rtype() == RrType::Ds) {
+            check_set(ds_set, keys, caps, now, SigTarget::Answer, diag);
         }
         return;
     }
@@ -686,8 +703,8 @@ pub(crate) fn answer_link(
         record(diag, (None, ValidationState::Insecure));
         return;
     };
-    // Only validation reads the answer as RRsets.
-    let answer_sets = collate(&resp.answers);
+    // Only validation reads the answer as RRsets, in place.
+    let answer_sets = || sets_in(&resp.answers);
     let trusted = match &keys.keys {
         ChainKeys::Trusted(trusted) => trusted,
         ChainKeys::Bogus { published_tags } => {
@@ -695,7 +712,7 @@ pub(crate) fn answer_link(
             // exist among the zone's published keys at all? The chain
             // verdict was made at the DNSKEY link, so nothing degrades
             // here.
-            for sig in answer_sets.iter().flat_map(|set| &set.sigs) {
+            for sig in answer_sets().flat_map(RrsetRef::sigs) {
                 if !published_tags.contains(&sig.key_tag) {
                     diag.add(Finding::RrsigKeyMissing {
                         target: SigTarget::Answer,
@@ -705,7 +722,7 @@ pub(crate) fn answer_link(
             return;
         }
     };
-    if answer_sets.is_empty() {
+    if answer_sets().next().is_none() {
         let kind = if resp.rcode == Rcode::NxDomain {
             NegativeKind::Nxdomain
         } else {
@@ -724,8 +741,8 @@ pub(crate) fn answer_link(
         );
         return;
     }
-    for set in &answer_sets {
-        check_rrset(set, trusted, caps, now, SigTarget::Answer, diag);
+    for set in answer_sets() {
+        check_set(set, trusted, caps, now, SigTarget::Answer, diag);
     }
 }
 
@@ -809,7 +826,7 @@ mod tests {
     #[test]
     fn ds_bad_tag_reports_no_matching_dnskey() {
         let (z, keys, _) = signed_zone();
-        let ds = Misconfig::DsBadTag.parent_ds(&keys, &n("test.example"));
+        let ds = Misconfig::DsBadTag.parent_ds(&keys.ksk, &n("test.example"));
         let mut diag = Diagnosis::new();
         let v = validate_dnskey(
             &n("test.example"),
@@ -832,7 +849,7 @@ mod tests {
     #[test]
     fn ds_bogus_digest_reports_digest_mismatch() {
         let (z, keys, _) = signed_zone();
-        let ds = Misconfig::DsBogusDigestValue.parent_ds(&keys, &n("test.example"));
+        let ds = Misconfig::DsBogusDigestValue.parent_ds(&keys.ksk, &n("test.example"));
         let mut diag = Diagnosis::new();
         let v = validate_dnskey(
             &n("test.example"),
@@ -854,7 +871,7 @@ mod tests {
     #[test]
     fn unassigned_ds_algorithm_is_insecure() {
         let (z, keys, _) = signed_zone();
-        let ds = Misconfig::DsUnassignedKeyAlgo.parent_ds(&keys, &n("test.example"));
+        let ds = Misconfig::DsUnassignedKeyAlgo.parent_ds(&keys.ksk, &n("test.example"));
         let mut diag = Diagnosis::new();
         let v = validate_dnskey(
             &n("test.example"),
@@ -990,16 +1007,72 @@ mod tests {
         )));
     }
 
+    /// The DS check digests each published key from its RDATA in place,
+    /// streamed: a DS made by `ds_digest` over the written RDATA matches
+    /// its key for every digest type, and one octet off matches none.
     #[test]
-    fn collate_groups_and_attaches_sigs() {
+    fn the_ds_check_agrees_with_ds_digest() {
+        use ede_zone::canonical::ds_digest;
+        let (z, keys, _) = signed_zone();
+        let apex = n("test.example");
+        let dnskeys = z.get(&apex, RrType::Dnskey).unwrap();
+        let published = published_keys(dnskeys);
+        for digest_type in [1, 2, 3, 4, 8] {
+            let rdata = keys.ksk.dnskey_rdata();
+            let mut digest = ds_digest(&apex, &rdata, DigestAlg(digest_type));
+            let ds = Rdata::Ds {
+                key_tag: keys.ksk.key_tag(),
+                algorithm: 8,
+                digest_type,
+                digest: digest.clone(),
+            };
+            let matched = ds_matched_key(
+                &apex,
+                &[&ds],
+                dnskeys.into(),
+                &published,
+                &mut Diagnosis::new(),
+            );
+            assert_eq!(
+                matched.map(|k| k.tag),
+                Ok(keys.ksk.key_tag()),
+                "type {digest_type}"
+            );
+
+            digest[0] ^= 1;
+            let ds = Rdata::Ds {
+                key_tag: keys.ksk.key_tag(),
+                algorithm: 8,
+                digest_type,
+                digest,
+            };
+            let matched = ds_matched_key(
+                &apex,
+                &[&ds],
+                dnskeys.into(),
+                &published,
+                &mut Diagnosis::new(),
+            );
+            assert_eq!(
+                matched.map(|k| k.tag),
+                Err(bogus(Finding::DsNoMatchingDnskey {
+                    cause: DsMismatch::Digest
+                })),
+                "type {digest_type}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_section_groups_and_attaches_sigs() {
         let (z, _, _) = signed_zone();
         let a_set = z.get(&n("test.example"), RrType::A).unwrap();
         let mut records: Vec<Record> = a_set.records().collect();
         records.extend(a_set.sig_records());
-        let collated = collate(&records);
-        assert_eq!(collated.len(), 1);
-        assert_eq!(collated[0].rdatas.len(), 1);
-        assert_eq!(collated[0].sigs.len(), 1);
+        let sets: Vec<RrsetRef<'_>> = sets_in(&records).collect();
+        assert_eq!(sets.len(), 1);
+        assert_eq!(sets[0].rdatas().count(), 1);
+        assert_eq!(sets[0].sigs().count(), 1);
     }
 
     #[test]

@@ -1,0 +1,127 @@
+//! What one resolution of each category costs: the µs a cold resolve of
+//! a domain takes on a warmed world, per category, and the ratio of a
+//! signed healthy domain's to an unsigned one's.
+//!
+//! Every round builds a fresh resolver over one world (built once), warms
+//! it as a scan does — one (TLD, NS) resolution per TLD, so each TLD's
+//! referral and keys are cached — and then resolves every domain once, in
+//! population order, timing each `Resolver::resolve` call. The scan world
+//! charges no latency, so a resolve is CPU on this thread from end to
+//! end: its wall time is its CPU time on an idle machine. A category's
+//! figure is the median over rounds of its mean µs per resolve; the
+//! ratio is taken from those medians.
+//!
+//! `cargo run --release -p ede-scan --example category_cost -- [SCALE [ROUNDS]]`
+//! (default 1:2500, 5 rounds); `--smoke` is a tiny population and one
+//! round.
+
+use ede_resolver::{Resolver, Vendor, VendorProfile};
+use ede_scan::{Category, Population, PopulationConfig, ScanWorld};
+use ede_wire::RrType;
+use std::process::ExitCode;
+use std::sync::Arc;
+use std::time::Instant;
+
+fn median(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    if sorted.len().is_multiple_of(2) {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    } else {
+        sorted[mid]
+    }
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let mut numbers = args
+        .iter()
+        .filter(|a| *a != "--smoke")
+        .map(|a| a.parse::<u32>());
+    let (Ok(scale), Ok(rounds)) = (
+        numbers.next().unwrap_or(Ok(2500)),
+        numbers.next().unwrap_or(Ok(if smoke { 1 } else { 5 })),
+    ) else {
+        eprintln!("usage: category_cost [--smoke] [SCALE [ROUNDS]]");
+        return ExitCode::from(2);
+    };
+    if numbers.next().is_some() || scale == 0 {
+        eprintln!("usage: category_cost [--smoke] [SCALE [ROUNDS]]");
+        return ExitCode::from(2);
+    }
+    let pop = Population::generate(if smoke {
+        PopulationConfig::tiny()
+    } else {
+        PopulationConfig {
+            scale,
+            ..Default::default()
+        }
+    });
+    let world = ScanWorld::build(&pop);
+    let rounds = rounds.max(1) as usize;
+
+    // By category (its index in `Category::ALL`): each round's mean µs.
+    let mut means: Vec<Vec<f64>> = vec![Vec::new(); Category::ALL.len()];
+    for _ in 0..rounds {
+        let resolver = Resolver::new(
+            Arc::clone(&world.net),
+            VendorProfile::new(Vendor::Cloudflare),
+            world.resolver_config.clone(),
+        );
+        for tld in &pop.tlds {
+            resolver.resolve(&tld.name, RrType::Ns);
+        }
+        let mut spent = vec![(0u128, 0u32); Category::ALL.len()];
+        for domain in pop.domains.iter() {
+            let start = Instant::now();
+            resolver.resolve(&domain.name, RrType::A);
+            let ns = start.elapsed().as_nanos();
+            let at = Category::ALL.iter().position(|c| *c == domain.category);
+            let slot = &mut spent[at.expect("a category of ALL")];
+            slot.0 += ns;
+            slot.1 += 1;
+        }
+        for (mean, (ns, count)) in means.iter_mut().zip(spent) {
+            if count > 0 {
+                mean.push(ns as f64 / 1e3 / f64::from(count));
+            }
+        }
+    }
+
+    println!(
+        "{} domains at 1:{}, {rounds} round(s): µs per cold resolve on a warmed world",
+        pop.domains.len(),
+        pop.config.scale
+    );
+    println!("{:<28} {:>8} {:>10}", "category", "domains", "µs/resolve");
+    let cost = |category: Category| {
+        let at = Category::ALL.iter().position(|c| *c == category)?;
+        (!means[at].is_empty()).then(|| median(&means[at]))
+    };
+    for category in Category::ALL {
+        let Some(us) = cost(category) else {
+            continue;
+        };
+        let domains = pop
+            .domains
+            .iter()
+            .filter(|d| d.category == category)
+            .count();
+        println!("{:<28} {domains:>8} {us:>10.2}", category.name());
+    }
+    match (
+        cost(Category::HealthySigned),
+        cost(Category::HealthyUnsigned),
+    ) {
+        (Some(signed), Some(unsigned)) => {
+            println!("signed/unsigned {:.2}", signed / unsigned);
+            ExitCode::SUCCESS
+        }
+        _ => {
+            eprintln!("category_cost: the population lacks a healthy signed or unsigned domain");
+            ExitCode::FAILURE
+        }
+    }
+}

@@ -13,7 +13,7 @@
 use ede_authority::Behavior;
 use ede_wire::{DigestAlg, Name, Rdata, SecAlg};
 use ede_zone::signer::{SignerConfig, DAY, DEFAULT_WINDOW, SIM_NOW};
-use ede_zone::{Denial, Misconfig, Nsec3Config, ZoneKeys};
+use ede_zone::{Denial, Misconfig, Nsec3Config, ZoneKey, ZoneKeys};
 
 /// What is wrong (or right) with one planted domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -172,16 +172,22 @@ impl Row {
         ZoneKeys::generate(apex, self.key.0 .0, self.key.1)
     }
 
+    /// The ZSK of [`Row::keys`] alone, for a reply that needs no other.
+    pub fn zsk(&self, apex: &Name) -> ZoneKey {
+        ZoneKey::zsk(apex, self.key.0 .0, self.key.1)
+    }
+
     /// The DS RDATA(s) the parent publishes for the domain at `apex`:
     /// none when it is unsigned.
     pub fn parent_ds(&self, apex: &Name) -> Vec<Rdata> {
         if !self.signed {
             return Vec::new();
         }
-        let keys = self.keys(apex);
+        // The KSK of `keys` alone: a DS needs no other.
+        let ksk = ZoneKey::ksk(apex, self.key.0 .0, self.key.1);
         match self.ds {
-            DsForm::Digest(digest) => vec![keys.ksk.ds_rdata(apex, digest)],
-            DsForm::Mutated(misconfig) => misconfig.parent_ds(&keys, apex),
+            DsForm::Digest(digest) => vec![ksk.ds_rdata(apex, digest)],
+            DsForm::Mutated(misconfig) => misconfig.parent_ds(&ksk, apex),
         }
     }
 

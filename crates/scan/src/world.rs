@@ -62,6 +62,7 @@ use ede_wire::rdata::{Soa, TypeBitmap};
 use ede_wire::{DigestAlg, Message, Name, Rcode, Rdata, Record, RrType};
 use ede_zone::signer::{self, SignerConfig, DEFAULT_WINDOW};
 use ede_zone::{Nsec3Config, Rrset, Zone, ZoneKey, ZoneKeys};
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::{Arc, Mutex};
@@ -198,8 +199,9 @@ fn apex_a(apex: &Name) -> Rrset {
 
 /// The apex RRset a child serves for `qtype`, when it is known without
 /// building the child's zone: its A, and the DNSKEY set of a signed
-/// child, signed as `sign_zone` would sign them. A child whose row
-/// mutates the zone after signing gets its zone.
+/// child, signed as `sign_zone` would sign them — the A with the ZSK
+/// alone, so only the ZSK is derived for it. A child whose row mutates
+/// the zone after signing gets its zone.
 fn known_apex_rrset(rec: &DomainRecord, row: &Row, qtype: RrType) -> Option<Rrset> {
     let apex = &rec.name;
     let a = qtype == RrType::A && row.apex_a;
@@ -209,13 +211,16 @@ fn known_apex_rrset(rec: &DomainRecord, row: &Row, qtype: RrType) -> Option<Rrse
     if row.mutation.is_some() || !(a || qtype == RrType::Dnskey) {
         return None;
     }
-    let keys = row.keys(apex);
-    let mut set = match qtype {
-        RrType::A => apex_a(apex),
-        _ => keys.dnskey_rrset(apex),
-    };
-    signer::sign_in_place(&mut set, &keys, apex, row.window);
-    Some(set)
+    Some(if a {
+        let mut set = apex_a(apex);
+        set.sigs = vec![signer::sign_rrset(&set, &row.zsk(apex), apex, row.window)];
+        set
+    } else {
+        let keys = row.keys(apex);
+        let mut set = keys.dnskey_rrset(apex);
+        signer::sign_in_place(&mut set, &keys, apex, row.window);
+        set
+    })
 }
 
 /// Build the child zone for a domain as its row says: its plain
@@ -285,7 +290,7 @@ impl Server for HostingNs {
         if *behavior == Behavior::Normal && q.name == rec.name {
             if let Some(set) = known_apex_rrset(rec, row, q.qtype) {
                 let (mut resp, dnssec_ok) = layout::reply_to(query, true);
-                layout::positive(&mut resp, &set, dnssec_ok);
+                layout::positive(&mut resp, Cow::Owned(set), dnssec_ok);
                 return ServerResponse::Reply(resp);
             }
         }
@@ -452,10 +457,10 @@ struct TldServer {
 }
 
 impl TldServer {
-    /// The server of `info`, the population's TLD number `index`.
-    fn new(index: usize, info: &TldInfo, registry: Arc<Registry>) -> Self {
+    /// The server of `info`, the population's TLD number `index`, whose
+    /// keys are `keys`.
+    fn new(index: usize, info: &TldInfo, keys: ZoneKeys, registry: Arc<Registry>) -> Self {
         let tld = info.name.clone();
-        let keys = tld_keys(&tld);
         let standby_dnskey = info
             .standby_key
             .then(|| Box::new(ZoneKey::generate(&tld, "standby", 8, 2048, 257).dnskey_rdata()));
@@ -516,6 +521,7 @@ impl TldServer {
         let rec = child.rec;
         let (mut resp, dnssec_ok) = layout::reply_to(query, true);
         let mut ns = Rrset::empty(rec.name.clone(), RrType::Ns, 3600);
+        ns.rdatas.reserve_exact(rec.ns_addrs.len());
         let mut glue = Vec::with_capacity(rec.ns_addrs.len());
         for (i, addr) in rec.ns_addrs.iter().enumerate() {
             let host = ns_host(&rec.name, i);
@@ -537,7 +543,13 @@ impl TldServer {
             // interval never covers another registered name.
             (!self.broken_insecure_proof).then(|| self.chain().rrset(child, &self.tld, &self.keys))
         };
-        layout::referral(&mut resp, &ns, proof.as_ref(), glue, dnssec_ok);
+        layout::referral(
+            &mut resp,
+            Cow::Owned(ns),
+            proof.map(Cow::Owned),
+            glue,
+            dnssec_ok,
+        );
         ServerResponse::Reply(resp)
     }
 }
@@ -552,7 +564,7 @@ impl Server for TldServer {
         if q.name == self.tld {
             if let Some(set) = self.apex_rrset(q.qtype) {
                 let (mut resp, dnssec_ok) = layout::reply_to(query, true);
-                layout::positive(&mut resp, &set, dnssec_ok);
+                layout::positive(&mut resp, Cow::Owned(set), dnssec_ok);
                 return ServerResponse::Reply(resp);
             }
         }
@@ -577,17 +589,24 @@ impl Server for TldServer {
 /// address, and for each of `tlds` its delegation — NS, glue, and the DS
 /// of the TLD's key.
 pub fn unsigned_root_zone(tlds: &[TldInfo]) -> Zone {
+    let keys: Vec<ZoneKeys> = tlds.iter().map(|tld| tld_keys(&tld.name)).collect();
+    root_zone_over(tlds, &keys)
+}
+
+/// [`unsigned_root_zone`] with each TLD's keys given, `keys[i]` those of
+/// `tlds[i]`: the world derives them once, for this zone's DS records
+/// and the TLD's server both.
+fn root_zone_over(tlds: &[TldInfo], keys: &[ZoneKeys]) -> Zone {
     let root = Name::root();
     let mut root_zone = Zone::new(root.clone());
     root_zone.add(Record::new(root.clone(), 3600, soa_for(&root)));
     let root_ns = Name::parse("ns1").expect("valid");
     root_zone.add(Record::new(root, 3600, Rdata::Ns(root_ns.clone())));
     root_zone.add_a(root_ns, ROOT_SERVER);
-    for tld in tlds {
+    for (tld, keys) in tlds.iter().zip(keys) {
         let ns = ns_host(&tld.name, 0);
         root_zone.add(Record::new(tld.name.clone(), 3600, Rdata::Ns(ns.clone())));
         root_zone.add_a(ns, tld_addr(tld.server_index));
-        let keys = tld_keys(&tld.name);
         root_zone.add(Record::new(
             tld.name.clone(),
             3600,
@@ -610,9 +629,11 @@ impl ScanWorld {
             timeout_ms: 0,
         });
 
-        // Root zone: real, signed, one delegation per TLD.
+        // Root zone: real, signed, one delegation per TLD, whose DS is
+        // taken from the keys the TLD's server is given below.
+        let keys: Vec<ZoneKeys> = pop.tlds.iter().map(|tld| tld_keys(&tld.name)).collect();
         let root = Name::root();
-        let mut root_zone = unsigned_root_zone(&pop.tlds);
+        let mut root_zone = root_zone_over(&pop.tlds, &keys);
         let root_keys = ZoneKeys::generate(&root, 8, 2048);
         signer::sign_zone(&mut root_zone, &root_keys, &SignerConfig::default());
         let trust_anchor = root_keys.ksk.ds_rdata(&root, DigestAlg::SHA256);
@@ -623,8 +644,8 @@ impl ScanWorld {
 
         // TLD servers.
         let mut tld_servers = Vec::with_capacity(pop.tlds.len());
-        for (index, tld) in pop.tlds.iter().enumerate() {
-            let server = Arc::new(TldServer::new(index, tld, Arc::clone(&registry)));
+        for (index, (tld, keys)) in pop.tlds.iter().zip(keys).enumerate() {
+            let server = Arc::new(TldServer::new(index, tld, keys, Arc::clone(&registry)));
             net.register(
                 IpAddr::V4(tld_addr(tld.server_index)),
                 Arc::clone(&server) as Arc<dyn Server>,
@@ -942,7 +963,8 @@ mod tests {
         let owner = std::mem::size_of::<[u8; NSEC3_HASH_LEN]>();
         assert_eq!(owner, 20);
         for (index, tld) in pop.tlds.iter().enumerate() {
-            let chain = TldServer::new(index, tld, Arc::clone(&registry)).chain();
+            let chain =
+                TldServer::new(index, tld, tld_keys(&tld.name), Arc::clone(&registry)).chain();
             let children = registry.children[index].len();
             let retained = chain.owners.capacity() * owner
                 + chain.child_slots.capacity() * std::mem::size_of::<u32>();
@@ -973,7 +995,7 @@ mod tests {
             for rec in sample.into_iter().take(3) {
                 let t = usize::from(rec.tld);
                 let tld = &pop.tlds[t];
-                let lean = TldServer::new(t, tld, Arc::clone(&registry));
+                let lean = TldServer::new(t, tld, tld_keys(&tld.name), Arc::clone(&registry));
                 let full = full_tlds
                     .entry(t)
                     .or_insert_with(|| full_tld_server(&pop, t));
@@ -1081,7 +1103,7 @@ mod tests {
             by_tld[usize::from(d.tld)].push(d);
         }
         for (index, tld) in pop.tlds.iter().enumerate() {
-            let server = TldServer::new(index, tld, Arc::clone(&registry));
+            let server = TldServer::new(index, tld, tld_keys(&tld.name), Arc::clone(&registry));
             let chain = server.chain();
             let mut reference = vec![
                 (streamed(&tld.name), None),

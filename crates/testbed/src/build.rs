@@ -145,7 +145,7 @@ pub fn materialize_child_zone(spec: &DomainSpec, base: &Name, idx: usize) -> (Zo
         match &spec.misconfig {
             Some(m) => {
                 m.apply(&mut zone, &keys);
-                ds_rdatas = m.parent_ds(&keys, &apex);
+                ds_rdatas = m.parent_ds(&keys.ksk, &apex);
             }
             None => {
                 ds_rdatas = vec![keys.ksk.ds_rdata(&apex, DigestAlg::SHA256)];

@@ -13,10 +13,12 @@
 //! string identically — it lives here so `ede-zone` (signer) and
 //! `ede-resolver` (validator) share one implementation.
 
-use crate::rrset::Rrset;
-use ede_crypto::{Digest, Sha1, Sha256, Sha384};
+use crate::rrset::{Rrset, RrsetRef};
+use ede_crypto::{keytag, Digest, Sha1, Sha256, Sha384};
 use ede_wire::rdata::Rrsig;
 use ede_wire::{Class, DigestAlg, Name, Rdata};
+use std::cell::Cell;
+use std::ops::Deref;
 
 /// Append the RRSIG RDATA with the signature field left out — the prefix
 /// of the signing data.
@@ -31,17 +33,31 @@ fn push_rrsig_rdata_sans_signature(buf: &mut Vec<u8>, sig: &Rrsig) {
     buf.extend_from_slice(sig.signer.as_wire());
 }
 
+/// Append one RR of `set` in canonical form, as [`signing_data`] writes
+/// it (its TTL `sig`'s original TTL), and return where its RDATA starts.
+fn push_rr(buf: &mut Vec<u8>, set: &RrsetRef<'_>, sig: &Rrsig, rdata: &Rdata) -> usize {
+    buf.extend_from_slice(set.name().as_wire());
+    buf.extend_from_slice(&set.rtype().to_u16().to_be_bytes());
+    buf.extend_from_slice(&Class::In.to_u16().to_be_bytes());
+    buf.extend_from_slice(&sig.original_ttl.to_be_bytes());
+    buf.extend_from_slice(&[0, 0]);
+    let rdata_at = buf.len();
+    rdata.encode(buf, None);
+    let rdlen = (buf.len() - rdata_at) as u16;
+    buf[rdata_at - 2..rdata_at].copy_from_slice(&rdlen.to_be_bytes());
+    rdata_at
+}
+
 /// Build the full signing data for `rrset` under the (partially filled)
-/// `sig`. The caller fills `sig.signature` with the result of signing
-/// this byte string.
+/// `sig`, in a fresh `Vec`: the reference that [`with_signing_data`],
+/// the path signing and validation take, is held equal to.
 ///
 /// The RRset's records are ordered by canonical RDATA byte comparison
 /// (RFC 4034 §6.3); the owner name used is the RRset owner (wildcard
 /// expansion is not modeled — the testbed has no wildcards).
 pub fn signing_data(sig: &Rrsig, rrset: &Rrset) -> Vec<u8> {
-    // Every RR is written straight into the one output buffer (signing
-    // and validation run per upstream exchange); a set of several
-    // records is then put into canonical order. Names inside our
+    // Every RR is written straight into the one output buffer; a set of
+    // several records is then put into canonical order. Names inside our
     // `Rdata` are already lowercase (`Name` normalizes at construction)
     // and `encode(None)` never compresses, so the plain encoding *is*
     // the canonical form.
@@ -81,6 +97,152 @@ pub fn signing_data(sig: &Rrsig, rrset: &Rrset) -> Vec<u8> {
     buf
 }
 
+/// A thread's signing-data buffer, kept between signatures.
+#[derive(Default)]
+struct SigningBuffer {
+    buf: Vec<u8>,
+    /// (start of the RR, start of its RDATA, end) for each RR of a set
+    /// that needs sorting.
+    spans: Vec<(usize, usize, usize)>,
+}
+
+thread_local! {
+    static BUFFER: Cell<SigningBuffer> = Cell::default();
+}
+
+impl SigningBuffer {
+    /// Write the signing data of `set` under `sig` and return where in
+    /// `buf` it starts. A set of several records has its RRs written
+    /// first, unsorted, and the signing data after them: the RRSIG
+    /// prefix, then each RR copied from its span in canonical order.
+    fn write(&mut self, sig: &Rrsig, set: &RrsetRef<'_>) -> usize {
+        let SigningBuffer { buf, spans } = self;
+        buf.clear();
+        if set.rdatas().nth(1).is_none() {
+            push_rrsig_rdata_sans_signature(buf, sig);
+            for rdata in set.rdatas() {
+                push_rr(buf, set, sig, rdata);
+            }
+            return 0;
+        }
+        spans.clear();
+        for rdata in set.rdatas() {
+            let rr_at = buf.len();
+            let rdata_at = push_rr(buf, set, sig, rdata);
+            spans.push((rr_at, rdata_at, buf.len()));
+        }
+        // Equal RDATA means equal RRs: an unstable sort writes the same
+        // bytes, and sorts in place.
+        spans.sort_unstable_by(|a, b| buf[a.1..a.2].cmp(&buf[b.1..b.2]));
+        let at = buf.len();
+        push_rrsig_rdata_sans_signature(buf, sig);
+        for &(rr_at, _, end) in spans.iter() {
+            buf.extend_from_within(rr_at..end);
+        }
+        at
+    }
+}
+
+/// Call `f` with the signing data of `set` under the (partially filled)
+/// `sig` — the bytes [`signing_data`] returns — written into a buffer
+/// this thread keeps: once the buffer has grown to the largest set the
+/// thread signs or checks, a signature costs no allocation for its
+/// data.
+pub fn with_signing_data<R>(sig: &Rrsig, set: RrsetRef<'_>, f: impl FnOnce(&[u8]) -> R) -> R {
+    // Taken out while in use: an `f` that itself asks for signing data
+    // finds an empty buffer and grows one of its own.
+    let mut buffer = BUFFER.take();
+    let at = buffer.write(sig, &set);
+    let result = f(&buffer.buf[at..]);
+    BUFFER.set(buffer);
+    result
+}
+
+/// A DNSKEY RDATA as its fields: what a DS digest and a key tag read of
+/// it, with the public key given as its leading octets and its length —
+/// every octet past `key` is zero — so a key derived from a seed need not
+/// be written out to be digested.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DnskeyFields<'a> {
+    /// DNSKEY flags.
+    pub flags: u16,
+    /// Protocol (3).
+    pub protocol: u8,
+    /// Algorithm number.
+    pub algorithm: u8,
+    /// The public key's leading octets.
+    pub key: &'a [u8],
+    /// The public key's length in octets, at least `key.len()`.
+    pub key_len: usize,
+}
+
+impl<'a> DnskeyFields<'a> {
+    /// The fields of a DNSKEY RDATA; `None` for any other type.
+    pub fn of(rdata: &'a Rdata) -> Option<Self> {
+        match rdata {
+            Rdata::Dnskey {
+                flags,
+                protocol,
+                algorithm,
+                public_key,
+            } => Some(DnskeyFields {
+                flags: *flags,
+                protocol: *protocol,
+                algorithm: *algorithm,
+                key: public_key,
+                key_len: public_key.len(),
+            }),
+            _ => None,
+        }
+    }
+
+    /// The RFC 4034 Appendix B key tag of the RDATA.
+    pub fn key_tag(&self) -> u16 {
+        keytag::dnskey_key_tag(
+            self.flags,
+            self.protocol,
+            self.algorithm,
+            self.key,
+            self.key_len,
+        )
+    }
+
+    /// Stream `owner ‖ RDATA` into an `H`, write its digest to the head
+    /// of `out` and return the digest's length.
+    fn digest_into<H: Digest>(&self, owner: &Name, out: &mut [u8; Sha384::OUTPUT_LEN]) -> usize {
+        const ZEROS: [u8; 64] = [0; 64];
+        let mut h = H::new();
+        h.update(owner.as_wire());
+        h.update(&self.flags.to_be_bytes());
+        h.update(&[self.protocol, self.algorithm]);
+        h.update(self.key);
+        let mut padding = self.key_len - self.key.len();
+        while padding > 0 {
+            let run = padding.min(ZEROS.len());
+            h.update(&ZEROS[..run]);
+            padding -= run;
+        }
+        h.finalize_into(&mut out[..H::OUTPUT_LEN]);
+        H::OUTPUT_LEN
+    }
+}
+
+/// A DS digest held on the stack: as long as the widest computed
+/// (SHA-384).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DsDigest {
+    bytes: [u8; Sha384::OUTPUT_LEN],
+    len: usize,
+}
+
+impl Deref for DsDigest {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+}
+
 /// The canonical byte string a DS digest covers: `owner ‖ DNSKEY RDATA`
 /// (RFC 4034 §5.1.4).
 pub fn ds_digest_input(owner: &Name, dnskey_rdata: &Rdata) -> Vec<u8> {
@@ -90,7 +252,9 @@ pub fn ds_digest_input(owner: &Name, dnskey_rdata: &Rdata) -> Vec<u8> {
     buf
 }
 
-/// The digest a DS of `digest_type` carries for this key at `owner`.
+/// The digest a DS of `digest_type` carries for this key at `owner`,
+/// hashed from [`ds_digest_input`]: the reference that [`ds_digest_of`],
+/// the path DS production and validation take, is held equal to.
 ///
 /// Types 1 (SHA-1), 2 (SHA-256) and 4 (SHA-384) are computed for real.
 /// Everything else is a SHA-256 relabeled: type 3 (GOST), which no
@@ -103,6 +267,18 @@ pub fn ds_digest(owner: &Name, dnskey_rdata: &Rdata, digest_type: DigestAlg) -> 
         DigestAlg::SHA384 => Sha384::digest(&input),
         _ => Sha256::digest(&input),
     }
+}
+
+/// [`ds_digest`] of the DNSKEY `key` at `owner`, streamed into the hash
+/// from the RDATA's fields: no input buffer, and the digest on the stack.
+pub fn ds_digest_of(owner: &Name, key: &DnskeyFields<'_>, digest_type: DigestAlg) -> DsDigest {
+    let mut bytes = [0; Sha384::OUTPUT_LEN];
+    let len = match digest_type {
+        DigestAlg::SHA1 => key.digest_into::<Sha1>(owner, &mut bytes),
+        DigestAlg::SHA384 => key.digest_into::<Sha384>(owner, &mut bytes),
+        _ => key.digest_into::<Sha256>(owner, &mut bytes),
+    };
+    DsDigest { bytes, len }
 }
 
 #[cfg(test)]
@@ -170,6 +346,25 @@ mod tests {
         let mut sig2 = sample_sig();
         sig2.expiration += 1;
         assert_ne!(signing_data(&sig, &set), signing_data(&sig2, &set));
+    }
+
+    /// Signing data asked for while the thread's buffer is in use is
+    /// written into a buffer of its own, to the same bytes.
+    #[test]
+    fn a_nested_call_gets_a_buffer_of_its_own() {
+        let mut set = Rrset::new(
+            n("example.com"),
+            3600,
+            Rdata::A("192.0.2.200".parse().unwrap()),
+        );
+        set.push(Rdata::A("192.0.2.1".parse().unwrap()));
+        let sig = sample_sig();
+        let (outer, inner) = with_signing_data(&sig, (&set).into(), |outer| {
+            let inner = with_signing_data(&sig, (&set).into(), <[u8]>::to_vec);
+            (outer.to_vec(), inner)
+        });
+        assert_eq!(outer, signing_data(&sig, &set));
+        assert_eq!(inner, outer);
     }
 
     #[test]

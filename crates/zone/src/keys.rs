@@ -1,9 +1,8 @@
 //! Zone key management: KSK/ZSK pairs, DNSKEY records, DS production.
 
-use crate::canonical::ds_digest;
+use crate::canonical::{ds_digest_of, DnskeyFields};
 use crate::rrset::Rrset;
-use ede_crypto::keytag;
-use ede_crypto::simsig::SigningKey;
+use ede_crypto::simsig::{SigningKey, MIN_PUBKEY_LEN};
 use ede_wire::{DigestAlg, Name, Rdata, RrType};
 
 /// DNSKEY flags value for a Zone Signing Key (Zone Key bit).
@@ -26,19 +25,32 @@ pub struct ZoneKey {
 impl ZoneKey {
     /// Deterministically derive a key for `apex` with the given role.
     /// `role` is folded into the seed so KSK ≠ ZSK.
+    ///
+    /// Nothing is written out: the seed is streamed into the derivation,
+    /// and the key tag is taken over the public key's header and secret,
+    /// the zeros after them adding nothing to it.
     pub fn generate(apex: &Name, role: &str, algorithm: u8, key_bits: u16, flags: u16) -> Self {
-        let mut seed = Vec::with_capacity(apex.wire_len() + role.len());
-        seed.extend_from_slice(apex.as_wire());
-        seed.extend_from_slice(role.as_bytes());
-        let signing = SigningKey::from_seed(algorithm, key_bits, &seed);
-        // Flags, protocol, algorithm, then the key.
-        let mut rdata = Vec::with_capacity(4 + usize::from(key_bits / 8));
-        dnskey_rdata(&signing, flags).encode(&mut rdata, None);
+        let signing =
+            SigningKey::from_seed_parts(algorithm, key_bits, &[apex.as_wire(), role.as_bytes()]);
+        let head = signing.public_key_head();
+        let key_tag = fields(&signing, flags, &head).key_tag();
         ZoneKey {
             signing,
             flags,
-            key_tag: keytag::key_tag(&rdata),
+            key_tag,
         }
+    }
+
+    /// The zone's Key Signing Key ([`FLAGS_KSK`], role `ksk`): all a
+    /// parent's DS needs.
+    pub fn ksk(apex: &Name, algorithm: u8, key_bits: u16) -> Self {
+        ZoneKey::generate(apex, "ksk", algorithm, key_bits, FLAGS_KSK)
+    }
+
+    /// The zone's Zone Signing Key ([`FLAGS_ZSK`], role `zsk`): all its
+    /// data other than the DNSKEY set needs.
+    pub fn zsk(apex: &Name, algorithm: u8, key_bits: u16) -> Self {
+        ZoneKey::generate(apex, "zsk", algorithm, key_bits, FLAGS_ZSK)
     }
 
     /// The (simulated) private key.
@@ -53,7 +65,12 @@ impl ZoneKey {
 
     /// The DNSKEY RDATA for this key.
     pub fn dnskey_rdata(&self) -> Rdata {
-        dnskey_rdata(&self.signing, self.flags)
+        Rdata::Dnskey {
+            flags: self.flags,
+            protocol: 3,
+            algorithm: self.signing.algorithm,
+            public_key: self.signing.public_key(),
+        }
     }
 
     /// RFC 4034 Appendix B key tag over the DNSKEY RDATA.
@@ -62,23 +79,38 @@ impl ZoneKey {
     }
 
     /// Produce the DS RDATA a parent would publish for this key (see
-    /// [`ds_digest`] for which digest types are computed for real).
+    /// [`crate::canonical::ds_digest`] for which digest types are
+    /// computed for real), the DNSKEY streamed into the digest from its
+    /// fields rather than written out.
     pub fn ds_rdata(&self, owner: &Name, digest_type: DigestAlg) -> Rdata {
+        let head = self.signing.public_key_head();
+        let digest = ds_digest_of(
+            owner,
+            &fields(&self.signing, self.flags, &head),
+            digest_type,
+        );
         Rdata::Ds {
             key_tag: self.key_tag(),
             algorithm: self.signing.algorithm,
             digest_type: digest_type.0,
-            digest: ds_digest(owner, &self.dnskey_rdata(), digest_type),
+            digest: digest.to_vec(),
         }
     }
 }
 
-fn dnskey_rdata(signing: &SigningKey, flags: u16) -> Rdata {
-    Rdata::Dnskey {
+/// The DNSKEY RDATA of `signing` under `flags`, as its fields: `head` is
+/// the public key's head, every octet after it zero.
+fn fields<'a>(
+    signing: &SigningKey,
+    flags: u16,
+    head: &'a [u8; MIN_PUBKEY_LEN],
+) -> DnskeyFields<'a> {
+    DnskeyFields {
         flags,
         protocol: 3,
         algorithm: signing.algorithm,
-        public_key: signing.public_key(),
+        key: head,
+        key_len: signing.public_key_len(),
     }
 }
 
@@ -96,8 +128,8 @@ impl ZoneKeys {
     /// Generate a deterministic KSK/ZSK pair for `apex`.
     pub fn generate(apex: &Name, algorithm: u8, key_bits: u16) -> Self {
         ZoneKeys {
-            ksk: ZoneKey::generate(apex, "ksk", algorithm, key_bits, FLAGS_KSK),
-            zsk: ZoneKey::generate(apex, "zsk", algorithm, key_bits, FLAGS_ZSK),
+            ksk: ZoneKey::ksk(apex, algorithm, key_bits),
+            zsk: ZoneKey::zsk(apex, algorithm, key_bits),
         }
     }
 
@@ -105,8 +137,7 @@ impl ZoneKeys {
     /// unsigned.
     pub fn dnskey_rrset(&self, apex: &Name) -> Rrset {
         let mut set = Rrset::empty(apex.clone(), RrType::Dnskey, 3600);
-        set.push(self.zsk.dnskey_rdata());
-        set.push(self.ksk.dnskey_rdata());
+        set.rdatas = vec![self.zsk.dnskey_rdata(), self.ksk.dnskey_rdata()];
         set
     }
 }

@@ -12,7 +12,7 @@
 //! signature bytes genuinely verify and only the window is wrong —
 //! matching zones signed with forced inception/expiration times.
 
-use crate::keys::{ZoneKeys, FLAGS_KSK, FLAGS_ZSK};
+use crate::keys::{ZoneKey, ZoneKeys, FLAGS_KSK, FLAGS_ZSK};
 use crate::signer::{self, DAY, SIM_NOW};
 use crate::zone::Zone;
 use ede_wire::{DigestAlg, Name, Rdata, RrType};
@@ -267,9 +267,10 @@ impl Misconfig {
 
     /// The DS RDATA(s) the parent zone should publish for a child mutated
     /// with this misconfiguration. The default (for child-side cases) is
-    /// the correct SHA-256 DS of the KSK.
-    pub fn parent_ds(&self, keys: &ZoneKeys, child_apex: &Name) -> Vec<Rdata> {
-        let correct = keys.ksk.ds_rdata(child_apex, DigestAlg::SHA256);
+    /// the correct SHA-256 DS of the KSK, `ksk`: all a parent reads of the
+    /// child's keys.
+    pub fn parent_ds(&self, ksk: &ZoneKey, child_apex: &Name) -> Vec<Rdata> {
+        let correct = ksk.ds_rdata(child_apex, DigestAlg::SHA256);
         match self {
             Misconfig::NoDs => Vec::new(),
             Misconfig::DsBadTag => vec![patch_ds(correct, |tag, alg, dt, _| {
@@ -278,11 +279,7 @@ impl Misconfig {
             Misconfig::DsBadKeyAlgo => {
                 // Algorithm field disagrees with the KSK's actual
                 // algorithm but is itself a valid, assigned algorithm.
-                let other = if keys.ksk.signing().algorithm == 13 {
-                    8
-                } else {
-                    13
-                };
+                let other = if ksk.signing().algorithm == 13 { 8 } else { 13 };
                 vec![patch_ds(correct, move |tag, _, dt, _| {
                     (tag, other, dt, None)
                 })]
@@ -594,26 +591,26 @@ mod tests {
         let apex = n("case.example.com");
         let correct_tag = keys.ksk.key_tag();
 
-        assert!(Misconfig::NoDs.parent_ds(&keys, &apex).is_empty());
+        assert!(Misconfig::NoDs.parent_ds(&keys.ksk, &apex).is_empty());
 
-        match &Misconfig::DsBadTag.parent_ds(&keys, &apex)[0] {
+        match &Misconfig::DsBadTag.parent_ds(&keys.ksk, &apex)[0] {
             Rdata::Ds { key_tag, .. } => assert_ne!(*key_tag, correct_tag),
             _ => unreachable!(),
         }
-        match &Misconfig::DsUnassignedKeyAlgo.parent_ds(&keys, &apex)[0] {
+        match &Misconfig::DsUnassignedKeyAlgo.parent_ds(&keys.ksk, &apex)[0] {
             Rdata::Ds { algorithm, .. } => assert_eq!(*algorithm, 100),
             _ => unreachable!(),
         }
-        match &Misconfig::DsReservedKeyAlgo.parent_ds(&keys, &apex)[0] {
+        match &Misconfig::DsReservedKeyAlgo.parent_ds(&keys.ksk, &apex)[0] {
             Rdata::Ds { algorithm, .. } => assert_eq!(*algorithm, 200),
             _ => unreachable!(),
         }
-        match &Misconfig::DsUnassignedDigestAlgo.parent_ds(&keys, &apex)[0] {
+        match &Misconfig::DsUnassignedDigestAlgo.parent_ds(&keys.ksk, &apex)[0] {
             Rdata::Ds { digest_type, .. } => assert_eq!(*digest_type, 100),
             _ => unreachable!(),
         }
         // Child-side misconfigs publish the correct DS.
-        match &Misconfig::NoZsk.parent_ds(&keys, &apex)[0] {
+        match &Misconfig::NoZsk.parent_ds(&keys.ksk, &apex)[0] {
             Rdata::Ds {
                 key_tag,
                 algorithm,
@@ -633,7 +630,7 @@ mod tests {
         let (_z, keys) = signed_zone();
         let apex = n("case.example.com");
         let correct = keys.ksk.ds_rdata(&apex, DigestAlg::SHA256);
-        let bogus = &Misconfig::DsBogusDigestValue.parent_ds(&keys, &apex)[0];
+        let bogus = &Misconfig::DsBogusDigestValue.parent_ds(&keys.ksk, &apex)[0];
         match (correct, bogus) {
             (Rdata::Ds { digest: a, .. }, Rdata::Ds { digest: b, .. }) => assert_ne!(&a, b),
             _ => unreachable!(),

@@ -1,6 +1,6 @@
 //! NSEC3 chain generation (RFC 5155).
 
-use crate::rrset::Rrset;
+use crate::rrset::{Rrset, RrsetRef};
 use crate::zone::{Role, Zone};
 use ede_crypto::{base32, nsec3hash};
 use ede_wire::rdata::{Octets, TypeBitmap};
@@ -228,14 +228,26 @@ pub fn find_covering<'a>(zone: &'a Zone, config: &Nsec3Config, name: &Name) -> O
 
 /// The hash an NSEC3 RRset's owner label spells, if it is base32hex.
 pub fn owner_hash(set: &Rrset) -> Option<Vec<u8>> {
-    base32::decode(std::str::from_utf8(set.name.first_label()?).ok()?)
+    decode_label(set.name.first_label()?)
+}
+
+/// The hash a base32hex owner label spells.
+fn decode_label(label: &[u8]) -> Option<Vec<u8>> {
+    base32::decode(std::str::from_utf8(label).ok()?)
 }
 
 /// Does `target`, a raw hash, fall strictly inside this NSEC3 RRset's
 /// (owner hash, next hash) interval?
 pub fn interval_covers(set: &Rrset, target: &[u8]) -> bool {
-    let (Some(Rdata::Nsec3 { next_hashed, .. }), Some(owner_hash)) =
-        (set.rdatas.first(), owner_hash(set))
+    set.rdatas
+        .first()
+        .is_some_and(|first| covers_hash(&set.name, first, target))
+}
+
+/// [`interval_covers`] over an NSEC3 RRset's owner and first record.
+fn covers_hash(owner: &Name, first: &Rdata, target: &[u8]) -> bool {
+    let (Rdata::Nsec3 { next_hashed, .. }, Some(owner_hash)) =
+        (first, owner.first_label().and_then(decode_label))
     else {
         return false;
     };
@@ -259,23 +271,26 @@ pub fn owner_is(owner: &Name, salt: &[u8], iterations: u16, name: &Name) -> bool
 
 /// The validator's side of [`find_matching`]: does this NSEC3 RRset's
 /// owner match `name`, hashed under the RRset's own parameters?
-pub fn matches(set: &Rrset, name: &Name) -> bool {
-    match set.rdatas.first() {
+pub fn matches(set: RrsetRef<'_>, name: &Name) -> bool {
+    match set.rdatas().next() {
         Some(Rdata::Nsec3 {
             salt, iterations, ..
-        }) => owner_is(&set.name, salt, *iterations, name),
+        }) => owner_is(set.name(), salt, *iterations, name),
         _ => false,
     }
 }
 
 /// The validator's side of [`find_covering`]: does this NSEC3 RRset's
 /// interval cover `name`, hashed under the RRset's own parameters?
-pub fn covers(set: &Rrset, name: &Name) -> bool {
-    match set.rdatas.first() {
-        Some(Rdata::Nsec3 {
-            salt, iterations, ..
-        }) => interval_covers(
-            set,
+pub fn covers(set: RrsetRef<'_>, name: &Name) -> bool {
+    match set.rdatas().next() {
+        Some(
+            first @ Rdata::Nsec3 {
+                salt, iterations, ..
+            },
+        ) => covers_hash(
+            set.name(),
+            first,
             &nsec3hash::nsec3_hash(name.as_wire(), salt, *iterations),
         ),
         _ => false,

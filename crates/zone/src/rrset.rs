@@ -74,41 +74,98 @@ impl Rrset {
     }
 }
 
-/// Regroup a flat record list (one section of a response) into RRsets
-/// with their covering RRSIGs attached — the inverse of serving.
-pub fn collate(records: &[Record]) -> Vec<Rrset> {
-    let mut sets: Vec<Rrset> = Vec::new();
-    // Data records first.
-    for rec in records {
-        if rec.rtype() == RrType::Rrsig {
-            continue;
-        }
-        match sets
-            .iter_mut()
-            .find(|s| s.name == rec.name && s.rtype == rec.rtype())
-        {
-            Some(set) => set.rdatas.push(rec.rdata.clone()),
-            None => sets.push(Rrset {
-                name: rec.name.clone(),
-                rtype: rec.rtype(),
-                ttl: rec.ttl,
-                rdatas: vec![rec.rdata.clone()],
-                sigs: Vec::new(),
-            }),
+/// An RRset read in place: an [`Rrset`], or the records of one (owner,
+/// type) in a message section and the RRSIGs there that cover them. What
+/// a validator reads of a reply, without copying the reply's records
+/// into [`Rrset`]s.
+#[derive(Debug, Clone, Copy)]
+pub struct RrsetRef<'a> {
+    name: &'a Name,
+    rtype: RrType,
+    source: Source<'a>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Source<'a> {
+    Set(&'a Rrset),
+    Section(&'a [Record]),
+}
+
+impl<'a> From<&'a Rrset> for RrsetRef<'a> {
+    fn from(set: &'a Rrset) -> Self {
+        RrsetRef {
+            name: &set.name,
+            rtype: set.rtype,
+            source: Source::Set(set),
         }
     }
-    // Then attach signatures.
-    for rec in records {
-        if let Rdata::Rrsig(sig) = &rec.rdata {
-            if let Some(set) = sets
-                .iter_mut()
-                .find(|s| s.name == rec.name && s.rtype == sig.type_covered)
-            {
-                set.sigs.push(sig.clone());
+}
+
+impl<'a> RrsetRef<'a> {
+    /// Owner name.
+    pub fn name(self) -> &'a Name {
+        self.name
+    }
+
+    /// RR type of every rdata in the set.
+    pub fn rtype(self) -> RrType {
+        self.rtype
+    }
+
+    /// The member rdatas, in the order the set or the section holds them.
+    pub fn rdatas(self) -> impl Iterator<Item = &'a Rdata> + Clone + 'a {
+        let (set, section) = match self.source {
+            Source::Set(set) => (Some(set.rdatas.iter()), None),
+            Source::Section(records) => {
+                let (name, rtype) = (self.name, self.rtype);
+                let members = records
+                    .iter()
+                    .filter(move |r| r.rtype() == rtype && r.name == *name)
+                    .map(|r| &r.rdata);
+                (None, Some(members))
             }
-        }
+        };
+        set.into_iter()
+            .flatten()
+            .chain(section.into_iter().flatten())
     }
-    sets
+
+    /// The RRSIGs covering the set.
+    pub fn sigs(self) -> impl Iterator<Item = &'a Rrsig> + Clone + 'a {
+        let (set, section) = match self.source {
+            Source::Set(set) => (Some(set.sigs.iter()), None),
+            Source::Section(records) => {
+                let (name, rtype) = (self.name, self.rtype);
+                let covering = records.iter().filter_map(move |r| match &r.rdata {
+                    Rdata::Rrsig(sig) if sig.type_covered == rtype && r.name == *name => Some(sig),
+                    _ => None,
+                });
+                (None, Some(covering))
+            }
+        };
+        set.into_iter()
+            .flatten()
+            .chain(section.into_iter().flatten())
+    }
+}
+
+/// The RRsets of a flat record list (one section of a response), read in
+/// place, in the order their first records appear, each with the RRSIGs
+/// that cover it; an RRSIG that covers no set of the section is in none.
+/// The inverse of serving.
+pub fn sets_in(records: &[Record]) -> impl Iterator<Item = RrsetRef<'_>> {
+    records.iter().enumerate().filter_map(move |(i, rec)| {
+        let (name, rtype) = (&rec.name, rec.rtype());
+        let first = rtype != RrType::Rrsig
+            && !records[..i]
+                .iter()
+                .any(|r| r.rtype() == rtype && r.name == *name);
+        first.then_some(RrsetRef {
+            name,
+            rtype,
+            source: Source::Section(records),
+        })
+    })
 }
 
 #[cfg(test)]
@@ -127,5 +184,47 @@ mod tests {
         assert_eq!(recs.len(), 2);
         assert!(recs.iter().all(|r| r.rtype() == RrType::A && r.ttl == 300));
         assert!(set.sig_records().next().is_none());
+    }
+
+    #[test]
+    fn a_section_reads_as_its_sets() {
+        let n = |s: &str| Name::parse(s).unwrap();
+        let a = |last: u8| Rdata::A(std::net::Ipv4Addr::new(192, 0, 2, last));
+        let sig = |covered: RrType, tag: u16| {
+            Rdata::Rrsig(Rrsig {
+                type_covered: covered,
+                algorithm: 8,
+                labels: 2,
+                original_ttl: 300,
+                expiration: 2,
+                inception: 1,
+                key_tag: tag,
+                signer: n("example.com"),
+                signature: vec![tag as u8],
+            })
+        };
+        let records = vec![
+            Record::new(n("example.com"), 300, sig(RrType::A, 1)),
+            Record::new(n("example.com"), 300, a(1)),
+            Record::new(n("www.example.com"), 300, a(9)),
+            Record::new(n("example.com"), 300, a(2)),
+            Record::new(n("example.com"), 300, sig(RrType::A, 2)),
+            Record::new(n("example.com"), 300, sig(RrType::Ns, 3)),
+        ];
+        let sets: Vec<RrsetRef<'_>> = sets_in(&records).collect();
+        assert_eq!(sets.len(), 2);
+        assert_eq!(sets[0].name(), &n("example.com"));
+        assert_eq!(sets[0].rdatas().cloned().collect::<Vec<_>>(), [a(1), a(2)]);
+        let tags: Vec<u16> = sets[0].sigs().map(|s| s.key_tag).collect();
+        assert_eq!(tags, [1, 2]);
+        assert_eq!(sets[1].name(), &n("www.example.com"));
+        assert_eq!(sets[1].rdatas().count(), 1);
+        assert_eq!(sets[1].sigs().count(), 0);
+
+        let mut set = Rrset::new(n("example.com"), 300, a(1));
+        set.push(a(2));
+        let view = RrsetRef::from(&set);
+        assert_eq!(view.rdatas().cloned().collect::<Vec<_>>(), [a(1), a(2)]);
+        assert_eq!(view.rtype(), RrType::A);
     }
 }

@@ -10,7 +10,7 @@
 //! why the subtree is contiguous). The NSEC3 chain takes its owners and
 //! bitmaps from the same walk.
 
-use crate::canonical::signing_data;
+use crate::canonical::with_signing_data;
 use crate::keys::{ZoneKey, ZoneKeys};
 use crate::nsec3::{self, Nsec3Config};
 use crate::rrset::Rrset;
@@ -82,8 +82,7 @@ pub fn sign_rrset(rrset: &Rrset, key: &ZoneKey, zone_apex: &Name, window: (u32, 
         signer: zone_apex.clone(),
         signature: Vec::new(),
     };
-    let data = signing_data(&sig, rrset);
-    sig.signature = key.signing().sign(&data);
+    sig.signature = with_signing_data(&sig, rrset.into(), |data| key.signing().sign(data));
     sig
 }
 
@@ -168,6 +167,7 @@ pub fn sign_in_place(set: &mut Rrset, keys: &ZoneKeys, apex: &Name, window: (u32
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::canonical::signing_data;
     use ede_crypto::simsig;
     use ede_wire::rdata::Soa;
     use ede_wire::{Rdata, Record};

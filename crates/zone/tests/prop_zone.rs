@@ -207,7 +207,7 @@ fn every_misconfig_changes_the_zone_or_its_ds() {
         let correct_ds = keys.ksk.ds_rdata(&apex, ede_wire::DigestAlg::SHA256);
 
         m.apply(&mut zone, &keys);
-        let ds = m.parent_ds(&keys, &apex);
+        let ds = m.parent_ds(&keys.ksk, &apex);
 
         let zone_changed = zone != pristine;
         let ds_changed = ds != vec![correct_ds];
