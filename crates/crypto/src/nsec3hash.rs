@@ -37,46 +37,6 @@ pub fn nsec3_hash(name_wire: &[u8], salt: &[u8], iterations: u16) -> [u8; NSEC3_
     iterate(salted(name_wire, salt), salt, iterations)
 }
 
-/// An owner name and a salt laid out, with SHA-1's padding, as the one
-/// block the name's first NSEC3 compression hashes. The layout depends
-/// only on the name's length and the salt, so a caller that hashes many
-/// names of one length — the children of one parent — lays a block out
-/// once and rewrites only the bytes in which the names differ.
-pub struct OwnerBlock {
-    block: OneBlock,
-    name_len: usize,
-}
-
-impl OwnerBlock {
-    /// A block for a name of `name_len` bytes, zeroed, under `salt`;
-    /// `None` when the name and the salt need more than one block.
-    pub fn new(name_len: usize, salt: &[u8]) -> Option<OwnerBlock> {
-        if name_len + salt.len() > ONE_BLOCK_MAX {
-            return None;
-        }
-        let mut block = OneBlock::new(name_len + salt.len());
-        block.message_mut()[name_len..].copy_from_slice(salt);
-        Some(OwnerBlock { block, name_len })
-    }
-
-    /// The name's bytes, in place.
-    pub fn name_mut(&mut self) -> &mut [u8] {
-        &mut self.block.message_mut()[..self.name_len]
-    }
-
-    /// The length of the name the block is laid out for.
-    pub fn name_len(&self) -> usize {
-        self.name_len
-    }
-
-    /// [`nsec3_hash`] of the name the block holds, under the salt it
-    /// was laid out with.
-    pub fn hash(&self, iterations: u16) -> [u8; NSEC3_HASH_LEN] {
-        let salt = &self.block.message()[self.name_len..];
-        iterate(self.block.digest(), salt, iterations)
-    }
-}
-
 /// `IH(salt, x, iterations)` from `digest`, which is `IH(salt, x, 0)`.
 #[inline]
 fn iterate(mut digest: [u8; NSEC3_HASH_LEN], salt: &[u8], iterations: u16) -> [u8; NSEC3_HASH_LEN] {
@@ -232,39 +192,6 @@ mod tests {
                     streamed(&name[..n], &salt[..s], iterations),
                     "{n}-byte name, {s}-byte salt, {iterations} iterations"
                 );
-            }
-        }
-    }
-
-    /// A block hashes its name as [`nsec3_hash`] does, and so does the
-    /// same block rewritten for a second name: names and salts on both
-    /// sides of the one-block bounds (55 bytes of name and salt, 35 of
-    /// salt per iteration) and 0–3 iterations, so that both ways of
-    /// iterating are taken; a name that does not fit one block with its
-    /// salt gets no block.
-    #[test]
-    fn an_owner_block_hashes_as_nsec3_hash() {
-        let bytes = |seed: usize| -> Vec<u8> { (0..255).map(|i| (i * 131 + seed) as u8).collect() };
-        let (names, salt) = ([bytes(7), bytes(29)], bytes(91));
-        for s in [0, 1, 2, 3, 34, 35, 36, 54, 55, 56] {
-            let salt = &salt[..s];
-            for n in [1, 2, 19, 20, 21, 35, 52, 53, 54, 55, 56, 64, 255] {
-                let Some(mut block) = OwnerBlock::new(n, salt) else {
-                    assert!(n + s > 55, "{n}-byte name, {s}-byte salt");
-                    continue;
-                };
-                assert!(n + s <= 55 && block.name_len() == n);
-                for name in &names {
-                    let name = &name[..n];
-                    block.name_mut().copy_from_slice(name);
-                    for iterations in 0..=3 {
-                        assert_eq!(
-                            block.hash(iterations),
-                            nsec3_hash(name, salt, iterations),
-                            "{n}-byte name, {s}-byte salt, {iterations} iterations"
-                        );
-                    }
-                }
             }
         }
     }

@@ -46,11 +46,6 @@ impl OneBlock {
         OneBlock { block, len }
     }
 
-    /// The message's bytes.
-    pub(crate) fn message(&self) -> &[u8] {
-        &self.block[..self.len]
-    }
-
     /// The message's bytes, in place in the block.
     pub(crate) fn message_mut(&mut self) -> &mut [u8] {
         &mut self.block[..self.len]

@@ -530,8 +530,12 @@ fn negative_link<'s>(
     caps: &ValidatorCaps,
 ) -> Result<Vec<RrsetRef<'s>>, Broken> {
     let broken = |issue| bogus(Finding::DenialProofBroken { issue, kind });
+    // NODATA (RFC 5155 §8.5): the matching record's bitmap lacks the
+    // type asked for and CNAME, or the name would have an answer.
     let lacks_qtype = |set: RrsetRef<'_>| match set.rdatas().next() {
-        Some(Rdata::Nsec3 { types, .. }) => !types.contains(qtype),
+        Some(Rdata::Nsec3 { types, .. }) => {
+            !types.contains(qtype) && !types.contains(RrType::Cname)
+        }
         _ => false,
     };
 
@@ -1211,6 +1215,70 @@ mod tests {
             Finding::DenialProofBroken {
                 issue: DenialIssue::Absent,
                 ..
+            }
+        )));
+        assert_eq!(diag.validation, ValidationState::Bogus);
+    }
+
+    /// A NODATA proof whose matching NSEC3 lists CNAME proves nothing
+    /// (RFC 5155 §8.5): the name has a CNAME, so the type asked for is
+    /// not absent. The record below matches the name, lacks the type and
+    /// is signed by the zone's ZSK, and the answer is still Bogus with
+    /// the proof broken at its owner.
+    #[test]
+    fn a_nodata_proof_whose_bitmap_lists_cname_is_broken() {
+        use ede_crypto::nsec3hash;
+        use ede_wire::rdata::TypeBitmap;
+        use ede_zone::signer::sign_rrset;
+        let (z, keys, ds) = signed_zone();
+        let apex = n("test.example");
+        let mut diag = Diagnosis::new();
+        let trusted = validate_dnskey(&apex, &ds, &dnskey_rrset(&z), &caps(), SIM_NOW, &mut diag)
+            .trusted
+            .expect("chain should validate");
+        let alias = n("alias.test.example");
+        let (salt, iterations) = ([0xab, 0xcd], 0);
+        let label = nsec3hash::nsec3_hash_label(alias.as_wire(), &salt, iterations);
+        let mut nsec3 = Rrset::new(
+            apex.child_bytes(&label).unwrap(),
+            300,
+            Rdata::Nsec3 {
+                hash_alg: nsec3hash::NSEC3_HASH_ALG_SHA1,
+                flags: 0,
+                iterations,
+                salt: salt.into(),
+                next_hashed: (&[0xff; nsec3hash::NSEC3_HASH_LEN]).into(),
+                types: TypeBitmap::from_types([RrType::Cname, RrType::Rrsig]),
+            },
+        );
+        let window = SignerConfig::default().window();
+        nsec3
+            .sigs
+            .push(sign_rrset(&nsec3, &keys.zsk, &apex, window));
+        let soa = z.get(&apex, RrType::Soa).unwrap();
+        let authority: Vec<Record> = soa
+            .records()
+            .chain(soa.sig_records())
+            .chain(nsec3.records())
+            .chain(nsec3.sig_records())
+            .collect();
+
+        check_negative(
+            &authority,
+            &alias,
+            RrType::Txt,
+            NegativeKind::Nodata,
+            &apex,
+            &trusted,
+            &caps(),
+            SIM_NOW,
+            &mut diag,
+        );
+        assert!(diag.any(|f| matches!(
+            f,
+            Finding::DenialProofBroken {
+                issue: DenialIssue::OwnerMismatch,
+                kind: NegativeKind::Nodata,
             }
         )));
         assert_eq!(diag.validation, ValidationState::Bogus);

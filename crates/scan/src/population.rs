@@ -239,17 +239,6 @@ impl Serials {
         String::from_utf8(buf[..len].to_vec()).expect("a label is ASCII")
     }
 
-    /// The length of domain `serial`'s label.
-    pub(crate) fn label_len(&self, serial: usize) -> usize {
-        match serial.checked_sub(self.total) {
-            None => 1 + digit_count(serial, 7),
-            Some(tail) => {
-                let (k, j) = (tail / self.per_tld, tail % self.per_tld);
-                2 + digit_count(k, 2) + 1 + digit_count(j, 5)
-            }
-        }
-    }
-
     /// Write domain `serial`'s label into `out`, returning its length:
     /// `d{serial:07}`, or `fb{k:02}x{j:05}` in the fully-broken tail.
     /// No allocation, and no record read.

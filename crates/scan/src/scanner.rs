@@ -315,25 +315,18 @@ impl PassProgress<'_> {
     }
 }
 
-/// One claim: a run of one TLD's domains, as
-/// [`ScanWorld::tld_children`] lists them.
-struct Claim<'a> {
-    tld: usize,
-    children: &'a [u32],
-}
-
 /// A pass's work, TLD-major: one claim per TLD, largest TLD first (ties
-/// by TLD index), so that a TLD's chain and delegation state are live
-/// only while its claims are in flight.
+/// by TLD index), so that a TLD's delegation state is read while its
+/// claims are in flight and not after.
 ///
 /// A TLD larger than a worker's share of the pass is claimed in pieces
 /// of that share, so that no claim holds more than one worker's share
 /// and the pass never ends waiting on one worker alone inside the
 /// largest TLD.
 struct ClaimPlan<'a> {
-    claims: Vec<Claim<'a>>,
-    /// By TLD index: its claims not yet completed.
-    open: Vec<AtomicUsize>,
+    /// Each claim a run of one TLD's domains, as
+    /// [`ScanWorld::tld_children`] lists them.
+    claims: Vec<&'a [u32]>,
 }
 
 impl<'a> ClaimPlan<'a> {
@@ -345,19 +338,11 @@ impl<'a> ClaimPlan<'a> {
         let piece = total.div_ceil(workers.max(1)).max(1);
         let mut order: Vec<usize> = (0..groups.len()).collect();
         order.sort_by_key(|&tld| (std::cmp::Reverse(groups[tld].len()), tld));
-        let claims: Vec<Claim<'a>> = order
+        let claims = order
             .into_iter()
-            .flat_map(|tld| {
-                groups[tld]
-                    .chunks(piece)
-                    .map(move |children| Claim { tld, children })
-            })
+            .flat_map(|tld| groups[tld].chunks(piece))
             .collect();
-        let open: Vec<AtomicUsize> = groups
-            .iter()
-            .map(|g| AtomicUsize::new(g.len().div_ceil(piece)))
-            .collect();
-        ClaimPlan { claims, open }
+        ClaimPlan { claims }
     }
 }
 
@@ -413,8 +398,7 @@ impl PassCtx<'_> {
 /// [`ResolutionPool`], and fold each finished one into its **private**
 /// partial aggregate, which it returns when the plan is exhausted. Its
 /// records go to the query log every [`FLUSH_EVERY`] results. The worker
-/// drains a claim before it takes the next; the one that completes a
-/// TLD's last claim releases the TLD's chain. Results surface in
+/// drains a claim before it takes the next. Results surface in
 /// completion order, which at a window of one is claim order; the fold
 /// is order-independent, so the window changes nothing downstream.
 ///
@@ -434,7 +418,7 @@ fn pass_worker(
     let mut records = Vec::with_capacity(FLUSH_EVERY);
     let mut partial = PartialAggregate::default();
     while let Some(claim) = plan.claims.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-        let mut pending = claim.children.chunks(MAP_AHEAD).flat_map(|batch| {
+        let mut pending = claim.chunks(MAP_AHEAD).flat_map(|batch| {
             let mut ahead = [(0, false); MAP_AHEAD];
             for (slot, &child) in ahead.iter_mut().zip(batch) {
                 let i = ctx.world.domain_index(child);
@@ -462,9 +446,6 @@ fn pass_worker(
             if records.len() == FLUSH_EVERY {
                 ctx.flush(&mut records);
             }
-        }
-        if plan.open[claim.tld].fetch_sub(1, Ordering::AcqRel) == 1 {
-            ctx.world.release_chain(claim.tld);
         }
     }
     if !records.is_empty() {
@@ -516,10 +497,9 @@ fn revisit_lists(pop: &Population, world: &ScanWorld) -> Vec<Vec<u32>> {
 /// query-log ring, so there is no unbounded outcome buffer. Results are
 /// bit-identical at any worker count or in-flight window.
 ///
-/// The scan keeps only what it reads again: a TLD's NSEC3 chain is
-/// released when the pass's last claim in the TLD completes, and a
-/// domain the scan does not revisit leaves neither its answer nor its
-/// zone's keys in the resolver's caches ([`Resolver::resolve_once`]).
+/// The scan keeps only what it reads again: a domain the scan does not
+/// revisit leaves neither its answer nor its zone's keys in the
+/// resolver's caches ([`Resolver::resolve_once`]).
 ///
 /// The scan reports per pass: the virtual clock stands still inside a
 /// pass (the scan world charges no latency), so this thread takes one
@@ -757,35 +737,6 @@ mod tests {
             let revisits = revisit_lists(&pop, &world);
             assert!(revisits.iter().map(Vec::len).sum::<usize>() > 0);
             assert_eq!(revisits, filtered, "1:{}", pop.config.scale);
-        }
-    }
-
-    /// A TLD's chain lives while its claims are in flight: once `scan`
-    /// returns, no TLD server holds one, at one worker, at two and at
-    /// sixteen, where the largest TLDs are claimed in pieces.
-    #[test]
-    fn a_finished_scan_holds_no_tld_chain() {
-        let pop = Population::generate(PopulationConfig::tiny());
-        for workers in [1, 2, 16] {
-            let world = ScanWorld::build(&pop);
-            let children: Vec<&[u32]> =
-                (0..pop.tlds.len()).map(|t| world.tld_children(t)).collect();
-            let plan = ClaimPlan::new(&children, workers);
-            let split = children.iter().filter(|c| !c.is_empty()).count() < plan.claims.len();
-            assert_eq!(split, workers == 16, "{workers} workers");
-            scan(
-                &pop,
-                &world,
-                &ScanConfig::builder().workers(workers).build(),
-            );
-            let held: Vec<_> = (0..pop.tlds.len())
-                .filter(|&t| world.holds_chain(t))
-                .map(|t| pop.tlds[t].name.to_string())
-                .collect();
-            assert!(
-                held.is_empty(),
-                "{workers} workers: chains held for {held:?}"
-            );
         }
     }
 

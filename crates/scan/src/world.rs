@@ -9,24 +9,19 @@
 //! * each **TLD server** answers what a walk of referrals asks it and
 //!   nothing else. The referral to a registered child is built straight
 //!   from the child's registry record: the NS set, the glue and the
-//!   signed DS set or the child's own NSEC3 from the TLD's honest chain
-//!   are handed to [`ede_authority::layout::referral`], with no zone in
-//!   between, because referral content only ever depends on the one
-//!   delegation. The apex NS and DNSKEY sets (priming's and
-//!   validation's one query each per TLD) are built from the TLD's keys
-//!   the same way and go through [`ede_authority::layout::positive`].
+//!   signed DS set or the child's own narrow NSEC3 are handed to
+//!   [`ede_authority::layout::referral`], with no zone in between,
+//!   because referral content only ever depends on the one delegation.
+//!   The apex NS and DNSKEY sets (priming's and validation's one query
+//!   each per TLD) are built from the TLD's keys the same way and go
+//!   through [`ede_authority::layout::positive`].
 //!   Every other shape (the rest of the apex, an unregistered name, a
 //!   child's parent-side DS) is REFUSED, in the shape of every
-//!   rcode-only reply ([`ede_authority::layout::rcode_only`]). The TLD's
-//!   NSEC3 chain, which insecure referrals draw on, is hashed on first
-//!   use from the children's serials alone — each name is written from
-//!   its serial into one laid-out SHA-1 block, and no record is read —
-//!   and held until a scan releases it: the scanner claims its work one
-//!   TLD at a time and empties the TLD's chain slot when its last claim
-//!   there completes, so the chains a scan holds are those of the TLDs in
-//!   flight. A query served after that hashes the chain again, to the
-//!   same records; a world no scan runs on (a server's, a table's) keeps
-//!   each chain once built;
+//!   rcode-only reply ([`ede_authority::layout::rcode_only`]). An
+//!   insecure child's proof is narrow, as online signers serve it
+//!   (RFC 7129 App. B): the child's own NSEC3, whose next hashed owner
+//!   is its hash + 1, so one hash per referral proves it and the TLD
+//!   keeps no chain over its registry;
 //! * each **hosting server** first runs the fault gate
 //!   ([`ede_authority::Behavior::gate`]) of the child's row's hosting
 //!   column (for a flapping row, its second behavior once the apex A has
@@ -48,13 +43,13 @@
 //! served by a TLD today matches the DNSKEY a hosting server synthesizes
 //! tomorrow. A domain is found from its name alone: its label spells its
 //! serial, and the registry keeps an 8-byte place per serial; each TLD
-//! lists its children by serial, which is all its chain needs.
+//! lists its children by serial, which is what the scanner claims.
 
 use crate::category::{Hosting, Row};
 use crate::population::Serials;
 use crate::population::{broken_mode, tld_addr, DomainRecord, Population, TldInfo};
 use ede_authority::{layout, Behavior, ZoneServer, ZoneStore};
-use ede_crypto::nsec3hash::{self, OwnerBlock, NSEC3_HASH_LEN};
+use ede_crypto::nsec3hash::{self, NSEC3_HASH_LEN};
 use ede_netsim::{Network, NetworkBuilder, NetworkConfig, Server, ServerResponse, SimClock};
 use ede_resolver::config::RootHint;
 use ede_resolver::ResolverConfig;
@@ -75,9 +70,7 @@ pub const ROOT_SERVER: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
 #[derive(Clone, Copy)]
 struct Registered<'a> {
     rec: &'a DomainRecord,
-    /// Position among the TLD's children (`Registry::children`), which
-    /// is how the TLD's NSEC3 chain finds the domain's own record
-    /// without hashing the name again.
+    /// Position among the TLD's children (`Registry::children`).
     ordinal: u32,
 }
 
@@ -101,8 +94,7 @@ struct Registry {
     places: Vec<Place>,
     /// By TLD index: its registered children as serials, in population
     /// order (a child's ordinal is its position here), each list exactly
-    /// sized. Each TLD's honest NSEC3 chain is derived from these alone,
-    /// and the scanner's claims are cut from them.
+    /// sized. The scanner's claims are cut from them.
     children: Vec<Vec<u32>>,
 }
 
@@ -160,9 +152,6 @@ pub struct ScanWorld {
     pub resolver_config: ResolverConfig,
     /// The lookup tables the servers share.
     registry: Arc<Registry>,
-    /// Each TLD's server, by TLD index, for the scanner to release its
-    /// chain through.
-    tld_servers: Vec<Arc<TldServer>>,
 }
 
 /// The `i`-th nameserver host of `apex`: `ns1.<apex>`, `ns2.<apex>`, ….
@@ -304,143 +293,62 @@ impl Server for HostingNs {
     }
 }
 
-/// Write the wire name of domain `serial`, a child of the TLD whose wire
-/// form is `tld`, into `block`, from the serial alone. A block laid out
-/// for a name of that length keeps its length octet, TLD and salt, and
-/// only the label is written; any other is laid out again first.
-fn write_child(serials: &Serials, serial: usize, tld: &[u8], salt: &[u8], block: &mut OwnerBlock) {
-    let label = serials.label_len(serial);
-    if block.name_len() != 1 + label + tld.len() {
-        *block = OwnerBlock::new(1 + label + tld.len(), salt)
-            .expect("a child's name and the salt fit one block");
-        let name = block.name_mut();
-        name[0] = label as u8;
-        name[1 + label..].copy_from_slice(tld);
-    }
-    serials.write_label(serial, &mut block.name_mut()[1..=label]);
-}
-
-/// The honest NSEC3 chain over one TLD's registry: every owner the
-/// full zone would contain — the apex, its nameserver host and every
-/// child, signed or not — hashed and sorted in one go, so the interval
-/// of each record served ends at the next owner the full zone would
-/// have. Only an insecure child's own record is ever served (by
-/// [`TldServer::referral`]), synthesized and signed on demand from this
-/// index. It is a function of the TLD's list of children alone —
-/// serials, no record — so a chain built again after a release (see
-/// [`TldServer`]) is the same chain.
-struct TldChain {
-    params: Nsec3Config,
-    /// Owner hashes, sorted.
-    owners: Vec<[u8; NSEC3_HASH_LEN]>,
-    /// Where each child (by its ordinal in the TLD) sits in `owners`.
-    child_slots: Vec<u32>,
-}
-
-impl TldChain {
-    /// The chain of the TLD `tld` over `children`, its entries of
-    /// [`Registry::children`], numbered as `serials` says. Each child's
-    /// name is written from its serial ([`write_child`]), so no record
-    /// is read.
-    ///
-    /// At its peak it holds a sort key (24 B), an owner (20 B) and a
-    /// slot (4 B) per child; it keeps the owner and the slot.
-    fn build(tld: &Name, serials: &Serials, children: &[u32]) -> TldChain {
-        let params = Nsec3Config::default();
-        let (salt, iterations) = (&params.salt[..], params.iterations);
-        // Sort keys: the hash as three big-endian integers, whose order
-        // is the bytes' order, the last one's low half a tag that makes
-        // the order total and says whose hash it is — the apex (0), the
-        // host (1), then each child by ordinal, the order a stable sort
-        // by hash alone would keep.
-        const FIRST_CHILD: usize = 2;
-        let key = |hash: [u8; NSEC3_HASH_LEN], tag: usize| {
-            let tag = u32::try_from(tag).expect("a TLD has fewer than 2^32 - 2 children");
-            let word =
-                |at: usize| u64::from_be_bytes(hash[at..at + 8].try_into().expect("8 bytes"));
-            let low = u32::from_be_bytes(hash[16..].try_into().expect("4 bytes"));
-            [word(0), word(8), u64::from(low) << 32 | u64::from(tag)]
-        };
-        let mut keys = Vec::with_capacity(children.len() + FIRST_CHILD);
-        let hash = |name: &Name| nsec3hash::nsec3_hash(name.as_wire(), salt, iterations);
-        keys.push(key(hash(tld), 0));
-        keys.push(key(hash(&ns_host(tld, 0)), 1));
-
-        // One block, each child's name written into it in turn.
-        let tld = tld.as_wire();
-        let mut block = OwnerBlock::new(0, salt).expect("the salt fits one block");
-        for (ordinal, &child) in children.iter().enumerate() {
-            write_child(serials, child as usize, tld, salt, &mut block);
-            keys.push(key(block.hash(iterations), FIRST_CHILD + ordinal));
-        }
-        keys.sort_unstable();
-
-        let mut child_slots = vec![0u32; children.len()];
-        let mut owners = Vec::with_capacity(keys.len());
-        for (slot, [high, middle, low]) in keys.into_iter().enumerate() {
-            if let Some(ordinal) = (low as u32 as usize).checked_sub(FIRST_CHILD) {
-                child_slots[ordinal] = slot as u32;
-            }
-            let mut hash = [0u8; NSEC3_HASH_LEN];
-            hash[..8].copy_from_slice(&high.to_be_bytes());
-            hash[8..16].copy_from_slice(&middle.to_be_bytes());
-            hash[16..].copy_from_slice(&((low >> 32) as u32).to_be_bytes());
-            owners.push(hash);
-        }
-        TldChain {
-            params,
-            owners,
-            child_slots,
-        }
-    }
-
-    /// The signed NSEC3 RRset of `child`, an insecure child of the TLD
-    /// `apex`: its own record, whose bitmap lists NS alone.
-    fn rrset(&self, child: Registered<'_>, apex: &Name, keys: &ZoneKeys) -> Rrset {
-        let slot = self.child_slots[child.ordinal as usize] as usize;
-        let next = &self.owners[(slot + 1) % self.owners.len()];
-        let owner = apex
-            .child_bytes(&nsec3hash::nsec3_label(&self.owners[slot]))
-            .expect("hash label fits");
-        let mut set = Rrset::new(
-            owner,
-            // Registry operators publish denial records with multi-hour
-            // TTLs (com/net use 86400 s); 3600 keeps the chain alive
-            // across the scan's 120 s revisit window. Scan observations
-            // never read this TTL.
-            NSEC3_TTL,
-            Rdata::Nsec3 {
-                hash_alg: nsec3hash::NSEC3_HASH_ALG_SHA1,
-                flags: 0,
-                iterations: self.params.iterations,
-                salt: self.params.salt.clone(),
-                next_hashed: next.into(),
-                types: TypeBitmap::from_types([RrType::Ns]),
-            },
-        );
-        set.sigs = vec![signer::sign_rrset(&set, &keys.zsk, apex, DEFAULT_WINDOW)];
-        set
-    }
-}
-
-/// TTL of the NSEC3 records a TLD serves.
+/// TTL of the NSEC3 records a TLD serves. Registry operators publish
+/// denial records with multi-hour TTLs (com/net use 86400 s); 3600 keeps
+/// a proof alive across the scan's 120 s revisit window. Scan
+/// observations never read it.
 const NSEC3_TTL: u32 = 3600;
+
+/// `hash` + 1 as a 160-bit big-endian integer, wrapping at 2^160: the
+/// next hashed owner of a narrow NSEC3, whose interval covers no name
+/// but its owner.
+fn successor(mut hash: [u8; NSEC3_HASH_LEN]) -> [u8; NSEC3_HASH_LEN] {
+    for byte in hash.iter_mut().rev() {
+        let (sum, carry) = byte.overflowing_add(1);
+        *byte = sum;
+        if !carry {
+            break;
+        }
+    }
+    hash
+}
+
+/// The signed NSEC3 RRset that proves `child`, an insecure child of the
+/// TLD `apex`, has no DS: the child's own record, narrow (its next
+/// hashed owner is [`successor`] of its hash), with a bitmap of NS
+/// alone, signed with the TLD's ZSK. A validator of an insecure
+/// referral reads only its owner and its NS and DS bits (RFC 5155 §8.9).
+fn narrow_nsec3(child: &Name, apex: &Name, keys: &ZoneKeys) -> Rrset {
+    let params = Nsec3Config::default();
+    let hash = params.hash_raw(child);
+    let owner = apex
+        .child_bytes(&nsec3hash::nsec3_label(&hash))
+        .expect("hash label fits");
+    let mut set = Rrset::new(
+        owner,
+        NSEC3_TTL,
+        Rdata::Nsec3 {
+            hash_alg: nsec3hash::NSEC3_HASH_ALG_SHA1,
+            flags: 0,
+            iterations: params.iterations,
+            salt: params.salt,
+            next_hashed: (&successor(hash)).into(),
+            types: TypeBitmap::from_types([RrType::Ns]),
+        },
+    );
+    set.sigs = vec![signer::sign_rrset(&set, &keys.zsk, apex, DEFAULT_WINDOW)];
+    set
+}
 
 /// A TLD server: answers what a walk of referrals asks it — the
 /// referral to a registered child, from the child's registry record,
 /// and the apex NS and DNSKEY sets, from the TLD's keys — and REFUSES
 /// every other query: the rest of its apex, its children's parent-side
-/// DS sets and names outside its registry.
-///
-/// Its chain lives in a slot: built by the first query that needs it,
-/// shared by every query after, and emptied only by
-/// [`ScanWorld::release_chain`] — which a scan calls once its last claim
-/// in the TLD completes. The next query that needs the chain then builds
-/// it again.
+/// DS sets and names outside its registry. It holds nothing per child:
+/// an insecure child's proof is the child's narrow NSEC3
+/// ([`narrow_nsec3`]), hashed and signed per referral.
 struct TldServer {
     tld: Name,
-    /// The TLD's index in the population.
-    index: usize,
     /// Leaves the NSEC3 proof out of insecure referrals (§4.2.9).
     broken_insecure_proof: bool,
     registry: Arc<Registry>,
@@ -450,46 +358,22 @@ struct TldServer {
     /// nothing with (§4.2.3), if it has one; derived once, like `keys`,
     /// and boxed: two TLDs have one, and an `Rdata` is 112 bytes.
     standby_dnskey: Option<Box<Rdata>>,
-    /// Honest registry-wide NSEC3 chain, hashed on first use after
-    /// construction or a release. The lock is held while a chain is
-    /// built, so concurrent queries build it once.
-    chain: Mutex<Option<Arc<TldChain>>>,
 }
 
 impl TldServer {
-    /// The server of `info`, the population's TLD number `index`, whose
-    /// keys are `keys`.
-    fn new(index: usize, info: &TldInfo, keys: ZoneKeys, registry: Arc<Registry>) -> Self {
+    /// The server of `info`, whose keys are `keys`.
+    fn new(info: &TldInfo, keys: ZoneKeys, registry: Arc<Registry>) -> Self {
         let tld = info.name.clone();
         let standby_dnskey = info
             .standby_key
             .then(|| Box::new(ZoneKey::generate(&tld, "standby", 8, 2048, 257).dnskey_rdata()));
         TldServer {
             tld,
-            index,
             broken_insecure_proof: info.broken_insecure_proof,
             registry,
             keys,
             standby_dnskey,
-            chain: Mutex::new(None),
         }
-    }
-
-    /// The TLD's honest registry chain, built if the slot is empty.
-    fn chain(&self) -> Arc<TldChain> {
-        let mut slot = self.chain.lock().expect("no poisoning");
-        let chain = slot.get_or_insert_with(|| {
-            let registry = &self.registry;
-            let children = &registry.children[self.index];
-            Arc::new(TldChain::build(&self.tld, &registry.serials, children))
-        });
-        Arc::clone(chain)
-    }
-
-    /// Empty the chain slot. A query in flight keeps its own handle on
-    /// the chain until it is done with it.
-    fn release_chain(&self) {
-        self.chain.lock().expect("no poisoning").take();
     }
 
     /// The apex RRset the TLD serves for `qtype` without a zone: its NS
@@ -517,8 +401,7 @@ impl TldServer {
     /// no zone in between: referral content only ever depends on the one
     /// delegation, and only the RRsets a referral carries are built (and
     /// signed).
-    fn referral(&self, query: &Message, child: Registered<'_>) -> ServerResponse {
-        let rec = child.rec;
+    fn referral(&self, query: &Message, rec: &DomainRecord) -> ServerResponse {
         let (mut resp, dnssec_ok) = layout::reply_to(query, true);
         let mut ns = Rrset::empty(rec.name.clone(), RrType::Ns, 3600);
         ns.rdatas.reserve_exact(rec.ns_addrs.len());
@@ -538,10 +421,8 @@ impl TldServer {
             Some(ds)
         } else {
             // Insecure delegation: the child's matching NSEC3 — unless
-            // this TLD deliberately lost it (§4.2.9). The record is
-            // pulled from the honest registry-wide chain, so its
-            // interval never covers another registered name.
-            (!self.broken_insecure_proof).then(|| self.chain().rrset(child, &self.tld, &self.keys))
+            // this TLD deliberately lost it (§4.2.9).
+            (!self.broken_insecure_proof).then(|| narrow_nsec3(&rec.name, &self.tld, &self.keys))
         };
         layout::referral(
             &mut resp,
@@ -560,7 +441,7 @@ impl Server for TldServer {
             return ServerResponse::Reply(layout::rcode_only(query, Rcode::FormErr));
         };
         // The apex sets priming and validation ask for, once per TLD:
-        // one RRset each, built and signed with no zone (and no chain).
+        // one RRset each, built and signed with no zone.
         if q.name == self.tld {
             if let Some(set) = self.apex_rrset(q.qtype) {
                 let (mut resp, dnssec_ok) = layout::reply_to(query, true);
@@ -576,7 +457,7 @@ impl Server for TldServer {
             .filter(|_| q.name.is_subdomain_of(&self.tld));
         match registered {
             Some(child) if q.qtype != RrType::Ds || q.name != child.rec.name => {
-                self.referral(query, child)
+                self.referral(query, child.rec)
             }
             _ => ServerResponse::Reply(layout::rcode_only(query, Rcode::Refused)),
         }
@@ -643,14 +524,9 @@ impl ScanWorld {
         net.register(IpAddr::V4(ROOT_SERVER), Arc::new(ZoneServer::new(store)));
 
         // TLD servers.
-        let mut tld_servers = Vec::with_capacity(pop.tlds.len());
-        for (index, (tld, keys)) in pop.tlds.iter().zip(keys).enumerate() {
-            let server = Arc::new(TldServer::new(index, tld, keys, Arc::clone(&registry)));
-            net.register(
-                IpAddr::V4(tld_addr(tld.server_index)),
-                Arc::clone(&server) as Arc<dyn Server>,
-            );
-            tld_servers.push(server);
+        for (tld, keys) in pop.tlds.iter().zip(keys) {
+            let server = Arc::new(TldServer::new(tld, keys, Arc::clone(&registry)));
+            net.register(IpAddr::V4(tld_addr(tld.server_index)), server);
         }
 
         // Hosting fabric: one shared server object on every healthy
@@ -691,7 +567,6 @@ impl ScanWorld {
             net: Arc::new(net.build(clock)),
             resolver_config,
             registry,
-            tld_servers,
         }
     }
 
@@ -715,23 +590,6 @@ impl ScanWorld {
             .expect("a population domain is registered")
             .ordinal;
         self.registry.children[usize::from(domain.tld)][ordinal as usize]
-    }
-
-    /// Drop TLD `tld`'s NSEC3 chain; a later query that needs it builds
-    /// it again. The scanner calls this when its last claim in the TLD
-    /// completes.
-    pub(crate) fn release_chain(&self, tld: usize) {
-        self.tld_servers[tld].release_chain();
-    }
-
-    /// Whether TLD `tld`'s server holds a built chain.
-    #[cfg(test)]
-    pub(crate) fn holds_chain(&self, tld: usize) -> bool {
-        self.tld_servers[tld]
-            .chain
-            .lock()
-            .expect("no poisoning")
-            .is_some()
     }
 }
 
@@ -803,9 +661,9 @@ mod tests {
 
     /// The TLD zone as a registry would publish it whole: every
     /// delegation of the population materialised, `sign_zone` over all
-    /// of it (full NSEC3 chain), then the two things the world does on
-    /// top — NSEC3 records at the registry TTL, and the TLD's planted
-    /// condition.
+    /// of it (full NSEC3 chain), then the things the world does on top —
+    /// NSEC3 records at the registry TTL and narrow, their next hashed
+    /// owner their own hash + 1, and the TLD's planted condition.
     fn full_tld_server(pop: &Population, tld_index: usize) -> ZoneServer {
         let tld = &pop.tlds[tld_index];
         let mut zone = Zone::new(tld.name.clone());
@@ -824,6 +682,12 @@ mod tests {
         signer::sign_zone(&mut zone, &keys, &SignerConfig::default());
         for set in zone.iter_mut().filter(|s| s.rtype == RrType::Nsec3) {
             set.ttl = NSEC3_TTL;
+            let label = std::str::from_utf8(set.name.first_label().unwrap()).unwrap();
+            let owner = ede_crypto::base32::decode(label).unwrap();
+            let Rdata::Nsec3 { next_hashed, .. } = &mut set.rdatas[0] else {
+                unreachable!("an NSEC3 set holds NSEC3 records")
+            };
+            *next_hashed = (&successor(owner.try_into().unwrap())).into();
             signer::sign_in_place(set, &keys, &tld.name, DEFAULT_WINDOW);
         }
         if tld.standby_key {
@@ -887,9 +751,9 @@ mod tests {
         }
     }
 
-    /// Each child's wire name, written from its serial under its TLD, is
-    /// the name its record holds: every domain of the tiny population
-    /// and of 1:20000, the fully-broken tail included.
+    /// Each child's name, its label written from its serial under its
+    /// TLD, is the name its record holds: every domain of the tiny
+    /// population and of 1:20000, the fully-broken tail included.
     #[test]
     fn names_derived_from_serials_are_the_records_names() {
         let twenty_thousandth = PopulationConfig {
@@ -899,44 +763,18 @@ mod tests {
         for config in [PopulationConfig::tiny(), twenty_thousandth] {
             let pop = Population::generate(config);
             let registry = Registry::of(&pop);
-            let salt = Nsec3Config::default().salt;
             let (mut derived, mut tail) = (0, 0);
             for (t, children) in registry.children.iter().enumerate() {
-                // One block per TLD, as a chain build keeps.
-                let mut block = OwnerBlock::new(0, &salt).unwrap();
-                let tld = pop.tlds[t].name.as_wire();
                 for &child in children {
                     let rec = &pop.domains[registry.index_of(child)];
-                    write_child(&registry.serials, child as usize, tld, &salt, &mut block);
-                    assert_eq!(block.name_mut(), rec.name.as_wire(), "{}", rec.name);
+                    let label = registry.serials.label(child as usize);
+                    assert_eq!(pop.tlds[t].name.child(&label).unwrap(), rec.name);
                     derived += 1;
                     tail += usize::from(rec.name.first_label().unwrap().starts_with(b"fb"));
                 }
             }
             assert_eq!(derived, pop.domains.len());
             assert!(tail > 0, "1:{}: no fully-broken tail", pop.config.scale);
-        }
-    }
-
-    /// One block under one TLD, written with serials whose labels change
-    /// length — 7 digits to 8 and back, then the fully-broken tail's
-    /// form — holds each name as the label spells it: at 1:10, without
-    /// generating that population.
-    #[test]
-    fn a_block_is_laid_out_again_when_a_name_changes_length() {
-        let tenth = PopulationConfig {
-            scale: 10,
-            ..Default::default()
-        };
-        let serials = Serials::of(&tenth);
-        let tld = Name::parse("gtld0007").unwrap();
-        let salt = Nsec3Config::default().salt;
-        let mut block = OwnerBlock::new(0, &salt).unwrap();
-        let tail = serials.len() - 1;
-        for serial in [5, 9_999_999, 10_000_000, 10_000_001, 42, tail, 7, tail - 1] {
-            write_child(&serials, serial, tld.as_wire(), &salt, &mut block);
-            let name = tld.child(&serials.label(serial)).unwrap();
-            assert_eq!(block.name_mut(), name.as_wire(), "{name}");
         }
     }
 
@@ -951,29 +789,6 @@ mod tests {
         }
         let listed: usize = registry.children.iter().map(Vec::len).sum();
         assert_eq!(listed, pop.domains.len());
-    }
-
-    /// What a chain keeps once built: an owner of 20 bytes and a slot of
-    /// 4 per child, and the apex's and the host's owners, in exactly
-    /// sized buffers.
-    #[test]
-    fn a_retained_chain_holds_24_bytes_per_child() {
-        let pop = Population::generate(PopulationConfig::tiny());
-        let registry = Arc::new(Registry::of(&pop));
-        let owner = std::mem::size_of::<[u8; NSEC3_HASH_LEN]>();
-        assert_eq!(owner, 20);
-        for (index, tld) in pop.tlds.iter().enumerate() {
-            let chain =
-                TldServer::new(index, tld, tld_keys(&tld.name), Arc::clone(&registry)).chain();
-            let children = registry.children[index].len();
-            let retained = chain.owners.capacity() * owner
-                + chain.child_slots.capacity() * std::mem::size_of::<u32>();
-            assert!(
-                retained <= 24 * children + 2 * owner,
-                "{}: {retained} B for {children} children",
-                tld.name
-            );
-        }
     }
 
     /// The lean servers — a referral and the apex NS and DNSKEY sets
@@ -995,7 +810,7 @@ mod tests {
             for rec in sample.into_iter().take(3) {
                 let t = usize::from(rec.tld);
                 let tld = &pop.tlds[t];
-                let lean = TldServer::new(t, tld, tld_keys(&tld.name), Arc::clone(&registry));
+                let lean = TldServer::new(tld, tld_keys(&tld.name), Arc::clone(&registry));
                 let full = full_tlds
                     .entry(t)
                     .or_insert_with(|| full_tld_server(&pop, t));
@@ -1066,94 +881,122 @@ mod tests {
         }
     }
 
-    /// Every TLD's chain equals the one its owners give when each is
-    /// hashed by the streaming hasher from its record's name and the
-    /// list is sorted stably by the hashes' bytes: the owners' hashes and
-    /// where each child's own record sits. The tiny population and
-    /// 1:20000.
+    /// Every insecure child under an honest TLD is proved by its own
+    /// narrow NSEC3: owner H(child) under the TLD, next hashed owner
+    /// H(child) + 1, bitmap {NS}, and an RRSIG the TLD's keys verify. The
+    /// tiny population and 1:20000.
     #[test]
-    fn chains_match_a_streamed_and_stably_sorted_reference() {
+    fn an_insecure_referral_carries_the_childs_narrow_nsec3() {
+        use ede_resolver::diagnosis::{Diagnosis, SigTarget};
+        use ede_resolver::profiles::ValidatorCaps;
+        use ede_resolver::validate;
+        use ede_zone::signer::SIM_NOW;
         let twenty_thousandth = PopulationConfig {
             scale: 20_000,
             ..Default::default()
         };
+        let caps = ValidatorCaps::full();
         for config in [PopulationConfig::tiny(), twenty_thousandth] {
-            chains_match_a_streamed_reference(&Population::generate(config));
-        }
-    }
+            let pop = Population::generate(config);
+            let registry = Arc::new(Registry::of(&pop));
+            let params = Nsec3Config::default();
+            let mut proved = 0;
+            for (t, tld) in pop.tlds.iter().enumerate() {
+                if tld.broken_insecure_proof {
+                    continue;
+                }
+                let keys = tld_keys(&tld.name);
+                let ds = [keys.ksk.ds_rdata(&tld.name, DigestAlg::SHA256)];
+                let server = TldServer::new(tld, keys, Arc::clone(&registry));
+                let dnskey = server.apex_rrset(RrType::Dnskey).unwrap();
+                let trusted = validate::validate_dnskey(
+                    &tld.name,
+                    &ds,
+                    &dnskey,
+                    &caps,
+                    SIM_NOW,
+                    &mut Diagnosis::new(),
+                )
+                .trusted
+                .unwrap_or_else(|| panic!("{}: keys do not validate", tld.name));
+                for &child in &registry.children[t] {
+                    let rec = &pop.domains[registry.index_of(child)];
+                    if rec.category.signed() {
+                        continue;
+                    }
+                    let resp = reply(&server, &rec.name, RrType::A);
+                    let mut nsec3 = resp
+                        .authorities
+                        .iter()
+                        .filter(|r| r.rtype() == RrType::Nsec3);
+                    let record = nsec3
+                        .next()
+                        .unwrap_or_else(|| panic!("{}: no NSEC3", rec.name));
+                    assert!(nsec3.next().is_none(), "{}: two NSEC3 records", rec.name);
+                    let hash = params.hash_raw(&rec.name);
+                    let owner = tld
+                        .name
+                        .child_bytes(&nsec3hash::nsec3_label(&hash))
+                        .unwrap();
+                    assert_eq!(record.name, owner, "{}", rec.name);
+                    let Rdata::Nsec3 {
+                        next_hashed, types, ..
+                    } = &record.rdata
+                    else {
+                        unreachable!()
+                    };
+                    assert_eq!(next_hashed[..], successor(hash)[..], "{}", rec.name);
+                    assert_eq!(*types, TypeBitmap::from_types([RrType::Ns]), "{}", rec.name);
 
-    fn chains_match_a_streamed_reference(pop: &Population) {
-        use ede_crypto::{Digest, Sha1};
-        let registry = Arc::new(Registry::of(pop));
-        let params = Nsec3Config::default();
-        let streamed = |name: &Name| {
-            let mut hash = [0u8; NSEC3_HASH_LEN];
-            let mut input = name.to_wire();
-            for _ in 0..=params.iterations {
-                input.extend_from_slice(&params.salt);
-                let mut h = Sha1::new();
-                h.update(&input);
-                h.finalize_into(&mut hash);
-                input = hash.to_vec();
-            }
-            hash
-        };
-        let mut by_tld = vec![Vec::new(); pop.tlds.len()];
-        for d in pop.domains.iter() {
-            by_tld[usize::from(d.tld)].push(d);
-        }
-        for (index, tld) in pop.tlds.iter().enumerate() {
-            let server = TldServer::new(index, tld, tld_keys(&tld.name), Arc::clone(&registry));
-            let chain = server.chain();
-            let mut reference = vec![
-                (streamed(&tld.name), None),
-                (streamed(&ns_host(&tld.name, 0)), None),
-            ];
-            for (ordinal, d) in by_tld[index].iter().enumerate() {
-                reference.push((streamed(&d.name), Some(ordinal)));
-            }
-            reference.sort_by_key(|owner| owner.0);
-
-            let owners: Vec<_> = reference.iter().map(|&(hash, _)| hash).collect();
-            assert_eq!(chain.owners, owners, "{}", tld.name);
-            let mut slots = vec![0u32; reference.len() - 2];
-            for (slot, (_, ordinal)) in reference.iter().enumerate() {
-                if let Some(ordinal) = ordinal {
-                    slots[*ordinal] = slot as u32;
+                    let mut set = Rrset::new(record.name.clone(), record.ttl, record.rdata.clone());
+                    set.sigs = resp
+                        .authorities
+                        .iter()
+                        .filter_map(|r| match &r.rdata {
+                            Rdata::Rrsig(sig) if sig.type_covered == RrType::Nsec3 => {
+                                Some(sig.clone())
+                            }
+                            _ => None,
+                        })
+                        .collect();
+                    let mut diag = Diagnosis::new();
+                    assert!(
+                        validate::check_rrset(
+                            &set,
+                            &trusted,
+                            &caps,
+                            SIM_NOW,
+                            SigTarget::Answer,
+                            &mut diag
+                        ),
+                        "{}: {diag:?}",
+                        rec.name
+                    );
+                    proved += 1;
                 }
             }
-            assert_eq!(chain.child_slots, slots, "{}", tld.name);
+            assert!(
+                proved > 0,
+                "1:{}: no insecure child proved",
+                pop.config.scale
+            );
         }
     }
 
-    /// Releasing a TLD's chain changes nothing a resolver can see: the
-    /// referral to an insecure child, which carries the child's record
-    /// of the chain, is the same `Message` after a release as before it,
-    /// and the query after the release built the chain again.
+    /// The successor of a hash is the hash + 1 as one big-endian number:
+    /// the carry runs through every 0xff byte, and all-0xff wraps to
+    /// all-zero.
     #[test]
-    fn answers_after_a_chain_release_are_the_answers_before() {
-        let pop = Population::generate(PopulationConfig::tiny());
-        let world = ScanWorld::build(&pop);
-        let rec = pop
-            .domains
-            .iter()
-            .find(|d| !d.category.signed() && !pop.tlds[usize::from(d.tld)].broken_insecure_proof)
-            .expect("an insecure child under an honest TLD");
-        let tld = usize::from(rec.tld);
-        let server = world.tld_servers[tld].as_ref();
-        let before = reply(server, &rec.name, RrType::A);
-        assert!(
-            before
-                .authorities
-                .iter()
-                .any(|r| r.rtype() == RrType::Nsec3),
-            "no chain record in {before:?}"
-        );
-        assert!(world.holds_chain(tld));
-        world.release_chain(tld);
-        assert!(!world.holds_chain(tld));
-        assert_eq!(reply(server, &rec.name, RrType::A), before);
-        assert!(world.holds_chain(tld), "the chain was not rebuilt");
+    fn a_hash_successor_carries_and_wraps() {
+        let mut hash = [0u8; NSEC3_HASH_LEN];
+        hash[19] = 0x41;
+        let mut next = hash;
+        next[19] = 0x42;
+        assert_eq!(successor(hash), next);
+        hash[17..].copy_from_slice(&[0x07, 0xff, 0xff]);
+        next[17..].copy_from_slice(&[0x08, 0x00, 0x00]);
+        assert_eq!(successor(hash), next);
+        assert_eq!(successor([0xff; NSEC3_HASH_LEN]), [0x00; NSEC3_HASH_LEN]);
     }
 
     /// What a server does not serve is REFUSED, a query without a
