@@ -258,8 +258,9 @@ pub enum Finding {
         /// Which RRset.
         target: SigTarget,
     },
-    /// The zone is signed exclusively with algorithms this validator does
-    /// not support (treated as insecure per RFC 4035 §5.2).
+    /// An algorithm this validator does not support, named by a DS (with
+    /// no usable DS the zone is insecure, RFC 4035 §5.2) or by an
+    /// RRSIG, which then verifies nothing.
     ZoneAlgorithmUnsupported {
         /// Registry status of the algorithm.
         status: AlgStatus,

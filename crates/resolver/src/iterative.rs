@@ -420,6 +420,7 @@ impl<'a> Engine<'a> {
                 let parent = self.zone_keys(&at, responder, diag, true).await;
                 validate::cut_link(
                     &resp.authorities,
+                    &at.zone,
                     &referral.zone,
                     referral.signed,
                     parent.trusted(),

@@ -4,8 +4,8 @@
 //! paper's observations require, link by link in chain order:
 //!
 //! 1. **trust anchor → DS**: crossing a zone cut, `cut_link`
-//!    authenticates the child's DS RRset with the parent's keys, or
-//!    demands proof that the delegation is insecure and leaves the chain;
+//!    authenticates with the parent's keys either the child's DS RRset
+//!    or the parent's NODATA proof for DS, which leaves the chain;
 //! 2. **DS → DNSKEY**: `keys_link` takes what the DNSKEY fetch yielded,
 //!    and [`validate_dnskey`] matches DS records to published keys (with
 //!    registry-status handling) and authenticates the DNSKEY RRset;
@@ -457,7 +457,6 @@ fn rrset_link(
         return Err(bogus(Finding::RrsigMissing { target }));
     }
     let mut first_issue: Option<Finding> = None;
-    let mut all_unsupported = true;
     for sig in set.sigs() {
         if let Some(status) = alg_status_for(sig.algorithm, caps) {
             first_issue.get_or_insert(Finding::ZoneAlgorithmUnsupported {
@@ -466,7 +465,6 @@ fn rrset_link(
             });
             continue;
         }
-        all_unsupported = false;
         if let Some(f) = window_finding(sig, now, target) {
             first_issue.get_or_insert(f);
             continue;
@@ -483,14 +481,10 @@ fn rrset_link(
         }
         first_issue.get_or_insert(Finding::SignatureBogus { target });
     }
-    // A zone signed exclusively with unsupported algorithms is insecure,
-    // not bogus.
-    let verdict = if all_unsupported {
-        ValidationState::Insecure
-    } else {
-        ValidationState::Bogus
-    };
-    Err((first_issue, verdict))
+    // Bogus even when every signature is in an algorithm this validator
+    // lacks: an RRSIG's algorithm field is not signed, and only the
+    // authenticated DS set makes a zone Insecure (RFC 4035 §5.2).
+    Err((first_issue, ValidationState::Bogus))
 }
 
 /// The iteration cap (RFC 9276 / vendor limits) over the NSEC3 records
@@ -514,21 +508,27 @@ fn iteration_cap_link<'r>(
     Ok(())
 }
 
-/// The structure of a denial (RFC 5155 §8): the NSEC3 RRsets of
-/// `authority` that deny (`qname`, `qtype`), still unauthenticated. NSEC3 is
-/// the only proof read: a signed negative answer without one — plain
-/// NSEC records included — carries no proof. Structure is checked
-/// before signatures: a proof that points at the wrong hashes is a
-/// different observable than a proof whose signatures are broken, and
-/// vendors report them differently.
-fn negative_link<'s>(
-    authority: &'s [Record],
+/// The NSEC3 RRsets of a section, read in place.
+fn nsec3_sets(section: &[Record]) -> impl Iterator<Item = RrsetRef<'_>> {
+    sets_in(section).filter(|s| s.rtype() == RrType::Nsec3)
+}
+
+/// The structure of a denial (RFC 5155 §8): do the NSEC3 RRsets of
+/// `authority` deny (`qname`, `qtype`)? They are still unauthenticated,
+/// and [`denial_sigs_link`] reads the same sets. NSEC3 is the only proof
+/// read: a signed negative answer without one — plain NSEC records
+/// included — carries no proof. Structure is checked before signatures:
+/// a proof that points at the wrong hashes is a different observable
+/// than a proof whose signatures are broken, and vendors report them
+/// differently.
+fn negative_link(
+    authority: &[Record],
     qname: &Name,
     qtype: RrType,
     kind: NegativeKind,
     zone_apex: &Name,
     caps: &ValidatorCaps,
-) -> Result<Vec<RrsetRef<'s>>, Broken> {
+) -> Result<(), Broken> {
     let broken = |issue| bogus(Finding::DenialProofBroken { issue, kind });
     // NODATA (RFC 5155 §8.5): the matching record's bitmap lacks the
     // type asked for and CNAME, or the name would have an answer.
@@ -539,10 +539,7 @@ fn negative_link<'s>(
         _ => false,
     };
 
-    let nsec3_sets: Vec<RrsetRef<'s>> = sets_in(authority)
-        .filter(|s| s.rtype() == RrType::Nsec3)
-        .collect();
-    if nsec3_sets.is_empty() {
+    if nsec3_sets(authority).next().is_none() {
         let soa_signed = sets_in(authority)
             .find(|s| s.rtype() == RrType::Soa)
             .is_some_and(|s| s.sigs().next().is_some());
@@ -553,14 +550,14 @@ fn negative_link<'s>(
         });
     }
 
-    iteration_cap_link(nsec3_sets.iter().filter_map(|s| s.rdatas().next()), caps)?;
+    iteration_cap_link(
+        nsec3_sets(authority).filter_map(|s| s.rdatas().next()),
+        caps,
+    )?;
 
     match kind {
         NegativeKind::Nodata => {
-            if !nsec3_sets
-                .iter()
-                .any(|&s| nsec3::matches(s, qname) && lacks_qtype(s))
-            {
+            if !nsec3_sets(authority).any(|s| nsec3::matches(s, qname) && lacks_qtype(s)) {
                 return Err(broken(DenialIssue::OwnerMismatch));
             }
         }
@@ -569,41 +566,42 @@ fn negative_link<'s>(
             // looking for a matching NSEC3. The name one label below it
             // on the way is the next closer name.
             let mut next_closer = qname.clone();
-            loop {
+            let encloser = loop {
                 let ancestor = next_closer.parent();
                 let a = ancestor.ok_or_else(|| broken(DenialIssue::OwnerMismatch))?;
-                if nsec3_sets.iter().any(|&s| nsec3::matches(s, &a)) {
-                    break;
+                if nsec3_sets(authority).any(|s| nsec3::matches(s, &a)) {
+                    break a;
                 }
                 if a == *zone_apex {
                     return Err(broken(DenialIssue::OwnerMismatch));
                 }
                 next_closer = a;
-            }
-            // Next closer name must be covered.
-            if !nsec3_sets.iter().any(|&s| nsec3::covers(s, &next_closer)) {
+            };
+            // The next closer name must be covered, and so must the
+            // wildcard at the closest encloser (§8.4), or the answer
+            // could have been synthesized from it.
+            let covered = |name: &Name| nsec3_sets(authority).any(|s| nsec3::covers(s, name));
+            let wildcard = encloser.child("*");
+            if !covered(&next_closer) || !wildcard.is_ok_and(|w| covered(&w)) {
                 return Err(broken(DenialIssue::ChainMismatch));
             }
         }
     }
-    Ok(nsec3_sets)
+    Ok(())
 }
 
-/// The signature tail of a proof: every proof RRset is signed, and each
-/// carries a signature one trusted key verifies.
+/// The signature tail of a proof: every NSEC3 RRset of `authority` is
+/// signed, and each carries a signature one trusted key verifies.
 fn denial_sigs_link(
-    proof: &[RrsetRef<'_>],
+    authority: &[Record],
     kind: NegativeKind,
     trusted: &[PublishedKey],
     now: u32,
 ) -> Result<(), Broken> {
-    if proof.iter().any(|set| set.sigs().next().is_none()) {
+    if nsec3_sets(authority).any(|set| set.sigs().next().is_none()) {
         return Err(bogus(Finding::DenialSigMissing { kind }));
     }
-    if proof
-        .iter()
-        .any(|&set| verified_sig(set, trusted, now).is_none())
-    {
+    if nsec3_sets(authority).any(|set| verified_sig(set, trusted, now).is_none()) {
         return Err(bogus(Finding::DenialSigBogus { kind }));
     }
     Ok(())
@@ -627,34 +625,26 @@ pub fn check_negative(
         diag,
         || format!("denial {qname} ({kind:?})"),
         |_| {
-            let proof = negative_link(authority, qname, qtype, kind, zone_apex, caps)?;
-            denial_sigs_link(&proof, kind, trusted, now)
+            negative_link(authority, qname, qtype, kind, zone_apex, caps)?;
+            denial_sigs_link(authority, kind, trusted, now)
         },
     );
 }
 
-/// Does a referral's authority section prove the delegation to `deleg`
-/// insecure: an NSEC3 matching the delegation owner whose bitmap lacks
-/// DS? A light check — signatures are not verified.
-fn insecure_proof_present(authority: &[Record], deleg: &Name) -> bool {
-    authority.iter().any(|rec| match &rec.rdata {
-        Rdata::Nsec3 {
-            salt,
-            iterations,
-            types,
-            ..
-        } => !types.contains(RrType::Ds) && nsec3::owner_is(&rec.name, salt, *iterations, deleg),
-        _ => false,
-    })
-}
-
-/// Crossing a zone cut out of a signed parent, toward `child`. A
-/// delegation with a DS RRset continues the chain, and the RRset is
-/// authenticated with the parent's keys; one without leaves the chain
+/// Crossing a zone cut out of the signed zone `parent`, toward `child`.
+/// A delegation with a DS RRset continues the chain, and the RRset is
+/// authenticated with the parent's keys. One without leaves the chain
 /// (Insecure), and a parent whose keys validated must prove that it
-/// does.
+/// does with its NODATA proof for DS at the child (RFC 5155 §8.6,
+/// §8.9), checked and authenticated as a negative answer's proof is.
+/// A proof that is absent or denies something else is missing
+/// (`InsecureReferralProofMissing`); the iteration cap and the
+/// signatures report as they do for any denial. The verdict is
+/// recorded without a `ValidationStep`.
+#[allow(clippy::too_many_arguments)] // the cut's own inputs, plus the denial's
 pub(crate) fn cut_link(
     authority: &[Record],
+    parent: &Name,
     child: &Name,
     child_signed: bool,
     parent_keys: Option<&[PublishedKey]>,
@@ -675,18 +665,17 @@ pub(crate) fn cut_link(
         }
         return;
     }
-    // The denial path's cap, before anything is hashed: a proof over it
-    // would cost a hash per iteration here.
-    if let Err(broken) = iteration_cap_link(authority.iter().map(|rec| &rec.rdata), caps) {
-        record(diag, broken);
-        return;
-    }
-    let verdict = if insecure_proof_present(authority, child) {
-        (None, ValidationState::Insecure)
-    } else {
-        bogus(Finding::InsecureReferralProofMissing)
-    };
-    record(diag, verdict);
+    let kind = NegativeKind::Nodata;
+    let proof = negative_link(authority, child, RrType::Ds, kind, parent, caps)
+        .map_err(|broken| match broken {
+            (Some(Finding::Nsec3IterationsExceeded { .. }), _) => broken,
+            _ => bogus(Finding::InsecureReferralProofMissing),
+        })
+        .and_then(|()| denial_sigs_link(authority, kind, keys, now));
+    record(
+        diag,
+        proof.err().unwrap_or((None, ValidationState::Insecure)),
+    );
 }
 
 /// An authoritative (or terminal) answer to `asked` from `zone`, whose
@@ -1110,46 +1099,84 @@ mod tests {
         assert_eq!(diag.validation, ValidationState::Secure);
     }
 
+    /// An insecure referral from `test.example` to `child.test.example`:
+    /// the parent's trusted keys, the child, and the referral's authority
+    /// section — the NS set and the child's NSEC3 under `iterations`,
+    /// whose bitmap lacks DS, signed by `signer` when there is one.
+    fn insecure_referral(
+        iterations: u16,
+        signer: Option<&ede_zone::ZoneKey>,
+    ) -> (Vec<PublishedKey>, Name, Vec<Record>) {
+        use ede_crypto::nsec3hash;
+        use ede_wire::rdata::TypeBitmap;
+        use ede_zone::signer::sign_rrset;
+        let (z, _, ds) = signed_zone();
+        let parent = n("test.example");
+        let trusted = validate_dnskey(
+            &parent,
+            &ds,
+            &dnskey_rrset(&z),
+            &caps(),
+            SIM_NOW,
+            &mut Diagnosis::new(),
+        )
+        .trusted
+        .expect("chain should validate");
+        let child = n("child.test.example");
+        let salt = [0xab];
+        let label = nsec3hash::nsec3_hash_label(child.as_wire(), &salt, iterations);
+        let mut proof = Rrset::new(
+            parent.child_bytes(&label).unwrap(),
+            3600,
+            Rdata::Nsec3 {
+                hash_alg: nsec3hash::NSEC3_HASH_ALG_SHA1,
+                flags: 0,
+                iterations,
+                salt: salt.into(),
+                next_hashed: (&[0xff; nsec3hash::NSEC3_HASH_LEN]).into(),
+                types: TypeBitmap::from_types([RrType::Ns]),
+            },
+        );
+        if let Some(key) = signer {
+            let window = SignerConfig::default().window();
+            proof.sigs.push(sign_rrset(&proof, key, &parent, window));
+        }
+        let mut authority = vec![Record::new(
+            child.clone(),
+            3600,
+            Rdata::Ns(n("ns1.child.test.example")),
+        )];
+        authority.extend(proof.records().chain(proof.sig_records()));
+        (trusted, child, authority)
+    }
+
+    /// `cut_link` over the insecure referral [`insecure_referral`] builds.
+    fn cross_insecure_cut(iterations: u16, signer: Option<&ede_zone::ZoneKey>) -> Diagnosis {
+        let (trusted, child, authority) = insecure_referral(iterations, signer);
+        let mut diag = Diagnosis::new();
+        let parent = n("test.example");
+        let caps = caps();
+        cut_link(
+            &authority,
+            &parent,
+            &child,
+            false,
+            Some(&trusted),
+            &caps,
+            SIM_NOW,
+            &mut diag,
+        );
+        diag
+    }
+
     /// An insecure referral's NSEC3 that asks for 65 535 iterations is
     /// refused at the cap, as a denial's would be, before it is hashed:
     /// the record is otherwise an honest proof (its owner is the child's
     /// hash under those parameters, and its bitmap lacks DS), so without
-    /// the cap it would be accepted and the delegation ruled Insecure.
+    /// the cap it would be hashed 65 535 times over.
     #[test]
     fn insecure_referral_proof_over_the_iteration_cap_is_refused() {
-        use ede_crypto::nsec3hash;
-        use ede_wire::rdata::TypeBitmap;
-        let (z, _, ds) = signed_zone();
-        let parent = n("test.example");
-        let mut diag = Diagnosis::new();
-        let trusted = validate_dnskey(&parent, &ds, &dnskey_rrset(&z), &caps(), SIM_NOW, &mut diag)
-            .trusted
-            .expect("chain should validate");
-        let child = n("child.test.example");
-        let (salt, iterations) = ([0xab], u16::MAX);
-        let label = nsec3hash::nsec3_hash_label(child.as_wire(), &salt, iterations);
-        let proof = Rdata::Nsec3 {
-            hash_alg: nsec3hash::NSEC3_HASH_ALG_SHA1,
-            flags: 0,
-            iterations,
-            salt: salt.into(),
-            next_hashed: (&[0xff; nsec3hash::NSEC3_HASH_LEN]).into(),
-            types: TypeBitmap::from_types([RrType::Ns]),
-        };
-        let authority = [
-            Record::new(child.clone(), 3600, Rdata::Ns(n("ns1.child.test.example"))),
-            Record::new(parent.child_bytes(&label).unwrap(), 3600, proof),
-        ];
-
-        cut_link(
-            &authority,
-            &child,
-            false,
-            Some(&trusted),
-            &caps(),
-            SIM_NOW,
-            &mut diag,
-        );
+        let diag = cross_insecure_cut(u16::MAX, None);
         assert!(diag.any(|f| matches!(
             f,
             Finding::Nsec3IterationsExceeded {
@@ -1157,6 +1184,38 @@ mod tests {
             }
         )));
         assert_eq!(diag.validation, ValidationState::Bogus);
+    }
+
+    /// The parent's proof that a delegation is insecure is a denial like
+    /// any other (RFC 5155 §8.9): the same honest record, at 0
+    /// iterations but unsigned, proves nothing.
+    #[test]
+    fn an_unsigned_insecure_referral_proof_is_bogus() {
+        let diag = cross_insecure_cut(0, None);
+        let missing = Finding::DenialSigMissing {
+            kind: NegativeKind::Nodata,
+        };
+        assert_eq!(diag.findings, [missing]);
+        assert_eq!(diag.validation, ValidationState::Bogus);
+    }
+
+    /// Only the parent's keys authenticate its proof: signed by a key of
+    /// another zone, the record proves nothing; signed by the parent's
+    /// ZSK, it rules the child Insecure.
+    #[test]
+    fn an_insecure_referral_proof_signed_by_another_key_is_bogus() {
+        let stranger = ZoneKeys::generate(&n("stranger.example"), 8, 2048);
+        let diag = cross_insecure_cut(0, Some(&stranger.zsk));
+        let bogus = Finding::DenialSigBogus {
+            kind: NegativeKind::Nodata,
+        };
+        assert_eq!(diag.findings, [bogus]);
+        assert_eq!(diag.validation, ValidationState::Bogus);
+
+        let (_, keys, _) = signed_zone();
+        let diag = cross_insecure_cut(0, Some(&keys.zsk));
+        assert!(diag.findings.is_empty(), "{:?}", diag.findings);
+        assert_eq!(diag.validation, ValidationState::Insecure);
     }
 
     /// A signed negative answer whose only proof is plain NSEC (RFC 4034
@@ -1279,6 +1338,90 @@ mod tests {
             Finding::DenialProofBroken {
                 issue: DenialIssue::OwnerMismatch,
                 kind: NegativeKind::Nodata,
+            }
+        )));
+        assert_eq!(diag.validation, ValidationState::Bogus);
+    }
+
+    /// An NXDOMAIN proof must also cover the wildcard at the closest
+    /// encloser (RFC 5155 §8.4), or the name could have been synthesized
+    /// from it. Below, one NSEC3 matches the closest encloser (the apex)
+    /// and another covers the next closer name, both narrow and signed
+    /// by the zone's ZSK, and neither covers `*.test.example`: the
+    /// answer is Bogus with the chain broken.
+    #[test]
+    fn an_nxdomain_proof_without_the_wildcard_cover_is_broken() {
+        use ede_crypto::nsec3hash::{self, NSEC3_HASH_LEN};
+        use ede_wire::rdata::TypeBitmap;
+        use ede_zone::signer::sign_rrset;
+        let (z, keys, ds) = signed_zone();
+        let apex = n("test.example");
+        let mut diag = Diagnosis::new();
+        let trusted = validate_dnskey(&apex, &ds, &dnskey_rrset(&z), &caps(), SIM_NOW, &mut diag)
+            .trusted
+            .expect("chain should validate");
+        let qname = n("missing.test.example");
+        let (salt, iterations) = ([0xab, 0xcd], 0);
+        let hash = |name: &Name| nsec3hash::nsec3_hash(name.as_wire(), &salt, iterations);
+        // `h` one up or one down, as a 160-bit big-endian integer.
+        let step_by = |mut h: [u8; NSEC3_HASH_LEN], up: bool| {
+            for byte in h.iter_mut().rev() {
+                let (next, carry) = if up {
+                    byte.overflowing_add(1)
+                } else {
+                    byte.overflowing_sub(1)
+                };
+                *byte = next;
+                if !carry {
+                    break;
+                }
+            }
+            h
+        };
+        let window = SignerConfig::default().window();
+        let mut authority = Vec::new();
+        let soa = z.get(&apex, RrType::Soa).unwrap();
+        authority.extend(soa.records().chain(soa.sig_records()));
+        // The apex's own record, and one whose interval holds only the
+        // next closer name's hash.
+        for (owner, next) in [
+            (hash(&apex), step_by(hash(&apex), true)),
+            (step_by(hash(&qname), false), step_by(hash(&qname), true)),
+        ] {
+            let mut nsec3 = Rrset::new(
+                apex.child_bytes(&nsec3hash::nsec3_label(&owner)).unwrap(),
+                300,
+                Rdata::Nsec3 {
+                    hash_alg: nsec3hash::NSEC3_HASH_ALG_SHA1,
+                    flags: 0,
+                    iterations,
+                    salt: salt.into(),
+                    next_hashed: (&next).into(),
+                    types: TypeBitmap::from_types([RrType::A, RrType::Rrsig]),
+                },
+            );
+            nsec3
+                .sigs
+                .push(sign_rrset(&nsec3, &keys.zsk, &apex, window));
+            authority.extend(nsec3.records().chain(nsec3.sig_records()));
+        }
+
+        check_negative(
+            &authority,
+            &qname,
+            RrType::A,
+            NegativeKind::Nxdomain,
+            &apex,
+            &trusted,
+            &caps(),
+            SIM_NOW,
+            &mut diag,
+        );
+        assert!(diag.any(|f| matches!(
+            f,
+            Finding::DenialProofBroken {
+                issue: DenialIssue::ChainMismatch,
+                kind: NegativeKind::Nxdomain,
             }
         )));
         assert_eq!(diag.validation, ValidationState::Bogus);

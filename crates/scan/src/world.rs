@@ -42,7 +42,7 @@
 //! All key material is derived deterministically from names, so a DS
 //! served by a TLD today matches the DNSKEY a hosting server synthesizes
 //! tomorrow. A domain is found from its name alone: its label spells its
-//! serial, and the registry keeps an 8-byte place per serial; each TLD
+//! serial, and the registry keeps a 4-byte population index per serial; each TLD
 //! lists its children by serial, which is what the scanner claims.
 
 use crate::category::{Hosting, Row};
@@ -65,23 +65,6 @@ use std::sync::{Arc, Mutex};
 /// Address of the scan world's root server.
 pub const ROOT_SERVER: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
 
-/// A registered domain and its place in its TLD: a view into the
-/// population's slice, which holds the only copy of the record.
-#[derive(Clone, Copy)]
-struct Registered<'a> {
-    rec: &'a DomainRecord,
-    /// Position among the TLD's children (`Registry::children`).
-    ordinal: u32,
-}
-
-/// Where a registered domain sits: its index in the population and its
-/// ordinal among its TLD's children. 8 bytes a domain.
-#[derive(Clone, Copy, Default)]
-struct Place {
-    index: u32,
-    ordinal: u32,
-}
-
 /// Shared lookup tables over the population's domains, which they index
 /// rather than copy. No table is keyed by a name: a name's label spells
 /// its serial ([`Serials`]), and the serial is its slot in `places`.
@@ -90,11 +73,12 @@ struct Registry {
     domains: Arc<Vec<DomainRecord>>,
     /// How the population numbers its domains.
     serials: Serials,
-    /// By serial: the domain's place, exactly one slot per domain.
-    places: Vec<Place>,
+    /// By serial: the domain's index in the population, exactly one
+    /// slot (4 bytes) per domain.
+    places: Vec<u32>,
     /// By TLD index: its registered children as serials, in population
-    /// order (a child's ordinal is its position here), each list exactly
-    /// sized. The scanner's claims are cut from them.
+    /// order, each list exactly sized. The scanner's claims are cut from
+    /// them.
     children: Vec<Vec<u32>>,
 }
 
@@ -109,15 +93,12 @@ impl Registry {
             counts[usize::from(d.tld)] += 1;
         }
         let mut children: Vec<Vec<u32>> = counts.into_iter().map(Vec::with_capacity).collect();
-        let mut places = vec![Place::default(); serials.len()];
+        let mut places = vec![0; serials.len()];
         for (index, d) in pop.domains.iter().enumerate() {
-            let index = u32::try_from(index).expect("a population fits u32 indices");
-            let siblings = &mut children[usize::from(d.tld)];
-            let ordinal = siblings.len() as u32;
             let serial = d.name.first_label().and_then(|label| serials.serial(label));
             let serial = serial.unwrap_or_else(|| panic!("{} has no serial", d.name));
-            places[serial] = Place { index, ordinal };
-            siblings.push(u32::try_from(serial).expect("serials fit u32"));
+            places[serial] = u32::try_from(index).expect("a population fits u32 indices");
+            children[usize::from(d.tld)].push(u32::try_from(serial).expect("serials fit u32"));
         }
         Registry {
             domains: Arc::clone(&pop.domains),
@@ -129,18 +110,15 @@ impl Registry {
 
     /// The registered domain whose apex is `apex`: the record at its
     /// label's serial, if it bears that very name.
-    fn get(&self, apex: &Name) -> Option<Registered<'_>> {
-        let place = self.places.get(self.serials.serial(apex.first_label()?)?)?;
-        let rec = &self.domains[place.index as usize];
-        (rec.name == *apex).then_some(Registered {
-            rec,
-            ordinal: place.ordinal,
-        })
+    fn get(&self, apex: &Name) -> Option<&DomainRecord> {
+        let index = *self.places.get(self.serials.serial(apex.first_label()?)?)?;
+        let rec = &self.domains[index as usize];
+        (rec.name == *apex).then_some(rec)
     }
 
     /// The population index of `child`, an entry of `children`.
     fn index_of(&self, child: u32) -> usize {
-        self.places[child as usize].index as usize
+        self.places[child as usize] as usize
     }
 }
 
@@ -252,7 +230,7 @@ impl Server for HostingNs {
             return ServerResponse::Reply(layout::rcode_only(query, Rcode::FormErr));
         };
         // The registered domain (label.tld) the qname belongs to.
-        let Some(rec) = self.registry.get(&q.name.suffix(2)).map(|r| r.rec) else {
+        let Some(rec) = self.registry.get(&q.name.suffix(2)) else {
             return ServerResponse::Reply(layout::rcode_only(query, Rcode::Refused));
         };
 
@@ -456,8 +434,8 @@ impl Server for TldServer {
             .get(&q.name.suffix(2))
             .filter(|_| q.name.is_subdomain_of(&self.tld));
         match registered {
-            Some(child) if q.qtype != RrType::Ds || q.name != child.rec.name => {
-                self.referral(query, child.rec)
+            Some(child) if q.qtype != RrType::Ds || q.name != child.name => {
+                self.referral(query, child)
             }
             _ => ServerResponse::Reply(layout::rcode_only(query, Rcode::Refused)),
         }
@@ -582,14 +560,15 @@ impl ScanWorld {
         self.registry.index_of(child)
     }
 
-    /// `domain`'s entry in its TLD's [`Self::tld_children`], found from
-    /// its name.
+    /// `domain`'s entry in its TLD's [`Self::tld_children`]: the serial
+    /// its label spells.
     pub(crate) fn child_entry(&self, domain: &DomainRecord) -> u32 {
-        let registered = self.registry.get(&domain.name);
-        let ordinal = registered
-            .expect("a population domain is registered")
-            .ordinal;
-        self.registry.children[usize::from(domain.tld)][ordinal as usize]
+        let serial = domain
+            .name
+            .first_label()
+            .and_then(|l| self.registry.serials.serial(l));
+        let serial = serial.expect("a population domain has a serial");
+        u32::try_from(serial).expect("serials fit u32")
     }
 }
 
@@ -715,10 +694,9 @@ mod tests {
         let mut ordinals = vec![0u32; pop.tlds.len()];
         for (index, d) in pop.domains.iter().enumerate() {
             let found = registry.get(&d.name).expect("registered");
-            assert!(std::ptr::eq(found.rec, d), "{}", d.name);
+            assert!(std::ptr::eq(found, d), "{}", d.name);
             let t = usize::from(d.tld);
-            assert_eq!(found.ordinal, ordinals[t], "{}", d.name);
-            let child = registry.children[t][found.ordinal as usize];
+            let child = registry.children[t][ordinals[t] as usize];
             assert_eq!(registry.index_of(child), index, "{}", d.name);
             let serial = serials.serial(d.name.first_label().unwrap());
             assert_eq!(Some(child as usize), serial, "{}", d.name);

@@ -260,24 +260,19 @@ fn covers_hash(owner: &Name, first: &Rdata, target: &[u8]) -> bool {
     }
 }
 
-/// Is `owner`'s first label the NSEC3 hash of `name` under these
-/// parameters?
-pub fn owner_is(owner: &Name, salt: &[u8], iterations: u16, name: &Name) -> bool {
-    let label = nsec3hash::nsec3_hash_label(name.as_wire(), salt, iterations);
-    owner
-        .first_label()
-        .is_some_and(|l| l.eq_ignore_ascii_case(&label))
-}
-
 /// The validator's side of [`find_matching`]: does this NSEC3 RRset's
 /// owner match `name`, hashed under the RRset's own parameters?
 pub fn matches(set: RrsetRef<'_>, name: &Name) -> bool {
-    match set.rdatas().next() {
-        Some(Rdata::Nsec3 {
-            salt, iterations, ..
-        }) => owner_is(set.name(), salt, *iterations, name),
-        _ => false,
-    }
+    let Some(Rdata::Nsec3 {
+        salt, iterations, ..
+    }) = set.rdatas().next()
+    else {
+        return false;
+    };
+    let label = nsec3hash::nsec3_hash_label(name.as_wire(), salt, *iterations);
+    set.name()
+        .first_label()
+        .is_some_and(|l| l.eq_ignore_ascii_case(&label))
 }
 
 /// The validator's side of [`find_covering`]: does this NSEC3 RRset's
