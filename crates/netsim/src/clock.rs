@@ -56,15 +56,14 @@ impl SimClock {
     /// Advance the clock *to* `deadline_ms`, if that instant is in the
     /// future; a deadline already in the past leaves the clock alone.
     ///
-    /// This is the event-driven counterpart of [`advance_millis`]: when
-    /// many exchanges are in flight at once, time moves to each
-    /// completion's absolute deadline instead of accumulating per-query
-    /// latencies, so overlapping exchanges overlap in virtual time too.
+    /// Unlike [`advance_millis`], exchanges that threads run at once
+    /// overlap in virtual time: each moves time to its own absolute
+    /// deadline (a monotonic maximum) instead of adding its latency.
     /// Returns the clock value after the call.
     ///
     /// The clock is read first and written only when the deadline is
-    /// ahead of it: in a world that charges no latency every completion
-    /// lands on "now", and a write per completion would take the line
+    /// ahead of it: in a world that charges no latency every exchange
+    /// ends on "now", and a write per exchange would take the line
     /// every reader of the clock shares away from all of them.
     ///
     /// [`advance_millis`]: SimClock::advance_millis

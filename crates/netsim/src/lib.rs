@@ -13,12 +13,9 @@
 //! * [`transport`] — the network itself: a routing table from `IpAddr` to
 //!   [`Server`] instances, with per-query latency, unroutability for
 //!   special addresses, and a stream (TCP-analogue)
-//!   channel for truncation fallback. An exchange is an event-driven
-//!   `send`/`complete` pair, which lets one thread keep thousands of
-//!   exchanges in flight; the blocking `query` is the two in one call.
-//! * [`completion`] — the deterministic completion-event queue the
-//!   event-driven shape schedules against (deadline order, FIFO among
-//!   ties). `docs/CONCURRENCY.md` specifies the full model.
+//!   channel for truncation fallback. An exchange is one blocking call,
+//!   `query` or `query_stream`: the server computes its reply at once,
+//!   and the clock moves to the exchange's deadline before it returns.
 //! * [`fault`] — composable, deterministic fault plans: uniform loss,
 //!   response corruption, and the response-size model that sets the TC
 //!   bit on oversized UDP replies.
@@ -32,15 +29,13 @@
 
 pub mod addr;
 pub mod clock;
-pub mod completion;
 pub mod fault;
 pub mod transport;
 
 pub use addr::{classify, AddrClass, SpecialUse};
 pub use clock::SimClock;
-pub use completion::CompletionQueue;
 pub use fault::FaultPlan;
 pub use transport::{
-    CapturedQuery, InFlight, NetError, Network, NetworkBuilder, NetworkConfig, Server,
-    ServerResponse, TrafficSnapshot, TrafficStats,
+    CapturedQuery, NetError, Network, NetworkBuilder, NetworkConfig, Server, ServerResponse,
+    TrafficSnapshot, TrafficStats,
 };

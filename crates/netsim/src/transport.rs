@@ -260,49 +260,11 @@ pub struct Network {
     faults: FaultCell,
 }
 
-/// A sent-but-not-yet-observed exchange, returned by [`Network::send`]
-/// and [`Network::send_stream`].
-///
-/// The outcome (reply, timeout, or unroutable) is already decided —
-/// servers are synchronous state machines — but none of its effects have
-/// been applied: the clock has not moved, the delivered/failed counters
-/// have not ticked, and no `ResponseReceived`/`Timeout` event has been
-/// emitted. All of that happens in [`Network::complete`], which consumes
-/// the token. Schedulers order tokens by [`InFlight::deadline_ms`] (see
-/// [`crate::CompletionQueue`]).
-#[derive(Debug)]
-pub struct InFlight {
-    deadline_ms: u64,
-    dst: IpAddr,
-    tracer: Tracer,
-    qname: String,
-    outcome: InFlightOutcome,
-}
-
 /// Which of a server's two channels an exchange uses.
 #[derive(Clone, Copy, PartialEq)]
 enum Channel {
     Datagram,
     Stream,
-}
-
-#[derive(Debug)]
-enum InFlightOutcome {
-    Reply { msg: Message, latency_ms: u64 },
-    Fail { unroutable: bool, error: NetError },
-}
-
-impl InFlight {
-    /// Absolute virtual-clock instant (milliseconds) at which this
-    /// exchange's outcome becomes observable.
-    pub fn deadline_ms(&self) -> u64 {
-        self.deadline_ms
-    }
-
-    /// The destination the query was sent to.
-    pub fn dst(&self) -> IpAddr {
-        self.dst
-    }
 }
 
 impl Network {
@@ -360,50 +322,47 @@ impl Network {
         self.tracer.get()
     }
 
-    /// Send `query` to `dst` from `src` and wait for the reply:
-    /// [`send`](Self::send) completed on the spot.
+    /// Send `query` to `dst` from `src` and wait for the reply.
     ///
-    /// Latency accounting: a delivered exchange moves the clock one RTT
-    /// past the send instant; every failure (unroutable, silent drop,
-    /// loss, no route) moves it the full timeout past, as the querier
-    /// has to wait that long to learn nothing. No product code calls it
-    /// (the resolver parks every exchange on its task pool).
+    /// The send-time effects come first: the query counter, capture, the
+    /// `QuerySent` trace event, routability and fault-plan checks, and
+    /// the server's handler (servers are synchronous state machines).
+    /// Then the outcome's: the clock moves **to** the exchange's deadline
+    /// (a no-op when an exchange of another thread already moved time
+    /// past it), the delivered/failed counter ticks, and a
+    /// `ResponseReceived` / `Timeout` event is emitted.
+    ///
+    /// Latency accounting: a delivered exchange's deadline is one RTT
+    /// past the send instant; every failure's (unroutable, silent drop,
+    /// loss, no route) is the full timeout past, as the querier has to
+    /// wait that long to learn nothing.
     pub fn query(&self, dst: IpAddr, src: IpAddr, query: &Message) -> Result<Message, NetError> {
-        self.complete(self.send(dst, src, query))
-    }
-
-    /// Send `query` to `dst` from `src` without waiting for the outcome.
-    ///
-    /// All *send-time* effects happen here — the query counter, capture,
-    /// the `QuerySent` trace event, routability and fault-plan checks,
-    /// and the server's handler (servers are synchronous state machines,
-    /// so the reply is computed at send time; only its *observation* is
-    /// deferred). The returned
-    /// [`InFlight`] token carries the absolute virtual-clock deadline at
-    /// which the outcome becomes observable: one RTT after the send for a
-    /// delivered exchange, the full timeout for every failure. Park it in
-    /// a [`crate::CompletionQueue`] and hand it back to
-    /// [`Network::complete`] when its deadline is the earliest pending
-    /// one.
-    ///
-    /// Every `InFlight` must be completed, or the traffic counters will
-    /// show more queries than outcomes.
-    pub fn send(&self, dst: IpAddr, src: IpAddr, query: &Message) -> InFlight {
         self.exchange(Channel::Datagram, dst, src, query)
     }
 
-    /// Stream-channel (TCP-analogue) counterpart of [`Network::send`].
+    /// Stream-channel (TCP-analogue) counterpart of [`Network::query`].
     ///
     /// Streams cost one extra RTT for connection setup and are exempt
     /// from the fault plan — loss, corruption and the response-size
     /// model are per-datagram; a real TCP connection retransmits and
     /// carries any size.
-    pub fn send_stream(&self, dst: IpAddr, src: IpAddr, query: &Message) -> InFlight {
+    pub fn query_stream(
+        &self,
+        dst: IpAddr,
+        src: IpAddr,
+        query: &Message,
+    ) -> Result<Message, NetError> {
         self.exchange(Channel::Stream, dst, src, query)
     }
 
-    /// The send half of an exchange on either channel.
-    fn exchange(&self, channel: Channel, dst: IpAddr, src: IpAddr, query: &Message) -> InFlight {
+    /// One exchange on either channel.
+    fn exchange(
+        &self,
+        channel: Channel,
+        dst: IpAddr,
+        src: IpAddr,
+        query: &Message,
+    ) -> Result<Message, NetError> {
         let datagram = channel == Channel::Datagram;
         self.stats.0.bump(|c| &c.queries);
         if !datagram {
@@ -437,31 +396,61 @@ impl Network {
             id: query.id,
         });
         let now_ms = self.clock.now_millis();
-        let fail = |tracer: Tracer, qname: String, unroutable: bool, error: NetError| InFlight {
-            deadline_ms: now_ms + self.config.timeout_ms,
-            dst,
-            tracer,
-            qname,
-            outcome: InFlightOutcome::Fail { unroutable, error },
-        };
+        match self.deliver(datagram, dst, src, query, &tracer) {
+            Ok((msg, latency_ms)) => {
+                self.clock.advance_to_millis(now_ms + latency_ms);
+                self.stats.0.bump(|c| &c.delivered);
+                tracer.emit(TraceEvent::ResponseReceived {
+                    src: dst,
+                    rcode: msg.rcode.to_u16(),
+                    answers: msg.answers.len(),
+                    latency_ms,
+                });
+                Ok(msg)
+            }
+            Err((unroutable, error)) => {
+                self.clock
+                    .advance_to_millis(now_ms + self.config.timeout_ms);
+                self.stats.0.bump(|c| &c.failed);
+                tracer.emit(TraceEvent::Timeout {
+                    dst,
+                    qname,
+                    unroutable,
+                });
+                Err(error)
+            }
+        }
+    }
+
+    /// The far side of an exchange: the server's reply as the link
+    /// delivers it, with its latency, or why none arrives (whether the
+    /// destination was unroutable, and the error).
+    fn deliver(
+        &self,
+        datagram: bool,
+        dst: IpAddr,
+        src: IpAddr,
+        query: &Message,
+        tracer: &Tracer,
+    ) -> Result<(Message, u64), (bool, NetError)> {
         if !classify(dst).is_routable() {
-            return fail(tracer, qname, true, NetError::Unroutable);
+            return Err((true, NetError::Unroutable));
         }
         let Some(server) = self.routes.get(&dst) else {
-            return fail(tracer, qname, false, NetError::Timeout);
+            return Err((false, NetError::Timeout));
         };
         // Loss, corruption and the response-size model are
         // per-datagram: a stream retransmits and carries any size.
         let plan = if datagram { self.faults.get() } else { None };
         if let Some(plan) = &plan {
             if plan.loses(dst, query) {
-                self.inject(&tracer, "loss", dst);
-                return fail(tracer, qname, false, NetError::Timeout);
+                self.inject(tracer, "loss", dst);
+                return Err((false, NetError::Timeout));
             }
         }
         let now_secs = self.clock.now_secs();
         let ServerResponse::Reply(mut msg) = server.handle(query, src, now_secs) else {
-            return fail(tracer, qname, false, NetError::Timeout);
+            return Err((false, NetError::Timeout));
         };
         // A stream pays one more round trip, for connection setup.
         let latency_ms = if datagram {
@@ -471,7 +460,7 @@ impl Network {
         };
         if let Some(plan) = &plan {
             if plan.corrupts(dst, query) {
-                self.inject(&tracer, "corrupt", dst);
+                self.inject(tracer, "corrupt", dst);
                 let mut garbled = Message::response_to(query);
                 garbled.rcode = Rcode::FormErr;
                 // Echo the client's OPT: the damage is to the
@@ -488,45 +477,7 @@ impl Network {
                 }
             }
         }
-        InFlight {
-            deadline_ms: now_ms + latency_ms,
-            dst,
-            tracer,
-            qname,
-            outcome: InFlightOutcome::Reply { msg, latency_ms },
-        }
-    }
-
-    /// Observe the outcome of an in-flight exchange: the *completion*
-    /// half of [`Network::send`] / [`Network::send_stream`].
-    ///
-    /// Advances the virtual clock **to** the exchange's deadline (a
-    /// no-op when another completion already moved time past it), then
-    /// applies the outcome-time effects: the delivered/failed counter
-    /// and the `ResponseReceived` / `Timeout` trace event.
-    pub fn complete(&self, inflight: InFlight) -> Result<Message, NetError> {
-        self.clock.advance_to_millis(inflight.deadline_ms);
-        match inflight.outcome {
-            InFlightOutcome::Reply { msg, latency_ms } => {
-                self.stats.0.bump(|c| &c.delivered);
-                inflight.tracer.emit(TraceEvent::ResponseReceived {
-                    src: inflight.dst,
-                    rcode: msg.rcode.to_u16(),
-                    answers: msg.answers.len(),
-                    latency_ms,
-                });
-                Ok(msg)
-            }
-            InFlightOutcome::Fail { unroutable, error } => {
-                self.stats.0.bump(|c| &c.failed);
-                inflight.tracer.emit(TraceEvent::Timeout {
-                    dst: inflight.dst,
-                    qname: inflight.qname,
-                    unroutable,
-                });
-                Err(error)
-            }
-        }
+        Ok((msg, latency_ms))
     }
 
     /// Count one fired fault decision and surface it to any tracer.
@@ -622,9 +573,7 @@ mod tests {
         );
     }
 
-    /// The five exchange shapes, pinned literally: `query` is
-    /// `complete(send(..))`, so comparing the two would compare a
-    /// function with itself.
+    /// The five exchange shapes, pinned literally.
     #[test]
     fn the_five_exchange_shapes_are_pinned() {
         use ede_trace::{ResolutionTrace, TimedEvent};
@@ -713,37 +662,14 @@ mod tests {
     }
 
     #[test]
-    fn overlapping_sends_share_virtual_time() {
-        // Two in-flight exchanges sent at the same instant complete at
-        // the same deadline: the clock advances one RTT total, not two.
-        let mut b = NetworkBuilder::new();
-        b.register("93.184.216.34".parse().unwrap(), Arc::new(Echo));
-        let net = b.build(SimClock::new());
-        let t0 = net.clock().now_millis();
-        let a = net.send("93.184.216.34".parse().unwrap(), client(), &q(1));
-        let b2 = net.send("93.184.216.34".parse().unwrap(), client(), &q(2));
-        assert_eq!(a.deadline_ms(), t0 + 20);
-        assert_eq!(b2.deadline_ms(), t0 + 20);
-        assert_eq!(net.clock().now_millis(), t0, "send must not move time");
-        net.complete(a).unwrap();
-        net.complete(b2).unwrap();
-        assert_eq!(net.clock().now_millis(), t0 + 20);
-        let (q_total, delivered, failed) = net.stats().snapshot();
-        assert_eq!((q_total, delivered, failed), (2, 2, 0));
-    }
-
-    #[test]
     fn stream_exchange_is_pinned() {
         let dst: IpAddr = "93.184.216.34".parse().unwrap();
         let mut b = NetworkBuilder::new();
         b.register(dst, Arc::new(Echo));
         let net = b.build(SimClock::new());
         let t0 = net.clock().now_millis();
-        let inflight = net.send_stream(dst, client(), &q(7));
-        assert_eq!(inflight.deadline_ms(), t0 + 40, "handshake + exchange");
-        assert_eq!(net.clock().now_millis(), t0, "send must not move time");
-        assert_eq!(net.complete(inflight).map(|m| m.id), Ok(7));
-        assert_eq!(net.clock().now_millis(), t0 + 40);
+        assert_eq!(net.query_stream(dst, client(), &q(7)).map(|m| m.id), Ok(7));
+        assert_eq!(net.clock().now_millis(), t0 + 40, "handshake + exchange");
         assert_eq!(
             net.stats().snapshot_full(),
             TrafficSnapshot {
@@ -789,7 +715,7 @@ mod tests {
 
         // The stream path serves it whole, at handshake + exchange cost.
         let t0 = net.clock().now_millis();
-        let tcp = net.complete(net.send_stream(dst, client(), &q(2))).unwrap();
+        let tcp = net.query_stream(dst, client(), &q(2)).unwrap();
         assert!(!tcp.truncated);
         assert_eq!(tcp.answers.len(), 40);
         assert_eq!(net.clock().now_millis() - t0, 40);

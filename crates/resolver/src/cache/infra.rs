@@ -21,9 +21,9 @@
 //! every resolution crossing a popular zone (a TLD, say) borrows the
 //! same keys instead of deep-cloning them per crossing. The shards mark
 //! each zone whose keys are being fetched (see `KeyShard::building`), so
-//! a miss storm performs exactly one upstream fetch: the task that set
-//! the mark fetches, and the others park until it is gone
-//! (`Engine::zone_keys`).
+//! a miss storm performs exactly one upstream fetch: the resolution
+//! that set the mark fetches, and those of other threads yield until it
+//! is gone (`Engine::zone_keys`).
 //!
 //! A one-shot resolution (`Resolver::resolve_once`) stores the keys of
 //! every zone it crosses at a cut (the root, a TLD), which the next
@@ -158,7 +158,7 @@ impl ReferralEntry {
 
 /// One lockable slice of the key cache: the validated entries plus the
 /// zones whose DNSKEY fetch is under way. The marks give the cache
-/// *singleflight* semantics — when several tasks miss on the same zone
+/// *singleflight* semantics — when several threads miss on the same zone
 /// at once, exactly one performs the fetch and the rest replay the
 /// entry it stores. Without them, a miss storm duplicates upstream
 /// queries, which both wastes work and makes the scan's query counters
@@ -169,10 +169,10 @@ pub(crate) struct KeyShard {
     pub(crate) building: HashSet<Name>,
 }
 
-/// A zone's mark in [`KeyShard::building`], held by the task fetching
-/// its keys. Dropping it removes the mark however the build ends —
-/// stored, or its task dropped mid-fetch — so a parked task then finds
-/// the entry or builds it itself.
+/// A zone's mark in [`KeyShard::building`], held by the resolution
+/// fetching its keys. Dropping it removes the mark however the build
+/// ends — stored, or unwound by a panic mid-fetch — so a waiting
+/// resolution then finds the entry or builds it itself.
 pub(crate) struct BuildMark<'a> {
     pub(crate) infra: &'a InfraCache,
     pub(crate) zone: &'a Name,

@@ -6,7 +6,6 @@ use crate::cache::infra::{BuildMark, ChainKeys, InfraCache, KeyEntry, ReferralEn
 use crate::config::ResolverConfig;
 use crate::diagnosis::{Diagnosis, Finding, NsEvent, NsFailure, ValidationState};
 use crate::profiles::ValidatorCaps;
-use crate::task::TaskHandle;
 use crate::validate;
 use ede_netsim::{NetError, Network};
 use ede_trace::TraceEvent;
@@ -31,10 +30,6 @@ pub(crate) struct EngineOutcome {
 }
 
 /// The engine borrows everything it needs for one resolution.
-///
-/// Every engine run is a resumable task: network exchanges suspend
-/// through the [`TaskHandle`], so one thread can hold
-/// thousands of engine runs in flight (see `docs/CONCURRENCY.md`).
 pub(crate) struct Engine<'a> {
     /// The simulated internet.
     pub(crate) net: &'a Network,
@@ -47,9 +42,6 @@ pub(crate) struct Engine<'a> {
     pub(crate) infra: &'a InfraCache,
     /// Query ID source.
     pub(crate) ids: &'a AtomicU16,
-    /// Executor capability: every suspension (an exchange completion)
-    /// of this resolution parks through it.
-    pub(crate) handle: &'a TaskHandle,
     /// Whether the key entry of the zone an answer comes from (or whose
     /// servers all failed) is stored: the pipeline's `store`. Keys met
     /// at a cut are stored regardless.
@@ -100,18 +92,13 @@ impl<'a> Engine<'a> {
     /// One transport exchange with truncation fallback: when the UDP
     /// reply carries TC=1, announce a [`TraceEvent::TcFallback`] and
     /// re-ask the same server over the stream (TCP-analogue) channel.
-    ///
-    /// The exchange is event-driven: the send happens immediately (all
-    /// send-time side effects land before the suspension), then the
-    /// task parks until the completion event fires.
-    async fn transact(
+    fn transact(
         &self,
         addr: IpAddr,
         query: &Message,
         diag: &Diagnosis,
     ) -> Result<Message, NetError> {
-        let sent = self.net.send(addr, self.config.source_addr, query);
-        match self.handle.await_net(sent).await {
+        match self.net.query(addr, self.config.source_addr, query) {
             Ok(resp) if resp.truncated => {
                 let tracer = diag.tracer();
                 if tracer.enabled() {
@@ -131,8 +118,7 @@ impl<'a> Engine<'a> {
                         limit: query.advertised_payload_size(),
                     });
                 }
-                let sent = self.net.send_stream(addr, self.config.source_addr, query);
-                self.handle.await_net(sent).await
+                self.net.query_stream(addr, self.config.source_addr, query)
             }
             other => other,
         }
@@ -143,7 +129,7 @@ impl<'a> Engine<'a> {
     /// [`ResolverConfig::retries_per_server`] more tries on the same
     /// address after a timeout or FORMERR. One `Retry` event precedes
     /// every attempt but the first.
-    async fn query_set(
+    fn query_set(
         &self,
         servers: &[IpAddr],
         qname: &Name,
@@ -164,7 +150,7 @@ impl<'a> Engine<'a> {
                 }
                 attempt += 1;
                 let query = Message::iterative_query(self.next_id(), qname.clone(), qtype);
-                let failure = match self.transact(addr, &query, diag).await {
+                let failure = match self.transact(addr, &query, diag) {
                     Ok(resp) if lacks_edns(&resp) => {
                         // Pre-EDNS server: the response is unusable for a
                         // DO-bit pipeline (§4.2.6 Invalid Data).
@@ -197,11 +183,12 @@ impl<'a> Engine<'a> {
     /// A fetched entry is stored only when `store` says so; a cached one
     /// is replayed either way.
     ///
-    /// Singleflight: the first task to miss marks the zone as building
-    /// and fetches; a task that finds the mark parks on
-    /// [`TaskHandle::recheck`] and looks again, so a miss storm makes one
-    /// DNSKEY fetch and no thread blocks on another task's.
-    async fn zone_keys(
+    /// Singleflight: the first resolution to miss marks the zone as
+    /// building and fetches; one on another thread that finds the mark
+    /// yields its thread and looks again, so a miss storm makes one
+    /// DNSKEY fetch, and the query count does not depend on thread
+    /// timing.
+    fn zone_keys(
         &self,
         at: &ReferralEntry,
         server: IpAddr,
@@ -225,7 +212,7 @@ impl<'a> Engine<'a> {
                     entry.replay(diag);
                     return entry;
                 }
-                None => self.handle.recheck().await,
+                None => std::thread::yield_now(),
             }
         };
 
@@ -244,7 +231,7 @@ impl<'a> Engine<'a> {
                 });
             }
             let query = Message::iterative_query(self.next_id(), zone.clone(), RrType::Dnskey);
-            match usable_reply(self.transact(server, &query, &sub).await) {
+            match usable_reply(self.transact(server, &query, &sub)) {
                 Ok(resp) => break Ok(resp),
                 Err(failure) => {
                     if failure.is_rcode_failure() {
@@ -309,10 +296,8 @@ impl<'a> Engine<'a> {
         Some(entry)
     }
 
-    /// Full iterative resolution of (qname, qtype), as a resumable
-    /// task: the returned future suspends on every network exchange
-    /// via the engine's [`TaskHandle`].
-    pub(crate) async fn resolve(
+    /// Full iterative resolution of (qname, qtype).
+    pub(crate) fn resolve(
         &self,
         qname: &Name,
         qtype: RrType,
@@ -342,7 +327,7 @@ impl<'a> Engine<'a> {
             // Signed: a DS set (or a trust anchor) vouches for the zone.
             let zone_signed = !at.ds_rdatas.is_empty();
 
-            let (resp, responder) = match self.query_set(&at.servers, qname, qtype, diag).await {
+            let (resp, responder) = match self.query_set(&at.servers, qname, qtype, diag) {
                 SetQuery::Answered(resp, addr) => (resp, addr),
                 SetQuery::AllFailed { any_rcode_failure } => {
                     diag.add(Finding::AllServersFailed { any_rcode_failure });
@@ -351,7 +336,7 @@ impl<'a> Engine<'a> {
                     // unobtainable (Cloudflare's 9+22+23 bundle).
                     if zone_signed && !at.zone.is_root() {
                         if let Some(&first) = at.servers.first() {
-                            self.zone_keys(&at, first, diag, self.store).await;
+                            self.zone_keys(&at, first, diag, self.store);
                         }
                     }
                     return servfail(diag);
@@ -369,7 +354,7 @@ impl<'a> Engine<'a> {
                 // the chain, when one reaches this zone.
                 diag.zone_signed |= zone_signed;
                 let keys = if zone_signed {
-                    Some(self.zone_keys(&at, responder, diag, self.store).await)
+                    Some(self.zone_keys(&at, responder, diag, self.store))
                 } else {
                     None
                 };
@@ -417,7 +402,7 @@ impl<'a> Engine<'a> {
             // referral's DS set only from a signed parent.
             let secure_cut = zone_signed && referral.signed;
             if zone_signed {
-                let parent = self.zone_keys(&at, responder, diag, true).await;
+                let parent = self.zone_keys(&at, responder, diag, true);
                 validate::cut_link(
                     &resp.authorities,
                     &at.zone,

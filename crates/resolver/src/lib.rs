@@ -35,15 +35,13 @@
 //!
 //! # Execution model
 //!
-//! Resolutions are *resumable tasks*: the engine suspends on every
-//! network exchange, and a [`task::ResolutionPool`]
-//! multiplexes thousands of suspended resolutions on one thread by
-//! draining a deterministic completion-event queue. There is one
-//! resolution entry point, the async [`Resolver::resolve_with`]; the
-//! blocking [`Resolver::resolve`] call drives it as a single task
-//! inline. The full model —
-//! states, transitions, event ordering, determinism rules — is
-//! specified in `docs/CONCURRENCY.md`.
+//! A resolution is straight-line code on the calling thread:
+//! [`Resolver::resolve`] (or [`Resolver::resolve_once`], for a name the
+//! caller will not ask again) walks, validates and emits, and every
+//! network exchange returns before the walk goes on. Many threads may
+//! share one resolver; a zone's keys are fetched once among them (the
+//! singleflight in [`cache::infra`]). `docs/CONCURRENCY.md` specifies
+//! the model and its determinism rules.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,7 +53,6 @@ pub mod explain;
 mod iterative;
 pub mod profiles;
 pub mod resolver;
-pub mod task;
 pub mod validate;
 
 pub use cache::infra::{InfraCache, InfraStatsSnapshot, ReferralEntry};
@@ -64,4 +61,3 @@ pub use config::ResolverConfig;
 pub use diagnosis::{Diagnosis, Finding, NsFailure, ValidationState};
 pub use profiles::{Vendor, VendorProfile};
 pub use resolver::{Resolution, Resolver, SharedDiagnosis};
-pub use task::{ResolutionPool, TaskHandle};

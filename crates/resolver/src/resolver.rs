@@ -6,7 +6,6 @@ use crate::config::ResolverConfig;
 use crate::diagnosis::{Diagnosis, Finding, ValidationState};
 use crate::iterative::Engine;
 use crate::profiles::VendorProfile;
-use crate::task::{run_local, TaskHandle};
 use ede_netsim::Network;
 use ede_trace::{CacheOutcome, TraceEvent, Tracer};
 use ede_wire::{EdeEntry, Edns, EdnsOption, Message, Name, Rcode, Record, RrType};
@@ -159,38 +158,14 @@ impl Resolver {
     /// `Network::set_trace_sink`), the resolution is bracketed with
     /// `ResolutionStarted`/`ResolutionFinished` events and every cache
     /// probe, validation step, finding, and EDE emission is announced in
-    /// between.
-    ///
-    /// This is the blocking shape: it drives
-    /// [`resolve_with`](Self::resolve_with) to completion on the calling
-    /// thread via a private single-task event loop, with no
-    /// task-lifecycle events. To hold many resolutions in flight on one
-    /// thread, spawn `resolve_with` on a [`crate::ResolutionPool`]
-    /// instead. Do not call it on a thread whose pool holds tasks of this
-    /// resolver in flight: it would wait for ever on a zone's keys that
-    /// a parked task of that pool is fetching.
+    /// between. Another thread fetching a zone's keys this resolution
+    /// needs makes it yield its thread until they are stored, not fetch
+    /// them again.
     pub fn resolve(&self, qname: &Name, qtype: RrType) -> Resolution {
-        run_local(&self.net, |handle| async move {
-            self.resolve_with(&handle, qname, qtype).await
-        })
+        self.pipeline(qname, qtype, true)
     }
 
-    /// The resolution pipeline itself, as a resumable task. It suspends
-    /// on `handle` whenever it would block on the network, so it runs
-    /// wherever a [`TaskHandle`] comes from — [`crate::ResolutionPool::spawn`]
-    /// for many in flight on one thread, or the blocking wrapper above.
-    /// Semantics (cache, validation, EDE emission) are the same
-    /// on both; only the scheduling differs.
-    pub async fn resolve_with(
-        &self,
-        handle: &TaskHandle,
-        qname: &Name,
-        qtype: RrType,
-    ) -> Resolution {
-        self.pipeline(handle, qname, qtype, true).await
-    }
-
-    /// [`resolve_with`](Self::resolve_with) for a name the caller will
+    /// [`resolve`](Self::resolve) for a name the caller will
     /// not ask again: the same pipeline — answer-cache probe,
     /// engine, serve-stale, EDE emission — returning the same
     /// [`Resolution`], except that it leaves two things behind. The
@@ -201,24 +176,13 @@ impl Resolver {
     /// a name or zone stored earlier is still served from its cache. A
     /// scan calls this for every domain it never revisits, so its caches
     /// hold only what it reads back.
-    pub async fn resolve_once(
-        &self,
-        handle: &TaskHandle,
-        qname: &Name,
-        qtype: RrType,
-    ) -> Resolution {
-        self.pipeline(handle, qname, qtype, false).await
+    pub fn resolve_once(&self, qname: &Name, qtype: RrType) -> Resolution {
+        self.pipeline(qname, qtype, false)
     }
 
     /// The body of both entry points; `store` is whether step 4 keeps
     /// the answer and the engine keeps the answer zone's keys.
-    async fn pipeline(
-        &self,
-        handle: &TaskHandle,
-        qname: &Name,
-        qtype: RrType,
-        store: bool,
-    ) -> Resolution {
+    fn pipeline(&self, qname: &Name, qtype: RrType, store: bool) -> Resolution {
         let now = self.net.clock().now_secs();
         let tracer = self.net.tracer();
         let started_ms = tracer.now_millis();
@@ -271,10 +235,9 @@ impl Resolver {
             caps: &self.profile.caps,
             infra: &self.infra,
             ids: &self.ids,
-            handle,
             store,
         };
-        let outcome = engine.resolve(qname, qtype, &mut diag).await;
+        let outcome = engine.resolve(qname, qtype, &mut diag);
 
         // 3. Serve-stale fallback (RFC 8767) on failure.
         if outcome.rcode == Rcode::ServFail {
@@ -563,20 +526,17 @@ mod tests {
 
     /// A one-shot resolution of a signed name leaves its zone's key
     /// entry behind and keeps the root's, which it met at the cut into
-    /// the zone; `resolve_with` keeps both.
+    /// the zone; `resolve` keeps both.
     #[test]
     fn a_one_shot_resolution_keeps_only_the_keys_met_at_a_cut() {
         let qname = n("healthy.test");
         for once in [true, false] {
             let (resolver, _) = world();
-            let (r, q) = (&resolver, &qname);
-            let res = run_local(&resolver.net, |handle| async move {
-                if once {
-                    r.resolve_once(&handle, q, RrType::A).await
-                } else {
-                    r.resolve_with(&handle, q, RrType::A).await
-                }
-            });
+            let res = if once {
+                resolver.resolve_once(&qname, RrType::A)
+            } else {
+                resolver.resolve(&qname, RrType::A)
+            };
             assert_eq!(res.validation, ValidationState::Secure, "once {once}");
             let held = |apex: &Name| {
                 let shard = resolver.infra.key_shard(apex).lock().unwrap();

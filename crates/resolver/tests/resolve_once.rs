@@ -4,7 +4,7 @@
 use ede_authority::{ZoneServer, ZoneStore};
 use ede_netsim::{NetworkBuilder, SimClock};
 use ede_resolver::config::RootHint;
-use ede_resolver::{ResolutionPool, Resolver, ResolverConfig, Vendor, VendorProfile};
+use ede_resolver::{Resolver, ResolverConfig, Vendor, VendorProfile};
 use ede_wire::rdata::Soa;
 use ede_wire::{DigestAlg, Name, Rdata, Record, RrType};
 use ede_zone::signer::{sign_zone, SignerConfig};
@@ -100,21 +100,17 @@ fn build(vendor: Vendor) -> Resolver {
     )
 }
 
-/// `resolve_once` is `resolve_with` without the store: on twin
+/// `resolve_once` is `resolve` without the store: on twin
 /// resolvers it returns the same resolution and leaves the answer cache
 /// untouched, and a name stored earlier is still served from the cache.
 #[test]
 fn resolve_once_answers_alike_and_stores_nothing() {
     let run = |resolver: &Resolver, qname: &Name, once: bool| {
-        let mut pool = ResolutionPool::new(resolver.network());
-        pool.spawn(|handle| async move {
-            if once {
-                resolver.resolve_once(&handle, qname, RrType::A).await
-            } else {
-                resolver.resolve_with(&handle, qname, RrType::A).await
-            }
-        });
-        pool.next().expect("one task was spawned")
+        if once {
+            resolver.resolve_once(qname, RrType::A)
+        } else {
+            resolver.resolve(qname, RrType::A)
+        }
     };
     let storing = build(Vendor::Cloudflare);
     let passing = build(Vendor::Cloudflare);

@@ -24,8 +24,8 @@
 //! ([`ChaosReport::under_resolved`]), the module holds the two Table 4
 //! checks `repro-chaos` runs first: serial ([`table4_deviation`]) and
 //! seven vendors in flight ([`table4_concurrent_deviation`]). The
-//! contracts of the other scan configurations (worker count, window,
-//! cache budgets, ring size) are the test suite's to assert
+//! contracts of the other scan configurations (worker count, cache
+//! budgets, ring size) are the test suite's to assert
 //! (`scanner::tests`, `crates/scan/tests/streaming.rs`), not this
 //! module's.
 
@@ -251,17 +251,17 @@ pub fn table4_deviation() -> Vec<String> {
 }
 
 /// The Table 4 matrix again, but with the seven vendor columns of each
-/// row resolved *concurrently* on one event-driven task pool: per spec,
-/// flush all seven resolvers, spawn the seven resolutions into a single
-/// pool, then compare every cell. Proves the paper's headline matrix
-/// survives high in-flight concurrency, not just the serial walk.
-/// Returns the differing cells; empty means bit-identical.
+/// row resolved *concurrently*: per spec, flush all seven resolvers,
+/// then resolve the seven columns on seven scoped threads over the one
+/// shared testbed network and compare every cell. Proves the paper's
+/// headline matrix survives seven resolutions in flight on one network
+/// and one virtual clock, not just the serial walk. Returns the
+/// differing cells; empty means bit-identical.
 ///
 /// The per-spec flush order is preserved from [`table4_deviation`]: all
 /// columns of a row see the same freshly-flushed caches, so cache state
 /// cannot leak between specs (the reason the serial walk flushes too).
 pub fn table4_concurrent_deviation() -> Vec<String> {
-    use ede_resolver::ResolutionPool;
     use ede_testbed::{expectations::table4, Testbed};
     use ede_wire::RrType;
 
@@ -273,19 +273,17 @@ pub fn table4_concurrent_deviation() -> Vec<String> {
         for r in &resolvers {
             r.flush();
         }
-        let mut pool: ResolutionPool<(usize, Vec<u16>)> = ResolutionPool::new(&tb.net);
-        for (i, resolver) in resolvers.iter().enumerate() {
-            pool.spawn(move |handle| async move {
-                let res = resolver.resolve_with(&handle, qname, RrType::A).await;
-                (i, res.ede_codes())
-            });
-        }
-        let mut row: Vec<Option<Vec<u16>>> = vec![None; resolvers.len()];
-        for (i, codes) in &mut pool {
-            row[i] = Some(codes);
-        }
+        let row: Vec<Vec<u16>> = std::thread::scope(|s| {
+            let columns: Vec<_> = resolvers
+                .iter()
+                .map(|r| s.spawn(move || r.resolve(qname, RrType::A).ede_codes()))
+                .collect();
+            columns
+                .into_iter()
+                .map(|c| c.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        });
         for (i, got) in row.into_iter().enumerate() {
-            let got = got.expect("column completed");
             if got != exp.codes[i].to_vec() {
                 bad.push(format!(
                     "{} col {i} (concurrent): got {:?}, expected {:?}",

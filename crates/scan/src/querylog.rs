@@ -13,8 +13,8 @@
 //! Two fields of a record are *worker-timing-dependent*: `seq` (ring
 //! arrival order) and `vtime_ms` (the virtual-clock stamp at
 //! completion). Everything else is a pure function of the domain and
-//! the simulated world, bit-identical at any worker count or in-flight
-//! window. `PartialEq` therefore compares **only the deterministic
+//! the simulated world, bit-identical at any worker count. `PartialEq`
+//! therefore compares **only the deterministic
 //! fields**, and the aggregate fingerprint hashes
 //! [`QueryRecord::outcome_line`], which excludes both.
 
@@ -234,8 +234,8 @@ impl QueryRecord {
 
 /// Equality over the **deterministic** fields only: `seq` and
 /// `vtime_ms` depend on worker timing and are excluded, so the
-/// bit-identity tests can compare records across worker counts and
-/// in-flight windows directly.
+/// bit-identity tests can compare records across worker counts
+/// directly.
 impl PartialEq for QueryRecord {
     fn eq(&self, other: &Self) -> bool {
         self.pass == other.pass

@@ -11,8 +11,7 @@ use crate::querylog::{QueryLog, QueryLogStats, QueryRecord};
 use crate::stats::v1::{StatsSnapshot, SCHEMA_VERSION};
 use crate::world::ScanWorld;
 use ede_resolver::{
-    CacheStatsSnapshot, InfraStatsSnapshot, Resolution, ResolutionPool, Resolver, Vendor,
-    VendorProfile,
+    CacheStatsSnapshot, InfraStatsSnapshot, Resolution, Resolver, Vendor, VendorProfile,
 };
 use ede_trace::{Metrics, MetricsSnapshot};
 use ede_wire::RrType;
@@ -162,12 +161,6 @@ const SCAN_VENDOR: Vendor = Vendor::Cloudflare;
 pub struct ScanConfig {
     /// Worker threads.
     pub workers: usize,
-    /// Resolutions each worker keeps in flight on its event-driven task
-    /// pool: the window. `1` (the default) finishes each resolution
-    /// before admitting the next; a larger window multiplexes that many
-    /// resumable resolutions per worker thread. Results are
-    /// bit-identical at any window (see `docs/CONCURRENCY.md`).
-    pub inflight: usize,
     /// Print live progress lines to stderr while scanning.
     pub progress: bool,
     /// Query-log ring capacity (records retained in memory). Purely a
@@ -186,7 +179,6 @@ impl Default for ScanConfig {
                 .map(|n| n.get())
                 .unwrap_or(4)
                 .min(16),
-            inflight: 1,
             progress: false,
             query_log_capacity: 65_536,
             query_log_spill: None,
@@ -228,9 +220,13 @@ impl ScanConfigBuilder {
         self
     }
 
-    /// Set the per-worker in-flight resolution window (at least `1`).
-    pub fn inflight(mut self, n: usize) -> Self {
-        self.config.inflight = n.max(1);
+    /// Shim: accepts only `1`, and panics on any other value. A worker
+    /// resolves its claims one name at a time: the scan world charges no
+    /// latency, so there is nothing to overlap. `benchmark/src/workloads.rs`
+    /// still calls it; ROADMAP item 1(a) drops that call and then
+    /// deletes this setter.
+    pub fn inflight(self, n: usize) -> Self {
+        assert_eq!(n, 1, "a scan worker resolves one name at a time");
         self
     }
 
@@ -394,57 +390,42 @@ impl PassCtx<'_> {
 }
 
 /// One pass worker: take the plan's next claim off the shared cursor,
-/// keep up to `inflight` resumable resolutions of it in flight on one
-/// [`ResolutionPool`], and fold each finished one into its **private**
-/// partial aggregate, which it returns when the plan is exhausted. Its
-/// records go to the query log every [`FLUSH_EVERY`] results. The worker
-/// drains a claim before it takes the next. Results surface in
-/// completion order, which at a window of one is claim order; the fold
-/// is order-independent, so the window changes nothing downstream.
+/// resolve its domains in claim order, and fold each into its
+/// **private** partial aggregate, which it returns when the plan is
+/// exhausted. Its records go to the query log every [`FLUSH_EVERY`]
+/// results.
 ///
 /// A name the scan asks again keeps its answer in the answer cache
-/// ([`Resolver::resolve_with`]); every other name goes through
-/// [`Resolver::resolve_once`]. The choice rides in each task, so it is
-/// the same at any window and worker count.
+/// ([`Resolver::resolve`]); every other name goes through
+/// [`Resolver::resolve_once`]. The choice is the domain's, so it is the
+/// same at any worker count.
 fn pass_worker(
     resolver: &Resolver,
     ctx: &PassCtx<'_>,
     plan: &ClaimPlan<'_>,
     cursor: &AtomicUsize,
-    inflight: usize,
 ) -> PartialAggregate {
     let domains = &ctx.pop.domains;
-    let mut pool: ResolutionPool<(usize, Resolution)> = ResolutionPool::new(resolver.network());
     let mut records = Vec::with_capacity(FLUSH_EVERY);
     let mut partial = PartialAggregate::default();
     while let Some(claim) = plan.claims.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-        let mut pending = claim.chunks(MAP_AHEAD).flat_map(|batch| {
+        for batch in claim.chunks(MAP_AHEAD) {
             let mut ahead = [(0, false); MAP_AHEAD];
             for (slot, &child) in ahead.iter_mut().zip(batch) {
                 let i = ctx.world.domain_index(child);
                 *slot = (i, domains[i].category.needs_revisit());
             }
-            ahead.into_iter().take(batch.len())
-        });
-        loop {
-            while pool.in_flight() < inflight {
-                let Some((i, asked_again)) = pending.next() else {
-                    break;
-                };
+            for &(i, asked_again) in &ahead[..batch.len()] {
                 let qname = &domains[i].name;
-                pool.spawn(move |handle| async move {
-                    let res = if asked_again {
-                        resolver.resolve_with(&handle, qname, RrType::A).await
-                    } else {
-                        resolver.resolve_once(&handle, qname, RrType::A).await
-                    };
-                    (i, res)
-                });
-            }
-            let Some((i, res)) = pool.next() else { break };
-            records.push(ctx.record(i, &res, &mut partial));
-            if records.len() == FLUSH_EVERY {
-                ctx.flush(&mut records);
+                let res = if asked_again {
+                    resolver.resolve(qname, RrType::A)
+                } else {
+                    resolver.resolve_once(qname, RrType::A)
+                };
+                records.push(ctx.record(i, &res, &mut partial));
+                if records.len() == FLUSH_EVERY {
+                    ctx.flush(&mut records);
+                }
             }
         }
     }
@@ -463,12 +444,11 @@ fn parallel_pass(
     ctx: &PassCtx<'_>,
     plan: &ClaimPlan<'_>,
     workers: usize,
-    inflight: usize,
 ) -> Vec<PartialAggregate> {
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers.max(1))
-            .map(|_| s.spawn(|| pass_worker(resolver, ctx, plan, &cursor, inflight)))
+            .map(|_| s.spawn(|| pass_worker(resolver, ctx, plan, &cursor)))
             .collect();
         handles
             .into_iter()
@@ -495,7 +475,7 @@ fn revisit_lists(pop: &Population, world: &ScanWorld) -> Vec<Vec<u32>> {
 /// Each worker folds into its own partial aggregate, merged into the
 /// scan's when the pass joins, and pushes its records into the bounded
 /// query-log ring, so there is no unbounded outcome buffer. Results are
-/// bit-identical at any worker count or in-flight window.
+/// bit-identical at any worker count.
 ///
 /// The scan keeps only what it reads again: a domain the scan does not
 /// revisit leaves neither its answer nor its zone's keys in the
@@ -530,9 +510,8 @@ pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanRes
     // workers start. Without this, which resolution populates a given
     // referral entry first — and therefore how many root queries the
     // scan issues — would depend on thread timing; with it, every
-    // worker-count and in-flight configuration sees the same
-    // pre-populated walk and the traffic and metrics counters stay
-    // bit-identical across all of them.
+    // worker count sees the same pre-populated walk and the traffic and
+    // metrics counters stay bit-identical across all of them.
     for tld in &pop.tlds {
         let _ = resolver.resolve(&tld.name, RrType::Ns);
     }
@@ -551,9 +530,6 @@ pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanRes
         total: n + revisit_count,
         enabled: config.progress,
     };
-    // A public field: the builder's clamp may not have run, and a window
-    // of 0 would admit no resolution at all.
-    let inflight = config.inflight.max(1);
     let run_pass = |pass: u8, fold_revisit: bool, plan: &ClaimPlan<'_>| {
         let ctx = PassCtx {
             pass,
@@ -563,7 +539,7 @@ pub fn scan(pop: &Population, world: &ScanWorld, config: &ScanConfig) -> ScanRes
             log: &log,
             progress: &progress,
         };
-        parallel_pass(&resolver, &ctx, plan, config.workers, inflight)
+        parallel_pass(&resolver, &ctx, plan, config.workers)
     };
     // One snapshot of the merged aggregate and the counters around it.
     // Only ever taken between passes — every worker joined, every
@@ -680,7 +656,7 @@ mod tests {
 
     /// The contention work (sharded caches, per-worker buffers,
     /// singleflight key fetches, per-worker partials) must not buy speed
-    /// with nondeterminism: 1 worker and 16 workers must produce
+    /// with nondeterminism: 1, 4 and 16 workers must produce
     /// identical records, streaming aggregates, metrics counters, and
     /// traffic totals.
     #[test]
@@ -697,19 +673,21 @@ mod tests {
             result
         };
         let serial = run(1);
-        let parallel = run(16);
-        assert_eq!(serial.final_records(), parallel.final_records());
-        assert_eq!(serial.stats.resolutions, parallel.stats.resolutions);
-        assert_eq!(serial.stats.traffic, parallel.stats.traffic);
-        assert_eq!(serial.metrics, parallel.metrics);
-        // The cache tiers' counts are summed over stripes too: L2 and
-        // infra alike.
-        assert_eq!(serial.cache, parallel.cache);
-        assert!(serial.stats.same_results(&parallel.stats));
-        assert_eq!(serial.stats.fingerprint, parallel.stats.fingerprint);
-        // One merge per worker and pass, when the pass joins.
         assert_eq!(serial.stream.merges, 2);
-        assert_eq!(parallel.stream.merges, 2 * 16);
+        for workers in [4, 16] {
+            let parallel = run(workers);
+            assert_eq!(serial.final_records(), parallel.final_records());
+            assert_eq!(serial.stats.resolutions, parallel.stats.resolutions);
+            assert_eq!(serial.stats.traffic, parallel.stats.traffic);
+            assert_eq!(serial.metrics, parallel.metrics, "{workers} workers");
+            // The cache tiers' counts are summed over stripes too: L2
+            // and infra alike.
+            assert_eq!(serial.cache, parallel.cache, "{workers} workers");
+            assert!(serial.stats.same_results(&parallel.stats));
+            assert_eq!(serial.stats.fingerprint, parallel.stats.fingerprint);
+            // One merge per worker and pass, when the pass joins.
+            assert_eq!(parallel.stream.merges, 2 * workers as u64);
+        }
     }
 
     /// Pass 2's lists, built in one walk over the population, are the
@@ -740,85 +718,10 @@ mod tests {
         }
     }
 
-    /// The event-driven task pools must not buy concurrency with
-    /// changed results either: any in-flight window produces the same
-    /// records, aggregates, traffic totals, and metrics counters
-    /// as a window of one. Only the scheduler statistics (peak gauges)
-    /// may differ — they measure the scheduling itself, so the
-    /// comparison strips them.
-    #[test]
-    fn inflight_window_does_not_change_results() {
-        let run = |workers: usize, inflight: usize| {
-            let pop = Population::generate(PopulationConfig::tiny());
-            let world = ScanWorld::build(&pop);
-            let result = scan(
-                &pop,
-                &world,
-                &ScanConfig::builder()
-                    .workers(workers)
-                    .inflight(inflight)
-                    .build(),
-            );
-            assert_refold_matches(&pop, &result);
-            result
-        };
-        let single = run(1, 1);
-        let resolutions = single.stats.resolutions as u64;
-        assert_eq!(single.metrics.tasks_spawned, resolutions);
-        assert_eq!(single.metrics.inflight_tasks_peak, 1);
-        for (workers, inflight) in [(1, 2), (1, 64), (4, 16)] {
-            let pooled = run(workers, inflight);
-            assert_eq!(
-                single.final_records(),
-                pooled.final_records(),
-                "inflight {inflight}"
-            );
-            assert_eq!(single.stats.resolutions, pooled.stats.resolutions);
-            assert_eq!(single.stats.traffic, pooled.stats.traffic);
-            assert_eq!(single.cache, pooled.cache, "inflight {inflight}");
-            assert!(
-                single.stats.same_results(&pooled.stats),
-                "inflight {inflight}"
-            );
-            assert_eq!(
-                single.metrics.without_scheduler_stats(),
-                pooled.metrics.without_scheduler_stats(),
-                "inflight {inflight}"
-            );
-            // Every domain became a task, every task completed, and the
-            // wider window really was used.
-            assert_eq!(pooled.metrics.tasks_spawned, resolutions);
-            assert_eq!(pooled.metrics.tasks_completed, pooled.metrics.tasks_spawned);
-            assert!(
-                pooled.metrics.inflight_tasks_peak > 1,
-                "inflight {inflight}"
-            );
-        }
-    }
-
-    /// `inflight` is a public field, so a window of 0 can reach `scan`
-    /// without the builder's clamp. It scans as a window of one: every
-    /// domain is folded, with the same results.
-    #[test]
-    fn a_zero_window_scans_as_a_window_of_one() {
-        let run = |inflight: usize| {
-            let pop = Population::generate(PopulationConfig::tiny());
-            let world = ScanWorld::build(&pop);
-            let mut config = ScanConfig::builder().workers(1).build();
-            config.inflight = inflight;
-            let result = scan(&pop, &world, &config);
-            assert_eq!(result.final_records().len(), pop.domains.len());
-            result
-        };
-        let (zero, one) = (run(0), run(1));
-        assert!(zero.stats.same_results(&one.stats));
-        assert_eq!(zero.stats.resolutions, one.stats.resolutions);
-    }
-
     /// The answer cache keeps only what the scan reads back: the
     /// revisit-category domains pass 2 asks again, plus the TLD
     /// priming's one entry per TLD — never one entry per domain, at any
-    /// window or worker count. Under an entry budget far below that, it
+    /// worker count. Under an entry budget far below that, it
     /// keeps no more than the budget and evicts, and the scan still folds
     /// every domain (an eviction may legally change what pass 2 observes,
     /// so that scan is compared with nothing).
@@ -832,13 +735,10 @@ mod tests {
             .count();
         let bound = (revisited + pop.tlds.len()) as u64;
         assert!(bound < pop.domains.len() as u64);
-        for (workers, inflight, budget) in [(1, 1, None), (4, 16, None), (1, 1, Some(8))] {
+        for (workers, budget) in [(1, None), (4, None), (1, Some(8))] {
             let mut world = ScanWorld::build(&pop);
             world.resolver_config.max_cache_entries = budget;
-            let config = ScanConfig::builder()
-                .workers(workers)
-                .inflight(inflight)
-                .build();
+            let config = ScanConfig::builder().workers(workers).build();
             let result = scan(&pop, &world, &config);
             assert_eq!(result.stats.ede.total_domains, pop.domains.len());
             let l2 = result.cache.l2;
@@ -849,7 +749,7 @@ mod tests {
             }
             assert!(
                 l2.occupancy_peak <= bound,
-                "{workers} workers, window {inflight}: {} entries at peak, bound {bound}",
+                "{workers} workers: {} entries at peak, bound {bound}",
                 l2.occupancy_peak
             );
             // Pass 2 found every revisited domain's pass-1 entry.

@@ -2,7 +2,7 @@
 //!
 //! Counts that repeat exactly, so the paths' leanness is gated by
 //! something steadier than wall-clock (docs/PERFORMANCE.md, "What a miss
-//! allocates"): a cold resolve (blocking and through the task pool), a
+//! allocates"): a cold resolve, a
 //! cached hit, a TLD server's apex answers, the query log's drain, the
 //! fold of an already counted EDE combination, and a ceiling for a whole
 //! scan. The counting allocator is local to this test binary. The exact pins count per thread, so the
@@ -14,7 +14,7 @@
 //! with: `cargo test -p ede-scan --test alloc_budget -- --ignored
 //! --nocapture` prints where the pinned resolve allocates.
 
-use ede_resolver::{ResolutionPool, Resolver, Vendor, VendorProfile};
+use ede_resolver::{Resolver, Vendor, VendorProfile};
 use ede_scan::aggregate::PartialAggregate;
 use ede_scan::population::{tld_addr, Category, DomainRecord};
 use ede_scan::scanner::{scan, ScanConfig};
@@ -131,37 +131,19 @@ fn world_and_resolver() -> (Population, ScanWorld, Resolver) {
     (pop, world, resolver)
 }
 
-/// How the warming and the counted resolve are driven.
-#[derive(Clone, Copy)]
-enum Via {
-    /// `Resolver::resolve`, the blocking wrapper.
-    Blocking,
-    /// `ResolutionPool::spawn` / `next` with one task in flight: the
-    /// scanner's path at its default window.
-    Pool,
-}
-
 /// Allocator calls of one cold resolve of a `cat` domain (a resolve runs
 /// wholly on its caller's thread, simulated servers included).
-fn cold_resolve_allocs(cat: Category, via: Via) -> u64 {
+fn cold_resolve_allocs(cat: Category) -> u64 {
     let _turn = serial();
     let (pop, _world, resolver) = world_and_resolver();
     let (warm, cold) = warm_and_cold(&pop, cat);
-    let mut pool = ResolutionPool::new(resolver.network());
-    let mut resolve = |name: &Name| match via {
-        Via::Blocking => resolver.resolve(name, RrType::A),
-        Via::Pool => {
-            let (resolver, name) = (&resolver, name.clone());
-            pool.spawn(move |handle| async move {
-                resolver.resolve_with(&handle, &name, RrType::A).await
-            });
-            pool.next().expect("one task was spawned")
-        }
-    };
-    assert_eq!(resolve(&warm.name).rcode, Rcode::NoError);
+    assert_eq!(
+        resolver.resolve(&warm.name, RrType::A).rcode,
+        Rcode::NoError
+    );
 
     let before = thread_allocs();
-    let res = resolve(&cold.name);
+    let res = resolver.resolve(&cold.name, RrType::A);
     let allocs = thread_allocs() - before;
     assert_eq!(res.rcode, Rcode::NoError, "{:?}", res.diagnosis);
     assert_eq!(res.authentic_data, cat.signed());
@@ -170,32 +152,12 @@ fn cold_resolve_allocs(cat: Category, via: Via) -> u64 {
 
 #[test]
 fn cold_unsigned_resolve_stays_within_its_allocation_budget() {
-    assert_eq!(
-        cold_resolve_allocs(Category::HealthyUnsigned, Via::Blocking),
-        18
-    );
+    assert_eq!(cold_resolve_allocs(Category::HealthyUnsigned), 18);
 }
 
 #[test]
 fn cold_signed_resolve_stays_within_its_allocation_budget() {
-    assert_eq!(
-        cold_resolve_allocs(Category::HealthySigned, Via::Blocking),
-        37
-    );
-}
-
-/// Through a pool that has run a task before, a resolve costs what the
-/// blocking one does plus the boxed task.
-#[test]
-fn cold_resolve_through_the_pool_stays_within_its_allocation_budget() {
-    assert_eq!(
-        cold_resolve_allocs(Category::HealthyUnsigned, Via::Pool),
-        18 + 1
-    );
-    assert_eq!(
-        cold_resolve_allocs(Category::HealthySigned, Via::Pool),
-        37 + 1
-    );
+    assert_eq!(cold_resolve_allocs(Category::HealthySigned), 37);
 }
 
 /// A cached answer: the `serve_hot` path up to the resolver's edge.
@@ -493,7 +455,7 @@ fn whole_scan_stays_under_its_allocation_ceiling() {
 }
 
 /// See `whole_scan_stays_under_its_allocation_ceiling`.
-const WHOLE_SCAN_CEILING: f64 = 20.93;
+const WHOLE_SCAN_CEILING: f64 = 19.91;
 
 /// Where the pinned cold resolve allocates: one backtrace per allocator
 /// call, grouped by the nearest three frames of this workspace's crates,

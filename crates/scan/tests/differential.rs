@@ -1,146 +1,80 @@
-//! `run_local` against the pool. The scanner only ever runs the pool
-//! now (a window of one is still the pool), so this is where the
-//! lifecycle-event-free driver behind `Resolver::resolve` is held
-//! against `ResolutionPool` on the scan world: a sample of every
-//! `Category`, resolved by `resolve` and by the pool at windows 1 and 64,
-//! must agree name by name, in traffic, and in trace events (task
-//! lifecycle events aside).
+//! A scan record depends on its domain alone. Each sampled record of a
+//! tiny-population scan must equal the record of the same name resolved
+//! alone, by a fresh resolver on a fresh world: its RCODE, its EDE codes
+//! and the EXTRA-TEXT the record keeps. A revisited domain's pass-2
+//! record must equal that resolver's second resolution of the name,
+//! asked after the scan's 120 s gap between passes. A cache or sharing
+//! change that couples domains fails here by name, instead of moving a
+//! fingerprint by a few counts.
 
-use ede_netsim::TrafficSnapshot;
-use ede_resolver::{Resolution, ResolutionPool, Resolver, Vendor, VendorProfile};
-use ede_scan::{Category, Population, PopulationConfig, ScanWorld};
-use ede_trace::{ResolutionTrace, TraceEvent};
-use ede_wire::{Name, RrType};
+use ede_resolver::{Resolver, Vendor, VendorProfile};
+use ede_scan::{scan, Category, Population, PopulationConfig, QueryRecord, ScanConfig, ScanWorld};
+use ede_wire::RrType;
 use std::sync::Arc;
 
-/// How many domains of each category to resolve.
+/// How many domains of each category to re-resolve.
 const PER_CATEGORY: usize = 3;
 
-/// `None` drives each name through `Resolver::resolve`; `Some(w)` keeps
-/// up to `w` of them in flight on one pool.
-fn run(
-    pop: &Population,
-    names: &[&Name],
-    window: Option<usize>,
-) -> (Vec<Resolution>, TrafficSnapshot, Vec<TraceEvent>) {
-    let world = ScanWorld::build(pop);
-    let resolver = Resolver::new(
-        Arc::clone(&world.net),
-        VendorProfile::new(Vendor::Cloudflare),
-        world.resolver_config.clone(),
-    );
-    // The scan's priming step: walk every root→TLD delegation once, so
-    // no two tasks race to be the first to cache one.
-    for tld in &pop.tlds {
-        let _ = resolver.resolve(&tld.name, RrType::Ns);
-    }
-    let trace = Arc::new(ResolutionTrace::new(1 << 20));
-    world.net.set_trace_sink(trace.clone());
+/// The scan's gap between its two passes, seconds.
+const PASS_GAP_SECS: u64 = 120;
 
-    let results = match window {
-        None => names
-            .iter()
-            .map(|name| resolver.resolve(name, RrType::A))
-            .collect(),
-        Some(window) => {
-            let resolver = &resolver;
-            let mut results: Vec<Option<Resolution>> = vec![None; names.len()];
-            let mut pool: ResolutionPool<(usize, Resolution)> = ResolutionPool::new(&world.net);
-            let mut pending = names.iter().copied().enumerate();
-            loop {
-                while pool.in_flight() < window {
-                    let Some((i, name)) = pending.next() else {
-                        break;
-                    };
-                    pool.spawn(move |handle| async move {
-                        (i, resolver.resolve_with(&handle, name, RrType::A).await)
-                    });
-                }
-                match pool.next() {
-                    Some((i, res)) => results[i] = Some(res),
-                    None => break,
-                }
-            }
-            results
-                .into_iter()
-                .map(|r| r.expect("every task completed"))
-                .collect()
-        }
-    };
-    world.net.clear_trace_sink();
-    assert_eq!(trace.dropped(), 0, "the trace ring must hold the whole run");
-    let events = trace
-        .events()
-        .into_iter()
-        .map(|timed| timed.event)
-        .filter(|e| {
-            !matches!(
-                e,
-                TraceEvent::TaskSpawned { .. } | TraceEvent::TaskCompleted { .. }
-            )
-        })
-        .collect();
-    (results, world.net.stats().snapshot_full(), events)
+/// What a record says about its resolution.
+fn outcome(r: &QueryRecord) -> (ede_wire::Rcode, &[u16], Option<&str>) {
+    (r.rcode, &r.codes, r.network_error_text.as_deref())
 }
 
 #[test]
-fn resolve_and_the_pool_agree_on_every_category() {
+fn every_category_scans_as_its_domains_resolve_alone() {
     let pop = Population::generate(PopulationConfig::tiny());
-    let mut names: Vec<&Name> = Vec::new();
-    for category in Category::ALL {
-        let before = names.len();
-        names.extend(
-            pop.domains
-                .iter()
-                .filter(|d| d.category == category)
-                .take(PER_CATEGORY)
-                .map(|d| &d.name),
-        );
-        assert!(names.len() > before, "tiny population lacks {category:?}");
-    }
-
-    let (reference, reference_traffic, reference_events) = run(&pop, &names, None);
-    assert!(
-        reference_events.len() > names.len(),
-        "the trace was attached"
+    let world = ScanWorld::build(&pop);
+    let result = scan(&pop, &world, &ScanConfig::builder().workers(2).build());
+    assert_eq!(
+        result.log.dropped + result.log.spilled,
+        0,
+        "the ring holds every record"
     );
 
-    for window in [1, 64] {
-        let (pooled, traffic, events) = run(&pop, &names, Some(window));
-        for ((name, want), got) in names.iter().zip(&reference).zip(&pooled) {
-            assert_eq!(want.rcode, got.rcode, "{name} at window {window}");
-            assert_eq!(want.answers, got.answers, "{name} at window {window}");
-            assert_eq!(want.ede, got.ede, "{name} at window {window}");
-            assert_eq!(want.validation, got.validation, "{name} at window {window}");
-        }
-        assert_eq!(reference_traffic, traffic, "window {window}");
-        if window == 1 {
-            // One task at a time: the very same sequence.
-            assert_eq!(reference_events, events);
-        } else {
-            // Tasks interleave (the scan world has no latency, so every
-            // event carries the same timestamp): the same events in a
-            // different order, with query ids — handed out in send
-            // order — permuted among the sends.
-            let sorted = |events: &[TraceEvent]| {
-                let mut lines: Vec<String> = events
+    for category in Category::ALL {
+        let sample: Vec<usize> = (0..pop.domains.len())
+            .filter(|&i| pop.domains[i].category == category)
+            .take(PER_CATEGORY)
+            .collect();
+        assert!(!sample.is_empty(), "tiny population lacks {category:?}");
+        for i in sample {
+            let domain = &pop.domains[i];
+            let scanned = |pass: u8| {
+                result
+                    .records
                     .iter()
-                    .cloned()
-                    .map(|mut e| {
-                        if let TraceEvent::QuerySent { id, .. } = &mut e {
-                            *id = 0;
-                        }
-                        format!("{e:?}")
-                    })
-                    .collect();
-                lines.sort();
-                lines
+                    .find(|r| r.domain == i && r.pass == pass)
+                    .unwrap_or_else(|| panic!("{}: no pass-{pass} record", domain.name))
             };
-            assert_eq!(
-                sorted(&reference_events),
-                sorted(&events),
-                "window {window}"
+            let alone_world = ScanWorld::build(&pop);
+            let resolver = Resolver::new(
+                Arc::clone(&alone_world.net),
+                VendorProfile::new(Vendor::Cloudflare),
+                alone_world.resolver_config.clone(),
             );
+            let mut passes = vec![1];
+            if category.needs_revisit() {
+                passes.push(2);
+            }
+            for pass in passes {
+                if pass == 2 {
+                    alone_world.net.clock().advance_secs(PASS_GAP_SECS);
+                }
+                let res = resolver.resolve(&domain.name, RrType::A);
+                let alone =
+                    QueryRecord::of_resolution(i, domain, &res, Vendor::Cloudflare, pass, 0);
+                let record = scanned(pass);
+                assert_eq!(record.vendor, Vendor::Cloudflare);
+                assert_eq!(
+                    outcome(record),
+                    outcome(&alone),
+                    "{} ({category:?}), pass {pass}",
+                    domain.name
+                );
+            }
         }
     }
 }

@@ -36,9 +36,8 @@ impl fmt::Display for CacheOutcome {
 /// `Timeout`, `Retry`), the iterative walk (`Referral`), the cache
 /// (`CacheProbe`), DNSSEC validation (`ValidationStep`), diagnosis
 /// (`FindingRecorded`), EDE emission (`EdeEmitted`), the authoritative
-/// side (`AuthorityAnswer`), resolution bracketing
-/// (`ResolutionStarted` / `ResolutionFinished`), and the event-driven
-/// task scheduler (`TaskSpawned` / `TaskCompleted`).
+/// side (`AuthorityAnswer`), and resolution bracketing
+/// (`ResolutionStarted` / `ResolutionFinished`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A client-side resolution began.
@@ -182,26 +181,6 @@ pub enum TraceEvent {
         /// Virtual-clock duration of the whole resolution, ms.
         duration_ms: u64,
     },
-    /// A task pool admitted one resolution into its in-flight window
-    /// (emitted by `ede-resolver`'s `ResolutionPool`; the single-task
-    /// driver behind the blocking API stays silent).
-    TaskSpawned {
-        /// Pool-scoped task id, increasing in spawn order.
-        task: u64,
-        /// In-flight tasks after this spawn — the concurrency gauge.
-        in_flight: usize,
-        /// Completion-queue depth at spawn time — the ready-queue gauge.
-        queued: usize,
-    },
-    /// A pooled resolution task ran to completion.
-    TaskCompleted {
-        /// Pool-scoped task id (matches the `TaskSpawned` event).
-        task: u64,
-        /// In-flight tasks after this completion.
-        in_flight: usize,
-        /// Completion-queue depth after this completion.
-        queued: usize,
-    },
 }
 
 impl TraceEvent {
@@ -224,8 +203,6 @@ impl TraceEvent {
             TraceEvent::EdeEmitted { .. } => "ede_emitted",
             TraceEvent::AuthorityAnswer { .. } => "authority_answer",
             TraceEvent::ResolutionFinished { .. } => "resolution_finished",
-            TraceEvent::TaskSpawned { .. } => "task_spawned",
-            TraceEvent::TaskCompleted { .. } => "task_completed",
         }
     }
 
@@ -323,20 +300,6 @@ impl TraceEvent {
             } => {
                 format!("done rcode={rcode} ede={ede_count} ({duration_ms} ms)")
             }
-            TraceEvent::TaskSpawned {
-                task,
-                in_flight,
-                queued,
-            } => {
-                format!("task {task} spawned (in-flight {in_flight}, queued {queued})")
-            }
-            TraceEvent::TaskCompleted {
-                task,
-                in_flight,
-                queued,
-            } => {
-                format!("task {task} completed (in-flight {in_flight}, queued {queued})")
-            }
         }
     }
 }
@@ -428,16 +391,6 @@ mod tests {
                 rcode: 2,
                 ede_count: 1,
                 duration_ms: 40,
-            },
-            TraceEvent::TaskSpawned {
-                task: 12,
-                in_flight: 3,
-                queued: 2,
-            },
-            TraceEvent::TaskCompleted {
-                task: 12,
-                in_flight: 2,
-                queued: 1,
             },
         ];
         let mut kinds: Vec<&str> = events.iter().map(|e| e.kind()).collect();

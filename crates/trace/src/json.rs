@@ -149,20 +149,6 @@ pub fn event_to_json(e: &TimedEvent) -> String {
             fields.push(("ede_count", ede_count.to_string()));
             fields.push(("duration_ms", duration_ms.to_string()));
         }
-        TraceEvent::TaskSpawned {
-            task,
-            in_flight,
-            queued,
-        }
-        | TraceEvent::TaskCompleted {
-            task,
-            in_flight,
-            queued,
-        } => {
-            fields.push(("task", task.to_string()));
-            fields.push(("in_flight", in_flight.to_string()));
-            fields.push(("queued", queued.to_string()));
-        }
     }
     let body: Vec<String> = fields
         .iter()
@@ -254,16 +240,6 @@ mod tests {
                 rcode: 2,
                 ede_count: 1,
                 duration_ms: 0,
-            },
-            TraceEvent::TaskSpawned {
-                task: 3,
-                in_flight: 2,
-                queued: 1,
-            },
-            TraceEvent::TaskCompleted {
-                task: 3,
-                in_flight: 1,
-                queued: 0,
             },
         ];
         for ev in samples {

@@ -63,10 +63,6 @@ struct ResolutionCounts {
     ede_entries: AtomicU64,
     query_latency: LiveHistogram,
     resolution_duration: LiveHistogram,
-    tasks_spawned: AtomicU64,
-    tasks_completed: AtomicU64,
-    inflight_tasks_peak: AtomicU64,
-    ready_queue_peak: AtomicU64,
 }
 
 /// One stripe of the server section.
@@ -219,8 +215,8 @@ impl Metrics {
     }
 
     /// A point-in-time copy of every counter and histogram: each count
-    /// summed over the stripes, each peak and histogram `max` the
-    /// largest of theirs.
+    /// summed over the stripes, each histogram's `max` the largest of
+    /// theirs.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let r = &self.resolution;
         let s = &self.server;
@@ -243,10 +239,6 @@ impl Metrics {
                 SIM_BOUNDS_US,
                 r.iter().map(|c| &c.resolution_duration),
             ),
-            tasks_spawned: r.sum(|c| &c.tasks_spawned),
-            tasks_completed: r.sum(|c| &c.tasks_completed),
-            inflight_tasks_peak: r.max(|c| &c.inflight_tasks_peak),
-            ready_queue_peak: r.max(|c| &c.ready_queue_peak),
             udp_queries: s.sum(|c| &c.udp_queries),
             udp_responses: s.sum(|c| &c.udp_responses),
             udp_truncated: s.sum(|c| &c.udp_truncated),
@@ -328,20 +320,6 @@ impl TraceSink for Metrics {
                 c.resolution_duration
                     .observe(SIM_BOUNDS_US, duration_ms * 1_000);
             }
-            TraceEvent::TaskSpawned {
-                in_flight, queued, ..
-            }
-            | TraceEvent::TaskCompleted {
-                in_flight, queued, ..
-            } => {
-                bump(if matches!(event, TraceEvent::TaskSpawned { .. }) {
-                    &c.tasks_spawned
-                } else {
-                    &c.tasks_completed
-                });
-                c.inflight_tasks_peak.fetch_max(*in_flight as u64, Relaxed);
-                c.ready_queue_peak.fetch_max(*queued as u64, Relaxed);
-            }
         }
     }
 }
@@ -381,18 +359,6 @@ pub struct MetricsSnapshot {
     pub query_latency: Histogram,
     /// Whole-resolution duration distribution, likewise.
     pub resolution_duration: Histogram,
-    /// Resolution tasks admitted by event-driven task pools.
-    pub tasks_spawned: u64,
-    /// Pooled resolution tasks run to completion.
-    pub tasks_completed: u64,
-    /// Peak of the in-flight-tasks gauge across all pools: 1 at the
-    /// default window of one. Scheduler statistics depend on the
-    /// in-flight window, not on scan results, so result-equality checks
-    /// across concurrency levels should compare
-    /// [`MetricsSnapshot::without_scheduler_stats`] snapshots.
-    pub inflight_tasks_peak: u64,
-    /// Peak of the completion-ready-queue-depth gauge across all pools.
-    pub ready_queue_peak: u64,
     /// Server section: query datagrams received over UDP.
     pub udp_queries: u64,
     /// Response datagrams sent over UDP.
@@ -450,38 +416,15 @@ impl MetricsSnapshot {
         self.udp_responses + self.tcp_responses
     }
 
-    /// This snapshot with the scheduler statistics (task counters and
-    /// the peak in-flight / peak ready-queue gauges) zeroed.
-    ///
-    /// Scan results are invariant across in-flight window sizes, but
-    /// these fields measure the scheduling itself: the gauges track the
-    /// window, and the task counters tell a pooled resolution (every
-    /// scan, at any window) from a direct `Resolver::resolve`, which
-    /// spawns no observable task. Equality checks that sweep
-    /// concurrency compare snapshots through this adaptor.
-    pub fn without_scheduler_stats(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            tasks_spawned: 0,
-            tasks_completed: 0,
-            inflight_tasks_peak: 0,
-            ready_queue_peak: 0,
-            ..self.clone()
-        }
-    }
-
     /// Render as an operator-facing summary: a block per section that
     /// has counted something. A registry that has counted nothing renders
     /// the server section, zeroed — an idle server's, which is where an
     /// empty registry is read.
     pub fn render(&self) -> String {
-        // Every resolution-section event happens inside a resolution, a
-        // pooled task or an exchange; every server-section one after a
-        // query, a connection or a worker's end.
-        let resolved = self.resolutions
-            + self.tasks_spawned
-            + self.query_latency.total
-            + self.authority_answers
-            > 0;
+        // Every resolution-section event happens inside a resolution or
+        // an exchange; every server-section one after a query, a
+        // connection or a worker's end.
+        let resolved = self.resolutions + self.query_latency.total + self.authority_answers > 0;
         let served = self.queries()
             + self.tcp_conns_accepted
             + self.tcp_conns_refused
@@ -516,15 +459,6 @@ impl MetricsSnapshot {
             self.resolutions_servfail,
             self.resolutions_other
         ));
-        if self.tasks_spawned > 0 {
-            out.push_str(&format!(
-                "  scheduler : {} tasks ({} completed), peak in-flight {}, peak ready queue {}\n",
-                self.tasks_spawned,
-                self.tasks_completed,
-                self.inflight_tasks_peak,
-                self.ready_queue_peak
-            ));
-        }
         out.push_str(&format!(
             "  latency   : query mean {:.1} ms p99 {} ms; resolution mean {:.1} ms max {} ms\n",
             self.query_latency.mean_ms(),
@@ -686,41 +620,6 @@ mod tests {
         assert!(render.contains("0 referrals, 1 retries"), "{render}");
         assert!(render.contains("Cloudflare DNS: 7\u{00d7}1"), "{render}");
         assert!(!render.contains("server metrics"), "{render}");
-    }
-
-    #[test]
-    fn scheduler_gauges_track_peaks() {
-        let m = Metrics::new();
-        for (task, in_flight, queued) in [(0u64, 1usize, 0usize), (1, 2, 1), (2, 3, 2)] {
-            m.record(
-                0,
-                &TraceEvent::TaskSpawned {
-                    task,
-                    in_flight,
-                    queued,
-                },
-            );
-        }
-        m.record(
-            0,
-            &TraceEvent::TaskCompleted {
-                task: 0,
-                in_flight: 2,
-                queued: 1,
-            },
-        );
-        let s = m.snapshot();
-        assert_eq!(s.tasks_spawned, 3);
-        assert_eq!(s.tasks_completed, 1);
-        assert_eq!(s.inflight_tasks_peak, 3);
-        assert_eq!(s.ready_queue_peak, 2);
-        assert!(s.render().contains("peak in-flight 3"), "{}", s.render());
-
-        let stripped = s.without_scheduler_stats();
-        assert_eq!(stripped.inflight_tasks_peak, 0);
-        assert_eq!(stripped.ready_queue_peak, 0);
-        assert_eq!(stripped.tasks_spawned, 0);
-        assert_eq!(stripped.tasks_completed, 0);
     }
 
     #[test]

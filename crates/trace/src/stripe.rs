@@ -71,14 +71,6 @@ impl<T> Striped<T> {
     pub fn sum(&self, counter: impl Fn(&T) -> &AtomicU64) -> u64 {
         self.iter().map(|copy| counter(copy).load(Relaxed)).sum()
     }
-
-    /// The largest value of `gauge` over every copy (for peaks).
-    pub fn max(&self, gauge: impl Fn(&T) -> &AtomicU64) -> u64 {
-        self.iter()
-            .map(|copy| gauge(copy).load(Relaxed))
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]

@@ -1,11 +1,21 @@
 //! Cross-crate integration tests: scenarios that span the zone signer,
 //! the authority, the network, the resolver, and the EDE emission.
 
-use extended_dns_errors::netsim::transport::CapturedQuery;
+use extended_dns_errors::authority::ZoneServer;
+use extended_dns_errors::netsim::transport::{CapturedQuery, ServerResponse};
+use extended_dns_errors::netsim::{NetworkBuilder, Server as SimServer};
 use extended_dns_errors::prelude::*;
-use extended_dns_errors::resolver::{ResolutionPool, ValidationState};
+use extended_dns_errors::resolver::ValidationState;
+use extended_dns_errors::testbed::build::{
+    child_server_addr, COM_SERVER, PARENT_SERVER, ROOT_SERVER,
+};
+use extended_dns_errors::testbed::GlueKind;
 use std::collections::HashSet;
+use std::net::IpAddr;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -137,43 +147,24 @@ fn dnskey_names(capture: &[CapturedQuery]) -> Vec<&str> {
 }
 
 #[test]
-fn a_pool_is_never_slower_than_its_slowest_name_alone() {
-    // A task that needs a zone's keys while another task fetches them
-    // waits for that fetch rather than behind it, so seven resolutions
-    // in flight take no longer than the slowest of them alone, and a
-    // zone's DNSKEY is asked once.
+fn seven_threads_of_one_resolver_ask_each_zone_dnskey_once() {
+    // A resolution that needs a zone's keys while one on another thread
+    // fetches them waits for that fetch rather than repeating it, so
+    // seven names resolved at once on seven threads of one resolver ask
+    // each zone's DNSKEY once.
     let tb = Testbed::build();
     let resolver = tb.resolver(Vendor::Cloudflare);
-    let clock = resolver.network().clock();
     let names: Vec<Name> = tb.specs.iter().map(|spec| tb.query_name(spec)).collect();
     assert_eq!(names.len(), 63);
-    let alone: Vec<u64> = names
-        .iter()
-        .map(|name| {
-            resolver.flush();
-            let start = clock.now_millis();
-            resolver.resolve(name, RrType::A);
-            clock.now_millis() - start
-        })
-        .collect();
-    for (group, (names, alone)) in names.chunks(7).zip(alone.chunks(7)).enumerate() {
+    for (group, names) in names.chunks(7).enumerate() {
         resolver.flush();
         resolver.network().start_capture();
-        let start = clock.now_millis();
-        let mut pool = ResolutionPool::new(resolver.network());
-        for name in names {
-            let resolver = &resolver;
-            pool.spawn(move |handle| async move {
-                resolver.resolve_with(&handle, name, RrType::A).await
-            });
-        }
-        assert_eq!(pool.by_ref().count(), names.len());
-        let took = clock.now_millis() - start;
-        let slowest = *alone.iter().max().expect("a group holds a name");
-        assert!(
-            took <= slowest,
-            "group {group}: {took} ms in one pool against {slowest} ms for its slowest name alone"
-        );
+        thread::scope(|scope| {
+            for name in names {
+                let resolver = &resolver;
+                scope.spawn(move || resolver.resolve(name, RrType::A));
+            }
+        });
         let capture = resolver.network().take_capture();
         let mut asked = HashSet::new();
         for zone in dnskey_names(&capture) {
@@ -185,40 +176,60 @@ fn a_pool_is_never_slower_than_its_slowest_name_alone() {
     }
 }
 
-/// A pool holding one resolution of `name` parked on the root's DNSKEY
-/// fetch, so holding the root's build mark, with the capture restarted
-/// after that query.
-fn parked_on_the_root_keys<'a>(
-    tb: &Testbed,
-    resolver: &'a Resolver,
-    name: &'a Name,
-) -> ResolutionPool<'a, Option<Resolution>> {
-    let net = resolver.network();
-    let root = tb.resolver_config.root_hints[0].addr;
-    let source = tb.resolver_config.source_addr;
-    net.start_capture();
-    let mut pool = ResolutionPool::new(net);
-    pool.spawn(
-        move |handle| async move { Some(resolver.resolve_with(&handle, name, RrType::A).await) },
-    );
-    // Asked alongside the resolution's first query, this one completes
-    // just after it: by then the resolution has taken the root's
-    // referral and parked on the root's DNSKEY.
-    pool.spawn(move |handle| async move {
-        let query = Message::iterative_query(0, Name::root(), RrType::Ns);
-        let _ = handle.await_net(net.send(root, source, &query)).await;
-        None
-    });
-    assert_eq!(pool.next(), Some(None));
-    assert_eq!(pool.in_flight(), 1);
-    assert_eq!(dnskey_names(&net.take_capture()), ["."]);
-    net.start_capture();
-    pool
+/// The testbed's root server with `gate` run on its way out of every
+/// answer to the root's DNSKEY query: a test holds that reply there, or
+/// fails the fetch.
+struct GatedRoot<G> {
+    inner: Arc<ZoneServer>,
+    gate: G,
 }
 
-/// How many DNSKEY queries for the root the capture holds.
+impl<G: Fn() + Send + Sync> SimServer for GatedRoot<G> {
+    fn handle(&self, query: &Message, src: IpAddr, now: u32) -> ServerResponse {
+        let reply = self.inner.handle(query, src, now);
+        if query
+            .first_question()
+            .is_some_and(|q| q.name.is_root() && q.qtype == RrType::Dnskey)
+        {
+            (self.gate)();
+        }
+        reply
+    }
+}
+
+/// A Cloudflare-profile resolver over a network of the testbed's
+/// servers, the root's behind `gate`, capturing its queries.
+fn gated_resolver(tb: &Testbed, gate: impl Fn() + Send + Sync + 'static) -> Resolver {
+    // `zone_servers` holds the root's, com's and the parent's, then the
+    // children's in spec order, of those whose glue routes.
+    let servers = &tb.zone_servers;
+    let root = GatedRoot {
+        inner: Arc::clone(&servers[0]),
+        gate,
+    };
+    let mut net = NetworkBuilder::new();
+    net.register(IpAddr::V4(ROOT_SERVER), Arc::new(root));
+    net.register(IpAddr::V4(COM_SERVER), servers[1].clone());
+    net.register(IpAddr::V4(PARENT_SERVER), servers[2].clone());
+    let routed = tb.specs.iter().enumerate();
+    let routed = routed.filter(|(_, spec)| matches!(spec.glue, GlueKind::Routable));
+    for ((idx, _), server) in routed.zip(&servers[3..]) {
+        net.register(IpAddr::V4(child_server_addr(idx)), server.clone());
+    }
+    let net = Arc::new(net.build(SimClock::new()));
+    net.start_capture();
+    Resolver::new(
+        net,
+        VendorProfile::new(Vendor::Cloudflare),
+        tb.resolver_config.clone(),
+    )
+}
+
+/// How many DNSKEY queries for the root the capture holds, restarting
+/// it.
 fn root_dnskeys(net: &Network) -> usize {
     let capture = net.take_capture();
+    net.start_capture();
     dnskey_names(&capture)
         .iter()
         .filter(|zone| **zone == ".")
@@ -227,17 +238,24 @@ fn root_dnskeys(net: &Network) -> usize {
 
 #[test]
 fn a_dropped_builder_releases_its_zone() {
-    // A pool dropped while one of its tasks fetches the root's keys must
-    // not leave the root marked as being built: a later resolution on
-    // the same thread would park on the mark for ever. It runs on a
-    // thread of its own so that a leaked mark fails the test instead of
-    // hanging it.
+    // A resolution that panics while it fetches the root's keys must not
+    // leave the root marked as being built: a later resolution on the
+    // same thread would wait on the mark for ever. It runs on a thread
+    // of its own so that a leaked mark fails the test instead of hanging
+    // it.
     let (done, finished) = mpsc::channel();
     let worker = thread::spawn(move || {
         let tb = Testbed::build();
-        let resolver = tb.resolver(Vendor::Cloudflare);
+        let first = AtomicBool::new(true);
+        let resolver = gated_resolver(&tb, move || {
+            if first.swap(false, Ordering::Relaxed) {
+                panic!("the root's DNSKEY fetch fails once");
+            }
+        });
         let name = Name::parse("valid.extended-dns-errors.com").unwrap();
-        drop(parked_on_the_root_keys(&tb, &resolver, &name));
+        let builder = panic::catch_unwind(AssertUnwindSafe(|| resolver.resolve(&name, RrType::A)));
+        assert!(builder.is_err(), "the builder did not fail");
+        assert_eq!(root_dnskeys(resolver.network()), 1);
         let res = resolver.resolve(&name, RrType::A);
         assert_eq!(res.rcode, Rcode::NoError);
         done.send(root_dnskeys(resolver.network())).unwrap();
@@ -248,34 +266,48 @@ fn a_dropped_builder_releases_its_zone() {
             assert_eq!(roots, 1, "one more DNSKEY query for the root");
         }
         Err(RecvTimeoutError::Disconnected) => {
-            std::panic::resume_unwind(worker.join().expect_err("it stopped early"))
+            panic::resume_unwind(worker.join().expect_err("it stopped early"))
         }
         Err(RecvTimeoutError::Timeout) => {
-            panic!("the resolution never finished: the dropped task kept the root marked")
+            panic!("the resolution never finished: the failed builder kept the root marked")
         }
     }
 }
 
 #[test]
 fn a_waiter_on_another_thread_yields_until_the_keys_are_stored() {
-    // A resolution on a second thread that needs the root's keys while a
-    // parked pool task fetches them cannot finish before this thread
-    // drives the pool; it yields its thread meanwhile instead of blocking
-    // it, and asks for the keys no second time.
+    // A resolution on a second thread that needs the root's keys while
+    // the first one fetches them cannot finish while that fetch's reply
+    // is held; it yields its thread meanwhile instead of blocking it,
+    // ends with the builder's codes, and asks for the keys no second
+    // time.
+    let (held, holding) = mpsc::channel();
+    let (release, released) = mpsc::channel::<()>();
+    let released = Mutex::new(released);
     let tb = Testbed::build();
-    let resolver = tb.resolver(Vendor::Cloudflare);
+    let resolver = gated_resolver(&tb, move || {
+        held.send(()).unwrap();
+        let _ = released.lock().unwrap().recv();
+    });
     let name = Name::parse("valid.extended-dns-errors.com").unwrap();
-    let mut pool = parked_on_the_root_keys(&tb, &resolver, &name);
     thread::scope(|scope| {
+        let builder = scope.spawn(|| resolver.resolve(&name, RrType::A));
+        holding
+            .recv()
+            .expect("the builder asks for the root's keys");
         let waiter = scope.spawn(|| resolver.resolve(&name, RrType::A));
-        // Time for the waiter to reach the mark; what is asserted holds
-        // whether or not it got there.
-        thread::sleep(Duration::from_millis(50));
-        assert!(
-            !waiter.is_finished(),
-            "finished before the keys were stored"
-        );
-        let built = pool.next().flatten().expect("the parked resolution");
+        // The builder asked the root twice (the name, then its DNSKEY);
+        // the waiter's own first query to the root is the third, after
+        // which it meets the root's mark.
+        while resolver.network().stats().snapshot().0 < 3 {
+            thread::yield_now();
+        }
+        let early = waiter.is_finished();
+        // Dropped, so that a second fetch would not hold its reply.
+        release.send(()).unwrap();
+        drop(release);
+        assert!(!early, "finished before the keys were stored");
+        let built = builder.join().unwrap();
         let waited = waiter.join().unwrap();
         assert_eq!(waited.rcode, Rcode::NoError);
         assert_eq!(
@@ -283,5 +315,5 @@ fn a_waiter_on_another_thread_yields_until_the_keys_are_stored() {
             (built.rcode, built.ede_codes())
         );
     });
-    assert_eq!(root_dnskeys(resolver.network()), 0);
+    assert_eq!(root_dnskeys(resolver.network()), 1);
 }
