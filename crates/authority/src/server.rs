@@ -7,7 +7,7 @@ use crate::store::ZoneStore;
 use ede_netsim::{Server, ServerResponse};
 use ede_trace::{TraceEvent, Tracer, TracerCell};
 use ede_wire::{Message, Name, Rcode, Rdata, RrType};
-use ede_zone::Zone;
+use ede_zone::{Rrset, Zone};
 use std::borrow::Cow;
 use std::net::IpAddr;
 
@@ -93,12 +93,11 @@ impl ZoneServer {
 
         // Zone-cut handling: DS is answered by the parent; everything
         // else at or below the cut gets a referral.
-        if let Some(deleg) = zone.find_delegation(&qname) {
-            let deleg_name = deleg.name.clone();
-            if deleg_name == qname && qtype == RrType::Ds {
+        if let Some(ns_set) = zone.find_delegation(&qname) {
+            if ns_set.name == qname && qtype == RrType::Ds {
                 self.answer_authoritative(&mut resp, zone, &qname, qtype, dnssec_ok);
             } else {
-                self.answer_referral(&mut resp, zone, &deleg_name, dnssec_ok);
+                self.answer_referral(&mut resp, zone, ns_set, dnssec_ok);
             }
             return ServerResponse::Reply(resp);
         }
@@ -107,11 +106,10 @@ impl ZoneServer {
         ServerResponse::Reply(resp)
     }
 
-    /// Fill a referral response for a delegation owned by `zone`.
-    fn answer_referral(&self, resp: &mut Message, zone: &Zone, deleg: &Name, dnssec_ok: bool) {
-        let ns_set = zone
-            .get(deleg, RrType::Ns)
-            .expect("caller verified the delegation");
+    /// Fill a referral response for the delegation `ns_set`, the cut's NS
+    /// RRset in `zone`.
+    fn answer_referral(&self, resp: &mut Message, zone: &Zone, ns_set: &Rrset, dnssec_ok: bool) {
+        let deleg = &ns_set.name;
         let ds = zone.get(deleg, RrType::Ds);
         // Glue for in-zone (or below-cut) nameserver names.
         let hosts = ns_set.rdatas.iter().filter_map(|rd| match rd {

@@ -8,8 +8,14 @@
 //! population order, timing each `Resolver::resolve` call. The scan world
 //! charges no latency, so a resolve is CPU on this thread from end to
 //! end: its wall time is its CPU time on an idle machine. A category's
-//! figure is the median over rounds of its mean µs per resolve; the
-//! ratio is taken from those medians.
+//! figure is the median over rounds of its mean µs per resolve, printed
+//! beside the min–max over rounds; the ratio is taken from the medians.
+//!
+//! One more row, `first touch`, is what the warming hides: each round
+//! also builds a resolver it does not warm and resolves one domain per
+//! TLD (the TLD's first in population order), so each resolve is that
+//! TLD's first — the root's referral, the TLD's keys and the domain.
+//! A scan pays this once per TLD, and it sets the scan's latency tail.
 //!
 //! `cargo run --release -p ede-scan --example category_cost -- [SCALE [ROUNDS]]`
 //! (default 1:2500, 5 rounds); `--smoke` is a tiny population and one
@@ -61,15 +67,34 @@ fn main() -> ExitCode {
     });
     let world = ScanWorld::build(&pop);
     let rounds = rounds.max(1) as usize;
-
-    // By category (its index in `Category::ALL`): each round's mean µs.
-    let mut means: Vec<Vec<f64>> = vec![Vec::new(); Category::ALL.len()];
-    for _ in 0..rounds {
-        let resolver = Resolver::new(
+    let fresh_resolver = || {
+        Resolver::new(
             Arc::clone(&world.net),
             VendorProfile::new(Vendor::Cloudflare),
             world.resolver_config.clone(),
-        );
+        )
+    };
+    // Each TLD's first domain in population order.
+    let mut touched = vec![false; pop.tlds.len()];
+    let firsts: Vec<_> = pop
+        .domains
+        .iter()
+        .filter(|d| !std::mem::replace(&mut touched[usize::from(d.tld)], true))
+        .collect();
+
+    // By category (its index in `Category::ALL`): each round's mean µs;
+    // and each round's mean µs per first touch.
+    let mut means: Vec<Vec<f64>> = vec![Vec::new(); Category::ALL.len()];
+    let mut first_touch = Vec::new();
+    for _ in 0..rounds {
+        let cold = fresh_resolver();
+        let start = Instant::now();
+        for domain in &firsts {
+            cold.resolve(&domain.name, RrType::A);
+        }
+        first_touch.push(start.elapsed().as_nanos() as f64 / 1e3 / firsts.len() as f64);
+
+        let resolver = fresh_resolver();
         for tld in &pop.tlds {
             resolver.resolve(&tld.name, RrType::Ns);
         }
@@ -95,22 +120,33 @@ fn main() -> ExitCode {
         pop.domains.len(),
         pop.config.scale
     );
-    println!("{:<28} {:>8} {:>10}", "category", "domains", "µs/resolve");
+    println!(
+        "{:<28} {:>8} {:>10} {:>15}",
+        "category", "domains", "µs/resolve", "min–max"
+    );
+    let row = |name: &str, domains: usize, us: &[f64]| {
+        let (min, max) = us
+            .iter()
+            .fold((f64::MAX, f64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+        let spread = format!("{min:.2}–{max:.2}");
+        println!("{name:<28} {domains:>8} {:>10.2} {spread:>15}", median(us));
+    };
     let cost = |category: Category| {
         let at = Category::ALL.iter().position(|c| *c == category)?;
         (!means[at].is_empty()).then(|| median(&means[at]))
     };
-    for category in Category::ALL {
-        let Some(us) = cost(category) else {
+    for (category, us) in Category::ALL.into_iter().zip(&means) {
+        if us.is_empty() {
             continue;
-        };
+        }
         let domains = pop
             .domains
             .iter()
             .filter(|d| d.category == category)
             .count();
-        println!("{:<28} {domains:>8} {us:>10.2}", category.name());
+        row(category.name(), domains, us);
     }
+    row("first touch (one per TLD)", firsts.len(), &first_touch);
     match (
         cost(Category::HealthySigned),
         cost(Category::HealthyUnsigned),

@@ -22,27 +22,57 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
-/// Map key: (owner, numeric type), ordered by canonical owner, then
-/// type. One flat map instead of a map of per-owner maps, so a zone of a
-/// handful of RRsets — what the scan world builds per query — is one
-/// tree node, not one per owner name.
+/// Map key: (lead, owner, numeric type), ordered by canonical owner,
+/// then type. One flat map instead of a map of per-owner maps, so a zone
+/// of a handful of RRsets — what the scan world builds per query — is
+/// one tree node, not one per owner name. The owner's [`lead`] comes
+/// first, so most steps of a search through a zone of many TLDs (the
+/// scan world's root) are one integer compare, not a
+/// [`Name::canonical_cmp`].
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct Key(Name, u16);
+struct Key(u64, Name, u16);
+
+impl Key {
+    fn new(owner: Name, rtype: u16) -> Self {
+        Key(lead(&owner), owner, rtype)
+    }
+}
+
+/// The first 8 octets of `name`'s rightmost label, zero-padded and read
+/// big-endian; 0 for the root. Canonical order (RFC 4034 §6.1) compares
+/// rightmost labels first, as octet strings, so two leads that differ
+/// order their names as [`Name::canonical_cmp`] does: they differ at an
+/// octet both labels hold, or where one label has ended (a prefix of the
+/// other, so first) and the other holds a nonzero octet against the
+/// padding's zero. Equal leads leave it to the full comparison.
+fn lead(name: &Name) -> u64 {
+    let wire = name.as_wire();
+    let (mut at, mut label) = (0, &wire[..0]);
+    while wire[at] != 0 {
+        let end = at + 1 + usize::from(wire[at]);
+        label = &wire[at + 1..end];
+        at = end;
+    }
+    let mut octets = [0; 8];
+    let len = label.len().min(8);
+    octets[..len].copy_from_slice(&label[..len]);
+    u64::from_be_bytes(octets)
+}
 
 /// What a lookup compares map keys against: the key's parts, borrowed,
 /// so probing clones no [`Name`].
 trait KeyParts {
-    fn parts(&self) -> (&Name, u16);
+    fn parts(&self) -> (u64, &Name, u16);
 }
 
 impl KeyParts for Key {
-    fn parts(&self) -> (&Name, u16) {
-        (&self.0, self.1)
+    fn parts(&self) -> (u64, &Name, u16) {
+        (self.0, &self.1, self.2)
     }
 }
 
-impl KeyParts for (&Name, u16) {
-    fn parts(&self) -> (&Name, u16) {
+impl KeyParts for (u64, &Name, u16) {
+    fn parts(&self) -> (u64, &Name, u16) {
         *self
     }
 }
@@ -51,6 +81,11 @@ impl<'a> Borrow<dyn KeyParts + 'a> for Key {
     fn borrow(&self) -> &(dyn KeyParts + 'a) {
         self
     }
+}
+
+/// The probe for (`name`, `rtype`), its lead computed once.
+fn probe(name: &Name, rtype: u16) -> (u64, &Name, u16) {
+    (lead(name), name, rtype)
 }
 
 // The same order `Key` derives, as `Borrow` requires.
@@ -78,14 +113,14 @@ type RrsetMap = BTreeMap<Key, Rrset>;
 
 /// The entries of `map` from `name`'s first RRset on, in key order.
 fn from_name<'a>(map: &'a RrsetMap, name: &Name) -> impl Iterator<Item = (&'a Key, &'a Rrset)> {
-    let first: &dyn KeyParts = &(name, 0u16);
+    let first: &dyn KeyParts = &probe(name, 0);
     map.range::<dyn KeyParts, _>((Bound::Included(first), Bound::Unbounded))
 }
 
 /// The RRsets at exactly `name`, in type order.
 fn at_name<'a>(map: &'a RrsetMap, name: &'a Name) -> impl Iterator<Item = &'a Rrset> {
     from_name(map, name)
-        .take_while(move |(k, _)| k.0 == *name)
+        .take_while(move |(k, _)| k.1 == *name)
         .map(|(_, set)| set)
 }
 
@@ -175,10 +210,10 @@ impl Zone {
     /// (owner, type) when present: one search of the map.
     pub fn add(&mut self, record: Record) {
         let rtype = record.rtype().to_u16();
-        match self.rrsets.entry(Key(record.name, rtype)) {
+        match self.rrsets.entry(Key::new(record.name, rtype)) {
             Entry::Occupied(set) => set.into_mut().rdatas.push(record.rdata),
             Entry::Vacant(slot) => {
-                let name = slot.key().0.clone();
+                let name = slot.key().1.clone();
                 slot.insert(Rrset::new(name, record.ttl, record.rdata));
             }
         }
@@ -187,24 +222,24 @@ impl Zone {
     /// Insert a whole RRset, replacing any existing set of the same key.
     pub fn add_rrset(&mut self, rrset: Rrset) {
         self.rrsets
-            .insert(Key(rrset.name.clone(), rrset.rtype.to_u16()), rrset);
+            .insert(Key::new(rrset.name.clone(), rrset.rtype.to_u16()), rrset);
     }
 
     /// Look up the RRset at (name, rtype).
     pub fn get(&self, name: &Name, rtype: RrType) -> Option<&Rrset> {
-        let key: &dyn KeyParts = &(name, rtype.to_u16());
+        let key: &dyn KeyParts = &probe(name, rtype.to_u16());
         self.rrsets.get(key)
     }
 
     /// Mutable lookup.
     pub fn get_mut(&mut self, name: &Name, rtype: RrType) -> Option<&mut Rrset> {
-        let key: &dyn KeyParts = &(name, rtype.to_u16());
+        let key: &dyn KeyParts = &probe(name, rtype.to_u16());
         self.rrsets.get_mut(key)
     }
 
     /// Remove and return the RRset at (name, rtype).
     pub fn remove(&mut self, name: &Name, rtype: RrType) -> Option<Rrset> {
-        let key: &dyn KeyParts = &(name, rtype.to_u16());
+        let key: &dyn KeyParts = &probe(name, rtype.to_u16());
         self.rrsets.remove(key)
     }
 
@@ -220,7 +255,7 @@ impl Zone {
     pub fn name_exists_or_ent(&self, name: &Name) -> bool {
         from_name(&self.rrsets, name)
             .next()
-            .is_some_and(|(k, _)| k.0.is_subdomain_of(name))
+            .is_some_and(|(k, _)| k.1.is_subdomain_of(name))
     }
 
     /// The types present at `name`, in numeric order.
@@ -266,17 +301,17 @@ impl Zone {
         let ns = RrType::Ns.to_u16();
         let mut entries = self.rrsets.iter_mut().peekable();
         while let Some(key) = entries.peek().map(|(key, _)| *key) {
-            let owner = &key.0;
+            let owner = &key.1;
             let below = cuts.below(owner);
             // The owner's RRsets of types 0 and 1 sort before its NS, if
             // any: held back until its role is settled.
             let mut held: [Option<&mut Rrset>; 2] = [None, None];
-            while let Some((key, set)) = entries.next_if(|(k, _)| k.0 == *owner && k.1 < ns) {
-                held[usize::from(key.1)] = Some(set);
+            while let Some((key, set)) = entries.next_if(|(k, _)| k.1 == *owner && k.2 < ns) {
+                held[usize::from(key.2)] = Some(set);
             }
             let has_ns = entries
                 .peek()
-                .is_some_and(|(k, _)| k.0 == *owner && k.1 == ns);
+                .is_some_and(|(k, _)| k.1 == *owner && k.2 == ns);
             let role = if has_ns && owner != apex {
                 cuts.enter(owner);
                 Role::Cut
@@ -288,7 +323,7 @@ impl Zone {
             for set in held.into_iter().flatten() {
                 visit(role, set);
             }
-            while let Some((_, set)) = entries.next_if(|(k, _)| k.0 == *owner) {
+            while let Some((_, set)) = entries.next_if(|(k, _)| k.1 == *owner) {
                 visit(role, set);
             }
         }
@@ -449,6 +484,42 @@ mod tests {
         assert!(z.remove(&n("ns1.example.com"), RrType::A).is_some());
         assert!(!z.name_exists(&n("ns1.example.com")));
         assert!(z.remove(&n("ns1.example.com"), RrType::A).is_none());
+    }
+
+    /// Where two leads differ, they order their names as canonical order
+    /// does, over seeded names whose rightmost labels share prefixes,
+    /// hold 0x00 and 0xff, and run past 8 octets.
+    #[test]
+    fn a_lead_orders_as_canonical_order_does() {
+        let mut state = 0x1ead_u64;
+        let mut next = move |below: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % below
+        };
+        let mut name = || {
+            let labels: Vec<Vec<u8>> = (0..next(4))
+                .map(|_| {
+                    let len = 1 + next(12) as usize;
+                    (0..len)
+                        .map(|_| [0x00, b'a', b'b', 0xff][next(4) as usize])
+                        .collect()
+                })
+                .collect();
+            Name::from_labels(labels).unwrap()
+        };
+        let mut differing = 0;
+        for _ in 0..20_000 {
+            let (a, b) = (name(), name());
+            if lead(&a) != lead(&b) {
+                differing += 1;
+                assert_eq!(lead(&a).cmp(&lead(&b)), a.canonical_cmp(&b), "{a} {b}");
+            }
+        }
+        assert!(differing > 10_000, "{differing} pairs with differing leads");
+        assert_eq!(lead(&Name::root()), 0);
     }
 
     #[test]

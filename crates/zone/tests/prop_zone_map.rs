@@ -125,6 +125,43 @@ fn universe(apex: &Name) -> Vec<Name> {
     names
 }
 
+/// A root zone's universe, shaped like the scan world's: TLDs, their
+/// `ns0` hosts, a name under each TLD, and the root itself. The TLD
+/// labels are chosen to tie and split a zone key's lead, the first 8
+/// octets of the rightmost label: labels that share those 8 and differ
+/// after them, labels that are other labels' prefixes, labels holding
+/// 0x00 and 0xff octets, and 32-octet hashed owners like NSEC3's.
+fn root_universe() -> Vec<Name> {
+    let tlds: [&[u8]; 18] = [
+        b"internat",
+        b"internationale",
+        b"international",
+        b"internatx",
+        b"c",
+        b"co",
+        b"com",
+        b"comm",
+        b"a",
+        b"a\x00",
+        b"a\xff",
+        b"\x00",
+        b"\x00\x00",
+        b"\xff\xff\xff\xff\xff\xff\xff\xff\x00",
+        b"\xff\xff\xff\xff\xff\xff\xff\xff",
+        b"0p9mhaveqvm6t7vbl5lop2u3t2rp3tom",
+        b"0p9mhaveqvm6t7vbl5lop2u3t2rp3ton",
+        b"2t7b4g4vsa5smi47k61mv5bv1a22bojr",
+    ];
+    let mut names = vec![Name::root()];
+    for label in tlds {
+        let tld = Name::root().child_bytes(label).unwrap();
+        names.push(tld.child("ns0").unwrap());
+        names.push(tld.child("d").unwrap().child("www").unwrap());
+        names.push(tld);
+    }
+    names
+}
+
 const TYPES: [RrType; 5] = [
     RrType::A,
     RrType::Ns,
@@ -225,21 +262,19 @@ fn edit(rng: &mut Rng, zone: &mut Zone, model: &mut Model, names: &[Name]) -> St
     }
 }
 
-fn run(seed: u64) {
+fn run(seed: u64, apex: Name, names: &[Name]) {
     let mut rng = Rng(seed);
-    let apex = Name::parse("zone.test").unwrap();
-    let names = universe(&apex);
     let mut zone = Zone::new(apex.clone());
     let mut model = Model {
         apex,
         owners: BTreeMap::new(),
     };
     for step in 0..60 {
-        let what = edit(&mut rng, &mut zone, &mut model, &names);
+        let what = edit(&mut rng, &mut zone, &mut model, names);
         assert_same_reads(
             &zone,
             &model,
-            &names,
+            names,
             &format!("seed {seed:#x} step {step} ({what})"),
         );
     }
@@ -247,7 +282,19 @@ fn run(seed: u64) {
 
 #[test]
 fn plain_zones_read_as_the_map_of_maps_does() {
+    let apex = Name::parse("zone.test").unwrap();
+    let names = universe(&apex);
     for case in 0..24 {
-        run(0x20e_0000 + case);
+        run(0x20e_0000 + case, apex.clone(), &names);
+    }
+}
+
+/// A root zone, whose owners' rightmost labels differ, so its keys'
+/// leads order most of the map.
+#[test]
+fn root_zones_read_as_the_map_of_maps_does() {
+    let names = root_universe();
+    for case in 0..24 {
+        run(0x1ead_0000 + case, Name::root(), &names);
     }
 }
