@@ -76,12 +76,6 @@ impl FaultPlan {
         self
     }
 
-    /// Set the response-corruption probability.
-    pub fn with_corruption(mut self, rate: f64) -> Self {
-        self.corrupt = rate;
-        self
-    }
-
     /// Enable the response-size model with the given link-level cap.
     pub fn with_udp_payload_limit(mut self, limit: u16) -> Self {
         self.udp_payload_limit = Some(limit);
@@ -181,7 +175,10 @@ mod tests {
         );
 
         // Loss and corruption draws are independent (different salts).
-        let both = FaultPlan::new(42).with_loss(0.3).with_corruption(0.3);
+        let both = FaultPlan {
+            corrupt: 0.3,
+            ..FaultPlan::new(42).with_loss(0.3)
+        };
         let disagree = (0..500)
             .filter(|&i| both.loses(ip(), &q(i)) != both.corrupts(ip(), &q(i)))
             .count();

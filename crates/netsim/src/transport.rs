@@ -310,11 +310,6 @@ impl Network {
         self.faults.set((!plan.is_noop()).then(|| Arc::new(plan)));
     }
 
-    /// The currently attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        self.faults.get()
-    }
-
     /// The currently attached tracer: this thread's copy of it, no lock
     /// and no shared reference count (see [`TracerCell`]); disabled when
     /// no sink is attached, which costs one atomic load.
@@ -746,7 +741,10 @@ mod tests {
             let mut b = NetworkBuilder::new();
             b.register(dst, Arc::new(Echo));
             let net = b.build(SimClock::new());
-            net.set_fault_plan(FaultPlan::new(99).with_loss(0.25).with_corruption(0.1));
+            net.set_fault_plan(FaultPlan {
+                corrupt: 0.1,
+                ..FaultPlan::new(99).with_loss(0.25)
+            });
             let outcomes: Vec<u16> = (0..400)
                 .map(|i| match net.query(dst, client(), &q(i)) {
                     Ok(m) => m.rcode.to_u16(),
@@ -776,7 +774,7 @@ mod tests {
         b.register(dst, Arc::new(Echo));
         let net = b.build(SimClock::new());
         net.set_fault_plan(FaultPlan::intensity(5, 0.0));
-        assert!(net.fault_plan().is_none(), "no-op plans are dropped");
+        assert!(net.faults.get().is_none(), "no-op plans are dropped");
         assert!(net.query(dst, client(), &q(1)).is_ok());
     }
 

@@ -385,7 +385,7 @@ mod tests {
     use crate::cache::infra::{ChainKeys, KeyEntry};
     use crate::config::RootHint;
     use crate::profiles::Vendor;
-    use crate::validate::{published_keys, PublishedKey};
+    use crate::validate::{keys_of, PublishedKey};
     use ede_authority::{ZoneServer, ZoneStore};
     use ede_netsim::{NetworkBuilder, SimClock};
     use ede_wire::rdata::Soa;
@@ -483,7 +483,7 @@ mod tests {
                 .expect("the zone's keys were fetched"),
         );
         let dnskeys = zone.get(apex, RrType::Dnskey).expect("a signed zone");
-        (entry, published_keys(dnskeys))
+        (entry, keys_of(dnskeys.into()))
     }
 
     /// A zone whose chain holds keeps its zone keys, once, and no tags.

@@ -45,6 +45,9 @@ use ede_zone::rrset::{sets_in, Rrset, RrsetRef};
 /// the key's RDATA where it was published.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PublishedKey {
+    /// The zone that published the key, its DNSKEY RRset's owner: the
+    /// one signer name a signature by this key may carry.
+    zone: Name,
     /// RFC 4034 Appendix B key tag.
     pub tag: u16,
     /// Algorithm number.
@@ -59,10 +62,12 @@ pub struct PublishedKey {
 }
 
 impl PublishedKey {
-    /// The key a DNSKEY RDATA publishes; `None` for any other type.
-    fn of(rdata: &Rdata) -> Option<Self> {
+    /// The key a DNSKEY RDATA of `zone` publishes; `None` for any other
+    /// type.
+    fn of(zone: &Name, rdata: &Rdata) -> Option<Self> {
         let fields = DnskeyFields::of(rdata)?;
         Some(PublishedKey {
+            zone: zone.clone(),
             tag: fields.key_tag(),
             algorithm: fields.algorithm,
             flags: fields.flags,
@@ -87,14 +92,11 @@ impl PublishedKey {
     }
 }
 
-/// Parse the published keys out of a DNSKEY RRset.
-pub fn published_keys(dnskey_rrset: &Rrset) -> Vec<PublishedKey> {
-    keys_of(dnskey_rrset.into())
-}
-
 /// The keys a DNSKEY RRset publishes, in RRset order.
-fn keys_of(set: RrsetRef<'_>) -> Vec<PublishedKey> {
-    set.rdatas().filter_map(PublishedKey::of).collect()
+pub(crate) fn keys_of(set: RrsetRef<'_>) -> Vec<PublishedKey> {
+    set.rdatas()
+        .filter_map(|rdata| PublishedKey::of(set.name(), rdata))
+        .collect()
 }
 
 /// A broken link: the finding that names the break (none when the chain
@@ -157,13 +159,21 @@ fn window_finding(sig: &Rrsig, now: u32, target: SigTarget) -> Option<Finding> {
 }
 
 /// Verify one signature over one RRset against one key, including the
-/// window. Returns true only when everything checks out.
+/// window. Returns true only when everything checks out: the window,
+/// the signature, and the fields RFC 4035 §5.3.1 requires — the signer
+/// name, key tag and algorithm are those of the key and the zone that
+/// published it, and the labels field is the owner's label count. A
+/// smaller count claims a wildcard expansion, which this model does not
+/// synthesize, so it does not verify either.
 fn sig_verifies(sig: &Rrsig, set: RrsetRef<'_>, key: &PublishedKey, now: u32) -> bool {
     // Whichever target: only whether the window excludes `now` matters.
     if window_finding(sig, now, SigTarget::Answer).is_some() {
         return false;
     }
-    if sig.key_tag != key.tag || sig.algorithm != key.algorithm {
+    if sig.key_tag != key.tag || sig.algorithm != key.algorithm || sig.signer != key.zone {
+        return false;
+    }
+    if usize::from(sig.labels) != set.name().label_count() {
         return false;
     }
     let Some(public) = &key.key else {
@@ -1009,7 +1019,7 @@ mod tests {
         let (z, keys, _) = signed_zone();
         let apex = n("test.example");
         let dnskeys = z.get(&apex, RrType::Dnskey).unwrap();
-        let published = published_keys(dnskeys);
+        let published = keys_of(dnskeys.into());
         for digest_type in [1, 2, 3, 4, 8] {
             let rdata = keys.ksk.dnskey_rdata();
             let mut digest = ds_digest(&apex, &rdata, DigestAlg(digest_type));

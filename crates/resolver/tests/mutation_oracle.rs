@@ -10,6 +10,12 @@
 //! the reply must never validate as Secure or Insecure. An *uncovered*
 //! one changes what no signature covers: the verdict must not move.
 //!
+//! A second table re-signs instead of breaking: the simulated public key
+//! embeds its secret, so the oracle can do what a misconfigured online
+//! signer does and sign, with the zone's own key, an RRSIG whose signer
+//! name or labels field is wrong. RFC 4035 §5.3.1 makes each of those
+//! Bogus.
+//!
 //! Answers and DNSKEY responses are validated through the public
 //! [`validate_dnskey`], [`check_rrset`] and [`check_negative`];
 //! referrals through a [`Resolver`] whose root server hands out the
@@ -25,6 +31,7 @@ use ede_resolver::validate::{check_negative, check_rrset, validate_dnskey};
 use ede_resolver::{Diagnosis, Resolver, ResolverConfig, ValidationState, Vendor, VendorProfile};
 use ede_wire::rdata::{Rrsig, Soa};
 use ede_wire::{DigestAlg, Message, Name, Rcode, Rdata, Record, RrType};
+use ede_zone::canonical::signing_data;
 use ede_zone::rrset::sets_in;
 use ede_zone::signer::{self, SignerConfig, SIM_NOW};
 use ede_zone::{Rrset, Zone, ZoneKeys};
@@ -203,6 +210,59 @@ const ROWS: &[Row] = &[
     },
 ];
 
+/// Re-signed signatures whose fields RFC 4035 §5.3.1 rules out; each
+/// must end Bogus wherever it applies.
+const RESIGNED: &[Row] = &[
+    Row {
+        what: "re-signed with the parent as signer",
+        clause: "RFC 4035 §5.3.1 (the signer is the zone that contains the RRset)",
+        covered: true,
+        mutate: |subject, shape, world, rng| {
+            resign(subject, shape, world, rng, |sig| {
+                sig.signer
+                    .parent()
+                    .map(|parent| sig.signer = parent)
+                    .is_some()
+            })
+        },
+    },
+    Row {
+        what: "re-signed with a foreign signer",
+        clause: "RFC 4035 §5.3.1 (the signer is the zone that contains the RRset)",
+        covered: true,
+        mutate: |subject, shape, world, rng| {
+            resign(subject, shape, world, rng, |sig| {
+                sig.signer = n("other.org");
+                true
+            })
+        },
+    },
+    Row {
+        what: "re-signed with labels + 1",
+        clause: "RFC 4035 §5.3.1 (labels is at most the owner's label count)",
+        covered: true,
+        mutate: |subject, shape, world, rng| {
+            resign(subject, shape, world, rng, |sig| {
+                sig.labels += 1;
+                true
+            })
+        },
+    },
+    Row {
+        what: "re-signed with labels − 1",
+        clause: "RFC 4035 §5.3.1 (a wildcard expansion, which no zone here has)",
+        covered: true,
+        mutate: |subject, shape, world, rng| {
+            resign(subject, shape, world, rng, |sig| {
+                sig.labels
+                    .checked_sub(1)
+                    .map(|labels| sig.labels = labels)
+                    .is_some()
+            })
+        },
+    },
+];
+
 /// The signed world the replies come from: a signed root delegating
 /// `secure.` (signed, with DS) and `insecure.` (unsigned).
 struct World {
@@ -212,6 +272,8 @@ struct World {
     /// The DS RDATA the root publishes for `secure.`.
     secure_ds: Vec<Rdata>,
     trust_anchor: Rdata,
+    /// The keys that signed the root and `secure.`, for re-signing.
+    signers: [(Name, ZoneKeys); 2],
 }
 
 fn skeleton(apex: &Name, ns_addr: Ipv4Addr) -> Zone {
@@ -271,6 +333,7 @@ impl World {
             insecure,
             secure_ds,
             trust_anchor: root_keys.ksk.ds_rdata(&root_name, DigestAlg::SHA256),
+            signers: [(root_name, root_keys), (secure_name, secure_keys)],
         }
     }
 
@@ -436,6 +499,46 @@ fn change_rrsig_field(subject: &mut Subject, shape: Shape, world: &World, rng: &
             sig.signature[bit / 8] ^= 1 << (bit % 8);
         }
     }
+    true
+}
+
+/// A target signature of `shape` with its fields changed by `edit` and
+/// signed again, over the same RRset, by the key that made it; false
+/// when there is none or `edit` finds nothing to change.
+fn resign(
+    subject: &mut Subject,
+    shape: Shape,
+    world: &World,
+    rng: &mut Rng,
+    edit: impl FnOnce(&mut Rrsig) -> bool,
+) -> bool {
+    let section = section(subject, shape);
+    let Some(i) = pick(rng, &target_sigs(section, shape, world)) else {
+        return false;
+    };
+    let Rdata::Rrsig(sig) = &section[i].rdata else {
+        unreachable!()
+    };
+    let mut sig = sig.clone();
+    let key = world
+        .signers
+        .iter()
+        .filter(|(apex, _)| *apex == sig.signer)
+        .flat_map(|(_, keys)| [&keys.ksk, &keys.zsk])
+        .find(|key| key.key_tag() == sig.key_tag)
+        .expect("the world signed every signature");
+    let owner = section[i].name.clone();
+    let mut set = Rrset::empty(owner.clone(), sig.type_covered, sig.original_ttl);
+    set.rdatas = section
+        .iter()
+        .filter(|r| r.name == owner && r.rtype() == sig.type_covered)
+        .map(|r| r.rdata.clone())
+        .collect();
+    if !edit(&mut sig) {
+        return false;
+    }
+    sig.signature = key.signing().sign(&signing_data(&sig, &set));
+    section[i].rdata = Rdata::Rrsig(sig);
     true
 }
 
@@ -697,12 +800,18 @@ const NO_ROW: Row = Row {
     mutate: |_, _, _, _| false,
 };
 
-#[test]
-fn covered_mutations_never_validate_and_uncovered_ones_change_nothing() {
+/// Every row of `rows` on every shape it applies to, `DRAWS` draws each
+/// from one seeded stream; a draw holds when `held(row, verdict,
+/// honest)`. Returns the draws that did not hold, and fails unless each
+/// row applied at least `DRAWS` times.
+fn run_oracle(
+    rows: &'static [Row],
+    held: fn(&Row, ValidationState, ValidationState) -> bool,
+) -> Vec<String> {
     let world = Arc::new(World::build());
     let mut rng = Rng(SEED);
     let mut failures = Vec::new();
-    let mut applied = [0; ROWS.len()];
+    let mut applied = vec![0; rows.len()];
     for shape in Shape::ALL {
         let honest_subject = (!shape.is_referral()).then(|| {
             let (qname, qtype) = shape.question();
@@ -730,7 +839,7 @@ fn covered_mutations_never_validate_and_uncovered_ones_change_nothing() {
         };
         assert_eq!(honest, expected, "{shape:?}: the honest reply");
 
-        for (row, applied) in ROWS.iter().zip(&mut applied) {
+        for (row, applied) in rows.iter().zip(&mut applied) {
             for draw in 0..DRAWS {
                 let seed = rng.next();
                 let (verdict, mutated) = match &honest_subject {
@@ -745,12 +854,7 @@ fn covered_mutations_never_validate_and_uncovered_ones_change_nothing() {
                     continue;
                 }
                 *applied += 1;
-                let held = if row.covered {
-                    !matches!(verdict, ValidationState::Secure | ValidationState::Insecure)
-                } else {
-                    verdict == honest
-                };
-                if !held {
+                if !held(row, verdict, honest) {
                     failures.push(format!(
                         "{shape:?}, {} ({}), draw {draw}: {verdict:?}",
                         row.what, row.clause
@@ -759,8 +863,26 @@ fn covered_mutations_never_validate_and_uncovered_ones_change_nothing() {
             }
         }
     }
-    for (row, applied) in ROWS.iter().zip(applied) {
+    for (row, applied) in rows.iter().zip(applied) {
         assert!(applied >= DRAWS, "{} applied {applied} times", row.what);
     }
+    failures
+}
+
+#[test]
+fn covered_mutations_never_validate_and_uncovered_ones_change_nothing() {
+    let failures = run_oracle(ROWS, |row, verdict, honest| {
+        if row.covered {
+            !matches!(verdict, ValidationState::Secure | ValidationState::Insecure)
+        } else {
+            verdict == honest
+        }
+    });
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+#[test]
+fn a_re_signed_rrsig_with_a_wrong_signer_or_labels_field_is_bogus() {
+    let failures = run_oracle(RESIGNED, |_, verdict, _| verdict == ValidationState::Bogus);
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }

@@ -200,7 +200,7 @@ impl PartialAggregate {
     }
 
     /// The commutative scan fingerprint over every folded record's
-    /// [`QueryRecord::outcome_line`]: per-line FNV-1a hashes combined
+    /// outcome line ([`QueryRecord::write_outcome_line`]): per-line FNV-1a hashes combined
     /// with a wrapping sum, an XOR, and the record count, then mixed.
     /// Order-independent by construction, so every worker
     /// configuration agrees bit for bit.
@@ -325,9 +325,11 @@ mod tests {
                             codes: codes.clone().into(),
                             network_error_text: text.as_deref().map(Box::from),
                         };
+                        let mut line = String::new();
+                        rec.write_outcome_line(&mut line).unwrap();
                         let mut of_line = Fnv1a(FNV_OFFSET);
-                        std::fmt::Write::write_str(&mut of_line, &rec.outcome_line()).unwrap();
-                        assert_eq!(outcome_hash(&rec), of_line.0, "{}", rec.outcome_line());
+                        std::fmt::Write::write_str(&mut of_line, &line).unwrap();
+                        assert_eq!(outcome_hash(&rec), of_line.0, "{line}");
                         checked += 1;
                     }
                 }

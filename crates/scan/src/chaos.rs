@@ -21,10 +21,10 @@
 //! fraction, the retry count from the metrics registry, and the
 //! TC-fallback and fault counts from the transport accounting, which
 //! alone keeps them. Besides the campaign and its gate
-//! ([`ChaosReport::under_resolved`]), the module holds the two Table 4
-//! checks `repro-chaos` runs first: serial ([`table4_deviation`]) and
-//! seven vendors in flight ([`table4_concurrent_deviation`]). The
-//! contracts of the other scan configurations (worker count, cache
+//! ([`ChaosReport::under_resolved`]), the module holds the Table 4
+//! check `repro-chaos` runs first ([`table4_deviation`]): the one walk
+//! of the matrix, seven vendors of a row in flight, against the paper.
+//! The contracts of the other scan configurations (worker count, cache
 //! budgets, ring size) are the test suite's to assert
 //! (`scanner::tests`, `crates/scan/tests/streaming.rs`), not this
 //! module's.
@@ -33,7 +33,6 @@ use crate::population::Population;
 use crate::scanner::{scan, ScanConfig};
 use crate::world::ScanWorld;
 use ede_netsim::{FaultPlan, TrafficSnapshot};
-use ede_resolver::Vendor;
 use ede_trace::MetricsSnapshot;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -229,65 +228,20 @@ pub fn campaign(pop: &Population, config: &ChaosConfig) -> ChaosReport {
     }
 }
 
-/// Compare the 63 × 7 testbed matrix ([`crate::stats::v1::vendor_matrix`],
-/// the serial walk) with the paper's Table 4 — the chaos binary runs
-/// this at intensity zero to prove the hardening left the headline
-/// result untouched. Returns the differing cells; empty means
-/// bit-identical.
+/// Compare the 63 × 7 testbed matrix ([`crate::report::vendor_matrix`],
+/// the seven columns of a row resolved concurrently) with the paper's
+/// Table 4 — the chaos binary runs this at intensity zero to prove the
+/// hardening left the headline result untouched. Returns the differing
+/// cells; empty means bit-identical.
 pub fn table4_deviation() -> Vec<String> {
-    let matrix = crate::stats::v1::vendor_matrix();
+    let matrix = crate::report::vendor_matrix();
     let mut bad = Vec::new();
-    for ((label, cols), exp) in matrix.rows.iter().zip(ede_testbed::expectations::table4()) {
+    for ((label, cols), exp) in matrix.iter().zip(ede_testbed::expectations::table4()) {
         for (i, got) in cols.iter().enumerate() {
             if got != exp.codes[i] {
                 bad.push(format!(
                     "{label} col {i}: got {got:?}, expected {:?}",
                     exp.codes[i]
-                ));
-            }
-        }
-    }
-    bad
-}
-
-/// The Table 4 matrix again, but with the seven vendor columns of each
-/// row resolved *concurrently*: per spec, flush all seven resolvers,
-/// then resolve the seven columns on seven scoped threads over the one
-/// shared testbed network and compare every cell. Proves the paper's
-/// headline matrix survives seven resolutions in flight on one network
-/// and one virtual clock, not just the serial walk. Returns the
-/// differing cells; empty means bit-identical.
-///
-/// The per-spec flush order is preserved from [`table4_deviation`]: all
-/// columns of a row see the same freshly-flushed caches, so cache state
-/// cannot leak between specs (the reason the serial walk flushes too).
-pub fn table4_concurrent_deviation() -> Vec<String> {
-    use ede_testbed::{expectations::table4, Testbed};
-    use ede_wire::RrType;
-
-    let tb = Testbed::build();
-    let resolvers: Vec<_> = Vendor::ALL.iter().map(|&v| tb.resolver(v)).collect();
-    let mut bad = Vec::new();
-    for (spec, exp) in tb.specs.iter().zip(table4()) {
-        let qname = &tb.query_name(spec);
-        for r in &resolvers {
-            r.flush();
-        }
-        let row: Vec<Vec<u16>> = std::thread::scope(|s| {
-            let columns: Vec<_> = resolvers
-                .iter()
-                .map(|r| s.spawn(move || r.resolve(qname, RrType::A).ede_codes()))
-                .collect();
-            columns
-                .into_iter()
-                .map(|c| c.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        });
-        for (i, got) in row.into_iter().enumerate() {
-            if got != exp.codes[i].to_vec() {
-                bad.push(format!(
-                    "{} col {i} (concurrent): got {:?}, expected {:?}",
-                    spec.label, got, exp.codes[i]
                 ));
             }
         }

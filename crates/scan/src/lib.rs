@@ -28,14 +28,15 @@
 //! 4. [`aggregate`] and [`stats`] compute the paper's numbers: the
 //!    §4.2 per-INFO-CODE inventory, nameserver concentration, Figure 1's
 //!    per-TLD CDFs, and Figure 2's Tranco-rank distribution — exposed
-//!    as the versioned typed DTOs in [`stats::v1`];
-//! 5. [`report`] renders each table/figure from those DTOs, [`query`]
+//!    as the versioned [`stats::v1::StatsSnapshot`];
+//! 5. [`report`] renders each table and figure — the scan's from that
+//!    snapshot, Tables 1–4 from the registry and the testbed — [`query`]
 //!    filters the query log (live or from JSONL traces), and the
 //!    `repro-*` binaries regenerate everything from the command line;
 //! 6. [`chaos`] sweeps `ede-netsim` fault-plan intensity over the scan
 //!    world (the `repro-chaos` binary) and reports how the EDE-code
 //!    inventory shifts under loss, corruption, and truncation, after
-//!    checking Table 4 serially and with seven resolutions in flight;
+//!    checking Table 4 with seven resolutions in flight;
 //!    its intensity-0 leg is the plain scan by construction.
 //!
 //! Every number reported is *measured* through the resolver — the

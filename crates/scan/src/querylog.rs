@@ -15,8 +15,8 @@
 //! completion). Everything else is a pure function of the domain and
 //! the simulated world, bit-identical at any worker count. `PartialEq`
 //! therefore compares **only the deterministic
-//! fields**, and the aggregate fingerprint hashes
-//! [`QueryRecord::outcome_line`], which excludes both.
+//! fields**, and the aggregate fingerprint hashes the outcome line
+//! [`QueryRecord::write_outcome_line`] writes, which excludes both.
 
 use crate::population::{Category, DomainRecord};
 use ede_resolver::{Resolution, Vendor};
@@ -103,21 +103,12 @@ impl QueryRecord {
         self.name.labels().last().unwrap_or_default()
     }
 
-    /// The canonical outcome line: every deterministic field, one
-    /// record per line. This is what the commutative scan fingerprint
-    /// hashes — `seq`/`vtime_ms` are deliberately excluded (they depend
+    /// Write the canonical outcome line into `out`: every deterministic
+    /// field, one record per line. This is what the commutative scan
+    /// fingerprint hashes, streamed straight into its hash instead of
+    /// built — `seq`/`vtime_ms` are deliberately excluded (they depend
     /// on worker timing) and so is `pass` (a revisited domain's final
     /// record always comes from pass 2, so it adds nothing).
-    pub fn outcome_line(&self) -> String {
-        let mut line = String::new();
-        self.write_outcome_line(&mut line)
-            .expect("writing to a String cannot fail");
-        line
-    }
-
-    /// Write [`outcome_line`](Self::outcome_line) into `out` — the
-    /// fingerprint streams it straight into its hash instead of
-    /// building the line.
     pub fn write_outcome_line(&self, out: &mut impl std::fmt::Write) -> std::fmt::Result {
         write!(
             out,

@@ -1,21 +1,25 @@
 //! Render every table and figure of the paper from live data.
 //!
-//! Every renderer here is a *thin view* over the typed DTOs in
-//! [`crate::stats::v1`]: the tables render [`v1::code_registry`],
-//! [`v1::subdomain_groups`], [`v1::subdomain_details`], and
-//! [`v1::vendor_matrix`]; the scan summary, figures, and traffic line
-//! render a [`StatsSnapshot`]. No number is computed in this module —
-//! if a renderer and a machine consumer disagree, the DTO is wrong,
-//! not the view.
+//! Tables 1–3 render their sources straight: the IANA registry
+//! ([`EdeCode::REGISTERED`]) and the testbed's subdomain specifications
+//! ([`all_specs`]). Table 4 renders [`vendor_matrix`], the one walk of
+//! the 63 × 7 matrix, with the testbed's [`agreement`] analysis. The
+//! scan summary, figures and traffic line render a [`StatsSnapshot`],
+//! whose [`StatsSnapshot::to_json`] is the machine surface: no number
+//! of a scan is computed in this module.
 
 use crate::population::PopulationConfig;
 use crate::stats;
-use crate::stats::v1::{self, StatsSnapshot, PAPER_INVENTORY};
+use crate::stats::v1::{StatsSnapshot, PAPER_INVENTORY};
+use ede_resolver::Vendor;
+use ede_testbed::domains::all_specs;
+use ede_testbed::{agreement, Testbed};
+use ede_wire::{EdeCode, RrType};
 use std::fmt::Write as _;
 
 /// Table 1: the registered Extended DNS Error codes.
 pub fn table1() -> String {
-    let registry = v1::code_registry();
+    let registry = &EdeCode::REGISTERED;
     let mut out = String::from("Table 1: Registered Extended DNS Error codes\n\n");
     let half = registry.len() / 2;
     out.push_str(&format!(
@@ -26,11 +30,13 @@ pub fn table1() -> String {
         "-".repeat(42),
     ));
     for i in 0..half {
-        let left = &registry[i];
-        let right = &registry[i + half];
+        let (left, right) = (registry[i], registry[i + half]);
         out.push_str(&format!(
             "{:<4}  {:<36} {:<4}  {:<36}\n",
-            left.code, left.description, right.code, right.description,
+            left.to_u16(),
+            left.description(),
+            right.to_u16(),
+            right.description(),
         ));
     }
     out
@@ -38,14 +44,25 @@ pub fn table1() -> String {
 
 /// Table 2: the 63 subdomains grouped by misconfiguration type.
 pub fn table2() -> String {
+    const GROUPS: [&str; 8] = [
+        "Control subdomain",
+        "DS misconfigurations",
+        "RRSIG misconfigurations",
+        "NSEC3 misconfigurations",
+        "DNSKEY misconfigurations",
+        "Invalid AAAA glue records",
+        "Invalid A glue records",
+        "Other",
+    ];
+    let specs = all_specs();
     let mut out = String::from("Table 2: Custom subdomains grouped by (mis)configuration type\n\n");
-    for group in v1::subdomain_groups() {
-        out.push_str(&format!(
-            "{}. {}\n   {}\n",
-            group.group,
-            group.name,
-            group.labels.join(", ")
-        ));
+    for (group, name) in (1..).zip(GROUPS) {
+        let labels: Vec<&str> = specs
+            .iter()
+            .filter(|s| s.group == group)
+            .map(|s| s.label)
+            .collect();
+        out.push_str(&format!("{group}. {name}\n   {}\n", labels.join(", ")));
     }
     out
 }
@@ -53,31 +70,71 @@ pub fn table2() -> String {
 /// Table 3: per-subdomain configuration detail.
 pub fn table3() -> String {
     let mut out = String::from("Table 3: Configuration details of each subdomain\n\n");
-    for row in v1::subdomain_details() {
-        out.push_str(&format!("{:<26} {}\n", row.label, row.detail));
+    for s in all_specs() {
+        let detail = match (&s.misconfig, s.group) {
+            (Some(m), _) => format!("{m:?}"),
+            (None, 1) => "correctly configured control domain".to_string(),
+            (None, 4) => format!("NSEC3 iterations = {}", s.nsec3_iterations),
+            (None, 6) | (None, 7) => format!("glue = {:?}", s.glue),
+            (None, 8) if !s.signed => "not DNSSEC-signed".to_string(),
+            (None, 8) => format!("signed with {} / server {:?}", s.algorithm, s.server),
+            _ => String::new(),
+        };
+        out.push_str(&format!("{:<26} {detail}\n", s.label));
     }
     out
 }
 
-/// Table 4: resolve the whole testbed through all seven profiles and
-/// print the matrix plus the agreement statistics.
+/// Table 4 measured: every testbed subdomain resolved through the seven
+/// vendor profiles, as (label, per-vendor EDE codes) in testbed order.
+/// Each row starts from flushed caches, as the paper's probes were
+/// independent, and resolves its seven columns on seven scoped threads
+/// over the one shared testbed network, so the matrix holds with seven
+/// resolutions in flight. (The serial walk is the tests' own:
+/// `crates/testbed/tests/table4.rs` and `tests/paper_claims.rs`.)
+pub fn vendor_matrix() -> Vec<(String, Vec<Vec<u16>>)> {
+    let tb = Testbed::build();
+    let resolvers: Vec<_> = Vendor::ALL.iter().map(|&v| tb.resolver(v)).collect();
+    tb.specs
+        .iter()
+        .map(|spec| {
+            let qname = &tb.query_name(spec);
+            for r in &resolvers {
+                r.flush();
+            }
+            let cols = std::thread::scope(|s| {
+                let columns: Vec<_> = resolvers
+                    .iter()
+                    .map(|r| s.spawn(move || r.resolve(qname, RrType::A).ede_codes()))
+                    .collect();
+                columns
+                    .into_iter()
+                    .map(|c| c.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                    .collect()
+            });
+            (spec.label.to_string(), cols)
+        })
+        .collect()
+}
+
+/// Table 4: the [`vendor_matrix`] plus the agreement statistics.
 pub fn table4() -> String {
-    let matrix = v1::vendor_matrix();
+    let rows = vendor_matrix();
     let mut out = String::from(
         "Table 4: Extended error codes returned by DNS software and public resolvers\n\n",
     );
     out.push_str(&format!("{:<26}", "Subdomain"));
-    for v in &matrix.vendors {
+    for v in Vendor::ALL {
         out.push_str(&format!(
             "{:<12}",
             v.name().split(' ').next().unwrap_or("?")
         ));
     }
     out.push('\n');
-    out.push_str(&"-".repeat(26 + 12 * matrix.vendors.len()));
+    out.push_str(&"-".repeat(26 + 12 * Vendor::ALL.len()));
     out.push('\n');
 
-    for (label, cols) in &matrix.rows {
+    for (label, cols) in &rows {
         out.push_str(&format!("{label:<26}"));
         for codes in cols {
             let cell = if codes.is_empty() {
@@ -94,19 +151,21 @@ pub fn table4() -> String {
         out.push('\n');
     }
 
+    let agreement = agreement::analyze(&rows);
+    let unique_codes = agreement::unique_codes(&rows);
     let _ = writeln!(
         out,
         "\nConsistent cases: {}/{} ({}), inconsistency {:.1}% (paper: 94%)",
-        matrix.consistent,
-        matrix.total,
-        matrix.consistent_labels.join(", "),
-        matrix.inconsistency_ratio * 100.0
+        agreement.consistent,
+        agreement.total,
+        agreement.consistent_labels.join(", "),
+        agreement.inconsistency_ratio() * 100.0
     );
     let _ = writeln!(
         out,
         "Unique INFO-CODEs triggered: {} {:?} (paper: 12)",
-        matrix.unique_codes.len(),
-        matrix.unique_codes
+        unique_codes.len(),
+        unique_codes
     );
     out
 }
@@ -264,7 +323,6 @@ pub fn figure2(snapshot: &StatsSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ede_testbed::domains::all_specs;
 
     #[test]
     fn table1_lists_all_codes() {
@@ -272,23 +330,34 @@ mod tests {
         assert!(t.contains("DNSSEC Bogus"));
         assert!(t.contains("No Reachable Authority"));
         assert!(t.contains("Synthesized"));
-        // Both columns: 0..14 and 15..29.
+        // Both columns: 0..14 and 15..29, one row per pair of codes.
         assert!(t.contains("15"));
+        assert_eq!(t.lines().count(), 4 + EdeCode::REGISTERED.len() / 2);
     }
 
+    /// The eight groups partition the testbed: each label is in exactly
+    /// one group's list.
     #[test]
     fn table2_has_eight_groups() {
         let t = table2();
         for g in 1..=8 {
             assert!(t.contains(&format!("{g}. ")), "missing group {g}");
         }
-        assert!(t.contains("valid"));
-        assert!(t.contains("allow-query-localhost"));
+        let listed: Vec<&str> = t
+            .lines()
+            .filter_map(|line| line.strip_prefix("   "))
+            .flat_map(|labels| labels.split(", "))
+            .collect();
+        assert_eq!(listed.len(), all_specs().len());
+        for s in all_specs() {
+            assert!(listed.contains(&s.label), "missing {}", s.label);
+        }
     }
 
     #[test]
     fn table3_covers_all_subdomains() {
         let t = table3();
+        assert_eq!(t.lines().count(), 2 + all_specs().len());
         for s in all_specs() {
             assert!(t.contains(s.label), "missing {}", s.label);
         }

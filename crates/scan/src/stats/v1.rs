@@ -7,8 +7,8 @@
 //! [`crate::scanner::ScanResult::stats`]); both are taken when every
 //! worker of the pass has joined and its partial has been merged. Its
 //! `traffic` is the transport's own [`ede_netsim::TrafficSnapshot`],
-//! not a copy of some of its fields. The renderers in
-//! [`crate::report`] consume these DTOs only; [`StatsSnapshot::to_json`]
+//! not a copy of some of its fields. The scan's renderers in
+//! [`crate::report`] read a snapshot only; [`StatsSnapshot::to_json`]
 //! is the machine surface, versioned by [`SCHEMA_VERSION`] and pinned
 //! by a golden test.
 //!
@@ -20,10 +20,6 @@
 use crate::querylog::QueryLogStats;
 use crate::scanner::ScanCacheReport;
 use crate::stats;
-use ede_resolver::Vendor;
-use ede_testbed::domains::all_specs;
-use ede_testbed::{agreement, Testbed};
-use ede_wire::{EdeCode, RrType};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -207,22 +203,6 @@ impl RankBucketCurve {
         stats::cdf(&ranks)
     }
 
-    /// EDE-triggering counts per rank bucket: `n` equal-width buckets
-    /// over `[1, tranco_size]`, as `(bucket_start, bucket_end, count)`.
-    pub fn buckets(&self, n: usize) -> Vec<(u32, u32, usize)> {
-        let n = n.max(1) as u32;
-        let size = self.tranco_size.max(1);
-        let width = size.div_ceil(n);
-        let mut out: Vec<(u32, u32, usize)> = (0..n)
-            .map(|i| (i * width + 1, ((i + 1) * width).min(size), 0))
-            .collect();
-        for &r in &self.ede_ranks {
-            let i = ((r.saturating_sub(1)) / width).min(n - 1) as usize;
-            out[i].2 += 1;
-        }
-        out
-    }
-
     /// Kolmogorov-style maximum deviation of the rank CDF from the
     /// uniform diagonal (the paper: evenly distributed).
     pub fn max_uniform_deviation(&self) -> f64 {
@@ -245,18 +225,6 @@ impl StatsSnapshot {
     /// binaries).
     pub fn queries_per_domain(&self) -> f64 {
         self.traffic.queries as f64 / self.ede.total_domains.max(1) as f64
-    }
-
-    /// True when the deterministic scan *results* agree: fingerprint,
-    /// EDE breakdown, TLD ratios, and the rank curve. Performance facts
-    /// (cache tiers, traffic, query-log occupancy) and snapshot
-    /// provenance (`seq`, `vtime_ms`) are excluded — they legitimately
-    /// differ across worker counts and cache configurations.
-    pub fn same_results(&self, other: &StatsSnapshot) -> bool {
-        self.fingerprint == other.fingerprint
-            && self.ede == other.ede
-            && self.tlds == other.tlds
-            && self.ranks == other.ranks
     }
 
     /// The versioned machine-readable report (the `scan_json` surface).
@@ -393,183 +361,5 @@ impl StatsSnapshot {
             .map(str::trim_start)
             .collect::<Vec<_>>()
             .join(" ")
-    }
-}
-
-/// One row of Table 1 (the IANA EDE registry).
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct CodeRegistryRow {
-    /// The INFO-CODE.
-    pub code: u16,
-    /// Its registered description.
-    pub description: &'static str,
-}
-
-/// Table 1 as data: every registered EDE code.
-pub fn code_registry() -> Vec<CodeRegistryRow> {
-    EdeCode::REGISTERED
-        .iter()
-        .map(|c| CodeRegistryRow {
-            code: c.to_u16(),
-            description: c.description(),
-        })
-        .collect()
-}
-
-/// One group of Table 2 (subdomains by misconfiguration type).
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct SubdomainGroup {
-    /// Group number (1-based, as in the paper).
-    pub group: u8,
-    /// Group name.
-    pub name: &'static str,
-    /// Member subdomain labels.
-    pub labels: Vec<&'static str>,
-}
-
-/// Table 2 as data: the 63 subdomains in their eight groups.
-pub fn subdomain_groups() -> Vec<SubdomainGroup> {
-    let specs = all_specs();
-    let group_names = [
-        "Control subdomain",
-        "DS misconfigurations",
-        "RRSIG misconfigurations",
-        "NSEC3 misconfigurations",
-        "DNSKEY misconfigurations",
-        "Invalid AAAA glue records",
-        "Invalid A glue records",
-        "Other",
-    ];
-    group_names
-        .iter()
-        .enumerate()
-        .map(|(g, name)| SubdomainGroup {
-            group: g as u8 + 1,
-            name,
-            labels: specs
-                .iter()
-                .filter(|s| s.group == g as u8 + 1)
-                .map(|s| s.label)
-                .collect(),
-        })
-        .collect()
-}
-
-/// One row of Table 3 (per-subdomain configuration detail).
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct SubdomainDetail {
-    /// The subdomain label.
-    pub label: &'static str,
-    /// Its configuration, described.
-    pub detail: String,
-}
-
-/// Table 3 as data.
-pub fn subdomain_details() -> Vec<SubdomainDetail> {
-    all_specs()
-        .iter()
-        .map(|s| {
-            let detail = match (&s.misconfig, s.group) {
-                (Some(m), _) => format!("{m:?}"),
-                (None, 1) => "correctly configured control domain".to_string(),
-                (None, 4) => format!("NSEC3 iterations = {}", s.nsec3_iterations),
-                (None, 6) | (None, 7) => format!("glue = {:?}", s.glue),
-                (None, 8) if !s.signed => "not DNSSEC-signed".to_string(),
-                (None, 8) => format!("signed with {} / server {:?}", s.algorithm, s.server),
-                _ => String::new(),
-            };
-            SubdomainDetail {
-                label: s.label,
-                detail,
-            }
-        })
-        .collect()
-}
-
-/// Table 4 as data: the 63 × 7 vendor matrix plus agreement stats.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub struct VendorMatrix {
-    /// The vendor columns, in order.
-    pub vendors: Vec<Vendor>,
-    /// One row per subdomain: (label, per-vendor EDE codes).
-    pub rows: Vec<(String, Vec<Vec<u16>>)>,
-    /// Subdomains where all vendors agreed.
-    pub consistent: usize,
-    /// Total subdomains.
-    pub total: usize,
-    /// Labels of the consistent subdomains.
-    pub consistent_labels: Vec<String>,
-    /// Inconsistency ratio in `[0, 1]`.
-    pub inconsistency_ratio: f64,
-    /// Unique INFO-CODEs triggered across the matrix.
-    pub unique_codes: Vec<u16>,
-}
-
-/// Resolve the whole testbed through all seven profiles and return the
-/// matrix as data (the typed counterpart of `report::table4`).
-pub fn vendor_matrix() -> VendorMatrix {
-    let tb = Testbed::build();
-    let resolvers: Vec<_> = Vendor::ALL.iter().map(|&v| tb.resolver(v)).collect();
-    let mut rows: Vec<(String, Vec<Vec<u16>>)> = Vec::new();
-    for spec in &tb.specs {
-        let qname = tb.query_name(spec);
-        let mut cols = Vec::new();
-        for r in &resolvers {
-            r.flush();
-            cols.push(r.resolve(&qname, RrType::A).ede_codes());
-        }
-        rows.push((spec.label.to_string(), cols));
-    }
-    let agg = agreement::analyze(&rows);
-    let unique_codes = agreement::unique_codes(&rows);
-    VendorMatrix {
-        vendors: Vendor::ALL.to_vec(),
-        consistent: agg.consistent,
-        total: agg.total,
-        consistent_labels: agg.consistent_labels.clone(),
-        inconsistency_ratio: agg.inconsistency_ratio(),
-        unique_codes,
-        rows,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn registry_and_groups_cover_the_paper() {
-        let reg = code_registry();
-        assert_eq!(reg.len(), EdeCode::REGISTERED.len());
-        assert!(reg.iter().any(|r| r.description == "DNSSEC Bogus"));
-        let groups = subdomain_groups();
-        assert_eq!(groups.len(), 8);
-        assert_eq!(
-            groups.iter().map(|g| g.labels.len()).sum::<usize>(),
-            all_specs().len()
-        );
-        assert_eq!(subdomain_details().len(), all_specs().len());
-    }
-
-    #[test]
-    fn rank_buckets_partition_the_overlap() {
-        let curve = RankBucketCurve {
-            tranco_size: 100,
-            ranked: 50,
-            ede_ranks: vec![1, 2, 49, 50, 51, 99, 100],
-        };
-        let buckets = curve.buckets(4);
-        assert_eq!(buckets.len(), 4);
-        assert_eq!(
-            buckets.iter().map(|b| b.2).sum::<usize>(),
-            curve.overlap(),
-            "buckets must partition the overlap"
-        );
-        assert_eq!(buckets[0], (1, 25, 2));
-        assert_eq!(buckets[3], (76, 100, 2));
     }
 }

@@ -21,7 +21,7 @@ use ede_scan::scanner::{scan, ScanConfig};
 use ede_scan::{Population, PopulationConfig, QueryLog, QueryRecord, ScanWorld};
 use ede_wire::ede::{EdeCode, EdeEntry};
 use ede_wire::stream::{frame, FrameReader, MAX_FRAME_LEN};
-use ede_wire::{Edns, Message, Name, Rcode, Rdata, Record, RrType};
+use ede_wire::{Edns, EdnsOption, Message, Name, Rcode, Rdata, Record, RrType};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::backtrace::Backtrace;
 use std::cell::{Cell, RefCell};
@@ -304,10 +304,10 @@ fn encoding_and_framing_an_answer_allocate_nothing_of_their_own() {
     let address = Rdata::A("192.0.2.7".parse().unwrap());
     answer.answers.push(Record::new(name, 300, address));
     let mut edns = Edns::with_do();
-    edns.push_ede(EdeEntry::with_text(
+    edns.options.push(EdnsOption::Ede(EdeEntry::with_text(
         EdeCode::SignatureExpired,
         "the A RRset",
-    ));
+    )));
     answer.edns = Some(edns);
 
     // The OPT owner: the root name's shared block is made on first use.

@@ -12,11 +12,20 @@
 use ede_scan::aggregate::PartialAggregate;
 use ede_scan::query::load_jsonl;
 use ede_scan::scanner::{scan, ScanConfig};
-use ede_scan::{Population, PopulationConfig, QueryRecord};
+use ede_scan::{Population, PopulationConfig, QueryRecord, StatsSnapshot};
 use std::collections::BTreeMap;
 
 fn tiny_pop() -> Population {
     Population::generate(PopulationConfig::tiny())
+}
+
+/// The deterministic scan *results* of two snapshots agree: fingerprint,
+/// EDE breakdown, TLD ratios and the rank curve. Performance facts (cache
+/// tiers, traffic, query-log occupancy) and provenance (`seq`,
+/// `vtime_ms`) are left out: they may differ across worker counts and
+/// ring sizes.
+fn same_results(a: &StatsSnapshot, b: &StatsSnapshot) -> bool {
+    a.fingerprint == b.fingerprint && a.ede == b.ede && a.tlds == b.tlds && a.ranks == b.ranks
 }
 
 /// Every worker count must equal the one-worker
@@ -38,7 +47,7 @@ fn streaming_is_bit_identical_to_batch_at_every_cross_point() {
         let config = ScanConfig::builder().workers(workers).build();
         let streaming = scan(&pop, &world, &config);
         assert!(
-            baseline.stats.same_results(&streaming.stats),
+            same_results(&baseline.stats, &streaming.stats),
             "results diverged at workers={workers}"
         );
         assert_eq!(
@@ -56,7 +65,7 @@ fn streaming_is_bit_identical_to_batch_at_every_cross_point() {
         // as independent of worker timing as the final one.
         assert!(!streaming.pass1.complete && streaming.stats.complete);
         assert!(
-            baseline.pass1.same_results(&streaming.pass1),
+            same_results(&baseline.pass1, &streaming.pass1),
             "pass-1 results diverged at workers={workers}"
         );
         assert_eq!(
@@ -112,12 +121,12 @@ fn bounded_ring_spills_and_keeps_the_report_identical() {
     assert!(bounded.log.spilled > 0, "nothing spilled");
     assert_eq!(bounded.log.dropped, 0, "spill configured, nothing may drop");
     assert!(
-        unbounded.pass1.same_results(&bounded.pass1),
+        same_results(&unbounded.pass1, &bounded.pass1),
         "pass-1 results depend on the ring"
     );
     assert_eq!(unbounded.pass1.traffic, bounded.pass1.traffic);
     assert_eq!(unbounded.pass1.resolutions, bounded.pass1.resolutions);
-    assert!(unbounded.stats.same_results(&bounded.stats));
+    assert!(same_results(&unbounded.stats, &bounded.stats));
     assert_eq!(unbounded.stats.fingerprint, bounded.stats.fingerprint);
     assert!(
         bounded.stream.merges > 0,

@@ -15,9 +15,9 @@
 //!   to a timeline, JSONL, or counters happens at the edge.
 //! * **Sinks decide the cost** — instrumented code emits into a
 //!   [`Tracer`]; when disabled (the default) that is one `Option`
-//!   check. A [`ResolutionTrace`] ring buffer retains timelines, a
+//!   check. A [`ResolutionTrace`] ring buffer retains timelines, and a
 //!   [`Metrics`] registry turns the same stream into counters and
-//!   latency histograms, and [`MultiSink`] fans out to both.
+//!   latency histograms.
 //! * **One registry, two sections** — [`Metrics`] counts what a
 //!   resolution does from its events and, in its server section, what a
 //!   serving front end does from direct calls on the wall clock; a
@@ -62,5 +62,5 @@ mod stripe;
 pub use event::{CacheOutcome, TimedEvent, TraceEvent};
 pub use histogram::Histogram;
 pub use metrics::{Metrics, MetricsSnapshot};
-pub use sink::{MultiSink, ResolutionTrace, TraceClock, TraceSink, Tracer, TracerCell};
+pub use sink::{ResolutionTrace, TraceClock, TraceSink, Tracer, TracerCell};
 pub use stripe::{Striped, STRIPES};

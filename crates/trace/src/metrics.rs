@@ -4,9 +4,9 @@
 //! * The **resolution section** is fed by the trace event stream on the
 //!   virtual clock. [`Metrics`] implements [`TraceSink`], so the same
 //!   instrumentation points that produce timelines also drive the
-//!   counters — attach it to a network (or fan out with
-//!   [`crate::MultiSink`]) and every `Referral` bumps `referrals`, every
-//!   `ResolutionFinished` feeds the outcome counters, and so on.
+//!   counters — attach it to a network and every `Referral` bumps
+//!   `referrals`, every `ResolutionFinished` feeds the outcome
+//!   counters, and so on.
 //! * The **server section** is fed by direct calls from a serving front
 //!   end (the `ede-server` crate) on the wall clock: every transport
 //!   decision it makes, and its request-handling latency.

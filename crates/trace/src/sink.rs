@@ -3,9 +3,8 @@
 //! The instrumented components never decide what happens to an event —
 //! they hand it to a [`Tracer`], which stamps it with the virtual clock
 //! and forwards it to whatever [`TraceSink`] the application attached:
-//! a [`ResolutionTrace`] ring buffer for timelines, a
-//! [`crate::Metrics`] registry for counters, or a [`MultiSink`] fanning
-//! out to both. A disabled tracer is one `Option` check — tracing off
+//! a [`ResolutionTrace`] ring buffer for timelines or a
+//! [`crate::Metrics`] registry for counters. A disabled tracer is one `Option` check — tracing off
 //! costs nothing but that branch.
 
 use crate::event::{TimedEvent, TraceEvent};
@@ -316,33 +315,9 @@ impl TraceSink for ResolutionTrace {
     }
 }
 
-/// Fan one event stream out to several sinks (e.g. a ring buffer *and*
-/// a metrics registry).
-pub struct MultiSink(Vec<Arc<dyn TraceSink>>);
-
-impl MultiSink {
-    /// A sink forwarding to every element of `sinks`, in order.
-    pub fn new(sinks: Vec<Arc<dyn TraceSink>>) -> Self {
-        MultiSink(sinks)
-    }
-}
-
-impl TraceSink for MultiSink {
-    fn record(&self, at_ms: u64, event: &TraceEvent) {
-        for s in &self.0 {
-            s.record(at_ms, event);
-        }
-    }
-
-    fn wants_query_detail(&self) -> bool {
-        self.0.iter().any(|s| s.wants_query_detail())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     struct FixedClock(u64);
     impl TraceClock for FixedClock {
@@ -382,23 +357,6 @@ mod tests {
         assert!(trace.render_timeline().contains("2 earlier events dropped"));
         trace.clear();
         assert!(trace.is_empty());
-    }
-
-    #[test]
-    fn multi_sink_fans_out() {
-        struct Counter(AtomicU64);
-        impl TraceSink for Counter {
-            fn record(&self, _at: u64, _ev: &TraceEvent) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let a = Arc::new(Counter(AtomicU64::new(0)));
-        let b = Arc::new(ResolutionTrace::new(8));
-        let multi = Arc::new(MultiSink::new(vec![a.clone(), b.clone()]));
-        let tracer = Tracer::new(multi, Arc::new(FixedClock(5)));
-        tracer.emit(ev(9));
-        assert_eq!(a.0.load(Ordering::Relaxed), 1);
-        assert_eq!(b.len(), 1);
     }
 
     #[test]

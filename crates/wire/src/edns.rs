@@ -96,11 +96,6 @@ impl Edns {
         })
     }
 
-    /// Append an EDE entry.
-    pub fn push_ede(&mut self, entry: EdeEntry) {
-        self.options.push(EdnsOption::Ede(entry));
-    }
-
     /// Encode as a complete OPT record.
     pub fn encode(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
         Name::root().encode(buf, None);
@@ -218,11 +213,13 @@ mod tests {
     #[test]
     fn ede_options_roundtrip() {
         let mut e = Edns::default();
-        e.push_ede(EdeEntry::bare(EdeCode::NoReachableAuthority));
-        e.push_ede(EdeEntry::with_text(
+        e.options.push(EdnsOption::Ede(EdeEntry::bare(
+            EdeCode::NoReachableAuthority,
+        )));
+        e.options.push(EdnsOption::Ede(EdeEntry::with_text(
             EdeCode::NetworkError,
             "203.0.113.5:53 rcode=REFUSED for example.com A",
-        ));
+        )));
         let decoded = roundtrip(&e);
         assert_eq!(decoded, e);
         assert_eq!(decoded.ede_entries().count(), 2);

@@ -37,7 +37,6 @@ pub mod record;
 pub mod registry;
 pub mod rrtype;
 pub mod stream;
-pub mod text;
 
 pub use ede::{EdeCode, EdeEntry};
 pub use edns::{Edns, EdnsOption};

@@ -336,6 +336,7 @@ impl Message {
 mod tests {
     use super::*;
     use crate::ede::{EdeCode, EdeEntry};
+    use crate::edns::EdnsOption;
     use crate::rdata::Rdata;
 
     fn n(s: &str) -> Name {
@@ -358,12 +359,15 @@ mod tests {
         r.rcode = Rcode::ServFail;
         r.recursion_available = true;
         let mut edns = Edns::default();
-        edns.push_ede(EdeEntry::bare(EdeCode::DnskeyMissing));
-        edns.push_ede(EdeEntry::bare(EdeCode::NoReachableAuthority));
-        edns.push_ede(EdeEntry::with_text(
+        edns.options
+            .push(EdnsOption::Ede(EdeEntry::bare(EdeCode::DnskeyMissing)));
+        edns.options.push(EdnsOption::Ede(EdeEntry::bare(
+            EdeCode::NoReachableAuthority,
+        )));
+        edns.options.push(EdnsOption::Ede(EdeEntry::with_text(
             EdeCode::NetworkError,
             "192.0.2.1:53 timeout",
-        ));
+        )));
         r.edns = Some(edns);
 
         let wire = r.encode().unwrap();

@@ -129,17 +129,6 @@ impl DigestAlg {
         }
     }
 
-    /// Expected digest length in bytes, if this is an assigned type.
-    pub fn digest_len(self) -> Option<usize> {
-        match self.0 {
-            1 => Some(20),
-            2 => Some(32),
-            3 => Some(32),
-            4 => Some(48),
-            _ => None,
-        }
-    }
-
     /// IANA mnemonic, or a synthesized one.
     pub fn mnemonic(self) -> String {
         match self.0 {
@@ -182,14 +171,6 @@ mod tests {
         assert_eq!(DigestAlg(0).status(), RegistryStatus::Reserved);
         assert_eq!(DigestAlg::SHA256.status(), RegistryStatus::Assigned);
         assert_eq!(DigestAlg::GOST.status(), RegistryStatus::Assigned);
-    }
-
-    #[test]
-    fn digest_lengths() {
-        assert_eq!(DigestAlg::SHA1.digest_len(), Some(20));
-        assert_eq!(DigestAlg::SHA256.digest_len(), Some(32));
-        assert_eq!(DigestAlg::SHA384.digest_len(), Some(48));
-        assert_eq!(DigestAlg(100).digest_len(), None);
     }
 
     #[test]

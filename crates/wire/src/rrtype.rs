@@ -84,20 +84,6 @@ impl RrType {
             other => RrType::Other(other),
         }
     }
-
-    /// True for the DNSSEC record types that never appear in answers to
-    /// ordinary queries unless requested (used by section filtering).
-    pub fn is_dnssec(self) -> bool {
-        matches!(
-            self,
-            RrType::Ds
-                | RrType::Rrsig
-                | RrType::Nsec
-                | RrType::Dnskey
-                | RrType::Nsec3
-                | RrType::Nsec3param
-        )
-    }
 }
 
 impl fmt::Display for RrType {
@@ -141,13 +127,5 @@ mod tests {
         assert_eq!(RrType::Opt.to_u16(), 41);
         assert_eq!(RrType::Rrsig.to_u16(), 46);
         assert_eq!(RrType::Nsec3.to_u16(), 50);
-    }
-
-    #[test]
-    fn dnssec_classification() {
-        assert!(RrType::Rrsig.is_dnssec());
-        assert!(RrType::Nsec3param.is_dnssec());
-        assert!(!RrType::A.is_dnssec());
-        assert!(!RrType::Opt.is_dnssec());
     }
 }

@@ -6,7 +6,7 @@
 use ede_wire::{
     ede::{EdeCode, EdeEntry},
     rdata::{Rdata, Rrsig, Soa, TypeBitmap},
-    Edns, Message, Name, Opcode, Rcode, Record, RrType,
+    Edns, EdnsOption, Message, Name, Opcode, Rcode, Record, RrType,
 };
 
 /// Deterministic SplitMix64 stream driving the randomized cases.
@@ -197,7 +197,7 @@ fn arb_edns(rng: &mut Rng) -> Edns {
         ..Default::default()
     };
     for _ in 0..rng.below(4) {
-        edns.push_ede(arb_ede_entry(rng));
+        edns.options.push(EdnsOption::Ede(arb_ede_entry(rng)));
     }
     edns
 }
@@ -482,7 +482,11 @@ fn failed_encode_into_leaves_the_buffer_as_found() {
         .edns
         .as_mut()
         .unwrap()
-        .push_ede(EdeEntry::with_text(EdeCode::Other, "x".repeat(65_534)));
+        .options
+        .push(EdnsOption::Ede(EdeEntry::with_text(
+            EdeCode::Other,
+            "x".repeat(65_534),
+        )));
     let before = many_suffixes().encode().unwrap();
     for (broken, error) in [
         (too_many, ede_wire::WireError::BadCount),

@@ -53,8 +53,13 @@ fn push_rr(buf: &mut Vec<u8>, set: &RrsetRef<'_>, sig: &Rrsig, rdata: &Rdata) ->
 /// the path signing and validation take, is held equal to.
 ///
 /// The RRset's records are ordered by canonical RDATA byte comparison
-/// (RFC 4034 §6.3); the owner name used is the RRset owner (wildcard
-/// expansion is not modeled — the testbed has no wildcards).
+/// (RFC 4034 §6.3); the owner name used is the RRset owner. Wildcard
+/// expansion is not modeled — no zone here has a wildcard — so an RRSIG
+/// whose labels field is below the owner's label count, which claims
+/// one (RFC 4035 §5.3.2 would sign `*.` and that many rightmost labels
+/// instead), is not rebuilt as one: the validator holds such a
+/// signature Bogus, as it does one whose count is above the owner's
+/// (RFC 4035 §5.3.1).
 pub fn signing_data(sig: &Rrsig, rrset: &Rrset) -> Vec<u8> {
     // Every RR is written straight into the one output buffer; a set of
     // several records is then put into canonical order. Names inside our

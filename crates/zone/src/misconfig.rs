@@ -303,21 +303,6 @@ impl Misconfig {
             _ => vec![correct],
         }
     }
-
-    /// Dotted label used for this misconfiguration in the paper
-    /// (Table 2/3), for reports.
-    pub fn is_parent_side(&self) -> bool {
-        matches!(
-            self,
-            Misconfig::NoDs
-                | Misconfig::DsBadTag
-                | Misconfig::DsBadKeyAlgo
-                | Misconfig::DsUnassignedKeyAlgo
-                | Misconfig::DsReservedKeyAlgo
-                | Misconfig::DsUnassignedDigestAlgo
-                | Misconfig::DsBogusDigestValue
-        )
-    }
 }
 
 /// Re-sign the selected RRsets with `window`.
@@ -635,14 +620,6 @@ mod tests {
             (Rdata::Ds { digest: a, .. }, Rdata::Ds { digest: b, .. }) => assert_ne!(&a, b),
             _ => unreachable!(),
         }
-    }
-
-    #[test]
-    fn parent_side_classification() {
-        assert!(Misconfig::NoDs.is_parent_side());
-        assert!(Misconfig::DsBogusDigestValue.is_parent_side());
-        assert!(!Misconfig::NoZsk.is_parent_side());
-        assert!(!Misconfig::RrsigExpired(TypeSel::All).is_parent_side());
     }
 
     #[test]

@@ -1,15 +1,20 @@
-//! Zone-file (RFC 1035 master file) presentation.
+//! Presentation format (RFC 1035 §5): master files and dig-style
+//! messages.
 //!
 //! The paper's artifact release includes "instructions on how to set up
 //! all the misconfigured domains"; this module lets the reproduction
 //! emit every zone it builds — including the deliberately broken ones —
 //! in standard master-file syntax that `named-checkzone`-class tooling
-//! can read.
+//! can read. `dig` ≥ 9.16 prints EDE options in the OPT pseudosection;
+//! operators troubleshooting with the paper's testbed see exactly that,
+//! and [`render_dig`] renders a [`Message`] the same way. Both print
+//! every RDATA through the one [`rdata_text`].
 
 use crate::rrset::Rrset;
 use crate::zone::Zone;
 use ede_crypto::{base32, base64};
 use ede_wire::rdata::{Rdata, Rrsig};
+use ede_wire::{EdnsOption, Message};
 use std::fmt::Write as _;
 
 fn hex(data: &[u8]) -> String {
@@ -158,13 +163,117 @@ pub fn zone_to_master_file(zone: &Zone) -> String {
     out
 }
 
+fn flags_line(m: &Message) -> String {
+    let mut flags = Vec::new();
+    if m.response {
+        flags.push("qr");
+    }
+    if m.authoritative {
+        flags.push("aa");
+    }
+    if m.truncated {
+        flags.push("tc");
+    }
+    if m.recursion_desired {
+        flags.push("rd");
+    }
+    if m.recursion_available {
+        flags.push("ra");
+    }
+    if m.authentic_data {
+        flags.push("ad");
+    }
+    if m.checking_disabled {
+        flags.push("cd");
+    }
+    flags.join(" ")
+}
+
+/// Render a message dig-style: header, OPT pseudosection (with EDE),
+/// question, and the three record sections.
+pub fn render_dig(m: &Message) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        ";; ->>HEADER<<- opcode: QUERY, status: {}, id: {}",
+        m.rcode, m.id
+    );
+    let _ = writeln!(
+        out,
+        ";; flags: {}; QUERY: {}, ANSWER: {}, AUTHORITY: {}, ADDITIONAL: {}",
+        flags_line(m),
+        m.questions.len(),
+        m.answers.len(),
+        m.authorities.len(),
+        m.additionals.len() + usize::from(m.edns.is_some()),
+    );
+
+    if let Some(edns) = &m.edns {
+        let _ = writeln!(out, "\n;; OPT PSEUDOSECTION:");
+        let _ = writeln!(
+            out,
+            "; EDNS: version: {}, flags:{}; udp: {}",
+            edns.version,
+            if edns.dnssec_ok { " do" } else { "" },
+            edns.udp_payload_size
+        );
+        for opt in &edns.options {
+            match opt {
+                EdnsOption::Ede(e) => {
+                    let _ = writeln!(
+                        out,
+                        "; EDE: {} ({}){}",
+                        e.code.to_u16(),
+                        e.code.description(),
+                        if e.extra_text.is_empty() {
+                            String::new()
+                        } else {
+                            format!(": ({})", e.extra_text)
+                        }
+                    );
+                }
+                EdnsOption::Unknown { code, data } => {
+                    let _ = writeln!(out, "; OPT={code}: {} bytes", data.len());
+                }
+            }
+        }
+    }
+
+    if !m.questions.is_empty() {
+        let _ = writeln!(out, "\n;; QUESTION SECTION:");
+        for q in &m.questions {
+            let _ = writeln!(out, ";{}\t\tIN\t{}", q.name, q.qtype);
+        }
+    }
+    for (title, recs) in [
+        ("ANSWER", &m.answers),
+        ("AUTHORITY", &m.authorities),
+        ("ADDITIONAL", &m.additionals),
+    ] {
+        if !recs.is_empty() {
+            let _ = writeln!(out, "\n;; {title} SECTION:");
+            for rec in recs {
+                let _ = writeln!(
+                    out,
+                    "{}\t{}\tIN\t{}\t{}",
+                    rec.name,
+                    rec.ttl,
+                    rec.rtype(),
+                    rdata_text(&rec.rdata)
+                );
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::signer::{sign_zone, SignerConfig};
+    use crate::signer::{sign_rrset, sign_zone, SignerConfig};
     use crate::ZoneKeys;
     use ede_wire::rdata::Soa;
-    use ede_wire::{Name, Record};
+    use ede_wire::{EdeCode, EdeEntry, Edns, Name, Rcode, Record, RrType};
 
     fn n(s: &str) -> Name {
         Name::parse(s).unwrap()
@@ -256,5 +365,77 @@ mod tests {
             salt: Default::default(),
         };
         assert_eq!(rdata_text(&rd), "1 0 0 -");
+    }
+
+    #[test]
+    fn renders_like_dig() {
+        let q = Message::query(7, n("broken.example"), RrType::A);
+        let mut r = Message::response_to(&q);
+        r.rcode = Rcode::ServFail;
+        r.recursion_available = true;
+        let mut edns = Edns::default();
+        edns.options.push(EdnsOption::Ede(EdeEntry::with_text(
+            EdeCode::SignatureExpired,
+            "expired 2019",
+        )));
+        r.edns = Some(edns);
+
+        let text = render_dig(&r);
+        assert!(text.contains("status: SERVFAIL"));
+        assert!(text.contains("flags: qr rd ra"));
+        assert!(text.contains("; EDE: 7 (Signature Expired): (expired 2019)"));
+        assert!(text.contains(";broken.example.\t\tIN\tA"));
+    }
+
+    #[test]
+    fn answer_sections_render() {
+        let q = Message::query(7, n("ok.example"), RrType::A);
+        let mut r = Message::response_to(&q);
+        r.answers.push(Record::new(
+            n("ok.example"),
+            60,
+            Rdata::A("192.0.2.1".parse().unwrap()),
+        ));
+        let text = render_dig(&r);
+        assert!(text.contains(";; ANSWER SECTION:"));
+        assert!(text.contains("ok.example.\t60\tIN\tA\t192.0.2.1\n"));
+        assert!(!text.contains(";; AUTHORITY SECTION:"));
+    }
+
+    /// DNSSEC records print in presentation form, as a master file
+    /// prints them, not as the Rust structures that hold them.
+    #[test]
+    fn dnssec_records_render_in_presentation_form() {
+        let apex = n("valid.extended-dns-errors.com");
+        let keys = ZoneKeys::generate(&apex, 8, 2048);
+        let mut a = Rrset::empty(apex.clone(), RrType::A, 3600);
+        a.rdatas.push(Rdata::A("203.0.113.1".parse().unwrap()));
+        let sig = sign_rrset(&a, &keys.zsk, &apex, SignerConfig::default().window());
+        let q = Message::query(7, apex.clone(), RrType::A);
+        let mut r = Message::response_to(&q);
+        r.answers
+            .push(Record::new(apex.clone(), 3600, Rdata::Rrsig(sig.clone())));
+        r.answers
+            .push(Record::new(apex, 3600, keys.ksk.dnskey_rdata()));
+
+        let text = render_dig(&r);
+        let rrsig = format!(
+            "valid.extended-dns-errors.com.\t3600\tIN\tRRSIG\t\
+             A 8 3 3600 20230614000000 20230415000000 52952 valid.extended-dns-errors.com. {}\n",
+            base64::encode(&sig.signature)
+        );
+        assert!(text.contains(&rrsig), "{text}");
+        let Rdata::Dnskey { public_key, .. } = keys.ksk.dnskey_rdata() else {
+            unreachable!()
+        };
+        let dnskey = format!(
+            "valid.extended-dns-errors.com.\t3600\tIN\tDNSKEY\t257 3 8 {}\n",
+            base64::encode(&public_key)
+        );
+        assert!(text.contains(&dnskey), "{text}");
+        assert!(
+            !text.contains("Rrsig {") && !text.contains("Dnskey {"),
+            "{text}"
+        );
     }
 }

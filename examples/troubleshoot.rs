@@ -203,7 +203,7 @@ fn main() {
     // The wire response, rendered the way dig would show it.
     let query = Message::query(0x1d1d, qname, RrType::A);
     let reply = res.to_message(&query);
-    print!("{}", extended_dns_errors::wire::text::render_dig(&reply));
+    print!("{}", extended_dns_errors::zone::textual::render_dig(&reply));
 
     // The resolver's own structured diagnosis, explained for operators.
     println!("\n;; DIAGNOSIS:");

@@ -34,6 +34,30 @@ fn secure_chain_end_to_end() {
 }
 
 #[test]
+fn a_ds_query_is_answered_by_the_parent_end_to_end() {
+    // The walk sends a client's DS query to the parent's server, which
+    // answers from its side of the cut. Followed to the child instead,
+    // it would come back as the child's own signed NODATA: a validated
+    // "no DS" for a delegation that has one.
+    let tb = Testbed::build();
+    let qname = Name::parse("valid.extended-dns-errors.com").unwrap();
+    for vendor in Vendor::ALL {
+        let res = tb.resolver(vendor).resolve(&qname, RrType::Ds);
+        assert_eq!(res.rcode, Rcode::NoError, "{}", vendor.name());
+        assert_eq!(res.validation, ValidationState::Secure, "{}", vendor.name());
+        assert!(res.authentic_data, "{}", vendor.name());
+        assert!(
+            res.answers
+                .iter()
+                .any(|r| r.rtype() == RrType::Ds && r.name == qname),
+            "{}: {:?}",
+            vendor.name(),
+            res.answers
+        );
+    }
+}
+
+#[test]
 fn cache_hit_returns_same_answer_without_network() {
     let tb = Testbed::build();
     let r = tb.resolver(Vendor::Cloudflare);

@@ -5,7 +5,7 @@
 
 use extended_dns_errors::prelude::*;
 use extended_dns_errors::scan::chaos::CHAOS_RETRIES;
-use extended_dns_errors::trace::{CacheOutcome, MultiSink};
+use extended_dns_errors::trace::{CacheOutcome, TraceEvent, TraceSink};
 use std::sync::Arc;
 
 /// The healthy control (`valid`): three signed zone cuts walked with a
@@ -239,12 +239,17 @@ fn tracing_does_not_change_resolution_results() {
 #[test]
 fn every_transport_count_has_its_trace_event() {
     let tb = Testbed::build();
+    /// One event stream into the timeline and the registry both.
+    struct Both(Arc<ResolutionTrace>, Arc<Metrics>);
+    impl TraceSink for Both {
+        fn record(&self, at_ms: u64, event: &TraceEvent) {
+            self.0.record(at_ms, event);
+            self.1.record(at_ms, event);
+        }
+    }
     let trace = Arc::new(ResolutionTrace::new(1 << 16));
     let metrics = Arc::new(Metrics::new());
-    tb.attach_trace_sink(Arc::new(MultiSink::new(vec![
-        Arc::clone(&trace) as _,
-        Arc::clone(&metrics) as _,
-    ])));
+    tb.attach_trace_sink(Arc::new(Both(Arc::clone(&trace), Arc::clone(&metrics))));
     tb.net.set_fault_plan(
         FaultPlan::new(0x0ede_7ace)
             .with_loss(0.10)
