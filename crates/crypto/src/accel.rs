@@ -2,7 +2,7 @@
 //!
 //! SHA-1 and SHA-256 dominate the scan's CPU profile: every NSEC3 owner
 //! hash is `iterations + 1` chained SHA-1 invocations (RFC 5155), and
-//! every simulated signature is an HMAC-SHA-256 — at reproduction scale
+//! every simulated signature is a keyed SHA-256 — at reproduction scale
 //! that is tens of millions of compression-function calls per scan. On
 //! CPUs with the SHA new instructions (`sha_ni`), the exact FIPS 180-4
 //! compression functions exist in silicon; this module dispatches to

@@ -5,9 +5,9 @@
 //!
 //! * **Real implementations** where the *value* of the computation is
 //!   protocol-visible and must match deployed DNS behaviour bit for bit:
-//!   [`sha1`], [`sha2`] (SHA-256 / SHA-384), [`hmac`], [`base32`]
-//!   (base32hex used for NSEC3 owner names), [`keytag`] (RFC 4034
-//!   Appendix B) and [`nsec3hash`] (RFC 5155 iterated, salted SHA-1).
+//!   [`sha1`], [`sha2`] (SHA-256 / SHA-384), [`base32`] (base32hex
+//!   used for NSEC3 owner names), [`keytag`] (RFC 4034 Appendix B) and
+//!   [`nsec3hash`] (RFC 5155 iterated, salted SHA-1).
 //!   All are implemented from scratch and verified against the official
 //!   FIPS / RFC test vectors.
 //!
@@ -33,7 +33,6 @@
 mod accel;
 pub mod base32;
 pub mod base64;
-pub mod hmac;
 pub mod keytag;
 pub mod nsec3hash;
 pub mod sha1;

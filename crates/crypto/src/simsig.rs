@@ -12,10 +12,21 @@
 //!   the public key can recompute and check signatures — mirroring how a
 //!   real verifier uses the public key. Since the threat model here is
 //!   *misconfiguration*, not forgery, revealing the secret is harmless;
-//! * a signature is `HMAC-SHA256(secret, algorithm ‖ message)`:
-//!   [`SIGNATURE_LEN`] (32) bytes for every algorithm, so an RRSIG is not
-//!   the size a real one of its algorithm would be (an RSA-2048 RRSIG is
-//!   224 bytes short). Wire-true sizes are ROADMAP item 11.
+//! * a signature is `SHA-256(secret ‖ algorithm ‖ message)`, one keyed
+//!   hash pass: [`SIGNATURE_LEN`] (32) bytes for every algorithm, so an
+//!   RRSIG is not the size a real one of its algorithm would be (an
+//!   RSA-2048 RRSIG is 224 bytes short). Wire-true sizes are ROADMAP
+//!   item 11.
+//!
+//! Why no HMAC: HMAC's key pads and outer hash defend a MAC against
+//! length extension and forgery by someone without the key, and here
+//! every verifier holds the secret (it is in the public key), so no
+//! construction resists forgery. What every validator path relies on is
+//! that a change to the key, the algorithm or any one signed octet
+//! changes the signature, and a plain keyed SHA-256 gives that as HMAC
+//! did, at two or three SHA-256 compressions fewer per signature: the
+//! outer hash's two, and one more where the 48 octets by which HMAC's
+//! key block outgrew the secret pushed the message into another block.
 //!
 //! Public key wire layout: `"SK" ‖ version(1) ‖ algorithm(1) ‖ secret(16) ‖
 //! zero padding` up to the modeled key size. The modeled size matters: the
@@ -23,7 +34,6 @@
 //! "unsupported key size" EXTRA-TEXT, so key length must be visible to
 //! validators.
 
-use crate::hmac::Hmac;
 use crate::{Digest, Sha256};
 
 /// Public key header magic.
@@ -131,14 +141,15 @@ impl SigningKey {
     }
 }
 
-/// `HMAC-SHA256(secret, algorithm ‖ message)`, the one definition both
+/// `SHA-256(secret ‖ algorithm ‖ message)`, the one definition both
 /// signing and verification use.
 fn compute_signature(secret: &[u8], algorithm: u8, message: &[u8]) -> [u8; SIGNATURE_LEN] {
-    let mut mac = Hmac::<Sha256>::new(secret);
-    mac.update(&[algorithm]);
-    mac.update(message);
+    let mut h = Sha256::new();
+    h.update(secret);
+    h.update(&[algorithm]);
+    h.update(message);
     let mut out = [0u8; SIGNATURE_LEN];
-    mac.finalize_into(&mut out);
+    h.finalize_into(&mut out);
     out
 }
 
@@ -288,6 +299,132 @@ mod tests {
         assert_eq!(public.len(), joined.public_key_len());
         assert_eq!(&public[..head.len()], &head);
         assert!(public[head.len()..].iter().all(|&b| b == 0));
+    }
+
+    /// SplitMix64, so every drawn case reproduces from its seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn bytes(&mut self, len: usize) -> Vec<u8> {
+            (0..len).map(|_| self.next() as u8).collect()
+        }
+    }
+
+    #[test]
+    fn a_signature_is_sha256_of_secret_algorithm_and_message() {
+        for (algorithm, bits, seed, message) in [
+            (
+                8u8,
+                2048u16,
+                &b"example.com/zsk"[..],
+                &b"rrset canonical form"[..],
+            ),
+            (13, 256, b"seed", b""),
+            (5, 512, b"s", &[0xa5; 300]),
+        ] {
+            let key = SigningKey::from_seed(algorithm, bits, seed);
+            let mut keyed = key.public_key_head()[4..].to_vec();
+            keyed.push(algorithm);
+            keyed.extend_from_slice(message);
+            assert_eq!(key.sign(message), Sha256::digest(&keyed));
+        }
+    }
+
+    /// The signing data of a DNSKEY set the way a scan zone signs it:
+    /// RRSIG RDATA up to the signature, then two DNSKEY records of
+    /// 256-octet keys, most of whose octets are the keys' zero padding.
+    fn dnskey_shaped_message(rng: &mut Rng) -> Vec<u8> {
+        let owner = b"\x07example\x03com\x00";
+        let mut message = vec![0, 48, 8, 2];
+        message.extend_from_slice(&rng.bytes(14));
+        message.extend_from_slice(owner);
+        for (flags, label) in [(257u16, &b"ksk"[..]), (256, b"zsk")] {
+            let key = SigningKey::from_seed(8, 2048, label);
+            let public = key.public_key();
+            message.extend_from_slice(owner);
+            message.extend_from_slice(&[0, 48, 0, 1, 0, 0, 0x0e, 0x10]);
+            message.extend_from_slice(&(4 + public.len() as u16).to_be_bytes());
+            message.extend_from_slice(&flags.to_be_bytes());
+            message.extend_from_slice(&[3, 8]);
+            message.extend_from_slice(&public);
+        }
+        message
+    }
+
+    #[test]
+    fn every_flipped_bit_of_a_dnskey_set_or_its_signature_fails() {
+        let mut rng = Rng(0x5151_5eed);
+        let mut message = dnskey_shaped_message(&mut rng);
+        assert!((590..=640).contains(&message.len()), "{}", message.len());
+        let key = SigningKey::from_seed(8, 2048, &rng.bytes(16));
+        let public = parse_public_key(&key.public_key()).unwrap();
+        let mut signature = key.sign(&message);
+        assert_eq!(public.verify(8, &message, &signature), Ok(()));
+        for bit in 0..message.len() * 8 {
+            message[bit / 8] ^= 1 << (bit % 8);
+            assert_eq!(
+                public.verify(8, &message, &signature),
+                Err(VerifyError::BadSignature),
+                "message bit {bit}"
+            );
+            message[bit / 8] ^= 1 << (bit % 8);
+        }
+        for bit in 0..signature.len() * 8 {
+            signature[bit / 8] ^= 1 << (bit % 8);
+            assert_eq!(
+                public.verify(8, &message, &signature),
+                Err(VerifyError::BadSignature),
+                "signature bit {bit}"
+            );
+            signature[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
+    fn keys_a_secret_bit_or_an_algorithm_apart_do_not_verify_each_other() {
+        let mut rng = Rng(0x5252_5eed);
+        let message = dnskey_shaped_message(&mut rng);
+        let key = SigningKey::from_seed(8, 2048, b"zone/ksk");
+        let signature = key.sign(&message);
+        for bit in 0..SECRET_LEN * 8 {
+            let mut near = key.clone();
+            near.secret[bit / 8] ^= 1 << (bit % 8);
+            let theirs = near.sign(&message);
+            assert_eq!(
+                verify(&near.public_key(), 8, &message, &signature),
+                Err(VerifyError::BadSignature),
+                "secret bit {bit}"
+            );
+            assert_eq!(
+                verify(&key.public_key(), 8, &message, &theirs),
+                Err(VerifyError::BadSignature),
+                "secret bit {bit}"
+            );
+        }
+        for algorithm in [5u8, 7, 10, 13, 14, 15, 16] {
+            let other = SigningKey {
+                algorithm,
+                ..key.clone()
+            };
+            assert_eq!(
+                verify(&other.public_key(), algorithm, &message, &signature),
+                Err(VerifyError::BadSignature),
+                "algorithm {algorithm}"
+            );
+            assert_eq!(
+                verify(&key.public_key(), 8, &message, &other.sign(&message)),
+                Err(VerifyError::BadSignature),
+                "algorithm {algorithm}"
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! fixed seed.
 
 use ede_crypto::simsig::{self, SigningKey};
-use ede_crypto::{base32, hmac::hmac, keytag, nsec3hash, Digest, Sha1, Sha256, Sha384};
+use ede_crypto::{base32, keytag, nsec3hash, Digest, Sha1, Sha256, Sha384};
 
 /// Deterministic SplitMix64 stream driving the randomized cases.
 struct Rng(u64);
@@ -78,19 +78,20 @@ fn sha_incremental_equals_oneshot() {
 }
 
 #[test]
-fn hmac_distinguishes_keys_and_messages() {
+fn signatures_distinguish_keys_and_messages() {
     let mut rng = Rng(0x0014_5eed);
     for _ in 0..128 {
-        let key_a = rng.bytes(1, 64);
-        let key_b = rng.bytes(1, 64);
+        let alg = rng.range(1, 20) as u8;
+        let key_a = SigningKey::from_seed(alg, 2048, &rng.bytes(1, 64));
+        let key_b = SigningKey::from_seed(alg, 2048, &rng.bytes(1, 64));
         let msg_a = rng.bytes(0, 64);
         let msg_b = rng.bytes(0, 64);
-        let base = hmac::<Sha256>(&key_a, &msg_a);
+        let base = key_a.sign(&msg_a);
         if key_a != key_b {
-            assert_ne!(&base, &hmac::<Sha256>(&key_b, &msg_a));
+            assert_ne!(&base, &key_b.sign(&msg_a));
         }
         if msg_a != msg_b {
-            assert_ne!(&base, &hmac::<Sha256>(&key_a, &msg_b));
+            assert_ne!(&base, &key_a.sign(&msg_b));
         }
     }
 }

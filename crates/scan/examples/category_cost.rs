@@ -11,11 +11,15 @@
 //! figure is the median over rounds of its mean µs per resolve, printed
 //! beside the min–max over rounds; the ratio is taken from the medians.
 //!
-//! One more row, `first touch`, is what the warming hides: each round
+//! Two more rows, `first touch`, are what the warming hides: each round
 //! also builds a resolver it does not warm and resolves one domain per
 //! TLD (the TLD's first in population order), so each resolve is that
 //! TLD's first — the root's referral, the TLD's keys and the domain.
-//! A scan pays this once per TLD, and it sets the scan's latency tail.
+//! A scan pays this once per TLD. The rows split these resolves by the
+//! category of that first domain, signed or not: a signed first touch
+//! also fetches and checks the domain's own keys, and it is what sets
+//! the tail, so the `first touch, signed` row is the per-layer reading
+//! of the benchmark's `scan_wild` `latency_p99_us`.
 //!
 //! `cargo run --release -p ede-scan --example category_cost -- [SCALE [ROUNDS]]`
 //! (default 1:2500, 5 rounds); `--smoke` is a tiny population and one
@@ -83,16 +87,24 @@ fn main() -> ExitCode {
         .collect();
 
     // By category (its index in `Category::ALL`): each round's mean µs;
-    // and each round's mean µs per first touch.
+    // and each round's mean µs per first touch, unsigned and signed.
     let mut means: Vec<Vec<f64>> = vec![Vec::new(); Category::ALL.len()];
-    let mut first_touch = Vec::new();
+    let mut first_touch = [Vec::new(), Vec::new()];
     for _ in 0..rounds {
         let cold = fresh_resolver();
-        let start = Instant::now();
+        let mut spent = [(0u128, 0u32); 2];
         for domain in &firsts {
+            let start = Instant::now();
             cold.resolve(&domain.name, RrType::A);
+            let slot = &mut spent[usize::from(domain.category.signed())];
+            slot.0 += start.elapsed().as_nanos();
+            slot.1 += 1;
         }
-        first_touch.push(start.elapsed().as_nanos() as f64 / 1e3 / firsts.len() as f64);
+        for (mean, (ns, count)) in first_touch.iter_mut().zip(spent) {
+            if count > 0 {
+                mean.push(ns as f64 / 1e3 / f64::from(count));
+            }
+        }
 
         let resolver = fresh_resolver();
         for tld in &pop.tlds {
@@ -146,7 +158,16 @@ fn main() -> ExitCode {
             .count();
         row(category.name(), domains, us);
     }
-    row("first touch (one per TLD)", firsts.len(), &first_touch);
+    for (signed, us) in [false, true].into_iter().zip(&first_touch) {
+        if !us.is_empty() {
+            let domains = firsts
+                .iter()
+                .filter(|d| d.category.signed() == signed)
+                .count();
+            let name = if signed { "signed" } else { "unsigned" };
+            row(&format!("first touch, {name}"), domains, us);
+        }
+    }
     match (
         cost(Category::HealthySigned),
         cost(Category::HealthyUnsigned),
