@@ -352,6 +352,10 @@ pub struct Diagnosis {
     /// Whether the queried zone presented as DNSSEC-signed (a DS chain
     /// existed down to it).
     pub zone_signed: bool,
+    /// The verifies — signature checks and DS digests — this resolution
+    /// has spent, which `validate` bounds. Excluded from equality, like
+    /// the tracer: it counts work, not facts.
+    pub(crate) verifies: u32,
     /// Trace handle: findings and validation steps are announced here as
     /// they land. Excluded from equality — two diagnoses that recorded
     /// the same facts are equal regardless of where their events went.
@@ -378,6 +382,7 @@ impl Diagnosis {
             ns_events: Vec::new(),
             validation: ValidationState::Secure,
             zone_signed: false,
+            verifies: 0,
             tracer: Tracer::disabled(),
         }
     }
@@ -409,9 +414,20 @@ impl Diagnosis {
         }
     }
 
+    /// A clean slate for one step of this resolution (a zone's key
+    /// fetch): its findings are announced to the same tracer, and its
+    /// verifies are spent from what this resolution has left.
+    pub(crate) fn sub_step(&self) -> Diagnosis {
+        let mut d = Self::with_tracer(self.tracer.clone());
+        d.verifies = self.verifies;
+        d
+    }
+
     /// Merge another diagnosis's facts into this one without re-emitting
-    /// trace events (the sub-diagnosis's tracer already announced them).
+    /// trace events (the sub-diagnosis's tracer already announced them),
+    /// and the verifies it spent when it is a `sub_step` of this one.
     pub fn absorb(&mut self, other: &Diagnosis) {
+        self.verifies = self.verifies.max(other.verifies);
         for f in &other.findings {
             if !self.findings.contains(f) {
                 self.findings.push(f.clone());

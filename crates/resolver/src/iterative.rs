@@ -216,7 +216,7 @@ impl<'a> Engine<'a> {
             }
         };
 
-        let mut sub = Diagnosis::with_tracer(diag.tracer().clone());
+        let mut sub = diag.sub_step();
         // DNSKEY fetches are retried like any other exchange: a lost
         // DNSKEY response would otherwise turn a perfectly healthy zone
         // Bogus. DNSKEY RRsets are also the classic oversized answer, so

@@ -24,6 +24,11 @@
 //! reproduce Table 4, and links add advisory findings (a stand-by key,
 //! an unusable DS) on their way in a fixed order: the order of findings
 //! is contract.
+//!
+//! A key tag does not identify a key (RFC 4034 App. B), so wherever a
+//! tag picks a key or a signature every candidate is tried (RFC 4035
+//! §5.3.1), within a budget of verifies per RRset and per resolution
+//! (docs/ROBUSTNESS.md, "The verify budget").
 
 use crate::cache::infra::{ChainKeys, KeyEntry};
 use crate::diagnosis::{
@@ -158,36 +163,91 @@ fn window_finding(sig: &Rrsig, now: u32, target: SigTarget) -> Option<Finding> {
     }
 }
 
-/// Verify one signature over one RRset against one key, including the
-/// window. Returns true only when everything checks out: the window,
-/// the signature, and the fields RFC 4035 §5.3.1 requires — the signer
-/// name, key tag and algorithm are those of the key and the zone that
-/// published it, and the labels field is the owner's label count. A
-/// smaller count claims a wildcard expansion, which this model does not
-/// synthesize, so it does not verify either.
-fn sig_verifies(sig: &Rrsig, set: RrsetRef<'_>, key: &PublishedKey, now: u32) -> bool {
+/// Whether `sig` names `key` as its maker over `set` at `now`: the
+/// window holds and the fields RFC 4035 §5.3.1 requires match — the
+/// signer name, key tag and algorithm are those of the key and the zone
+/// that published it, and the labels field is the owner's label count.
+/// A smaller count claims a wildcard expansion, which this model does
+/// not synthesize, so it names no key either. A key that does not parse
+/// is named by nothing. No verify: these are the cheap checks that pick
+/// the candidates [`first_verified`] tries.
+fn sig_names_key(sig: &Rrsig, set: RrsetRef<'_>, key: &PublishedKey, now: u32) -> bool {
     // Whichever target: only whether the window excludes `now` matters.
-    if window_finding(sig, now, SigTarget::Answer).is_some() {
-        return false;
-    }
-    if sig.key_tag != key.tag || sig.algorithm != key.algorithm || sig.signer != key.zone {
-        return false;
-    }
-    if usize::from(sig.labels) != set.name().label_count() {
-        return false;
-    }
-    let Some(public) = &key.key else {
-        return false;
-    };
-    with_signing_data(sig, set, |data| {
-        public.verify(sig.algorithm, data, &sig.signature).is_ok()
+    window_finding(sig, now, SigTarget::Answer).is_none()
+        && sig.key_tag == key.tag
+        && sig.algorithm == key.algorithm
+        && sig.signer == key.zone
+        && usize::from(sig.labels) == set.name().label_count()
+        && key.key.is_some()
+}
+
+/// One verify: does `key` check `sig` over `set`?
+fn signature_holds(sig: &Rrsig, set: RrsetRef<'_>, key: &PublishedKey) -> bool {
+    key.key.as_ref().is_some_and(|public| {
+        with_signing_data(sig, set, |data| {
+            public.verify(sig.algorithm, data, &sig.signature).is_ok()
+        })
     })
 }
 
-/// The first signature over `set` that one of `keys` verifies.
-fn verified_sig<'s>(set: RrsetRef<'s>, keys: &[PublishedKey], now: u32) -> Option<&'s Rrsig> {
-    let by_a_key = |sig: &&Rrsig| keys.iter().any(|k| sig_verifies(sig, set, k, now));
-    set.sigs().find(by_a_key)
+/// The verifies — signature checks and DS digests — one RRset may cost.
+/// A key tag names no key for certain (RFC 4034 App. B), so RFC 4035
+/// §5.3.1 has a validator try every key a tag names, and many keys of
+/// one tag times many signatures is what KeyTrap (CVE-2023-50387) turns
+/// into CPU exhaustion. docs/ROBUSTNESS.md states both bounds.
+const VERIFIES_PER_RRSET: u32 = 8;
+
+/// The verifies one resolution may cost, its key fetches included: an
+/// honest chain spends about three per signed zone cut.
+const VERIFIES_PER_RESOLUTION: u32 = 128;
+
+/// A search that ran out of verifies with a candidate left untried.
+#[derive(Debug)]
+struct Exhausted;
+
+/// The first of `candidates` that `verifies` accepts, tried in order:
+/// the verdict is then a function of the RRset and the keys, not of
+/// their order. Each try is one verify, charged to `allowance` (what the
+/// RRset has left, from [`VERIFIES_PER_RRSET`]) and to the resolution's
+/// count in `diag`; `Err(Exhausted)` when either is spent and a
+/// candidate is left.
+fn first_verified<T>(
+    candidates: impl IntoIterator<Item = T>,
+    allowance: &mut u32,
+    diag: &mut Diagnosis,
+    mut verifies: impl FnMut(&T) -> bool,
+) -> Result<Option<T>, Exhausted> {
+    for candidate in candidates {
+        if *allowance == 0 || diag.verifies >= VERIFIES_PER_RESOLUTION {
+            return Err(Exhausted);
+        }
+        *allowance -= 1;
+        diag.verifies += 1;
+        if verifies(&candidate) {
+            return Ok(Some(candidate));
+        }
+    }
+    Ok(None)
+}
+
+/// The first signature over `set` that one of `keys` verifies, every
+/// (signature, key) pair that names each other tried in order.
+fn verified_sig<'s>(
+    set: RrsetRef<'s>,
+    keys: &[PublishedKey],
+    now: u32,
+    allowance: &mut u32,
+    diag: &mut Diagnosis,
+) -> Result<Option<&'s Rrsig>, Exhausted> {
+    let pairs = set.sigs().flat_map(|sig| {
+        keys.iter()
+            .filter(move |key| sig_names_key(sig, set, key, now))
+            .map(move |key| (sig, key))
+    });
+    let found = first_verified(pairs, allowance, diag, |(sig, key)| {
+        signature_holds(sig, set, key)
+    })?;
+    Ok(found.map(|(sig, _)| sig))
 }
 
 fn alg_status_for(alg: u8, caps: &ValidatorCaps) -> Option<AlgStatus> {
@@ -289,8 +349,9 @@ fn usable_ds<'d>(
 }
 
 /// The published zone key a usable DS vouches for, DS records and keys
-/// tried in RRset order. `published` are the keys of `set`, in its
-/// order; each digest is taken over the RDATA `set` holds.
+/// tried in RRset order, every key a DS's tag and algorithm name (each
+/// digest one verify). `published` are the keys of `set`, in its order;
+/// each digest is taken over the RDATA `set` holds.
 fn ds_matched_key<'k>(
     apex: &Name,
     usable_ds: &[&Rdata],
@@ -299,24 +360,38 @@ fn ds_matched_key<'k>(
     diag: &mut Diagnosis,
 ) -> Result<&'k PublishedKey, Broken> {
     let mut digest_mismatch_seen = false;
-    for ds in usable_ds {
-        let Rdata::Ds {
-            key_tag,
-            algorithm,
-            digest_type,
-            digest,
-        } = ds
-        else {
-            continue;
-        };
-        let keys = set.rdatas().filter_map(DnskeyFields::of).zip(published);
-        for (fields, key) in keys.filter(|(_, k)| k.tag == *key_tag && k.algorithm == *algorithm) {
-            if *ds_digest_of(apex, &fields, DigestAlg(*digest_type)) != digest[..] {
+    let candidates = usable_ds
+        .iter()
+        .filter_map(|ds| match ds {
+            Rdata::Ds {
+                key_tag,
+                algorithm,
+                digest_type,
+                digest,
+            } => Some((*key_tag, *algorithm, DigestAlg(*digest_type), &digest[..])),
+            _ => None,
+        })
+        .flat_map(|(tag, algorithm, digest_type, digest)| {
+            let keys = set.rdatas().filter_map(DnskeyFields::of).zip(published);
+            keys.filter(move |(_, k)| k.tag == tag && k.algorithm == algorithm)
+                .map(move |(fields, key)| (fields, key, digest_type, digest))
+        });
+    let mut allowance = VERIFIES_PER_RRSET;
+    let matched = first_verified(
+        candidates,
+        &mut allowance,
+        diag,
+        |(fields, key, digest_type, digest)| {
+            if *ds_digest_of(apex, fields, *digest_type) != **digest {
                 digest_mismatch_seen = true;
-            } else if key.is_zone_key() {
-                return Ok(key);
+                false
+            } else {
+                key.is_zone_key()
             }
-        }
+        },
+    );
+    if let Ok(Some((_, key, _, _))) = matched {
+        return Ok(key);
     }
     if !published.is_empty() && published.iter().all(|k| !k.is_zone_key()) {
         diag.add(Finding::NoZoneKeyBitSet);
@@ -350,27 +425,46 @@ fn dnskey_link(
     }
     let ksk = ds_matched_key(apex, &usable_ds, set, published, diag)?;
 
-    // Authenticate the DNSKEY RRset with the matched KSK.
+    // Authenticate the DNSKEY RRset with the matched KSK: every
+    // signature that carries its tag and algorithm is tried, and the
+    // first one's issue is the finding when none verifies.
     if set.sigs().next().is_none() {
         return Err(bogus(Finding::DnskeyAllSigsMissing));
     }
-    let ksk_sig = set
+    let mut by_ksk = set
         .sigs()
-        .find(|s| s.key_tag == ksk.tag && s.algorithm == ksk.algorithm)
+        .filter(|s| s.key_tag == ksk.tag && s.algorithm == ksk.algorithm)
+        .peekable();
+    let first = *by_ksk
+        .peek()
         .ok_or_else(|| bogus(Finding::DnskeySigMissingByMatchedKey))?;
-    if let Some(f) = window_finding(ksk_sig, now, SigTarget::Dnskey) {
-        return Err(bogus(f));
+    let mut allowance = VERIFIES_PER_RRSET;
+    let found = first_verified(
+        by_ksk.filter(|sig| sig_names_key(sig, set, ksk, now)),
+        &mut allowance,
+        diag,
+        |sig| signature_holds(sig, set, ksk),
+    );
+    if let Ok(None) = found {
+        if let Some(f) = window_finding(first, now, SigTarget::Dnskey) {
+            return Err(bogus(f));
+        }
     }
-    if !sig_verifies(ksk_sig, set, ksk, now) {
+    if !matches!(found, Ok(Some(_))) {
+        // Advisory: does *any* signature over the RRset verify against
+        // *any* published key? (Quad9 demonstrably distinguishes this.)
+        // Not once the budget is spent.
+        let some_sig_valid = matches!(
+            verified_sig(set, published, now, &mut allowance, diag),
+            Ok(Some(_))
+        );
         return Err(bogus(Finding::DnskeySigBogus {
             zsk_present: published.iter().any(|k| {
                 k.is_zone_key()
                     && !k.is_sep()
                     && SecAlg(k.algorithm).status() != RegistryStatus::Unassigned
             }),
-            // Advisory: does *any* signature over the RRset verify against
-            // *any* published key? (Quad9 demonstrably distinguishes this.)
-            some_sig_valid: verified_sig(set, published, now).is_some(),
+            some_sig_valid,
         }));
     }
 
@@ -449,24 +543,28 @@ fn check_set(
     step(
         diag,
         || format!("{} {} rrsig", set.name(), set.rtype()),
-        |_| rrset_link(set, trusted, caps, now, target),
+        |diag| rrset_link(set, trusted, caps, now, target, diag),
     )
     .is_some()
 }
 
 /// The DNSKEY → RRset link: holds when one signature by a trusted key
-/// verifies; otherwise breaks on the first signature's issue.
+/// verifies, every trusted key a signature names tried; otherwise breaks
+/// on the first signature's issue, or, when the verify budget ran out,
+/// on the last failed verify's.
 fn rrset_link(
     set: RrsetRef<'_>,
     trusted: &[PublishedKey],
     caps: &ValidatorCaps,
     now: u32,
     target: SigTarget,
+    diag: &mut Diagnosis,
 ) -> Result<(), Broken> {
     if set.sigs().next().is_none() {
         return Err(bogus(Finding::RrsigMissing { target }));
     }
     let mut first_issue: Option<Finding> = None;
+    let mut allowance = VERIFIES_PER_RRSET;
     for sig in set.sigs() {
         if let Some(status) = alg_status_for(sig.algorithm, caps) {
             first_issue.get_or_insert(Finding::ZoneAlgorithmUnsupported {
@@ -479,17 +577,26 @@ fn rrset_link(
             first_issue.get_or_insert(f);
             continue;
         }
-        let Some(key) = trusted
+        let mut named = trusted
             .iter()
-            .find(|k| k.tag == sig.key_tag && k.algorithm == sig.algorithm)
-        else {
+            .filter(|k| k.tag == sig.key_tag && k.algorithm == sig.algorithm)
+            .peekable();
+        if named.peek().is_none() {
             first_issue.get_or_insert(Finding::RrsigKeyMissing { target });
             continue;
-        };
-        if sig_verifies(sig, set, key, now) {
-            return Ok(());
         }
-        first_issue.get_or_insert(Finding::SignatureBogus { target });
+        match first_verified(
+            named.filter(|key| sig_names_key(sig, set, key, now)),
+            &mut allowance,
+            diag,
+            |key| signature_holds(sig, set, key),
+        ) {
+            Ok(Some(_)) => return Ok(()),
+            Ok(None) => {
+                first_issue.get_or_insert(Finding::SignatureBogus { target });
+            }
+            Err(Exhausted) => return Err(bogus(Finding::SignatureBogus { target })),
+        }
     }
     // Bogus even when every signature is in an algorithm this validator
     // lacks: an RRSIG's algorithm field is not signed, and only the
@@ -601,18 +708,26 @@ fn negative_link(
 }
 
 /// The signature tail of a proof: every NSEC3 RRset of `authority` is
-/// signed, and each carries a signature one trusted key verifies.
+/// signed, and each carries a signature one trusted key verifies, within
+/// its verify budget.
 fn denial_sigs_link(
     authority: &[Record],
     kind: NegativeKind,
     trusted: &[PublishedKey],
     now: u32,
+    diag: &mut Diagnosis,
 ) -> Result<(), Broken> {
     if nsec3_sets(authority).any(|set| set.sigs().next().is_none()) {
         return Err(bogus(Finding::DenialSigMissing { kind }));
     }
-    if nsec3_sets(authority).any(|set| verified_sig(set, trusted, now).is_none()) {
-        return Err(bogus(Finding::DenialSigBogus { kind }));
+    for set in nsec3_sets(authority) {
+        let mut allowance = VERIFIES_PER_RRSET;
+        if !matches!(
+            verified_sig(set, trusted, now, &mut allowance, diag),
+            Ok(Some(_))
+        ) {
+            return Err(bogus(Finding::DenialSigBogus { kind }));
+        }
     }
     Ok(())
 }
@@ -634,9 +749,9 @@ pub fn check_negative(
     step(
         diag,
         || format!("denial {qname} ({kind:?})"),
-        |_| {
+        |diag| {
             negative_link(authority, qname, qtype, kind, zone_apex, caps)?;
-            denial_sigs_link(authority, kind, trusted, now)
+            denial_sigs_link(authority, kind, trusted, now, diag)
         },
     );
 }
@@ -681,7 +796,7 @@ pub(crate) fn cut_link(
             (Some(Finding::Nsec3IterationsExceeded { .. }), _) => broken,
             _ => bogus(Finding::InsecureReferralProofMissing),
         })
-        .and_then(|()| denial_sigs_link(authority, kind, keys, now));
+        .and_then(|()| denial_sigs_link(authority, kind, keys, now, diag));
     record(
         diag,
         proof.err().unwrap_or((None, ValidationState::Insecure)),
@@ -1107,6 +1222,141 @@ mod tests {
         assert!(v.trusted.is_some(), "chain still validates");
         assert!(diag.any(|f| matches!(f, Finding::StandbyKeyWithoutRrsig)));
         assert_eq!(diag.validation, ValidationState::Secure);
+    }
+
+    /// `count` DNSKEYs with `rdata`'s flags, algorithm and key tag but
+    /// other secrets, so that none verifies what `rdata`'s key signed: one
+    /// secret octet lowered by `d` and a padding octet of the same parity
+    /// raised by `d`, which RFC 4034 Appendix B's sum of 16-bit words
+    /// cannot tell apart.
+    fn same_tag_keys(rdata: &Rdata, count: usize) -> Vec<Rdata> {
+        let Rdata::Dnskey { public_key, .. } = rdata else {
+            unreachable!("a DNSKEY")
+        };
+        let head = simsig::MIN_PUBKEY_LEN;
+        let mut keys = Vec::with_capacity(count);
+        for d in 1..=u8::MAX {
+            for i in (4..head).filter(|&i| public_key[i] >= d) {
+                if keys.len() == count {
+                    return keys;
+                }
+                let mut rdata = rdata.clone();
+                let Rdata::Dnskey { public_key, .. } = &mut rdata else {
+                    unreachable!()
+                };
+                public_key[i] -= d;
+                public_key[head + i % 2] += d;
+                keys.push(rdata);
+            }
+        }
+        keys
+    }
+
+    /// KeyTrap's shape (CVE-2023-50387) at each place a tag picks a key
+    /// or a signature: 64 keys of one tag and 64 signatures that carry
+    /// it, none of which verifies. Each reads Bogus, with the finding of
+    /// its last failed verify, after `VERIFIES_PER_RRSET` verifies instead
+    /// of 4 096; and once a resolution has spent `VERIFIES_PER_RESOLUTION`,
+    /// even its honest RRsets read Bogus.
+    #[test]
+    fn many_keys_of_one_tag_times_many_signatures_stop_at_the_verify_budget() {
+        let (z, keys, ds) = signed_zone();
+        let apex = n("test.example");
+        let bogus_sigs = |sig: &Rrsig| -> Vec<Rrsig> {
+            (0..64u8)
+                .map(|i| {
+                    let mut sig = sig.clone();
+                    sig.signature[0] ^= 0x80;
+                    sig.signature[1] = i;
+                    sig
+                })
+                .collect()
+        };
+
+        // An answer: 64 trusted keys with the ZSK's tag.
+        let decoys: Vec<PublishedKey> = same_tag_keys(&keys.zsk.dnskey_rdata(), 64)
+            .iter()
+            .filter_map(|rdata| PublishedKey::of(&apex, rdata))
+            .collect();
+        assert_eq!(decoys.len(), 64);
+        assert!(decoys.iter().all(|k| k.tag == keys.zsk.key_tag()));
+        let honest = z.get(&apex, RrType::A).unwrap();
+        let mut trap = honest.clone();
+        trap.sigs = bogus_sigs(&honest.sigs[0]);
+        let mut diag = Diagnosis::new();
+        let answer = SigTarget::Answer;
+        assert!(!check_rrset(
+            &trap,
+            &decoys,
+            &caps(),
+            SIM_NOW,
+            answer,
+            &mut diag
+        ));
+        assert_eq!(diag.findings, [Finding::SignatureBogus { target: answer }]);
+        assert_eq!(diag.validation, ValidationState::Bogus);
+        assert_eq!(diag.verifies, VERIFIES_PER_RRSET);
+        for _ in 0..64 {
+            check_rrset(&trap, &decoys, &caps(), SIM_NOW, answer, &mut diag);
+        }
+        assert_eq!(diag.verifies, VERIFIES_PER_RESOLUTION);
+        let trusted = validate_dnskey(
+            &apex,
+            &ds,
+            &dnskey_rrset(&z),
+            &caps(),
+            SIM_NOW,
+            &mut Diagnosis::new(),
+        )
+        .trusted
+        .expect("the honest keys validate");
+        assert!(check_rrset(
+            honest,
+            &trusted,
+            &caps(),
+            SIM_NOW,
+            answer,
+            &mut Diagnosis::new()
+        ));
+        assert!(!check_rrset(
+            honest,
+            &trusted,
+            &caps(),
+            SIM_NOW,
+            answer,
+            &mut diag
+        ));
+
+        // A DNSKEY set of 64 keys with the KSK's tag, the KSK first, and
+        // 64 signatures with its tag: the DS matches at once, and the
+        // signatures run out the budget.
+        let ksk = keys.ksk.dnskey_rdata();
+        let mut set = dnskey_rrset(&z);
+        set.rdatas = [ksk.clone()]
+            .into_iter()
+            .chain(same_tag_keys(&ksk, 63))
+            .collect();
+        set.sigs = bogus_sigs(&set.sigs[0]);
+        let mut diag = Diagnosis::new();
+        let v = validate_dnskey(&apex, &ds, &set, &caps(), SIM_NOW, &mut diag);
+        assert!(v.trusted.is_none());
+        let sig_bogus = Finding::DnskeySigBogus {
+            zsk_present: false,
+            some_sig_valid: false,
+        };
+        assert_eq!(diag.findings, [sig_bogus]);
+        assert_eq!(diag.verifies, 1 + VERIFIES_PER_RRSET);
+
+        // The same keys with the KSK last: the DS digests run it out.
+        set.rdatas.rotate_left(1);
+        let mut diag = Diagnosis::new();
+        let v = validate_dnskey(&apex, &ds, &set, &caps(), SIM_NOW, &mut diag);
+        assert!(v.trusted.is_none());
+        let no_match = Finding::DsNoMatchingDnskey {
+            cause: DsMismatch::Digest,
+        };
+        assert_eq!(diag.findings, [no_match]);
+        assert_eq!(diag.verifies, VERIFIES_PER_RRSET);
     }
 
     /// An insecure referral from `test.example` to `child.test.example`:

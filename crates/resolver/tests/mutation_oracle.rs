@@ -16,6 +16,13 @@
 //! name or labels field is wrong. RFC 4035 §5.3.1 makes each of those
 //! Bogus.
 //!
+//! A third table plants decoys: a key or an RRSIG that carries the tag
+//! of the one the verdict rests on, listed before it. A key tag does not
+//! identify a key (RFC 4034 App. B), and RFC 4035 §5.3.1 has a validator
+//! try every key and signature a tag names, so a decoy changes nothing.
+//! Nor does the order of an RRset's RDATAs or RRSIGs (RFC 2181 §5): the
+//! oracle permutes both in honest replies and in decoyed ones.
+//!
 //! Answers and DNSKEY responses are validated through the public
 //! [`validate_dnskey`], [`check_rrset`] and [`check_negative`];
 //! referrals through a [`Resolver`] whose root server hands out the
@@ -23,6 +30,7 @@
 //! the validator reads a denial's NSEC3 records alone (ROADMAP item 18).
 
 use ede_authority::{ZoneServer, ZoneStore};
+use ede_crypto::simsig::MIN_PUBKEY_LEN;
 use ede_netsim::{NetworkBuilder, Server, ServerResponse, SimClock};
 use ede_resolver::config::RootHint;
 use ede_resolver::diagnosis::{NegativeKind, SigTarget};
@@ -31,10 +39,10 @@ use ede_resolver::validate::{check_negative, check_rrset, validate_dnskey};
 use ede_resolver::{Diagnosis, Resolver, ResolverConfig, ValidationState, Vendor, VendorProfile};
 use ede_wire::rdata::{Rrsig, Soa};
 use ede_wire::{DigestAlg, Message, Name, Rcode, Rdata, Record, RrType};
-use ede_zone::canonical::signing_data;
+use ede_zone::canonical::{signing_data, DnskeyFields};
 use ede_zone::rrset::sets_in;
 use ede_zone::signer::{self, SignerConfig, SIM_NOW};
-use ede_zone::{Rrset, Zone, ZoneKeys};
+use ede_zone::{Rrset, Zone, ZoneKey, ZoneKeys};
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -122,12 +130,15 @@ impl Shape {
     }
 }
 
-/// What a mutation acts on: the reply, and the DS RDATA a DNSKEY
-/// response is checked against (a referral carries its own).
+/// What a mutation acts on: the reply, the DS RDATA a DNSKEY response
+/// is checked against (a referral carries its own), and the DNSKEY RRset
+/// an answer is validated with (none for a DNSKEY response, which is its
+/// own, or a referral, whose resolver fetches it).
 #[derive(Clone)]
 struct Subject {
     reply: Message,
     ds: Vec<Rdata>,
+    dnskey: Option<Rrset>,
 }
 
 /// One row of the mutation table.
@@ -263,6 +274,59 @@ const RESIGNED: &[Row] = &[
     },
 ];
 
+/// Decoys listed before what the verdict rests on, each with its tag;
+/// each must leave the verdict as it was wherever it applies.
+const DECOYS: &[Row] = &[
+    Row {
+        what: "a decoy key with the signer's tag listed first",
+        clause: "RFC 4035 §5.3.1, RFC 4034 App. B (a key tag does not identify a key)",
+        covered: false,
+        mutate: decoy_key,
+    },
+    Row {
+        what: "a decoy RRSIG with the signer's tag (over DNSKEY, the KSK's) listed first",
+        clause: "RFC 4035 §5.3.1 (every signature that names a key is tried)",
+        covered: false,
+        mutate: decoy_sig,
+    },
+];
+
+/// The order of every RRset's RDATAs and RRSIGs, in an honest reply and
+/// in a decoyed one; none may move the verdict.
+const PERMUTED: &[Row] = &[
+    Row {
+        what: "RDATAs and RRSIGs permuted",
+        clause: "RFC 2181 §5 (an RRset is a set; RFC 4034 §6.3 orders it only to sign)",
+        covered: false,
+        mutate: |subject, _, _, rng| {
+            permute(subject, rng);
+            true
+        },
+    },
+    Row {
+        what: "a decoy key, then RDATAs and RRSIGs permuted",
+        clause: "RFC 2181 §5, RFC 4035 §5.3.1",
+        covered: false,
+        mutate: |subject, shape, world, rng| {
+            decoy_key(subject, shape, world, rng) && {
+                permute(subject, rng);
+                true
+            }
+        },
+    },
+    Row {
+        what: "a decoy RRSIG, then RDATAs and RRSIGs permuted",
+        clause: "RFC 2181 §5, RFC 4035 §5.3.1",
+        covered: false,
+        mutate: |subject, shape, world, rng| {
+            decoy_sig(subject, shape, world, rng) && {
+                permute(subject, rng);
+                true
+            }
+        },
+    },
+];
+
 /// The signed world the replies come from: a signed root delegating
 /// `secure.` (signed, with DS) and `insecure.` (unsigned).
 struct World {
@@ -352,21 +416,15 @@ impl World {
         }
     }
 
-    /// The keys `secure.` is validated with, from its honest DNSKEY
-    /// response.
-    fn secure_keys(&self) -> Vec<ede_resolver::validate::PublishedKey> {
+    /// The DNSKEY RRset of `secure.`, from its honest DNSKEY response.
+    fn secure_dnskey(&self) -> Rrset {
         let reply = World::ask(&self.secure, n("secure"), RrType::Dnskey);
-        let dnskey = owned_set(&reply.answers, RrType::Dnskey).unwrap();
-        let mut diag = Diagnosis::new();
-        let v = validate_dnskey(
-            &n("secure"),
-            &self.secure_ds,
-            &dnskey,
-            &caps(),
-            SIM_NOW,
-            &mut diag,
-        );
-        v.trusted.expect("the honest DNSKEY response validates")
+        owned_set(&reply.answers, RrType::Dnskey).unwrap()
+    }
+
+    /// The keys of `secure.`.
+    fn secure_keys(&self) -> &ZoneKeys {
+        &self.signers[1].1
     }
 }
 
@@ -389,6 +447,15 @@ fn owned_set(section: &[Record], rtype: RrType) -> Option<Rrset> {
         .map(|(_, sig)| sig.clone())
         .collect();
     Some(set)
+}
+
+/// The type of the RRset a record belongs to: an RRSIG's, the type it
+/// covers.
+fn covered(record: &Record) -> RrType {
+    match &record.rdata {
+        Rdata::Rrsig(sig) => sig.type_covered,
+        other => other.rtype(),
+    }
 }
 
 /// The RRSIG records of a section, with their positions.
@@ -542,6 +609,110 @@ fn resign(
     true
 }
 
+/// A DNSKEY with `key`'s flags, algorithm and tag but another secret, so
+/// it verifies nothing `key` signed: a secret octet lowered by one and a
+/// padding octet of the same parity raised by one, which RFC 4034
+/// Appendix B's sum of 16-bit words cannot tell apart.
+fn same_tag_decoy(key: &ZoneKey) -> Rdata {
+    let mut rdata = key.dnskey_rdata();
+    let Rdata::Dnskey { public_key, .. } = &mut rdata else {
+        unreachable!("a DNSKEY")
+    };
+    let i = (4..MIN_PUBKEY_LEN).find(|&i| public_key[i] > 0).unwrap();
+    public_key[i] -= 1;
+    public_key[MIN_PUBKEY_LEN + i % 2] += 1;
+    assert_eq!(DnskeyFields::of(&rdata).unwrap().key_tag(), key.key_tag());
+    assert_ne!(rdata, key.dnskey_rdata());
+    rdata
+}
+
+/// The DNSKEY RRset the verdict rests on gains, listed first, a decoy
+/// with the tag of the key that signs the target — over a DNSKEY
+/// response the KSK, over an answer the ZSK — and the KSK signs the set
+/// again. A referral's keys are its resolver's to fetch: no decoy.
+fn decoy_key(subject: &mut Subject, shape: Shape, world: &World, _: &mut Rng) -> bool {
+    let keys = world.secure_keys();
+    let (mut set, signer) = match shape {
+        Shape::Dnskey => (owned_set(&subject.reply.answers, RrType::Dnskey), &keys.ksk),
+        _ => (subject.dnskey.clone(), &keys.zsk),
+    };
+    let Some(set) = set.as_mut().filter(|_| !shape.is_referral()) else {
+        return false;
+    };
+    set.rdatas.insert(0, same_tag_decoy(signer));
+    let window = SignerConfig::default().window();
+    set.sigs = vec![signer::sign_rrset(set, &keys.ksk, &n("secure"), window)];
+    if shape == Shape::Dnskey {
+        subject.reply.answers = set.records().chain(set.sig_records()).collect();
+    } else {
+        subject.dnskey = Some(set.clone());
+    }
+    true
+}
+
+/// A copy of a target signature with one signature bit flipped, listed
+/// before every RRSIG over its RRset.
+fn decoy_sig(subject: &mut Subject, shape: Shape, world: &World, rng: &mut Rng) -> bool {
+    let section = section(subject, shape);
+    let Some(i) = pick(rng, &target_sigs(section, shape, world)) else {
+        return false;
+    };
+    let mut decoy = section[i].clone();
+    let Rdata::Rrsig(sig) = &mut decoy.rdata else {
+        unreachable!()
+    };
+    let bit = rng.below(sig.signature.len() * 8);
+    sig.signature[bit / 8] ^= 1 << (bit % 8);
+    let first = sigs_in(section)
+        .find(|(at, s)| section[*at].name == decoy.name && s.type_covered == sig.type_covered)
+        .map_or(i, |(at, _)| at);
+    section.insert(first, decoy);
+    true
+}
+
+/// `items` in an order drawn from `rng` (Fisher–Yates).
+fn shuffle<T>(items: &mut [T], rng: &mut Rng) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.below(i + 1));
+    }
+}
+
+/// Every RRset of the reply, and the DNSKEY RRset an answer is validated
+/// with, with its RDATAs in an order drawn from `rng` and its RRSIGs in
+/// another; each keeps its positions in its section.
+fn permute(subject: &mut Subject, rng: &mut Rng) {
+    let reply = &mut subject.reply;
+    for section in [
+        &mut reply.answers,
+        &mut reply.authorities,
+        &mut reply.additionals,
+    ] {
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for i in 0..section.len() {
+            let same = |j: &usize| {
+                let (a, b) = (&section[*j], &section[i]);
+                a.name == b.name && covered(a) == covered(b) && a.rtype() == b.rtype()
+            };
+            match groups.iter_mut().find(|group| same(&group[0])) {
+                Some(group) => group.push(i),
+                None => groups.push(vec![i]),
+            }
+        }
+        for positions in groups {
+            let mut order = positions.clone();
+            shuffle(&mut order, rng);
+            let records: Vec<Record> = order.iter().map(|&i| section[i].clone()).collect();
+            for (at, record) in positions.into_iter().zip(records) {
+                section[at] = record;
+            }
+        }
+    }
+    if let Some(set) = &mut subject.dnskey {
+        shuffle(&mut set.rdatas, rng);
+        shuffle(&mut set.sigs, rng);
+    }
+}
+
 fn add_record(subject: &mut Subject, shape: Shape, _: &World, rng: &mut Rng) -> bool {
     let section = section(subject, shape);
     let Some(i) = pick(rng, &targets(section, shape)) else {
@@ -585,13 +756,7 @@ fn remove_proof_rrset(subject: &mut Subject, shape: Shape, _: &World, rng: &mut 
         return false;
     };
     let owner = section[i].name.clone();
-    section.retain(|r| {
-        let covered = match &r.rdata {
-            Rdata::Rrsig(sig) => sig.type_covered,
-            other => other.rtype(),
-        };
-        r.name != owner || covered != rtype
-    });
+    section.retain(|r| r.name != owner || covered(r) != rtype);
     true
 }
 
@@ -679,19 +844,26 @@ fn extra_ns(subject: &mut Subject, shape: Shape, _: &World, _: &mut Rng) -> bool
 
 /// The verdict on an answer or DNSKEY reply of `shape`, validated as
 /// the resolver validates one from `secure.`: the DNSKEY RRset against
-/// the parent's DS, an answer's RRsets or, with none, its denial
-/// against the zone's keys.
-fn validate(subject: &Subject, shape: Shape, world: &World) -> ValidationState {
+/// the parent's DS, then an answer's RRsets or, with none, its denial
+/// against the keys the DNSKEY RRset holds.
+fn validate(subject: &Subject, shape: Shape) -> ValidationState {
     let (apex, reply) = (n("secure"), &subject.reply);
     let mut diag = Diagnosis::new();
+    let dnskey = match &subject.dnskey {
+        Some(set) => set.clone(),
+        None => match owned_set(&reply.answers, RrType::Dnskey) {
+            Some(set) => set,
+            None => return ValidationState::Bogus,
+        },
+    };
+    let keys = validate_dnskey(&apex, &subject.ds, &dnskey, &caps(), SIM_NOW, &mut diag);
     if shape == Shape::Dnskey {
-        let Some(dnskey) = owned_set(&reply.answers, RrType::Dnskey) else {
-            return ValidationState::Bogus;
-        };
-        validate_dnskey(&apex, &subject.ds, &dnskey, &caps(), SIM_NOW, &mut diag);
         return diag.validation;
     }
-    let (trusted, caps) = (world.secure_keys(), caps());
+    let Some(trusted) = keys.trusted else {
+        return diag.validation;
+    };
+    let caps = caps();
     let (qname, qtype) = shape.question();
     let answer_types: Vec<RrType> = sets_in(&reply.answers).map(|s| s.rtype()).collect();
     if answer_types.is_empty() {
@@ -737,6 +909,7 @@ impl Server for MutatingRoot {
         let mut subject = Subject {
             reply,
             ds: Vec::new(),
+            dnskey: None,
         };
         if is_referral
             && (self.row.mutate)(&mut subject, self.shape, &self.world, &mut Rng(self.seed))
@@ -818,6 +991,7 @@ fn run_oracle(
             Subject {
                 reply: World::ask(&world.secure, qname, qtype),
                 ds: world.secure_ds.clone(),
+                dnskey: (shape != Shape::Dnskey).then(|| world.secure_dnskey()),
             }
         });
         if shape == Shape::Nxdomain {
@@ -829,7 +1003,7 @@ fn run_oracle(
             assert_eq!(proof.count(), 3, "encloser, next closer and wildcard");
         }
         let honest = match &honest_subject {
-            Some(subject) => validate(subject, shape, &world),
+            Some(subject) => validate(subject, shape),
             None => resolve(&world, shape, &NO_ROW, 0).0,
         };
         let expected = if shape == Shape::InsecureReferral {
@@ -846,7 +1020,7 @@ fn run_oracle(
                     Some(subject) => {
                         let mut subject = subject.clone();
                         let mutated = (row.mutate)(&mut subject, shape, &world, &mut Rng(seed));
-                        (validate(&subject, shape, &world), mutated)
+                        (validate(&subject, shape), mutated)
                     }
                     None => resolve(&world, shape, row, seed),
                 };
@@ -884,5 +1058,22 @@ fn covered_mutations_never_validate_and_uncovered_ones_change_nothing() {
 #[test]
 fn a_re_signed_rrsig_with_a_wrong_signer_or_labels_field_is_bogus() {
     let failures = run_oracle(RESIGNED, |_, verdict, _| verdict == ValidationState::Bogus);
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// RFC 4035 §5.3.1: a decoy key or RRSIG with the tag of the one the
+/// verdict rests on, listed before it, leaves the verdict as it was —
+/// Secure, or Insecure for an insecure referral's proof.
+#[test]
+fn a_decoy_key_or_rrsig_with_the_signers_tag_changes_nothing() {
+    let failures = run_oracle(DECOYS, |_, verdict, honest| verdict == honest);
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// The verdict is a function of the RRsets and the keys, not of the
+/// order of their RDATAs or RRSIGs, decoys included.
+#[test]
+fn permuting_the_rdatas_and_rrsigs_of_an_rrset_never_changes_the_verdict() {
+    let failures = run_oracle(PERMUTED, |_, verdict, honest| verdict == honest);
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
