@@ -859,6 +859,50 @@ mod tests {
         }
     }
 
+    /// One signature per DNSKEY RRset, the KSK's: every TLD server's, the
+    /// root's and that of one signed child of each signed category, asked
+    /// through the world's network (a child at a healthy address of the
+    /// hosting fabric, which answers any child). The stand-by TLD still
+    /// publishes its third key, and that key signs nothing.
+    #[test]
+    fn every_dnskey_answer_carries_one_signature_the_ksks() {
+        let pop = Population::generate(PopulationConfig::tiny());
+        let world = ScanWorld::build(&pop);
+        let src = IpAddr::V4(Ipv4Addr::new(192, 0, 2, 53));
+        // The answer's key count and the key tags of its signatures.
+        let dnskey_answer = |server: Ipv4Addr, apex: &Name| {
+            let mut query = Message::iterative_query(7, apex.clone(), RrType::Dnskey);
+            query.edns.as_mut().unwrap().dnssec_ok = true;
+            let resp = world.net.query(IpAddr::V4(server), src, &query);
+            let resp = resp.unwrap_or_else(|e| panic!("{apex} DNSKEY: {e:?}"));
+            let keys = resp.answers.iter().filter(|r| r.rtype() == RrType::Dnskey);
+            let tags = resp.answers.iter().filter_map(|r| match &r.rdata {
+                Rdata::Rrsig(sig) => Some(sig.key_tag),
+                _ => None,
+            });
+            (keys.count(), tags.collect::<Vec<u16>>())
+        };
+
+        let root = Name::root();
+        let root_ksk = ZoneKeys::generate(&root, 8, 2048).ksk.key_tag();
+        assert_eq!(dnskey_answer(ROOT_SERVER, &root), (2, vec![root_ksk]));
+        for tld in &pop.tlds {
+            let ksk = tld_keys(&tld.name).ksk.key_tag();
+            let published = if tld.standby_key { 3 } else { 2 };
+            let answer = dnskey_answer(tld_addr(tld.server_index), &tld.name);
+            assert_eq!(answer, (published, vec![ksk]), "{}", tld.name);
+        }
+        assert!(pop.tlds.iter().any(|t| t.standby_key), "no stand-by TLD");
+
+        let hosting = pop.healthy_ns[0];
+        let signed = Category::ALL.into_iter().filter(|c| c.row().signed);
+        for cat in signed {
+            let rec = first_of(&pop, cat);
+            let ksk = cat.row().keys(&rec.name).ksk.key_tag();
+            assert_eq!(dnskey_answer(hosting, &rec.name), (2, vec![ksk]), "{cat:?}");
+        }
+    }
+
     /// Every insecure child under an honest TLD is proved by its own
     /// narrow NSEC3: owner H(child) under the TLD, next hashed owner
     /// H(child) + 1, bitmap {NS}, and an RRSIG the TLD's keys verify. The

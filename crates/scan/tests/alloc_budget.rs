@@ -157,7 +157,8 @@ fn cold_unsigned_resolve_stays_within_its_allocation_budget() {
 
 #[test]
 fn cold_signed_resolve_stays_within_its_allocation_budget() {
-    assert_eq!(cold_resolve_allocs(Category::HealthySigned), 37);
+    // 37 while the ZSK co-signed the child's DNSKEY RRset.
+    assert_eq!(cold_resolve_allocs(Category::HealthySigned), 36);
 }
 
 /// A cached answer: the `serve_hot` path up to the resolver's edge.
@@ -208,7 +209,8 @@ fn tld_apex_exchange_allocs(qtype: RrType) -> u64 {
 /// RRset, its signatures, the reply and the transport's own.
 #[test]
 fn tld_apex_exchanges_stay_within_their_allocation_budgets() {
-    assert_eq!(tld_apex_exchange_allocs(RrType::Dnskey), 8);
+    // 8 while the ZSK co-signed the DNSKEY RRset.
+    assert_eq!(tld_apex_exchange_allocs(RrType::Dnskey), 7);
     assert_eq!(tld_apex_exchange_allocs(RrType::Ns), 5);
 }
 
@@ -262,8 +264,8 @@ fn zones_built_per_query_stay_within_their_allocation_budgets() {
         exchange_allocs(&world, mutated.ns_addrs[0], &mutated.name, RrType::A),
     ];
     // The search-based signer: [65, 64]; a Vec per signature's data:
-    // [59, 59].
-    assert_eq!(counts, [38, 39], "{:?}", mutated.category);
+    // [59, 59]; the ZSK co-signing the DNSKEY RRset: [38, 39].
+    assert_eq!(counts, [37, 38], "{:?}", mutated.category);
 }
 
 /// Allocator calls of generating the population `config` describes.
@@ -455,7 +457,7 @@ fn whole_scan_stays_under_its_allocation_ceiling() {
 }
 
 /// See `whole_scan_stays_under_its_allocation_ceiling`.
-const WHOLE_SCAN_CEILING: f64 = 19.91;
+const WHOLE_SCAN_CEILING: f64 = 19.71;
 
 /// Where the pinned cold resolve allocates: one backtrace per allocator
 /// call, grouped by the nearest three frames of this workspace's crates,

@@ -7,14 +7,22 @@
 //! also silently invalidates the stale RRSIG over the DNSKEY RRset, and
 //! the reproduction inherits those second-order effects for free.
 //!
-//! Signature-window cases (`rrsig-exp-*`, `rrsig-not-yet-*`) are the one
+//! Signature-window cases (`rrsig-exp-*`, `rrsig-not-yet-*`) are one
 //! exception: they **re-sign** with a pathological validity window so the
 //! signature bytes genuinely verify and only the window is wrong —
 //! matching zones signed with forced inception/expiration times.
+//!
+//! The KSK-signature cases (`no-rrsig-ksk`, `bad-rrsig-ksk`) are the
+//! other: the signer gives the DNSKEY RRset the KSK's signature alone,
+//! and these two are defined by the ZSK's co-signature beside it (the
+//! testbed's zones were signed with both keys over the DNSKEY RRset), so
+//! they add it, in the KSK signature's window.
 
 use crate::keys::{ZoneKey, ZoneKeys, FLAGS_KSK, FLAGS_ZSK};
+use crate::rrset::Rrset;
 use crate::signer::{self, DAY, SIM_NOW};
 use crate::zone::Zone;
+use ede_wire::rdata::Rrsig;
 use ede_wire::{DigestAlg, Name, Rdata, RrType};
 
 /// Which RRsets a signature-affecting mutation targets.
@@ -81,9 +89,11 @@ pub enum Misconfig {
     BadZsk,
     /// `no-ksk`: KSK removed from the DNSKEY RRset.
     NoKsk,
-    /// `no-rrsig-ksk`: the KSK-made RRSIG over the DNSKEY RRset removed.
+    /// `no-rrsig-ksk`: the KSK-made RRSIG over the DNSKEY RRset removed,
+    /// so the ZSK's co-signature is the set's only one.
     NoRrsigKsk,
-    /// `bad-rrsig-ksk`: that RRSIG corrupted.
+    /// `bad-rrsig-ksk`: that RRSIG corrupted, the ZSK's co-signature
+    /// valid after it.
     BadRrsigKsk,
     /// `bad-ksk`: KSK public key corrupted.
     BadKsk,
@@ -228,19 +238,22 @@ impl Misconfig {
             Misconfig::BadZsk => corrupt_dnskey(zone, &apex, FLAGS_ZSK),
             Misconfig::BadKsk => corrupt_dnskey(zone, &apex, FLAGS_KSK),
             Misconfig::NoRrsigKsk => {
-                let ksk_tag = keys.ksk.key_tag();
                 if let Some(set) = zone.get_mut(&apex, RrType::Dnskey) {
-                    set.sigs.retain(|s| s.key_tag != ksk_tag);
+                    let zsk_sig = zsk_co_signature(set, keys, &apex);
+                    set.sigs.retain(|s| s.key_tag != keys.ksk.key_tag());
+                    set.sigs.push(zsk_sig);
                 }
             }
             Misconfig::BadRrsigKsk => {
-                let ksk_tag = keys.ksk.key_tag();
                 if let Some(set) = zone.get_mut(&apex, RrType::Dnskey) {
+                    let zsk_sig = zsk_co_signature(set, keys, &apex);
+                    let ksk_tag = keys.ksk.key_tag();
                     for sig in set.sigs.iter_mut().filter(|s| s.key_tag == ksk_tag) {
                         if let Some(b) = sig.signature.first_mut() {
                             *b ^= 0xff;
                         }
                     }
+                    set.sigs.push(zsk_sig);
                 }
             }
             Misconfig::NoRrsigDnskey => {
@@ -316,6 +329,17 @@ fn resign_selected(zone: &mut Zone, keys: &ZoneKeys, sel: TypeSel, window: (u32,
     }
 }
 
+/// The ZSK's signature over the apex DNSKEY RRset `set`, in the window
+/// of the signature the signer gave it (the default window if it has
+/// none).
+fn zsk_co_signature(set: &Rrset, keys: &ZoneKeys, apex: &Name) -> Rrsig {
+    let window = set
+        .sigs
+        .first()
+        .map_or(signer::DEFAULT_WINDOW, |s| (s.inception, s.expiration));
+    signer::sign_rrset(set, &keys.zsk, apex, window)
+}
+
 /// Remove every NSEC3 RRset (the chain), leaving NSEC3PARAM alone.
 fn remove_nsec3_chain(zone: &mut Zone) {
     let names: Vec<Name> = zone
@@ -329,7 +353,7 @@ fn remove_nsec3_chain(zone: &mut Zone) {
 }
 
 /// Flip the leading byte of every signature over `set`.
-fn corrupt_sigs(set: &mut crate::rrset::Rrset) {
+fn corrupt_sigs(set: &mut Rrset) {
     for sig in &mut set.sigs {
         if let Some(b) = sig.signature.first_mut() {
             *b ^= 0xff;
@@ -545,13 +569,38 @@ mod tests {
         assert!(!dnskey.sigs.is_empty());
     }
 
+    /// Whether `key` verifies `sig` over `set`.
+    fn verifies(key: &ZoneKey, sig: &Rrsig, set: &Rrset) -> bool {
+        let data = crate::canonical::signing_data(sig, set);
+        let public = key.signing().public_key();
+        ede_crypto::simsig::verify(&public, sig.algorithm, &data, &sig.signature).is_ok()
+    }
+
+    /// The two cases the ZSK's co-signature defines: `no-rrsig-ksk`
+    /// leaves exactly that signature over the DNSKEY RRset, and
+    /// `bad-rrsig-ksk` a corrupted KSK signature followed by a valid ZSK
+    /// one, both in the zone's signing window.
     #[test]
-    fn no_rrsig_ksk_keeps_zsk_sig() {
+    fn the_ksk_signature_cases_leave_the_zsks_co_signature() {
+        let apex = n("case.example.com");
         let (mut z, keys) = signed_zone();
         Misconfig::NoRrsigKsk.apply(&mut z, &keys);
-        let dnskey = z.get(&n("case.example.com"), RrType::Dnskey).unwrap();
+        let dnskey = z.get(&apex, RrType::Dnskey).unwrap();
         assert_eq!(dnskey.sigs.len(), 1);
-        assert_eq!(dnskey.sigs[0].key_tag, keys.zsk.key_tag());
+        let zsk_sig = &dnskey.sigs[0];
+        assert_eq!(zsk_sig.key_tag, keys.zsk.key_tag());
+        assert!(verifies(&keys.zsk, zsk_sig, dnskey));
+        let window = SignerConfig::default().window();
+        assert_eq!((zsk_sig.inception, zsk_sig.expiration), window);
+
+        let (mut z, keys) = signed_zone();
+        Misconfig::BadRrsigKsk.apply(&mut z, &keys);
+        let dnskey = z.get(&apex, RrType::Dnskey).unwrap();
+        let tags: Vec<u16> = dnskey.sigs.iter().map(|s| s.key_tag).collect();
+        assert_eq!(tags, [keys.ksk.key_tag(), keys.zsk.key_tag()]);
+        assert!(!verifies(&keys.ksk, &dnskey.sigs[0], dnskey));
+        assert!(verifies(&keys.zsk, &dnskey.sigs[1], dnskey));
+        assert_eq!(dnskey.sigs[1], *zsk_sig);
     }
 
     #[test]

@@ -9,6 +9,14 @@
 //! forgets it at the first owner outside it (the `zone` module explains
 //! why the subtree is contiguous). The NSEC3 chain takes its owners and
 //! bitmaps from the same walk.
+//!
+//! One key signs each RRset, the split of RFC 6781 §3.1: the KSK, which
+//! the parent's DS names, signs the apex DNSKEY RRset alone, and the ZSK
+//! signs everything else. A validator reads only the DS-matched key's
+//! signature over the DNSKEY RRset, so a ZSK co-signature there would be
+//! a signature no one verifies, computed for every answer a lean server
+//! signs. The two testbed cases defined by one (`no-rrsig-ksk`,
+//! `bad-rrsig-ksk`) add it themselves ([`crate::Misconfig`]).
 
 use crate::canonical::with_signing_data;
 use crate::keys::{ZoneKey, ZoneKeys};
@@ -90,10 +98,9 @@ pub fn sign_rrset(rrset: &Rrset, key: &ZoneKey, zone_apex: &Name, window: (u32, 
 ///
 /// 1. publish the DNSKEY RRset (ZSK + KSK) at the apex;
 /// 2. build the NSEC3 chain (when configured) so it gets signed too;
-/// 3. sign every authoritative RRset — the DNSKEY RRset with **both**
-///    keys (KSK establishes the chain of trust, ZSK co-signs so the
-///    `no-rrsig-ksk` mutation leaves a non-KSK signature behind, as in
-///    the paper's testbed), everything else with the ZSK.
+/// 3. sign every authoritative RRset — the DNSKEY RRset with the KSK
+///    alone (it establishes the chain of trust), everything else with
+///    the ZSK ([`sign_in_place`]).
 ///
 /// Delegation NS sets and glue are left unsigned (they are not
 /// authoritative, RFC 4035 §2.2).
@@ -149,19 +156,15 @@ pub fn resign_rrset(
     }
 }
 
-/// Replace `set`'s signatures as a zone at `apex` would: the apex DNSKEY
-/// RRset with both keys, anything else with the ZSK.
+/// Replace `set`'s signatures as a zone at `apex` would: one signature,
+/// the KSK's over the apex DNSKEY RRset and the ZSK's over anything else.
 pub fn sign_in_place(set: &mut Rrset, keys: &ZoneKeys, apex: &Name, window: (u32, u32)) {
-    set.sigs.clear();
-    let sigs = if set.rtype == RrType::Dnskey && set.name == *apex {
-        vec![
-            sign_rrset(set, &keys.ksk, apex, window),
-            sign_rrset(set, &keys.zsk, apex, window),
-        ]
+    let key = if set.rtype == RrType::Dnskey && set.name == *apex {
+        &keys.ksk
     } else {
-        vec![sign_rrset(set, &keys.zsk, apex, window)]
+        &keys.zsk
     };
-    set.sigs = sigs;
+    set.sigs = vec![sign_rrset(set, key, apex, window)];
 }
 
 #[cfg(test)]
@@ -226,13 +229,23 @@ mod tests {
     }
 
     #[test]
-    fn dnskey_rrset_signed_by_both_keys() {
+    fn dnskey_rrset_signed_by_the_ksk_alone() {
         let (z, keys, _) = build_and_sign();
         let dnskey = z.get(&n("example.com"), RrType::Dnskey).unwrap();
-        assert_eq!(dnskey.sigs.len(), 2);
-        let tags: Vec<u16> = dnskey.sigs.iter().map(|s| s.key_tag).collect();
-        assert!(tags.contains(&keys.ksk.key_tag()));
-        assert!(tags.contains(&keys.zsk.key_tag()));
+        assert_eq!(dnskey.sigs.len(), 1);
+        let sig = &dnskey.sigs[0];
+        assert_eq!(sig.key_tag, keys.ksk.key_tag());
+        let data = signing_data(sig, dnskey);
+        let ksk = keys.ksk.signing().public_key();
+        assert_eq!(
+            simsig::verify(&ksk, sig.algorithm, &data, &sig.signature),
+            Ok(())
+        );
+        // Every other RRset carries the ZSK's one signature.
+        for set in z.iter().filter(|s| s.rtype != RrType::Dnskey) {
+            let tags: Vec<u16> = set.sigs.iter().map(|s| s.key_tag).collect();
+            assert_eq!(tags, [keys.zsk.key_tag()], "{} {}", set.name, set.rtype);
+        }
     }
 
     #[test]
