@@ -202,7 +202,6 @@ const VERIFIES_PER_RRSET: u32 = 8;
 const VERIFIES_PER_RESOLUTION: u32 = 128;
 
 /// A search that ran out of verifies with a candidate left untried.
-#[derive(Debug)]
 struct Exhausted;
 
 /// The first of `candidates` that `verifies` accepts, tried in order:
