@@ -237,22 +237,16 @@ impl Misconfig {
             Misconfig::NoKsk => remove_dnskey(zone, &apex, FLAGS_KSK),
             Misconfig::BadZsk => corrupt_dnskey(zone, &apex, FLAGS_ZSK),
             Misconfig::BadKsk => corrupt_dnskey(zone, &apex, FLAGS_KSK),
+            // The signer gave the DNSKEY RRset the KSK's signature alone.
             Misconfig::NoRrsigKsk => {
                 if let Some(set) = zone.get_mut(&apex, RrType::Dnskey) {
-                    let zsk_sig = zsk_co_signature(set, keys, &apex);
-                    set.sigs.retain(|s| s.key_tag != keys.ksk.key_tag());
-                    set.sigs.push(zsk_sig);
+                    set.sigs = vec![zsk_co_signature(set, keys, &apex)];
                 }
             }
             Misconfig::BadRrsigKsk => {
                 if let Some(set) = zone.get_mut(&apex, RrType::Dnskey) {
                     let zsk_sig = zsk_co_signature(set, keys, &apex);
-                    let ksk_tag = keys.ksk.key_tag();
-                    for sig in set.sigs.iter_mut().filter(|s| s.key_tag == ksk_tag) {
-                        if let Some(b) = sig.signature.first_mut() {
-                            *b ^= 0xff;
-                        }
-                    }
+                    corrupt_sigs(set);
                     set.sigs.push(zsk_sig);
                 }
             }
