@@ -478,10 +478,7 @@ impl Network {
     /// Count one fired fault decision and surface it to any tracer.
     fn inject(&self, tracer: &Tracer, kind: &'static str, dst: IpAddr) {
         self.stats.0.bump(|c| &c.faults);
-        tracer.emit(TraceEvent::FaultInjected {
-            kind: kind.to_string(),
-            dst,
-        });
+        tracer.emit(TraceEvent::FaultInjected { kind, dst });
     }
 }
 

@@ -112,9 +112,6 @@ impl<'a> Engine<'a> {
                         } else {
                             String::new()
                         },
-                        // Only the TC bit is visible here; the full
-                        // answer's size is the stream reply's business.
-                        size: 0,
                         limit: query.advertised_payload_size(),
                     });
                 }

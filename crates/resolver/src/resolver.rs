@@ -329,7 +329,7 @@ impl Resolver {
         }
         for entry in &res.ede {
             tracer.emit(TraceEvent::EdeEmitted {
-                vendor: self.profile.vendor.name().to_string(),
+                vendor: self.profile.vendor.name(),
                 code: entry.code.to_u16(),
                 extra_text: entry.extra_text.clone(),
             });

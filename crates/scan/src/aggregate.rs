@@ -313,7 +313,6 @@ mod tests {
                     for (i, text) in texts.iter().enumerate() {
                         let rec = QueryRecord {
                             seq: 7,
-                            vtime_ms: 9,
                             pass: 1,
                             domain: checked,
                             name: Name::parse(name).unwrap(),
@@ -348,7 +347,6 @@ mod tests {
 
         let record = |codes: &[u16]| QueryRecord {
             seq: 0,
-            vtime_ms: 0,
             pass: 1,
             domain: 0,
             name: Name::parse("example.com.").unwrap(),

@@ -140,8 +140,8 @@ fn main() {
 
     if fingerprint {
         println!(
-            "fingerprint {:016x} domains {} evictions {}",
-            result.stats.fingerprint, result.stats.ede.total_domains, result.cache.l2.evicted,
+            "fingerprint {:016x} domains {}",
+            result.stats.fingerprint, result.stats.ede.total_domains,
         );
     } else if json {
         print!("{}", report::scan_json(&result.stats));

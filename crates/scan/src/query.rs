@@ -60,9 +60,6 @@ pub struct QueryFilter {
     /// Record's Tranco rank must exist and fall in this inclusive
     /// range.
     pub rank: Option<(u32, u32)>,
-    /// Record's virtual timestamp must fall in this inclusive window
-    /// (milliseconds).
-    pub vtime: Option<(u64, u64)>,
     /// Record's final RCODE must equal this.
     pub rcode: Option<Rcode>,
     /// Record's planted category must equal this.
@@ -104,12 +101,6 @@ impl QueryFilter {
         self
     }
 
-    /// Require a virtual timestamp in `[lo, hi]` milliseconds.
-    pub fn vtime_window(mut self, lo_ms: u64, hi_ms: u64) -> Self {
-        self.vtime = Some((lo_ms.min(hi_ms), lo_ms.max(hi_ms)));
-        self
-    }
-
     /// Require a final RCODE.
     pub fn rcode(mut self, rcode: Rcode) -> Self {
         self.rcode = Some(rcode);
@@ -136,8 +127,7 @@ impl QueryFilter {
 
     /// Parse a compact filter expression: comma-separated `key=value`
     /// pairs. Keys: `code`, `vendor`, `tld`, `rank` (`lo-hi` or a
-    /// single rank), `vtime` (`lo-hi` ms), `rcode`, `category`, `pass`,
-    /// `name`. Example: `code=23,tld=com,rank=1-500`. A lone `*` is the
+    /// single rank), `rcode`, `category`, `pass`, `name`. Example: `code=23,tld=com,rank=1-500`. A lone `*` is the
     /// match-everything filter, as [`describe`] renders it.
     ///
     /// [`describe`]: QueryFilter::describe
@@ -173,15 +163,6 @@ impl QueryFilter {
                         }
                     };
                     filter = filter.rank_range(lo, hi);
-                }
-                "vtime" => {
-                    let (lo, hi) = value
-                        .split_once('-')
-                        .ok_or_else(|| format!("expected lo-hi window, got {value:?}"))?;
-                    filter = filter.vtime_window(
-                        lo.parse().map_err(|_| format!("bad vtime {lo:?}"))?,
-                        hi.parse().map_err(|_| format!("bad vtime {hi:?}"))?,
-                    );
                 }
                 "rcode" => {
                     filter.rcode =
@@ -220,9 +201,6 @@ impl QueryFilter {
         }
         if let Some((lo, hi)) = self.rank {
             parts.push(format!("rank={lo}-{hi}"));
-        }
-        if let Some((lo, hi)) = self.vtime {
-            parts.push(format!("vtime={lo}-{hi}"));
         }
         if let Some(rcode) = self.rcode {
             parts.push(format!("rcode={}", rcode.to_u16()));
@@ -266,11 +244,6 @@ impl QueryFilter {
                 _ => return false,
             }
         }
-        if let Some((lo, hi)) = self.vtime {
-            if !(lo..=hi).contains(&record.vtime_ms) {
-                return false;
-            }
-        }
         if let Some(rcode) = self.rcode {
             if record.rcode != rcode {
                 return false;
@@ -305,9 +278,8 @@ impl QueryFilter {
     }
 }
 
-/// What a filter matched: counts by code, TLD, and category, plus the
-/// virtual-time span — the troubleshoot CLI's query-mode output, as
-/// data.
+/// What a filter matched: counts by code, TLD, and category — the
+/// troubleshoot CLI's query-mode output, as data.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct FilterSummary {
@@ -325,8 +297,6 @@ pub struct FilterSummary {
     pub per_tld: BTreeMap<String, usize>,
     /// Matches per planted category (by name).
     pub per_category: BTreeMap<&'static str, usize>,
-    /// Virtual-time span of the matches, `(first, last)` ms.
-    pub vtime_span: Option<(u64, u64)>,
 }
 
 impl FilterSummary {
@@ -350,10 +320,6 @@ impl FilterSummary {
                 .entry(r.name.suffix(1).to_string().trim_end_matches('.').into())
                 .or_insert(0) += 1;
             *summary.per_category.entry(r.category.name()).or_insert(0) += 1;
-            summary.vtime_span = Some(match summary.vtime_span {
-                None => (r.vtime_ms, r.vtime_ms),
-                Some((lo, hi)) => (lo.min(r.vtime_ms), hi.max(r.vtime_ms)),
-            });
         }
         summary.domains = domains.len();
         summary
@@ -367,9 +333,6 @@ impl FilterSummary {
             "query [{}]: {} records, {} domains, {} with EDE",
             self.filter, self.matched, self.domains, self.with_ede
         );
-        if let Some((lo, hi)) = self.vtime_span {
-            let _ = writeln!(out, "  vtime span: {lo}..{hi} ms");
-        }
         if !self.per_code.is_empty() {
             let codes: Vec<String> = self
                 .per_code
@@ -432,7 +395,6 @@ mod tests {
     fn record(name: &str, rank: Option<u32>, codes: Vec<u16>, pass: u8) -> QueryRecord {
         QueryRecord {
             seq: 0,
-            vtime_ms: 1000 * u64::from(pass),
             pass,
             domain: rank.unwrap_or(0) as usize,
             name: Name::parse(name).unwrap(),
@@ -474,7 +436,13 @@ mod tests {
             QueryFilter::parse(&QueryFilter::new().describe()),
             Ok(QueryFilter::new())
         );
-        assert!(QueryFilter::parse("frobnicate=1").is_err());
+        for retired in ["frobnicate=1", "vtime=0-1"] {
+            let key = retired.split('=').next().unwrap();
+            assert_eq!(
+                QueryFilter::parse(retired),
+                Err(format!("unknown filter key {key:?}"))
+            );
+        }
         assert!(QueryFilter::parse("rank=x").is_err());
     }
 
@@ -505,7 +473,6 @@ mod tests {
         assert_eq!(summary.with_ede, 2);
         assert_eq!(summary.per_code.get(&23), Some(&2));
         assert_eq!(summary.per_tld.get("com"), Some(&2));
-        assert_eq!(summary.vtime_span, Some((1000, 2000)));
         let rendered = summary.render();
         assert!(rendered.contains("3 records"));
         assert!(rendered.contains("23:2"));
@@ -524,6 +491,19 @@ mod tests {
         std::fs::write(&path, jsonl).expect("write trace");
         let loaded = load_jsonl(&path).expect("load trace");
         assert_eq!(loaded, records);
+        // A line in the format that carried a `"vtime"` stamp is
+        // malformed, and the error names its line.
+        let old = records[1]
+            .to_json()
+            .replace("\"pass\":", "\"vtime\":240000,\"pass\":");
+        std::fs::write(&path, format!("{}\n{old}\n", records[0].to_json())).expect("write trace");
+        let err = load_jsonl(&path).expect_err("a retired key");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string()
+                .ends_with("trace.jsonl:2: malformed query record"),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -10,13 +10,12 @@
 //!
 //! # Determinism
 //!
-//! Two fields of a record are *worker-timing-dependent*: `seq` (ring
-//! arrival order) and `vtime_ms` (the virtual-clock stamp at
-//! completion). Everything else is a pure function of the domain and
+//! One field of a record is *worker-timing-dependent*: `seq` (ring
+//! arrival order). Everything else is a pure function of the domain and
 //! the simulated world, bit-identical at any worker count. `PartialEq`
-//! therefore compares **only the deterministic
-//! fields**, and the aggregate fingerprint hashes the outcome line
-//! [`QueryRecord::write_outcome_line`] writes, which excludes both.
+//! therefore compares every field but `seq`, and the aggregate
+//! fingerprint hashes the outcome line
+//! [`QueryRecord::write_outcome_line`] writes, which excludes it.
 
 use crate::population::{Category, DomainRecord};
 use ede_resolver::{Resolution, Vendor};
@@ -39,8 +38,6 @@ use std::sync::Mutex;
 pub struct QueryRecord {
     /// Ring arrival sequence (assigned at push; timing-dependent).
     pub seq: u64,
-    /// Virtual-clock stamp at completion, ms (timing-dependent).
-    pub vtime_ms: u64,
     /// Scan pass that produced this record (1 or 2).
     pub pass: u8,
     /// Index of the domain in the population.
@@ -65,20 +62,17 @@ pub struct QueryRecord {
 
 impl QueryRecord {
     /// The record of `res`, the resolution of `d`, domain `domain` of
-    /// the population, by `vendor` in scan pass `pass`, completed at
-    /// `vtime_ms`; the query log assigns its `seq` at push. The name is
-    /// copied, not formatted.
+    /// the population, by `vendor` in scan pass `pass`; the query log
+    /// assigns its `seq` at push. The name is copied, not formatted.
     pub fn of_resolution(
         domain: usize,
         d: &DomainRecord,
         res: &Resolution,
         vendor: Vendor,
         pass: u8,
-        vtime_ms: u64,
     ) -> QueryRecord {
         QueryRecord {
             seq: 0,
-            vtime_ms,
             pass,
             domain,
             name: d.name.clone(),
@@ -106,9 +100,9 @@ impl QueryRecord {
     /// Write the canonical outcome line into `out`: every deterministic
     /// field, one record per line. This is what the commutative scan
     /// fingerprint hashes, streamed straight into its hash instead of
-    /// built — `seq`/`vtime_ms` are deliberately excluded (they depend
-    /// on worker timing) and so is `pass` (a revisited domain's final
-    /// record always comes from pass 2, so it adds nothing).
+    /// built — `seq` is deliberately excluded (it depends on worker
+    /// timing) and so is `pass` (a revisited domain's final record
+    /// always comes from pass 2, so it adds nothing).
     pub fn write_outcome_line(&self, out: &mut impl std::fmt::Write) -> std::fmt::Result {
         write!(
             out,
@@ -127,7 +121,6 @@ impl QueryRecord {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         out.push_str(&format!("\"seq\":{},", self.seq));
-        out.push_str(&format!("\"vtime\":{},", self.vtime_ms));
         out.push_str(&format!("\"pass\":{},", self.pass));
         out.push_str(&format!("\"domain\":{},", self.domain));
         out.push_str(&format!(
@@ -165,7 +158,6 @@ impl QueryRecord {
         let mut p = JsonParser::new(line);
         p.expect('{')?;
         let mut seq = None;
-        let mut vtime = None;
         let mut pass = None;
         let mut domain = None;
         let mut name = None;
@@ -181,7 +173,6 @@ impl QueryRecord {
             p.expect(':')?;
             match key.as_str() {
                 "seq" => seq = Some(p.number()?),
-                "vtime" => vtime = Some(p.number()?),
                 "pass" => pass = Some(u8::try_from(p.number()?).ok()?),
                 "domain" => domain = Some(usize::try_from(p.number()?).ok()?),
                 "name" => name = Some(Name::parse(&p.string()?).ok()?),
@@ -205,7 +196,6 @@ impl QueryRecord {
         }
         Some(QueryRecord {
             seq: seq?,
-            vtime_ms: vtime?,
             pass: pass?,
             domain: domain?,
             name: name?,
@@ -223,10 +213,9 @@ impl QueryRecord {
     }
 }
 
-/// Equality over the **deterministic** fields only: `seq` and
-/// `vtime_ms` depend on worker timing and are excluded, so the
-/// bit-identity tests can compare records across worker counts
-/// directly.
+/// Equality over the **deterministic** fields only: `seq` depends on
+/// worker timing and is excluded, so the bit-identity tests can compare
+/// records across worker counts directly.
 impl PartialEq for QueryRecord {
     fn eq(&self, other: &Self) -> bool {
         self.pass == other.pass
@@ -570,7 +559,6 @@ mod tests {
     fn record(domain: usize, codes: Vec<u16>) -> QueryRecord {
         QueryRecord {
             seq: 0,
-            vtime_ms: 42,
             pass: 1,
             domain,
             name: Name::parse(&format!("d{domain}.example.")).unwrap(),
@@ -590,7 +578,6 @@ mod tests {
         let back = QueryRecord::from_json(&r.to_json()).expect("parses");
         assert_eq!(back, r);
         assert_eq!(back.seq, r.seq);
-        assert_eq!(back.vtime_ms, r.vtime_ms);
         assert_eq!(back.pass, r.pass);
         for spelling in ["cloudflare", "cf", "Cloudflare DNS"] {
             let line = r
@@ -603,6 +590,10 @@ mod tests {
             );
         }
         let line = r.to_json().replace("\"Cloudflare\"", "\"nope\"");
+        assert_eq!(QueryRecord::from_json(&line), None);
+        // The clock stamp records carried until they lost it is an
+        // unknown key, like any other.
+        let line = r.to_json().replace("\"pass\":", "\"vtime\":42,\"pass\":");
         assert_eq!(QueryRecord::from_json(&line), None);
 
         let mut none = record(8, vec![]);
@@ -647,7 +638,6 @@ mod tests {
         for i in 0..512u64 {
             let r = QueryRecord {
                 seq: edge(&mut rng, u64::MAX),
-                vtime_ms: edge(&mut rng, u64::MAX),
                 pass: edge(&mut rng, u64::from(u8::MAX)) as u8,
                 domain: edge(&mut rng, usize::MAX as u64) as usize,
                 name: name(&mut rng),
@@ -664,7 +654,7 @@ mod tests {
             let line = r.to_json();
             let back = QueryRecord::from_json(&line).unwrap_or_else(|| panic!("rejects {line}"));
             assert_eq!(back, r, "{line}");
-            assert_eq!((back.seq, back.vtime_ms), (r.seq, r.vtime_ms), "{line}");
+            assert_eq!(back.seq, r.seq, "{line}");
         }
     }
 
@@ -735,8 +725,6 @@ mod tests {
         let mut b = record(1, vec![22]);
         a.seq = 10;
         b.seq = 99;
-        a.vtime_ms = 1;
-        b.vtime_ms = 2;
         assert_eq!(a, b);
         b.codes = Box::new([23]);
         assert_ne!(a, b);

@@ -374,14 +374,8 @@ impl PassCtx<'_> {
     /// Build the record for one finished resolution and fold it into
     /// `partial` if the gate says so.
     fn record(&self, idx: usize, res: &Resolution, partial: &mut PartialAggregate) -> QueryRecord {
-        let rec = QueryRecord::of_resolution(
-            idx,
-            &self.pop.domains[idx],
-            res,
-            SCAN_VENDOR,
-            self.pass,
-            self.world.net.clock().now_millis(),
-        );
+        let rec =
+            QueryRecord::of_resolution(idx, &self.pop.domains[idx], res, SCAN_VENDOR, self.pass);
         if self.folds(idx) {
             partial.fold(&rec);
         }

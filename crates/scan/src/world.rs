@@ -132,14 +132,10 @@ pub struct ScanWorld {
     registry: Arc<Registry>,
 }
 
-/// The `i`-th nameserver host of `apex`: `ns1.<apex>`, `ns2.<apex>`, ….
+/// The `i`-th nameserver host of `apex`, `ns1.<apex>` or `ns2.<apex>`:
+/// a domain has at most two nameservers, a TLD one.
 fn ns_host(apex: &Name, i: usize) -> Name {
-    const LABELS: [&str; 4] = ["ns1", "ns2", "ns3", "ns4"];
-    match LABELS.get(i) {
-        Some(label) => apex.child(label),
-        None => apex.child(&format!("ns{}", i + 1)),
-    }
-    .expect("valid")
+    apex.child(["ns1", "ns2"][i]).expect("valid")
 }
 
 fn soa_for(apex: &Name) -> Rdata {
@@ -167,15 +163,15 @@ fn apex_a(apex: &Name) -> Rrset {
 /// The apex RRset a child serves for `qtype`, when it is known without
 /// building the child's zone: its A, and the DNSKEY set of a signed
 /// child, signed as `sign_zone` would sign them — the A with the ZSK
-/// alone, so only the ZSK is derived for it. A child whose row mutates
-/// the zone after signing gets its zone.
+/// alone, so only the ZSK is derived for it. A child whose row's
+/// mutation edits that RRset gets its zone.
 fn known_apex_rrset(rec: &DomainRecord, row: &Row, qtype: RrType) -> Option<Rrset> {
     let apex = &rec.name;
     let a = qtype == RrType::A && row.apex_a;
     if !row.signed {
         return a.then(|| apex_a(apex));
     }
-    if row.mutation.is_some() || !(a || qtype == RrType::Dnskey) {
+    if row.mutation.is_some_and(|m| m.edits(qtype)) || !(a || qtype == RrType::Dnskey) {
         return None;
     }
     Some(if a {
@@ -262,9 +258,10 @@ impl Server for HostingNs {
             }
         }
 
-        // Every other shape, the misconfigured signed children and the
-        // servers without EDNS are a sliver of the traffic: each query
-        // builds the child's zone and looks its answer up.
+        // Every other shape, the RRsets a misconfigured signed child's
+        // mutation edits and the servers without EDNS are a sliver of
+        // the traffic: each query builds the child's zone and looks its
+        // answer up.
         let mut store = ZoneStore::new();
         store.insert(materialize_child(rec));
         ZoneServer::with_behavior(store, behavior.clone()).answer(query, src)

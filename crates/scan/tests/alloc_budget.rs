@@ -353,7 +353,6 @@ fn draining_a_wrapped_query_log_allocates_nothing() {
     const CAPACITY: usize = 8;
     let record = |domain: usize| QueryRecord {
         seq: 0,
-        vtime_ms: 0,
         pass: 1,
         domain,
         name: Name::parse(&format!("d{domain}.example.")).unwrap(),
@@ -398,7 +397,7 @@ fn a_query_log_record_allocates_only_for_its_ede() {
         let res = resolver.resolve(&domain.name, RrType::A);
 
         let before = thread_allocs();
-        let record = QueryRecord::of_resolution(index, domain, &res, Vendor::Cloudflare, 1, 0);
+        let record = QueryRecord::of_resolution(index, domain, &res, Vendor::Cloudflare, 1);
         assert_eq!(thread_allocs() - before, allocs, "{cat:?}");
         assert_eq!((&*record.codes, record.name), (codes, domain.name.clone()));
         assert_eq!(record.network_error_text.is_some(), allocs > 0, "{cat:?}");
@@ -413,7 +412,6 @@ fn folding_a_counted_code_combination_allocates_nothing() {
     let _turn = serial();
     let record = |domain: usize, codes: &[u16]| QueryRecord {
         seq: 0,
-        vtime_ms: 0,
         pass: 1,
         domain,
         name: Name::parse(&format!("d{domain}.example.")).unwrap(),
@@ -457,7 +455,7 @@ fn whole_scan_stays_under_its_allocation_ceiling() {
 }
 
 /// See `whole_scan_stays_under_its_allocation_ceiling`.
-const WHOLE_SCAN_CEILING: f64 = 19.71;
+const WHOLE_SCAN_CEILING: f64 = 19.34;
 
 /// Where the pinned cold resolve allocates: one backtrace per allocator
 /// call, grouped by the nearest three frames of this workspace's crates,

@@ -64,8 +64,7 @@ fn every_category_scans_as_its_domains_resolve_alone() {
                     alone_world.net.clock().advance_secs(PASS_GAP_SECS);
                 }
                 let res = resolver.resolve(&domain.name, RrType::A);
-                let alone =
-                    QueryRecord::of_resolution(i, domain, &res, Vendor::Cloudflare, pass, 0);
+                let alone = QueryRecord::of_resolution(i, domain, &res, Vendor::Cloudflare, pass);
                 let record = scanned(pass);
                 assert_eq!(record.vendor, Vendor::Cloudflare);
                 assert_eq!(

@@ -94,18 +94,14 @@ pub enum TraceEvent {
         dst: IpAddr,
         /// Queried name, dotted.
         qname: String,
-        /// Encoded size of the truncated reply's full form, when known
-        /// (0 when only the TC bit is visible).
-        size: usize,
         /// The negotiated UDP payload limit the reply exceeded.
         limit: u16,
     },
     /// The simulated network's fault plan fired on one exchange
     /// (emitted from `ede-netsim`, when a tracer is attached).
     FaultInjected {
-        /// Which fault fired: `"loss"`, `"burst"`, `"flap"`,
-        /// `"blackhole"`, `"corrupt"` or `"spike"`.
-        kind: String,
+        /// Which fault fired: `"loss"` or `"corrupt"`.
+        kind: &'static str,
         /// The destination of the affected exchange.
         dst: IpAddr,
     },
@@ -157,7 +153,7 @@ pub enum TraceEvent {
     /// The vendor profile attached one EDE entry to the response.
     EdeEmitted {
         /// The emitting vendor profile's name.
-        vendor: String,
+        vendor: &'static str,
         /// RFC 8914 INFO-CODE.
         code: u16,
         /// EXTRA-TEXT, possibly empty.
@@ -237,17 +233,8 @@ impl TraceEvent {
             TraceEvent::Retry { attempt, next } => {
                 format!("retry #{attempt} -> {next}")
             }
-            TraceEvent::TcFallback {
-                dst,
-                qname,
-                size,
-                limit,
-            } => {
-                if *size > 0 {
-                    format!("tc-fallback -> {dst} {qname} ({size} B > {limit} B)")
-                } else {
-                    format!("tc-fallback -> {dst} {qname} (limit {limit} B)")
-                }
+            TraceEvent::TcFallback { dst, qname, limit } => {
+                format!("tc-fallback -> {dst} {qname} (limit {limit} B)")
             }
             TraceEvent::FaultInjected { kind, dst } => {
                 format!("fault {kind} @ {dst}")
@@ -349,11 +336,10 @@ mod tests {
             TraceEvent::TcFallback {
                 dst: "192.0.2.1".parse().unwrap(),
                 qname: "a".into(),
-                size: 1452,
                 limit: 1232,
             },
             TraceEvent::FaultInjected {
-                kind: "loss".into(),
+                kind: "loss",
                 dst: "192.0.2.1".parse().unwrap(),
             },
             TraceEvent::Referral {
@@ -379,7 +365,7 @@ mod tests {
                 finding: "CachedError".into(),
             },
             TraceEvent::EdeEmitted {
-                vendor: "cf".into(),
+                vendor: "cf",
                 code: 7,
                 extra_text: String::new(),
             },

@@ -78,15 +78,9 @@ pub fn event_to_json(e: &TimedEvent) -> String {
             fields.push(("attempt", attempt.to_string()));
             fields.push(("next", json_string(&next.to_string())));
         }
-        TraceEvent::TcFallback {
-            dst,
-            qname,
-            size,
-            limit,
-        } => {
+        TraceEvent::TcFallback { dst, qname, limit } => {
             fields.push(("dst", json_string(&dst.to_string())));
             fields.push(("qname", json_string(qname)));
-            fields.push(("size", size.to_string()));
             fields.push(("limit", limit.to_string()));
         }
         TraceEvent::FaultInjected { kind: fault, dst } => {
@@ -198,11 +192,10 @@ mod tests {
             TraceEvent::TcFallback {
                 dst: "192.0.2.1".parse().unwrap(),
                 qname: "a.com".into(),
-                size: 1452,
                 limit: 1232,
             },
             TraceEvent::FaultInjected {
-                kind: "corrupt".into(),
+                kind: "corrupt",
                 dst: "192.0.2.1".parse().unwrap(),
             },
             TraceEvent::Referral {
@@ -228,7 +221,7 @@ mod tests {
                 finding: "CachedError".into(),
             },
             TraceEvent::EdeEmitted {
-                vendor: "BIND 9.19.9".into(),
+                vendor: "BIND 9.19.9",
                 code: 7,
                 extra_text: "x".into(),
             },

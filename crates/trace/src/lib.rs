@@ -16,8 +16,7 @@
 //! * **Sinks decide the cost** — instrumented code emits into a
 //!   [`Tracer`]; when disabled (the default) that is one `Option`
 //!   check. A [`ResolutionTrace`] ring buffer retains timelines, and a
-//!   [`Metrics`] registry turns the same stream into counters and
-//!   latency histograms.
+//!   [`Metrics`] registry turns the same stream into counters.
 //! * **One registry, two sections** — [`Metrics`] counts what a
 //!   resolution does from its events and, in its server section, what a
 //!   serving front end does from direct calls on the wall clock; a

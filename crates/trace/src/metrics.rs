@@ -1,5 +1,5 @@
-//! The metrics registry: atomic counters and latency histograms in two
-//! sections, one registry.
+//! The metrics registry: atomic counters in two sections, one registry,
+//! and the server's latency histogram.
 //!
 //! * The **resolution section** is fed by the trace event stream on the
 //!   virtual clock. [`Metrics`] implements [`TraceSink`], so the same
@@ -16,13 +16,15 @@
 //! faults are `ede_netsim::TrafficSnapshot`'s, the answer cache's
 //! probes and removals `ede_resolver::CacheStatsSnapshot`'s. Their
 //! events still flow (timelines and JSONL need them); this registry
-//! ignores them, except that `ResponseReceived` feeds `query_latency`.
-//! Counters and histogram buckets are lock-free atomics, striped per
-//! writing thread ([`Striped`]) and summed at snapshot; only the
-//! per-vendor EDE map takes a short mutex.
+//! ignores them. Nor does it time an exchange or a resolution, or count
+//! an authority's answers: the one network it is attached to, a scan's,
+//! charges no latency and traces no authority, and a timeline shows
+//! what a traced resolution was charged. Counters and histogram buckets
+//! are lock-free atomics, striped per writing thread ([`Striped`]) and
+//! summed at snapshot; only the per-vendor EDE map takes a short mutex.
 
 use crate::event::TraceEvent;
-use crate::histogram::{Histogram, LiveHistogram, SERVER_BOUNDS_US, SIM_BOUNDS_US};
+use crate::histogram::{Histogram, LiveHistogram};
 use crate::sink::TraceSink;
 use crate::stripe::Striped;
 use std::collections::BTreeMap;
@@ -42,7 +44,7 @@ pub struct Metrics {
     /// (vendor, INFO-CODE) → emission count. EDE emission is rare
     /// relative to queries (error domains only), so a mutex is fine
     /// here.
-    ede_by_vendor: Mutex<BTreeMap<(String, u16), u64>>,
+    ede_by_vendor: Mutex<BTreeMap<(&'static str, u16), u64>>,
     server: Striped<ServerCounts>,
 }
 
@@ -54,15 +56,12 @@ struct ResolutionCounts {
     validation_steps: AtomicU64,
     validation_failures: AtomicU64,
     findings: AtomicU64,
-    authority_answers: AtomicU64,
     resolutions: AtomicU64,
     resolutions_noerror: AtomicU64,
     resolutions_nxdomain: AtomicU64,
     resolutions_servfail: AtomicU64,
     resolutions_other: AtomicU64,
     ede_entries: AtomicU64,
-    query_latency: LiveHistogram,
-    resolution_duration: LiveHistogram,
 }
 
 /// One stripe of the server section.
@@ -208,10 +207,7 @@ impl Metrics {
     /// Observe one request's in-process handling time, µs (receive →
     /// response handed to the socket).
     pub fn observe_handle_us(&self, us: u64) {
-        self.server
-            .local()
-            .handle_latency
-            .observe(SERVER_BOUNDS_US, us);
+        self.server.local().handle_latency.observe(us);
     }
 
     /// A point-in-time copy of every counter and histogram: each count
@@ -226,7 +222,6 @@ impl Metrics {
             validation_steps: r.sum(|c| &c.validation_steps),
             validation_failures: r.sum(|c| &c.validation_failures),
             findings: r.sum(|c| &c.findings),
-            authority_answers: r.sum(|c| &c.authority_answers),
             resolutions: r.sum(|c| &c.resolutions),
             resolutions_noerror: r.sum(|c| &c.resolutions_noerror),
             resolutions_nxdomain: r.sum(|c| &c.resolutions_nxdomain),
@@ -234,11 +229,6 @@ impl Metrics {
             resolutions_other: r.sum(|c| &c.resolutions_other),
             ede_entries: r.sum(|c| &c.ede_entries),
             ede_by_vendor: self.ede_by_vendor.lock().expect("no poisoning").clone(),
-            query_latency: LiveHistogram::merged(SIM_BOUNDS_US, r.iter().map(|c| &c.query_latency)),
-            resolution_duration: LiveHistogram::merged(
-                SIM_BOUNDS_US,
-                r.iter().map(|c| &c.resolution_duration),
-            ),
             udp_queries: s.sum(|c| &c.udp_queries),
             udp_responses: s.sum(|c| &c.udp_responses),
             udp_truncated: s.sum(|c| &c.udp_truncated),
@@ -259,10 +249,7 @@ impl Metrics {
             tcp_acceptors_died: s.sum(|c| &c.tcp_acceptors_died),
             bytes_received: s.sum(|c| &c.bytes_received),
             bytes_sent: s.sum(|c| &c.bytes_sent),
-            handle_latency: LiveHistogram::merged(
-                SERVER_BOUNDS_US,
-                s.iter().map(|c| &c.handle_latency),
-            ),
+            handle_latency: LiveHistogram::merged(s.iter().map(|c| &c.handle_latency)),
         }
     }
 }
@@ -277,17 +264,17 @@ impl TraceSink for Metrics {
     fn record(&self, _at_ms: u64, event: &TraceEvent) {
         let c = self.resolution.local();
         match event {
-            // Counted where they happen: by the transport and the cache.
+            // Counted where they happen, by the transport and the cache,
+            // or shown by a timeline alone.
             TraceEvent::ResolutionStarted { .. }
             | TraceEvent::QuerySent { .. }
+            | TraceEvent::ResponseReceived { .. }
             | TraceEvent::Timeout { .. }
             | TraceEvent::TcFallback { .. }
             | TraceEvent::FaultInjected { .. }
             | TraceEvent::CacheProbe { .. }
-            | TraceEvent::CacheEvicted { .. } => {}
-            TraceEvent::ResponseReceived { latency_ms, .. } => {
-                c.query_latency.observe(SIM_BOUNDS_US, latency_ms * 1_000);
-            }
+            | TraceEvent::CacheEvicted { .. }
+            | TraceEvent::AuthorityAnswer { .. } => {}
             TraceEvent::Retry { .. } => bump(&c.retries),
             TraceEvent::Referral { .. } => bump(&c.referrals),
             TraceEvent::ValidationStep { ok, .. } => {
@@ -303,13 +290,10 @@ impl TraceSink for Metrics {
                     .ede_by_vendor
                     .lock()
                     .expect("no poisoning")
-                    .entry((vendor.clone(), *code))
+                    .entry((*vendor, *code))
                     .or_insert(0) += 1;
             }
-            TraceEvent::AuthorityAnswer { .. } => bump(&c.authority_answers),
-            TraceEvent::ResolutionFinished {
-                rcode, duration_ms, ..
-            } => {
+            TraceEvent::ResolutionFinished { rcode, .. } => {
                 bump(&c.resolutions);
                 bump(match rcode {
                     0 => &c.resolutions_noerror,
@@ -317,8 +301,6 @@ impl TraceSink for Metrics {
                     2 => &c.resolutions_servfail,
                     _ => &c.resolutions_other,
                 });
-                c.resolution_duration
-                    .observe(SIM_BOUNDS_US, duration_ms * 1_000);
             }
         }
     }
@@ -338,8 +320,6 @@ pub struct MetricsSnapshot {
     pub validation_failures: u64,
     /// Structured findings recorded.
     pub findings: u64,
-    /// Authoritative answers traced (only when servers carry tracers).
-    pub authority_answers: u64,
     /// Completed client resolutions.
     pub resolutions: u64,
     /// ... of which NOERROR.
@@ -353,12 +333,7 @@ pub struct MetricsSnapshot {
     /// Total EDE entries attached.
     pub ede_entries: u64,
     /// (vendor, INFO-CODE) → emission count.
-    pub ede_by_vendor: BTreeMap<(String, u16), u64>,
-    /// Upstream query latency distribution (virtual clock: whole
-    /// milliseconds, held in µs like every [`Histogram`]).
-    pub query_latency: Histogram,
-    /// Whole-resolution duration distribution, likewise.
-    pub resolution_duration: Histogram,
+    pub ede_by_vendor: BTreeMap<(&'static str, u16), u64>,
     /// Server section: query datagrams received over UDP.
     pub udp_queries: u64,
     /// Response datagrams sent over UDP.
@@ -421,10 +396,16 @@ impl MetricsSnapshot {
     /// the server section, zeroed — an idle server's, which is where an
     /// empty registry is read.
     pub fn render(&self) -> String {
-        // Every resolution-section event happens inside a resolution or
-        // an exchange; every server-section one after a query, a
-        // connection or a worker's end.
-        let resolved = self.resolutions + self.query_latency.total + self.authority_answers > 0;
+        // Every resolution-section count is taken inside a resolution;
+        // every server-section one after a query, a connection or a
+        // worker's end.
+        let resolved = self.resolutions
+            + self.referrals
+            + self.retries
+            + self.validation_steps
+            + self.findings
+            + self.ede_entries
+            > 0;
         let served = self.queries()
             + self.tcp_conns_accepted
             + self.tcp_conns_refused
@@ -458,13 +439,6 @@ impl MetricsSnapshot {
             self.resolutions_nxdomain,
             self.resolutions_servfail,
             self.resolutions_other
-        ));
-        out.push_str(&format!(
-            "  latency   : query mean {:.1} ms p99 {} ms; resolution mean {:.1} ms max {} ms\n",
-            self.query_latency.mean_ms(),
-            self.query_latency.quantile_ms(0.99),
-            self.resolution_duration.mean_ms(),
-            self.resolution_duration.max / 1_000
         ));
         if self.ede_entries > 0 {
             out.push_str(&format!(
@@ -593,7 +567,7 @@ mod tests {
         m.record(
             0,
             &TraceEvent::EdeEmitted {
-                vendor: "Cloudflare DNS".into(),
+                vendor: "Cloudflare DNS",
                 code: 7,
                 extra_text: String::new(),
             },
@@ -612,13 +586,68 @@ mod tests {
         assert_eq!(s.validation_steps, 1);
         assert_eq!(s.validation_failures, 1);
         assert_eq!(s.ede_entries, 1);
-        assert_eq!(s.ede_by_vendor[&("Cloudflare DNS".to_string(), 7)], 1);
+        assert_eq!(s.ede_by_vendor[&("Cloudflare DNS", 7)], 1);
         assert_eq!(s.resolutions_servfail, 1);
-        assert_eq!(s.query_latency.total, 1);
-        assert_eq!(s.resolution_duration.max, 40_000);
         let render = s.render();
         assert!(render.contains("0 referrals, 1 retries"), "{render}");
         assert!(render.contains("Cloudflare DNS: 7\u{00d7}1"), "{render}");
+        assert!(!render.contains("server metrics"), "{render}");
+    }
+
+    /// The resolution section renders once a resolution has counted
+    /// something; exchanges alone count nothing here, and no line of it
+    /// times anything.
+    #[test]
+    fn only_a_resolution_renders_the_resolution_section() {
+        let exchanges = Metrics::new();
+        for event in [
+            TraceEvent::QuerySent {
+                dst: ip(),
+                qname: "a".into(),
+                qtype: 1,
+                id: 1,
+            },
+            TraceEvent::ResponseReceived {
+                src: ip(),
+                rcode: 0,
+                answers: 1,
+                latency_ms: 20,
+            },
+            TraceEvent::AuthorityAnswer {
+                zone: "com".into(),
+                rcode: 0,
+            },
+        ] {
+            exchanges.record(20, &event);
+        }
+        assert_eq!(exchanges.snapshot(), Metrics::new().snapshot());
+        assert_eq!(
+            exchanges.snapshot().render(),
+            Metrics::new().snapshot().render()
+        );
+        assert!(exchanges
+            .snapshot()
+            .render()
+            .starts_with("server metrics\n"));
+
+        let resolved = Metrics::new();
+        for event in [
+            TraceEvent::ResolutionStarted {
+                qname: "a".into(),
+                qtype: 1,
+            },
+            TraceEvent::ResolutionFinished {
+                rcode: 0,
+                ede_count: 0,
+                duration_ms: 40,
+            },
+        ] {
+            resolved.record(40, &event);
+        }
+        let render = resolved.snapshot().render();
+        assert!(render.starts_with("metrics summary\n"), "{render}");
+        assert!(render.contains("1 resolutions (NOERROR 1,"), "{render}");
+        assert!(!render.contains("latency"), "{render}");
         assert!(!render.contains("server metrics"), "{render}");
     }
 

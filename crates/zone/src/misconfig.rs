@@ -272,6 +272,36 @@ impl Misconfig {
         }
     }
 
+    /// Whether [`apply`](Self::apply) can change the zone's RRsets of
+    /// type `rtype`: their records, their signatures or their owners.
+    /// Every RRset of another type it leaves as the signer made it.
+    pub fn edits(&self, rtype: RrType) -> bool {
+        match self {
+            Misconfig::NoDs
+            | Misconfig::DsBadTag
+            | Misconfig::DsBadKeyAlgo
+            | Misconfig::DsUnassignedKeyAlgo
+            | Misconfig::DsReservedKeyAlgo
+            | Misconfig::DsUnassignedDigestAlgo
+            | Misconfig::DsBogusDigestValue => false,
+            Misconfig::RrsigExpired(sel)
+            | Misconfig::RrsigNotYetValid(sel)
+            | Misconfig::RrsigMissing(sel)
+            | Misconfig::RrsigExpiredBeforeValid(sel) => *sel == TypeSel::All || rtype == RrType::A,
+            Misconfig::Nsec3Missing
+            | Misconfig::BadNsec3Hash
+            | Misconfig::BadNsec3Next
+            | Misconfig::BadNsec3Rrsig
+            | Misconfig::Nsec3RrsigMissing => rtype == RrType::Nsec3,
+            Misconfig::Nsec3ParamMissing | Misconfig::BadNsec3ParamSalt => {
+                rtype == RrType::Nsec3param
+            }
+            Misconfig::NoNsec3ParamNsec3 => matches!(rtype, RrType::Nsec3 | RrType::Nsec3param),
+            // Group 5 edits the apex DNSKEY RRset alone.
+            _ => rtype == RrType::Dnskey,
+        }
+    }
+
     /// The DS RDATA(s) the parent zone should publish for a child mutated
     /// with this misconfiguration. The default (for child-side cases) is
     /// the correct SHA-256 DS of the KSK, `ksk`: all a parent reads of the
@@ -490,6 +520,71 @@ mod tests {
         let keys = ZoneKeys::generate(&apex, 8, 2048);
         sign_zone(&mut z, &keys, &SignerConfig::default());
         (z, keys)
+    }
+
+    /// Every RRset of a type [`Misconfig::edits`] rules out comes out of
+    /// [`Misconfig::apply`] as the signer made it, and every mutation
+    /// but the seven DS-side ones, listed first, changes a type it names.
+    #[test]
+    fn a_mutation_changes_only_the_types_it_edits() {
+        use Misconfig::*;
+        let every = [
+            NoDs,
+            DsBadTag,
+            DsBadKeyAlgo,
+            DsUnassignedKeyAlgo,
+            DsReservedKeyAlgo,
+            DsUnassignedDigestAlgo,
+            DsBogusDigestValue,
+            RrsigExpired(TypeSel::All),
+            RrsigExpired(TypeSel::OnlyApexA),
+            RrsigNotYetValid(TypeSel::All),
+            RrsigNotYetValid(TypeSel::OnlyApexA),
+            RrsigMissing(TypeSel::All),
+            RrsigMissing(TypeSel::OnlyApexA),
+            RrsigExpiredBeforeValid(TypeSel::All),
+            RrsigExpiredBeforeValid(TypeSel::OnlyApexA),
+            Nsec3Missing,
+            BadNsec3Hash,
+            BadNsec3Next,
+            BadNsec3Rrsig,
+            Nsec3RrsigMissing,
+            Nsec3ParamMissing,
+            BadNsec3ParamSalt,
+            NoNsec3ParamNsec3,
+            NoZsk,
+            BadZsk,
+            NoKsk,
+            NoRrsigKsk,
+            BadRrsigKsk,
+            BadKsk,
+            NoRrsigDnskey,
+            BadRrsigDnskey,
+            NoZoneKeyBitZsk,
+            NoZoneKeyBitKsk,
+            NoZoneKeyBitBoth,
+            BadZskAlgo,
+            UnassignedZskAlgo,
+            ReservedZskAlgo,
+        ];
+        let (signed, keys) = signed_zone();
+        for m in every {
+            let mut mutated = signed.clone();
+            m.apply(&mut mutated, &keys);
+            let kept = |z: &Zone, edited: bool| -> Vec<Rrset> {
+                z.iter()
+                    .filter(|s| m.edits(s.rtype) == edited)
+                    .cloned()
+                    .collect()
+            };
+            assert_eq!(kept(&mutated, false), kept(&signed, false), "{m:?}");
+            let child_side = every[7..].contains(&m);
+            assert_eq!(
+                kept(&mutated, true) != kept(&signed, true),
+                child_side,
+                "{m:?}"
+            );
+        }
     }
 
     #[test]

@@ -56,9 +56,8 @@ fn query_log_mode(path: &str, expr: Option<&str>) {
     let matches = filter.filter(&records);
     for r in matches.iter().take(10) {
         println!(
-            "  pass {} @{}ms {} [{}] rcode {:?} codes {:?}",
+            "  pass {} {} [{}] rcode {:?} codes {:?}",
             r.pass,
-            r.vtime_ms,
             r.name,
             r.category.name(),
             r.rcode,
