@@ -127,7 +127,8 @@ impl QueryFilter {
 
     /// Parse a compact filter expression: comma-separated `key=value`
     /// pairs. Keys: `code`, `vendor`, `tld`, `rank` (`lo-hi` or a
-    /// single rank), `rcode`, `category`, `pass`, `name`. Example: `code=23,tld=com,rank=1-500`. A lone `*` is the
+    /// single rank), `rcode`, `category`, `pass`, `name`. Example:
+    /// `code=23,tld=com,rank=1-500`. A lone `*` is the
     /// match-everything filter, as [`describe`] renders it.
     ///
     /// [`describe`]: QueryFilter::describe

@@ -591,8 +591,7 @@ mod tests {
         }
         let line = r.to_json().replace("\"Cloudflare\"", "\"nope\"");
         assert_eq!(QueryRecord::from_json(&line), None);
-        // The clock stamp records carried until they lost it is an
-        // unknown key, like any other.
+        // A `vtime` stamp is an unknown key, like any other.
         let line = r.to_json().replace("\"pass\":", "\"vtime\":42,\"pass\":");
         assert_eq!(QueryRecord::from_json(&line), None);
 

@@ -297,8 +297,20 @@ impl Misconfig {
                 rtype == RrType::Nsec3param
             }
             Misconfig::NoNsec3ParamNsec3 => matches!(rtype, RrType::Nsec3 | RrType::Nsec3param),
-            // Group 5 edits the apex DNSKEY RRset alone.
-            _ => rtype == RrType::Dnskey,
+            Misconfig::NoZsk
+            | Misconfig::BadZsk
+            | Misconfig::NoKsk
+            | Misconfig::NoRrsigKsk
+            | Misconfig::BadRrsigKsk
+            | Misconfig::BadKsk
+            | Misconfig::NoRrsigDnskey
+            | Misconfig::BadRrsigDnskey
+            | Misconfig::NoZoneKeyBitZsk
+            | Misconfig::NoZoneKeyBitKsk
+            | Misconfig::NoZoneKeyBitBoth
+            | Misconfig::BadZskAlgo
+            | Misconfig::UnassignedZskAlgo
+            | Misconfig::ReservedZskAlgo => rtype == RrType::Dnskey,
         }
     }
 
