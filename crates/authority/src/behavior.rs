@@ -3,7 +3,6 @@
 use crate::layout;
 use ede_netsim::ServerResponse;
 use ede_wire::{Message, Rcode};
-use std::net::IpAddr;
 
 /// How a server (mis)behaves before any zone logic runs.
 ///
@@ -17,9 +16,6 @@ pub enum Behavior {
     /// REFUSED to every client (`allow-query-none`, and the dominant
     /// broken-nameserver mode in the wild scan).
     RefuseAll,
-    /// REFUSED unless the source address is on the list
-    /// (`allow-query-localhost`).
-    AllowOnly(Vec<IpAddr>),
     /// SERVFAIL to everything.
     ServfailAll,
     /// NOTAUTH to everything — unexpected outside TSIG processing, yet
@@ -33,43 +29,18 @@ pub enum Behavior {
 }
 
 impl Behavior {
-    /// The standard localhost ACL used by `allow-query-localhost`.
-    pub fn allow_localhost_only() -> Self {
-        Behavior::AllowOnly(vec![
-            "127.0.0.1".parse().expect("valid"),
-            "::1".parse().expect("valid"),
-        ])
-    }
-
-    /// What a server with this behavior does with `query` from `src`
-    /// before any zone logic runs, like a front-end ACL: drop it, answer
+    /// What a server with this behavior does with `query` before any
+    /// zone logic runs, like a front-end ACL: drop it, answer
     /// the rcode alone ([`layout::rcode_only`]), or, with `None`, let it
     /// through to the zones.
-    pub fn gate(&self, query: &Message, src: IpAddr) -> Option<ServerResponse> {
+    pub fn gate(&self, query: &Message) -> Option<ServerResponse> {
         let rcode = match self {
             Behavior::Timeout => return Some(ServerResponse::Drop),
             Behavior::RefuseAll => Rcode::Refused,
-            Behavior::AllowOnly(allowed) if !allowed.contains(&src) => Rcode::Refused,
             Behavior::ServfailAll => Rcode::ServFail,
             Behavior::NotAuthAll => Rcode::NotAuth,
-            Behavior::Normal | Behavior::AllowOnly(_) | Behavior::NoEdns => return None,
+            Behavior::Normal | Behavior::NoEdns => return None,
         };
         Some(ServerResponse::Reply(layout::rcode_only(query, rcode)))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn localhost_acl_contents() {
-        match Behavior::allow_localhost_only() {
-            Behavior::AllowOnly(addrs) => {
-                assert_eq!(addrs.len(), 2);
-                assert!(addrs.iter().all(|a| a.is_loopback()));
-            }
-            _ => unreachable!(),
-        }
     }
 }

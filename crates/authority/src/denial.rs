@@ -5,37 +5,19 @@ use ede_wire::{Name, Rdata, Record, RrType};
 use ede_zone::{nsec3, Nsec3Config, Rrset, Zone};
 use std::borrow::Cow;
 
-/// Read the zone's NSEC3 parameters.
-///
-/// Prefer the apex NSEC3PARAM; when it is missing (the
-/// `nsec3param-missing` mutation) fall back to the parameters embedded in
-/// any NSEC3 record — BIND-family servers lose the ability to *locate*
-/// denial records without the PARAM, which we model in the server layer,
-/// but other code (and the resolver's diagnosis) can still recover the
-/// parameters this way.
+/// Read the zone's NSEC3 parameters from its apex NSEC3PARAM. A zone
+/// that lost the record (the `nsec3param-missing` mutation) has none: a
+/// server then cannot locate its denial records.
 pub fn zone_nsec3_params(zone: &Zone) -> Option<Nsec3Config> {
-    if let Some(set) = zone.get(zone.apex(), RrType::Nsec3param) {
-        if let Some(Rdata::Nsec3param {
+    match zone.get(zone.apex(), RrType::Nsec3param)?.rdatas.first() {
+        Some(Rdata::Nsec3param {
             iterations, salt, ..
-        }) = set.rdatas.first()
-        {
-            return Some(Nsec3Config {
-                iterations: *iterations,
-                salt: salt.clone(),
-            });
-        }
+        }) => Some(Nsec3Config {
+            iterations: *iterations,
+            salt: salt.clone(),
+        }),
+        _ => None,
     }
-    zone.iter()
-        .filter(|s| s.rtype == RrType::Nsec3)
-        .find_map(|s| match s.rdatas.first() {
-            Some(Rdata::Nsec3 {
-                iterations, salt, ..
-            }) => Some(Nsec3Config {
-                iterations: *iterations,
-                salt: salt.clone(),
-            }),
-            _ => None,
-        })
 }
 
 /// Are the zone's NSEC3 records' embedded parameters consistent with the
@@ -43,9 +25,9 @@ pub fn zone_nsec3_params(zone: &Zone) -> Option<Nsec3Config> {
 /// still fails, the chain's owner names are damaged — a real server's
 /// tree walk then returns *nearby* (wrong) records rather than nothing,
 /// whereas a salt mismatch makes every computed hash meaningless and the
-/// lookup comes back empty. The testbed's `bad-nsec3-hash` vs
-/// `bad-nsec3param-salt` cases are distinguishable on the wire only
-/// because of this difference.
+/// lookup comes back empty. Only a NODATA question can meet a damaged
+/// chain this way (a covering record always answers an NXDOMAIN one);
+/// Table 4 asks none, so its `bad-nsec3-hash` row does not depend on it.
 fn params_consistent(zone: &Zone, params: &Nsec3Config) -> bool {
     zone.iter()
         .filter(|s| s.rtype == RrType::Nsec3)
@@ -59,9 +41,9 @@ fn params_consistent(zone: &Zone, params: &Nsec3Config) -> bool {
 
 /// Fallback inclusion: the first couple of NSEC3 RRsets in canonical
 /// order, standing in for a tree-predecessor walk over a damaged chain.
-fn nearby_nsec3(zone: &Zone, dnssec: bool, out: &mut Vec<Record>) {
+fn nearby_nsec3(zone: &Zone, out: &mut Vec<Record>) {
     for set in zone.iter().filter(|s| s.rtype == RrType::Nsec3).take(2) {
-        push_rrset(out, Cow::Borrowed(set), dnssec);
+        push_rrset(out, Cow::Borrowed(set), true);
     }
 }
 
@@ -69,32 +51,20 @@ fn nearby_nsec3(zone: &Zone, dnssec: bool, out: &mut Vec<Record>) {
 /// matching `qname` (whose bitmap shows the queried type absent). At a
 /// delegation without DS it is also the proof that the delegation is
 /// insecure: the bitmap there has NS but not DS.
-pub fn nodata_proof(
-    zone: &Zone,
-    params: &Nsec3Config,
-    qname: &Name,
-    dnssec: bool,
-    out: &mut Vec<Record>,
-) {
+pub fn nodata_proof(zone: &Zone, params: &Nsec3Config, qname: &Name, out: &mut Vec<Record>) {
     let proof_at = out.len();
     if let Some(set) = nsec3::find_matching(zone, params, qname) {
-        push_rrset(out, Cow::Borrowed(set), dnssec);
+        push_rrset(out, Cow::Borrowed(set), true);
     }
     if out.len() == proof_at && params_consistent(zone, params) {
-        nearby_nsec3(zone, dnssec, out);
+        nearby_nsec3(zone, out);
     }
 }
 
 /// NSEC3 proof for NXDOMAIN, appended to `out`: match the closest
 /// encloser, cover the next closer name, and cover the
 /// source-of-synthesis wildcard.
-pub fn nxdomain_proof(
-    zone: &Zone,
-    params: &Nsec3Config,
-    qname: &Name,
-    dnssec: bool,
-    out: &mut Vec<Record>,
-) {
+pub fn nxdomain_proof(zone: &Zone, params: &Nsec3Config, qname: &Name, out: &mut Vec<Record>) {
     let proof_at = out.len();
 
     // Closest encloser: deepest ancestor of qname that exists.
@@ -114,7 +84,7 @@ pub fn nxdomain_proof(
     let mut push_unique = |set: Option<&Rrset>, out: &mut Vec<Record>| {
         if let Some(set) = set {
             if seen.insert(set.name.clone()) {
-                push_rrset(out, Cow::Borrowed(set), dnssec);
+                push_rrset(out, Cow::Borrowed(set), true);
             }
         }
     };
@@ -125,7 +95,7 @@ pub fn nxdomain_proof(
         push_unique(nsec3::find_covering(zone, params, &wildcard), out);
     }
     if out.len() == proof_at && params_consistent(zone, params) {
-        nearby_nsec3(zone, dnssec, out);
+        nearby_nsec3(zone, out);
     }
 }
 
@@ -177,19 +147,12 @@ mod tests {
     }
 
     #[test]
-    fn params_fall_back_to_chain() {
-        let mut z = signed_zone();
-        z.remove(&n("example.com"), RrType::Nsec3param);
-        assert!(zone_nsec3_params(&z).is_some());
-    }
-
-    #[test]
     fn nodata_proof_matches_qname() {
         let z = signed_zone();
         let p = zone_nsec3_params(&z).unwrap();
         // AAAA at apex doesn't exist — NODATA; proof = apex matcher.
         let mut proof = Vec::new();
-        nodata_proof(&z, &p, &n("example.com"), true, &mut proof);
+        nodata_proof(&z, &p, &n("example.com"), &mut proof);
         assert!(!proof.is_empty());
         assert!(proof.iter().any(|r| r.rtype() == RrType::Nsec3));
         assert!(proof.iter().any(|r| r.rtype() == RrType::Rrsig));
@@ -200,19 +163,10 @@ mod tests {
         let z = signed_zone();
         let p = zone_nsec3_params(&z).unwrap();
         let mut proof = Vec::new();
-        nxdomain_proof(&z, &p, &n("nonexistent.example.com"), true, &mut proof);
+        nxdomain_proof(&z, &p, &n("nonexistent.example.com"), &mut proof);
         let nsec3s = proof.iter().filter(|r| r.rtype() == RrType::Nsec3).count();
         // Closest-encloser match (apex) + next-closer cover; the wildcard
         // cover may coincide with the next-closer interval.
         assert!(nsec3s >= 2, "got {nsec3s} NSEC3 records");
-    }
-
-    #[test]
-    fn without_do_no_rrsigs() {
-        let z = signed_zone();
-        let p = zone_nsec3_params(&z).unwrap();
-        let mut proof = Vec::new();
-        nodata_proof(&z, &p, &n("example.com"), false, &mut proof);
-        assert!(proof.iter().all(|r| r.rtype() != RrType::Rrsig));
     }
 }

@@ -49,14 +49,9 @@ impl ZoneServer {
         &self.behavior
     }
 
-    /// Zones served.
-    pub fn store(&self) -> &ZoneStore {
-        &self.store
-    }
-
     /// Process one query.
-    pub fn answer(&self, query: &Message, src: IpAddr) -> ServerResponse {
-        let resp = self.answer_inner(query, src);
+    pub fn answer(&self, query: &Message) -> ServerResponse {
+        let resp = self.answer_inner(query);
         if let ServerResponse::Reply(m) = &resp {
             let tracer = self.tracer.get();
             if tracer.enabled() {
@@ -74,8 +69,8 @@ impl ZoneServer {
         resp
     }
 
-    fn answer_inner(&self, query: &Message, src: IpAddr) -> ServerResponse {
-        if let Some(resp) = self.behavior.gate(query, src) {
+    fn answer_inner(&self, query: &Message) -> ServerResponse {
+        if let Some(resp) = self.behavior.gate(query) {
             return resp;
         }
         let Some(q) = query.first_question() else {
@@ -128,7 +123,7 @@ impl ZoneServer {
         // An insecure delegation: the zone's own proof that no DS exists.
         if dnssec_ok && ds.is_none() {
             if let Some(params) = zone_nsec3_params(zone) {
-                nodata_proof(zone, &params, deleg, true, &mut resp.authorities);
+                nodata_proof(zone, &params, deleg, &mut resp.authorities);
             }
         }
     }
@@ -154,9 +149,8 @@ impl ZoneServer {
         // negative responses go out entirely unsigned — the behavior
         // behind the paper's `nsec3param-missing` / `no-nsec3param-nsec3`
         // cases.
-        let can_prove = zone.get(zone.apex(), RrType::Nsec3param).is_some();
-        let negative_dnssec = dnssec_ok && can_prove;
-        let params = negative_dnssec.then(|| zone_nsec3_params(zone)).flatten();
+        let params = dnssec_ok.then(|| zone_nsec3_params(zone)).flatten();
+        let negative_dnssec = params.is_some();
 
         if zone.name_exists_or_ent(qname) {
             // NODATA.
@@ -164,7 +158,7 @@ impl ZoneServer {
                 push_rrset(&mut resp.authorities, Cow::Borrowed(soa), negative_dnssec);
             }
             if let Some(params) = &params {
-                nodata_proof(zone, params, qname, true, &mut resp.authorities);
+                nodata_proof(zone, params, qname, &mut resp.authorities);
             }
         } else {
             resp.rcode = Rcode::NxDomain;
@@ -172,15 +166,15 @@ impl ZoneServer {
                 push_rrset(&mut resp.authorities, Cow::Borrowed(soa), negative_dnssec);
             }
             if let Some(params) = &params {
-                nxdomain_proof(zone, params, qname, true, &mut resp.authorities);
+                nxdomain_proof(zone, params, qname, &mut resp.authorities);
             }
         }
     }
 }
 
 impl Server for ZoneServer {
-    fn handle(&self, query: &Message, src: IpAddr, _now: u32) -> ServerResponse {
-        self.answer(query, src)
+    fn handle(&self, query: &Message, _src: IpAddr, _now: u32) -> ServerResponse {
+        self.answer(query)
     }
 }
 
@@ -193,10 +187,6 @@ mod tests {
 
     fn n(s: &str) -> Name {
         Name::parse(s).unwrap()
-    }
-
-    fn client() -> IpAddr {
-        "203.0.113.99".parse().unwrap()
     }
 
     fn soa_rdata(apex: &str) -> Rdata {
@@ -259,7 +249,7 @@ mod tests {
 
     fn reply(server: &ZoneServer, name: &str, qtype: RrType) -> Message {
         let q = Message::iterative_query(1, n(name), qtype);
-        match server.answer(&q, client()) {
+        match server.answer(&q) {
             ServerResponse::Reply(m) => m,
             ServerResponse::Drop => panic!("server dropped the query"),
         }
@@ -341,20 +331,20 @@ mod tests {
         let make = |b| ZoneServer::with_behavior(ZoneStore::new(), b);
         let q = Message::iterative_query(9, n("x.example.com"), RrType::A);
 
-        match make(Behavior::RefuseAll).answer(&q, client()) {
+        match make(Behavior::RefuseAll).answer(&q) {
             ServerResponse::Reply(m) => assert_eq!(m.rcode, Rcode::Refused),
             _ => panic!(),
         }
-        match make(Behavior::ServfailAll).answer(&q, client()) {
+        match make(Behavior::ServfailAll).answer(&q) {
             ServerResponse::Reply(m) => assert_eq!(m.rcode, Rcode::ServFail),
             _ => panic!(),
         }
-        match make(Behavior::NotAuthAll).answer(&q, client()) {
+        match make(Behavior::NotAuthAll).answer(&q) {
             ServerResponse::Reply(m) => assert_eq!(m.rcode, Rcode::NotAuth),
             _ => panic!(),
         }
         assert!(matches!(
-            make(Behavior::Timeout).answer(&q, client()),
+            make(Behavior::Timeout).answer(&q),
             ServerResponse::Drop
         ));
     }
@@ -368,7 +358,6 @@ mod tests {
         let make = |b| ZoneServer::with_behavior(ZoneStore::new(), b);
         let cases = [
             (Behavior::RefuseAll, true, Rcode::Refused),
-            (Behavior::allow_localhost_only(), true, Rcode::Refused),
             (Behavior::ServfailAll, true, Rcode::ServFail),
             (Behavior::NotAuthAll, true, Rcode::NotAuth),
             (Behavior::Normal, true, Rcode::Refused),
@@ -384,29 +373,13 @@ mod tests {
                     dnssec_ok,
                     ..Default::default()
                 });
-                let ServerResponse::Reply(m) = make(behavior.clone()).answer(&q, client()) else {
+                let ServerResponse::Reply(m) = make(behavior.clone()).answer(&q) else {
                     panic!("{behavior:?} dropped the query");
                 };
                 assert_eq!(m.rcode, rcode, "{behavior:?}, EDNS {edns:?}");
                 assert_eq!(m.edns.map(|e| e.dnssec_ok), edns, "{behavior:?}, {rcode:?}");
                 assert!(m.answers.is_empty() && m.authorities.is_empty());
             }
-        }
-    }
-
-    #[test]
-    fn acl_allows_listed_sources_only() {
-        let s = ZoneServer::with_behavior(ZoneStore::new(), Behavior::allow_localhost_only());
-        let q = Message::iterative_query(9, n("x.example.com"), RrType::A);
-        match s.answer(&q, client()) {
-            ServerResponse::Reply(m) => assert_eq!(m.rcode, Rcode::Refused),
-            _ => panic!(),
-        }
-        // Localhost gets past the ACL (then REFUSED for no zone — but
-        // with a different path: the zone lookup).
-        match s.answer(&q, "127.0.0.1".parse().unwrap()) {
-            ServerResponse::Reply(m) => assert_eq!(m.rcode, Rcode::Refused),
-            _ => panic!(),
         }
     }
 
@@ -420,7 +393,7 @@ mod tests {
         store.insert(z);
         let s = ZoneServer::with_behavior(store, Behavior::NoEdns);
         let q = Message::iterative_query(1, n("legacy.example"), RrType::A);
-        match s.answer(&q, client()) {
+        match s.answer(&q) {
             ServerResponse::Reply(m) => {
                 assert!(m.edns.is_none(), "legacy server must not echo OPT");
                 assert!(m.answers.iter().any(|r| r.rtype() == RrType::A));
@@ -438,7 +411,7 @@ mod tests {
         let s = build_server();
         let mut q = Message::iterative_query(1, n("www.example.com"), RrType::A);
         q.edns.as_mut().unwrap().dnssec_ok = false;
-        match s.answer(&q, client()) {
+        match s.answer(&q) {
             ServerResponse::Reply(m) => {
                 assert!(m.answers.iter().any(|r| r.rtype() == RrType::A));
                 assert!(!m.answers.iter().any(|r| r.rtype() == RrType::Rrsig));

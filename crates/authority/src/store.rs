@@ -23,12 +23,10 @@ impl ZoneStore {
         Self::default()
     }
 
-    /// Add (or replace) a zone.
+    /// Add a zone. Of two zones with one apex, [`find`](Self::find)
+    /// picks the one added later.
     pub fn insert(&mut self, zone: Zone) {
-        match self.zones.iter_mut().find(|z| z.apex() == zone.apex()) {
-            Some(held) => *held = zone,
-            None => self.zones.push(zone),
-        }
+        self.zones.push(zone);
     }
 
     /// The best (deepest) zone for `qname`, if any.

@@ -24,33 +24,6 @@ pub fn encode(data: &[u8]) -> String {
     out
 }
 
-/// Decode, accepting padding and embedded whitespace (zone files wrap
-/// long key material across lines).
-pub fn decode(text: &str) -> Option<Vec<u8>> {
-    let mut out = Vec::with_capacity(text.len() * 3 / 4);
-    let mut acc: u32 = 0;
-    let mut bits = 0u8;
-    for c in text.bytes() {
-        let v = match c {
-            b'A'..=b'Z' => c - b'A',
-            b'a'..=b'z' => c - b'a' + 26,
-            b'0'..=b'9' => c - b'0' + 52,
-            b'+' => 62,
-            b'/' => 63,
-            b'=' => continue,
-            c if c.is_ascii_whitespace() => continue,
-            _ => return None,
-        };
-        acc = (acc << 6) | u32::from(v);
-        bits += 6;
-        if bits >= 8 {
-            bits -= 8;
-            out.push(((acc >> bits) & 0xff) as u8);
-        }
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,23 +42,6 @@ mod tests {
         ];
         for (raw, enc) in cases {
             assert_eq!(encode(raw), *enc);
-            assert_eq!(decode(enc).as_deref(), Some(*raw));
         }
-    }
-
-    #[test]
-    fn whitespace_tolerated() {
-        assert_eq!(decode("Zm9v\n YmFy").as_deref(), Some(b"foobar".as_slice()));
-    }
-
-    #[test]
-    fn garbage_rejected() {
-        assert!(decode("Zm9*").is_none());
-    }
-
-    #[test]
-    fn binary_roundtrip() {
-        let data: Vec<u8> = (0u16..=255).map(|b| b as u8).collect();
-        assert_eq!(decode(&encode(&data)).unwrap(), data);
     }
 }

@@ -39,26 +39,6 @@ pub enum SpecialUse {
     Nat64,
 }
 
-impl SpecialUse {
-    /// Registry-style label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            SpecialUse::ThisHost => "this-host",
-            SpecialUse::Private => "private-use",
-            SpecialUse::Loopback => "loopback",
-            SpecialUse::LinkLocal => "link-local",
-            SpecialUse::Documentation => "documentation",
-            SpecialUse::Reserved => "reserved",
-            SpecialUse::Multicast => "multicast",
-            SpecialUse::Unspecified => "unspecified",
-            SpecialUse::UniqueLocal => "unique-local",
-            SpecialUse::Mapped => "ipv4-mapped",
-            SpecialUse::MappedDeprecated => "ipv4-compatible (deprecated)",
-            SpecialUse::Nat64 => "nat64",
-        }
-    }
-}
-
 /// Routability of an address from a public resolver's vantage point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AddrClass {
@@ -217,15 +197,6 @@ mod tests {
         assert_eq!(
             classify(v4("255.255.255.255")),
             AddrClass::Special(SpecialUse::Reserved)
-        );
-    }
-
-    #[test]
-    fn labels_are_stable() {
-        assert_eq!(SpecialUse::Nat64.label(), "nat64");
-        assert_eq!(
-            SpecialUse::MappedDeprecated.label(),
-            "ipv4-compatible (deprecated)"
         );
     }
 }

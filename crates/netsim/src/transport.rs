@@ -466,7 +466,7 @@ impl Network {
                 msg = garbled;
             }
             if let Some(limit) = plan.negotiated_limit(query) {
-                if !msg.truncated && msg.encoded_len() > usize::from(limit) {
+                if msg.encoded_len() > usize::from(limit) {
                     msg = msg.truncated_copy();
                     self.stats.0.bump(|c| &c.truncated);
                 }

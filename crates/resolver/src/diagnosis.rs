@@ -28,10 +28,6 @@ pub enum NsFailure {
     FormErr,
     /// Responded without an OPT record although we sent EDNS (§4.2.6).
     NoEdns,
-    /// Replied with TC=1 and no usable stream fallback was available —
-    /// the answer exceeded the negotiated UDP payload size and could
-    /// not be fetched whole.
-    Truncated,
     /// Some other error RCODE.
     OtherRcode(u16),
 }
@@ -80,7 +76,6 @@ impl fmt::Display for NsFailure {
             NsFailure::NotAuth => write!(f, "rcode=NOTAUTH"),
             NsFailure::FormErr => write!(f, "rcode=FORMERR"),
             NsFailure::NoEdns => write!(f, "no EDNS support"),
-            NsFailure::Truncated => write!(f, "truncated"),
             NsFailure::OtherRcode(v) => write!(f, "rcode={v}"),
         }
     }
@@ -456,11 +451,6 @@ impl Diagnosis {
             (Insecure, _) | (_, Insecure) => Insecure,
             _ => Secure,
         };
-    }
-
-    /// Does any finding match the predicate?
-    pub fn any(&self, pred: impl Fn(&Finding) -> bool) -> bool {
-        self.findings.iter().any(pred)
     }
 }
 

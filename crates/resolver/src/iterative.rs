@@ -57,11 +57,9 @@ enum SetQuery {
 }
 
 /// What one exchange yielded: a reply to read, or how the server failed.
-/// A stream reply that still has TC set is unusable, and a special-purpose
-/// address can never route.
+/// A special-purpose address can never route.
 fn usable_reply(reply: Result<Message, NetError>) -> Result<Message, NsFailure> {
     match reply {
-        Ok(resp) if resp.truncated => Err(NsFailure::Truncated),
         Ok(resp) => NsFailure::from_rcode(resp.rcode).map_or(Ok(resp), Err),
         Err(NetError::Unroutable) => Err(NsFailure::Unroutable),
         Err(NetError::Timeout) => Err(NsFailure::Timeout),
@@ -69,15 +67,10 @@ fn usable_reply(reply: Result<Message, NetError>) -> Result<Message, NsFailure> 
 }
 
 /// Whether a reply to an EDNS query shows a server without EDNS (RFC
-/// 6891 §7): a whole reply it could have given, or the FORMERR §7 has
-/// such a server answer an OPT with, and no OPT in it. Any other failing
+/// 6891 §7): a reply it could have given, with no OPT in it. A failing
 /// rcode is the server's own answer, OPT or not — a lame server's.
 fn lacks_edns(resp: &Message) -> bool {
-    let usable_or_formerr = matches!(
-        NsFailure::from_rcode(resp.rcode),
-        None | Some(NsFailure::FormErr)
-    );
-    !resp.truncated && resp.edns.is_none() && usable_or_formerr
+    resp.edns.is_none() && NsFailure::from_rcode(resp.rcode).is_none()
 }
 
 impl<'a> Engine<'a> {

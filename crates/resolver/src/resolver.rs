@@ -125,11 +125,6 @@ impl Resolver {
         }
     }
 
-    /// The vendor profile in use.
-    pub fn profile(&self) -> &VendorProfile {
-        &self.profile
-    }
-
     /// The network this resolver queries.
     pub fn network(&self) -> &Network {
         &self.net

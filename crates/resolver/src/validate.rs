@@ -954,7 +954,7 @@ mod tests {
             &mut diag,
         );
         assert!(v.trusted.is_none());
-        assert!(diag.any(|f| matches!(
+        assert!(diag.findings.iter().any(|f| matches!(
             f,
             Finding::DsNoMatchingDnskey {
                 cause: DsMismatch::TagOrAlgorithm
@@ -977,7 +977,7 @@ mod tests {
             &mut diag,
         );
         assert!(v.trusted.is_none());
-        assert!(diag.any(|f| matches!(
+        assert!(diag.findings.iter().any(|f| matches!(
             f,
             Finding::DsNoMatchingDnskey {
                 cause: DsMismatch::Digest
@@ -1000,7 +1000,7 @@ mod tests {
         );
         assert!(v.trusted.is_none());
         assert_eq!(diag.validation, ValidationState::Insecure);
-        assert!(diag.any(|f| matches!(
+        assert!(diag.findings.iter().any(|f| matches!(
             f,
             Finding::DsUnknownAlgorithm {
                 status: AlgStatus::Unassigned,
@@ -1032,7 +1032,7 @@ mod tests {
             SigTarget::Answer,
             &mut diag
         ));
-        assert!(diag.any(|f| matches!(
+        assert!(diag.findings.iter().any(|f| matches!(
             f,
             Finding::SignatureExpired {
                 target: SigTarget::Answer
@@ -1054,7 +1054,7 @@ mod tests {
             &mut diag,
         );
         assert!(v.trusted.is_none());
-        assert!(diag.any(|f| matches!(
+        assert!(diag.findings.iter().any(|f| matches!(
             f,
             Finding::DnskeySigBogus {
                 zsk_present: false,
@@ -1077,7 +1077,10 @@ mod tests {
             &mut diag,
         );
         assert!(v.trusted.is_none());
-        assert!(diag.any(|f| matches!(f, Finding::DnskeySigMissingByMatchedKey)));
+        assert!(diag
+            .findings
+            .iter()
+            .any(|f| matches!(f, Finding::DnskeySigMissingByMatchedKey)));
     }
 
     #[test]
@@ -1093,7 +1096,7 @@ mod tests {
             SIM_NOW,
             &mut diag,
         );
-        assert!(diag.any(|f| matches!(
+        assert!(diag.findings.iter().any(|f| matches!(
             f,
             Finding::DnskeySigBogus {
                 some_sig_valid: true,
@@ -1115,7 +1118,7 @@ mod tests {
             SIM_NOW,
             &mut diag,
         );
-        assert!(diag.any(|f| matches!(
+        assert!(diag.findings.iter().any(|f| matches!(
             f,
             Finding::DnskeySigBogus {
                 some_sig_valid: false,
@@ -1219,7 +1222,10 @@ mod tests {
             &mut diag,
         );
         assert!(v.trusted.is_some(), "chain still validates");
-        assert!(diag.any(|f| matches!(f, Finding::StandbyKeyWithoutRrsig)));
+        assert!(diag
+            .findings
+            .iter()
+            .any(|f| matches!(f, Finding::StandbyKeyWithoutRrsig)));
         assert_eq!(diag.validation, ValidationState::Secure);
     }
 
@@ -1436,7 +1442,7 @@ mod tests {
     #[test]
     fn insecure_referral_proof_over_the_iteration_cap_is_refused() {
         let diag = cross_insecure_cut(u16::MAX, None);
-        assert!(diag.any(|f| matches!(
+        assert!(diag.findings.iter().any(|f| matches!(
             f,
             Finding::Nsec3IterationsExceeded {
                 iterations: u16::MAX
@@ -1528,7 +1534,7 @@ mod tests {
             SIM_NOW,
             &mut diag,
         );
-        assert!(diag.any(|f| matches!(
+        assert!(diag.findings.iter().any(|f| matches!(
             f,
             Finding::DenialProofBroken {
                 issue: DenialIssue::Absent,
@@ -1592,7 +1598,7 @@ mod tests {
             SIM_NOW,
             &mut diag,
         );
-        assert!(diag.any(|f| matches!(
+        assert!(diag.findings.iter().any(|f| matches!(
             f,
             Finding::DenialProofBroken {
                 issue: DenialIssue::OwnerMismatch,
@@ -1676,7 +1682,7 @@ mod tests {
             SIM_NOW,
             &mut diag,
         );
-        assert!(diag.any(|f| matches!(
+        assert!(diag.findings.iter().any(|f| matches!(
             f,
             Finding::DenialProofBroken {
                 issue: DenialIssue::ChainMismatch,

@@ -77,6 +77,8 @@ fn a_referral_without_glue_is_lame() {
     assert!(res.answers.is_empty());
     assert!(res
         .diagnosis
+        .findings
+        .iter()
         .any(|f| matches!(f, Finding::AllServersFailed { .. })));
     assert_eq!(net.stats().snapshot_full().queries, 1);
     let asked: Vec<String> = net.take_capture().into_iter().map(|q| q.qname).collect();

@@ -109,6 +109,8 @@ fn a_server_set_is_cut_at_four_addresses() {
     assert!(res.answers.is_empty());
     assert!(res
         .diagnosis
+        .findings
+        .iter()
         .any(|f| matches!(f, Finding::AllServersFailed { .. })));
     let asked: Vec<IpAddr> = net.take_capture().into_iter().map(|q| q.dst).collect();
     let to_silent: Vec<&IpAddr> = asked

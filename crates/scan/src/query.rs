@@ -1,19 +1,16 @@
-//! Query the scan's query log: a fluent, `#[non_exhaustive]` filter
-//! over [`QueryRecord`]s that works identically on live
+//! Query the scan's query log: a `#[non_exhaustive]` filter over
+//! [`QueryRecord`]s that works identically on live
 //! [`crate::scanner::ScanResult::records`] and on historical JSONL
 //! traces spilled by the query-log ring (see [`load_jsonl`]).
 //!
 //! This is the public face of what the troubleshoot CLI used to do with
-//! ad-hoc argument matching: build a [`QueryFilter`], apply it, and
+//! ad-hoc argument matching: parse a [`QueryFilter`], apply it, and
 //! summarize what matched.
 //!
 //! ```
 //! use ede_scan::query::QueryFilter;
 //!
-//! let filter = QueryFilter::new()
-//!     .code(23)
-//!     .tld("com")
-//!     .rank_range(1, 500);
+//! let filter = QueryFilter::parse("code=23,tld=com,rank=1-100000").unwrap();
 //! assert!(filter.describe().contains("code=23"));
 //! ```
 
@@ -44,9 +41,9 @@ pub fn parse_rcode(s: &str) -> Option<Rcode> {
 /// A conjunctive filter over query records: every set predicate must
 /// hold for a record to match.
 ///
-/// `#[non_exhaustive]`: build with [`QueryFilter::new`] (or
-/// [`QueryFilter::parse`]) and the fluent setters — new predicates can
-/// be added without breaking callers.
+/// `#[non_exhaustive]`: build with [`QueryFilter::parse`] (or
+/// [`QueryFilter::new`] for the match-everything filter) — new
+/// predicates can be added without breaking callers.
 #[derive(Debug, Clone, Default, PartialEq)]
 #[non_exhaustive]
 pub struct QueryFilter {
@@ -77,54 +74,6 @@ impl QueryFilter {
         QueryFilter::default()
     }
 
-    /// Require an EDE code.
-    pub fn code(mut self, code: u16) -> Self {
-        self.code = Some(code);
-        self
-    }
-
-    /// Require a vendor profile.
-    pub fn vendor(mut self, vendor: Vendor) -> Self {
-        self.vendor = Some(vendor);
-        self
-    }
-
-    /// Require a TLD (by label, e.g. `"com"`).
-    pub fn tld(mut self, tld: &str) -> Self {
-        self.tld = Some(tld.trim_matches('.').to_ascii_lowercase());
-        self
-    }
-
-    /// Require a Tranco rank in `[lo, hi]`.
-    pub fn rank_range(mut self, lo: u32, hi: u32) -> Self {
-        self.rank = Some((lo.min(hi), lo.max(hi)));
-        self
-    }
-
-    /// Require a final RCODE.
-    pub fn rcode(mut self, rcode: Rcode) -> Self {
-        self.rcode = Some(rcode);
-        self
-    }
-
-    /// Require a planted category.
-    pub fn category(mut self, category: Category) -> Self {
-        self.category = Some(category);
-        self
-    }
-
-    /// Require a scan pass.
-    pub fn pass(mut self, pass: u8) -> Self {
-        self.pass = Some(pass);
-        self
-    }
-
-    /// Require a substring of the domain name.
-    pub fn name_contains(mut self, needle: &str) -> Self {
-        self.name_contains = Some(needle.to_ascii_lowercase());
-        self
-    }
-
     /// Parse a compact filter expression: comma-separated `key=value`
     /// pairs. Keys: `code`, `vendor`, `tld`, `rank` (`lo-hi` or a
     /// single rank), `rcode`, `category`, `pass`, `name`. Example:
@@ -151,9 +100,9 @@ impl QueryFilter {
                     );
                 }
                 "vendor" => filter.vendor = Some(value.parse()?),
-                "tld" => filter = filter.tld(value),
+                "tld" => filter.tld = Some(value.trim_matches('.').to_ascii_lowercase()),
                 "rank" => {
-                    let (lo, hi) = match value.split_once('-') {
+                    let (lo, hi): (u32, u32) = match value.split_once('-') {
                         Some((lo, hi)) => (
                             lo.parse().map_err(|_| format!("bad rank {lo:?}"))?,
                             hi.parse().map_err(|_| format!("bad rank {hi:?}"))?,
@@ -163,7 +112,7 @@ impl QueryFilter {
                             (r, r)
                         }
                     };
-                    filter = filter.rank_range(lo, hi);
+                    filter.rank = Some((lo.min(hi), lo.max(hi)));
                 }
                 "rcode" => {
                     filter.rcode =
@@ -178,7 +127,7 @@ impl QueryFilter {
                 "pass" => {
                     filter.pass = Some(value.parse().map_err(|_| format!("bad pass {value:?}"))?);
                 }
-                "name" => filter = filter.name_contains(value),
+                "name" => filter.name_contains = Some(value.to_ascii_lowercase()),
                 other => return Err(format!("unknown filter key {other:?}")),
             }
         }
@@ -417,7 +366,7 @@ mod tests {
             record("c.org.", Some(2), vec![23], 1),
             record("d.com.", Some(3), vec![], 2),
         ];
-        let filter = QueryFilter::new().code(23).tld("com").rank_range(1, 500);
+        let filter = QueryFilter::parse("code=23,tld=com,rank=1-500").expect("parses");
         let hits = filter.filter(&records);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].name.to_string(), "a.com.");

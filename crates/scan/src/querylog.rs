@@ -3,9 +3,11 @@
 //! for the records the ring rotates out.
 //!
 //! This replaces the old unbounded `Vec<Observation>`: a scan at any
-//! scale holds at most [`QueryLog::capacity`] records in memory, and the
-//! streaming aggregation (see [`crate::aggregate::PartialAggregate`])
-//! never needs the full log — the ring exists for the operator surface
+//! scale holds at most
+//! [`ScanConfig::query_log_capacity`](crate::scanner::ScanConfig::query_log_capacity)
+//! records in memory, and the streaming aggregation (see
+//! [`crate::aggregate::PartialAggregate`]) never needs the full log —
+//! the ring exists for the operator surface
 //! (`ede_scan::query`, `troubleshoot --log`), not for the report.
 //!
 //! # Determinism
@@ -487,11 +489,6 @@ impl QueryLog {
                 dropped: 0,
             }),
         })
-    }
-
-    /// The configured ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Push a batch of records, assigning their `seq` in arrival order.

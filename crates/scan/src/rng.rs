@@ -104,11 +104,6 @@ impl<'w> WeightedIndex<'w> {
         }
     }
 
-    /// The weights' sum, which scales a uniform `[0, 1)` draw into `x`.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
     /// The index `x` lands on, as the sequential loop finds it; the last
     /// index when the loop would hit none.
     pub fn index(&self, x: f64) -> usize {
@@ -214,8 +209,8 @@ mod tests {
             let n = weights.len();
             let small = n <= 1475;
             let looped = |x: f64| draw.sequential(x).unwrap_or(n - 1);
-            let mut answered: Vec<f64> = (0..2000).map(|_| rng.gen_f64() * draw.sum()).collect();
-            let mut refused = vec![0.0, draw.sum(), ulp(draw.sum(), false)];
+            let mut answered: Vec<f64> = (0..2000).map(|_| rng.gen_f64() * draw.sum).collect();
+            let mut refused = vec![0.0, draw.sum, ulp(draw.sum, false)];
             let stride = if small { 1 } else { 97 };
             for (i, &p) in draw.prefix.iter().enumerate() {
                 refused.extend([p, ulp(p, false), ulp(p, true)]);
@@ -225,7 +220,7 @@ mod tests {
             }
             for x in answered
                 .into_iter()
-                .filter(|x| (0.0..=draw.sum()).contains(x))
+                .filter(|x| (0.0..=draw.sum).contains(x))
             {
                 assert_eq!(draw.index(x), looped(x), "x = {x:e} over {n} weights");
                 fallbacks += usize::from(draw.searched(x).is_none());

@@ -221,7 +221,7 @@ struct HostingNs {
 }
 
 impl Server for HostingNs {
-    fn handle(&self, query: &Message, src: IpAddr, _now: u32) -> ServerResponse {
+    fn handle(&self, query: &Message, _src: IpAddr, _now: u32) -> ServerResponse {
         let Some(q) = query.first_question() else {
             return ServerResponse::Reply(layout::rcode_only(query, Rcode::FormErr));
         };
@@ -244,7 +244,7 @@ impl Server for HostingNs {
             }
         };
         // A fault answers before any zone is built.
-        if let Some(resp) = behavior.gate(query, src) {
+        if let Some(resp) = behavior.gate(query) {
             return resp;
         }
 
@@ -264,7 +264,7 @@ impl Server for HostingNs {
         // answer up.
         let mut store = ZoneStore::new();
         store.insert(materialize_child(rec));
-        ZoneServer::with_behavior(store, behavior.clone()).answer(query, src)
+        ZoneServer::with_behavior(store, behavior.clone()).answer(query)
     }
 }
 

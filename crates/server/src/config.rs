@@ -99,7 +99,6 @@ impl ServerConfig {
     /// let config = ServerConfig::builder()
     ///     .bind("127.0.0.1:5300")
     ///     .workers(4)
-    ///     .udp_payload_max(1232)
     ///     .build();
     /// assert_eq!(config.workers, 4);
     /// ```
@@ -153,12 +152,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Set the server-side UDP payload cap (bytes).
-    pub fn udp_payload_max(mut self, bytes: u16) -> Self {
-        self.config.udp_payload_max = bytes;
-        self
-    }
-
     /// Finish, yielding the configuration.
     pub fn build(self) -> ServerConfig {
         self.config
@@ -184,12 +177,10 @@ mod tests {
             .bind("127.0.0.1:5300")
             .tcp_bind("127.0.0.1:5301")
             .workers(7)
-            .udp_payload_max(512)
             .build();
         assert_eq!(c.udp_bind, "127.0.0.1:5300");
         assert_eq!(c.tcp_bind.as_deref(), Some("127.0.0.1:5301"));
         assert_eq!(c.workers, 7);
-        assert_eq!(c.udp_payload_max, 512);
     }
 
     #[test]

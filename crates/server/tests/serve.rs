@@ -131,6 +131,37 @@ fn concurrent_udp_clients_get_correct_ede_codes() {
     assert!(stats.tcp_acceptor_alive());
 }
 
+/// Client input no workload sends, one question per branch it alone
+/// reaches, answers over the socket as the same questions resolved in
+/// process, in the same order on an identical resolver: the root name
+/// (`. NS`, `. DNSKEY`: the walk starts at the root without looking
+/// for a cached first hop), and NODATA from a zone whose NSEC3 owners
+/// are mangled (`bad-nsec3-hash AAAA`: no owner matches, so the server
+/// returns the nearby NSEC3 records a tree walk would).
+#[test]
+fn inputs_no_workload_sends_answer_as_resolved_in_process() {
+    let (handle, client) = spawn(
+        ServerConfig::builder()
+            .bind("127.0.0.1:0")
+            .workers(1)
+            .build(),
+    );
+    let resolver = testbed().resolver(Vendor::Cloudflare);
+    let cases = [
+        (Name::root(), RrType::Ns, Rcode::NoError),
+        (Name::root(), RrType::Dnskey, Rcode::NoError),
+        (qname("bad-nsec3-hash"), RrType::Aaaa, Rcode::ServFail),
+    ];
+    for (id, (name, qtype, rcode)) in (1..).zip(cases) {
+        let query = Message::query(id, name.clone(), qtype);
+        let expected = resolver.resolve(&name, qtype).into_message(&query);
+        let exchange = client.query(&query).unwrap();
+        assert_eq!(exchange.response, expected, "{name} {qtype:?}");
+        assert_eq!(exchange.response.rcode, rcode, "{name} {qtype:?}");
+    }
+    handle.shutdown().unwrap();
+}
+
 #[test]
 fn truncated_udp_answer_retries_over_tcp_bit_identical() {
     // Compute the untruncated response out-of-band on an identical
@@ -139,13 +170,12 @@ fn truncated_udp_answer_retries_over_tcp_bit_identical() {
     let query = Message::query(0x4242, qname("valid"), RrType::A);
     let expected_full = pipeline::answer(&resolver, None, &query).encode().unwrap();
 
-    let (handle, client) = spawn(
-        ServerConfig::builder()
-            .bind("127.0.0.1:0")
-            .workers(1)
-            .udp_payload_max(96)
-            .build(),
-    );
+    let mut config = ServerConfig::builder()
+        .bind("127.0.0.1:0")
+        .workers(1)
+        .build();
+    config.udp_payload_max = 96;
+    let (handle, client) = spawn(config);
 
     // Raw UDP leg: the answer must be a TC=1 header+question skeleton.
     let wire = query.encode().unwrap();

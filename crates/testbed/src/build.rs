@@ -181,8 +181,9 @@ impl TestbedBuilder {
             if matches!(spec.glue, GlueKind::Routable) {
                 let behavior = match spec.server {
                     ServerMode::Normal => Behavior::Normal,
-                    ServerMode::RefuseAll => Behavior::RefuseAll,
-                    ServerMode::LocalhostOnly => Behavior::allow_localhost_only(),
+                    // No resolver queries from localhost: the localhost
+                    // ACL refuses every query that reaches it.
+                    ServerMode::RefuseAll | ServerMode::LocalhostOnly => Behavior::RefuseAll,
                 };
                 let mut store = ZoneStore::new();
                 store.insert(zone);

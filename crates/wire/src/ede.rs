@@ -199,32 +199,6 @@ impl EdeCode {
             EdeCode::Unassigned(_) => "Unassigned",
         }
     }
-
-    /// The paper's §2 functional grouping of INFO-CODEs.
-    pub fn category(self) -> EdeCategory {
-        match self.to_u16() {
-            1 | 2 | 5..=12 | 25 | 27 => EdeCategory::DnssecValidation,
-            3 | 13 | 19 | 29 => EdeCategory::Caching,
-            4 | 15..=18 | 20 => EdeCategory::ResolverPolicy,
-            14 | 21..=23 => EdeCategory::SoftwareOperation,
-            _ => EdeCategory::Other,
-        }
-    }
-}
-
-/// Functional grouping from §2 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EdeCategory {
-    /// DNSSEC validation problems (codes 1, 2, 5–12, 25, 27).
-    DnssecValidation,
-    /// Caching behaviour (3, 13, 19, 29).
-    Caching,
-    /// Resolver policy decisions (4, 15–18, 20).
-    ResolverPolicy,
-    /// DNS software operation (14, 21–23).
-    SoftwareOperation,
-    /// Everything else (0, 24, 26, 28).
-    Other,
 }
 
 impl fmt::Display for EdeCode {
@@ -330,23 +304,6 @@ mod tests {
             "Signature Expired before Valid"
         );
         assert_eq!(EdeCode::from_u16(29).description(), "Synthesized");
-    }
-
-    #[test]
-    fn categories_match_paper_section2() {
-        use EdeCategory::*;
-        assert_eq!(EdeCode::DnssecBogus.category(), DnssecValidation);
-        assert_eq!(
-            EdeCode::UnsupportedNsec3IterationsValue.category(),
-            DnssecValidation
-        );
-        assert_eq!(EdeCode::StaleAnswer.category(), Caching);
-        assert_eq!(EdeCode::Synthesized.category(), Caching);
-        assert_eq!(EdeCode::Blocked.category(), ResolverPolicy);
-        assert_eq!(EdeCode::NotAuthoritative.category(), ResolverPolicy);
-        assert_eq!(EdeCode::NetworkError.category(), SoftwareOperation);
-        assert_eq!(EdeCode::InvalidData.category(), Other);
-        assert_eq!(EdeCode::TooEarly.category(), Other);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The 12-byte DNS message header (RFC 1035 §4.1.1).
 
 use crate::error::WireError;
-use crate::rcode::Rcode;
 
 /// Query/operation kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -47,7 +46,7 @@ impl Opcode {
 }
 
 /// Decoded header. The RCODE stored here is only the low 4 bits; the
-/// message layer merges in the EDNS extension to produce [`Rcode`].
+/// message layer merges in the EDNS extension to produce [`Rcode`](crate::rcode::Rcode).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Header {
     /// Transaction identifier.
@@ -159,11 +158,6 @@ impl Header {
             ],
         })
     }
-
-    /// Convenience: the low-bits RCODE as an [`Rcode`] (no EDNS merge).
-    pub fn rcode(&self) -> Rcode {
-        Rcode::from_parts(self.rcode_low, 0)
-    }
 }
 
 #[cfg(test)]
@@ -198,7 +192,7 @@ mod tests {
         let h = Header::decode(&buf).unwrap();
         assert!(!h.response);
         assert_eq!(h.opcode, Opcode::Query);
-        assert_eq!(h.rcode(), Rcode::NoError);
+        assert_eq!(h.rcode_low, 0);
     }
 
     #[test]

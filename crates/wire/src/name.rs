@@ -535,14 +535,9 @@ pub struct Compressor {
 }
 
 impl Compressor {
-    /// Fresh, empty compression table, for a message that starts at its
-    /// buffer's first byte.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// [`Compressor::new`] for a message that starts `base` bytes into
-    /// its buffer.
+    /// A fresh, empty compression table for a message that starts `base`
+    /// bytes into its buffer (`Compressor::default()` starts at its first
+    /// byte).
     pub(crate) fn at(base: usize) -> Self {
         Compressor {
             base,
@@ -638,7 +633,7 @@ mod tests {
     #[test]
     fn compression_shares_suffixes() {
         let mut buf = Vec::new();
-        let mut c = Compressor::new();
+        let mut c = Compressor::default();
         n("mail.example.com").encode(&mut buf, Some(&mut c));
         let first_len = buf.len();
         n("www.example.com").encode(&mut buf, Some(&mut c));
@@ -654,7 +649,7 @@ mod tests {
     #[test]
     fn identical_name_becomes_pure_pointer() {
         let mut buf = Vec::new();
-        let mut c = Compressor::new();
+        let mut c = Compressor::default();
         n("example.com").encode(&mut buf, Some(&mut c));
         let first_len = buf.len();
         n("example.com").encode(&mut buf, Some(&mut c));

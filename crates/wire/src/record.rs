@@ -168,7 +168,7 @@ mod tests {
             Rdata::Ns(Name::parse("ns2.example.com").unwrap()),
         );
         let mut buf = Vec::new();
-        let mut c = Compressor::new();
+        let mut c = Compressor::default();
         a.encode(&mut buf, Some(&mut c));
         a.encode(&mut buf, Some(&mut c));
         let mut pos = 0;

@@ -259,7 +259,7 @@ fn decode_follows_compression_pointers() {
         // A message-like buffer: several names, each compressed against
         // the ones before it, behind a random-length prefix.
         let mut buf = vec![0u8; rng.below(40) as usize];
-        let mut compressor = Compressor::new();
+        let mut compressor = Compressor::default();
         let mut written: Vec<(Name, Model, usize)> = Vec::new();
         for _ in 0..1 + rng.below(5) {
             // Share a suffix with the previous name now and then.
@@ -342,7 +342,7 @@ fn decode_across_the_inline_limit_gives_the_parsed_name() {
         let parsed = Name::parse(&model.text()).unwrap();
         for keep in 0..=model.0.len() {
             let mut buf = vec![0u8; rng.below(8) as usize];
-            let mut compressor = Compressor::new();
+            let mut compressor = Compressor::default();
             parsed.suffix(keep).encode(&mut buf, Some(&mut compressor));
             let at = buf.len();
             parsed.encode(&mut buf, Some(&mut compressor));

@@ -58,11 +58,6 @@ impl ZoneKey {
         &self.signing
     }
 
-    /// DNSKEY flags (256 = ZSK, 257 = KSK).
-    pub fn flags(&self) -> u16 {
-        self.flags
-    }
-
     /// The DNSKEY RDATA for this key.
     pub fn dnskey_rdata(&self) -> Rdata {
         Rdata::Dnskey {
@@ -155,8 +150,8 @@ mod tests {
         let keys = ZoneKeys::generate(&n("example.com"), 8, 2048);
         assert_ne!(keys.ksk, keys.zsk);
         assert_ne!(keys.ksk.key_tag(), keys.zsk.key_tag());
-        assert_eq!(keys.ksk.flags(), 257);
-        assert_eq!(keys.zsk.flags(), 256);
+        assert_eq!(keys.ksk.flags, 257);
+        assert_eq!(keys.zsk.flags, 256);
     }
 
     #[test]

@@ -226,11 +226,6 @@ pub fn find_covering<'a>(zone: &'a Zone, config: &Nsec3Config, name: &Name) -> O
         .find(|set| set.rtype == RrType::Nsec3 && interval_covers(set, &target))
 }
 
-/// The hash an NSEC3 RRset's owner label spells, if it is base32hex.
-pub fn owner_hash(set: &Rrset) -> Option<Vec<u8>> {
-    decode_label(set.name.first_label()?)
-}
-
 /// The hash a base32hex owner label spells.
 fn decode_label(label: &[u8]) -> Option<Vec<u8>> {
     base32::decode(std::str::from_utf8(label).ok()?)

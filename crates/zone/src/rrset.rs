@@ -67,11 +67,6 @@ impl Rrset {
             .iter()
             .map(move |sig| Record::new(self.name.clone(), self.ttl, Rdata::Rrsig(sig.clone())))
     }
-
-    /// True when the set holds no rdatas.
-    pub fn is_empty(&self) -> bool {
-        self.rdatas.is_empty()
-    }
 }
 
 /// An RRset read in place: an [`Rrset`], or the records of one (owner,
