@@ -60,4 +60,4 @@ pub use cache::{Cache, CacheHit, CacheStatsSnapshot, CachedResolution};
 pub use config::ResolverConfig;
 pub use diagnosis::{Diagnosis, Finding, NsFailure, ValidationState};
 pub use profiles::{Vendor, VendorProfile};
-pub use resolver::{Resolution, Resolver, SharedDiagnosis};
+pub use resolver::{Resolution, Resolver, Served, SharedDiagnosis};

@@ -100,6 +100,56 @@ impl PartialEq for SharedDiagnosis {
 
 impl Eq for SharedDiagnosis {}
 
+/// What [`Resolver::serve`] hands a server: a fresh answer-cache hit's
+/// entry itself, or the resolution a miss built. Either way
+/// [`sections`](Self::sections) borrows what a response carries, so a
+/// hit is written from its entry without a copy.
+#[derive(Debug)]
+pub enum Served {
+    /// A fresh answer-cache hit.
+    Hit {
+        /// The cache entry, shared.
+        entry: Arc<CachedResolution>,
+        /// The AD bit its diagnosis earns.
+        authentic_data: bool,
+    },
+    /// A miss, resolved live (or served stale).
+    Resolved(Resolution),
+}
+
+impl Served {
+    /// The RCODE, the AD bit, the answer records and the EDE entries.
+    pub fn sections(&self) -> (Rcode, bool, &[Record], &[EdeEntry]) {
+        match self {
+            Served::Hit {
+                entry,
+                authentic_data,
+            } => (entry.rcode, *authentic_data, &entry.answers, &entry.ede),
+            Served::Resolved(r) => (r.rcode, r.authentic_data, &r.answers, &r.ede),
+        }
+    }
+}
+
+impl From<Served> for Resolution {
+    /// A hit's entry copied into a resolution that shares its diagnosis.
+    fn from(served: Served) -> Self {
+        match served {
+            Served::Resolved(resolution) => resolution,
+            Served::Hit {
+                entry,
+                authentic_data,
+            } => Resolution {
+                rcode: entry.rcode,
+                answers: entry.answers.to_vec(),
+                ede: entry.ede.to_vec(),
+                authentic_data,
+                validation: entry.diagnosis.validation,
+                diagnosis: SharedDiagnosis(Held::Entry(entry)),
+            },
+        }
+    }
+}
+
 /// An EDE-capable validating recursive resolver bound to one simulated
 /// network and one vendor profile.
 pub struct Resolver {
@@ -157,6 +207,13 @@ impl Resolver {
     /// needs makes it yield its thread until they are stored, not fetch
     /// them again.
     pub fn resolve(&self, qname: &Name, qtype: RrType) -> Resolution {
+        self.pipeline(qname, qtype, true).into()
+    }
+
+    /// [`resolve`](Self::resolve) for a server: the same pipeline,
+    /// probe, trace events and caching, but a fresh answer-cache hit is
+    /// handed over as its entry, not copied into a [`Resolution`].
+    pub fn serve(&self, qname: &Name, qtype: RrType) -> Served {
         self.pipeline(qname, qtype, true)
     }
 
@@ -172,12 +229,12 @@ impl Resolver {
     /// scan calls this for every domain it never revisits, so its caches
     /// hold only what it reads back.
     pub fn resolve_once(&self, qname: &Name, qtype: RrType) -> Resolution {
-        self.pipeline(qname, qtype, false)
+        self.pipeline(qname, qtype, false).into()
     }
 
-    /// The body of both entry points; `store` is whether step 4 keeps
+    /// The body of every entry point; `store` is whether step 4 keeps
     /// the answer and the engine keeps the answer zone's keys.
-    fn pipeline(&self, qname: &Name, qtype: RrType, store: bool) -> Resolution {
+    fn pipeline(&self, qname: &Name, qtype: RrType, store: bool) -> Served {
         let now = self.net.clock().now_secs();
         let tracer = self.net.tracer();
         let started_ms = tracer.now_millis();
@@ -205,16 +262,11 @@ impl Resolver {
             if data.is_failure {
                 Finding::CachedError.announce(&tracer);
             }
-            let resolution = Resolution {
-                rcode: data.rcode,
-                answers: data.answers.to_vec(),
-                ede: data.ede.to_vec(),
+            self.trace_finish(&tracer, started_ms, data.rcode, &data.ede);
+            return Served::Hit {
                 authentic_data: authentic(&data.diagnosis),
-                validation: data.diagnosis.validation,
-                diagnosis: SharedDiagnosis(Held::Entry(data)),
+                entry: data,
             };
-            self.trace_finish(&tracer, started_ms, &resolution);
-            return resolution;
         }
         tracer.emit(TraceEvent::CacheProbe {
             qname: qd(qname),
@@ -254,8 +306,7 @@ impl Resolver {
                     ede,
                     diagnosis: diag.into(),
                 };
-                self.trace_finish(&tracer, started_ms, &resolution);
-                return resolution;
+                return self.finish(&tracer, started_ms, resolution);
             }
         }
 
@@ -313,16 +364,28 @@ impl Resolver {
             ede,
             diagnosis: diag.into(),
         };
-        self.trace_finish(&tracer, started_ms, &resolution);
-        resolution
+        self.finish(&tracer, started_ms, resolution)
+    }
+
+    /// A miss's [`trace_finish`](Self::trace_finish), and its resolution
+    /// as served.
+    fn finish(&self, tracer: &Tracer, started_ms: Option<u64>, res: Resolution) -> Served {
+        self.trace_finish(tracer, started_ms, res.rcode, &res.ede);
+        Served::Resolved(res)
     }
 
     /// Announce the EDE entries and the `ResolutionFinished` bracket.
-    fn trace_finish(&self, tracer: &Tracer, started_ms: Option<u64>, res: &Resolution) {
+    fn trace_finish(
+        &self,
+        tracer: &Tracer,
+        started_ms: Option<u64>,
+        rcode: Rcode,
+        ede: &[EdeEntry],
+    ) {
         if !tracer.enabled() {
             return;
         }
-        for entry in &res.ede {
+        for entry in ede {
             tracer.emit(TraceEvent::EdeEmitted {
                 vendor: self.profile.vendor.name(),
                 code: entry.code.to_u16(),
@@ -331,8 +394,8 @@ impl Resolver {
         }
         let now_ms = tracer.now_millis().unwrap_or(0);
         tracer.emit(TraceEvent::ResolutionFinished {
-            rcode: res.rcode.to_u16(),
-            ede_count: res.ede.len(),
+            rcode: rcode.to_u16(),
+            ede_count: ede.len(),
             duration_ms: now_ms.saturating_sub(started_ms.unwrap_or(now_ms)),
         });
     }

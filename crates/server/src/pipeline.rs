@@ -1,9 +1,9 @@
 //! The transport-independent request pipeline.
 //!
 //! Both front ends — UDP shard workers and TCP connection handlers —
-//! funnel raw request bytes through one crate-internal step that runs
-//! 1 and 2 and counts their decisions; 3 is the datagram transport's
-//! own:
+//! funnel raw request bytes through one step, [`respond`], that runs 1
+//! to 3, counts their decisions and appends the reply's bytes to the
+//! worker's reused buffer:
 //!
 //! 1. [`classify`] decides what the bytes are: a resolvable query, a
 //!    protocol violation answered with FORMERR/NOTIMP/REFUSED/BADVERS, or
@@ -20,9 +20,10 @@
 //!    | header valid but body undecodable | **FORMERR**, echoing ID, opcode and RD |
 //!    | OPT present with version ≠ 0 | **BADVERS** (RFC 6891 §6.1.3), echoing ID, RD and the question, carrying the server's own OPT (version 0) and no answer |
 //!    | no question | **FORMERR**, echoing ID, opcode and RD |
+//!    | more than one question (RFC 9619 §4) | **FORMERR**, echoing ID, opcode and RD, carrying the server's own OPT when the query carried one |
 //!    | question class ≠ IN | **REFUSED**, echoing the question |
 //!    | otherwise | resolve |
-//!    | OPT present, DO bit either way | the same DO bit in every OPT sent back (RFC 3225 §3, RFC 6891 §6.1.4): the answer, NOTIMP, BADVERS, the no-question FORMERR, REFUSED |
+//!    | OPT present, DO bit either way | the same DO bit in every OPT sent back (RFC 3225 §3, RFC 6891 §6.1.4): the answer, NOTIMP, BADVERS, both question-count FORMERRs, REFUSED |
 //!    | OPT with an option the server does not know | ignored, never echoed (RFC 6891 §6.1.2) |
 //!    | OPT advertising fewer than 512 bytes | served as 512 (RFC 6891 §6.2.3) |
 //!
@@ -32,22 +33,30 @@
 //!    last three rows are not dispositions: they hold for whichever reply
 //!    the rows above chose.
 //!
-//! 2. [`answer`] resolves the query through the attached [`Resolver`]
-//!    (full recursion, validation, vendor EDE emission) and moves the
-//!    resolution into the response, honoring EDNS presence: a client
-//!    that sent no OPT record gets none back (and therefore no EDE
-//!    options — RFC 8914 signals require EDNS). A hit on the answer
-//!    cache costs one probe: the entry keeps the EDE list and the
-//!    diagnosis, so nothing is emitted or deep-copied per request.
-//! 3. [`encode_udp`] encodes for the datagram transport, truncating to
-//!    TC=1 when the response exceeds the negotiated payload limit so
-//!    the client retries over TCP. Stream transports encode directly —
-//!    a TCP answer is never truncated, which is what makes the TC=1 →
-//!    TCP retry bit-identical to the untruncated message.
+//! 2. [`Resolver::serve`] resolves the query's one question (full
+//!    recursion, validation, vendor EDE emission). A hit on the answer
+//!    cache costs one probe and hands over the cache entry itself: it
+//!    keeps the answers, the EDE list and the diagnosis, so nothing is
+//!    emitted or copied per request. A miss hands over its resolution.
+//! 3. The reply is written straight from those borrowed fields
+//!    ([`Sections`]): the query's ID, opcode, RD and CD bits and its
+//!    question, the RCODE, the AD bit, the answer records and, when the
+//!    query carried an OPT record, the server's own OPT with the EDE list
+//!    as its options. A client that sent no OPT gets none back (and so
+//!    no EDE options — RFC 8914 signals require EDNS). No reply
+//!    [`Message`] is built. On the datagram transport a reply over the
+//!    negotiated payload limit is written TC=1, header, question and OPT
+//!    only, so the client retries over TCP; a stream is never truncated,
+//!    which is what makes the TC=1 → TCP retry bit-identical to the
+//!    untruncated message.
+//!
+//! [`answer`] and [`encode_udp`] build and encode the same reply as a
+//! [`Message`], byte for byte; the benchmark's in-process replay calls
+//! them, and the tests compare the workers' bytes with theirs.
 
 use ede_resolver::Resolver;
 use ede_trace::Metrics;
-use ede_wire::{Class, Edns, Header, Message, Opcode, Rcode, WireError};
+use ede_wire::{Class, Edns, Header, Message, Opcode, Rcode, Sections, WireError};
 
 /// Why a datagram was dropped without any reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,7 +144,8 @@ pub fn classify(wire: &[u8]) -> QueryDisposition {
         m.edns = own_opt;
         return QueryDisposition::Reject(Box::new(m), RejectKind::BadVers);
     }
-    let Some(q) = query.first_question() else {
+    // RFC 9619 §4: a QUERY carries exactly one question.
+    let [q] = query.questions.as_slice() else {
         let mut m = reject(&header, Rcode::FormErr);
         m.edns = own_opt;
         return QueryDisposition::Reject(Box::new(m), RejectKind::FormErr);
@@ -149,11 +159,13 @@ pub fn classify(wire: &[u8]) -> QueryDisposition {
     QueryDisposition::Resolve(query)
 }
 
-/// Resolve a classified query and render the wire response.
+/// Resolve a classified query and render the response as a [`Message`]:
+/// the bytes [`respond`] writes, built the long way.
 ///
 /// The middle parameter is a shim: it was the worker's L1 tier, which is
 /// gone, and only `None` fills it. `benchmark/src/inproc.rs` still writes
-/// that `None`; ROADMAP item 3's benchmark-only PR removes the parameter.
+/// that `None`; ROADMAP item 1(a)'s benchmark-only PR removes the
+/// parameter.
 pub fn answer(
     resolver: &Resolver,
     _l1: Option<std::convert::Infallible>,
@@ -171,24 +183,38 @@ pub fn answer(
     resp
 }
 
-/// What one request's bytes earned: what the transport must send.
-pub(crate) enum Reply {
-    /// Dropped; nothing goes back.
+/// What [`respond`] appended for one request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Response {
+    /// Dropped: nothing was appended and nothing goes back.
     Nothing,
-    /// A protocol violation's pre-built rejection.
-    Rejection(Message),
-    /// The resolved answer, with the query it answers (the datagram
-    /// transport needs its EDNS advertisement to encode).
-    Answer(Message, Message),
+    /// A reply was appended; `truncated` when it carries TC=1.
+    Written {
+        /// Whether the reply is the over-limit datagram's TC=1 form.
+        truncated: bool,
+    },
 }
 
-/// The request path both transports share: [`classify`], count the
-/// disposition, [`answer`].
-pub(crate) fn serve(resolver: &Resolver, metrics: &Metrics, wire: &[u8]) -> Reply {
-    match classify(wire) {
+/// The request path both transports share: [`classify`] the bytes,
+/// count the disposition, resolve through [`Resolver::serve`], and
+/// append the reply to `out`. A fresh cache hit is written from its
+/// entry's own answers and EDE list, a miss from its resolution's;
+/// neither builds a reply [`Message`].
+///
+/// `udp_payload_max` is the datagram transport's cap: an answer over
+/// [`encode_udp`]'s limit is written TC=1 instead. A stream passes
+/// `None` and is never truncated. On error `out` is left as found.
+pub fn respond(
+    resolver: &Resolver,
+    metrics: &Metrics,
+    request: &[u8],
+    udp_payload_max: Option<u16>,
+    out: &mut Vec<u8>,
+) -> Result<Response, WireError> {
+    let query = match classify(request) {
         QueryDisposition::Drop(_) => {
             metrics.dropped();
-            Reply::Nothing
+            return Ok(Response::Nothing);
         }
         QueryDisposition::Reject(reply, kind) => {
             match kind {
@@ -197,10 +223,42 @@ pub(crate) fn serve(resolver: &Resolver, metrics: &Metrics, wire: &[u8]) -> Repl
                 RejectKind::Refused => metrics.rejected_refused(),
                 RejectKind::BadVers => metrics.rejected_badvers(),
             }
-            Reply::Rejection(*reply)
+            reply.encode_into(out)?;
+            return Ok(Response::Written { truncated: false });
         }
-        QueryDisposition::Resolve(query) => Reply::Answer(answer(resolver, None, &query), query),
-    }
+        QueryDisposition::Resolve(query) => query,
+    };
+    let [question] = query.questions.as_slice() else {
+        unreachable!("classify() only yields Resolve for a query with one question");
+    };
+    let served = resolver.serve(&question.name, question.qtype);
+    let (rcode, authentic_data, answers, ede) = served.sections();
+    // RFC 6891: never volunteer an OPT record (or EDE options riding on
+    // it) to a client that did not signal EDNS support.
+    let opt = query.edns.as_ref().map(Edns::reply);
+    let reply = Sections {
+        header: Header {
+            id: query.id,
+            response: true,
+            opcode: query.opcode,
+            recursion_desired: query.recursion_desired,
+            recursion_available: true,
+            authentic_data,
+            checking_disabled: query.checking_disabled,
+            ..Header::default()
+        },
+        rcode,
+        questions: std::slice::from_ref(question),
+        answers,
+        authorities: &[],
+        additionals: &[],
+        edns: opt.as_ref().map(|opt| (opt, ede)),
+    };
+    let truncated = match udp_payload_max {
+        Some(cap) => write_udp(&reply, &query, cap, out)?,
+        None => reply.encode_into(out).map(|()| false)?,
+    };
+    Ok(Response::Written { truncated })
 }
 
 /// Encode `reply` for the UDP transport, truncating when it exceeds the
@@ -216,13 +274,16 @@ pub fn encode_udp(
     udp_payload_max: u16,
 ) -> Result<(Vec<u8>, bool), WireError> {
     let mut wire = Vec::with_capacity(512);
-    encode_udp_into(reply, query, udp_payload_max, &mut wire).map(|truncated| (wire, truncated))
+    write_udp(&reply.sections(), query, udp_payload_max, &mut wire)
+        .map(|truncated| (wire, truncated))
 }
 
-/// [`encode_udp`] appended to `out` (left as found on error), for a
-/// worker that reuses one buffer. Returns whether the bytes carry TC=1.
-pub(crate) fn encode_udp_into(
-    reply: &Message,
+/// [`encode_udp`] over borrowed sections, appended to `out` (left as
+/// found on error). The over-limit form is [`Message::truncated_copy`]'s:
+/// the same header with TC=1, the question and the OPT. Returns whether
+/// the bytes carry TC=1.
+fn write_udp(
+    reply: &Sections,
     query: &Message,
     udp_payload_max: u16,
     out: &mut Vec<u8>,
@@ -234,7 +295,17 @@ pub(crate) fn encode_udp_into(
         return Ok(false);
     }
     out.truncate(base);
-    reply.truncated_copy().encode_into(out)?;
+    let truncated = Sections {
+        header: Header {
+            truncated: true,
+            ..reply.header
+        },
+        answers: &[],
+        authorities: &[],
+        additionals: &[],
+        ..*reply
+    };
+    truncated.encode_into(out)?;
     Ok(true)
 }
 
@@ -332,6 +403,31 @@ mod tests {
                 assert!(r.edns.is_some(), "EDNS presence echoed");
             }
             other => panic!("expected FORMERR, got {other:?}"),
+        }
+    }
+
+    /// RFC 9619 §4: a QUERY carries one question. Two get the
+    /// no-question row's FORMERR — ID, opcode and RD echoed, no question
+    /// — with the server's own OPT, DO copied, when the query sent one.
+    #[test]
+    fn more_than_one_question_gets_formerr() {
+        let second = Question::new(Name::parse("other.example").unwrap(), RrType::Aaaa);
+        for edns in [None, Some(Edns::default()), Some(Edns::with_do())] {
+            let wire = query_bytes(|m| {
+                m.questions.push(second.clone());
+                m.edns = edns.clone();
+            });
+            match classify(&wire) {
+                QueryDisposition::Reject(m, RejectKind::FormErr) => {
+                    assert_eq!(m.id, 0x1234);
+                    assert_eq!(m.opcode, Opcode::Query);
+                    assert_eq!(m.rcode, Rcode::FormErr);
+                    assert!(m.response && m.recursion_desired, "RD echoed");
+                    assert!(m.questions.is_empty() && m.answers.is_empty());
+                    assert_eq!(m.edns, edns.as_ref().map(Edns::reply), "{edns:?}");
+                }
+                other => panic!("expected FORMERR, got {other:?}"),
+            }
         }
     }
 
@@ -557,5 +653,237 @@ mod tests {
         assert!(decoded.truncated);
         assert!(decoded.answers.is_empty());
         assert_eq!(decoded.questions, query.questions);
+    }
+}
+
+/// The workers write a reply straight from a cache entry or a
+/// resolution (`respond`); the reference builds a reply `Message` and
+/// encodes it (`answer` + `encode_udp` or `Message::encode`). Their bytes
+/// must be equal for every request, a miss and the hit after it, on every
+/// transport; and a served hit must count and announce what
+/// `Resolver::resolve` does.
+#[cfg(test)]
+mod parity {
+    use super::{answer, encode_udp};
+    use crate::server::Shared;
+    use crate::tcp::tests::{serve_on, Scripted};
+    use crate::udp::serve_datagrams;
+    use crate::udp::tests::{peer, ScriptedSocket};
+    use crate::ServerConfig;
+    use ede_resolver::Vendor;
+    use ede_testbed::Testbed;
+    use ede_trace::{Metrics, ResolutionTrace, TraceEvent, TraceSink, Tracer};
+    use ede_wire::stream::frame;
+    use ede_wire::{Edns, Message, Name, RrType};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    /// A datagram cap under every reply's size: every answer goes TC=1.
+    const TC_CAP: u16 = 12;
+
+    /// The two vendors: one that attaches EDE (with EXTRA-TEXT) and one that
+    /// attaches none.
+    const VENDORS: [Vendor; 2] = [Vendor::Cloudflare, Vendor::Bind9];
+
+    /// How a worker is reached.
+    #[derive(Debug, Clone, Copy)]
+    enum Transport {
+        /// UDP with the server's cap.
+        Udp(u16),
+        Tcp,
+    }
+
+    /// What a worker shares, over `vendor`'s resolver with a datagram cap.
+    fn shared(tb: &Testbed, vendor: Vendor, udp_payload_max: u16) -> Shared {
+        Shared {
+            resolver: tb.resolver(vendor),
+            metrics: Arc::new(Metrics::new()),
+            stop: AtomicBool::new(false),
+            active_conns: AtomicUsize::new(0),
+            config: ServerConfig {
+                udp_payload_max,
+                ..ServerConfig::default()
+            },
+        }
+    }
+
+    /// `request` through a worker's own loop: one datagram to
+    /// `serve_datagrams`, or one frame to `serve_stream`. The reply's bytes.
+    fn served(shared: &Shared, transport: Transport, request: &[u8]) -> Vec<u8> {
+        match transport {
+            Transport::Udp(_) => {
+                let socket = ScriptedSocket::new(&shared.stop);
+                socket.push(request, peer(1));
+                serve_datagrams(shared, &socket, Instant::now);
+                shared.stop.store(false, Ordering::Release);
+                let mut sends = socket.sends.into_inner().unwrap();
+                assert_eq!(sends.len(), 1, "one reply");
+                sends.pop().unwrap().0
+            }
+            Transport::Tcp => {
+                let mut conn = Scripted::default();
+                conn.reads.push_back(frame(request).unwrap());
+                serve_on(shared, &mut conn);
+                let framed = conn.writes.concat();
+                let len = usize::from(u16::from_be_bytes([framed[0], framed[1]]));
+                assert_eq!(framed.len(), 2 + len, "one frame");
+                framed[2..].to_vec()
+            }
+        }
+    }
+
+    /// The reference's bytes for `reply`, the `Message` that
+    /// `pipeline::answer` built for `query`.
+    fn reference(reply: &Message, query: &Message, transport: Transport) -> Vec<u8> {
+        match transport {
+            Transport::Udp(cap) => {
+                let (bytes, truncated) = encode_udp(reply, query, cap).unwrap();
+                if cap == TC_CAP {
+                    assert!(truncated);
+                    // The TC=1 form is `truncated_copy`'s.
+                    assert_eq!(bytes, reply.truncated_copy().encode().unwrap());
+                }
+                bytes
+            }
+            Transport::Tcp => reply.encode().unwrap(),
+        }
+    }
+
+    /// The qname of `wire` with every other ASCII letter upper-cased.
+    fn mixed_case(mut wire: Vec<u8>) -> Vec<u8> {
+        let mut at = 12;
+        while wire[at] != 0 {
+            let end = at + 1 + usize::from(wire[at]);
+            for octet in wire[at + 1..end].iter_mut().step_by(2) {
+                octet.make_ascii_uppercase();
+            }
+            at = end;
+        }
+        wire
+    }
+
+    /// Every request shape of the grid for `qname`: no OPT, OPT with DO=0
+    /// and with DO=1; RD and CD each set and clear; the qname as it is and
+    /// in mixed case. Each with its decoded query.
+    fn requests(qname: &Name) -> Vec<(Vec<u8>, Message)> {
+        let mut requests = Vec::new();
+        for edns in [None, Some(Edns::default()), Some(Edns::with_do())] {
+            for (rd, cd) in [(false, false), (true, false), (false, true), (true, true)] {
+                let mut query = Message::query(requests.len() as u16, qname.clone(), RrType::A);
+                query.edns = edns.clone();
+                query.recursion_desired = rd;
+                query.checking_disabled = cd;
+                let wire = query.encode().unwrap();
+                for wire in [wire.clone(), mixed_case(wire)] {
+                    let decoded = Message::decode(&wire).unwrap();
+                    requests.push((wire, decoded));
+                }
+            }
+        }
+        requests
+    }
+
+    /// Every testbed name under two vendors, across the request grid: a
+    /// miss and then a hit, each over UDP at the default cap, over UDP at a
+    /// cap that forces TC=1 and over TCP, must come back in the bytes the
+    /// reference encodes on a resolver in the same state. Each request moves
+    /// the worker's answer cache by one probe: a miss, then a hit.
+    #[test]
+    fn workers_write_the_bytes_of_the_reference_path() {
+        let tb = Testbed::build();
+        let default_cap = ServerConfig::default().udp_payload_max;
+        let transports = [
+            Transport::Udp(default_cap),
+            Transport::Udp(TC_CAP),
+            Transport::Tcp,
+        ];
+        let mut cached_errors = 0;
+        for vendor in VENDORS {
+            let workers = transports.map(|t| match t {
+                Transport::Udp(cap) => shared(&tb, vendor, cap),
+                Transport::Tcp => shared(&tb, vendor, default_cap),
+            });
+            let oracle = tb.resolver(vendor);
+            for spec in &tb.specs {
+                for (wire, query) in requests(&tb.query_name(spec)) {
+                    oracle.flush();
+                    let replies = [(); 2].map(|()| answer(&oracle, None, &query));
+                    cached_errors +=
+                        usize::from(replies[1].ede_codes().len() > replies[0].ede_codes().len());
+                    for (transport, worker) in transports.iter().zip(&workers) {
+                        worker.resolver.flush();
+                        for (hit, reply) in [false, true].into_iter().zip(&replies) {
+                            let before = worker.resolver.cache_stats();
+                            let bytes = served(worker, *transport, &wire);
+                            let after = worker.resolver.cache_stats();
+                            let case = format!(
+                                "{vendor:?} {} {transport:?} hit {hit} {wire:02x?}",
+                                spec.label
+                            );
+                            assert_eq!(bytes, reference(reply, &query, *transport), "{case}");
+                            let probes = (after.hits - before.hits, after.misses - before.misses);
+                            assert_eq!(probes, if hit { (1, 0) } else { (0, 1) }, "{case}");
+                        }
+                    }
+                }
+            }
+        }
+        // A cached failure's hit adds Cached Error: `allow-query-none` and
+        // the other failures under Cloudflare, across the grid's EDNS rows.
+        assert!(cached_errors > 0);
+    }
+
+    /// Attach `sink` to the testbed, run `f`, detach it again.
+    fn traced(tb: &Testbed, sink: Arc<dyn TraceSink>, f: impl FnOnce()) {
+        tb.attach_trace_sink(sink);
+        f();
+        tb.net.clear_trace_sink();
+        for server in &tb.zone_servers {
+            server.set_tracer(Tracer::disabled());
+        }
+    }
+
+    /// A hit served by a worker counts in an attached `Metrics` sink and
+    /// announces, event for event, what `Resolver::resolve` does for the
+    /// same name, under both vendors.
+    #[test]
+    fn a_served_hit_counts_and_announces_what_resolve_does() {
+        let tb = Testbed::build();
+        for vendor in VENDORS {
+            let worker = shared(&tb, vendor, ServerConfig::default().udp_payload_max);
+            let resolver = tb.resolver(vendor);
+            for spec in &tb.specs {
+                let qname = tb.query_name(spec);
+                let request = Message::query(1, qname.clone(), RrType::A)
+                    .encode()
+                    .unwrap();
+                served(&worker, Transport::Tcp, &request);
+                resolver.resolve(&qname, RrType::A);
+
+                let counted = [0, 1].map(|side| {
+                    let metrics = Arc::new(Metrics::new());
+                    traced(&tb, Arc::clone(&metrics) as _, || match side {
+                        0 => drop(served(&worker, Transport::Udp(1232), &request)),
+                        _ => drop(resolver.resolve(&qname, RrType::A)),
+                    });
+                    metrics.snapshot()
+                });
+                assert_eq!(counted[0], counted[1], "{vendor:?} {}", spec.label);
+                assert_eq!(counted[0].resolutions, 1);
+
+                let announced = [0, 1].map(|side| {
+                    let trace = Arc::new(ResolutionTrace::new(64));
+                    traced(&tb, Arc::clone(&trace) as _, || match side {
+                        0 => drop(served(&worker, Transport::Tcp, &request)),
+                        _ => drop(resolver.resolve(&qname, RrType::A)),
+                    });
+                    let events = trace.events().into_iter().map(|e| e.event);
+                    events.collect::<Vec<TraceEvent>>()
+                });
+                assert_eq!(announced[0], announced[1], "{vendor:?} {}", spec.label);
+                assert!(matches!(announced[0][1], TraceEvent::CacheProbe { .. }));
+            }
+        }
     }
 }

@@ -20,7 +20,7 @@
 //! a handler finishes the request it is parsing (the graceful-drain
 //! contract: an in-flight query gets its answer), then closes.
 
-use crate::pipeline::{self, Reply};
+use crate::pipeline::{self, Response};
 use crate::server::{is_transient, micros, Shared, DRAIN_DEADLINE, POLL_TICK};
 use ede_wire::stream::{FrameReader, MAX_FRAME_LEN};
 use std::io::{self, ErrorKind, Read, Write};
@@ -235,28 +235,30 @@ impl Batch {
     fn answer(&mut self, shared: &Shared, request: &[u8], started: Instant) -> bool {
         let metrics = &shared.metrics;
         metrics.tcp_query(request.len());
-        let reply = match pipeline::serve(&shared.resolver, metrics, request) {
-            Reply::Nothing => return false,
-            // No TC on a stream: the full answer always fits the frame.
-            Reply::Rejection(reply) | Reply::Answer(reply, _) => reply,
-        };
         // The length prefix is filled in once the length is known.
         let at = self.out.len();
         self.out.extend_from_slice(&[0, 0]);
-        let encoded = reply.encode_into(&mut self.out);
-        let (Ok(()), Ok(len)) = (encoded, u16::try_from(self.out.len() - at - 2)) else {
-            self.out.truncate(at);
-            metrics.encode_error();
-            return false;
-        };
-        self.out[at..at + 2].copy_from_slice(&len.to_be_bytes());
-        self.unsent.push((started, len.into()));
-        true
+        // No TC on a stream: the full answer always fits the frame.
+        let written = pipeline::respond(&shared.resolver, metrics, request, None, &mut self.out);
+        match (written, u16::try_from(self.out.len() - at - 2)) {
+            (Ok(Response::Written { .. }), Ok(len)) => {
+                self.out[at..at + 2].copy_from_slice(&len.to_be_bytes());
+                self.unsent.push((started, len.into()));
+                true
+            }
+            (written, _) => {
+                self.out.truncate(at);
+                if written != Ok(Response::Nothing) {
+                    metrics.encode_error();
+                }
+                false
+            }
+        }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::server::tests::shared;
     use crate::udp::serve_datagrams;
@@ -276,9 +278,9 @@ mod tests {
     /// next scripted chunk, or as much of it as the buffer takes (then
     /// EOF); an empty chunk is a read that times out, one [`POLL_TICK`]
     /// on the clock. Each `write` call is kept as one element.
-    struct Scripted<'a> {
-        reads: VecDeque<Vec<u8>>,
-        writes: Vec<Vec<u8>>,
+    pub(crate) struct Scripted<'a> {
+        pub(crate) reads: VecDeque<Vec<u8>>,
+        pub(crate) writes: Vec<Vec<u8>>,
         /// Every write fails so, a [`POLL_TICK`] on the clock each.
         write_error: Option<ErrorKind>,
         /// Every write takes one byte and this long on the clock.
@@ -358,7 +360,7 @@ mod tests {
 
     /// Run `peer`'s script through `shared`'s handler on the peer's
     /// clock; how long, on that clock, the handler kept it open.
-    fn serve_on(shared: &Shared, peer: &mut Scripted) -> Duration {
+    pub(crate) fn serve_on(shared: &Shared, peer: &mut Scripted) -> Duration {
         let clock = Rc::clone(&peer.clock);
         let opened = clock.get();
         serve_stream(shared, &mut *peer, move || clock.get());
@@ -743,10 +745,10 @@ mod tests {
         if query.edns.as_ref().is_some_and(|e| e.version != 0) {
             return Some(Rcode::BadVers);
         }
-        Some(match query.first_question() {
-            None => Rcode::FormErr,
-            Some(q) if q.qclass != Class::In => Rcode::Refused,
-            Some(_) => Rcode::NoError,
+        Some(match query.questions.as_slice() {
+            [q] if q.qclass != Class::In => Rcode::Refused,
+            [_] => Rcode::NoError,
+            _ => Rcode::FormErr,
         })
     }
 

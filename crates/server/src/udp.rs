@@ -10,7 +10,7 @@
 //! per datagram, nothing else. A burst waits in the socket's own queue.
 //! Tests drive the loop over a scripted [`Datagrams`] on their own clock.
 
-use crate::pipeline::{self, Reply};
+use crate::pipeline::{self, Response};
 use crate::server::{is_transient, micros, Shared, POLL_TICK};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -66,19 +66,14 @@ pub(crate) fn serve_datagrams(shared: &Shared, socket: &impl Datagrams, now: imp
         let started = now();
         metrics.udp_query(n);
         out.clear();
-        let encoded = match pipeline::serve(&shared.resolver, metrics, &buf[..n]) {
-            Reply::Nothing => continue,
-            Reply::Rejection(reply) => reply.encode_into(&mut out).map(|()| false),
-            Reply::Answer(reply, query) => {
-                pipeline::encode_udp_into(&reply, &query, shared.config.udp_payload_max, &mut out)
-            }
-        };
-        match encoded {
-            Ok(truncated) if socket.send_to(&out, peer).is_ok() => {
+        let cap = Some(shared.config.udp_payload_max);
+        match pipeline::respond(&shared.resolver, metrics, &buf[..n], cap, &mut out) {
+            Ok(Response::Nothing) => {}
+            Ok(Response::Written { truncated }) if socket.send_to(&out, peer).is_ok() => {
                 metrics.udp_response(out.len(), truncated);
                 metrics.observe_handle_us(micros(now().duration_since(started)));
             }
-            Ok(_) => metrics.udp_send_error(),
+            Ok(Response::Written { .. }) => metrics.udp_send_error(),
             Err(_) => metrics.encode_error(),
         }
     }

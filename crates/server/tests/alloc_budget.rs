@@ -1,16 +1,22 @@
 //! Allocation budgets of the serving path: a served answer-cache hit,
-//! from the request's bytes to the answer's bytes in a reused buffer, as
-//! a worker handles it (`classify` → `answer` → `encode_into`). Counts
-//! repeat exactly, in debug and release builds alike; the counting
-//! allocator is local to this test binary and counts per thread.
+//! from the request's bytes to the answer's bytes in a reused buffer.
+//! Counts repeat exactly, in debug and release builds alike; the
+//! counting allocator is local to this test binary and counts per
+//! thread.
 //!
-//! A hit renders nothing: its cache entry keeps the EDE list and the
-//! diagnosis, and the pipeline moves the resolution into the response.
-//! What is left is what the response owns.
+//! Two paths are counted. The workers run `pipeline::respond`, which
+//! writes a hit straight from its cache entry: what is left is what the
+//! decoded query owns. The benchmark's in-process replay runs `classify`
+//! → `answer` → `encode_into`, which builds a reply `Message`: a hit
+//! renders nothing (its cache entry keeps the EDE list and the
+//! diagnosis), and the pipeline moves the resolution into the response,
+//! so what is left there is what the response owns.
 
 use ede_resolver::{Resolver, Vendor};
-use ede_server::pipeline::{self, QueryDisposition};
+use ede_server::pipeline::{self, QueryDisposition, Response};
+use ede_server::ServerConfig;
 use ede_testbed::Testbed;
+use ede_trace::Metrics;
 use ede_wire::{Message, Name, Rcode, RrType};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -116,4 +122,61 @@ fn a_served_cached_failure_allocates_what_its_response_owns() {
     let codes: Vec<u16> = reply.ede_codes().iter().map(|c| c.to_u16()).collect();
     assert_eq!(codes, [9, 13, 22, 23]);
     assert_eq!(allocs, 5);
+}
+
+/// Allocator calls of one hit on `label` through `pipeline::respond`, as
+/// a UDP worker (at the default cap) and a TCP handler run it, after a
+/// miss and a first hit that warmed the output buffer; with the reply.
+fn worker_hit_allocs(label: &str) -> (u64, Message) {
+    let tb = Testbed::build();
+    let resolver = tb.resolver(Vendor::Cloudflare);
+    let metrics = Metrics::new();
+    let qname = Name::parse(&format!("{label}.extended-dns-errors.com")).unwrap();
+    let request = Message::query(7, qname, RrType::A).encode().unwrap();
+    let mut out = Vec::new();
+    let mut allocs = Vec::new();
+    for cap in [Some(ServerConfig::default().udp_payload_max), None] {
+        resolver.flush();
+        let hits = resolver.cache_stats().hits;
+        for warm in [true, true, false] {
+            out.clear();
+            let before = thread_allocs();
+            let written = pipeline::respond(&resolver, &metrics, &request, cap, &mut out);
+            if !warm {
+                allocs.push(thread_allocs() - before);
+            }
+            assert_eq!(written, Ok(Response::Written { truncated: false }));
+        }
+        assert_eq!(resolver.cache_stats().hits - hits, 2);
+    }
+    assert_eq!(allocs[0], allocs[1], "UDP and TCP write the same reply");
+    (allocs[0], Message::decode(&out).unwrap())
+}
+
+/// `ed448` through the workers' path: the query's question list and its
+/// qname's shared block (31 wire octets, too long to hold inline). The
+/// answer, the RRSIG and the EDE entry with its text are written from
+/// the cache entry.
+#[test]
+fn a_worker_hit_with_extra_text_allocates_what_the_query_owns() {
+    let (allocs, reply) = worker_hit_allocs("ed448");
+    assert_eq!(reply.rcode, Rcode::NoError);
+    assert_eq!(reply.answers.len(), 2);
+    let ede: Vec<_> = reply.ede_entries().collect();
+    assert_eq!(ede.len(), 1);
+    assert!(!ede[0].extra_text.is_empty());
+    assert_eq!(allocs, 2);
+}
+
+/// `allow-query-none` through the workers' path: the query's question
+/// list and qname; the four EDE entries and the text come from the
+/// entry.
+#[test]
+fn a_worker_cached_failure_allocates_what_the_query_owns() {
+    let (allocs, reply) = worker_hit_allocs("allow-query-none");
+    assert_eq!(reply.rcode, Rcode::ServFail);
+    assert!(reply.answers.is_empty());
+    let codes: Vec<u16> = reply.ede_codes().iter().map(|c| c.to_u16()).collect();
+    assert_eq!(codes, [9, 13, 22, 23]);
+    assert_eq!(allocs, 2);
 }

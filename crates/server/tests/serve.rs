@@ -362,6 +362,46 @@ fn malformed_query_policy_on_the_wire() {
     assert_eq!(stats.metrics.tcp_queries, 8);
 }
 
+/// RFC 9619 §4: a QUERY with two questions is a FORMERR on both
+/// transports, in the no-question row's shape: ID, opcode and RD echoed,
+/// no question, the server's own OPT (DO copied) when the query carried
+/// one. Neither question is resolved.
+#[test]
+fn a_query_with_two_questions_gets_formerr_on_the_wire() {
+    let (handle, client) = spawn(
+        ServerConfig::builder()
+            .bind("127.0.0.1:0")
+            .workers(1)
+            .build(),
+    );
+    for edns in [Some(Edns::with_do()), None] {
+        let mut query = Message::query(0xC1C1, qname("valid"), RrType::A);
+        let second = query.questions[0].clone();
+        query.questions.push(second);
+        query.edns = edns.clone();
+        let wire = query.encode().unwrap();
+        for reply in [
+            client.query_udp(&wire).unwrap(),
+            client.query_tcp(&wire).unwrap(),
+        ] {
+            let reply = Message::decode(&reply).unwrap();
+            assert_eq!(reply.id, 0xC1C1);
+            assert_eq!(reply.opcode, Opcode::Query);
+            assert_eq!(reply.rcode, Rcode::FormErr);
+            assert!(reply.response && reply.recursion_desired);
+            assert!(reply.questions.is_empty() && reply.answers.is_empty());
+            assert_eq!(reply.edns, edns.as_ref().map(Edns::reply), "{edns:?}");
+        }
+    }
+    let stats = handle.shutdown().unwrap();
+    assert_eq!(stats.metrics.rejected_formerr, 4);
+    assert_eq!(
+        (stats.cache.hits, stats.cache.misses),
+        (0, 0),
+        "nothing resolved"
+    );
+}
+
 /// A query longer than any answer buffer — padded with option 12 to
 /// 4 097 bytes and to 65 000 — is read whole on both transports: the
 /// UDP reply has the rcode and answer section of the TCP one.

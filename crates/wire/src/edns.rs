@@ -18,8 +18,8 @@ pub const DEFAULT_UDP_PAYLOAD: u16 = 1232;
 ///
 /// The same size as an [`EdeEntry`] (the opaque data is a boxed slice,
 /// not a `Vec`), so a list of EDE entries becomes a list of options in
-/// its own allocation: a served answer maps its EDE list into its OPT
-/// record without allocating.
+/// its own allocation: a resolution moved into a reply `Message` maps
+/// its EDE list into the OPT record without allocating.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum EdnsOption {
     /// RFC 8914 Extended DNS Error.
@@ -35,13 +35,21 @@ pub enum EdnsOption {
 
 const _: () = assert!(std::mem::size_of::<EdnsOption>() == std::mem::size_of::<EdeEntry>());
 
-impl EdnsOption {
-    fn code(&self) -> u16 {
-        match self {
-            EdnsOption::Ede(_) => EDE_OPTION_CODE,
-            EdnsOption::Unknown { code, .. } => *code,
-        }
-    }
+/// Append one `{OPTION-CODE, OPTION-LENGTH, OPTION-DATA}` triple, the
+/// data written by `payload`.
+fn option(
+    buf: &mut Vec<u8>,
+    code: u16,
+    payload: impl FnOnce(&mut Vec<u8>) -> Result<(), WireError>,
+) -> Result<(), WireError> {
+    buf.extend_from_slice(&code.to_be_bytes());
+    let len_at = buf.len();
+    buf.extend_from_slice(&[0, 0]);
+    payload(buf)?;
+    let len = u16::try_from(buf.len() - len_at - 2)
+        .map_err(|_| WireError::FieldOverflow("EDNS option"))?;
+    buf[len_at..len_at + 2].copy_from_slice(&len.to_be_bytes());
+    Ok(())
 }
 
 /// Decoded EDNS(0) state for one message.
@@ -96,47 +104,42 @@ impl Edns {
         })
     }
 
-    /// Encode as a complete OPT record.
-    pub fn encode(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
+    /// Append this OPT as a complete record: the extended-RCODE byte of
+    /// its TTL field is `ext_rcode` (the high 8 bits of the combined
+    /// response code), and `ede` follows its own options, one option 15
+    /// each. The caller undoes a partial write on error.
+    pub(crate) fn encode(
+        &self,
+        buf: &mut Vec<u8>,
+        ext_rcode: u8,
+        ede: &[EdeEntry],
+    ) -> Result<(), WireError> {
         Name::root().encode(buf, None);
         buf.extend_from_slice(&RrType::Opt.to_u16().to_be_bytes());
         buf.extend_from_slice(&self.udp_payload_size.to_be_bytes());
-        // The extended-RCODE byte is owned by the message layer (it is
-        // part of the combined Rcode); encode_with_ext_rcode fills it.
-        buf.push(0);
+        buf.push(ext_rcode);
         buf.push(self.version);
         let flags: u16 = if self.dnssec_ok { 0x8000 } else { 0 };
         buf.extend_from_slice(&flags.to_be_bytes());
         let rdlen_at = buf.len();
         buf.extend_from_slice(&[0, 0]);
         for opt in &self.options {
-            buf.extend_from_slice(&opt.code().to_be_bytes());
-            let len_at = buf.len();
-            buf.extend_from_slice(&[0, 0]);
             match opt {
-                EdnsOption::Ede(e) => e.encode_payload(buf)?,
-                EdnsOption::Unknown { data, .. } => buf.extend_from_slice(data),
+                EdnsOption::Ede(e) => option(buf, EDE_OPTION_CODE, |b| e.encode_payload(b))?,
+                EdnsOption::Unknown { code, data } => option(buf, *code, |b| {
+                    b.extend_from_slice(data);
+                    Ok(())
+                })?,
             }
-            let len = u16::try_from(buf.len() - len_at - 2)
-                .map_err(|_| WireError::FieldOverflow("EDNS option"))?;
-            buf[len_at..len_at + 2].copy_from_slice(&len.to_be_bytes());
+        }
+        for e in ede {
+            option(buf, EDE_OPTION_CODE, |b| e.encode_payload(b))?;
         }
         let rdlen = buf.len() - rdlen_at - 2;
         if rdlen > usize::from(u16::MAX) {
             return Err(WireError::FieldOverflow("OPT RDATA"));
         }
         buf[rdlen_at..rdlen_at + 2].copy_from_slice(&(rdlen as u16).to_be_bytes());
-        Ok(())
-    }
-
-    /// Encode as a complete OPT record, with the extended-RCODE byte of
-    /// the TTL field set to `ext_rcode` (the high 8 bits of the combined
-    /// response code).
-    pub fn encode_with_ext_rcode(&self, buf: &mut Vec<u8>, ext_rcode: u8) -> Result<(), WireError> {
-        let at = buf.len();
-        self.encode(buf)?;
-        // Patch TTL byte 0 (offset: root(1) + type(2) + class(2) = 5).
-        buf[at + 5] = ext_rcode;
         Ok(())
     }
 
@@ -193,7 +196,7 @@ mod tests {
     /// Encode then re-parse through the raw RR framing.
     fn roundtrip(edns: &Edns) -> Edns {
         let mut buf = Vec::new();
-        edns.encode(&mut buf).unwrap();
+        edns.encode(&mut buf, 0, &[]).unwrap();
         // Manually unpack the RR framing: root name (1) + type (2).
         assert_eq!(buf[0], 0);
         assert_eq!(u16::from_be_bytes([buf[1], buf[2]]), 41);
@@ -239,7 +242,7 @@ mod tests {
     fn extended_rcode_packing() {
         let e = Edns::default();
         let mut buf = Vec::new();
-        e.encode_with_ext_rcode(&mut buf, 1).unwrap();
+        e.encode(&mut buf, 1, &[]).unwrap();
         let class = u16::from_be_bytes([buf[3], buf[4]]);
         let ttl = u32::from_be_bytes([buf[5], buf[6], buf[7], buf[8]]);
         let (got, ext) = Edns::decode(class, ttl, &buf[11..]).unwrap();

@@ -47,7 +47,7 @@ impl Opcode {
 
 /// Decoded header. The RCODE stored here is only the low 4 bits; the
 /// message layer merges in the EDNS extension to produce [`Rcode`](crate::rcode::Rcode).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Header {
     /// Transaction identifier.
     pub id: u16,

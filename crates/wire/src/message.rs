@@ -4,6 +4,7 @@
 //! lifted out of the additional section into [`Edns`], and the 12-bit
 //! extended RCODE is presented as a single [`Rcode`].
 
+use crate::ede::EdeEntry;
 use crate::edns::Edns;
 use crate::error::WireError;
 use crate::header::{Header, Opcode};
@@ -54,6 +55,71 @@ impl Question {
             qtype,
             qclass,
         })
+    }
+}
+
+/// A message's header and sections, borrowed from wherever they live:
+/// the one encoder. [`Message::encode_into`] is this writer over the
+/// message's own fields; a server writes a response over the query's
+/// question and a cache entry's records and EDE list without building a
+/// [`Message`].
+#[derive(Debug, Clone, Copy)]
+pub struct Sections<'a> {
+    /// ID and flag bits. The writer fills in the section counts and the
+    /// low RCODE bits; whatever the header holds there is ignored.
+    pub header: Header,
+    /// Combined (12-bit) response code.
+    pub rcode: Rcode,
+    /// Question section.
+    pub questions: &'a [Question],
+    /// Answer section.
+    pub answers: &'a [Record],
+    /// Authority section.
+    pub authorities: &'a [Record],
+    /// Additional section, OPT excluded.
+    pub additionals: &'a [Record],
+    /// The OPT record, if one is sent, and EDE entries written as
+    /// options after its own.
+    pub edns: Option<(&'a Edns, &'a [EdeEntry])>,
+}
+
+impl Sections<'_> {
+    /// Encode, with name compression, appended to `buf`, whatever it
+    /// already holds: compression pointers count from this message's
+    /// first byte. On error `buf` is left as it was found.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
+        let base = buf.len();
+        let count = |n: usize| u16::try_from(n).map_err(|_| WireError::BadCount);
+        let header = Header {
+            rcode_low: self.rcode.header_bits(),
+            counts: [
+                count(self.questions.len())?,
+                count(self.answers.len())?,
+                count(self.authorities.len())?,
+                count(self.additionals.len() + usize::from(self.edns.is_some()))?,
+            ],
+            ..self.header
+        };
+        header.encode(buf);
+
+        let mut compressor = Compressor::at(base);
+        for q in self.questions {
+            q.encode(buf, Some(&mut compressor));
+        }
+        for r in self
+            .answers
+            .iter()
+            .chain(self.authorities)
+            .chain(self.additionals)
+        {
+            r.encode(buf, Some(&mut compressor));
+        }
+        if let Some((edns, ede)) = self.edns {
+            // The one step that can fail once bytes have been written.
+            edns.encode(buf, self.rcode.extended_bits(), ede)
+                .inspect_err(|_| buf.truncate(base))?;
+        }
+        Ok(())
     }
 }
 
@@ -210,48 +276,32 @@ impl Message {
     /// compression pointers count from this message's first byte. On
     /// error `buf` is left as it was found.
     pub fn encode_into(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
-        let base = buf.len();
-        let counts_ok = |n: usize| -> Result<u16, WireError> {
-            u16::try_from(n).map_err(|_| WireError::BadCount)
-        };
-        let header = Header {
-            id: self.id,
-            response: self.response,
-            opcode: self.opcode,
-            authoritative: self.authoritative,
-            truncated: self.truncated,
-            recursion_desired: self.recursion_desired,
-            recursion_available: self.recursion_available,
-            authentic_data: self.authentic_data,
-            checking_disabled: self.checking_disabled,
-            rcode_low: self.rcode.header_bits(),
-            counts: [
-                counts_ok(self.questions.len())?,
-                counts_ok(self.answers.len())?,
-                counts_ok(self.authorities.len())?,
-                counts_ok(self.additionals.len() + usize::from(self.edns.is_some()))?,
-            ],
-        };
-        header.encode(buf);
+        self.sections().encode_into(buf)
+    }
 
-        let mut compressor = Compressor::at(base);
-        for q in &self.questions {
-            q.encode(buf, Some(&mut compressor));
+    /// This message's header and sections, borrowed, as the encoder
+    /// writes them.
+    pub fn sections(&self) -> Sections<'_> {
+        Sections {
+            header: Header {
+                id: self.id,
+                response: self.response,
+                opcode: self.opcode,
+                authoritative: self.authoritative,
+                truncated: self.truncated,
+                recursion_desired: self.recursion_desired,
+                recursion_available: self.recursion_available,
+                authentic_data: self.authentic_data,
+                checking_disabled: self.checking_disabled,
+                ..Header::default()
+            },
+            rcode: self.rcode,
+            questions: &self.questions,
+            answers: &self.answers,
+            authorities: &self.authorities,
+            additionals: &self.additionals,
+            edns: self.edns.as_ref().map(|edns| (edns, &[][..])),
         }
-        for r in self
-            .answers
-            .iter()
-            .chain(&self.authorities)
-            .chain(&self.additionals)
-        {
-            r.encode(buf, Some(&mut compressor));
-        }
-        if let Some(edns) = &self.edns {
-            // The one step that can fail once bytes have been written.
-            edns.encode_with_ext_rcode(buf, self.rcode.extended_bits())
-                .inspect_err(|_| buf.truncate(base))?;
-        }
-        Ok(())
     }
 
     /// Decode from wire format.
@@ -335,7 +385,7 @@ impl Message {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ede::{EdeCode, EdeEntry};
+    use crate::ede::EdeCode;
     use crate::edns::EdnsOption;
     use crate::rdata::Rdata;
 
@@ -458,7 +508,7 @@ mod tests {
             ..Default::default()
         };
         header.encode(&mut wire);
-        Edns::default().encode(&mut wire).unwrap();
+        Edns::default().encode(&mut wire, 0, &[]).unwrap();
         assert_eq!(Message::decode(&wire), Err(WireError::BadOpt));
     }
 
