@@ -27,7 +27,9 @@
 //! its *Cached Error* finding already added) and the EDE list the
 //! resolver's profile emits for that diagnosis, so a hit on a cached
 //! failure carries the original codes next to *Cached Error (13)*
-//! without emitting anything itself.
+//! without emitting anything itself. A server adds one thing on the
+//! entry's first hit: its reply bytes ([`CachedResolution::reply_image`]),
+//! which later hits copy.
 //!
 //! # Expiry: checked per probe
 //!
@@ -63,10 +65,10 @@ pub mod infra;
 
 use crate::diagnosis::Diagnosis;
 use bounded::Bounded;
-use ede_wire::{EdeEntry, Name, Rcode, Record, RrType};
+use ede_wire::{EdeEntry, Name, Rcode, Record, ReplyImage, RrType};
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Number of independently-locked shards. A power of two so shard
 /// selection is a mask; 16 is comfortably above any worker count the
@@ -75,10 +77,13 @@ use std::sync::Arc;
 pub const SHARD_COUNT: usize = 16;
 
 /// What a completed resolution left behind: everything a hit on it
-/// returns. The two lists are exactly sized boxed slices, which keeps
-/// the shared allocation, the `Arc`'s two counts included, within 120
-/// bytes: one 128-byte malloc chunk per entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// returns. The answers are an exactly sized boxed slice, and the EDE
+/// list and the reply image sit behind one pointer (the tail), which
+/// keeps the shared allocation, the `Arc`'s two counts included, within
+/// 120 bytes: one 128-byte malloc chunk per entry. The tail is
+/// allocated when the entry is stored with a non-empty EDE list, and
+/// otherwise on the first hit a server writes from the image.
+#[derive(Debug)]
 pub struct CachedResolution {
     /// Final RCODE.
     pub rcode: Rcode,
@@ -88,12 +93,67 @@ pub struct CachedResolution {
     /// [`Finding::CachedError`](crate::Finding::CachedError) for a
     /// failure.
     pub diagnosis: Diagnosis,
-    /// The EDE entries a hit returns: the profile's emission over
-    /// `diagnosis`.
-    pub ede: Box<[EdeEntry]>,
+    /// The EDE list and the reply image; empty for an entry without EDE
+    /// entries that no server has written from.
+    tail: OnceLock<Box<Tail>>,
     /// True when this entry is a resolution *failure* (SERVFAIL) — a hit
     /// on it is a *Cached Error*.
     pub is_failure: bool,
+}
+
+/// What sits behind an entry's one tail pointer.
+#[derive(Debug, Default)]
+struct Tail {
+    /// The EDE entries a hit returns: the profile's emission over the
+    /// diagnosis.
+    ede: Box<[EdeEntry]>,
+    /// The reply a server writes for a hit, encoded on the first one;
+    /// `None` when that failed.
+    image: OnceLock<Option<ReplyImage>>,
+}
+
+impl CachedResolution {
+    /// An entry; `ede` is the profile's emission over `diagnosis`.
+    pub fn new(
+        rcode: Rcode,
+        answers: Box<[Record]>,
+        diagnosis: Diagnosis,
+        ede: Box<[EdeEntry]>,
+        is_failure: bool,
+    ) -> Self {
+        let tail = if ede.is_empty() {
+            OnceLock::new()
+        } else {
+            OnceLock::from(Box::new(Tail {
+                ede,
+                image: OnceLock::new(),
+            }))
+        };
+        CachedResolution {
+            rcode,
+            answers,
+            diagnosis,
+            tail,
+            is_failure,
+        }
+    }
+
+    /// The EDE entries a hit returns: the profile's emission over the
+    /// diagnosis.
+    pub fn ede(&self) -> &[EdeEntry] {
+        self.tail.get().map_or(&[], |tail| &tail.ede)
+    }
+
+    /// The reply a server writes for a hit on this entry, encoded by
+    /// `encode` over the EDE list the first time it is asked for and
+    /// kept; `None` when encoding failed.
+    pub fn reply_image(
+        &self,
+        encode: impl FnOnce(&[EdeEntry]) -> Option<ReplyImage>,
+    ) -> Option<&ReplyImage> {
+        let tail = self.tail.get_or_init(Box::default);
+        tail.image.get_or_init(|| encode(&tail.ede)).as_ref()
+    }
 }
 
 /// What one store operation did to the cache, for the caller's
@@ -185,7 +245,7 @@ impl Entry {
 /// Result of a cache probe. Hits share the stored entry (`Arc`): the
 /// caller clones individual fields only if and when it needs ownership,
 /// never under a cache lock.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub enum CacheHit {
     /// Within TTL.
     Fresh(Arc<CachedResolution>),
@@ -417,30 +477,22 @@ mod tests {
     }
 
     fn success() -> CachedResolution {
-        CachedResolution {
-            rcode: Rcode::NoError,
-            answers: Box::default(),
-            diagnosis: Diagnosis::new(),
-            ede: Box::default(),
-            is_failure: false,
-        }
+        let (answers, ede) = (Box::default(), Box::default());
+        CachedResolution::new(Rcode::NoError, answers, Diagnosis::new(), ede, false)
     }
 
     fn failure() -> CachedResolution {
-        CachedResolution {
-            rcode: Rcode::ServFail,
-            answers: Box::default(),
-            diagnosis: Diagnosis::new(),
-            ede: Box::default(),
-            is_failure: true,
-        }
+        let (answers, ede) = (Box::default(), Box::default());
+        CachedResolution::new(Rcode::ServFail, answers, Diagnosis::new(), ede, true)
     }
 
     /// A serving cache holds per entry one table bucket (the hash and
     /// an `Entry`) and one shared allocation, so their sizes are the
     /// cache's footprint: the bucket is 56 bytes, and keeping the EDE
-    /// list must not take the allocation past its 128-byte malloc chunk
-    /// (8 bytes of which are the chunk's header).
+    /// list and the reply image must not take the allocation past its
+    /// 128-byte malloc chunk (8 bytes of which are the chunk's header).
+    /// Both sit behind the one tail pointer, allocated only for an entry
+    /// with EDE entries or one a server has hit.
     #[test]
     fn an_entry_fits_its_bucket_and_one_malloc_chunk() {
         use std::mem::size_of;

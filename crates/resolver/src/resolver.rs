@@ -124,7 +124,7 @@ impl Served {
             Served::Hit {
                 entry,
                 authentic_data,
-            } => (entry.rcode, *authentic_data, &entry.answers, &entry.ede),
+            } => (entry.rcode, *authentic_data, &entry.answers, entry.ede()),
             Served::Resolved(r) => (r.rcode, r.authentic_data, &r.answers, &r.ede),
         }
     }
@@ -141,7 +141,7 @@ impl From<Served> for Resolution {
             } => Resolution {
                 rcode: entry.rcode,
                 answers: entry.answers.to_vec(),
-                ede: entry.ede.to_vec(),
+                ede: entry.ede().to_vec(),
                 authentic_data,
                 validation: entry.diagnosis.validation,
                 diagnosis: SharedDiagnosis(Held::Entry(entry)),
@@ -262,7 +262,7 @@ impl Resolver {
             if data.is_failure {
                 Finding::CachedError.announce(&tracer);
             }
-            self.trace_finish(&tracer, started_ms, data.rcode, &data.ede);
+            self.trace_finish(&tracer, started_ms, data.rcode, data.ede());
             return Served::Hit {
                 authentic_data: authentic(&data.diagnosis),
                 entry: data,
@@ -337,13 +337,13 @@ impl Resolver {
             let put = self.cache.put(
                 qname,
                 qtype,
-                CachedResolution {
-                    rcode: outcome.rcode,
-                    answers: outcome.answers.as_slice().into(),
-                    diagnosis: stored,
-                    ede: stored_ede.into_boxed_slice(),
+                CachedResolution::new(
+                    outcome.rcode,
+                    outcome.answers.as_slice().into(),
+                    stored,
+                    stored_ede.into_boxed_slice(),
                     is_failure,
-                },
+                ),
                 ttl,
                 now,
             );

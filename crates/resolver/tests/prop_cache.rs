@@ -29,17 +29,13 @@ impl Rng {
 }
 
 fn entry(is_failure: bool) -> CachedResolution {
-    CachedResolution {
-        rcode: if is_failure {
-            Rcode::ServFail
-        } else {
-            Rcode::NoError
-        },
-        answers: Box::default(),
-        diagnosis: Diagnosis::new(),
-        ede: Box::default(),
-        is_failure,
-    }
+    let rcode = if is_failure {
+        Rcode::ServFail
+    } else {
+        Rcode::NoError
+    };
+    let (answers, ede) = (Box::default(), Box::default());
+    CachedResolution::new(rcode, answers, Diagnosis::new(), ede, is_failure)
 }
 
 /// Freshness is monotone in time: once an entry stops being fresh it

@@ -10,17 +10,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn entry(is_failure: bool) -> CachedResolution {
-    CachedResolution {
-        rcode: if is_failure {
-            Rcode::ServFail
-        } else {
-            Rcode::NoError
-        },
-        answers: Box::default(),
-        diagnosis: Diagnosis::new(),
-        ede: Box::default(),
-        is_failure,
-    }
+    let rcode = if is_failure {
+        Rcode::ServFail
+    } else {
+        Rcode::NoError
+    };
+    let (answers, ede) = (Box::default(), Box::default());
+    CachedResolution::new(rcode, answers, Diagnosis::new(), ede, is_failure)
 }
 
 fn name(thread: usize, i: usize) -> Name {

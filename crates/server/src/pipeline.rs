@@ -38,25 +38,33 @@
 //!    cache costs one probe and hands over the cache entry itself: it
 //!    keeps the answers, the EDE list and the diagnosis, so nothing is
 //!    emitted or copied per request. A miss hands over its resolution.
-//! 3. The reply is written straight from those borrowed fields
-//!    ([`Sections`]): the query's ID, opcode, RD and CD bits and its
-//!    question, the RCODE, the AD bit, the answer records and, when the
-//!    query carried an OPT record, the server's own OPT with the EDE list
-//!    as its options. A client that sent no OPT gets none back (and so
-//!    no EDE options — RFC 8914 signals require EDNS). No reply
-//!    [`Message`] is built. On the datagram transport a reply over the
-//!    negotiated payload limit is written TC=1, header, question and OPT
-//!    only, so the client retries over TCP; a stream is never truncated,
-//!    which is what makes the TC=1 → TCP retry bit-identical to the
-//!    untruncated message.
+//! 3. A hit's reply is a copy of its entry's reply image
+//!    ([`ReplyImage`]): the bytes [`Sections`] wrote for the entry on its
+//!    first hit here, to a canonical request — ID 0, RD, CD and DO clear,
+//!    the server's own OPT last with the EDE list as its options. Each
+//!    hit appends them, or only the part before the OPT when the query
+//!    carried none (a client that sent no OPT gets none back, and so no
+//!    EDE options — RFC 8914 signals require EDNS), and sets the query's
+//!    ID, RD, CD and DO bits. What else a reply holds is fixed for the
+//!    entry: the question is the cache key (names are stored lowercase),
+//!    the TTLs are served as stored, and the RCODE and AD bit are the
+//!    entry's. A miss, or an entry whose image did not encode, is
+//!    written by [`Sections`] straight from borrowed fields: the query's
+//!    ID, opcode, RD and CD bits and its question, the RCODE, the AD bit,
+//!    the answer records and the OPT as above. No reply [`Message`] is
+//!    built. On the datagram transport a reply over the negotiated
+//!    payload limit is written TC=1, header, question and OPT only, so
+//!    the client retries over TCP; a stream is never truncated, which is
+//!    what makes the TC=1 → TCP retry bit-identical to the untruncated
+//!    message.
 //!
 //! [`answer`] and [`encode_udp`] build and encode the same reply as a
 //! [`Message`], byte for byte; the benchmark's in-process replay calls
 //! them, and the tests compare the workers' bytes with theirs.
 
-use ede_resolver::Resolver;
+use ede_resolver::{Resolver, Served};
 use ede_trace::Metrics;
-use ede_wire::{Class, Edns, Header, Message, Opcode, Rcode, Sections, WireError};
+use ede_wire::{Class, Edns, Header, Message, Opcode, Rcode, ReplyImage, Sections, WireError};
 
 /// Why a datagram was dropped without any reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,9 +205,10 @@ pub enum Response {
 
 /// The request path both transports share: [`classify`] the bytes,
 /// count the disposition, resolve through [`Resolver::serve`], and
-/// append the reply to `out`. A fresh cache hit is written from its
-/// entry's own answers and EDE list, a miss from its resolution's;
-/// neither builds a reply [`Message`].
+/// append the reply to `out`. A fresh cache hit is a copy of its entry's
+/// reply image, encoded in `out` on the entry's first hit; a miss is
+/// written from its resolution's fields. Neither builds a reply
+/// [`Message`].
 ///
 /// `udp_payload_max` is the datagram transport's cap: an answer over
 /// [`encode_udp`]'s limit is written TC=1 instead. A stream passes
@@ -232,6 +241,36 @@ pub fn respond(
         unreachable!("classify() only yields Resolve for a query with one question");
     };
     let served = resolver.serve(&question.name, question.qtype);
+    let limit = udp_payload_max.map(|cap| udp_limit(&query, cap));
+    if let Served::Hit {
+        entry,
+        authentic_data,
+    } = &served
+    {
+        // The entry's reply for a canonical request — ID 0, RD, CD and DO
+        // clear, the server's OPT last — encoded on its first hit here.
+        let image = entry.reply_image(|ede| {
+            let canonical = Sections {
+                header: Header {
+                    response: true,
+                    recursion_available: true,
+                    authentic_data: *authentic_data,
+                    ..Header::default()
+                },
+                rcode: entry.rcode,
+                questions: std::slice::from_ref(question),
+                answers: &entry.answers,
+                authorities: &[],
+                additionals: &[],
+                edns: Some((&Edns::default(), ede)),
+            };
+            ReplyImage::encode(&canonical, out).ok()
+        });
+        if let Some(image) = image {
+            let truncated = image.write(&query, limit, out);
+            return Ok(Response::Written { truncated });
+        }
+    }
     let (rcode, authentic_data, answers, ede) = served.sections();
     // RFC 6891: never volunteer an OPT record (or EDE options riding on
     // it) to a client that did not signal EDNS support.
@@ -254,11 +293,18 @@ pub fn respond(
         additionals: &[],
         edns: opt.as_ref().map(|opt| (opt, ede)),
     };
-    let truncated = match udp_payload_max {
-        Some(cap) => write_udp(&reply, &query, cap, out)?,
+    let truncated = match limit {
+        Some(limit) => write_udp(&reply, limit, out)?,
         None => reply.encode_into(out).map(|()| false)?,
     };
     Ok(Response::Written { truncated })
+}
+
+/// The most bytes a datagram reply to `query` may carry: the client's
+/// EDNS advertisement (floored at 512) or 512, and at most the server's
+/// cap.
+fn udp_limit(query: &Message, udp_payload_max: u16) -> usize {
+    usize::from(query.advertised_payload_size().min(udp_payload_max))
 }
 
 /// Encode `reply` for the UDP transport, truncating when it exceeds the
@@ -274,23 +320,17 @@ pub fn encode_udp(
     udp_payload_max: u16,
 ) -> Result<(Vec<u8>, bool), WireError> {
     let mut wire = Vec::with_capacity(512);
-    write_udp(&reply.sections(), query, udp_payload_max, &mut wire)
-        .map(|truncated| (wire, truncated))
+    let limit = udp_limit(query, udp_payload_max);
+    write_udp(&reply.sections(), limit, &mut wire).map(|truncated| (wire, truncated))
 }
 
 /// [`encode_udp`] over borrowed sections, appended to `out` (left as
-/// found on error). The over-limit form is [`Message::truncated_copy`]'s:
-/// the same header with TC=1, the question and the OPT. Returns whether
-/// the bytes carry TC=1.
-fn write_udp(
-    reply: &Sections,
-    query: &Message,
-    udp_payload_max: u16,
-    out: &mut Vec<u8>,
-) -> Result<bool, WireError> {
+/// found on error). Over `limit` bytes the form is
+/// [`Message::truncated_copy`]'s: the same header with TC=1, the question
+/// and the OPT. Returns whether the bytes carry TC=1.
+fn write_udp(reply: &Sections, limit: usize, out: &mut Vec<u8>) -> Result<bool, WireError> {
     let base = out.len();
     reply.encode_into(out)?;
-    let limit = usize::from(query.advertised_payload_size().min(udp_payload_max));
     if out.len() - base <= limit {
         return Ok(false);
     }
@@ -671,9 +711,11 @@ mod parity {
     use crate::udp::tests::{peer, ScriptedSocket};
     use crate::ServerConfig;
     use ede_resolver::Vendor;
+    use ede_resolver::{CachedResolution, Served};
     use ede_testbed::Testbed;
     use ede_trace::{Metrics, ResolutionTrace, TraceEvent, TraceSink, Tracer};
     use ede_wire::stream::frame;
+    use ede_wire::ReplyImage;
     use ede_wire::{Edns, Message, Name, RrType};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -832,6 +874,147 @@ mod parity {
         // A cached failure's hit adds Cached Error: `allow-query-none` and
         // the other failures under Cloudflare, across the grid's EDNS rows.
         assert!(cached_errors > 0);
+    }
+
+    /// A request for `qname` with `edns`, and RD and CD both `flags`.
+    fn request(qname: &Name, edns: Option<Edns>, flags: bool) -> (Vec<u8>, Message) {
+        let mut query = Message::query(0x5A5A, qname.clone(), RrType::A);
+        (query.edns, query.recursion_desired, query.checking_disabled) = (edns, flags, flags);
+        (query.encode().unwrap(), query)
+    }
+
+    /// An entry's image is built by the first hit's request and must keep
+    /// none of its flags. Built by a request without OPT, RD or CD, a hit
+    /// for DO=1, RD=1 and CD=1 must write all four; built by that one, a
+    /// hit without them must write none. Every testbed name under both
+    /// vendors, over UDP, UDP truncated and TCP, against the reference.
+    #[test]
+    fn an_image_keeps_none_of_the_flags_of_the_request_that_built_it() {
+        let tb = Testbed::build();
+        let default_cap = ServerConfig::default().udp_payload_max;
+        let transports = [
+            Transport::Udp(default_cap),
+            Transport::Udp(TC_CAP),
+            Transport::Tcp,
+        ];
+        for vendor in VENDORS {
+            let oracle = tb.resolver(vendor);
+            for transport in transports {
+                let cap = match transport {
+                    Transport::Udp(cap) => cap,
+                    Transport::Tcp => default_cap,
+                };
+                let worker = shared(&tb, vendor, cap);
+                for spec in &tb.specs {
+                    let qname = tb.query_name(spec);
+                    let bare = request(&qname, None, false);
+                    let flagged = request(&qname, Some(Edns::with_do()), true);
+                    for [builder, other] in [[&bare, &flagged], [&flagged, &bare]] {
+                        worker.resolver.flush();
+                        oracle.flush();
+                        // A miss, the hit that builds the image, a hit.
+                        for (step, (wire, query)) in [builder, builder, other].iter().enumerate() {
+                            let reply = answer(&oracle, None, query);
+                            let case = format!(
+                                "{vendor:?} {} {transport:?} step {step} {wire:02x?}",
+                                spec.label
+                            );
+                            let expected = reference(&reply, query, transport);
+                            assert_eq!(served(&worker, transport, wire), expected, "{case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The image `worker`'s entry for `qname` holds, as an address;
+    /// panics when there is none.
+    fn image_of(worker: &Shared, qname: &Name) -> (Arc<CachedResolution>, *const ReplyImage) {
+        let Served::Hit { entry, .. } = worker.resolver.serve(qname, RrType::A) else {
+            panic!("{qname} is cached");
+        };
+        let image = entry.reply_image(|_| panic!("{qname}: an image is built once"));
+        let image: *const ReplyImage = image.expect("the image encoded");
+        (entry, image)
+    }
+
+    /// An entry's image is built by its first served hit and written by
+    /// every later one, over either transport: the same image at the same
+    /// address, never encoded again.
+    #[test]
+    fn an_entry_builds_its_image_once_for_both_transports() {
+        let tb = Testbed::build();
+        for vendor in VENDORS {
+            let worker = shared(&tb, vendor, ServerConfig::default().udp_payload_max);
+            for spec in &tb.specs {
+                let qname = tb.query_name(spec);
+                let (wire, _) = request(&qname, Some(Edns::with_do()), true);
+                served(&worker, Transport::Tcp, &wire);
+                served(&worker, Transport::Udp(1232), &wire);
+                let (entry, first) = image_of(&worker, &qname);
+                for transport in [Transport::Tcp, Transport::Udp(1232), Transport::Tcp] {
+                    served(&worker, transport, &wire);
+                    let (again, image) = image_of(&worker, &qname);
+                    assert!(Arc::ptr_eq(&entry, &again), "{}", spec.label);
+                    assert_eq!(image, first, "{} {transport:?}", spec.label);
+                }
+            }
+        }
+    }
+
+    /// Only a server's hit builds an image: an entry that `resolve` stored
+    /// and hit holds none.
+    #[test]
+    fn an_entry_only_resolve_touched_holds_no_image() {
+        let tb = Testbed::build();
+        for vendor in VENDORS {
+            let resolver = tb.resolver(vendor);
+            for spec in &tb.specs {
+                let qname = tb.query_name(spec);
+                resolver.resolve(&qname, RrType::A);
+                resolver.resolve(&qname, RrType::A);
+                let Served::Hit { entry, .. } = resolver.serve(&qname, RrType::A) else {
+                    panic!("{qname} is cached");
+                };
+                let mut encoded = false;
+                entry.reply_image(|_| {
+                    encoded = true;
+                    None
+                });
+                assert!(encoded, "{vendor:?} {}", spec.label);
+            }
+        }
+    }
+
+    /// A hit's reply does not change while its entry ages inside the TTL:
+    /// the image keeps the TTLs as stored, and serving them as stored is
+    /// what makes keeping it right. A TTL counted down per hit must fail
+    /// here.
+    #[test]
+    fn a_hit_writes_the_same_bytes_as_the_clock_moves_inside_the_ttl() {
+        let tb = Testbed::build();
+        let clock = tb.net.clock();
+        for vendor in VENDORS {
+            let worker = shared(&tb, vendor, ServerConfig::default().udp_payload_max);
+            for spec in &tb.specs {
+                let (wire, _) = request(&tb.query_name(spec), Some(Edns::with_do()), true);
+                // An entry is stored as of its miss's start; a failure is
+                // kept for 30 s from there, every answer longer.
+                let last_fresh = clock.now_secs() + 29;
+                served(&worker, Transport::Tcp, &wire);
+                let first = served(&worker, Transport::Tcp, &wire);
+                for at in [clock.now_secs() + 1, last_fresh] {
+                    let case = format!("{vendor:?} {} at {at} s", spec.label);
+                    assert!(clock.now_secs() < at, "{case}: the miss took too long");
+                    clock.advance_secs(u64::from(at - clock.now_secs()));
+                    let hits = worker.resolver.cache_stats().hits;
+                    let again = served(&worker, Transport::Tcp, &wire);
+                    assert_eq!(worker.resolver.cache_stats().hits, hits + 1, "{case}");
+                    assert_eq!(again, first, "{case}");
+                }
+            }
+        }
     }
 
     /// Attach `sink` to the testbed, run `f`, detach it again.

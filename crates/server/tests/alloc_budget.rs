@@ -5,9 +5,10 @@
 //! thread.
 //!
 //! Two paths are counted. The workers run `pipeline::respond`, which
-//! writes a hit straight from its cache entry: what is left is what the
-//! decoded query owns. The benchmark's in-process replay runs `classify`
-//! → `answer` → `encode_into`, which builds a reply `Message`: a hit
+//! writes a hit as a copy of its cache entry's reply image: what is left
+//! is what the decoded query owns, and on the entry's first hit the
+//! image itself. The benchmark's in-process replay runs `classify` →
+//! `answer` → `encode_into`, which builds a reply `Message`: a hit
 //! renders nothing (its cache entry keeps the EDE list and the
 //! diagnosis), and the pipeline moves the resolution into the response,
 //! so what is left there is what the response owns.
@@ -126,8 +127,16 @@ fn a_served_cached_failure_allocates_what_its_response_owns() {
 
 /// Allocator calls of one hit on `label` through `pipeline::respond`, as
 /// a UDP worker (at the default cap) and a TCP handler run it, after a
-/// miss and a first hit that warmed the output buffer; with the reply.
+/// miss and a first hit that warmed the output buffer and built the
+/// entry's reply image; with the reply.
 fn worker_hit_allocs(label: &str) -> (u64, Message) {
+    worker_allocs(label, 2)
+}
+
+/// Allocator calls of request `counted` (0 is the miss, 1 the first hit)
+/// of a run of requests for `label` through `pipeline::respond`, on each
+/// transport from an empty cache; with the reply.
+fn worker_allocs(label: &str, counted: usize) -> (u64, Message) {
     let tb = Testbed::build();
     let resolver = tb.resolver(Vendor::Cloudflare);
     let metrics = Metrics::new();
@@ -138,16 +147,16 @@ fn worker_hit_allocs(label: &str) -> (u64, Message) {
     for cap in [Some(ServerConfig::default().udp_payload_max), None] {
         resolver.flush();
         let hits = resolver.cache_stats().hits;
-        for warm in [true, true, false] {
+        for step in 0..=counted {
             out.clear();
             let before = thread_allocs();
             let written = pipeline::respond(&resolver, &metrics, &request, cap, &mut out);
-            if !warm {
+            if step == counted {
                 allocs.push(thread_allocs() - before);
             }
             assert_eq!(written, Ok(Response::Written { truncated: false }));
         }
-        assert_eq!(resolver.cache_stats().hits - hits, 2);
+        assert_eq!(resolver.cache_stats().hits - hits, counted as u64);
     }
     assert_eq!(allocs[0], allocs[1], "UDP and TCP write the same reply");
     (allocs[0], Message::decode(&out).unwrap())
@@ -179,4 +188,23 @@ fn a_worker_cached_failure_allocates_what_the_query_owns() {
     let codes: Vec<u16> = reply.ede_codes().iter().map(|c| c.to_u16()).collect();
     assert_eq!(codes, [9, 13, 22, 23]);
     assert_eq!(allocs, 2);
+}
+
+/// An entry's first hit through the workers' path encodes its reply
+/// image into the reused output buffer and keeps one exactly sized copy:
+/// what the query owns (2, as above) and that copy. `ed448` and
+/// `allow-query-none` carry EDE entries, so their entries were stored
+/// with the tail that holds the EDE list and the image; `valid` carries
+/// none, and its first hit allocates that tail too.
+#[test]
+fn a_worker_first_hit_allocates_its_reply_image() {
+    for (label, expected) in [("ed448", 3), ("allow-query-none", 3), ("valid", 4)] {
+        let (allocs, reply) = worker_allocs(label, 1);
+        assert_eq!(
+            reply.ede_entries().count() == 0,
+            label == "valid",
+            "{label}"
+        );
+        assert_eq!(allocs, expected, "{label}");
+    }
 }

@@ -42,7 +42,7 @@ pub use ede::{EdeCode, EdeEntry};
 pub use edns::{Edns, EdnsOption};
 pub use error::WireError;
 pub use header::{Header, Opcode};
-pub use message::{Message, Question, Sections};
+pub use message::{Message, Question, ReplyImage, Sections};
 pub use name::Name;
 pub use rcode::Rcode;
 pub use rdata::Rdata;
