@@ -48,15 +48,15 @@
 //!    ID, RD, CD and DO bits. What else a reply holds is fixed for the
 //!    entry: the question is the cache key (names are stored lowercase),
 //!    the TTLs are served as stored, and the RCODE and AD bit are the
-//!    entry's. A miss, or an entry whose image did not encode, is
-//!    written by [`Sections`] straight from borrowed fields: the query's
-//!    ID, opcode, RD and CD bits and its question, the RCODE, the AD bit,
-//!    the answer records and the OPT as above. No reply [`Message`] is
-//!    built. On the datagram transport a reply over the negotiated
-//!    payload limit is written TC=1, header, question and OPT only, so
-//!    the client retries over TCP; a stream is never truncated, which is
-//!    what makes the TC=1 → TCP retry bit-identical to the untruncated
-//!    message.
+//!    entry's. A miss, an entry whose image did not encode, and a hit
+//!    whose image is over the datagram limit are written by [`Sections`]
+//!    straight from borrowed fields: the query's ID, opcode, RD and CD
+//!    bits and its question, the RCODE, the AD bit, the answer records
+//!    and the OPT as above. No reply [`Message`] is built. On the
+//!    datagram transport a reply over the negotiated payload limit is
+//!    written TC=1, header, question and OPT only, so the client retries
+//!    over TCP; a stream is never truncated, which is what makes the
+//!    TC=1 → TCP retry bit-identical to the untruncated message.
 //!
 //! [`answer`] and [`encode_udp`] build and encode the same reply as a
 //! [`Message`], byte for byte; the benchmark's in-process replay calls
@@ -205,9 +205,9 @@ pub enum Response {
 
 /// The request path both transports share: [`classify`] the bytes,
 /// count the disposition, resolve through [`Resolver::serve`], and
-/// append the reply to `out`. A fresh cache hit is a copy of its entry's
-/// reply image, encoded in `out` on the entry's first hit; a miss is
-/// written from its resolution's fields. Neither builds a reply
+/// append the reply to `out`. A fresh cache hit that fits is a copy of
+/// its entry's reply image, encoded in `out` on the entry's first hit;
+/// anything else is written from its fields. Neither builds a reply
 /// [`Message`].
 ///
 /// `udp_payload_max` is the datagram transport's cap: an answer over
@@ -247,28 +247,19 @@ pub fn respond(
         authentic_data,
     } = &served
     {
-        // The entry's reply for a canonical request — ID 0, RD, CD and DO
-        // clear, the server's OPT last — encoded on its first hit here.
+        // The entry's reply for a canonical request, encoded on its first
+        // hit here. A datagram over the limit is written TC=1 below.
         let image = entry.reply_image(|ede| {
-            let canonical = Sections {
-                header: Header {
-                    response: true,
-                    recursion_available: true,
-                    authentic_data: *authentic_data,
-                    ..Header::default()
-                },
-                rcode: entry.rcode,
-                questions: std::slice::from_ref(question),
-                answers: &entry.answers,
-                authorities: &[],
-                additionals: &[],
-                edns: Some((&Edns::default(), ede)),
-            };
-            ReplyImage::encode(&canonical, out).ok()
+            let (rcode, answers) = (entry.rcode, &entry.answers);
+            ReplyImage::encode(rcode, *authentic_data, question, answers, ede, out).ok()
         });
-        if let Some(image) = image {
-            let truncated = image.write(&query, limit, out);
-            return Ok(Response::Written { truncated });
+        let fits = |image: &&ReplyImage| match limit {
+            Some(limit) => image.len_for(&query) <= limit,
+            None => true,
+        };
+        if let Some(image) = image.filter(fits) {
+            image.write(&query, out);
+            return Ok(Response::Written { truncated: false });
         }
     }
     let (rcode, authentic_data, answers, ede) = served.sections();

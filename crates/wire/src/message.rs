@@ -91,10 +91,10 @@ impl Sections<'_> {
         self.encode_marked(buf).map(drop)
     }
 
-    /// [`encode_into`](Self::encode_into), returning where the question
-    /// section ends and where the OPT record starts (the end, without
-    /// one), as offsets from this message's first byte.
-    fn encode_marked(&self, buf: &mut Vec<u8>) -> Result<(usize, usize), WireError> {
+    /// [`encode_into`](Self::encode_into), returning where the OPT
+    /// record starts (the end, without one), as an offset from this
+    /// message's first byte.
+    fn encode_marked(&self, buf: &mut Vec<u8>) -> Result<usize, WireError> {
         let base = buf.len();
         let count = |n: usize| u16::try_from(n).map_err(|_| WireError::BadCount);
         let header = Header {
@@ -113,7 +113,6 @@ impl Sections<'_> {
         for q in self.questions {
             q.encode(buf, Some(&mut compressor));
         }
-        let question_end = buf.len() - base;
         for r in self
             .answers
             .iter()
@@ -128,27 +127,25 @@ impl Sections<'_> {
             edns.encode(buf, self.rcode.extended_bits(), ede)
                 .inspect_err(|_| buf.truncate(base))?;
         }
-        Ok((question_end, opt_at))
+        Ok(opt_at)
     }
 }
 
-/// A reply's bytes as [`Sections`] writes them for a canonical request —
-/// ID 0, RD and CD clear, an OPT last with DO clear — kept so that the
-/// same reply to another request is a copy and a few bit writes instead
-/// of an encode. A request can change only the ID, RD, CD, DO and
-/// whether an OPT is sent; everything else is fixed when the image is
-/// built.
+/// A recursive server's reply as [`Sections`] writes it for a canonical
+/// request — ID 0, RD and CD clear, an OPT with DO clear — kept so that
+/// the same reply to another request is a copy and a few bit writes
+/// instead of an encode. A request can change only the ID, RD, CD, DO
+/// and whether an OPT is sent; everything else is fixed when the image
+/// is built.
 #[derive(Debug)]
 pub struct ReplyImage {
+    /// The reply, the server's OPT ([`Edns::default`]) its last record.
     bytes: Box<[u8]>,
-    /// End of the question section.
-    question_end: usize,
-    /// Start of the OPT record, the last record.
+    /// Where that OPT starts.
     opt_at: usize,
 }
 
-/// Header byte 2: TC and RD.
-const TC: u8 = 0x02;
+/// Header byte 2: RD.
 const RD: u8 = 0x01;
 /// Header byte 3: CD.
 const CD: u8 = 0x10;
@@ -158,72 +155,69 @@ const OPT_FLAGS: usize = 7;
 const DO: u8 = 0x80;
 
 impl ReplyImage {
-    /// Encode `reply`, which must be canonical (ID 0, RD, CD and TC clear,
-    /// an OPT with DO clear), at the end of `scratch`, and keep an
-    /// exactly sized copy of its bytes; `scratch` is left as found.
-    pub fn encode(reply: &Sections, scratch: &mut Vec<u8>) -> Result<Self, WireError> {
-        debug_assert!(reply.edns.is_some_and(|(edns, _)| !edns.dnssec_ok));
-        debug_assert!(reply.header.id == 0 && !reply.header.truncated);
-        debug_assert!(!reply.header.recursion_desired && !reply.header.checking_disabled);
+    /// Encode, at the end of `scratch`, the reply to the canonical
+    /// request for `question`: RA set, AD as `authentic_data`, `rcode`,
+    /// `answers`, and the server's OPT with `ede` as its options. Keeps
+    /// an exactly sized copy of the bytes; `scratch` is left as found.
+    pub fn encode(
+        rcode: Rcode,
+        authentic_data: bool,
+        question: &Question,
+        answers: &[Record],
+        ede: &[EdeEntry],
+        scratch: &mut Vec<u8>,
+    ) -> Result<Self, WireError> {
+        let canonical = Sections {
+            header: Header {
+                response: true,
+                recursion_available: true,
+                authentic_data,
+                ..Header::default()
+            },
+            rcode,
+            questions: std::slice::from_ref(question),
+            answers,
+            authorities: &[],
+            additionals: &[],
+            edns: Some((&Edns::default(), ede)),
+        };
         let base = scratch.len();
-        let (question_end, opt_at) = reply.encode_marked(scratch)?;
+        let opt_at = canonical.encode_marked(scratch)?;
         let bytes = scratch[base..].into();
         scratch.truncate(base);
-        Ok(ReplyImage {
-            bytes,
-            question_end,
-            opt_at,
-        })
+        Ok(ReplyImage { bytes, opt_at })
+    }
+
+    /// How many bytes [`write`](Self::write) appends for `query`.
+    pub fn len_for(&self, query: &Message) -> usize {
+        match query.edns {
+            Some(_) => self.bytes.len(),
+            None => self.opt_at,
+        }
     }
 
     /// Append this reply as answered to `query`: its ID, RD and CD bits,
-    /// and the OPT only when `query` carried one, with its DO bit. Over
-    /// `limit` bytes the reply is [`Message::truncated_copy`]'s form
-    /// instead: TC set, the question and the OPT only. Returns whether
-    /// it is.
-    pub fn write(&self, query: &Message, limit: Option<usize>, out: &mut Vec<u8>) -> bool {
-        let opt = query.edns.as_ref();
-        let whole = if opt.is_some() {
-            &self.bytes[..]
-        } else {
-            &self.bytes[..self.opt_at]
-        };
+    /// and the OPT only when `query` carried one, with its DO bit.
+    pub fn write(&self, query: &Message, out: &mut Vec<u8>) {
         let base = out.len();
-        let truncated = limit.is_some_and(|limit| whole.len() > limit);
-        let opt_at = if truncated {
-            out.extend_from_slice(&self.bytes[..self.question_end]);
-            if opt.is_some() {
-                out.extend_from_slice(&self.bytes[self.opt_at..]);
-            }
-            base + self.question_end
-        } else {
-            out.extend_from_slice(whole);
-            base + self.opt_at
-        };
+        out.extend_from_slice(&self.bytes[..self.len_for(query)]);
         let header = &mut out[base..base + Header::LEN];
         header[..2].copy_from_slice(&query.id.to_be_bytes());
-        if truncated {
-            header[2] |= TC;
-        }
         if query.recursion_desired {
             header[2] |= RD;
         }
         if query.checking_disabled {
             header[3] |= CD;
         }
-        let counts = &mut header[6..];
-        if truncated {
-            // ANCOUNT, NSCOUNT, then ARCOUNT: the OPT alone.
-            counts.fill(0);
-            counts[5] = u8::from(opt.is_some());
-        } else if opt.is_none() {
-            let arcount = u16::from_be_bytes([counts[4], counts[5]]) - 1;
-            counts[4..].copy_from_slice(&arcount.to_be_bytes());
+        match &query.edns {
+            None => {
+                // ARCOUNT, which counts the OPT left off.
+                let arcount = u16::from_be_bytes([header[10], header[11]]) - 1;
+                header[10..].copy_from_slice(&arcount.to_be_bytes());
+            }
+            Some(opt) if opt.dnssec_ok => out[base + self.opt_at + OPT_FLAGS] |= DO,
+            Some(_) => {}
         }
-        if opt.is_some_and(|opt| opt.dnssec_ok) {
-            out[opt_at + OPT_FLAGS] |= DO;
-        }
-        truncated
     }
 }
 
@@ -647,67 +641,55 @@ mod tests {
         assert!(Message::decode(&wire).unwrap().truncated);
     }
 
-    /// A reply to `query` as a server writes one: the server's OPT, with
-    /// one EDE option, only when the query carried an OPT.
-    fn reply_to(query: &Message, rcode: Rcode) -> Message {
+    /// A reply to `query` as a server writes one: RA and AD set,
+    /// `answers`, and the server's OPT with `ede` as its options only when
+    /// the query carried an OPT.
+    fn reply_to(query: &Message, rcode: Rcode, answers: &[Record], ede: &[EdeEntry]) -> Message {
         let mut r = Message::response_to(query);
         r.rcode = rcode;
         r.recursion_available = true;
         r.authentic_data = true;
-        r.answers = (0..3)
-            .map(|i| {
-                let owner = n(&format!("a{i}.big.example.com"));
-                Record::new(owner, 60, Rdata::Txt(vec![vec![b'x'; 40]]))
-            })
-            .collect();
-        let mut edns = query.edns.as_ref().map(Edns::reply);
-        if let Some(edns) = &mut edns {
+        r.answers = answers.to_vec();
+        r.edns = query.edns.as_ref().map(|opt| {
+            let mut edns = Edns::reply(opt);
             edns.options
-                .push(EdnsOption::Ede(EdeEntry::with_text(EdeCode::Other, "why")));
-        }
-        r.edns = edns;
+                .extend(ede.iter().cloned().map(EdnsOption::Ede));
+            edns
+        });
         r
     }
 
     /// An image built once writes, for every request shape, the bytes
     /// the encoder writes for that request's own reply: ID, RD, CD, DO,
-    /// no OPT, an extended RCODE, and the TC=1 form over a limit.
+    /// no OPT, and an extended RCODE.
     #[test]
     fn a_reply_image_writes_what_the_encoder_writes() {
         let name = n("big.example.com");
+        let question = Question::new(name.clone(), RrType::Txt);
+        let answers: Vec<Record> = (0..3)
+            .map(|i| {
+                let owner = n(&format!("a{i}.big.example.com"));
+                Record::new(owner, 60, Rdata::Txt(vec![vec![b'x'; 40]]))
+            })
+            .collect();
+        let ede = [EdeEntry::with_text(EdeCode::Other, "why")];
         for rcode in [Rcode::NoError, Rcode::BadVers] {
-            let canonical = {
-                let mut q = Message::query(0, name.clone(), RrType::Txt);
-                (q.recursion_desired, q.edns) = (false, Some(Edns::default()));
-                reply_to(&q, rcode)
-            };
             let mut scratch = vec![0xAA; 3];
-            let image = ReplyImage::encode(&canonical.sections(), &mut scratch).unwrap();
+            let image =
+                ReplyImage::encode(rcode, true, &question, &answers, &ede, &mut scratch).unwrap();
             assert_eq!(scratch, [0xAA; 3], "scratch left as found");
             for edns in [None, Some(Edns::default()), Some(Edns::with_do())] {
                 for (rd, cd) in [(false, false), (true, false), (false, true), (true, true)] {
                     let mut query = Message::query(0xBEEF, name.clone(), RrType::Txt);
                     query.edns = edns.clone();
                     (query.recursion_desired, query.checking_disabled) = (rd, cd);
-                    let reply = reply_to(&query, rcode);
-                    let full = reply.encode().unwrap();
-                    for (limit, truncated) in [
-                        (None, false),
-                        (Some(full.len()), false),
-                        (Some(full.len() - 1), true),
-                    ] {
-                        let mut out = vec![0x55];
-                        let tc = image.write(&query, limit, &mut out);
-                        let expected = if truncated {
-                            reply.truncated_copy().encode().unwrap()
-                        } else {
-                            full.clone()
-                        };
-                        let case = format!("{rcode:?} {edns:?} rd {rd} cd {cd} {limit:?}");
-                        assert_eq!(tc, truncated, "{case}");
-                        assert_eq!(out[0], 0x55, "{case}");
-                        assert_eq!(out[1..], expected, "{case}");
-                    }
+                    let expected = reply_to(&query, rcode, &answers, &ede).encode().unwrap();
+                    let mut out = vec![0x55];
+                    image.write(&query, &mut out);
+                    let case = format!("{rcode:?} {edns:?} rd {rd} cd {cd}");
+                    assert_eq!(image.len_for(&query), expected.len(), "{case}");
+                    assert_eq!(out[0], 0x55, "{case}");
+                    assert_eq!(out[1..], expected, "{case}");
                 }
             }
         }
