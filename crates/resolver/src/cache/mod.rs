@@ -65,6 +65,7 @@ pub mod infra;
 
 use crate::diagnosis::Diagnosis;
 use bounded::Bounded;
+use ede_wire::name::shard_hash_of;
 use ede_wire::{EdeEntry, Name, Rcode, Record, ReplyImage, RrType};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -306,11 +307,11 @@ pub struct Cache {
     stale_window_secs: u32,
 }
 
-/// Deterministic hash of a probe key. The qname's label bytes are
-/// hashed in place ([`Name::shard_hash`]) — no wire-form allocation,
+/// Deterministic hash of a probe key. The qname's canonical wire form
+/// is hashed in place ([`Name::shard_hash`]'s hash) — no allocation,
 /// no clone — then the qtype is mixed in.
-fn probe_hash(qname: &Name, qtype: u16) -> u64 {
-    let mut h = qname.shard_hash();
+fn probe_hash(qname: &[u8], qtype: u16) -> u64 {
+    let mut h = shard_hash_of(qname);
     h ^= u64::from(qtype);
     h = h.wrapping_mul(0x100000001b3);
     h
@@ -326,11 +327,12 @@ impl Cache {
         }
     }
 
-    /// Probe for `(qname, qtype)` at time `now`.
+    /// Probe for `(qname, qtype)` at time `now`, `qname` a canonical
+    /// wire form ([`Name::as_wire`]'s, or a served request's).
     ///
     /// Hot-path guarantees: one shard lock, zero `Name` clones, zero
     /// `CachedResolution` deep clones — a hit is an `Arc` bump.
-    pub fn get(&self, qname: &Name, qtype: RrType, now: u32) -> CacheHit {
+    pub fn get(&self, qname: &[u8], qtype: RrType, now: u32) -> CacheHit {
         let hit = self.get_inner(qname, qtype, now);
         match &hit {
             CacheHit::Fresh(..) => self.store.stats.probes.bump(|c| &c.hits),
@@ -342,13 +344,13 @@ impl Cache {
         hit
     }
 
-    fn get_inner(&self, qname: &Name, qtype: RrType, now: u32) -> CacheHit {
+    fn get_inner(&self, qname: &[u8], qtype: RrType, now: u32) -> CacheHit {
         let hash = probe_hash(qname, qtype.to_u16());
         let shard = self.store.lock(hash);
         let Some(entry) = shard
             .index
             .at_hash(hash)
-            .find(|e| e.qtype == qtype.to_u16() && e.qname == *qname)
+            .find(|e| e.qtype == qtype.to_u16() && e.qname.as_wire() == qname)
         else {
             return CacheHit::Miss;
         };
@@ -372,7 +374,7 @@ impl Cache {
         qtype: RrType,
         now: u32,
     ) -> Option<Arc<CachedResolution>> {
-        match self.get_inner(qname, qtype, now) {
+        match self.get_inner(qname.as_wire(), qtype, now) {
             CacheHit::Stale(data) | CacheHit::Fresh(data) if !data.is_failure => {
                 self.store.stats.probes.bump(|c| &c.stale_served);
                 Some(data)
@@ -392,7 +394,7 @@ impl Cache {
         now: u32,
     ) -> PutOutcome {
         self.store.stats.probes.bump(|c| &c.puts);
-        let hash = probe_hash(qname, qtype.to_u16());
+        let hash = probe_hash(qname.as_wire(), qtype.to_u16());
         // The Arc is built outside the lock; the lock only covers the
         // bucket splice.
         let data = Arc::new(data);
@@ -506,19 +508,19 @@ mod tests {
         let c = Cache::new(100, None);
         c.put(&n("a.com"), RrType::A, success(), 60, 1000);
         assert!(matches!(
-            c.get(&n("a.com"), RrType::A, 1030),
+            c.get(n("a.com").as_wire(), RrType::A, 1030),
             CacheHit::Fresh(..)
         ));
         assert!(matches!(
-            c.get(&n("a.com"), RrType::A, 1061),
+            c.get(n("a.com").as_wire(), RrType::A, 1061),
             CacheHit::Stale(_)
         ));
         assert!(matches!(
-            c.get(&n("a.com"), RrType::A, 1160),
+            c.get(n("a.com").as_wire(), RrType::A, 1160),
             CacheHit::Stale(_)
         ));
         assert!(matches!(
-            c.get(&n("a.com"), RrType::A, 1161),
+            c.get(n("a.com").as_wire(), RrType::A, 1161),
             CacheHit::Miss
         ));
     }
@@ -537,7 +539,7 @@ mod tests {
     fn failure_cached_when_no_success_exists() {
         let c = Cache::new(100, None);
         c.put(&n("b.com"), RrType::A, failure(), 30, 1000);
-        match c.get(&n("b.com"), RrType::A, 1010) {
+        match c.get(n("b.com").as_wire(), RrType::A, 1010) {
             CacheHit::Fresh(data) => assert!(data.is_failure),
             other => panic!("expected fresh failure, got {other:?}"),
         }
@@ -549,7 +551,7 @@ mod tests {
         let c = Cache::new(100, None);
         c.put(&n("a.com"), RrType::A, success(), 60, 1000);
         assert!(matches!(
-            c.get(&n("a.com"), RrType::Aaaa, 1000),
+            c.get(n("a.com").as_wire(), RrType::Aaaa, 1000),
             CacheHit::Miss
         ));
     }
@@ -562,8 +564,8 @@ mod tests {
         let c = Cache::new(100, None);
         c.put(&n("a.com"), RrType::A, success(), 60, 1000);
         let (CacheHit::Fresh(first), CacheHit::Fresh(second)) = (
-            c.get(&n("a.com"), RrType::A, 1010),
-            c.get(&n("a.com"), RrType::A, 1020),
+            c.get(n("a.com").as_wire(), RrType::A, 1010),
+            c.get(n("a.com").as_wire(), RrType::A, 1020),
         ) else {
             panic!("expected two fresh hits");
         };
@@ -582,7 +584,7 @@ mod tests {
         for i in 0..200 {
             assert!(
                 matches!(
-                    c.get(&n(&format!("d{i}.example")), RrType::A, 10),
+                    c.get(n(&format!("d{i}.example")).as_wire(), RrType::A, 10),
                     CacheHit::Fresh(..)
                 ),
                 "d{i}.example lost"
@@ -591,7 +593,7 @@ mod tests {
         c.clear();
         assert_eq!(c.stats().occupancy, 0);
         assert!(matches!(
-            c.get(&n("d0.example"), RrType::A, 10),
+            c.get(n("d0.example").as_wire(), RrType::A, 10),
             CacheHit::Miss
         ));
     }
@@ -620,7 +622,7 @@ mod tests {
             c.put(&n(&format!("d{i}.example")), RrType::A, success(), 60, 0);
         }
         assert!(matches!(
-            c.get(&n("d0.example"), RrType::A, 1),
+            c.get(n("d0.example").as_wire(), RrType::A, 1),
             CacheHit::Fresh(..)
         ));
         for i in 4..12 {
@@ -664,12 +666,12 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.expired + s.evicted, 64, "one removal per store");
         for i in 0..64 {
-            let hit = c.get(&n(&format!("old{i}.example")), RrType::A, 101);
+            let hit = c.get(n(&format!("old{i}.example")).as_wire(), RrType::A, 101);
             assert!(matches!(hit, CacheHit::Miss), "old{i} outlived expiry");
         }
         let live = (0..64)
             .filter(|i| {
-                let hit = c.get(&n(&format!("new{i}.example")), RrType::A, 101);
+                let hit = c.get(n(&format!("new{i}.example")).as_wire(), RrType::A, 101);
                 matches!(hit, CacheHit::Fresh(..))
             })
             .count();
@@ -684,7 +686,7 @@ mod tests {
         }
         assert_eq!(c.stats().occupancy, 1);
         assert!(matches!(
-            c.get(&n("same.example"), RrType::A, 1),
+            c.get(n("same.example").as_wire(), RrType::A, 1),
             CacheHit::Fresh(..)
         ));
     }
@@ -718,9 +720,9 @@ mod tests {
     fn stats_track_probes() {
         let c = Cache::new(100, None);
         c.put(&n("a.com"), RrType::A, success(), 60, 1000);
-        let _ = c.get(&n("a.com"), RrType::A, 1010); // hit
-        let _ = c.get(&n("b.com"), RrType::A, 1010); // miss
-        let _ = c.get(&n("a.com"), RrType::A, 1100); // stale → miss (not served)
+        let _ = c.get(n("a.com").as_wire(), RrType::A, 1010); // hit
+        let _ = c.get(n("b.com").as_wire(), RrType::A, 1010); // miss
+        let _ = c.get(n("a.com").as_wire(), RrType::A, 1100); // stale → miss (not served)
         let _ = c.get_stale_success(&n("a.com"), RrType::A, 1100); // stale served
         let s = c.stats();
         assert_eq!(s.hits, 1);

@@ -8,7 +8,8 @@ use crate::iterative::Engine;
 use crate::profiles::VendorProfile;
 use ede_netsim::Network;
 use ede_trace::{CacheOutcome, TraceEvent, Tracer};
-use ede_wire::{EdeEntry, Edns, EdnsOption, Message, Name, Rcode, Record, RrType};
+use ede_wire::{EdeEntry, Edns, EdnsOption, Message, Name, Rcode, Record, Request, RrType};
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::atomic::AtomicU16;
@@ -207,14 +208,17 @@ impl Resolver {
     /// needs makes it yield its thread until they are stored, not fetch
     /// them again.
     pub fn resolve(&self, qname: &Name, qtype: RrType) -> Resolution {
-        self.pipeline(qname, qtype, true).into()
+        self.pipeline(Query::Name(qname), qtype, true).into()
     }
 
-    /// [`resolve`](Self::resolve) for a server: the same pipeline,
-    /// probe, trace events and caching, but a fresh answer-cache hit is
-    /// handed over as its entry, not copied into a [`Resolution`].
-    pub fn serve(&self, qname: &Name, qtype: RrType) -> Served {
-        self.pipeline(qname, qtype, true)
+    /// [`resolve`](Self::resolve) of `request`'s question for a server:
+    /// the same pipeline, probe, trace events and caching, but the probe
+    /// reads the request's canonical qname in place, and a fresh
+    /// answer-cache hit is handed over as its entry, not copied into a
+    /// [`Resolution`]. A [`Name`] is built only on a miss, or for a
+    /// trace sink that wants the query's text.
+    pub fn serve(&self, request: &Request) -> Served {
+        self.pipeline(Query::Request(request), request.qtype, true)
     }
 
     /// [`resolve`](Self::resolve) for a name the caller will
@@ -229,33 +233,30 @@ impl Resolver {
     /// scan calls this for every domain it never revisits, so its caches
     /// hold only what it reads back.
     pub fn resolve_once(&self, qname: &Name, qtype: RrType) -> Resolution {
-        self.pipeline(qname, qtype, false).into()
+        self.pipeline(Query::Name(qname), qtype, false).into()
     }
 
     /// The body of every entry point; `store` is whether step 4 keeps
     /// the answer and the engine keeps the answer zone's keys.
-    fn pipeline(&self, qname: &Name, qtype: RrType, store: bool) -> Served {
+    fn pipeline(&self, query: Query<'_>, qtype: RrType, store: bool) -> Served {
         let now = self.net.clock().now_secs();
         let tracer = self.net.tracer();
         let started_ms = tracer.now_millis();
         // Counter-only sinks ignore qname strings; skip rendering them
         // (String::new() never allocates).
-        let qd = |n: &Name| {
-            if tracer.wants_query_detail() {
-                n.to_string()
-            } else {
-                String::new()
-            }
+        let text = || match tracer.wants_query_detail() {
+            true => query.name().to_string(),
+            false => String::new(),
         };
         tracer.emit(TraceEvent::ResolutionStarted {
-            qname: qd(qname),
+            qname: text(),
             qtype: qtype.to_u16(),
         });
 
         // 1. Cache probe.
-        if let CacheHit::Fresh(data) = self.cache.get(qname, qtype, now) {
+        if let CacheHit::Fresh(data) = self.cache.get(query.wire(), qtype, now) {
             tracer.emit(TraceEvent::CacheProbe {
-                qname: qd(qname),
+                qname: text(),
                 qtype: qtype.to_u16(),
                 outcome: CacheOutcome::Hit,
             });
@@ -269,10 +270,11 @@ impl Resolver {
             };
         }
         tracer.emit(TraceEvent::CacheProbe {
-            qname: qd(qname),
+            qname: text(),
             qtype: qtype.to_u16(),
             outcome: CacheOutcome::Miss,
         });
+        let qname = &*query.name();
 
         // 2. Live resolution.
         let mut diag = Diagnosis::with_tracer(tracer.clone());
@@ -290,7 +292,7 @@ impl Resolver {
         if outcome.rcode == Rcode::ServFail {
             if let Some(stale) = self.cache.get_stale_success(qname, qtype, now) {
                 tracer.emit(TraceEvent::CacheProbe {
-                    qname: qd(qname),
+                    qname: text(),
                     qtype: qtype.to_u16(),
                     outcome: CacheOutcome::StaleServed,
                 });
@@ -404,6 +406,33 @@ impl Resolver {
     pub fn resolve_a(&self, name: &str) -> Resolution {
         let qname = Name::parse(name).expect("caller passes a valid name");
         self.resolve(&qname, RrType::A)
+    }
+}
+
+/// The query's name as an entry point holds it.
+#[derive(Clone, Copy)]
+enum Query<'a> {
+    /// [`Resolver::resolve`]'s and [`Resolver::resolve_once`]'s.
+    Name(&'a Name),
+    /// [`Resolver::serve`]'s: a request's canonical form, no `Name`.
+    Request(&'a Request),
+}
+
+impl Query<'_> {
+    /// The canonical wire form, which the answer cache is keyed on.
+    fn wire(&self) -> &[u8] {
+        match self {
+            Query::Name(name) => name.as_wire(),
+            Query::Request(request) => request.qname(),
+        }
+    }
+
+    /// The name, built when the entry point holds none.
+    fn name(&self) -> Cow<'_, Name> {
+        match self {
+            Query::Name(name) => Cow::Borrowed(*name),
+            Query::Request(request) => Cow::Owned(request.name()),
+        }
     }
 }
 

@@ -58,7 +58,7 @@ fn freshness_is_monotone() {
         let mut state = 2; // 2 = fresh, 1 = stale, 0 = miss
         for dt in probes {
             let now = t0 + dt;
-            let s = match cache.get(&name, RrType::A, now) {
+            let s = match cache.get(name.as_wire(), RrType::A, now) {
                 CacheHit::Fresh(..) => 2,
                 CacheHit::Stale(_) => 1,
                 CacheHit::Miss => 0,
@@ -83,19 +83,19 @@ fn window_boundaries() {
         cache.put(&name, RrType::A, entry(false), ttl, t0);
 
         assert!(matches!(
-            cache.get(&name, RrType::A, t0 + ttl),
+            cache.get(name.as_wire(), RrType::A, t0 + ttl),
             CacheHit::Fresh(..)
         ));
         assert!(matches!(
-            cache.get(&name, RrType::A, t0 + ttl + 1),
+            cache.get(name.as_wire(), RrType::A, t0 + ttl + 1),
             CacheHit::Stale(_)
         ));
         assert!(matches!(
-            cache.get(&name, RrType::A, t0 + ttl + window),
+            cache.get(name.as_wire(), RrType::A, t0 + ttl + window),
             CacheHit::Stale(_)
         ));
         assert!(matches!(
-            cache.get(&name, RrType::A, t0 + ttl + window + 1),
+            cache.get(name.as_wire(), RrType::A, t0 + ttl + window + 1),
             CacheHit::Miss
         ));
     }
@@ -156,7 +156,7 @@ fn entry_budget_holds_under_random_interleavings() {
                 // A probe sets a reference bit, so later sweeps hand out
                 // second chances.
                 6 => {
-                    cache.get(&name(&mut rng), RrType::A, now);
+                    cache.get(name(&mut rng).as_wire(), RrType::A, now);
                 }
                 _ => now += rng.range_u32(0, 2_000),
             }
@@ -194,7 +194,7 @@ fn keys_are_independent() {
         }
         for (i, label) in labels.iter().enumerate() {
             let name = Name::parse(&format!("{label}{i}.example")).unwrap();
-            match cache.get(&name, RrType::A, t0 + 1) {
+            match cache.get(name.as_wire(), RrType::A, t0 + 1) {
                 CacheHit::Fresh(data, ..) => assert_eq!(data.is_failure, i % 2 == 0),
                 other => panic!("expected fresh hit, got {other:?}"),
             }

@@ -44,7 +44,7 @@ fn concurrent_put_get_across_shards() {
                     // written: a miss is fine (not yet stored), but a
                     // hit must be internally consistent.
                     let other = name((t + 1) % THREADS, i);
-                    match cache.get(&other, RrType::A, 1_010) {
+                    match cache.get(other.as_wire(), RrType::A, 1_010) {
                         CacheHit::Fresh(data, ..) => {
                             assert_eq!(data.is_failure, i % 3 == 0, "torn read for {other}");
                         }
@@ -61,7 +61,7 @@ fn concurrent_put_get_across_shards() {
     // Everything written must be retrievable afterwards.
     for t in 0..THREADS {
         for i in 0..NAMES {
-            match cache.get(&name(t, i), RrType::A, 1_010) {
+            match cache.get(name(t, i).as_wire(), RrType::A, 1_010) {
                 CacheHit::Fresh(data, ..) => assert_eq!(data.is_failure, i % 3 == 0),
                 other => panic!("lost {} : {other:?}", name(t, i)),
             }
@@ -114,7 +114,7 @@ fn concurrent_hits_share_one_allocation() {
     let cache = Cache::new(100, None);
     let qname = Name::parse("shared.example").unwrap();
     cache.put(&qname, RrType::A, entry(false), 60, 1_000);
-    let reference = match cache.get(&qname, RrType::A, 1_001) {
+    let reference = match cache.get(qname.as_wire(), RrType::A, 1_001) {
         CacheHit::Fresh(data, ..) => data,
         other => panic!("expected fresh hit, got {other:?}"),
     };
@@ -126,7 +126,7 @@ fn concurrent_hits_share_one_allocation() {
             let reference = &reference;
             s.spawn(move || {
                 for _ in 0..1_000 {
-                    match cache.get(qname, RrType::A, 1_001) {
+                    match cache.get(qname.as_wire(), RrType::A, 1_001) {
                         CacheHit::Fresh(data, ..) => {
                             assert!(Arc::ptr_eq(&data, reference), "hit deep-cloned the entry")
                         }

@@ -5,11 +5,18 @@
 //! to 3, counts their decisions and appends the reply's bytes to the
 //! worker's reused buffer:
 //!
-//! 1. [`classify`] decides what the bytes are: a resolvable query, a
-//!    protocol violation answered with FORMERR/NOTIMP/REFUSED/BADVERS, or
-//!    garbage that is silently dropped. The policy is explicit (and
-//!    tested) rather than the historical demo behaviour of answering
-//!    FORMERR to anything:
+//! 1. [`Request::read`] reads the bytes in place when they are the
+//!    request every real client sends — a QUERY with one uncompressed IN
+//!    question and at most a version-0 OPT — without decoding a
+//!    [`Message`]: no question list, the qname's canonical form in a
+//!    stack array. Whatever it declines goes to [`classify`], which
+//!    decides what the bytes are: a resolvable query (turned into the
+//!    same [`Request`]), a protocol violation answered with
+//!    FORMERR/NOTIMP/REFUSED/BADVERS, or garbage that is silently
+//!    dropped. The reader takes no decision of its own: what it reads,
+//!    [`classify`] resolves alike (the `agreement` tests). The policy is
+//!    explicit (and tested) rather than the historical demo behaviour of
+//!    answering FORMERR to anything:
 //!
 //!    | Input | Disposition |
 //!    |---|---|
@@ -33,30 +40,36 @@
 //!    last three rows are not dispositions: they hold for whichever reply
 //!    the rows above chose.
 //!
-//! 2. [`Resolver::serve`] resolves the query's one question (full
+//! 2. [`Resolver::serve`] resolves the request's one question (full
 //!    recursion, validation, vendor EDE emission). A hit on the answer
-//!    cache costs one probe and hands over the cache entry itself: it
+//!    cache costs one probe, by the request's canonical qname as it
+//!    lies in the request, and hands over the cache entry itself: it
 //!    keeps the answers, the EDE list and the diagnosis, so nothing is
-//!    emitted or copied per request. A miss hands over its resolution.
+//!    emitted or copied per request. A miss builds the qname's
+//!    [`Name`](ede_wire::Name) and hands over its resolution.
 //! 3. A hit's reply is a copy of its entry's reply image
 //!    ([`ReplyImage`]): the bytes [`Sections`] wrote for the entry on its
 //!    first hit here, to a canonical request — ID 0, RD, CD and DO clear,
-//!    the server's own OPT last with the EDE list as its options. Each
-//!    hit appends them, or only the part before the OPT when the query
+//!    the server's own OPT last with the EDE list as its options, the
+//!    question written from the request's canonical qname. Each hit
+//!    appends them, or only the part before the OPT when the query
 //!    carried none (a client that sent no OPT gets none back, and so no
 //!    EDE options — RFC 8914 signals require EDNS), and sets the query's
 //!    ID, RD, CD and DO bits. What else a reply holds is fixed for the
 //!    entry: the question is the cache key (names are stored lowercase),
 //!    the TTLs are served as stored, and the RCODE and AD bit are the
-//!    entry's. A miss, an entry whose image did not encode, and a hit
-//!    whose image is over the datagram limit are written by [`Sections`]
-//!    straight from borrowed fields: the query's ID, opcode, RD and CD
-//!    bits and its question, the RCODE, the AD bit, the answer records
-//!    and the OPT as above. No reply [`Message`] is built. On the
-//!    datagram transport a reply over the negotiated payload limit is
-//!    written TC=1, header, question and OPT only, so the client retries
-//!    over TCP; a stream is never truncated, which is what makes the
-//!    TC=1 → TCP retry bit-identical to the untruncated message.
+//!    entry's. So a hit makes no allocator call, and an entry's first
+//!    hit one, the image's copy. A miss, an entry whose image did not
+//!    encode, and a hit whose image is over the datagram limit are
+//!    written by [`Sections`] straight from borrowed fields: the
+//!    request's ID, RD and CD bits and its one question (built once,
+//!    written from [`std::slice::from_ref`]), the RCODE, the AD bit, the
+//!    answer records and the OPT as above. No reply [`Message`] is
+//!    built. On the datagram transport a reply over the negotiated
+//!    payload limit is written TC=1, header, question and OPT only, so
+//!    the client retries over TCP; a stream is never truncated, which is
+//!    what makes the TC=1 → TCP retry bit-identical to the untruncated
+//!    message.
 //!
 //! [`answer`] and [`encode_udp`] build and encode the same reply as a
 //! [`Message`], byte for byte; the benchmark's in-process replay calls
@@ -64,7 +77,9 @@
 
 use ede_resolver::{Resolver, Served};
 use ede_trace::Metrics;
-use ede_wire::{Class, Edns, Header, Message, Opcode, Rcode, ReplyImage, Sections, WireError};
+use ede_wire::{
+    Class, Edns, Header, Message, Opcode, Question, Rcode, ReplyImage, Request, Sections, WireError,
+};
 
 /// Why a datagram was dropped without any reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,12 +218,12 @@ pub enum Response {
     },
 }
 
-/// The request path both transports share: [`classify`] the bytes,
-/// count the disposition, resolve through [`Resolver::serve`], and
-/// append the reply to `out`. A fresh cache hit that fits is a copy of
-/// its entry's reply image, encoded in `out` on the entry's first hit;
-/// anything else is written from its fields. Neither builds a reply
-/// [`Message`].
+/// The request path both transports share: read the bytes in place
+/// ([`Request::read`]), or [`classify`] whatever that declines and count
+/// the disposition, resolve through [`Resolver::serve`], and append the
+/// reply to `out`. A fresh cache hit that fits is a copy of its entry's
+/// reply image, encoded in `out` on the entry's first hit; anything else
+/// is written from its fields. Neither builds a reply [`Message`].
 ///
 /// `udp_payload_max` is the datagram transport's cap: an answer over
 /// [`encode_udp`]'s limit is written TC=1 instead. A stream passes
@@ -220,28 +235,29 @@ pub fn respond(
     udp_payload_max: Option<u16>,
     out: &mut Vec<u8>,
 ) -> Result<Response, WireError> {
-    let query = match classify(request) {
-        QueryDisposition::Drop(_) => {
-            metrics.dropped();
-            return Ok(Response::Nothing);
-        }
-        QueryDisposition::Reject(reply, kind) => {
-            match kind {
-                RejectKind::FormErr => metrics.rejected_formerr(),
-                RejectKind::NotImp => metrics.rejected_notimp(),
-                RejectKind::Refused => metrics.rejected_refused(),
-                RejectKind::BadVers => metrics.rejected_badvers(),
+    let request = match Request::read(request) {
+        Some(request) => request,
+        None => match classify(request) {
+            QueryDisposition::Drop(_) => {
+                metrics.dropped();
+                return Ok(Response::Nothing);
             }
-            reply.encode_into(out)?;
-            return Ok(Response::Written { truncated: false });
-        }
-        QueryDisposition::Resolve(query) => query,
+            QueryDisposition::Reject(reply, kind) => {
+                match kind {
+                    RejectKind::FormErr => metrics.rejected_formerr(),
+                    RejectKind::NotImp => metrics.rejected_notimp(),
+                    RejectKind::Refused => metrics.rejected_refused(),
+                    RejectKind::BadVers => metrics.rejected_badvers(),
+                }
+                reply.encode_into(out)?;
+                return Ok(Response::Written { truncated: false });
+            }
+            QueryDisposition::Resolve(query) => Request::from_query(&query)
+                .expect("classify() only yields Resolve for a query with one question"),
+        },
     };
-    let [question] = query.questions.as_slice() else {
-        unreachable!("classify() only yields Resolve for a query with one question");
-    };
-    let served = resolver.serve(&question.name, question.qtype);
-    let limit = udp_payload_max.map(|cap| udp_limit(&query, cap));
+    let served = resolver.serve(&request);
+    let limit = udp_payload_max.map(|cap| udp_limit(&request, cap));
     if let Served::Hit {
         entry,
         authentic_data,
@@ -251,34 +267,37 @@ pub fn respond(
         // hit here. A datagram over the limit is written TC=1 below.
         let image = entry.reply_image(|ede| {
             let (rcode, answers) = (entry.rcode, &entry.answers);
-            ReplyImage::encode(rcode, *authentic_data, question, answers, ede, out).ok()
+            ReplyImage::encode(rcode, *authentic_data, &request, answers, ede, out).ok()
         });
         let fits = |image: &&ReplyImage| match limit {
-            Some(limit) => image.len_for(&query) <= limit,
+            Some(limit) => image.len_for(&request) <= limit,
             None => true,
         };
         if let Some(image) = image.filter(fits) {
-            image.write(&query, out);
+            image.write(&request, out);
             return Ok(Response::Written { truncated: false });
         }
     }
     let (rcode, authentic_data, answers, ede) = served.sections();
     // RFC 6891: never volunteer an OPT record (or EDE options riding on
     // it) to a client that did not signal EDNS support.
-    let opt = query.edns.as_ref().map(Edns::reply);
+    let opt = request.opt.map(|opt| Edns {
+        dnssec_ok: opt.dnssec_ok,
+        ..Edns::default()
+    });
+    let question = Question::new(request.name(), request.qtype);
     let reply = Sections {
         header: Header {
-            id: query.id,
+            id: request.id,
             response: true,
-            opcode: query.opcode,
-            recursion_desired: query.recursion_desired,
+            recursion_desired: request.recursion_desired,
             recursion_available: true,
             authentic_data,
-            checking_disabled: query.checking_disabled,
+            checking_disabled: request.checking_disabled,
             ..Header::default()
         },
         rcode,
-        questions: std::slice::from_ref(question),
+        questions: std::slice::from_ref(&question),
         answers,
         authorities: &[],
         additionals: &[],
@@ -291,11 +310,11 @@ pub fn respond(
     Ok(Response::Written { truncated })
 }
 
-/// The most bytes a datagram reply to `query` may carry: the client's
+/// The most bytes a datagram reply to `request` may carry: the client's
 /// EDNS advertisement (floored at 512) or 512, and at most the server's
 /// cap.
-fn udp_limit(query: &Message, udp_payload_max: u16) -> usize {
-    usize::from(query.advertised_payload_size().min(udp_payload_max))
+fn udp_limit(request: &Request, udp_payload_max: u16) -> usize {
+    usize::from(request.advertised_payload_size().min(udp_payload_max))
 }
 
 /// Encode `reply` for the UDP transport, truncating when it exceeds the
@@ -311,7 +330,9 @@ pub fn encode_udp(
     udp_payload_max: u16,
 ) -> Result<(Vec<u8>, bool), WireError> {
     let mut wire = Vec::with_capacity(512);
-    let limit = udp_limit(query, udp_payload_max);
+    let request = Request::from_query(query)
+        .expect("classify() only yields Resolve for a query with one question");
+    let limit = udp_limit(&request, udp_payload_max);
     write_udp(&reply.sections(), limit, &mut wire).map(|truncated| (wire, truncated))
 }
 
@@ -695,7 +716,7 @@ mod tests {
 /// `Resolver::resolve` does.
 #[cfg(test)]
 mod parity {
-    use super::{answer, encode_udp};
+    use super::{answer, classify, encode_udp, QueryDisposition};
     use crate::server::Shared;
     use crate::tcp::tests::{serve_on, Scripted};
     use crate::udp::serve_datagrams;
@@ -706,8 +727,10 @@ mod parity {
     use ede_testbed::Testbed;
     use ede_trace::{Metrics, ResolutionTrace, TraceEvent, TraceSink, Tracer};
     use ede_wire::stream::frame;
-    use ede_wire::ReplyImage;
-    use ede_wire::{Edns, Message, Name, RrType};
+    use ede_wire::{
+        EdeCode, EdeEntry, Edns, EdnsOption, Message, Name, Rdata, Record, ReplyImage, Request,
+        RrType,
+    };
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::Instant;
@@ -784,7 +807,7 @@ mod parity {
     }
 
     /// The qname of `wire` with every other ASCII letter upper-cased.
-    fn mixed_case(mut wire: Vec<u8>) -> Vec<u8> {
+    pub(super) fn mixed_case(mut wire: Vec<u8>) -> Vec<u8> {
         let mut at = 12;
         while wire[at] != 0 {
             let end = at + 1 + usize::from(wire[at]);
@@ -867,6 +890,58 @@ mod parity {
         assert!(cached_errors > 0);
     }
 
+    /// Two requests the in-place reader declines and `classify`
+    /// resolves: one with an EDE option in its OPT, one with a record in
+    /// its answer section. A miss and the hit after it, each over UDP,
+    /// UDP truncated and TCP, come back in the reference's bytes, for
+    /// every testbed name under both vendors.
+    #[test]
+    fn a_request_the_reader_declines_is_written_as_the_reference_writes_it() {
+        let tb = Testbed::build();
+        let default_cap = ServerConfig::default().udp_payload_max;
+        let transports = [
+            Transport::Udp(default_cap),
+            Transport::Udp(TC_CAP),
+            Transport::Tcp,
+        ];
+        for vendor in VENDORS {
+            let workers = transports.map(|t| match t {
+                Transport::Udp(cap) => shared(&tb, vendor, cap),
+                Transport::Tcp => shared(&tb, vendor, default_cap),
+            });
+            let oracle = tb.resolver(vendor);
+            for spec in &tb.specs {
+                let qname = tb.query_name(spec);
+                let mut with_ede = Message::query(0x0EDE, qname.clone(), RrType::A);
+                let ede = EdeEntry::with_text(EdeCode::Other, "from the client");
+                let edns = with_ede.edns.as_mut().expect("queries carry an OPT");
+                edns.options.push(EdnsOption::Ede(ede));
+                let mut with_answer = Message::query(0xA115, qname.clone(), RrType::A);
+                let address = Rdata::A([192, 0, 2, 1].into());
+                with_answer.answers.push(Record::new(qname, 60, address));
+                for wire in [with_ede, with_answer].map(|m| m.encode().unwrap()) {
+                    assert!(Request::read(&wire).is_none(), "{wire:02x?}");
+                    let QueryDisposition::Resolve(query) = classify(&wire) else {
+                        panic!("{wire:02x?} resolves");
+                    };
+                    oracle.flush();
+                    let replies = [(); 2].map(|()| answer(&oracle, None, &query));
+                    for (transport, worker) in transports.iter().zip(&workers) {
+                        worker.resolver.flush();
+                        for (hit, reply) in [false, true].into_iter().zip(&replies) {
+                            let case = format!(
+                                "{vendor:?} {} {transport:?} hit {hit} {wire:02x?}",
+                                spec.label
+                            );
+                            let expected = reference(reply, &query, *transport);
+                            assert_eq!(served(worker, *transport, &wire), expected, "{case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// A request for `qname` with `edns`, and RD and CD both `flags`.
     fn request(qname: &Name, edns: Option<Edns>, flags: bool) -> (Vec<u8>, Message) {
         let mut query = Message::query(0x5A5A, qname.clone(), RrType::A);
@@ -919,10 +994,15 @@ mod parity {
         }
     }
 
+    /// The request for `qname`'s A records.
+    fn a_request(qname: &Name) -> Request {
+        Request::from_query(&Message::query(0, qname.clone(), RrType::A)).unwrap()
+    }
+
     /// The image `worker`'s entry for `qname` holds, as an address;
     /// panics when there is none.
     fn image_of(worker: &Shared, qname: &Name) -> (Arc<CachedResolution>, *const ReplyImage) {
-        let Served::Hit { entry, .. } = worker.resolver.serve(qname, RrType::A) else {
+        let Served::Hit { entry, .. } = worker.resolver.serve(&a_request(qname)) else {
             panic!("{qname} is cached");
         };
         let image = entry.reply_image(|_| panic!("{qname}: an image is built once"));
@@ -965,7 +1045,7 @@ mod parity {
                 let qname = tb.query_name(spec);
                 resolver.resolve(&qname, RrType::A);
                 resolver.resolve(&qname, RrType::A);
-                let Served::Hit { entry, .. } = resolver.serve(&qname, RrType::A) else {
+                let Served::Hit { entry, .. } = resolver.serve(&a_request(&qname)) else {
                     panic!("{qname} is cached");
                 };
                 let mut encoded = false;
@@ -1057,6 +1137,151 @@ mod parity {
                 });
                 assert_eq!(announced[0], announced[1], "{vendor:?} {}", spec.label);
                 assert!(matches!(announced[0][1], TraceEvent::CacheProbe { .. }));
+            }
+        }
+    }
+}
+
+/// The in-place reader is a strict subset of `classify`: whatever
+/// `Request::read` reads, `classify` resolves, with the same ID, RD, CD,
+/// question, advertised payload size and DO bit. And it reads every
+/// shape a real client sends, so the workers' fast path cannot go dead
+/// without a test failing.
+#[cfg(test)]
+mod agreement {
+    use super::parity::mixed_case;
+    use super::{classify, QueryDisposition};
+    use crate::tcp::tests::corpus;
+    use ede_testbed::Testbed;
+    use ede_wire::{Class, Edns, EdnsOption, Message, Question, Request, RrType};
+
+    /// Whether the reader reads `wire`; when it does, `classify` must
+    /// resolve `wire` to the same request.
+    fn read_as_classified(wire: &[u8]) -> bool {
+        let Some(request) = Request::read(wire) else {
+            return false;
+        };
+        let QueryDisposition::Resolve(query) = classify(wire) else {
+            panic!("read, but classify does not resolve {wire:02x?}");
+        };
+        let [question] = query.questions.as_slice() else {
+            panic!("resolved with other than one question: {wire:02x?}");
+        };
+        let case = format!("{wire:02x?}");
+        assert_eq!(request.id, query.id, "{case}");
+        assert_eq!(request.recursion_desired, query.recursion_desired, "{case}");
+        assert_eq!(request.checking_disabled, query.checking_disabled, "{case}");
+        assert_eq!(request.name(), question.name, "{case}");
+        assert_eq!(request.qname(), question.name.as_wire(), "{case}");
+        assert_eq!(request.qtype, question.qtype, "{case}");
+        assert_eq!(question.qclass, Class::In, "{case}");
+        let opt = query
+            .edns
+            .as_ref()
+            .map(|e| (e.udp_payload_size, e.dnssec_ok));
+        let read = request.opt.map(|o| (o.udp_payload_size, o.dnssec_ok));
+        assert_eq!(read, opt, "{case}");
+        let advertised = query.advertised_payload_size();
+        assert_eq!(request.advertised_payload_size(), advertised, "{case}");
+        true
+    }
+
+    /// The grid's OPT rows: none, DO clear, DO set, an advertisement of
+    /// 256 (served as 512), and a COOKIE-style option the server does
+    /// not know.
+    fn opts() -> [Option<Edns>; 5] {
+        let cookie = EdnsOption::Unknown {
+            code: 10,
+            data: Box::new([0x5A; 8]),
+        };
+        [
+            None,
+            Some(Edns::default()),
+            Some(Edns::with_do()),
+            Some(Edns {
+                udp_payload_size: 256,
+                ..Edns::default()
+            }),
+            Some(Edns {
+                options: vec![cookie],
+                ..Edns::with_do()
+            }),
+        ]
+    }
+
+    /// Every testbed name × the OPT rows × RD and CD × the qname as it is
+    /// and in mixed case: the reader reads every one, as `classify`
+    /// does.
+    #[test]
+    fn the_reader_reads_every_client_shape_as_classify_does() {
+        let tb = Testbed::build();
+        let mut read = 0;
+        for spec in &tb.specs {
+            for edns in opts() {
+                for (rd, cd) in [(false, false), (true, false), (false, true), (true, true)] {
+                    let mut query = Message::query(read, tb.query_name(spec), RrType::A);
+                    (query.recursion_desired, query.checking_disabled) = (rd, cd);
+                    query.edns = edns.clone();
+                    let wire = query.encode().unwrap();
+                    for wire in [mixed_case(wire.clone()), wire] {
+                        assert!(read_as_classified(&wire), "declined {wire:02x?}");
+                        read += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(usize::from(read), tb.specs.len() * 5 * 4 * 2);
+    }
+
+    /// The 25 000-case mutation corpus: whatever the reader reads of it,
+    /// `classify` resolves alike.
+    #[test]
+    fn the_reader_reads_the_mutation_corpus_as_classify_does() {
+        let tb = Testbed::build();
+        let (cases, _) = corpus(&tb);
+        let read = cases.iter().filter(|wire| read_as_classified(wire)).count();
+        // A flipped ID, flag or qname bit leaves a query it reads.
+        assert!(read > 0);
+    }
+
+    /// One field away from a query the reader reads, each of these goes
+    /// to `classify`: a compressed qname (`www` and a pointer into the
+    /// header, which `classify` resolves), a version-1 OPT, two
+    /// questions, class CH, and an EDE option too short to decode.
+    #[test]
+    fn the_reader_declines_the_shapes_beside_its_own() {
+        let tb = Testbed::build();
+        for spec in &tb.specs {
+            let qname = tb.query_name(spec);
+            let wire = Message::query(7, qname.clone(), RrType::A)
+                .encode()
+                .unwrap();
+            let q_end = 12 + qname.wire_len() + 4;
+            // Header octets 5 to 7 spell the name `\000.`.
+            let mut compressed = wire[..12].to_vec();
+            compressed.extend([3, b'w', b'w', b'w', 0xC0, 5]);
+            compressed.extend_from_slice(&wire[q_end - 4..]);
+            assert!(matches!(
+                classify(&compressed),
+                QueryDisposition::Resolve(_)
+            ));
+            let mut version_1 = wire.clone();
+            version_1[q_end + 6] = 1;
+            let mut two = Message::query(7, qname.clone(), RrType::A);
+            two.questions.push(Question::new(qname, RrType::Aaaa));
+            let mut chaos = wire.clone();
+            chaos[q_end - 1] = 3;
+            let mut short_ede = wire.clone();
+            short_ede.extend([0, 15, 0, 1, 7]);
+            short_ede[q_end + 10] += 5;
+            for near in [
+                compressed,
+                version_1,
+                two.encode().unwrap(),
+                chaos,
+                short_ede,
+            ] {
+                assert!(!read_as_classified(&near), "read {near:02x?}");
             }
         }
     }

@@ -896,7 +896,7 @@ pub(crate) mod tests {
     /// Structure-aware mutation of the 63 testbed queries, one kind and
     /// two kinds at a time, with the row of the policy table each case
     /// meets first. Every row of the table is met.
-    fn corpus(tb: &Testbed) -> (Vec<Vec<u8>>, Vec<Option<Rcode>>) {
+    pub(crate) fn corpus(tb: &Testbed) -> (Vec<Vec<u8>>, Vec<Option<Rcode>>) {
         let mut rng = Rng(0x0024_5eed);
         let cases: Vec<Vec<u8>> = (0..tb.specs.len())
             .flat_map(|i| {

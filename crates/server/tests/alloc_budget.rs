@@ -5,9 +5,10 @@
 //! thread.
 //!
 //! Two paths are counted. The workers run `pipeline::respond`, which
-//! writes a hit as a copy of its cache entry's reply image: what is left
-//! is what the decoded query owns, and on the entry's first hit the
-//! image itself. The benchmark's in-process replay runs `classify` →
+//! reads the request in place (`Request::read`: no question list, the
+//! qname in a stack array) and writes a hit as a copy of its cache
+//! entry's reply image: a hit allocates nothing, and the entry's first
+//! hit only the image itself. The benchmark's in-process replay runs `classify` →
 //! `answer` → `encode_into`, which builds a reply `Message`: a hit
 //! renders nothing (its cache entry keeps the EDE list and the
 //! diagnosis), and the pipeline moves the resolution into the response,
@@ -162,43 +163,43 @@ fn worker_allocs(label: &str, counted: usize) -> (u64, Message) {
     (allocs[0], Message::decode(&out).unwrap())
 }
 
-/// `ed448` through the workers' path: the query's question list and its
-/// qname's shared block (31 wire octets, too long to hold inline). The
-/// answer, the RRSIG and the EDE entry with its text are written from
-/// the cache entry.
+/// `ed448` through the workers' path: nothing. The qname (31 wire
+/// octets, too long for a `Name` to hold inline) is read into the
+/// request's stack array and probed as it is; the answer, the RRSIG and
+/// the EDE entry with its text are written from the cache entry.
 #[test]
-fn a_worker_hit_with_extra_text_allocates_what_the_query_owns() {
+fn a_worker_hit_with_extra_text_allocates_nothing() {
     let (allocs, reply) = worker_hit_allocs("ed448");
     assert_eq!(reply.rcode, Rcode::NoError);
     assert_eq!(reply.answers.len(), 2);
     let ede: Vec<_> = reply.ede_entries().collect();
     assert_eq!(ede.len(), 1);
     assert!(!ede[0].extra_text.is_empty());
-    assert_eq!(allocs, 2);
+    assert_eq!(allocs, 0);
 }
 
-/// `allow-query-none` through the workers' path: the query's question
-/// list and qname; the four EDE entries and the text come from the
-/// entry.
+/// `allow-query-none` through the workers' path: nothing; the four EDE
+/// entries and the text come from the entry.
 #[test]
-fn a_worker_cached_failure_allocates_what_the_query_owns() {
+fn a_worker_cached_failure_allocates_nothing() {
     let (allocs, reply) = worker_hit_allocs("allow-query-none");
     assert_eq!(reply.rcode, Rcode::ServFail);
     assert!(reply.answers.is_empty());
     let codes: Vec<u16> = reply.ede_codes().iter().map(|c| c.to_u16()).collect();
     assert_eq!(codes, [9, 13, 22, 23]);
-    assert_eq!(allocs, 2);
+    assert_eq!(allocs, 0);
 }
 
 /// An entry's first hit through the workers' path encodes its reply
-/// image into the reused output buffer and keeps one exactly sized copy:
-/// what the query owns (2, as above) and that copy. `ed448` and
-/// `allow-query-none` carry EDE entries, so their entries were stored
-/// with the tail that holds the EDE list and the image; `valid` carries
-/// none, and its first hit allocates that tail too.
+/// image into the reused output buffer, its question from the request's
+/// stack array, and keeps one exactly sized copy: that copy is all it
+/// allocates. `ed448` and `allow-query-none` carry EDE entries, so their
+/// entries were stored with the tail that holds the EDE list and the
+/// image; `valid` carries none, and its first hit allocates that tail
+/// too.
 #[test]
 fn a_worker_first_hit_allocates_its_reply_image() {
-    for (label, expected) in [("ed448", 3), ("allow-query-none", 3), ("valid", 4)] {
+    for (label, expected) in [("ed448", 1), ("allow-query-none", 1), ("valid", 2)] {
         let (allocs, reply) = worker_allocs(label, 1);
         assert_eq!(
             reply.ede_entries().count() == 0,

@@ -16,7 +16,8 @@
 //! * [`registry`]: IANA DNSSEC algorithm numbers and DS digest types with
 //!   assigned/unassigned/reserved semantics (the testbed's
 //!   `*-unassigned-*`/`*-reserved-*` cases depend on these);
-//! * full [`message`] encoding and decoding;
+//! * full [`message`] encoding and decoding, and a served query read
+//!   in place ([`request`]);
 //! * [`stream`]: RFC 1035 §4.2.2 two-byte length-prefix framing for
 //!   DNS-over-TCP transports.
 //!
@@ -35,6 +36,7 @@ pub mod rcode;
 pub mod rdata;
 pub mod record;
 pub mod registry;
+pub mod request;
 pub mod rrtype;
 pub mod stream;
 
@@ -48,4 +50,5 @@ pub use rcode::Rcode;
 pub use rdata::Rdata;
 pub use record::{Class, Record};
 pub use registry::{DigestAlg, SecAlg};
+pub use request::{Request, RequestOpt};
 pub use rrtype::RrType;

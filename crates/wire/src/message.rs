@@ -8,9 +8,10 @@ use crate::ede::EdeEntry;
 use crate::edns::Edns;
 use crate::error::WireError;
 use crate::header::{Header, Opcode};
-use crate::name::{Compressor, Name};
+use crate::name::{encode_wire, Compressor, Name};
 use crate::rcode::Rcode;
 use crate::record::{Class, Record};
+use crate::request::Request;
 use crate::rrtype::RrType;
 
 /// One entry of the question section.
@@ -34,10 +35,10 @@ impl Question {
         }
     }
 
-    fn encode(&self, buf: &mut Vec<u8>, compressor: Option<&mut Compressor>) {
-        self.name.encode(buf, compressor);
-        buf.extend_from_slice(&self.qtype.to_u16().to_be_bytes());
-        buf.extend_from_slice(&self.qclass.to_u16().to_be_bytes());
+    /// This question's name's wire form, type and class: what the
+    /// encoder writes.
+    fn fields(&self) -> QuestionFields<'_> {
+        (self.name.as_wire(), self.qtype, self.qclass)
     }
 
     fn decode(msg: &[u8], pos: &mut usize) -> Result<Self, WireError> {
@@ -57,6 +58,10 @@ impl Question {
         })
     }
 }
+
+/// A question as the encoder writes it: its name's canonical wire form,
+/// its type and its class.
+type QuestionFields<'a> = (&'a [u8], RrType, Class);
 
 /// A message's header and sections, borrowed from wherever they live:
 /// the one encoder. [`Message::encode_into`] is this writer over the
@@ -88,19 +93,25 @@ impl Sections<'_> {
     /// already holds: compression pointers count from this message's
     /// first byte. On error `buf` is left as it was found.
     pub fn encode_into(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
-        self.encode_marked(buf).map(drop)
+        let questions = self.questions.iter().map(Question::fields);
+        self.encode_marked(questions, buf).map(drop)
     }
 
-    /// [`encode_into`](Self::encode_into), returning where the OPT
-    /// record starts (the end, without one), as an offset from this
-    /// message's first byte.
-    fn encode_marked(&self, buf: &mut Vec<u8>) -> Result<usize, WireError> {
+    /// [`encode_into`](Self::encode_into) with the question section
+    /// written from `questions` instead of `self.questions`, returning
+    /// where the OPT record starts (the end, without one), as an offset
+    /// from this message's first byte.
+    fn encode_marked<'q>(
+        &self,
+        questions: impl ExactSizeIterator<Item = QuestionFields<'q>>,
+        buf: &mut Vec<u8>,
+    ) -> Result<usize, WireError> {
         let base = buf.len();
         let count = |n: usize| u16::try_from(n).map_err(|_| WireError::BadCount);
         let header = Header {
             rcode_low: self.rcode.header_bits(),
             counts: [
-                count(self.questions.len())?,
+                count(questions.len())?,
                 count(self.answers.len())?,
                 count(self.authorities.len())?,
                 count(self.additionals.len() + usize::from(self.edns.is_some()))?,
@@ -110,8 +121,10 @@ impl Sections<'_> {
         header.encode(buf);
 
         let mut compressor = Compressor::at(base);
-        for q in self.questions {
-            q.encode(buf, Some(&mut compressor));
+        for (qname, qtype, qclass) in questions {
+            encode_wire(qname, buf, Some(&mut compressor));
+            buf.extend_from_slice(&qtype.to_u16().to_be_bytes());
+            buf.extend_from_slice(&qclass.to_u16().to_be_bytes());
         }
         for r in self
             .answers
@@ -156,13 +169,14 @@ const DO: u8 = 0x80;
 
 impl ReplyImage {
     /// Encode, at the end of `scratch`, the reply to the canonical
-    /// request for `question`: RA set, AD as `authentic_data`, `rcode`,
-    /// `answers`, and the server's OPT with `ede` as its options. Keeps
-    /// an exactly sized copy of the bytes; `scratch` is left as found.
+    /// request for `request`'s question: RA set, AD as
+    /// `authentic_data`, `rcode`, `answers`, and the server's OPT with
+    /// `ede` as its options. Keeps an exactly sized copy of the bytes;
+    /// `scratch` is left as found.
     pub fn encode(
         rcode: Rcode,
         authentic_data: bool,
-        question: &Question,
+        request: &Request,
         answers: &[Record],
         ede: &[EdeEntry],
         scratch: &mut Vec<u8>,
@@ -175,41 +189,43 @@ impl ReplyImage {
                 ..Header::default()
             },
             rcode,
-            questions: std::slice::from_ref(question),
+            questions: &[],
             answers,
             authorities: &[],
             additionals: &[],
             edns: Some((&Edns::default(), ede)),
         };
         let base = scratch.len();
-        let opt_at = canonical.encode_marked(scratch)?;
+        let question = (request.qname(), request.qtype, Class::In);
+        let opt_at = canonical.encode_marked(std::iter::once(question), scratch)?;
         let bytes = scratch[base..].into();
         scratch.truncate(base);
         Ok(ReplyImage { bytes, opt_at })
     }
 
-    /// How many bytes [`write`](Self::write) appends for `query`.
-    pub fn len_for(&self, query: &Message) -> usize {
-        match query.edns {
+    /// How many bytes [`write`](Self::write) appends for `request`.
+    pub fn len_for(&self, request: &Request) -> usize {
+        match request.opt {
             Some(_) => self.bytes.len(),
             None => self.opt_at,
         }
     }
 
-    /// Append this reply as answered to `query`: its ID, RD and CD bits,
-    /// and the OPT only when `query` carried one, with its DO bit.
-    pub fn write(&self, query: &Message, out: &mut Vec<u8>) {
+    /// Append this reply as answered to `request`: its ID, RD and CD
+    /// bits, and the OPT only when `request` carried one, with its DO
+    /// bit.
+    pub fn write(&self, request: &Request, out: &mut Vec<u8>) {
         let base = out.len();
-        out.extend_from_slice(&self.bytes[..self.len_for(query)]);
+        out.extend_from_slice(&self.bytes[..self.len_for(request)]);
         let header = &mut out[base..base + Header::LEN];
-        header[..2].copy_from_slice(&query.id.to_be_bytes());
-        if query.recursion_desired {
+        header[..2].copy_from_slice(&request.id.to_be_bytes());
+        if request.recursion_desired {
             header[2] |= RD;
         }
-        if query.checking_disabled {
+        if request.checking_disabled {
             header[3] |= CD;
         }
-        match &query.edns {
+        match &request.opt {
             None => {
                 // ARCOUNT, which counts the OPT left off.
                 let arcount = u16::from_be_bytes([header[10], header[11]]) - 1;
@@ -665,7 +681,6 @@ mod tests {
     #[test]
     fn a_reply_image_writes_what_the_encoder_writes() {
         let name = n("big.example.com");
-        let question = Question::new(name.clone(), RrType::Txt);
         let answers: Vec<Record> = (0..3)
             .map(|i| {
                 let owner = n(&format!("a{i}.big.example.com"));
@@ -675,8 +690,10 @@ mod tests {
         let ede = [EdeEntry::with_text(EdeCode::Other, "why")];
         for rcode in [Rcode::NoError, Rcode::BadVers] {
             let mut scratch = vec![0xAA; 3];
+            let request = Request::from_query(&Message::query(0, name.clone(), RrType::Txt));
+            let request = request.unwrap();
             let image =
-                ReplyImage::encode(rcode, true, &question, &answers, &ede, &mut scratch).unwrap();
+                ReplyImage::encode(rcode, true, &request, &answers, &ede, &mut scratch).unwrap();
             assert_eq!(scratch, [0xAA; 3], "scratch left as found");
             for edns in [None, Some(Edns::default()), Some(Edns::with_do())] {
                 for (rd, cd) in [(false, false), (true, false), (false, true), (true, true)] {
@@ -684,10 +701,11 @@ mod tests {
                     query.edns = edns.clone();
                     (query.recursion_desired, query.checking_disabled) = (rd, cd);
                     let expected = reply_to(&query, rcode, &answers, &ede).encode().unwrap();
+                    let request = Request::from_query(&query).unwrap();
                     let mut out = vec![0x55];
-                    image.write(&query, &mut out);
+                    image.write(&request, &mut out);
                     let case = format!("{rcode:?} {edns:?} rd {rd} cd {cd}");
-                    assert_eq!(image.len_for(&query), expected.len(), "{case}");
+                    assert_eq!(image.len_for(&request), expected.len(), "{case}");
                     assert_eq!(out[0], 0x55, "{case}");
                     assert_eq!(out[1..], expected, "{case}");
                 }

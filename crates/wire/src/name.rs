@@ -99,15 +99,7 @@ impl Builder {
             return Err(WireError::NameTooLong);
         }
         self.buf[self.len..end].copy_from_slice(tail);
-        let wire = &self.buf[..end];
-        Ok(if end <= MAX_INLINE_LEN {
-            Name::inline(wire)
-        } else {
-            Name(Repr::Shared {
-                buf: Arc::from(wire),
-                start: 0,
-            })
-        })
+        Ok(Name::from_canonical(&self.buf[..end]))
     }
 
     fn finish(self) -> Name {
@@ -142,6 +134,19 @@ impl Name {
     /// The root name `.`.
     pub fn root() -> Self {
         Name::inline(&[0])
+    }
+
+    /// The name whose wire form is `wire`, which is canonical: well
+    /// formed, lowercase, uncompressed, at most [`MAX_NAME_LEN`] octets.
+    pub(crate) fn from_canonical(wire: &[u8]) -> Self {
+        if wire.len() <= MAX_INLINE_LEN {
+            Name::inline(wire)
+        } else {
+            Name(Repr::Shared {
+                buf: Arc::from(wire),
+                start: 0,
+            })
+        }
     }
 
     /// A name held inline; `wire` is canonical and fits.
@@ -322,26 +327,7 @@ impl Name {
     /// recorded in `compressor`. Pass `None` to force uncompressed output
     /// (required inside DNSSEC RDATA).
     pub fn encode(&self, buf: &mut Vec<u8>, compressor: Option<&mut Compressor>) {
-        let wire = self.as_wire();
-        let Some(c) = compressor else {
-            buf.extend_from_slice(wire);
-            return;
-        };
-        // Walk suffixes from the full name down; emit a pointer at the
-        // first suffix the compressor has seen, else emit the label and
-        // record the suffix position.
-        let mut at = 0;
-        while wire[at] != 0 {
-            if let Some(offset) = c.find_or_record(buf, &wire[at..]) {
-                // 14-bit pointer: 0b11 prefix.
-                buf.extend_from_slice(&(0xC000u16 | offset).to_be_bytes());
-                return;
-            }
-            let end = at + 1 + usize::from(wire[at]);
-            buf.extend_from_slice(&wire[at..end]);
-            at = end;
-        }
-        buf.push(0);
+        encode_wire(self.as_wire(), buf, compressor);
     }
 
     /// Decode a (possibly compressed) name from `msg` starting at
@@ -407,13 +393,7 @@ impl Name {
     /// it both to pick a shard and as the lookup key, so a probe never
     /// has to clone the name.
     pub fn shard_hash(&self) -> u64 {
-        let wire = self.as_wire();
-        let mut h: u64 = 0xcbf29ce484222325;
-        for &b in &wire[..wire.len() - 1] {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
+        shard_hash_of(self.as_wire())
     }
 
     /// Offsets of this name's labels within [`Name::as_wire`],
@@ -515,6 +495,38 @@ impl std::str::FromStr for Name {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         Name::parse(s)
     }
+}
+
+/// [`Name::shard_hash`] of the name whose canonical wire form is
+/// `wire`, for a caller that holds the form and no `Name`.
+pub fn shard_hash_of(wire: &[u8]) -> u64 {
+    let labels = wire.split_last().map_or(wire, |(_root, labels)| labels);
+    labels.iter().fold(0xcbf29ce484222325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
+    })
+}
+
+/// [`Name::encode`] of the name whose canonical wire form is `wire`.
+pub(crate) fn encode_wire(wire: &[u8], buf: &mut Vec<u8>, compressor: Option<&mut Compressor>) {
+    let Some(c) = compressor else {
+        buf.extend_from_slice(wire);
+        return;
+    };
+    // Walk suffixes from the full name down; emit a pointer at the
+    // first suffix the compressor has seen, else emit the label and
+    // record the suffix position.
+    let mut at = 0;
+    while wire[at] != 0 {
+        if let Some(offset) = c.find_or_record(buf, &wire[at..]) {
+            // 14-bit pointer: 0b11 prefix.
+            buf.extend_from_slice(&(0xC000u16 | offset).to_be_bytes());
+            return;
+        }
+        let end = at + 1 + usize::from(wire[at]);
+        buf.extend_from_slice(&wire[at..end]);
+        at = end;
+    }
+    buf.push(0);
 }
 
 /// Compression state shared across one message encoding: for each name
